@@ -18,7 +18,7 @@
 //	bench   — machine-readable benchmark pipeline: Table 1/Table 2 plus the
 //	          covariance-kernel micro-benchmarks and the Joseph ablation,
 //	          written as JSON (-json path, default BENCH_PR2.json)
-//	throughput — elastic solver-team scheduler vs the rigid worker pool on a
+//	throughput — elastic solver-team scheduler vs rigid full-width teams on a
 //	          many-tiny-jobs service workload, written as JSON
 //	          (-throughput-json path, default BENCH_PR7.json)
 //	all     — everything above except bench and throughput

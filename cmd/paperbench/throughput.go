@@ -17,15 +17,16 @@ import (
 	"phmse/internal/server"
 )
 
-// throughput contrasts the elastic solver-team scheduler against the old
-// rigid worker pool on a service workload dominated by tiny jobs — the
+// throughput contrasts the elastic solver-team scheduler against rigid
+// full-width teams on a service workload dominated by tiny jobs — the
 // regime the scheduler exists for. Both sides run an identical job mix
 // through a real in-process daemon over HTTP on the same processor
-// budget; the baseline pins every job to a fixed-width team (the old
-// Workers × ProcsPerJob shape) with workspace pooling off, the elastic
-// side coalesces tiny jobs onto MinTeam-wide teams with pooling on. The
-// document written to -throughput-json records jobs/sec, queue-wait
-// percentiles, and heap allocations per completed job for each side.
+// budget; the baseline pins every job to a fixed-width team (MinTeam =
+// MaxTeam = MaxProcs, one job at a time) with workspace pooling off, the
+// elastic side coalesces tiny jobs onto MinTeam-wide teams with pooling
+// on. The document written to -throughput-json records jobs/sec,
+// queue-wait percentiles, and heap allocations per completed job for
+// each side.
 func throughput(cfg config, path string) error {
 	header("PR7 — elastic scheduler throughput: many tiny jobs + a few large")
 
@@ -39,10 +40,9 @@ func throughput(cfg config, path string) error {
 	}
 	const maxProcs = 4
 
-	// The baseline reproduces the replaced design: every job gets a
-	// dedicated team of the full per-job width (ProcsPerJob = MaxProcs),
-	// so the worker count — MaxProcs/ProcsPerJob = 1 — bounds jobs in
-	// flight, and no workspace is reused across solves.
+	// The baseline reproduces the design the scheduler replaced: every job
+	// gets a dedicated team of the full budget's width (MinTeam = MaxProcs),
+	// so one job runs at a time, and no workspace is reused across solves.
 	baseline, err := throughputSide("rigid full-width teams, pooling off", server.Config{
 		MaxProcs: maxProcs, MinTeam: maxProcs, MaxTeam: maxProcs, QueueDepth: 1024,
 	}, false, tiny, large, largeBP)

@@ -33,17 +33,13 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8090", "listen address")
 		shards       = flag.String("shards", "", "comma-separated backend phmsed base URLs (required)")
-		vnodes       = flag.Int("vnodes", 64, "virtual nodes per shard on the hash ring")
 		probeEvery   = flag.Duration("probe-interval", 2*time.Second, "shard health-poll period")
 		probeTimeout = flag.Duration("probe-timeout", time.Second, "timeout for one health probe")
-		maxBackoff   = flag.Duration("max-probe-backoff", 30*time.Second, "cap on the probe backoff of an unreachable shard")
-		failAfter    = flag.Int("fail-after", 1, "consecutive failed probes before a shard leaves the ring")
 		inflight     = flag.Int("shard-inflight", 0, "max concurrent requests forwarded to one shard; saturated shards answer 429 (0 = unlimited)")
 		adminToken   = flag.String("admin-token", "", "bearer token required on /admin/v1 and presented to shards during migration (empty leaves the admin plane open)")
 		drainDL      = flag.Duration("drain-deadline", 30*time.Second, "default wait for a draining shard's in-flight jobs before migration proceeds")
 		migrTimeout  = flag.Duration("migrate-timeout", 10*time.Second, "per-posterior transfer timeout during migration passes")
 		repairEvery  = flag.Duration("repair-interval", 30*time.Second, "anti-entropy repair sweep period, jittered ±20% (negative disables the loop)")
-		repairConc   = flag.Int("repair-concurrency", 2, "max concurrent posterior transfers per repair sweep")
 		brkFailures  = flag.Int("breaker-failures", 3, "consecutive live-forward failures that open a shard's circuit breaker (-1 disables breaking)")
 		brkCooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open trial request is admitted")
 		flapCount    = flag.Int("breaker-flap-count", 3, "ring readmissions within the flap window that quarantine a shard (-1 disables flap suppression)")
@@ -86,27 +82,23 @@ func main() {
 	}
 	debugserve.Start(*pprofAddr)
 	rt, err := router.New(router.Config{
-		Shards:            bases,
-		VNodes:            *vnodes,
-		ProbeInterval:     *probeEvery,
-		ProbeTimeout:      *probeTimeout,
-		MaxProbeBackoff:   *maxBackoff,
-		FailAfter:         *failAfter,
-		ShardInflight:     *inflight,
-		AdminToken:        *adminToken,
-		DrainDeadline:     *drainDL,
-		MigrateTimeout:    *migrTimeout,
-		RepairInterval:    *repairEvery,
-		RepairConcurrency: *repairConc,
-		BreakerFailures:   *brkFailures,
-		BreakerCooldown:   *brkCooldown,
-		FlapCount:         *flapCount,
-		FlapWindow:        *flapWindow,
-		AuditLog:          *auditLog,
-		ReplicaID:         *replicaID,
-		Peers:             peerList,
-		GossipInterval:    *gossipEvery,
-		LeaseTTL:          *leaseTTL,
+		Shards:          bases,
+		ProbeInterval:   *probeEvery,
+		ProbeTimeout:    *probeTimeout,
+		ShardInflight:   *inflight,
+		AdminToken:      *adminToken,
+		DrainDeadline:   *drainDL,
+		MigrateTimeout:  *migrTimeout,
+		RepairInterval:  *repairEvery,
+		BreakerFailures: *brkFailures,
+		BreakerCooldown: *brkCooldown,
+		FlapCount:       *flapCount,
+		FlapWindow:      *flapWindow,
+		AuditLog:        *auditLog,
+		ReplicaID:       *replicaID,
+		Peers:           peerList,
+		GossipInterval:  *gossipEvery,
+		LeaseTTL:        *leaseTTL,
 	})
 	if err != nil {
 		log.Fatalf("phmse-router: %v", err)

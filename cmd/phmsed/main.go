@@ -42,8 +42,6 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 0, "legacy: concurrent solves; with -procs maps to -max-procs = workers*procs")
-		procs        = flag.Int("procs", 0, "legacy: processor team size per solve; maps to -max-team")
 		maxProcs     = flag.Int("max-procs", 0, "total processor budget shared by all running solves (default GOMAXPROCS)")
 		minTeam      = flag.Int("min-team", 0, "smallest processor team a solve runs on (default 1)")
 		maxTeam      = flag.Int("max-team", 0, "widest processor team a single solve may get (default max-procs)")
@@ -64,7 +62,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *workers < 0 || *procs < 0 || *maxProcs < 0 || *minTeam < 0 || *maxTeam < 0 ||
+	if *maxProcs < 0 || *minTeam < 0 || *maxTeam < 0 ||
 		*queue < 1 || *maxRetries < 0 || *drainTimeout <= 0 || *transferIn < 0 {
 		fmt.Fprintln(os.Stderr, "phmsed: processor flags must be >= 0, -queue >= 1, -max-retries >= 0, -drain-timeout > 0, -transfer-inflight >= 0")
 		flag.Usage()
@@ -86,8 +84,6 @@ func main() {
 	}
 	debugserve.Start(*pprofAddr)
 	srv := server.New(server.Config{
-		Workers:          *workers,
-		ProcsPerJob:      *procs,
 		MaxProcs:         *maxProcs,
 		MinTeam:          *minTeam,
 		MaxTeam:          *maxTeam,

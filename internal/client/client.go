@@ -83,8 +83,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // Delay computes the backoff before retry number retryIdx (0-based): the
 // capped exponential step, jittered over [d/2, 3d/2) so synchronized
 // clients spread out, and floored by the server's Retry-After when the
-// last rejection carried one. Exported so the routing tier can reuse the
-// same backoff shape for forwarded requests.
+// last rejection carried one.
 func (p RetryPolicy) Delay(retryIdx int, last error) time.Duration {
 	d := p.BaseDelay << retryIdx
 	if d > p.MaxDelay || d <= 0 {
@@ -96,6 +95,35 @@ func (p RetryPolicy) Delay(retryIdx int, last error) time.Duration {
 		d = ae.RetryAfter
 	}
 	return d
+}
+
+// Do is the one retry loop of the client and the routing tier: it calls
+// fn (passing the 0-based attempt number) until fn succeeds, retryable
+// reports its error final, MaxAttempts calls have been made (at least
+// one), or ctx ends mid-backoff. Backoffs follow Delay, so a Retry-After
+// carried by the last error floors the wait. A final error is returned
+// as fn produced it; exhaustion and cancellation wrap the last error.
+func (p RetryPolicy) Do(ctx context.Context, fn func(attempt int) error, retryable func(error) bool) error {
+	attempts := max(p.MaxAttempts, 1)
+	var last error
+	for i := 0; i < attempts; i++ {
+		if i > 0 {
+			t := time.NewTimer(p.Delay(i-1, last))
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return fmt.Errorf("%w (last error: %w)", ctx.Err(), last)
+			}
+		}
+		if last = fn(i); last == nil || !retryable(last) {
+			return last
+		}
+	}
+	if attempts == 1 {
+		return last
+	}
+	return fmt.Errorf("after %d attempts: %w", attempts, last)
 }
 
 // WithRetry enables transport-level retries: backpressure rejections
@@ -209,24 +237,8 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	if c.retry == nil {
 		return c.doOnce(ctx, method, path, body, out)
 	}
-	var last error
-	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			t := time.NewTimer(c.retry.Delay(attempt-1, last))
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return fmt.Errorf("client: retrying %s %s: %w (last error: %v)", method, path, ctx.Err(), last)
-			}
-		}
-		err := c.doOnce(ctx, method, path, body, out)
-		if err == nil || !retryableRequest(method, err) {
-			return err
-		}
-		last = err
-	}
-	return last
+	return c.retry.Do(ctx, func(int) error { return c.doOnce(ctx, method, path, body, out) },
+		func(err error) bool { return retryableRequest(method, err) })
 }
 
 // retryableRequest reports whether a failed request may be reissued:
@@ -271,7 +283,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return decodeError(resp)
+		return DecodeError(resp)
 	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
@@ -283,9 +295,12 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 	return nil
 }
 
-// decodeError maps a non-2xx response onto *APIError, tolerating bodies
-// that are not well-formed envelopes (proxies, panics).
-func decodeError(resp *http.Response) error {
+// DecodeError maps a non-2xx response onto *APIError, tolerating bodies
+// that are not well-formed envelopes (proxies, panics): those keep their
+// first 200 bytes as the message. It reads resp.Body but leaves closing
+// it to the caller. Exported so the routing tier decodes the shards'
+// rejections exactly as this client does.
+func DecodeError(resp *http.Response) error {
 	ae := &APIError{HTTPStatus: resp.StatusCode, Code: encode.CodeInternal}
 	if v := resp.Header.Get("Retry-After"); v != "" {
 		if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
@@ -299,7 +314,7 @@ func decodeError(resp *http.Response) error {
 		ae.Message = env.Error.Message
 		ae.State = env.Error.State
 	} else {
-		ae.Message = strings.TrimSpace(string(raw))
+		ae.Message = strings.TrimSpace(string(raw[:min(len(raw), 200)]))
 	}
 	return ae
 }
@@ -356,13 +371,42 @@ func (c *Client) Status(ctx context.Context, id string) (encode.JobStatus, error
 // reaches one of the wanted states (default: any terminal state) or ctx
 // ends, and returns the matching snapshot.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration, states ...encode.JobState) (encode.JobStatus, error) {
+	return c.wait(ctx, id, poll, states, c.Status)
+}
+
+// WaitRetry polls like Wait but rides through transient polling failures —
+// transport errors and 5xx responses — with the client's retry backoff
+// (the WithRetry policy, or its defaults) instead of returning on the
+// first hiccup. It gives up after MaxAttempts consecutive failed polls, on
+// a non-transient error (e.g. not_found), or when ctx ends.
+func (c *Client) WaitRetry(ctx context.Context, id string, poll time.Duration, states ...encode.JobState) (encode.JobStatus, error) {
+	pol := RetryPolicy{}.withDefaults()
+	if c.retry != nil {
+		pol = *c.retry
+	}
+	return c.wait(ctx, id, poll, states, func(ctx context.Context, id string) (encode.JobStatus, error) {
+		var st encode.JobStatus
+		err := pol.Do(ctx, func(int) (err error) {
+			st, err = c.Status(ctx, id)
+			return err
+		}, func(err error) bool { return retryableRequest(http.MethodGet, err) })
+		if err != nil {
+			err = fmt.Errorf("client: polling job %s: %w", id, err)
+		}
+		return st, err
+	})
+}
+
+// wait is the polling loop behind Wait and WaitRetry; status is one poll.
+func (c *Client) wait(ctx context.Context, id string, poll time.Duration, states []encode.JobState,
+	status func(context.Context, string) (encode.JobStatus, error)) (encode.JobStatus, error) {
 	if poll <= 0 {
 		poll = 5 * time.Millisecond
 	}
 	t := time.NewTicker(poll)
 	defer t.Stop()
 	for {
-		st, err := c.Status(ctx, id)
+		st, err := status(ctx, id)
 		if err != nil {
 			return encode.JobStatus{}, err
 		}
@@ -376,64 +420,6 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration, states
 					return st, nil
 				}
 			}
-		}
-		select {
-		case <-ctx.Done():
-			return st, fmt.Errorf("client: waiting for job %s (last state %s): %w", id, st.State, ctx.Err())
-		case <-t.C:
-		}
-	}
-}
-
-// WaitRetry polls like Wait but rides through transient polling failures —
-// transport errors and 5xx responses — with the client's retry backoff
-// (the WithRetry policy, or its defaults) instead of returning on the
-// first hiccup. It gives up after MaxAttempts consecutive failed polls, on
-// a non-transient error (e.g. not_found), or when ctx ends.
-func (c *Client) WaitRetry(ctx context.Context, id string, poll time.Duration, states ...encode.JobState) (encode.JobStatus, error) {
-	if poll <= 0 {
-		poll = 5 * time.Millisecond
-	}
-	pol := RetryPolicy{}.withDefaults()
-	if c.retry != nil {
-		pol = *c.retry
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	failures := 0
-	var lastErr error
-	for {
-		st, err := c.Status(ctx, id)
-		switch {
-		case err == nil:
-			failures = 0
-			if len(states) == 0 {
-				if st.State.Terminal() {
-					return st, nil
-				}
-			} else {
-				for _, want := range states {
-					if st.State == want {
-						return st, nil
-					}
-				}
-			}
-		case !retryableRequest(http.MethodGet, err):
-			return encode.JobStatus{}, err
-		default:
-			failures++
-			lastErr = err
-			if failures >= pol.MaxAttempts {
-				return encode.JobStatus{}, fmt.Errorf("client: waiting for job %s: %d consecutive poll failures: %w", id, failures, err)
-			}
-			bt := time.NewTimer(pol.Delay(failures-1, err))
-			select {
-			case <-bt.C:
-			case <-ctx.Done():
-				bt.Stop()
-				return encode.JobStatus{}, fmt.Errorf("client: waiting for job %s: %w (last error: %v)", id, ctx.Err(), lastErr)
-			}
-			continue
 		}
 		select {
 		case <-ctx.Done():

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,6 +85,35 @@ func TestNonEnvelopeErrorBody(t *testing.T) {
 	}
 	if ae.Message != "upstream exploded" {
 		t.Fatalf("message: %q", ae.Message)
+	}
+}
+
+// TestDecodeError pins the exported decoder the routing tier feeds its
+// backoff from: envelope fields and Retry-After survive, and a
+// non-envelope body degrades to a capped raw message.
+func TestDecodeError(t *testing.T) {
+	mk := func(status int, retryAfter, body string) *http.Response {
+		h := http.Header{}
+		if retryAfter != "" {
+			h.Set("Retry-After", retryAfter)
+		}
+		return &http.Response{StatusCode: status, Header: h, Body: io.NopCloser(strings.NewReader(body))}
+	}
+	var ae *APIError
+	err := DecodeError(mk(http.StatusTooManyRequests, "2", `{"error":{"code":"queue_full","message":"busy"}}`))
+	if !errors.As(err, &ae) {
+		t.Fatalf("DecodeError returned %T", err)
+	}
+	if ae.Code != encode.CodeQueueFull || ae.Message != "busy" || ae.RetryAfter != 2*time.Second || ae.HTTPStatus != http.StatusTooManyRequests {
+		t.Fatalf("parsed %+v, want envelope fields and Retry-After preserved", ae)
+	}
+
+	err = DecodeError(mk(http.StatusBadGateway, "", strings.Repeat("x", 500)))
+	if !errors.As(err, &ae) {
+		t.Fatalf("DecodeError returned %T", err)
+	}
+	if ae.Code != encode.CodeInternal || len(ae.Message) != 200 {
+		t.Fatalf("fallback = code %q, %d-byte message; want internal with a 200-byte cap", ae.Code, len(ae.Message))
 	}
 }
 

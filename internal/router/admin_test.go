@@ -61,7 +61,7 @@ func expectOwner(cl *testCluster, p *molecule.Problem, backends ...*backend) str
 	for _, b := range backends {
 		shards = append(shards, &shard{name: b.url(), base: b.url()})
 	}
-	return buildRing(shards, cl.rt.cfg.VNodes).lookup(encode.TopologyHash(p)).name
+	return buildRing(shards, ringVNodes).lookup(encode.TopologyHash(p)).name
 }
 
 func (cl *testCluster) resultCycles(t *testing.T, id string) int {

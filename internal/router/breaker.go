@@ -13,21 +13,16 @@ package router
 // time — a success closes the breaker, a failure reopens it for another
 // cooldown. Requests refused by an open (or trial-occupied half-open)
 // breaker fail over to the next ring replica exactly like a saturated
-// shard.
+// shard. The router consults the breaker in exactly two places: the one
+// forward attempt (allow/record/cancel) and the shard-state function
+// (isOpen).
 //
-// Flap suppression lives in the probe path (health.go) but shares this
-// file's vocabulary: a shard readmitted to the ring too many times within
-// a window is quarantined under an escalating probation — it must stay
-// continuously healthy for 2, 4, 8, … consecutive probes (doubling per
-// quarantine, capped) before the ring takes it back, instead of the
-// single-success readmission a stable shard gets.
+// Flap suppression — the escalating probation of a shard readmitted too
+// often — lives in the probe path (health.go, probeShard).
 
 import (
-	"net/http"
 	"sync"
 	"time"
-
-	"phmse/internal/encode"
 )
 
 // BreakerState is one circuit-breaker position, exposed in /metrics.
@@ -176,47 +171,4 @@ func (b *breaker) isOpen() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state == BreakerOpen
-}
-
-// breakerAllow asks a shard's breaker to admit one live forward; always
-// yes when breaking is disabled.
-func (rt *Router) breakerAllow(sh *shard) (ok, trial bool) {
-	if rt.cfg.BreakerFailures <= 0 {
-		return true, false
-	}
-	return sh.brk.allow(time.Now(), rt.cfg.BreakerCooldown)
-}
-
-// breakerRecord settles one live forward outcome and rebuilds the ring on
-// an open/close transition.
-func (rt *Router) breakerRecord(sh *shard, success, trial bool) {
-	if rt.cfg.BreakerFailures <= 0 {
-		return
-	}
-	if sh.brk.record(success, trial, rt.cfg.BreakerFailures, time.Now()) {
-		rt.rebuildRing()
-	}
-}
-
-// breakerCancel releases an unused trial slot.
-func (rt *Router) breakerCancel(sh *shard, trial bool) {
-	if rt.cfg.BreakerFailures > 0 {
-		sh.brk.cancel(trial)
-	}
-}
-
-// breakerState reads a shard's current breaker position.
-func (rt *Router) breakerState(sh *shard) BreakerState {
-	st, _, _, _ := sh.brk.snapshot()
-	return st
-}
-
-// writeBreakerRefused answers a directed request whose owning shard's
-// breaker refused it: the shard exists and the job may well live there,
-// so the honest answer is "temporarily unavailable, retry" — not 404.
-func (rt *Router) writeBreakerRefused(w http.ResponseWriter, shardName string) {
-	rt.breakerRefused.Add(1)
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, encode.CodeNoShard,
-		"shard "+shardName+" circuit open; retry")
 }

@@ -315,7 +315,7 @@ func TestMigrationFailureKicksRepair(t *testing.T) {
 		ErrorProb: 1,
 		Match:     func(r *http.Request) bool { return r.Method == http.MethodPut && v1Only(r) },
 	})
-	rep := cc.rt.drainShard(context.Background(), cc.rt.findShard(cc.proxyURL[owner]), time.Second)
+	rep := cc.rt.retire(context.Background(), cc.rt.findShard(cc.proxyURL[owner]), false, "drain", time.Second)
 	if rep.Migration.Failed == 0 {
 		t.Fatalf("drain migration = %+v, want failures against the faulted destination", rep.Migration)
 	}

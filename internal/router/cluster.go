@@ -6,16 +6,14 @@ package router
 // converges the replicas so a mutation applied at ANY router reflects in
 // every ring within one gossip round.
 //
-// The document — not rt.shards — is the source of truth. Admin
-// operations first fold in any document adopted from a peer but not yet
-// applied (apply-on-entry), then mutate the document, then reconcile the
-// in-memory shard set to it. Gossip adoptions run the same
-// reconciliation under the same adminMu, so local mutations and
-// peer-applied documents can never interleave on ring generations.
-// Remote applies never run migration passes: the mutating replica owns
-// the migration, and the repair lease (one sweeper per interval,
-// epoch-fenced in the document) converges any posterior a failed pass
-// left behind.
+// The document is the only membership writer. An admin operation is a
+// sequence of steps — mutate the document, reconcile the shard set to it
+// — around a placement pass; a gossip adoption is the same reconciliation
+// under the same adminMu, so the two never interleave on ring
+// generations. reconcileMembership alone adds or drops a member and sets
+// a shard's fence. Remote applies never move posteriors: the mutating
+// replica owns that pass, and the lease-holding sweeper converges
+// whatever it left behind.
 
 import (
 	"context"
@@ -25,40 +23,26 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"phmse/internal/cluster"
 	"phmse/internal/encode"
 )
 
-// initialClusterDoc builds the epoch-0 bootstrap document from the
-// configured shard set. Replicas booted from identical -shards flags
-// stamp identical documents and are in sync before the first exchange.
-func initialClusterDoc(shards []*shard) encode.ClusterDoc {
-	doc := encode.ClusterDoc{}
-	for _, sh := range shards {
-		doc.Members = append(doc.Members, encode.ClusterMember{Base: sh.base})
-	}
-	return doc
-}
-
 // mutateDoc runs one CAS mutation of the membership document and kicks
-// the gossip loop so the new epoch propagates without waiting out the
-// interval. Callers hold adminMu (publishQuarantine is the one
-// exception: it edits a single member's quarantine counter, which
-// reconciliation merges max-wise, so it cannot lose an interleaved
-// membership update).
+// the gossip loop so the new epoch propagates at once. Callers hold
+// adminMu, except publishQuarantine: it edits one member's quarantine
+// counter, which reconciliation merges max-wise, so it cannot lose an
+// interleaved membership update.
 func (rt *Router) mutateDoc(fn func(doc *encode.ClusterDoc) bool) {
 	if _, changed := rt.cnode.Mutate(fn); changed {
 		rt.cnode.Kick()
 	}
 }
 
-// GossipNow runs one synchronous anti-entropy round against every
-// configured peer. By return, every document adopted from a peer has
-// been applied to this router's ring and every peer this router's
-// document beat has merged (and applied) it. Exported for tests and
-// deterministic orchestration.
+// GossipNow runs one synchronous anti-entropy round against every peer.
+// By return, every adopted document has been applied to this router's
+// ring and every peer this router's document beat has applied it.
+// Exported for tests and deterministic orchestration.
 func (rt *Router) GossipNow(ctx context.Context) {
 	rt.cnode.GossipNow(ctx)
 }
@@ -85,14 +69,21 @@ func (rt *Router) onClusterConflict(remoteOrigin, remoteHash string) {
 	})
 }
 
-// applyDocLocked reconciles the in-memory shard set to the node's
-// current document. Callers hold adminMu. Only an effective membership
-// change (member added, removed, or drain state moved) is audited —
-// lease renewals and quarantine syncs bump epochs constantly and are
-// operational noise, not history.
+// step is one local membership step: mutate the document, then reconcile
+// the shard set to it. Callers hold adminMu and write their own audit
+// record.
+func (rt *Router) step(ctx context.Context, fn func(doc *encode.ClusterDoc) bool) {
+	rt.mutateDoc(fn)
+	rt.reconcileMembership(ctx, rt.cnode.Current(), false)
+}
+
+// applyDocLocked folds in a document adopted from a peer. Callers hold
+// adminMu. Only an effective membership change (member added, removed, or
+// drain state moved) is audited — lease renewals and quarantine syncs
+// bump epochs constantly and are operational noise, not history.
 func (rt *Router) applyDocLocked(ctx context.Context) {
 	doc := rt.cnode.Current()
-	detail := rt.reconcileMembership(ctx, doc)
+	detail := rt.reconcileMembership(ctx, doc, false)
 	if detail == "" {
 		return
 	}
@@ -102,84 +93,63 @@ func (rt *Router) applyDocLocked(ctx context.Context) {
 	})
 }
 
-// reconcileMembership syncs rt.shards to the document: members the
-// document lacks are ejected (exactly like an admin removal, minus the
-// migration — the origin replica ran that), new members join pessimistic
-// and are admitted by a synchronous probe so "converged within one
-// gossip round" includes the ring, and drain fences and quarantine
-// counters follow the document. Returns a "+base -base ~base" summary of
-// the effective changes, "" when membership already matched.
-func (rt *Router) reconcileMembership(ctx context.Context, doc encode.ClusterDoc) string {
+// reconcileMembership makes the shard set equal the document's member
+// list: members the document lacks are latched removed and dropped,
+// missing members join, and drain fences and quarantine counters follow
+// the document. Joiners start pessimistic and are admitted by a
+// synchronous probe, so "converged within one gossip round" includes the
+// ring — except at boot, where the configured shards start optimistically
+// in the ring and the first probe or forward ejects the dead ones.
+// Returns a "+base -base ~base" summary of the effective changes, ""
+// when membership already matched.
+func (rt *Router) reconcileMembership(ctx context.Context, doc encode.ClusterDoc, boot bool) string {
 	var changes []string
-	inDoc := make(map[string]*encode.ClusterMember, len(doc.Members))
-	for i := range doc.Members {
-		inDoc[doc.Members[i].Base] = &doc.Members[i]
-	}
-
-	// Eject local members the document no longer lists.
-	local := make(map[string]*shard)
-	for _, sh := range rt.shardList() {
-		local[sh.base] = sh
-		if inDoc[sh.base] != nil {
-			continue
-		}
-		sh.mu.Lock()
-		already := sh.removed
-		sh.removed = true
-		instance := sh.instance
-		sh.mu.Unlock()
-		if already {
-			continue
-		}
-		rt.mu.Lock()
-		for i, s := range rt.shards {
-			if s == sh {
-				rt.shards = append(rt.shards[:i], rt.shards[i+1:]...)
-				break
-			}
-		}
-		if instance != "" && rt.byInstance[instance] == sh {
-			delete(rt.byInstance, instance)
-		}
-		rt.mu.Unlock()
-		changes = append(changes, "-"+sh.base)
-	}
-
-	// Add missing members and sync drain/quarantine state on the rest.
-	var toProbe []*shard
+	inDoc := make(map[string]encode.ClusterMember, len(doc.Members))
 	for _, m := range doc.Members {
-		sh := local[m.Base]
-		if sh == nil {
-			sh = &shard{name: m.Base, base: m.Base, drain: m.DrainState, quarantines: m.Quarantines}
-			rt.mu.Lock()
-			rt.shards = append(rt.shards, sh)
-			rt.mu.Unlock()
-			if m.DrainState == "" {
-				toProbe = append(toProbe, sh)
-			}
-			changes = append(changes, "+"+m.Base)
-			continue
-		}
-		sh.mu.Lock()
-		if m.Quarantines > sh.quarantines {
-			sh.quarantines = m.Quarantines
-		}
-		if sh.drain != m.DrainState {
-			unfenced := m.DrainState == "" // reactivated by a peer
-			sh.drain = m.DrainState
-			sh.mu.Unlock()
-			if unfenced {
-				toProbe = append(toProbe, sh)
-			}
-			changes = append(changes, "~"+m.Base)
-			continue
-		}
-		sh.mu.Unlock()
+		inDoc[m.Base] = m
 	}
+	members := make([]*shard, 0, len(doc.Members))
+	var toProbe []*shard
+	for _, sh := range rt.shardList() {
+		m, ok := inDoc[sh.base]
+		delete(inDoc, sh.base)
+		sh.mu.Lock()
+		switch {
+		case !ok:
+			sh.removed = true
+			changes = append(changes, "-"+sh.base)
+		case sh.drain != m.DrainState:
+			sh.drain = m.DrainState
+			changes = append(changes, "~"+sh.base)
+			if m.DrainState == "" { // reactivated
+				toProbe = append(toProbe, sh)
+			}
+		}
+		sh.quarantines = max(sh.quarantines, m.Quarantines)
+		sh.mu.Unlock()
+		if ok {
+			members = append(members, sh)
+		}
+	}
+	for _, m := range doc.Members {
+		if _, isNew := inDoc[m.Base]; !isNew {
+			continue
+		}
+		sh := &shard{name: m.Base, base: m.Base, alive: boot, ready: boot, drain: m.DrainState, quarantines: m.Quarantines}
+		members = append(members, sh)
+		changes = append(changes, "+"+m.Base)
+		if m.DrainState == "" && !boot {
+			toProbe = append(toProbe, sh)
+		}
+	}
+	if len(changes) == 0 {
+		return ""
+	}
+	rt.rebuild(members)
 
 	// Probe the members that just became ring-eligible, concurrently but
-	// synchronously: when reconciliation returns, a live new member is in
-	// the ring.
+	// synchronously (each probe republishes the view on its transition):
+	// when reconciliation returns, a live new member is in the ring.
 	var wg sync.WaitGroup
 	for _, sh := range toProbe {
 		wg.Add(1)
@@ -189,11 +159,6 @@ func (rt *Router) reconcileMembership(ctx context.Context, doc encode.ClusterDoc
 		}(sh)
 	}
 	wg.Wait()
-
-	if len(changes) == 0 {
-		return ""
-	}
-	rt.rebuildRing()
 	sort.Strings(changes)
 	return strings.Join(changes, " ")
 }
@@ -210,18 +175,6 @@ func (rt *Router) publishQuarantine(base string, quarantines int) {
 		m.Quarantines = quarantines
 		return true
 	})
-}
-
-// tryRepairLease attempts to take or renew the repair-sweeper lease for
-// one interval's sweep; the acquisition is gossiped immediately so peers
-// observe the lease before their own tick where possible.
-func (rt *Router) tryRepairLease() bool {
-	if !rt.cnode.TryAcquireLease(time.Now(), rt.cfg.LeaseTTL) {
-		rt.leaseSkips.Add(1)
-		return false
-	}
-	rt.cnode.Kick()
-	return true
 }
 
 // handleClusterState serves GET /cluster/v1/state: the replica's

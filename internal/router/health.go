@@ -62,9 +62,9 @@ func (rt *Router) sweep(ctx context.Context, force bool) {
 }
 
 // probeShard polls one backend and applies the health transition. A dead
-// shard (healthz unreachable or non-200) accrues consecutive failures:
-// after FailAfter of them it is ejected, and its probes back off
-// exponentially up to MaxProbeBackoff. An alive shard that is not ready
+// shard (healthz unreachable or non-200) is ejected at once, and its
+// probes back off exponentially up to maxProbeBackoff (or the probe
+// interval, when that is longer). An alive shard that is not ready
 // (draining or saturated) leaves the ring but keeps the normal probe
 // cadence — saturation clears quickly, so readmission must too.
 //
@@ -81,11 +81,8 @@ func (rt *Router) probeShard(ctx context.Context, sh *shard) {
 	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
 	var hs, rs encode.HealthStatus
-	alive := rt.probeGet(pctx, sh, "/healthz", &hs)
-	ready := false
-	if alive {
-		ready = rt.probeGet(pctx, sh, "/readyz", &rs)
-	}
+	alive := rt.probeGet(pctx, sh, "/healthz", &hs, false)
+	ready := alive && rt.probeGet(pctx, sh, "/readyz", &rs, false)
 	if hs.InstanceID != "" {
 		rt.learnInstance(hs.InstanceID, sh)
 	}
@@ -115,18 +112,14 @@ func (rt *Router) probeShard(ctx context.Context, sh *shard) {
 		rt.resetProbation(sh)
 	default:
 		sh.consecFails++
-		if sh.consecFails >= rt.cfg.FailAfter {
-			sh.ready = false
-		}
+		sh.ready = false
 		rt.resetProbation(sh)
+		limit := max(maxProbeBackoff, rt.cfg.ProbeInterval)
 		backoff := rt.cfg.ProbeInterval
-		for i := 1; i < sh.consecFails && backoff < rt.cfg.MaxProbeBackoff; i++ {
+		for i := 1; i < sh.consecFails && backoff < limit; i++ {
 			backoff *= 2
 		}
-		if backoff > rt.cfg.MaxProbeBackoff {
-			backoff = rt.cfg.MaxProbeBackoff
-		}
-		sh.nextProbe = now.Add(backoff)
+		sh.nextProbe = now.Add(min(backoff, limit))
 	}
 	changed := sh.ready != wasReady
 	quarantines := sh.quarantines
@@ -141,7 +134,7 @@ func (rt *Router) probeShard(ctx context.Context, sh *shard) {
 		changed = true
 	}
 	if changed {
-		rt.rebuildRing()
+		rt.rebuild(nil)
 	}
 }
 
@@ -171,11 +164,7 @@ func (rt *Router) admitProbed(sh *shard, now time.Time) {
 		// Flapping: quarantine instead of readmitting, with the probation
 		// doubling on every repeat offence.
 		sh.quarantines++
-		p := 2
-		for i := 1; i < sh.quarantines && p < 32; i++ {
-			p *= 2
-		}
-		sh.probationLeft = p
+		sh.probationLeft = probation(sh.quarantines)
 	default:
 		sh.ready = true
 		sh.readmits = append(sh.readmits, now)
@@ -185,18 +174,22 @@ func (rt *Router) admitProbed(sh *shard, now time.Time) {
 // resetProbation restarts a quarantined shard's probation after a bad
 // probe: readmission requires continuous health, not cumulative.
 func (rt *Router) resetProbation(sh *shard) {
-	if sh.probationLeft == 0 {
-		return
+	if sh.probationLeft != 0 {
+		sh.probationLeft = probation(sh.quarantines)
 	}
-	p := 2
-	for i := 1; i < sh.quarantines && p < 32; i++ {
-		p *= 2
-	}
-	sh.probationLeft = p
 }
 
-// probeGet fetches one health endpoint, best-effort decoding the document.
-func (rt *Router) probeGet(ctx context.Context, sh *shard, path string, out *encode.HealthStatus) bool {
+// probation is the consecutive good probes owed after the given number
+// of quarantines: 2, 4, 8, … capped at 32.
+func probation(quarantines int) int {
+	return 2 << min(max(quarantines, 1)-1, 4)
+}
+
+// probeGet fetches one health endpoint, best-effort decoding the document,
+// and reports whether it answered 200. With anyStatus it instead reports
+// whether any decodable document came back — a draining or saturated 503
+// still carries the occupancy a quiesce wait needs.
+func (rt *Router) probeGet(ctx context.Context, sh *shard, path string, out *encode.HealthStatus, anyStatus bool) bool {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.base+path, nil)
 	if err != nil {
 		return false
@@ -206,7 +199,10 @@ func (rt *Router) probeGet(ctx context.Context, sh *shard, path string, out *enc
 		return false
 	}
 	defer resp.Body.Close()
-	json.NewDecoder(resp.Body).Decode(out) //nolint:errcheck
+	err = json.NewDecoder(resp.Body).Decode(out)
+	if anyStatus {
+		return err == nil
+	}
 	return resp.StatusCode == http.StatusOK
 }
 
@@ -221,6 +217,6 @@ func (rt *Router) eject(sh *shard) {
 	sh.consecFails++
 	sh.mu.Unlock()
 	if changed {
-		rt.rebuildRing()
+		rt.rebuild(nil)
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"phmse/internal/encode"
 )
 
-// Cross-shard job listing: GET /v1/jobs fans out to every live shard,
+// Cross-shard job listing: GET /v1/jobs fans out to every askable shard,
 // merges the per-shard pages in submission-time order, and returns a
 // composite cursor that records each shard's own pagination position — so
 // the backends' cheap lexicographic "after" cursors keep working per
@@ -99,12 +99,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		cursor = c
 	}
 
-	var live []*shard
-	for _, sh := range rt.shardList() {
-		if sh.isAlive() {
-			live = append(live, sh)
-		}
-	}
+	live := rt.shardsIn(shardState.askable)
 	if len(live) == 0 {
 		rt.writeNoShard(w)
 		return
@@ -112,18 +107,19 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	rt.listFanouts.Add(1)
 
 	// Fan out: each shard is asked for a full page past its own cursor, so
-	// the merge always has enough candidates to fill the routed page even
-	// if one shard supplies all of it.
+	// the merge can fill the routed page even if one shard supplies all of
+	// it. Each ask is one forward attempt: a breaker-open or saturated
+	// shard is not sent the listing and counts as an errored page.
 	type shardPage struct {
 		jobs []encode.JobStatus
 		next string
-		err  error
+		ok   bool
 	}
 	pages := make([]shardPage, len(live))
 	var wg sync.WaitGroup
 	for i, sh := range live {
 		wg.Add(1)
-		go func(i int, sh *shard) {
+		go func(page *shardPage, sh *shard) {
 			defer wg.Done()
 			v := url.Values{}
 			if state != "" {
@@ -133,31 +129,13 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 			if a := cursor[sh.name]; a != "" {
 				v.Set("after", a)
 			}
-			resp, err := rt.send(r, sh, http.MethodGet, "/v1/jobs?"+v.Encode(), nil)
-			if err != nil {
-				rt.failed.Add(1)
-				sh.failed.Add(1)
-				rt.eject(sh)
-				pages[i].err = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				pages[i].err = fmt.Errorf("shard %s: http %d", sh.name, resp.StatusCode)
-				discard(resp)
-				return
-			}
-			if instance := resp.Header.Get("X-Phmsed-Instance"); instance != "" {
-				rt.learnInstance(instance, sh)
-			}
-			var list encode.JobList
-			if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-				pages[i].err = err
-				return
-			}
-			pages[i].jobs = list.Jobs
-			pages[i].next = list.NextAfter
-		}(i, sh)
+			rt.attempt(r, sh, "/v1/jobs?"+v.Encode(), nil, false, func(resp *http.Response) { //nolint:errcheck // page.ok carries the result
+				var list encode.JobList
+				if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&list) == nil {
+					*page = shardPage{list.Jobs, list.NextAfter, true}
+				}
+			})
+		}(&pages[i], sh)
 	}
 	wg.Wait()
 
@@ -168,10 +146,8 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	var merged []taggedJob
 	morePerShard := false
 	answered := 0
-	anyErred := false
 	for i, sh := range live {
-		if pages[i].err != nil {
-			anyErred = true
+		if !pages[i].ok {
 			continue
 		}
 		answered++
@@ -209,7 +185,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	// the listing there would silently drop the errored shard's jobs, when
 	// re-paging with the same composite cursor picks them up once it
 	// recovers.
-	if (len(out) == limit && (len(merged) > limit || morePerShard)) || anyErred {
+	if (len(out) == limit && (len(merged) > limit || morePerShard)) || answered < len(live) {
 		resp.NextAfter = encodeCursor(next)
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -145,7 +145,7 @@ type ShardMetrics struct {
 func (rt *Router) Snapshot() Metrics {
 	m := Metrics{
 		UptimeSeconds:      time.Since(rt.start).Seconds(),
-		VNodesPerShard:     rt.cfg.VNodes,
+		VNodesPerShard:     ringVNodes,
 		Forwarded:          rt.forwarded.Load(),
 		Failed:             rt.failed.Load(),
 		Retried:            rt.retried.Load(),
@@ -208,21 +208,14 @@ func (rt *Router) Snapshot() Metrics {
 			Quarantines:         sh.quarantines,
 			ProbationLeft:       sh.probationLeft,
 		}
-		inRing := sh.ready && sh.drain == ""
 		sh.mu.Unlock()
 		bst, opens, halfOpens, closes := sh.brk.snapshot()
 		sm.BreakerState = bst.String()
 		sm.BreakerOpens, sm.BreakerHalfOpens, sm.BreakerCloses = opens, halfOpens, closes
-		if bst == BreakerOpen {
-			inRing = false
-		}
-		if inRing {
-			m.RingShards++
-		} else {
-			m.UnhealthyShards++
-		}
 		m.Shards = append(m.Shards, sm)
 	}
+	m.RingShards = len(rt.shardsIn(shardState.inRing))
+	m.UnhealthyShards = len(m.Shards) - m.RingShards
 	return m
 }
 

@@ -1,24 +1,27 @@
 package router
 
-// The anti-entropy repair loop: the active half of the self-healing
-// layer. Migration passes (migrate.go) move posteriors when membership
-// changes, but a transfer that fails — destination down mid-stream,
-// import rejected, source briefly unreachable — strands the posterior on
-// a shard the ring no longer maps it to, and a shard that crashed and
-// rejoined holds (and misses) posteriors the ring reassigned while it was
-// away. Rather than waiting for the next membership change to retry, the
-// repair sweeper periodically rebuilds the truth from scratch: index
-// every live shard's holdings, diff each posterior against current ring
-// ownership, and re-drive the misplaced ones through the same
-// ack-before-delete transfer protocol. The sweep is idempotent and
-// convergent — running it twice is merely wasteful, and any interrupted
-// transfer leaves the source intact for the next pass.
+// The placement pass and the anti-entropy sweeper that runs it.
 //
-// Sweeps serialize with admin membership changes under adminMu, so a
-// repair can never race a migration on ring generations. Draining and
-// drained shards are fenced on both sides: never a source (the drain owns
-// its own migration) and never a destination (they own no ring arcs, and
-// a defensive check skips them even if a stale ring says otherwise).
+// One function, place, makes posterior holdings match ring ownership:
+// index the source shards, look every posterior's topology key up in the
+// current ring, and move the misplaced ones through the ack-before-delete
+// transfer protocol (transfer.go). Its three callers differ only in scope:
+//
+//	sweep (periodic, kicked, POST /admin/v1/repair)  sources = placeable members
+//	add / reactivate                                 sources = askable members,
+//	                                                 filtered to the changed arcs
+//	drain / remove                                   source  = the fenced shard
+//
+// A fenced (draining or drained) shard is never a sweep source — the drain
+// owns its evacuation — and never a destination. The pass is idempotent
+// and convergent: running it twice is merely wasteful, and an interrupted
+// transfer leaves the source intact for the next one. Passes serialize
+// with membership changes under adminMu.
+//
+// The sweeper exists because an admin pass can leave work behind (a
+// destination down mid-stream, an import rejected) and a shard that
+// crashed and rejoined holds posteriors the ring reassigned meanwhile; an
+// admin pass that reported failures kicks it instead of waiting.
 
 import (
 	"context"
@@ -33,7 +36,7 @@ import (
 
 // repairLoop drives periodic sweeps until Close. The interval is
 // jittered ±20% so multiple routers over the same cluster spread out; a
-// kick (a migration pass that reported failures) wakes the sweeper
+// kick (an admin pass that reported failures) wakes the sweeper
 // immediately.
 func (rt *Router) repairLoop() {
 	defer close(rt.repairDone)
@@ -55,18 +58,17 @@ func (rt *Router) repairLoop() {
 }
 
 // repairTick is one loop iteration: acquire (or renew) the cluster-wide
-// sweeper lease, and only then sweep. With peers configured, exactly one
-// replica holds a live lease per interval — the others observe it via
-// gossip and skip, so two routers never race duplicate transfers of the
-// same posterior. A crashed holder's lease expires after LeaseTTL (3×
-// the interval by default) and any peer takes over. Single-replica
-// deployments always acquire their own lease. The forced sweep (POST
-// /admin/v1/repair → RepairNow) stays unconditional: an operator asking
-// for a sweep gets one.
+// sweeper lease, and only then sweep. Exactly one replica holds a live
+// lease per interval — the others see it via gossip (the acquisition is
+// gossiped at once) and skip, so two routers never race duplicate
+// transfers. A crashed holder's lease expires after LeaseTTL. The forced
+// sweep (POST /admin/v1/repair) stays unconditional.
 func (rt *Router) repairTick() {
-	if !rt.tryRepairLease() {
+	if !rt.cnode.TryAcquireLease(time.Now(), rt.cfg.LeaseTTL) {
+		rt.leaseSkips.Add(1)
 		return
 	}
+	rt.cnode.Kick()
 	rt.RepairNow(context.Background())
 }
 
@@ -93,115 +95,113 @@ func (rt *Router) kickRepair() {
 func (rt *Router) RepairNow(ctx context.Context) encode.RepairReport {
 	rt.adminMu.Lock()
 	defer rt.adminMu.Unlock()
-	rep := rt.repairPass(ctx)
+	p := rt.place(ctx, rt.shardsIn(shardState.placeable), nil)
 	rt.repairSweeps.Add(1)
-	rt.repairRepaired.Add(int64(rep.Repaired))
-	rt.repairFailed.Add(int64(rep.Failed))
-	rt.repairSkipped.Add(int64(rep.Skipped))
-	if rep.Repaired > 0 || rep.Failed > 0 {
+	rt.repairRepaired.Add(int64(p.moved))
+	rt.repairFailed.Add(int64(p.failed))
+	rt.repairSkipped.Add(int64(p.skipped))
+	if p.moved > 0 || p.failed > 0 {
 		rt.aud.append(encode.AuditEntry{
-			Op:       "repair",
-			Origin:   rt.cfg.ReplicaID,
-			Outcome:  repairOutcome(rep),
-			Migrated: rep.Repaired,
-			Failed:   rep.Failed,
+			Op: "repair", Origin: rt.cfg.ReplicaID, Outcome: migrationOutcome(p.failed),
+			Migrated: p.moved, Failed: p.failed,
 		})
 	}
-	return rep
+	return encode.RepairReport{Scanned: p.scanned, Repaired: p.moved, Failed: p.failed, Skipped: p.skipped, Bytes: p.bytes}
 }
 
-func repairOutcome(rep encode.RepairReport) string {
-	if rep.Failed > 0 {
-		return "partial"
+// migrate runs the placement pass of one admin membership change and
+// reports it in migration terms. A filter with no changed arc means both
+// rings route every key identically: no pass runs. A pass that left
+// posteriors behind kicks the sweeper. Callers hold adminMu.
+func (rt *Router) migrate(ctx context.Context, sources []*shard, arcs *encode.ArcSet) encode.MigrationReport {
+	if arcs != nil && !arcs.Any() {
+		return encode.MigrationReport{}
 	}
-	return "ok"
+	p := rt.place(ctx, sources, arcs)
+	rt.migrPasses.Add(1)
+	rt.migrMigrated.Add(int64(p.moved))
+	rt.migrFailed.Add(int64(p.failed))
+	rt.migrSkipped.Add(int64(p.skipped))
+	rt.migrBytes.Add(p.bytes)
+	if p.failed > 0 {
+		rt.kickRepair()
+	}
+	return encode.MigrationReport{Migrated: p.moved, Failed: p.failed, Skipped: p.skipped, Bytes: p.bytes}
 }
 
-// repairPass is one sweep body, run under adminMu.
-func (rt *Router) repairPass(ctx context.Context) encode.RepairReport {
-	rep := encode.RepairReport{}
+// placement tallies one pass: posteriors indexed, moved to their owner
+// (destination acknowledged, source deleted), failed (including a source
+// whose index could not be read), and skipped (no routing key, or no
+// placeable owner).
+type placement struct {
+	scanned, moved, failed, skipped int
+	bytes                           int64
+}
+
+// place is the placement pass, run under adminMu: every posterior the
+// sources hold whose ring owner is another shard moves there. arcs, when
+// set, limits the pass to keys inside the changed arcs.
+func (rt *Router) place(ctx context.Context, sources []*shard, arcs *encode.ArcSet) placement {
+	var p placement
 	ring := rt.currentRing()
-	if ring == nil || len(ring.points) == 0 {
-		return rep // no owners to converge toward
+	type move struct {
+		src, dst *shard
+		info     encode.PosteriorInfo
 	}
-
-	// Sources: every live member not fenced by a drain or removal. A
-	// breaker-open shard still answers its transfer endpoints (they are
-	// not live v1 traffic), so it stays a valid source — its holdings
-	// belong elsewhere while it owns no arcs.
-	var sources []*shard
-	for _, sh := range rt.shardList() {
-		if !sh.isAlive() || sh.drainState() != "" {
-			continue
-		}
-		sh.mu.Lock()
-		removed := sh.removed
-		sh.mu.Unlock()
-		if !removed {
-			sources = append(sources, sh)
-		}
-	}
-
-	// Bounded transfer concurrency: one semaphore across the whole pass,
-	// so a wide sweep cannot dogpile the cluster with parallel streams.
-	sem := make(chan struct{}, rt.cfg.RepairConcurrency)
-	var wg sync.WaitGroup
-	var mu sync.Mutex // guards rep
-
+	var moves []move
 	for _, src := range sources {
 		idx, err := rt.fetchPosteriorIndex(ctx, src, "")
 		if err != nil {
-			log.Printf("phmse-router: repair: indexing %s: %v", src.name, err)
-			mu.Lock()
-			rep.Failed++
-			mu.Unlock()
+			log.Printf("phmse-router: placement: indexing %s: %v", src.name, err)
+			p.failed++
 			continue
 		}
 		for _, info := range idx.Posteriors {
-			mu.Lock()
-			rep.Scanned++
-			mu.Unlock()
+			p.scanned++
 			if info.TopologyHash == "" {
-				mu.Lock()
-				rep.Skipped++
-				mu.Unlock()
+				p.skipped++
+				continue
+			}
+			if arcs != nil && !arcs.Contains(encode.KeyHash(info.TopologyHash)) {
 				continue
 			}
 			dst := ring.lookup(info.TopologyHash)
-			if dst == nil || dst == src {
-				continue // correctly placed (or no owner exists)
+			if dst == src {
+				continue // correctly placed
 			}
-			// Defensive fence: the ring excludes draining shards, but a
-			// drain that started after this ring was captured must never
-			// become a repair destination.
-			if dst.drainState() != "" || !dst.isAlive() {
-				mu.Lock()
-				rep.Skipped++
-				mu.Unlock()
+			// The ring excludes fenced shards, but a fence or a death
+			// since this ring was published must not receive a posterior.
+			if dst == nil || !dst.state().placeable() {
+				p.skipped++
 				continue
 			}
-			wg.Add(1)
-			go func(src, dst *shard, info encode.PosteriorInfo) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if err := rt.transferPosterior(ctx, src, dst, info); err != nil {
-					log.Printf("phmse-router: repair: re-driving %s (%s -> %s): %v",
-						info.Job, src.name, dst.name, err)
-					mu.Lock()
-					rep.Failed++
-					mu.Unlock()
-					return
-				}
-				mu.Lock()
-				rep.Repaired++
-				rep.Bytes += info.Bytes
-				mu.Unlock()
-			}(src, dst, info)
+			moves = append(moves, move{src, dst, info})
 		}
 	}
+
+	sem := make(chan struct{}, placeConcurrency)
+	var wg sync.WaitGroup
+	var mu sync.Mutex // guards p
+	for _, m := range moves {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(m move) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			err := rt.transferPosterior(ctx, m.src, m.dst, m.info)
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				log.Printf("phmse-router: placement: moving %s (%s -> %s): %v", m.info.Job, m.src.name, m.dst.name, err)
+				p.failed++
+				return
+			}
+			p.moved++
+			p.bytes += m.info.Bytes
+		}(m)
+	}
 	wg.Wait()
-	return rep
+	return p
 }
 
 func (rt *Router) handleAdminRepair(w http.ResponseWriter, r *http.Request) {

@@ -2,7 +2,7 @@ package router
 
 // Anti-entropy repair: convergence of stranded posteriors, idempotence,
 // the drain fences on both sides of a sweep, and the transfer protocol's
-// retry/terminal discipline (adminDo) against a scripted backend.
+// retry/terminal discipline (transferCall) against a scripted backend.
 
 import (
 	"bytes"
@@ -168,7 +168,7 @@ func TestRepairFencesDrainedSource(t *testing.T) {
 	// Drain the non-owner, then strand the posterior onto it: the state a
 	// crash-during-decommission can leave. The copy is misplaced (the ring
 	// maps it to the owner) but its holder is fenced.
-	if rep := cl.rt.drainShard(ctx, cl.rt.findShard(wrong.url()), time.Second); rep.Migration.Failed != 0 {
+	if rep := cl.rt.retire(ctx, cl.rt.findShard(wrong.url()), false, "drain", time.Second); rep.Migration.Failed != 0 {
 		t.Fatalf("drain = %+v, want clean", rep)
 	}
 	strandPosterior(t, owner, wrong, st.ID)
@@ -205,7 +205,7 @@ func TestRepairAfterDrainIsIdempotent(t *testing.T) {
 	owner := cl.byInstance(t, st.ID)
 	survivor := other(t, cl, owner)
 
-	rep := cl.rt.drainShard(ctx, cl.rt.findShard(owner.url()), 5*time.Second)
+	rep := cl.rt.retire(ctx, cl.rt.findShard(owner.url()), false, "drain", 5*time.Second)
 	if rep.Migration.Migrated != 1 || rep.Migration.Failed != 0 {
 		t.Fatalf("drain migration = %+v, want the posterior evacuated", rep.Migration)
 	}
@@ -246,7 +246,7 @@ func TestJitterIntervalBounds(t *testing.T) {
 }
 
 // scriptedShard is an httptest backend whose PUT /v1/posteriors/{id}
-// responses follow a fixed script, for exercising adminDo's retry and
+// responses follow a fixed script, for exercising transferCall's retry and
 // terminal discipline without a real daemon.
 func scriptedShard(t *testing.T, script func(attempt int64, w http.ResponseWriter)) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
@@ -263,7 +263,7 @@ func scriptedShard(t *testing.T, script func(attempt int64, w http.ResponseWrite
 }
 
 // scriptedRouter is a router whose only shard is the scripted server and
-// whose background loops are inert, so adminDo is the only traffic.
+// whose background loops are inert, so transferCall is the only traffic.
 func scriptedRouter(t *testing.T, base string) *Router {
 	t.Helper()
 	rt, err := New(Config{
@@ -297,15 +297,15 @@ func TestAdminDoRetriesTransientFailures(t *testing.T) {
 		io.WriteString(w, `{"job":"x"}`) //nolint:errcheck
 	})
 	rt := scriptedRouter(t, srv.URL)
-	data, err := rt.adminDo(context.Background(), http.MethodPut, srv.URL+"/v1/posteriors/x", []byte(`{}`))
-	if err != nil {
-		t.Fatalf("adminDo: %v", err)
+	var got struct{ Job string }
+	if err := rt.transferCall(context.Background(), http.MethodPut, srv.URL+"/v1/posteriors/x", &got); err != nil {
+		t.Fatalf("transferCall: %v", err)
 	}
 	if puts.Load() != 3 {
 		t.Fatalf("attempts = %d, want 3 (two 500s, then success)", puts.Load())
 	}
-	if !bytes.Contains(data, []byte(`"x"`)) {
-		t.Fatalf("unexpected body %q", data)
+	if got.Job != "x" {
+		t.Fatalf("decoded body %+v, want job x", got)
 	}
 }
 
@@ -322,8 +322,8 @@ func TestAdminDoHonorsRetryAfter(t *testing.T) {
 	})
 	rt := scriptedRouter(t, srv.URL)
 	start := time.Now()
-	if _, err := rt.adminDo(context.Background(), http.MethodPut, srv.URL+"/v1/posteriors/x", []byte(`{}`)); err != nil {
-		t.Fatalf("adminDo: %v", err)
+	if err := rt.transferCall(context.Background(), http.MethodPut, srv.URL+"/v1/posteriors/x", nil); err != nil {
+		t.Fatalf("transferCall: %v", err)
 	}
 	if puts.Load() != 2 {
 		t.Fatalf("attempts = %d, want 2", puts.Load())
@@ -349,10 +349,10 @@ func TestAdminDoTerminalStatuses(t *testing.T) {
 				writeEnvelope(w, tc.status, tc.code, "no")
 			})
 			rt := scriptedRouter(t, srv.URL)
-			_, err := rt.adminDo(context.Background(), http.MethodPut, srv.URL+"/v1/posteriors/x", []byte(`{}`))
+			err := rt.transferCall(context.Background(), http.MethodPut, srv.URL+"/v1/posteriors/x", nil)
 			var ae *client.APIError
 			if !errors.As(err, &ae) || ae.Code != tc.code || ae.HTTPStatus != tc.status {
-				t.Fatalf("adminDo error = %v, want APIError %s/%d", err, tc.code, tc.status)
+				t.Fatalf("transferCall error = %v, want APIError %s/%d", err, tc.code, tc.status)
 			}
 			if puts.Load() != 1 {
 				t.Fatalf("attempts = %d, want exactly 1 for a terminal status", puts.Load())
@@ -368,9 +368,9 @@ func TestAdminDoExhaustsRetries(t *testing.T) {
 		writeEnvelope(w, http.StatusServiceUnavailable, encode.CodeInternal, "down")
 	})
 	rt := scriptedRouter(t, srv.URL)
-	_, err := rt.adminDo(context.Background(), http.MethodPut, srv.URL+"/v1/posteriors/x", []byte(`{}`))
+	err := rt.transferCall(context.Background(), http.MethodPut, srv.URL+"/v1/posteriors/x", nil)
 	if err == nil || !strings.Contains(err.Error(), "after 3 attempts") {
-		t.Fatalf("adminDo error = %v, want exhaustion after 3 attempts", err)
+		t.Fatalf("transferCall error = %v, want exhaustion after 3 attempts", err)
 	}
 	if puts.Load() != 3 {
 		t.Fatalf("attempts = %d, want MaxAttempts", puts.Load())
@@ -390,34 +390,12 @@ func TestAdminDoRejectsOversizeResponse(t *testing.T) {
 		}
 	})
 	rt := scriptedRouter(t, srv.URL)
-	_, err := rt.adminDo(context.Background(), http.MethodPut, srv.URL+"/v1/posteriors/x", []byte(`{}`))
+	var sink any
+	err := rt.transferCall(context.Background(), http.MethodPut, srv.URL+"/v1/posteriors/x", &sink)
 	if !errors.Is(err, errOversizeTransfer) {
-		t.Fatalf("adminDo error = %v, want the oversize sentinel", err)
+		t.Fatalf("transferCall error = %v, want the oversize sentinel", err)
 	}
 	if puts.Load() != 1 {
 		t.Fatalf("attempts = %d, want 1 — an oversize document must not be re-downloaded", puts.Load())
-	}
-}
-
-// TestTransferError pins the envelope parsing adminDo feeds the backoff.
-func TestTransferError(t *testing.T) {
-	err := transferError(http.StatusTooManyRequests, 2*time.Second,
-		[]byte(`{"error":{"code":"queue_full","message":"busy"}}`))
-	var ae *client.APIError
-	if !errors.As(err, &ae) {
-		t.Fatalf("transferError returned %T", err)
-	}
-	if ae.Code != encode.CodeQueueFull || ae.Message != "busy" || ae.RetryAfter != 2*time.Second || ae.HTTPStatus != http.StatusTooManyRequests {
-		t.Fatalf("parsed %+v, want envelope fields and Retry-After preserved", ae)
-	}
-
-	// A non-envelope body degrades to a truncated raw message.
-	long := strings.Repeat("x", 500)
-	err = transferError(http.StatusBadGateway, 0, []byte(long))
-	if !errors.As(err, &ae) {
-		t.Fatalf("transferError returned %T", err)
-	}
-	if ae.Code != encode.CodeInternal || len(ae.Message) != 200 {
-		t.Fatalf("fallback = code %q, %d-byte message; want internal with a 200-byte cap", ae.Code, len(ae.Message))
 	}
 }

@@ -19,25 +19,27 @@
 //     submission-time order, with a composite cursor that preserves each
 //     shard's own pagination position.
 //
-// Shard health is tracked by polling each backend's /healthz (liveness +
-// instance identity) and /readyz (accepting work), with automatic ring
-// ejection and readmission and capped-backoff probing; a forwarding
-// transport failure ejects the shard immediately rather than waiting for
-// the next probe. Forwarding keeps the client.RetryPolicy semantics:
-// backpressure responses pass through with Retry-After intact, transport
-// failures and 5xx responses are retried (and failed over) only where a
-// replay is safe. When no shard can serve a request the router answers
-// 503 with the structured error envelope (code no_shard).
+// Shard health is tracked by probing (health.go) and by live forward
+// outcomes (breaker.go). Forwarding keeps the client.RetryPolicy
+// semantics: backpressure responses pass through with Retry-After intact,
+// transport failures and 5xx responses are retried (and failed over) only
+// where a replay is safe. When no shard can serve a request the router
+// answers 503 with the envelope code no_shard.
 //
-// Cluster membership is elastic: the /admin/v1 control plane (see
-// admin.go) adds, drains, and removes shards at runtime, mutating the
-// ring under the same rebuild serialization health transitions use, and
-// every membership change runs a posterior migration pass (migrate.go) so
-// warm-start state follows its keys to their new owners.
+// Cluster membership is elastic: the /admin/v1 control plane (admin.go)
+// edits the replicated membership document (cluster.go), the only writer
+// of the shard set, and every change runs the placement pass (repair.go)
+// so warm-start state follows its keys to their new owners.
+//
+// "May this shard take this request / this posterior?" is answered in one
+// place each: shard.state derives one state per shard and the in-ring,
+// askable and placeable predicates read it; every live forward is one
+// attempt, and handlers are policy over its outcome.
 package router
 
 import (
 	"bytes"
+	"context"
 	crand "crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -62,26 +64,28 @@ import (
 // daemon's own limit.
 const maxRequestBody = 64 << 20
 
+const (
+	// ringVNodes is the number of virtual nodes each shard contributes to
+	// the ring. Every router replica must use the same value or two
+	// routers compute two rings, so it is not configurable.
+	ringVNodes = 64
+	// maxProbeBackoff caps the exponential probe backoff of an unreachable
+	// shard (never below the probe interval itself).
+	maxProbeBackoff = 30 * time.Second
+	// placeConcurrency bounds the posterior transfers one placement pass
+	// runs at once, so a wide pass cannot dogpile the cluster.
+	placeConcurrency = 2
+)
+
 // Config sizes the router. The zero value of every field selects a
 // default; Shards is required.
 type Config struct {
 	// Shards are the backend phmsed base URLs (e.g. "http://host:8080").
 	Shards []string
-	// VNodes is the number of virtual nodes each shard contributes to the
-	// ring (default 64): more vnodes smooth the key distribution at the
-	// cost of a larger ring.
-	VNodes int
 	// ProbeInterval is the per-shard health-poll period (default 2s).
 	ProbeInterval time.Duration
-	// MaxProbeBackoff caps the exponential probe backoff of an unreachable
-	// shard (default 30s).
-	MaxProbeBackoff time.Duration
 	// ProbeTimeout bounds one health probe (default 1s).
 	ProbeTimeout time.Duration
-	// FailAfter is the number of consecutive failed probes that eject a
-	// shard from the ring (default 1). Forwarding transport failures eject
-	// immediately regardless.
-	FailAfter int
 	// ShardInflight caps the requests concurrently forwarded to any one
 	// shard — a counting semaphore per backend, so a slow daemon
 	// accumulates bounded load instead of every queued connection the
@@ -95,29 +99,23 @@ type Config struct {
 	Retry client.RetryPolicy
 	// AdminToken, when set, gates the /admin/v1 control plane behind
 	// "Authorization: Bearer <token>" and is presented by the router on
-	// the daemons' mutating posterior-transfer endpoints during migration
-	// — deploy one token cluster-wide. Empty leaves the admin API open
-	// (the test and localhost default).
+	// the daemons' posterior-transfer endpoints — deploy one token
+	// cluster-wide. Empty leaves the admin API open (the test default).
 	AdminToken string
 	// DrainDeadline bounds how long a graceful drain waits for a shard's
 	// in-flight jobs before migrating and ejecting anyway (default 30s).
 	// Per-request ?deadline_ms= overrides it.
 	DrainDeadline time.Duration
-	// MigrateTimeout bounds one posterior transfer (export + import +
-	// delete) during a migration pass (default 10s).
+	// MigrateTimeout bounds one posterior transfer: export + import +
+	// delete (default 10s).
 	MigrateTimeout time.Duration
 
-	// RepairInterval is the anti-entropy repair sweep period (default
-	// 30s; negative disables the loop). Each sweep indexes every live
-	// shard's posteriors, diffs holdings against current ring ownership,
-	// and re-drives misplaced posteriors through the transfer protocol.
-	// The actual period is jittered ±20% so multiple routers do not
-	// sweep in lockstep, and a migration pass that reported failures
-	// kicks an immediate sweep.
+	// RepairInterval is the anti-entropy sweep period (default 30s;
+	// negative disables the loop): each sweep runs the placement pass over
+	// every placeable shard (repair.go). The period is jittered ±20% so
+	// multiple routers do not sweep in lockstep, and an admin pass that
+	// reported failures kicks an immediate sweep.
 	RepairInterval time.Duration
-	// RepairConcurrency bounds the posterior transfers one repair sweep
-	// runs at once (default 2).
-	RepairConcurrency int
 
 	// BreakerFailures is the consecutive live-forward failures (transport
 	// errors or 5xx responses) that open a shard's circuit breaker,
@@ -172,23 +170,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
-	if c.MaxProbeBackoff <= 0 {
-		c.MaxProbeBackoff = 30 * time.Second
-	}
-	if c.MaxProbeBackoff < c.ProbeInterval {
-		c.MaxProbeBackoff = c.ProbeInterval
-	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = time.Second
-	}
-	if c.FailAfter <= 0 {
-		c.FailAfter = 1
 	}
 	if c.Retry.MaxAttempts <= 0 {
 		c.Retry.MaxAttempts = 3
@@ -207,9 +193,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RepairInterval == 0 {
 		c.RepairInterval = 30 * time.Second
-	}
-	if c.RepairConcurrency <= 0 {
-		c.RepairConcurrency = 2
 	}
 	if c.BreakerFailures == 0 {
 		c.BreakerFailures = 3
@@ -251,28 +234,22 @@ type shard struct {
 
 	mu          sync.Mutex
 	alive       bool // /healthz answered 200 at last contact
-	ready       bool // /readyz answered 200: in the ring
+	ready       bool // /readyz answered 200 and no probation is owed
 	instance    string
 	consecFails int
 	nextProbe   time.Time
-	// drain is the admin drain state machine: "" (active member),
-	// "draining" (fenced from the ring, drain in progress), or "drained"
-	// (a completed POST .../drain holding the member out of the ring
-	// until it is removed or reactivated).
-	drain string
-	// removed marks a shard ejected from membership by the admin API.
-	// Stale probes and relays still holding the pointer check it so a
-	// removed shard can never be resurrected into the instance table or
-	// the ring.
+	// drain mirrors the member's fence in the membership document: "",
+	// "draining" or "drained". removed latches once the document drops the
+	// member, so a stale probe or relay still holding the pointer never
+	// reads it as usable. Both are written only by reconcileMembership.
+	drain   string
 	removed bool
-	// queueDepth and running mirror the shard's last /readyz document —
-	// the per-probe load signal exposed as a /metrics gauge.
+	// queueDepth and running mirror the shard's last /readyz document.
 	queueDepth int
 	running    int
-	// Flap suppression (see breaker.go): readmits holds the recent probe
-	// readmission times inside the flap window; quarantines is the
-	// escalation level; probationLeft is the consecutive good probes
-	// still owed before the ring takes the shard back (0 = no probation).
+	// Flap suppression (health.go): readmits holds the probe readmission
+	// times inside the flap window, quarantines the escalation level,
+	// probationLeft the consecutive good probes still owed (0 = none).
 	readmits      []time.Time
 	quarantines   int
 	probationLeft int
@@ -286,16 +263,60 @@ type shard struct {
 	inflight, rejected atomic.Int64
 }
 
-func (sh *shard) isAlive() bool {
+// shardState is the one derived answer to "what may this shard do", in
+// decreasing order of usability so each predicate is a threshold.
+type shardState int
+
+const (
+	stateServing shardState = iota // owns ring arcs
+	stateUnready                   // alive, but /readyz refuses or a flap probation is owed
+	stateOpen                      // alive, but live forwards tripped the breaker
+	stateFenced                    // alive, held out by a drain fence in the document
+	stateDown                      // /healthz not answering
+	stateRemoved                   // no longer a member
+)
+
+// state derives the shard's state from the document fence (drain,
+// removed), the prober (alive, ready, probationLeft) and the breaker — the
+// only place those are read to decide usability. The transition rules
+// that write them live in health.go and breaker.go.
+func (sh *shard) state() shardState {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.alive
+	removed, alive, fenced := sh.removed, sh.alive, sh.drain != ""
+	ready := sh.ready && sh.probationLeft == 0
+	sh.mu.Unlock()
+	switch {
+	case removed:
+		return stateRemoved
+	case !alive:
+		return stateDown
+	case fenced:
+		return stateFenced
+	case sh.brk.isOpen(): // half-open stays in the ring: the trial needs traffic
+		return stateOpen
+	case !ready:
+		return stateUnready
+	}
+	return stateServing
 }
 
-func (sh *shard) drainState() string {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.drain
+// inRing: the shard owns ring arcs and takes new submissions.
+func (s shardState) inRing() bool { return s == stateServing }
+
+// placeable: the shard may hold posteriors — a sweep source, a transfer
+// destination. Unready and breaker-open shards still answer the transfer
+// endpoints (not live v1 traffic); a fenced one must gain nothing.
+func (s shardState) placeable() bool { return s <= stateOpen }
+
+// askable: the shard answers, so broadcasts, listings and index queries
+// include it — a fenced shard's job records stay reachable.
+func (s shardState) askable() bool { return s <= stateFenced }
+
+// view is one immutable generation of the routing tables.
+type view struct {
+	shards     []*shard
+	byInstance map[string]*shard
+	ring       *ring
 }
 
 // Router is the phmse-router HTTP handler plus its health prober. Create
@@ -308,20 +329,14 @@ type Router struct {
 	stop  chan struct{}
 	done  chan struct{}
 
-	mu         sync.RWMutex
-	shards     []*shard
-	byInstance map[string]*shard
-	ring       *ring
-
-	// rebuildMu serializes ring rebuilds end to end (shard-state snapshot
-	// through install) so concurrent health transitions cannot interleave
-	// and install a ring built from a stale snapshot.
+	// view is the published routing generation (one atomic load per
+	// reader); rebuildMu serializes rebuilds from state snapshot through
+	// publish, so no transition can publish a view built from a stale one.
+	view      atomic.Pointer[view]
 	rebuildMu sync.Mutex
 
-	// adminMu serializes admin membership operations (add, remove, drain)
-	// end to end, including their migration passes: overlapping
-	// membership changes would race on which ring generation a posterior
-	// should move under. Never held together with rt.mu.
+	// adminMu serializes membership changes and placement passes, which
+	// would otherwise race on the ring generation a posterior moves under.
 	adminMu sync.Mutex
 
 	forwarded, failed, retried atomic.Int64
@@ -330,18 +345,17 @@ type Router struct {
 
 	migrPasses, migrMigrated, migrFailed, migrSkipped, migrBytes atomic.Int64
 
-	// Anti-entropy repair state (repair.go): the kick channel wakes the
-	// sweeper early after a migration pass reported failures.
+	// repairKick wakes the sweeper early after an admin placement pass
+	// reported failures (repair.go).
 	repairKick chan struct{}
 	repairDone chan struct{}
 
 	repairSweeps, repairRepaired, repairFailed, repairSkipped atomic.Int64
 
-	// cnode is the replicated-control-plane node (cluster.go): the
-	// epoch-stamped membership document and its gossip loop.
-	// clusterApplies counts peer documents that changed membership here;
-	// leaseSkips counts repair ticks skipped because a peer held the
-	// sweeper lease.
+	// cnode is the replicated membership document and its gossip loop
+	// (cluster.go). clusterApplies counts peer documents that changed
+	// membership here; leaseSkips counts repair ticks skipped because a
+	// peer held the sweeper lease.
 	cnode                      *cluster.Node
 	clusterApplies, leaseSkips atomic.Int64
 
@@ -365,15 +379,13 @@ func New(cfg Config) (*Router, error) {
 		start:      time.Now(),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-		byInstance: make(map[string]*shard),
 		repairKick: make(chan struct{}, 1),
 		repairDone: make(chan struct{}),
 	}
-	aud, err := newAuditor(cfg.AuditLog)
-	if err != nil {
-		return nil, fmt.Errorf("router: opening audit log: %w", err)
-	}
-	rt.aud = aud
+	// The epoch-0 bootstrap document: replicas booted from identical
+	// -shards flags stamp identical documents and are in sync before the
+	// first exchange.
+	var doc encode.ClusterDoc
 	seen := make(map[string]bool, len(cfg.Shards))
 	for _, base := range cfg.Shards {
 		base = strings.TrimRight(base, "/")
@@ -381,8 +393,15 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("router: empty or duplicate shard %q", base)
 		}
 		seen[base] = true
-		rt.shards = append(rt.shards, &shard{name: base, base: base, alive: true, ready: true})
+		doc.Members = append(doc.Members, encode.ClusterMember{Base: base})
 	}
+	aud, err := newAuditor(cfg.AuditLog)
+	if err != nil {
+		return nil, fmt.Errorf("router: opening audit log: %w", err)
+	}
+	rt.aud = aud
+	rt.view.Store(&view{ring: buildRing(nil, ringVNodes)})
+	rt.reconcileMembership(context.Background(), doc, true)
 	rt.cnode = cluster.New(cluster.Config{
 		ReplicaID:  cfg.ReplicaID,
 		Peers:      cfg.Peers,
@@ -392,8 +411,7 @@ func New(cfg Config) (*Router, error) {
 		OnAdopt:    rt.onClusterAdopt,
 		OnConflict: rt.onClusterConflict,
 		Logf:       log.Printf,
-	}, initialClusterDoc(rt.shards))
-	rt.rebuildRing()
+	}, doc)
 
 	rt.mux.HandleFunc("POST /v1/solve", rt.handleSolve)
 	rt.mux.HandleFunc("GET /v1/jobs", rt.handleList)
@@ -407,8 +425,8 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	rt.mux.HandleFunc("GET /admin/v1/shards", rt.adminAuth(rt.handleAdminShards))
 	rt.mux.HandleFunc("POST /admin/v1/shards", rt.adminAuth(rt.handleAdminAddShard))
-	rt.mux.HandleFunc("DELETE /admin/v1/shards/{name}", rt.adminAuth(rt.handleAdminRemoveShard))
-	rt.mux.HandleFunc("POST /admin/v1/shards/{name}/drain", rt.adminAuth(rt.handleAdminDrainShard))
+	rt.mux.HandleFunc("DELETE /admin/v1/shards/{name}", rt.adminAuth(rt.handleAdminRetire(true)))
+	rt.mux.HandleFunc("POST /admin/v1/shards/{name}/drain", rt.adminAuth(rt.handleAdminRetire(false)))
 	rt.mux.HandleFunc("POST /admin/v1/repair", rt.adminAuth(rt.handleAdminRepair))
 	rt.mux.HandleFunc("GET /admin/v1/audit", rt.adminAuth(rt.handleAdminAudit))
 	rt.mux.HandleFunc("GET /cluster/v1/state", rt.adminAuth(rt.handleClusterState))
@@ -439,155 +457,110 @@ func (rt *Router) Close() {
 	rt.aud.close()
 }
 
-// shardList returns a point-in-time copy of the membership slice. With
-// dynamic membership the slice mutates at runtime, so every iteration —
-// probing, broadcasting, metrics — goes through this copy instead of
-// reading rt.shards unlocked.
-func (rt *Router) shardList() []*shard {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return append([]*shard(nil), rt.shards...)
+// rebuild publishes a new view: the given member list (nil keeps the
+// current one), the instance table from each member's learned id, and the
+// ring over the in-ring members. Every transition updates its shard
+// before calling here, so whichever rebuild runs last publishes a view
+// reflecting all earlier transitions. A shard the document dropped is in
+// no member list, so a stale probe or relay cannot resurrect it.
+func (rt *Router) rebuild(members []*shard) {
+	rt.rebuildMu.Lock()
+	defer rt.rebuildMu.Unlock()
+	if members == nil {
+		members = rt.view.Load().shards
+	}
+	v := &view{shards: members, byInstance: make(map[string]*shard, len(members))}
+	var inRing []*shard
+	for _, sh := range members {
+		sh.mu.Lock()
+		instance := sh.instance
+		sh.mu.Unlock()
+		if instance != "" {
+			v.byInstance[instance] = sh
+		}
+		if sh.state().inRing() {
+			inRing = append(inRing, sh)
+		}
+	}
+	v.ring = buildRing(inRing, ringVNodes)
+	rt.view.Store(v)
 }
 
-// shardsByLoad returns the membership snapshot sorted least-loaded
-// first by the queue_depth+running gauges the prober collects. Broadcast
-// lookups (an unattributable job id, a posterior location fan-out) probe
-// in this order: the answer is equally likely anywhere, so asking the
-// idle shards first keeps sequential fan-outs off the busy ones — a
-// first step toward load-aware ring weighting. The sort is stable, so
-// equally-loaded shards keep the membership order.
-func (rt *Router) shardsByLoad() []*shard {
-	shards := rt.shardList()
-	type loaded struct {
-		sh   *shard
-		load int
+// shardList returns the current members: an immutable view's slice, to
+// iterate freely but never modify.
+func (rt *Router) shardList() []*shard { return rt.view.Load().shards }
+
+// shardsIn returns the members whose state satisfies the predicate.
+func (rt *Router) shardsIn(pred func(shardState) bool) []*shard {
+	var out []*shard
+	for _, sh := range rt.shardList() {
+		if pred(sh.state()) {
+			out = append(out, sh)
+		}
 	}
-	ranked := make([]loaded, len(shards))
-	for i, sh := range shards {
+	return out
+}
+
+// shardsByLoad returns the askable members least-loaded first, by the
+// queue_depth+running gauges the prober collects. Broadcast lookups (an
+// unattributable job id, a posterior location fan-out) ask in this order:
+// the answer is equally likely anywhere, so the idle shards go first. The
+// sort is stable: equally-loaded shards keep the membership order.
+func (rt *Router) shardsByLoad() []*shard {
+	shards := rt.shardsIn(shardState.askable)
+	load := make(map[*shard]int, len(shards))
+	for _, sh := range shards {
 		sh.mu.Lock()
-		ranked[i] = loaded{sh, sh.queueDepth + sh.running}
+		load[sh] = sh.queueDepth + sh.running
 		sh.mu.Unlock()
 	}
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].load < ranked[j].load })
-	for i, r := range ranked {
-		shards[i] = r.sh
-	}
+	sort.SliceStable(shards, func(i, j int) bool { return load[shards[i]] < load[shards[j]] })
 	return shards
 }
 
-// currentRing returns the installed ring generation.
-func (rt *Router) currentRing() *ring {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.ring
-}
+// currentRing returns the published ring generation.
+func (rt *Router) currentRing() *ring { return rt.view.Load().ring }
 
-// rebuildRing reassembles the ring from the currently ready, undrained
-// shards. rebuildMu makes snapshot-and-install atomic with respect to
-// other rebuilds: every transition updates its shard's state before
-// calling here, so whichever rebuild runs last reads (and installs) a
-// ring that reflects all earlier transitions — a stale ring can never
-// outlast the final rebuild of a burst. Draining and removed shards are
-// fenced here, so a healthy probe can never readmit them.
-func (rt *Router) rebuildRing() {
-	rt.rebuildMu.Lock()
-	defer rt.rebuildMu.Unlock()
-	shards := rt.shardList()
-	ready := make([]*shard, 0, len(shards))
-	for _, sh := range shards {
-		sh.mu.Lock()
-		ok := sh.ready && sh.drain == "" && !sh.removed
-		sh.mu.Unlock()
-		// An open breaker fences the shard exactly like a failed probe; a
-		// half-open one stays in the ring so the trial request can reach
-		// it. Checked outside sh.mu — the breaker has its own lock.
-		if ok && !sh.brk.isOpen() {
-			ready = append(ready, sh)
-		}
-	}
-	r := buildRing(ready, rt.cfg.VNodes)
-	rt.mu.Lock()
-	rt.ring = r
-	rt.mu.Unlock()
-}
-
-// replicasFor returns the failover order of a routing key: every ready
+// replicasFor returns the failover order of a routing key: every in-ring
 // shard, nearest ring arc first.
 func (rt *Router) replicasFor(key string) []*shard {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.ring.replicas(key, len(rt.shards))
+	v := rt.view.Load()
+	return v.ring.replicas(key, len(v.shards))
 }
 
 // shardForJob maps a shard-qualified job id to the shard whose instance
 // minted it, nil when the id is unqualified or the instance is unknown.
 func (rt *Router) shardForJob(id string) *shard {
-	instance := encode.JobInstance(id)
-	if instance == "" {
-		return nil
-	}
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.byInstance[instance]
+	return rt.view.Load().byInstance[encode.JobInstance(id)]
 }
 
 // learnInstance records a shard's self-reported instance id, keeping the
-// instance → shard table current across restarts that change identity. A
-// removed shard is never recorded: a probe or relay still in flight when
-// the admin API ejected it must not resurrect the mapping.
+// instance → shard table current across restarts that change identity.
 func (rt *Router) learnInstance(instance string, sh *shard) {
 	sh.mu.Lock()
-	if sh.removed {
-		sh.mu.Unlock()
-		return
-	}
-	old := sh.instance
+	changed := sh.instance != instance
 	sh.instance = instance
 	sh.mu.Unlock()
-	if old == instance {
-		return
+	if changed {
+		rt.rebuild(nil)
 	}
-	rt.mu.Lock()
-	if old != "" && rt.byInstance[old] == sh {
-		delete(rt.byInstance, old)
-	}
-	rt.byInstance[instance] = sh
-	rt.mu.Unlock()
 }
 
 func writeError(w http.ResponseWriter, httpStatus int, code, message string) {
+	writeJSON(w, httpStatus, encode.ErrorEnvelope{Error: encode.ErrorBody{Code: code, Message: message}})
+}
+
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(httpStatus)
+	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	enc.Encode(encode.ErrorEnvelope{Error: encode.ErrorBody{Code: code, Message: message}}) //nolint:errcheck
+	enc.Encode(v) //nolint:errcheck
 }
 
 func (rt *Router) writeNoShard(w http.ResponseWriter) {
 	rt.noShard.Add(1)
 	writeError(w, http.StatusServiceUnavailable, encode.CodeNoShard, "no healthy shard available")
-}
-
-// admit reserves an in-flight slot on sh under the per-shard limit; the
-// caller must pair a true return with exactly one release. With no limit
-// configured every request is admitted and release is a no-op counter.
-func (rt *Router) admit(sh *shard) bool {
-	limit := int64(rt.cfg.ShardInflight)
-	if limit <= 0 {
-		return true
-	}
-	if sh.inflight.Add(1) > limit {
-		sh.inflight.Add(-1)
-		sh.rejected.Add(1)
-		return false
-	}
-	return true
-}
-
-func (rt *Router) release(sh *shard) {
-	if rt.cfg.ShardInflight > 0 {
-		sh.inflight.Add(-1)
-	}
 }
 
 // writeSaturated answers a request the in-flight limiter refused: the
@@ -599,30 +572,91 @@ func (rt *Router) writeSaturated(w http.ResponseWriter, message string) {
 	writeError(w, http.StatusTooManyRequests, encode.CodeQueueFull, message)
 }
 
-// send issues one forwarded request to a shard.
-func (rt *Router) send(r *http.Request, sh *shard, method, pathq string, body []byte) (*http.Response, error) {
+// writeBreakerRefused answers a directed request whose owning shard's
+// breaker refused it: the shard exists and the job may well live there,
+// so the honest answer is "temporarily unavailable, retry" — not 404.
+func (rt *Router) writeBreakerRefused(w http.ResponseWriter, shardName string) {
+	rt.breakerRefused.Add(1)
+	w.Header().Set("Retry-After", "1")
+	writeError(w, http.StatusServiceUnavailable, encode.CodeNoShard,
+		"shard "+shardName+" circuit open; retry")
+}
+
+type outcome int // of one forward attempt
+
+const (
+	answered  outcome = iota // the shard produced a response
+	refused                  // breaker open, or its half-open trial slot taken: nothing sent
+	saturated                // shard at its in-flight limit: nothing sent
+	undialed                 // the dial failed: no backend saw a byte, so a replay is safe for any method
+	broken                   // transport failure after the request left: ambiguous
+)
+
+// attempt is the one live forward: ask the shard's breaker, reserve an
+// in-flight slot, send, feed the counters and the breaker (transport
+// errors and 5xx count against it, 429/4xx do not), eject the shard on a
+// transport error without waiting for the next probe, release the slot.
+// An answered response is handed to use while the slot is held, then
+// drained and closed. retry marks a replay of a request the breaker
+// already admitted: it is not asked again, so a request's own failures
+// cannot refuse its retries (and a retry that succeeds closes a breaker
+// they opened). Callers are policy over the outcome: which ones fail
+// over, which become 429/503/502/404.
+func (rt *Router) attempt(r *http.Request, sh *shard, pathq string, body []byte, retry bool, use func(*http.Response)) (outcome, error) {
+	breaking := rt.cfg.BreakerFailures > 0
+	trial := false
+	if breaking && !retry {
+		ok, t := sh.brk.allow(time.Now(), rt.cfg.BreakerCooldown)
+		if !ok {
+			return refused, nil
+		}
+		trial = t
+	}
+	if limit := int64(rt.cfg.ShardInflight); limit > 0 {
+		if sh.inflight.Add(1) > limit {
+			sh.inflight.Add(-1)
+			sh.rejected.Add(1)
+			sh.brk.cancel(trial) // the trial never produced an outcome
+			return saturated, nil
+		}
+		defer sh.inflight.Add(-1)
+	}
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(r.Context(), method, sh.base+pathq, rd)
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, sh.base+pathq, rd)
 	if err != nil {
-		return nil, err
+		sh.brk.cancel(trial)
+		return broken, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	return rt.hc.Do(req)
-}
-
-// relay copies a backend response to the caller — status, the headers the
-// v1 API defines, and the body — and opportunistically learns the shard's
-// instance identity from the response header.
-func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, sh *shard) {
-	defer resp.Body.Close()
+	resp, err := rt.hc.Do(req)
+	if breaking && sh.brk.record(err == nil && resp.StatusCode < 500, trial, rt.cfg.BreakerFailures, time.Now()) {
+		rt.rebuild(nil)
+	}
+	if err != nil {
+		rt.failed.Add(1)
+		sh.failed.Add(1)
+		rt.eject(sh)
+		if dialFailure(err) {
+			return undialed, err
+		}
+		return broken, err
+	}
+	defer discard(resp)
 	if instance := resp.Header.Get("X-Phmsed-Instance"); instance != "" {
 		rt.learnInstance(instance, sh)
 	}
+	use(resp)
+	return answered, nil
+}
+
+// relay copies a backend response to the caller: status, the headers the
+// v1 API defines, and the body.
+func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, sh *shard) {
 	for _, h := range []string{"Content-Type", "Retry-After", "X-Phmsed-Instance"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -634,76 +668,55 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, sh *shard) {
 	sh.forwarded.Add(1)
 }
 
-// discard drains and closes a response the router decided not to relay.
+// discard drains and closes a response.
 func discard(resp *http.Response) {
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	resp.Body.Close()
 }
 
 // dialFailure reports whether a transport error happened before the
-// request left the router (the dial itself failed), which makes a replay
-// safe even for non-idempotent methods: no backend saw a byte of it.
+// request left the router (the dial itself failed).
 func dialFailure(err error) bool {
 	var oe *net.OpError
 	return errors.As(err, &oe) && oe.Op == "dial"
 }
 
+var errRetryForward = errors.New("router: shard answered 5xx")
+
 // forwardTo relays a request to one specific shard under the retry
 // policy. Idempotent GETs retry through transport failures and 5xx
 // responses; other methods get exactly one attempt — a connection cut
-// mid-POST may have already enqueued the job, and replaying it would
-// duplicate work. A transport failure ejects the shard from the ring
-// immediately (the probe loop readmits it when it recovers), and every
-// attempt's outcome feeds the shard's circuit breaker. Reports whether a
-// response was written — including the 429 when the shard is at its
-// in-flight limit and the 503 when its breaker refuses the request.
+// mid-POST may have already enqueued the job. Reports whether a response
+// was written, including the 429 of a saturated shard and the 503 of a
+// refusing breaker.
 func (rt *Router) forwardTo(w http.ResponseWriter, r *http.Request, sh *shard, pathq string, body []byte) bool {
-	brkOK, trial := rt.breakerAllow(sh)
-	if !brkOK {
-		rt.writeBreakerRefused(w, sh.name)
-		return true
-	}
-	if !rt.admit(sh) {
-		rt.breakerCancel(sh, trial)
-		rt.writeSaturated(w, fmt.Sprintf("shard %s at its in-flight limit", sh.name))
-		return true
-	}
-	defer rt.release(sh)
-	attempts := 1
-	if r.Method == http.MethodGet {
-		attempts = rt.cfg.Retry.MaxAttempts
-	}
-	for i := 0; i < attempts; i++ {
+	idempotent := r.Method == http.MethodGet
+	wrote := false
+	rt.cfg.Retry.Do(r.Context(), func(i int) error { //nolint:errcheck // wrote carries the result
 		if i > 0 {
 			rt.retried.Add(1)
 			sh.retried.Add(1)
-			select {
-			case <-time.After(rt.cfg.Retry.Delay(i-1, nil)):
-			case <-r.Context().Done():
-				rt.breakerCancel(sh, trial)
-				return false
+		}
+		final := !idempotent || i+1 >= rt.cfg.Retry.MaxAttempts
+		out, err := rt.attempt(r, sh, pathq, body, i > 0, func(resp *http.Response) {
+			if resp.StatusCode < 500 || final {
+				rt.relay(w, resp, sh)
+				wrote = true
 			}
+		})
+		switch {
+		case out == refused:
+			rt.writeBreakerRefused(w, sh.name)
+			wrote = true
+		case out == saturated:
+			rt.writeSaturated(w, fmt.Sprintf("shard %s at its in-flight limit", sh.name))
+			wrote = true
+		case out == answered && !wrote:
+			return errRetryForward
 		}
-		resp, err := rt.send(r, sh, r.Method, pathq, body)
-		if err != nil {
-			rt.failed.Add(1)
-			sh.failed.Add(1)
-			rt.breakerRecord(sh, false, trial)
-			trial = false
-			rt.eject(sh)
-			continue
-		}
-		if resp.StatusCode >= 500 && r.Method == http.MethodGet && i+1 < attempts {
-			rt.breakerRecord(sh, false, trial)
-			trial = false
-			discard(resp)
-			continue
-		}
-		rt.breakerRecord(sh, resp.StatusCode < 500, trial)
-		rt.relay(w, resp, sh)
-		return true
-	}
-	return false
+		return err
+	}, func(error) bool { return idempotent })
+	return wrote
 }
 
 // handleSolve routes a submission: parse once to extract the routing
@@ -721,25 +734,27 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Warm-started submissions must land on the shard retaining the
-	// referenced posterior — the job id's instance qualifier names the
-	// shard that minted it. Since a migration pass may have moved the
-	// posterior off its minting shard (membership changed), the qualifier
-	// is a hint, verified with an exact-id index query; when it fails — or
-	// the qualifier names no current member — the posterior indexes of the
-	// live shards locate the current holder. A still-unresolved reference
+	// referenced posterior. The job id's instance qualifier names the
+	// shard that minted it, but a placement pass may have moved the
+	// posterior since, so the qualifier is a hint verified with an
+	// exact-id index query (a shard that cannot be asked counts as
+	// holding); when it fails — or names no current member — the askable
+	// shards' indexes locate the holder. A still-unresolved reference
 	// falls through to ring routing: identical topologies route to the
 	// posterior's shard anyway, and a wrong shard answers an honest
 	// 404/409.
 	if warmRef != nil {
 		sh := rt.shardForJob(warmRef.Job)
-		if sh != nil && !rt.holdsPosterior(r.Context(), sh, warmRef.Job) {
-			sh = nil
+		if sh != nil {
+			if held, err := rt.holdsPosterior(r.Context(), sh, warmRef.Job); err == nil && !held {
+				sh = nil
+			}
 		}
 		if sh == nil {
 			sh = rt.locatePosterior(r.Context(), warmRef.Job)
 		}
 		if sh != nil {
-			if sh.drainState() != "" {
+			if sh.state() == stateFenced {
 				writeError(w, http.StatusServiceUnavailable, encode.CodeDraining,
 					fmt.Sprintf("shard %s is draining; its posteriors are migrating — retry", sh.name))
 				return
@@ -754,42 +769,26 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// Ring replicas are the failover order. A POST fails over only on dial
 	// failures — the request never left, so no shard could have enqueued
 	// it; any later transport error is ambiguous and surfaces as 502. A
-	// replica at its in-flight limit — or one whose circuit breaker
-	// refuses the request — is skipped the same way a dead one is; a
+	// saturated or breaker-refused replica is skipped like a dead one; a
 	// submission finding every replica saturated gets the 429. Backend
-	// responses (including 429 backpressure with its Retry-After) relay
-	// verbatim: the client's own RetryPolicy honours them.
+	// responses (including 429 with its Retry-After) relay verbatim.
 	sawSaturated := false
 	for _, sh := range rt.replicasFor(key) {
-		brkOK, trial := rt.breakerAllow(sh)
-		if !brkOK {
-			continue
-		}
-		if !rt.admit(sh) {
-			rt.breakerCancel(sh, trial)
+		out, err := rt.attempt(r, sh, "/v1/solve", body, false,
+			func(resp *http.Response) { rt.relay(w, resp, sh) })
+		switch out {
+		case answered:
+			return
+		case saturated:
 			sawSaturated = true
-			continue
-		}
-		resp, err := rt.send(r, sh, http.MethodPost, "/v1/solve", body)
-		if err != nil {
-			rt.release(sh)
-			rt.failed.Add(1)
-			sh.failed.Add(1)
-			rt.breakerRecord(sh, false, trial)
-			rt.eject(sh)
-			if dialFailure(err) {
-				rt.retried.Add(1)
-				sh.retried.Add(1)
-				continue
-			}
+		case undialed:
+			rt.retried.Add(1)
+			sh.retried.Add(1)
+		case broken:
 			writeError(w, http.StatusBadGateway, encode.CodeInternal,
 				fmt.Sprintf("forwarding solve to %s: %v", sh.name, err))
 			return
 		}
-		rt.breakerRecord(sh, resp.StatusCode < 500, trial)
-		rt.relay(w, resp, sh)
-		rt.release(sh)
-		return
 	}
 	if sawSaturated {
 		rt.writeSaturated(w, "all replicas at their in-flight limit")
@@ -800,8 +799,8 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 // handleJob forwards a job-targeted request to its owning shard. Ids the
 // router cannot attribute (unqualified, or an instance not yet learned)
-// are broadcast to the live shards: exactly one shard owns any real job,
-// everyone else answers 404.
+// are broadcast to the askable shards: exactly one shard owns any real
+// job, everyone else answers 404.
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	pathq := r.URL.Path
 	if r.URL.RawQuery != "" {
@@ -813,48 +812,25 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	sawNotFound, sawSaturated := false, false
+	relayed, sawNotFound, sawBusy := false, false, false
 	for _, sh := range rt.shardsByLoad() {
-		if !sh.isAlive() {
-			continue
+		out, _ := rt.attempt(r, sh, pathq, nil, false, func(resp *http.Response) {
+			if resp.StatusCode == http.StatusNotFound {
+				sawNotFound = true
+				return
+			}
+			rt.relay(w, resp, sh)
+			relayed = true
+		})
+		if relayed {
+			return
 		}
-		// A breaker-refused shard may still own the job, so — like the
-		// saturated case below — the broadcast must answer "retry", never
-		// a false "not found".
-		brkOK, trial := rt.breakerAllow(sh)
-		if !brkOK {
-			sawSaturated = true
-			continue
-		}
-		if !rt.admit(sh) {
-			rt.breakerCancel(sh, trial)
-			sawSaturated = true
-			continue
-		}
-		resp, err := rt.send(r, sh, r.Method, pathq, nil)
-		if err != nil {
-			rt.release(sh)
-			rt.failed.Add(1)
-			sh.failed.Add(1)
-			rt.breakerRecord(sh, false, trial)
-			rt.eject(sh)
-			continue
-		}
-		rt.breakerRecord(sh, resp.StatusCode < 500, trial)
-		if resp.StatusCode == http.StatusNotFound {
-			sawNotFound = true
-			discard(resp)
-			rt.release(sh)
-			continue
-		}
-		rt.relay(w, resp, sh)
-		rt.release(sh)
-		return
+		sawBusy = sawBusy || out == refused || out == saturated
 	}
-	// A saturated shard was skipped, so the job may simply live where the
-	// router could not look: tell the client to retry, not that the job
-	// does not exist.
-	if sawSaturated {
+	// A saturated or breaker-refused shard was skipped, so the job may
+	// simply live where the router could not look: tell the client to
+	// retry, not that the job does not exist.
+	if sawBusy {
 		rt.writeSaturated(w, "shard at its in-flight limit; retry")
 		return
 	}
@@ -865,24 +841,6 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	rt.writeNoShard(w)
 }
 
-func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
-	total, ready := rt.shardCounts()
-	writeJSON(w, http.StatusOK, RouterHealth{Status: "ok", Shards: total, ReadyShards: ready})
-}
-
-// handleReady reports whether the router can currently place new work:
-// at least one shard in the ring.
-func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
-	total, ready := rt.shardCounts()
-	body := RouterHealth{Status: "ok", Shards: total, ReadyShards: ready}
-	if ready == 0 {
-		body.Status = "no_shard"
-		writeJSON(w, http.StatusServiceUnavailable, body)
-		return
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
 // RouterHealth is the body of the router's /healthz and /readyz.
 type RouterHealth struct {
 	Status      string `json:"status"`
@@ -890,23 +848,23 @@ type RouterHealth struct {
 	ReadyShards int    `json:"ready_shards"`
 }
 
-func (rt *Router) shardCounts() (total, ready int) {
-	shards := rt.shardList()
-	total = len(shards)
-	for _, sh := range shards {
-		sh.mu.Lock()
-		if sh.ready && sh.drain == "" {
-			ready++
-		}
-		sh.mu.Unlock()
-	}
-	return total, ready
+// health counts the members and the in-ring ones.
+func (rt *Router) health() RouterHealth {
+	return RouterHealth{Status: "ok", Shards: len(rt.shardList()), ReadyShards: len(rt.shardsIn(shardState.inRing))}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(v) //nolint:errcheck
+func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, rt.health())
+}
+
+// handleReady reports whether the router can currently place new work:
+// at least one shard in the ring.
+func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
+	body := rt.health()
+	if body.ReadyShards == 0 {
+		body.Status = "no_shard"
+		writeJSON(w, http.StatusServiceUnavailable, body)
+		return
+	}
+	writeJSON(w, http.StatusOK, body)
 }

@@ -70,7 +70,7 @@ func (b *backend) start(t *testing.T) {
 	}
 	b.addr = l.Addr().String()
 	b.srv = server.New(server.Config{
-		Workers:        2,
+		MaxProcs:       2,
 		QueueDepth:     256,
 		PosteriorBytes: 64 << 20,
 		InstanceID:     b.name,
@@ -325,11 +325,18 @@ func TestCrossShardListingPagination(t *testing.T) {
 // the errored shard's position untouched, so re-paging picks its jobs up
 // once it recovers instead of silently dropping them.
 func TestListingShardErrorKeepsCursor(t *testing.T) {
+	// A status request for a shard's job parks in the shard until released,
+	// occupying one of its in-flight slots.
+	held, release := make(chan struct{}), make(chan struct{})
 	mkShard := func(instance string, jobs []encode.JobStatus, healthy *atomic.Bool) *httptest.Server {
 		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch r.URL.Path {
 			case "/healthz", "/readyz":
 				json.NewEncoder(w).Encode(encode.HealthStatus{Status: "ok", InstanceID: instance}) //nolint:errcheck
+			case "/v1/jobs/" + instance + ".job-000001":
+				held <- struct{}{}
+				<-release
+				json.NewEncoder(w).Encode(jobs[0]) //nolint:errcheck
 			case "/v1/jobs":
 				if healthy != nil && !healthy.Load() {
 					http.Error(w, "boom", http.StatusInternalServerError)
@@ -360,7 +367,7 @@ func TestListingShardErrorKeepsCursor(t *testing.T) {
 
 	// A probe interval long enough that the fan-out, not the prober,
 	// decides what this test observes.
-	rt, err := New(Config{Shards: []string{a.URL, b.URL}, ProbeInterval: time.Hour})
+	rt, err := New(Config{Shards: []string{a.URL, b.URL}, ProbeInterval: time.Hour, ShardInflight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,6 +376,7 @@ func TestListingShardErrorKeepsCursor(t *testing.T) {
 	defer rts.Close()
 	c := client.New(rts.URL)
 	ctx := context.Background()
+	rt.CheckNow(ctx) // learn the instance ids, so job requests are directed
 
 	list, err := c.List(ctx, client.ListOptions{Limit: 10})
 	if err != nil {
@@ -393,6 +401,30 @@ func TestListingShardErrorKeepsCursor(t *testing.T) {
 	if list2.NextAfter != "" {
 		t.Fatalf("fully-answered final page still carries cursor %q", list2.NextAfter)
 	}
+
+	// The fan-out goes through the shared forward attempt: a shard whose
+	// only in-flight slot is taken is not sent the listing — it reads as an
+	// errored page, cursor kept — instead of bypassing the cap.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, err := c.Status(ctx, "b.job-000001"); err != nil {
+			t.Errorf("held status request: %v", err)
+		}
+	}()
+	<-held
+	list3, err := c.List(ctx, client.ListOptions{Limit: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list3.Jobs) != 1 || list3.Jobs[0].ID != "a.job-000001" || list3.NextAfter == "" {
+		t.Fatalf("page with b saturated: %+v next %q, want only a.job-000001 and a cursor", list3.Jobs, list3.NextAfter)
+	}
+	if sm := shardMetricsOf(t, rt, b.URL); sm.Rejected != 1 || sm.Inflight != 1 {
+		t.Fatalf("saturated shard b: rejected %d inflight %d, want the listing turned away at the cap (1/1)", sm.Rejected, sm.Inflight)
+	}
+	close(release)
+	<-done
 }
 
 // TestAllShardsDown503: with every shard gone the router answers the

@@ -1,0 +1,272 @@
+package router
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"phmse/internal/client"
+	"phmse/internal/encode"
+)
+
+// TestShardStateTable pins the one shard-state function: every
+// combination of document fence, prober verdict, flap probation and
+// breaker position maps to one state, and the three predicates read only
+// that state.
+func TestShardStateTable(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		removed              bool
+		drain                string
+		alive, ready         bool
+		probation            int
+		breaker              BreakerState
+		want                 shardState
+		ring, place, askable bool
+	}{
+		{name: "healthy", alive: true, ready: true, want: stateServing, ring: true, place: true, askable: true},
+		{name: "half-open breaker stays in the ring", alive: true, ready: true, breaker: BreakerHalfOpen, want: stateServing, ring: true, place: true, askable: true},
+		{name: "readyz refusing", alive: true, want: stateUnready, place: true, askable: true},
+		{name: "serving flap probation", alive: true, probation: 3, want: stateUnready, place: true, askable: true},
+		{name: "probation owed beats ready", alive: true, ready: true, probation: 1, want: stateUnready, place: true, askable: true},
+		{name: "breaker open", alive: true, ready: true, breaker: BreakerOpen, want: stateOpen, place: true, askable: true},
+		{name: "breaker open and unready", alive: true, breaker: BreakerOpen, want: stateOpen, place: true, askable: true},
+		{name: "draining", drain: "draining", alive: true, ready: true, want: stateFenced, askable: true},
+		{name: "drained", drain: "drained", alive: true, ready: true, want: stateFenced, askable: true},
+		{name: "fenced with breaker open", drain: "drained", alive: true, ready: true, breaker: BreakerOpen, want: stateFenced, askable: true},
+		{name: "down", want: stateDown},
+		{name: "down while fenced", drain: "draining", want: stateDown},
+		{name: "down with breaker open", breaker: BreakerOpen, want: stateDown},
+		{name: "removed though healthy", removed: true, alive: true, ready: true, want: stateRemoved},
+		{name: "removed while draining", removed: true, drain: "draining", alive: true, want: stateRemoved},
+	} {
+		sh := &shard{removed: tc.removed, drain: tc.drain, alive: tc.alive, ready: tc.ready, probationLeft: tc.probation}
+		sh.brk.state = tc.breaker
+		got := sh.state()
+		if got != tc.want {
+			t.Errorf("%s: state = %d, want %d", tc.name, got, tc.want)
+		}
+		if got.inRing() != tc.ring || got.placeable() != tc.place || got.askable() != tc.askable {
+			t.Errorf("%s: inRing/placeable/askable = %v/%v/%v, want %v/%v/%v", tc.name,
+				got.inRing(), got.placeable(), got.askable(), tc.ring, tc.place, tc.askable)
+		}
+	}
+}
+
+// TestRingViewsAgree: a shard whose probes stay green while its v1 plane
+// fails trips its breaker and leaves the ring — and every view of the
+// ring must say so. Before the shard-state function, /readyz and the
+// admin topology view ignored the breaker and kept reporting it in.
+func TestRingViewsAgree(t *testing.T) {
+	shardSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" || r.URL.Path == "/readyz" {
+			json.NewEncoder(w).Encode(encode.HealthStatus{Status: "ok", InstanceID: "s1"}) //nolint:errcheck
+			return
+		}
+		http.Error(w, "wedged", http.StatusInternalServerError)
+	}))
+	t.Cleanup(shardSrv.Close)
+	rt, err := New(Config{
+		Shards:          []string{shardSrv.URL},
+		ProbeInterval:   time.Hour,
+		RepairInterval:  -1,
+		BreakerFailures: 1,
+		BreakerCooldown: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	rts := httptest.NewServer(rt)
+	t.Cleanup(rts.Close)
+	ctx := context.Background()
+	rt.CheckNow(ctx)
+
+	getJSON := func(path string, out any) int {
+		t.Helper()
+		resp, err := http.Get(rts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if out != nil {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				t.Fatalf("GET %s: decoding: %v", path, err)
+			}
+		}
+		return resp.StatusCode
+	}
+	views := func(want int) {
+		t.Helper()
+		var health, ready RouterHealth
+		var list encode.ShardList
+		var m Metrics
+		getJSON("/healthz", &health)
+		readyStatus := getJSON("/readyz", &ready)
+		getJSON("/admin/v1/shards", &list)
+		getJSON("/metrics", &m)
+		inRing := 0
+		for _, si := range list.Shards {
+			if si.InRing {
+				inRing++
+			}
+		}
+		if health.ReadyShards != want || ready.ReadyShards != want || list.RingShards != want || inRing != want || m.RingShards != want {
+			t.Fatalf("ring views disagree: healthz %d, readyz %d, admin ring_shards %d (in_ring rows %d), metrics %d; want all %d",
+				health.ReadyShards, ready.ReadyShards, list.RingShards, inRing, m.RingShards, want)
+		}
+		if got := len(rt.currentRing().points); (got > 0) != (want > 0) {
+			t.Fatalf("ring holds %d points with %d shards reported in it", got, want)
+		}
+		wantStatus, wantBody := http.StatusOK, "ok"
+		if want == 0 {
+			wantStatus, wantBody = http.StatusServiceUnavailable, "no_shard"
+		}
+		if readyStatus != wantStatus || ready.Status != wantBody {
+			t.Fatalf("readyz = %d %q with %d shards in the ring, want %d %q", readyStatus, ready.Status, want, wantStatus, wantBody)
+		}
+	}
+
+	views(1)
+	// One live 500 (a broadcast lookup: one attempt, relayed verbatim)
+	// opens the breaker at threshold 1; probes stay green.
+	if code := getJSON("/v1/jobs/job-000001", nil); code != http.StatusInternalServerError {
+		t.Fatalf("forward to the wedged shard: http %d, want the relayed 500", code)
+	}
+	rt.CheckNow(ctx)
+	views(0)
+}
+
+// stubIndexShard is a fake phmsed that is healthy, idle and holds no
+// posteriors: enough for membership operations to run end to end.
+func stubIndexShard(t *testing.T) string {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz", "/readyz":
+			json.NewEncoder(w).Encode(encode.HealthStatus{Status: "ok"}) //nolint:errcheck
+		case "/v1/posteriors":
+			json.NewEncoder(w).Encode(encode.PosteriorIndex{}) //nolint:errcheck
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
+// TestMembershipFollowsDocument is the single-writer invariant: after
+// every membership step — whole admin operations and bare document steps
+// alike — the published shard set equals the document's member list, fence
+// for fence, while probes and forwards republish the view concurrently
+// (run under -race).
+func TestMembershipFollowsDocument(t *testing.T) {
+	a, b, c := stubIndexShard(t), stubIndexShard(t), stubIndexShard(t)
+	rt, err := New(Config{
+		Shards:         []string{a, b},
+		ProbeInterval:  time.Hour,
+		RepairInterval: -1,
+		Retry:          client.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	rts := httptest.NewServer(rt)
+	t.Cleanup(rts.Close)
+	ctx := context.Background()
+
+	// Background churn on the view: forced probe sweeps and broadcast
+	// forwards, both of which rebuild and read it.
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(2)
+	go func() {
+		defer churn.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				rt.CheckNow(ctx)
+			}
+		}
+	}()
+	go func() {
+		defer churn.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if resp, err := http.Get(rts.URL + "/v1/jobs/nobody.job-000001"); err == nil {
+					resp.Body.Close()
+				}
+			}
+		}
+	}()
+	t.Cleanup(func() { close(stop); churn.Wait() })
+
+	check := func(step string) {
+		t.Helper()
+		var want, got []string
+		for _, m := range rt.cnode.Current().Members {
+			want = append(want, m.Base+"|"+m.DrainState)
+		}
+		for _, sh := range rt.shardList() {
+			sh.mu.Lock()
+			got = append(got, sh.base+"|"+sh.drain)
+			if sh.removed {
+				t.Errorf("after %s: member %s is latched removed", step, sh.base)
+			}
+			sh.mu.Unlock()
+		}
+		sort.Strings(want)
+		sort.Strings(got)
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("after %s: shard set %v, document members %v", step, got, want)
+		}
+	}
+
+	check("boot")
+	if _, err := rt.addShard(ctx, c); err != nil {
+		t.Fatalf("add: %v", err)
+	}
+	check("add")
+	joined := rt.findShard(c)
+	rt.retire(ctx, joined, false, "drain", time.Second)
+	check("drain")
+	if resp, err := rt.addShard(ctx, c); err != nil || !resp.Reactivated {
+		t.Fatalf("reactivate = %+v, %v", resp, err)
+	}
+	check("reactivate")
+	rt.retire(ctx, joined, true, "drain", time.Second)
+	check("remove")
+	if got := joined.state(); got != stateRemoved {
+		t.Fatalf("removed shard reads state %d, want removed", got)
+	}
+	rt.retire(ctx, rt.findShard(b), true, "immediate", 0)
+	check("immediate remove")
+
+	// Bare document steps, as a gossip adoption would deliver them.
+	rt.adminMu.Lock()
+	rt.step(ctx, func(doc *encode.ClusterDoc) bool {
+		doc.Members = append(doc.Members, encode.ClusterMember{Base: b, DrainState: "drained"})
+		return true
+	})
+	rt.adminMu.Unlock()
+	check("document gained a drained member")
+	rt.CheckNow(ctx) // a member that joins fenced is not probed on entry
+	if got := rt.findShard(b).state(); got != stateFenced {
+		t.Fatalf("member added drained reads state %d, want fenced", got)
+	}
+	if n := len(rt.shardsIn(shardState.inRing)); n != 1 {
+		t.Fatalf("%d shards in the ring, want only %s", n, a)
+	}
+}

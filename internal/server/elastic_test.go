@@ -12,8 +12,9 @@ import (
 )
 
 // The tentpole guarantee: the processor budget, not a worker count, bounds
-// concurrency. Under the old per-job worker pool this config (Workers: 1)
-// ran one job at a time regardless of how cheap the jobs were. With the
+// concurrency. The per-job worker pool the scheduler replaced ran a job
+// per worker regardless of how cheap the jobs were — at one worker, one
+// job at a time. With the
 // elastic scheduler the four tiny jobs each coalesce onto a MinTeam-wide
 // team and all four run at once inside the same 4-processor budget.
 func TestTinyJobConcurrencyExceedsWorkerCeiling(t *testing.T) {
@@ -36,11 +37,7 @@ func TestTinyJobConcurrencyExceedsWorkerCeiling(t *testing.T) {
 	})
 	t.Cleanup(faultinject.Reset)
 
-	// Workers: 1 is the legacy ceiling under test; the explicit MaxProcs
-	// overrides its processor-budget mapping so only the concurrency
-	// semantics differ from the old code.
 	srv, _, c := newTestServer(t, Config{
-		Workers: 1, ProcsPerJob: 1,
 		MaxProcs: tiny, MinTeam: 1, MaxTeam: tiny,
 		QueueDepth: 2 * tiny,
 	})
@@ -57,10 +54,10 @@ func TestTinyJobConcurrencyExceedsWorkerCeiling(t *testing.T) {
 	}
 
 	// All four are blocked inside their solve attempt: the server must
-	// report more running jobs than the legacy worker count allowed.
+	// report more running jobs than the one-worker pool's ceiling of 1.
 	m := srv.Snapshot()
-	if m.Jobs.Running <= srv.cfg.Workers {
-		t.Fatalf("running = %d, want > legacy worker count %d", m.Jobs.Running, srv.cfg.Workers)
+	if m.Jobs.Running <= 1 {
+		t.Fatalf("running = %d, want > the old one-worker ceiling of 1", m.Jobs.Running)
 	}
 	if m.Jobs.Running < tiny {
 		t.Fatalf("running = %d, want all %d tiny jobs concurrent", m.Jobs.Running, tiny)
@@ -88,7 +85,7 @@ func TestCoalescedResultsBitwiseMatchDedicated(t *testing.T) {
 	p := helix(2)
 
 	// Reference: rigid one-job-at-a-time server, dedicated 1-proc team.
-	_, _, refc := newTestServer(t, Config{Workers: 1, ProcsPerJob: 1})
+	_, _, refc := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1})
 	refID := submit(t, refc, p, quickParams()).ID
 	waitState(t, refc, refID, StateDone)
 	ref, err := refc.Result(context.Background(), refID)

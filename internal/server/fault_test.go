@@ -23,7 +23,7 @@ func named(p *molecule.Problem, name string) *molecule.Problem {
 
 // faultCfg keeps retry backoff negligible so fault tests run fast.
 func faultCfg() Config {
-	return Config{Workers: 2, ProcsPerJob: 1, MaxRetries: 2, RetryBackoff: time.Millisecond}
+	return Config{MaxProcs: 2, MaxTeam: 1, MaxRetries: 2, RetryBackoff: time.Millisecond}
 }
 
 // A job whose every solve attempt panics must fail cleanly with the
@@ -169,7 +169,7 @@ func TestTransientFailureHealsOnRetry(t *testing.T) {
 // queue is full, draining once shutdown begins — while healthz keeps
 // reporting liveness until the drain.
 func TestReadyz(t *testing.T) {
-	srv, ts, c := newTestServer(t, Config{Workers: 1, ProcsPerJob: 1, QueueDepth: 1})
+	srv, ts, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1, QueueDepth: 1})
 	ctx := context.Background()
 
 	var body map[string]any

@@ -35,7 +35,7 @@ func snapshotFiles(t *testing.T, dir string) []string {
 // the reloaded store.
 func TestPosteriorDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 2, QueueDepth: 16, PosteriorBytes: 64 << 20,
+	cfg := Config{MaxProcs: 2, QueueDepth: 16, PosteriorBytes: 64 << 20,
 		InstanceID: "alpha", PosteriorDir: dir}
 	srv1, _, c1 := newTestServer(t, cfg)
 	p := helix(6)
@@ -79,7 +79,7 @@ func TestPosteriorDiskRoundTrip(t *testing.T) {
 // incarnation's posterior as the new job's (then clobber it on keep).
 func TestRestartDoesNotReuseSnapshotIDs(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 2, QueueDepth: 16, PosteriorBytes: 64 << 20,
+	cfg := Config{MaxProcs: 2, QueueDepth: 16, PosteriorBytes: 64 << 20,
 		InstanceID: "alpha", PosteriorDir: dir}
 	_, _, c1 := newTestServer(t, cfg)
 	params := cappedParams()
@@ -172,7 +172,7 @@ func TestPosteriorSnapshotIgnoresGarbage(t *testing.T) {
 // TestInstanceIdentity: a configured instance id must show up in the
 // response header, the health document, the metrics, and every job id.
 func TestInstanceIdentity(t *testing.T) {
-	srv, ts, c := newTestServer(t, Config{Workers: 1, QueueDepth: 8, InstanceID: "west-1"})
+	srv, ts, c := newTestServer(t, Config{QueueDepth: 8, InstanceID: "west-1"})
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -206,7 +206,7 @@ func TestInstanceIdentity(t *testing.T) {
 // TestUnqualifiedIDsWithoutInstance: the default configuration keeps the
 // seed's bare job-NNNNNN ids and no identity header.
 func TestUnqualifiedIDsWithoutInstance(t *testing.T) {
-	_, ts, c := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
+	_, ts, c := newTestServer(t, Config{QueueDepth: 8})
 	st := submit(t, c, helix(4), cappedParams())
 	if !strings.HasPrefix(st.ID, "job-") {
 		t.Fatalf("job id %q should be unqualified", st.ID)

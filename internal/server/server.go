@@ -1,9 +1,10 @@
 // Package server implements phmsed, the structure-estimation daemon: an
-// HTTP/JSON API over the encode problem format with a bounded job queue, a
-// worker pool sized to the machine, a topology-keyed plan cache, a
-// memory-accounted posterior store for warm-start re-solves, per-job
-// cancellation and timeouts, and graceful shutdown. It is the serving
-// layer the scaling roadmap (sharding, batching, multi-backend) builds on.
+// HTTP/JSON API over the encode problem format with a bounded job queue,
+// an elastic solver-team scheduler sharing one processor budget, a
+// topology-keyed plan cache, a memory-accounted posterior store for
+// warm-start re-solves, per-job cancellation and timeouts, and graceful
+// shutdown. It is the serving layer the scaling roadmap (sharding,
+// batching, multi-backend) builds on.
 //
 // Endpoints (v1):
 //
@@ -66,32 +67,22 @@ const maxListLimit = 500
 // budget defaults to GOMAXPROCS, and team widths are sized per job from
 // the fitted work estimator.
 type Config struct {
-	// Workers and ProcsPerJob are the legacy rigid split (Workers
-	// concurrent solves × ProcsPerJob processors each). When set, they map
-	// onto the elastic scheduler as MaxProcs = Workers × ProcsPerJob and
-	// MaxTeam = ProcsPerJob, preserving the old budget and per-job width
-	// ceiling — but job concurrency is now bounded by processors in use
-	// (MaxProcs / MinTeam cheap jobs can run at once), not by Workers.
-	// Prefer MaxProcs/MinTeam/MaxTeam directly.
-	Workers     int
-	ProcsPerJob int
 	// MaxProcs is the total processor budget shared by all concurrently
-	// running solves (default: Workers × ProcsPerJob when those are set,
-	// otherwise GOMAXPROCS).
+	// running solves (default GOMAXPROCS). Job concurrency is bounded by
+	// processors in use — MaxProcs / MinTeam cheap jobs can run at once.
 	MaxProcs int
 	// MinTeam is the smallest processor team a solve runs on (default 1).
 	// Cheap jobs are granted exactly MinTeam, so MaxProcs/MinTeam of them
 	// coalesce onto the budget concurrently.
 	MinTeam int
-	// MaxTeam caps a single solve's team width (default: ProcsPerJob when
-	// set, otherwise MaxProcs).
+	// MaxTeam caps a single solve's team width (default MaxProcs).
 	MaxTeam int
 	// TeamGrain is the estimated work (flop-model units) worth one
 	// processor when sizing a job's team; a job of cost k×TeamGrain asks
 	// for a k-wide team before clamping to [MinTeam, MaxTeam]. Zero
 	// selects the scheduler default.
 	TeamGrain float64
-	// QueueDepth bounds the number of jobs waiting for a worker; further
+	// QueueDepth bounds the number of jobs waiting for a team; further
 	// submissions are rejected with 429 (default 32).
 	QueueDepth int
 	// CacheSize bounds the plan cache entries (default 64; 0 keeps the
@@ -141,34 +132,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	gomax := runtime.GOMAXPROCS(0)
-	legacy := c.Workers > 0 || c.ProcsPerJob > 0
-	legacyProcs := c.ProcsPerJob > 0
-	if c.Workers <= 0 {
-		c.Workers = gomax / 2
-		if c.Workers < 1 {
-			c.Workers = 1
-		}
-	}
-	if c.ProcsPerJob <= 0 {
-		c.ProcsPerJob = gomax / c.Workers
-		if c.ProcsPerJob < 1 {
-			c.ProcsPerJob = 1
-		}
-	}
 	if c.MaxProcs <= 0 {
-		if legacy {
-			c.MaxProcs = c.Workers * c.ProcsPerJob
-		} else {
-			c.MaxProcs = gomax
-		}
+		c.MaxProcs = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxTeam <= 0 {
-		if legacyProcs {
-			c.MaxTeam = c.ProcsPerJob
-		} else {
-			c.MaxTeam = c.MaxProcs
-		}
+		c.MaxTeam = c.MaxProcs
 	}
 	if c.MinTeam <= 0 {
 		c.MinTeam = 1
@@ -217,7 +185,7 @@ type Server struct {
 	transferRejected atomic.Int64
 }
 
-// New builds a serving instance and starts its worker pool.
+// New builds a serving instance and starts its job dispatcher.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -254,7 +222,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Shutdown stops intake (new submissions get 503) and drains accepted
 // jobs. If ctx expires first, remaining jobs are cancelled and Shutdown
-// returns ctx's error once the workers have wound down.
+// returns ctx's error once the running solves have wound down.
 func (s *Server) Shutdown(ctx context.Context) error {
 	return s.mgr.shutdown(ctx)
 }
@@ -534,7 +502,6 @@ type MetricsJobs struct {
 type MetricsQueue struct {
 	Depth    int `json:"depth"`
 	Capacity int `json:"capacity"`
-	Workers  int `json:"workers"`
 }
 
 // MetricsPlanCache reports plan-cache effectiveness.
@@ -595,7 +562,6 @@ func (s *Server) Snapshot() Metrics {
 		Queue: MetricsQueue{
 			Depth:    s.mgr.queueDepth(),
 			Capacity: s.cfg.QueueDepth,
-			Workers:  s.cfg.Workers,
 		},
 		Scheduler:     s.mgr.sched.Snapshot(),
 		WorkspacePool: pool.Snapshot(),

@@ -134,7 +134,7 @@ func apiErr(t *testing.T, err error) *client.APIError {
 }
 
 func TestSubmitPollResult(t *testing.T) {
-	_, ts, c := newTestServer(t, Config{Workers: 2, ProcsPerJob: 1})
+	_, ts, c := newTestServer(t, Config{MaxProcs: 2, MaxTeam: 1})
 	ctx := context.Background()
 	p := helix(2)
 	st := submit(t, c, p, quickParams())
@@ -175,7 +175,7 @@ func TestSubmitPollResult(t *testing.T) {
 // Four helix jobs submitted simultaneously all complete and converge — the
 // concurrency acceptance criterion.
 func TestConcurrentSolves(t *testing.T) {
-	_, _, c := newTestServer(t, Config{Workers: 4, ProcsPerJob: 1, QueueDepth: 8})
+	_, _, c := newTestServer(t, Config{MaxProcs: 4, MaxTeam: 1, QueueDepth: 8})
 	ctx := context.Background()
 	const n = 4
 	ids := make([]string, n)
@@ -208,7 +208,7 @@ func TestConcurrentSolves(t *testing.T) {
 
 // Re-submitting the same topology hits the plan cache, visible in /metrics.
 func TestPlanCacheHit(t *testing.T) {
-	srv, ts, c := newTestServer(t, Config{Workers: 1, ProcsPerJob: 2})
+	srv, ts, c := newTestServer(t, Config{MaxProcs: 2, MaxTeam: 2})
 	p := helix(1)
 	first := submit(t, c, p, quickParams())
 	waitState(t, c, first.ID, StateDone, StateFailed)
@@ -243,7 +243,7 @@ func TestPlanCacheHit(t *testing.T) {
 // A full queue rejects further submissions with 429 backpressure carrying
 // the queue_full envelope code and a Retry-After hint.
 func TestQueueFullBackpressure(t *testing.T) {
-	_, _, c := newTestServer(t, Config{Workers: 1, ProcsPerJob: 1, QueueDepth: 1})
+	_, _, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1, QueueDepth: 1})
 	ctx := context.Background()
 	// One slow job occupies the worker; one more fills the queue.
 	running := submit(t, c, helix(1), slowParams())
@@ -280,7 +280,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 // Cancelling a running job stops it before convergence with state
 // "cancelled"; cancelling a queued job never runs it.
 func TestCancellation(t *testing.T) {
-	_, ts, c := newTestServer(t, Config{Workers: 1, ProcsPerJob: 1, QueueDepth: 4})
+	_, ts, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1, QueueDepth: 4})
 	ctx := context.Background()
 	running := submit(t, c, helix(2), slowParams())
 	st := waitState(t, c, running.ID, StateRunning)
@@ -323,7 +323,7 @@ func TestCancellation(t *testing.T) {
 
 // A per-request timeout fails the job with a deadline error.
 func TestJobTimeout(t *testing.T) {
-	_, _, c := newTestServer(t, Config{Workers: 1, ProcsPerJob: 1})
+	_, _, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1})
 	params := slowParams()
 	params.TimeoutMillis = 50
 	st := submit(t, c, helix(2), params)
@@ -336,7 +336,7 @@ func TestJobTimeout(t *testing.T) {
 // Shutdown drains the running job, rejects new submissions with 503, and
 // flips /healthz to draining.
 func TestGracefulShutdownDrains(t *testing.T) {
-	srv, ts, c := newTestServer(t, Config{Workers: 1, ProcsPerJob: 1, QueueDepth: 4})
+	srv, ts, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1, QueueDepth: 4})
 	ctx := context.Background()
 	running := submit(t, c, helix(2), slowParams())
 	waitState(t, c, running.ID, StateRunning)
@@ -383,7 +383,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 // Forced shutdown (expired drain context) cancels in-flight jobs itself.
 func TestForcedShutdownCancels(t *testing.T) {
-	srv, _, c := newTestServer(t, Config{Workers: 1, ProcsPerJob: 1})
+	srv, _, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1})
 	running := submit(t, c, helix(2), slowParams())
 	waitState(t, c, running.ID, StateRunning)
 
@@ -399,7 +399,7 @@ func TestForcedShutdownCancels(t *testing.T) {
 // {"error": {"code", "message", "state"}} — asserted at the wire level so
 // the shape is pinned independently of the client.
 func TestBadRequests(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{Workers: 1, ProcsPerJob: 1})
+	_, ts, _ := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1})
 	cases := []struct {
 		name string
 		body string
@@ -443,7 +443,7 @@ func TestBadRequests(t *testing.T) {
 // extended problem from it in fewer cycles, and reject incompatible or
 // unusable references with the right envelope codes.
 func TestWarmStartAPI(t *testing.T) {
-	srv, _, c := newTestServer(t, Config{Workers: 2, ProcsPerJob: 1, QueueDepth: 8})
+	srv, _, c := newTestServer(t, Config{MaxProcs: 2, MaxTeam: 1, QueueDepth: 8})
 	ctx := context.Background()
 	base := helix(1)
 	params := quickParams()
@@ -546,7 +546,7 @@ func TestWarmStartAPI(t *testing.T) {
 // A posterior too large for the store budget is rejected, not kept, and a
 // warm reference to it is a usable-error 409.
 func TestPosteriorBudgetRejection(t *testing.T) {
-	_, _, c := newTestServer(t, Config{Workers: 1, ProcsPerJob: 1, PosteriorBytes: 64})
+	_, _, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1, PosteriorBytes: 64})
 	ctx := context.Background()
 	keep := quickParams()
 	keep.KeepPosterior = true
@@ -569,7 +569,7 @@ func TestPosteriorBudgetRejection(t *testing.T) {
 // GET /v1/jobs lists jobs in submission order with state filtering and
 // cursor pagination.
 func TestJobListing(t *testing.T) {
-	_, _, c := newTestServer(t, Config{Workers: 2, ProcsPerJob: 1, QueueDepth: 8})
+	_, _, c := newTestServer(t, Config{MaxProcs: 2, MaxTeam: 1, QueueDepth: 8})
 	ctx := context.Background()
 	const n = 5
 	ids := make([]string, n)

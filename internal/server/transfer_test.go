@@ -40,8 +40,8 @@ func doAuth(t *testing.T, method, url, token string, body []byte, out any) int {
 
 func TestPosteriorTransferRoundTrip(t *testing.T) {
 	const token = "transfer-secret"
-	_, srcTS, srcC := newTestServer(t, Config{Workers: 2, InstanceID: "src", AdminToken: token})
-	dstSrv, dstTS, dstC := newTestServer(t, Config{Workers: 2, InstanceID: "dst", AdminToken: token})
+	_, srcTS, srcC := newTestServer(t, Config{MaxProcs: 2, InstanceID: "src", AdminToken: token})
+	dstSrv, dstTS, dstC := newTestServer(t, Config{MaxProcs: 2, InstanceID: "dst", AdminToken: token})
 	ctx := context.Background()
 
 	p := helix(2)
@@ -116,7 +116,7 @@ func TestPosteriorTransferRoundTrip(t *testing.T) {
 // transfer (duplicate PUT after a lost ack) must replace in place, not
 // duplicate or fail.
 func TestPosteriorPutIdempotent(t *testing.T) {
-	srcSrv, srcTS, srcC := newTestServer(t, Config{Workers: 2, InstanceID: "src"})
+	srcSrv, srcTS, srcC := newTestServer(t, Config{MaxProcs: 2, InstanceID: "src"})
 	_ = srcSrv
 	ctx := context.Background()
 
@@ -130,7 +130,7 @@ func TestPosteriorPutIdempotent(t *testing.T) {
 	}
 	body, _ := json.Marshal(doc)
 
-	dstSrv, dstTS, _ := newTestServer(t, Config{Workers: 2, InstanceID: "dst"})
+	dstSrv, dstTS, _ := newTestServer(t, Config{MaxProcs: 2, InstanceID: "dst"})
 	for i := 0; i < 2; i++ {
 		if code := doAuth(t, http.MethodPut, dstTS.URL+"/v1/posteriors/"+st.ID, "", body, nil); code != http.StatusOK {
 			t.Fatalf("put #%d: status %d", i+1, code)
@@ -147,7 +147,7 @@ func TestPosteriorPutIdempotent(t *testing.T) {
 }
 
 func TestPosteriorPutValidation(t *testing.T) {
-	_, ts, c := newTestServer(t, Config{Workers: 2})
+	_, ts, c := newTestServer(t, Config{MaxProcs: 2})
 	ctx := context.Background()
 
 	params := quickParams()
@@ -181,7 +181,7 @@ func TestPosteriorPutValidation(t *testing.T) {
 }
 
 func TestPosteriorPutBudget(t *testing.T) {
-	_, srcTS, srcC := newTestServer(t, Config{Workers: 2})
+	_, srcTS, srcC := newTestServer(t, Config{MaxProcs: 2})
 	ctx := context.Background()
 	params := quickParams()
 	params.KeepPosterior = true
@@ -195,7 +195,7 @@ func TestPosteriorPutBudget(t *testing.T) {
 	_ = srcTS
 
 	// A 16-byte budget cannot admit any real posterior.
-	_, tinyTS, _ := newTestServer(t, Config{Workers: 2, PosteriorBytes: 16})
+	_, tinyTS, _ := newTestServer(t, Config{MaxProcs: 2, PosteriorBytes: 16})
 	var env struct {
 		Error encode.ErrorBody `json:"error"`
 	}
@@ -210,7 +210,7 @@ func TestPosteriorPutBudget(t *testing.T) {
 
 func TestPosteriorTransferAuth(t *testing.T) {
 	const token = "s3cret"
-	_, ts, c := newTestServer(t, Config{Workers: 2, AdminToken: token})
+	_, ts, c := newTestServer(t, Config{MaxProcs: 2, AdminToken: token})
 	ctx := context.Background()
 	params := quickParams()
 	params.KeepPosterior = true
@@ -249,7 +249,7 @@ func TestPosteriorTransferAuth(t *testing.T) {
 // TransferInflight=1, a second concurrent PUT is shed with 429 queue_full
 // and a Retry-After hint, and the slot frees once the first import ends.
 func TestPosteriorPutInflightGate(t *testing.T) {
-	_, _, srcC := newTestServer(t, Config{Workers: 2})
+	_, _, srcC := newTestServer(t, Config{MaxProcs: 2})
 	ctx := context.Background()
 	params := quickParams()
 	params.KeepPosterior = true
@@ -261,7 +261,7 @@ func TestPosteriorPutInflightGate(t *testing.T) {
 	}
 	body, _ := json.Marshal(doc)
 
-	gated, gatedTS, _ := newTestServer(t, Config{Workers: 2, TransferInflight: 1})
+	gated, gatedTS, _ := newTestServer(t, Config{MaxProcs: 2, TransferInflight: 1})
 
 	// The first PUT drips its body through a pipe: the handler takes the
 	// gate slot, then blocks decoding until the body arrives.
@@ -333,7 +333,7 @@ func TestPosteriorPutInflightGate(t *testing.T) {
 // status names the instance that ran it, matching the X-Phmsed-Instance
 // response header identity.
 func TestJobStatusShardField(t *testing.T) {
-	_, _, c := newTestServer(t, Config{Workers: 2, InstanceID: "shard-a"})
+	_, _, c := newTestServer(t, Config{MaxProcs: 2, InstanceID: "shard-a"})
 	st := submit(t, c, helix(2), quickParams())
 	if st.Shard != "shard-a" {
 		t.Fatalf("submit status shard = %q, want shard-a", st.Shard)
