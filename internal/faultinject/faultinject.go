@@ -1,6 +1,6 @@
 // Package faultinject is the fault-injection harness: a process-global
 // hook registry that tests install to force numerical failures (an
-// indefinite innovation covariance, a NaN in the state) at a chosen
+// indefinite innovation covariance, a NaN in a batch's update) at a chosen
 // node/batch/cycle, or to crash a serving worker mid-job. In production
 // nothing is installed and every injection site reduces to a single
 // atomic nil check, so the hooks cost nothing on the hot path.
@@ -34,9 +34,10 @@ type Hooks struct {
 	// factorization at the site to fail as if S were indefinite —
 	// exercising the ridge-retry and quarantine paths.
 	Cholesky func(Site) bool
-	// Poison, when it returns true, injects a NaN into the state right
-	// after the batch at the site has been applied — exercising the
-	// non-finite rollback path.
+	// Poison, when it returns true, injects a NaN into the pending update
+	// of the batch at the site (dx[0]) after it has been computed and
+	// before the guard verifies it — exercising the non-finite refusal
+	// path: the batch must be quarantined with the state untouched.
 	Poison func(Site) bool
 	// BeforeAttempt is called by the serving layer immediately before
 	// each solve attempt of a job, with the problem's fault tag and the

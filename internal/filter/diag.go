@@ -43,7 +43,8 @@ type QuarantineRecord struct {
 	LastCycle  int `json:"last_cycle"`
 	Cycles     int `json:"cycles"`
 	// Reason is "indefinite" (Cholesky failed through every ridge retry)
-	// or "non_finite" (the batch produced NaN/Inf and was rolled back).
+	// or "non_finite" (committing the batch would have put NaN/Inf into
+	// the state, so it was refused).
 	Reason string `json:"reason"`
 }
 
@@ -58,7 +59,7 @@ type CycleStats struct {
 	// Applied is the number of scalar observations assimilated.
 	Applied int
 	// Quarantined is the number of batch exclusions (indefinite or
-	// rolled back) during the cycle.
+	// non-finite) during the cycle.
 	Quarantined int
 	// Reason, Node and Batch identify the first exclusion of the cycle,
 	// for error construction when the cycle made no progress at all.
@@ -74,8 +75,8 @@ type DiagSnapshot struct {
 	// RidgeRetries counts innovation-covariance factorizations that were
 	// re-attempted with inflated measurement noise.
 	RidgeRetries int `json:"ridge_retries,omitempty"`
-	// Rollbacks counts batch applications undone after producing
-	// non-finite values.
+	// Rollbacks counts batches refused because applying them would have
+	// left non-finite values in the state (the state is kept as it was).
 	Rollbacks int `json:"rollbacks,omitempty"`
 	// Quarantined lists the batches excluded from at least one cycle.
 	Quarantined []QuarantineRecord `json:"quarantined,omitempty"`
@@ -107,8 +108,8 @@ func (d *Diagnostics) AddApplied(m int) {
 }
 
 // AddQuarantine records the exclusion of a batch from the current cycle.
-// A non_finite reason also counts a rollback (the batch had already been
-// applied and was undone).
+// A non_finite reason also counts a rollback (the batch's update was
+// computed and then not committed).
 func (d *Diagnostics) AddQuarantine(node string, batch, cycle int, reason string) {
 	if d == nil {
 		return

@@ -84,7 +84,7 @@ func TestReleasedWorkspaceIsolation(t *testing.T) {
 	u := &Updater{}
 	ws := u.scratch()
 	ws.aBuf = append(ws.aBuf[:0], math.NaN(), math.NaN(), math.NaN())
-	ws.snapX = append(ws.snapX[:0], math.NaN())
+	ws.dx = append(ws.dx[:0], math.NaN())
 	u.ReleaseWorkspace()
 	if u.ws != nil {
 		t.Fatal("ReleaseWorkspace left the workspace attached")

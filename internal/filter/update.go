@@ -41,12 +41,13 @@ type Updater struct {
 	Gated int
 	// Guard enables numerical fault containment: a failed factorization
 	// of the innovation covariance is retried with geometrically
-	// escalated measurement noise (bounded ridge), and ApplyAll snapshots
-	// the state before each batch so a batch that fails anyway — or
-	// produces NaN/Inf — is rolled back and quarantined for the rest of
-	// the cycle instead of aborting the solve. The convergence drivers
-	// enable it; the zero value keeps the raw fail-fast procedure of the
-	// paper (what the direct kernel benchmarks measure).
+	// escalated measurement noise (bounded ridge), and ApplyAll verifies
+	// each batch's pending update before committing it, so a batch that
+	// fails anyway — or would put NaN/Inf into the state — is refused and
+	// quarantined for the rest of the cycle instead of aborting the
+	// solve. The convergence drivers enable it; the zero value keeps the
+	// raw fail-fast procedure of the paper (what the direct kernel
+	// benchmarks measure).
 	Guard bool
 	// Diag, when non-nil, accumulates containment diagnostics (ridge
 	// retries, rollbacks, quarantined batches).
@@ -83,9 +84,6 @@ type Updater struct {
 type workspace struct {
 	aBuf, haBuf, sBuf, kBuf, wBuf []float64
 	nu, dx                        []float64
-	// snapX/snapC hold the pre-batch state snapshot the guard rolls back
-	// to when a batch produces non-finite values.
-	snapX, snapC []float64
 }
 
 // wsPool recycles workspace arenas across Updaters (and therefore across
@@ -169,7 +167,29 @@ func (u *Updater) team() *par.Team {
 //
 // Gated constraints that are inactive at x⁻ are skipped. Apply reports
 // (handled, err): handled is the number of scalar observations applied.
+// Only the lower triangle of C is read; on return C is exactly symmetric.
 func (u *Updater) Apply(s *State, b *Batch) (int, error) {
+	m, err := u.apply(s, b, nil)
+	if m > 0 {
+		u.mirror(s)
+	}
+	return m, err
+}
+
+// mirror completes C from its lower triangle, the only part the per-batch
+// update maintains. It is accounted with the covariance update it closes.
+func (u *Updater) mirror(s *State) {
+	u.Rec.Timed(trace.MatMat, 0, func() { mat.MirrorLowerPar(u.team(), s.C) })
+}
+
+// apply is Apply on the lower triangle of C alone: it neither reads nor
+// writes the strict upper triangle, which nothing between two batches of a
+// node pass looks at (the d-s product takes C[i][k], k > i, from C[k][i]).
+// With a non-nil bound it is also the guard's commit point: the pending
+// update is verified after it has been computed and before x or C are
+// written, and a batch that fails returns errRefused with the state
+// untouched.
+func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 	asm := b.assemble(s)
 	if asm == nil {
 		return 0, nil
@@ -181,9 +201,8 @@ func (u *Updater) Apply(s *State, b *Batch) (int, error) {
 	nnz := float64(asm.jac.NNZ())
 
 	// A = C·Hᵀ and H·A: the dense-sparse products (computed once; trust-
-	// region retries below only redo the small m×m work). C is exactly
-	// symmetric on entry — the mirrored triangular update below guarantees
-	// it — so A is formed reading only the lower triangle of C.
+	// region retries below only redo the small m×m work). A is formed
+	// reading only the lower triangle of C.
 	a := matOfDirty(&ws.aBuf, n, m)
 	ha := matOfDirty(&ws.haBuf, m, m)
 	u.Rec.Timed(trace.DenseSparse, 2*float64(n)*nnz+2*nnz*float64(m), func() {
@@ -282,34 +301,48 @@ func (u *Updater) Apply(s *State, b *Batch) (int, error) {
 		}
 		lambda *= 4
 	}
+	// Covariance update, symmetry-aware: the exact result is symmetric by
+	// construction (K·Aᵀ = A·S⁻¹·Aᵀ), so only the lower triangle is
+	// computed — half the flops of the full rectangular product, and no
+	// symmetrization sweep. The default is the paper's simple form
+	// C ← C − K·Aᵀ; Joseph form expands algebraically to
+	// C − K·Aᵀ − A·Kᵀ + (K·L)(K·L)ᵀ using the Cholesky factor L of the
+	// innovation covariance, since K·S·Kᵀ = (K·L)(K·L)ᵀ.
+	fn, fm := float64(n), float64(m)
+	var w *mat.Mat
+	if u.Joseph {
+		w = matOfDirty(&ws.wBuf, n, m)
+		u.Rec.Timed(trace.MatMat, 2*fn*fm*fm, func() {
+			mat.MulPar(team, w, k, sMat) // sMat holds L after factorization
+		})
+	}
+
+	if bound != nil {
+		if h := faultinject.Installed(); h != nil && h.Poison != nil && h.Poison(u.site()) {
+			dx[0] = math.NaN()
+		}
+		admitted := false
+		u.Rec.Timed(trace.VecOp, 0, func() { admitted = bound.admit(dx, k, a, w) })
+		if !admitted {
+			return 0, errRefused
+		}
+	}
+
 	u.Rec.Timed(trace.VecOp, float64(n), func() {
 		mat.Axpy(1, dx, s.X)
 	})
-
-	// Covariance update, symmetry-aware: the exact result is symmetric by
-	// construction (K·Aᵀ = A·S⁻¹·Aᵀ), so only the lower triangle is
-	// computed and each entry is mirrored in the same pass — half the flops
-	// of the full rectangular product, and no separate symmetrization
-	// sweep. The default is the paper's simple form C ← C − K·Aᵀ; Joseph
-	// form expands algebraically to C − K·Aᵀ − A·Kᵀ + (K·L)(K·L)ᵀ using
-	// the Cholesky factor L of the innovation covariance, since
-	// K·S·Kᵀ = (K·L)(K·L)ᵀ.
-	fn, fm := float64(n), float64(m)
 	if u.Joseph {
-		// 2nm² for K·L, n(n+1)m for the triangular (K·L)(K·L)ᵀ, 2n(n+1)m
-		// for the triangular rank-2k cross terms — versus 6n²m before
-		// symmetry exploitation.
-		u.Rec.Timed(trace.MatMat, 2*fn*fm*fm+3*fn*(fn+1)*fm, func() {
-			w := matOfDirty(&ws.wBuf, n, m)
-			mat.MulPar(team, w, k, sMat) // sMat holds L after factorization
+		// n(n+1)m for the triangular (K·L)(K·L)ᵀ, 2n(n+1)m for the
+		// triangular rank-2k cross terms — versus 6n²m before symmetry
+		// exploitation.
+		u.Rec.Timed(trace.MatMat, 3*fn*(fn+1)*fm, func() {
 			mat.SyrkAddPar(team, s.C, w)
-			// Last pass mirrors the fully accumulated lower triangle.
-			mat.Syr2kPairSubPar(team, s.C, k, a)
+			mat.Syr2kPairSubLowerPar(team, s.C, k, a)
 		})
 	} else {
 		// n(n+1)m — versus 2n²m before symmetry exploitation.
 		u.Rec.Timed(trace.MatMat, fn*(fn+1)*fm, func() {
-			mat.Syr2kSubPar(team, s.C, k, a)
+			mat.Syr2kSubLowerPar(team, s.C, k, a)
 		})
 	}
 	return m, nil
@@ -352,75 +385,122 @@ func (u *Updater) site() faultinject.Site {
 	return faultinject.Site{Tag: u.Tag, Node: u.Node, Batch: u.batchIdx, Cycle: u.Cycle}
 }
 
-// snapshot saves the state into the workspace; restore puts it back. The
-// guard brackets every batch with them so a poisoned update can be undone.
-func (u *Updater) snapshot(s *State) {
-	ws := u.scratch()
-	ws.snapX = append(ws.snapX[:0], s.X...)
-	ws.snapC = append(ws.snapC[:0], s.C.Data...)
-}
+// stateBound is the guard's running proof that the state is finite: upper
+// bounds on max|x| and on max|C| over the lower triangle. A batch writes
+// nothing but x += dx and C ∓= (rank-m products of K, A and K·L), so from a
+// finite state under the bounds (priorBound, the base of the induction)
+// the next state is decidable from the pending update alone: if K, A and
+// dx are finite and the bounds plus the largest possible change stay under
+// finiteLimit, no product, partial sum or committed entry can overflow, and
+// without overflow finite operands cannot produce NaN. The bounds then
+// advance by that change (admit), which carries the proof to the next
+// batch without ever looking at C again.
+type stateBound struct{ x, c float64 }
 
-func (u *Updater) restore(s *State) {
-	copy(s.X, u.ws.snapX)
-	copy(s.C.Data, u.ws.snapC)
-}
+// finiteLimit is the magnitude the guard keeps every state entry under. It
+// is far beyond any physical coordinate or variance and far enough below
+// the float64 range (≈1.8e308) that sums of m products of two admitted
+// magnitudes cannot reach it.
+const finiteLimit = 1e150
 
-// stateFinite reports whether every entry of x and C is finite. One pass
-// over O(n²) memory — small next to the O(n²m) covariance update.
-func stateFinite(s *State) bool {
-	for _, v := range s.X {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
+// errRefused is apply's report that the guard refused to commit a batch.
+var errRefused = errors.New("filter: batch would leave the state non-finite")
+
+// maxAbs folds the largest magnitude of vs into m; +Inf when any entry is
+// NaN or ±Inf.
+func maxAbs(m float64, vs []float64) float64 {
+	for _, v := range vs {
+		if a := math.Abs(v); !(a <= m) {
+			if a != a {
+				return math.Inf(1)
+			}
+			m = a
 		}
 	}
-	for _, v := range s.C.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
+	return m
+}
+
+// priorBound scans x and the lower triangle of C, once per node pass, and
+// reports their bounds — or false when the prior is not finite and under
+// finiteLimit, in which case no batch of the pass can be admitted.
+func priorBound(s *State) (stateBound, bool) {
+	b := stateBound{x: maxAbs(0, s.X)}
+	for i := 0; i < s.C.Rows; i++ {
+		b.c = maxAbs(b.c, s.C.Row(i)[:i+1])
 	}
+	return b, b.x <= finiteLimit && b.c <= finiteLimit
+}
+
+// admit decides, before anything is written, whether committing the pending
+// update — step dx, gain k, a = C·Hᵀ, and w = K·L in Joseph form (nil
+// otherwise) — keeps the state finite, and advances the bounds if so. One
+// O(nm) scan; a refused update leaves the bounds, like the state, as they
+// were.
+func (b *stateBound) admit(dx []float64, k, a, w *mat.Mat) bool {
+	m := float64(k.Cols)
+	change := m * maxAbs(0, k.Data) * maxAbs(0, a.Data)
+	if w != nil {
+		mw := maxAbs(0, w.Data)
+		change = 2*change + m*mw*mw
+	}
+	x, c := b.x+maxAbs(0, dx), b.c+change
+	if !(x <= finiteLimit && c <= finiteLimit) { // written so NaN refuses
+		return false
+	}
+	b.x, b.c = x, c
 	return true
 }
 
 // ApplyAll applies every batch in order, returning the total number of
-// scalar observations applied.
+// scalar observations applied, and leaves C exactly symmetric: the batches
+// update its lower triangle only, and one mirror pass closes the node pass.
 //
 // With Guard set, it additionally contains per-batch numerical faults: a
 // batch whose innovation covariance stays indefinite through every ridge
-// retry is skipped (quarantined) for this pass, and a batch that leaves
-// NaN/Inf in the state is rolled back to the pre-batch snapshot and
-// likewise quarantined. Both are recorded in Diag; quarantined batches are
-// retried at the next cycle's fresh linearization point. Errors other than
-// these containable classes still abort.
+// retry is skipped (quarantined) for this pass, and so is a batch whose
+// update would put NaN/Inf into the state — it is refused before anything
+// is written (see stateBound), so (x, C) stay bit-identical. A prior that
+// is already non-finite refuses the whole pass without factorizing
+// anything. All are recorded in Diag; quarantined batches are retried at
+// the next cycle's fresh linearization point. Errors other than these
+// containable classes still abort.
 func (u *Updater) ApplyAll(s *State, batches []*Batch) (int, error) {
+	var bound *stateBound
+	if u.Guard {
+		var prior stateBound
+		ok := false
+		u.Rec.Timed(trace.VecOp, 0, func() { prior, ok = priorBound(s) })
+		if !ok {
+			for bi := range batches {
+				u.Diag.AddQuarantine(u.Node, bi, u.Cycle, ReasonNonFinite)
+			}
+			return 0, nil
+		}
+		bound = &prior
+	}
 	total := 0
+	var failed error
+pass:
 	for bi, b := range batches {
 		u.batchIdx = bi
-		if u.Guard {
-			u.snapshot(s)
+		m, err := u.apply(s, b, bound)
+		switch {
+		case err == nil:
+			total += m
+			u.Diag.AddApplied(m)
+		case err == errRefused:
+			u.Diag.AddQuarantine(u.Node, bi, u.Cycle, ReasonNonFinite)
+		case u.Guard && errors.Is(err, solvererr.ErrIndefinite):
+			// The factorization failed before x or C were touched; exclude
+			// the batch from the rest of this pass.
+			u.Diag.AddQuarantine(u.Node, bi, u.Cycle, ReasonIndefinite)
+		default:
+			failed = err
+			break pass
 		}
-		m, err := u.Apply(s, b)
-		if err != nil {
-			if u.Guard && errors.Is(err, solvererr.ErrIndefinite) {
-				// The factorization failed before x or C were touched, so
-				// there is nothing to roll back; exclude the batch from the
-				// rest of this pass.
-				u.Diag.AddQuarantine(u.Node, bi, u.Cycle, ReasonIndefinite)
-				continue
-			}
-			return total, err
-		}
-		if u.Guard {
-			if h := faultinject.Installed(); h != nil && h.Poison != nil && h.Poison(u.site()) {
-				s.X[0] = math.NaN()
-			}
-			if !stateFinite(s) {
-				u.restore(s)
-				u.Diag.AddQuarantine(u.Node, bi, u.Cycle, ReasonNonFinite)
-				continue
-			}
-		}
-		total += m
-		u.Diag.AddApplied(m)
 	}
-	return total, nil
+	if total > 0 {
+		u.mirror(s)
+	}
+	return total, failed
 }

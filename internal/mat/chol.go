@@ -45,7 +45,7 @@ func Cholesky(a *Mat) error {
 			solveRightLowerT(panel, diag)
 			// Trailing update: A22 ← A22 − A21·A21ᵀ (lower triangle only).
 			trail := a.View(k+w, k+w, n-k-w, n-k-w)
-			syrkSubLower(trail, panel, 0, trail.Rows)
+			lowerNT(trail, panel, panel, 0, trail.Rows, -1)
 		}
 	}
 	zeroUpper(a)
@@ -92,18 +92,6 @@ func solveRightLowerT(b, l *Mat) {
 				s -= br[k] * lr[k]
 			}
 			br[j] = s / lr[j]
-		}
-	}
-}
-
-// syrkSubLower computes the lower triangle of dst ← dst − P·Pᵀ for rows
-// [r0, r1) of dst.
-func syrkSubLower(dst, p *Mat, r0, r1 int) {
-	for i := r0; i < r1; i++ {
-		pi := p.Row(i)
-		dr := dst.Row(i)
-		for j := 0; j <= i; j++ {
-			dr[j] -= Dot(pi, p.Row(j))
 		}
 	}
 }

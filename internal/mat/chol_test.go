@@ -2,6 +2,7 @@ package mat
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -202,5 +203,27 @@ func BenchmarkCholesky128(b *testing.B) {
 		if err := Cholesky(work); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSolveCholRows times the gain's multi-RHS solve K = A·S⁻¹ ("sys")
+// at a helix node's size and at the ribo30S root's, batch dimension 16.
+func BenchmarkSolveCholRows(b *testing.B) {
+	const m = 16
+	rng := rand.New(rand.NewSource(26))
+	l := randSPD(rng, m)
+	if err := Cholesky(l); err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{258, 2598} {
+		rhs := randMat(rng, n, m)
+		work := New(n, m)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				work.CopyFrom(rhs)
+				SolveCholRows(l, work)
+			}
+		})
 	}
 }

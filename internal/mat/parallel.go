@@ -3,9 +3,12 @@ package mat
 import "phmse/internal/par"
 
 // Team-parallel variants of the dense kernels. All of them partition work by
-// contiguous row blocks (static scheduling), matching the paper's intra-node
-// parallelization of the update procedure. Each takes the par.Team assigned
-// to the hierarchy node being computed; a team of one runs the serial path.
+// contiguous row blocks, matching the paper's intra-node parallelization of
+// the update procedure: the O(nm) loops in one block per team member
+// (par.Team.For), the O(n²m) triangular sweeps in many area-balanced blocks
+// that members claim as they come free (par.Team.ForTri). Each takes the
+// par.Team assigned to the hierarchy node being computed; a team of one
+// runs the serial path.
 
 // MulPar computes dst ← A·B with rows of dst partitioned across the team.
 func MulPar(t *par.Team, dst, a, b *Mat) {
@@ -68,7 +71,7 @@ func CholeskyPar(t *par.Team, a *Mat) error {
 			// The trailing update touches only the lower triangle, so the
 			// row blocks are balanced by triangle area, not row count.
 			trail := a.View(k+w, k+w, n-k-w, n-k-w)
-			t.ForTri(trail.Rows, func(lo, hi int) { syrkSubLower(trail, panel, lo, hi) })
+			t.ForTri(trail.Rows, func(lo, hi int) { lowerNT(trail, panel, panel, lo, hi, -1) })
 		}
 	}
 	zeroUpper(a)
@@ -79,30 +82,53 @@ func CholeskyPar(t *par.Team, a *Mat) error {
 // blocks of the triangle partitioned by area across the team (ForTri).
 func SyrkSubPar(t *par.Team, dst, a *Mat) {
 	checkSyrk(dst, a)
-	t.ForTri(dst.Rows, func(lo, hi int) { syrkSubLower(dst, a, lo, hi) })
+	t.ForTri(dst.Rows, func(lo, hi int) { lowerNT(dst, a, a, lo, hi, -1) })
 }
 
 // SyrkAddPar computes the lower triangle of dst ← dst + A·Aᵀ in parallel
 // over area-balanced triangular row blocks.
 func SyrkAddPar(t *par.Team, dst, a *Mat) {
 	checkSyrk(dst, a)
-	t.ForTri(dst.Rows, func(lo, hi int) { syrkAddLower(dst, a, lo, hi) })
+	t.ForTri(dst.Rows, func(lo, hi int) { lowerNT(dst, a, a, lo, hi, +1) })
+}
+
+// Syr2kSubLowerPar computes the lower triangle of dst ← dst − A·Bᵀ over
+// area-balanced triangular row blocks, leaving the strict upper triangle
+// untouched — the per-batch covariance update, which mirrors once per node
+// pass (MirrorLowerPar) instead of once per batch.
+func Syr2kSubLowerPar(t *par.Team, dst, a, b *Mat) {
+	checkSyr2k(dst, a, b)
+	t.ForTri(dst.Rows, func(lo, hi int) { lowerNT(dst, a, b, lo, hi, -1) })
+}
+
+// Syr2kPairSubLowerPar computes the lower triangle of
+// dst ← dst − A·Bᵀ − B·Aᵀ over area-balanced triangular row blocks,
+// leaving the strict upper triangle untouched.
+func Syr2kPairSubLowerPar(t *par.Team, dst, a, b *Mat) {
+	checkSyr2k(dst, a, b)
+	t.ForTri(dst.Rows, func(lo, hi int) { pairSubLower(dst, a, b, lo, hi) })
 }
 
 // Syr2kSubPar is Syr2kSub (dst ← dst − A·Bᵀ, lower triangle computed and
-// mirrored in the same pass) over area-balanced triangular row blocks. The
-// mirrored writes land in upper-triangle entries owned exclusively by the
-// writing worker, so the partitioning is race-free.
+// mirrored) over area-balanced triangular row blocks. The mirrored writes
+// land in upper-triangle entries owned exclusively by the writing worker,
+// so the partitioning is race-free.
 func Syr2kSubPar(t *par.Team, dst, a, b *Mat) {
 	checkSyr2k(dst, a, b)
-	t.ForTri(dst.Rows, func(lo, hi int) { syr2kSubRange(dst, a, b, lo, hi) })
+	t.ForTri(dst.Rows, func(lo, hi int) {
+		lowerNT(dst, a, b, lo, hi, -1)
+		mirrorLowerRange(dst, lo, hi)
+	})
 }
 
 // Syr2kPairSubPar is Syr2kPairSub (dst ← dst − A·Bᵀ − B·Aᵀ, lower triangle
 // computed and mirrored) over area-balanced triangular row blocks.
 func Syr2kPairSubPar(t *par.Team, dst, a, b *Mat) {
 	checkSyr2k(dst, a, b)
-	t.ForTri(dst.Rows, func(lo, hi int) { syr2kPairSubRange(dst, a, b, lo, hi) })
+	t.ForTri(dst.Rows, func(lo, hi int) {
+		pairSubLower(dst, a, b, lo, hi)
+		mirrorLowerRange(dst, lo, hi)
+	})
 }
 
 // MirrorLowerPar copies the strict lower triangle onto the upper triangle in
@@ -137,8 +163,8 @@ func MulVecPar(t *par.Team, dst []float64, a *Mat, x []float64) {
 
 // SymmetrizePar forces symmetry of a square matrix in parallel over rows by
 // averaging mirrored entries. The per-batch covariance hot path no longer
-// needs it — the mirrored triangular kernels (Syr2kSubPar and friends) leave
-// the matrix exactly symmetric — but it remains for consumers that build a
+// needs it — the triangular kernels and MirrorLowerPar leave the matrix
+// exactly symmetric — but it remains for consumers that build a
 // nearly-symmetric matrix some other way.
 func SymmetrizePar(t *par.Team, m *Mat) {
 	if m.Rows != m.Cols {

@@ -6,53 +6,55 @@ package mat
 // averaging away the round-off skew (Symmetrize) wastes half the flops of
 // the single hottest operation class in the paper's Tables 1–6. The kernels
 // here compute only the lower triangle — a SYRK/SYR2K-style formulation —
-// and either leave the upper triangle untouched (SyrkSub/SyrkAdd, for
-// composing several triangular updates) or mirror each entry to the upper
-// triangle in the same pass (Syr2kSub/Syr2kPairSub, for the final update of
-// a batch), which removes the separate O(n²) symmetrization sweep entirely.
+// through one register-tiled microkernel (lowerNT). The Lower forms and
+// SyrkSub/SyrkAdd leave the strict upper triangle untouched, for composing
+// several triangular updates; Syr2kSub/Syr2kPairSub additionally mirror the
+// finished rows onto the upper triangle.
 //
-// Mirroring in-pass is race-free under the triangular row partitioning of
-// par.Team.ForTri: the worker owning row i writes the lower entries (i, j≤i)
-// of its own rows plus the mirrored upper entries (j, i) — and an upper
-// entry of row j is written only by the owner of row i, never by the owner
-// of row j, so writes never overlap.
+// Mirroring a row range is race-free under the triangular row partitioning
+// of par.Team.ForTri: whoever runs the chunk holding row i writes the lower
+// entries (i, j≤i) of the chunk's rows plus the mirrored upper entries
+// (j, i) — and an upper entry of row j is written only by the chunk holding
+// row i, never by the one holding row j, so writes never overlap.
 
 // SyrkSub computes the lower triangle of dst ← dst − A·Aᵀ. The strict upper
 // triangle of dst is left untouched. dst must be square with as many rows
 // as A.
 func SyrkSub(dst, a *Mat) {
 	checkSyrk(dst, a)
-	syrkSubLower(dst, a, 0, dst.Rows)
+	lowerNT(dst, a, a, 0, dst.Rows, -1)
 }
 
 // SyrkAdd computes the lower triangle of dst ← dst + A·Aᵀ, leaving the
 // strict upper triangle untouched.
 func SyrkAdd(dst, a *Mat) {
 	checkSyrk(dst, a)
-	syrkAddLower(dst, a, 0, dst.Rows)
+	lowerNT(dst, a, a, 0, dst.Rows, +1)
 }
 
 // Syr2kSub computes dst ← dst − A·Bᵀ for operand pairs whose exact result
 // is symmetric (such as the simple covariance update C − K·Aᵀ, where
-// K·Aᵀ = A·S⁻¹·Aᵀ): only the lower-triangle entries are computed, and each
-// is mirrored to the upper triangle in the same pass. This halves the flops
-// of the full rectangular product and leaves dst exactly symmetric, so no
-// follow-up symmetrization is needed. For operands without the symmetry
-// guarantee the result is the symmetric completion of the lower triangle of
-// the exact product.
+// K·Aᵀ = A·S⁻¹·Aᵀ): only the lower-triangle entries are computed, then
+// mirrored to the upper triangle. This halves the flops of the full
+// rectangular product and leaves dst exactly symmetric, so no follow-up
+// symmetrization is needed. For operands without the symmetry guarantee the
+// result is the symmetric completion of the lower triangle of the exact
+// product.
 func Syr2kSub(dst, a, b *Mat) {
 	checkSyr2k(dst, a, b)
-	syr2kSubRange(dst, a, b, 0, dst.Rows)
+	lowerNT(dst, a, b, 0, dst.Rows, -1)
+	mirrorLowerRange(dst, 0, dst.Rows)
 }
 
 // Syr2kPairSub computes the true symmetric rank-2k update
-// dst ← dst − A·Bᵀ − B·Aᵀ on the lower triangle, mirroring each entry to
-// the upper triangle in the same pass. The update is exactly symmetric for
-// any operands (it subtracts M + Mᵀ), so dst ends exactly symmetric
-// whenever it starts symmetric on the lower triangle.
+// dst ← dst − A·Bᵀ − B·Aᵀ on the lower triangle, then mirrors it to the
+// upper triangle. The update is exactly symmetric for any operands (it
+// subtracts M + Mᵀ), so dst ends exactly symmetric whenever it starts
+// symmetric on the lower triangle.
 func Syr2kPairSub(dst, a, b *Mat) {
 	checkSyr2k(dst, a, b)
-	syr2kPairSubRange(dst, a, b, 0, dst.Rows)
+	pairSubLower(dst, a, b, 0, dst.Rows)
+	mirrorLowerRange(dst, 0, dst.Rows)
 }
 
 // MirrorLower copies the strict lower triangle of the square matrix m onto
@@ -90,40 +92,79 @@ func checkSymMulVec(dst []float64, c *Mat, x []float64) {
 	}
 }
 
-func syrkAddLower(dst, p *Mat, r0, r1 int) {
-	for i := r0; i < r1; i++ {
-		pi := p.Row(i)
-		dr := dst.Row(i)
+// lowerNT computes rows [r0, r1) of the lower triangle of
+// dst ← dst + sign·A·Bᵀ, sign = ±1 — the one microkernel under every m-m
+// entry point. Rows are taken two at a time and columns four at a time, so
+// the inner loop carries eight independent accumulators (a single running
+// dot product is bound by the latency of its one add chain) and loads six
+// operands for sixteen flops. Every entry is still the plain ascending-k
+// sum Σₖ A[i,k]·B[j,k] added to dst with one rounding — bit for bit what
+// dst[i,j] ± Dot(A[i], B[j]) gives (x − y and x + (−y) are the same IEEE
+// operation) — so tiling, row pairing and the team partition never show in
+// the result. The ragged columns next to the diagonal and an odd last row
+// take the Dot loop.
+func lowerNT(dst, a, b *Mat, r0, r1 int, sign float64) {
+	i := r0
+	for ; i+1 < r1; i += 2 {
+		a0, a1 := a.Row(i), a.Row(i+1)
+		a1 = a1[:len(a0)]
+		d0, d1 := dst.Row(i), dst.Row(i+1)
+		j := 0
+		for ; j+4 <= i+1; j += 4 {
+			b0, b1, b2, b3 := b.Row(j)[:len(a0)], b.Row(j + 1)[:len(a0)], b.Row(j + 2)[:len(a0)], b.Row(j + 3)[:len(a0)]
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			for k, x0 := range a0 {
+				x1 := a1[k]
+				y0, y1, y2, y3 := b0[k], b1[k], b2[k], b3[k]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s02 += x0 * y2
+				s03 += x0 * y3
+				s10 += x1 * y0
+				s11 += x1 * y1
+				s12 += x1 * y2
+				s13 += x1 * y3
+			}
+			e0, e1 := d0[j:j+4], d1[j:j+4]
+			e0[0] += sign * s00
+			e0[1] += sign * s01
+			e0[2] += sign * s02
+			e0[3] += sign * s03
+			e1[0] += sign * s10
+			e1[1] += sign * s11
+			e1[2] += sign * s12
+			e1[3] += sign * s13
+		}
+		for ; j <= i; j++ {
+			bj := b.Row(j)
+			d0[j] += sign * Dot(a0, bj)
+			d1[j] += sign * Dot(a1, bj)
+		}
+		d1[i+1] += sign * Dot(a1, b.Row(i+1))
+	}
+	if i < r1 {
+		ai, dr := a.Row(i), dst.Row(i)
 		for j := 0; j <= i; j++ {
-			dr[j] += Dot(pi, p.Row(j))
+			dr[j] += sign * Dot(ai, b.Row(j))
 		}
 	}
 }
 
-func syr2kSubRange(dst, a, b *Mat, r0, r1 int) {
-	for i := r0; i < r1; i++ {
-		ai := a.Row(i)
-		dr := dst.Row(i)
-		for j := 0; j <= i; j++ {
-			dr[j] -= Dot(ai, b.Row(j))
-		}
-	}
-	mirrorLowerRange(dst, r0, r1)
-}
+// pairRows is the row block of pairSubLower: both sweeps of a block find its
+// dst rows still in cache, so the rank-2k update streams dst once, not twice.
+const pairRows = 16
 
-func syr2kPairSubRange(dst, a, b *Mat, r0, r1 int) {
-	for i := r0; i < r1; i++ {
-		ai, bi := a.Row(i), b.Row(i)
-		dr := dst.Row(i)
-		for j := 0; j < i; j++ {
-			dr[j] = dr[j] - Dot(ai, b.Row(j)) - Dot(bi, a.Row(j))
-		}
-		// Two sequential subtractions (not 2·d) so the diagonal rounds
-		// exactly like the full rectangular computation would.
-		d := Dot(ai, bi)
-		dr[i] = dr[i] - d - d
+// pairSubLower computes rows [r0, r1) of the lower triangle of
+// dst ← dst − A·Bᵀ − B·Aᵀ as two sweeps of the microkernel per row block.
+// Each entry is (dst − A[i]·B[j]) − B[i]·A[j] with the two subtractions
+// rounded separately, so the diagonal rounds exactly like the full
+// rectangular computation would.
+func pairSubLower(dst, a, b *Mat, r0, r1 int) {
+	for i := r0; i < r1; i += pairRows {
+		hi := min(i+pairRows, r1)
+		lowerNT(dst, a, b, i, hi, -1)
+		lowerNT(dst, b, a, i, hi, -1)
 	}
-	mirrorLowerRange(dst, r0, r1)
 }
 
 // mirrorTile is the block size of the tiled lower→upper copy. Mirroring

@@ -28,10 +28,12 @@ func benchOperands(n, m int) (c, a, b *Mat) {
 }
 
 func BenchmarkCovUpdateSimple(bm *testing.B) {
-	for _, n := range []int{129, 516} {
+	// n = 2598 at team 2 is the ribo30S root: C (54 MB) fits in no cache.
+	for _, tc := range []struct{ n, procs int }{{129, 1}, {516, 1}, {2598, 2}} {
 		const m = 16
+		n := tc.n
 		c, a, b := benchOperands(n, m)
-		team := par.NewTeam(1)
+		team := par.NewTeam(tc.procs)
 		bm.Run(fmt.Sprintf("dense/n=%d", n), func(bm *testing.B) {
 			for i := 0; i < bm.N; i++ {
 				MulSubNTPar(team, c, a, b)
@@ -41,6 +43,11 @@ func BenchmarkCovUpdateSimple(bm *testing.B) {
 		bm.Run(fmt.Sprintf("syrk/n=%d", n), func(bm *testing.B) {
 			for i := 0; i < bm.N; i++ {
 				Syr2kSubPar(team, c, a, b)
+			}
+		})
+		bm.Run(fmt.Sprintf("lower/n=%d", n), func(bm *testing.B) {
+			for i := 0; i < bm.N; i++ {
+				Syr2kSubLowerPar(team, c, a, b)
 			}
 		})
 	}

@@ -1,8 +1,9 @@
 // Package par provides the shared-memory parallel runtime used by the
-// estimator: processor teams with fork-join execution, static loop
-// partitioning, reusable barriers, and team splitting for assigning
-// processor groups to subtrees of the structure hierarchy (the new axis of
-// parallelism exposed by the hierarchical decomposition).
+// estimator: processor teams with fork-join execution, loop partitioning
+// (static row blocks, claimed triangle chunks), reusable barriers, and team
+// splitting for assigning processor groups to subtrees of the structure
+// hierarchy (the new axis of parallelism exposed by the hierarchical
+// decomposition).
 //
 // A Team models a fixed group of processors, mirroring the paper's static
 // processor-assignment scheme: every node of the structure hierarchy is
@@ -14,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Team is a group of logical processors that execute fork-join parallel
@@ -84,13 +86,27 @@ func (t *Team) For(n int, body func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ForTri partitions the row range [0, n) of an n×n lower triangle into
-// Size() contiguous chunks of nearly equal *area* and executes body(lo, hi)
-// for each chunk in parallel. Row i of the lower triangle holds i+1
-// elements, so the plain equal-row split of For gives the last worker about
-// twice the work of the first — exactly the load imbalance the paper's §4
-// static assignment is designed to avoid. Chunks that round to empty are
-// skipped.
+// triChunksPerProc is how many area-balanced chunks ForTri cuts per team
+// member, and triMinRows the fewest rows worth a chunk of its own.
+const (
+	triChunksPerProc = 32
+	triMinRows       = 8
+)
+
+// ForTri cuts the row range [0, n) of an n×n lower triangle into contiguous
+// chunks of nearly equal *area* and executes body(lo, hi) once for each,
+// the team's members claiming chunks front to back until none is left. Row
+// i of the lower triangle holds i+1 elements, so an equal-row split would
+// give the last rows about twice the work of the first.
+//
+// There are many more chunks than members (triChunksPerProc each, while
+// rows last), so the sweep ends when the team's combined capacity has done
+// the work, not when its slowest member has done a fixed half of it: a
+// member that starts late, is preempted, or runs on a processor in a slow
+// phase claims fewer chunks and the others claim more. Which member runs
+// which chunk varies from call to call; what each chunk computes does not,
+// so results are the same as a serial sweep's. Chunk boundaries are even
+// rows, which keeps kernels that tile rows in pairs on their fast path.
 func (t *Team) ForTri(n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -103,22 +119,43 @@ func (t *Team) ForTri(n int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	for id := 1; id < p; id++ {
-		lo, hi := TriChunk(n, p, id)
-		if lo >= hi {
-			continue
+	chunks := min(p*triChunksPerProc, max(p, n/triMinRows))
+	var next atomic.Int64
+	claim := func() {
+		for {
+			k := int(next.Add(1)) - 1
+			if k >= chunks {
+				return
+			}
+			if lo, hi := evenTriChunk(n, chunks, k); lo < hi {
+				body(lo, hi)
+			}
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
+	}
+	var wg sync.WaitGroup
+	wg.Add(p - 1)
+	for id := 1; id < p; id++ {
+		go func() {
 			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
+			claim()
+		}()
 	}
-	if lo, hi := TriChunk(n, p, 0); lo < hi {
-		body(lo, hi)
-	}
+	claim()
 	wg.Wait()
+}
+
+// evenTriChunk is TriChunk with the interior boundaries rounded down to
+// even rows. Rounding is monotone, so the chunks still tile [0, n) in
+// order; one that rounds to empty is skipped by the caller.
+func evenTriChunk(n, p, id int) (lo, hi int) {
+	even := func(r int) int {
+		if r < n {
+			r &^= 1
+		}
+		return r
+	}
+	lo, hi = TriChunk(n, p, id)
+	return even(lo), even(hi)
 }
 
 // TriChunk returns the half-open row range [lo, hi) of the id-th of p

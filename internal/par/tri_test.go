@@ -2,7 +2,9 @@ package par
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestTriChunkCoverage verifies that the triangular chunks tile [0, n)
@@ -50,10 +52,63 @@ func TestTriChunkBalance(t *testing.T) {
 	}
 }
 
+// TestEvenTriChunkTiles verifies the chunks ForTri hands out: contiguous,
+// in order, ending at n, every interior boundary an even row.
+func TestEvenTriChunkTiles(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 16, 97, 512, 2598} {
+		for _, p := range []int{1, 2, 3, 7, 64, 96} {
+			prev := 0
+			for id := 0; id < p; id++ {
+				lo, hi := evenTriChunk(n, p, id)
+				if lo != prev || hi < lo || (hi < n && hi%2 != 0) {
+					t.Fatalf("n=%d p=%d id=%d: chunk [%d,%d) after %d", n, p, id, lo, hi, prev)
+				}
+				prev = hi
+			}
+			if prev != n {
+				t.Fatalf("n=%d p=%d: chunks end at %d", n, p, prev)
+			}
+		}
+	}
+}
+
+// TestForTriSweepDoesNotWaitForAStalledMember stalls whoever claims the
+// first chunk until every other row is done. Chunks are small and claimed,
+// not dealt in halves, so the other member finishes the rest of the
+// triangle alone and the stalled member holds up a sliver of it.
+func TestForTriSweepDoesNotWaitForAStalledMember(t *testing.T) {
+	const n = 1024
+	var others, firstHi atomic.Int64
+	restDone := make(chan struct{})
+	var once sync.Once
+	check := func() {
+		if hi := firstHi.Load(); hi > 0 && others.Load() == n-hi {
+			once.Do(func() { close(restDone) })
+		}
+	}
+	NewTeam(2).ForTri(n, func(lo, hi int) {
+		if lo > 0 {
+			others.Add(int64(hi - lo))
+			check()
+			return
+		}
+		if 8*hi*(hi+1) > n*(n+1) {
+			t.Errorf("first chunk is rows [0,%d), over an eighth of the triangle: dealt, not claimed", hi)
+		}
+		firstHi.Store(int64(hi))
+		check()
+		select {
+		case <-restDone:
+		case <-time.After(10 * time.Second):
+			t.Errorf("%d of %d rows still unclaimed while one member is stalled", n-hi-int(others.Load()), n-hi)
+		}
+	})
+}
+
 // TestForTriCoversOnce runs ForTri and checks every row is visited exactly
 // once across workers.
 func TestForTriCoversOnce(t *testing.T) {
-	for _, n := range []int{1, 5, 33, 100} {
+	for _, n := range []int{1, 5, 33, 100, 1037} {
 		for _, p := range []int{1, 2, 4, 7, 150} {
 			var mu sync.Mutex
 			seen := make([]int, n)

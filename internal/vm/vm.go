@@ -62,7 +62,7 @@ func BatchOps(m, n, nnz int) []machine.Op {
 		// Covariance update C −= K·Aᵀ. The model keeps the paper's
 		// full-matrix count (2n²m): Tables 3–6 are calibrated against the
 		// 1996 kernels, which computed all n² entries. The real kernels
-		// (mat.Syr2kSubPar) now compute only the lower triangle — n(n+1)m
+		// (mat.Syr2kSubLowerPar) now compute only the lower triangle — n(n+1)m
 		// flops — so host wall-clock runs beat this model by ~2× on m-m.
 		{Class: trace.MatMat, Flops: 2 * fn * fn * fm, Workset: w * (fn*fn + 2*fn*fm)},
 		// Innovation, state accumulation and the other vector bookkeeping
