@@ -15,19 +15,14 @@
 //	memory — §5 memory-behaviour comparison of the two organizations
 //	treestats — §3.1 constraint/work distribution over the hierarchy
 //	trees   — the Figure 2 / Figure 4 decomposition diagrams (as outlines)
-//	bench   — machine-readable benchmark pipeline: Table 1/Table 2 plus the
-//	          covariance-kernel micro-benchmarks and the Joseph ablation,
-//	          written as JSON (-json path, default BENCH_PR2.json)
-//	throughput — elastic solver-team scheduler vs rigid full-width teams on a
-//	          many-tiny-jobs service workload, written as JSON
-//	          (-throughput-json path, default BENCH_PR7.json)
-//	all     — everything above except bench and throughput
+//	all     — everything above except figures
 //
 // Real-kernel experiments (table1, table2, eq1, combine) are scaled down by
 // default so the suite completes in about a minute; -full runs them at
 // paper scale. The processor-sweep tables run on the calibrated
 // virtual-time machine models and are always full scale. Paper values are
-// printed alongside for comparison.
+// printed alongside for comparison. Machine-readable performance numbers
+// are not produced here: the benchmark ladder (go run ./bench) owns them.
 package main
 
 import (
@@ -37,11 +32,9 @@ import (
 )
 
 type config struct {
-	full     bool
-	seed     int64
-	csvDir   string
-	jsonPath string
-	tpPath   string
+	full   bool
+	seed   int64
+	csvDir string
 }
 
 func main() {
@@ -49,8 +42,6 @@ func main() {
 	flag.BoolVar(&cfg.full, "full", false, "run real-kernel experiments at paper scale")
 	flag.Int64Var(&cfg.seed, "seed", 1996, "ribosome generator seed")
 	flag.StringVar(&cfg.csvDir, "csv", "figures", "output directory for the figures experiment")
-	flag.StringVar(&cfg.jsonPath, "json", "BENCH_PR2.json", "output path for the bench experiment")
-	flag.StringVar(&cfg.tpPath, "throughput-json", "BENCH_PR7.json", "output path for the throughput experiment")
 	flag.Parse()
 
 	exps := flag.Args()
@@ -95,10 +86,6 @@ func run(exp string, cfg config) error {
 		return memory(cfg)
 	case "treestats":
 		return treestats(cfg)
-	case "bench":
-		return bench(cfg, cfg.jsonPath)
-	case "throughput":
-		return throughput(cfg, cfg.tpPath)
 	case "all":
 		for _, e := range []string{
 			"table1", "table2", "eq1",

@@ -9,6 +9,7 @@ import (
 	"phmse/internal/hier"
 	"phmse/internal/machine"
 	"phmse/internal/molecule"
+	"phmse/internal/trace"
 	"phmse/internal/vm"
 )
 
@@ -35,22 +36,22 @@ func table1(cfg config) error {
 		realSizes = []int{1, 2, 4, 8, 16}
 	}
 	fmt.Println("\n[real kernels on this host; one cycle over all constraints]")
-	fmt.Println("  bp  atoms  scalar |  flat(s)  per-cons |  hier(s)  per-cons | speedup")
+	fmt.Println("  bp  atoms  scalar |  flat(s)  per-cons    m-m(s) |  hier(s)  per-cons    m-m(s) | speedup")
 	for _, bp := range realSizes {
 		h := molecule.Helix(bp)
 		init := h.TruePositions()
-		flatSec, err := timedSolve(h, init, core.Flat)
+		flatSec, flatMM, err := timedSolve(h, init, core.Flat)
 		if err != nil {
 			return err
 		}
-		hierSec, err := timedSolve(h, init, core.Hierarchical)
+		hierSec, hierMM, err := timedSolve(h, init, core.Hierarchical)
 		if err != nil {
 			return err
 		}
 		sc := float64(h.ScalarDim())
-		fmt.Printf("  %2d  %5d  %6d | %8.3f  %.6f | %8.3f  %.6f | %6.2f\n",
+		fmt.Printf("  %2d  %5d  %6d | %8.3f  %.6f  %8.3f | %8.3f  %.6f  %8.3f | %6.2f\n",
 			bp, len(h.Atoms), h.ScalarDim(),
-			flatSec, flatSec/sc, hierSec, hierSec/sc, flatSec/hierSec)
+			flatSec, flatSec/sc, flatMM, hierSec, hierSec/sc, hierMM, flatSec/hierSec)
 	}
 
 	fmt.Println("\n[DASH virtual-time model; full sweep]")
@@ -83,15 +84,18 @@ func table1(cfg config) error {
 
 // timedSolve runs exactly one cycle of constraint application with real
 // kernels and returns the wall-clock seconds (setup excluded, matching the
-// paper's exclusion of input and initialization time).
-func timedSolve(p *molecule.Problem, init []geom.Vec3, mode core.Mode) (float64, error) {
-	est, err := core.New(p, core.Config{Mode: mode, MaxCycles: 1, BatchSize: 16})
+// paper's exclusion of input and initialization time) and how many of them
+// the recorder accounts to the m-m class — the covariance update, which is
+// what the hierarchy shrinks.
+func timedSolve(p *molecule.Problem, init []geom.Vec3, mode core.Mode) (sec, mm float64, err error) {
+	var rec trace.Collector
+	est, err := core.New(p, core.Config{Mode: mode, MaxCycles: 1, BatchSize: 16, Recorder: &rec})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	start := time.Now()
 	if _, err := est.Solve(init); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return time.Since(start).Seconds(), nil
+	return time.Since(start).Seconds(), rec.Times()[trace.MatMat], nil
 }

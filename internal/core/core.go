@@ -93,6 +93,12 @@ type Config struct {
 	NoGuard bool
 }
 
+// DefaultLeafSize is the default target leaf size (atoms) of the automatic
+// decomposition.
+const DefaultLeafSize = 16
+
+// withDefaults fills the construction parameters the plan depends on; the
+// solver-control defaults live in filter.Control.WithDefaults alone.
 func (c Config) withDefaults() Config {
 	if c.Procs <= 0 {
 		c.Procs = 1
@@ -100,17 +106,8 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = filter.DefaultBatchSize
 	}
-	if c.MaxCycles <= 0 {
-		c.MaxCycles = 100
-	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-3
-	}
-	if c.InitVar <= 0 {
-		c.InitVar = 100
-	}
 	if c.LeafSize <= 0 {
-		c.LeafSize = 16
+		c.LeafSize = DefaultLeafSize
 	}
 	return c
 }
@@ -258,9 +255,9 @@ type Solution struct {
 	// the per-cycle RMS-change trajectory. Never nil.
 	Diagnostics *filter.DiagSnapshot
 
-	state *filter.State // full posterior, for covariance interpretation
-	local []int         // problem atom → state atom index
-	names []string      // atom names for reports
+	state *filter.State   // full posterior, for covariance interpretation
+	local []int           // problem atom → state atom index
+	atoms []molecule.Atom // the problem's atoms, named in reports
 }
 
 // Ellipsoid returns the positional uncertainty ellipsoid of an atom
@@ -285,9 +282,7 @@ func (s *Solution) Correlation(a, b int) float64 {
 func (s *Solution) UncertaintyReport(k int) string {
 	names := make([]string, s.state.Atoms())
 	for i, li := range s.local {
-		if i < len(s.names) {
-			names[li] = s.names[i]
-		}
+		names[li] = s.atoms[i].Name
 	}
 	return analysis.Report(s.state, names, k)
 }
@@ -323,11 +318,58 @@ func Replan(e *Estimator, procs int) *hier.ExecPlan {
 	return sched.Assign(e.root, procs, work)
 }
 
+// control fills the solver's control block from the configuration — the
+// one place the two organizations' options are spelled out.
+func (e *Estimator) control(ctx context.Context) filter.Control {
+	return filter.Control{
+		BatchSize:    e.cfg.BatchSize,
+		MaxCycles:    e.cfg.MaxCycles,
+		Tol:          e.cfg.Tol,
+		InitVar:      e.cfg.InitVar,
+		Team:         e.team,
+		Rec:          e.cfg.Recorder,
+		MaxStep:      e.cfg.MaxStep,
+		Joseph:       e.cfg.Joseph,
+		GateSigma:    e.cfg.GateSigma,
+		Ctx:          ctx,
+		OnCycle:      e.cfg.OnCycle,
+		DivergeAfter: e.cfg.DivergeAfter,
+		NoGuard:      e.cfg.NoGuard,
+		FaultTag:     e.problem.Name,
+	}.WithDefaults()
+}
+
+// solution assembles the Solution from the final state, whose atom i is
+// problem atom order[i]; an atom the state does not hold keeps its init
+// position.
+func (e *Estimator) solution(init []geom.Vec3, state *filter.State, order []int, res filter.Result) *Solution {
+	n := len(e.problem.Atoms)
+	sol := &Solution{
+		Positions:   append([]geom.Vec3(nil), init...),
+		Variances:   make([]float64, n),
+		Cycles:      res.Cycles,
+		Converged:   res.Converged,
+		RMSChange:   res.RMSChange,
+		Residual:    res.Residual,
+		Diagnostics: res.Diag.Snapshot(),
+		state:       state,
+		local:       make([]int, n),
+		atoms:       e.problem.Atoms,
+	}
+	for i, a := range order {
+		sol.Positions[a] = state.Pos(i)
+		sol.Variances[a] = state.Variance(i)
+		sol.local[a] = i
+	}
+	return sol
+}
+
 // solveFlat runs the flat organization. A non-nil post warm-starts the
 // solve: the state's first-cycle covariance is the posterior's (full when
 // available, diagonal otherwise) instead of the isotropic prior.
 func (e *Estimator) solveFlat(ctx context.Context, init []geom.Vec3, post *Posterior) (*Solution, error) {
-	s := filter.NewState(init, e.cfg.InitVar)
+	ctl := e.control(ctx)
+	s := filter.NewState(init, ctl.InitVar)
 	warm := false
 	if post != nil {
 		switch {
@@ -337,59 +379,23 @@ func (e *Estimator) solveFlat(ctx context.Context, init []geom.Vec3, post *Poste
 		case post.CoordVariances != nil:
 			s.C.Zero()
 			for d, v := range post.CoordVariances {
-				if v < minWarmVar {
-					v = minWarmVar
+				if v < filter.MinWarmVar {
+					v = filter.MinWarmVar
 				}
 				s.C.Set(d, d, v)
 			}
 			warm = true
 		}
 	}
-	res, err := filter.Solve(s, e.problem.Constraints, filter.SolveOptions{
-		BatchSize:    e.cfg.BatchSize,
-		MaxCycles:    e.cfg.MaxCycles,
-		Tol:          e.cfg.Tol,
-		InitVar:      e.cfg.InitVar,
-		Team:         e.team,
-		Rec:          e.cfg.Recorder,
-		MaxStep:      e.cfg.MaxStep,
-		Joseph:       e.cfg.Joseph,
-		GateSigma:    e.cfg.GateSigma,
-		Warm:         warm,
-		Ctx:          ctx,
-		OnCycle:      e.cfg.OnCycle,
-		DivergeAfter: e.cfg.DivergeAfter,
-		NoGuard:      e.cfg.NoGuard,
-		FaultTag:     e.problem.Name,
-	})
+	res, err := filter.Solve(s, e.problem.Constraints, ctl, warm)
 	if err != nil {
 		return nil, err
 	}
-	sol := &Solution{
-		Positions:   s.Positions(),
-		Variances:   make([]float64, s.Atoms()),
-		Cycles:      res.Cycles,
-		Converged:   res.Converged,
-		RMSChange:   res.RMSChange,
-		Residual:    res.Residual,
-		Diagnostics: res.Diag.Snapshot(),
-		state:       s,
-		local:       make([]int, s.Atoms()),
-		names:       atomNames(e.problem),
+	order := make([]int, s.Atoms())
+	for i := range order {
+		order[i] = i
 	}
-	for i := range sol.Variances {
-		sol.Variances[i] = s.Variance(i)
-		sol.local[i] = i
-	}
-	return sol, nil
-}
-
-func atomNames(p *molecule.Problem) []string {
-	names := make([]string, len(p.Atoms))
-	for i, a := range p.Atoms {
-		names[i] = a.Name
-	}
-	return names
+	return e.solution(init, s, order, res), nil
 }
 
 // solveHier runs the hierarchical organization. Non-nil warmVars (one
@@ -397,44 +403,11 @@ func atomNames(p *molecule.Problem) []string {
 // assembly from a prior posterior's diagonal, carried forward pass to
 // pass as a sequential continuation (see hier.Options.WarmVars).
 func (e *Estimator) solveHier(ctx context.Context, init []geom.Vec3, warmVars []float64) (*Solution, error) {
-	state, res, err := hier.Solve(e.root, init, hier.Options{
-		BatchSize:    e.cfg.BatchSize,
-		MaxCycles:    e.cfg.MaxCycles,
-		Tol:          e.cfg.Tol,
-		InitVar:      e.cfg.InitVar,
-		Team:         e.team,
-		Plan:         e.plan,
-		Rec:          e.cfg.Recorder,
-		MaxStep:      e.cfg.MaxStep,
-		Joseph:       e.cfg.Joseph,
-		GateSigma:    e.cfg.GateSigma,
-		WarmVars:     warmVars,
-		Ctx:          ctx,
-		OnCycle:      e.cfg.OnCycle,
-		DivergeAfter: e.cfg.DivergeAfter,
-		NoGuard:      e.cfg.NoGuard,
-		FaultTag:     e.problem.Name,
-	})
+	state, res, err := hier.Solve(e.root, init, hier.Options{Control: e.control(ctx), Plan: e.plan, WarmVars: warmVars})
 	if err != nil {
 		return nil, err
 	}
-	sol := &Solution{
-		Positions:   append([]geom.Vec3(nil), init...),
-		Variances:   make([]float64, len(e.problem.Atoms)),
-		Cycles:      res.Cycles,
-		Converged:   res.Converged,
-		RMSChange:   res.RMSChange,
-		Diagnostics: res.Diag.Snapshot(),
-		state:       state,
-		local:       make([]int, len(e.problem.Atoms)),
-		names:       atomNames(e.problem),
-	}
-	for i, a := range e.root.Atoms {
-		sol.Positions[a] = state.Pos(i)
-		sol.Variances[a] = state.Variance(i)
-		sol.local[a] = i
-	}
-	flat := filter.NewState(sol.Positions, 1)
-	sol.Residual = filter.WeightedResidual(flat, e.problem.Constraints)
+	sol := e.solution(init, state, e.root.Atoms, res)
+	sol.Residual = filter.WeightedResidual(sol.Positions, e.problem.Constraints)
 	return sol, nil
 }

@@ -274,10 +274,14 @@ func TestMaxStepDeweightingStaysConsistent(t *testing.T) {
 		}
 		return sol
 	}
-	free := run(-1)    // undamped
+	// The reference leg runs at the default radius, not undamped: a truly
+	// undamped Protein(24) solve from a 0.5 Å perturbation does not converge
+	// (residual ≈ 255 hierarchical, ≈ 284 flat) — which is what the clamp is
+	// for.
+	ref := run(0)
 	tight := run(0.05) // forces heavy deweighting on nearly every batch
-	if free.Residual > 0.05 {
-		t.Fatalf("undamped solve failed: residual %g", free.Residual)
+	if ref.Residual > 0.05 {
+		t.Fatalf("default-radius solve failed: residual %g", ref.Residual)
 	}
 	// A 0.05 Å radius makes progress in ~0.05 Å increments, so 60 cycles
 	// cannot finish; it must still be clearly descending (the starting

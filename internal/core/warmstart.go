@@ -18,10 +18,6 @@ import (
 	"phmse/internal/mat"
 )
 
-// minWarmVar floors injected prior variances (Å²) so a perfectly
-// determined coordinate cannot produce a singular flat-mode prior.
-const minWarmVar = 1e-9
-
 // Posterior is a structure estimate exported in problem atom order: the
 // posterior mean positions, the covariance diagonal, and (optionally) the
 // full covariance matrix. It is the interchange form between solves — what

@@ -149,7 +149,7 @@ func (d *Diagnostics) BeginCycle() {
 
 // EndCycle closes the window: it appends the cycle's RMS change to the
 // trajectory and returns the cycle's containment stats, which the
-// convergence drivers use for the no-progress policy.
+// convergence driver (Control.Iterate) uses for the no-progress policy.
 func (d *Diagnostics) EndCycle(rmsChange float64) CycleStats {
 	if d == nil {
 		return CycleStats{}

@@ -87,7 +87,7 @@ func TestQuarantineSingleBadBatchConverges(t *testing.T) {
 
 	_, cons := chainProblem()
 	s := NewState(perturbedChain(), 100)
-	res, err := Solve(s, cons, SolveOptions{BatchSize: 1, MaxCycles: 200})
+	res, err := Solve(s, cons, Control{BatchSize: 1, MaxCycles: 200}, false)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -121,7 +121,7 @@ func TestPoisonedBatchRollsBack(t *testing.T) {
 
 	_, cons := chainProblem()
 	s := NewState(perturbedChain(), 100)
-	res, err := Solve(s, cons, SolveOptions{BatchSize: 1, MaxCycles: 200})
+	res, err := Solve(s, cons, Control{BatchSize: 1, MaxCycles: 200}, false)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestAllBatchesIndefiniteFailsTyped(t *testing.T) {
 
 	_, cons := chainProblem()
 	s := NewState(perturbedChain(), 100)
-	res, err := Solve(s, cons, SolveOptions{BatchSize: 1})
+	res, err := Solve(s, cons, Control{BatchSize: 1}, false)
 	if !errors.Is(err, solvererr.ErrIndefinite) {
 		t.Fatalf("err = %v, want ErrIndefinite", err)
 	}
@@ -170,7 +170,7 @@ func TestAllBatchesPoisonedFailsTyped(t *testing.T) {
 
 	_, cons := chainProblem()
 	s := NewState(perturbedChain(), 100)
-	_, err := Solve(s, cons, SolveOptions{BatchSize: 1})
+	_, err := Solve(s, cons, Control{BatchSize: 1}, false)
 	if !errors.Is(err, solvererr.ErrNonFinite) {
 		t.Fatalf("err = %v, want ErrNonFinite", err)
 	}
@@ -193,7 +193,7 @@ func TestNoGuardFailsFast(t *testing.T) {
 
 	_, cons := chainProblem()
 	s := NewState(perturbedChain(), 100)
-	res, err := Solve(s, cons, SolveOptions{BatchSize: 1, NoGuard: true})
+	res, err := Solve(s, cons, Control{BatchSize: 1, NoGuard: true}, false)
 	if !errors.Is(err, solvererr.ErrIndefinite) {
 		t.Fatalf("err = %v, want ErrIndefinite", err)
 	}
@@ -230,7 +230,7 @@ func (r *runaway) Observed(z, sigma2 []float64) {
 func TestDivergenceWatchdog(t *testing.T) {
 	s := NewState([]geom.Vec3{{0, 0, 0}}, 100)
 	cons := []constraint.Constraint{&runaway{i: 0}}
-	res, err := Solve(s, cons, SolveOptions{MaxStep: -1, MaxCycles: 1000})
+	res, err := Solve(s, cons, Control{MaxStep: -1, MaxCycles: 1000}, false)
 	if !errors.Is(err, solvererr.ErrDiverged) {
 		t.Fatalf("err = %v, want ErrDiverged", err)
 	}
@@ -259,7 +259,7 @@ func TestDivergenceWatchdog(t *testing.T) {
 func TestDivergenceWatchdogDisabled(t *testing.T) {
 	s := NewState([]geom.Vec3{{0, 0, 0}}, 100)
 	cons := []constraint.Constraint{&runaway{i: 0}}
-	res, err := Solve(s, cons, SolveOptions{MaxStep: -1, MaxCycles: 30, DivergeAfter: -1, NoGuard: true})
+	res, err := Solve(s, cons, Control{MaxStep: -1, MaxCycles: 30, DivergeAfter: -1, NoGuard: true}, false)
 	if errors.Is(err, solvererr.ErrDiverged) {
 		t.Fatal("watchdog fired while disabled")
 	}
@@ -268,11 +268,33 @@ func TestDivergenceWatchdogDisabled(t *testing.T) {
 	}
 }
 
-func TestNormalizeDivergeAfter(t *testing.T) {
-	cases := []struct{ in, want int }{{0, DefaultDivergeAfter}, {-1, 0}, {5, 5}}
+// WithDefaults is idempotent, so a control block may be normalised by every
+// entry point it passes through: zero selects the default, negative stays
+// negative ("off") instead of collapsing to zero and being defaulted by the
+// next application, positive is kept.
+func TestControlDefaultsIdempotent(t *testing.T) {
+	cases := []struct {
+		step, wantStep   float64
+		after, wantAfter int
+	}{
+		{0, DefaultMaxStep, 0, DefaultDivergeAfter},
+		{-1, -1, -1, -1},
+		{0.5, 0.5, 5, 5},
+	}
 	for _, c := range cases {
-		if got := NormalizeDivergeAfter(c.in); got != c.want {
-			t.Errorf("NormalizeDivergeAfter(%d) = %d, want %d", c.in, got, c.want)
+		once := Control{MaxStep: c.step, DivergeAfter: c.after}.WithDefaults()
+		twice := once.WithDefaults()
+		if once.MaxStep != c.wantStep || once.DivergeAfter != c.wantAfter {
+			t.Errorf("WithDefaults(%g, %d) = (%g, %d), want (%g, %d)",
+				c.step, c.after, once.MaxStep, once.DivergeAfter, c.wantStep, c.wantAfter)
+		}
+		if twice.MaxStep != once.MaxStep || twice.DivergeAfter != once.DivergeAfter ||
+			twice.Diag != once.Diag || twice.Team != once.Team || twice.BatchSize != once.BatchSize ||
+			twice.MaxCycles != once.MaxCycles || twice.Tol != once.Tol || twice.InitVar != once.InitVar {
+			t.Errorf("second WithDefaults moved the block: %+v -> %+v", once, twice)
+		}
+		if u := once.Updater(once.Team, "", 1); (u.MaxStep > 0) != (c.wantStep > 0) {
+			t.Errorf("MaxStep %g reached the updater as %g", c.step, u.MaxStep)
 		}
 	}
 }
@@ -283,7 +305,7 @@ func TestNormalizeDivergeAfter(t *testing.T) {
 func TestWatchdogIgnoresGentleOscillation(t *testing.T) {
 	_, cons := chainProblem()
 	s := NewState(perturbedChain(), 100)
-	res, err := Solve(s, cons, SolveOptions{})
+	res, err := Solve(s, cons, Control{}, false)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

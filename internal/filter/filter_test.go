@@ -230,7 +230,7 @@ func TestSolveConvergesTriangle(t *testing.T) {
 	}
 	s := NewState(init, 0)
 	s.ResetCovariance(100)
-	res, err := Solve(s, cons, SolveOptions{Tol: 1e-6, MaxCycles: 200})
+	res, err := Solve(s, cons, Control{Tol: 1e-6, MaxCycles: 200}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestSolveRecordsTrace(t *testing.T) {
 	var rec trace.Collector
 	s := NewState([]geom.Vec3{{0, 0, 0}, {1, 0, 0}}, 25)
 	cons := []constraint.Constraint{constraint.Distance{I: 0, J: 1, Target: 2, Sigma: 0.1}}
-	if _, err := Solve(s, cons, SolveOptions{MaxCycles: 3, Rec: &rec}); err != nil {
+	if _, err := Solve(s, cons, Control{MaxCycles: 3, Rec: &rec}, false); err != nil {
 		t.Fatal(err)
 	}
 	times := rec.Times()
@@ -387,13 +387,13 @@ func TestGatedConstraintSkippedWhenInactive(t *testing.T) {
 
 func TestWeightedResidualZeroCases(t *testing.T) {
 	s := NewState([]geom.Vec3{{0, 0, 0}}, 1)
-	if WeightedResidual(s, nil) != 0 {
+	if WeightedResidual(s.Positions(), nil) != 0 {
 		t.Fatal("empty constraint set")
 	}
 	// Inactive gated constraint contributes zero.
 	s2 := NewState([]geom.Vec3{{0, 0, 0}, {3, 0, 0}}, 1)
 	cons := []constraint.Constraint{constraint.DistanceBound{I: 0, J: 1, Lower: 1, Upper: 5, Sigma: 1}}
-	if WeightedResidual(s2, cons) != 0 {
+	if WeightedResidual(s2.Positions(), cons) != 0 {
 		t.Fatal("inactive bound residual")
 	}
 }
@@ -412,7 +412,7 @@ func TestSolveBatchSizeInsensitivity(t *testing.T) {
 	}
 	dists := func(batch int) []float64 {
 		s := NewState(init, 0)
-		if _, err := Solve(s, cons, SolveOptions{BatchSize: batch, Tol: 1e-7, MaxCycles: 300}); err != nil {
+		if _, err := Solve(s, cons, Control{BatchSize: batch, Tol: 1e-7, MaxCycles: 300}, false); err != nil {
 			t.Fatal(err)
 		}
 		return []float64{

@@ -227,7 +227,7 @@ func TestNonFinitePriorRefusedWithoutWork(t *testing.T) {
 	s := NewState(perturbedChain(), 100)
 	s.X[4] = math.NaN()
 	rec := &trace.Collector{}
-	res, err := Solve(s, cons, SolveOptions{BatchSize: 1, Rec: rec})
+	res, err := Solve(s, cons, Control{BatchSize: 1, Rec: rec}, false)
 	if !errors.Is(err, solvererr.ErrNonFinite) {
 		t.Fatalf("err = %v, want ErrNonFinite", err)
 	}

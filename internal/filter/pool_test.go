@@ -28,7 +28,7 @@ func solveTriangleState() (*State, Result, error) {
 	init, cons := triangleProblem()
 	s := NewState(init, 0)
 	s.ResetCovariance(100)
-	res, err := Solve(s, cons, SolveOptions{Tol: 1e-8, MaxCycles: 300})
+	res, err := Solve(s, cons, Control{Tol: 1e-8, MaxCycles: 300}, false)
 	return s, res, err
 }
 

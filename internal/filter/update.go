@@ -45,9 +45,9 @@ type Updater struct {
 	// each batch's pending update before committing it, so a batch that
 	// fails anyway — or would put NaN/Inf into the state — is refused and
 	// quarantined for the rest of the cycle instead of aborting the
-	// solve. The convergence drivers enable it; the zero value keeps the
-	// raw fail-fast procedure of the paper (what the direct kernel
-	// benchmarks measure).
+	// solve. Control.Updater enables it unless NoGuard is set; the zero
+	// value keeps the raw fail-fast procedure of the paper (what the
+	// direct kernel benchmarks measure).
 	Guard bool
 	// Diag, when non-nil, accumulates containment diagnostics (ridge
 	// retries, rollbacks, quarantined batches).
@@ -58,7 +58,7 @@ type Updater struct {
 	Tag  string
 	Node string
 	// Cycle is the 1-based constraint-application cycle, set by the
-	// convergence drivers for diagnostics and injection sites.
+	// solves for diagnostics and injection sites.
 	Cycle int
 
 	// batchIdx is the index of the batch currently applied, maintained by

@@ -163,7 +163,7 @@ func TestHierarchicalMatchesFlatLinearExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	init := p.TruePositions()
-	hierState, err := UpdatePass(root, init, Options{BatchSize: 6, InitVar: 100})
+	hierState, err := UpdatePass(root, init, Options{Control: filter.Control{BatchSize: 6, InitVar: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestHierarchicalMatchesFlatOnePass(t *testing.T) {
 	if err := root.Prepare(8); err != nil {
 		t.Fatal(err)
 	}
-	hierState, err := UpdatePass(root, init, Options{BatchSize: 8, InitVar: 100})
+	hierState, err := UpdatePass(root, init, Options{Control: filter.Control{BatchSize: 8, InitVar: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestHierarchicalSolveConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	init := molecule.Perturbed(p, 0.3, 11)
-	state, res, err := Solve(root, init, Options{Tol: 1e-4, MaxCycles: 200})
+	state, res, err := Solve(root, init, Options{Control: filter.Control{Tol: 1e-4, MaxCycles: 200}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,6 +254,57 @@ func TestHierarchicalSolveConverges(t *testing.T) {
 		if math.Abs(got-d.Target) > 0.05 {
 			t.Fatalf("constraint %v: solved distance %g", d, got)
 		}
+	}
+}
+
+// A negative MaxStep disables the trust-region clamp in the hierarchical
+// driver exactly as it does in one UpdatePass: the solve differs from the
+// default-radius one, and equals a hand-rolled loop of passes under the
+// same options bit for bit.
+func TestHierMaxStepNegativeDisablesClamp(t *testing.T) {
+	p := molecule.WithAnchors(molecule.Protein(24, 7), 4, 0.05)
+	init := molecule.Perturbed(p, 0.5, 3)
+	const cycles = 5
+	solve := func(maxStep float64) *filter.State {
+		root, err := Build(p.Tree, p.Constraints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state, res, err := Solve(root, init, Options{Control: filter.Control{
+			MaxStep: maxStep, MaxCycles: cycles, Tol: 1e-12, DivergeAfter: -1}})
+		if err != nil || res.Cycles != cycles {
+			t.Fatalf("MaxStep %g: %d cycles, err %v", maxStep, res.Cycles, err)
+		}
+		return state
+	}
+	free, clamped := solve(-1), solve(0)
+
+	root, err := Build(p.Tree, p.Constraints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Prepare(filter.DefaultBatchSize); err != nil {
+		t.Fatal(err)
+	}
+	positions := append([]geom.Vec3(nil), init...)
+	var byHand *filter.State
+	for c := 0; c < cycles; c++ {
+		if byHand, err = UpdatePass(root, positions, Options{Control: filter.Control{MaxStep: -1}}); err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range root.Atoms {
+			positions[a] = byHand.Pos(i)
+		}
+	}
+	same := true
+	for i := range free.X {
+		if free.X[i] != byHand.X[i] {
+			t.Fatalf("coordinate %d: Solve %v, loop of UpdatePass %v under the same MaxStep: -1", i, free.X[i], byHand.X[i])
+		}
+		same = same && free.X[i] == clamped.X[i]
+	}
+	if same {
+		t.Fatal("MaxStep: -1 solved bit-identically to MaxStep: 0: the clamp was not disabled")
 	}
 }
 
@@ -283,7 +334,7 @@ func TestParallelPlanMatchesSequential(t *testing.T) {
 	init := molecule.Perturbed(p, 0.2, 3)
 
 	seqRoot := buildRoot()
-	seqState, err := UpdatePass(seqRoot, init, Options{BatchSize: 8, InitVar: 100})
+	seqState, err := UpdatePass(seqRoot, init, Options{Control: filter.Control{BatchSize: 8, InitVar: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +359,7 @@ func TestParallelPlanMatchesSequential(t *testing.T) {
 	if err := plan.Validate(parRoot, 4); err != nil {
 		t.Fatal(err)
 	}
-	parState, err := UpdatePass(parRoot, init, Options{BatchSize: 8, InitVar: 100, Team: team, Plan: plan})
+	parState, err := UpdatePass(parRoot, init, Options{Control: filter.Control{BatchSize: 8, InitVar: 100, Team: team}, Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +422,7 @@ func TestSolveRecordsTraceAndRespectsGates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rec trace.Collector
-	_, res, err := Solve(root, p.TruePositions(), Options{MaxCycles: 4, Rec: &rec})
+	_, res, err := Solve(root, p.TruePositions(), Options{Control: filter.Control{MaxCycles: 4, Rec: &rec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +520,7 @@ func TestGraphPartitionSolvable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res, err := Solve(root, molecule.Perturbed(p, 0.2, 9), Options{Tol: 1e-4, MaxCycles: 200})
+	_, res, err := Solve(root, molecule.Perturbed(p, 0.2, 9), Options{Control: filter.Control{Tol: 1e-4, MaxCycles: 200}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +561,7 @@ func TestGroupLeavesChain(t *testing.T) {
 	if rootDims > 8 {
 		t.Fatalf("bottom-up grouping left %d scalar constraints at the root", rootDims)
 	}
-	_, res, err := Solve(root, molecule.Perturbed(p, 0.2, 2), Options{Tol: 1e-4, MaxCycles: 200})
+	_, res, err := Solve(root, molecule.Perturbed(p, 0.2, 2), Options{Control: filter.Control{Tol: 1e-4, MaxCycles: 200}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,7 +651,7 @@ func TestHierarchicalFlatEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		init := p.TruePositions()
-		hierState, err := UpdatePass(root, init, Options{InitVar: 10, MaxStep: -1})
+		hierState, err := UpdatePass(root, init, Options{Control: filter.Control{InitVar: 10, MaxStep: -1}})
 		if err != nil {
 			return false
 		}

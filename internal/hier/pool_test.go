@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"phmse/internal/filter"
 	"phmse/internal/geom"
 	"phmse/internal/pool"
 )
@@ -21,7 +22,7 @@ func solveChain(n int) ([]geom.Vec3, error) {
 	for i, a := range p.Atoms {
 		init[i] = a.Pos.Add(geom.Vec3{0.3 * float64(i%5), -0.2, 0.1 * float64(i%3)})
 	}
-	state, _, err := Solve(root, init, Options{Tol: 1e-8, MaxCycles: 200})
+	state, _, err := Solve(root, init, Options{Control: filter.Control{Tol: 1e-8, MaxCycles: 200}})
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package hier
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -9,28 +8,15 @@ import (
 	"phmse/internal/filter"
 	"phmse/internal/geom"
 	"phmse/internal/par"
-	"phmse/internal/solvererr"
-	"phmse/internal/trace"
 )
 
-// Options configures the hierarchical solver.
+// Options configures the hierarchical solver: the control block shared with
+// the flat organization plus what only a tree has.
 type Options struct {
-	BatchSize int     // scalar batch dimension (default 16)
-	MaxCycles int     // complete passes over the tree (default 100)
-	Tol       float64 // RMS coordinate change to declare convergence (default 1e-3)
-	InitVar   float64 // leaf-level initial coordinate variance (default 100)
-	Team      *par.Team
-	Plan      *ExecPlan
-	Rec       *trace.Collector
-	// MaxStep is the per-batch trust radius: 0 selects the 2 Å default,
-	// negative disables the clamp. See filter.Updater.MaxStep.
-	MaxStep float64
-	// Joseph selects the numerically robust Joseph-form covariance update
-	// (see filter.Updater.Joseph).
-	Joseph bool
-	// GateSigma, when positive, enables innovation gating of outlier
-	// observations (see filter.Updater.GateSigma).
-	GateSigma float64
+	filter.Control
+	// Plan is the static processor assignment over subtrees (nil runs the
+	// children of every node in sequence on the full team).
+	Plan *ExecPlan
 	// WarmVars, when non-nil, holds per-coordinate prior variances indexed
 	// 3·atom+coord in global atom order, injected in place of InitVar when
 	// leaf and direct-atom states are assembled — the hierarchical form of
@@ -44,118 +30,45 @@ type Options struct {
 	// would kick a near-converged state back onto the cold iteration's
 	// slow transient.
 	WarmVars []float64
-	// Ctx, when non-nil, is checked between cycles: a cancelled or expired
-	// context stops the iteration and Solve returns the context's error
-	// together with the state and progress so far.
-	Ctx context.Context
-	// OnCycle, when non-nil, is called after every completed cycle with the
-	// 1-based cycle number and the RMS coordinate change over that cycle.
-	OnCycle func(cycle int, rmsChange float64)
-	// Diag, when non-nil, is the shared containment-diagnostics sink
-	// (safe for the tree's parallel subtree updates); Solve creates one
-	// internally when nil, so Result.Diag is always populated.
-	Diag *filter.Diagnostics
-	// DivergeAfter is the divergence-watchdog patience (consecutive
-	// cycles of growing RMS change). Zero selects the default of 8;
-	// negative disables. See filter.SolveOptions.DivergeAfter.
-	DivergeAfter int
-	// NoGuard disables numerical fault containment (ridge retries,
-	// non-finite rollback, per-node batch quarantine).
-	NoGuard bool
-	// FaultTag labels the solve for fault-injection sites.
-	FaultTag string
-
-	// cycle is the 1-based cycle number the current UpdatePass runs
-	// under, maintained by Solve for diagnostics and injection sites.
-	cycle int
 }
 
-func (o Options) withDefaults() Options {
-	if o.BatchSize <= 0 {
-		o.BatchSize = filter.DefaultBatchSize
-	}
-	if o.MaxCycles <= 0 {
-		o.MaxCycles = 100
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-3
-	}
-	if o.InitVar <= 0 {
-		o.InitVar = 100
-	}
-	if o.Team == nil {
-		o.Team = par.NewTeam(1)
-	}
-	o.MaxStep = filter.NormalizeMaxStep(o.MaxStep)
-	o.DivergeAfter = filter.NormalizeDivergeAfter(o.DivergeAfter)
-	if o.Diag == nil {
-		o.Diag = &filter.Diagnostics{}
-	}
-	if o.cycle == 0 {
-		o.cycle = 1
-	}
-	return o
-}
-
-// Result summarizes a hierarchical solve.
-type Result struct {
-	Cycles    int
-	Converged bool
-	RMSChange float64
-	// Diag is the containment-diagnostics sink of the run (never nil
-	// after Solve returns).
-	Diag *filter.Diagnostics
-}
-
-// Solve runs the hierarchical estimation to convergence: each cycle updates
-// the tree post-order (children before parents, disjoint subtrees in
-// parallel according to the plan), then the root estimate feeds the next
-// cycle's linearization points. It returns the root state, whose atom
-// ordering is root.Atoms.
-func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, Result, error) {
-	opt = opt.withDefaults()
+// Solve runs the hierarchical estimation to convergence under the shared
+// driver (filter.Control.Iterate): each cycle updates the tree post-order
+// (children before parents, disjoint subtrees in parallel according to the
+// plan), then the root estimate feeds the next cycle's linearization
+// points. It returns the root state, whose atom ordering is root.Atoms;
+// the result's Residual is left to the caller, who holds the constraints
+// in global atom order.
+func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, filter.Result, error) {
+	opt.Control = opt.Control.WithDefaults()
 	if root.batches == nil {
 		if err := root.Prepare(opt.BatchSize); err != nil {
-			return nil, Result{}, err
+			return nil, filter.Result{}, err
 		}
 	}
 	if err := opt.Plan.Validate(root, opt.Team.Size()); err != nil {
-		return nil, Result{}, err
+		return nil, filter.Result{}, err
 	}
 	if opt.WarmVars != nil && len(opt.WarmVars) != 3*len(init) {
-		return nil, Result{}, fmt.Errorf("hier: warm variances have %d entries, want %d", len(opt.WarmVars), 3*len(init))
+		return nil, filter.Result{}, fmt.Errorf("hier: warm variances have %d entries, want %d", len(opt.WarmVars), 3*len(init))
 	}
 	positions := append([]geom.Vec3(nil), init...)
-	warm := opt.WarmVars != nil
-	if warm {
+	if opt.WarmVars != nil {
 		// The per-cycle carry-forward below rewrites the slice; copy it so
 		// the caller's posterior is untouched.
 		opt.WarmVars = append([]float64(nil), opt.WarmVars...)
 	}
 	var state *filter.State
-	res := Result{Diag: opt.Diag}
-	grew := 0
-	prevRMS := math.Inf(1)
-	streakBase := 0.0
-	for cycle := 0; cycle < opt.MaxCycles; cycle++ {
-		if opt.Ctx != nil {
-			if err := opt.Ctx.Err(); err != nil {
-				return state, res, err
-			}
-		}
-		var err error
-		opt.cycle = cycle + 1
-		opt.Diag.BeginCycle()
+	res, err := opt.Iterate(func(cycle int) (float64, error) {
 		prevState := state
-		state, err = UpdatePass(root, positions, opt)
-		if err != nil {
-			return nil, res, err
+		var err error
+		if state, err = updateNode(root, positions, opt, opt.Team, cycle); err != nil {
+			return 0, err
 		}
 		// The previous cycle's root posterior has served its purpose (its
 		// positions were written back below last cycle); recycle it. The
 		// final state escapes into the Solution and is never released.
 		filter.ReleasePooledState(prevState)
-		res.Cycles = cycle + 1
 
 		// Write the root estimate back to the global position buffer and
 		// measure the change.
@@ -165,8 +78,7 @@ func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, Result, er
 			sum += p.Sub(positions[a]).Norm2()
 			positions[a] = p
 		}
-		res.RMSChange = rms(sum, 3*len(root.Atoms))
-		if warm {
+		if opt.WarmVars != nil {
 			// Sequential continuation: the pass posterior's diagonal
 			// becomes the next pass's injected priors.
 			for i, a := range root.Atoms {
@@ -175,53 +87,22 @@ func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, Result, er
 				}
 			}
 		}
-		stats := opt.Diag.EndCycle(res.RMSChange)
-		if opt.OnCycle != nil {
-			opt.OnCycle(res.Cycles, res.RMSChange)
-		}
-		// No-progress policy: a pass whose every batch was quarantined
-		// across the whole tree cannot move the estimate.
-		if !opt.NoGuard && stats.Applied == 0 && stats.Quarantined > 0 {
-			return state, res, filter.ContainmentError(stats, res.Cycles)
-		}
-		if res.RMSChange < opt.Tol {
-			res.Converged = true
-			break
-		}
-		// Divergence watchdog, as in the flat driver.
-		if res.RMSChange > prevRMS {
-			if grew == 0 {
-				streakBase = prevRMS
-			}
-			grew++
-		} else {
-			grew = 0
-		}
-		prevRMS = res.RMSChange
-		if opt.DivergeAfter > 0 && grew >= opt.DivergeAfter && res.RMSChange > filter.DivergeGrowthFactor*streakBase {
-			return state, res, &solvererr.Diverged{Cycles: res.Cycles, Grew: grew, History: opt.Diag.RMSTrajectory()}
-		}
-	}
-	return state, res, nil
-}
-
-func rms(sumSquares float64, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return math.Sqrt(sumSquares / float64(n))
+		return math.Sqrt(sum / float64(3*len(root.Atoms))), nil
+	})
+	return state, res, err
 }
 
 // UpdatePass performs one post-order pass over the tree (one cycle) from
 // the given linearization positions and returns the root state.
 func UpdatePass(root *Node, positions []geom.Vec3, opt Options) (*filter.State, error) {
-	opt = opt.withDefaults()
-	return updateNode(root, positions, opt, opt.Team)
+	opt.Control = opt.Control.WithDefaults()
+	return updateNode(root, positions, opt, opt.Team, 1)
 }
 
-// updateNode computes the posterior state of one node: children first
-// (possibly in parallel processor groups), then the node's own constraints.
-func updateNode(n *Node, positions []geom.Vec3, opt Options, team *par.Team) (*filter.State, error) {
+// updateNode computes the posterior state of one node in the given cycle:
+// children first (possibly in parallel processor groups), then the node's
+// own constraints. opt is already normalised.
+func updateNode(n *Node, positions []geom.Vec3, opt Options, team *par.Team, cycle int) (*filter.State, error) {
 	childStates := make([]*filter.State, len(n.Children))
 	groups := opt.Plan.groupsFor(n)
 	switch {
@@ -230,7 +111,7 @@ func updateNode(n *Node, positions []geom.Vec3, opt Options, team *par.Team) (*f
 	case groups == nil || team.Size() == 1 || len(groups) == 1:
 		// Sequential children, full team each.
 		for i, c := range n.Children {
-			s, err := updateNode(c, positions, opt, team)
+			s, err := updateNode(c, positions, opt, team, cycle)
 			if err != nil {
 				return nil, err
 			}
@@ -255,7 +136,7 @@ func updateNode(n *Node, positions []geom.Vec3, opt Options, team *par.Team) (*f
 			gi, g := gi, g
 			thunks[gi] = func() {
 				for _, c := range g.Nodes {
-					s, err := updateNode(c, positions, opt, teams[gi])
+					s, err := updateNode(c, positions, opt, teams[gi], cycle)
 					if err != nil {
 						mu.Lock()
 						if firstErr == nil {
@@ -282,10 +163,7 @@ func updateNode(n *Node, positions []geom.Vec3, opt Options, team *par.Team) (*f
 	for _, cs := range childStates {
 		filter.ReleasePooledState(cs)
 	}
-	u := &filter.Updater{
-		Team: team, Rec: opt.Rec, MaxStep: opt.MaxStep, Joseph: opt.Joseph, GateSigma: opt.GateSigma,
-		Guard: !opt.NoGuard, Diag: opt.Diag, Tag: opt.FaultTag, Node: n.Name, Cycle: opt.cycle,
-	}
+	u := opt.Updater(team, n.Name, cycle)
 	defer u.ReleaseWorkspace()
 	if _, err := u.ApplyAll(s, n.batches); err != nil {
 		return nil, fmt.Errorf("node %q: %w", n.Name, err)
@@ -329,13 +207,10 @@ func assemble(n *Node, childStates []*filter.State, positions []geom.Vec3, opt O
 // singular prior.
 func (o Options) priorVar(atom, coord int) float64 {
 	if o.WarmVars != nil {
-		if v := o.WarmVars[3*atom+coord]; v > minWarmVar {
+		if v := o.WarmVars[3*atom+coord]; v > filter.MinWarmVar {
 			return v
 		}
-		return minWarmVar
+		return filter.MinWarmVar
 	}
 	return o.InitVar
 }
-
-// minWarmVar is the variance floor for injected warm-start priors (Å²).
-const minWarmVar = 1e-9

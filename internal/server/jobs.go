@@ -13,6 +13,7 @@ import (
 	"phmse/internal/core"
 	"phmse/internal/encode"
 	"phmse/internal/faultinject"
+	"phmse/internal/filter"
 	"phmse/internal/molecule"
 	"phmse/internal/sched"
 	"phmse/internal/solvererr"
@@ -211,6 +212,14 @@ func newManager(cfg Config) *manager {
 	return m
 }
 
+// batchSize returns the request's batch dimension, or the solver's default.
+func batchSize(p encode.SolveParams) int {
+	if p.BatchSize > 0 {
+		return p.BatchSize
+	}
+	return filter.DefaultBatchSize
+}
+
 // jobCost estimates a job's total work with the fitted flop model, the
 // same Equation-1 estimate that drives static processor assignment inside
 // a solve — here lifted to the admission layer to size the job's team.
@@ -230,11 +239,7 @@ func (m *manager) dispatcher() {
 		if j.terminal() { // cancelled while queued
 			continue
 		}
-		batch := j.params.BatchSize
-		if batch <= 0 {
-			batch = 16
-		}
-		want := m.sched.SizeFor(jobCost(j.problem, batch))
+		want := m.sched.SizeFor(jobCost(j.problem, batchSize(j.params)))
 		// The request may ask for fewer processors than the estimate.
 		if p := j.params.Procs; p > 0 && p < want {
 			want = p
@@ -538,11 +543,8 @@ func (m *manager) solve(ctx context.Context, j *job, attempt int, flat bool, pro
 	if procs < 1 {
 		procs = 1
 	}
-	batch := params.BatchSize
-	if batch <= 0 {
-		batch = 16
-	}
-	const leafSize = 16
+	batch := batchSize(params)
+	const leafSize = core.DefaultLeafSize
 
 	cfg := core.Config{
 		Mode:          mode,

@@ -31,42 +31,9 @@ func Trace(root *hier.Node, mach *machine.Machine, procs int, plan *hier.ExecPla
 	}
 	res := Result{Procs: procs}
 	var spans []Span
-	res.Wall = traceFinish(root, mach, procs, plan, 0, &res, &spans)
+	res.Wall = subtreeDone(root, mach, procs, plan, 0, &res, &spans)
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
 	return res, spans
-}
-
-func traceFinish(n *hier.Node, mach *machine.Machine, procs int, plan *hier.ExecPlan, start float64, res *Result, spans *[]Span) float64 {
-	childrenDone := start
-	if len(n.Children) > 0 {
-		groups := planGroups(plan, n)
-		if groups == nil || procs == 1 {
-			t := start
-			for _, c := range n.Children {
-				t = traceFinish(c, mach, procs, plan, t, res, spans)
-			}
-			childrenDone = t
-		} else {
-			for _, g := range groups {
-				t := start
-				for _, c := range g.Nodes {
-					t = traceFinish(c, mach, g.Procs, plan, t, res, spans)
-				}
-				if t > childrenDone {
-					childrenDone = t
-				}
-			}
-		}
-	}
-	t := childrenDone
-	for _, op := range NodeOps(n) {
-		wall := mach.Wall(op, procs)
-		t += wall
-		res.ClassBusy[op.Class] += wall * float64(procs)
-		res.Ops++
-	}
-	*spans = append(*spans, Span{Node: n, Start: childrenDone, End: t, Procs: procs})
-	return t
 }
 
 // FormatTimeline renders the spans of the tree's top levels as a text

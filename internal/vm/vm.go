@@ -90,13 +90,14 @@ func Run(root *hier.Node, mach *machine.Machine, procs int, plan *hier.ExecPlan)
 		procs = 1
 	}
 	res := Result{Procs: procs}
-	res.Wall = finishTime(root, mach, procs, plan, 0, &res)
+	res.Wall = subtreeDone(root, mach, procs, plan, 0, &res, nil)
 	return res
 }
 
-// finishTime returns the virtual time at which the subtree rooted at n
-// completes, given it may start at start.
-func finishTime(n *hier.Node, mach *machine.Machine, procs int, plan *hier.ExecPlan, start float64, res *Result) float64 {
+// subtreeDone returns the virtual time at which the subtree rooted at n
+// completes, given it may start at start. A non-nil spans collects when
+// each node's own constraint processing ran (see Trace).
+func subtreeDone(n *hier.Node, mach *machine.Machine, procs int, plan *hier.ExecPlan, start float64, res *Result, spans *[]Span) float64 {
 	childrenDone := start
 	if len(n.Children) > 0 {
 		groups := planGroups(plan, n)
@@ -104,7 +105,7 @@ func finishTime(n *hier.Node, mach *machine.Machine, procs int, plan *hier.ExecP
 			// Sequential children with the full team.
 			t := start
 			for _, c := range n.Children {
-				t = finishTime(c, mach, procs, plan, t, res)
+				t = subtreeDone(c, mach, procs, plan, t, res, spans)
 			}
 			childrenDone = t
 		} else {
@@ -114,7 +115,7 @@ func finishTime(n *hier.Node, mach *machine.Machine, procs int, plan *hier.ExecP
 			for _, g := range groups {
 				t := start
 				for _, c := range g.Nodes {
-					t = finishTime(c, mach, g.Procs, plan, t, res)
+					t = subtreeDone(c, mach, g.Procs, plan, t, res, spans)
 				}
 				if t > childrenDone {
 					childrenDone = t
@@ -129,6 +130,9 @@ func finishTime(n *hier.Node, mach *machine.Machine, procs int, plan *hier.ExecP
 		t += wall
 		res.ClassBusy[op.Class] += wall * float64(procs)
 		res.Ops++
+	}
+	if spans != nil {
+		*spans = append(*spans, Span{Node: n, Start: childrenDone, End: t, Procs: procs})
 	}
 	return t
 }
