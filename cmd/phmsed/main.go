@@ -15,6 +15,7 @@
 //
 //	curl -s localhost:8080/v1/solve -d '{"problem": '"$(helixgen -bp 8)"'}'
 //	curl -s localhost:8080/v1/jobs/job-000001
+//	curl -s 'localhost:8080/v1/jobs/job-000001?wait=30000'   # answers when the job ends
 //	curl -s localhost:8080/v1/jobs/job-000001/result
 //	curl -s localhost:8080/metrics
 //

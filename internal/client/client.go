@@ -6,7 +6,7 @@
 //	c := client.New("http://localhost:8080")
 //	st, err := c.Submit(ctx, problem, encode.SolveParams{KeepPosterior: true})
 //	if client.HasCode(err, encode.CodeQueueFull) { backoff() }
-//	st, err = c.Wait(ctx, st.ID, 0, encode.JobDone, encode.JobFailed)
+//	st, err = c.Wait(ctx, st.ID, 0, encode.JobDone, encode.JobFailed) // long-polls
 //	sol, err := c.Result(ctx, st.ID)
 //	st2, err := c.WarmStart(ctx, refined, encode.SolveParams{}, st.ID)
 package client
@@ -319,19 +319,6 @@ func DecodeError(resp *http.Response) error {
 	return ae
 }
 
-// submitBody assembles a solve request body.
-func submitBody(p *molecule.Problem, params encode.SolveParams, warm *encode.WarmStartRef) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := encode.WriteProblem(&buf, p); err != nil {
-		return nil, fmt.Errorf("client: encoding problem: %w", err)
-	}
-	return json.Marshal(encode.SolveRequest{
-		Problem:   json.RawMessage(buf.Bytes()),
-		Params:    params,
-		WarmStart: warm,
-	})
-}
-
 // Submit posts a problem for asynchronous solving and returns the accepted
 // job's status snapshot.
 func (c *Client) Submit(ctx context.Context, p *molecule.Problem, params encode.SolveParams) (encode.JobStatus, error) {
@@ -347,9 +334,9 @@ func (c *Client) WarmStart(ctx context.Context, p *molecule.Problem, params enco
 }
 
 func (c *Client) submit(ctx context.Context, p *molecule.Problem, params encode.SolveParams, warm *encode.WarmStartRef) (encode.JobStatus, error) {
-	body, err := submitBody(p, params, warm)
+	body, err := encode.MarshalSolveRequest(p, params, warm)
 	if err != nil {
-		return encode.JobStatus{}, err
+		return encode.JobStatus{}, fmt.Errorf("client: encoding problem: %w", err)
 	}
 	var st encode.JobStatus
 	if err := c.do(ctx, http.MethodPost, "/v1/solve", body, &st); err != nil {
@@ -360,34 +347,49 @@ func (c *Client) submit(ctx context.Context, p *molecule.Problem, params encode.
 
 // Status returns the job's current status snapshot.
 func (c *Client) Status(ctx context.Context, id string) (encode.JobStatus, error) {
+	return c.status(ctx, id, 0)
+}
+
+// status is one status exchange; a positive wait asks the daemon to hold
+// the answer until the job is terminal or the wait has elapsed.
+func (c *Client) status(ctx context.Context, id string, wait time.Duration) (encode.JobStatus, error) {
+	path := "/v1/jobs/" + url.PathEscape(id)
+	if ms := wait.Milliseconds(); ms > 0 {
+		path += "?wait=" + strconv.FormatInt(ms, 10)
+	}
 	var st encode.JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, &st); err != nil {
+	if err := c.do(ctx, http.MethodGet, path, nil, &st); err != nil {
 		return encode.JobStatus{}, err
 	}
 	return st, nil
 }
 
-// Wait polls Status every poll interval (default 5 ms) until the job
-// reaches one of the wanted states (default: any terminal state) or ctx
-// ends, and returns the matching snapshot.
+// Wait blocks until the job reaches one of the wanted states (default: any
+// terminal state) or ctx ends, and returns the matching snapshot. When
+// every wanted state is terminal it long-polls: each status request carries
+// ?wait= and the daemon answers when the job finishes, so a job costs one
+// status exchange however long it runs. poll (default 5 ms) is the pause
+// between rounds; it sets the cadence only when a non-terminal state is
+// wanted or the daemon ignores ?wait=.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration, states ...encode.JobState) (encode.JobStatus, error) {
-	return c.wait(ctx, id, poll, states, c.Status)
+	return c.wait(ctx, id, poll, states, c.status)
 }
 
-// WaitRetry polls like Wait but rides through transient polling failures —
-// transport errors and 5xx responses — with the client's retry backoff
-// (the WithRetry policy, or its defaults) instead of returning on the
-// first hiccup. It gives up after MaxAttempts consecutive failed polls, on
-// a non-transient error (e.g. not_found), or when ctx ends.
+// WaitRetry waits like Wait but rides through transient failures of a
+// status round — transport errors and 5xx responses — with the client's
+// retry backoff (the WithRetry policy, or its defaults) instead of
+// returning on the first hiccup. It gives up after MaxAttempts consecutive
+// failed rounds, on a non-transient error (e.g. not_found), or when ctx
+// ends.
 func (c *Client) WaitRetry(ctx context.Context, id string, poll time.Duration, states ...encode.JobState) (encode.JobStatus, error) {
 	pol := RetryPolicy{}.withDefaults()
 	if c.retry != nil {
 		pol = *c.retry
 	}
-	return c.wait(ctx, id, poll, states, func(ctx context.Context, id string) (encode.JobStatus, error) {
+	return c.wait(ctx, id, poll, states, func(ctx context.Context, id string, wait time.Duration) (encode.JobStatus, error) {
 		var st encode.JobStatus
 		err := pol.Do(ctx, func(int) (err error) {
-			st, err = c.Status(ctx, id)
+			st, err = c.status(ctx, id, wait)
 			return err
 		}, func(err error) bool { return retryableRequest(http.MethodGet, err) })
 		if err != nil {
@@ -397,16 +399,24 @@ func (c *Client) WaitRetry(ctx context.Context, id string, poll time.Duration, s
 	})
 }
 
-// wait is the polling loop behind Wait and WaitRetry; status is one poll.
+// wait is the loop behind Wait and WaitRetry; status is one round.
 func (c *Client) wait(ctx context.Context, id string, poll time.Duration, states []encode.JobState,
-	status func(context.Context, string) (encode.JobStatus, error)) (encode.JobStatus, error) {
+	status func(context.Context, string, time.Duration) (encode.JobStatus, error)) (encode.JobStatus, error) {
 	if poll <= 0 {
 		poll = 5 * time.Millisecond
+	}
+	longPoll := true // the daemon can only park on completion
+	for _, want := range states {
+		longPoll = longPoll && want.Terminal()
 	}
 	t := time.NewTicker(poll)
 	defer t.Stop()
 	for {
-		st, err := status(ctx, id)
+		var hold time.Duration
+		if longPoll {
+			hold = c.holdFor(ctx)
+		}
+		st, err := status(ctx, id, hold)
 		if err != nil {
 			return encode.JobStatus{}, err
 		}
@@ -427,6 +437,20 @@ func (c *Client) wait(ctx context.Context, id string, poll time.Duration, states
 		case <-t.C:
 		}
 	}
+}
+
+// holdFor sizes the ?wait= of one long-poll round: the daemon's cap,
+// clipped to what ctx has left and to half of a configured http.Client
+// timeout, so the answer always arrives before either gives up on it.
+func (c *Client) holdFor(ctx context.Context) time.Duration {
+	hold := encode.MaxStatusWait
+	if deadline, ok := ctx.Deadline(); ok {
+		hold = min(hold, time.Until(deadline))
+	}
+	if c.hc.Timeout > 0 {
+		hold = min(hold, c.hc.Timeout/2)
+	}
+	return hold
 }
 
 // Result fetches the solution of a done job.

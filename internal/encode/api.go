@@ -7,6 +7,8 @@ package encode
 // and solution formats, so the whole wire surface of phmsed is defined in
 // one package with no dependency on the serving internals.
 
+import "time"
+
 // JobState is the lifecycle state of a submitted solve.
 // A job moves queued → running → one of the three terminal states; a
 // queued job can also move directly to cancelled.
@@ -34,6 +36,11 @@ func (s JobState) Valid() bool {
 	}
 	return false
 }
+
+// MaxStatusWait caps the ?wait= long-poll of GET /v1/jobs/{id}: the daemon
+// clips a longer wait to it, and the client asks for at most this much per
+// round, so a waiter that outlives it simply asks again.
+const MaxStatusWait = 30 * time.Second
 
 // JobStatus is a point-in-time snapshot of a job, as reported by
 // GET /v1/jobs/{id} and in the listing at GET /v1/jobs.

@@ -7,6 +7,7 @@ package encode
 // speak the job JSON.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -68,32 +69,58 @@ type SolveRequest struct {
 	WarmStart *WarmStartRef `json:"warm_start,omitempty"`
 }
 
+// solveRequest is SolveRequest with the problem typed as the file struct:
+// the shape both directions of the wire use, so a request is rendered and
+// parsed in one pass instead of through an intermediate raw document.
+type solveRequest struct {
+	Problem   *fileProblem  `json:"problem"`
+	Params    SolveParams   `json:"params,omitempty"`
+	WarmStart *WarmStartRef `json:"warm_start,omitempty"`
+}
+
+// MarshalSolveRequest renders the body of POST /v1/solve. The bytes equal
+// json.Marshal of a SolveRequest whose Problem is WriteProblem's output.
+func MarshalSolveRequest(p *molecule.Problem, params SolveParams, warm *WarmStartRef) ([]byte, error) {
+	fp, err := toFileProblem(p)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(solveRequest{Problem: fp, Params: params, WarmStart: warm})
+}
+
 // ReadSolveRequest parses and validates a solve request, returning the
 // decoded problem, the solver parameters, and the warm-start reference
-// (nil when the submission is cold).
+// (nil when the submission is cold). The body must be exactly one JSON
+// document.
 func ReadSolveRequest(r io.Reader) (*molecule.Problem, SolveParams, *WarmStartRef, error) {
-	var req SolveRequest
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&req); err != nil {
-		return nil, SolveParams{}, nil, fmt.Errorf("encode: request: %w", err)
-	}
-	if len(req.Problem) == 0 {
-		return nil, SolveParams{}, nil, fmt.Errorf("encode: request has no problem document")
-	}
-	p, err := ReadProblemBytes(req.Problem)
-	if err != nil {
+	fail := func(err error) (*molecule.Problem, SolveParams, *WarmStartRef, error) {
 		return nil, SolveParams{}, nil, err
 	}
+	var body bytes.Buffer // doubles as it fills: half the garbage of io.ReadAll on a 40 KB request
+	if _, err := body.ReadFrom(r); err != nil {
+		return fail(fmt.Errorf("encode: request: %w", err))
+	}
+	var req solveRequest
+	if err := json.Unmarshal(body.Bytes(), &req); err != nil {
+		return fail(fmt.Errorf("encode: request: %w", err))
+	}
+	if req.Problem == nil {
+		return fail(fmt.Errorf("encode: request has no problem document"))
+	}
+	p, err := req.Problem.problem()
+	if err != nil {
+		return fail(err)
+	}
 	if len(p.Atoms) == 0 {
-		return nil, SolveParams{}, nil, fmt.Errorf("encode: problem has no atoms")
+		return fail(fmt.Errorf("encode: problem has no atoms"))
 	}
 	switch req.Params.Mode {
 	case "", "hier", "flat":
 	default:
-		return nil, SolveParams{}, nil, fmt.Errorf("encode: unknown mode %q (want \"flat\" or \"hier\")", req.Params.Mode)
+		return fail(fmt.Errorf("encode: unknown mode %q (want \"flat\" or \"hier\")", req.Params.Mode))
 	}
 	if req.WarmStart != nil && req.WarmStart.Job == "" {
-		return nil, SolveParams{}, nil, fmt.Errorf("encode: warm_start reference has no job id")
+		return fail(fmt.Errorf("encode: warm_start reference has no job id"))
 	}
 	return p, req.Params, req.WarmStart, nil
 }

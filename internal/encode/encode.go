@@ -35,13 +35,21 @@ type fileGroup struct {
 	Children []*fileGroup `json:"children,omitempty"`
 }
 
+// fileTopo is the topology-relevant part of a constraint record: the type
+// tag and the atom indices it couples. It is embedded in fileConstraint and
+// decoded on its own by SolveRouting, so the topology hash reads the same
+// fields of the same document whichever side computes it.
+type fileTopo struct {
+	Type string `json:"type"`
+	I    int    `json:"i"`
+	J    int    `json:"j,omitempty"`
+	K    int    `json:"k,omitempty"`
+	L    int    `json:"l,omitempty"`
+}
+
 // fileConstraint is the tagged union over constraint types.
 type fileConstraint struct {
-	Type   string      `json:"type"`
-	I      int         `json:"i"`
-	J      int         `json:"j,omitempty"`
-	K      int         `json:"k,omitempty"`
-	L      int         `json:"l,omitempty"`
+	fileTopo
 	Target float64     `json:"target,omitempty"`
 	Point  *[3]float64 `json:"point,omitempty"`
 	Lower  float64     `json:"lower,omitempty"`
@@ -49,20 +57,29 @@ type fileConstraint struct {
 	Sigma  float64     `json:"sigma"`
 }
 
-// WriteProblem serializes the problem as indented JSON.
-func WriteProblem(w io.Writer, p *molecule.Problem) error {
-	fp := fileProblem{Name: p.Name}
+// toFileProblem converts a problem to its on-disk representation.
+func toFileProblem(p *molecule.Problem) (*fileProblem, error) {
+	fp := &fileProblem{Name: p.Name}
 	for _, a := range p.Atoms {
 		fp.Atoms = append(fp.Atoms, fileAtom{Name: a.Name, Residue: a.Residue, Pos: a.Pos})
 	}
 	for _, c := range p.Constraints {
 		fc, err := toFile(c)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fp.Constraints = append(fp.Constraints, fc)
 	}
 	fp.Tree = toFileGroup(p.Tree)
+	return fp, nil
+}
+
+// WriteProblem serializes the problem as indented JSON.
+func WriteProblem(w io.Writer, p *molecule.Problem) error {
+	fp, err := toFileProblem(p)
+	if err != nil {
+		return err
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(fp)
@@ -75,16 +92,27 @@ func ReadProblem(r io.Reader) (*molecule.Problem, error) {
 	if err := dec.Decode(&fp); err != nil {
 		return nil, fmt.Errorf("encode: %w", err)
 	}
+	return fp.problem()
+}
+
+// problem validates the decoded document and converts it to solver form.
+func (fp *fileProblem) problem() (*molecule.Problem, error) {
 	p := &molecule.Problem{Name: fp.Name}
-	for _, a := range fp.Atoms {
-		p.Atoms = append(p.Atoms, molecule.Atom{Name: a.Name, Residue: a.Residue, Pos: a.Pos})
+	if len(fp.Atoms) > 0 {
+		p.Atoms = make([]molecule.Atom, len(fp.Atoms))
+	}
+	for i, a := range fp.Atoms {
+		p.Atoms[i] = molecule.Atom{Name: a.Name, Residue: a.Residue, Pos: a.Pos}
+	}
+	if len(fp.Constraints) > 0 {
+		p.Constraints = make([]constraint.Constraint, len(fp.Constraints))
 	}
 	for i, fc := range fp.Constraints {
 		c, err := fromFile(fc, len(fp.Atoms))
 		if err != nil {
 			return nil, fmt.Errorf("encode: constraint %d: %w", i, err)
 		}
-		p.Constraints = append(p.Constraints, c)
+		p.Constraints[i] = c
 	}
 	p.Tree = fromFileGroup(fp.Tree)
 	return p, nil
@@ -98,16 +126,16 @@ func ReadProblemBytes(data []byte) (*molecule.Problem, error) {
 func toFile(c constraint.Constraint) (fileConstraint, error) {
 	switch v := c.(type) {
 	case constraint.Distance:
-		return fileConstraint{Type: "distance", I: v.I, J: v.J, Target: v.Target, Sigma: v.Sigma}, nil
+		return fileConstraint{fileTopo: fileTopo{Type: "distance", I: v.I, J: v.J}, Target: v.Target, Sigma: v.Sigma}, nil
 	case constraint.Angle:
-		return fileConstraint{Type: "angle", I: v.I, J: v.J, K: v.K, Target: v.Target, Sigma: v.Sigma}, nil
+		return fileConstraint{fileTopo: fileTopo{Type: "angle", I: v.I, J: v.J, K: v.K}, Target: v.Target, Sigma: v.Sigma}, nil
 	case constraint.Torsion:
-		return fileConstraint{Type: "torsion", I: v.I, J: v.J, K: v.K, L: v.L, Target: v.Target, Sigma: v.Sigma}, nil
+		return fileConstraint{fileTopo: fileTopo{Type: "torsion", I: v.I, J: v.J, K: v.K, L: v.L}, Target: v.Target, Sigma: v.Sigma}, nil
 	case constraint.Position:
 		pt := [3]float64(v.Target)
-		return fileConstraint{Type: "position", I: v.I, Point: &pt, Sigma: v.Sigma}, nil
+		return fileConstraint{fileTopo: fileTopo{Type: "position", I: v.I}, Point: &pt, Sigma: v.Sigma}, nil
 	case constraint.DistanceBound:
-		return fileConstraint{Type: "bound", I: v.I, J: v.J, Lower: v.Lower, Upper: v.Upper, Sigma: v.Sigma}, nil
+		return fileConstraint{fileTopo: fileTopo{Type: "bound", I: v.I, J: v.J}, Lower: v.Lower, Upper: v.Upper, Sigma: v.Sigma}, nil
 	default:
 		return fileConstraint{}, fmt.Errorf("encode: unsupported constraint type %T", c)
 	}

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
-	"phmse/internal/constraint"
 	"phmse/internal/molecule"
 )
 
@@ -23,19 +23,30 @@ import (
 // in (the constraint set is hashed as a sorted multiset) nor, since it is
 // computed from the parsed Problem, on JSON field order in a problem file.
 func TopologyHash(p *molecule.Problem) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "atoms:%d\n", len(p.Atoms))
 	recs := make([]string, len(p.Constraints))
 	for i, c := range p.Constraints {
-		recs[i] = topoRecord(c)
+		if fc, err := toFile(c); err == nil {
+			recs[i] = fc.record()
+		} else { // no wire form: hash what the type exposes
+			recs[i] = fmt.Sprintf("%T %v", c, c.Atoms())
+		}
 	}
+	return hashTopology(len(p.Atoms), recs, p.Tree)
+}
+
+// hashTopology is the one canonical rendering behind TopologyHash,
+// StructureHash and SolveRouting: the atom count, the constraint records
+// as a sorted multiset (recs is sorted in place), and the grouping tree.
+func hashTopology(atoms int, recs []string, tree *molecule.Group) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "atoms:%d\n", atoms)
 	sort.Strings(recs)
 	for _, r := range recs {
 		io.WriteString(h, r)
 		io.WriteString(h, "\n")
 	}
 	io.WriteString(h, "tree:")
-	hashTree(h, p.Tree)
+	hashTree(h, tree)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -48,30 +59,28 @@ func TopologyHash(p *molecule.Problem) string {
 // with different StructureHash values index different atoms and must not
 // exchange posteriors.
 func StructureHash(p *molecule.Problem) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "atoms:%d\n", len(p.Atoms))
-	io.WriteString(h, "tree:")
-	hashTree(h, p.Tree)
-	return hex.EncodeToString(h.Sum(nil))
+	return hashTopology(len(p.Atoms), nil, p.Tree)
 }
 
-// topoRecord renders the topology-relevant part of one constraint: its
-// type tag and the atom indices it couples.
-func topoRecord(c constraint.Constraint) string {
-	switch v := c.(type) {
-	case constraint.Distance:
-		return fmt.Sprintf("distance %d %d", v.I, v.J)
-	case constraint.Angle:
-		return fmt.Sprintf("angle %d %d %d", v.I, v.J, v.K)
-	case constraint.Torsion:
-		return fmt.Sprintf("torsion %d %d %d %d", v.I, v.J, v.K, v.L)
-	case constraint.Position:
-		return fmt.Sprintf("position %d", v.I)
-	case constraint.DistanceBound:
-		return fmt.Sprintf("bound %d %d", v.I, v.J)
-	default:
-		return fmt.Sprintf("%T %v", c, c.Atoms())
+// record renders the constraint's line of the topology hash: its type tag
+// and as many atom indices as that type couples.
+func (t fileTopo) record() string {
+	idx := [4]int{t.I, t.J, t.K, t.L}
+	n := len(idx) // torsion; an unknown tag renders every index
+	switch t.Type {
+	case "position":
+		n = 1
+	case "distance", "bound":
+		n = 2
+	case "angle":
+		n = 3
 	}
+	b := make([]byte, 0, len(t.Type)+8*n)
+	b = append(b, t.Type...)
+	for _, a := range idx[:n] {
+		b = strconv.AppendInt(append(b, ' '), int64(a), 10)
+	}
+	return string(b)
 }
 
 // hashTree writes a canonical rendering of the grouping tree: a

@@ -8,23 +8,50 @@ package encode
 // serving internals: everything it routes on is part of the wire surface.
 
 import (
-	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 )
+
+// routeRequest is the routing-relevant shape of a solve request: atoms
+// are only counted, constraints keep their type tag and indices, and no
+// measurement value is parsed.
+type routeRequest struct {
+	Problem *struct {
+		Atoms       []struct{} `json:"atoms"`
+		Constraints []fileTopo `json:"constraints"`
+		Tree        *fileGroup `json:"tree"`
+	} `json:"problem"`
+	WarmStart *WarmStartRef `json:"warm_start"`
+}
 
 // SolveRouting extracts the routing decision of a solve request without
 // acting on it: the consistent-hash key (the problem's TopologyHash) and
 // the warm-start reference, if any. A warm-started submission must route
 // to the shard that retains the referenced posterior — the job id's
 // instance qualifier, not the ring, names that shard — so the router needs
-// both. The body is validated exactly as the daemon would validate it,
-// which lets the router reject malformed submissions before forwarding.
+// both. It is one pass over the body into routeRequest, feeding the
+// renderer TopologyHash uses, so the key equals the daemon's for every
+// request the daemon accepts; it refuses only what cannot be routed (not
+// one JSON document, no atoms, a warm_start without a job id) and leaves
+// validation to ReadSolveRequest on the shard.
 func SolveRouting(body []byte) (string, *WarmStartRef, error) {
-	p, _, warm, err := ReadSolveRequest(bytes.NewReader(body))
-	if err != nil {
-		return "", nil, err
+	var req routeRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return "", nil, fmt.Errorf("encode: request: %w", err)
 	}
-	return TopologyHash(p), warm, nil
+	if req.Problem == nil || len(req.Problem.Atoms) == 0 {
+		return "", nil, fmt.Errorf("encode: request has no problem with atoms")
+	}
+	if req.WarmStart != nil && req.WarmStart.Job == "" {
+		return "", nil, fmt.Errorf("encode: warm_start reference has no job id")
+	}
+	recs := make([]string, len(req.Problem.Constraints))
+	for i, c := range req.Problem.Constraints {
+		recs[i] = c.record()
+	}
+	key := hashTopology(len(req.Problem.Atoms), recs, fromFileGroup(req.Problem.Tree))
+	return key, req.WarmStart, nil
 }
 
 // QualifyJob prefixes a job id with the instance that minted it:

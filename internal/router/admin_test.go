@@ -516,6 +516,11 @@ search:
 	if got := encode.JobInstance(warm.ID); got != "s3" {
 		t.Fatalf("warm start routed to %q, want the new shard s3", got)
 	}
+	// The minting shard is still a member, so the reference went there
+	// first and was relocated on its miss.
+	if got, want := cl.rt.Snapshot().WarmForwards, (MetricsWarmForwards{Direct: 1, Relocated: 1}); got != want {
+		t.Fatalf("warm_forwards %+v, want %+v", got, want)
+	}
 	if done := cl.waitDone(t, warm.ID); done.WarmStartFrom != st.ID {
 		t.Fatalf("warm start from %q, want %q", done.WarmStartFrom, st.ID)
 	}

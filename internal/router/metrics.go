@@ -32,6 +32,9 @@ type Metrics struct {
 	// target shard's circuit breaker was open (or its half-open trial slot
 	// was taken).
 	BreakerRefused int64 `json:"breaker_refused"`
+	// WarmForwards reports how warm-started submissions found their
+	// posterior's shard.
+	WarmForwards MetricsWarmForwards `json:"warm_forwards"`
 	// Migration totals across every admin membership change.
 	Migration MetricsMigration `json:"migration"`
 	// Repair tallies the anti-entropy sweeps.
@@ -79,6 +82,19 @@ type MetricsCluster struct {
 	LeaseSkips         int64  `json:"lease_skips"`
 	// Peers is the per-peer exchange health.
 	Peers []encode.ClusterPeer `json:"peers,omitempty"`
+}
+
+// MetricsWarmForwards tallies warm-start placement. Direct counts
+// submissions forwarded straight to the shard their job id names;
+// Relocated those (re-)sent to a holder found by index lookup after that
+// shard disowned the posterior or could not be named; Unresolved the
+// references no askable shard held. Relocated/Direct is the miss rate the
+// optimistic forward bets on: 0 on a settled cluster, above it only after
+// a placement pass has moved posteriors.
+type MetricsWarmForwards struct {
+	Direct     int64 `json:"direct"`
+	Relocated  int64 `json:"relocated"`
+	Unresolved int64 `json:"unresolved"`
 }
 
 // MetricsMigration tallies the posterior migration passes run by admin
@@ -154,6 +170,11 @@ func (rt *Router) Snapshot() Metrics {
 		ShardInflightLimit: rt.cfg.ShardInflight,
 		Saturated:          rt.saturated.Load(),
 		BreakerRefused:     rt.breakerRefused.Load(),
+		WarmForwards: MetricsWarmForwards{
+			Direct:     rt.warmDirect.Load(),
+			Relocated:  rt.warmRelocated.Load(),
+			Unresolved: rt.warmUnresolved.Load(),
+		},
 		Repair: MetricsRepair{
 			Sweeps:   rt.repairSweeps.Load(),
 			Repaired: rt.repairRepaired.Load(),

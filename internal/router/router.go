@@ -11,7 +11,8 @@
 //     topologies always land on the same shard and its plan cache and
 //     posterior store stay hot. Warm-started submissions instead follow
 //     the referenced job id's instance qualifier to the shard retaining
-//     the posterior.
+//     the posterior, and locate the holder by index lookup only when that
+//     shard disowns it (forwardWarm).
 //   - Job endpoints (/v1/jobs/{id}[...]) follow the id's instance
 //     qualifier; ids the router cannot attribute are broadcast to the
 //     live shards (exactly one shard owns any real job).
@@ -65,6 +66,12 @@ import (
 const maxRequestBody = 64 << 20
 
 const (
+	// forwardIdleConns is the idle router→shard connections the default
+	// forwarding client keeps per shard. Every parked status wait holds one
+	// connection, so N concurrent waiters need N of them; at the
+	// DefaultTransport's two, all but two would be closed on release and
+	// redialed for the next job.
+	forwardIdleConns = 64
 	// ringVNodes is the number of virtual nodes each shard contributes to
 	// the ring. Every router replica must use the same value or two
 	// routers compute two rings, so it is not configurable.
@@ -219,7 +226,9 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = forwardIdleConns
+		c.HTTPClient = &http.Client{Transport: tr}
 	}
 	return c
 }
@@ -342,6 +351,10 @@ type Router struct {
 	forwarded, failed, retried atomic.Int64
 	noShard, listFanouts       atomic.Int64
 	saturated, breakerRefused  atomic.Int64
+	// Warm-start placement (forwardWarm): forwards sent straight to the
+	// shard the job id names, forwards re-sent to a located holder, and
+	// references no askable shard holds.
+	warmDirect, warmRelocated, warmUnresolved atomic.Int64
 
 	migrPasses, migrMigrated, migrFailed, migrSkipped, migrBytes atomic.Int64
 
@@ -592,10 +605,20 @@ const (
 	broken                   // transport failure after the request left: ambiguous
 )
 
+// parkedWait reports whether r is a status long-poll, GET
+// /v1/jobs/{id}?wait=: a connection held until the job finishes, not work
+// queued at the daemon, so it takes no in-flight slot.
+func parkedWait(r *http.Request) bool {
+	return r.Method == http.MethodGet && r.URL.Path == "/v1/jobs/"+r.PathValue("id") && r.URL.Query().Has("wait")
+}
+
 // attempt is the one live forward: ask the shard's breaker, reserve an
-// in-flight slot, send, feed the counters and the breaker (transport
-// errors and 5xx count against it, 429/4xx do not), eject the shard on a
-// transport error without waiting for the next probe, release the slot.
+// in-flight slot (unless the request is a parked wait), send, feed the
+// counters and the breaker (transport errors and 5xx count against it,
+// 429/4xx do not), eject the shard on a transport error without waiting
+// for the next probe, release the slot. A send that fails because the
+// caller went away — an abandoned wait, a client timeout — says nothing
+// about the shard and feeds neither.
 // An answered response is handed to use while the slot is held, then
 // drained and closed. retry marks a replay of a request the breaker
 // already admitted: it is not asked again, so a request's own failures
@@ -612,7 +635,7 @@ func (rt *Router) attempt(r *http.Request, sh *shard, pathq string, body []byte,
 		}
 		trial = t
 	}
-	if limit := int64(rt.cfg.ShardInflight); limit > 0 {
+	if limit := int64(rt.cfg.ShardInflight); limit > 0 && !parkedWait(r) {
 		if sh.inflight.Add(1) > limit {
 			sh.inflight.Add(-1)
 			sh.rejected.Add(1)
@@ -634,6 +657,10 @@ func (rt *Router) attempt(r *http.Request, sh *shard, pathq string, body []byte,
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := rt.hc.Do(req)
+	if err != nil && r.Context().Err() != nil {
+		sh.brk.cancel(trial)
+		return broken, err
+	}
 	if breaking && sh.brk.record(err == nil && resp.StatusCode < 500, trial, rt.cfg.BreakerFailures, time.Now()) {
 		rt.rebuild(nil)
 	}
@@ -719,8 +746,9 @@ func (rt *Router) forwardTo(w http.ResponseWriter, r *http.Request, sh *shard, p
 	return wrote
 }
 
-// handleSolve routes a submission: parse once to extract the routing
-// decision, then forward the raw body unchanged.
+// handleSolve routes a submission: one routing-only pass over the body
+// (encode.SolveRouting — the shard is the validator), then the raw body is
+// forwarded unchanged.
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
@@ -733,37 +761,8 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Warm-started submissions must land on the shard retaining the
-	// referenced posterior. The job id's instance qualifier names the
-	// shard that minted it, but a placement pass may have moved the
-	// posterior since, so the qualifier is a hint verified with an
-	// exact-id index query (a shard that cannot be asked counts as
-	// holding); when it fails — or names no current member — the askable
-	// shards' indexes locate the holder. A still-unresolved reference
-	// falls through to ring routing: identical topologies route to the
-	// posterior's shard anyway, and a wrong shard answers an honest
-	// 404/409.
-	if warmRef != nil {
-		sh := rt.shardForJob(warmRef.Job)
-		if sh != nil {
-			if held, err := rt.holdsPosterior(r.Context(), sh, warmRef.Job); err == nil && !held {
-				sh = nil
-			}
-		}
-		if sh == nil {
-			sh = rt.locatePosterior(r.Context(), warmRef.Job)
-		}
-		if sh != nil {
-			if sh.state() == stateFenced {
-				writeError(w, http.StatusServiceUnavailable, encode.CodeDraining,
-					fmt.Sprintf("shard %s is draining; its posteriors are migrating — retry", sh.name))
-				return
-			}
-			if !rt.forwardTo(w, r, sh, "/v1/solve", body) {
-				rt.writeNoShard(w)
-			}
-			return
-		}
+	if warmRef != nil && rt.forwardWarm(w, r, warmRef.Job, body) {
+		return
 	}
 
 	// Ring replicas are the failover order. A POST fails over only on dial
@@ -795,6 +794,86 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.writeNoShard(w)
+}
+
+// forwardWarm places a warm-started submission on the shard retaining the
+// referenced posterior and reports whether it answered the request. The
+// job id's instance qualifier names the shard that minted the posterior,
+// and nearly always still holds it, so the submission goes straight there;
+// only when that shard answers that it has no such posterior (not_found /
+// no_result — it rejects before any side effect, so a replay is safe) are
+// the askable shards' indexes queried for the holder a placement pass moved
+// it to. Every other answer, topology_mismatch included, relays verbatim.
+// A reference nobody holds relays the first shard's rejection; one that
+// named no usable shard to begin with falls through to ring routing
+// (false), where identical topologies meet the posterior's shard anyway
+// and a wrong shard answers an honest 404/409.
+func (rt *Router) forwardWarm(w http.ResponseWriter, r *http.Request, job string, body []byte) bool {
+	var miss *bufferedResponse
+	// A fenced shard takes no new work: skip to the index lookup, which
+	// answers 503 draining if it still holds the posterior.
+	if sh := rt.shardForJob(job); sh != nil && sh.state() != stateFenced {
+		rt.warmDirect.Add(1)
+		first := &bufferedResponse{header: http.Header{}}
+		if !rt.forwardTo(first, r, sh, "/v1/solve", body) {
+			rt.writeNoShard(w)
+			return true
+		}
+		if !first.missedPosterior() {
+			first.writeTo(w)
+			return true
+		}
+		miss = first
+	}
+	holder := rt.locatePosterior(r.Context(), job)
+	switch {
+	case holder == nil:
+		rt.warmUnresolved.Add(1)
+		if miss == nil {
+			return false
+		}
+		miss.writeTo(w)
+	case holder.state() == stateFenced:
+		writeError(w, http.StatusServiceUnavailable, encode.CodeDraining,
+			fmt.Sprintf("shard %s is draining; its posteriors are migrating — retry", holder.name))
+	default:
+		rt.warmRelocated.Add(1)
+		if !rt.forwardTo(w, r, holder, "/v1/solve", body) {
+			rt.writeNoShard(w)
+		}
+	}
+	return true
+}
+
+// bufferedResponse holds a shard's answer to a warm-start forward until
+// forwardWarm has decided whether to relay it or try elsewhere.
+type bufferedResponse struct {
+	header http.Header
+	status int
+	body   bytes.Buffer
+}
+
+func (b *bufferedResponse) Header() http.Header         { return b.header }
+func (b *bufferedResponse) WriteHeader(status int)      { b.status = status }
+func (b *bufferedResponse) Write(p []byte) (int, error) { return b.body.Write(p) }
+
+// missedPosterior reports whether the shard rejected the submission
+// because it does not hold the referenced posterior.
+func (b *bufferedResponse) missedPosterior() bool {
+	if b.status != http.StatusNotFound && b.status != http.StatusConflict {
+		return false
+	}
+	var env encode.ErrorEnvelope
+	return json.Unmarshal(b.body.Bytes(), &env) == nil &&
+		(env.Error.Code == encode.CodeNotFound || env.Error.Code == encode.CodeNoResult)
+}
+
+func (b *bufferedResponse) writeTo(w http.ResponseWriter) {
+	for k, v := range b.header {
+		w.Header()[k] = v
+	}
+	w.WriteHeader(b.status)
+	w.Write(b.body.Bytes()) //nolint:errcheck
 }
 
 // handleJob forwards a job-targeted request to its owning shard. Ids the

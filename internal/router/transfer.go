@@ -199,7 +199,8 @@ func (rt *Router) holdsPosterior(ctx context.Context, sh *shard, jobID string) (
 
 // locatePosterior finds the askable shard retaining a posterior whose job
 // id's instance qualifier no longer names its holder — the minting shard
-// was removed, or its posteriors were placed elsewhere. Exact-id index
+// was removed, or its posteriors were placed elsewhere (forwardWarm calls
+// it only after the named shard has disowned the posterior). Exact-id index
 // queries fan out least-loaded first; the first holder wins (placement
 // guarantees at most one current owner, stale duplicates serve the same
 // document).

@@ -50,8 +50,12 @@ type job struct {
 	// "shard" field of the v1 job status (immutable after submit).
 	shard   string
 	problem *molecule.Problem
-	params  encode.SolveParams
-	warm    *storedPosterior // non-nil for warm-started solves
+	// topoHash and structHash are the problem's hashes, computed once at
+	// admission: the plan-cache key and the identity of a kept posterior.
+	topoHash   string
+	structHash string
+	params     encode.SolveParams
+	warm       *storedPosterior // non-nil for warm-started solves
 
 	mu            sync.Mutex
 	state         JobState
@@ -277,8 +281,9 @@ func (m *manager) runIsolated(j *job, g *sched.Grant) {
 // bounded on jobs awaiting admission: beyond QueueDepth the submission is
 // rejected immediately (backpressure) rather than letting latency grow
 // without bound. A non-nil warm posterior (already resolved and validated
-// against the problem) seeds the solve.
-func (m *manager) submit(p *molecule.Problem, params encode.SolveParams, warm *storedPosterior) (*job, error) {
+// against the problem) seeds the solve; topoHash and structHash are the
+// problem's encode hashes.
+func (m *manager) submit(p *molecule.Problem, params encode.SolveParams, warm *storedPosterior, topoHash, structHash string) (*job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.draining {
@@ -294,14 +299,16 @@ func (m *manager) submit(p *molecule.Problem, params encode.SolveParams, warm *s
 	// "after" pagination relies on, while letting the routing tier map any
 	// id back to its owning shard.
 	j := &job{
-		id:        encode.QualifyJob(m.cfg.InstanceID, fmt.Sprintf("job-%06d", m.nextID)),
-		shard:     m.cfg.InstanceID,
-		problem:   p,
-		params:    params,
-		warm:      warm,
-		state:     StateQueued,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
+		id:         encode.QualifyJob(m.cfg.InstanceID, fmt.Sprintf("job-%06d", m.nextID)),
+		shard:      m.cfg.InstanceID,
+		problem:    p,
+		topoHash:   topoHash,
+		structHash: structHash,
+		params:     params,
+		warm:       warm,
+		state:      StateQueued,
+		submitted:  time.Now(),
+		done:       make(chan struct{}),
 	}
 	select {
 	case m.queue <- j:
@@ -463,8 +470,8 @@ func (m *manager) run(j *job, g *sched.Grant) {
 			kept := m.posteriors.put(&storedPosterior{
 				jobID:      j.id,
 				problem:    j.problem.Name,
-				topoHash:   encode.TopologyHash(j.problem),
-				structHash: encode.StructureHash(j.problem),
+				topoHash:   j.topoHash,
+				structHash: j.structHash,
 				post:       sol.Posterior(),
 			})
 			j.mu.Lock()
@@ -563,7 +570,7 @@ func (m *manager) solve(ctx context.Context, j *job, attempt int, flat bool, pro
 	if mode == core.Flat {
 		est, err = core.New(j.problem, cfg)
 	} else {
-		key := planKey(encode.TopologyHash(j.problem), mode, procs, batch, leafSize, params.Auto)
+		key := planKey(j.topoHash, mode, procs, batch, leafSize, params.Auto)
 		art, hit := m.cache.get(key)
 		var fresh *core.PlanArtifacts
 		est, fresh, err = core.NewWithPlan(j.problem, cfg, art)

@@ -16,6 +16,8 @@
 //	GET  /v1/jobs                submission-ordered job listing
 //	                             (?state=done&limit=50&after=<id>)
 //	GET  /v1/jobs/{id}           job status with cycle-level progress
+//	                             (?wait=<ms> answers when the job is
+//	                             terminal or the wait has elapsed)
 //	GET  /v1/jobs/{id}/result    solution JSON (or ?format=pdb)
 //	GET  /v1/jobs/{id}/posterior retained posterior (?cov=full for the
 //	                             full covariance matrix)
@@ -48,7 +50,6 @@ import (
 	"time"
 
 	"phmse/internal/encode"
-	"phmse/internal/molecule"
 	"phmse/internal/pdb"
 	"phmse/internal/pool"
 	"phmse/internal/sched"
@@ -183,6 +184,9 @@ type Server struct {
 	// Config.TransferInflight; transferRejected counts imports turned away.
 	transferInflight atomic.Int64
 	transferRejected atomic.Int64
+	// The ?wait= long-poll of the status route: waitsParked gauges the
+	// handlers parked right now, the rest count how parked waits ended.
+	waitsParked, waitsCompleted, waitsTimedOut, waitsAbandoned atomic.Int64
 }
 
 // New builds a serving instance and starts its job dispatcher.
@@ -260,16 +264,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, encode.CodeBadRequest, err.Error(), "")
 		return
 	}
+	// Both hashes are computed once, here: the structure hash admits the
+	// warm start, and the job carries both to the plan cache and the
+	// posterior store.
+	topoHash, structHash := encode.TopologyHash(p), encode.StructureHash(p)
 	var warm *storedPosterior
 	if warmRef != nil {
 		var fail *apiFailure
-		warm, fail = s.mgr.resolveWarmStart(warmRef.Job, p)
+		warm, fail = s.mgr.resolveWarmStart(warmRef.Job, structHash)
 		if fail != nil {
 			writeError(w, fail.httpStatus, fail.code, fail.message, fail.state)
 			return
 		}
 	}
-	j, err := s.mgr.submit(p, params, warm)
+	j, err := s.mgr.submit(p, params, warm, topoHash, structHash)
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusAccepted, j.status())
@@ -297,7 +305,7 @@ type apiFailure struct {
 // job (not_found), known job without a usable posterior (no_result), and a
 // posterior for a different molecule (topology_mismatch). Validating the
 // structure hash here turns a silently wrong answer into a 4xx.
-func (m *manager) resolveWarmStart(jobID string, p *molecule.Problem) (*storedPosterior, *apiFailure) {
+func (m *manager) resolveWarmStart(jobID, structHash string) (*storedPosterior, *apiFailure) {
 	sp, ok := m.posteriors.get(jobID)
 	if !ok {
 		if j, exists := m.get(jobID); exists {
@@ -318,7 +326,7 @@ func (m *manager) resolveWarmStart(jobID string, p *molecule.Problem) (*storedPo
 		return nil, &apiFailure{http.StatusNotFound, encode.CodeNotFound,
 			fmt.Sprintf("unknown job %q", jobID), ""}
 	}
-	if encode.StructureHash(p) != sp.structHash {
+	if structHash != sp.structHash {
 		return nil, &apiFailure{http.StatusConflict, encode.CodeTopologyMismatch,
 			fmt.Sprintf("posterior of job %s belongs to a different molecule (%d atoms, problem %q)",
 				jobID, len(sp.post.Positions), sp.problem), ""}
@@ -326,13 +334,55 @@ func (m *manager) resolveWarmStart(jobID string, p *molecule.Problem) (*storedPo
 	return sp, nil
 }
 
+// handleJobStatus answers the job's status document. With ?wait=<ms> it
+// first parks on the job until it is terminal, the wait (clipped to
+// encode.MaxStatusWait) elapses or the caller goes away, so a client waiting
+// for completion makes one request instead of polling.
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
+	var wait time.Duration
+	if v := r.URL.Query().Get("wait"); v != "" {
+		ms, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || ms < 0 {
+			writeError(w, http.StatusBadRequest, encode.CodeBadRequest,
+				fmt.Sprintf("wait must be a non-negative integer of milliseconds, got %q", v), "")
+			return
+		}
+		wait = time.Duration(min(ms, encode.MaxStatusWait.Milliseconds())) * time.Millisecond
+	}
 	j, ok := s.mgr.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, encode.CodeNotFound, "unknown job", "")
 		return
 	}
+	if wait > 0 && !s.park(r.Context(), j, wait) {
+		return // the caller hung up: nobody to answer
+	}
 	writeJSON(w, http.StatusOK, j.status())
+}
+
+// park blocks until the job is terminal or the wait elapses, and reports
+// false when the caller's context ended first. A wait on an already
+// terminal job never parks and is not counted.
+func (s *Server) park(ctx context.Context, j *job, wait time.Duration) bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+	}
+	s.waitsParked.Add(1)
+	defer s.waitsParked.Add(-1)
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-j.done:
+		s.waitsCompleted.Add(1)
+	case <-t.C:
+		s.waitsTimedOut.Add(1)
+	case <-ctx.Done():
+		s.waitsAbandoned.Add(1)
+		return false
+	}
+	return true
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
@@ -476,9 +526,25 @@ type Metrics struct {
 	// Posteriors reports the warm-start posterior store's occupancy and
 	// effectiveness.
 	Posteriors MetricsPosteriorStore `json:"posterior_store"`
+	// StatusWaits reports the ?wait= long-poll of GET /v1/jobs/{id}.
+	StatusWaits MetricsStatusWaits `json:"status_waits"`
 	// OpTimes is the per-operation-class time breakdown accumulated across
 	// all solves (the paper's d-s/chol/sys/m-m/m-v/vec accounting).
 	OpTimes trace.Snapshot `json:"op_times"`
+}
+
+// MetricsStatusWaits tallies status requests that parked on a job: Parked
+// is the number parked right now; Completed, TimedOut and Abandoned count
+// the parked waits that ended with the job terminal, with the wait elapsed
+// (the caller got a non-terminal status and asks again), and with the
+// caller gone. Waits on an already-terminal job answer at once and are not
+// counted. TimedOut growing against Completed means clients wait in many
+// short rounds — a proxy or client timeout is clipping them.
+type MetricsStatusWaits struct {
+	Parked    int64 `json:"parked"`
+	Completed int64 `json:"completed"`
+	TimedOut  int64 `json:"timed_out"`
+	Abandoned int64 `json:"abandoned"`
 }
 
 // MetricsJobs tallies jobs by lifecycle state plus intake counters.
@@ -581,6 +647,12 @@ func (s *Server) Snapshot() Metrics {
 			Removed:        ps.removed,
 			ImportInflight: s.transferInflight.Load(),
 			ImportRejected: s.transferRejected.Load(),
+		},
+		StatusWaits: MetricsStatusWaits{
+			Parked:    s.waitsParked.Load(),
+			Completed: s.waitsCompleted.Load(),
+			TimedOut:  s.waitsTimedOut.Load(),
+			Abandoned: s.waitsAbandoned.Load(),
 		},
 		OpTimes: s.mgr.rec.Snapshot(),
 	}

@@ -411,6 +411,7 @@ func TestBadRequests(t *testing.T) {
 		{"no atoms", `{"problem": {"name": "empty"}}`},
 		{"bad constraint", `{"problem": {"atoms": [{"pos": [0,0,0]}], "constraints": [{"type": "distance", "i": 0, "j": 5, "sigma": 1}]}}`},
 		{"empty warm ref", fmt.Sprintf(`{"problem": %s, "warm_start": {}}`, problemJSON(t, helix(1)))},
+		{"second document", fmt.Sprintf(`{"problem": %s}{}`, problemJSON(t, helix(1)))},
 	}
 	for _, tc := range cases {
 		var env encode.ErrorEnvelope
