@@ -75,8 +75,8 @@ func main() {
 		verbose = flag.Bool("v", false, "print the per-operation-class time distribution and tree")
 		pdbOut  = flag.String("pdb", "", "write the solved structure (PDB format, σ in the B-factor column)")
 		timeout = flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
-		saveOut = flag.String("save-posterior", "", "write the converged posterior (JSON) for later -resume")
-		resume  = flag.String("resume", "", "warm-start from a posterior saved with -save-posterior (overrides -perturb/-conform/-init)")
+		saveOut = flag.String("save-posterior", "", "write the converged posterior (JSON: positions + covariance diagonal; -mode flat adds the 3n×3n covariance) for later -resume")
+		resume  = flag.String("resume", "", "warm-start from a posterior saved with -save-posterior in either mode (overrides -perturb/-conform/-init)")
 	)
 	flag.Parse()
 	// Reject bad flag values with a usage message instead of proceeding
@@ -245,7 +245,8 @@ func main() {
 	}
 }
 
-// writePosterior saves the solution's posterior (with the full covariance)
+// writePosterior saves the solution's posterior — positions and the
+// covariance diagonal, plus the full covariance after a -mode flat solve —
 // in the same wire form the daemon serves, for a later -resume.
 func writePosterior(path string, p *molecule.Problem, sol *core.Solution) error {
 	post := sol.Posterior()

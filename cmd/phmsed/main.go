@@ -49,7 +49,7 @@ func main() {
 		queue        = flag.Int("queue", 32, "bounded job-queue depth (full queue rejects with 429)")
 		pprofAddr    = flag.String("pprof-addr", "", "listen address for net/http/pprof debug endpoints (empty disables)")
 		cacheSize    = flag.Int("plan-cache", 64, "plan cache entries (negative disables)")
-		postMB       = flag.Int64("posterior-mb", 256, "posterior store budget in MiB for warm starts (<= 0 disables)")
+		postMB       = flag.Int64("posterior-mb", 256, "posterior store budget in MiB for warm starts: 48n bytes per n-atom hierarchical job, 8·(3n)² more per flat job (<= 0 disables)")
 		maxRetries   = flag.Int("max-retries", 2, "automatic re-solve attempts after a transient job failure (0 disables)")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "max wait for in-flight jobs on shutdown")
 		instance     = flag.String("instance", "", "stable instance name; qualifies job ids for shard routing (letters, digits, - and _)")

@@ -462,9 +462,11 @@ func (c *Client) Result(ctx context.Context, id string) (encode.SolutionDoc, err
 	return doc, nil
 }
 
-// Posterior fetches a job's retained posterior. With full=true the
-// response carries the full covariance matrix (8·(3n)² bytes on the
-// wire); otherwise only the per-coordinate diagonal.
+// Posterior fetches a job's retained posterior: positions and the
+// per-coordinate covariance diagonal. With full=true the response is
+// everything the job retained — for a flat-mode job that adds the 3n×3n
+// covariance matrix (≈ 20·(3n)² bytes of JSON); a hierarchical job keeps
+// none, so its document is the same either way.
 func (c *Client) Posterior(ctx context.Context, id string, full bool) (encode.PosteriorDoc, error) {
 	path := "/v1/jobs/" + url.PathEscape(id) + "/posterior"
 	if full {

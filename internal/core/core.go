@@ -256,6 +256,7 @@ type Solution struct {
 	Diagnostics *filter.DiagSnapshot
 
 	state *filter.State   // full posterior, for covariance interpretation
+	mode  Mode            // the organization that solved it: decides what Posterior keeps
 	local []int           // problem atom → state atom index
 	atoms []molecule.Atom // the problem's atoms, named in reports
 }
@@ -353,6 +354,7 @@ func (e *Estimator) solution(init []geom.Vec3, state *filter.State, order []int,
 		Residual:    res.Residual,
 		Diagnostics: res.Diag.Snapshot(),
 		state:       state,
+		mode:        e.cfg.Mode,
 		local:       make([]int, n),
 		atoms:       e.problem.Atoms,
 	}

@@ -19,11 +19,11 @@ import (
 )
 
 // Posterior is a structure estimate exported in problem atom order: the
-// posterior mean positions, the covariance diagonal, and (optionally) the
-// full covariance matrix. It is the interchange form between solves — what
-// the serving layer's posterior store retains and what a warm-started
-// re-solve consumes — independent of the organization (flat or
-// hierarchical) that produced or consumes it.
+// posterior mean positions, the covariance diagonal and, for a flat solve,
+// the full covariance matrix — what a warm start of the producing
+// organization reads, decided once where it is produced (Solution.Posterior)
+// and carried unchanged by everything that retains, persists or moves it.
+// Either organization can continue from either form.
 type Posterior struct {
 	// Positions is the posterior mean, one entry per problem atom.
 	Positions []geom.Vec3
@@ -31,15 +31,17 @@ type Posterior struct {
 	// out x₀,y₀,z₀,x₁,…) — the covariance diagonal in problem order.
 	CoordVariances []float64
 	// Cov is the full posterior covariance (3n×3n, problem coordinate
-	// order). Optional: flat-mode warm starts use it when present;
-	// hierarchical warm starts use only CoordVariances, because the
-	// hierarchy rebuilds cross-node covariance from its own constraints.
+	// order), nil for a hierarchical solve: flat warm starts continue from
+	// it (from the diagonal when it is absent); hierarchical warm starts
+	// use only CoordVariances, because the hierarchy rebuilds cross-node
+	// covariance from its own constraints.
 	Cov *mat.Mat
 }
 
 // Bytes returns the approximate heap footprint of the posterior, the
-// accounting unit of the serving layer's bounded posterior store. The full
-// covariance dominates: 8·(3n)² bytes for an n-atom problem.
+// accounting unit of the serving layer's bounded posterior store: 48n
+// bytes for an n-atom hierarchical posterior, plus 8·(3n)² for the full
+// covariance of a flat one.
 func (p *Posterior) Bytes() int64 {
 	b := int64(24 * len(p.Positions))
 	b += int64(8 * len(p.CoordVariances))
@@ -49,15 +51,16 @@ func (p *Posterior) Bytes() int64 {
 	return b
 }
 
-// Posterior exports the solution's full posterior in problem atom order,
-// permuting out of the solver's internal state ordering. The returned
-// value shares nothing with the solution and is safe to retain.
+// Posterior exports the solution's posterior in problem atom order,
+// permuting out of the solver's internal state ordering: positions and the
+// covariance diagonal, O(n), for a hierarchical solve; those plus the full
+// covariance for a flat solve. The returned value shares nothing with the
+// solution and is safe to retain.
 func (s *Solution) Posterior() *Posterior {
 	n := len(s.local)
 	post := &Posterior{
 		Positions:      append([]geom.Vec3(nil), s.Positions...),
 		CoordVariances: make([]float64, 3*n),
-		Cov:            mat.New(3*n, 3*n),
 	}
 	// perm maps problem coordinate -> state coordinate.
 	perm := make([]int, 3*n)
@@ -66,20 +69,26 @@ func (s *Solution) Posterior() *Posterior {
 			perm[3*a+c] = 3*la + c
 		}
 	}
-	for i := 0; i < 3*n; i++ {
-		row := post.Cov.Row(i)
-		srow := s.state.C.Row(perm[i])
-		for j := 0; j < 3*n; j++ {
-			row[j] = srow[perm[j]]
+	for i, pi := range perm {
+		post.CoordVariances[i] = s.state.C.At(pi, pi)
+	}
+	if s.mode != Flat {
+		return post
+	}
+	post.Cov = mat.New(3*n, 3*n)
+	for i, pi := range perm {
+		row, srow := post.Cov.Row(i), s.state.C.Row(pi)
+		for j, pj := range perm {
+			row[j] = srow[pj]
 		}
-		post.CoordVariances[i] = row[i]
 	}
 	return post
 }
 
 // SolveFrom estimates the structure starting from a supplied posterior
 // instead of an initial position guess: the solve continues the
-// assimilation from (x, C) — the full covariance in flat mode, its
+// assimilation from (x, C) — the full covariance in flat mode (its
+// diagonal when the posterior came from a hierarchical solve), the
 // diagonal injected at the leaves in hierarchical mode — and never
 // performs the cold solve's diffuse per-cycle covariance reset, so the
 // uncertainty (and with it the step size) shrinks monotonically across

@@ -154,47 +154,117 @@ func TestWarmStartContinuationNoCliff(t *testing.T) {
 }
 
 // TestPosteriorExportOrdering checks that Posterior() undoes the solver's
-// internal atom permutation: exported positions and variances must agree
-// with the solution's problem-order fields, and the covariance diagonal
-// must reproduce the per-atom variances.
+// internal atom permutation — exported positions and variances must agree
+// with the solution's problem-order fields and with the state's diagonal —
+// and that it keeps what its organization's warm start reads: no full
+// covariance for a hierarchical solve, the symmetric 3n×3n for a flat one.
 func TestPosteriorExportOrdering(t *testing.T) {
-	p := baseProblem()
-	est, err := New(p, Config{Mode: Hierarchical, MaxCycles: 500})
+	for _, mode := range []Mode{Flat, Hierarchical} {
+		t.Run(mode.String(), func(t *testing.T) {
+			p := baseProblem()
+			est, err := New(p, Config{Mode: mode, MaxCycles: 12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol, err := est.Solve(molecule.Perturbed(p, 0.5, 17))
+			if err != nil {
+				t.Fatal(err)
+			}
+			post := sol.Posterior()
+			if len(post.Positions) != len(p.Atoms) || len(post.CoordVariances) != 3*len(p.Atoms) {
+				t.Fatalf("posterior sizes: %d positions, %d variances", len(post.Positions), len(post.CoordVariances))
+			}
+			for i := range post.Positions {
+				if post.Positions[i] != sol.Positions[i] {
+					t.Fatalf("atom %d: posterior position %v != solution position %v", i, post.Positions[i], sol.Positions[i])
+				}
+				sum := post.CoordVariances[3*i] + post.CoordVariances[3*i+1] + post.CoordVariances[3*i+2]
+				if diff := sum - sol.Variances[i]; diff > 1e-12 || diff < -1e-12 {
+					t.Fatalf("atom %d: posterior variance sum %g != solution variance %g", i, sum, sol.Variances[i])
+				}
+				for c := 0; c < 3; c++ {
+					d := 3*sol.local[i] + c
+					if post.CoordVariances[3*i+c] != sol.state.C.At(d, d) {
+						t.Fatalf("atom %d coord %d: CoordVariances disagrees with the state diagonal", i, c)
+					}
+				}
+			}
+			if mode == Hierarchical {
+				if post.Cov != nil {
+					t.Fatalf("hierarchical posterior carries a %d×%d covariance", post.Cov.Rows, post.Cov.Cols)
+				}
+				if want := int64(48 * len(p.Atoms)); post.Bytes() != want {
+					t.Fatalf("hierarchical posterior accounts %d bytes, want %d", post.Bytes(), want)
+				}
+				return
+			}
+			n := 3 * len(p.Atoms)
+			if post.Cov == nil || post.Cov.Rows != n || post.Cov.Cols != n {
+				t.Fatalf("flat posterior covariance is %v, want %d×%d", post.Cov, n, n)
+			}
+			// The exported covariance must be symmetric (it is a permutation
+			// of a symmetric matrix) with the exported diagonal.
+			for i := 0; i < n; i++ {
+				if post.Cov.At(i, i) != post.CoordVariances[i] {
+					t.Fatalf("coord %d: covariance diagonal disagrees with CoordVariances", i)
+				}
+				for j := i + 1; j < n; j++ {
+					if post.Cov.At(i, j) != post.Cov.At(j, i) {
+						t.Fatalf("exported covariance not symmetric at (%d,%d)", i, j)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFlatWarmStartFromHierarchicalPosterior: a flat re-solve handed a
+// hierarchical (diagonal-only) posterior continues from that diagonal and
+// still beats the cold flat solve.
+func TestFlatWarmStartFromHierarchicalPosterior(t *testing.T) {
+	p := molecule.WithAnchors(molecule.Helix(1), 4, 0.05)
+	hierEst, err := New(p, Config{Mode: Hierarchical, MaxCycles: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := est.Solve(molecule.Perturbed(p, 0.5, 17))
+	base, err := hierEst.Solve(molecule.Perturbed(p, 0.5, 17))
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := sol.Posterior()
-	if len(post.Positions) != len(p.Atoms) || len(post.CoordVariances) != 3*len(p.Atoms) {
-		t.Fatalf("posterior sizes: %d positions, %d variances", len(post.Positions), len(post.CoordVariances))
+	post := base.Posterior()
+	if !base.Converged || post.Cov != nil {
+		t.Fatalf("base solve: converged %v, covariance %v", base.Converged, post.Cov)
 	}
-	for i := range post.Positions {
-		if post.Positions[i] != sol.Positions[i] {
-			t.Fatalf("atom %d: posterior position %v != solution position %v", i, post.Positions[i], sol.Positions[i])
-		}
-		sum := post.CoordVariances[3*i] + post.CoordVariances[3*i+1] + post.CoordVariances[3*i+2]
-		if diff := sum - sol.Variances[i]; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("atom %d: posterior variance sum %g != solution variance %g", i, sum, sol.Variances[i])
-		}
-		for c := 0; c < 3; c++ {
-			if post.Cov.At(3*i+c, 3*i+c) != post.CoordVariances[3*i+c] {
-				t.Fatalf("atom %d coord %d: covariance diagonal disagrees with CoordVariances", i, c)
-			}
-		}
+	cfg := Config{Mode: Flat, MaxCycles: 500}
+	coldEst, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The exported covariance must be symmetric (it is a permutation of a
-	// symmetric matrix).
-	n := post.Cov.Rows
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if post.Cov.At(i, j) != post.Cov.At(j, i) {
-				t.Fatalf("exported covariance not symmetric at (%d,%d)", i, j)
-			}
-		}
+	cold, err := coldEst.Solve(molecule.Perturbed(p, 0.5, 17))
+	if err != nil {
+		t.Fatal(err)
 	}
+	warmEst, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := warmEst.SolveFrom(context.Background(), post)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cold.Converged || !warm.Converged {
+		t.Fatalf("converged: cold %v (%d cycles), warm %v (%d cycles)", cold.Converged, cold.Cycles, warm.Converged, warm.Cycles)
+	}
+	if warm.Cycles >= cold.Cycles {
+		t.Fatalf("flat warm start from a diagonal took %d cycles, cold %d", warm.Cycles, cold.Cycles)
+	}
+	if warm.Residual > 2*cold.Residual+0.5 {
+		t.Fatalf("warm residual %.4f far above cold residual %.4f", warm.Residual, cold.Residual)
+	}
+	if warm.Posterior().Cov == nil {
+		t.Fatal("a flat solve keeps its full covariance whatever it started from")
+	}
+	t.Logf("flat: cold %d cycles, warm from hierarchical diagonal %d cycles", cold.Cycles, warm.Cycles)
 }
 
 // TestSolveFromValidation rejects posteriors that do not fit the problem.

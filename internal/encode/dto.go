@@ -44,8 +44,8 @@ type SolveParams struct {
 	// TimeoutMillis, when positive, bounds the solve's wall-clock time; an
 	// expired job fails with a deadline error.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
-	// KeepPosterior asks the server to retain the job's posterior
-	// (positions + covariance) in its bounded posterior store on
+	// KeepPosterior asks the server to retain the job's posterior (what a
+	// warm start of its mode reads) in its bounded posterior store on
 	// completion, so later submissions can warm-start from it.
 	KeepPosterior bool `json:"keep_posterior,omitempty"`
 }
@@ -142,9 +142,10 @@ type SolutionDoc struct {
 }
 
 // PosteriorDoc is the wire form of a retained posterior estimate: the
-// warm-start currency of the v1 API, served by GET /v1/jobs/{id}/posterior
-// and written to disk by msesolve -save-posterior. Positions and variances
-// are in problem atom order.
+// warm-start currency of the v1 API, served by GET /v1/jobs/{id}/posterior,
+// accepted by PUT /v1/posteriors/{id}, and written to disk by phmsed
+// -posterior-dir and msesolve -save-posterior. Positions and variances are
+// in problem atom order.
 type PosteriorDoc struct {
 	// Job is the id of the job that produced the posterior (empty for
 	// posteriors saved by the command-line tools).
@@ -161,10 +162,12 @@ type PosteriorDoc struct {
 	// CoordVariances is the posterior covariance diagonal: one variance
 	// (Å²) per coordinate, 3 per atom, laid out (x₀,y₀,z₀,x₁,…).
 	CoordVariances []float64 `json:"coord_variances"`
-	// Cov is the full posterior covariance (3n×3n, row-major rows), present
-	// only when the full matrix was requested (?cov=full, or a disk save).
-	// Flat-mode warm starts use it when available; hierarchical warm starts
-	// use only the diagonal.
+	// Cov is the full posterior covariance (3n×3n, row-major rows): present
+	// only for a posterior a flat solve produced, and over HTTP only when
+	// everything retained was asked for (?cov=full). A hierarchical job's
+	// document never has it. Flat-mode warm starts continue from it, or
+	// from the diagonal without it; hierarchical warm starts read only the
+	// diagonal.
 	Cov [][]float64 `json:"cov,omitempty"`
 }
 

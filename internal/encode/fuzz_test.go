@@ -2,8 +2,12 @@ package encode
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
+
+	"phmse/internal/mat"
 )
 
 // fuzzSeeds is the seed corpus: valid documents, truncations, type
@@ -98,4 +102,56 @@ func TestFuzzSeedsNeverPanic(t *testing.T) {
 			t.Errorf("seed %d: accepted but not serializable: %v", i, err)
 		}
 	}
+}
+
+// FuzzPosteriorDoc: the posterior document is read from the network (PUT
+// /v1/posteriors/{id}), from snapshot directories and from -resume files.
+// Arbitrary bytes must never panic the decode, and whatever Decode accepts
+// must survive re-encoding with the same positions, variances and
+// covariance presence — the transfer path re-serializes every posterior it
+// moves.
+func FuzzPosteriorDoc(f *testing.F) {
+	pos, coordVar, cov := samplePosterior()
+	for _, c := range []*mat.Mat{nil, cov} { // what a hierarchical and a flat job keep
+		doc := NewPosteriorDoc(pos, coordVar, c)
+		doc.Job, doc.StructureHash = "s1.job-000001", "bbbb"
+		seed, err := json.Marshal(doc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	f.Add([]byte(`{"atoms":2,"positions":[[0,0,0]],"coord_variances":[1,1,1]}`))
+	f.Add([]byte(`{"positions":[[0,0,0]],"coord_variances":[1,-1,1]}`))
+	f.Add([]byte(`{"positions":[[0,0,0]],"coord_variances":[1,1,1],"cov":[[1,0,0],[0,1],[0,0,1]]}`))
+	f.Add([]byte(`{"positions":[[0,0,0]],"coord_variances":[1,1,1],"cov":[]}`))
+	f.Add([]byte(`{"positions":[[1e308,0]],"coord_variances":null}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var doc PosteriorDoc
+		if json.Unmarshal(data, &doc) != nil {
+			return
+		}
+		pos, coordVar, cov, err := doc.Decode() // must not panic
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(NewPosteriorDoc(pos, coordVar, cov))
+		if err != nil {
+			t.Fatalf("accepted posterior failed to serialize: %v", err)
+		}
+		var back PosteriorDoc
+		if err := json.Unmarshal(out, &back); err != nil {
+			t.Fatalf("re-serialized posterior failed to parse: %v", err)
+		}
+		pos2, coordVar2, cov2, err := back.Decode()
+		if err != nil {
+			t.Fatalf("re-serialized posterior rejected: %v", err)
+		}
+		if !slices.Equal(pos, pos2) || !slices.Equal(coordVar, coordVar2) {
+			t.Fatal("round trip changed positions or variances")
+		}
+		if (cov == nil) != (cov2 == nil) || (cov != nil && !slices.Equal(cov.Data, cov2.Data)) {
+			t.Fatal("round trip changed the covariance")
+		}
+	})
 }

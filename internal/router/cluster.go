@@ -159,6 +159,13 @@ func (rt *Router) reconcileMembership(ctx context.Context, doc encode.ClusterDoc
 		}(sh)
 	}
 	wg.Wait()
+	if len(toProbe) > 0 {
+		// The background prober may have admitted the same member first
+		// and not yet published that: the probe above then saw no
+		// transition and published nothing, and the placement pass that
+		// follows would diff the old ring against itself.
+		rt.rebuild(nil)
+	}
 	sort.Strings(changes)
 	return strings.Join(changes, " ")
 }

@@ -161,6 +161,43 @@ func stubIndexShard(t *testing.T) string {
 	return srv.URL
 }
 
+// TestJoinerInRingWhenReconcileReturns: the background prober can admit a
+// joining member between reconciliation's rebuild and reconciliation's own
+// probe, and publish the new ring only afterwards; reconciliation's probe
+// then sees no transition. The ring the add's placement pass diffs against
+// must have the joiner all the same — the add otherwise moves nothing.
+func TestJoinerInRingWhenReconcileReturns(t *testing.T) {
+	a, b := stubIndexShard(t), stubIndexShard(t)
+	var rt *Router
+	var c *httptest.Server
+	c = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			// The other prober's admission, up to but not including its
+			// rebuild.
+			sh := rt.findShard(c.URL)
+			sh.mu.Lock()
+			sh.alive, sh.ready = true, true
+			sh.mu.Unlock()
+		}
+		json.NewEncoder(w).Encode(encode.HealthStatus{Status: "ok"}) //nolint:errcheck
+	}))
+	t.Cleanup(c.Close)
+	rt, err := New(Config{Shards: []string{a, b}, ProbeInterval: time.Hour, RepairInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	if _, err := rt.addShard(context.Background(), c.URL); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rt.currentRing().encodePoints() {
+		if p.Owner == c.URL {
+			return
+		}
+	}
+	t.Fatal("add returned with the joiner admitted but absent from the published ring")
+}
+
 // TestMembershipFollowsDocument is the single-writer invariant: after
 // every membership step — whole admin operations and bare document steps
 // alike — the published shard set equals the document's member list, fence

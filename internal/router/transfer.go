@@ -105,9 +105,10 @@ func (rt *Router) transferPosterior(ctx context.Context, src, dst *shard, info e
 // streamPosterior is one export→import attempt: it opens the source's
 // posterior export and pipes the response body directly into the
 // destination's import PUT — the router never buffers the document, so a
-// transfer costs O(copy-buffer) memory and a multi-megabyte covariance
-// streams through back-pressured by the destination — through a size
-// fence that errors, rather than truncates, past the protocol limit.
+// transfer costs O(copy-buffer) memory whatever the posterior retains (a
+// few KB for a hierarchical job, a multi-megabyte covariance for a flat
+// one, back-pressured by the destination) — through a size fence that
+// errors, rather than truncates, past the protocol limit.
 func (rt *Router) streamPosterior(ctx context.Context, src, dst *shard, esc string) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, src.base+"/v1/jobs/"+esc+"/posterior?cov=full", nil)
 	if err != nil {

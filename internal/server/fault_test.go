@@ -101,6 +101,41 @@ func TestIndefiniteJobFailsWithFlatFallback(t *testing.T) {
 	waitState(t, c, healthy.ID, StateDone)
 }
 
+// A warm job whose hierarchical attempts all fail numerically degrades to
+// the flat organization, which continues from the diagonal a hierarchical
+// posterior carries, completes, and keeps what the flat solve produced.
+func TestWarmJobFlatFallbackFromDiagonalPosterior(t *testing.T) {
+	const tag = "fault-warm-hier"
+	faultinject.Set(&faultinject.Hooks{
+		// Node is "" in the flat organization: only the hierarchy fails.
+		Cholesky: func(s faultinject.Site) bool { return s.Tag == tag && s.Node != "" },
+	})
+	t.Cleanup(faultinject.Reset)
+
+	_, _, c := newTestServer(t, faultCfg())
+	ctx := context.Background()
+	keep := quickParams()
+	keep.KeepPosterior = true
+	base := submit(t, c, helix(1), keep)
+	waitState(t, c, base.ID, StateDone)
+	if doc, err := c.Posterior(ctx, base.ID, true); err != nil || doc.Cov != nil {
+		t.Fatalf("base posterior: %d covariance rows, err %v", len(doc.Cov), err)
+	}
+
+	warm, err := c.WarmStart(ctx, named(helix(1), tag), keep, base.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitState(t, c, warm.ID, StateDone, StateFailed)
+	if st.State != StateDone || !st.FlatFallback || st.WarmStartFrom != base.ID {
+		t.Fatalf("warm job: %+v", st)
+	}
+	doc, err := c.Posterior(ctx, warm.ID, true)
+	if err != nil || len(doc.Cov) != 3*doc.Atoms {
+		t.Fatalf("fallback job's posterior: %d covariance rows for %d atoms, err %v", len(doc.Cov), doc.Atoms, err)
+	}
+}
+
 // A job whose state is poisoned with NaN every cycle rolls back each batch,
 // makes no progress, and fails with the non_finite code.
 func TestPoisonedJobFailsNonFinite(t *testing.T) {

@@ -99,12 +99,20 @@ func TestRestartDoesNotReuseSnapshotIDs(t *testing.T) {
 	}
 }
 
-// testPosterior builds a small synthetic posterior for direct store tests.
+// testPosterior builds a small synthetic flat-form posterior for direct
+// store tests.
 func testPosterior(jobID string, n int) *storedPosterior {
+	sp := diagPosterior(jobID, n)
+	sp.post.Cov = mat.New(3*n, 3*n)
+	return sp
+}
+
+// diagPosterior builds a synthetic posterior in the form a hierarchical
+// job keeps: positions and the covariance diagonal.
+func diagPosterior(jobID string, n int) *storedPosterior {
 	post := &core.Posterior{
 		Positions:      make([]geom.Vec3, n),
 		CoordVariances: make([]float64, 3*n),
-		Cov:            mat.New(3*n, 3*n),
 	}
 	for i := range post.Positions {
 		post.Positions[i] = geom.Vec3{float64(i), float64(2 * i), float64(3 * i)}
@@ -150,6 +158,38 @@ func TestPosteriorEvictionRemovesSnapshot(t *testing.T) {
 	}
 	if _, ok := ps2.get("alpha.job-000002"); !ok {
 		t.Fatal("surviving posterior missing after reload")
+	}
+}
+
+// TestStaleSnapshotTempSwept: a crash between writeSnapshot's write and
+// its rename leaves <id>.post.json.tmp; opening the store removes it and
+// loads nothing from it.
+func TestStaleSnapshotTempSwept(t *testing.T) {
+	dir := t.TempDir()
+	ps := newPosteriorStore(1<<20, dir)
+	if !ps.put(diagPosterior("alpha.job-000001", 4)) {
+		t.Fatal("put rejected")
+	}
+	snap := ps.snapshotPath("alpha.job-000001")
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A whole, valid document under the temp name: only the name says the
+	// rename never happened.
+	stale := ps.snapshotPath("alpha.job-000002") + ".tmp"
+	if err := os.WriteFile(stale, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ps2 := newPosteriorStore(1<<20, dir)
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale temp file survived the store opening: %v", err)
+	}
+	if st := ps2.stats(); st.loaded != 1 || st.entries != 1 {
+		t.Fatalf("loaded=%d entries=%d, want only the renamed snapshot", st.loaded, st.entries)
+	}
+	if files := snapshotFiles(t, dir); len(files) != 1 || files[0] != snap {
+		t.Fatalf("snapshot files after the sweep: %v", files)
 	}
 }
 

@@ -33,12 +33,63 @@ type storedPosterior struct {
 	bytes      int64
 }
 
+// doc renders the retained posterior in the PosteriorDoc wire form: the
+// one document the disk snapshot, GET /v1/jobs/{id}/posterior, the
+// router's transfer stream and msesolve -save-posterior all carry. full
+// includes a flat solve's covariance matrix; a hierarchical posterior has none.
+func (sp *storedPosterior) doc(full bool) encode.PosteriorDoc {
+	cov := sp.post.Cov
+	if !full {
+		cov = nil
+	}
+	doc := encode.NewPosteriorDoc(sp.post.Positions, sp.post.CoordVariances, cov)
+	doc.Job = sp.jobID
+	doc.Problem = sp.problem
+	doc.TopologyHash = sp.topoHash
+	doc.StructureHash = sp.structHash
+	return doc
+}
+
+// storedFromDoc validates a posterior document — a disk snapshot or a
+// transfer import — into store form. Without a structure hash it could
+// never validate a warm-start reference, so it would be dead weight.
+func storedFromDoc(doc *encode.PosteriorDoc) (*storedPosterior, error) {
+	if doc.Job == "" || doc.StructureHash == "" {
+		return nil, fmt.Errorf("posterior document lacks a job id or structure hash")
+	}
+	pos, coordVar, cov, err := doc.Decode()
+	if err != nil {
+		return nil, err
+	}
+	sp := &storedPosterior{
+		jobID:      doc.Job,
+		problem:    doc.Problem,
+		topoHash:   doc.TopologyHash,
+		structHash: doc.StructureHash,
+		post:       &core.Posterior{Positions: pos, CoordVariances: coordVar, Cov: cov},
+	}
+	sp.bytes = sp.post.Bytes()
+	return sp, nil
+}
+
+// info summarizes the entry for the index and the import acknowledgement.
+func (sp *storedPosterior) info() encode.PosteriorInfo {
+	return encode.PosteriorInfo{
+		Job:           sp.jobID,
+		Problem:       sp.problem,
+		TopologyHash:  sp.topoHash,
+		StructureHash: sp.structHash,
+		Atoms:         len(sp.post.Positions),
+		Bytes:         sp.bytes,
+	}
+}
+
 // posteriorStore is the bounded, memory-accounted LRU store of job
 // posteriors. Entries are keyed by job id. Unlike the plan cache, whose
-// entries are small and counted, posterior footprints are dominated by the
-// full covariance — 8·(3n)² bytes per problem — so the store accounts
-// bytes, not entries, and evicts least-recently-used posteriors until the
-// budget is respected.
+// entries are small and counted, a posterior's footprint is 48n bytes for
+// an n-atom hierarchical job and 8·(3n)² more for the full covariance a
+// flat job keeps, so the store accounts bytes, not entries, and evicts
+// least-recently-used posteriors until the budget is respected.
 //
 // With a snapshot directory the store is also disk-backed: every admitted
 // posterior is written as an encode.PosteriorDoc JSON snapshot, evictions
@@ -213,14 +264,7 @@ func (ps *posteriorStore) index(prefix string) encode.PosteriorIndex {
 		if prefix != "" && !strings.HasPrefix(sp.jobID, prefix) {
 			continue
 		}
-		out.Posteriors = append(out.Posteriors, encode.PosteriorInfo{
-			Job:           sp.jobID,
-			Problem:       sp.problem,
-			TopologyHash:  sp.topoHash,
-			StructureHash: sp.structHash,
-			Atoms:         len(sp.post.Positions),
-			Bytes:         sp.bytes,
-		})
+		out.Posteriors = append(out.Posteriors, sp.info())
 	}
 	ps.mu.Unlock()
 	sort.Slice(out.Posteriors, func(i, j int) bool {
@@ -243,7 +287,10 @@ func (ps *posteriorStore) get(jobID string) (*storedPosterior, bool) {
 	return el.Value.(*storedPosterior), true
 }
 
-const snapshotSuffix = ".post.json"
+const (
+	snapshotSuffix = ".post.json"
+	tmpSuffix      = ".tmp" // writeSnapshot's not-yet-renamed file
+)
 
 // snapshotPath maps a job id to its snapshot file. Server-minted ids are
 // already filename-safe ([instance.]job-NNNNNN); escaping defends against
@@ -252,21 +299,15 @@ func (ps *posteriorStore) snapshotPath(jobID string) string {
 	return filepath.Join(ps.dir, url.PathEscape(jobID)+snapshotSuffix)
 }
 
-// writeSnapshot persists one posterior in the PosteriorDoc wire form —
-// the same document GET /v1/jobs/{id}/posterior?cov=full serves and
-// msesolve -save-posterior writes — atomically via a rename.
+// writeSnapshot persists one posterior in the PosteriorDoc wire form,
+// atomically via a rename.
 func (ps *posteriorStore) writeSnapshot(sp *storedPosterior) error {
-	doc := encode.NewPosteriorDoc(sp.post.Positions, sp.post.CoordVariances, sp.post.Cov)
-	doc.Job = sp.jobID
-	doc.Problem = sp.problem
-	doc.TopologyHash = sp.topoHash
-	doc.StructureHash = sp.structHash
-	data, err := json.Marshal(doc)
+	data, err := json.Marshal(sp.doc(true))
 	if err != nil {
 		return err
 	}
 	path := ps.snapshotPath(sp.jobID)
-	tmp := path + ".tmp"
+	tmp := path + tmpSuffix
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
@@ -285,7 +326,9 @@ func (ps *posteriorStore) removeSnapshot(jobID string) {
 // loadFromDisk rebuilds the store from the snapshots a previous process
 // left behind. Snapshots are admitted oldest-first so the normal LRU
 // budget logic keeps the most recently written posteriors when the
-// directory holds more than the byte budget allows.
+// directory holds more than the byte budget allows. A temp file is what a
+// crash between writeSnapshot's write and rename left behind; nothing would
+// ever load or replace it, so it is swept here, before this process writes.
 func (ps *posteriorStore) loadFromDisk() {
 	entries, err := os.ReadDir(ps.dir)
 	if err != nil {
@@ -298,7 +341,16 @@ func (ps *posteriorStore) loadFromDisk() {
 	}
 	snaps := make([]snap, 0, len(entries))
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), snapshotSuffix) {
+		if e.IsDir() {
+			continue
+		}
+		if strings.HasSuffix(e.Name(), snapshotSuffix+tmpSuffix) {
+			if err := os.Remove(filepath.Join(ps.dir, e.Name())); err != nil {
+				log.Printf("phmsed: sweeping stale snapshot temp file %s: %v", e.Name(), err)
+			}
+			continue
+		}
+		if !strings.HasSuffix(e.Name(), snapshotSuffix) {
 			continue
 		}
 		info, err := e.Info()
@@ -333,22 +385,7 @@ func readSnapshot(path string) (*storedPosterior, error) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, err
 	}
-	if doc.Job == "" || doc.StructureHash == "" {
-		return nil, fmt.Errorf("snapshot lacks a job id or structure hash")
-	}
-	pos, coordVar, cov, err := doc.Decode()
-	if err != nil {
-		return nil, err
-	}
-	sp := &storedPosterior{
-		jobID:      doc.Job,
-		problem:    doc.Problem,
-		topoHash:   doc.TopologyHash,
-		structHash: doc.StructureHash,
-		post:       &core.Posterior{Positions: pos, CoordVariances: coordVar, Cov: cov},
-	}
-	sp.bytes = sp.post.Bytes()
-	return sp, nil
+	return storedFromDoc(&doc)
 }
 
 // posteriorStats is a point-in-time snapshot of the store's accounting.

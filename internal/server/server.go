@@ -19,8 +19,8 @@
 //	                             (?wait=<ms> answers when the job is
 //	                             terminal or the wait has elapsed)
 //	GET  /v1/jobs/{id}/result    solution JSON (or ?format=pdb)
-//	GET  /v1/jobs/{id}/posterior retained posterior (?cov=full for the
-//	                             full covariance matrix)
+//	GET  /v1/jobs/{id}/posterior retained posterior (?cov=full for all of
+//	                             it: adds a flat job's covariance matrix)
 //	POST /v1/jobs/{id}/cancel    cancel a queued or running job
 //	GET  /v1/posteriors          index of retained posteriors (?prefix=)
 //	PUT  /v1/posteriors/{id}     import a posterior document (migration
@@ -435,18 +435,9 @@ func (s *Server) handleJobPosterior(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, encode.CodeNotFound, "unknown job", "")
 		return
 	}
-	cov := sp.post.Cov
-	if r.URL.Query().Get("cov") != "full" {
-		// The full matrix is 8·(3n)² bytes on the wire; serve the diagonal
-		// unless explicitly asked.
-		cov = nil
-	}
-	doc := encode.NewPosteriorDoc(sp.post.Positions, sp.post.CoordVariances, cov)
-	doc.Job = sp.jobID
-	doc.Problem = sp.problem
-	doc.TopologyHash = sp.topoHash
-	doc.StructureHash = sp.structHash
-	writeJSON(w, http.StatusOK, doc)
+	// ?cov=full asks for everything retained; without it a flat job's
+	// document leaves out its 3n×3n matrix (~20·(3n)² bytes as JSON text).
+	writeJSON(w, http.StatusOK, sp.doc(r.URL.Query().Get("cov") == "full"))
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {

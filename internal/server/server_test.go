@@ -461,8 +461,9 @@ func TestWarmStartAPI(t *testing.T) {
 		t.Fatalf("posterior not retained: %+v", baseSt)
 	}
 
-	// The retained posterior is exported in problem atom order; the full
-	// covariance comes only on request.
+	// The retained posterior is exported in problem atom order. A
+	// hierarchical job keeps positions and the diagonal, so cov=full —
+	// everything retained — has no matrix to add.
 	doc, err := c.Posterior(ctx, baseJob.ID, false)
 	if err != nil {
 		t.Fatalf("posterior: %v", err)
@@ -483,8 +484,21 @@ func TestWarmStartAPI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("posterior cov=full: %v", err)
 	}
-	if len(full.Cov) != 3*len(base.Atoms) {
-		t.Fatalf("full posterior has %d covariance rows, want %d", len(full.Cov), 3*len(base.Atoms))
+	if full.Cov != nil || len(full.CoordVariances) != 3*len(base.Atoms) {
+		t.Fatalf("hierarchical cov=full posterior: %d covariance rows, %d variances", len(full.Cov), len(full.CoordVariances))
+	}
+	// A flat job keeps the matrix its continuation reads, served only on
+	// request.
+	flat := cappedParams()
+	flat.Mode = "flat"
+	flat.KeepPosterior = true
+	flatJob := submit(t, c, base, flat)
+	waitState(t, c, flatJob.ID, StateDone)
+	if doc, err = c.Posterior(ctx, flatJob.ID, false); err != nil || len(doc.Cov) != 0 {
+		t.Fatalf("flat posterior without cov=full: %d covariance rows, err %v", len(doc.Cov), err)
+	}
+	if full, err = c.Posterior(ctx, flatJob.ID, true); err != nil || len(full.Cov) != 3*len(base.Atoms) {
+		t.Fatalf("flat cov=full posterior has %d covariance rows, want %d (err %v)", len(full.Cov), 3*len(base.Atoms), err)
 	}
 
 	// Cold vs warm on the extended problem: the warm job must converge in

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"phmse/internal/core"
 	"phmse/internal/encode"
 )
 
@@ -76,40 +75,19 @@ func (s *Server) handlePosteriorPut(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("path id %q does not match document job %q", id, doc.Job), "")
 		return
 	}
-	// An imported posterior must satisfy everything a disk snapshot must:
-	// without a structure hash it could never validate a warm-start
-	// reference, so it would be dead weight in the store.
-	if doc.StructureHash == "" {
-		writeError(w, http.StatusBadRequest, encode.CodeBadRequest,
-			"posterior document lacks a structure hash", "")
-		return
-	}
-	pos, coordVar, cov, err := doc.Decode()
+	// An imported posterior must satisfy everything a disk snapshot must.
+	sp, err := storedFromDoc(&doc)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, encode.CodeBadRequest,
 			fmt.Sprintf("invalid posterior document: %v", err), "")
 		return
 	}
-	sp := &storedPosterior{
-		jobID:      doc.Job,
-		problem:    doc.Problem,
-		topoHash:   doc.TopologyHash,
-		structHash: doc.StructureHash,
-		post:       &core.Posterior{Positions: pos, CoordVariances: coordVar, Cov: cov},
-	}
 	if !s.mgr.posteriors.putImported(sp) {
 		writeError(w, http.StatusInsufficientStorage, encode.CodePosteriorBudget,
-			fmt.Sprintf("posterior of %d bytes does not fit the store budget", sp.post.Bytes()), "")
+			fmt.Sprintf("posterior of %d bytes does not fit the store budget", sp.bytes), "")
 		return
 	}
-	writeJSON(w, http.StatusOK, encode.PosteriorInfo{
-		Job:           sp.jobID,
-		Problem:       sp.problem,
-		TopologyHash:  sp.topoHash,
-		StructureHash: sp.structHash,
-		Atoms:         len(sp.post.Positions),
-		Bytes:         sp.bytes,
-	})
+	writeJSON(w, http.StatusOK, sp.info())
 }
 
 func (s *Server) handlePosteriorDelete(w http.ResponseWriter, r *http.Request) {

@@ -112,6 +112,55 @@ func TestPosteriorTransferRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLargeDiagonalPosteriorTransfer: a ribo30S-sized (866-atom)
+// hierarchical posterior — 54 MB in the store and over the body cap as
+// JSON while it carried the 3n×3n matrix — is O(n) in the store and on the
+// wire, and goes store → cov=full export → import on a second server →
+// warm-start resolution intact.
+func TestLargeDiagonalPosteriorTransfer(t *testing.T) {
+	const n = 866
+	src, srcTS, _ := newTestServer(t, Config{InstanceID: "src"})
+	dst, dstTS, _ := newTestServer(t, Config{InstanceID: "dst"})
+	sp := diagPosterior("src.job-000001", n)
+	if !src.mgr.posteriors.put(sp) {
+		t.Fatal("source store rejected the posterior")
+	}
+
+	resp, err := http.Get(srcTS.URL + "/v1/jobs/" + sp.jobID + "/posterior?cov=full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("export: status %d, err %v", resp.StatusCode, err)
+	}
+	// ~20 bytes of JSON text per number, 6 numbers per atom.
+	if len(body) > 200*n || len(body) >= maxRequestBody {
+		t.Fatalf("exported document is %d bytes for %d atoms", len(body), n)
+	}
+
+	var info encode.PosteriorInfo
+	if code := doAuth(t, http.MethodPut, dstTS.URL+"/v1/posteriors/"+sp.jobID, "", body, &info); code != http.StatusOK {
+		t.Fatalf("import: status %d", code)
+	}
+	if info.Atoms != n || info.Bytes != 48*n {
+		t.Fatalf("import acknowledged %d atoms, %d bytes; want %d, %d", info.Atoms, info.Bytes, n, 48*n)
+	}
+	got, fail := dst.mgr.resolveWarmStart(sp.jobID, sp.structHash)
+	if fail != nil {
+		t.Fatalf("warm-start resolution on the destination: %+v", fail)
+	}
+	if got.post.Cov != nil || len(got.post.Positions) != n {
+		t.Fatalf("resolved posterior: %d positions, covariance %v", len(got.post.Positions), got.post.Cov)
+	}
+	for i, v := range sp.post.CoordVariances {
+		if got.post.CoordVariances[i] != v || got.post.Positions[i/3] != sp.post.Positions[i/3] {
+			t.Fatalf("coordinate %d changed in transit", i)
+		}
+	}
+}
+
 // TestPosteriorPutIdempotent re-imports the same document: a retried
 // transfer (duplicate PUT after a lost ack) must replace in place, not
 // duplicate or fail.
