@@ -116,18 +116,10 @@ func (u *Updater) ReleaseWorkspace() {
 	u.ws = nil
 }
 
-// matOf slices a zeroed r×c matrix out of a grown backing buffer.
-func matOf(buf *[]float64, r, c int) *mat.Mat {
-	m := matOfDirty(buf, r, c)
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-	return m
-}
-
-// matOfDirty is matOf without the zero fill, for destinations that the next
-// kernel fully overwrites before reading (A, H·A, S, K and K·L below all
-// are). The buffer may hold stale values from the previous batch.
+// matOfDirty slices an r×c matrix out of a grown backing buffer, without
+// zeroing it: every destination here (A, H·A, S, K and K·L below) is fully
+// overwritten by the next kernel before it is read. The buffer may hold
+// stale values from the previous batch.
 func matOfDirty(buf *[]float64, r, c int) *mat.Mat {
 	need := r * c
 	if cap(*buf) < need {

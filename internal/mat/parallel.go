@@ -71,25 +71,34 @@ func CholeskyPar(t *par.Team, a *Mat) error {
 			// The trailing update touches only the lower triangle, so the
 			// row blocks are balanced by triangle area, not row count.
 			trail := a.View(k+w, k+w, n-k-w, n-k-w)
-			t.ForTri(trail.Rows, func(lo, hi int) { lowerNT(trail, panel, panel, lo, hi, -1) })
+			lowerNTPar(t, trail, panel, panel, -1)
 		}
 	}
 	zeroUpper(a)
 	return nil
 }
 
+// lowerNTPar is lowerNT over the whole triangle with row blocks partitioned
+// by area across the team (ForTri). B is packed once, before the team
+// starts, and every chunk reads the same panel.
+func lowerNTPar(t *par.Team, dst, a, b *Mat, sign float64) {
+	pb := packPanel(b, dst.Rows)
+	t.ForTri(dst.Rows, func(lo, hi int) { lowerNTPacked(dst, a, b, pb, lo, hi, sign) })
+	pb.release()
+}
+
 // SyrkSubPar computes the lower triangle of dst ← dst − A·Aᵀ with row
 // blocks of the triangle partitioned by area across the team (ForTri).
 func SyrkSubPar(t *par.Team, dst, a *Mat) {
 	checkSyrk(dst, a)
-	t.ForTri(dst.Rows, func(lo, hi int) { lowerNT(dst, a, a, lo, hi, -1) })
+	lowerNTPar(t, dst, a, a, -1)
 }
 
 // SyrkAddPar computes the lower triangle of dst ← dst + A·Aᵀ in parallel
 // over area-balanced triangular row blocks.
 func SyrkAddPar(t *par.Team, dst, a *Mat) {
 	checkSyrk(dst, a)
-	t.ForTri(dst.Rows, func(lo, hi int) { lowerNT(dst, a, a, lo, hi, +1) })
+	lowerNTPar(t, dst, a, a, +1)
 }
 
 // Syr2kSubLowerPar computes the lower triangle of dst ← dst − A·Bᵀ over
@@ -98,7 +107,7 @@ func SyrkAddPar(t *par.Team, dst, a *Mat) {
 // pass (MirrorLowerPar) instead of once per batch.
 func Syr2kSubLowerPar(t *par.Team, dst, a, b *Mat) {
 	checkSyr2k(dst, a, b)
-	t.ForTri(dst.Rows, func(lo, hi int) { lowerNT(dst, a, b, lo, hi, -1) })
+	lowerNTPar(t, dst, a, b, -1)
 }
 
 // Syr2kPairSubLowerPar computes the lower triangle of
@@ -106,7 +115,10 @@ func Syr2kSubLowerPar(t *par.Team, dst, a, b *Mat) {
 // leaving the strict upper triangle untouched.
 func Syr2kPairSubLowerPar(t *par.Team, dst, a, b *Mat) {
 	checkSyr2k(dst, a, b)
-	t.ForTri(dst.Rows, func(lo, hi int) { pairSubLower(dst, a, b, lo, hi) })
+	pa, pb := packPanel(a, dst.Rows), packPanel(b, dst.Rows)
+	t.ForTri(dst.Rows, func(lo, hi int) { pairSubLower(dst, a, b, pa, pb, lo, hi) })
+	pa.release()
+	pb.release()
 }
 
 // Syr2kSubPar is Syr2kSub (dst ← dst − A·Bᵀ, lower triangle computed and
@@ -115,20 +127,25 @@ func Syr2kPairSubLowerPar(t *par.Team, dst, a, b *Mat) {
 // so the partitioning is race-free.
 func Syr2kSubPar(t *par.Team, dst, a, b *Mat) {
 	checkSyr2k(dst, a, b)
+	pb := packPanel(b, dst.Rows)
 	t.ForTri(dst.Rows, func(lo, hi int) {
-		lowerNT(dst, a, b, lo, hi, -1)
+		lowerNTPacked(dst, a, b, pb, lo, hi, -1)
 		mirrorLowerRange(dst, lo, hi)
 	})
+	pb.release()
 }
 
 // Syr2kPairSubPar is Syr2kPairSub (dst ← dst − A·Bᵀ − B·Aᵀ, lower triangle
 // computed and mirrored) over area-balanced triangular row blocks.
 func Syr2kPairSubPar(t *par.Team, dst, a, b *Mat) {
 	checkSyr2k(dst, a, b)
+	pa, pb := packPanel(a, dst.Rows), packPanel(b, dst.Rows)
 	t.ForTri(dst.Rows, func(lo, hi int) {
-		pairSubLower(dst, a, b, lo, hi)
+		pairSubLower(dst, a, b, pa, pb, lo, hi)
 		mirrorLowerRange(dst, lo, hi)
 	})
+	pa.release()
+	pb.release()
 }
 
 // MirrorLowerPar copies the strict lower triangle onto the upper triangle in

@@ -53,7 +53,10 @@ func Syr2kSub(dst, a, b *Mat) {
 // symmetric on the lower triangle.
 func Syr2kPairSub(dst, a, b *Mat) {
 	checkSyr2k(dst, a, b)
-	pairSubLower(dst, a, b, 0, dst.Rows)
+	pa, pb := packPanel(a, dst.Rows), packPanel(b, dst.Rows)
+	pairSubLower(dst, a, b, pa, pb, 0, dst.Rows)
+	pa.release()
+	pb.release()
 	mirrorLowerRange(dst, 0, dst.Rows)
 }
 
@@ -93,17 +96,40 @@ func checkSymMulVec(dst []float64, c *Mat, x []float64) {
 }
 
 // lowerNT computes rows [r0, r1) of the lower triangle of
-// dst ← dst + sign·A·Bᵀ, sign = ±1 — the one microkernel under every m-m
-// entry point. Rows are taken two at a time and columns four at a time, so
-// the inner loop carries eight independent accumulators (a single running
-// dot product is bound by the latency of its one add chain) and loads six
-// operands for sixteen flops. Every entry is still the plain ascending-k
-// sum Σₖ A[i,k]·B[j,k] added to dst with one rounding — bit for bit what
-// dst[i,j] ± Dot(A[i], B[j]) gives (x − y and x + (−y) are the same IEEE
-// operation) — so tiling, row pairing and the team partition never show in
-// the result. The ragged columns next to the diagonal and an odd last row
-// take the Dot loop.
+// dst ← dst + sign·A·Bᵀ, sign = ±1 — the one entry point under every m-m
+// kernel. Every entry is the plain ascending-k sum Σₖ A[i,k]·B[j,k], each
+// product and each partial sum rounded on its own, added to dst with one
+// more rounding — bit for bit what dst[i,j] ± Dot(A[i], B[j]) gives (x − y
+// and x + (−y) are the same IEEE operation) — so neither the tiling, the
+// row blocking, the team partition nor which of the two kernels below ran
+// shows in the result. B is packed once per call for the vector kernel;
+// where there is none, packPanel returns nil and the Go tile runs.
 func lowerNT(dst, a, b *Mat, r0, r1 int, sign float64) {
+	pb := packPanel(b, r1)
+	lowerNTPacked(dst, a, b, pb, r0, r1, sign)
+	pb.release()
+}
+
+// lowerNTPacked is lowerNT with B's panel already packed (pb holds at least
+// rows [0, r1) of b), for callers that sweep several row ranges against the
+// same B — a team's chunks, the pair form's row blocks — and pack it once
+// for all of them. A nil pb selects the Go tile, which also takes a range
+// that ends before the vector kernel's first row block does.
+func lowerNTPacked(dst, a, b *Mat, pb *panel, r0, r1 int, sign float64) {
+	if pb == nil || r1 < tileRows {
+		lowerTile(dst, a, b, r0, r1, sign)
+	} else {
+		lowerVec(dst, a, pb, r0, r1, sign)
+	}
+}
+
+// lowerTile is the portable kernel, and the reference the vector kernel is
+// tested against. Rows are taken two at a time and columns four at a time,
+// so the inner loop carries eight independent accumulators (a single running
+// dot product is bound by the latency of its one add chain) and loads six
+// operands for sixteen flops. The ragged columns next to the diagonal and an
+// odd last row take the Dot loop.
+func lowerTile(dst, a, b *Mat, r0, r1 int, sign float64) {
 	i := r0
 	for ; i+1 < r1; i += 2 {
 		a0, a1 := a.Row(i), a.Row(i+1)
@@ -155,15 +181,16 @@ func lowerNT(dst, a, b *Mat, r0, r1 int, sign float64) {
 const pairRows = 16
 
 // pairSubLower computes rows [r0, r1) of the lower triangle of
-// dst ← dst − A·Bᵀ − B·Aᵀ as two sweeps of the microkernel per row block.
+// dst ← dst − A·Bᵀ − B·Aᵀ as two sweeps of the microkernel per row block,
+// pa and pb being the packed panels of a and b (both nil for the Go tile).
 // Each entry is (dst − A[i]·B[j]) − B[i]·A[j] with the two subtractions
 // rounded separately, so the diagonal rounds exactly like the full
 // rectangular computation would.
-func pairSubLower(dst, a, b *Mat, r0, r1 int) {
+func pairSubLower(dst, a, b *Mat, pa, pb *panel, r0, r1 int) {
 	for i := r0; i < r1; i += pairRows {
 		hi := min(i+pairRows, r1)
-		lowerNT(dst, a, b, i, hi, -1)
-		lowerNT(dst, b, a, i, hi, -1)
+		lowerNTPacked(dst, a, b, pb, i, hi, -1)
+		lowerNTPacked(dst, b, a, pa, i, hi, -1)
 	}
 }
 

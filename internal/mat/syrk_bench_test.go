@@ -27,29 +27,41 @@ func benchOperands(n, m int) (c, a, b *Mat) {
 	return
 }
 
+// BenchmarkCovUpdateSimple times one simple-form covariance update
+// C ← C − K·Aᵀ at m = 16 and reports Gflop/s over the n(n+1)m flops of the
+// triangle, whichever form ran (so "dense", which does twice that, shows as
+// about half the rate). n = 66, 129 and 258 are the node sizes of the
+// serving workloads — C fits L2 there; n = 2598 is the ribo30S root, whose
+// C (54 MB) is out of L2 and streams from L3 once per update. Forms: the
+// pre-PR2 dense pipeline, the mirrored kernel, the lower-only kernel the
+// filter calls, and that kernel pinned to the portable Go tile — the
+// baseline the vector kernel is measured against on this machine.
 func BenchmarkCovUpdateSimple(bm *testing.B) {
-	// n = 2598 at team 2 is the ribo30S root: C (54 MB) fits in no cache.
-	for _, tc := range []struct{ n, procs int }{{129, 1}, {516, 1}, {2598, 2}} {
-		const m = 16
-		n := tc.n
+	const m = 16
+	for _, n := range []int{66, 129, 258, 516, 2598} {
 		c, a, b := benchOperands(n, m)
-		team := par.NewTeam(tc.procs)
-		bm.Run(fmt.Sprintf("dense/n=%d", n), func(bm *testing.B) {
-			for i := 0; i < bm.N; i++ {
-				MulSubNTPar(team, c, a, b)
-				SymmetrizePar(team, c)
+		for _, procs := range []int{1, 2} {
+			team := par.NewTeam(procs)
+			for _, form := range []struct {
+				name string
+				run  func()
+			}{
+				{"dense", func() { MulSubNTPar(team, c, a, b); SymmetrizePar(team, c) }},
+				{"syrk", func() { Syr2kSubPar(team, c, a, b) }},
+				{"lower", func() { Syr2kSubLowerPar(team, c, a, b) }},
+				{"lower-gotile", func() {
+					team.ForTri(n, func(lo, hi int) { lowerTile(c, a, b, lo, hi, -1) })
+				}},
+			} {
+				bm.Run(fmt.Sprintf("%s/n=%d/p=%d", form.name, n, procs), func(bm *testing.B) {
+					for i := 0; i < bm.N; i++ {
+						form.run()
+					}
+					flops := float64(n) * float64(n+1) * m * float64(bm.N)
+					bm.ReportMetric(flops/bm.Elapsed().Seconds()/1e9, "Gflop/s")
+				})
 			}
-		})
-		bm.Run(fmt.Sprintf("syrk/n=%d", n), func(bm *testing.B) {
-			for i := 0; i < bm.N; i++ {
-				Syr2kSubPar(team, c, a, b)
-			}
-		})
-		bm.Run(fmt.Sprintf("lower/n=%d", n), func(bm *testing.B) {
-			for i := 0; i < bm.N; i++ {
-				Syr2kSubLowerPar(team, c, a, b)
-			}
-		})
+		}
 	}
 }
 

@@ -87,10 +87,15 @@ func (t *Team) For(n int, body func(lo, hi int)) {
 }
 
 // triChunksPerProc is how many area-balanced chunks ForTri cuts per team
-// member, and triMinRows the fewest rows worth a chunk of its own.
+// member, triMinRows the fewest rows worth a chunk of its own, and
+// triRowTile the multiple its interior chunk boundaries are rounded down to:
+// the row-block height of mat's m-m microkernel (four rows per step of the
+// AVX2 kernel, two of the portable one), so that no chunk but the last ends
+// on a partial block. triMinRows is at least two tiles.
 const (
 	triChunksPerProc = 32
 	triMinRows       = 8
+	triRowTile       = 4
 )
 
 // ForTri cuts the row range [0, n) of an n×n lower triangle into contiguous
@@ -105,8 +110,9 @@ const (
 // member that starts late, is preempted, or runs on a processor in a slow
 // phase claims fewer chunks and the others claim more. Which member runs
 // which chunk varies from call to call; what each chunk computes does not,
-// so results are the same as a serial sweep's. Chunk boundaries are even
-// rows, which keeps kernels that tile rows in pairs on their fast path.
+// so results are the same as a serial sweep's. Chunk boundaries are
+// multiples of triRowTile, which keeps kernels that tile rows in blocks on
+// their fast path.
 func (t *Team) ForTri(n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -144,13 +150,13 @@ func (t *Team) ForTri(n int, body func(lo, hi int)) {
 	wg.Wait()
 }
 
-// evenTriChunk is TriChunk with the interior boundaries rounded down to
-// even rows. Rounding is monotone, so the chunks still tile [0, n) in
-// order; one that rounds to empty is skipped by the caller.
+// evenTriChunk is TriChunk with the interior boundaries rounded down to a
+// multiple of triRowTile. Rounding is monotone, so the chunks still tile
+// [0, n) in order; one that rounds to empty is skipped by the caller.
 func evenTriChunk(n, p, id int) (lo, hi int) {
 	even := func(r int) int {
 		if r < n {
-			r &^= 1
+			r -= r % triRowTile
 		}
 		return r
 	}

@@ -53,14 +53,19 @@ func TestTriChunkBalance(t *testing.T) {
 }
 
 // TestEvenTriChunkTiles verifies the chunks ForTri hands out: contiguous,
-// in order, ending at n, every interior boundary an even row.
+// in order, ending at n, every interior boundary a multiple of the m-m
+// kernel's row tile — and that the smallest chunk worth cutting holds at
+// least two such tiles.
 func TestEvenTriChunkTiles(t *testing.T) {
+	if triMinRows < 2*triRowTile {
+		t.Fatalf("triMinRows = %d is under two row tiles of %d", triMinRows, triRowTile)
+	}
 	for _, n := range []int{1, 2, 3, 7, 16, 97, 512, 2598} {
 		for _, p := range []int{1, 2, 3, 7, 64, 96} {
 			prev := 0
 			for id := 0; id < p; id++ {
 				lo, hi := evenTriChunk(n, p, id)
-				if lo != prev || hi < lo || (hi < n && hi%2 != 0) {
+				if lo != prev || hi < lo || (hi < n && hi%triRowTile != 0) {
 					t.Fatalf("n=%d p=%d id=%d: chunk [%d,%d) after %d", n, p, id, lo, hi, prev)
 				}
 				prev = hi
