@@ -60,10 +60,10 @@ func TestApplyLeavesCovarianceExactlySymmetric(t *testing.T) {
 	}
 }
 
-// TestApplyMatchesDenseReference recomputes one batch update with the naive
-// full-matrix kernels (the pre-symmetry pipeline: dense C·Hᵀ read, full
-// K·Aᵀ product, averaging symmetrization) and checks the triangular path
-// agrees to round-off. This pins the rewired hot path to the old semantics.
+// TestApplyMatchesDenseReference recomputes one batch update with dense
+// full-matrix algebra (H expanded, the full K·Aᵀ product entry by entry,
+// averaging symmetrization) and checks the triangular path agrees to
+// round-off. This pins the hot path to the semantics of Figure 1.
 func TestApplyMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	pos, cons := randChain(rng, 10)
@@ -79,10 +79,11 @@ func TestApplyMatchesDenseReference(t *testing.T) {
 	ref := NewState(pos, 4)
 	asm := batches[0].assemble(ref)
 	n, m := ref.Dim(), len(asm.z)
+	hd := asm.jac.Dense()
 	a := mat.New(n, m)
-	asm.jac.DenseMulT(a, ref.C)
+	mat.Mul(a, ref.C, hd.T())
 	ha := mat.New(m, m)
-	asm.jac.MulDense(ha, a)
+	mat.Mul(ha, hd, a)
 	sM := ha.Clone()
 	for i := 0; i < m; i++ {
 		sM.Set(i, i, sM.At(i, i)+asm.r[i])
@@ -97,7 +98,11 @@ func TestApplyMatchesDenseReference(t *testing.T) {
 	dx := make([]float64, n)
 	mat.MulVec(dx, k, nu)
 	mat.Axpy(1, dx, ref.X)
-	mat.MulSubNT(ref.C, k, a)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			ref.C.Set(i, j, ref.C.At(i, j)-mat.Dot(k.Row(i), a.Row(j)))
+		}
+	}
 	ref.C.Symmetrize()
 
 	got := NewState(pos, 4)

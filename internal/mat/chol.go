@@ -4,13 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"phmse/internal/par"
 )
 
 // Cholesky factorization ("chol" class). The paper factors the m×m innovation
 // covariance S = H C Hᵀ + R of each constraint batch; m is the batch size, so
 // the matrices are small and, as the evaluation shows, the factorization
 // parallelizes poorly. We provide an unblocked kernel for small matrices and
-// a blocked right-looking variant used above cholBlock.
+// a blocked right-looking variant, serial or on a team, used above cholBlock.
 
 // ErrNotPositiveDefinite is returned when a pivot is non-positive, meaning
 // the input matrix is not (numerically) symmetric positive definite.
@@ -21,7 +23,18 @@ const cholBlock = 32
 
 // Cholesky overwrites the lower triangle of a with its Cholesky factor L
 // (a = L·Lᵀ) and zeroes the strict upper triangle. a must be square.
-func Cholesky(a *Mat) error {
+func Cholesky(a *Mat) error { return CholeskyPar(serial, a) }
+
+// serial is the team of one: its loops run inline, on the caller.
+var serial = par.NewTeam(1)
+
+// CholeskyPar is Cholesky with the panel solves and trailing-matrix updates
+// of the blocked factorization partitioned across the team. The diagonal
+// blocks are factored sequentially, which is why — exactly as the paper
+// observes — the factorization of the small per-batch innovation matrices
+// scales poorly: at or below cholBlock there is nothing but the diagonal
+// block.
+func CholeskyPar(t *par.Team, a *Mat) error {
 	if a.Rows != a.Cols {
 		panic("mat: Cholesky of non-square matrix")
 	}
@@ -40,12 +53,15 @@ func Cholesky(a *Mat) error {
 			return fmt.Errorf("block at %d: %w", k, err)
 		}
 		if k+w < n {
-			// Panel solve: A21 ← A21·L11⁻ᵀ.
+			// Panel solve: A21 ← A21·L11⁻ᵀ, rows independent.
 			panel := a.View(k+w, k, n-k-w, w)
-			solveRightLowerT(panel, diag)
-			// Trailing update: A22 ← A22 − A21·A21ᵀ (lower triangle only).
+			t.For(panel.Rows, func(lo, hi int) {
+				solveRightLowerT(panel.View(lo, 0, hi-lo, w), diag)
+			})
+			// Trailing update: A22 ← A22 − A21·A21ᵀ, lower triangle only,
+			// so the row blocks are balanced by triangle area.
 			trail := a.View(k+w, k+w, n-k-w, n-k-w)
-			lowerNT(trail, panel, panel, 0, trail.Rows, -1)
+			lowerNTPar(t, trail, panel, panel, -1)
 		}
 	}
 	zeroUpper(a)
@@ -110,13 +126,4 @@ func zeroUpper(a *Mat) {
 func CholeskySolve(l *Mat, b []float64) {
 	ForwardSolve(l, b)
 	BackwardSolveT(l, b)
-}
-
-// LogDet returns the log-determinant of the factored matrix L·Lᵀ.
-func LogDet(l *Mat) float64 {
-	s := 0.0
-	for i := 0; i < l.Rows; i++ {
-		s += math.Log(l.At(i, i))
-	}
-	return 2 * s
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -30,9 +31,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 		if err := Cholesky(l); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		recon := New(n, n)
-		MulNT(recon, l, l)
-		if !recon.Equal(spd, 1e-8*float64(n)) {
+		if recon := refMulNT(l, l); !recon.Equal(spd, 1e-8*float64(n)) {
 			t.Fatalf("n=%d: L·Lᵀ does not reconstruct input", n)
 		}
 		// Strict upper triangle must be zeroed.
@@ -115,19 +114,8 @@ func TestForwardBackwardSolve(t *testing.T) {
 	}
 }
 
-func TestLogDet(t *testing.T) {
-	// det(diag(4, 9)) = 36; logdet = log 36.
-	a := FromRows([][]float64{{4, 0}, {0, 9}})
-	if err := Cholesky(a); err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(LogDet(a), 3.5835189384561099, 1e-12) {
-		t.Fatalf("LogDet = %g", LogDet(a))
-	}
-}
-
-// Property: CholeskyPar produces the same factor as the serial kernel for
-// any team size, and solving reproduces identity columns.
+// Property: CholeskyPar produces the same factor as on a team of one for
+// any team size.
 func TestCholeskyParMatchesSerialProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -173,6 +161,23 @@ func TestCholeskySolveResidualProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A non-SPD input fails the same way on any team: the same wrapped error
+// naming the block, and the same bits left behind.
+func TestCholeskyParNotPositiveDefinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	big := randSPD(rng, 80)
+	big.Set(70, 70, -5)
+	one, three := big.Clone(), big.Clone()
+	err1, err3 := CholeskyPar(par.NewTeam(1), one), CholeskyPar(par.NewTeam(3), three)
+	if !errors.Is(err3, ErrNotPositiveDefinite) || !strings.HasPrefix(err3.Error(), "block at 64: ") {
+		t.Fatalf("team of 3: err = %v, want ErrNotPositiveDefinite wrapped in its block", err3)
+	}
+	if err1 == nil || err1.Error() != err3.Error() {
+		t.Fatalf("team of 1: err = %v, team of 3: %v", err1, err3)
+	}
+	sameBits(t, "after the failed factorization", three, one)
 }
 
 func TestSolveCholRowsPar(t *testing.T) {

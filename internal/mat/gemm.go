@@ -16,67 +16,6 @@ func Mul(dst, a, b *Mat) {
 	mulAddRange(dst, a, b, 0, a.Rows)
 }
 
-// MulAdd computes dst ← dst + A·B. dst must not alias A or B.
-func MulAdd(dst, a, b *Mat) {
-	checkMul(dst, a, b)
-	mulAddRange(dst, a, b, 0, a.Rows)
-}
-
-// MulSub computes dst ← dst − A·B. dst must not alias A or B.
-func MulSub(dst, a, b *Mat) {
-	checkMul(dst, a, b)
-	mulSubRange(dst, a, b, 0, a.Rows)
-}
-
-// MulNT computes dst ← A·Bᵀ without forming the transpose.
-func MulNT(dst, a, b *Mat) {
-	if dst.Rows != a.Rows || dst.Cols != b.Rows || a.Cols != b.Cols {
-		panic("mat: MulNT dimension mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		ar, dr := a.Row(i), dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			dr[j] = Dot(ar, b.Row(j))
-		}
-	}
-}
-
-// MulSubNT computes dst ← dst − A·Bᵀ without forming the transpose. It is
-// the shape of the covariance update C ← C − K·(H C) with H C supplied as
-// its transpose C Hᵀ (valid because C is symmetric).
-func MulSubNT(dst, a, b *Mat) {
-	mulSubNTRange(dst, a, b, 0, a.Rows)
-}
-
-// MulAddNT computes dst ← dst + A·Bᵀ without forming the transpose.
-func MulAddNT(dst, a, b *Mat) {
-	mulAddNTRange(dst, a, b, 0, a.Rows)
-}
-
-func mulAddNTRange(dst, a, b *Mat, r0, r1 int) {
-	if dst.Rows != a.Rows || dst.Cols != b.Rows || a.Cols != b.Cols {
-		panic("mat: MulAddNT dimension mismatch")
-	}
-	for i := r0; i < r1; i++ {
-		ar, dr := a.Row(i), dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			dr[j] += Dot(ar, b.Row(j))
-		}
-	}
-}
-
-func mulSubNTRange(dst, a, b *Mat, r0, r1 int) {
-	if dst.Rows != a.Rows || dst.Cols != b.Rows || a.Cols != b.Cols {
-		panic("mat: MulSubNT dimension mismatch")
-	}
-	for i := r0; i < r1; i++ {
-		ar, dr := a.Row(i), dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			dr[j] -= Dot(ar, b.Row(j))
-		}
-	}
-}
-
 // MulTN computes dst ← Aᵀ·B without forming the transpose.
 func MulTN(dst, a, b *Mat) {
 	if dst.Rows != a.Cols || dst.Cols != b.Cols || a.Rows != b.Rows {
@@ -119,30 +58,6 @@ func mulAddRange(dst, a, b *Mat, r0, r1 int) {
 					br := b.Data[k*b.Stride:]
 					for j := jj; j < jMax; j++ {
 						dr[j] += av * br[j]
-					}
-				}
-			}
-		}
-	}
-}
-
-func mulSubRange(dst, a, b *Mat, r0, r1 int) {
-	n, p := a.Cols, b.Cols
-	for kk := 0; kk < n; kk += gemmTile {
-		kMax := min(kk+gemmTile, n)
-		for jj := 0; jj < p; jj += gemmTile {
-			jMax := min(jj+gemmTile, p)
-			for i := r0; i < r1; i++ {
-				ar := a.Row(i)
-				dr := dst.Row(i)
-				for k := kk; k < kMax; k++ {
-					av := ar[k]
-					if av == 0 {
-						continue
-					}
-					br := b.Data[k*b.Stride:]
-					for j := jj; j < jMax; j++ {
-						dr[j] -= av * br[j]
 					}
 				}
 			}

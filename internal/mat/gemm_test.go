@@ -50,39 +50,6 @@ func TestMulMatchesNaiveAcrossSizes(t *testing.T) {
 	}
 }
 
-func TestMulAddAndSub(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randMat(rng, 20, 30)
-	b := randMat(rng, 30, 10)
-	base := randMat(rng, 20, 10)
-
-	dst := base.Clone()
-	MulAdd(dst, a, b)
-	want := mulNaive(a, b)
-	want.Add(base)
-	if !dst.Equal(want, 1e-10) {
-		t.Fatal("MulAdd mismatch")
-	}
-
-	dst2 := dst.Clone()
-	MulSub(dst2, a, b)
-	if !dst2.Equal(base, 1e-9) {
-		t.Fatal("MulSub did not undo MulAdd")
-	}
-}
-
-func TestMulNT(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	a := randMat(rng, 13, 21)
-	b := randMat(rng, 17, 21)
-	dst := New(13, 17)
-	MulNT(dst, a, b)
-	want := mulNaive(a, b.T())
-	if !dst.Equal(want, 1e-10) {
-		t.Fatal("MulNT mismatch")
-	}
-}
-
 func TestMulTN(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := randMat(rng, 21, 13)
@@ -116,9 +83,10 @@ func TestMulDistributiveProperty(t *testing.T) {
 		bc.Add(c)
 		left := New(m, n)
 		Mul(left, a, bc)
-		right := New(m, n)
+		right, ac := New(m, n), New(m, n)
 		Mul(right, a, b)
-		MulAdd(right, a, c)
+		Mul(ac, a, c)
+		right.Add(ac)
 		return left.Equal(right, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -146,23 +114,25 @@ func TestMulParMatchesSerialProperty(t *testing.T) {
 	}
 }
 
-func TestMulAddSubPar(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	team := par.NewTeam(4)
-	a := randMat(rng, 33, 17)
-	b := randMat(rng, 17, 29)
-	base := randMat(rng, 33, 29)
-
-	dst := base.Clone()
-	MulAddPar(team, dst, a, b)
-	want := base.Clone()
-	MulAdd(want, a, b)
-	if !dst.Equal(want, 1e-11) {
-		t.Fatal("MulAddPar mismatch")
+func TestViewWritesThroughGemm(t *testing.T) {
+	// Kernels must respect strides: multiply into a view of a larger
+	// allocation and verify the frame is untouched.
+	rng := rand.New(rand.NewSource(35))
+	host := New(12, 12)
+	for i := range host.Data {
+		host.Data[i] = -7
 	}
-	MulSubPar(team, dst, a, b)
-	if !dst.Equal(base, 1e-10) {
-		t.Fatal("MulSubPar did not undo MulAddPar")
+	dst := host.View(2, 3, 4, 5)
+	a := randMat(rng, 4, 6)
+	b := randMat(rng, 6, 5)
+	Mul(dst, a, b)
+	want := mulNaive(a, b)
+	if !dst.Clone().Equal(want, 1e-12) {
+		t.Fatal("view multiply wrong")
+	}
+	// Border stays -7.
+	if host.At(0, 0) != -7 || host.At(11, 11) != -7 || host.At(2, 2) != -7 {
+		t.Fatal("kernel wrote outside the view")
 	}
 }
 

@@ -2,7 +2,7 @@
 
 package mat
 
-// No vector microkernel on this GOARCH: lowerNT always takes the Go tile.
+// No vector microkernel on this GOARCH: lowerNTPacked always takes the Go tile.
 const useAVX2 = false
 
 func tiles4x8(out *float64, ldo int, a *float64, lda int, panel *float64, m, nt int, sign float64) {

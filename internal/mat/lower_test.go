@@ -10,9 +10,9 @@ import (
 )
 
 // The vector m-m kernel against the Go tile and the entry-at-a-time loop,
-// bit for bit. On a machine without AVX2 (or another GOARCH) lowerNT *is*
-// the Go tile and these compare it with the loop alone; on amd64 with AVX2
-// both kernels run from the same table, so neither can rot unseen.
+// bit for bit. On a machine without AVX2 (or another GOARCH) lowerNTPacked
+// *is* the Go tile and these compare it with the loop alone; on amd64 with
+// AVX2 both kernels run from the same table, so neither can rot unseen.
 
 // naiveLower is the definition: rows [r0, r1) of the lower triangle of
 // dst ← dst + sign·A·Bᵀ, one ascending-k dot product per entry.
@@ -91,6 +91,15 @@ func TestVectorKernelMatchesGoTile(t *testing.T) {
 			sprinkle(rng, a0, class)
 			sprinkle(rng, b0, class)
 			sprinkle(rng, c0, min(class, 1))
+			// What each entry point must leave, whatever the layout.
+			wants := make([]*Mat, len(mmEntryPoints))
+			for e, ep := range mmEntryPoints {
+				wants[e] = c0.Clone()
+				ep.naive(wants[e], a0, b0)
+				if ep.mirrors {
+					mirrorNaive(wants[e])
+				}
+			}
 			// Views: bit 0 strides dst, bit 1 a, bit 2 b. Shapes up to four
 			// column tiles run all eight combinations, larger ones one
 			// and its complement, the big ones one, rotating with m.
@@ -105,21 +114,22 @@ func TestVectorKernelMatchesGoTile(t *testing.T) {
 					want, tile, got := fresh(), fresh(), fresh()
 					naiveLower(want, a, b, 0, n, sign)
 					lowerTile(tile, a, b, 0, n, sign)
-					lowerNT(got, a, b, 0, n, sign)
+					lowerNTPar(teams[0], got, a, b, sign)
 					sameBits(t, what+" Go tile vs loop", tile, want)
-					sameBits(t, what+" lowerNT vs loop", got, want)
+					sameBits(t, what+" team of one vs loop", got, want)
 					team := teams[(n+m+mask)%len(teams)]
 					got = fresh()
 					lowerNTPar(team, got, a, b, sign)
 					sameBits(t, fmt.Sprintf("%s team=%d", what, team.Size()), got, want)
 				}
-				// The pair form: two sweeps per 16-row block, both panels
-				// packed once.
-				want, got := fresh(), fresh()
-				pairSubLower(want, a, b, nil, nil, 0, n)
-				team := teams[(n+mask)%len(teams)]
-				Syr2kPairSubLowerPar(team, got, a, b)
-				sameBits(t, fmt.Sprintf("n=%d m=%d class=%d views=%03b pair team=%d", n, m, class, mask, team.Size()), got, want)
+				// The entry points over it: the pair form's two sweeps per
+				// 16-row block with both panels packed once, the mirror
+				// inside a chunk, the one-operand forms.
+				for e, ep := range mmEntryPoints {
+					got, team := fresh(), teams[(n+mask+e)%len(teams)]
+					ep.run(team, got, a, b)
+					sameBits(t, fmt.Sprintf("n=%d m=%d class=%d views=%03b %s team=%d", n, m, class, mask, ep.name, team.Size()), got, wants[e])
+				}
 			}
 			if n > 70 {
 				continue
@@ -131,6 +141,7 @@ func TestVectorKernelMatchesGoTile(t *testing.T) {
 			strided := (n+m)%2 == 0
 			a, b := sameView(a0, strided), sameView(b0, !strided)
 			want, got := sameView(c0, strided), sameView(c0, strided)
+			pb := packPanel(b, n)
 			for r0 := 0; r0 < n; r0++ {
 				hs := []int{1, 2, 3, 5, 9, 17}
 				if r0%8 == 3 {
@@ -139,10 +150,11 @@ func TestVectorKernelMatchesGoTile(t *testing.T) {
 				for _, h := range hs {
 					r1 := min(r0+h, n)
 					lowerTile(want, a, b, r0, r1, -1)
-					lowerNT(got, a, b, r0, r1, -1)
+					lowerNTPacked(got, a, b, pb, r0, r1, -1)
 				}
 				sameBits(t, fmt.Sprintf("n=%d m=%d class=%d rows [%d,…)", n, m, class, r0), got, want)
 			}
+			pb.release()
 		}
 	}
 }
@@ -183,33 +195,16 @@ func TestMMKernelsStayInsideTheirView(t *testing.T) {
 					c0.Set(i, j, poison)
 				}
 			}
-			pair := func(d *Mat) { pairSubLower(d, a, b, nil, nil, 0, n) }
 			for _, team := range []*par.Team{par.NewTeam(1), par.NewTeam(3)} {
-				for _, ep := range []struct {
-					name    string
-					mirrors bool
-					run     func(d *Mat)
-					ref     func(d *Mat)
-				}{
-					{"SyrkSub", false, func(d *Mat) { SyrkSub(d, a) }, func(d *Mat) { naiveLower(d, a, a, 0, n, -1) }},
-					{"SyrkAdd", false, func(d *Mat) { SyrkAdd(d, a) }, func(d *Mat) { naiveLower(d, a, a, 0, n, +1) }},
-					{"Syr2kSub", true, func(d *Mat) { Syr2kSub(d, a, b) }, func(d *Mat) { naiveLower(d, a, b, 0, n, -1) }},
-					{"Syr2kPairSub", true, func(d *Mat) { Syr2kPairSub(d, a, b) }, pair},
-					{"SyrkSubPar", false, func(d *Mat) { SyrkSubPar(team, d, a) }, func(d *Mat) { naiveLower(d, a, a, 0, n, -1) }},
-					{"SyrkAddPar", false, func(d *Mat) { SyrkAddPar(team, d, a) }, func(d *Mat) { naiveLower(d, a, a, 0, n, +1) }},
-					{"Syr2kSubLowerPar", false, func(d *Mat) { Syr2kSubLowerPar(team, d, a, b) }, func(d *Mat) { naiveLower(d, a, b, 0, n, -1) }},
-					{"Syr2kPairSubLowerPar", false, func(d *Mat) { Syr2kPairSubLowerPar(team, d, a, b) }, pair},
-					{"Syr2kSubPar", true, func(d *Mat) { Syr2kSubPar(team, d, a, b) }, func(d *Mat) { naiveLower(d, a, b, 0, n, -1) }},
-					{"Syr2kPairSubPar", true, func(d *Mat) { Syr2kPairSubPar(team, d, a, b) }, pair},
-				} {
+				for _, ep := range mmEntryPoints {
 					what := fmt.Sprintf("n=%d m=%d team=%d %s", n, m, team.Size(), ep.name)
 					want := c0.Clone()
-					ep.ref(want)
+					ep.naive(want, a, b)
 					if ep.mirrors {
-						MirrorLower(want)
+						mirrorNaive(want)
 					}
 					back, view := poisoned(c0)
-					ep.run(view)
+					ep.run(team, view, a, b)
 					sameBits(t, what, view, want)
 					for i := 0; i < n; i++ {
 						for j := 0; j <= i; j++ {
@@ -266,16 +261,17 @@ func TestCholeskyTrailingUpdateStaysInsideItsView(t *testing.T) {
 }
 
 // TestPackedPanelIsReused: the panels the vector kernel packs its operands
-// into come from the pool — an update allocates fewer buffers than it packs
-// panels (none at all, outside the race detector, whose sync.Pool drops a
-// quarter of what is put back).
+// into come from the pool — the pair form's two cost fewer allocations than
+// there are panels (none at all, outside the race detector, whose sync.Pool
+// drops a quarter of what is put back).
 func TestPackedPanelIsReused(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	a, b, c := randMat(rng, 130, 16), randMat(rng, 130, 16), randMat(rng, 130, 130)
-	if n := testing.AllocsPerRun(100, func() { SyrkSub(c, a) }); n >= 1 {
-		t.Errorf("SyrkSub: %v allocations per call for one panel", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { Syr2kPairSub(c, a, b) }); n >= 2 {
-		t.Errorf("Syr2kPairSub: %v allocations per call for two panels", n)
+	a, b := randMat(rng, 130, 16), randMat(rng, 130, 16)
+	if n := testing.AllocsPerRun(100, func() {
+		pa, pb := packPanel(a, 130), packPanel(b, 130)
+		pa.release()
+		pb.release()
+	}); n >= 2 {
+		t.Errorf("%v allocations per update for two panels", n)
 	}
 }

@@ -104,27 +104,6 @@ func (m *Mat) Zero() {
 	}
 }
 
-// SetIdentity writes the identity onto m (must be square).
-func (m *Mat) SetIdentity() {
-	if m.Rows != m.Cols {
-		panic("mat: SetIdentity on non-square matrix")
-	}
-	m.Zero()
-	for i := 0; i < m.Rows; i++ {
-		m.Set(i, i, 1)
-	}
-}
-
-// Scale multiplies every element of m by s.
-func (m *Mat) Scale(s float64) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] *= s
-		}
-	}
-}
-
 // Add accumulates a into m element-wise; dimensions must match.
 func (m *Mat) Add(a *Mat) {
 	if m.Rows != a.Rows || m.Cols != a.Cols {

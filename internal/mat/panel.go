@@ -2,12 +2,12 @@ package mat
 
 import "sync"
 
-// The vector form of the m-m microkernel: lowerNT's rows taken tileRows at a
-// time against a packed copy of B, tileCols columns per step, every 4×8
-// tile computed by tiles4x8 (lower_amd64.s). It is selected by packPanel
-// returning a panel at all — which it does where the processor has AVX2 and
-// nowhere else — so there is one decision, made once at package init, and
-// no flag, environment variable or build option that reaches it.
+// The vector form of the m-m microkernel: lowerNTPacked's rows taken
+// tileRows at a time against a packed copy of B, tileCols columns per step,
+// every 4×8 tile computed by tiles4x8 (lower_amd64.s). It is selected by
+// packPanel returning a panel at all — which it does where the processor
+// has AVX2 and nowhere else — so there is one decision, made once at package
+// init, and no flag, environment variable or build option that reaches it.
 
 const (
 	tileRows = 4
@@ -72,8 +72,8 @@ func (p *panel) release() {
 	}
 }
 
-// lowerVec is lowerNT's rows [r0, r1) through the vector kernel, pb holding
-// at least rows [0, r1) of B; r1 ≥ tileRows (lowerNTPacked sees to it). A
+// lowerVec is lowerNTPacked's rows [r0, r1) through the vector kernel, pb
+// holding at least rows [0, r1) of B; r1 ≥ tileRows (lowerNTPacked sees to it). A
 // block of four rows i…i+3 runs its full tiles — all eight columns at or
 // left of the diagonal in every row, j+7 ≤ i — straight into dst, then the
 // ragged strip beside the diagonal through edgeTiles. Rows left over at the

@@ -6,76 +6,16 @@ package mat
 // averaging away the round-off skew (Symmetrize) wastes half the flops of
 // the single hottest operation class in the paper's Tables 1–6. The kernels
 // here compute only the lower triangle — a SYRK/SYR2K-style formulation —
-// through one register-tiled microkernel (lowerNT). The Lower forms and
-// SyrkSub/SyrkAdd leave the strict upper triangle untouched, for composing
-// several triangular updates; Syr2kSub/Syr2kPairSub additionally mirror the
-// finished rows onto the upper triangle.
+// through one register-tiled microkernel (lowerNTPacked) and leave the
+// strict upper triangle untouched, so several triangular updates compose;
+// mirrorLowerRange copies finished rows onto the upper triangle. The entry
+// points, all team-parallel, are in parallel.go.
 //
 // Mirroring a row range is race-free under the triangular row partitioning
 // of par.Team.ForTri: whoever runs the chunk holding row i writes the lower
 // entries (i, j≤i) of the chunk's rows plus the mirrored upper entries
 // (j, i) — and an upper entry of row j is written only by the chunk holding
 // row i, never by the one holding row j, so writes never overlap.
-
-// SyrkSub computes the lower triangle of dst ← dst − A·Aᵀ. The strict upper
-// triangle of dst is left untouched. dst must be square with as many rows
-// as A.
-func SyrkSub(dst, a *Mat) {
-	checkSyrk(dst, a)
-	lowerNT(dst, a, a, 0, dst.Rows, -1)
-}
-
-// SyrkAdd computes the lower triangle of dst ← dst + A·Aᵀ, leaving the
-// strict upper triangle untouched.
-func SyrkAdd(dst, a *Mat) {
-	checkSyrk(dst, a)
-	lowerNT(dst, a, a, 0, dst.Rows, +1)
-}
-
-// Syr2kSub computes dst ← dst − A·Bᵀ for operand pairs whose exact result
-// is symmetric (such as the simple covariance update C − K·Aᵀ, where
-// K·Aᵀ = A·S⁻¹·Aᵀ): only the lower-triangle entries are computed, then
-// mirrored to the upper triangle. This halves the flops of the full
-// rectangular product and leaves dst exactly symmetric, so no follow-up
-// symmetrization is needed. For operands without the symmetry guarantee the
-// result is the symmetric completion of the lower triangle of the exact
-// product.
-func Syr2kSub(dst, a, b *Mat) {
-	checkSyr2k(dst, a, b)
-	lowerNT(dst, a, b, 0, dst.Rows, -1)
-	mirrorLowerRange(dst, 0, dst.Rows)
-}
-
-// Syr2kPairSub computes the true symmetric rank-2k update
-// dst ← dst − A·Bᵀ − B·Aᵀ on the lower triangle, then mirrors it to the
-// upper triangle. The update is exactly symmetric for any operands (it
-// subtracts M + Mᵀ), so dst ends exactly symmetric whenever it starts
-// symmetric on the lower triangle.
-func Syr2kPairSub(dst, a, b *Mat) {
-	checkSyr2k(dst, a, b)
-	pa, pb := packPanel(a, dst.Rows), packPanel(b, dst.Rows)
-	pairSubLower(dst, a, b, pa, pb, 0, dst.Rows)
-	pa.release()
-	pb.release()
-	mirrorLowerRange(dst, 0, dst.Rows)
-}
-
-// MirrorLower copies the strict lower triangle of the square matrix m onto
-// its strict upper triangle, making m exactly symmetric. It is the closing
-// pass after a sequence of lower-triangle-only kernels.
-func MirrorLower(m *Mat) {
-	if m.Rows != m.Cols {
-		panic("mat: MirrorLower on non-square matrix")
-	}
-	mirrorLowerRange(m, 0, m.Rows)
-}
-
-// SymMulVec computes dst ← C·x for a symmetric matrix C, reading only the
-// lower triangle of C (the upper triangle may hold garbage).
-func SymMulVec(dst []float64, c *Mat, x []float64) {
-	checkSymMulVec(dst, c, x)
-	symMulVecRange(dst, c, x, 0, c.Rows)
-}
 
 func checkSyrk(dst, a *Mat) {
 	if dst.Rows != dst.Cols || dst.Rows != a.Rows {
@@ -89,32 +29,19 @@ func checkSyr2k(dst, a, b *Mat) {
 	}
 }
 
-func checkSymMulVec(dst []float64, c *Mat, x []float64) {
-	if c.Rows != c.Cols || len(dst) != c.Rows || len(x) != c.Cols {
-		panic("mat: SymMulVec dimension mismatch")
-	}
-}
-
-// lowerNT computes rows [r0, r1) of the lower triangle of
-// dst ← dst + sign·A·Bᵀ, sign = ±1 — the one entry point under every m-m
-// kernel. Every entry is the plain ascending-k sum Σₖ A[i,k]·B[j,k], each
+// lowerNTPacked computes rows [r0, r1) of the lower triangle of
+// dst ← dst + sign·A·Bᵀ, sign = ±1 — the one kernel under every m-m entry
+// point. Every entry is the plain ascending-k sum Σₖ A[i,k]·B[j,k], each
 // product and each partial sum rounded on its own, added to dst with one
 // more rounding — bit for bit what dst[i,j] ± Dot(A[i], B[j]) gives (x − y
 // and x + (−y) are the same IEEE operation) — so neither the tiling, the
 // row blocking, the team partition nor which of the two kernels below ran
-// shows in the result. B is packed once per call for the vector kernel;
-// where there is none, packPanel returns nil and the Go tile runs.
-func lowerNT(dst, a, b *Mat, r0, r1 int, sign float64) {
-	pb := packPanel(b, r1)
-	lowerNTPacked(dst, a, b, pb, r0, r1, sign)
-	pb.release()
-}
-
-// lowerNTPacked is lowerNT with B's panel already packed (pb holds at least
-// rows [0, r1) of b), for callers that sweep several row ranges against the
-// same B — a team's chunks, the pair form's row blocks — and pack it once
-// for all of them. A nil pb selects the Go tile, which also takes a range
-// that ends before the vector kernel's first row block does.
+// shows in the result. pb is B's panel (packPanel, at least rows [0, r1)
+// of b), packed once by the caller for all the row ranges it sweeps against
+// the same B — a team's chunks, the pair form's row blocks. A nil pb, which
+// is what packPanel returns where there is no vector kernel, selects the Go
+// tile; so does a range that ends before the vector kernel's first row
+// block does.
 func lowerNTPacked(dst, a, b *Mat, pb *panel, r0, r1 int, sign float64) {
 	if pb == nil || r1 < tileRows {
 		lowerTile(dst, a, b, r0, r1, sign)
@@ -214,17 +141,5 @@ func mirrorLowerRange(m *Mat, r0, r1 int) {
 				row[i] = m.Data[i*m.Stride+j]
 			}
 		}
-	}
-}
-
-func symMulVecRange(dst []float64, c *Mat, x []float64, r0, r1 int) {
-	n := c.Rows
-	for i := r0; i < r1; i++ {
-		ci := c.Row(i)
-		s := Dot(ci[:i+1], x[:i+1])
-		for j := i + 1; j < n; j++ {
-			s += c.Data[j*c.Stride+i] * x[j]
-		}
-		dst[i] = s
 	}
 }

@@ -1,7 +1,6 @@
 package mat
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -60,15 +59,9 @@ func TestSyrkSubAddEquivalence(t *testing.T) {
 		for _, sign := range []float64{-1, +1} {
 			got := c0.Clone()
 			if sign < 0 {
-				SyrkSubPar(team, got, a)
+				lowerNTPar(team, got, a, a, -1) // the Cholesky trailing update
 			} else {
 				SyrkAddPar(team, got, a)
-			}
-			serial := c0.Clone()
-			if sign < 0 {
-				SyrkSub(serial, a)
-			} else {
-				SyrkAdd(serial, a)
 			}
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
@@ -78,9 +71,9 @@ func TestSyrkSubAddEquivalence(t *testing.T) {
 					} else {
 						want = c0.At(i, j) // strict upper untouched
 					}
-					if got.At(i, j) != want || serial.At(i, j) != want {
-						t.Fatalf("n=%d m=%d sign=%v: (%d,%d) got %g serial %g want %g",
-							n, m, sign, i, j, got.At(i, j), serial.At(i, j), want)
+					if got.At(i, j) != want {
+						t.Fatalf("n=%d m=%d sign=%v: (%d,%d) got %g want %g",
+							n, m, sign, i, j, got.At(i, j), want)
 					}
 				}
 			}
@@ -101,18 +94,20 @@ func TestSyr2kSubEquivalence(t *testing.T) {
 		c0 := randMatView(rng, n, n, offset)
 		abt := refMulNT(a, b)
 
-		got := c0.Clone()
+		got, lower := c0.Clone(), c0.Clone()
 		Syr2kSubPar(team, got, a, b)
-		serial := c0.Clone()
-		Syr2kSub(serial, a, b)
+		Syr2kSubLowerPar(team, lower, a, b)
 		for i := 0; i < n; i++ {
 			for j := 0; j <= i; j++ {
 				want := c0.At(i, j) - abt.At(i, j)
-				if got.At(i, j) != want || serial.At(i, j) != want {
+				if got.At(i, j) != want || lower.At(i, j) != want {
 					t.Fatalf("n=%d: lower (%d,%d) mismatch", n, i, j)
 				}
-				if got.At(j, i) != want || serial.At(j, i) != want {
+				if got.At(j, i) != want {
 					t.Fatalf("n=%d: mirror (%d,%d) mismatch", n, j, i)
+				}
+				if j < i && lower.At(j, i) != c0.At(j, i) {
+					t.Fatalf("n=%d: lower form wrote strict upper (%d,%d)", n, j, i)
 				}
 			}
 		}
@@ -132,17 +127,14 @@ func TestSyr2kPairSubEquivalence(t *testing.T) {
 		abt, bat := refMulNT(a, b), refMulNT(b, a)
 
 		got := c0.Clone()
-		Syr2kPairSubPar(team, got, a, b)
-		serial := c0.Clone()
-		Syr2kPairSub(serial, a, b)
+		Syr2kPairSubLowerPar(team, got, a, b)
 		for i := 0; i < n; i++ {
 			for j := 0; j <= i; j++ {
-				want := c0.At(i, j) - abt.At(i, j) - bat.At(i, j)
-				if got.At(i, j) != want || serial.At(i, j) != want {
+				if want := c0.At(i, j) - abt.At(i, j) - bat.At(i, j); got.At(i, j) != want {
 					t.Fatalf("n=%d: lower (%d,%d) mismatch", n, i, j)
 				}
-				if got.At(j, i) != want {
-					t.Fatalf("n=%d: mirror (%d,%d) mismatch", n, j, i)
+				if j < i && got.At(j, i) != c0.At(j, i) {
+					t.Fatalf("n=%d: strict upper (%d,%d) written", n, j, i)
 				}
 			}
 		}
@@ -170,55 +162,15 @@ func TestMirrorLower(t *testing.T) {
 	}
 }
 
-// TestSymMulVecLowerOnly poisons the strict upper triangle with NaN to prove
-// the symmetric mat-vec never reads it.
-func TestSymMulVecLowerOnly(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.Intn(97)
-		team := par.NewTeam(teamSizes[trial%len(teamSizes)])
-
-		c := randMatView(rng, n, n, trial%2 == 0)
-		full := c.Clone()
-		MirrorLower(full) // reference: the symmetric matrix the kernel sees
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				c.Set(i, j, math.NaN())
-			}
-		}
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-
-		want := make([]float64, n)
-		MulVec(want, full, x)
-		got := make([]float64, n)
-		SymMulVecPar(team, got, c, x)
-		serial := make([]float64, n)
-		SymMulVec(serial, c, x)
-		for i := range want {
-			if math.IsNaN(got[i]) || math.IsNaN(serial[i]) {
-				t.Fatal("kernel read the poisoned upper triangle")
-			}
-			if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
-				t.Fatalf("n=%d: dst[%d] = %g want %g", n, i, got[i], want[i])
-			}
-			if got[i] != serial[i] {
-				t.Fatal("parallel and serial symmetric mat-vec disagree")
-			}
-		}
-	}
-}
-
 func TestSyrkDimensionPanics(t *testing.T) {
+	team := par.NewTeam(2)
 	for name, f := range map[string]func(){
-		"syrk-rect":   func() { SyrkSub(New(3, 4), New(3, 2)) },
-		"syrk-rows":   func() { SyrkAdd(New(3, 3), New(4, 2)) },
-		"syr2k-cols":  func() { Syr2kSub(New(3, 3), New(3, 2), New(3, 5)) },
-		"syr2k-rows":  func() { Syr2kPairSub(New(3, 3), New(2, 2), New(3, 2)) },
-		"mirror-rect": func() { MirrorLower(New(3, 4)) },
-		"symmv-rect":  func() { SymMulVec(make([]float64, 3), New(3, 4), make([]float64, 4)) },
+		"syrk-rect":   func() { SyrkAddPar(team, New(3, 4), New(3, 2)) },
+		"syrk-rows":   func() { SyrkAddPar(team, New(3, 3), New(4, 2)) },
+		"syr2k-cols":  func() { Syr2kSubLowerPar(team, New(3, 3), New(3, 2), New(3, 5)) },
+		"syr2k-rows":  func() { Syr2kPairSubLowerPar(team, New(3, 3), New(2, 2), New(3, 2)) },
+		"syr2k-rect":  func() { Syr2kSubPar(team, New(3, 4), New(3, 2), New(3, 2)) },
+		"mirror-rect": func() { MirrorLowerPar(team, New(3, 4)) },
 	} {
 		func() {
 			defer func() {

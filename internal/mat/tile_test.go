@@ -42,6 +42,34 @@ func naiveLowerPairSub(dst, a, b *Mat) {
 	}
 }
 
+// mirrorNaive copies the strict lower triangle onto the strict upper, entry
+// by entry.
+func mirrorNaive(m *Mat) {
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < i; j++ {
+			m.Set(j, i, m.At(i, j))
+		}
+	}
+}
+
+// mmEntryPoints is every m-m entry point there is — what the filter, the
+// blocked factorization and the bench ladder call — each with the naive loop
+// that defines its lower triangle. The bitwise suites here and in
+// lower_test.go run all of them; mirrors marks the one form that also
+// writes the strict upper triangle.
+var mmEntryPoints = []struct {
+	name    string
+	mirrors bool
+	run     func(t *par.Team, d, a, b *Mat)
+	naive   func(d, a, b *Mat)
+}{
+	{"SyrkAddPar", false, func(t *par.Team, d, a, _ *Mat) { SyrkAddPar(t, d, a) }, func(d, a, _ *Mat) { naiveLowerAdd(d, a) }},
+	{"Syr2kSubLowerPar", false, func(t *par.Team, d, a, b *Mat) { Syr2kSubLowerPar(t, d, a, b) }, naiveLowerSub},
+	{"Syr2kPairSubLowerPar", false, func(t *par.Team, d, a, b *Mat) { Syr2kPairSubLowerPar(t, d, a, b) }, naiveLowerPairSub},
+	{"Syr2kSubPar", true, func(t *par.Team, d, a, b *Mat) { Syr2kSubPar(t, d, a, b) }, naiveLowerSub},
+	{"Cholesky trailing update", false, func(t *par.Team, d, a, _ *Mat) { lowerNTPar(t, d, a, a, -1) }, func(d, a, _ *Mat) { naiveLowerSub(d, a, a) }},
+}
+
 // sameView copies src into a fresh matrix with the same striding (compact,
 // or a view into a larger allocation) so a kernel and its reference start
 // from identical, identically laid out operands.
@@ -52,23 +80,6 @@ func sameView(src *Mat, strided bool) *Mat {
 	v := New(src.Rows+3, src.Cols+5).View(2, 3, src.Rows, src.Cols)
 	v.CopyFrom(src)
 	return v
-}
-
-// equalBits reports the first entry at which two equally shaped matrices
-// differ in any bit, restricted to the lower triangle when lower is set.
-func equalBits(t *testing.T, what string, got, want *Mat, lower bool) {
-	t.Helper()
-	for i := 0; i < want.Rows; i++ {
-		hi := want.Cols
-		if lower {
-			hi = i + 1
-		}
-		for j := 0; j < hi; j++ {
-			if got.At(i, j) != want.At(i, j) {
-				t.Fatalf("%s: (%d,%d) = %v, naive loop gives %v", what, i, j, got.At(i, j), want.At(i, j))
-			}
-		}
-	}
 }
 
 func TestTiledKernelMatchesNaiveLoop(t *testing.T) {
@@ -89,68 +100,40 @@ func TestTiledKernelMatchesNaiveLoop(t *testing.T) {
 			a := randMatView(rng, n, m, (n+m)%2 == 0)
 			b := randMatView(rng, n, m, m%3 == 0)
 			c0 := randMatView(rng, n, n, false)
-			wantSub, wantAdd, wantSyr2k, wantPair := c0.Clone(), c0.Clone(), c0.Clone(), c0.Clone()
-			naiveLowerSub(wantSub, a, a)
-			naiveLowerAdd(wantAdd, a)
-			naiveLowerSub(wantSyr2k, a, b)
-			naiveLowerPairSub(wantPair, a, b)
-
-			// The big shapes rotate through the variants instead of
-			// running all of them.
-			for ti, team := range teams {
-				for _, strided := range []bool{false, true} {
-					if n > 70 && (ti != m%len(teams) || strided != (m%2 == 0)) {
-						continue
-					}
-					what := fmt.Sprintf("n=%d m=%d team=%d strided=%v", n, m, team.Size(), strided)
-					lowerOnly := func(name string, want *Mat, run func(dst *Mat)) {
-						got := sameView(c0, strided)
-						run(got)
-						equalBits(t, what+" "+name, got, want, true)
-						for i := 0; i < n; i++ {
-							for j := i + 1; j < n; j++ {
-								if got.At(i, j) != c0.At(i, j) {
-									t.Fatalf("%s %s: strict upper (%d,%d) written", what, name, i, j)
-								}
-							}
+			for _, ep := range mmEntryPoints {
+				// The strict upper triangle comes out as it went in, or,
+				// from the mirroring form, as the mirror of the lower.
+				want := c0.Clone()
+				ep.naive(want, a, b)
+				if ep.mirrors {
+					mirrorNaive(want)
+				}
+				// The big shapes rotate through the variants instead of
+				// running all of them.
+				for ti, team := range teams {
+					for _, strided := range []bool{false, true} {
+						if n > 70 && (ti != m%len(teams) || strided != (m%2 == 0)) {
+							continue
 						}
-					}
-					mirrored := func(name string, want *Mat, run func(dst *Mat)) {
-						got := sameView(c0, strided)
-						run(got)
-						full := want.Clone()
-						MirrorLower(full)
-						equalBits(t, what+" "+name, got, full, false)
-					}
-					lowerOnly("SyrkSubPar", wantSub, func(d *Mat) { SyrkSubPar(team, d, a) })
-					lowerOnly("SyrkAddPar", wantAdd, func(d *Mat) { SyrkAddPar(team, d, a) })
-					lowerOnly("Syr2kSubLowerPar", wantSyr2k, func(d *Mat) { Syr2kSubLowerPar(team, d, a, b) })
-					lowerOnly("Syr2kPairSubLowerPar", wantPair, func(d *Mat) { Syr2kPairSubLowerPar(team, d, a, b) })
-					mirrored("Syr2kSubPar", wantSyr2k, func(d *Mat) { Syr2kSubPar(team, d, a, b) })
-					mirrored("Syr2kPairSubPar", wantPair, func(d *Mat) { Syr2kPairSubPar(team, d, a, b) })
-					if strided {
+						what := fmt.Sprintf("n=%d m=%d team=%d strided=%v %s", n, m, team.Size(), strided, ep.name)
+						if !strided {
+							got := c0.Clone()
+							ep.run(team, got, a, b)
+							sameBits(t, what, got, want)
+							continue
+						}
 						// Nothing outside the view is written.
 						back := New(n+3, n+5)
 						view := back.View(2, 3, n, n)
 						view.CopyFrom(c0)
-						Syr2kSubPar(team, view, a, b)
+						ep.run(team, view, a, b)
+						sameBits(t, what, view, want)
 						view.Zero()
 						if back.MaxAbs() != 0 {
 							t.Fatalf("%s: kernel wrote outside its view", what)
 						}
 					}
 				}
-			}
-			if n <= 70 {
-				lowerSerial := func(name string, want *Mat, run func(dst *Mat)) {
-					got := c0.Clone()
-					run(got)
-					equalBits(t, fmt.Sprintf("n=%d m=%d %s", n, m, name), got, want, true)
-				}
-				lowerSerial("SyrkSub", wantSub, func(d *Mat) { SyrkSub(d, a) })
-				lowerSerial("SyrkAdd", wantAdd, func(d *Mat) { SyrkAdd(d, a) })
-				lowerSerial("Syr2kSub", wantSyr2k, func(d *Mat) { Syr2kSub(d, a, b) })
-				lowerSerial("Syr2kPairSub", wantPair, func(d *Mat) { Syr2kPairSub(d, a, b) })
 			}
 		}
 	}
@@ -177,7 +160,7 @@ func TestSolveCholRowsMatchesRowAtATime(t *testing.T) {
 				for _, procs := range []int{1, 2, 3, 7} {
 					got := sameView(b0, strided)
 					SolveCholRowsPar(par.NewTeam(procs), l, got)
-					equalBits(t, fmt.Sprintf("m=%d rows=%d procs=%d strided=%v", m, rows, procs, strided), got, want, false)
+					sameBits(t, fmt.Sprintf("m=%d rows=%d procs=%d strided=%v", m, rows, procs, strided), got, want)
 				}
 			}
 		}

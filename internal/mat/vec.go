@@ -27,13 +27,6 @@ func Axpy(a float64, x, y []float64) {
 	}
 }
 
-// ScaleVec multiplies x by a in place.
-func ScaleVec(a float64, x []float64) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
 // AddVec computes dst ← x + y.
 func AddVec(dst, x, y []float64) {
 	if len(dst) != len(x) || len(x) != len(y) {
@@ -114,15 +107,5 @@ func MulVecT(dst []float64, a *Mat, x []float64) {
 	}
 	for i := 0; i < a.Rows; i++ {
 		Axpy(x[i], a.Row(i), dst)
-	}
-}
-
-// MulVecAdd computes dst ← dst + A·x.
-func MulVecAdd(dst []float64, a *Mat, x []float64) {
-	if len(dst) != a.Rows || len(x) != a.Cols {
-		panic("mat: MulVecAdd dimension mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		dst[i] += Dot(a.Row(i), x)
 	}
 }

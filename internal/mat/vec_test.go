@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"phmse/internal/par"
 )
 
 func TestDot(t *testing.T) {
@@ -37,11 +39,6 @@ func TestAxpy(t *testing.T) {
 }
 
 func TestScaleAddSubVec(t *testing.T) {
-	x := []float64{2, 4}
-	ScaleVec(0.5, x)
-	if x[0] != 1 || x[1] != 2 {
-		t.Fatalf("ScaleVec = %v", x)
-	}
 	dst := make([]float64, 2)
 	AddVec(dst, []float64{1, 2}, []float64{10, 20})
 	if dst[0] != 11 || dst[1] != 22 {
@@ -88,10 +85,6 @@ func TestMulVecVariants(t *testing.T) {
 	if dst[0] != 6 || dst[1] != 15 {
 		t.Fatalf("MulVec = %v", dst)
 	}
-	MulVecAdd(dst, a, x)
-	if dst[0] != 12 || dst[1] != 30 {
-		t.Fatalf("MulVecAdd = %v", dst)
-	}
 	y := []float64{1, 2}
 	dt := make([]float64, 3)
 	MulVecT(dt, a, y)
@@ -137,5 +130,23 @@ func TestCauchySchwarzProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestMulVecParMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	a := randMat(rng, 23, 9)
+	x := make([]float64, 9)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	serial := make([]float64, 23)
+	MulVec(serial, a, x)
+	parallel := make([]float64, 23)
+	MulVecPar(par.NewTeam(5), parallel, a, x)
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Fatal("MulVecPar mismatch")
+		}
 	}
 }

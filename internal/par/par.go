@@ -1,9 +1,9 @@
 // Package par provides the shared-memory parallel runtime used by the
-// estimator: processor teams with fork-join execution, loop partitioning
-// (static row blocks, claimed triangle chunks), reusable barriers, and team
-// splitting for assigning processor groups to subtrees of the structure
-// hierarchy (the new axis of parallelism exposed by the hierarchical
-// decomposition).
+// estimator: processor teams with fork-join loop partitioning (static row
+// blocks, claimed triangle chunks), team splitting for assigning processor
+// groups to subtrees of the structure hierarchy (the new axis of
+// parallelism exposed by the hierarchical decomposition), and the shared
+// processor budget the serving layer admits jobs against (ProcPool).
 //
 // A Team models a fixed group of processors, mirroring the paper's static
 // processor-assignment scheme: every node of the structure hierarchy is

@@ -124,65 +124,6 @@ func TestParallelRunsAll(t *testing.T) {
 	}
 }
 
-func TestBarrierPhases(t *testing.T) {
-	const parties = 4
-	const phases = 10
-	b := NewBarrier(parties)
-	if b.Parties() != parties {
-		t.Fatal("Parties")
-	}
-	var counter int64
-	var wg sync.WaitGroup
-	wg.Add(parties)
-	for w := 0; w < parties; w++ {
-		go func() {
-			defer wg.Done()
-			for ph := 0; ph < phases; ph++ {
-				atomic.AddInt64(&counter, 1)
-				b.WaitLeader(func() {
-					// The leader observes every participant's increment.
-					if got := atomic.LoadInt64(&counter); got != int64((ph+1)*parties) {
-						t.Errorf("phase %d: counter %d", ph, got)
-					}
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != parties*phases {
-		t.Fatalf("counter = %d", counter)
-	}
-}
-
-func TestBarrierSingleParty(t *testing.T) {
-	b := NewBarrier(1)
-	for i := 0; i < 3; i++ {
-		if !b.Wait() {
-			t.Fatal("single-party barrier must always lead")
-		}
-	}
-}
-
-func TestBarrierExactlyOneLeader(t *testing.T) {
-	const parties = 6
-	b := NewBarrier(parties)
-	var leaders int64
-	var wg sync.WaitGroup
-	wg.Add(parties)
-	for w := 0; w < parties; w++ {
-		go func() {
-			defer wg.Done()
-			if b.Wait() {
-				atomic.AddInt64(&leaders, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if leaders != 1 {
-		t.Fatalf("leaders = %d, want 1", leaders)
-	}
-}
-
 func BenchmarkTeamForOverhead(b *testing.B) {
 	team := NewTeam(4)
 	sink := make([]float64, 1024)

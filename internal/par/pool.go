@@ -6,8 +6,8 @@ import (
 	"sync"
 )
 
-// ProcPool is a shared budget of logical processors from which reusable
-// teams are leased. It is the runtime counterpart of the paper's static
+// ProcPool is a shared budget of logical processors from which team widths
+// are leased. It is the runtime counterpart of the paper's static
 // processor-assignment lesson lifted to the serving layer: the pool bounds
 // *processors in use*, not *jobs in flight*, so many small solves can run
 // concurrently on small teams while a large solve still gets a wide one.
@@ -16,14 +16,12 @@ import (
 // and is granted whatever free share of the pool fits between the two —
 // shrinking the grant under load instead of convoying behind full
 // availability. Waiters are served FIFO so a wide request cannot starve.
-// Team objects are recycled through a per-size free list.
 type ProcPool struct {
 	mu       sync.Mutex
 	capacity int
 	inUse    int
 	leases   int
 	waiters  []*procWaiter
-	free     map[int][]*Team
 }
 
 // procWaiter is one blocked Acquire: its minimum grant and a wake signal.
@@ -37,7 +35,7 @@ func NewProcPool(capacity int) *ProcPool {
 	if capacity < 1 {
 		panic(fmt.Sprintf("par: processor pool capacity %d < 1", capacity))
 	}
-	return &ProcPool{capacity: capacity, free: make(map[int][]*Team)}
+	return &ProcPool{capacity: capacity}
 }
 
 // Capacity returns the pool's total processor budget.
@@ -52,7 +50,7 @@ func (p *ProcPool) InUse() int {
 	return p.inUse
 }
 
-// Leases returns the number of outstanding leases (teams in use).
+// Leases returns the number of outstanding leases.
 func (p *ProcPool) Leases() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -66,20 +64,15 @@ func (p *ProcPool) Waiting() int {
 	return len(p.waiters)
 }
 
-// Lease is a granted share of the pool: a reusable team of Size
-// processors. Release returns the processors (and the team object) to the
-// pool; the team must not be used afterwards.
+// Lease is a granted share of the pool: Size processors, for the holder to
+// build its team from, until Release returns them.
 type Lease struct {
 	pool *ProcPool
-	team *Team
 	size int
 	once sync.Once
 }
 
-// Team returns the leased processor team.
-func (l *Lease) Team() *Team { return l.team }
-
-// Size returns the width of the leased team.
+// Size returns the number of processors leased.
 func (l *Lease) Size() int { return l.size }
 
 // Release returns the lease's processors to the pool. Safe to call more
@@ -88,7 +81,7 @@ func (l *Lease) Release() {
 	l.once.Do(func() { l.pool.release(l) })
 }
 
-// Acquire leases a team of between minProcs and want processors, blocking
+// Acquire leases between minProcs and want processors, blocking
 // until at least minProcs are free (FIFO among waiters) or ctx ends. The
 // grant is elastic: min(want, free) processors, never below minProcs.
 // want and minProcs are clamped to [1, Capacity].
@@ -126,18 +119,6 @@ func (p *ProcPool) Acquire(ctx context.Context, want, minProcs int) (*Lease, err
 	}
 }
 
-// TryAcquire is Acquire without blocking: it reports false when fewer than
-// minProcs processors are free or other callers are already waiting.
-func (p *ProcPool) TryAcquire(want, minProcs int) (*Lease, bool) {
-	want, minProcs = p.clamp(want, minProcs)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.waiters) > 0 || p.capacity-p.inUse < minProcs {
-		return nil, false
-	}
-	return p.grantLocked(want), true
-}
-
 func (p *ProcPool) clamp(want, minProcs int) (int, int) {
 	if minProcs < 1 {
 		minProcs = 1
@@ -163,30 +144,14 @@ func (p *ProcPool) grantLocked(want int) *Lease {
 	}
 	p.inUse += k
 	p.leases++
-	return &Lease{pool: p, team: p.teamLocked(k), size: k}
+	return &Lease{pool: p, size: k}
 }
 
-// teamLocked recycles a team of size k from the free list, or builds one.
-func (p *ProcPool) teamLocked(k int) *Team {
-	if ts := p.free[k]; len(ts) > 0 {
-		t := ts[len(ts)-1]
-		p.free[k] = ts[:len(ts)-1]
-		return t
-	}
-	return &Team{size: k}
-}
-
-// release returns a lease's processors and recycles its team object.
+// release returns a lease's processors to the budget.
 func (p *ProcPool) release(l *Lease) {
 	p.mu.Lock()
 	p.inUse -= l.size
 	p.leases--
-	// Bound the free list so a burst of one width cannot pin team objects
-	// forever (they are tiny; this is tidiness, not memory pressure).
-	if ts := p.free[l.team.size]; len(ts) < 8 {
-		p.free[l.team.size] = append(ts, l.team)
-	}
-	l.team = nil
 	p.wakeLocked()
 	p.mu.Unlock()
 }

@@ -17,8 +17,8 @@ func TestProcPoolAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Size() != 4 || l.Team() == nil || l.Team().Size() != 4 {
-		t.Fatalf("lease size %d team %v", l.Size(), l.Team())
+	if l.Size() != 4 {
+		t.Fatalf("lease size %d", l.Size())
 	}
 	if p.InUse() != 4 || p.Leases() != 1 {
 		t.Fatalf("after acquire: inUse %d leases %d", p.InUse(), p.Leases())
@@ -158,23 +158,6 @@ func TestProcPoolFIFOPreventsStarvation(t *testing.T) {
 	}
 }
 
-func TestProcPoolTryAcquire(t *testing.T) {
-	p := NewProcPool(4)
-	l, ok := p.TryAcquire(3, 1)
-	if !ok || l.Size() != 3 {
-		t.Fatalf("TryAcquire: ok=%v size=%d", ok, l.Size())
-	}
-	if _, ok := p.TryAcquire(2, 2); ok {
-		t.Fatal("TryAcquire granted below min")
-	}
-	s, ok := p.TryAcquire(4, 1)
-	if !ok || s.Size() != 1 {
-		t.Fatalf("TryAcquire shrink: ok=%v size=%d", ok, s.Size())
-	}
-	l.Release()
-	s.Release()
-}
-
 func TestProcPoolContextCancel(t *testing.T) {
 	p := NewProcPool(2)
 	hold, _ := p.Acquire(context.Background(), 2, 2)
@@ -251,18 +234,6 @@ func TestProcPoolClamping(t *testing.T) {
 	l2.Release()
 }
 
-func TestProcPoolTeamReuse(t *testing.T) {
-	p := NewProcPool(4)
-	l1, _ := p.Acquire(context.Background(), 3, 3)
-	t1 := l1.Team()
-	l1.Release()
-	l2, _ := p.Acquire(context.Background(), 3, 3)
-	if l2.Team() != t1 {
-		t.Fatal("team object not recycled for same width")
-	}
-	l2.Release()
-}
-
 // Concurrent churn: leases never oversubscribe capacity. Run under -race.
 func TestProcPoolConcurrentChurn(t *testing.T) {
 	const capacity = 6
@@ -286,12 +257,6 @@ func TestProcPoolConcurrentChurn(t *testing.T) {
 					if n <= old || peak.CompareAndSwap(old, n) {
 						break
 					}
-				}
-				// Teams must be usable: run a trivial parallel region.
-				var sum atomic.Int64
-				l.Team().Run(func(id int) { sum.Add(1) })
-				if int(sum.Load()) != l.Size() {
-					t.Errorf("team ran %d workers, lease size %d", sum.Load(), l.Size())
 				}
 				cur.Add(-int64(l.Size()))
 				l.Release()

@@ -15,8 +15,9 @@
 // that escapes into a long-lived result is simply never returned.
 //
 // All functions are safe for concurrent use. SetEnabled(false) turns every
-// Get into a plain allocation and every Put into a no-op, which is how the
-// throughput benchmark measures the per-job-allocation baseline.
+// Get into a plain allocation and every Put into a no-op: the switch the
+// pooled-vs-unpooled bitwise suites of filter and hier flip, and nothing
+// else does.
 package pool
 
 import (
@@ -114,15 +115,9 @@ func GetMat(r, c int) *mat.Mat {
 	return &mat.Mat{Rows: r, Cols: c, Stride: c, Data: GetZeroed(r * c)}
 }
 
-// GetMatDirty is GetMat without the zero fill, for destinations that are
-// fully overwritten before being read.
-func GetMatDirty(r, c int) *mat.Mat {
-	return &mat.Mat{Rows: r, Cols: c, Stride: c, Data: Get(r * c)}
-}
-
 // PutMat returns a matrix's backing buffer for reuse and clears the
 // matrix so accidental reuse fails loudly. Only matrices with compact
-// stride (as returned by GetMat/GetMatDirty or mat.New) own their whole
+// stride (as returned by GetMat or mat.New) own their whole
 // buffer; views into larger allocations must not be returned.
 func PutMat(m *mat.Mat) {
 	if m == nil || m.Stride != m.Cols {

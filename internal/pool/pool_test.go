@@ -41,7 +41,7 @@ func TestGetZeroedIsZero(t *testing.T) {
 }
 
 func TestGetMatZeroed(t *testing.T) {
-	m := GetMatDirty(8, 8)
+	m := GetMat(8, 8)
 	for i := range m.Data {
 		m.Data[i] = math.NaN()
 	}

@@ -270,7 +270,7 @@ func (rt *Router) awaitQuiesce(ctx context.Context, sh *shard, deadline time.Dur
 	for failures := 0; ; {
 		var rs encode.HealthStatus
 		pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
-		answered := rt.probeGet(pctx, sh, "/readyz", &rs, true)
+		_, answered := rt.probeGet(pctx, sh, "/readyz", &rs)
 		cancel()
 		if answered {
 			failures = 0

@@ -62,11 +62,13 @@ func (rt *Router) sweep(ctx context.Context, force bool) {
 }
 
 // probeShard polls one backend and applies the health transition. A dead
-// shard (healthz unreachable or non-200) is ejected at once, and its
-// probes back off exponentially up to maxProbeBackoff (or the probe
-// interval, when that is longer). An alive shard that is not ready
-// (draining or saturated) leaves the ring but keeps the normal probe
-// cadence — saturation clears quickly, so readmission must too.
+// shard (healthz unreachable, or answering anything but 200 or a daemon's
+// own 503 "draining") is ejected at once, and its probes back off
+// exponentially up to maxProbeBackoff (or the probe interval, when that is
+// longer). An alive shard that is not ready (draining or saturated) leaves
+// the ring but keeps the normal probe cadence — saturation clears quickly,
+// so readmission must too — and stays askable: a daemon draining itself is
+// still finishing jobs and answering reads of them.
 //
 // Readmission is flap-suppressed: a shard that bounced back into the ring
 // FlapCount times within FlapWindow is quarantined and must stay healthy
@@ -81,8 +83,14 @@ func (rt *Router) probeShard(ctx context.Context, sh *shard) {
 	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
 	var hs, rs encode.HealthStatus
-	alive := rt.probeGet(pctx, sh, "/healthz", &hs, false)
-	ready := alive && rt.probeGet(pctx, sh, "/readyz", &rs, false)
+	code, decoded := rt.probeGet(pctx, sh, "/healthz", &hs)
+	alive := code == http.StatusOK ||
+		code == http.StatusServiceUnavailable && decoded && hs.Status == "draining"
+	ready := false
+	if alive {
+		code, _ = rt.probeGet(pctx, sh, "/readyz", &rs)
+		ready = code == http.StatusOK
+	}
 	if hs.InstanceID != "" {
 		rt.learnInstance(hs.InstanceID, sh)
 	}
@@ -185,25 +193,22 @@ func probation(quarantines int) int {
 	return 2 << min(max(quarantines, 1)-1, 4)
 }
 
-// probeGet fetches one health endpoint, best-effort decoding the document,
-// and reports whether it answered 200. With anyStatus it instead reports
-// whether any decodable document came back — a draining or saturated 503
-// still carries the occupancy a quiesce wait needs.
-func (rt *Router) probeGet(ctx context.Context, sh *shard, path string, out *encode.HealthStatus, anyStatus bool) bool {
+// probeGet fetches one health endpoint and returns the status it answered
+// with (0 when nothing did) and whether the body decoded into out — a
+// draining or saturated 503 still carries the daemon's own word for its
+// state and the occupancy a quiesce wait needs; a proxy's error page in
+// front of a dead daemon carries neither.
+func (rt *Router) probeGet(ctx context.Context, sh *shard, path string, out *encode.HealthStatus) (status int, decoded bool) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.base+path, nil)
 	if err != nil {
-		return false
+		return 0, false
 	}
 	resp, err := rt.hc.Do(req)
 	if err != nil {
-		return false
+		return 0, false
 	}
 	defer resp.Body.Close()
-	err = json.NewDecoder(resp.Body).Decode(out)
-	if anyStatus {
-		return err == nil
-	}
-	return resp.StatusCode == http.StatusOK
+	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out) == nil
 }
 
 // eject drops a shard from the ring after a forwarding transport failure,

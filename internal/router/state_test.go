@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -306,4 +307,109 @@ func TestMembershipFollowsDocument(t *testing.T) {
 	if n := len(rt.shardsIn(shardState.inRing)); n != 1 {
 		t.Fatalf("%d shards in the ring, want only %s", n, a)
 	}
+}
+
+// TestDrainingDaemonStaysAskable: a daemon draining itself answers
+// /healthz and /readyz with 503 {"status":"draining"} while it finishes its
+// jobs. That is unready, not down: out of the ring, but still listed and
+// asked. A 503 that is not the daemon's own word — a proxy's error page —
+// and a daemon that stops answering are down.
+func TestDrainingDaemonStaysAskable(t *testing.T) {
+	var mode atomic.Value // "ok" | "draining" | "proxy"
+	mode.Store("ok")
+	stub := func(instance string, health func(w http.ResponseWriter)) *httptest.Server {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/healthz", "/readyz":
+				health(w)
+			case "/v1/jobs":
+				json.NewEncoder(w).Encode(encode.JobList{Jobs: []encode.JobStatus{ //nolint:errcheck
+					{ID: instance + ".job-000001", State: encode.JobRunning},
+				}})
+			default:
+				http.NotFound(w, r)
+			}
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	ok := func(id string) func(http.ResponseWriter) {
+		return func(w http.ResponseWriter) {
+			json.NewEncoder(w).Encode(encode.HealthStatus{Status: "ok", InstanceID: id}) //nolint:errcheck
+		}
+	}
+	steady := stub("s1", ok("s1"))
+	leaving := stub("s2", func(w http.ResponseWriter) {
+		switch mode.Load() {
+		case "draining":
+			w.WriteHeader(http.StatusServiceUnavailable)
+			json.NewEncoder(w).Encode(encode.HealthStatus{Status: "draining", InstanceID: "s2"}) //nolint:errcheck
+		case "proxy":
+			writeError(w, http.StatusServiceUnavailable, "upstream_unavailable", "no backend")
+		default:
+			ok("s2")(w)
+		}
+	})
+	rt, err := New(Config{
+		Shards:         []string{steady.URL, leaving.URL},
+		ProbeInterval:  time.Hour,
+		RepairInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	rts := httptest.NewServer(rt)
+	t.Cleanup(rts.Close)
+	ctx := context.Background()
+
+	var sh *shard
+	for _, s := range rt.shardList() {
+		if s.base == leaving.URL {
+			sh = s
+		}
+	}
+	check := func(step string, want shardState, listed bool) {
+		t.Helper()
+		rt.CheckNow(ctx)
+		if got := sh.state(); got != want {
+			t.Fatalf("%s: state = %d, want %d", step, got, want)
+		}
+		for _, in := range rt.shardsIn(shardState.inRing) {
+			if in == sh && want != stateServing {
+				t.Fatalf("%s: still in the ring", step)
+			}
+		}
+		resp, err := http.Get(rts.URL + "/v1/jobs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var list encode.JobList
+		if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+			t.Fatalf("%s: listing: %v", step, err)
+		}
+		found := false
+		for _, j := range list.Jobs {
+			found = found || j.ID == "s2.job-000001"
+		}
+		if found != listed {
+			t.Fatalf("%s: listing has the shard's job = %v, want %v (%+v)", step, found, listed, list.Jobs)
+		}
+	}
+	check("healthy", stateServing, true)
+	mode.Store("draining")
+	check("draining", stateUnready, true)
+	sh.mu.Lock()
+	fails := sh.consecFails
+	sh.mu.Unlock()
+	if fails != 0 {
+		t.Fatalf("draining: %d failed probes counted, want the normal cadence, not a failure backoff", fails)
+	}
+	mode.Store("proxy")
+	check("a proxy's 503", stateDown, false)
+	mode.Store("draining")
+	check("draining again", stateUnready, true)
+	leaving.Close()
+	check("stopped answering", stateDown, false)
 }

@@ -126,9 +126,6 @@ type Grant struct {
 	Coalesced bool
 }
 
-// Team returns the granted processor team.
-func (g *Grant) Team() *par.Team { return g.lease.Team() }
-
 // Release returns the grant's processors to the pool. Idempotent.
 func (g *Grant) Release() { g.lease.Release() }
 

@@ -73,12 +73,6 @@ func (b *Builder) Reset() {
 	b.val = b.val[:0]
 }
 
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // NNZ returns the number of stored entries.
 func (m *Matrix) NNZ() int { return len(m.val) }
 
@@ -134,57 +128,23 @@ func (m *Matrix) MulVecT(dst, y []float64) {
 	}
 }
 
-// DenseMulT computes dst ← C·Hᵀ where C is dense n×n (more generally r×n)
-// and H is this m×n sparse matrix; dst must be r×m. This is the first
-// "d-s" product of the update procedure. Work is proportional to r·nnz.
-func (m *Matrix) DenseMulT(dst, c *mat.Mat) {
-	m.denseMulTRange(dst, c, 0, c.Rows)
-}
-
-// DenseMulTPar is DenseMulT with the rows of C partitioned across the team.
-func (m *Matrix) DenseMulTPar(t *par.Team, dst, c *mat.Mat) {
-	t.For(c.Rows, func(lo, hi int) { m.denseMulTRange(dst, c, lo, hi) })
-}
-
-func (m *Matrix) denseMulTRange(dst, c *mat.Mat, r0, r1 int) {
-	if dst.Rows != c.Rows || dst.Cols != m.rows || c.Cols != m.cols {
-		panic("sparse: DenseMulT dimension mismatch")
-	}
-	for i := r0; i < r1; i++ {
-		ci := c.Row(i)
-		di := dst.Row(i)
-		for j := 0; j < m.rows; j++ {
-			cols, vals := m.Row(j)
-			s := 0.0
-			for k, cc := range cols {
-				s += vals[k] * ci[cc]
-			}
-			di[j] = s
-		}
-	}
-}
-
-// DenseMulTSym computes dst ← C·Hᵀ for a *symmetric* square matrix C,
-// reading only the lower triangle of C: entry C[i][k] with k > i is taken
+// DenseMulTSymPar computes dst ← C·Hᵀ — the first "d-s" product of the
+// update procedure — where H is this m×n sparse matrix, C a *symmetric* n×n
+// dense one and dst n×m, with the rows of C partitioned across the team.
+// Only the lower triangle of C is read: entry C[i][k] with k > i is taken
 // from C[k][i] instead. The upper triangle of C may hold garbage, which is
 // what lets the covariance hot path maintain (or trust) only one triangle.
-// Flop count is identical to DenseMulT; only the access pattern differs.
-func (m *Matrix) DenseMulTSym(dst, c *mat.Mat) {
-	m.denseMulTSymRange(dst, c, 0, c.Rows)
-}
-
-// DenseMulTSymPar is DenseMulTSym with the rows of C partitioned across the
-// team.
+// Work is proportional to n·nnz.
 func (m *Matrix) DenseMulTSymPar(t *par.Team, dst, c *mat.Mat) {
 	t.For(c.Rows, func(lo, hi int) { m.denseMulTSymRange(dst, c, lo, hi) })
 }
 
 func (m *Matrix) denseMulTSymRange(dst, c *mat.Mat, r0, r1 int) {
 	if c.Rows != c.Cols {
-		panic("sparse: DenseMulTSym on non-square matrix")
+		panic("sparse: DenseMulTSymPar on non-square matrix")
 	}
 	if dst.Rows != c.Rows || dst.Cols != m.rows || c.Cols != m.cols {
-		panic("sparse: DenseMulTSym dimension mismatch")
+		panic("sparse: DenseMulTSymPar dimension mismatch")
 	}
 	for i := r0; i < r1; i++ {
 		ci := c.Row(i)
@@ -204,21 +164,16 @@ func (m *Matrix) denseMulTSymRange(dst, c *mat.Mat, r0, r1 int) {
 	}
 }
 
-// MulDense computes dst ← H·A where A is dense n×p; dst must be m×p. This is
-// the second "d-s" product (forming H·(C·Hᵀ)). Work is proportional to
-// nnz·p.
-func (m *Matrix) MulDense(dst, a *mat.Mat) {
-	m.mulDenseRange(dst, a, 0, m.rows)
-}
-
-// MulDensePar is MulDense with the sparse rows partitioned across the team.
+// MulDensePar computes dst ← H·A where A is dense n×p and dst m×p, with the
+// sparse rows partitioned across the team. This is the second "d-s" product
+// (forming H·(C·Hᵀ)). Work is proportional to nnz·p.
 func (m *Matrix) MulDensePar(t *par.Team, dst, a *mat.Mat) {
 	t.For(m.rows, func(lo, hi int) { m.mulDenseRange(dst, a, lo, hi) })
 }
 
 func (m *Matrix) mulDenseRange(dst, a *mat.Mat, r0, r1 int) {
 	if dst.Rows != m.rows || dst.Cols != a.Cols || a.Rows != m.cols {
-		panic("sparse: MulDense dimension mismatch")
+		panic("sparse: MulDensePar dimension mismatch")
 	}
 	for i := r0; i < r1; i++ {
 		di := dst.Row(i)
