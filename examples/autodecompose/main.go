@@ -1,11 +1,14 @@
 // Autodecompose: the paper's §5 extension — derive the structure hierarchy
 // automatically from a flat problem specification by partitioning the
-// constraint graph, and compare it against blind recursive bisection.
+// constraint graph, and compare it against blind recursive bisection and
+// against the graph partition's leaves regrouped bottom-up by the work
+// model, each with the model's prediction beside the measured cycle time.
 package main
 
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"phmse"
 )
@@ -22,29 +25,40 @@ func main() {
 	fmt.Printf("recursive bisection: depth %d, %d leaves\n", naive.Depth(), len(naive.Leaves()))
 	fmt.Printf("graph partitioning:  depth %d, %d leaves\n", smart.Depth(), len(smart.Leaves()))
 
-	// Solve with each decomposition; the graph-partitioned tree pushes
-	// constraints toward the leaves and runs a full cycle faster.
-	for name, tree := range map[string]*phmse.Group{"bisection": naive, "graph": smart} {
+	// The third tree keeps the graph partition's leaves and lets the
+	// estimator decide what goes above them: handed a flat root, it merges
+	// the leaves pairwise while the work model says a merge pays.
+	flat := &phmse.Group{Name: "leaves", Children: smart.Leaves()}
+
+	// Solve with each decomposition. The model's work (relative units) is
+	// the prediction; seconds per cycle is what it predicts.
+	fmt.Printf("%-10s  %5s  %14s  %10s  %10s  %6s  %8s\n", "tree", "depth", "scalars@root", "model work", "ms/cycle", "cycles", "residual")
+	for _, tc := range []struct {
+		name string
+		tree *phmse.Group
+	}{{"bisection", naive}, {"graph", smart}, {"regrouped", flat}} {
 		p := &phmse.Problem{
 			Name:        problem.Name,
 			Atoms:       problem.Atoms,
 			Constraints: problem.Constraints,
-			Tree:        tree,
+			Tree:        tc.tree,
 		}
 		est, err := phmse.NewEstimator(p, phmse.Config{Mode: phmse.Hierarchical, Tol: 1e-4})
 		if err != nil {
 			log.Fatal(err)
 		}
+		t0 := time.Now()
 		sol, err := est.Solve(phmse.Perturbed(p, 0.3, 5))
 		if err != nil {
 			log.Fatal(err)
 		}
+		perCycle := time.Since(t0).Seconds() / float64(sol.Cycles)
 		atRoot := 0
 		for _, c := range est.Root().Cons {
 			atRoot += c.Dim()
 		}
-		fmt.Printf("%-10s: %4d of %d scalar constraints stuck at the root; %d cycles, residual %.3f\n",
-			name, atRoot, p.ScalarDim(), sol.Cycles, sol.Residual)
+		fmt.Printf("%-10s  %5d  %6d of %4d  %10.3g  %10.2f  %6d  %8.3f\n",
+			tc.name, est.Root().MaxDepth(), atRoot, p.ScalarDim(), phmse.ModelWork(est), 1e3*perCycle, sol.Cycles, sol.Residual)
 	}
 }
 

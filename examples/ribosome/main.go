@@ -26,12 +26,31 @@ func main() {
 	})
 	fmt.Println(problem)
 
+	// The generator's tree fans its root straight out into the domains; the
+	// estimator solves it regrouped, domains merged pairwise while the work
+	// model says that moves contact data onto a smaller block.
+	est, err := phmse.NewEstimator(problem, phmse.Config{
+		Mode:      phmse.Hierarchical,
+		Procs:     4,
+		Tol:       5e-3,
+		MaxCycles: 60,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	atRoot := 0
+	for _, c := range est.Root().Cons {
+		atRoot += c.Dim()
+	}
+	fmt.Printf("tree solved: the given one (depth %d, %d nodes) regrouped by the work model to depth %d, %d nodes, %d of %d scalars left at the root\n",
+		problem.Tree.Depth(), problem.Tree.Count(), est.Root().MaxDepth(), est.Root().Count(), atRoot, problem.ScalarDim())
+
 	// Run 1: cold start from the lattice conformational search. The search
 	// satisfies local geometry but rarely recovers the global fold, so the
 	// refinement stalls in a locally optimal arrangement — the failure mode
 	// the paper's preprocessing exists to mitigate.
 	cold := phmse.ConformSearch(len(problem.Atoms), problem.Constraints, 3)
-	coldSol := refine(problem, cold)
+	coldSol := refine(est, cold)
 	fmt.Printf("\ncold start (lattice search, %.1f Å RMSD):\n", rmsd(problem, cold))
 	report(problem, coldSol)
 
@@ -39,7 +58,7 @@ func main() {
 	// perturbation of the reference stands in for the discrete search of
 	// the paper's reference [3], which used problem-specific move sets).
 	warm := phmse.Perturbed(problem, 2.5, 11)
-	warmSol := refine(problem, warm)
+	warmSol := refine(est, warm)
 	fmt.Printf("\nwarm start (low-resolution model, %.1f Å RMSD):\n", rmsd(problem, warm))
 	report(problem, warmSol)
 
@@ -61,16 +80,7 @@ func main() {
 	fmt.Println("which is what the probabilistic formulation buys over pure optimization.")
 }
 
-func refine(p *phmse.Problem, init []phmse.Vec3) *phmse.Solution {
-	est, err := phmse.NewEstimator(p, phmse.Config{
-		Mode:      phmse.Hierarchical,
-		Procs:     4,
-		Tol:       5e-3,
-		MaxCycles: 60,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+func refine(est *phmse.Estimator, init []phmse.Vec3) *phmse.Solution {
 	sol, err := est.Solve(init)
 	if err != nil {
 		log.Fatal(err)

@@ -138,8 +138,8 @@ func New(p *molecule.Problem, cfg Config) (*Estimator, error) {
 // through NewWithPlan, skipping the decomposition and static-assignment
 // passes; the serving layer's plan cache stores exactly this.
 type PlanArtifacts struct {
-	// Tree is the hierarchical grouping used (the problem's own or the
-	// derived automatic decomposition).
+	// Tree is the hierarchical grouping used: the problem's own or the
+	// derived automatic decomposition, as regrouped by the work model.
 	Tree *molecule.Group
 	// Sketch is the tree-relative static processor assignment (nil when the
 	// solve is sequential).
@@ -185,6 +185,12 @@ func NewWithPlan(p *molecule.Problem, cfg Config, art *PlanArtifacts) (*Estimato
 	root, err := hier.Build(tree, p.Constraints)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: building hierarchy: %w", err)
+	}
+	// A tree not seen before is scored against the work model before it is
+	// solved, and its wide nodes regrouped; the artifacts carry the result,
+	// so a cached tree comes back regrouped already.
+	if art == nil && root.Regroup(workest.FlopModel{}, cfg.BatchSize) {
+		tree = root.Group()
 	}
 	if err := root.Prepare(cfg.BatchSize); err != nil {
 		return nil, nil, fmt.Errorf("core: preparing batches: %w", err)
@@ -317,6 +323,16 @@ func Replan(e *Estimator, procs int) *hier.ExecPlan {
 	}
 	work := sched.EstimateWork(e.root, workest.FlopModel{}, e.cfg.BatchSize)
 	return sched.Assign(e.root, procs, work)
+}
+
+// ModelWork returns the work model's estimate of one cycle over the
+// estimator's tree, in the model's relative units — what the static
+// assignment balances and regrouping lowers; 0 in flat mode.
+func ModelWork(e *Estimator) float64 {
+	if e.root == nil {
+		return 0
+	}
+	return sched.EstimateWork(e.root, workest.FlopModel{}, e.cfg.BatchSize).Subtree[e.root]
 }
 
 // control fills the solver's control block from the configuration — the

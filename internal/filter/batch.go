@@ -65,32 +65,39 @@ func MakeBatches(cons []constraint.Constraint, localOf func(atom int) int, batch
 	if batchSize < 1 {
 		batchSize = DefaultBatchSize
 	}
-	var batches []*Batch
-	cur := &Batch{}
-	flush := func() {
-		if len(cur.cons) > 0 {
-			batches = append(batches, cur)
-			cur = &Batch{}
-		}
-	}
-	for _, c := range cons {
-		d := c.Dim()
-		if cur.dim > 0 && cur.dim+d > batchSize {
-			flush()
-		}
-		slots := make([]int, len(c.Atoms()))
-		for k, a := range c.Atoms() {
+	// Every constraint's slots, one run after another in one allocation;
+	// constraint i's run ends at ends[i].
+	slots := make([]int, 0, 2*len(cons))
+	ends := make([]int, len(cons))
+	for i, c := range cons {
+		for _, a := range c.Atoms() {
 			s := localOf(a)
 			if s < 0 {
 				return nil, fmt.Errorf("filter: constraint %v references atom %d outside the node", c, a)
 			}
-			slots[k] = s
+			slots = append(slots, s)
 		}
-		cur.cons = append(cur.cons, c)
-		cur.slots = append(cur.slots, slots)
-		cur.dim += d
+		ends[i] = len(slots)
 	}
-	flush()
+	var batches []*Batch
+	for lo := 0; lo < len(cons); {
+		b := &Batch{}
+		hi := lo
+		for ; hi < len(cons) && (b.dim == 0 || b.dim+cons[hi].Dim() <= batchSize); hi++ {
+			b.dim += cons[hi].Dim()
+		}
+		b.cons = append([]constraint.Constraint(nil), cons[lo:hi]...)
+		b.slots = make([][]int, hi-lo)
+		for i := lo; i < hi; i++ {
+			start := 0
+			if i > 0 {
+				start = ends[i-1]
+			}
+			b.slots[i-lo] = slots[start:ends[i]:ends[i]]
+		}
+		batches = append(batches, b)
+		lo = hi
+	}
 	return batches, nil
 }
 

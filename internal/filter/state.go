@@ -61,6 +61,14 @@ func ReleasePooledState(s *State) {
 	s.C = nil
 }
 
+// Block returns coordinates [off, off+dim) of s as a state of their own
+// that aliases s: its X is that run of s.X, its C the diagonal block of
+// s.C. It is how a hierarchy node updates its part of the root state in
+// place; the blocks of s.C beside it belong to its ancestors.
+func (s *State) Block(off, dim int) *State {
+	return &State{X: s.X[off : off+dim : off+dim], C: s.C.View(off, off, dim, dim)}
+}
+
 // Dim returns the state dimension (three times the number of atoms).
 func (s *State) Dim() int { return len(s.X) }
 

@@ -163,14 +163,14 @@ func (u *Updater) team() *par.Team {
 func (u *Updater) Apply(s *State, b *Batch) (int, error) {
 	m, err := u.apply(s, b, nil)
 	if m > 0 {
-		u.mirror(s)
+		u.Mirror(s)
 	}
 	return m, err
 }
 
-// mirror completes C from its lower triangle, the only part the per-batch
+// Mirror completes C from its lower triangle, the only part the per-batch
 // update maintains. It is accounted with the covariance update it closes.
-func (u *Updater) mirror(s *State) {
+func (u *Updater) Mirror(s *State) {
 	u.Rec.Timed(trace.MatMat, 0, func() { mat.MirrorLowerPar(u.team(), s.C) })
 }
 
@@ -380,7 +380,7 @@ func (u *Updater) site() faultinject.Site {
 // stateBound is the guard's running proof that the state is finite: upper
 // bounds on max|x| and on max|C| over the lower triangle. A batch writes
 // nothing but x += dx and C ∓= (rank-m products of K, A and K·L), so from a
-// finite state under the bounds (priorBound, the base of the induction)
+// finite state under the bounds (ScanBound, the base of the induction)
 // the next state is decidable from the pending update alone: if K, A and
 // dx are finite and the bounds plus the largest possible change stay under
 // finiteLimit, no product, partial sum or committed entry can overflow, and
@@ -388,6 +388,22 @@ func (u *Updater) site() faultinject.Site {
 // advance by that change (admit), which carries the proof to the next
 // batch without ever looking at C again.
 type stateBound struct{ x, c float64 }
+
+// Bound is the proof as it travels between node passes: what ApplyLower
+// takes as its base and hands back advanced. A hierarchy node's prior is
+// its children's posteriors on the diagonal, zero cross blocks and its own
+// atoms' priors, so the Join of the children's final bounds with a scan of
+// the directly owned block bounds it — only leaves are ever scanned.
+type Bound = stateBound
+
+// Join returns the bound of a state made of two blocks that b and o bound.
+func (b Bound) Join(o Bound) Bound {
+	return Bound{x: math.Max(b.x, o.x), c: math.Max(b.c, o.c)}
+}
+
+// finite reports whether the bounded state is finite and under
+// finiteLimit; written so that NaN is not.
+func (b Bound) finite() bool { return b.x <= finiteLimit && b.c <= finiteLimit }
 
 // finiteLimit is the magnitude the guard keeps every state entry under. It
 // is far beyond any physical coordinate or variance and far enough below
@@ -412,15 +428,15 @@ func maxAbs(m float64, vs []float64) float64 {
 	return m
 }
 
-// priorBound scans x and the lower triangle of C, once per node pass, and
-// reports their bounds — or false when the prior is not finite and under
-// finiteLimit, in which case no batch of the pass can be admitted.
-func priorBound(s *State) (stateBound, bool) {
-	b := stateBound{x: maxAbs(0, s.X)}
+// ScanBound scans x and the lower triangle of C and reports their bounds;
+// anything non-finite in either makes the bound infinite, and no batch is
+// admitted on an infinite bound.
+func ScanBound(s *State) Bound {
+	b := Bound{x: maxAbs(0, s.X)}
 	for i := 0; i < s.C.Rows; i++ {
 		b.c = maxAbs(b.c, s.C.Row(i)[:i+1])
 	}
-	return b, b.x <= finiteLimit && b.c <= finiteLimit
+	return b
 }
 
 // admit decides, before anything is written, whether committing the pending
@@ -435,38 +451,53 @@ func (b *stateBound) admit(dx []float64, k, a, w *mat.Mat) bool {
 		mw := maxAbs(0, w.Data)
 		change = 2*change + m*mw*mw
 	}
-	x, c := b.x+maxAbs(0, dx), b.c+change
-	if !(x <= finiteLimit && c <= finiteLimit) { // written so NaN refuses
+	next := stateBound{x: b.x + maxAbs(0, dx), c: b.c + change}
+	if !next.finite() {
 		return false
 	}
-	b.x, b.c = x, c
+	*b = next
 	return true
 }
 
 // ApplyAll applies every batch in order, returning the total number of
 // scalar observations applied, and leaves C exactly symmetric: the batches
 // update its lower triangle only, and one mirror pass closes the node pass.
+// It is ApplyLower from a scan of the prior, then Mirror.
+func (u *Updater) ApplyAll(s *State, batches []*Batch) (int, error) {
+	var prior Bound
+	if u.Guard {
+		u.Rec.Timed(trace.VecOp, 0, func() { prior = ScanBound(s) })
+	}
+	total, _, err := u.ApplyLower(s, batches, prior)
+	if total > 0 {
+		u.Mirror(s)
+	}
+	return total, err
+}
+
+// ApplyLower applies every batch in order on the lower triangle of C alone
+// — the strict upper triangle is neither read nor written, so s may be a
+// diagonal view of a larger state whose other blocks someone else owns —
+// and returns the number of scalar observations applied.
 //
 // With Guard set, it additionally contains per-batch numerical faults: a
 // batch whose innovation covariance stays indefinite through every ridge
 // retry is skipped (quarantined) for this pass, and so is a batch whose
 // update would put NaN/Inf into the state — it is refused before anything
-// is written (see stateBound), so (x, C) stay bit-identical. A prior that
-// is already non-finite refuses the whole pass without factorizing
-// anything. All are recorded in Diag; quarantined batches are retried at
-// the next cycle's fresh linearization point. Errors other than these
-// containable classes still abort.
-func (u *Updater) ApplyAll(s *State, batches []*Batch) (int, error) {
+// is written (see stateBound), so (x, C) stay bit-identical. prior must
+// bound s as it stands; a prior that is not finite refuses the whole pass
+// without factorizing anything. The bound comes back advanced by every
+// admitted batch. All are recorded in Diag; quarantined batches are retried
+// at the next cycle's fresh linearization point. Errors other than these
+// containable classes still abort. Without Guard, prior is ignored.
+func (u *Updater) ApplyLower(s *State, batches []*Batch, prior Bound) (int, Bound, error) {
 	var bound *stateBound
 	if u.Guard {
-		var prior stateBound
-		ok := false
-		u.Rec.Timed(trace.VecOp, 0, func() { prior, ok = priorBound(s) })
-		if !ok {
+		if !prior.finite() {
 			for bi := range batches {
 				u.Diag.AddQuarantine(u.Node, bi, u.Cycle, ReasonNonFinite)
 			}
-			return 0, nil
+			return 0, prior, nil
 		}
 		bound = &prior
 	}
@@ -491,8 +522,5 @@ pass:
 			break pass
 		}
 	}
-	if total > 0 {
-		u.mirror(s)
-	}
-	return total, failed
+	return total, prior, failed
 }

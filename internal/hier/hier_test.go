@@ -13,6 +13,7 @@ import (
 	"phmse/internal/molecule"
 	"phmse/internal/par"
 	"phmse/internal/trace"
+	"phmse/internal/workest"
 )
 
 // chainProblem builds a linear chain of atoms with distance constraints and
@@ -541,7 +542,7 @@ func TestGroupLeavesChain(t *testing.T) {
 		}
 		leaves = append(leaves, g)
 	}
-	tree := GroupLeaves(leaves, p.Constraints)
+	tree := GroupLeaves(leaves, p.Constraints, workest.FlopModel{})
 	if len(tree.Atoms()) != 16 {
 		t.Fatalf("atoms = %d", len(tree.Atoms()))
 	}
@@ -571,18 +572,18 @@ func TestGroupLeavesChain(t *testing.T) {
 }
 
 func TestGroupLeavesEdgeCases(t *testing.T) {
-	if g := GroupLeaves(nil, nil); g == nil || len(g.Atoms()) != 0 {
+	if g := GroupLeaves(nil, nil, workest.FlopModel{}); g == nil || len(g.Atoms()) != 0 {
 		t.Fatal("empty leaves")
 	}
 	single := &molecule.Group{Name: "only", AtomIDs: []int{0, 1}}
-	if g := GroupLeaves([]*molecule.Group{single}, nil); g != single {
+	if g := GroupLeaves([]*molecule.Group{single}, nil, workest.FlopModel{}); g != single {
 		t.Fatal("single leaf should be returned unchanged")
 	}
 	// Disconnected leaves (no shared constraints) still merge into one tree.
 	a := &molecule.Group{Name: "a", AtomIDs: []int{0}}
 	b := &molecule.Group{Name: "b", AtomIDs: []int{1}}
 	c := &molecule.Group{Name: "c", AtomIDs: []int{2}}
-	g := GroupLeaves([]*molecule.Group{a, b, c}, nil)
+	g := GroupLeaves([]*molecule.Group{a, b, c}, nil, workest.FlopModel{})
 	if len(g.Atoms()) != 3 || len(g.Leaves()) != 3 {
 		t.Fatal("disconnected merge failed")
 	}
@@ -598,7 +599,7 @@ func TestGroupLeavesPrefersConnectedPairs(t *testing.T) {
 		constraint.Distance{I: 1, J: 2, Target: 1, Sigma: 1},
 		constraint.Distance{I: 0, J: 3, Target: 1, Sigma: 1},
 	}
-	g := GroupLeaves([]*molecule.Group{a, c, b}, cons)
+	g := GroupLeaves([]*molecule.Group{a, c, b}, cons, workest.FlopModel{})
 	// Find the first merge (depth-2 node containing a and b).
 	var firstMerge *molecule.Group
 	var find func(n *molecule.Group)

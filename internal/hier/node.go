@@ -18,7 +18,7 @@ import (
 // Node is one node of the structure hierarchy. Its state vector is the
 // concatenation of its children's state vectors followed by any atoms it
 // owns directly, so a child's posterior estimate maps onto a contiguous
-// block of the parent's state.
+// block of the parent's state — and, all the way up, of the root's.
 type Node struct {
 	Name     string
 	Children []*Node
@@ -26,10 +26,17 @@ type Node struct {
 	Atoms    []int // subtree atoms: children's blocks in order, then Direct
 	Cons     []constraint.Constraint
 
-	parent   *Node
-	childOf  map[int]int // atom → child index (for constraint assignment)
-	localIdx map[int]int // atom → local state slot
+	parent *Node
+	// The tree's one index: pos, shared by every node, maps a global atom
+	// to its place in the root's Atoms (−1 for an atom the tree does not
+	// hold), and a node's Atoms are the run [lo, lo+len(Atoms)) of that
+	// order. So the node holds atom a iff pos[a] falls in its run, at local
+	// state slot pos[a] − lo.
+	pos []int32
+	lo  int
+
 	batches  []*filter.Batch
+	prepared int // the batch size the subtree's batches were built for; 0 before Prepare
 }
 
 // Build mirrors a molecule.Group tree into a Node tree and assigns every
@@ -37,8 +44,8 @@ type Node struct {
 // an error if a constraint references an atom outside the tree or an atom
 // appears in two leaves.
 func Build(root *molecule.Group, cons []constraint.Constraint) (*Node, error) {
-	node, err := fromGroup(root, map[int]bool{})
-	if err != nil {
+	node := fromGroup(root, nil)
+	if err := node.layout(); err != nil {
 		return nil, err
 	}
 	for _, c := range cons {
@@ -49,83 +56,127 @@ func Build(root *molecule.Group, cons []constraint.Constraint) (*Node, error) {
 	return node, nil
 }
 
-func fromGroup(g *molecule.Group, seen map[int]bool) (*Node, error) {
-	n := &Node{Name: g.Name, Direct: append([]int(nil), g.AtomIDs...)}
+func fromGroup(g *molecule.Group, parent *Node) *Node {
+	n := &Node{Name: g.Name, Direct: append([]int(nil), g.AtomIDs...), parent: parent}
 	sort.Ints(n.Direct)
-	for _, a := range n.Direct {
-		if seen[a] {
-			return nil, fmt.Errorf("hier: atom %d owned by two groups", a)
+	if len(g.Children) > 0 {
+		n.Children = make([]*Node, len(g.Children))
+		for i, cg := range g.Children {
+			n.Children[i] = fromGroup(cg, n)
 		}
-		seen[a] = true
 	}
-	n.childOf = make(map[int]int)
-	for ci, cg := range g.Children {
-		child, err := fromGroup(cg, seen)
-		if err != nil {
-			return nil, err
-		}
-		child.parent = n
-		n.Children = append(n.Children, child)
-		for _, a := range child.Atoms {
-			n.childOf[a] = ci
-		}
-		n.Atoms = append(n.Atoms, child.Atoms...)
-	}
-	n.Atoms = append(n.Atoms, n.Direct...)
-	n.localIdx = make(map[int]int, len(n.Atoms))
-	for i, a := range n.Atoms {
-		n.localIdx[a] = i
-	}
-	if len(n.Atoms) == 0 {
-		return nil, fmt.Errorf("hier: group %q has no atoms", g.Name)
-	}
-	return n, nil
+	return n
 }
 
-// assign pushes the constraint to the lowest node containing all its atoms.
+// Group returns the subtree as the grouping Build would build it from.
+func (n *Node) Group() *molecule.Group {
+	g := &molecule.Group{Name: n.Name, AtomIDs: append([]int(nil), n.Direct...)}
+	for _, c := range n.Children {
+		g.Children = append(g.Children, c.Group())
+	}
+	return g
+}
+
+// layout lays the tree's atoms out in state order — depth first, a node's
+// children in order and then its direct atoms — and records it: the root's
+// Atoms, every other node's Atoms as a run of them, pos and lo. It is an
+// error for an atom to be owned twice or negative, or a group to be empty.
+func (n *Node) layout() error {
+	total, maxAtom := 0, -1
+	n.Walk(func(m *Node) {
+		total += len(m.Direct)
+		if k := len(m.Direct); k > 0 && m.Direct[k-1] > maxAtom {
+			maxAtom = m.Direct[k-1] // Direct is sorted
+		}
+	})
+	order := make([]int, 0, total)
+	pos := make([]int32, maxAtom+1)
+	for i := range pos {
+		pos[i] = -1
+	}
+	var place func(m *Node) error
+	place = func(m *Node) error {
+		m.pos, m.lo = pos, len(order)
+		m.batches, m.prepared = nil, 0 // slots follow the order
+		for _, c := range m.Children {
+			if err := place(c); err != nil {
+				return err
+			}
+		}
+		for _, a := range m.Direct {
+			if a < 0 {
+				return fmt.Errorf("hier: group %q owns negative atom %d", m.Name, a)
+			}
+			if pos[a] >= 0 {
+				return fmt.Errorf("hier: atom %d owned by two groups", a)
+			}
+			pos[a] = int32(len(order))
+			order = append(order, a)
+		}
+		if len(order) == m.lo {
+			return fmt.Errorf("hier: group %q has no atoms", m.Name)
+		}
+		// order was allocated at its final size, so the run stays valid as
+		// the rest of the tree is appended behind it.
+		m.Atoms = order[m.lo:len(order):len(order)]
+		return nil
+	}
+	return place(n)
+}
+
+// slot returns the local state slot of a global atom, −1 when the node does
+// not hold it.
+func (n *Node) slot(atom int) int {
+	if atom < 0 || atom >= len(n.pos) {
+		return -1
+	}
+	if s := int(n.pos[atom]) - n.lo; s >= 0 && s < len(n.Atoms) {
+		return s
+	}
+	return -1
+}
+
+// assign pushes the constraint to the lowest node containing all its atoms:
+// the lowest whose run holds both the first and the last of them in state
+// order.
 func (n *Node) assign(c constraint.Constraint) error {
-	atoms := c.Atoms()
+	first, last := len(n.pos), -1
+	for _, a := range c.Atoms() {
+		if n.slot(a) < 0 {
+			return fmt.Errorf("hier: constraint %v references atom %d outside the tree", c, a)
+		}
+		p := int(n.pos[a])
+		first, last = min(first, p), max(last, p)
+	}
+	if last < 0 {
+		return fmt.Errorf("hier: constraint %v references no atoms", c)
+	}
 	node := n
 descend:
 	for {
-		child := -1
-		for i, a := range atoms {
-			ci, ok := node.childOf[a]
-			if !ok {
-				// Atom owned directly by this node (or missing entirely).
-				if _, here := node.localIdx[a]; !here {
-					return fmt.Errorf("hier: constraint %v references atom %d outside the tree", c, a)
+		for _, child := range node.Children {
+			if end := child.lo + len(child.Atoms); first < end {
+				if last >= end {
+					break descend // atoms span two children: it belongs here
 				}
-				break descend
-			}
-			if i == 0 {
-				child = ci
-			} else if ci != child {
-				break descend // atoms span two children: it belongs here
+				node = child
+				continue descend
 			}
 		}
-		node = node.Children[child]
-	}
-	// Validate remaining atoms exist in the subtree.
-	for _, a := range atoms {
-		if _, ok := node.localIdx[a]; !ok {
-			return fmt.Errorf("hier: constraint %v references atom %d outside the tree", c, a)
-		}
+		break // first is one of the node's direct atoms
 	}
 	node.Cons = append(node.Cons, c)
 	return nil
 }
 
 // Prepare builds the per-node constraint batches for the given batch size.
-// It must be called (once) before Solve or a virtual-machine run.
+// It must be called before a virtual-machine run or UpdatePass; Solve calls
+// it when the tree has not been prepared for the batch size it is given.
 func (n *Node) Prepare(batchSize int) error {
-	local := n.localIdx
-	batches, err := filter.MakeBatches(n.Cons, func(a int) int {
-		if s, ok := local[a]; ok {
-			return s
-		}
-		return -1
-	}, batchSize)
+	if batchSize < 1 {
+		batchSize = filter.DefaultBatchSize
+	}
+	batches, err := filter.MakeBatches(n.Cons, n.slot, batchSize)
 	if err != nil {
 		return fmt.Errorf("node %q: %w", n.Name, err)
 	}
@@ -135,6 +186,7 @@ func (n *Node) Prepare(batchSize int) error {
 			return err
 		}
 	}
+	n.prepared = batchSize
 	return nil
 }
 
@@ -165,15 +217,21 @@ func (n *Node) Count() int {
 	return total
 }
 
+// scalars returns the scalar constraint dimension assigned to the node
+// itself.
+func (n *Node) scalars() int {
+	total := 0
+	for _, c := range n.Cons {
+		total += c.Dim()
+	}
+	return total
+}
+
 // ScalarConstraints returns the total scalar constraint dimension assigned
 // in the subtree.
 func (n *Node) ScalarConstraints() int {
 	total := 0
-	n.Walk(func(m *Node) {
-		for _, c := range m.Cons {
-			total += c.Dim()
-		}
-	})
+	n.Walk(func(m *Node) { total += m.scalars() })
 	return total
 }
 
@@ -206,11 +264,7 @@ func (n *Node) Dump() string {
 		for i := 0; i < depth; i++ {
 			out += "  "
 		}
-		scalar := 0
-		for _, c := range m.Cons {
-			scalar += c.Dim()
-		}
-		out += fmt.Sprintf("%s (%d atoms, %d constraints)\n", m.Name, len(m.Atoms), scalar)
+		out += fmt.Sprintf("%s (%d atoms, %d constraints)\n", m.Name, len(m.Atoms), m.scalars())
 		for _, c := range m.Children {
 			rec(c, depth+1)
 		}

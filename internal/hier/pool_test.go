@@ -46,7 +46,7 @@ func poisonPool() {
 }
 
 // The hierarchical solve through poisoned pooled node states must produce
-// bitwise the same positions as one through fresh allocations: assemble
+// bitwise the same positions as one through fresh allocations: the pass
 // fully overwrites X and relies on C coming back zeroed.
 func TestHierPooledSolveBitwiseMatchesUnpooled(t *testing.T) {
 	pool.SetEnabled(false)

@@ -8,6 +8,7 @@ import (
 	"phmse/internal/filter"
 	"phmse/internal/geom"
 	"phmse/internal/par"
+	"phmse/internal/trace"
 )
 
 // Options configures the hierarchical solver: the control block shared with
@@ -41,7 +42,7 @@ type Options struct {
 // in global atom order.
 func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, filter.Result, error) {
 	opt.Control = opt.Control.WithDefaults()
-	if root.batches == nil {
+	if root.prepared != opt.BatchSize {
 		if err := root.Prepare(opt.BatchSize); err != nil {
 			return nil, filter.Result{}, err
 		}
@@ -60,15 +61,15 @@ func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, filter.Res
 	}
 	var state *filter.State
 	res, err := opt.Iterate(func(cycle int) (float64, error) {
-		prevState := state
+		// The previous cycle's root posterior has served its purpose (its
+		// positions were written back below last cycle): its buffers are
+		// this cycle's. The final state escapes into the Solution and is
+		// never released.
+		filter.ReleasePooledState(state)
 		var err error
-		if state, err = updateNode(root, positions, opt, opt.Team, cycle); err != nil {
+		if state, err = updatePass(root, positions, opt, cycle); err != nil {
 			return 0, err
 		}
-		// The previous cycle's root posterior has served its purpose (its
-		// positions were written back below last cycle); recycle it. The
-		// final state escapes into the Solution and is never released.
-		filter.ReleasePooledState(prevState)
 
 		// Write the root estimate back to the global position buffer and
 		// measure the change.
@@ -96,26 +97,51 @@ func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, filter.Res
 // the given linearization positions and returns the root state.
 func UpdatePass(root *Node, positions []geom.Vec3, opt Options) (*filter.State, error) {
 	opt.Control = opt.Control.WithDefaults()
-	return updateNode(root, positions, opt, opt.Team, 1)
+	return updatePass(root, positions, opt, 1)
 }
 
-// updateNode computes the posterior state of one node in the given cycle:
-// children first (possibly in parallel processor groups), then the node's
-// own constraints. opt is already normalised.
-func updateNode(n *Node, positions []geom.Vec3, opt Options, team *par.Team, cycle int) (*filter.State, error) {
-	childStates := make([]*filter.State, len(n.Children))
+// updatePass is one cycle: one zeroed root state, every node updating its
+// own diagonal block of it in place, and one mirror at the end. A node's
+// pass keeps the lower triangle of its block only, and nothing before the
+// mirror reads the upper one; the mirror is unconditional because a root
+// with no constraints of its own still has to come back symmetric. opt is
+// already normalised.
+func updatePass(root *Node, positions []geom.Vec3, opt Options, cycle int) (*filter.State, error) {
+	// Pooled: C comes back zeroed, X is fully written by the leaves and
+	// direct atoms, which between them hold every atom.
+	s := filter.GetPooledState(root.StateDim())
+	if _, err := updateNode(root, s, positions, opt, opt.Team, cycle); err != nil {
+		filter.ReleasePooledState(s)
+		return nil, err
+	}
+	opt.Updater(opt.Team, root.Name, cycle).Mirror(s)
+	return s, nil
+}
+
+// updateNode computes the posterior of one node in the given cycle, in
+// place in s, the node's block of the root state: children first, each in
+// its own sub-block (possibly in parallel processor groups — disjoint
+// subtrees write disjoint blocks), then the node's direct atoms' priors,
+// then the node's own constraints, whose batches fill the cross blocks
+// between the children, zero until then. It returns the guard's bound on
+// the block, which the parent joins instead of rescanning it.
+func updateNode(n *Node, s *filter.State, positions []geom.Vec3, opt Options, team *par.Team, cycle int) (filter.Bound, error) {
+	var bound filter.Bound
+	child := func(c *Node, team *par.Team) (filter.Bound, error) {
+		return updateNode(c, s.Block(3*(c.lo-n.lo), c.StateDim()), positions, opt, team, cycle)
+	}
 	groups := opt.Plan.groupsFor(n)
 	switch {
 	case len(n.Children) == 0:
-		// Leaf: fresh state from the current linearization positions.
+		// Leaf: nothing below.
 	case groups == nil || team.Size() == 1 || len(groups) == 1:
 		// Sequential children, full team each.
-		for i, c := range n.Children {
-			s, err := updateNode(c, positions, opt, team, cycle)
+		for _, c := range n.Children {
+			b, err := child(c, team)
 			if err != nil {
-				return nil, err
+				return bound, err
 			}
-			childStates[i] = s
+			bound = bound.Join(b)
 		}
 	default:
 		// Parallel processor groups over disjoint subtrees: the new axis of
@@ -125,79 +151,57 @@ func updateNode(n *Node, positions []geom.Vec3, opt Options, team *par.Team, cyc
 			sizes[i] = g.Procs
 		}
 		teams := team.SplitN(sizes)
-		index := make(map[*Node]int, len(n.Children))
-		for i, c := range n.Children {
-			index[c] = i
-		}
 		var mu sync.Mutex
 		var firstErr error
 		thunks := make([]func(), len(groups))
 		for gi, g := range groups {
 			gi, g := gi, g
 			thunks[gi] = func() {
+				var joined filter.Bound
+				var err error
 				for _, c := range g.Nodes {
-					s, err := updateNode(c, positions, opt, teams[gi], cycle)
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
+					var b filter.Bound
+					if b, err = child(c, teams[gi]); err != nil {
+						break
 					}
-					mu.Lock()
-					childStates[index[c]] = s
-					mu.Unlock()
+					joined = joined.Join(b)
 				}
+				mu.Lock()
+				bound = bound.Join(joined)
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
 			}
 		}
 		par.Parallel(thunks...)
 		if firstErr != nil {
-			return nil, firstErr
+			return bound, firstErr
 		}
 	}
 
-	s := assemble(n, childStates, positions, opt)
-	// The children's posteriors have been copied into the parent's prior;
-	// their pooled buffers feed the next node's assembly.
-	for _, cs := range childStates {
-		filter.ReleasePooledState(cs)
-	}
+	// The node's direct atoms: the current linearization positions with
+	// fresh isotropic covariance — or, under a warm start, the injected
+	// per-coordinate posterior variances.
 	u := opt.Updater(team, n.Name, cycle)
 	defer u.ReleaseWorkspace()
-	if _, err := u.ApplyAll(s, n.batches); err != nil {
-		return nil, fmt.Errorf("node %q: %w", n.Name, err)
-	}
-	return s, nil
-}
-
-// assemble builds the node's prior state: children posteriors as
-// uncorrelated diagonal blocks (their mutual covariance is zero until the
-// node's own cross-boundary constraints fill it in), then the node's direct
-// atoms with fresh isotropic covariance — or, under a warm start, the
-// injected per-coordinate posterior variances.
-func assemble(n *Node, childStates []*filter.State, positions []geom.Vec3, opt Options) *filter.State {
-	dim := n.StateDim()
-	// Pooled prior: X is fully written below (children then direct atoms
-	// cover every entry), C comes back zeroed so the off-diagonal blocks
-	// between children start uncorrelated.
-	s := filter.GetPooledState(dim)
-	off := 0
-	for i, cs := range childStates {
-		cd := n.Children[i].StateDim()
-		copy(s.X[off:off+cd], cs.X)
-		s.C.View(off, off, cd, cd).CopyFrom(cs.C)
-		off += cd
-	}
-	for _, a := range n.Direct {
-		p := positions[a]
-		s.X[off], s.X[off+1], s.X[off+2] = p[0], p[1], p[2]
-		for c := 0; c < 3; c++ {
-			s.C.Set(off+c, off+c, opt.priorVar(a, c))
+	if k := 3 * len(n.Direct); k > 0 {
+		direct := s.Block(s.Dim()-k, k)
+		for i, a := range n.Direct {
+			direct.SetPos(i, positions[a])
+			for c := 0; c < 3; c++ {
+				direct.C.Set(3*i+c, 3*i+c, opt.priorVar(a, c))
+			}
 		}
-		off += 3
+		if u.Guard {
+			u.Rec.Timed(trace.VecOp, 0, func() { bound = bound.Join(filter.ScanBound(direct)) })
+		}
 	}
-	return s
+	_, bound, err := u.ApplyLower(s, n.batches, bound)
+	if err != nil {
+		return bound, fmt.Errorf("node %q: %w", n.Name, err)
+	}
+	return bound, nil
 }
 
 // priorVar returns the initial variance of one coordinate of a global atom:

@@ -31,6 +31,7 @@ type Stats struct {
 	Leaves     int
 	Depth      int
 	Scalars    int
+	Work       float64 // the §2 flop estimate of one cycle over the whole tree
 	Levels     []LevelStat
 	LeafFrac   float64 // fraction of scalar constraints at the leaves
 	DeepFrac   float64 // fraction in the bottom half of the tree
@@ -54,10 +55,7 @@ func ComputeStats(root *Node) Stats {
 		if n.IsLeaf() {
 			s.Leaves++
 		}
-		scalars := 0
-		for _, c := range n.Cons {
-			scalars += c.Dim()
-		}
+		scalars := n.scalars()
 		s.Scalars += scalars
 		levelScalars[depth] += scalars
 		levelNodes[depth]++
@@ -71,6 +69,7 @@ func ComputeStats(root *Node) Stats {
 		}
 	}
 	walk(root, 0)
+	s.Work = totalWork
 
 	for lvl := 0; lvl < s.Depth; lvl++ {
 		ls := LevelStat{

@@ -190,6 +190,11 @@ func RecursiveBisection(nAtoms, leafSize int) *Group {
 	return hier.RecursiveBisection(nAtoms, leafSize)
 }
 
+// ModelWork returns the analytic work model's estimate of one cycle over
+// the estimator's (regrouped) tree, in relative units: the prediction to
+// hold a measured cycle time against when comparing decompositions.
+func ModelWork(e *Estimator) float64 { return core.ModelWork(e) }
+
 // DASH returns the calibrated Stanford DASH machine model (32 processors).
 func DASH() *Machine { return machine.DASH() }
 
@@ -291,9 +296,11 @@ func WritePDB(w io.Writer, p *Problem, sol *Solution) error {
 }
 
 // GroupBottomUp builds a hierarchy from user-specified leaf groups by
-// greedy affinity merging (§5's bottom-up alternative).
+// pairwise merging scored with the analytic work model (§5's bottom-up
+// alternative) — the regrouping NewEstimator applies to any node wider than
+// two, run on the flat tree over the leaves.
 func GroupBottomUp(leaves []*Group, cons []Constraint) *Group {
-	return hier.GroupLeaves(leaves, cons)
+	return hier.GroupLeaves(leaves, cons, workest.FlopModel{})
 }
 
 // WithExclusions augments a problem with van der Waals lower-bound
