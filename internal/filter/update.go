@@ -414,18 +414,30 @@ const finiteLimit = 1e150
 // errRefused is apply's report that the guard refused to commit a batch.
 var errRefused = errors.New("filter: batch would leave the state non-finite")
 
-// maxAbs folds the largest magnitude of vs into m; +Inf when any entry is
-// NaN or ±Inf.
+// maxAbs folds the largest magnitude of vs into m ≥ 0; +Inf when any entry
+// is NaN or ±Inf. Magnitudes are compared as bit patterns with the sign
+// cleared — for non-negative floats the integer order is the numeric order,
+// and every NaN lies above +Inf — so the scan is four running maxima with
+// no data-dependent branch, and one test at the end finds a NaN.
 func maxAbs(m float64, vs []float64) float64 {
-	for _, v := range vs {
-		if a := math.Abs(v); !(a <= m) {
-			if a != a {
-				return math.Inf(1)
-			}
-			m = a
-		}
+	const magnitude, inf = 1<<63 - 1, 0x7ff0_0000_0000_0000
+	m0 := math.Float64bits(m) & magnitude
+	m1, m2, m3 := m0, m0, m0
+	i := 0
+	for ; i+4 <= len(vs); i += 4 {
+		q := vs[i : i+4 : i+4]
+		m0 = max(m0, math.Float64bits(q[0])&magnitude)
+		m1 = max(m1, math.Float64bits(q[1])&magnitude)
+		m2 = max(m2, math.Float64bits(q[2])&magnitude)
+		m3 = max(m3, math.Float64bits(q[3])&magnitude)
 	}
-	return m
+	for _, v := range vs[i:] {
+		m0 = max(m0, math.Float64bits(v)&magnitude)
+	}
+	if u := max(m0, m1, m2, m3); u <= inf {
+		return math.Float64frombits(u)
+	}
+	return math.Inf(1)
 }
 
 // ScanBound scans x and the lower triangle of C and reports their bounds;

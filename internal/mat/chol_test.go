@@ -212,7 +212,8 @@ func BenchmarkCholesky128(b *testing.B) {
 }
 
 // BenchmarkSolveCholRows times the gain's multi-RHS solve K = A·S⁻¹ ("sys")
-// at a helix node's size and at the ribo30S root's, batch dimension 16.
+// at node dimensions the cold helix solves of serve_cold_burst run (36,
+// 129, 258) and at the ribo30S root's, batch dimension 16.
 func BenchmarkSolveCholRows(b *testing.B) {
 	const m = 16
 	rng := rand.New(rand.NewSource(26))
@@ -220,7 +221,7 @@ func BenchmarkSolveCholRows(b *testing.B) {
 	if err := Cholesky(l); err != nil {
 		b.Fatal(err)
 	}
-	for _, n := range []int{258, 2598} {
+	for _, n := range []int{36, 129, 258, 2598} {
 		rhs := randMat(rng, n, m)
 		work := New(n, m)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -6,6 +6,12 @@ package mat
 //go:noescape
 func tiles4x8(out *float64, ldo int, a *float64, lda int, panel *float64, m, nt int, sign float64)
 
+// solveChol16 is the AVX2 sys microkernel (lower_amd64.s): 16 rows of x
+// solved against L·Lᵀ in place, lanes performing solveChol4's operations.
+//
+//go:noescape
+func solveChol16(x *float64, ldx int, l *float64, ldl int, lt *float64, m int, work *float64)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 

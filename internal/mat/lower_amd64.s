@@ -101,6 +101,273 @@ dot:
 	VZEROUPPER
 	RET
 
+// TRANSPOSE4 transposes the 4×4 block held one row per register in r0–r3,
+// leaving column c of the block in register c; t0–t3 are clobbered.
+#define TRANSPOSE4(r0, r1, r2, r3, t0, t1, t2, t3) \
+	VUNPCKLPD r1, r0, t0; \
+	VUNPCKHPD r1, r0, t1; \
+	VUNPCKLPD r3, r2, t2; \
+	VUNPCKHPD r3, r2, t3; \
+	VPERM2F128 $0x20, t2, t0, r0; \
+	VPERM2F128 $0x20, t3, t1, r1; \
+	VPERM2F128 $0x31, t2, t0, r2; \
+	VPERM2F128 $0x31, t3, t1, r3
+
+// func solveChol16(x *float64, ldx int, l *float64, ldl int, lt *float64, m int, work *float64)
+//
+// Solves (L·Lᵀ)·xᵣ = bᵣ in place for the 16 rows r of x (row stride ldx),
+// each an independent right-hand side of length m ≥ 1: forward against the
+// rows of L (stride ldl), backward against lt, the m×m row-major transpose
+// of L. One ymm lane per row, four accumulators of four rows. Each step is
+// a broadcast entry of L, VMULPD, then VSUBPD, and each unknown ends with a
+// VDIVPD by the diagonal — never a fused multiply-add — so every lane
+// performs, in order, exactly the scalar operations of `s -= v*x[k]` and
+// `x[i] = s/d` that solveChol4 performs for its row.
+//
+// The rows are transposed through work — 16·⌈m/4⌉·4 float64s, column j of
+// the 16 rows at work[16j:16j+16] — four columns at a time by 4×4 register
+// transposes, the last partial group with masked loads and stores, so no
+// word of x outside the 16×m block is read or written.
+//
+// Registers: DI x, R8 ldx in bytes, SI L, R9 ldl in bytes, BX lt, CX m,
+// DX work, Y0–Y3 accumulators, Y4 a broadcast entry, Y5–Y8 products and
+// transpose temporaries, Y15 the column mask of a partial group.
+TEXT ·solveChol16(SB), NOSPLIT, $0-56
+	MOVQ x+0(FP), DI
+	MOVQ ldx+8(FP), R8
+	MOVQ l+16(FP), SI
+	MOVQ ldl+24(FP), R9
+	MOVQ lt+32(FP), BX
+	MOVQ m+40(FP), CX
+	MOVQ work+48(FP), DX
+	SHLQ $3, R8
+	SHLQ $3, R9
+
+	// Pack: work[16j + r] = x[r][j].
+	XORQ AX, AX               // j, first column of the group
+	MOVQ DX, R12              // &work[16j]
+pack:
+	MOVQ CX, R10
+	SUBQ AX, R10              // columns left
+	CMPQ R10, $4
+	JLT packtail
+	MOVQ DI, R11
+	LEAQ (R11)(AX*8), R11     // &x[0][j]
+	MOVQ $4, R13
+packgroup:
+	VMOVUPD (R11), Y0
+	ADDQ R8, R11
+	VMOVUPD (R11), Y1
+	ADDQ R8, R11
+	VMOVUPD (R11), Y2
+	ADDQ R8, R11
+	VMOVUPD (R11), Y3
+	ADDQ R8, R11
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y5, Y6, Y7, Y8)
+	VMOVUPD Y0, (R12)
+	VMOVUPD Y1, 128(R12)
+	VMOVUPD Y2, 256(R12)
+	VMOVUPD Y3, 384(R12)
+	ADDQ $32, R12
+	DECQ R13
+	JNZ packgroup
+	ADDQ $384, R12            // 4 columns of 128 bytes, less the 4·32 stepped
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT pack
+	JMP forward
+
+packtail:
+	// 1–3 columns left: load them under a mask, zeros in the other lanes.
+	LEAQ ·solveMask+32(SB), R11
+	SHLQ $3, R10
+	SUBQ R10, R11
+	VMOVUPD (R11), Y15
+	MOVQ DI, R11
+	LEAQ (R11)(AX*8), R11
+	MOVQ $4, R13
+packtailgroup:
+	VMASKMOVPD (R11), Y15, Y0
+	ADDQ R8, R11
+	VMASKMOVPD (R11), Y15, Y1
+	ADDQ R8, R11
+	VMASKMOVPD (R11), Y15, Y2
+	ADDQ R8, R11
+	VMASKMOVPD (R11), Y15, Y3
+	ADDQ R8, R11
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y5, Y6, Y7, Y8)
+	VMOVUPD Y0, (R12)
+	VMOVUPD Y1, 128(R12)
+	VMOVUPD Y2, 256(R12)
+	VMOVUPD Y3, 384(R12)
+	ADDQ $32, R12
+	DECQ R13
+	JNZ packtailgroup
+
+forward:
+	// For i = 0…m−1: w[i] = (w[i] − Σ_{k<i} L[i][k]·w[k]) / L[i][i].
+	XORQ AX, AX               // i
+	MOVQ DX, R12              // &work[16i]
+	MOVQ SI, R11              // &L[i][0]
+fwdrow:
+	VMOVUPD (R12), Y0
+	VMOVUPD 32(R12), Y1
+	VMOVUPD 64(R12), Y2
+	VMOVUPD 96(R12), Y3
+	XORQ R10, R10             // k
+	MOVQ DX, R13              // &work[16k]
+	CMPQ R10, AX
+	JGE fwddiv
+fwdk:
+	VBROADCASTSD (R11)(R10*8), Y4
+	VMULPD (R13), Y4, Y5
+	VMULPD 32(R13), Y4, Y6
+	VMULPD 64(R13), Y4, Y7
+	VMULPD 96(R13), Y4, Y8
+	VSUBPD Y5, Y0, Y0
+	VSUBPD Y6, Y1, Y1
+	VSUBPD Y7, Y2, Y2
+	VSUBPD Y8, Y3, Y3
+	ADDQ $128, R13
+	INCQ R10
+	CMPQ R10, AX
+	JLT fwdk
+fwddiv:
+	VBROADCASTSD (R11)(AX*8), Y4
+	VDIVPD Y4, Y0, Y0
+	VDIVPD Y4, Y1, Y1
+	VDIVPD Y4, Y2, Y2
+	VDIVPD Y4, Y3, Y3
+	VMOVUPD Y0, (R12)
+	VMOVUPD Y1, 32(R12)
+	VMOVUPD Y2, 64(R12)
+	VMOVUPD Y3, 96(R12)
+	ADDQ $128, R12
+	ADDQ R9, R11
+	INCQ AX
+	CMPQ AX, CX
+	JLT fwdrow
+
+	// For i = m−1…0: w[i] = (w[i] − Σ_{k>i} lt[i][k]·w[k]) / lt[i][i].
+	MOVQ CX, AX
+	DECQ AX                   // i
+	MOVQ AX, R12
+	SHLQ $7, R12
+	ADDQ DX, R12              // &work[16i]
+	MOVQ AX, R11
+	IMULQ CX, R11
+	LEAQ (BX)(R11*8), R11     // &lt[i][0]
+bwdrow:
+	VMOVUPD (R12), Y0
+	VMOVUPD 32(R12), Y1
+	VMOVUPD 64(R12), Y2
+	VMOVUPD 96(R12), Y3
+	LEAQ 1(AX), R10           // k
+	LEAQ 128(R12), R13        // &work[16k]
+	CMPQ R10, CX
+	JGE bwddiv
+bwdk:
+	VBROADCASTSD (R11)(R10*8), Y4
+	VMULPD (R13), Y4, Y5
+	VMULPD 32(R13), Y4, Y6
+	VMULPD 64(R13), Y4, Y7
+	VMULPD 96(R13), Y4, Y8
+	VSUBPD Y5, Y0, Y0
+	VSUBPD Y6, Y1, Y1
+	VSUBPD Y7, Y2, Y2
+	VSUBPD Y8, Y3, Y3
+	ADDQ $128, R13
+	INCQ R10
+	CMPQ R10, CX
+	JLT bwdk
+bwddiv:
+	VBROADCASTSD (R11)(AX*8), Y4
+	VDIVPD Y4, Y0, Y0
+	VDIVPD Y4, Y1, Y1
+	VDIVPD Y4, Y2, Y2
+	VDIVPD Y4, Y3, Y3
+	VMOVUPD Y0, (R12)
+	VMOVUPD Y1, 32(R12)
+	VMOVUPD Y2, 64(R12)
+	VMOVUPD Y3, 96(R12)
+	SUBQ $128, R12
+	MOVQ CX, R10
+	SHLQ $3, R10
+	SUBQ R10, R11
+	DECQ AX
+	JGE bwdrow
+
+	// Unpack: x[r][j] = work[16j + r], the inverse transposes.
+	XORQ AX, AX
+	MOVQ DX, R12
+unpack:
+	MOVQ CX, R10
+	SUBQ AX, R10
+	CMPQ R10, $4
+	JLT unpacktail
+	MOVQ DI, R11
+	LEAQ (R11)(AX*8), R11
+	MOVQ $4, R13
+unpackgroup:
+	VMOVUPD (R12), Y0
+	VMOVUPD 128(R12), Y1
+	VMOVUPD 256(R12), Y2
+	VMOVUPD 384(R12), Y3
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y5, Y6, Y7, Y8)
+	VMOVUPD Y0, (R11)
+	ADDQ R8, R11
+	VMOVUPD Y1, (R11)
+	ADDQ R8, R11
+	VMOVUPD Y2, (R11)
+	ADDQ R8, R11
+	VMOVUPD Y3, (R11)
+	ADDQ R8, R11
+	ADDQ $32, R12
+	DECQ R13
+	JNZ unpackgroup
+	ADDQ $384, R12
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT unpack
+	JMP done
+
+unpacktail:
+	MOVQ DI, R11
+	LEAQ (R11)(AX*8), R11
+	MOVQ $4, R13
+unpacktailgroup:
+	VMOVUPD (R12), Y0
+	VMOVUPD 128(R12), Y1
+	VMOVUPD 256(R12), Y2
+	VMOVUPD 384(R12), Y3
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y5, Y6, Y7, Y8)
+	VMASKMOVPD Y0, Y15, (R11)
+	ADDQ R8, R11
+	VMASKMOVPD Y1, Y15, (R11)
+	ADDQ R8, R11
+	VMASKMOVPD Y2, Y15, (R11)
+	ADDQ R8, R11
+	VMASKMOVPD Y3, Y15, (R11)
+	ADDQ R8, R11
+	ADDQ $32, R12
+	DECQ R13
+	JNZ unpacktailgroup
+
+done:
+	VZEROUPPER
+	RET
+
+// solveMask+32−8c is the lane mask of the first c of four columns.
+DATA ·solveMask+0(SB)/8, $-1
+DATA ·solveMask+8(SB)/8, $-1
+DATA ·solveMask+16(SB)/8, $-1
+DATA ·solveMask+24(SB)/8, $-1
+DATA ·solveMask+32(SB)/8, $0
+DATA ·solveMask+40(SB)/8, $0
+DATA ·solveMask+48(SB)/8, $0
+DATA ·solveMask+56(SB)/8, $0
+GLOBL ·solveMask(SB), RODATA|NOPTR, $64
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

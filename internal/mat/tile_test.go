@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -139,28 +140,89 @@ func TestTiledKernelMatchesNaiveLoop(t *testing.T) {
 	}
 }
 
-// TestSolveCholRowsMatchesRowAtATime pins the four-row interleaved solve to
-// one ForwardSolve + BackwardSolveT per row, bit for bit, over row counts
-// that exercise the blocks of four, the ragged tail and team chunking.
+// TestSolveCholRowsMatchesRowAtATime pins the gain solve — solveChol16's
+// sixteen lanes where the processor has AVX2, solveChol4 and the single-row
+// tail everywhere — to one ForwardSolve + BackwardSolveT per row, bit for
+// bit: row counts on and off multiples of 16, batch dimensions on and off
+// multiples of four (the masked column group) and above the panel width,
+// right-hand sides strided inside poisoned memory, ranges starting off a
+// 16-row boundary, special values in the right-hand sides and in L.
 func TestSolveCholRowsMatchesRowAtATime(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 33} {
-		l := randSPD(rng, m)
-		if err := Cholesky(l); err != nil {
+	var ns, ms []int
+	for n := 0; n <= 70; n++ {
+		ns = append(ns, n)
+	}
+	ns = append(ns, 129, 258)
+	for m := 1; m <= 17; m++ {
+		ms = append(ms, m)
+	}
+	ms = append(ms, 32, 48) // the Cholesky panel width, and above it
+	teams := []*par.Team{par.NewTeam(1), par.NewTeam(2), par.NewTeam(3), par.NewTeam(7)}
+
+	rng := rand.New(rand.NewSource(29))
+	for _, m := range ms {
+		l0 := randSPD(rng, m)
+		if err := Cholesky(l0); err != nil {
 			t.Fatal(err)
 		}
-		for _, rows := range []int{0, 1, 3, 4, 5, 8, 11, 30, 129} {
-			for _, strided := range []bool{false, true} {
-				b0 := randMatView(rng, rows, m, strided)
-				want := sameView(b0, strided)
-				for i := 0; i < rows; i++ {
-					ForwardSolve(l, want.Row(i))
-					BackwardSolveT(l, want.Row(i))
+		for _, n := range ns {
+			class := (n + m) % 4
+			l := l0
+			if class != 0 {
+				// Signed zeros and subnormals in L's strict lower triangle.
+				l = l0.Clone()
+				for i := 0; i < m; i++ {
+					for j := 0; j < i; j++ {
+						switch rng.Intn(8) {
+						case 0:
+							l.Set(i, j, math.Copysign(0, float64(rng.Intn(2)*2-1)))
+						case 1:
+							l.Set(i, j, 5e-324*float64(rng.Intn(2)*2-1))
+						}
+					}
 				}
-				for _, procs := range []int{1, 2, 3, 7} {
-					got := sameView(b0, strided)
-					SolveCholRowsPar(par.NewTeam(procs), l, got)
-					sameBits(t, fmt.Sprintf("m=%d rows=%d procs=%d strided=%v", m, rows, procs, strided), got, want)
+			}
+			b0 := randMat(rng, n, m)
+			sprinkle(rng, b0, class)
+			want := b0.Clone()
+			for i := 0; i < n; i++ {
+				ForwardSolve(l, want.Row(i))
+				BackwardSolveT(l, want.Row(i))
+			}
+			what := fmt.Sprintf("n=%d m=%d class=%d", n, m, class)
+
+			got := b0.Clone()
+			SolveCholRows(l, got)
+			sameBits(t, what, got, want)
+
+			// In place inside poisoned memory, on a team: nothing beyond the
+			// view's columns is read into a sum or written.
+			team := teams[(n+m)%len(teams)]
+			back, view := poisoned(b0)
+			SolveCholRowsPar(team, l, view)
+			sameBits(t, fmt.Sprintf("%s strided team=%d", what, team.Size()), view, want)
+			view.CopyFrom(New(n, m))
+			for i, v := range back.Data {
+				if v != 0 && math.Float64bits(v) != math.Float64bits(poison) {
+					t.Fatalf("%s: word %d outside the view written", what, i)
+				}
+			}
+
+			// Ranges no team chunking hands out: rows outside stay as they were.
+			if n > 70 {
+				continue
+			}
+			for _, r0 := range []int{1, 3, 15, 17} {
+				for _, h := range []int{5, 16, 21, 35, n} {
+					r1 := min(r0+h, n)
+					if r0 >= r1 {
+						continue
+					}
+					got := b0.Clone()
+					SolveCholRowsRange(l, got, r0, r1)
+					wantRange := b0.Clone()
+					wantRange.View(r0, 0, r1-r0, m).CopyFrom(want.View(r0, 0, r1-r0, m))
+					sameBits(t, fmt.Sprintf("%s rows [%d,%d)", what, r0, r1), got, wantRange)
 				}
 			}
 		}

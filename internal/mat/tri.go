@@ -44,30 +44,37 @@ func BackwardSolveT(l *Mat, b []float64) {
 // parallel across rows.
 //
 // One row's two substitutions are a single serial chain of dependent
-// subtractions, so rows are solved four at a time: four independent chains
-// in flight against one read of each L entry, with the backward pass
-// reading rows of an exact transposed copy of L instead of striding down
-// its columns. Every row still sees ForwardSolve's and BackwardSolveT's
-// operation order, divisions included, so the result is bit-identical to
-// solving it alone; the last r1−r0 mod 4 rows are solved that way.
+// subtractions, so rows are solved many at a time: independent chains in
+// flight against one read of each L entry, with the backward pass reading
+// rows of an exact transposed copy of L instead of striding down its
+// columns. Where the processor has AVX2, sixteen rows go through
+// solveChol16, one vector lane each; then four at a time through
+// solveChol4; the last r1−r0 mod 4 rows alone. Every row sees
+// ForwardSolve's and BackwardSolveT's operation order, divisions included,
+// so the result is bit-identical to solving it alone whichever path took it.
 func SolveCholRowsRange(l, b *Mat, r0, r1 int) {
 	m := l.Rows
 	if b.Cols != m {
 		panic("mat: SolveCholRows dimension mismatch")
 	}
 	i := r0
-	if r1-r0 >= 4 {
+	if r1-r0 >= 4 && m > 0 {
 		// Batch dimensions stay at or below the Cholesky panel width in
-		// practice, where the transposed copy lives on the stack.
+		// practice, where the transposed copy and the vector kernel's
+		// column-major copy of its rows live on the stack.
 		var stack [cholBlock * cholBlock]float64
-		lt := stack[:]
-		if m*m > len(lt) {
-			lt = make([]float64, m*m)
+		var work [solveRows * cholBlock]float64
+		lt, w := stack[:], work[:]
+		if m > cholBlock {
+			lt, w = make([]float64, m*m), make([]float64, solveRows*(m+3)/4*4)
 		}
 		for r := 0; r < m; r++ {
 			for c, v := range l.Row(r)[:r+1] {
 				lt[c*m+r] = v
 			}
+		}
+		for ; useAVX2 && i+solveRows <= r1; i += solveRows {
+			solveChol16(&b.Data[i*b.Stride], b.Stride, &l.Data[0], l.Stride, &lt[0], m, &w[0])
 		}
 		for ; i+4 <= r1; i += 4 {
 			solveChol4(l, lt, b.Row(i), b.Row(i+1), b.Row(i+2), b.Row(i+3))
@@ -80,8 +87,12 @@ func SolveCholRowsRange(l, b *Mat, r0, r1 int) {
 	}
 }
 
+// solveRows is how many right-hand sides solveChol16 takes per call.
+const solveRows = 16
+
 // solveChol4 solves (L·Lᵀ)·x = b in place for four right-hand sides at
-// once. lt is the row-major transpose of L's lower triangle.
+// once. lt is the row-major transpose of L's lower triangle. It is the
+// portable path and the reference solveChol16's lanes reproduce.
 func solveChol4(l *Mat, lt []float64, x0, x1, x2, x3 []float64) {
 	m := l.Rows
 	x0, x1, x2, x3 = x0[:m], x1[:m], x2[:m], x3[:m]

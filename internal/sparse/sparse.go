@@ -8,6 +8,8 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"phmse/internal/mat"
 	"phmse/internal/par"
@@ -96,38 +98,6 @@ func (m *Matrix) Dense() *mat.Mat {
 	return d
 }
 
-// MulVec computes dst ← H·x (dst has length Rows).
-func (m *Matrix) MulVec(dst, x []float64) {
-	if len(dst) != m.rows || len(x) != m.cols {
-		panic("sparse: MulVec dimension mismatch")
-	}
-	for i := 0; i < m.rows; i++ {
-		cols, vals := m.Row(i)
-		s := 0.0
-		for k, c := range cols {
-			s += vals[k] * x[c]
-		}
-		dst[i] = s
-	}
-}
-
-// MulVecT computes dst ← Hᵀ·y (dst has length Cols). dst is overwritten.
-func (m *Matrix) MulVecT(dst, y []float64) {
-	if len(dst) != m.cols || len(y) != m.rows {
-		panic("sparse: MulVecT dimension mismatch")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i := 0; i < m.rows; i++ {
-		cols, vals := m.Row(i)
-		yi := y[i]
-		for k, c := range cols {
-			dst[c] += vals[k] * yi
-		}
-	}
-}
-
 // DenseMulTSymPar computes dst ← C·Hᵀ — the first "d-s" product of the
 // update procedure — where H is this m×n sparse matrix, C a *symmetric* n×n
 // dense one and dst n×m, with the rows of C partitioned across the team.
@@ -135,31 +105,165 @@ func (m *Matrix) MulVecT(dst, y []float64) {
 // from C[k][i] instead. The upper triangle of C may hold garbage, which is
 // what lets the covariance hot path maintain (or trust) only one triangle.
 // Work is proportional to n·nnz.
+//
+// Entry (i, j) is s := 0; s += v_k·C[i][c_k] over row j's non-zeros in
+// order. The rows of a batch share atoms, so their non-zeros name far fewer
+// distinct columns than there are non-zeros (about half, on helix nodes):
+// each row block first gathers those columns of C into a contiguous buffer,
+// once each, and the products then read the buffer without a branch on
+// which triangle holds the entry — the same products summed in the same
+// order, so the same bits.
 func (m *Matrix) DenseMulTSymPar(t *par.Team, dst, c *mat.Mat) {
-	t.For(c.Rows, func(lo, hi int) { m.denseMulTSymRange(dst, c, lo, hi) })
-}
-
-func (m *Matrix) denseMulTSymRange(dst, c *mat.Mat, r0, r1 int) {
 	if c.Rows != c.Cols {
 		panic("sparse: DenseMulTSymPar on non-square matrix")
 	}
 	if dst.Rows != c.Rows || dst.Cols != m.rows || c.Cols != m.cols {
 		panic("sparse: DenseMulTSymPar dimension mismatch")
 	}
+	p := newGatherPlan(m, dst, c)
+	t.For(c.Rows, p.body)
+	p.release()
+}
+
+// gatherBlock is the number of rows of C one gather covers, and gatherLd
+// the stride of the gathered columns in the buffer: a block of columns (≈ 40
+// on a helix node, 23 KB) and of dst stay in the first-level cache while
+// the products read and write them, and the stride is nine cache lines, not
+// a power of two, so the columns a row is gathered into fall in different
+// cache sets.
+const (
+	gatherBlock = 64
+	gatherLd    = gatherBlock + 8
+)
+
+// gatherPlan is one DenseMulTSymPar call's plan, built before the team
+// starts and only read by its chunks: the distinct columns H names and,
+// for each stored entry of H, where its column sits among them.
+type gatherPlan struct {
+	h      *Matrix
+	dst, c *mat.Mat
+	cols   []int // the distinct columns of H, ascending
+	pos    []int // pos[k] indexes cols with colIdx[k]
+	// slot[c] indexes cols with column c wherever cols[slot[c]] == c; other
+	// entries hold whatever an earlier plan left, so it is never cleared.
+	slot []int
+	// body is p.rows, bound once per plan so that handing it to the team
+	// allocates nothing.
+	body func(lo, hi int)
+}
+
+// planPool and gatherPool recycle plans and the chunks' gather buffers,
+// which every batch update would otherwise allocate afresh. Every word a
+// recycled one hands out is overwritten first.
+var (
+	planPool = sync.Pool{New: func() any {
+		p := new(gatherPlan)
+		p.body = p.rows
+		return p
+	}}
+	gatherPool = sync.Pool{New: func() any { return new([]float64) }}
+)
+
+// newGatherPlan takes a plan from the pool and builds it for dst ← C·Hᵀ.
+func newGatherPlan(h *Matrix, dst, c *mat.Mat) *gatherPlan {
+	p := planPool.Get().(*gatherPlan)
+	p.h, p.dst, p.c = h, dst, c
+	if len(p.slot) < h.cols {
+		p.slot = make([]int, h.cols)
+	}
+	p.cols = p.cols[:0]
+	for _, col := range h.colIdx {
+		if t := p.slot[col]; t >= len(p.cols) || p.cols[t] != col {
+			p.slot[col] = len(p.cols)
+			p.cols = append(p.cols, col)
+		}
+	}
+	slices.Sort(p.cols)
+	for t, col := range p.cols {
+		p.slot[col] = t
+	}
+	p.pos = p.pos[:0]
+	for _, col := range h.colIdx {
+		p.pos = append(p.pos, p.slot[col])
+	}
+	return p
+}
+
+// release returns the plan to the pool, dropping its operands.
+func (p *gatherPlan) release() {
+	p.h, p.dst, p.c = nil, nil, nil
+	planPool.Put(p)
+}
+
+// rows computes rows [lo, hi) of dst, gatherBlock rows at a time. The
+// chunk's buffer holds the gathered columns and, after them, the
+// accumulator.
+func (p *gatherPlan) rows(lo, hi int) {
+	buf := gatherPool.Get().(*[]float64)
+	need := (len(p.cols) + 1) * gatherLd
+	if cap(*buf) < need {
+		*buf = make([]float64, need)
+	}
+	g := (*buf)[:need]
+	for r0 := lo; r0 < hi; r0 += gatherBlock {
+		r1 := min(r0+gatherBlock, hi)
+		p.gather(g, r0, r1)
+		p.multiply(g, r0, r1)
+	}
+	gatherPool.Put(buf)
+}
+
+// gather fills g[t·gatherLd + i−r0] = Csym[i][cols[t]] for rows i in
+// [r0, r1) from the lower triangle: rows above a column's index read that
+// column's row of C, a contiguous run; every other row i reads itself at
+// the distinct columns at or left of i, which are a prefix of cols.
+func (p *gatherPlan) gather(g []float64, r0, r1 int) {
+	c, cols := p.c, p.cols
+	for t, col := range cols {
+		above := min(max(col, r0), r1) - r0
+		copy(g[t*gatherLd:t*gatherLd+above], c.Data[col*c.Stride+r0:])
+	}
+	t := 0
 	for i := r0; i < r1; i++ {
-		ci := c.Row(i)
-		di := dst.Row(i)
-		for j := 0; j < m.rows; j++ {
-			cols, vals := m.Row(j)
-			s := 0.0
-			for k, cc := range cols {
-				if cc <= i {
-					s += vals[k] * ci[cc]
-				} else {
-					s += vals[k] * c.Data[cc*c.Stride+i]
-				}
+		for t < len(cols) && cols[t] <= i {
+			t++
+		}
+		ci, gi := c.Row(i), g[i-r0:]
+		for q, col := range cols[:t] {
+			gi[q*gatherLd] = ci[col]
+		}
+	}
+}
+
+// multiply forms rows [r0, r1) of dst from the gathered columns, one column
+// of dst — one row of H — at a time: acc[i] starts at zero and takes the
+// row's terms in order, three per pass over the block, then is stored.
+func (p *gatherPlan) multiply(g []float64, r0, r1 int) {
+	h, dst, w := p.h, p.dst, r1-r0
+	acc := g[len(p.cols)*gatherLd:][:w]
+	col := func(k int) []float64 { return g[p.pos[k]*gatherLd:][:w] }
+	for j := 0; j < h.rows; j++ {
+		k, hi := h.rowPtr[j], h.rowPtr[j+1]
+		clear(acc)
+		for ; k+3 <= hi; k += 3 {
+			va, vb, vc := h.val[k], h.val[k+1], h.val[k+2]
+			ga, gb, gc := col(k), col(k+1), col(k+2)
+			for i, s := range acc {
+				s += va * ga[i]
+				s += vb * gb[i]
+				s += vc * gc[i]
+				acc[i] = s
 			}
-			di[j] = s
+		}
+		for ; k < hi; k++ {
+			v, gk := h.val[k], col(k)
+			for i, s := range acc {
+				acc[i] = s + v*gk[i]
+			}
+		}
+		out := dst.Data[r0*dst.Stride+j:]
+		for i, s := range acc {
+			out[i*dst.Stride] = s
 		}
 	}
 }

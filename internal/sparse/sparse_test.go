@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -89,40 +90,6 @@ func TestDense(t *testing.T) {
 	}
 }
 
-func TestMulVecAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	h := randSparse(rng, 7, 11, 4)
-	x := make([]float64, 11)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	got := make([]float64, 7)
-	h.MulVec(got, x)
-	want := make([]float64, 7)
-	mat.MulVec(want, h.Dense(), x)
-	mat.SubVec(want, want, got)
-	if mat.Norm2(want) > 1e-12 {
-		t.Fatal("MulVec mismatch")
-	}
-}
-
-func TestMulVecTAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	h := randSparse(rng, 7, 11, 4)
-	y := make([]float64, 7)
-	for i := range y {
-		y[i] = rng.NormFloat64()
-	}
-	got := make([]float64, 11)
-	h.MulVecT(got, y)
-	want := make([]float64, 11)
-	mat.MulVec(want, h.Dense().T(), y)
-	mat.SubVec(want, want, got)
-	if mat.Norm2(want) > 1e-12 {
-		t.Fatal("MulVecT mismatch")
-	}
-}
-
 // Property: H·A computed sparsely matches the dense computation.
 func TestMulDenseProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -183,37 +150,58 @@ func TestDuplicateColumnsAccumulateInDense(t *testing.T) {
 	if m.Dense().At(0, 0) != 3 {
 		t.Fatal("duplicate columns not accumulated")
 	}
-	x := []float64{10, 0}
-	y := make([]float64, 1)
-	m.MulVec(y, x)
-	if y[0] != 30 {
-		t.Fatalf("MulVec with duplicates = %g", y[0])
+	c := mat.FromRows([][]float64{{10, 0}, {0, 1}})
+	a := mat.New(2, 1)
+	m.DenseMulTSymPar(par.NewTeam(1), a, c)
+	if a.At(0, 0) != 30 || a.At(1, 0) != 0 {
+		t.Fatalf("C·Hᵀ with duplicates = %v", a)
 	}
 }
 
+// distanceRows builds a batch of m distance rows (two atoms, three
+// coordinates each) over a state of n = 3·atoms. Scattered rows pair atoms
+// drawn at random, so nearly every non-zero names a column of its own;
+// chain rows join consecutive atoms from a random start, so consecutive
+// rows share an atom and the batch names about half as many distinct
+// columns as it has non-zeros — the shape of a helix node's batches.
+func distanceRows(rng *rand.Rand, n, m int, chain bool) *Matrix {
+	atoms := n / 3
+	hb := NewBuilder(n)
+	start := rng.Intn(atoms)
+	for r := 0; r < m; r++ {
+		i := rng.Intn(atoms)
+		j := (i + 1 + rng.Intn(atoms-1)) % atoms
+		if chain {
+			i, j = (start+r)%atoms, (start+r+1)%atoms
+		}
+		hb.AddRow([]int{3 * i, 3*i + 1, 3*i + 2, 3 * j, 3*j + 1, 3*j + 2},
+			[]float64{0.5, -0.3, 0.8, -0.5, 0.3, -0.8})
+	}
+	return hb.Build()
+}
+
 // BenchmarkDenseMulTSym times the first d-s product A = C·Hᵀ of a batch of
-// 16 distance rows (two atoms, three coordinates each) at a helix node's
-// size and at the ribo30S root's, on the team of two the bench ladder's
-// sparse.dense_mult_sym rung uses.
+// 16 distance rows at node dimensions the cold helix solves run (129, 258)
+// and at the ribo30S root's, on a team of one (what a `-max-procs 1` shard
+// runs) and on the team of two the bench ladder's sparse.dense_mult_sym rung
+// uses, for scattered rows (distinct columns = non-zeros) and chain rows
+// (distinct columns ≈ half the non-zeros, as real batches are).
 func BenchmarkDenseMulTSym(b *testing.B) {
 	const m = 16
-	team := par.NewTeam(2)
-	for _, n := range []int{258, 2598} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		hb := NewBuilder(n)
-		for r := 0; r < m; r++ {
-			i := rng.Intn(n / 3)
-			j := (i + 1 + rng.Intn(n/3-1)) % (n / 3)
-			hb.AddRow([]int{3 * i, 3*i + 1, 3*i + 2, 3 * j, 3*j + 1, 3*j + 2},
-				[]float64{0.5, -0.3, 0.8, -0.5, 0.3, -0.8})
-		}
-		h, c, dst := hb.Build(), randSym(rng, n), mat.New(n, m)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h.DenseMulTSymPar(team, dst, c)
+	for _, shape := range []string{"scattered", "chain"} {
+		for _, n := range []int{129, 258, 2598} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			h, c, dst := distanceRows(rng, n, m, shape == "chain"), randSym(rng, n), mat.New(n, m)
+			for _, procs := range []int{1, 2} {
+				team := par.NewTeam(procs)
+				b.Run(fmt.Sprintf("%s/n=%d/procs=%d", shape, n, procs), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						h.DenseMulTSymPar(team, dst, c)
+					}
+				})
 			}
-		})
+		}
 	}
 }
 
@@ -247,5 +235,169 @@ func TestDenseMulTSymMatchesDense(t *testing.T) {
 		if !got.Equal(want, 1e-12) {
 			t.Fatalf("n=%d m=%d: symmetric-read product differs from C·Hᵀ", n, m)
 		}
+	}
+}
+
+// denseMulTSymRef is the per-row form the gathered product replaced, kept
+// as its reference: rows [r0, r1) of dst ← C·Hᵀ, each entry an ascending-k
+// sum started from zero, C[i][c] with c > i read from C[c][i].
+func denseMulTSymRef(h *Matrix, dst, c *mat.Mat, r0, r1 int) {
+	for i := r0; i < r1; i++ {
+		ci := c.Row(i)
+		di := dst.Row(i)
+		for j := 0; j < h.rows; j++ {
+			cols, vals := h.Row(j)
+			s := 0.0
+			for k, cc := range cols {
+				if cc <= i {
+					s += vals[k] * ci[cc]
+				} else {
+					s += vals[k] * c.Data[cc*c.Stride+i]
+				}
+			}
+			di[j] = s
+		}
+	}
+}
+
+// sameBits fails at the first entry of two equally shaped matrices that
+// differs in any bit, except that a NaN matches any NaN.
+func sameBits(t *testing.T, what string, got, want *mat.Mat) {
+	t.Helper()
+	for i := 0; i < want.Rows; i++ {
+		for j := 0; j < want.Cols; j++ {
+			g, w := got.At(i, j), want.At(i, j)
+			if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+				t.Fatalf("%s: (%d,%d) = %v (%#x), want %v (%#x)", what, i, j,
+					g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// sprinkleSpecials replaces about a sixth of vs by special values: signed
+// zeros and subnormals, and ±Inf and NaN too when withNonFinite is set.
+func sprinkleSpecials(rng *rand.Rand, vs []float64, withNonFinite bool) {
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308}
+	if withNonFinite {
+		specials = append(specials, math.Inf(1), math.Inf(-1), math.NaN())
+	}
+	for i := range vs {
+		if rng.Intn(6) == 0 {
+			vs[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+}
+
+// TestGatheredDenseMulTSymMatchesPerRow pins the gathered d-s product to
+// the per-row reference bit for bit: batches whose rows repeat atoms (the
+// de-duplicated columns) or a column within a row, columns on, just above
+// and just below the rows of a gather block and of a team chunk, every
+// team size, row ranges starting mid-matrix, C's strict upper triangle
+// poisoned with NaN (never read), and ±0, subnormals, ±Inf and NaN in C's
+// lower triangle and in H.
+func TestGatheredDenseMulTSymMatchesPerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	teams := []*par.Team{par.NewTeam(1), par.NewTeam(2), par.NewTeam(3), par.NewTeam(7)}
+	ns := []int{1, 2, 3, 5, 9, 24, 63, 64, 65, 128, 129, 130, 200, 258}
+	for trial, n := range ns {
+		for class := 0; class < 3; class++ {
+			m := 1 + rng.Intn(18)
+			hb := NewBuilder(n)
+			for r := 0; r < m; r++ {
+				var cols []int
+				switch r % 4 {
+				case 0: // a random atom pair
+					i, j := rng.Intn((n+2)/3), rng.Intn((n+2)/3)
+					for _, a := range []int{i, j} {
+						for d := 0; d < 3 && 3*a+d < n; d++ {
+							cols = append(cols, 3*a+d)
+						}
+					}
+				case 1: // a column and its neighbour, often named by other rows too
+					cols = append(cols, rng.Intn(n))
+					cols = append(cols, min(cols[0]+1, n-1))
+				case 2: // around a block or chunk boundary
+					b := []int{gatherBlock, n / 2, n / 3, 2 * gatherBlock}[rng.Intn(4)]
+					for _, c := range []int{b - 1, b, b + 1} {
+						if c >= 0 && c < n {
+							cols = append(cols, c)
+						}
+					}
+				case 3: // a repeated column within the row, and an empty row
+					if rng.Intn(3) > 0 {
+						c := rng.Intn(n)
+						cols = append(cols, c, rng.Intn(n), c)
+					}
+				}
+				vals := make([]float64, len(cols))
+				for k := range vals {
+					vals[k] = rng.NormFloat64()
+				}
+				if class > 0 {
+					sprinkleSpecials(rng, vals, class == 2)
+				}
+				hb.AddRow(cols, vals)
+			}
+			h := hb.Build()
+			c := randSym(rng, n)
+			for i := 0; i < n; i++ {
+				row := c.Row(i)
+				if class > 0 {
+					sprinkleSpecials(rng, row[:i+1], class == 2)
+				}
+				for j := i + 1; j < n; j++ {
+					row[j] = math.NaN()
+				}
+			}
+			want := mat.New(n, m)
+			denseMulTSymRef(h, want, c, 0, n)
+			for _, team := range teams {
+				got := mat.New(n, m)
+				h.DenseMulTSymPar(team, got, c)
+				sameBits(t, fmt.Sprintf("n=%d m=%d class=%d team=%d", n, m, class, team.Size()), got, want)
+			}
+			// Chunks starting anywhere, as on a team of any size: rows
+			// outside the chunk are not written.
+			p := newGatherPlan(h, nil, c)
+			for k := 0; k < 4; k++ {
+				r0 := rng.Intn(n)
+				r1 := r0 + 1 + rng.Intn(n-r0)
+				got := mat.New(n, m)
+				p.dst = got
+				p.rows(r0, r1)
+				ref := mat.New(n, m)
+				denseMulTSymRef(h, ref, c, r0, r1)
+				sameBits(t, fmt.Sprintf("trial %d n=%d m=%d rows [%d,%d)", trial, n, m, r0, r1), got, ref)
+			}
+			p.release()
+		}
+	}
+}
+
+// TestGatherPlanAllocatesNothing: at steady state the product's plan, its
+// bound body and the chunks' gather buffers all come from their pools, so a
+// product allocates nothing. Under the race detector sync.Pool drops some
+// of what is put back — probed here rather than assumed — and a dropped
+// plan (four allocations) or buffer (two) is rebuilt.
+func TestGatherPlanAllocatesNothing(t *testing.T) {
+	var probe sync.Pool
+	probe.Put(new(int))
+	poolKeeps := true
+	for i := 0; i < 100; i++ {
+		x := probe.Get()
+		if x == nil {
+			poolKeeps, x = false, new(int)
+		}
+		probe.Put(x)
+	}
+
+	rng := rand.New(rand.NewSource(30))
+	const n, m = 258, 16
+	h, c, dst := distanceRows(rng, n, m, true), randSym(rng, n), mat.New(n, m)
+	one := par.NewTeam(1)
+	allocs := testing.AllocsPerRun(200, func() { h.DenseMulTSymPar(one, dst, c) })
+	if (poolKeeps && allocs != 0) || allocs > 6 {
+		t.Errorf("%v allocations per product at steady state (pools keep what is put back: %v)", allocs, poolKeeps)
 	}
 }
