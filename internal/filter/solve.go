@@ -31,7 +31,8 @@ type Control struct {
 	// priors (default 100 Å²).
 	InitVar float64
 	// Team provides intra-update parallelism and, in the hierarchy, the
-	// processors the plan splits over subtrees (default: sequential).
+	// processors the plan's concurrent subtree groups share (default:
+	// sequential).
 	Team *par.Team
 	// Rec, when non-nil, accumulates per-operation-class timing.
 	Rec *trace.Collector
@@ -216,13 +217,17 @@ func (c Control) Iterate(pass func(cycle int) (rmsChange float64, err error)) (R
 // a diffuse prior (the sequential Kalman-updating pattern). Re-introducing
 // the diffuse reset mid-solve would kick a near-converged state back onto
 // the cold iteration's slow transient; continuation keeps the steps
-// shrinking monotonically instead.
+// shrinking monotonically instead. The solve runs on a crew started for it
+// (par.Team.Start) and stopped before it returns.
 func Solve(s *State, cons []constraint.Constraint, ctl Control, warm bool) (Result, error) {
 	ctl = ctl.WithDefaults()
 	batches, err := MakeBatches(cons, func(a int) int { return a }, ctl.BatchSize)
 	if err != nil {
 		return Result{Diag: ctl.Diag}, err
 	}
+	var stop func()
+	ctl.Team, stop = ctl.Team.Start()
+	defer stop()
 	u := ctl.Updater(ctl.Team, "", 0)
 	defer u.ReleaseWorkspace()
 	prev := append([]float64(nil), s.X...)

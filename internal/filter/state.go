@@ -40,12 +40,12 @@ func NewState(pos []geom.Vec3, variance float64) *State {
 }
 
 // GetPooledState returns a dim-dimensional state backed by pooled
-// buffers: X has unspecified contents (the caller must fully overwrite
-// it), C is zeroed. Release with ReleasePooledState when the state no
-// longer escapes; a state that does escape (into a Solution, say) is
-// simply never released.
+// buffers with unspecified contents: the caller writes every entry of X
+// and C it reads (the hierarchy's nodes each clear their own blocks).
+// Release with ReleasePooledState when the state no longer escapes; a
+// state that does escape (into a Solution, say) is simply never released.
 func GetPooledState(dim int) *State {
-	return &State{X: pool.Get(dim), C: pool.GetMat(dim, dim)}
+	return &State{X: pool.Get(dim), C: &mat.Mat{Rows: dim, Cols: dim, Stride: dim, Data: pool.Get(dim * dim)}}
 }
 
 // ReleasePooledState returns a pooled state's buffers for reuse and

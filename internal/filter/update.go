@@ -80,9 +80,11 @@ type Updater struct {
 }
 
 // workspace is the per-updater scratch arena: backing slices grow to the
-// high-water mark and are re-sliced per batch.
+// high-water mark and are re-sliced per batch, and the matrix headers over
+// them are kept here too, so that a batch allocates none.
 type workspace struct {
 	aBuf, haBuf, sBuf, kBuf, wBuf []float64
+	a, ha, s, k, w                mat.Mat
 	nu, dx                        []float64
 }
 
@@ -116,17 +118,18 @@ func (u *Updater) ReleaseWorkspace() {
 	u.ws = nil
 }
 
-// matOfDirty slices an r×c matrix out of a grown backing buffer, without
-// zeroing it: every destination here (A, H·A, S, K and K·L below) is fully
-// overwritten by the next kernel before it is read. The buffer may hold
-// stale values from the previous batch.
-func matOfDirty(buf *[]float64, r, c int) *mat.Mat {
+// matOfDirty points hdr at an r×c matrix sliced out of a grown backing
+// buffer, without zeroing it: every destination here (A, H·A, S, K and K·L
+// below) is fully overwritten by the next kernel before it is read. The
+// buffer may hold stale values from the previous batch.
+func matOfDirty(hdr *mat.Mat, buf *[]float64, r, c int) *mat.Mat {
 	need := r * c
 	if cap(*buf) < need {
 		*buf = make([]float64, need)
 	}
 	*buf = (*buf)[:need]
-	return &mat.Mat{Rows: r, Cols: c, Stride: c, Data: *buf}
+	*hdr = mat.Mat{Rows: r, Cols: c, Stride: c, Data: *buf}
+	return hdr
 }
 
 func vecOf(buf *[]float64, n int) []float64 {
@@ -195,8 +198,8 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 	// A = C·Hᵀ and H·A: the dense-sparse products (computed once; trust-
 	// region retries below only redo the small m×m work). A is formed
 	// reading only the lower triangle of C.
-	a := matOfDirty(&ws.aBuf, n, m)
-	ha := matOfDirty(&ws.haBuf, m, m)
+	a := matOfDirty(&ws.a, &ws.aBuf, n, m)
+	ha := matOfDirty(&ws.ha, &ws.haBuf, m, m)
 	u.Rec.Timed(trace.DenseSparse, 2*float64(n)*nnz+2*nnz*float64(m), func() {
 		asm.jac.DenseMulTSymPar(team, a, s.C)
 		asm.jac.MulDensePar(team, ha, a)
@@ -234,8 +237,8 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 	// noise R ← λ·R — a consistent Kalman update for noisier data, unlike
 	// clamping the step vector, which would desynchronize the covariance
 	// from the mean. λ grows geometrically until the step fits.
-	sMat := matOfDirty(&ws.sBuf, m, m)
-	k := matOfDirty(&ws.kBuf, n, m)
+	sMat := matOfDirty(&ws.s, &ws.sBuf, m, m)
+	k := matOfDirty(&ws.k, &ws.kBuf, n, m)
 	dx := vecOf(&ws.dx, n)
 	lambda := 1.0
 	// Ridge recovery: when S fails to factor (indefinite under round-off,
@@ -303,7 +306,7 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 	fn, fm := float64(n), float64(m)
 	var w *mat.Mat
 	if u.Joseph {
-		w = matOfDirty(&ws.wBuf, n, m)
+		w = matOfDirty(&ws.w, &ws.wBuf, n, m)
 		u.Rec.Timed(trace.MatMat, 2*fn*fm*fm, func() {
 			mat.MulPar(team, w, k, sMat) // sMat holds L after factorization
 		})

@@ -7,6 +7,7 @@ import (
 
 	"phmse/internal/filter"
 	"phmse/internal/geom"
+	"phmse/internal/mat"
 	"phmse/internal/par"
 	"phmse/internal/trace"
 )
@@ -40,6 +41,11 @@ type Options struct {
 // points. It returns the root state, whose atom ordering is root.Atoms;
 // the result's Residual is left to the caller, who holds the constraints
 // in global atom order.
+//
+// The solve runs on a crew started for it (par.Team.Start) and stopped
+// before it returns. Between cycles only the root's positions and diagonal
+// are read, so the state's upper triangle is written once, for the state
+// Solve returns.
 func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, filter.Result, error) {
 	opt.Control = opt.Control.WithDefaults()
 	if root.prepared != opt.BatchSize {
@@ -53,6 +59,9 @@ func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, filter.Res
 	if opt.WarmVars != nil && len(opt.WarmVars) != 3*len(init) {
 		return nil, filter.Result{}, fmt.Errorf("hier: warm variances have %d entries, want %d", len(opt.WarmVars), 3*len(init))
 	}
+	var stop func()
+	opt.Team, stop = opt.Team.Start()
+	defer stop()
 	positions := append([]geom.Vec3(nil), init...)
 	if opt.WarmVars != nil {
 		// The per-cycle carry-forward below rewrites the slice; copy it so
@@ -90,44 +99,55 @@ func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, filter.Res
 		}
 		return math.Sqrt(sum / float64(3*len(root.Atoms))), nil
 	})
+	if state != nil {
+		opt.Updater(opt.Team, root.Name, res.Cycles).Mirror(state)
+	}
 	return state, res, err
 }
 
 // UpdatePass performs one post-order pass over the tree (one cycle) from
-// the given linearization positions and returns the root state.
+// the given linearization positions and returns the root state, symmetric.
 func UpdatePass(root *Node, positions []geom.Vec3, opt Options) (*filter.State, error) {
 	opt.Control = opt.Control.WithDefaults()
-	return updatePass(root, positions, opt, 1)
+	var stop func()
+	opt.Team, stop = opt.Team.Start()
+	defer stop()
+	s, err := updatePass(root, positions, opt, 1)
+	if err != nil {
+		return nil, err
+	}
+	opt.Updater(opt.Team, root.Name, 1).Mirror(s)
+	return s, nil
 }
 
-// updatePass is one cycle: one zeroed root state, every node updating its
-// own diagonal block of it in place, and one mirror at the end. A node's
-// pass keeps the lower triangle of its block only, and nothing before the
-// mirror reads the upper one; the mirror is unconditional because a root
-// with no constraints of its own still has to come back symmetric. opt is
-// already normalised.
+// updatePass is one cycle: one root state from the pool, every node
+// clearing and then updating its own diagonal block of it in place. A
+// node's pass keeps the lower triangle of its block only; the upper one is
+// left as the pool handed it over, for the caller to mirror when it needs
+// the whole matrix. opt is already normalised.
 func updatePass(root *Node, positions []geom.Vec3, opt Options, cycle int) (*filter.State, error) {
-	// Pooled: C comes back zeroed, X is fully written by the leaves and
-	// direct atoms, which between them hold every atom.
+	// Pooled and dirty: every node clears the part of C it owns before its
+	// pass, and X is fully written by the leaves and direct atoms, which
+	// between them hold every atom.
 	s := filter.GetPooledState(root.StateDim())
 	if _, err := updateNode(root, s, positions, opt, opt.Team, cycle); err != nil {
 		filter.ReleasePooledState(s)
 		return nil, err
 	}
-	opt.Updater(opt.Team, root.Name, cycle).Mirror(s)
 	return s, nil
 }
 
 // updateNode computes the posterior of one node in the given cycle, in
 // place in s, the node's block of the root state: children first, each in
-// its own sub-block (possibly in parallel processor groups — disjoint
-// subtrees write disjoint blocks), then the node's direct atoms' priors,
-// then the node's own constraints, whose batches fill the cross blocks
-// between the children, zero until then. It returns the guard's bound on
-// the block, which the parent joins instead of rescanning it.
+// its own sub-block (possibly in concurrent subtree groups — disjoint
+// subtrees write disjoint blocks), then the node clears what is left of its
+// lower triangle (clearOwn) and sets its direct atoms' priors, then its own
+// constraints' batches fill the cross blocks between the children. It
+// returns the guard's bound on the block, which the parent joins instead of
+// rescanning it.
 func updateNode(n *Node, s *filter.State, positions []geom.Vec3, opt Options, team *par.Team, cycle int) (filter.Bound, error) {
 	var bound filter.Bound
-	child := func(c *Node, team *par.Team) (filter.Bound, error) {
+	child := func(c *Node) (filter.Bound, error) {
 		return updateNode(c, s.Block(3*(c.lo-n.lo), c.StateDim()), positions, opt, team, cycle)
 	}
 	groups := opt.Plan.groupsFor(n)
@@ -137,31 +157,27 @@ func updateNode(n *Node, s *filter.State, positions []geom.Vec3, opt Options, te
 	case groups == nil || team.Size() == 1 || len(groups) == 1:
 		// Sequential children, full team each.
 		for _, c := range n.Children {
-			b, err := child(c, team)
+			b, err := child(c)
 			if err != nil {
 				return bound, err
 			}
 			bound = bound.Join(b)
 		}
 	default:
-		// Parallel processor groups over disjoint subtrees: the new axis of
-		// parallelism exposed by the hierarchy.
-		sizes := make([]int, len(groups))
-		for i, g := range groups {
-			sizes[i] = g.Procs
-		}
-		teams := team.SplitN(sizes)
+		// Concurrent subtree groups: the new axis of parallelism exposed by
+		// the hierarchy. The plan decides which subtrees run at once; every
+		// group runs on the whole team, so a member whose group is done
+		// claims pieces of the others' loops.
 		var mu sync.Mutex
 		var firstErr error
 		thunks := make([]func(), len(groups))
 		for gi, g := range groups {
-			gi, g := gi, g
 			thunks[gi] = func() {
 				var joined filter.Bound
 				var err error
 				for _, c := range g.Nodes {
 					var b filter.Bound
-					if b, err = child(c, teams[gi]); err != nil {
+					if b, err = child(c); err != nil {
 						break
 					}
 					joined = joined.Join(b)
@@ -174,12 +190,13 @@ func updateNode(n *Node, s *filter.State, positions []geom.Vec3, opt Options, te
 				mu.Unlock()
 			}
 		}
-		par.Parallel(thunks...)
+		team.Parallel(thunks...)
 		if firstErr != nil {
 			return bound, firstErr
 		}
 	}
 
+	n.clearOwn(s.C, team)
 	// The node's direct atoms: the current linearization positions with
 	// fresh isotropic covariance — or, under a warm start, the injected
 	// per-coordinate posterior variances.
@@ -202,6 +219,29 @@ func updateNode(n *Node, s *filter.State, positions []geom.Vec3, opt Options, te
 		return bound, fmt.Errorf("node %q: %w", n.Name, err)
 	}
 	return bound, nil
+}
+
+// clearOwn zeroes the part of the node's block c that no child block
+// covers: in each child's rows, the columns left of that child's block —
+// the cross blocks the node's own batches fill — and in each direct atom's
+// row, everything up to the diagonal. The root state comes from the pool
+// dirty; this way every entry of its lower triangle is cleared by exactly
+// one node, just before that node's own pass, on its team and into cache
+// for its first batch.
+func (n *Node) clearOwn(c *mat.Mat, team *par.Team) {
+	team.ForTri(c.Rows, func(lo, hi int) {
+		k := 0 // the child holding row i, len(n.Children) for a direct atom's row
+		for i := lo; i < hi; i++ {
+			for k < len(n.Children) && i >= 3*(n.Children[k].lo-n.lo+len(n.Children[k].Atoms)) {
+				k++
+			}
+			w := i + 1
+			if k < len(n.Children) {
+				w = 3 * (n.Children[k].lo - n.lo)
+			}
+			clear(c.Row(i)[:w])
+		}
+	})
 }
 
 // priorVar returns the initial variance of one coordinate of a global atom:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"phmse/internal/par"
 )
@@ -58,8 +59,38 @@ func BenchmarkCovUpdateSimple(bm *testing.B) {
 					bm.ReportMetric(flops/bm.Elapsed().Seconds()/1e9, "Gflop/s")
 				})
 			}
+			if n == 2598 {
+				bm.Run(fmt.Sprintf("lower-after-gap/n=%d/p=%d", n, procs), func(bm *testing.B) {
+					benchSweepAfterGap(bm, team, c, a, b)
+				})
+			}
 		}
 	}
+}
+
+// serialGap is the serial work between two covariance sweeps of a
+// root-sized batch update in a solve: the batch's d-s product, gain solve
+// and guard scan, run by the team's poster while the rest of the team has
+// nothing to claim.
+const serialGap = 300 * time.Microsecond
+
+// benchSweepAfterGap times the lower-only sweep as a solve meets it — after
+// serialGap of busy work on the calling goroutine, long enough for idle
+// members to park — so the time to bring the team back is in it, which
+// back-to-back sweeps hide. The gap is excluded from the reported sweep
+// time and rate.
+func benchSweepAfterGap(bm *testing.B, team *par.Team, c, a, b *Mat) {
+	var swept time.Duration
+	for i := 0; i < bm.N; i++ {
+		for start := time.Now(); time.Since(start) < serialGap; {
+		}
+		start := time.Now()
+		Syr2kSubLowerPar(team, c, a, b)
+		swept += time.Since(start)
+	}
+	n, m := float64(c.Rows), float64(a.Cols)
+	bm.ReportMetric(swept.Seconds()*1e3/float64(bm.N), "sweep-ms")
+	bm.ReportMetric(n*(n+1)*m*float64(bm.N)/swept.Seconds()/1e9, "Gflop/s")
 }
 
 // BenchmarkCovUpdateJoseph times the Joseph-form covariance update as the

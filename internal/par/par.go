@@ -1,21 +1,24 @@
 // Package par provides the shared-memory parallel runtime used by the
 // estimator: processor teams with fork-join loop partitioning (static row
-// blocks, claimed triangle chunks), team splitting for assigning processor
-// groups to subtrees of the structure hierarchy (the new axis of
-// parallelism exposed by the hierarchical decomposition), and the shared
-// processor budget the serving layer admits jobs against (ProcPool).
+// blocks, claimed triangle chunks) and concurrent subtree groups — the new
+// axis of parallelism exposed by the hierarchical decomposition — run on a
+// crew of resident workers, and the shared processor budget the serving
+// layer admits jobs against (ProcPool).
 //
-// A Team models a fixed group of processors, mirroring the paper's static
-// processor-assignment scheme: every node of the structure hierarchy is
-// computed by the team assigned to it, and a team may be split into disjoint
-// sub-teams that proceed independently on disjoint subtrees.
+// A Team is a width: the number of processors the paper's static
+// assignment gives a node, which decides how finely the node's loops are
+// cut. What runs the pieces is the team's crew (crew.go): the poster of each
+// loop plus resident helper goroutines, every one of them claiming pieces
+// of whatever is posted. A member whose subtree group has finished helps the
+// groups still running, so the plan decides which subtrees run concurrently
+// but processors are not bound to groups.
 package par
 
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Team is a group of logical processors that execute fork-join parallel
@@ -24,6 +27,8 @@ import (
 // runs pay no parallel overhead.
 type Team struct {
 	size int
+	once sync.Once
+	crew *crew // set by Start, or on the first post of a team nobody started
 }
 
 // NewTeam returns a team of p logical processors. p must be at least 1.
@@ -37,23 +42,32 @@ func NewTeam(p int) *Team {
 // Size returns the number of logical processors in the team.
 func (t *Team) Size() int { return t.size }
 
-// Run executes body(id) for id = 0..Size()-1, one goroutine per member, and
-// waits for all of them to finish. For a team of one the body runs inline.
-func (t *Team) Run(body func(id int)) {
+// Start returns a team of the same size whose parallel regions run on a
+// crew started now — the caller of each region plus up to Size()−1 resident
+// helpers — and the function that stops the crew, which returns once every
+// helper has exited. A solve starts one when it starts and stops it when it
+// returns. A team of one has no crew: Start returns it and a stop that does
+// nothing.
+//
+// A team nobody started gets a crew of its own at its first wide region;
+// its helpers park when idle and exit once the team is garbage.
+func (t *Team) Start() (*Team, func()) {
 	if t.size == 1 {
-		body(0)
-		return
+		return t, func() {}
 	}
-	var wg sync.WaitGroup
-	wg.Add(t.size - 1)
-	for id := 1; id < t.size; id++ {
-		go func(id int) {
-			defer wg.Done()
-			body(id)
-		}(id)
-	}
-	body(0)
-	wg.Wait()
+	c := newCrew(t.size)
+	return &Team{size: t.size, crew: c}, c.stop
+}
+
+// crewOf returns the team's crew, starting one for a team nobody started.
+func (t *Team) crewOf() *crew {
+	t.once.Do(func() {
+		if t.crew == nil {
+			t.crew = newCrew(t.size)
+			runtime.SetFinalizer(t, func(t *Team) { t.crew.quit() })
+		}
+	})
+	return t.crew
 }
 
 // For partitions the index range [0, n) statically into Size() nearly equal
@@ -64,26 +78,12 @@ func (t *Team) For(n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	p := t.size
-	if p > n {
-		p = n
-	}
+	p := min(t.size, n)
 	if p == 1 {
 		body(0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(p - 1)
-	for id := 1; id < p; id++ {
-		lo, hi := Chunk(n, p, id)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	lo, hi := Chunk(n, p, 0)
-	body(lo, hi)
-	wg.Wait()
+	t.crewOf().run(region{body: body, n: n, pieces: p})
 }
 
 // triChunksPerProc is how many area-balanced chunks ForTri cuts per team
@@ -100,7 +100,7 @@ const (
 
 // ForTri cuts the row range [0, n) of an n×n lower triangle into contiguous
 // chunks of nearly equal *area* and executes body(lo, hi) once for each,
-// the team's members claiming chunks front to back until none is left. Row
+// the crew's members claiming chunks front to back until none is left. Row
 // i of the lower triangle holds i+1 elements, so an equal-row split would
 // give the last rows about twice the work of the first.
 //
@@ -117,37 +117,34 @@ func (t *Team) ForTri(n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	p := t.size
-	if p > n {
-		p = n
-	}
+	p := min(t.size, n)
 	if p == 1 {
 		body(0, n)
 		return
 	}
 	chunks := min(p*triChunksPerProc, max(p, n/triMinRows))
-	var next atomic.Int64
-	claim := func() {
-		for {
-			k := int(next.Add(1)) - 1
-			if k >= chunks {
-				return
-			}
-			if lo, hi := evenTriChunk(n, chunks, k); lo < hi {
-				body(lo, hi)
-			}
+	t.crewOf().run(region{body: body, n: n, pieces: chunks, tri: true})
+}
+
+// Parallel runs the thunks concurrently and returns when all of them have
+// finished: the fork-join primitive that launches sibling subtree groups.
+// Each thunk is one piece of the crew's board, so a member claims a whole
+// group, and every group runs its loops on this same team — a member whose
+// group finishes first claims pieces of the others'. A team of one runs the
+// thunks in order.
+func (t *Team) Parallel(thunks ...func()) {
+	if t.size == 1 || len(thunks) < 2 {
+		for _, f := range thunks {
+			f()
+		}
+		return
+	}
+	body := func(lo, hi int) {
+		for _, f := range thunks[lo:hi] {
+			f()
 		}
 	}
-	var wg sync.WaitGroup
-	wg.Add(p - 1)
-	for id := 1; id < p; id++ {
-		go func() {
-			defer wg.Done()
-			claim()
-		}()
-	}
-	claim()
-	wg.Wait()
+	t.crewOf().run(region{body: body, n: len(thunks), pieces: len(thunks), groups: true})
 }
 
 // evenTriChunk is TriChunk with the interior boundaries rounded down to a
@@ -208,53 +205,4 @@ func Chunk(n, p, id int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// Split divides the team into two disjoint sub-teams of sizes k and
-// Size()−k. Both must end up non-empty.
-func (t *Team) Split(k int) (*Team, *Team) {
-	if k <= 0 || k >= t.size {
-		panic(fmt.Sprintf("par: split %d of team of %d", k, t.size))
-	}
-	return &Team{size: k}, &Team{size: t.size - k}
-}
-
-// SplitN divides the team into len(sizes) disjoint sub-teams with the given
-// sizes, which must be positive and sum to Size().
-func (t *Team) SplitN(sizes []int) []*Team {
-	total := 0
-	teams := make([]*Team, len(sizes))
-	for i, s := range sizes {
-		if s < 1 {
-			panic(fmt.Sprintf("par: sub-team size %d < 1", s))
-		}
-		total += s
-		teams[i] = &Team{size: s}
-	}
-	if total != t.size {
-		panic(fmt.Sprintf("par: sub-team sizes sum to %d, team has %d", total, t.size))
-	}
-	return teams
-}
-
-// Parallel runs the given thunks concurrently and waits for all of them.
-// It is the fork-join primitive used to launch sibling subtrees.
-func Parallel(thunks ...func()) {
-	if len(thunks) == 0 {
-		return
-	}
-	if len(thunks) == 1 {
-		thunks[0]()
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(thunks) - 1)
-	for _, f := range thunks[1:] {
-		go func(f func()) {
-			defer wg.Done()
-			f()
-		}(f)
-	}
-	thunks[0]()
-	wg.Wait()
 }

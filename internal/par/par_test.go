@@ -1,10 +1,12 @@
 package par
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestNewTeamRejectsZero(t *testing.T) {
@@ -14,19 +16,6 @@ func TestNewTeamRejectsZero(t *testing.T) {
 		}
 	}()
 	NewTeam(0)
-}
-
-func TestTeamRunVisitsAllIDs(t *testing.T) {
-	for _, p := range []int{1, 2, 7} {
-		team := NewTeam(p)
-		var seen sync.Map
-		team.Run(func(id int) { seen.Store(id, true) })
-		for id := 0; id < p; id++ {
-			if _, ok := seen.Load(id); !ok {
-				t.Fatalf("p=%d: worker %d never ran", p, id)
-			}
-		}
-	}
 }
 
 func TestTeamForCoversRangeExactlyOnce(t *testing.T) {
@@ -79,48 +68,131 @@ func TestChunkProperty(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	team := NewTeam(10)
-	a, b := team.Split(3)
-	if a.Size() != 3 || b.Size() != 7 {
-		t.Fatalf("Split sizes %d, %d", a.Size(), b.Size())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Split(10) of team of 10 did not panic")
-		}
-	}()
-	team.Split(10)
-}
-
-func TestSplitN(t *testing.T) {
-	team := NewTeam(9)
-	subs := team.SplitN([]int{2, 3, 4})
-	if len(subs) != 3 || subs[0].Size() != 2 || subs[1].Size() != 3 || subs[2].Size() != 4 {
-		t.Fatal("SplitN sizes wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched SplitN did not panic")
-		}
-	}()
-	team.SplitN([]int{4, 4})
-}
-
 func TestParallelRunsAll(t *testing.T) {
-	var n int64
-	Parallel(
-		func() { atomic.AddInt64(&n, 1) },
-		func() { atomic.AddInt64(&n, 10) },
-		func() { atomic.AddInt64(&n, 100) },
-	)
-	if n != 111 {
-		t.Fatalf("n = %d", n)
+	for _, p := range []int{1, 2, 3} {
+		team := NewTeam(p)
+		var n int64
+		team.Parallel(
+			func() { atomic.AddInt64(&n, 1) },
+			func() { atomic.AddInt64(&n, 10) },
+			func() { atomic.AddInt64(&n, 100) },
+		)
+		if n != 111 {
+			t.Fatalf("p=%d: n = %d", p, n)
+		}
+		team.Parallel() // no thunks: must not hang
+		team.Parallel(func() { atomic.AddInt64(&n, 1000) })
+		if n != 1111 {
+			t.Fatalf("p=%d: n = %d", p, n)
+		}
 	}
-	Parallel() // no thunks: must not hang
-	Parallel(func() { atomic.AddInt64(&n, 1000) })
-	if n != 1111 {
-		t.Fatalf("n = %d", n)
+}
+
+// Two subtree groups post loops at once, and whoever runs the first piece
+// of group A's loop holds it until some other member has run another piece
+// of that loop. A team of two has two members, one of which runs group A,
+// so the loop completes only if the member that ran group B — done with its
+// own group and its own loop — claims pieces of A's.
+func TestFinishedGroupClaimsAnotherGroupsLoop(t *testing.T) {
+	const n = 1024
+	team, stop := NewTeam(2).Start()
+	defer stop()
+	bStarted, second := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	var once sync.Once
+	var rows [2]atomic.Int64
+	team.Parallel(
+		func() {
+			select {
+			case <-bStarted:
+			case <-time.After(10 * time.Second):
+				t.Error("group B never started beside group A")
+			}
+			team.ForTri(n, func(lo, hi int) {
+				rows[0].Add(int64(hi - lo))
+				if held.CompareAndSwap(false, true) {
+					select {
+					case <-second:
+					case <-time.After(10 * time.Second):
+						t.Error("no second member ran a piece of group A's loop")
+					}
+					return
+				}
+				once.Do(func() { close(second) })
+			})
+		},
+		func() {
+			close(bStarted)
+			team.ForTri(n, func(lo, hi int) { rows[1].Add(int64(hi - lo)) })
+		},
+	)
+	if rows[0].Load() != n || rows[1].Load() != n {
+		t.Fatalf("rows covered: group A %d, group B %d, want %d each", rows[0].Load(), rows[1].Load(), n)
+	}
+}
+
+// waitGoroutines waits until no more than want goroutines are left,
+// collecting garbage between looks so that finalizers run.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want at most %d", runtime.NumGoroutine(), want)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A started crew's helpers live until stop, which returns once they have
+// exited — however many the team's width asks for, at most GOMAXPROCS.
+func TestStartedCrewStopsItsHelpers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, p := range []int{2, 3, 7} {
+		team, stop := NewTeam(p).Start()
+		team.ForTri(512, func(lo, hi int) {})
+		want := max(1, min(p, runtime.GOMAXPROCS(0))-1)
+		if got := runtime.NumGoroutine() - base; got > want {
+			t.Errorf("team of %d at GOMAXPROCS %d: %d helpers, want at most %d", p, runtime.GOMAXPROCS(0), got, want)
+		}
+		stop()
+		waitGoroutines(t, base)
+	}
+	one, stop := NewTeam(1).Start()
+	one.For(10, func(lo, hi int) {})
+	stop()
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("a team of one started %d goroutines", got-base)
+	}
+}
+
+// A team nobody started gets a crew at its first wide loop, and its parked
+// helpers exit once the team is garbage.
+func TestUnstartedTeamHelpersExitWithTheTeam(t *testing.T) {
+	base := runtime.NumGoroutine()
+	func() {
+		team := NewTeam(2)
+		var rows atomic.Int64
+		team.ForTri(256, func(lo, hi int) { rows.Add(int64(hi - lo)) })
+		if rows.Load() != 256 {
+			t.Fatalf("rows covered %d, want 256", rows.Load())
+		}
+	}()
+	waitGoroutines(t, base)
+}
+
+// A loop still completes on a crew that has been told to stop — as the crew
+// of a team nobody started is when the team becomes garbage while its last
+// loop runs: the poster runs whatever pieces no helper is left to claim.
+func TestLoopAfterStopRunsOnThePoster(t *testing.T) {
+	team, stop := NewTeam(3).Start()
+	stop()
+	var rows atomic.Int64
+	team.ForTri(300, func(lo, hi int) { rows.Add(int64(hi - lo)) })
+	team.For(300, func(lo, hi int) { rows.Add(int64(hi - lo)) })
+	if rows.Load() != 600 {
+		t.Fatalf("rows covered %d, want 600", rows.Load())
 	}
 }
 
