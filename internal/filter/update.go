@@ -283,10 +283,11 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 			}
 			return 0, &solvererr.Indefinite{Node: u.Node, Batch: u.batchIdx, Dim: m, Retries: ridgeTries, Err: cholErr}
 		}
-		// Filter gain K = A·S⁻¹ via triangular solves on each state row.
-		u.Rec.Timed(trace.VecOp, float64(n*m), func() { k.CopyFrom(a) })
+		// Filter gain K = A·S⁻¹ via triangular solves on each state row,
+		// every try from A: each chunk of the solve copies its rows of A
+		// into K and solves them there.
 		u.Rec.Timed(trace.Solve, 2*float64(n)*float64(m)*float64(m), func() {
-			mat.SolveCholRowsPar(team, sMat, k)
+			mat.SolveCholRowsPar(team, sMat, k, a)
 		})
 		u.Rec.Timed(trace.MatVec, 2*float64(n)*float64(m), func() {
 			mat.MulVecPar(team, dx, k, nu)

@@ -192,7 +192,7 @@ func TestSolveCholRowsPar(t *testing.T) {
 	serial := b.Clone()
 	SolveCholRows(l, serial)
 	parallel := b.Clone()
-	SolveCholRowsPar(par.NewTeam(5), l, parallel)
+	SolveCholRowsPar(par.NewTeam(5), l, parallel, parallel)
 	if !serial.Equal(parallel, 1e-12) {
 		t.Fatal("parallel multi-RHS solve mismatch")
 	}

@@ -6,6 +6,13 @@ package mat
 //go:noescape
 func tiles4x8(out *float64, ldo int, a *float64, lda int, panel *float64, m, nt int, sign float64)
 
+// tiles4x16z is tiles4x8 on the 512-bit unit (lower_amd64.s): np pairs of
+// adjacent 4×8 panel tiles, each pair one 4×16 tile, every lane performing
+// tiles4x8's operations.
+//
+//go:noescape
+func tiles4x16z(out *float64, ldo int, a *float64, lda int, panel *float64, m, np int, sign float64)
+
 // solveChol16 is the AVX2 sys microkernel (lower_amd64.s): 16 rows of x
 // solved against L·Lᵀ in place, lanes performing solveChol4's operations.
 //
@@ -32,4 +39,15 @@ var useAVX2 = func() bool {
 	}
 	_, b, _, _ := cpuid(7, 0)
 	return b&(1<<5) != 0
+}()
+
+// useAVX512 is decided the same way: useAVX2, the CPU has AVX512F (CPUID
+// leaf 7, EBX bit 16), and the OS saves the opmask and zmm state as well
+// (XCR0 bits 5–7 beside bits 1 and 2).
+var useAVX512 = useAVX2 && func() bool {
+	if lo, _ := xgetbv(); lo&0xe6 != 0xe6 {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&(1<<16) != 0
 }()

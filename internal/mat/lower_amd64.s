@@ -101,6 +101,112 @@ dot:
 	VZEROUPPER
 	RET
 
+// func tiles4x16z(out *float64, ldo int, a *float64, lda int, panel *float64, m, np int, sign float64)
+//
+// tiles4x8 on the 512-bit unit: np consecutive pairs of 4×8 tiles, pair p
+// being tiles 2p and 2p+1 of the panel, i.e. for p in [0, np), r in [0, 4),
+// c in [0, 16):
+//
+//	out[r*ldo + 16p + c] += sign * Σₖ a[r*lda + k] · panel[((2p + c/8)*m + k)*8 + c%8]
+//
+// with the same per-lane operations in the same order as tiles4x8 — k
+// ascending, VMULPD then VADDPD, the epilogue a multiply by ±1 then an add
+// — one zmm lane per entry of out, so either kernel leaves the same bits.
+// m ≥ 1, np ≥ 1. Only AVX512F instructions on zmm registers; no opmasks.
+//
+// Z0–Z7 accumulate (row r in Z(2r), Z(2r+1)), Z8–Z9 hold the k-th eight
+// entries of the two tiles (BX and BX + m·64), Z10–Z11 a broadcast entry of
+// a, Z12–Z13 the products, Z14 sign in every lane.
+TEXT ·tiles4x16z(SB), NOSPLIT, $0-64
+	MOVQ out+0(FP), DI
+	MOVQ ldo+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ lda+24(FP), R9
+	MOVQ panel+32(FP), BX
+	MOVQ m+40(FP), CX
+	MOVQ np+48(FP), DX
+	VBROADCASTSD sign+56(FP), Z14
+	SHLQ $3, R8               // row strides in bytes
+	SHLQ $3, R9
+	LEAQ (R8)(R8*2), R13      // 3·ldo
+	LEAQ (SI)(R9*1), R10      // rows 1–3 of a
+	LEAQ (SI)(R9*2), R11
+	LEAQ (R11)(R9*1), R12
+	MOVQ CX, R15
+	SHLQ $6, R15              // m·64, the bytes of one panel tile
+
+pair:
+	VXORPD Z0, Z0, Z0
+	VXORPD Z1, Z1, Z1
+	VXORPD Z2, Z2, Z2
+	VXORPD Z3, Z3, Z3
+	VXORPD Z4, Z4, Z4
+	VXORPD Z5, Z5, Z5
+	VXORPD Z6, Z6, Z6
+	VXORPD Z7, Z7, Z7
+	XORQ AX, AX
+
+dotz:
+	VMOVUPD (BX), Z8
+	VMOVUPD (BX)(R15*1), Z9
+	VBROADCASTSD (SI)(AX*8), Z10
+	VBROADCASTSD (R10)(AX*8), Z11
+	VMULPD Z8, Z10, Z12
+	VMULPD Z9, Z10, Z13
+	VADDPD Z12, Z0, Z0
+	VADDPD Z13, Z1, Z1
+	VMULPD Z8, Z11, Z12
+	VMULPD Z9, Z11, Z13
+	VADDPD Z12, Z2, Z2
+	VADDPD Z13, Z3, Z3
+	VBROADCASTSD (R11)(AX*8), Z10
+	VBROADCASTSD (R12)(AX*8), Z11
+	VMULPD Z8, Z10, Z12
+	VMULPD Z9, Z10, Z13
+	VADDPD Z12, Z4, Z4
+	VADDPD Z13, Z5, Z5
+	VMULPD Z8, Z11, Z12
+	VMULPD Z9, Z11, Z13
+	VADDPD Z12, Z6, Z6
+	VADDPD Z13, Z7, Z7
+	ADDQ $64, BX
+	INCQ AX
+	CMPQ AX, CX
+	JLT dotz
+
+	// out ← out + sign·acc: multiply by ±1, then add.
+	VMULPD Z14, Z0, Z0
+	VMULPD Z14, Z1, Z1
+	VMULPD Z14, Z2, Z2
+	VMULPD Z14, Z3, Z3
+	VMULPD Z14, Z4, Z4
+	VMULPD Z14, Z5, Z5
+	VMULPD Z14, Z6, Z6
+	VMULPD Z14, Z7, Z7
+	VADDPD (DI), Z0, Z0
+	VADDPD 64(DI), Z1, Z1
+	VADDPD (DI)(R8*1), Z2, Z2
+	VADDPD 64(DI)(R8*1), Z3, Z3
+	VADDPD (DI)(R8*2), Z4, Z4
+	VADDPD 64(DI)(R8*2), Z5, Z5
+	VADDPD (DI)(R13*1), Z6, Z6
+	VADDPD 64(DI)(R13*1), Z7, Z7
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, (DI)(R8*1)
+	VMOVUPD Z3, 64(DI)(R8*1)
+	VMOVUPD Z4, (DI)(R8*2)
+	VMOVUPD Z5, 64(DI)(R8*2)
+	VMOVUPD Z6, (DI)(R13*1)
+	VMOVUPD Z7, 64(DI)(R13*1)
+	ADDQ $128, DI
+	ADDQ R15, BX              // BX ended at tile 2p+1; skip it to tile 2p+2
+	DECQ DX
+	JNZ pair
+
+	VZEROUPPER
+	RET
+
 // TRANSPOSE4 transposes the 4×4 block held one row per register in r0–r3,
 // leaving column c of the block in register c; t0–t3 are clobbered.
 #define TRANSPOSE4(r0, r1, r2, r3, t0, t1, t2, t3) \

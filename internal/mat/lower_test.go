@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"phmse/internal/par"
@@ -273,5 +274,129 @@ func TestPackedPanelIsReused(t *testing.T) {
 		pb.release()
 	}); n >= 2 {
 		t.Errorf("%v allocations per update for two panels", n)
+	}
+}
+
+// mmKernel is one m-m kernel a host may run, named by what lowerNTPacked
+// executes under it, and the dispatch it is pinned to.
+type mmKernel struct {
+	name         string
+	avx2, avx512 bool
+}
+
+// hostMMKernels is every m-m kernel this host has: the Go tile everywhere,
+// tiles4x8 alone where there is AVX2, and tiles4x16z (an odd last full
+// tile through tiles4x8) where there is AVX-512.
+func hostMMKernels() []mmKernel {
+	ks := []mmKernel{{"Go tile", false, false}}
+	if useAVX2 {
+		ks = append(ks, mmKernel{"tiles4x8", true, false})
+	}
+	if useAVX512 {
+		ks = append(ks, mmKernel{"tiles4x16z+tiles4x8", true, true})
+	}
+	return ks
+}
+
+// TestEveryMMKernelMatchesNaiveLoop runs every m-m kernel the host has on
+// the same operands and holds each to the entry-at-a-time loop, bit for
+// bit: TestTiledKernelMatchesNaiveLoop's shapes through every entry point;
+// row ranges whose blocks have an odd number of full tiles, so the zmm
+// pairs leave one to tiles4x8; and row ranges of root-sized triangles
+// (n = 1983, 2598) that are strided views inside a larger matrix. It logs
+// the kernels it ran, so a host without AVX-512 shows as such.
+func TestEveryMMKernelMatchesNaiveLoop(t *testing.T) {
+	kernels := hostMMKernels()
+	names := make([]string, len(kernels))
+	for i, k := range kernels {
+		names[i] = k.name
+	}
+	t.Logf("m-m kernels run on this host: %s", strings.Join(names, ", "))
+	if !useAVX512 {
+		t.Log("no AVX-512 on this host: tiles4x16z not run")
+	}
+	each := func(k mmKernel, run func()) {
+		defer pinKernels(k.avx2, k.avx512)()
+		run()
+	}
+
+	var ns, ms []int
+	for n := 0; n <= 70; n++ {
+		ns = append(ns, n)
+	}
+	ns = append(ns, 129, 516)
+	for m := 1; m <= 17; m++ {
+		ms = append(ms, m)
+	}
+	ms = append(ms, 33)
+	teams := []*par.Team{par.NewTeam(1), par.NewTeam(2), par.NewTeam(3), par.NewTeam(7)}
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range ns {
+		for _, m := range ms {
+			a := randMatView(rng, n, m, (n+m)%2 == 0)
+			b := randMatView(rng, n, m, m%3 == 0)
+			c0 := randMatView(rng, n, n, false)
+			for e, ep := range mmEntryPoints {
+				want := c0.Clone()
+				ep.naive(want, a, b)
+				if ep.mirrors {
+					mirrorNaive(want)
+				}
+				team := teams[(n+m+e)%len(teams)]
+				for _, k := range kernels {
+					got := c0.Clone()
+					each(k, func() { ep.run(team, got, a, b) })
+					sameBits(t, fmt.Sprintf("n=%d m=%d team=%d %s, %s", n, m, team.Size(), ep.name, k.name), got, want)
+				}
+			}
+		}
+	}
+
+	// Row ranges given to the kernel directly: rows [i, i+4) hold
+	// (i+1)/8 full tiles, odd for the blocks starting at 8…15, 24…31, ….
+	// Each range starts on or off a block boundary and ends in a whole or
+	// a partial block.
+	rowRanges := func(n int) [][2]int {
+		var rs [][2]int
+		for _, r0 := range []int{8, 9, 25, 42, 57, n/2 - 3, n - 11, n - 4} {
+			for _, h := range []int{4, 7, 17} {
+				if r0 >= 0 && r0 < n {
+					rs = append(rs, [2]int{r0, min(r0+h, n)})
+				}
+			}
+		}
+		return rs
+	}
+	for _, n := range []int{129, 1983, 2598} {
+		// dst, a and b are views inside larger matrices, as a node's
+		// blocks are views of the root state.
+		back := New(n+9, n+13)
+		dst := back.View(5, 7, n, n)
+		for _, m := range []int{1, 15, 16, 17, 33} {
+			a := randMatView(rng, n, m, true)
+			b := New(n+4, m+6).View(3, 2, n, m)
+			b.CopyFrom(randMat(rng, n, m))
+			for _, r := range rowRanges(n) {
+				r0, r1 := r[0], r[1]
+				rows := randMat(rng, r1-r0, n)
+				sign := float64(1 - 2*(r0%2))
+				want := rows.Clone()
+				for i := r0; i < r1; i++ {
+					for j := 0; j <= i; j++ {
+						want.Data[(i-r0)*want.Stride+j] += sign * Dot(a.Row(i), b.Row(j))
+					}
+				}
+				got := dst.View(r0, 0, r1-r0, n)
+				for _, k := range kernels {
+					got.CopyFrom(rows)
+					each(k, func() {
+						pb := packPanel(b, r1)
+						lowerNTPacked(dst, a, b, pb, r0, r1, sign)
+						pb.release()
+					})
+					sameBits(t, fmt.Sprintf("n=%d m=%d rows [%d,%d) sign=%+g %s", n, m, r0, r1, sign, k.name), got, want)
+				}
+			}
+		}
 	}
 }

@@ -4,10 +4,11 @@ import "sync"
 
 // The vector form of the m-m microkernel: lowerNTPacked's rows taken
 // tileRows at a time against a packed copy of B, tileCols columns per step,
-// every 4×8 tile computed by tiles4x8 (lower_amd64.s). It is selected by
-// packPanel returning a panel at all — which it does where the processor
-// has AVX2 and nowhere else — so there is one decision, made once at package
-// init, and no flag, environment variable or build option that reaches it.
+// every 4×8 tile computed by tiles4x8 (lower_amd64.s) or, two adjacent
+// tiles at a time, by tiles4x16z. It is selected by packPanel returning a
+// panel at all — which it does where the processor has AVX2 and nowhere
+// else — and the zmm pairs by useAVX512; both are decided once at package
+// init, and no flag, environment variable or build option reaches them.
 
 const (
 	tileRows = 4
@@ -76,17 +77,23 @@ func (p *panel) release() {
 // holding at least rows [0, r1) of B; r1 ≥ tileRows (lowerNTPacked sees to it). A
 // block of four rows i…i+3 runs its full tiles — all eight columns at or
 // left of the diagonal in every row, j+7 ≤ i — straight into dst, then the
-// ragged strip beside the diagonal through edgeTiles. Rows left over at the
-// end (fewer than four) are computed as the tail of the four rows ending at
-// r1, of which only the leftover ones are stored — the rows above may be
-// another chunk's.
+// ragged strip beside the diagonal through edgeTiles. Where the processor
+// has AVX-512 the full tiles go two at a time through tiles4x16z, an odd
+// last one through tiles4x8. Rows left over at the end (fewer than four)
+// are computed as the tail of the four rows ending at r1, of which only the
+// leftover ones are stored — the rows above may be another chunk's.
 func lowerVec(dst, a *Mat, pb *panel, r0, r1 int, sign float64) {
 	m := a.Cols
 	i := r0
 	for ; i+tileRows <= r1; i += tileRows {
 		nt := (i + 1) / tileCols
-		if nt > 0 {
-			tiles4x8(&dst.Data[i*dst.Stride], dst.Stride, &a.Data[i*a.Stride], a.Stride, &pb.data[0], m, nt, sign)
+		t := 0
+		if useAVX512 && nt >= 2 {
+			t = nt / 2 * 2
+			tiles4x16z(&dst.Data[i*dst.Stride], dst.Stride, &a.Data[i*a.Stride], a.Stride, &pb.data[0], m, nt/2, sign)
+		}
+		if t < nt {
+			tiles4x8(&dst.Data[i*dst.Stride+t*tileCols], dst.Stride, &a.Data[i*a.Stride], a.Stride, &pb.data[t*m*tileCols], m, nt-t, sign)
 		}
 		edgeTiles(dst, a, pb, i, i, nt*tileCols, sign)
 	}

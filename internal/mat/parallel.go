@@ -17,10 +17,12 @@ func MulPar(t *par.Team, dst, a, b *Mat) {
 	t.For(a.Rows, func(lo, hi int) { mulAddRange(dst, a, b, lo, hi) })
 }
 
-// SolveCholRowsPar solves B ← B·(L·Lᵀ)⁻¹ with the independent right-hand
-// side rows of B partitioned across the team ("sys" class).
-func SolveCholRowsPar(t *par.Team, l, b *Mat) {
-	t.For(b.Rows, func(lo, hi int) { SolveCholRowsRange(l, b, lo, hi) })
+// SolveCholRowsPar solves dst ← src·(L·Lᵀ)⁻¹ with the independent
+// right-hand side rows partitioned across the team ("sys" class); each
+// chunk copies its rows of src into dst just before solving them (src may
+// be dst).
+func SolveCholRowsPar(t *par.Team, l, dst, src *Mat) {
+	t.For(dst.Rows, func(lo, hi int) { SolveCholRowsRange(l, dst, src, lo, hi) })
 }
 
 // lowerNTPar is the lower triangle of dst ← dst + sign·A·Bᵀ with row blocks

@@ -29,12 +29,15 @@ func benchOperands(n, m int) (c, a, b *Mat) {
 // BenchmarkCovUpdateSimple times one simple-form covariance update
 // C ← C − K·Aᵀ at m = 16 and reports Gflop/s over the n(n+1)m flops of the
 // triangle. n = 66, 129 and 258 are the node sizes of the serving workloads
-// — C fits L2 there; n = 2598 is the ribo30S root, whose C (54 MB) is out
-// of L2 and streams from L3 once per update. Forms: the mirrored kernel
-// (the bench ladder's syr2k rung; it goes when Syr2kSubPar does), the
-// lower-only kernel the filter calls, and that kernel pinned to the
-// portable Go tile — the baseline the vector kernel is measured against on
-// this machine.
+// — C fits L2 there; n = 2598 is the ribo30S root, whose swept triangle
+// (27 MB; all of C is 54 MB) is out of L2 and streams from L3 once per
+// update. Forms: the mirrored kernel (the bench ladder's syr2k rung; it
+// goes when Syr2kSubPar does), the lower-only kernel the filter calls, that
+// kernel pinned to the 4×8 ymm tile (the zmm tile's baseline; the same as
+// "lower" on a host without AVX-512), and pinned to the portable Go tile.
+// The zmm gain on an AVX-512 host is
+//
+//	go test -run '^$' -bench 'CovUpdateSimple/^lower(-avx2)?$/' ./internal/mat/
 func BenchmarkCovUpdateSimple(bm *testing.B) {
 	const m = 16
 	for _, n := range []int{66, 129, 258, 516, 2598} {
@@ -47,6 +50,10 @@ func BenchmarkCovUpdateSimple(bm *testing.B) {
 			}{
 				{"syrk", func() { Syr2kSubPar(team, c, a, b) }},
 				{"lower", func() { Syr2kSubLowerPar(team, c, a, b) }},
+				{"lower-avx2", func() {
+					defer pinKernels(true, false)()
+					Syr2kSubLowerPar(team, c, a, b)
+				}},
 				{"lower-gotile", func() {
 					team.ForTri(n, func(lo, hi int) { lowerTile(c, a, b, lo, hi, -1) })
 				}},

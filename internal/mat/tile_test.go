@@ -195,11 +195,11 @@ func TestSolveCholRowsMatchesRowAtATime(t *testing.T) {
 			SolveCholRows(l, got)
 			sameBits(t, what, got, want)
 
-			// In place inside poisoned memory, on a team: nothing beyond the
-			// view's columns is read into a sum or written.
+			// From b0 into a view inside poisoned memory, on a team: nothing
+			// beyond the view's columns is read into a sum or written.
 			team := teams[(n+m)%len(teams)]
-			back, view := poisoned(b0)
-			SolveCholRowsPar(team, l, view)
+			back, view := poisoned(New(n, m))
+			SolveCholRowsPar(team, l, view, b0)
 			sameBits(t, fmt.Sprintf("%s strided team=%d", what, team.Size()), view, want)
 			view.CopyFrom(New(n, m))
 			for i, v := range back.Data {
@@ -208,7 +208,8 @@ func TestSolveCholRowsMatchesRowAtATime(t *testing.T) {
 				}
 			}
 
-			// Ranges no team chunking hands out: rows outside stay as they were.
+			// Ranges no team chunking hands out, in place and from b0: rows
+			// outside stay as they were.
 			if n > 70 {
 				continue
 			}
@@ -218,11 +219,16 @@ func TestSolveCholRowsMatchesRowAtATime(t *testing.T) {
 					if r0 >= r1 {
 						continue
 					}
-					got := b0.Clone()
-					SolveCholRowsRange(l, got, r0, r1)
-					wantRange := b0.Clone()
-					wantRange.View(r0, 0, r1-r0, m).CopyFrom(want.View(r0, 0, r1-r0, m))
-					sameBits(t, fmt.Sprintf("%s rows [%d,%d)", what, r0, r1), got, wantRange)
+					for _, start := range []*Mat{b0, New(n, m)} {
+						got, src := start.Clone(), b0
+						if start == b0 {
+							src = got
+						}
+						SolveCholRowsRange(l, got, src, r0, r1)
+						wantRange := start.Clone()
+						wantRange.View(r0, 0, r1-r0, m).CopyFrom(want.View(r0, 0, r1-r0, m))
+						sameBits(t, fmt.Sprintf("%s rows [%d,%d) in place=%v", what, r0, r1, start == b0), got, wantRange)
+					}
 				}
 			}
 		}

@@ -37,11 +37,14 @@ func BackwardSolveT(l *Mat, b []float64) {
 	}
 }
 
-// SolveCholRowsRange solves (L·Lᵀ)·xᵢ = bᵢ for each row i in [r0, r1) of b,
-// treating every row of b as an independent right-hand side (so it computes
-// B ← B·(L·Lᵀ)⁻¹ for the row-major layout used by the gain computation
-// K = (C Hᵀ)·S⁻¹). The row range makes the multi-RHS solve trivially
-// parallel across rows.
+// SolveCholRowsRange solves (L·Lᵀ)·xᵢ = bᵢ for each row i in [r0, r1) of
+// src into the same row of dst, treating every row as an independent
+// right-hand side (so it computes X ← B·(L·Lᵀ)⁻¹ for the row-major layout
+// used by the gain computation K = (C Hᵀ)·S⁻¹). The rows are copied from
+// src into dst first, unless src is dst, and solved there in place; the
+// copy is the range's own, so a team's chunks copy in parallel and each
+// solves rows it has just brought into cache. The row range makes the
+// multi-RHS solve trivially parallel across rows.
 //
 // One row's two substitutions are a single serial chain of dependent
 // subtractions, so rows are solved many at a time: independent chains in
@@ -52,10 +55,15 @@ func BackwardSolveT(l *Mat, b []float64) {
 // solveChol4; the last r1−r0 mod 4 rows alone. Every row sees
 // ForwardSolve's and BackwardSolveT's operation order, divisions included,
 // so the result is bit-identical to solving it alone whichever path took it.
-func SolveCholRowsRange(l, b *Mat, r0, r1 int) {
+func SolveCholRowsRange(l, b, src *Mat, r0, r1 int) {
 	m := l.Rows
-	if b.Cols != m {
+	if b.Cols != m || src.Cols != m || src.Rows != b.Rows {
 		panic("mat: SolveCholRows dimension mismatch")
+	}
+	if src != b {
+		for i := r0; i < r1; i++ {
+			copy(b.Row(i), src.Row(i))
+		}
 	}
 	i := r0
 	if r1-r0 >= 4 && m > 0 {
@@ -126,4 +134,4 @@ func solveChol4(l *Mat, lt []float64, x0, x1, x2, x3 []float64) {
 }
 
 // SolveCholRows solves every row of b against the factor L: B ← B·(L·Lᵀ)⁻¹.
-func SolveCholRows(l, b *Mat) { SolveCholRowsRange(l, b, 0, b.Rows) }
+func SolveCholRows(l, b *Mat) { SolveCholRowsRange(l, b, b, 0, b.Rows) }
