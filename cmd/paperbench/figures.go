@@ -11,7 +11,6 @@ import (
 	"phmse/internal/sched"
 	"phmse/internal/trace"
 	"phmse/internal/vm"
-	"phmse/internal/workest"
 )
 
 // figures writes the data series behind Figures 5–10 as CSV files in the
@@ -83,26 +82,10 @@ func figures(cfg config, dir string) error {
 }
 
 func sweepCSV(cfg config, problem, machName, path string) error {
-	var p *molecule.Problem
-	if problem == "helix" {
-		p = molecule.Helix(16)
-	} else {
-		p = molecule.Ribo30S(cfg.seed)
-	}
-	var mach *machine.Machine
-	if machName == "DASH" {
-		mach = machine.DASH()
-	} else {
-		mach = machine.Challenge()
-	}
-	root, err := hier.Build(p.Tree, p.Constraints)
+	_, mach, root, work, err := sweepSetup(cfg, problem, machName)
 	if err != nil {
 		return err
 	}
-	if err := root.Prepare(16); err != nil {
-		return err
-	}
-	work := sched.EstimateWork(root, workest.FlopModel{}, 16)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -111,11 +94,7 @@ func sweepCSV(cfg config, problem, machName, path string) error {
 	fmt.Fprintln(f, "np,wall_s,speedup,d_s,chol,sys,m_m,m_v,vec")
 	var base float64
 	for np := 1; np <= mach.MaxProcs; np++ {
-		var plan *hier.ExecPlan
-		if np > 1 {
-			plan = sched.Assign(root, np, work)
-		}
-		r := vm.Run(root, mach, np, plan)
+		r := vm.Run(root, mach, np, sched.Assign(root, np, work))
 		if np == 1 {
 			base = r.Wall
 		}

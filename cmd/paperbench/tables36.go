@@ -86,27 +86,10 @@ func sweep(cfg config, problem, machName string) error {
 	key := problem + "/" + machName
 	header(tableNames[key])
 
-	var p *molecule.Problem
-	if problem == "helix" {
-		p = molecule.Helix(16)
-	} else {
-		p = molecule.Ribo30S(cfg.seed)
-	}
-	var mach *machine.Machine
-	if machName == "DASH" {
-		mach = machine.DASH()
-	} else {
-		mach = machine.Challenge()
-	}
-
-	root, err := hier.Build(p.Tree, p.Constraints)
+	p, mach, root, work, err := sweepSetup(cfg, problem, machName)
 	if err != nil {
 		return err
 	}
-	if err := root.Prepare(16); err != nil {
-		return err
-	}
-	work := sched.EstimateWork(root, workest.FlopModel{}, 16)
 
 	fmt.Printf("\n%s: %d atoms, %d scalar constraints; %s model, one cycle\n",
 		p.Name, len(p.Atoms), p.ScalarDim(), mach.Name)
@@ -114,11 +97,7 @@ func sweep(cfg config, problem, machName string) error {
 	var base float64
 	for _, row := range paperTables[key] {
 		np := row.np
-		var plan *hier.ExecPlan
-		if np > 1 {
-			plan = sched.Assign(root, np, work)
-		}
-		r := vm.Run(root, mach, np, plan)
+		r := vm.Run(root, mach, np, sched.Assign(root, np, work))
 		if np == 1 {
 			base = r.Wall
 		}
@@ -131,4 +110,30 @@ func sweep(cfg config, problem, machName string) error {
 	}
 	fmt.Println("\n(columns: wall time of one constraint cycle; per-class busy time / NP)")
 	return nil
+}
+
+// sweepSetup builds what a processor sweep of Tables 3–6 runs on: the
+// problem ("helix" or "ribo"), the machine model ("DASH" or "Challenge"),
+// the problem's own tree prepared at batch 16, and its work estimates.
+func sweepSetup(cfg config, problem, machName string) (*molecule.Problem, *machine.Machine, *hier.Node, *sched.Work, error) {
+	var p *molecule.Problem
+	if problem == "helix" {
+		p = molecule.Helix(16)
+	} else {
+		p = molecule.Ribo30S(cfg.seed)
+	}
+	var mach *machine.Machine
+	if machName == "DASH" {
+		mach = machine.DASH()
+	} else {
+		mach = machine.Challenge()
+	}
+	root, err := hier.Build(p.Tree, p.Constraints)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	if err := root.Prepare(16); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	return p, mach, root, sched.EstimateWork(root, workest.FlopModel{}, 16), nil
 }

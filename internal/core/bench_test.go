@@ -8,7 +8,7 @@ import (
 
 // BenchmarkNewRibo30S times estimator construction on the one large
 // workload as the bench ladder's setup_s configures it (hierarchical, two
-// processors): build, assign, regroup, prepare, static assignment.
+// processors): build, assign, regroup, prepare.
 func BenchmarkNewRibo30S(b *testing.B) {
 	p := molecule.Ribo30S(1996)
 	b.ReportAllocs()

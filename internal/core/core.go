@@ -2,9 +2,8 @@
 // a structure-estimation problem, it solves for atomic coordinates and
 // their uncertainty using either the flat organization (§2) or the parallel
 // hierarchical organization (§3–4), with intra-node parallel matrix
-// kernels, inter-node subtree parallelism under the static processor
-// assignment heuristic, and optional automatic decomposition of flat
-// problem specifications.
+// kernels, inter-node subtree parallelism on the solve's crew, and optional
+// automatic decomposition of flat problem specifications.
 package core
 
 import (
@@ -97,8 +96,8 @@ type Config struct {
 // decomposition.
 const DefaultLeafSize = 16
 
-// withDefaults fills the construction parameters the plan depends on; the
-// solver-control defaults live in filter.Control.WithDefaults alone.
+// withDefaults fills the construction parameters; the solver-control
+// defaults live in filter.Control.WithDefaults alone.
 func (c Config) withDefaults() Config {
 	if c.Procs <= 0 {
 		c.Procs = 1
@@ -119,13 +118,12 @@ type Estimator struct {
 	cfg     Config
 	team    *par.Team
 	root    *hier.Node // nil in flat mode
-	plan    *hier.ExecPlan
 }
 
 // New builds an estimator for the problem. In hierarchical mode it
 // constructs the structure tree (from the problem's own decomposition or
-// automatically), assigns constraints to nodes, prepares batches, and
-// computes the static processor assignment.
+// automatically), assigns constraints to nodes, regroups wide nodes and
+// prepares batches.
 func New(p *molecule.Problem, cfg Config) (*Estimator, error) {
 	e, _, err := NewWithPlan(p, cfg, nil)
 	return e, err
@@ -133,21 +131,18 @@ func New(p *molecule.Problem, cfg Config) (*Estimator, error) {
 
 // PlanArtifacts holds the planning work of estimator construction that
 // depends only on the problem's topology (atoms, constraint graph,
-// grouping) and the construction parameters — not on measurement values or
-// starting positions. Repeated solves of the same topology can reuse them
-// through NewWithPlan, skipping the decomposition and static-assignment
-// passes; the serving layer's plan cache stores exactly this.
+// grouping) and the construction parameters — not on measurement values,
+// starting positions or the team's width. Repeated solves of the same
+// topology can reuse them through NewWithPlan, skipping the decomposition
+// and regrouping passes; the serving layer's plan cache stores exactly
+// this.
 type PlanArtifacts struct {
 	// Tree is the hierarchical grouping used: the problem's own or the
 	// derived automatic decomposition, as regrouped by the work model.
 	Tree *molecule.Group
-	// Sketch is the tree-relative static processor assignment (nil when the
-	// solve is sequential).
-	Sketch *hier.PlanSketch
-	// Procs, BatchSize and LeafSize record the construction parameters the
+	// BatchSize and LeafSize record the construction parameters the
 	// artifacts were computed for; NewWithPlan ignores artifacts built under
 	// different parameters.
-	Procs     int
 	BatchSize int
 	LeafSize  int
 }
@@ -155,15 +150,13 @@ type PlanArtifacts struct {
 // compatible reports whether the artifacts were computed under the given
 // effective (defaulted) construction parameters.
 func (a *PlanArtifacts) compatible(cfg Config) bool {
-	return a != nil && a.Tree != nil &&
-		a.Procs == cfg.Procs && a.BatchSize == cfg.BatchSize && a.LeafSize == cfg.LeafSize
+	return a != nil && a.Tree != nil && a.BatchSize == cfg.BatchSize && a.LeafSize == cfg.LeafSize
 }
 
 // NewWithPlan builds an estimator like New, but can reuse the
 // topology-dependent planning artifacts of a previous construction. When
-// art fits the configuration, the decomposition tree is taken from it and
-// the static processor assignment is rebound from its sketch instead of
-// being recomputed. It returns the artifacts of the estimator it built
+// art fits the configuration, the decomposition tree is taken from it,
+// already regrouped. It returns the artifacts of the estimator it built
 // (fresh or reused) so the caller can cache them; callers are responsible
 // for keying the cache by problem topology. In flat mode there is nothing
 // to plan and the returned artifacts are nil.
@@ -196,31 +189,8 @@ func NewWithPlan(p *molecule.Problem, cfg Config, art *PlanArtifacts) (*Estimato
 		return nil, nil, fmt.Errorf("core: preparing batches: %w", err)
 	}
 	e.root = root
-	if cfg.Procs > 1 {
-		if art != nil && art.Sketch != nil {
-			// Rebind the cached assignment; fall back to recomputing when the
-			// sketch does not fit (e.g. the topology key collided).
-			e.plan, err = hier.ApplySketch(root, art.Sketch)
-			if err != nil {
-				art = nil
-			}
-		}
-		if e.plan == nil {
-			work := sched.EstimateWork(root, workest.FlopModel{}, cfg.BatchSize)
-			e.plan = sched.Assign(root, cfg.Procs, work)
-			if err := e.plan.Validate(root, cfg.Procs); err != nil {
-				return nil, nil, fmt.Errorf("core: processor assignment: %w", err)
-			}
-		}
-	}
 	if art == nil {
-		art = &PlanArtifacts{
-			Tree:      tree,
-			Sketch:    e.plan.Sketch(root, cfg.Procs),
-			Procs:     cfg.Procs,
-			BatchSize: cfg.BatchSize,
-			LeafSize:  cfg.LeafSize,
-		}
+		art = &PlanArtifacts{Tree: tree, BatchSize: cfg.BatchSize, LeafSize: cfg.LeafSize}
 	}
 	return e, art, nil
 }
@@ -228,9 +198,6 @@ func NewWithPlan(p *molecule.Problem, cfg Config, art *PlanArtifacts) (*Estimato
 // Root exposes the structure hierarchy (nil in flat mode), for inspection
 // and for the virtual-machine experiments.
 func (e *Estimator) Root() *hier.Node { return e.root }
-
-// Plan exposes the static processor assignment (nil when sequential).
-func (e *Estimator) Plan() *hier.ExecPlan { return e.plan }
 
 // Problem returns the problem being solved.
 func (e *Estimator) Problem() *molecule.Problem { return e.problem }
@@ -315,24 +282,14 @@ func (e *Estimator) SolveContext(ctx context.Context, init []geom.Vec3) (*Soluti
 	return e.solveHier(ctx, init, nil)
 }
 
-// Replan computes a fresh static processor assignment for the estimator's
-// tree at a different processor count, for processor-sweep experiments.
-func Replan(e *Estimator, procs int) *hier.ExecPlan {
-	if e.root == nil || procs <= 1 {
+// Work returns the work model's estimates over the estimator's tree, in
+// the model's relative units — what regrouping lowers and processor-sweep
+// experiments balance; nil in flat mode.
+func Work(e *Estimator) *sched.Work {
+	if e.root == nil {
 		return nil
 	}
-	work := sched.EstimateWork(e.root, workest.FlopModel{}, e.cfg.BatchSize)
-	return sched.Assign(e.root, procs, work)
-}
-
-// ModelWork returns the work model's estimate of one cycle over the
-// estimator's tree, in the model's relative units — what the static
-// assignment balances and regrouping lowers; 0 in flat mode.
-func ModelWork(e *Estimator) float64 {
-	if e.root == nil {
-		return 0
-	}
-	return sched.EstimateWork(e.root, workest.FlopModel{}, e.cfg.BatchSize).Subtree[e.root]
+	return sched.EstimateWork(e.root, workest.FlopModel{}, e.cfg.BatchSize)
 }
 
 // control fills the solver's control block from the configuration — the
@@ -421,7 +378,7 @@ func (e *Estimator) solveFlat(ctx context.Context, init []geom.Vec3, post *Poste
 // assembly from a prior posterior's diagonal, carried forward pass to
 // pass as a sequential continuation (see hier.Options.WarmVars).
 func (e *Estimator) solveHier(ctx context.Context, init []geom.Vec3, warmVars []float64) (*Solution, error) {
-	state, res, err := hier.Solve(e.root, init, hier.Options{Control: e.control(ctx), Plan: e.plan, WarmVars: warmVars})
+	state, res, err := hier.Solve(e.root, init, hier.Options{Control: e.control(ctx), WarmVars: warmVars})
 	if err != nil {
 		return nil, err
 	}

@@ -30,8 +30,8 @@ func TestNewFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Root() != nil || e.Plan() != nil {
-		t.Fatal("flat estimator should have no tree or plan")
+	if e.Root() != nil {
+		t.Fatal("flat estimator should have no tree")
 	}
 	if e.Problem() == nil {
 		t.Fatal("Problem")
@@ -45,9 +45,6 @@ func TestNewHierarchical(t *testing.T) {
 	}
 	if e.Root() == nil {
 		t.Fatal("no tree")
-	}
-	if e.Plan() == nil {
-		t.Fatal("no plan with 4 processors")
 	}
 	if got := e.Root().ScalarConstraints(); got != e.Problem().ScalarDim() {
 		t.Fatalf("tree holds %d of %d scalar constraints", got, e.Problem().ScalarDim())
@@ -132,15 +129,17 @@ func sameBits(a, b *Solution) string {
 	return ""
 }
 
-// The team's width changes no bit of a solve: the plan's subtree groups
-// share one crew whose members claim loop pieces in any order, and every
-// kernel computes a piece the same way whoever runs it and however the rows
-// are cut. Checked on a helix and on a smoke-sized ribosome, whose tree is
-// regrouped and whose plan runs subtrees concurrently.
+// The team's width changes no bit of a solve: sibling subtrees share one
+// crew whose members claim loop pieces in any order, and every kernel
+// computes a piece the same way whoever runs it and however the rows are
+// cut. Checked on a helix, on a smoke-sized ribosome, whose tree is
+// regrouped into binary nodes, and on a protein, whose tree is left as
+// given, so its residue fans post up to a dozen children at once.
 func TestSolveParallelMatchesSequential(t *testing.T) {
 	for _, p := range []*molecule.Problem{
 		helixProblem(2),
 		molecule.Ribo30SWith(molecule.Ribo30SConfig{Helices: 8, Coils: 8, Proteins: 4}),
+		molecule.Protein(24, 7),
 	} {
 		seq := solveHierCycles(t, p, 1)
 		for _, procs := range []int{2, 3, 7} {

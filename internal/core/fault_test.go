@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"phmse/internal/faultinject"
+	"phmse/internal/filter"
 	"phmse/internal/hier"
 	"phmse/internal/molecule"
 	"phmse/internal/solvererr"
@@ -74,6 +77,56 @@ func TestHierNoProgressFailsTyped(t *testing.T) {
 	var ind *solvererr.Indefinite
 	if !errors.As(err, &ind) || ind.Node == "" {
 		t.Fatalf("typed error %#v should name the node", err)
+	}
+}
+
+// What containment reports does not depend on which subtree finishes
+// first. On a protein, whose residue fans run many subtrees at once, one
+// processor and three give the same diagnostics, quarantine records in the
+// same order, and the same error, whether the no-progress check or an
+// unguarded factorization stops the solve.
+func TestContainmentReportsIndependentOfWidth(t *testing.T) {
+	p := molecule.Protein(24, 7)
+	init := molecule.Perturbed(p, 0.3, 31)
+	for _, c := range []struct {
+		name    string
+		noGuard bool
+		fail    func(faultinject.Site) bool
+	}{
+		{name: "quarantined", fail: func(s faultinject.Site) bool { return s.Batch == 0 && s.Cycle <= 2 }},
+		{name: "no progress", fail: func(faultinject.Site) bool { return true }},
+		{name: "unguarded", noGuard: true, fail: func(s faultinject.Site) bool { return s.Batch == 0 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			faultinject.Set(&faultinject.Hooks{Cholesky: c.fail})
+			t.Cleanup(faultinject.Reset)
+			var diags []*filter.DiagSnapshot
+			var errs []string
+			for _, procs := range []int{1, 3} {
+				e, err := New(p, Config{Mode: Hierarchical, Procs: procs, MaxCycles: 4, NoGuard: c.noGuard})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sol, err := e.Solve(init)
+				if sol != nil {
+					diags = append(diags, sol.Diagnostics)
+				}
+				errs = append(errs, fmt.Sprint(err))
+			}
+			if errs[0] != errs[1] {
+				t.Fatalf("error at 1 processor:\n%s\nat 3:\n%s", errs[0], errs[1])
+			}
+			if c.name == "quarantined" {
+				if len(diags) != 2 || len(diags[0].Quarantined) < 2 {
+					t.Fatalf("want two solutions quarantining several batches, got %d solutions, error %s", len(diags), errs[0])
+				}
+				if !reflect.DeepEqual(diags[0], diags[1]) {
+					t.Fatalf("diagnostics at 1 processor:\n%+v\nat 3:\n%+v", diags[0], diags[1])
+				}
+			} else if errs[0] == "<nil>" {
+				t.Fatal("the solve did not fail")
+			}
+		})
 	}
 }
 

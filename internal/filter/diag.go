@@ -1,6 +1,9 @@
 package filter
 
-import "sync"
+import (
+	"sort"
+	"sync"
+)
 
 // Diagnostics accumulates fault-containment events across one solve: ridge
 // retries, non-finite rollbacks, quarantined batches, and the per-cycle
@@ -14,12 +17,11 @@ type Diagnostics struct {
 	ridge       int
 	rollbacks   int
 	quarantined map[quarKey]*QuarantineRecord
-	order       []quarKey
 	rms         []float64
 
 	// Per-cycle window, reset by BeginCycle and read by EndCycle: how
 	// many scalar observations were applied and how many batches were
-	// excluded, plus the first exclusion's identity for error reporting.
+	// excluded, plus the least exclusion's identity for error reporting.
 	cycle CycleStats
 }
 
@@ -61,8 +63,9 @@ type CycleStats struct {
 	// Quarantined is the number of batch exclusions (indefinite or
 	// non-finite) during the cycle.
 	Quarantined int
-	// Reason, Node and Batch identify the first exclusion of the cycle,
-	// for error construction when the cycle made no progress at all.
+	// Reason, Node and Batch identify the cycle's exclusion of least
+	// (Node, Batch), for error construction when the cycle made no progress
+	// at all — the same one whichever subtree recorded first.
 	Reason string
 	Node   string
 	Batch  int
@@ -78,7 +81,8 @@ type DiagSnapshot struct {
 	// Rollbacks counts batches refused because applying them would have
 	// left non-finite values in the state (the state is kept as it was).
 	Rollbacks int `json:"rollbacks,omitempty"`
-	// Quarantined lists the batches excluded from at least one cycle.
+	// Quarantined lists the batches excluded from at least one cycle,
+	// ordered by (FirstCycle, Node, Batch).
 	Quarantined []QuarantineRecord `json:"quarantined,omitempty"`
 	// RMSTrajectory is the RMS coordinate change of every completed
 	// cycle (Å), oldest first.
@@ -119,8 +123,8 @@ func (d *Diagnostics) AddQuarantine(node string, batch, cycle int, reason string
 	if reason == ReasonNonFinite {
 		d.rollbacks++
 	}
-	if d.cycle.Quarantined == 0 {
-		d.cycle.Reason, d.cycle.Node, d.cycle.Batch = reason, node, batch
+	if c := &d.cycle; c.Quarantined == 0 || node < c.Node || node == c.Node && batch < c.Batch {
+		c.Reason, c.Node, c.Batch = reason, node, batch
 	}
 	d.cycle.Quarantined++
 	if d.quarantined == nil {
@@ -131,7 +135,6 @@ func (d *Diagnostics) AddQuarantine(node string, batch, cycle int, reason string
 	if rec == nil {
 		rec = &QuarantineRecord{Node: node, Batch: batch, FirstCycle: cycle, Reason: reason}
 		d.quarantined[key] = rec
-		d.order = append(d.order, key)
 	}
 	rec.LastCycle = cycle
 	rec.Cycles++
@@ -183,8 +186,18 @@ func (d *Diagnostics) Snapshot() *DiagSnapshot {
 		Rollbacks:     d.rollbacks,
 		RMSTrajectory: append([]float64(nil), d.rms...),
 	}
-	for _, key := range d.order {
-		snap.Quarantined = append(snap.Quarantined, *d.quarantined[key])
+	for _, rec := range d.quarantined {
+		snap.Quarantined = append(snap.Quarantined, *rec)
 	}
+	sort.Slice(snap.Quarantined, func(i, j int) bool {
+		a, b := snap.Quarantined[i], snap.Quarantined[j]
+		if a.FirstCycle != b.FirstCycle {
+			return a.FirstCycle < b.FirstCycle
+		}
+		if a.Node != b.Node {
+			return a.Node < b.Node
+		}
+		return a.Batch < b.Batch
+	})
 	return snap
 }

@@ -2,7 +2,10 @@ package filter
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"phmse/internal/constraint"
@@ -311,6 +314,52 @@ func TestWatchdogIgnoresGentleOscillation(t *testing.T) {
 	}
 	if !res.Converged {
 		t.Fatalf("did not converge: %+v", res)
+	}
+}
+
+// Concurrent subtrees record into one sink in whatever order they finish:
+// the snapshot lists the records by (FirstCycle, Node, Batch), and a cycle
+// names its least exclusion, whatever order they arrived in.
+func TestDiagnosticsIndependentOfRecordingOrder(t *testing.T) {
+	type exclusion struct {
+		node   string
+		batch  int
+		reason string
+	}
+	cycles := [][]exclusion{
+		{{"b", 1, ReasonIndefinite}, {"a", 2, ReasonIndefinite}, {"a", 0, ReasonNonFinite}, {"c", 0, ReasonIndefinite}},
+		{{"d", 1, ReasonIndefinite}, {"a", 2, ReasonIndefinite}},
+	}
+	wantStats := []CycleStats{
+		{Quarantined: 4, Reason: ReasonNonFinite, Node: "a", Batch: 0},
+		{Quarantined: 2, Reason: ReasonIndefinite, Node: "a", Batch: 2},
+	}
+	wantOrder := []string{"a/0", "a/2", "b/1", "c/0", "d/1"}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := &Diagnostics{}
+		for ci, excl := range cycles {
+			d.BeginCycle()
+			var wg sync.WaitGroup
+			for _, i := range rng.Perm(len(excl)) {
+				wg.Add(1)
+				go func(e exclusion) {
+					defer wg.Done()
+					d.AddQuarantine(e.node, e.batch, ci+1, e.reason)
+				}(excl[i])
+			}
+			wg.Wait()
+			if got := d.EndCycle(1); got != wantStats[ci] {
+				t.Fatalf("seed %d, cycle %d: stats %+v, want %+v", seed, ci+1, got, wantStats[ci])
+			}
+		}
+		var order []string
+		for _, r := range d.Snapshot().Quarantined {
+			order = append(order, fmt.Sprintf("%s/%d", r.Node, r.Batch))
+		}
+		if fmt.Sprint(order) != fmt.Sprint(wantOrder) {
+			t.Fatalf("seed %d: records %v, want %v", seed, order, wantOrder)
+		}
 	}
 }
 

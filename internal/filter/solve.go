@@ -31,8 +31,7 @@ type Control struct {
 	// priors (default 100 Å²).
 	InitVar float64
 	// Team provides intra-update parallelism and, in the hierarchy, the
-	// processors the plan's concurrent subtree groups share (default:
-	// sequential).
+	// processors concurrent child subtrees share (default: sequential).
 	Team *par.Team
 	// Rec, when non-nil, accumulates per-operation-class timing.
 	Rec *trace.Collector

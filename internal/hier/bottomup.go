@@ -10,8 +10,8 @@ import (
 
 // WorkModel scores a node pass: the estimated work of applying scalars
 // scalar constraints, batchDim at a time, at a node of the given state
-// dimension. It is the estimator the static processor assignment already
-// takes (sched.Estimator); workest.Model and workest.FlopModel satisfy it.
+// dimension. It is sched.Estimator's method set; workest.Model and
+// workest.FlopModel satisfy it.
 type WorkModel interface {
 	NodeWork(stateDim, scalars, batchDim int) float64
 }
@@ -65,8 +65,8 @@ const worthwhile = 0.1
 // later join onto that block pays for its width, and scored by the saving
 // alone the widest cluster attracts every join and the tree degenerates
 // into a chain of near-root-sized blocks (ribo30S: depth 26, 7 % more model
-// work, and a fifth slower under the static processor split, which can
-// only serialise a chain). The merging stops when no join lowers the cost;
+// work, and a fifth slower, since the links of a chain can only run one
+// after another). The merging stops when no join lowers the cost;
 // the surviving clusters are the node's children. Inserted nodes are named
 // after their parent and the step that made them. A binary tree comes out
 // untouched, and so does one whose regrouping would not save a worthwhile

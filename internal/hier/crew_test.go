@@ -20,16 +20,16 @@ import (
 // that owns it, before that node's pass, and the upper triangle is written
 // by the one mirror: a root state the pool hands back full of NaN, in both
 // triangles and in X, gives the same bits as fresh memory, whether the
-// subtrees run one after another or in concurrent groups.
+// subtrees run one after another or concurrently.
 func TestDirtyRootStateGivesTheSameBits(t *testing.T) {
 	p := chainProblem(24)
 	init := molecule.Perturbed(p, 0.2, 3)
 	for _, procs := range []int{1, 3} {
 		root := mustBuild(t, p)
-		opt := Options{Control: filter.Control{BatchSize: 6, InitVar: 100}}
-		if procs > 1 {
-			opt.Team, opt.Plan = par.NewTeam(procs), splitPlan(root, procs)
+		if err := root.Prepare(6); err != nil {
+			t.Fatal(err)
 		}
+		opt := Options{Control: filter.Control{BatchSize: 6, InitVar: 100, Team: par.NewTeam(procs)}}
 		pool.SetEnabled(false)
 		ref, err := UpdatePass(root, init, opt)
 		pool.SetEnabled(true)
@@ -107,15 +107,12 @@ func TestSolveStopsItsCrew(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			resident := false
-			opt := Options{
-				Control: filter.Control{Team: par.NewTeam(3), MaxCycles: 50, Ctx: ctx, OnCycle: func(cycle int, _ float64) {
-					resident = resident || runtime.NumGoroutine() > base
-					if c.cancel && cycle == 2 {
-						cancel()
-					}
-				}},
-				Plan: splitPlan(root, 3),
-			}
+			opt := Options{Control: filter.Control{Team: par.NewTeam(3), MaxCycles: 50, Ctx: ctx, OnCycle: func(cycle int, _ float64) {
+				resident = resident || runtime.NumGoroutine() > base
+				if c.cancel && cycle == 2 {
+					cancel()
+				}
+			}}}
 			if _, _, err := Solve(root, init, opt); !errors.Is(err, c.wantErr) {
 				t.Fatalf("err = %v, want %v", err, c.wantErr)
 			}

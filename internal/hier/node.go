@@ -1,7 +1,7 @@
 // Package hier implements the paper's hierarchical decomposition (§3): the
 // structure tree, the assignment of every constraint to the smallest node
 // wholly containing it, the post-order update schedule, and the parallel
-// execution of disjoint subtrees by processor groups (§4.2). It also
+// execution of disjoint subtrees on the solve's crew (§4.2). It also
 // provides the automatic decomposition methods sketched in §5: recursive
 // bisection of a flat specification and constraint-graph partitioning.
 package hier
@@ -13,6 +13,7 @@ import (
 	"phmse/internal/constraint"
 	"phmse/internal/filter"
 	"phmse/internal/molecule"
+	"phmse/internal/workest"
 )
 
 // Node is one node of the structure hierarchy. Its state vector is the
@@ -35,7 +36,10 @@ type Node struct {
 	pos []int32
 	lo  int
 
-	batches  []*filter.Batch
+	batches []*filter.Batch
+	// order is the children's indices, largest subtree work first: the
+	// order a pass posts them to the crew in.
+	order    []int
 	prepared int // the batch size the subtree's batches were built for; 0 before Prepare
 }
 
@@ -97,7 +101,7 @@ func (n *Node) layout() error {
 	var place func(m *Node) error
 	place = func(m *Node) error {
 		m.pos, m.lo = pos, len(order)
-		m.batches, m.prepared = nil, 0 // slots follow the order
+		m.batches, m.order, m.prepared = nil, nil, 0 // slots follow the order
 		for _, c := range m.Children {
 			if err := place(c); err != nil {
 				return err
@@ -169,25 +173,42 @@ descend:
 	return nil
 }
 
-// Prepare builds the per-node constraint batches for the given batch size.
-// It must be called before a virtual-machine run or UpdatePass; Solve calls
-// it when the tree has not been prepared for the batch size it is given.
+// Prepare builds the per-node constraint batches for the given batch size,
+// and orders every node's children by their subtree's work under the flop
+// model, largest first, ties by index — longest-processing-time-first,
+// the order a pass posts them to the crew in, so the subtree that takes
+// longest starts first. It must be called before a virtual-machine run or
+// UpdatePass; Solve calls it when the tree has not been prepared for the
+// batch size it is given.
 func (n *Node) Prepare(batchSize int) error {
 	if batchSize < 1 {
 		batchSize = filter.DefaultBatchSize
 	}
+	_, err := n.prepare(batchSize)
+	return err
+}
+
+// prepare is Prepare on a defaulted batch size; it returns the subtree's
+// work.
+func (n *Node) prepare(batchSize int) (float64, error) {
 	batches, err := filter.MakeBatches(n.Cons, n.slot, batchSize)
 	if err != nil {
-		return fmt.Errorf("node %q: %w", n.Name, err)
+		return 0, fmt.Errorf("node %q: %w", n.Name, err)
 	}
 	n.batches = batches
-	for _, c := range n.Children {
-		if err := c.Prepare(batchSize); err != nil {
-			return err
+	work := workest.FlopModel{}.NodeWork(n.StateDim(), n.scalars(), batchSize)
+	sub := make([]float64, len(n.Children))
+	n.order = make([]int, len(n.Children))
+	for i, c := range n.Children {
+		if sub[i], err = c.prepare(batchSize); err != nil {
+			return 0, err
 		}
+		work += sub[i]
+		n.order[i] = i
 	}
+	sort.SliceStable(n.order, func(a, b int) bool { return sub[n.order[a]] > sub[n.order[b]] })
 	n.prepared = batchSize
-	return nil
+	return work, nil
 }
 
 // Batches returns the prepared constraint batches of this node.

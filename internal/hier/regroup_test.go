@@ -461,33 +461,10 @@ func TestGuardBoundCarriedUpTheTree(t *testing.T) {
 	}
 }
 
-// splitPlan hands every node's processors to its children in two groups,
-// first half and second half, all the way down.
-func splitPlan(root *Node, procs int) *ExecPlan {
-	plan := NewExecPlan()
-	var fill func(n *Node, procs int)
-	fill = func(n *Node, procs int) {
-		if len(n.Children) < 2 || procs < 2 {
-			return
-		}
-		mid, half := len(n.Children)/2, procs/2
-		plan.Groups[n] = []ChildGroup{{Nodes: n.Children[:mid], Procs: half}, {Nodes: n.Children[mid:], Procs: procs - half}}
-		for i, c := range n.Children {
-			if i < mid {
-				fill(c, half)
-			} else {
-				fill(c, procs-half)
-			}
-		}
-	}
-	fill(root, procs)
-	return plan
-}
-
 // The §3 equivalence where it is not trivial: with linear constraints that
 // couple atoms across children, one pass is exact whatever the order, so the
 // flat organisation, the given wide tree, the regrouped tree, and either
-// tree run by parallel processor groups must all produce the same estimate
+// tree run with its subtrees in parallel must all produce the same estimate
 // and the same per-atom variance to round-off.
 func TestWideTreesMatchFlatWithCrossNodeCoupling(t *testing.T) {
 	const tol = 1e-8
@@ -514,14 +491,8 @@ func TestWideTreesMatchFlatWithCrossNodeCoupling(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, procs := range []int{1, 2, 3} {
-				opt := Options{Control: ctl}
-				if procs > 1 {
-					opt.Team, opt.Plan = par.NewTeam(procs), splitPlan(root, procs)
-					if err := opt.Plan.Validate(root, procs); err != nil {
-						t.Fatal(err)
-					}
-				}
-				s, err := UpdatePass(root, init, opt)
+				ctl.Team = par.NewTeam(procs)
+				s, err := UpdatePass(root, init, Options{Control: ctl})
 				if err != nil {
 					t.Fatal(err)
 				}

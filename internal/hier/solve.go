@@ -3,7 +3,6 @@ package hier
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"phmse/internal/filter"
 	"phmse/internal/geom"
@@ -13,12 +12,11 @@ import (
 )
 
 // Options configures the hierarchical solver: the control block shared with
-// the flat organization plus what only a tree has.
+// the flat organization plus what only a tree has. The team's width decides
+// how finely loops are cut and how many subtrees run at once, never a bit
+// of the result.
 type Options struct {
 	filter.Control
-	// Plan is the static processor assignment over subtrees (nil runs the
-	// children of every node in sequence on the full team).
-	Plan *ExecPlan
 	// WarmVars, when non-nil, holds per-coordinate prior variances indexed
 	// 3·atom+coord in global atom order, injected in place of InitVar when
 	// leaf and direct-atom states are assembled — the hierarchical form of
@@ -36,11 +34,11 @@ type Options struct {
 
 // Solve runs the hierarchical estimation to convergence under the shared
 // driver (filter.Control.Iterate): each cycle updates the tree post-order
-// (children before parents, disjoint subtrees in parallel according to the
-// plan), then the root estimate feeds the next cycle's linearization
-// points. It returns the root state, whose atom ordering is root.Atoms;
-// the result's Residual is left to the caller, who holds the constraints
-// in global atom order.
+// (children before parents, every node's children posted to the crew at
+// once, largest subtree first), then the root estimate feeds the next
+// cycle's linearization points. It returns the root state, whose atom
+// ordering is root.Atoms; the result's Residual is left to the caller, who
+// holds the constraints in global atom order.
 //
 // The solve runs on a crew started for it (par.Team.Start) and stopped
 // before it returns. Between cycles only the root's positions and diagonal
@@ -52,9 +50,6 @@ func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, filter.Res
 		if err := root.Prepare(opt.BatchSize); err != nil {
 			return nil, filter.Result{}, err
 		}
-	}
-	if err := opt.Plan.Validate(root, opt.Team.Size()); err != nil {
-		return nil, filter.Result{}, err
 	}
 	if opt.WarmVars != nil && len(opt.WarmVars) != 3*len(init) {
 		return nil, filter.Result{}, fmt.Errorf("hier: warm variances have %d entries, want %d", len(opt.WarmVars), 3*len(init))
@@ -139,61 +134,38 @@ func updatePass(root *Node, positions []geom.Vec3, opt Options, cycle int) (*fil
 
 // updateNode computes the posterior of one node in the given cycle, in
 // place in s, the node's block of the root state: children first, each in
-// its own sub-block (possibly in concurrent subtree groups — disjoint
-// subtrees write disjoint blocks), then the node clears what is left of its
-// lower triangle (clearOwn) and sets its direct atoms' priors, then its own
+// its own sub-block, then the node clears what is left of its lower
+// triangle (clearOwn) and sets its direct atoms' priors, then its own
 // constraints' batches fill the cross blocks between the children. It
 // returns the guard's bound on the block, which the parent joins instead of
 // rescanning it.
+//
+// Every child is a task of its own on the crew, posted in Prepare's order,
+// largest subtree first — the new axis of parallelism the hierarchy
+// exposes. Disjoint subtrees write disjoint blocks, and the children's
+// bounds and errors are read back in child order, so the result does not
+// depend on which subtree finishes first: the error is the lowest-indexed
+// failing child's.
 func updateNode(n *Node, s *filter.State, positions []geom.Vec3, opt Options, team *par.Team, cycle int) (filter.Bound, error) {
-	var bound filter.Bound
-	child := func(c *Node) (filter.Bound, error) {
-		return updateNode(c, s.Block(3*(c.lo-n.lo), c.StateDim()), positions, opt, team, cycle)
+	type result struct {
+		bound filter.Bound
+		err   error
 	}
-	groups := opt.Plan.groupsFor(n)
-	switch {
-	case len(n.Children) == 0:
-		// Leaf: nothing below.
-	case groups == nil || team.Size() == 1 || len(groups) == 1:
-		// Sequential children, full team each.
-		for _, c := range n.Children {
-			b, err := child(c)
-			if err != nil {
-				return bound, err
-			}
-			bound = bound.Join(b)
+	done := make([]result, len(n.Children))
+	tasks := make([]func(), len(n.order))
+	for k, i := range n.order {
+		c := n.Children[i]
+		tasks[k] = func() {
+			done[i].bound, done[i].err = updateNode(c, s.Block(3*(c.lo-n.lo), c.StateDim()), positions, opt, team, cycle)
 		}
-	default:
-		// Concurrent subtree groups: the new axis of parallelism exposed by
-		// the hierarchy. The plan decides which subtrees run at once; every
-		// group runs on the whole team, so a member whose group is done
-		// claims pieces of the others' loops.
-		var mu sync.Mutex
-		var firstErr error
-		thunks := make([]func(), len(groups))
-		for gi, g := range groups {
-			thunks[gi] = func() {
-				var joined filter.Bound
-				var err error
-				for _, c := range g.Nodes {
-					var b filter.Bound
-					if b, err = child(c); err != nil {
-						break
-					}
-					joined = joined.Join(b)
-				}
-				mu.Lock()
-				bound = bound.Join(joined)
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
+	}
+	team.Parallel(tasks...)
+	var bound filter.Bound
+	for _, r := range done {
+		if r.err != nil {
+			return bound, r.err
 		}
-		team.Parallel(thunks...)
-		if firstErr != nil {
-			return bound, firstErr
-		}
+		bound = bound.Join(r.bound)
 	}
 
 	n.clearOwn(s.C, team)

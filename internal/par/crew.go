@@ -12,8 +12,8 @@ import (
 // to one board as a task cut into pieces; every member — helper or poster —
 // claims pieces of whatever is on the board, and a poster returns once every
 // piece of its own task has finished, helping with the others' while it
-// waits. So a member whose subtree group is done works on the loops of the
-// groups still running instead of idling, and a loop never waits for a
+// waits. So a member whose subtree is done works on the loops of the
+// subtrees still running instead of idling, and a loop never waits for a
 // goroutine to be started for it.
 //
 // Idle helpers spin for spinFor, then park until the next post. Spinning
@@ -35,13 +35,13 @@ type crew struct {
 const spinFor = 50 * time.Microsecond
 
 // region is what a team posts: body(lo, hi) over each piece's row range —
-// a loop's chunks, or subtree groups, one piece each.
+// a loop's chunks, or sibling subtrees, one piece each.
 type region struct {
 	body   func(lo, hi int)
 	n      int
 	pieces int
 	tri    bool // pieces are ForTri's area-balanced chunks, not For's equal blocks
-	// groups marks Parallel's region: its pieces are whole subtree groups,
+	// groups marks Parallel's region: its pieces are whole subtrees,
 	// so a member waiting for a loop's last pieces does not take one.
 	groups bool
 }
@@ -118,7 +118,7 @@ func (c *crew) help() {
 // run posts r, claims its pieces alongside the helpers, and returns once
 // all of them have finished, claiming pieces of other tasks while it waits
 // — of loops only, when r is a loop, so that a poster about to continue
-// does not take on a whole subtree group first.
+// does not take on a whole subtree first.
 func (c *crew) run(r region) {
 	t := taskPool.Get().(*task)
 	t.region = r
@@ -167,7 +167,7 @@ func (c *crew) unpost(t *task) {
 }
 
 // claimable returns the oldest task on the board with a piece left to
-// claim, skipping subtree groups when loopsOnly is set, with a reference
+// claim, skipping subtrees when loopsOnly is set, with a reference
 // the caller releases; nil if there is none.
 func (c *crew) claimable(loopsOnly bool) *task {
 	c.mu.Lock()

@@ -1,17 +1,16 @@
 // Package par provides the shared-memory parallel runtime used by the
 // estimator: processor teams with fork-join loop partitioning (static row
-// blocks, claimed triangle chunks) and concurrent subtree groups — the new
-// axis of parallelism exposed by the hierarchical decomposition — run on a
-// crew of resident workers, and the shared processor budget the serving
-// layer admits jobs against (ProcPool).
+// blocks, claimed triangle chunks) and concurrent sibling subtrees — the
+// new axis of parallelism exposed by the hierarchical decomposition — run
+// on a crew of resident workers, and the shared processor budget the
+// serving layer admits jobs against (ProcPool).
 //
-// A Team is a width: the number of processors the paper's static
-// assignment gives a node, which decides how finely the node's loops are
-// cut. What runs the pieces is the team's crew (crew.go): the poster of each
-// loop plus resident helper goroutines, every one of them claiming pieces
-// of whatever is posted. A member whose subtree group has finished helps the
-// groups still running, so the plan decides which subtrees run concurrently
-// but processors are not bound to groups.
+// A Team is a width, which decides how finely loops are cut and how many
+// members there are to claim the pieces. What runs the pieces is the team's
+// crew (crew.go): the poster of each loop plus resident helper goroutines,
+// every one of them claiming pieces of whatever is posted. A member whose
+// subtree has finished helps the subtrees still running: processors are
+// not bound to subtrees.
 package par
 
 import (
@@ -127,11 +126,11 @@ func (t *Team) ForTri(n int, body func(lo, hi int)) {
 }
 
 // Parallel runs the thunks concurrently and returns when all of them have
-// finished: the fork-join primitive that launches sibling subtree groups.
-// Each thunk is one piece of the crew's board, so a member claims a whole
-// group, and every group runs its loops on this same team — a member whose
-// group finishes first claims pieces of the others'. A team of one runs the
-// thunks in order.
+// finished: the fork-join primitive that launches sibling subtrees. Each
+// thunk is one piece of the crew's board, claimed in the order given, so a
+// member claims a whole subtree, and every subtree runs its loops on this
+// same team — a member whose subtree finishes first claims pieces of the
+// others'. A team of one runs the thunks in order.
 func (t *Team) Parallel(thunks ...func()) {
 	if t.size == 1 || len(thunks) < 2 {
 		for _, f := range thunks {

@@ -2,9 +2,10 @@
 // heuristic (§4.3): estimate the work at every node with the fitted work
 // model, accumulate subtree work bottom-up, then recursively bipartition
 // each node's processors over its child subtrees so that the processor
-// split matches the work split as closely as possible. The output is an
-// execution plan consumed by both the real parallel solver and the
-// virtual-time machine.
+// split matches the work split as closely as possible. The output is a
+// Plan, which the virtual-time machine (package vm) schedules the paper's
+// Tables 3–6 from. The real solver keeps no plan: it posts every child
+// subtree to the solve's crew, largest first (hier.Node.Prepare).
 package sched
 
 import (
@@ -19,6 +20,20 @@ import (
 // workest.FlopModel satisfy it.
 type Estimator interface {
 	NodeWork(stateDim, scalarConstraints, batchDim int) float64
+}
+
+// Group is a set of sibling subtrees executed one after another by one
+// processor group; different groups of the same parent run concurrently.
+type Group struct {
+	Nodes []*hier.Node
+	Procs int
+}
+
+// Plan maps each internal node to the partition of its children into
+// concurrently executing processor groups. A node without an entry runs its
+// children one after another, each with all of the node's processors.
+type Plan struct {
+	Groups map[*hier.Node][]Group
 }
 
 // Work holds the bottom-up work estimates for a tree.
@@ -60,13 +75,13 @@ func EstimateWork(root *hier.Node, est Estimator, batchDim int) *Work {
 // plan: all processors start at the root, and at every node the assigned
 // processors are divided over the child subtrees by recursive best-match
 // bipartition of the work.
-func Assign(root *hier.Node, procs int, w *Work) *hier.ExecPlan {
-	plan := hier.NewExecPlan()
+func Assign(root *hier.Node, procs int, w *Work) *Plan {
+	plan := &Plan{Groups: make(map[*hier.Node][]Group)}
 	assignNode(plan, root, procs, w)
 	return plan
 }
 
-func assignNode(plan *hier.ExecPlan, n *hier.Node, procs int, w *Work) {
+func assignNode(plan *Plan, n *hier.Node, procs int, w *Work) {
 	if len(n.Children) == 0 {
 		return
 	}
@@ -96,9 +111,9 @@ func assignNode(plan *hier.ExecPlan, n *hier.Node, procs int, w *Work) {
 // find the split point among the (work-ordered) child subtrees dividing the
 // work in a ratio closest to the processor ratio; pick the best match and
 // recurse on the two halves.
-func partition(children []*hier.Node, procs int, w *Work) []hier.ChildGroup {
+func partition(children []*hier.Node, procs int, w *Work) []Group {
 	if procs == 1 || len(children) == 1 {
-		return []hier.ChildGroup{{Nodes: children, Procs: procs}}
+		return []Group{{Nodes: children, Procs: procs}}
 	}
 	total := 0.0
 	prefix := make([]float64, len(children)+1)
@@ -148,7 +163,7 @@ func abs(x float64) float64 {
 // the helix's 2-equal-subtrees shape at three processors yields 4/3. The
 // worst ratio over the tree correlates with the wall-clock dips of the
 // static scheme (Tables 3 and 5).
-func Imbalance(root *hier.Node, plan *hier.ExecPlan, w *Work) (worst float64, byNode map[*hier.Node]float64) {
+func Imbalance(root *hier.Node, plan *Plan, w *Work) (worst float64, byNode map[*hier.Node]float64) {
 	worst = 1
 	byNode = map[*hier.Node]float64{}
 	if plan == nil || plan.Groups == nil {

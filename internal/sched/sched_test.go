@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"phmse/internal/constraint"
@@ -49,6 +50,87 @@ func rangeInts(lo, hi int) []int {
 	return out
 }
 
+// validate checks that every plan entry partitions the node's children and
+// that processor counts are positive and sum to totals consistent with a
+// team of size procs at the root.
+func validate(p *Plan, root *hier.Node, procs int) error {
+	if p == nil {
+		return nil
+	}
+	var check func(n *hier.Node, procs int) error
+	check = func(n *hier.Node, procs int) error {
+		groups := p.Groups[n]
+		if groups == nil {
+			// Sequential below this point; nothing further to check.
+			return nil
+		}
+		seen := map[*hier.Node]bool{}
+		total := 0
+		for _, g := range groups {
+			if g.Procs < 1 {
+				return fmt.Errorf("node %q: group with %d processors", n.Name, g.Procs)
+			}
+			if len(g.Nodes) == 0 {
+				return fmt.Errorf("node %q: empty child group", n.Name)
+			}
+			total += g.Procs
+			for _, c := range g.Nodes {
+				if c.Parent() != n {
+					return fmt.Errorf("node %q: group contains non-child %q", n.Name, c.Name)
+				}
+				if seen[c] {
+					return fmt.Errorf("node %q: child %q in two groups", n.Name, c.Name)
+				}
+				seen[c] = true
+			}
+		}
+		if len(seen) != len(n.Children) {
+			return fmt.Errorf("node %q: plan covers %d of %d children", n.Name, len(seen), len(n.Children))
+		}
+		if total != procs {
+			return fmt.Errorf("node %q: groups use %d processors, team has %d", n.Name, total, procs)
+		}
+		for _, g := range groups {
+			for _, c := range g.Nodes {
+				if err := check(c, g.Procs); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	return check(root, procs)
+}
+
+// The checks the plan tests lean on reject what they should.
+func TestPlanValidation(t *testing.T) {
+	root, _ := twoArm(t, 50, 50)
+	left, right := root.Children[0], root.Children[1]
+	plan := &Plan{Groups: map[*hier.Node][]Group{}}
+	// Wrong processor total.
+	plan.Groups[root] = []Group{{Nodes: []*hier.Node{left}, Procs: 1}, {Nodes: []*hier.Node{right}, Procs: 1}}
+	if err := validate(plan, root, 4); err == nil {
+		t.Fatal("accepted wrong processor total")
+	}
+	if err := validate(plan, root, 2); err != nil {
+		t.Fatalf("rejected valid plan: %v", err)
+	}
+	// Missing child.
+	plan.Groups[root] = []Group{{Nodes: []*hier.Node{left}, Procs: 2}}
+	if err := validate(plan, root, 2); err == nil {
+		t.Fatal("accepted plan not covering all children")
+	}
+	// Child in two groups.
+	plan.Groups[root] = []Group{{Nodes: []*hier.Node{left, left}, Procs: 1}, {Nodes: []*hier.Node{right}, Procs: 1}}
+	if err := validate(plan, root, 2); err == nil {
+		t.Fatal("accepted duplicated child")
+	}
+	// Nil plan is always valid.
+	if err := validate(nil, root, 99); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEstimateWorkAccumulates(t *testing.T) {
 	root, _ := twoArm(t, 50, 50)
 	w := EstimateWork(root, workest.FlopModel{}, 16)
@@ -73,7 +155,7 @@ func TestAssignBalancedSplit(t *testing.T) {
 	root, _ := twoArm(t, 50, 50)
 	w := EstimateWork(root, workest.FlopModel{}, 16)
 	plan := Assign(root, 4, w)
-	if err := plan.Validate(root, 4); err != nil {
+	if err := validate(plan, root, 4); err != nil {
 		t.Fatal(err)
 	}
 	groups := plan.Groups[root]
@@ -90,7 +172,7 @@ func TestAssignWorkProportional(t *testing.T) {
 	root, _ := twoArm(t, 150, 50)
 	w := EstimateWork(root, workest.FlopModel{}, 16)
 	plan := Assign(root, 4, w)
-	if err := plan.Validate(root, 4); err != nil {
+	if err := validate(plan, root, 4); err != nil {
 		t.Fatal(err)
 	}
 	var heavy *hier.Node
@@ -114,7 +196,7 @@ func TestAssignOddProcessorsUneven(t *testing.T) {
 	root, _ := twoArm(t, 50, 50)
 	w := EstimateWork(root, workest.FlopModel{}, 16)
 	plan := Assign(root, 3, w)
-	if err := plan.Validate(root, 3); err != nil {
+	if err := validate(plan, root, 3); err != nil {
 		t.Fatal(err)
 	}
 	groups := plan.Groups[root]
@@ -142,7 +224,7 @@ func TestAssignDeepTreeValid(t *testing.T) {
 	w := EstimateWork(root, workest.FlopModel{}, 16)
 	for np := 1; np <= 32; np++ {
 		plan := Assign(root, np, w)
-		if err := plan.Validate(root, np); err != nil {
+		if err := validate(plan, root, np); err != nil {
 			t.Fatalf("NP=%d: %v", np, err)
 		}
 	}
@@ -157,7 +239,7 @@ func TestAssignHighBranchingValid(t *testing.T) {
 	w := EstimateWork(root, workest.FlopModel{}, 16)
 	for _, np := range []int{2, 3, 5, 7, 16, 32} {
 		plan := Assign(root, np, w)
-		if err := plan.Validate(root, np); err != nil {
+		if err := validate(plan, root, np); err != nil {
 			t.Fatalf("NP=%d: %v", np, err)
 		}
 	}
@@ -167,7 +249,7 @@ func TestAssignMoreProcsThanChildren(t *testing.T) {
 	root, _ := twoArm(t, 50, 50)
 	w := EstimateWork(root, workest.FlopModel{}, 16)
 	plan := Assign(root, 32, w)
-	if err := plan.Validate(root, 32); err != nil {
+	if err := validate(plan, root, 32); err != nil {
 		t.Fatal(err)
 	}
 	groups := plan.Groups[root]
@@ -198,7 +280,7 @@ func TestZeroWorkTree(t *testing.T) {
 	}
 	w := EstimateWork(root, workest.FlopModel{}, 16)
 	plan := Assign(root, 4, w)
-	if err := plan.Validate(root, 4); err != nil {
+	if err := validate(plan, root, 4); err != nil {
 		t.Fatal(err)
 	}
 }

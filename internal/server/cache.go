@@ -9,11 +9,12 @@ import (
 )
 
 // planCache is a bounded LRU cache of topology-keyed planning artifacts
-// (decomposition tree + static processor assignment). The paper's central
-// observation is that the decomposition and schedule are invariant across
-// re-solves of the same topology — they depend on which atoms are coupled,
-// not on the measured values — so a server handling repeated estimation
-// cycles should pay for planning once per topology, not once per request.
+// (the regrouped decomposition tree). The paper's central observation is
+// that the decomposition is invariant across re-solves of the same
+// topology — it depends on which atoms are coupled, not on the measured
+// values or the team that solves it — so a server handling repeated
+// estimation cycles should pay for planning once per topology, not once
+// per request.
 type planCache struct {
 	mu      sync.Mutex
 	max     int
@@ -38,10 +39,11 @@ func newPlanCache(max int) *planCache {
 }
 
 // planKey widens the topology hash with the construction parameters the
-// artifacts depend on, so one topology solved under different team sizes
-// or batch dimensions occupies distinct slots.
-func planKey(topoHash string, mode core.Mode, procs, batch, leaf int, auto bool) string {
-	return fmt.Sprintf("%s|m=%v|p=%d|b=%d|l=%d|a=%v", topoHash, mode, procs, batch, leaf, auto)
+// artifacts depend on, so one topology solved under different batch
+// dimensions or decompositions occupies distinct slots. One slot serves
+// every team width.
+func planKey(topoHash string, mode core.Mode, batch, leaf int, auto bool) string {
+	return fmt.Sprintf("%s|m=%v|b=%d|l=%d|a=%v", topoHash, mode, batch, leaf, auto)
 }
 
 // get returns the cached artifacts for the key, recording a hit or miss.

@@ -225,8 +225,8 @@ func batchSize(p encode.SolveParams) int {
 }
 
 // jobCost estimates a job's total work with the fitted flop model, the
-// same Equation-1 estimate that drives static processor assignment inside
-// a solve — here lifted to the admission layer to size the job's team.
+// same Equation-1 estimate a solve orders its subtrees by — here lifted to
+// the admission layer to size the job's team.
 func jobCost(p *molecule.Problem, batch int) float64 {
 	scalars := 0
 	for _, c := range p.Constraints {
@@ -537,7 +537,8 @@ func (m *manager) attempt(ctx context.Context, j *job, attempt int, flat bool, p
 // forces the flat organization regardless of the requested mode (the
 // numerical-failure fallback path). procs is the admitted team width —
 // the scheduler's cost-sized, contention-shrunk grant — though the
-// request may still ask for fewer.
+// request may still ask for fewer. It sets how many processors the solve's
+// crew has, not which plan-cache entry it uses or what it computes.
 func (m *manager) solve(ctx context.Context, j *job, attempt int, flat bool, procs int) (*core.Solution, error) {
 	params := j.params
 	mode := core.Hierarchical
@@ -570,7 +571,7 @@ func (m *manager) solve(ctx context.Context, j *job, attempt int, flat bool, pro
 	if mode == core.Flat {
 		est, err = core.New(j.problem, cfg)
 	} else {
-		key := planKey(j.topoHash, mode, procs, batch, leafSize, params.Auto)
+		key := planKey(j.topoHash, mode, batch, leafSize, params.Auto)
 		art, hit := m.cache.get(key)
 		var fresh *core.PlanArtifacts
 		est, fresh, err = core.NewWithPlan(j.problem, cfg, art)

@@ -206,16 +206,19 @@ func TestConcurrentSolves(t *testing.T) {
 	}
 }
 
-// Re-submitting the same topology hits the plan cache, visible in /metrics.
+// Re-submitting the same topology hits the plan cache, visible in /metrics,
+// whatever team width either submission runs at.
 func TestPlanCacheHit(t *testing.T) {
-	srv, ts, c := newTestServer(t, Config{MaxProcs: 2, MaxTeam: 2})
+	srv, ts, c := newTestServer(t, Config{MaxProcs: 2, MaxTeam: 2, TeamGrain: 1})
 	p := helix(1)
-	first := submit(t, c, p, quickParams())
+	params := quickParams()
+	params.Procs = 1
+	first := submit(t, c, p, params)
 	waitState(t, c, first.ID, StateDone, StateFailed)
 
-	// Same topology, different measurement noise and seed: must reuse the
-	// cached decomposition and schedule.
-	second := submit(t, c, p, encode.SolveParams{Perturb: 0.3, Seed: 99})
+	// Same topology, different measurement noise, seed and team width: must
+	// reuse the cached decomposition.
+	second := submit(t, c, p, encode.SolveParams{Perturb: 0.3, Seed: 99, Procs: 2})
 	st := waitState(t, c, second.ID, StateDone, StateFailed)
 	if st.State != StateDone {
 		t.Fatalf("second job: %+v", st)

@@ -42,6 +42,7 @@ import (
 	"phmse/internal/machine"
 	"phmse/internal/molecule"
 	"phmse/internal/pdb"
+	"phmse/internal/sched"
 	"phmse/internal/superpose"
 	"phmse/internal/trace"
 	"phmse/internal/vm"
@@ -193,7 +194,13 @@ func RecursiveBisection(nAtoms, leafSize int) *Group {
 // ModelWork returns the analytic work model's estimate of one cycle over
 // the estimator's (regrouped) tree, in relative units: the prediction to
 // hold a measured cycle time against when comparing decompositions.
-func ModelWork(e *Estimator) float64 { return core.ModelWork(e) }
+func ModelWork(e *Estimator) float64 {
+	w := core.Work(e)
+	if w == nil {
+		return 0
+	}
+	return w.Subtree[e.Root()]
+}
 
 // DASH returns the calibrated Stanford DASH machine model (32 processors).
 func DASH() *Machine { return machine.DASH() }
@@ -203,15 +210,14 @@ func Challenge() *Machine { return machine.Challenge() }
 
 // Simulate runs one virtual-time cycle of the estimator's parallel
 // hierarchical schedule on the machine model with the given processor
-// count, reproducing the paper's Tables 3–6 methodology. The estimator must
-// be hierarchical.
+// count under the §4.3 static processor assignment, reproducing the paper's
+// Tables 3–6 methodology. The estimator must be hierarchical.
 func Simulate(e *Estimator, m *Machine, procs int) SimResult {
 	root := e.Root()
 	if root == nil {
 		panic("phmse: Simulate requires a hierarchical estimator")
 	}
-	plan := replan(e, procs)
-	return vm.Run(root, m, procs, plan)
+	return vm.Run(root, m, procs, sched.Assign(root, procs, core.Work(e)))
 }
 
 // SimulateDynamic runs one virtual-time cycle under the §5 dynamic
@@ -243,15 +249,6 @@ func MeasureTable2(nodeSizes, batchDims []int, scale float64) []Table2Cell {
 // measurements, excluding batch dimensions below minBatch.
 func FitEquation1(cells []Table2Cell, minBatch int) (WorkModel, error) {
 	return workest.Fit(cells, minBatch)
-}
-
-// replan recomputes the static processor assignment for a processor count
-// different from the estimator's configuration.
-func replan(e *Estimator, procs int) *hier.ExecPlan {
-	if procs <= 1 {
-		return nil
-	}
-	return core.Replan(e, procs)
 }
 
 // --- Baseline methods (§6 related work) and structural utilities ---
