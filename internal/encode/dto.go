@@ -70,8 +70,9 @@ type SolveRequest struct {
 }
 
 // solveRequest is SolveRequest with the problem typed as the file struct:
-// the shape both directions of the wire use, so a request is rendered and
-// parsed in one pass instead of through an intermediate raw document.
+// what the scanner decodes a request body into, and what the writer
+// renders, so a request is read and written in one pass with no
+// intermediate raw document.
 type solveRequest struct {
 	Problem   *fileProblem  `json:"problem"`
 	Params    SolveParams   `json:"params,omitempty"`
@@ -81,11 +82,12 @@ type solveRequest struct {
 // MarshalSolveRequest renders the body of POST /v1/solve. The bytes equal
 // json.Marshal of a SolveRequest whose Problem is WriteProblem's output.
 func MarshalSolveRequest(p *molecule.Problem, params SolveParams, warm *WarmStartRef) ([]byte, error) {
-	fp, err := toFileProblem(p)
-	if err != nil {
-		return nil, err
+	w := problemWriter(p)
+	w.request(p, params, warm)
+	if w.err != nil {
+		return nil, w.err
 	}
-	return json.Marshal(solveRequest{Problem: fp, Params: params, WarmStart: warm})
+	return w.b, nil
 }
 
 // ReadSolveRequest parses and validates a solve request, returning the
@@ -100,29 +102,38 @@ func ReadSolveRequest(r io.Reader) (*molecule.Problem, SolveParams, *WarmStartRe
 	if _, err := body.ReadFrom(r); err != nil {
 		return fail(fmt.Errorf("encode: request: %w", err))
 	}
-	var req solveRequest
-	if err := json.Unmarshal(body.Bytes(), &req); err != nil {
+	req, err := decodeRequest(body.Bytes(), &fullSchema)
+	if err != nil {
 		return fail(fmt.Errorf("encode: request: %w", err))
 	}
-	if req.Problem == nil {
-		return fail(fmt.Errorf("encode: request has no problem document"))
-	}
-	p, err := req.Problem.problem()
+	p, err := req.validate()
 	if err != nil {
 		return fail(err)
 	}
+	return p, req.Params, req.WarmStart, nil
+}
+
+// validate checks a decoded request and returns its problem in solver form.
+func (req *solveRequest) validate() (*molecule.Problem, error) {
+	if req.Problem == nil {
+		return nil, fmt.Errorf("encode: request has no problem document")
+	}
+	p, err := req.Problem.problem()
+	if err != nil {
+		return nil, err
+	}
 	if len(p.Atoms) == 0 {
-		return fail(fmt.Errorf("encode: problem has no atoms"))
+		return nil, fmt.Errorf("encode: problem has no atoms")
 	}
 	switch req.Params.Mode {
 	case "", "hier", "flat":
 	default:
-		return fail(fmt.Errorf("encode: unknown mode %q (want \"flat\" or \"hier\")", req.Params.Mode))
+		return nil, fmt.Errorf("encode: unknown mode %q (want \"flat\" or \"hier\")", req.Params.Mode)
 	}
 	if req.WarmStart != nil && req.WarmStart.Job == "" {
-		return fail(fmt.Errorf("encode: warm_start reference has no job id"))
+		return nil, fmt.Errorf("encode: warm_start reference has no job id")
 	}
-	return p, req.Params, req.WarmStart, nil
+	return p, nil
 }
 
 // SolutionDoc is the wire form of a solved structure estimate.

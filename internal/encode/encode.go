@@ -1,6 +1,12 @@
-// Package encode serializes structure-estimation problems to and from a
-// JSON interchange format, used by the command-line tools to pass problems
-// between the generator (helixgen) and the solver (msesolve).
+// Package encode defines the wire surface of phmse: the JSON problem
+// interchange format, the solve request that carries it to POST /v1/solve,
+// the job, posterior and admin documents, and the topology hashes that key
+// plan caches, posterior compatibility and the router's ring. helixgen and
+// msesolve exchange problem files in it; the client, router and daemon
+// exchange requests. The problem document and the solve request are read
+// by one hand-written scanner (scan.go) and written by one writer
+// (write.go), both bound to encoding/json's rules for the tagged types
+// below; the other documents go through encoding/json.
 package encode
 
 import (
@@ -15,7 +21,9 @@ import (
 	"phmse/internal/molecule"
 )
 
-// fileProblem is the on-disk representation.
+// fileProblem is the on-disk representation. The JSON tags on it and the
+// types below document the format; the scanner and writer implement it,
+// and their tests hold them to encoding/json's reading of these tags.
 type fileProblem struct {
 	Name        string           `json:"name"`
 	Atoms       []fileAtom       `json:"atoms"`
@@ -37,8 +45,8 @@ type fileGroup struct {
 
 // fileTopo is the topology-relevant part of a constraint record: the type
 // tag and the atom indices it couples. It is embedded in fileConstraint and
-// decoded on its own by SolveRouting, so the topology hash reads the same
-// fields of the same document whichever side computes it.
+// is all of a constraint that routing decodes, so the topology hash reads
+// the same fields of the same document whichever side computes it.
 type fileTopo struct {
 	Type string `json:"type"`
 	I    int    `json:"i"`
@@ -57,42 +65,31 @@ type fileConstraint struct {
 	Sigma  float64     `json:"sigma"`
 }
 
-// toFileProblem converts a problem to its on-disk representation.
-func toFileProblem(p *molecule.Problem) (*fileProblem, error) {
-	fp := &fileProblem{Name: p.Name}
-	for _, a := range p.Atoms {
-		fp.Atoms = append(fp.Atoms, fileAtom{Name: a.Name, Residue: a.Residue, Pos: a.Pos})
-	}
-	for _, c := range p.Constraints {
-		fc, err := toFile(c)
-		if err != nil {
-			return nil, err
-		}
-		fp.Constraints = append(fp.Constraints, fc)
-	}
-	fp.Tree = toFileGroup(p.Tree)
-	return fp, nil
-}
-
-// WriteProblem serializes the problem as indented JSON.
+// WriteProblem serializes the problem as indented JSON, the form
+// json.Encoder with a one-space indent gives the tagged types.
 func WriteProblem(w io.Writer, p *molecule.Problem) error {
-	fp, err := toFileProblem(p)
-	if err != nil {
+	out := problemWriter(p)
+	out.problem(p)
+	if out.err != nil {
+		return out.err
+	}
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, out.b, "", " "); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(fp)
+	buf.WriteByte('\n')
+	_, err := w.Write(buf.Bytes())
+	return err
 }
 
-// ReadProblem parses a problem from JSON.
+// ReadProblem parses a problem from JSON. The input must be exactly one
+// JSON document.
 func ReadProblem(r io.Reader) (*molecule.Problem, error) {
-	var fp fileProblem
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&fp); err != nil {
+	var data bytes.Buffer
+	if _, err := data.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("encode: %w", err)
 	}
-	return fp.problem()
+	return ReadProblemBytes(data.Bytes())
 }
 
 // problem validates the decoded document and converts it to solver form.
@@ -120,7 +117,11 @@ func (fp *fileProblem) problem() (*molecule.Problem, error) {
 
 // ReadProblemBytes parses a problem from a JSON document in memory.
 func ReadProblemBytes(data []byte) (*molecule.Problem, error) {
-	return ReadProblem(bytes.NewReader(data))
+	fp, err := decodeProblem(data)
+	if err != nil {
+		return nil, fmt.Errorf("encode: %w", err)
+	}
+	return fp.problem()
 }
 
 func toFile(c constraint.Constraint) (fileConstraint, error) {
@@ -185,17 +186,6 @@ func fromFile(fc fileConstraint, nAtoms int) (constraint.Constraint, error) {
 	default:
 		return nil, fmt.Errorf("unknown constraint type %q", fc.Type)
 	}
-}
-
-func toFileGroup(g *molecule.Group) *fileGroup {
-	if g == nil {
-		return nil
-	}
-	fg := &fileGroup{Name: g.Name, Atoms: g.AtomIDs}
-	for _, c := range g.Children {
-		fg.Children = append(fg.Children, toFileGroup(c))
-	}
-	return fg
 }
 
 func fromFileGroup(fg *fileGroup) *molecule.Group {

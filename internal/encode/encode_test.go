@@ -85,6 +85,9 @@ func TestReadRejectsBadInput(t *testing.T) {
 		"bad atom":     `{"atoms":[{"pos":[0,0,0]}],"constraints":[{"type":"distance","i":0,"j":5,"sigma":1}]}`,
 		"bad sigma":    `{"atoms":[{"pos":[0,0,0]},{"pos":[1,0,0]}],"constraints":[{"type":"distance","i":0,"j":1,"sigma":0}]}`,
 		"no point":     `{"atoms":[{"pos":[0,0,0]}],"constraints":[{"type":"position","i":0,"sigma":1}]}`,
+		// A truncated or concatenated file is not a problem file.
+		"trailing garbage": `{"atoms":[{"pos":[0,0,0]}]} {"garbage"`,
+		"two documents":    `{"atoms":[{"pos":[0,0,0]}]} {"atoms":[{"pos":[0,0,0]}]}`,
 	}
 	for name, in := range cases {
 		if _, err := ReadProblem(strings.NewReader(in)); err == nil {

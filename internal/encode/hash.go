@@ -1,11 +1,11 @@
 package encode
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
-	"sort"
+	"slices"
 	"strconv"
 
 	"phmse/internal/molecule"
@@ -23,30 +23,51 @@ import (
 // in (the constraint set is hashed as a sorted multiset) nor, since it is
 // computed from the parsed Problem, on JSON field order in a problem file.
 func TopologyHash(p *molecule.Problem) string {
-	recs := make([]string, len(p.Constraints))
-	for i, c := range p.Constraints {
+	recs := newRecords(len(p.Constraints))
+	for _, c := range p.Constraints {
 		if fc, err := toFile(c); err == nil {
-			recs[i] = fc.record()
+			recs.add(fc.appendRecord(recs.buf))
 		} else { // no wire form: hash what the type exposes
-			recs[i] = fmt.Sprintf("%T %v", c, c.Atoms())
+			recs.add(fmt.Appendf(recs.buf, "%T %v", c, c.Atoms()))
 		}
 	}
 	return hashTopology(len(p.Atoms), recs, p.Tree)
 }
 
+// records holds the constraint lines of a topology rendering back to back
+// in one buffer, each followed by a newline; lines[i] spans line i
+// without its newline.
+type records struct {
+	buf   []byte
+	lines []span
+}
+
+type span struct{ lo, hi int }
+
+func newRecords(n int) records {
+	return records{buf: make([]byte, 0, 16*n), lines: make([]span, 0, n)}
+}
+
+// add takes r.buf with one more line appended to it.
+func (r *records) add(buf []byte) {
+	r.lines = append(r.lines, span{len(r.buf), len(buf)})
+	r.buf = append(buf, '\n')
+}
+
 // hashTopology is the one canonical rendering behind TopologyHash,
-// StructureHash and SolveRouting: the atom count, the constraint records
-// as a sorted multiset (recs is sorted in place), and the grouping tree.
-func hashTopology(atoms int, recs []string, tree *molecule.Group) string {
+// StructureHash and Route.Key: the atom count, the constraint records as a
+// sorted multiset (recs is sorted in place), and the grouping tree.
+func hashTopology(atoms int, recs records, tree *molecule.Group) string {
+	slices.SortFunc(recs.lines, func(a, b span) int {
+		return bytes.Compare(recs.buf[a.lo:a.hi], recs.buf[b.lo:b.hi])
+	})
 	h := sha256.New()
-	fmt.Fprintf(h, "atoms:%d\n", atoms)
-	sort.Strings(recs)
-	for _, r := range recs {
-		io.WriteString(h, r)
-		io.WriteString(h, "\n")
+	b := strconv.AppendInt(append(make([]byte, 0, 64), "atoms:"...), int64(atoms), 10)
+	h.Write(append(b, '\n'))
+	for _, l := range recs.lines {
+		h.Write(recs.buf[l.lo : l.hi+1]) // with its newline
 	}
-	io.WriteString(h, "tree:")
-	hashTree(h, tree)
+	h.Write(appendTree(append(b[:0], "tree:"...), tree))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -59,12 +80,12 @@ func hashTopology(atoms int, recs []string, tree *molecule.Group) string {
 // with different StructureHash values index different atoms and must not
 // exchange posteriors.
 func StructureHash(p *molecule.Problem) string {
-	return hashTopology(len(p.Atoms), nil, p.Tree)
+	return hashTopology(len(p.Atoms), records{}, p.Tree)
 }
 
-// record renders the constraint's line of the topology hash: its type tag
-// and as many atom indices as that type couples.
-func (t fileTopo) record() string {
+// appendRecord appends the constraint's line of the topology hash: its
+// type tag and as many atom indices as that type couples.
+func (t fileTopo) appendRecord(b []byte) []byte {
 	idx := [4]int{t.I, t.J, t.K, t.L}
 	n := len(idx) // torsion; an unknown tag renders every index
 	switch t.Type {
@@ -75,30 +96,28 @@ func (t fileTopo) record() string {
 	case "angle":
 		n = 3
 	}
-	b := make([]byte, 0, len(t.Type)+8*n)
 	b = append(b, t.Type...)
 	for _, a := range idx[:n] {
 		b = strconv.AppendInt(append(b, ' '), int64(a), 10)
 	}
-	return string(b)
+	return b
 }
 
-// hashTree writes a canonical rendering of the grouping tree: a
+// appendTree appends a canonical rendering of the grouping tree: a
 // parenthesized pre-order traversal of directly-owned atom IDs.
-func hashTree(w io.Writer, g *molecule.Group) {
+func appendTree(b []byte, g *molecule.Group) []byte {
 	if g == nil {
-		io.WriteString(w, "-")
-		return
+		return append(b, '-')
 	}
-	io.WriteString(w, "(")
+	b = append(b, '(')
 	for i, a := range g.AtomIDs {
 		if i > 0 {
-			io.WriteString(w, ",")
+			b = append(b, ',')
 		}
-		fmt.Fprintf(w, "%d", a)
+		b = strconv.AppendInt(b, int64(a), 10)
 	}
 	for _, c := range g.Children {
-		hashTree(w, c)
+		b = appendTree(b, c)
 	}
-	io.WriteString(w, ")")
+	return append(b, ')')
 }

@@ -119,3 +119,12 @@ func TestTopologyHashGenerators(t *testing.T) {
 		t.Fatal("different helix sizes collide")
 	}
 }
+
+// The shard hashes every submission: rendering a topology costs a handful
+// of buffers, not an allocation per constraint record or tree atom.
+func TestTopologyHashAllocations(t *testing.T) {
+	p := molecule.Helix(8)
+	if allocs := testing.AllocsPerRun(10, func() { TopologyHash(p) }); allocs > 20 {
+		t.Errorf("TopologyHash of %d constraints: %v allocations", len(p.Constraints), allocs)
+	}
+}

@@ -8,50 +8,61 @@ package encode
 // serving internals: everything it routes on is part of the wire surface.
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
 
-// routeRequest is the routing-relevant shape of a solve request: atoms
-// are only counted, constraints keep their type tag and indices, and no
-// measurement value is parsed.
-type routeRequest struct {
-	Problem *struct {
-		Atoms       []struct{} `json:"atoms"`
-		Constraints []fileTopo `json:"constraints"`
-		Tree        *fileGroup `json:"tree"`
-	} `json:"problem"`
-	WarmStart *WarmStartRef `json:"warm_start"`
+// Route is a solve request read for routing: the warm-start reference,
+// and the problem topology its consistent-hash key is rendered from when
+// asked. A warm-started submission routes to the shard that retains the
+// referenced posterior — the job id's instance qualifier, not the ring,
+// names that shard — so a router that places it by Warm never pays for
+// the key's sort and SHA-256.
+type Route struct {
+	// Warm is the request's warm_start reference; nil for a cold submission.
+	Warm *WarmStartRef
+	topo *fileProblem
+}
+
+// ReadRoute reads a solve request for routing in one pass of the request
+// scanner, decoding only what routing needs: the warm-start reference,
+// the atom count, each constraint's type tag and indices, and the tree.
+// It refuses only what cannot be routed (not one JSON document, no atoms,
+// a warm_start without a job id, a routed field of the wrong type) and
+// leaves validation to ReadSolveRequest on the shard.
+func ReadRoute(body []byte) (Route, error) {
+	req, err := decodeRequest(body, &routeSchema)
+	if err != nil {
+		return Route{}, fmt.Errorf("encode: request: %w", err)
+	}
+	if req.Problem == nil || len(req.Problem.Atoms) == 0 {
+		return Route{}, fmt.Errorf("encode: request has no problem with atoms")
+	}
+	if req.WarmStart != nil && req.WarmStart.Job == "" {
+		return Route{}, fmt.Errorf("encode: warm_start reference has no job id")
+	}
+	return Route{Warm: req.WarmStart, topo: req.Problem}, nil
+}
+
+// Key renders the consistent-hash key: the problem's TopologyHash, equal
+// to the daemon's for every request the daemon accepts.
+func (r Route) Key() string {
+	recs := newRecords(len(r.topo.Constraints))
+	for _, c := range r.topo.Constraints {
+		recs.add(c.appendRecord(recs.buf))
+	}
+	return hashTopology(len(r.topo.Atoms), recs, fromFileGroup(r.topo.Tree))
 }
 
 // SolveRouting extracts the routing decision of a solve request without
-// acting on it: the consistent-hash key (the problem's TopologyHash) and
-// the warm-start reference, if any. A warm-started submission must route
-// to the shard that retains the referenced posterior — the job id's
-// instance qualifier, not the ring, names that shard — so the router needs
-// both. It is one pass over the body into routeRequest, feeding the
-// renderer TopologyHash uses, so the key equals the daemon's for every
-// request the daemon accepts; it refuses only what cannot be routed (not
-// one JSON document, no atoms, a warm_start without a job id) and leaves
-// validation to ReadSolveRequest on the shard.
+// acting on it: the consistent-hash key and the warm-start reference, if
+// any. It is ReadRoute with the key rendered at once.
 func SolveRouting(body []byte) (string, *WarmStartRef, error) {
-	var req routeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return "", nil, fmt.Errorf("encode: request: %w", err)
+	r, err := ReadRoute(body)
+	if err != nil {
+		return "", nil, err
 	}
-	if req.Problem == nil || len(req.Problem.Atoms) == 0 {
-		return "", nil, fmt.Errorf("encode: request has no problem with atoms")
-	}
-	if req.WarmStart != nil && req.WarmStart.Job == "" {
-		return "", nil, fmt.Errorf("encode: warm_start reference has no job id")
-	}
-	recs := make([]string, len(req.Problem.Constraints))
-	for i, c := range req.Problem.Constraints {
-		recs[i] = c.record()
-	}
-	key := hashTopology(len(req.Problem.Atoms), recs, fromFileGroup(req.Problem.Tree))
-	return key, req.WarmStart, nil
+	return r.Key(), r.Warm, nil
 }
 
 // QualifyJob prefixes a job id with the instance that minted it:

@@ -191,6 +191,20 @@ func BenchmarkSolveRouting(b *testing.B) {
 	}
 }
 
+// BenchmarkReadRoute is the router's pass over a warm body its named shard
+// answers: no key is rendered.
+func BenchmarkReadRoute(b *testing.B) {
+	body := warmTinyBody(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadRoute(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkReadSolveRequest(b *testing.B) {
 	body := warmTinyBody(b)
 	b.ReportAllocs()

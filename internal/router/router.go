@@ -747,23 +747,25 @@ func (rt *Router) forwardTo(w http.ResponseWriter, r *http.Request, sh *shard, p
 }
 
 // handleSolve routes a submission: one routing-only pass over the body
-// (encode.SolveRouting — the shard is the validator), then the raw body is
-// forwarded unchanged.
+// (encode.ReadRoute — the shard is the validator), then the raw body is
+// forwarded unchanged. The ring key is rendered only for a submission its
+// warm-start reference did not place.
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, encode.CodeBadRequest, "reading request: "+err.Error())
 		return
 	}
-	key, warmRef, err := encode.SolveRouting(body)
+	route, err := encode.ReadRoute(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, encode.CodeBadRequest, err.Error())
 		return
 	}
 
-	if warmRef != nil && rt.forwardWarm(w, r, warmRef.Job, body) {
+	if route.Warm != nil && rt.forwardWarm(w, r, route.Warm.Job, body) {
 		return
 	}
+	key := route.Key()
 
 	// Ring replicas are the failover order. A POST fails over only on dial
 	// failures — the request never left, so no shard could have enqueued

@@ -1,12 +1,15 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -31,8 +34,9 @@ type fakeShard struct {
 	release     chan struct{} // closed (once) to answer parked status requests
 	releaseOnce sync.Once
 
-	mu   sync.Mutex
-	hits map[string]int // "METHOD path" → requests
+	mu        sync.Mutex
+	hits      map[string]int // "METHOD path" → requests
+	lastSolve []byte         // body of the latest POST /v1/solve
 }
 
 func newFakeShard(t *testing.T, instance string) *fakeShard {
@@ -46,8 +50,12 @@ func newFakeShard(t *testing.T, instance string) *fakeShard {
 	mux.HandleFunc("GET /healthz", health)
 	mux.HandleFunc("GET /readyz", health)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
 		fs.mu.Lock()
 		fs.hits[r.Method+" "+r.URL.Path]++
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/solve" {
+			fs.lastSolve = body
+		}
 		fs.mu.Unlock()
 		w.Header().Set("X-Phmsed-Instance", instance)
 		w.Header().Set("Content-Type", "application/json")
@@ -83,6 +91,12 @@ func newFakeShard(t *testing.T, instance string) *fakeShard {
 }
 
 func (fs *fakeShard) releaseWaits() { fs.releaseOnce.Do(func() { close(fs.release) }) }
+
+func (fs *fakeShard) solveBody() []byte {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.lastSolve
+}
 
 func (fs *fakeShard) seen() map[string]int {
 	fs.mu.Lock()
@@ -135,6 +149,110 @@ func TestWarmStartIsOneRequestToOneShard(t *testing.T) {
 	}
 	if got, want := rt.Snapshot().WarmForwards, (MetricsWarmForwards{Direct: 1}); got != want {
 		t.Errorf("warm_forwards %+v, want %+v", got, want)
+	}
+}
+
+// postSolve submits a raw body to the router's handler in-process.
+func postSolve(rt *Router, body []byte) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	rt.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+	return w
+}
+
+// A warm body its named shard answers is relayed there byte for byte, and
+// the ring key is never rendered: serving it costs no allocation per tree
+// group beyond the routing scan's own, where rendering the key would
+// build one molecule.Group for each.
+func TestWarmHitRelaysBodyWithoutKeying(t *testing.T) {
+	s1, s2 := newFakeShard(t, "s1"), newFakeShard(t, "s2")
+	rt, _ := fakeCluster(t, nil, s1, s2)
+	const groups = 4000
+	body := []byte(` {"warm_start": {"job": "s2.job-000001"}, "x": [1, "y"],
+	  "problem": {"constraints": [], "atoms": [{"pos": [0, 0, 0]}],
+	  "tree": {"children": [` + strings.Repeat(`{"atoms": [0]},`, groups-1) + `{"atoms": [0]}]}}} `)
+
+	if w := postSolve(rt, body); w.Code != http.StatusAccepted {
+		t.Fatalf("warm submission: %d %s", w.Code, w.Body)
+	}
+	if got := s2.solveBody(); !bytes.Equal(got, body) {
+		t.Errorf("named shard received %d bytes, not the %d submitted", len(got), len(body))
+	}
+	if got := s1.seen(); len(got) != 0 {
+		t.Errorf("bystander saw %v, want nothing", got)
+	}
+
+	scan := testing.AllocsPerRun(5, func() {
+		if _, err := encode.ReadRoute(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	serve := testing.AllocsPerRun(5, func() { postSolve(rt, body) })
+	if extra := serve - scan; extra > groups/2 {
+		t.Errorf("serving the warm hit allocates %.0f beyond its routing scan's %.0f: the key was rendered", extra, scan)
+	}
+}
+
+// A warm reference no shard answers for falls back to the ring, keyed by
+// the problem's topology hash exactly as a cold submission is.
+func TestWarmMissRoutesByTopologyKey(t *testing.T) {
+	shards := []*fakeShard{newFakeShard(t, "s1"), newFakeShard(t, "s2"), newFakeShard(t, "s3")}
+	rt, c := fakeCluster(t, nil, shards...)
+	owner := map[string]string{}
+	for _, fs := range shards {
+		owner[fs.ts.URL] = fs.instance
+	}
+	for bp := 1; bp <= 6; bp++ {
+		p := helix(bp)
+		want := owner[rt.replicasFor(encode.TopologyHash(p))[0].base]
+		st, err := c.WarmStart(context.Background(), p, encode.SolveParams{}, "s9.job-000001")
+		if err != nil || st.Shard != want {
+			t.Fatalf("helix(%d) warm miss: %v, %+v; want the ring's first replica %s", bp, err, st, want)
+		}
+	}
+	if got, want := rt.Snapshot().WarmForwards, (MetricsWarmForwards{Unresolved: 6}); got != want {
+		t.Errorf("warm_forwards %+v, want %+v", got, want)
+	}
+}
+
+// The router refuses what it cannot route — not one JSON document, no
+// atoms, a warm_start without a job id, a routed field of the wrong type
+// — and relays everything else to the shard, the validator.
+func TestRouterRefusals(t *testing.T) {
+	s1 := newFakeShard(t, "s1")
+	rt, _ := fakeCluster(t, nil, s1)
+	refused := []string{
+		``, `{`, `not json`, `[]`, `null`, `{}`, `{"params":{}}`, `{"problem":[]}`,
+		`{"problem":null}`, `{"problem":{}}`, `{"problem":{"atoms":[]}}`, `{"problem":{"atoms":null}}`,
+		`{"problem":{"atoms":[{}]},"problem":null}`,
+		`{"problem":{"atoms":[{}]}} {}`, `{"problem":{"atoms":[{}]}}x`,
+		`{"problem":{"atoms":[{}]},"warm_start":{}}`, `{"problem":{"atoms":[{}]},"warm_start":{"job":""}}`,
+		`{"problem":{"atoms":[{}]},"warm_start":"s1.job-000001"}`, `{"problem":{"atoms":[{}]},"warm_start":{"job":7}}`,
+		`{"problem":{"atoms":[1]}}`, `{"problem":{"atoms":{}}}`,
+		`{"problem":{"atoms":[{}],"constraints":{}}}`,
+		`{"problem":{"atoms":[{}],"constraints":[{"type":"distance","i":1.5}]}}`,
+		`{"problem":{"atoms":[{}],"constraints":[{"type":"distance","I":"0"}]}}`,
+		`{"problem":{"atoms":[{}],"constraints":[{"type":7}]}}`,
+		`{"problem":{"atoms":[{}],"tree":[]}}`, `{"problem":{"atoms":[{}],"tree":{"atoms":[1e0]}}}`,
+	}
+	relayed := []string{
+		`{"problem":{"atoms":[{}]}}`,
+		`{"problem":{"name":7,"atoms":[{"pos":"x"}]},"params":"x"}`,
+		`{"problem":{"atoms":[{}],"constraints":[{"type":"warp","i":0,"j":99,"sigma":-1,"target":"x","point":{}}]},"params":{"mode":"sideways"}}`,
+		`{"PROBLEM":{"ATOMS":[null,{}]},"Warm_Start":null,"x":[1,{"y":null}]}`,
+		`{"problem":{"atoms":[]},"problem":{"atoms":[{}]}}`,
+	}
+	for _, body := range refused {
+		if w := postSolve(rt, []byte(body)); w.Code != http.StatusBadRequest {
+			t.Errorf("%q: %d, want 400", body, w.Code)
+		}
+	}
+	if got := s1.seen(); len(got) != 0 {
+		t.Errorf("refused bodies reached the shard: %v", got)
+	}
+	for _, body := range relayed {
+		if w := postSolve(rt, []byte(body)); w.Code != http.StatusAccepted {
+			t.Errorf("%q: %d %s, want the shard's 202", body, w.Code, w.Body)
+		}
 	}
 }
 
