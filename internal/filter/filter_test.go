@@ -604,17 +604,23 @@ func maxAbsLoop(m float64, vs []float64) float64 {
 	return m
 }
 
-// TestMaxAbsMatchesLoop: the branch-free scan returns what the loop does,
-// bit for bit, on random lengths and magnitudes with signed zeros,
+// TestMaxAbsMatchesLoop: the branch-free scan, in every form the host has,
+// returns what the loop does, bit for bit, on lengths 0–200 — the vector
+// body's multiples of 16 and every tail — and magnitudes with signed zeros,
 // subnormals and infinities mixed in, from any starting bound; a NaN at any
 // position, of either sign and any payload, reports +Inf — so admit makes
 // the decisions it always made.
 func TestMaxAbsMatchesLoop(t *testing.T) {
+	forms := []string{"Go"}
+	if mat.VectorUnit() {
+		forms = append(forms, "ymm")
+	}
+	t.Logf("maxAbs forms run on this host: %v", forms)
 	rng := rand.New(rand.NewSource(29))
 	specials := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1)}
 	nans := []float64{math.NaN(), math.Copysign(math.NaN(), -1), math.Float64frombits(0x7ff0_0000_0000_0001), math.Float64frombits(0xfff8_dead_beef_0001)}
-	for trial := 0; trial < 2000; trial++ {
-		vs := make([]float64, rng.Intn(40))
+	for trial := 0; trial < 4000; trial++ {
+		vs := make([]float64, trial%201)
 		for i := range vs {
 			vs[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
 			if rng.Intn(8) == 0 {
@@ -622,15 +628,25 @@ func TestMaxAbsMatchesLoop(t *testing.T) {
 			}
 		}
 		m := []float64{0, 1e-300, rng.ExpFloat64(), math.Inf(1)}[trial%4]
-		if got, want := maxAbs(m, vs), maxAbsLoop(m, vs); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("maxAbs(%v, %v) = %v, loop %v", m, vs, got, want)
+		want := maxAbsLoop(m, vs)
+		nan := -1
+		if len(vs) > 0 {
+			nan = rng.Intn(len(vs))
 		}
-		if len(vs) == 0 {
-			continue
-		}
-		vs[rng.Intn(len(vs))] = nans[rng.Intn(len(nans))]
-		if got := maxAbs(m, vs); !math.IsInf(got, 1) {
-			t.Fatalf("maxAbs(%v, %v) = %v with a NaN, want +Inf", m, vs, got)
+		for _, form := range forms {
+			restore := mat.PinKernels(form == "ymm", false)
+			if got := maxAbs(m, vs); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: maxAbs(%v, %v) = %v, loop %v", form, m, vs, got, want)
+			}
+			if nan >= 0 {
+				was := vs[nan]
+				vs[nan] = nans[rng.Intn(len(nans))]
+				if got := maxAbs(m, vs); !math.IsInf(got, 1) {
+					t.Fatalf("%s: maxAbs(%v, %v) = %v with a NaN, want +Inf", form, m, vs, got)
+				}
+				vs[nan] = was
+			}
+			restore()
 		}
 	}
 }

@@ -422,10 +422,17 @@ var errRefused = errors.New("filter: batch would leave the state non-finite")
 // is NaN or ±Inf. Magnitudes are compared as bit patterns with the sign
 // cleared — for non-negative floats the integer order is the numeric order,
 // and every NaN lies above +Inf — so the scan is four running maxima with
-// no data-dependent branch, and one test at the end finds a NaN.
+// no data-dependent branch, and one test at the end finds a NaN. On the
+// vector unit the whole multiples of 16 go through mat.MaxMagnitudeBits,
+// the same maxima of the same patterns in ymm lanes.
 func maxAbs(m float64, vs []float64) float64 {
 	const magnitude, inf = 1<<63 - 1, 0x7ff0_0000_0000_0000
 	m0 := math.Float64bits(m) & magnitude
+	if mat.VectorUnit() {
+		n := len(vs) &^ 15
+		m0 = max(m0, mat.MaxMagnitudeBits(vs[:n]))
+		vs = vs[n:]
+	}
 	m1, m2, m3 := m0, m0, m0
 	i := 0
 	for ; i+4 <= len(vs); i += 4 {

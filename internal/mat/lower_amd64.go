@@ -19,6 +19,22 @@ func tiles4x16z(out *float64, ldo int, a *float64, lda int, panel *float64, m, n
 //go:noescape
 func solveChol16(x *float64, ldx int, l *float64, ldl int, lt *float64, m int, work *float64)
 
+// gatherRows4, columnSums16, sparseRow and maxMagnitude16 are the AVX2
+// kernels behind GatherRows4, ColumnSums16, SparseRowMul and
+// MaxMagnitudeBits (lower_amd64.s).
+//
+//go:noescape
+func gatherRows4(dst *float64, ld int, c *float64, ldc int, cols *int, nc int)
+
+//go:noescape
+func columnSums16(work *float64, gathered *float64, ld int, rowPtr *int, pos *int, val *float64, m int, dst *float64, ldd int, groups int)
+
+//go:noescape
+func sparseRow(dst *float64, p int, a *float64, lda int, cols *int, vals *float64, nnz int)
+
+//go:noescape
+func maxMagnitude16(vs *float64, n int) uint64
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
@@ -51,3 +67,15 @@ var useAVX512 = useAVX2 && func() bool {
 	_, b, _, _ := cpuid(7, 0)
 	return b&(1<<16) != 0
 }()
+
+// PinKernels narrows the kernel choice made at init, for a test or
+// benchmark that holds each form to its reference — here or in a package
+// that dispatches on VectorUnit: the vector kernels run only where avx2 is
+// set, the zmm pairs only where avx512 is, and neither where the processor
+// lacks them. It returns what restores the choice made at init. Nothing
+// but tests and benchmarks calls it.
+func PinKernels(avx2, avx512 bool) (restore func()) {
+	was2, was512 := useAVX2, useAVX512
+	useAVX2, useAVX512 = avx2 && was2, avx512 && was512
+	return func() { useAVX2, useAVX512 = was2, was512 }
+}

@@ -285,7 +285,7 @@ packgroup:
 
 packtail:
 	// 1–3 columns left: load them under a mask, zeros in the other lanes.
-	LEAQ ·solveMask+32(SB), R11
+	LEAQ ·laneMask+32(SB), R11
 	SHLQ $3, R10
 	SUBQ R10, R11
 	VMOVUPD (R11), Y15
@@ -463,16 +463,353 @@ done:
 	VZEROUPPER
 	RET
 
-// solveMask+32−8c is the lane mask of the first c of four columns.
-DATA ·solveMask+0(SB)/8, $-1
-DATA ·solveMask+8(SB)/8, $-1
-DATA ·solveMask+16(SB)/8, $-1
-DATA ·solveMask+24(SB)/8, $-1
-DATA ·solveMask+32(SB)/8, $0
-DATA ·solveMask+40(SB)/8, $0
-DATA ·solveMask+48(SB)/8, $0
-DATA ·solveMask+56(SB)/8, $0
-GLOBL ·solveMask(SB), RODATA|NOPTR, $64
+// func gatherRows4(dst *float64, ld int, c *float64, ldc int, cols *int, nc int)
+//
+// For q in [0, nc) and r in [0, 4):
+//
+//	dst[q*ld + r] = c[r*ldc + cols[q]]
+//
+// that is, the entries of four rows of c (row stride ldc) at the columns
+// cols names, stored column by column, each column's four entries one
+// contiguous run at stride ld. Four columns at a time: their indices in one
+// ymm register, one VGATHERQPD per row — a row of the 4×4 block — and
+// TRANSPOSE4 turns the rows into columns. cols is strictly ascending, so
+// four columns with cols[q+3] = cols[q]+3 are consecutive, and each row of
+// their block is one VMOVUPD instead of a gather (most groups of a real
+// batch: its distance rows name whole atoms, three columns each, and
+// neighbouring atoms). The last 1–3 columns are gathered under a lane mask
+// (their indices loaded under it, so nothing past cols[nc−1] is read) and
+// only they are stored. nc ≥ 1; entries are copied, not computed, so the
+// bits are the loads'.
+//
+// Registers: DI dst, R8 ld in bytes, R13 3·ld, SI R10 R11 R12 the four rows,
+// BX cols, CX columns left, AX the group's first column, DX its span, Y8
+// indices, Y9 the gather mask (cleared by each gather), Y10 the tail's lane
+// mask, Y0–Y3 the block, Y4–Y7 temporaries.
+TEXT ·gatherRows4(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ ld+8(FP), R8
+	MOVQ c+16(FP), SI
+	MOVQ ldc+24(FP), R9
+	MOVQ cols+32(FP), BX
+	MOVQ nc+40(FP), CX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	LEAQ (R8)(R8*2), R13
+	LEAQ (SI)(R9*1), R10
+	LEAQ (SI)(R9*2), R11
+	LEAQ (R11)(R9*1), R12
+
+quad:
+	CMPQ CX, $4
+	JLT tail
+	MOVQ (BX), AX
+	MOVQ 24(BX), DX
+	SUBQ AX, DX
+	CMPQ DX, $3
+	JNE scattered
+	// Four consecutive columns: each row's four entries are one load.
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD (R10)(AX*8), Y1
+	VMOVUPD (R11)(AX*8), Y2
+	VMOVUPD (R12)(AX*8), Y3
+	JMP block
+scattered:
+	VMOVDQU (BX), Y8
+	VPCMPEQQ Y9, Y9, Y9
+	VGATHERQPD Y9, (SI)(Y8*8), Y0
+	VPCMPEQQ Y9, Y9, Y9
+	VGATHERQPD Y9, (R10)(Y8*8), Y1
+	VPCMPEQQ Y9, Y9, Y9
+	VGATHERQPD Y9, (R11)(Y8*8), Y2
+	VPCMPEQQ Y9, Y9, Y9
+	VGATHERQPD Y9, (R12)(Y8*8), Y3
+block:
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(R8*1)
+	VMOVUPD Y2, (DI)(R8*2)
+	VMOVUPD Y3, (DI)(R13*1)
+	LEAQ (DI)(R8*4), DI
+	ADDQ $32, BX
+	SUBQ $4, CX
+	JNZ quad
+	JMP copied
+
+tail:
+	LEAQ ·laneMask+32(SB), AX
+	MOVQ CX, DX
+	SHLQ $3, DX
+	SUBQ DX, AX
+	VMOVDQU (AX), Y10
+	VPMASKMOVQ (BX), Y10, Y8
+	VMOVDQU Y10, Y9
+	VGATHERQPD Y9, (SI)(Y8*8), Y0
+	VMOVDQU Y10, Y9
+	VGATHERQPD Y9, (R10)(Y8*8), Y1
+	VMOVDQU Y10, Y9
+	VGATHERQPD Y9, (R11)(Y8*8), Y2
+	VMOVDQU Y10, Y9
+	VGATHERQPD Y9, (R12)(Y8*8), Y3
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
+	VMOVUPD Y0, (DI)
+	CMPQ CX, $2
+	JLT copied
+	VMOVUPD Y1, (DI)(R8*1)
+	CMPQ CX, $3
+	JLT copied
+	VMOVUPD Y2, (DI)(R8*2)
+
+copied:
+	VZEROUPPER
+	RET
+
+// func columnSums16(work *float64, gathered *float64, ld int, rowPtr *int, pos *int, val *float64, m int, dst *float64, ldd int, groups int)
+//
+// Sixteen rows of a sparse-times-dense product, one ymm lane per row: for
+// j in [0, m) and l in [0, 16),
+//
+//	work[16j + l] = Σ_{k = rowPtr[j]}^{rowPtr[j+1]−1} val[k] · gathered[pos[k]*ld + l]
+//
+// every lane starting at +0 (VXORPD) and taking the terms in k order, each a
+// VBROADCASTSD of val[k], a VMULPD against the 16 entries at
+// gathered + pos[k]·ld
+// and its own VADDPD — never a fused multiply-add — so a lane performs, in
+// order, exactly the scalar operations of `s := 0; s += v*x`. Then the first
+// 4·groups columns of work go to the 16×(4·groups) block of dst (row
+// stride ldd) by 4×4 transposes; groups = 0 stores nothing. m ≥ 1.
+//
+// Registers: DI work, SI gathered, R8 ld in bytes, BX &rowPtr[j], R9 pos,
+// R10 val, CX columns left, R13 k, R15 rowPtr[j+1], R12 &work[16j], AX a
+// column of gathered, Y0–Y3 accumulators, Y4 a broadcast entry, Y5–Y8 products.
+TEXT ·columnSums16(SB), NOSPLIT, $0-80
+	MOVQ work+0(FP), DI
+	MOVQ gathered+8(FP), SI
+	MOVQ ld+16(FP), R8
+	MOVQ rowPtr+24(FP), BX
+	MOVQ pos+32(FP), R9
+	MOVQ val+40(FP), R10
+	MOVQ m+48(FP), CX
+	SHLQ $3, R8
+	MOVQ (BX), R13
+	MOVQ DI, R12
+
+column:
+	ADDQ $8, BX
+	MOVQ (BX), R15
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	CMPQ R13, R15
+	JGE summed
+
+term:
+	MOVQ (R9)(R13*8), AX
+	IMULQ R8, AX
+	ADDQ SI, AX
+	VBROADCASTSD (R10)(R13*8), Y4
+	VMULPD (AX), Y4, Y5
+	VMULPD 32(AX), Y4, Y6
+	VMULPD 64(AX), Y4, Y7
+	VMULPD 96(AX), Y4, Y8
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	VADDPD Y7, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	INCQ R13
+	CMPQ R13, R15
+	JLT term
+
+summed:
+	VMOVUPD Y0, (R12)
+	VMOVUPD Y1, 32(R12)
+	VMOVUPD Y2, 64(R12)
+	VMOVUPD Y3, 96(R12)
+	ADDQ $128, R12
+	DECQ CX
+	JNZ column
+
+	// dst[l][j] = work[16j + l], four columns and four rows per transpose.
+	MOVQ dst+56(FP), SI
+	MOVQ ldd+64(FP), R8
+	MOVQ groups+72(FP), CX
+	TESTQ CX, CX
+	JZ stored
+	SHLQ $3, R8
+	LEAQ (R8)(R8*2), R13
+
+group:
+	MOVQ SI, R11              // &dst[0][4·group]
+	MOVQ $4, DX               // row quads
+rowquad:
+	VMOVUPD (DI), Y0
+	VMOVUPD 128(DI), Y1
+	VMOVUPD 256(DI), Y2
+	VMOVUPD 384(DI), Y3
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
+	VMOVUPD Y0, (R11)
+	VMOVUPD Y1, (R11)(R8*1)
+	VMOVUPD Y2, (R11)(R8*2)
+	VMOVUPD Y3, (R11)(R13*1)
+	LEAQ (R11)(R8*4), R11
+	ADDQ $32, DI
+	DECQ DX
+	JNZ rowquad
+	ADDQ $384, DI             // 4 columns of 128 bytes, less the 4·32 stepped
+	ADDQ $32, SI
+	DECQ CX
+	JNZ group
+
+stored:
+	VZEROUPPER
+	RET
+
+// func sparseRow(dst *float64, p int, a *float64, lda int, cols *int, vals *float64, nnz int)
+//
+// One row of a sparse-times-dense product, one ymm lane per entry: for j in
+// [0, p),
+//
+//	dst[j] = Σ_{k < nnz} vals[k] · a[cols[k]*lda + j]
+//
+// every lane starting at +0 and taking the terms in k order, VBROADCASTSD,
+// VMULPD, then its own VADDPD — the scalar operations of `y[j] += v*x[j]`
+// from y = 0, term by term. Sixteen entries at a time in Y0–Y3, then four at
+// a time in Y0. p is a multiple of 4; nnz ≥ 1.
+//
+// Registers: DI dst, CX entries left, SI a at the current entries, R8 lda
+// in bytes, BX cols, R9 vals, DX nnz, R10 k, AX a row of a.
+TEXT ·sparseRow(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ p+8(FP), CX
+	MOVQ a+16(FP), SI
+	MOVQ lda+24(FP), R8
+	MOVQ cols+32(FP), BX
+	MOVQ vals+40(FP), R9
+	MOVQ nnz+48(FP), DX
+	SHLQ $3, R8
+
+wide:
+	CMPQ CX, $16
+	JLT narrow
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ R10, R10
+wideterm:
+	MOVQ (BX)(R10*8), AX
+	IMULQ R8, AX
+	ADDQ SI, AX
+	VBROADCASTSD (R9)(R10*8), Y4
+	VMULPD (AX), Y4, Y5
+	VMULPD 32(AX), Y4, Y6
+	VMULPD 64(AX), Y4, Y7
+	VMULPD 96(AX), Y4, Y8
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	VADDPD Y7, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	INCQ R10
+	CMPQ R10, DX
+	JLT wideterm
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $16, CX
+	JMP wide
+
+narrow:
+	CMPQ CX, $4
+	JLT rowdone
+	VXORPD Y0, Y0, Y0
+	XORQ R10, R10
+narrowterm:
+	MOVQ (BX)(R10*8), AX
+	IMULQ R8, AX
+	ADDQ SI, AX
+	VBROADCASTSD (R9)(R10*8), Y4
+	VMULPD (AX), Y4, Y5
+	VADDPD Y5, Y0, Y0
+	INCQ R10
+	CMPQ R10, DX
+	JLT narrowterm
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $4, CX
+	JMP narrow
+
+rowdone:
+	VZEROUPPER
+	RET
+
+// func maxMagnitude16(vs *float64, n int) uint64
+//
+// The largest Float64bits(vs[i]) with the sign bit cleared, over i < n, n a
+// positive multiple of 16: each pattern VPAND the magnitude mask, and kept
+// where VPCMPGTQ finds it above the running maximum (VBLENDVPD), in four
+// accumulators of four lanes, folded at the end. With the sign cleared the
+// patterns are non-negative, so the signed comparison is the unsigned one,
+// and the result is the integer maximum filter.maxAbs's loop takes.
+TEXT ·maxMagnitude16(SB), NOSPLIT, $0-24
+	MOVQ vs+0(FP), SI
+	MOVQ n+8(FP), CX
+	MOVQ $0x7fffffffffffffff, AX
+	VMOVQ AX, X15
+	VPBROADCASTQ X15, Y15
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+
+scan:
+	VPAND (SI), Y15, Y4
+	VPAND 32(SI), Y15, Y5
+	VPAND 64(SI), Y15, Y6
+	VPAND 96(SI), Y15, Y7
+	VPCMPGTQ Y0, Y4, Y8
+	VPCMPGTQ Y1, Y5, Y9
+	VPCMPGTQ Y2, Y6, Y10
+	VPCMPGTQ Y3, Y7, Y11
+	VBLENDVPD Y8, Y4, Y0, Y0
+	VBLENDVPD Y9, Y5, Y1, Y1
+	VBLENDVPD Y10, Y6, Y2, Y2
+	VBLENDVPD Y11, Y7, Y3, Y3
+	ADDQ $128, SI
+	SUBQ $16, CX
+	JNZ scan
+
+	VPCMPGTQ Y0, Y1, Y8
+	VBLENDVPD Y8, Y1, Y0, Y0
+	VPCMPGTQ Y2, Y3, Y9
+	VBLENDVPD Y9, Y3, Y2, Y2
+	VPCMPGTQ Y0, Y2, Y8
+	VBLENDVPD Y8, Y2, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPCMPGTQ X0, X1, X8
+	VBLENDVPD X8, X1, X0, X0
+	VPSHUFD $0x4e, X0, X1
+	VPCMPGTQ X0, X1, X8
+	VBLENDVPD X8, X1, X0, X0
+	VMOVQ X0, AX
+	MOVQ AX, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// laneMask+32−8c is the lane mask of the first c of four lanes.
+DATA ·laneMask+0(SB)/8, $-1
+DATA ·laneMask+8(SB)/8, $-1
+DATA ·laneMask+16(SB)/8, $-1
+DATA ·laneMask+24(SB)/8, $-1
+DATA ·laneMask+32(SB)/8, $0
+DATA ·laneMask+40(SB)/8, $0
+DATA ·laneMask+48(SB)/8, $0
+DATA ·laneMask+56(SB)/8, $0
+GLOBL ·laneMask(SB), RODATA|NOPTR, $64
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

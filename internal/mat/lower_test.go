@@ -316,7 +316,7 @@ func TestEveryMMKernelMatchesNaiveLoop(t *testing.T) {
 		t.Log("no AVX-512 on this host: tiles4x16z not run")
 	}
 	each := func(k mmKernel, run func()) {
-		defer pinKernels(k.avx2, k.avx512)()
+		defer PinKernels(k.avx2, k.avx512)()
 		run()
 	}
 

@@ -51,7 +51,7 @@ func BenchmarkCovUpdateSimple(bm *testing.B) {
 				{"syrk", func() { Syr2kSubPar(team, c, a, b) }},
 				{"lower", func() { Syr2kSubLowerPar(team, c, a, b) }},
 				{"lower-avx2", func() {
-					defer pinKernels(true, false)()
+					defer PinKernels(true, false)()
 					Syr2kSubLowerPar(team, c, a, b)
 				}},
 				{"lower-gotile", func() {

@@ -56,7 +56,15 @@ type task struct {
 	left   atomic.Int64 // pieces not yet finished
 	refs   atomic.Int32
 	parked atomic.Bool // the poster is parked waiting for left to reach zero
+	// panicked holds the first value a piece panicked with, which the
+	// poster raises again once every piece has finished: a panic on a
+	// helper's goroutine would otherwise end the process, past any recover
+	// the poster's caller has.
+	panicked atomic.Pointer[panicValue]
 }
+
+// panicValue boxes a recovered panic value.
+type panicValue struct{ v any }
 
 var taskPool = sync.Pool{New: func() any { return new(task) }}
 
@@ -118,7 +126,8 @@ func (c *crew) help() {
 // run posts r, claims its pieces alongside the helpers, and returns once
 // all of them have finished, claiming pieces of other tasks while it waits
 // — of loops only, when r is a loop, so that a poster about to continue
-// does not take on a whole subtree first.
+// does not take on a whole subtree first. If a piece panicked, whoever ran
+// it, run panics with the first such value once every piece has finished.
 func (c *crew) run(r region) {
 	t := taskPool.Get().(*task)
 	t.region = r
@@ -126,6 +135,7 @@ func (c *crew) run(r region) {
 	t.left.Store(int64(r.pieces))
 	t.refs.Store(1)
 	t.parked.Store(false)
+	t.panicked.Store(nil)
 	c.mu.Lock()
 	c.board = append(c.board, t)
 	c.posts.Add(1)
@@ -143,7 +153,11 @@ func (c *crew) run(r region) {
 		}
 		c.idle(seen, t)
 	}
+	p := t.panicked.Load()
 	release(t)
+	if p != nil {
+		panic(p.v)
+	}
 }
 
 // release drops a reference to t, recycling it with the last one.
@@ -181,7 +195,8 @@ func (c *crew) claimable(loopsOnly bool) *task {
 	return nil
 }
 
-// work claims and runs pieces of t until none is left to claim.
+// work claims and runs pieces of t until none is left to claim. A piece
+// that panics counts as finished like any other.
 func (c *crew) work(t *task) {
 	for {
 		k := int(t.next.Add(1)) - 1
@@ -189,7 +204,7 @@ func (c *crew) work(t *task) {
 			return
 		}
 		if lo, hi := t.piece(k); lo < hi {
-			t.body(lo, hi)
+			t.runPiece(lo, hi)
 		}
 		if t.left.Add(-1) == 0 && t.parked.Load() {
 			c.mu.Lock()
@@ -197,6 +212,17 @@ func (c *crew) work(t *task) {
 			c.mu.Unlock()
 		}
 	}
+}
+
+// runPiece runs the body over one piece, keeping the task's first panic
+// value for its poster instead of letting it unwind this member.
+func (t *task) runPiece(lo, hi int) {
+	defer func() {
+		if v := recover(); v != nil {
+			t.panicked.CompareAndSwap(nil, &panicValue{v})
+		}
+	}()
+	t.body(lo, hi)
 }
 
 // idle waits until something is posted after the count seen, the crew

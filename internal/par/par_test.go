@@ -196,6 +196,57 @@ func TestLoopAfterStopRunsOnThePoster(t *testing.T) {
 	}
 }
 
+// A piece that panics, on whichever member claims it, reaches the poster:
+// its caller's recover sees the value once every piece has finished, and
+// the crew — helpers included — serves the next region. Every piece waits
+// until a second member has started one, so a helper always runs a
+// panicking piece — a panic that, unrecovered on the helper's goroutine,
+// would end the process.
+func TestTeamPanicReachesPoster(t *testing.T) {
+	type boom struct{ region string }
+	for _, width := range []int{2, 3} {
+		team, stop := NewTeam(width).Start()
+		t.Cleanup(stop)
+		for _, region := range []struct {
+			name string
+			rows int64
+			run  func(body func(lo, hi int))
+		}{
+			{"For", 64, func(body func(lo, hi int)) { team.For(64, body) }},
+			{"ForTri", 256, func(body func(lo, hi int)) { team.ForTri(256, body) }},
+			{"Parallel", 3, func(body func(lo, hi int)) {
+				team.Parallel(func() { body(0, 1) }, func() { body(1, 2) }, func() { body(2, 3) })
+			}},
+		} {
+			var started, finished atomic.Int64
+			value := &boom{region.name}
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				region.run(func(lo, hi int) {
+					defer finished.Add(1)
+					started.Add(1)
+					for deadline := time.Now().Add(5 * time.Second); started.Load() < 2 && time.Now().Before(deadline); {
+						runtime.Gosched()
+					}
+					panic(value)
+				})
+				return nil
+			}()
+			if got != value {
+				t.Fatalf("width %d, %s: recovered %v, want %v", width, region.name, got, value)
+			}
+			if started.Load() < 2 || finished.Load() != started.Load() {
+				t.Fatalf("width %d, %s: %d pieces started, %d finished", width, region.name, started.Load(), finished.Load())
+			}
+			var rows atomic.Int64
+			region.run(func(lo, hi int) { rows.Add(int64(hi - lo)) })
+			if rows.Load() != region.rows {
+				t.Fatalf("width %d, %s after a panic: rows covered %d, want %d", width, region.name, rows.Load(), region.rows)
+			}
+		}
+	}
+}
+
 func BenchmarkTeamForOverhead(b *testing.B) {
 	team := NewTeam(4)
 	sink := make([]float64, 1024)

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -71,6 +72,39 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	}
 	if m.Jobs.Retries < int64(srv.cfg.MaxRetries) {
 		t.Fatalf("metrics retries = %d, want at least %d", m.Jobs.Retries, srv.cfg.MaxRetries)
+	}
+}
+
+// A panic inside a sibling subtree of a two-processor job — a Cholesky hook
+// that panics on every backbone leaf of a protein, whose residue fans post
+// up to a dozen subtrees at once, so the crew's helper runs some of them —
+// fails the job with internal_error, and the daemon keeps serving: the
+// attempt's recover barrier is on the posting goroutine, not the helper's.
+func TestSubtreePanicOnHelperIsolated(t *testing.T) {
+	const tag = "fault-subtree-panic"
+	faultinject.Set(&faultinject.Hooks{
+		Cholesky: func(s faultinject.Site) bool {
+			if s.Tag == tag && strings.HasSuffix(s.Node, ".bb") {
+				panic("injected panic in " + s.Node)
+			}
+			return false
+		},
+	})
+	t.Cleanup(faultinject.Reset)
+
+	cfg := Config{MaxProcs: 2, MaxTeam: 2, TeamGrain: 1, MaxRetries: 1, RetryBackoff: time.Millisecond}
+	_, _, c := newTestServer(t, cfg)
+	params := quickParams()
+	params.Procs = 2
+	params.MaxCycles = 4
+	poisoned := submit(t, c, named(molecule.Protein(24, 7), tag), params)
+	st := waitState(t, c, poisoned.ID, StateFailed)
+	if st.ErrorCode != encode.CodeInternalError || !strings.Contains(st.Error, "injected panic") {
+		t.Fatalf("poisoned job: code %q, error %q, want %q carrying the panic", st.ErrorCode, st.Error, encode.CodeInternalError)
+	}
+	after := submit(t, c, molecule.Protein(24, 7), params)
+	if done := waitState(t, c, after.ID, StateDone, StateFailed); done.State != StateDone {
+		t.Fatalf("job after the panic: %+v", done)
 	}
 }
 

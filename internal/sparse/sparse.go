@@ -196,19 +196,24 @@ func (p *gatherPlan) release() {
 }
 
 // rows computes rows [lo, hi) of dst, gatherBlock rows at a time. The
-// chunk's buffer holds the gathered columns and, after them, the
-// accumulator.
+// chunk's buffer holds the gathered columns and, after them, the Go form's
+// accumulator or the vector form's 16×m slab.
 func (p *gatherPlan) rows(lo, hi int) {
 	buf := gatherPool.Get().(*[]float64)
-	need := (len(p.cols) + 1) * gatherLd
+	need := len(p.cols)*gatherLd + max(gatherBlock, mat.SlabRows*p.h.rows)
 	if cap(*buf) < need {
 		*buf = make([]float64, need)
 	}
 	g := (*buf)[:need]
+	vec := mat.VectorUnit()
 	for r0 := lo; r0 < hi; r0 += gatherBlock {
 		r1 := min(r0+gatherBlock, hi)
-		p.gather(g, r0, r1)
-		p.multiply(g, r0, r1)
+		p.gather(g, r0, r1, vec)
+		if vec {
+			p.multiplySlabs(g, r0, r1)
+		} else {
+			p.multiply(g, r0, r1)
+		}
 	}
 	gatherPool.Put(buf)
 }
@@ -216,15 +221,29 @@ func (p *gatherPlan) rows(lo, hi int) {
 // gather fills g[t·gatherLd + i−r0] = Csym[i][cols[t]] for rows i in
 // [r0, r1) from the lower triangle: rows above a column's index read that
 // column's row of C, a contiguous run; every other row i reads itself at
-// the distinct columns at or left of i, which are a prefix of cols.
-func (p *gatherPlan) gather(g []float64, r0, r1 int) {
+// the distinct columns at or left of i, which are a prefix of cols. On the
+// vector unit the rows go four at a time: the columns at or left of all
+// four through mat.GatherRows4, the corner — columns between the first row
+// and the last — and the last r1−r0 mod 4 rows one entry at a time.
+func (p *gatherPlan) gather(g []float64, r0, r1 int, vec bool) {
 	c, cols := p.c, p.cols
 	for t, col := range cols {
 		above := min(max(col, r0), r1) - r0
 		copy(g[t*gatherLd:t*gatherLd+above], c.Data[col*c.Stride+r0:])
 	}
-	t := 0
-	for i := r0; i < r1; i++ {
+	t, i := 0, r0
+	for ; vec && i+4 <= r1; i += 4 {
+		for t < len(cols) && cols[t] <= i {
+			t++
+		}
+		mat.GatherRows4(g[i-r0:], gatherLd, c, i, cols[:t])
+		for q := t; q < len(cols) && cols[q] < i+4; q++ {
+			for r := cols[q]; r < i+4; r++ {
+				g[q*gatherLd+r-r0] = c.Data[r*c.Stride+cols[q]]
+			}
+		}
+	}
+	for ; i < r1; i++ {
 		for t < len(cols) && cols[t] <= i {
 			t++
 		}
@@ -268,23 +287,61 @@ func (p *gatherPlan) multiply(g []float64, r0, r1 int) {
 	}
 }
 
+// multiplySlabs is multiply on the vector unit: mat.ColumnSums16 forms
+// sixteen rows of dst for all of H's rows at once, one lane per row of C,
+// each entry the same ascending-k sum from +0 as multiply's. A full slab's
+// columns reach dst by 4×4 transposes, the last m mod 4 from the slab
+// buffer; a partial slab at the end of the block reads lanes past r1 —
+// inside each column's gatherLd stride, left over from an earlier block or
+// never written — and stores only its own rows.
+func (p *gatherPlan) multiplySlabs(g []float64, r0, r1 int) {
+	h, dst := p.h, p.dst
+	m := h.rows
+	if m == 0 {
+		return
+	}
+	work := g[len(p.cols)*gatherLd:][:mat.SlabRows*m]
+	for i := r0; i < r1; i += mat.SlabRows {
+		w, j0 := min(mat.SlabRows, r1-i), 0
+		if w == mat.SlabRows {
+			mat.ColumnSums16(work, g[i-r0:], gatherLd, h.rowPtr, p.pos, h.val, dst.Data[i*dst.Stride:], dst.Stride)
+			j0 = m &^ 3
+		} else {
+			mat.ColumnSums16(work, g[i-r0:], gatherLd, h.rowPtr, p.pos, h.val, nil, 0)
+		}
+		for l := range w {
+			out := dst.Row(i + l)
+			for j := j0; j < m; j++ {
+				out[j] = work[mat.SlabRows*j+l]
+			}
+		}
+	}
+}
+
 // MulDensePar computes dst ← H·A where A is dense n×p and dst m×p, with the
 // sparse rows partitioned across the team. This is the second "d-s" product
 // (forming H·(C·Hᵀ)). Work is proportional to nnz·p.
 func (m *Matrix) MulDensePar(t *par.Team, dst, a *mat.Mat) {
-	t.For(m.rows, func(lo, hi int) { m.mulDenseRange(dst, a, lo, hi) })
-}
-
-func (m *Matrix) mulDenseRange(dst, a *mat.Mat, r0, r1 int) {
 	if dst.Rows != m.rows || dst.Cols != a.Cols || a.Rows != m.cols {
 		panic("sparse: MulDensePar dimension mismatch")
 	}
+	t.For(m.rows, func(lo, hi int) { m.mulDenseRange(dst, a, lo, hi) })
+}
+
+// mulDenseRange forms rows [r0, r1) of H·A, each row's entries from +0 with
+// the row's terms added in order: on the vector unit by mat.SparseRowMul,
+// the entries in ymm lanes, and otherwise by the row-by-Axpy loop it
+// reproduces.
+func (m *Matrix) mulDenseRange(dst, a *mat.Mat, r0, r1 int) {
+	vec := mat.VectorUnit()
 	for i := r0; i < r1; i++ {
 		di := dst.Row(i)
-		for j := range di {
-			di[j] = 0
-		}
 		cols, vals := m.Row(i)
+		if vec {
+			mat.SparseRowMul(di, a, cols, vals)
+			continue
+		}
+		clear(di)
 		for k, c := range cols {
 			mat.Axpy(vals[k], a.Row(c), di)
 		}

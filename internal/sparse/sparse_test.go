@@ -289,14 +289,43 @@ func sprinkleSpecials(rng *rand.Rand, vs []float64, withNonFinite bool) {
 	}
 }
 
-// TestGatheredDenseMulTSymMatchesPerRow pins the gathered d-s product to
-// the per-row reference bit for bit: batches whose rows repeat atoms (the
-// de-duplicated columns) or a column within a row, columns on, just above
-// and just below the rows of a gather block and of a team chunk, every
-// team size, row ranges starting mid-matrix, C's strict upper triangle
-// poisoned with NaN (never read), and ±0, subnormals, ±Inf and NaN in C's
-// lower triangle and in H.
+// dsForm is one form of the d-s kernels a host may run: the Go loops, or
+// the vector kernels mat.VectorUnit selects.
+type dsForm struct {
+	name   string
+	vector bool
+}
+
+// hostDSForms is every d-s form this host has, logged so that a host
+// without the vector unit shows as such.
+func hostDSForms(t *testing.T) []dsForm {
+	forms := []dsForm{{"Go", false}}
+	if mat.VectorUnit() {
+		forms = append(forms, dsForm{"ymm", true})
+	}
+	names := make([]string, len(forms))
+	for i, f := range forms {
+		names[i] = f.name
+	}
+	t.Logf("d-s forms run on this host: %v", names)
+	return forms
+}
+
+// pinned runs f with the kernels pinned to form.
+func (form dsForm) pinned(f func()) {
+	defer mat.PinKernels(form.vector, false)()
+	f()
+}
+
+// TestGatheredDenseMulTSymMatchesPerRow pins the gathered d-s product, in
+// every form the host has, to the per-row reference bit for bit: batches
+// whose rows repeat atoms (the de-duplicated columns) or a column within a
+// row, columns on, just above and just below the rows of a gather block and
+// of a team chunk, every team size, row ranges starting mid-matrix, C's
+// strict upper triangle poisoned with NaN (never read), and ±0, subnormals,
+// ±Inf and NaN in C's lower triangle and in H.
 func TestGatheredDenseMulTSymMatchesPerRow(t *testing.T) {
+	forms := hostDSForms(t)
 	rng := rand.New(rand.NewSource(29))
 	teams := []*par.Team{par.NewTeam(1), par.NewTeam(2), par.NewTeam(3), par.NewTeam(7)}
 	ns := []int{1, 2, 3, 5, 9, 24, 63, 64, 65, 128, 129, 130, 200, 258}
@@ -352,10 +381,12 @@ func TestGatheredDenseMulTSymMatchesPerRow(t *testing.T) {
 			}
 			want := mat.New(n, m)
 			denseMulTSymRef(h, want, c, 0, n)
-			for _, team := range teams {
-				got := mat.New(n, m)
-				h.DenseMulTSymPar(team, got, c)
-				sameBits(t, fmt.Sprintf("n=%d m=%d class=%d team=%d", n, m, class, team.Size()), got, want)
+			for _, form := range forms {
+				for _, team := range teams {
+					got := mat.New(n, m)
+					form.pinned(func() { h.DenseMulTSymPar(team, got, c) })
+					sameBits(t, fmt.Sprintf("n=%d m=%d class=%d team=%d, %s", n, m, class, team.Size(), form.name), got, want)
+				}
 			}
 			// Chunks starting anywhere, as on a team of any size: rows
 			// outside the chunk are not written.
@@ -363,14 +394,130 @@ func TestGatheredDenseMulTSymMatchesPerRow(t *testing.T) {
 			for k := 0; k < 4; k++ {
 				r0 := rng.Intn(n)
 				r1 := r0 + 1 + rng.Intn(n-r0)
-				got := mat.New(n, m)
-				p.dst = got
-				p.rows(r0, r1)
 				ref := mat.New(n, m)
 				denseMulTSymRef(h, ref, c, r0, r1)
-				sameBits(t, fmt.Sprintf("trial %d n=%d m=%d rows [%d,%d)", trial, n, m, r0, r1), got, ref)
+				for _, form := range forms {
+					got := mat.New(n, m)
+					p.dst = got
+					form.pinned(func() { p.rows(r0, r1) })
+					sameBits(t, fmt.Sprintf("trial %d n=%d m=%d rows [%d,%d), %s", trial, n, m, r0, r1, form.name), got, ref)
+				}
 			}
 			p.release()
+		}
+	}
+}
+
+// TestGatheredSlabEdges holds every form's chunks to the per-row reference
+// where the sixteen-row slabs and the four-column transposes meet their
+// edges: m = 1…17 (m mod 4 columns stored from the slab buffer), chunks of
+// 1–40 rows starting on, just after and in the middle of a gather block (a
+// slab shorter than sixteen rows at a chunk's end, reading lanes it never
+// stores), and rows outside the chunk poisoned with a bit pattern no
+// product yields, which must come back untouched.
+func TestGatheredSlabEdges(t *testing.T) {
+	forms := hostDSForms(t)
+	const poison = 0x7ff4_dead_beef_0bad // a signalling NaN with a payload
+	rng := rand.New(rand.NewSource(34))
+	n := 3*gatherBlock + 21
+	for m := 1; m <= 17; m++ {
+		h := distanceRows(rng, n, m, m%2 == 0)
+		c := randSym(rng, n)
+		p := newGatherPlan(h, nil, c)
+		for _, r0 := range []int{0, 1, 5, gatherBlock - 3, gatherBlock, gatherBlock + 17, 2*gatherBlock + 40, n - 16, n - 3} {
+			for _, w := range []int{1, 3, 15, 16, 17, 31, 40} {
+				r1 := min(r0+w, n)
+				ref := mat.New(n, m)
+				denseMulTSymRef(h, ref, c, r0, r1)
+				for _, form := range forms {
+					got := mat.New(n, m)
+					for i := range got.Data {
+						got.Data[i] = math.Float64frombits(poison)
+					}
+					p.dst = got
+					form.pinned(func() { p.rows(r0, r1) })
+					what := fmt.Sprintf("m=%d rows [%d,%d), %s", m, r0, r1, form.name)
+					for i := 0; i < n; i++ {
+						for j := 0; j < m; j++ {
+							g := math.Float64bits(got.At(i, j))
+							switch {
+							case i >= r0 && i < r1 && g != math.Float64bits(ref.At(i, j)):
+								t.Fatalf("%s: (%d,%d) = %#x, want %#x", what, i, j, g, math.Float64bits(ref.At(i, j)))
+							case (i < r0 || i >= r1) && g != poison:
+								t.Fatalf("%s: row %d outside the chunk written: (%d,%d) = %#x", what, i, i, j, g)
+							}
+						}
+					}
+				}
+			}
+		}
+		p.release()
+	}
+}
+
+// mulDenseRef is the row-by-Axpy loop MulDensePar's vector form
+// reproduces, kept as its reference: each row of dst cleared, then
+// Axpy(v_k, A[c_k], row) over the row's non-zeros in order.
+func mulDenseRef(h *Matrix, dst, a *mat.Mat) {
+	for i := 0; i < h.rows; i++ {
+		di := dst.Row(i)
+		clear(di)
+		cols, vals := h.Row(i)
+		for k, c := range cols {
+			mat.Axpy(vals[k], a.Row(c), di)
+		}
+	}
+}
+
+// TestMulDenseMatchesAxpyLoop holds H·A, in every form the host has, to the
+// row-by-Axpy loop bit for bit: widths p = 1…17 and 31…33 (sixteen-lane and
+// four-lane groups and a Go tail), A and dst views inside larger matrices,
+// empty rows and repeated columns, ±0, subnormals, ±Inf and NaN in A and H,
+// on teams of one to seven.
+func TestMulDenseMatchesAxpyLoop(t *testing.T) {
+	forms := hostDSForms(t)
+	rng := rand.New(rand.NewSource(35))
+	var ps []int
+	for p := 1; p <= 17; p++ {
+		ps = append(ps, p)
+	}
+	ps = append(ps, 31, 32, 33)
+	for trial, p := range ps {
+		m, n := 1+rng.Intn(20), 1+rng.Intn(60)
+		hb := NewBuilder(n)
+		for r := 0; r < m; r++ {
+			var cols []int
+			switch r % 3 {
+			case 0:
+				cols = rng.Perm(n)[:min(n, 1+rng.Intn(9))]
+			case 1:
+				if c := rng.Intn(n); rng.Intn(2) == 0 {
+					cols = []int{c, rng.Intn(n), c}
+				}
+			}
+			vals := make([]float64, len(cols))
+			for k := range vals {
+				vals[k] = rng.NormFloat64()
+			}
+			sprinkleSpecials(rng, vals, trial%2 == 1)
+			hb.AddRow(cols, vals)
+		}
+		h := hb.Build()
+		a := mat.New(n+3, p+5).View(2, 3, n, p)
+		for i := 0; i < n; i++ {
+			row := a.Row(i)
+			for j := range row {
+				row[j] = rng.NormFloat64()
+			}
+			sprinkleSpecials(rng, row, trial%2 == 1)
+		}
+		want := mat.New(m, p)
+		mulDenseRef(h, want, a)
+		for _, form := range forms {
+			got := mat.New(m+2, p+7).View(1, 4, m, p)
+			team := par.NewTeam(1 + trial%7)
+			form.pinned(func() { h.MulDensePar(team, got, a) })
+			sameBits(t, fmt.Sprintf("m=%d n=%d p=%d team=%d, %s", m, n, p, team.Size(), form.name), got, want)
 		}
 	}
 }
