@@ -66,7 +66,6 @@ func (rt *Router) findShard(name string) *shard {
 
 // shardInfo snapshots one member in wire form.
 func (rt *Router) shardInfo(sh *shard) encode.ShardInfo {
-	inRing := sh.state().inRing()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return encode.ShardInfo{
@@ -74,7 +73,7 @@ func (rt *Router) shardInfo(sh *shard) encode.ShardInfo {
 		Instance:   sh.instance,
 		Alive:      sh.alive,
 		Ready:      sh.ready,
-		InRing:     inRing,
+		InRing:     sh.stateLocked().inRing(),
 		DrainState: sh.drain,
 		QueueDepth: sh.queueDepth,
 		Running:    sh.running,

@@ -125,9 +125,9 @@ func (rt *Router) reconcileMembership(ctx context.Context, doc encode.ClusterDoc
 				toProbe = append(toProbe, sh)
 			}
 		}
-		sh.quarantines = max(sh.quarantines, m.Quarantines)
 		sh.mu.Unlock()
 		if ok {
+			rt.observe(sh, event{kind: evQuarantines, quarantines: m.Quarantines})
 			members = append(members, sh)
 		}
 	}
@@ -135,7 +135,8 @@ func (rt *Router) reconcileMembership(ctx context.Context, doc encode.ClusterDoc
 		if _, isNew := inDoc[m.Base]; !isNew {
 			continue
 		}
-		sh := &shard{name: m.Base, base: m.Base, alive: boot, ready: boot, drain: m.DrainState, quarantines: m.Quarantines}
+		sh := &shard{name: m.Base, base: m.Base, drain: m.DrainState,
+			health: health{alive: boot, ready: boot, quarantines: m.Quarantines}}
 		members = append(members, sh)
 		changes = append(changes, "+"+m.Base)
 		if m.DrainState == "" && !boot {

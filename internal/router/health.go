@@ -1,8 +1,11 @@
 package router
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"fmt"
+	"log"
 	"net/http"
 	"sync"
 	"time"
@@ -10,13 +13,266 @@ import (
 	"phmse/internal/encode"
 )
 
-// Shard health tracking. Each backend is polled on two probes: /healthz
-// decides liveness (and teaches the router the shard's instance id, the
-// key of the job-routing table) and /readyz decides ring membership — a
-// draining or saturated daemon leaves the ring so new submissions stop
-// landing on it, while its job records stay reachable through the
-// broadcast path as long as it is alive. Unreachable shards are probed on
-// a capped exponential backoff; a single successful probe readmits.
+// Shard health is one machine per shard: a health record under shard.mu,
+// changed only by Router.observe, at Router.now.
+//
+// Probes: /healthz decides liveness (and teaches the router the shard's
+// instance id, the key of the job-routing table) and /readyz decides ring
+// membership, under a capped exponential backoff for unreachable shards
+// and flap suppression for shards readmitted too often (probe, below).
+//
+// Circuit breaker: live forward failures (transport errors and 5xx) that
+// the probes cannot see — a wedged handler, an asymmetric network fault, a
+// proxy in front of a dead daemon — open the breaker after
+// BreakerFailures in a row, and the shard leaves the ring. After
+// BreakerCooldown the next probe or directed request half-opens it: the
+// shard re-enters the ring and admits exactly one trial request at a time,
+// whose success closes the breaker and whose failure reopens it.
+//
+// No transition reports its own visibility change: observe compares the
+// shard's ring membership before and after the event and republishes the
+// view, and logs the change, exactly when it differs (a quarantine is
+// logged too).
+
+// BreakerState is one circuit-breaker position, exposed in /metrics.
+type BreakerState int32
+
+const (
+	// BreakerClosed passes traffic and counts consecutive failures.
+	BreakerClosed BreakerState = iota
+	// BreakerOpen refuses traffic until the cooldown elapses.
+	BreakerOpen
+	// BreakerHalfOpen admits one trial request at a time; its outcome
+	// decides between closed and open.
+	BreakerHalfOpen
+)
+
+func (s BreakerState) String() string { return [...]string{"closed", "open", "half_open"}[s] }
+
+// health is one shard's health record, guarded by shard.mu and written
+// only by Router.observe.
+type health struct {
+	alive bool // /healthz answered 200 (or the daemon's own 503 draining) at last contact
+	ready bool // /readyz answered 200 and no probation is owed
+	// consecFails is the failed-probe streak behind nextProbe's backoff.
+	consecFails int
+	nextProbe   time.Time
+	// queueDepth and running mirror the shard's last /readyz document.
+	queueDepth, running int
+	// Flap suppression: readmits holds the readmission times inside the
+	// flap window, quarantines the escalation level, probationLeft the
+	// consecutive good probes still owed (0 = none).
+	readmits      []time.Time
+	quarantines   int
+	probationLeft int
+	// The circuit breaker: its position, the consecutive live-forward
+	// failures while closed, when it last opened, whether a half-open trial
+	// is in flight, and its lifetime transition counters.
+	breaker                  BreakerState
+	fails                    int
+	openedAt                 time.Time
+	trial                    bool
+	opens, halfOpens, closes int64
+}
+
+// event is one input to a shard's health machine.
+type event struct {
+	kind eventKind
+	// evProbe: the verdict and the readiness document's load gauges.
+	alive, ready        bool
+	queueDepth, running int
+	// evForward: the shard answered below 500, and whether the forward held
+	// the half-open trial slot.
+	ok, trial bool
+	// evQuarantines: the membership document's count for the shard.
+	quarantines int
+}
+
+type eventKind int
+
+const (
+	evProbe       eventKind = iota // a probe verdict; ticks the breaker's cooldown
+	evAdmit                        // a live forward asks the breaker; ticks the cooldown
+	evForward                      // a live forward's outcome
+	evCancel                       // the half-open trial produced no outcome
+	evEject                        // a live forward's transport failure
+	evQuarantines                  // the document's quarantine count, merged max-wise
+)
+
+// observe applies one event to the shard's health record at rt.now() and
+// republishes the view exactly when the shard's ring membership changed.
+// For evAdmit it reports whether the forward may be sent and whether it
+// holds the half-open trial slot, which the caller settles with exactly
+// one evForward or evCancel.
+func (rt *Router) observe(sh *shard, ev event) (admit, trial bool) {
+	now := rt.now()
+	sh.mu.Lock()
+	before, was := sh.stateLocked(), sh.quarantines
+	admit, trial, why := sh.apply(ev, now, &rt.cfg)
+	after, quarantines := sh.stateLocked(), sh.quarantines
+	sh.mu.Unlock()
+	quarantined := ev.kind == evProbe && quarantines > was
+	if quarantined {
+		// A fresh quarantine is membership state peers must see: the
+		// shard's probation should be served cluster-wide, not re-learned
+		// by every replica separately.
+		rt.publishQuarantine(sh.name, quarantines)
+	}
+	moved := before.inRing() != after.inRing()
+	if moved || quarantined {
+		log.Printf("phmse-router: shard %s %s → %s (%s)", sh.name, before, after, why)
+	}
+	if moved {
+		rt.rebuild(nil)
+	}
+	return admit, trial
+}
+
+// apply is the transition table. why names the step that decided the
+// event, for the log line of a ring-membership change.
+func (h *health) apply(ev event, now time.Time, cfg *Config) (admit, trial bool, why string) {
+	breaking := cfg.BreakerFailures > 0
+	// The cooldown clock ticks on probes (so a shard the ring excluded
+	// still gets its trial) and on admissions: the one open → half-open
+	// transition.
+	ticks := ev.kind == evProbe || ev.kind == evAdmit && breaking
+	if ticks && h.breaker == BreakerOpen && now.Sub(h.openedAt) >= cfg.BreakerCooldown {
+		h.breaker = BreakerHalfOpen
+		h.halfOpens++
+		why = "breaker cooldown elapsed"
+	}
+	switch ev.kind {
+	case evProbe:
+		why = cmp.Or(why, h.probe(ev, now, cfg))
+	case evAdmit:
+		if !breaking {
+			return true, false, ""
+		}
+		switch {
+		case h.breaker == BreakerClosed:
+			return true, false, why
+		case h.breaker == BreakerOpen || h.trial:
+			return false, false, why
+		}
+		h.trial = true
+		return true, true, why
+	case evForward:
+		if !breaking {
+			break
+		}
+		if ev.trial {
+			h.trial = false
+		}
+		switch {
+		case ev.ok:
+			// A half-open trial succeeded — or a forward raced an open
+			// transition and proved the shard healthy either way.
+			h.fails = 0
+			if h.breaker != BreakerClosed {
+				h.breaker = BreakerClosed
+				h.closes++
+			}
+			why = "forward succeeded"
+		case h.breaker == BreakerHalfOpen:
+			h.open(now)
+			why = "half-open trial failed"
+		case h.breaker == BreakerClosed:
+			h.fails++
+			if h.fails >= cfg.BreakerFailures {
+				h.open(now)
+			}
+			why = fmt.Sprintf("%d consecutive forward failures", h.fails)
+		}
+		// Already open: pre-transition stragglers add no information.
+	case evCancel:
+		h.trial = false
+	case evEject:
+		h.alive, h.ready = false, false
+		h.consecFails++
+		why = "forward transport failure"
+	case evQuarantines:
+		h.quarantines = max(h.quarantines, ev.quarantines)
+	}
+	return false, false, why
+}
+
+// probe applies one probe verdict. A dead shard (healthz unreachable, or
+// answering anything but 200 or a daemon's own 503 "draining") backs its
+// probes off exponentially up to maxProbeBackoff (or the probe interval,
+// when that is longer). An alive shard that is not ready (draining or
+// saturated) leaves the ring but keeps the normal cadence — saturation
+// clears quickly, so readmission must too — and stays askable: a daemon
+// draining itself is still finishing jobs and answering reads of them.
+// One good probe readmits a stable shard; one readmitted FlapCount times
+// within FlapWindow is quarantined and owes an escalating probation of
+// consecutive good probes, restarted by any bad one.
+func (h *health) probe(ev event, now time.Time, cfg *Config) (why string) {
+	h.alive = ev.alive
+	// A saturated daemon's 503 still carries its occupancy; a dead shard
+	// reads as zero.
+	h.queueDepth, h.running = ev.queueDepth, ev.running
+	if !ev.alive || !ev.ready {
+		h.ready = false
+		if h.probationLeft != 0 { // readmission requires continuous health
+			h.probationLeft = probation(h.quarantines)
+		}
+	}
+	if !ev.alive {
+		h.consecFails++
+		limit := max(maxProbeBackoff, cfg.ProbeInterval)
+		backoff := cfg.ProbeInterval
+		for i := 1; i < h.consecFails && backoff < limit; i++ {
+			backoff *= 2
+		}
+		h.nextProbe = now.Add(min(backoff, limit))
+		return "probe: down"
+	}
+	h.consecFails = 0
+	h.nextProbe = now.Add(cfg.ProbeInterval)
+	if !ev.ready {
+		return "probe: not ready"
+	}
+	if h.ready {
+		return "probe: ready"
+	}
+	// Readmission of an out shard. The stable path readmits at once; a
+	// flapping one is quarantined under a probation of consecutive good
+	// probes that doubles on every repeat offence.
+	if cfg.FlapCount > 0 {
+		keep := h.readmits[:0]
+		for _, ts := range h.readmits {
+			if now.Sub(ts) < cfg.FlapWindow {
+				keep = append(keep, ts)
+			}
+		}
+		h.readmits = keep
+	}
+	switch {
+	case h.probationLeft > 1:
+		h.probationLeft--
+		return "probe: ready, on probation"
+	case h.probationLeft == 0 && cfg.FlapCount > 0 && len(h.readmits) >= cfg.FlapCount:
+		h.quarantines++
+		h.probationLeft = probation(h.quarantines)
+		return "probe: ready, quarantined for flapping"
+	}
+	h.probationLeft = 0
+	h.ready = true
+	h.readmits = append(h.readmits, now)
+	return "probe: ready"
+}
+
+func (h *health) open(now time.Time) {
+	h.breaker = BreakerOpen
+	h.openedAt = now
+	h.opens++
+}
+
+// probation is the consecutive good probes owed after the given number
+// of quarantines: 2, 4, 8, … capped at 32.
+func probation(quarantines int) int {
+	return 2 << min(max(quarantines, 1)-1, 4)
+}
 
 // probeLoop drives the periodic sweep until Close.
 func (rt *Router) probeLoop() {
@@ -43,7 +299,7 @@ func (rt *Router) CheckNow(ctx context.Context) {
 // sweep probes the shards that are due (all of them when force is set),
 // concurrently so one black-holed backend cannot stall the others.
 func (rt *Router) sweep(ctx context.Context, force bool) {
-	now := time.Now()
+	now := rt.now()
 	var wg sync.WaitGroup
 	for _, sh := range rt.shardList() {
 		sh.mu.Lock()
@@ -61,24 +317,7 @@ func (rt *Router) sweep(ctx context.Context, force bool) {
 	wg.Wait()
 }
 
-// probeShard polls one backend and applies the health transition. A dead
-// shard (healthz unreachable, or answering anything but 200 or a daemon's
-// own 503 "draining") is ejected at once, and its probes back off
-// exponentially up to maxProbeBackoff (or the probe interval, when that is
-// longer). An alive shard that is not ready (draining or saturated) leaves
-// the ring but keeps the normal probe cadence — saturation clears quickly,
-// so readmission must too — and stays askable: a daemon draining itself is
-// still finishing jobs and answering reads of them.
-//
-// Readmission is flap-suppressed: a shard that bounced back into the ring
-// FlapCount times within FlapWindow is quarantined and must stay healthy
-// through an escalating probation of consecutive good probes before the
-// ring takes it back; any bad probe while on probation resets the
-// requirement. A stable shard keeps the single-good-probe readmission.
-//
-// The probe also ticks the shard's circuit breaker: an open breaker whose
-// cooldown elapsed half-opens here so the ring re-admits the shard for
-// its trial request even when no directed traffic reaches it.
+// probeShard polls one backend and feeds the verdict to its machine.
 func (rt *Router) probeShard(ctx context.Context, sh *shard) {
 	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
@@ -94,103 +333,7 @@ func (rt *Router) probeShard(ctx context.Context, sh *shard) {
 	if hs.InstanceID != "" {
 		rt.learnInstance(hs.InstanceID, sh)
 	}
-
-	now := time.Now()
-	sh.mu.Lock()
-	wasReady := sh.ready
-	wasQuarantines := sh.quarantines
-	sh.alive = alive
-	// Record the readiness document's load signal even when it carried a
-	// 503 (a saturated daemon still reports its occupancy); a dead shard
-	// reads as zero.
-	sh.queueDepth = rs.QueueDepth
-	sh.running = rs.Running
-	switch {
-	case alive && ready:
-		sh.consecFails = 0
-		sh.nextProbe = now.Add(rt.cfg.ProbeInterval)
-		if wasReady {
-			break
-		}
-		rt.admitProbed(sh, now)
-	case alive: // draining or saturated: out of the ring, normal cadence
-		sh.ready = false
-		sh.consecFails = 0
-		sh.nextProbe = now.Add(rt.cfg.ProbeInterval)
-		rt.resetProbation(sh)
-	default:
-		sh.consecFails++
-		sh.ready = false
-		rt.resetProbation(sh)
-		limit := max(maxProbeBackoff, rt.cfg.ProbeInterval)
-		backoff := rt.cfg.ProbeInterval
-		for i := 1; i < sh.consecFails && backoff < limit; i++ {
-			backoff *= 2
-		}
-		sh.nextProbe = now.Add(min(backoff, limit))
-	}
-	changed := sh.ready != wasReady
-	quarantines := sh.quarantines
-	sh.mu.Unlock()
-	if quarantines != wasQuarantines {
-		// A fresh quarantine is membership state peers must see: the
-		// shard's probation should be served cluster-wide, not re-learned
-		// by every replica separately.
-		rt.publishQuarantine(sh.name, quarantines)
-	}
-	if sh.brk.tick(now, rt.cfg.BreakerCooldown) {
-		changed = true
-	}
-	if changed {
-		rt.rebuild(nil)
-	}
-}
-
-// admitProbed applies one successful probe of a currently-out shard,
-// under sh.mu. The stable path readmits immediately; a flapping shard is
-// quarantined under an escalating probation of consecutive good probes
-// (2 << (quarantines-1), capped at 32).
-func (rt *Router) admitProbed(sh *shard, now time.Time) {
-	// Slide the flap window.
-	if rt.cfg.FlapCount > 0 {
-		keep := sh.readmits[:0]
-		for _, ts := range sh.readmits {
-			if now.Sub(ts) < rt.cfg.FlapWindow {
-				keep = append(keep, ts)
-			}
-		}
-		sh.readmits = keep
-	}
-	switch {
-	case sh.probationLeft > 1:
-		sh.probationLeft-- // serving probation: stay out of the ring
-	case sh.probationLeft == 1:
-		sh.probationLeft = 0 // probation served
-		sh.ready = true
-		sh.readmits = append(sh.readmits, now)
-	case rt.cfg.FlapCount > 0 && len(sh.readmits) >= rt.cfg.FlapCount:
-		// Flapping: quarantine instead of readmitting, with the probation
-		// doubling on every repeat offence.
-		sh.quarantines++
-		sh.probationLeft = probation(sh.quarantines)
-	default:
-		sh.ready = true
-		sh.readmits = append(sh.readmits, now)
-	}
-}
-
-// resetProbation restarts a quarantined shard's probation after a bad
-// probe: readmission requires continuous health, not cumulative.
-func (rt *Router) resetProbation(sh *shard) {
-	if sh.probationLeft != 0 {
-		sh.probationLeft = probation(sh.quarantines)
-	}
-}
-
-// probation is the consecutive good probes owed after the given number
-// of quarantines: 2, 4, 8, … capped at 32.
-func probation(quarantines int) int {
-	return 2 << min(max(quarantines, 1)-1, 4)
+	rt.observe(sh, event{kind: evProbe, alive: alive, ready: ready, queueDepth: rs.QueueDepth, running: rs.Running})
 }
 
 // probeGet fetches one health endpoint and returns the status it answered
@@ -209,19 +352,4 @@ func (rt *Router) probeGet(ctx context.Context, sh *shard, path string, out *enc
 	}
 	defer resp.Body.Close()
 	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out) == nil
-}
-
-// eject drops a shard from the ring after a forwarding transport failure,
-// without waiting for the next probe; the probe loop readmits it once it
-// answers again.
-func (rt *Router) eject(sh *shard) {
-	sh.mu.Lock()
-	changed := sh.ready || sh.alive
-	sh.ready = false
-	sh.alive = false
-	sh.consecFails++
-	sh.mu.Unlock()
-	if changed {
-		rt.rebuild(nil)
-	}
 }

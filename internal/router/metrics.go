@@ -226,13 +226,14 @@ func (rt *Router) Snapshot() Metrics {
 			QueueDepth:          sh.queueDepth,
 			Running:             sh.running,
 			DrainState:          sh.drain,
+			BreakerState:        sh.breaker.String(),
+			BreakerOpens:        sh.opens,
+			BreakerHalfOpens:    sh.halfOpens,
+			BreakerCloses:       sh.closes,
 			Quarantines:         sh.quarantines,
 			ProbationLeft:       sh.probationLeft,
 		}
 		sh.mu.Unlock()
-		bst, opens, halfOpens, closes := sh.brk.snapshot()
-		sm.BreakerState = bst.String()
-		sm.BreakerOpens, sm.BreakerHalfOpens, sm.BreakerCloses = opens, halfOpens, closes
 		m.Shards = append(m.Shards, sm)
 	}
 	m.RingShards = len(rt.shardsIn(shardState.inRing))

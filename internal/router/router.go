@@ -20,8 +20,8 @@
 //     submission-time order, with a composite cursor that preserves each
 //     shard's own pagination position.
 //
-// Shard health is tracked by probing (health.go) and by live forward
-// outcomes (breaker.go). Forwarding keeps the client.RetryPolicy
+// Shard health is one machine per shard (health.go), fed by probes and by
+// live forward outcomes. Forwarding keeps the client.RetryPolicy
 // semantics: backpressure responses pass through with Retry-After intact,
 // transport failures and 5xx responses are retried (and failed over) only
 // where a replay is safe. When no shard can serve a request the router
@@ -241,30 +241,16 @@ type shard struct {
 	name string
 	base string
 
-	mu          sync.Mutex
-	alive       bool // /healthz answered 200 at last contact
-	ready       bool // /readyz answered 200 and no probation is owed
-	instance    string
-	consecFails int
-	nextProbe   time.Time
+	mu       sync.Mutex
+	instance string
+	// health is the shard's health machine (health.go).
+	health
 	// drain mirrors the member's fence in the membership document: "",
 	// "draining" or "drained". removed latches once the document drops the
 	// member, so a stale probe or relay still holding the pointer never
 	// reads it as usable. Both are written only by reconcileMembership.
 	drain   string
 	removed bool
-	// queueDepth and running mirror the shard's last /readyz document.
-	queueDepth int
-	running    int
-	// Flap suppression (health.go): readmits holds the probe readmission
-	// times inside the flap window, quarantines the escalation level,
-	// probationLeft the consecutive good probes still owed (0 = none).
-	readmits      []time.Time
-	quarantines   int
-	probationLeft int
-
-	// brk is the shard's live-forward circuit breaker (its own lock).
-	brk breaker
 
 	forwarded, failed, retried atomic.Int64
 	// inflight is the counting semaphore behind Config.ShardInflight;
@@ -286,27 +272,34 @@ const (
 )
 
 // state derives the shard's state from the document fence (drain,
-// removed), the prober (alive, ready, probationLeft) and the breaker — the
-// only place those are read to decide usability. The transition rules
-// that write them live in health.go and breaker.go.
+// removed) and the health record (alive, ready, probationLeft, breaker) —
+// the only place those are read to decide usability. The transitions that
+// write the health record live in health.go.
 func (sh *shard) state() shardState {
 	sh.mu.Lock()
-	removed, alive, fenced := sh.removed, sh.alive, sh.drain != ""
-	ready := sh.ready && sh.probationLeft == 0
-	sh.mu.Unlock()
+	defer sh.mu.Unlock()
+	return sh.stateLocked()
+}
+
+// stateLocked is state for a caller holding sh.mu.
+func (sh *shard) stateLocked() shardState {
 	switch {
-	case removed:
+	case sh.removed:
 		return stateRemoved
-	case !alive:
+	case !sh.alive:
 		return stateDown
-	case fenced:
+	case sh.drain != "":
 		return stateFenced
-	case sh.brk.isOpen(): // half-open stays in the ring: the trial needs traffic
+	case sh.breaker == BreakerOpen: // half-open stays in the ring: the trial needs traffic
 		return stateOpen
-	case !ready:
+	case !sh.ready || sh.probationLeft > 0:
 		return stateUnready
 	}
 	return stateServing
+}
+
+func (s shardState) String() string {
+	return [...]string{"serving", "unready", "open", "fenced", "down", "removed"}[s]
 }
 
 // inRing: the shard owns ring arcs and takes new submissions.
@@ -337,6 +330,8 @@ type Router struct {
 	start time.Time
 	stop  chan struct{}
 	done  chan struct{}
+	// now is the health machines' clock: time.Now, replaced by tests.
+	now func() time.Time
 
 	// view is the published routing generation (one atomic load per
 	// reader); rebuildMu serializes rebuilds from state snapshot through
@@ -381,6 +376,16 @@ type Router struct {
 // prober. Shards start optimistically in the ring; the first failed probe
 // or forward ejects the dead ones.
 func New(cfg Config) (*Router, error) {
+	rt, err := newRouter(cfg)
+	if err != nil {
+		return nil, err
+	}
+	rt.run()
+	return rt, nil
+}
+
+// newRouter builds the router without starting its loops.
+func newRouter(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("router: no shards configured")
 	}
@@ -390,6 +395,7 @@ func New(cfg Config) (*Router, error) {
 		mux:        http.NewServeMux(),
 		hc:         cfg.HTTPClient,
 		start:      time.Now(),
+		now:        time.Now,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 		repairKick: make(chan struct{}, 1),
@@ -444,11 +450,14 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("GET /admin/v1/audit", rt.adminAuth(rt.handleAdminAudit))
 	rt.mux.HandleFunc("GET /cluster/v1/state", rt.adminAuth(rt.handleClusterState))
 	rt.mux.HandleFunc("POST /cluster/v1/state", rt.adminAuth(rt.handleClusterExchange))
+	return rt, nil
+}
 
+// run starts the prober, the repair sweeper and the gossip loop.
+func (rt *Router) run() {
 	go rt.probeLoop()
 	go rt.repairLoop()
 	rt.cnode.Start()
-	return rt, nil
 }
 
 // ServeHTTP implements http.Handler.
@@ -486,12 +495,12 @@ func (rt *Router) rebuild(members []*shard) {
 	var inRing []*shard
 	for _, sh := range members {
 		sh.mu.Lock()
-		instance := sh.instance
+		instance, serving := sh.instance, sh.stateLocked().inRing()
 		sh.mu.Unlock()
 		if instance != "" {
 			v.byInstance[instance] = sh
 		}
-		if sh.state().inRing() {
+		if serving {
 			inRing = append(inRing, sh)
 		}
 	}
@@ -616,7 +625,8 @@ func parkedWait(r *http.Request) bool {
 // in-flight slot (unless the request is a parked wait), send, feed the
 // counters and the breaker (transport errors and 5xx count against it,
 // 429/4xx do not), eject the shard on a transport error without waiting
-// for the next probe, release the slot. A send that fails because the
+// for the next probe — the probe loop readmits it once it answers again —
+// and release the slot. A send that fails because the
 // caller went away — an abandoned wait, a client timeout — says nothing
 // about the shard and feeds neither.
 // An answered response is handed to use while the slot is held, then
@@ -626,20 +636,24 @@ func parkedWait(r *http.Request) bool {
 // they opened). Callers are policy over the outcome: which ones fail
 // over, which become 429/503/502/404.
 func (rt *Router) attempt(r *http.Request, sh *shard, pathq string, body []byte, retry bool, use func(*http.Response)) (outcome, error) {
-	breaking := rt.cfg.BreakerFailures > 0
 	trial := false
-	if breaking && !retry {
-		ok, t := sh.brk.allow(time.Now(), rt.cfg.BreakerCooldown)
+	if !retry {
+		ok, t := rt.observe(sh, event{kind: evAdmit})
 		if !ok {
 			return refused, nil
 		}
 		trial = t
 	}
+	cancel := func() { // the trial never produced an outcome
+		if trial {
+			rt.observe(sh, event{kind: evCancel})
+		}
+	}
 	if limit := int64(rt.cfg.ShardInflight); limit > 0 && !parkedWait(r) {
 		if sh.inflight.Add(1) > limit {
 			sh.inflight.Add(-1)
 			sh.rejected.Add(1)
-			sh.brk.cancel(trial) // the trial never produced an outcome
+			cancel()
 			return saturated, nil
 		}
 		defer sh.inflight.Add(-1)
@@ -650,7 +664,7 @@ func (rt *Router) attempt(r *http.Request, sh *shard, pathq string, body []byte,
 	}
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, sh.base+pathq, rd)
 	if err != nil {
-		sh.brk.cancel(trial)
+		cancel()
 		return broken, err
 	}
 	if body != nil {
@@ -658,16 +672,14 @@ func (rt *Router) attempt(r *http.Request, sh *shard, pathq string, body []byte,
 	}
 	resp, err := rt.hc.Do(req)
 	if err != nil && r.Context().Err() != nil {
-		sh.brk.cancel(trial)
+		cancel()
 		return broken, err
 	}
-	if breaking && sh.brk.record(err == nil && resp.StatusCode < 500, trial, rt.cfg.BreakerFailures, time.Now()) {
-		rt.rebuild(nil)
-	}
+	rt.observe(sh, event{kind: evForward, ok: err == nil && resp.StatusCode < 500, trial: trial})
 	if err != nil {
 		rt.failed.Add(1)
 		sh.failed.Add(1)
-		rt.eject(sh)
+		rt.observe(sh, event{kind: evEject})
 		if dialFailure(err) {
 			return undialed, err
 		}

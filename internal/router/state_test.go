@@ -47,8 +47,7 @@ func TestShardStateTable(t *testing.T) {
 		{name: "removed though healthy", removed: true, alive: true, ready: true, want: stateRemoved},
 		{name: "removed while draining", removed: true, drain: "draining", alive: true, want: stateRemoved},
 	} {
-		sh := &shard{removed: tc.removed, drain: tc.drain, alive: tc.alive, ready: tc.ready, probationLeft: tc.probation}
-		sh.brk.state = tc.breaker
+		sh := &shard{removed: tc.removed, drain: tc.drain, health: health{alive: tc.alive, ready: tc.ready, probationLeft: tc.probation, breaker: tc.breaker}}
 		got := sh.state()
 		if got != tc.want {
 			t.Errorf("%s: state = %d, want %d", tc.name, got, tc.want)
