@@ -46,13 +46,13 @@ func (e Ellipsoid) String() string {
 
 // AtomEllipsoid extracts atom i's 3×3 covariance block and returns its
 // principal-axis decomposition. Tiny negative eigenvalues from round-off
-// clamp to zero.
+// clamp to zero. The block is a diagonal view of C, which is kept in its
+// lower triangle only; SymEigen reads nothing else, and works on a copy.
 func AtomEllipsoid(s *filter.State, atom int) (Ellipsoid, error) {
 	if atom < 0 || atom >= s.Atoms() {
 		return Ellipsoid{}, fmt.Errorf("analysis: atom %d out of %d", atom, s.Atoms())
 	}
-	block := s.C.View(3*atom, 3*atom, 3, 3).Clone()
-	w, v, err := mat.SymEigen(block)
+	w, v, err := mat.SymEigen(s.C.View(3*atom, 3*atom, 3, 3))
 	if err != nil {
 		return Ellipsoid{}, fmt.Errorf("analysis: atom %d: %w", atom, err)
 	}
@@ -77,23 +77,26 @@ func Correlation(s *filter.State, a, b int) float64 {
 	if a < 0 || b < 0 || a >= s.Atoms() || b >= s.Atoms() {
 		panic("analysis: atom index out of range")
 	}
-	cross := frob(s.C.View(3*a, 3*b, 3, 3))
-	na := frob(s.C.View(3*a, 3*a, 3, 3))
-	nb := frob(s.C.View(3*b, 3*b, 3, 3))
+	cross := frob(s, a, b)
+	na := frob(s, a, a)
+	nb := frob(s, b, b)
 	if na == 0 || nb == 0 {
 		return 0
 	}
 	return cross / math.Sqrt(na*nb)
 }
 
-func frob(m *mat.Mat) float64 {
-	s := 0.0
-	for i := 0; i < m.Rows; i++ {
-		for _, v := range m.Row(i) {
-			s += v * v
+// frob is the Frobenius norm of the 3×3 covariance block of atoms a
+// (rows) and b (columns), summed row by row.
+func frob(s *filter.State, a, b int) float64 {
+	sum := 0.0
+	for i := 3 * a; i < 3*a+3; i++ {
+		for j := 3 * b; j < 3*b+3; j++ {
+			v := s.Cov(i, j)
+			sum += v * v
 		}
 	}
-	return math.Sqrt(s)
+	return math.Sqrt(sum)
 }
 
 // RankAtoms returns atom indices ordered from best determined (smallest

@@ -352,7 +352,6 @@ func (e *Estimator) solveFlat(ctx context.Context, init []geom.Vec3, post *Poste
 			s.C.CopyFrom(post.Cov)
 			warm = true
 		case post.CoordVariances != nil:
-			s.C.Zero()
 			for d, v := range post.CoordVariances {
 				if v < filter.MinWarmVar {
 					v = filter.MinWarmVar

@@ -77,9 +77,9 @@ func (s *Solution) Posterior() *Posterior {
 	}
 	post.Cov = mat.New(3*n, 3*n)
 	for i, pi := range perm {
-		row, srow := post.Cov.Row(i), s.state.C.Row(pi)
+		row := post.Cov.Row(i)
 		for j, pj := range perm {
-			row[j] = srow[pj]
+			row[j] = s.state.Cov(pi, pj)
 		}
 	}
 	return post

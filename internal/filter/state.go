@@ -14,10 +14,15 @@ import (
 )
 
 // State is the Gaussian estimate of a structure: the mean coordinate vector
-// x (three entries per atom) and the full covariance matrix C. The diagonal
-// of C measures the uncertainty of each coordinate; off-diagonal entries
-// record the linear correlations through which previously applied
-// constraints influence later updates.
+// x (three entries per atom) and the covariance matrix C. The diagonal of C
+// measures the uncertainty of each coordinate; off-diagonal entries record
+// the linear correlations through which previously applied constraints
+// influence later updates.
+//
+// C is symmetric, and only its lower triangle (j ≤ i) is kept: no solver
+// path reads or writes the strict upper triangle, whose contents are
+// unspecified (zero from NewState, whatever the pool held in a pooled
+// state). Read an entry on either side of the diagonal through Cov.
 type State struct {
 	X []float64
 	C *mat.Mat
@@ -100,12 +105,23 @@ func (s *State) Clone() *State {
 }
 
 // ResetCovariance restores an isotropic covariance, as done at the start of
-// each constraint-application cycle.
+// each constraint-application cycle. Like every solver path it writes the
+// lower triangle only.
 func (s *State) ResetCovariance(variance float64) {
-	s.C.Zero()
 	for d := 0; d < s.Dim(); d++ {
-		s.C.Set(d, d, variance)
+		row := s.C.Row(d)
+		clear(row[:d])
+		row[d] = variance
 	}
+}
+
+// Cov returns the covariance of coordinates i and j, read from the lower
+// triangle, C[max(i,j)][min(i,j)].
+func (s *State) Cov(i, j int) float64 {
+	if j > i {
+		i, j = j, i
+	}
+	return s.C.At(i, j)
 }
 
 // Variance returns the summed variance of atom i's three coordinates, a

@@ -162,27 +162,16 @@ func (u *Updater) team() *par.Team {
 //
 // Gated constraints that are inactive at x⁻ are skipped. Apply reports
 // (handled, err): handled is the number of scalar observations applied.
-// Only the lower triangle of C is read; on return C is exactly symmetric.
+// It is one batch on the lower triangle of C, unguarded: the strict upper
+// triangle is neither read nor written (the d-s product takes C[i][k],
+// k > i, from C[k][i]).
 func (u *Updater) Apply(s *State, b *Batch) (int, error) {
-	m, err := u.apply(s, b, nil)
-	if m > 0 {
-		u.Mirror(s)
-	}
-	return m, err
+	return u.apply(s, b, nil)
 }
 
-// Mirror completes C from its lower triangle, the only part the per-batch
-// update maintains. It is accounted with the covariance update it closes.
-func (u *Updater) Mirror(s *State) {
-	u.Rec.Timed(trace.MatMat, 0, func() { mat.MirrorLowerPar(u.team(), s.C) })
-}
-
-// apply is Apply on the lower triangle of C alone: it neither reads nor
-// writes the strict upper triangle, which nothing between two batches of a
-// node pass looks at (the d-s product takes C[i][k], k > i, from C[k][i]).
-// With a non-nil bound it is also the guard's commit point: the pending
-// update is verified after it has been computed and before x or C are
-// written, and a batch that fails returns errRefused with the state
+// apply is Apply with the guard's commit point: with a non-nil bound the
+// pending update is verified after it has been computed and before x or C
+// are written, and a batch that fails returns errRefused with the state
 // untouched.
 func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 	asm := b.assemble(s)
@@ -482,26 +471,21 @@ func (b *stateBound) admit(dx []float64, k, a, w *mat.Mat) bool {
 	return true
 }
 
-// ApplyAll applies every batch in order, returning the total number of
-// scalar observations applied, and leaves C exactly symmetric: the batches
-// update its lower triangle only, and one mirror pass closes the node pass.
-// It is ApplyLower from a scan of the prior, then Mirror.
+// ApplyAll applies every batch in order on the lower triangle of C and
+// returns the total number of scalar observations applied. It is
+// ApplyLower from a scan of the prior.
 func (u *Updater) ApplyAll(s *State, batches []*Batch) (int, error) {
 	var prior Bound
 	if u.Guard {
 		u.Rec.Timed(trace.VecOp, 0, func() { prior = ScanBound(s) })
 	}
 	total, _, err := u.ApplyLower(s, batches, prior)
-	if total > 0 {
-		u.Mirror(s)
-	}
 	return total, err
 }
 
 // ApplyLower applies every batch in order on the lower triangle of C alone
-// — the strict upper triangle is neither read nor written, so s may be a
-// diagonal view of a larger state whose other blocks someone else owns —
-// and returns the number of scalar observations applied.
+// — s may be a diagonal view of a larger state whose other blocks someone
+// else owns — and returns the number of scalar observations applied.
 //
 // With Guard set, it additionally contains per-batch numerical faults: a
 // batch whose innovation covariance stays indefinite through every ridge

@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,30 +31,83 @@ func randChain(rng *rand.Rand, atoms int) ([]geom.Vec3, []constraint.Constraint)
 	return pos, cons
 }
 
-// TestApplyLeavesCovarianceExactlySymmetric is the contract the symmetric
-// dense-sparse read path (DenseMulTSymPar) depends on: after every Apply,
-// C must be bitwise symmetric — no averaging tolerance — for both the
-// simple and the Joseph covariance forms and for every team size.
-func TestApplyLeavesCovarianceExactlySymmetric(t *testing.T) {
+// poisonUpper fills the strict upper triangle of C with NaN.
+func poisonUpper(s *State) {
+	for i := 0; i < s.Dim(); i++ {
+		for j := i + 1; j < s.Dim(); j++ {
+			s.C.Set(i, j, math.NaN())
+		}
+	}
+}
+
+// upperPoisoned reports the first strict-upper entry of C that no longer
+// holds poisonUpper's NaN, bit for bit.
+func upperPoisoned(s *State) error {
+	nan := math.Float64bits(math.NaN())
+	for i := 0; i < s.Dim(); i++ {
+		for j := i + 1; j < s.Dim(); j++ {
+			if math.Float64bits(s.C.At(i, j)) != nan {
+				return fmt.Errorf("C[%d][%d] = %v was written", i, j, s.C.At(i, j))
+			}
+		}
+	}
+	return nil
+}
+
+// No solver path writes the strict upper triangle of C, and none reads it:
+// a state whose upper triangle is NaN comes back from each with that NaN
+// intact, bit for bit, and with the same x and lower triangle as a state
+// that started with zeros there — in both covariance forms and at every
+// team width.
+func TestUpperTriangleNeverWritten(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, joseph := range []bool{false, true} {
-		for _, procs := range []int{1, 2, 4, 7} {
+		for _, procs := range []int{1, 2, 3, 7} {
 			pos, cons := randChain(rng, 12)
-			s := NewState(pos, 4)
-			u := &Updater{Team: par.NewTeam(procs), Joseph: joseph}
 			batches, err := MakeBatches(cons, ident, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := u.ApplyAll(s, batches); err != nil {
+			ctl := Control{Team: par.NewTeam(procs), Joseph: joseph, MaxCycles: 3}.WithDefaults()
+			// One batch first, so every path starts from a dense prior.
+			prior := NewState(pos, 4)
+			if _, err := (&Updater{}).ApplyAll(prior, batches[:1]); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < s.Dim(); i++ {
-				for j := 0; j < i; j++ {
-					if s.C.At(i, j) != s.C.At(j, i) {
-						t.Fatalf("joseph=%v procs=%d: C[%d][%d]=%g != C[%d][%d]=%g",
-							joseph, procs, i, j, s.C.At(i, j), j, i, s.C.At(j, i))
+			for _, path := range []struct {
+				name string
+				run  func(*State) error
+			}{
+				{"Apply", func(s *State) error {
+					u := &Updater{Team: ctl.Team, Joseph: joseph}
+					for _, b := range batches {
+						if _, err := u.Apply(s, b); err != nil {
+							return err
+						}
 					}
+					return nil
+				}},
+				{"ApplyAll", func(s *State) error {
+					_, err := ctl.Updater(ctl.Team, "", 1).ApplyAll(s, batches)
+					return err
+				}},
+				{"ResetCovariance", func(s *State) error { s.ResetCovariance(9); return nil }},
+				{"Solve cold", func(s *State) error { _, err := Solve(s, cons, ctl, false); return err }},
+				{"Solve warm", func(s *State) error { _, err := Solve(s, cons, ctl, true); return err }},
+			} {
+				want, got := prior.Clone(), prior.Clone()
+				poisonUpper(got)
+				if err := path.run(want); err != nil {
+					t.Fatal(err)
+				}
+				if err := path.run(got); err != nil {
+					t.Fatal(err)
+				}
+				if err := sameBits(got, want); err != nil {
+					t.Fatalf("%s, joseph=%v procs=%d: %v", path.name, joseph, procs, err)
+				}
+				if err := upperPoisoned(got); err != nil {
+					t.Fatalf("%s, joseph=%v procs=%d: %v", path.name, joseph, procs, err)
 				}
 			}
 		}
@@ -63,7 +117,7 @@ func TestApplyLeavesCovarianceExactlySymmetric(t *testing.T) {
 // TestApplyMatchesDenseReference recomputes one batch update with dense
 // full-matrix algebra (H expanded, the full K·Aᵀ product entry by entry,
 // averaging symmetrization) and checks the triangular path agrees to
-// round-off. This pins the hot path to the semantics of Figure 1.
+// round-off on the lower triangle, the part it keeps. This pins the hot path to the semantics of Figure 1.
 func TestApplyMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	pos, cons := randChain(rng, 10)
@@ -114,7 +168,7 @@ func TestApplyMatchesDenseReference(t *testing.T) {
 		if math.Abs(got.X[i]-ref.X[i]) > 1e-10 {
 			t.Fatalf("x[%d] = %g, reference %g", i, got.X[i], ref.X[i])
 		}
-		for j := 0; j < n; j++ {
+		for j := 0; j <= i; j++ {
 			if math.Abs(got.C.At(i, j)-ref.C.At(i, j)) > 1e-10 {
 				t.Fatalf("C[%d][%d] = %g, reference %g", i, j, got.C.At(i, j), ref.C.At(i, j))
 			}

@@ -3,6 +3,7 @@ package hier
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -16,52 +17,120 @@ import (
 	"phmse/internal/solvererr"
 )
 
+// poisonRootStates hands the pool four dim-dimensional states full of NaN
+// — in X and in both triangles of C — and returns a test of whether a
+// state is backed by one of them.
+func poisonRootStates(dim int) func(*filter.State) bool {
+	owned := map[*float64]bool{}
+	var dirty []*filter.State
+	for i := 0; i < 4; i++ {
+		s := filter.GetPooledState(dim)
+		for j := range s.X {
+			s.X[j] = math.NaN()
+		}
+		for j := range s.C.Data {
+			s.C.Data[j] = math.NaN()
+		}
+		owned[&s.C.Data[0]] = true
+		dirty = append(dirty, s)
+	}
+	for _, s := range dirty {
+		filter.ReleasePooledState(s)
+	}
+	return func(s *filter.State) bool { return owned[&s.C.Data[0]] }
+}
+
+// sameLowerBits compares x and the lower triangle of C bit for bit.
+func sameLowerBits(got, want *filter.State) error {
+	for j := range want.X {
+		if math.Float64bits(got.X[j]) != math.Float64bits(want.X[j]) {
+			return fmt.Errorf("x[%d] = %v, want %v", j, got.X[j], want.X[j])
+		}
+	}
+	for i := 0; i < want.Dim(); i++ {
+		for j := 0; j <= i; j++ {
+			if math.Float64bits(got.C.At(i, j)) != math.Float64bits(want.C.At(i, j)) {
+				return fmt.Errorf("C[%d][%d] = %v, want %v", i, j, got.C.At(i, j), want.C.At(i, j))
+			}
+		}
+	}
+	return nil
+}
+
+// upperPoisoned reports the first strict-upper entry of C that no longer
+// holds poisonRootStates' NaN, bit for bit.
+func upperPoisoned(s *filter.State) error {
+	nan := math.Float64bits(math.NaN())
+	for i := 0; i < s.Dim(); i++ {
+		for j := i + 1; j < s.Dim(); j++ {
+			if math.Float64bits(s.C.At(i, j)) != nan {
+				return fmt.Errorf("C[%d][%d] = %v was written", i, j, s.C.At(i, j))
+			}
+		}
+	}
+	return nil
+}
+
+// fromPoisonedPool runs solve on a pool primed with poisonRootStates
+// until the state it returns is one of them.
+func fromPoisonedPool(t *testing.T, dim int, solve func() *filter.State) *filter.State {
+	t.Helper()
+	for attempt := 0; attempt < 10; attempt++ {
+		owned := poisonRootStates(dim)
+		if s := solve(); owned(s) {
+			return s
+		}
+	}
+	t.Fatal("the pool never handed back a poisoned state")
+	return nil
+}
+
 // Every entry of the root state's lower triangle is cleared by the one node
-// that owns it, before that node's pass, and the upper triangle is written
-// by the one mirror: a root state the pool hands back full of NaN, in both
-// triangles and in X, gives the same bits as fresh memory, whether the
-// subtrees run one after another or concurrently.
+// that owns it, before that node's pass, and nothing writes the upper
+// triangle: a root state the pool hands back full of NaN, in both triangles
+// and in X, gives the same x and lower triangle as fresh memory and keeps
+// its NaN above the diagonal, bit for bit — through one pass and through a
+// whole solve, in both covariance forms, whether the subtrees run one after
+// another or concurrently.
 func TestDirtyRootStateGivesTheSameBits(t *testing.T) {
 	p := chainProblem(24)
 	init := molecule.Perturbed(p, 0.2, 3)
-	for _, procs := range []int{1, 3} {
-		root := mustBuild(t, p)
-		if err := root.Prepare(6); err != nil {
-			t.Fatal(err)
-		}
-		opt := Options{Control: filter.Control{BatchSize: 6, InitVar: 100, Team: par.NewTeam(procs)}}
-		pool.SetEnabled(false)
-		ref, err := UpdatePass(root, init, opt)
-		pool.SetEnabled(true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var dirty []*filter.State
-		for i := 0; i < 4; i++ {
-			s := filter.GetPooledState(root.StateDim())
-			for j := range s.X {
-				s.X[j] = math.NaN()
+	for _, joseph := range []bool{false, true} {
+		for _, procs := range []int{1, 2, 3, 7} {
+			root := mustBuild(t, p)
+			if err := root.Prepare(6); err != nil {
+				t.Fatal(err)
 			}
-			for j := range s.C.Data {
-				s.C.Data[j] = math.NaN()
-			}
-			dirty = append(dirty, s)
-		}
-		for _, s := range dirty {
-			filter.ReleasePooledState(s)
-		}
-		got, err := UpdatePass(root, init, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range ref.X {
-			if math.Float64bits(got.X[j]) != math.Float64bits(ref.X[j]) {
-				t.Fatalf("%d procs: x[%d] = %v from a dirty state, %v from a fresh one", procs, j, got.X[j], ref.X[j])
-			}
-		}
-		for j := range ref.C.Data {
-			if math.Float64bits(got.C.Data[j]) != math.Float64bits(ref.C.Data[j]) {
-				t.Fatalf("%d procs: C entry %d = %v from a dirty state, %v from a fresh one", procs, j, got.C.Data[j], ref.C.Data[j])
+			opt := Options{Control: filter.Control{BatchSize: 6, InitVar: 100, Joseph: joseph, MaxCycles: 3, Team: par.NewTeam(procs)}}
+			for _, path := range []struct {
+				name string
+				run  func() *filter.State
+			}{
+				{"UpdatePass", func() *filter.State {
+					s, err := UpdatePass(root, init, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return s
+				}},
+				{"Solve", func() *filter.State {
+					s, _, err := Solve(root, init, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return s
+				}},
+			} {
+				pool.SetEnabled(false)
+				ref := path.run()
+				pool.SetEnabled(true)
+				got := fromPoisonedPool(t, root.StateDim(), path.run)
+				if err := sameLowerBits(got, ref); err != nil {
+					t.Fatalf("%s, joseph=%v, %d procs, dirty vs fresh state: %v", path.name, joseph, procs, err)
+				}
+				if err := upperPoisoned(got); err != nil {
+					t.Fatalf("%s, joseph=%v, %d procs: %v", path.name, joseph, procs, err)
+				}
 			}
 		}
 	}

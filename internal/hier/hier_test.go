@@ -334,16 +334,8 @@ func TestParallelChildrenMatchSequential(t *testing.T) {
 		}
 		return s
 	}
-	seq, wide := pass(1), pass(4)
-	for d := range seq.X {
-		if math.Float64bits(seq.X[d]) != math.Float64bits(wide.X[d]) {
-			t.Fatalf("x[%d]: %v vs %v", d, seq.X[d], wide.X[d])
-		}
-	}
-	for d := range seq.C.Data {
-		if math.Float64bits(seq.C.Data[d]) != math.Float64bits(wide.C.Data[d]) {
-			t.Fatalf("C entry %d: %v vs %v", d, seq.C.Data[d], wide.C.Data[d])
-		}
+	if err := sameLowerBits(pass(4), pass(1)); err != nil {
+		t.Fatalf("4 procs vs 1: %v", err)
 	}
 }
 

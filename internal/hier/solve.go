@@ -41,9 +41,8 @@ type Options struct {
 // holds the constraints in global atom order.
 //
 // The solve runs on a crew started for it (par.Team.Start) and stopped
-// before it returns. Between cycles only the root's positions and diagonal
-// are read, so the state's upper triangle is written once, for the state
-// Solve returns.
+// before it returns. The returned state, like every node's pass, holds C
+// in its lower triangle only (read it through filter.State.Cov).
 func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, filter.Result, error) {
 	opt.Control = opt.Control.WithDefaults()
 	if root.prepared != opt.BatchSize {
@@ -94,32 +93,24 @@ func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, filter.Res
 		}
 		return math.Sqrt(sum / float64(3*len(root.Atoms))), nil
 	})
-	if state != nil {
-		opt.Updater(opt.Team, root.Name, res.Cycles).Mirror(state)
-	}
 	return state, res, err
 }
 
 // UpdatePass performs one post-order pass over the tree (one cycle) from
-// the given linearization positions and returns the root state, symmetric.
+// the given linearization positions and returns the root state, its C in
+// the lower triangle only.
 func UpdatePass(root *Node, positions []geom.Vec3, opt Options) (*filter.State, error) {
 	opt.Control = opt.Control.WithDefaults()
 	var stop func()
 	opt.Team, stop = opt.Team.Start()
 	defer stop()
-	s, err := updatePass(root, positions, opt, 1)
-	if err != nil {
-		return nil, err
-	}
-	opt.Updater(opt.Team, root.Name, 1).Mirror(s)
-	return s, nil
+	return updatePass(root, positions, opt, 1)
 }
 
 // updatePass is one cycle: one root state from the pool, every node
 // clearing and then updating its own diagonal block of it in place. A
 // node's pass keeps the lower triangle of its block only; the upper one is
-// left as the pool handed it over, for the caller to mirror when it needs
-// the whole matrix. opt is already normalised.
+// left as the pool handed it over. opt is already normalised.
 func updatePass(root *Node, positions []geom.Vec3, opt Options, cycle int) (*filter.State, error) {
 	// Pooled and dirty: every node clears the part of C it owns before its
 	// pass, and X is fully written by the leaves and direct atoms, which

@@ -43,8 +43,8 @@ func SyrkAddPar(t *par.Team, dst, a *Mat) {
 
 // Syr2kSubLowerPar computes the lower triangle of dst ← dst − A·Bᵀ over
 // area-balanced triangular row blocks, leaving the strict upper triangle
-// untouched — the per-batch covariance update, which mirrors once per node
-// pass (MirrorLowerPar) instead of once per batch.
+// untouched — the per-batch covariance update. C is kept as its lower
+// triangle throughout, so nothing ever mirrors it.
 func Syr2kSubLowerPar(t *par.Team, dst, a, b *Mat) {
 	checkSyr2k(dst, a, b)
 	lowerNTPar(t, dst, a, b, -1)
@@ -62,10 +62,11 @@ func Syr2kPairSubLowerPar(t *par.Team, dst, a, b *Mat) {
 }
 
 // Syr2kSubPar is Syr2kSubLowerPar with every chunk's rows mirrored onto the
-// upper triangle as they finish. Nothing in the solver calls it — the filter
-// mirrors once per node pass — it is here for the bench ladder's syr2k
-// rung. The mirrored writes land in upper-triangle entries owned
-// exclusively by the writing worker, so the partitioning is race-free.
+// upper triangle as they finish. Nothing in the solver calls it — the
+// solver never mirrors — it is here for the bench ladder's syr2k rung, and
+// goes when that rung times Syr2kSubLowerPar. The mirrored writes land in
+// upper-triangle entries owned exclusively by the writing worker, so the
+// partitioning is race-free.
 func Syr2kSubPar(t *par.Team, dst, a, b *Mat) {
 	checkSyr2k(dst, a, b)
 	pb := packPanel(b, dst.Rows)
@@ -74,15 +75,6 @@ func Syr2kSubPar(t *par.Team, dst, a, b *Mat) {
 		mirrorLowerRange(dst, lo, hi)
 	})
 	pb.release()
-}
-
-// MirrorLowerPar copies the strict lower triangle onto the upper triangle in
-// parallel over area-balanced triangular row blocks.
-func MirrorLowerPar(t *par.Team, m *Mat) {
-	if m.Rows != m.Cols {
-		panic("mat: MirrorLowerPar on non-square matrix")
-	}
-	t.ForTri(m.Rows, func(lo, hi int) { mirrorLowerRange(m, lo, hi) })
 }
 
 // MulVecPar computes dst ← A·x with rows partitioned across the team.

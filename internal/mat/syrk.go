@@ -7,15 +7,17 @@ package mat
 // the single hottest operation class in the paper's Tables 1–6. The kernels
 // here compute only the lower triangle — a SYRK/SYR2K-style formulation —
 // through one register-tiled microkernel (lowerNTPacked) and leave the
-// strict upper triangle untouched, so several triangular updates compose;
-// mirrorLowerRange copies finished rows onto the upper triangle. The entry
-// points, all team-parallel, are in parallel.go.
+// strict upper triangle untouched, so several triangular updates compose.
+// The solver keeps C as its lower triangle and never completes the upper
+// one. The entry points, all team-parallel, are in parallel.go.
 //
-// Mirroring a row range is race-free under the triangular row partitioning
-// of par.Team.ForTri: whoever runs the chunk holding row i writes the lower
-// entries (i, j≤i) of the chunk's rows plus the mirrored upper entries
-// (j, i) — and an upper entry of row j is written only by the chunk holding
-// row i, never by the one holding row j, so writes never overlap.
+// The one exception is Syr2kSubPar, kept for the bench ladder's syr2k rung,
+// whose chunks mirror their rows (mirrorLowerRange) as they finish. That is
+// race-free under the triangular row partitioning of par.Team.ForTri:
+// whoever runs the chunk holding row i writes the lower entries (i, j≤i) of
+// the chunk's rows plus the mirrored upper entries (j, i) — and an upper
+// entry of row j is written only by the chunk holding row i, never by the
+// one holding row j, so writes never overlap.
 
 func checkSyrk(dst, a *Mat) {
 	if dst.Rows != dst.Cols || dst.Rows != a.Rows {

@@ -141,36 +141,14 @@ func TestSyr2kPairSubEquivalence(t *testing.T) {
 	}
 }
 
-func TestMirrorLower(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for _, n := range []int{1, 2, 17, 64} {
-		for _, p := range teamSizes {
-			m := randMatView(rng, n, n, true)
-			want := m.Clone()
-			MirrorLowerPar(par.NewTeam(p), m)
-			for i := 0; i < n; i++ {
-				for j := 0; j <= i; j++ {
-					if m.At(i, j) != want.At(i, j) {
-						t.Fatal("lower triangle changed")
-					}
-					if m.At(j, i) != m.At(i, j) {
-						t.Fatal("not symmetric after mirror")
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestSyrkDimensionPanics(t *testing.T) {
 	team := par.NewTeam(2)
 	for name, f := range map[string]func(){
-		"syrk-rect":   func() { SyrkAddPar(team, New(3, 4), New(3, 2)) },
-		"syrk-rows":   func() { SyrkAddPar(team, New(3, 3), New(4, 2)) },
-		"syr2k-cols":  func() { Syr2kSubLowerPar(team, New(3, 3), New(3, 2), New(3, 5)) },
-		"syr2k-rows":  func() { Syr2kPairSubLowerPar(team, New(3, 3), New(2, 2), New(3, 2)) },
-		"syr2k-rect":  func() { Syr2kSubPar(team, New(3, 4), New(3, 2), New(3, 2)) },
-		"mirror-rect": func() { MirrorLowerPar(team, New(3, 4)) },
+		"syrk-rect":  func() { SyrkAddPar(team, New(3, 4), New(3, 2)) },
+		"syrk-rows":  func() { SyrkAddPar(team, New(3, 3), New(4, 2)) },
+		"syr2k-cols": func() { Syr2kSubLowerPar(team, New(3, 3), New(3, 2), New(3, 5)) },
+		"syr2k-rows": func() { Syr2kPairSubLowerPar(team, New(3, 3), New(2, 2), New(3, 2)) },
+		"syr2k-rect": func() { Syr2kSubPar(team, New(3, 4), New(3, 2), New(3, 2)) },
 	} {
 		func() {
 			defer func() {

@@ -33,7 +33,8 @@ const twoRouterToken = "cluster-tok"
 // newTwoRouters starts n backends and two peered routers over them. The
 // peer URLs must be known before router.New, so listeners are bound
 // first and the httptest servers attached to them after construction.
-func newTwoRouters(t *testing.T, n int, mut func(*Config)) *twoRouters {
+// A non-nil clk is both routers' clock, set before their loops start.
+func newTwoRouters(t *testing.T, n int, clk *testClock, mut func(*Config)) *twoRouters {
 	t.Helper()
 	tr := &twoRouters{}
 	var bases []string
@@ -66,6 +67,9 @@ func newTwoRouters(t *testing.T, n int, mut func(*Config)) *twoRouters {
 		}
 		if mut != nil {
 			mut(&cfg)
+		}
+		if clk != nil {
+			return newRouterAt(t, cfg, clk)
 		}
 		rt, err := New(cfg)
 		if err != nil {
@@ -121,7 +125,7 @@ func findAudit(entries []encode.AuditEntry, op, origin string) *encode.AuditEntr
 // reflects in both rings within one gossip round, and the peer records
 // the applied document's origin in its audit trail.
 func TestTwoRouterAddConverges(t *testing.T) {
-	tr := newTwoRouters(t, 2, nil)
+	tr := newTwoRouters(t, 2, nil, nil)
 	ctx := context.Background()
 
 	// Both replicas boot from the same -shards flag: in sync at epoch 0.
@@ -194,7 +198,7 @@ func TestTwoRouterAddConverges(t *testing.T) {
 // deterministic tie-break, with an audit record on each side; the lost
 // mutation can simply be re-issued.
 func TestTwoRouterConflictConverges(t *testing.T) {
-	tr := newTwoRouters(t, 2, nil)
+	tr := newTwoRouters(t, 2, nil, nil)
 	ctx := context.Background()
 
 	// Same epoch, different members: a adds s3, b adds s4, no gossip yet.
@@ -260,16 +264,18 @@ func TestTwoRouterConflictConverges(t *testing.T) {
 
 // TestTwoRouterRepairLease: exactly one replica runs the anti-entropy
 // sweep per interval — the lease holder — and a peer takes over only
-// after the lease expires.
+// after the lease expires. Both replicas read one test clock, so expiry
+// is the clock moving past LeaseTTL, not the test sleeping.
 func TestTwoRouterRepairLease(t *testing.T) {
-	tr := newTwoRouters(t, 2, func(cfg *Config) { cfg.LeaseTTL = 250 * time.Millisecond })
+	clk := newTestClock()
+	tr := newTwoRouters(t, 2, clk, func(cfg *Config) { cfg.LeaseTTL = 250 * time.Millisecond })
 	ctx := context.Background()
 
 	tr.a.repairTick()
 	if got := tr.a.repairSweeps.Load(); got != 1 {
 		t.Fatalf("lease holder ran %d sweeps, want 1", got)
 	}
-	if !tr.a.cnode.HoldsLease(time.Now()) {
+	if !tr.a.cnode.HoldsLease(clk.now()) {
 		t.Fatal("a swept without holding the lease")
 	}
 	tr.a.GossipNow(ctx)
@@ -284,12 +290,12 @@ func TestTwoRouterRepairLease(t *testing.T) {
 	}
 
 	// Once the lease expires un-renewed, b's next tick takes it over.
-	time.Sleep(300 * time.Millisecond)
+	clk.advance(300 * time.Millisecond)
 	tr.b.repairTick()
 	if got := tr.b.repairSweeps.Load(); got != 1 {
 		t.Fatalf("b did not sweep after lease expiry: %d sweeps", got)
 	}
-	if !tr.b.cnode.HoldsLease(time.Now()) {
+	if !tr.b.cnode.HoldsLease(clk.now()) {
 		t.Fatal("b swept without taking the lease over")
 	}
 }
@@ -298,7 +304,7 @@ func TestTwoRouterRepairLease(t *testing.T) {
 // replica a serves jobs submitted via replica b after one gossip round.
 // (CI runs this file's tests as the two-router e2e job.)
 func TestTwoRouterE2EServe(t *testing.T) {
-	tr := newTwoRouters(t, 2, nil)
+	tr := newTwoRouters(t, 2, nil, nil)
 	ctx := context.Background()
 
 	tr.addBackend(t, "s3", tr.aa)

@@ -64,7 +64,7 @@ func (rt *Router) repairLoop() {
 // transfers. A crashed holder's lease expires after LeaseTTL. The forced
 // sweep (POST /admin/v1/repair) stays unconditional.
 func (rt *Router) repairTick() {
-	if !rt.cnode.TryAcquireLease(time.Now(), rt.cfg.LeaseTTL) {
+	if !rt.cnode.TryAcquireLease(rt.now(), rt.cfg.LeaseTTL) {
 		rt.leaseSkips.Add(1)
 		return
 	}

@@ -330,7 +330,8 @@ type Router struct {
 	start time.Time
 	stop  chan struct{}
 	done  chan struct{}
-	// now is the health machines' clock: time.Now, replaced by tests.
+	// now is the clock of every decision the router times: the health
+	// machines and the repair lease. time.Now, replaced by tests.
 	now func() time.Time
 
 	// view is the published routing generation (one atomic load per

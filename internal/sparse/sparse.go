@@ -103,7 +103,7 @@ func (m *Matrix) Dense() *mat.Mat {
 // dense one and dst n×m, with the rows of C partitioned across the team.
 // Only the lower triangle of C is read: entry C[i][k] with k > i is taken
 // from C[k][i] instead. The upper triangle of C may hold garbage, which is
-// what lets the covariance hot path maintain (or trust) only one triangle.
+// what lets the solver keep C as its lower triangle alone.
 // Work is proportional to n·nnz.
 //
 // Entry (i, j) is s := 0; s += v_k·C[i][c_k] over row j's non-zeros in

@@ -120,13 +120,27 @@ func TestFlopModelComplexityShape(t *testing.T) {
 func TestMeasureTable2Smoke(t *testing.T) {
 	// A tiny instance of the Table 2 experiment: real kernels, scaled way
 	// down. Checks plumbing, positivity, and the qualitative size effect.
-	ms := MeasureTable2([]int{16, 64}, []int{2, 8}, 0.5)
-	if len(ms) != 4 {
-		t.Fatalf("measurements = %d", len(ms))
-	}
-	for _, m := range ms {
-		if m.PerScalar <= 0 {
-			t.Fatalf("non-positive measurement: %+v", m)
+	// Each cell takes microseconds, so one slow moment on a loaded host can
+	// invert a comparison: the size effect is judged on per-cell minima
+	// over three replicates.
+	const replicates = 3
+	var ms []Measurement
+	for r := 0; r < replicates; r++ {
+		rep := MeasureTable2([]int{16, 64}, []int{2, 8}, 0.5)
+		if len(rep) != 4 {
+			t.Fatalf("replicate %d: measurements = %d", r, len(rep))
+		}
+		for i, m := range rep {
+			if m.PerScalar <= 0 {
+				t.Fatalf("replicate %d: non-positive measurement: %+v", r, m)
+			}
+			if r == 0 {
+				ms = append(ms, m)
+			} else if m.NodeAtoms != ms[i].NodeAtoms || m.BatchDim != ms[i].BatchDim {
+				t.Fatalf("replicate %d: cell %d is %+v, was %+v", r, i, m, ms[i])
+			} else {
+				ms[i].PerScalar = math.Min(ms[i].PerScalar, m.PerScalar)
+			}
 		}
 	}
 	// Bigger nodes must cost more per scalar constraint at equal batch.
@@ -141,7 +155,7 @@ func TestMeasureTable2Smoke(t *testing.T) {
 		}
 	}
 	if big <= small {
-		t.Fatalf("per-constraint time did not grow with node size: %g vs %g", small, big)
+		t.Fatalf("per-constraint time did not grow with node size: %g vs %g (minima of %d replicates)", small, big, replicates)
 	}
 }
 
