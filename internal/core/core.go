@@ -41,8 +41,9 @@ func (m Mode) String() string {
 	return "hierarchical"
 }
 
-// Config configures an Estimator. The zero value selects the paper's
-// defaults: hierarchical organization, batch dimension 16, one processor.
+// Config configures an Estimator. The zero value selects the flat
+// organization (Mode's zero value is Flat), batch dimension 16 and one
+// processor; the paper's hierarchy is Mode: Hierarchical.
 type Config struct {
 	Mode Mode
 	// Procs is the number of logical processors (goroutine team size).

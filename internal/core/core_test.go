@@ -38,6 +38,22 @@ func TestNewFlat(t *testing.T) {
 	}
 }
 
+// TestZeroConfigSolvesFlat pins what Config's comment says of its zero
+// value: the flat organization, with no tree.
+func TestZeroConfigSolvesFlat(t *testing.T) {
+	var cfg Config
+	if cfg.Mode != Flat {
+		t.Fatalf("zero Mode is %v", cfg.Mode)
+	}
+	e, err := New(helixProblem(1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Root() != nil {
+		t.Fatal("the zero Config built a tree")
+	}
+}
+
 func TestNewHierarchical(t *testing.T) {
 	e, err := New(helixProblem(2), Config{Mode: Hierarchical, Procs: 4})
 	if err != nil {

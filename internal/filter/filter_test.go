@@ -10,6 +10,7 @@ import (
 	"phmse/internal/geom"
 	"phmse/internal/mat"
 	"phmse/internal/par"
+	"phmse/internal/sparse"
 	"phmse/internal/trace"
 )
 
@@ -648,5 +649,89 @@ func TestMaxAbsMatchesLoop(t *testing.T) {
 			}
 			restore()
 		}
+	}
+}
+
+// TestKeptPlanFollowsThePattern: a batch rebuilds its Jacobian every cycle
+// through its one builder, which keeps the d-s gather plan of the pattern
+// it last built. Here the pattern changes between cycles both ways it can —
+// a DistanceBound that switches active and back, and two atoms aligned on
+// an axis, whose distance row then has exact zeros and so fewer entries —
+// and holds in others; each cycle's C·Hᵀ equals, bit for bit, the product
+// through a freshly built matrix of the same rows, on every d-s form the
+// host has.
+func TestKeptPlanFollowsThePattern(t *testing.T) {
+	cons := []constraint.Constraint{
+		constraint.Distance{I: 0, J: 1, Target: 1.5, Sigma: 0.1},
+		constraint.DistanceBound{I: 2, J: 9, Upper: 4, Sigma: 0.1},
+		constraint.Distance{I: 3, J: 4, Target: 1.5, Sigma: 0.1},
+		constraint.Distance{I: 1, J: 7, Target: 2.5, Sigma: 0.1},
+		constraint.Angle{I: 5, J: 6, K: 8, Target: 2, Sigma: 0.1},
+	}
+	batches, err := MakeBatches(cons, ident, 16)
+	if err != nil || len(batches) != 1 {
+		t.Fatalf("%d batches, %v", len(batches), err)
+	}
+	b := batches[0]
+	rng := rand.New(rand.NewSource(39))
+	base := make([]geom.Vec3, 10)
+	for i := range base {
+		base[i] = geom.Vec3{rng.Float64() * 3, rng.Float64() * 3, rng.Float64() * 3}
+	}
+	base[9] = base[2].Add(geom.Vec3{5, 1, 0.5}) // the bound violated: active
+	inactive := func(p []geom.Vec3) { p[9] = base[2].Add(geom.Vec3{1, 1, 0}) }
+	aligned := func(p []geom.Vec3) { p[4] = p[3].Add(geom.Vec3{1.4, 0, 0}) }
+	cycles := []struct {
+		name      string
+		move      []func([]geom.Vec3)
+		rows, nnz int
+	}{
+		{"active", nil, 5, 33},
+		{"active again", nil, 5, 33},
+		{"bound inactive", []func([]geom.Vec3){inactive}, 4, 27},
+		{"inactive again", []func([]geom.Vec3){inactive}, 4, 27},
+		{"aligned", []func([]geom.Vec3){aligned}, 5, 29},
+		{"aligned, inactive", []func([]geom.Vec3){aligned, inactive}, 4, 23},
+		{"active", nil, 5, 33},
+	}
+	for _, vec := range []bool{false, true} {
+		if vec && !mat.VectorUnit() {
+			t.Log("no vector unit on this host: the ymm d-s form not run")
+			continue
+		}
+		restore := mat.PinKernels(vec, false)
+		for i, cy := range cycles {
+			pos := append([]geom.Vec3(nil), base...)
+			for _, f := range cy.move {
+				f(pos)
+			}
+			s := NewState(pos, 1)
+			n := s.Dim()
+			for r := 0; r < n; r++ {
+				for c := 0; c <= r; c++ {
+					s.C.Set(r, c, rng.NormFloat64())
+				}
+			}
+			asm := b.assemble(s)
+			m := len(asm.z)
+			if m != cy.rows || asm.jac.NNZ() != cy.nnz {
+				t.Fatalf("cycle %d (%s): %d rows, %d entries; want %d, %d", i, cy.name, m, asm.jac.NNZ(), cy.rows, cy.nnz)
+			}
+			fresh := sparse.NewBuilder(n)
+			for j := 0; j < m; j++ {
+				fresh.AddRow(asm.jac.Row(j))
+			}
+			got, want := mat.New(n, m), mat.New(n, m)
+			asm.jac.DenseMulTSymPar(par.NewTeam(1+i%3), got, s.C)
+			fresh.Build().DenseMulTSymPar(par.NewTeam(1), want, s.C)
+			for r := 0; r < n; r++ {
+				for j := 0; j < m; j++ {
+					if g, w := got.At(r, j), want.At(r, j); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("vector=%v cycle %d (%s): (%d,%d) = %v, want %v", vec, i, cy.name, r, j, g, w)
+					}
+				}
+			}
+		}
+		restore()
 	}
 }

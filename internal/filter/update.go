@@ -16,7 +16,8 @@ import (
 // Updater applies constraint batches to a state estimate using the paper's
 // Figure 1 procedure. The Team controls intra-update parallelism (the
 // paper's intra-node axis); the Collector, when non-nil, accounts wall-clock
-// time and flop counts per operation class exactly as Tables 3–6 do.
+// time and flop counts per operation class exactly as Tables 3–6 do, taking
+// each Apply or ApplyLower call's times when the call returns.
 type Updater struct {
 	Team *par.Team
 	Rec  *trace.Collector
@@ -77,6 +78,20 @@ type Updater struct {
 	// seqTeam caches the sequential fallback team constructed when Team is
 	// nil, so repeated Apply calls don't allocate a fresh one each batch.
 	seqTeam *par.Team
+
+	// tally holds the times of the steps of the Apply or ApplyLower call
+	// under way, for Rec to take when it returns.
+	tally trace.Tally
+}
+
+// timed runs f, accounting its time and flops under the class when the
+// updater records.
+func (u *Updater) timed(class trace.Class, flops float64, f func()) {
+	if u.Rec == nil {
+		f()
+		return
+	}
+	u.tally.Timed(class, flops, f)
 }
 
 // workspace is the per-updater scratch arena: backing slices grow to the
@@ -166,6 +181,7 @@ func (u *Updater) team() *par.Team {
 // triangle is neither read nor written (the d-s product takes C[i][k],
 // k > i, from C[k][i]).
 func (u *Updater) Apply(s *State, b *Batch) (int, error) {
+	defer u.tally.FlushTo(u.Rec)
 	return u.apply(s, b, nil)
 }
 
@@ -189,7 +205,7 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 	// reading only the lower triangle of C.
 	a := matOfDirty(&ws.a, &ws.aBuf, n, m)
 	ha := matOfDirty(&ws.ha, &ws.haBuf, m, m)
-	u.Rec.Timed(trace.DenseSparse, 2*float64(n)*nnz+2*nnz*float64(m), func() {
+	u.timed(trace.DenseSparse, 2*float64(n)*nnz+2*nnz*float64(m), func() {
 		asm.jac.DenseMulTSymPar(team, a, s.C)
 		asm.jac.MulDensePar(team, ha, a)
 	})
@@ -197,7 +213,7 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 	// Innovation ν = z − h(x⁻); 2π-periodic observations (torsions) wrap
 	// into (−π, π] so the estimate is pulled the short way around.
 	nu := vecOf(&ws.nu, m)
-	u.Rec.Timed(trace.VecOp, float64(m), func() {
+	u.timed(trace.VecOp, float64(m), func() {
 		mat.SubVec(nu, asm.z, asm.h)
 		for i, w := range asm.wrap {
 			if w {
@@ -241,7 +257,7 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 	const maxRetries = 6
 	for try := 0; ; try++ {
 		// S = H·A + λ·ridge·R (+ jitter·I) and its factorization.
-		u.Rec.Timed(trace.VecOp, float64(m), func() {
+		u.timed(trace.VecOp, float64(m), func() {
 			sMat.CopyFrom(ha)
 			for i := 0; i < m; i++ {
 				sMat.Set(i, i, sMat.At(i, i)+lambda*ridge*asm.r[i]+jitter)
@@ -251,7 +267,7 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 		if h := faultinject.Installed(); h != nil && h.Cholesky != nil && h.Cholesky(u.site()) {
 			cholErr = mat.ErrNotPositiveDefinite
 		} else {
-			u.Rec.Timed(trace.Chol, float64(m)*float64(m)*float64(m)/3, func() {
+			u.timed(trace.Chol, float64(m)*float64(m)*float64(m)/3, func() {
 				cholErr = mat.CholeskyPar(team, sMat)
 			})
 		}
@@ -275,10 +291,10 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 		// Filter gain K = A·S⁻¹ via triangular solves on each state row,
 		// every try from A: each chunk of the solve copies its rows of A
 		// into K and solves them there.
-		u.Rec.Timed(trace.Solve, 2*float64(n)*float64(m)*float64(m), func() {
+		u.timed(trace.Solve, 2*float64(n)*float64(m)*float64(m), func() {
 			mat.SolveCholRowsPar(team, sMat, k, a)
 		})
-		u.Rec.Timed(trace.MatVec, 2*float64(n)*float64(m), func() {
+		u.timed(trace.MatVec, 2*float64(n)*float64(m), func() {
 			mat.MulVecPar(team, dx, k, nu)
 		})
 		if u.MaxStep <= 0 || mat.NormInf(dx) <= u.MaxStep || try >= maxRetries {
@@ -297,7 +313,7 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 	var w *mat.Mat
 	if u.Joseph {
 		w = matOfDirty(&ws.w, &ws.wBuf, n, m)
-		u.Rec.Timed(trace.MatMat, 2*fn*fm*fm, func() {
+		u.timed(trace.MatMat, 2*fn*fm*fm, func() {
 			mat.MulPar(team, w, k, sMat) // sMat holds L after factorization
 		})
 	}
@@ -307,26 +323,26 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 			dx[0] = math.NaN()
 		}
 		admitted := false
-		u.Rec.Timed(trace.VecOp, 0, func() { admitted = bound.admit(dx, k, a, w) })
+		u.timed(trace.VecOp, 0, func() { admitted = bound.admit(dx, k, a, w) })
 		if !admitted {
 			return 0, errRefused
 		}
 	}
 
-	u.Rec.Timed(trace.VecOp, float64(n), func() {
+	u.timed(trace.VecOp, float64(n), func() {
 		mat.Axpy(1, dx, s.X)
 	})
 	if u.Joseph {
 		// n(n+1)m for the triangular (K·L)(K·L)ᵀ, 2n(n+1)m for the
 		// triangular rank-2k cross terms — versus 6n²m before symmetry
 		// exploitation.
-		u.Rec.Timed(trace.MatMat, 3*fn*(fn+1)*fm, func() {
+		u.timed(trace.MatMat, 3*fn*(fn+1)*fm, func() {
 			mat.SyrkAddPar(team, s.C, w)
 			mat.Syr2kPairSubLowerPar(team, s.C, k, a)
 		})
 	} else {
 		// n(n+1)m — versus 2n²m before symmetry exploitation.
-		u.Rec.Timed(trace.MatMat, fn*(fn+1)*fm, func() {
+		u.timed(trace.MatMat, fn*(fn+1)*fm, func() {
 			mat.Syr2kSubLowerPar(team, s.C, k, a)
 		})
 	}
@@ -477,7 +493,7 @@ func (b *stateBound) admit(dx []float64, k, a, w *mat.Mat) bool {
 func (u *Updater) ApplyAll(s *State, batches []*Batch) (int, error) {
 	var prior Bound
 	if u.Guard {
-		u.Rec.Timed(trace.VecOp, 0, func() { prior = ScanBound(s) })
+		u.timed(trace.VecOp, 0, func() { prior = ScanBound(s) })
 	}
 	total, _, err := u.ApplyLower(s, batches, prior)
 	return total, err
@@ -496,8 +512,10 @@ func (u *Updater) ApplyAll(s *State, batches []*Batch) (int, error) {
 // without factorizing anything. The bound comes back advanced by every
 // admitted batch. All are recorded in Diag; quarantined batches are retried
 // at the next cycle's fresh linearization point. Errors other than these
-// containable classes still abort. Without Guard, prior is ignored.
+// containable classes still abort. Without Guard, prior is ignored. Rec
+// takes the pass's times when it returns.
 func (u *Updater) ApplyLower(s *State, batches []*Batch, prior Bound) (int, Bound, error) {
+	defer u.tally.FlushTo(u.Rec)
 	var bound *stateBound
 	if u.Guard {
 		if !prior.finite() {

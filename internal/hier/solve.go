@@ -160,28 +160,37 @@ func updateNode(n *Node, s *filter.State, positions []geom.Vec3, opt Options, te
 	}
 
 	n.clearOwn(s.C, team)
-	// The node's direct atoms: the current linearization positions with
-	// fresh isotropic covariance — or, under a warm start, the injected
-	// per-coordinate posterior variances.
 	u := opt.Updater(team, n.Name, cycle)
 	defer u.ReleaseWorkspace()
-	if k := 3 * len(n.Direct); k > 0 {
-		direct := s.Block(s.Dim()-k, k)
-		for i, a := range n.Direct {
-			direct.SetPos(i, positions[a])
-			for c := 0; c < 3; c++ {
-				direct.C.Set(3*i+c, 3*i+c, opt.priorVar(a, c))
-			}
-		}
-		if u.Guard {
-			u.Rec.Timed(trace.VecOp, 0, func() { bound = bound.Join(filter.ScanBound(direct)) })
-		}
-	}
+	bound = n.setDirect(s, positions, opt, u, bound)
 	_, bound, err := u.ApplyLower(s, n.batches, bound)
 	if err != nil {
 		return bound, fmt.Errorf("node %q: %w", n.Name, err)
 	}
 	return bound, nil
+}
+
+// setDirect sets the node's direct atoms in s, after clearOwn: the current
+// linearization positions with fresh isotropic covariance — or, under a
+// warm start, the injected per-coordinate posterior variances. It returns
+// the children's bound joined, under the guard, with a scan of the direct
+// block: the bound the node's own batches start from.
+func (n *Node) setDirect(s *filter.State, positions []geom.Vec3, opt Options, u *filter.Updater, bound filter.Bound) filter.Bound {
+	k := 3 * len(n.Direct)
+	if k == 0 {
+		return bound
+	}
+	direct := s.Block(s.Dim()-k, k)
+	for i, a := range n.Direct {
+		direct.SetPos(i, positions[a])
+		for c := 0; c < 3; c++ {
+			direct.C.Set(3*i+c, 3*i+c, opt.priorVar(a, c))
+		}
+	}
+	if u.Guard {
+		u.Rec.Timed(trace.VecOp, 0, func() { bound = bound.Join(filter.ScanBound(direct)) })
+	}
+	return bound
 }
 
 // clearOwn zeroes the part of the node's block c that no child block

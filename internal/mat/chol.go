@@ -69,28 +69,44 @@ func CholeskyPar(t *par.Team, a *Mat) error {
 }
 
 // cholUnblocked is the textbook column-oriented factorization; it writes L
-// into the lower triangle and leaves the upper triangle untouched.
+// into the lower triangle and leaves the upper triangle untouched. Each
+// entry below the diagonal is one chain of dependent subtractions, so four
+// rows of a column go at a time — four independent chains against one read
+// of the pivot row, each entry's operations in the textbook order.
 func cholUnblocked(a *Mat) error {
 	n := a.Rows
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		jr := a.Row(j)
-		for k := 0; k < j; k++ {
-			d -= jr[k] * jr[k]
+		jr := a.Row(j)[:j+1]
+		d := jr[j]
+		for _, v := range jr[:j] {
+			d -= v * v
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return fmt.Errorf("%w (pivot %d = %g)", ErrNotPositiveDefinite, j, d)
 		}
 		d = math.Sqrt(d)
-		a.Set(j, j, d)
+		jr[j] = d
 		inv := 1 / d
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			ir := a.Row(i)
-			for k := 0; k < j; k++ {
-				s -= ir[k] * jr[k]
+		lj := jr[:j]
+		i := j + 1
+		for ; i+4 <= n; i += 4 {
+			r0, r1, r2, r3 := a.Row(i)[:j+1], a.Row(i + 1)[:j+1], a.Row(i + 2)[:j+1], a.Row(i + 3)[:j+1]
+			s0, s1, s2, s3 := r0[j], r1[j], r2[j], r3[j]
+			for k, v := range lj {
+				s0 -= r0[k] * v
+				s1 -= r1[k] * v
+				s2 -= r2[k] * v
+				s3 -= r3[k] * v
 			}
-			a.Set(i, j, s*inv)
+			r0[j], r1[j], r2[j], r3[j] = s0*inv, s1*inv, s2*inv, s3*inv
+		}
+		for ; i < n; i++ {
+			ir := a.Row(i)[:j+1]
+			s := ir[j]
+			for k, v := range lj {
+				s -= ir[k] * v
+			}
+			ir[j] = s * inv
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package mat
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -231,5 +232,65 @@ func BenchmarkSolveCholRows(b *testing.B) {
 				SolveCholRows(l, work)
 			}
 		})
+	}
+}
+
+// cholTextbook is cholUnblocked before its rows went four at a time, kept
+// as the reference: one running difference per entry.
+func cholTextbook(a *Mat) error {
+	n := a.Rows
+	for j := 0; j < n; j++ {
+		d := a.At(j, j)
+		jr := a.Row(j)
+		for k := 0; k < j; k++ {
+			d -= jr[k] * jr[k]
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return fmt.Errorf("%w (pivot %d = %g)", ErrNotPositiveDefinite, j, d)
+		}
+		d = math.Sqrt(d)
+		a.Set(j, j, d)
+		inv := 1 / d
+		for i := j + 1; i < n; i++ {
+			s := a.At(i, j)
+			ir := a.Row(i)
+			for k := 0; k < j; k++ {
+				s -= ir[k] * jr[k]
+			}
+			a.Set(i, j, s*inv)
+		}
+	}
+	return nil
+}
+
+// TestCholUnblockedMatchesTextbook holds the factorization of the small
+// matrices every batch factors to the textbook loop bit for bit — orders on
+// and off multiples of four, strided views, signed zeros and subnormals off
+// the diagonal — and to the same error at the same pivot when a pivot fails.
+func TestCholUnblockedMatchesTextbook(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for n := 0; n <= 40; n++ {
+		spd := randSPD(rng, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < i; j++ {
+				switch rng.Intn(10) {
+				case 0:
+					spd.Set(i, j, math.Copysign(0, -1))
+				case 1:
+					spd.Set(i, j, 5e-324)
+				}
+			}
+		}
+		if n > 5 && n%3 == 0 {
+			spd.Set(n-2, n-2, -1) // a failing pivot
+		}
+		want := spd.Clone()
+		wantErr := cholTextbook(want)
+		got := sameView(spd, n%2 == 1)
+		err := cholUnblocked(got)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("n=%d: err = %v, want %v", n, err, wantErr)
+		}
+		sameBits(t, fmt.Sprintf("n=%d", n), got, want)
 	}
 }

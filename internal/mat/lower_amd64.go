@@ -1,17 +1,19 @@
 package mat
 
 // tiles4x8 is the AVX2 m-m microkernel (lower_amd64.s): nt consecutive 4×8
-// tiles of out ← out + sign·A·Bᵀ against a packed panel of B.
+// tiles of out ← out + sign·A·Bᵀ against a packed panel of B, storing in
+// row r of every tile the lanes c whose bit 16r + c of masks is set
+// (allLanes: all of them).
 //
 //go:noescape
-func tiles4x8(out *float64, ldo int, a *float64, lda int, panel *float64, m, nt int, sign float64)
+func tiles4x8(out *float64, ldo int, a *float64, lda int, panel *float64, m, nt int, sign float64, masks uint64)
 
 // tiles4x16z is tiles4x8 on the 512-bit unit (lower_amd64.s): np pairs of
-// adjacent 4×8 panel tiles, each pair one 4×16 tile, every lane performing
-// tiles4x8's operations.
+// adjacent 4×8 panel tiles, each pair one 4×16 tile whose sixteen lanes a
+// row masks selects, every lane performing tiles4x8's operations.
 //
 //go:noescape
-func tiles4x16z(out *float64, ldo int, a *float64, lda int, panel *float64, m, np int, sign float64)
+func tiles4x16z(out *float64, ldo int, a *float64, lda int, panel *float64, m, np int, sign float64, masks uint64)
 
 // solveChol16 is the AVX2 sys microkernel (lower_amd64.s): 16 rows of x
 // solved against L·Lᵀ in place, lanes performing solveChol4's operations.

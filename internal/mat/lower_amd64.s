@@ -1,6 +1,38 @@
 #include "textflag.h"
 
-// func tiles4x8(out *float64, ldo int, a *float64, lda int, panel *float64, m, nt int, sign float64)
+// MASKROW adds the sign-multiplied accumulators lo and hi (lanes 0–3 and
+// 4–7 of one row of a 4×8 tile) into the row's entries at mlo and mhi
+// under the mask bits in the low byte of AX: bit c selects lane c. Each
+// half's lane mask is the broadcast bits ANDed with the lanes' own bits
+// (laneBits) and compared equal to them; masked-out lanes load as zero and
+// are not stored.
+#define MASKROW(mlo, mhi, lo, hi) \
+	VMOVQ AX, X15; \
+	VPBROADCASTQ X15, Y15; \
+	VPAND ·laneBits+0(SB), Y15, Y12; \
+	VPCMPEQQ ·laneBits+0(SB), Y12, Y12; \
+	VPAND ·laneBits+32(SB), Y15, Y13; \
+	VPCMPEQQ ·laneBits+32(SB), Y13, Y13; \
+	VMASKMOVPD mlo, Y12, Y8; \
+	VMASKMOVPD mhi, Y13, Y9; \
+	VADDPD Y8, lo, lo; \
+	VADDPD Y9, hi, hi; \
+	VMASKMOVPD lo, Y12, mlo; \
+	VMASKMOVPD hi, Y13, mhi
+
+// MASKROWZ is MASKROW on the 512-bit unit: the low 16 bits of AX are the
+// opmasks of the row's two halves (K1 lanes 0–7, K2 lanes 8–15).
+#define MASKROWZ(mlo, mhi, lo, hi) \
+	KMOVW AX, K1; \
+	KSHIFTRW $8, K1, K2; \
+	VMOVUPD.Z mlo, K1, Z8; \
+	VMOVUPD.Z mhi, K2, Z9; \
+	VADDPD Z8, lo, lo; \
+	VADDPD Z9, hi, hi; \
+	VMOVUPD lo, K1, mlo; \
+	VMOVUPD hi, K2, mhi
+
+// func tiles4x8(out *float64, ldo int, a *float64, lda int, panel *float64, m, nt int, sign float64, masks uint64)
 //
 // For t in [0, nt), r in [0, 4), c in [0, 8):
 //
@@ -11,10 +43,17 @@
 // entry of out — so each lane performs, in order, exactly the scalar
 // operations of `s += x*y` and `e += sign*s`. m ≥ 1, nt ≥ 1.
 //
+// Only the entries whose bit 16r + c of masks is set are read from out and
+// stored back: the others are loaded as zeros and not written (VMASKMOVPD,
+// which never faults on a lane it leaves out), so a tile may straddle the
+// diagonal or hang past the end of out's view. masks = ^0 stores every
+// entry with plain loads and stores.
+//
 // Y0–Y7 accumulate (row r in Y(2r), Y(2r+1)), Y8–Y9 hold the panel's eight
 // k-th entries, Y10–Y11 a broadcast entry of a, Y12–Y13 the products, Y14
-// sign in every lane.
-TEXT ·tiles4x8(SB), NOSPLIT, $0-64
+// sign in every lane; in a masked epilogue Y8–Y9 hold out's entries,
+// Y12–Y13 a row's lane masks and Y15 its mask bits.
+TEXT ·tiles4x8(SB), NOSPLIT, $0-72
 	MOVQ out+0(FP), DI
 	MOVQ ldo+8(FP), R8
 	MOVQ a+16(FP), SI
@@ -78,6 +117,9 @@ dot:
 	VMULPD Y14, Y5, Y5
 	VMULPD Y14, Y6, Y6
 	VMULPD Y14, Y7, Y7
+	MOVQ masks+64(FP), AX
+	CMPQ AX, $-1
+	JNE masked
 	VADDPD (DI), Y0, Y0
 	VADDPD 32(DI), Y1, Y1
 	VADDPD (DI)(R8*1), Y2, Y2
@@ -94,6 +136,18 @@ dot:
 	VMOVUPD Y5, 32(DI)(R8*2)
 	VMOVUPD Y6, (DI)(R13*1)
 	VMOVUPD Y7, 32(DI)(R13*1)
+	JMP stored
+
+masked:
+	MASKROW(0(DI), 32(DI), Y0, Y1)
+	SHRQ $16, AX
+	MASKROW(0(DI)(R8*1), 32(DI)(R8*1), Y2, Y3)
+	SHRQ $16, AX
+	MASKROW(0(DI)(R8*2), 32(DI)(R8*2), Y4, Y5)
+	SHRQ $16, AX
+	MASKROW(0(DI)(R13*1), 32(DI)(R13*1), Y6, Y7)
+
+stored:
 	ADDQ $64, DI
 	DECQ DX
 	JNZ tile
@@ -101,7 +155,7 @@ dot:
 	VZEROUPPER
 	RET
 
-// func tiles4x16z(out *float64, ldo int, a *float64, lda int, panel *float64, m, np int, sign float64)
+// func tiles4x16z(out *float64, ldo int, a *float64, lda int, panel *float64, m, np int, sign float64, masks uint64)
 //
 // tiles4x8 on the 512-bit unit: np consecutive pairs of 4×8 tiles, pair p
 // being tiles 2p and 2p+1 of the panel, i.e. for p in [0, np), r in [0, 4),
@@ -112,12 +166,18 @@ dot:
 // with the same per-lane operations in the same order as tiles4x8 — k
 // ascending, VMULPD then VADDPD, the epilogue a multiply by ±1 then an add
 // — one zmm lane per entry of out, so either kernel leaves the same bits.
-// m ≥ 1, np ≥ 1. Only AVX512F instructions on zmm registers; no opmasks.
+// m ≥ 1, np ≥ 1. Only AVX512F instructions on zmm registers.
+//
+// masks is tiles4x8's, sixteen lanes a row: only the entries whose bit
+// 16r + c is set are read from out (zeroing-masked loads, which never
+// fault on a lane they leave out) and stored back (masked stores); ^0
+// stores every entry with plain loads and stores.
 //
 // Z0–Z7 accumulate (row r in Z(2r), Z(2r+1)), Z8–Z9 hold the k-th eight
 // entries of the two tiles (BX and BX + m·64), Z10–Z11 a broadcast entry of
-// a, Z12–Z13 the products, Z14 sign in every lane.
-TEXT ·tiles4x16z(SB), NOSPLIT, $0-64
+// a, Z12–Z13 the products, Z14 sign in every lane; in a masked epilogue
+// Z8–Z9 hold out's entries and K1–K2 a row's lane masks.
+TEXT ·tiles4x16z(SB), NOSPLIT, $0-72
 	MOVQ out+0(FP), DI
 	MOVQ ldo+8(FP), R8
 	MOVQ a+16(FP), SI
@@ -183,6 +243,9 @@ dotz:
 	VMULPD Z14, Z5, Z5
 	VMULPD Z14, Z6, Z6
 	VMULPD Z14, Z7, Z7
+	MOVQ masks+64(FP), AX
+	CMPQ AX, $-1
+	JNE maskedz
 	VADDPD (DI), Z0, Z0
 	VADDPD 64(DI), Z1, Z1
 	VADDPD (DI)(R8*1), Z2, Z2
@@ -199,6 +262,18 @@ dotz:
 	VMOVUPD Z5, 64(DI)(R8*2)
 	VMOVUPD Z6, (DI)(R13*1)
 	VMOVUPD Z7, 64(DI)(R13*1)
+	JMP storedz
+
+maskedz:
+	MASKROWZ(0(DI), 64(DI), Z0, Z1)
+	SHRQ $16, AX
+	MASKROWZ(0(DI)(R8*1), 64(DI)(R8*1), Z2, Z3)
+	SHRQ $16, AX
+	MASKROWZ(0(DI)(R8*2), 64(DI)(R8*2), Z4, Z5)
+	SHRQ $16, AX
+	MASKROWZ(0(DI)(R13*1), 64(DI)(R13*1), Z6, Z7)
+
+storedz:
 	ADDQ $128, DI
 	ADDQ R15, BX              // BX ended at tile 2p+1; skip it to tile 2p+2
 	DECQ DX
@@ -799,6 +874,17 @@ scan:
 	MOVQ AX, ret+16(FP)
 	VZEROUPPER
 	RET
+
+// laneBits holds 1 << c in qword c: the mask bit of lane c of a 4×8 tile.
+DATA ·laneBits+0(SB)/8, $1
+DATA ·laneBits+8(SB)/8, $2
+DATA ·laneBits+16(SB)/8, $4
+DATA ·laneBits+24(SB)/8, $8
+DATA ·laneBits+32(SB)/8, $16
+DATA ·laneBits+40(SB)/8, $32
+DATA ·laneBits+48(SB)/8, $64
+DATA ·laneBits+56(SB)/8, $128
+GLOBL ·laneBits(SB), RODATA|NOPTR, $64
 
 // laneMask+32−8c is the lane mask of the first c of four lanes.
 DATA ·laneMask+0(SB)/8, $-1

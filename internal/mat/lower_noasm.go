@@ -10,11 +10,11 @@ const useAVX2, useAVX512 = false, false
 // PinKernels: this GOARCH has the Go forms only, so there is nothing to pin.
 func PinKernels(avx2, avx512 bool) (restore func()) { return func() {} }
 
-func tiles4x8(out *float64, ldo int, a *float64, lda int, panel *float64, m, nt int, sign float64) {
+func tiles4x8(out *float64, ldo int, a *float64, lda int, panel *float64, m, nt int, sign float64, masks uint64) {
 	panic("mat: tiles4x8 without a vector kernel")
 }
 
-func tiles4x16z(out *float64, ldo int, a *float64, lda int, panel *float64, m, np int, sign float64) {
+func tiles4x16z(out *float64, ldo int, a *float64, lda int, panel *float64, m, np int, sign float64, masks uint64) {
 	panic("mat: tiles4x16z without a vector kernel")
 }
 

@@ -72,7 +72,19 @@ func sprinkle(rng *rand.Rand, m *Mat, class int) {
 	}
 }
 
+// TestVectorKernelMatchesGoTile holds every m-m kernel form the host has —
+// the masked zmm pairs, the masked ymm tiles and the Go tile, each pinned
+// through PinKernels — to lowerTile and the entry-at-a-time loop, bit for
+// bit. Each update runs on a destination whose strict upper triangle and a
+// one-tile border around the view hold a signaling NaN (bordered):
+// afterwards every lower entry equals lowerTile's and every poisoned word
+// is intact, so a lane stored past the diagonal or the view — even one that
+// only read the poison into a sum, which quiets it — fails. Shapes n =
+// 0…70, 129, 258 and 516, strided operands, and row ranges that start and
+// end off a four-row boundary, which reach the tail rows' masked tiles.
 func TestVectorKernelMatchesGoTile(t *testing.T) {
+	kernels := hostMMKernels()
+	logKernels(t, kernels)
 	var ns, ms []int
 	for n := 0; n <= 70; n++ {
 		ns = append(ns, n)
@@ -112,16 +124,19 @@ func TestVectorKernelMatchesGoTile(t *testing.T) {
 				fresh := func() *Mat { return sameView(c0, mask&1 != 0) }
 				for _, sign := range []float64{-1, +1} {
 					what := fmt.Sprintf("n=%d m=%d class=%d views=%03b sign=%+g", n, m, class, mask, sign)
-					want, tile, got := fresh(), fresh(), fresh()
+					want, tile := fresh(), fresh()
 					naiveLower(want, a, b, 0, n, sign)
 					lowerTile(tile, a, b, 0, n, sign)
-					lowerNTPar(teams[0], got, a, b, sign)
 					sameBits(t, what+" Go tile vs loop", tile, want)
-					sameBits(t, what+" team of one vs loop", got, want)
-					team := teams[(n+m+mask)%len(teams)]
-					got = fresh()
-					lowerNTPar(team, got, a, b, sign)
-					sameBits(t, fmt.Sprintf("%s team=%d", what, team.Size()), got, want)
+					for ki, k := range kernels {
+						team := teams[(n+m+mask+ki)%len(teams)]
+						back, got := bordered(c0)
+						func() {
+							defer PinKernels(k.avx2, k.avx512)()
+							lowerNTPar(team, got, a, b, sign)
+						}()
+						sameLower(t, fmt.Sprintf("%s team=%d %s", what, team.Size(), k.name), back, got, want)
+					}
 				}
 				// The entry points over it: the pair form's two sweeps per
 				// 16-row block with both panels packed once, the mirror
@@ -132,30 +147,91 @@ func TestVectorKernelMatchesGoTile(t *testing.T) {
 					sameBits(t, fmt.Sprintf("n=%d m=%d class=%d views=%03b %s team=%d", n, m, class, mask, ep.name, team.Size()), got, wants[e])
 				}
 			}
-			if n > 70 {
-				continue
-			}
 			// Row ranges no chunking hands out: starting off a tile
 			// boundary, shorter than a tile, ending anywhere. The updates
-			// pile up on one pair of destinations, so a wrong entry — or a
-			// row outside a range that was written — stays wrong.
+			// pile up on one destination per kernel, so a wrong entry — or
+			// a row outside a range that was written — stays wrong.
 			strided := (n+m)%2 == 0
 			a, b := sameView(a0, strided), sameView(b0, !strided)
-			want, got := sameView(c0, strided), sameView(c0, strided)
-			pb := packPanel(b, n)
-			for r0 := 0; r0 < n; r0++ {
-				hs := []int{1, 2, 3, 5, 9, 17}
-				if r0%8 == 3 {
-					hs = append(hs, n)
+			r0s := []int{1, 3, 5, 62, 63, n - 7, n - 5, n - 3}
+			if n <= 70 {
+				r0s = r0s[:0]
+				for r0 := 0; r0 < n; r0++ {
+					r0s = append(r0s, r0)
 				}
-				for _, h := range hs {
-					r1 := min(r0+h, n)
-					lowerTile(want, a, b, r0, r1, -1)
-					lowerNTPacked(got, a, b, pb, r0, r1, -1)
-				}
-				sameBits(t, fmt.Sprintf("n=%d m=%d class=%d rows [%d,…)", n, m, class, r0), got, want)
 			}
-			pb.release()
+			want := sameView(c0, strided)
+			for _, k := range kernels {
+				back, got := bordered(c0)
+				func() {
+					defer PinKernels(k.avx2, k.avx512)()
+					pb := packPanel(b, n)
+					defer pb.release()
+					for _, r0 := range r0s {
+						hs := []int{1, 2, 3, 5, 9, 17}
+						if r0%8 == 3 {
+							hs = append(hs, n)
+						}
+						for _, h := range hs {
+							r1 := min(r0+h, n)
+							if k == kernels[0] {
+								lowerTile(want, a, b, r0, r1, -1)
+							}
+							lowerNTPacked(got, a, b, pb, r0, r1, -1)
+						}
+					}
+				}()
+				sameLower(t, fmt.Sprintf("n=%d m=%d class=%d row ranges %s", n, m, class, k.name), back, got, want)
+			}
+		}
+	}
+}
+
+// snan is a signaling NaN. Copies keep its bits, but any arithmetic on it
+// returns it quieted, so a word that still holds it was neither written
+// nor read into a sum that was stored back.
+var snan = math.Float64frombits(0x7ff0_dead_beef_0001)
+
+// bordered returns the lower triangle of the square src as a view inside
+// a larger allocation, the strict upper triangle and a one-tile border
+// around the view — tileRows rows above and below, a zmm pair's sixteen
+// columns left and right — holding snan.
+func bordered(src *Mat) (back, view *Mat) {
+	n := src.Rows
+	back = New(n+2*tileRows, n+4*tileCols)
+	for i := range back.Data {
+		back.Data[i] = snan
+	}
+	view = back.View(tileRows, 2*tileCols, n, n)
+	for i := 0; i < n; i++ {
+		copy(view.Row(i)[:i+1], src.Row(i))
+	}
+	return back, view
+}
+
+// sameLower fails unless the lower triangle of bordered's view equals
+// want's bit for bit (a NaN matching any NaN, as in sameBits) and every
+// other word of back still holds snan.
+func sameLower(t *testing.T, what string, back, view, want *Mat) {
+	t.Helper()
+	n := view.Rows
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			g, w := view.At(i, j), want.At(i, j)
+			if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+				t.Fatalf("%s: (%d,%d) = %v (%#x), want %v (%#x)", what, i, j,
+					g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+	for i := 0; i < back.Rows; i++ {
+		for j := 0; j < back.Cols; j++ {
+			vi, vj := i-tileRows, j-2*tileCols
+			inside := vi >= 0 && vi < n && vj >= 0 && vj <= vi
+			if !inside && math.Float64bits(back.At(i, j)) != math.Float64bits(snan) {
+				t.Fatalf("%s: word (%d,%d) of the view's surroundings or strict upper triangle written: %#x",
+					what, vi, vj, math.Float64bits(back.At(i, j)))
+			}
 		}
 	}
 }
@@ -285,17 +361,32 @@ type mmKernel struct {
 }
 
 // hostMMKernels is every m-m kernel this host has: the Go tile everywhere,
-// tiles4x8 alone where there is AVX2, and tiles4x16z (an odd last full
-// tile through tiles4x8) where there is AVX-512.
+// the ymm tiles (tiles4x8, the diagonal strip in VMASKMOVPD-masked tiles)
+// where there is AVX2, and the zmm pairs (tiles4x16z, the strip in
+// opmask-masked pairs) where there is AVX-512.
 func hostMMKernels() []mmKernel {
 	ks := []mmKernel{{"Go tile", false, false}}
 	if useAVX2 {
-		ks = append(ks, mmKernel{"tiles4x8", true, false})
+		ks = append(ks, mmKernel{"masked ymm", true, false})
 	}
 	if useAVX512 {
-		ks = append(ks, mmKernel{"tiles4x16z+tiles4x8", true, true})
+		ks = append(ks, mmKernel{"masked zmm", true, true})
 	}
 	return ks
+}
+
+// logKernels logs the kernels a test ran, so a host without AVX-512 (or
+// AVX2) shows as such.
+func logKernels(t *testing.T, kernels []mmKernel) {
+	t.Helper()
+	names := make([]string, len(kernels))
+	for i, k := range kernels {
+		names[i] = k.name
+	}
+	t.Logf("m-m kernels run on this host: %s", strings.Join(names, ", "))
+	if !useAVX512 {
+		t.Log("no AVX-512 on this host: the zmm pairs not run")
+	}
 }
 
 // TestEveryMMKernelMatchesNaiveLoop runs every m-m kernel the host has on
@@ -307,14 +398,7 @@ func hostMMKernels() []mmKernel {
 // the kernels it ran, so a host without AVX-512 shows as such.
 func TestEveryMMKernelMatchesNaiveLoop(t *testing.T) {
 	kernels := hostMMKernels()
-	names := make([]string, len(kernels))
-	for i, k := range kernels {
-		names[i] = k.name
-	}
-	t.Logf("m-m kernels run on this host: %s", strings.Join(names, ", "))
-	if !useAVX512 {
-		t.Log("no AVX-512 on this host: tiles4x16z not run")
-	}
+	logKernels(t, kernels)
 	each := func(k mmKernel, run func()) {
 		defer PinKernels(k.avx2, k.avx512)()
 		run()

@@ -3,12 +3,12 @@ package mat
 import "sync"
 
 // The vector form of the m-m microkernel: lowerNTPacked's rows taken
-// tileRows at a time against a packed copy of B, tileCols columns per step,
-// every 4×8 tile computed by tiles4x8 (lower_amd64.s) or, two adjacent
-// tiles at a time, by tiles4x16z. It is selected by packPanel returning a
-// panel at all — which it does where the processor has AVX2 and nowhere
-// else — and the zmm pairs by useAVX512; both are decided once at package
-// init, and no flag, environment variable or build option reaches them.
+// tileRows at a time against a packed copy of B, every 4×8 tile computed by
+// tiles4x8 (lower_amd64.s) or, two adjacent tiles at a time, by tiles4x16z.
+// It is selected by packPanel returning a panel at all — which it does
+// where the processor has AVX2 and nowhere else — and the zmm pairs by
+// useAVX512; both are decided once at package init, and no flag,
+// environment variable or build option reaches them.
 
 const (
 	tileRows = 4
@@ -18,8 +18,10 @@ const (
 // panel is the first `rows` rows of a matrix B (n×m), transposed and packed
 // for the kernel: column tile t holds rows 8t…8t+7 of B as m groups of
 // eight, data[(t*m+k)*8+c] = B[8t+c][k], so the eight k-th entries one
-// kernel step multiplies are one contiguous 64-byte load. Rows past `rows`
-// in the last tile are zero: their lanes are computed and never stored.
+// kernel step multiplies are one contiguous 64-byte load. The panel is
+// padded with zero rows to a whole pair of tiles, so the zmm kernel's last
+// pair never reads past it; the padding's lanes are computed and never
+// stored.
 type panel struct{ data []float64 }
 
 // panelPool recycles panels. A batch update packs one (two for the pair
@@ -37,7 +39,7 @@ func packPanel(b *Mat, rows int) *panel {
 		return nil
 	}
 	p := panelPool.Get().(*panel)
-	size := (rows + tileCols - 1) / tileCols * tileCols * m
+	size := (rows + 2*tileCols - 1) / (2 * tileCols) * 2 * tileCols * m
 	if cap(p.data) < size {
 		p.data = make([]float64, size)
 	}
@@ -53,9 +55,9 @@ func packPanel(b *Mat, rows int) *panel {
 			o[4], o[5], o[6], o[7] = b4[k], b5[k], b6[k], b7[k]
 		}
 	}
+	t := p.data[j*m:]
+	clear(t)
 	if j < rows {
-		t := p.data[j*m:]
-		clear(t)
 		for c := 0; j+c < rows; c++ {
 			for k, v := range b.Row(j + c) {
 				t[k*tileCols+c] = v
@@ -74,56 +76,68 @@ func (p *panel) release() {
 }
 
 // lowerVec is lowerNTPacked's rows [r0, r1) through the vector kernel, pb
-// holding at least rows [0, r1) of B; r1 ≥ tileRows (lowerNTPacked sees to it). A
-// block of four rows i…i+3 runs its full tiles — all eight columns at or
-// left of the diagonal in every row, j+7 ≤ i — straight into dst, then the
-// ragged strip beside the diagonal through edgeTiles. Where the processor
-// has AVX-512 the full tiles go two at a time through tiles4x16z, an odd
-// last one through tiles4x8. Rows left over at the end (fewer than four)
-// are computed as the tail of the four rows ending at r1, of which only the
-// leftover ones are stored — the rows above may be another chunk's.
+// holding at least rows [0, r1) of B; r1 ≥ tileRows (lowerNTPacked sees to
+// it). The rows go four at a time, as row blocks (rowBlock). Rows left over
+// at the end (fewer than four) are computed as the tail of the four rows
+// ending at r1, of which only the leftover ones are stored — the rows above
+// may be another chunk's.
 func lowerVec(dst, a *Mat, pb *panel, r0, r1 int, sign float64) {
-	m := a.Cols
 	i := r0
 	for ; i+tileRows <= r1; i += tileRows {
-		nt := (i + 1) / tileCols
-		t := 0
-		if useAVX512 && nt >= 2 {
-			t = nt / 2 * 2
-			tiles4x16z(&dst.Data[i*dst.Stride], dst.Stride, &a.Data[i*a.Stride], a.Stride, &pb.data[0], m, nt/2, sign)
-		}
-		if t < nt {
-			tiles4x8(&dst.Data[i*dst.Stride+t*tileCols], dst.Stride, &a.Data[i*a.Stride], a.Stride, &pb.data[t*m*tileCols], m, nt-t, sign)
-		}
-		edgeTiles(dst, a, pb, i, i, nt*tileCols, sign)
+		rowBlock(dst, a, pb, i, i, sign)
 	}
 	if i < r1 {
-		edgeTiles(dst, a, pb, r1-tileRows, i, 0, sign)
+		rowBlock(dst, a, pb, r1-tileRows, i, sign)
 	}
 }
 
-// edgeTiles runs the tiles of the row block [ib, ib+4) from column j0 up to
-// the diagonal where not every entry of a tile may be written: the tile is
-// computed on a 4×8 copy of dst's entries and only those on or left of the
-// diagonal, in rows from `first` on, are copied back. The copy goes through
-// the same kernel, so an entry gets the same operations whichever side of
-// the strip it falls; the strict upper triangle, rows before `first` and
-// everything outside dst's view are neither read into the sum nor written.
-func edgeTiles(dst, a *Mat, pb *panel, ib, first, j0 int, sign float64) {
+// allLanes is the kernels' store mask that stores every lane.
+const allLanes = ^uint64(0)
+
+// rowBlock computes rows [first, ib+4) of the row block [ib, ib+4), first
+// ≥ ib, in tiles w = 8 (tiles4x8) or 16 (tiles4x16z) columns wide. The
+// tiles whose every column is at or left of the diagonal in every row go in
+// one call, storing whole rows from first on — with allLanes, plain loads
+// and stores, when first = ib. The one or two tiles that straddle the
+// diagonal follow one call each, every row storing only its columns at or
+// left of the diagonal (rowMasks). A masked lane of out is neither read
+// into a sum nor written, so the strict upper triangle, rows before first
+// and everything right of dst's view stay as they were, and a stored lane
+// performs the same operations whichever tile it falls in.
+func rowBlock(dst, a *Mat, pb *panel, ib, first int, sign float64) {
+	w := tileCols
+	if useAVX512 {
+		w = 2 * tileCols
+	}
+	full := (ib + 1) / w * w
+	if full > 0 {
+		tiles(dst, a, pb, ib, 0, full/w, sign, allLanes<<(16*(first-ib)))
+	}
+	for j := full; j < ib+tileRows; j += w {
+		tiles(dst, a, pb, ib, j, 1, sign, rowMasks(ib, first, j, w))
+	}
+}
+
+// rowMasks is the store mask of the w-column tile at column j of the row
+// block [ib, ib+4): in row ib+r (bits 16r…16r+15), from first on, the
+// lanes of columns j…ib+r.
+func rowMasks(ib, first, j, w int) uint64 {
+	var masks uint64
+	for r := first - ib; r < tileRows; r++ {
+		c := min(max(ib+r+1-j, 0), w)
+		masks |= (1<<c - 1) << (16 * r)
+	}
+	return masks
+}
+
+// tiles runs nt tiles (pairs, on the 512-bit unit) of the row block
+// [ib, ib+4) from column j under the store mask masks.
+func tiles(dst, a *Mat, pb *panel, ib, j, nt int, sign float64, masks uint64) {
 	m := a.Cols
-	var tile [tileRows * tileCols]float64
-	for j := j0; j < ib+tileRows; j += tileCols {
-		for i := first; i < ib+tileRows; i++ {
-			if j <= i {
-				copy(tile[(i-ib)*tileCols:(i-ib+1)*tileCols], dst.Data[i*dst.Stride+j:i*dst.Stride+i+1])
-			}
-		}
-		tiles4x8(&tile[0], tileCols, &a.Data[ib*a.Stride], a.Stride, &pb.data[j*m], m, 1, sign)
-		for i := first; i < ib+tileRows; i++ {
-			if j <= i {
-				w := min(tileCols, i+1-j)
-				copy(dst.Data[i*dst.Stride+j:i*dst.Stride+j+w], tile[(i-ib)*tileCols:])
-			}
-		}
+	out, ai, p := &dst.Data[ib*dst.Stride+j], &a.Data[ib*a.Stride], &pb.data[j*m]
+	if useAVX512 {
+		tiles4x16z(out, dst.Stride, ai, a.Stride, p, m, nt, sign, masks)
+	} else {
+		tiles4x8(out, dst.Stride, ai, a.Stride, p, m, nt, sign, masks)
 	}
 }

@@ -78,12 +78,27 @@ func Syr2kSubPar(t *par.Team, dst, a, b *Mat) {
 }
 
 // MulVecPar computes dst ← A·x with rows partitioned across the team.
+// Each entry is Dot(A[i], x), bit for bit; the rows go four at a time, four
+// independent running sums against one read of x, because a single row's
+// sum is one chain of dependent additions.
 func MulVecPar(t *par.Team, dst []float64, a *Mat, x []float64) {
 	if len(dst) != a.Rows || len(x) != a.Cols {
 		panic("mat: MulVecPar dimension mismatch")
 	}
 	t.For(a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+		i := lo
+		for ; i+4 <= hi; i += 4 {
+			a0, a1, a2, a3 := a.Row(i)[:len(x)], a.Row(i + 1)[:len(x)], a.Row(i + 2)[:len(x)], a.Row(i + 3)[:len(x)]
+			var s0, s1, s2, s3 float64
+			for k, v := range x {
+				s0 += a0[k] * v
+				s1 += a1[k] * v
+				s2 += a2[k] * v
+				s3 += a3[k] * v
+			}
+			dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+		}
+		for ; i < hi; i++ {
 			dst[i] = Dot(a.Row(i), x)
 		}
 	})

@@ -51,8 +51,10 @@ func BackwardSolveT(l *Mat, b []float64) {
 // flight against one read of each L entry, with the backward pass reading
 // rows of an exact transposed copy of L instead of striding down its
 // columns. Where the processor has AVX2, sixteen rows go through
-// solveChol16, one vector lane each; then four at a time through
-// solveChol4; the last r1−r0 mod 4 rows alone. Every row sees
+// solveChol16, one vector lane each, and more than eight rows left after
+// the last sixteen go with the ones before them as the range's last
+// sixteen when they are copied from src; otherwise four at a time through
+// solveChol4 and the last r1−r0 mod 4 rows alone. Every row sees
 // ForwardSolve's and BackwardSolveT's operation order, divisions included,
 // so the result is bit-identical to solving it alone whichever path took it.
 func SolveCholRowsRange(l, b, src *Mat, r0, r1 int) {
@@ -83,6 +85,20 @@ func SolveCholRowsRange(l, b, src *Mat, r0, r1 int) {
 		}
 		for ; useAVX2 && i+solveRows <= r1; i += solveRows {
 			solveChol16(&b.Data[i*b.Stride], b.Stride, &l.Data[0], l.Stride, &lt[0], m, &w[0])
+		}
+		if useAVX2 && src != b && r1-i > solveRows/2 && r1-r0 >= solveRows {
+			// More than half a tile's rows left: they go with the ones
+			// before them as the range's last sixteen, brought from src
+			// once more — a row's solution depends on its own right-hand
+			// side alone, so the rows solved twice come out as they did
+			// the first time. Eight or fewer cost less through solveChol4
+			// and alone than sixteen more lanes do.
+			j := r1 - solveRows
+			for k := j; k < i; k++ {
+				copy(b.Row(k), src.Row(k))
+			}
+			solveChol16(&b.Data[j*b.Stride], b.Stride, &l.Data[0], l.Stride, &lt[0], m, &w[0])
+			i = r1
 		}
 		for ; i+4 <= r1; i += 4 {
 			solveChol4(l, lt, b.Row(i), b.Row(i+1), b.Row(i+2), b.Row(i+3))

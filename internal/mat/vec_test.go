@@ -133,20 +133,34 @@ func TestCauchySchwarzProperty(t *testing.T) {
 	}
 }
 
+// TestMulVecParMatchesSerial holds MulVecPar's four-row sums to one Dot
+// per row bit for bit: row counts on and off multiples of four, teams that
+// cut chunks anywhere, a strided A, and signed zeros, subnormals, ±Inf and
+// NaN in A and x.
 func TestMulVecParMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	a := randMat(rng, 23, 9)
-	x := make([]float64, 9)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	serial := make([]float64, 23)
-	MulVec(serial, a, x)
-	parallel := make([]float64, 23)
-	MulVecPar(par.NewTeam(5), parallel, a, x)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatal("MulVecPar mismatch")
+	for _, rows := range []int{0, 1, 3, 4, 5, 23, 36, 129} {
+		for _, cols := range []int{1, 9, 16} {
+			a := randMatView(rng, rows, cols, rows%2 == 1)
+			sprinkle(rng, a, (rows+cols)%4)
+			x := make([]float64, cols)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			if rows%3 == 0 {
+				x[cols/2] = math.Copysign(0, -1)
+			}
+			serial := make([]float64, rows)
+			MulVec(serial, a, x)
+			for _, procs := range []int{1, 2, 5} {
+				parallel := make([]float64, rows)
+				MulVecPar(par.NewTeam(procs), parallel, a, x)
+				for i := range serial {
+					if g, w := parallel[i], serial[i]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+						t.Fatalf("rows=%d cols=%d procs=%d: row %d = %v, want %v", rows, cols, procs, i, g, w)
+					}
+				}
+			}
 		}
 	}
 }

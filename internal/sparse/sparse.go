@@ -21,6 +21,7 @@ type Matrix struct {
 	rowPtr     []int     // len rows+1; row i occupies [rowPtr[i], rowPtr[i+1])
 	colIdx     []int     // column index of each stored entry
 	val        []float64 // value of each stored entry
+	plan       *colPlan  // the Builder's gather plan of colIdx; nil: the product makes its own
 }
 
 // Builder accumulates entries row by row and produces a Matrix.
@@ -29,6 +30,14 @@ type Builder struct {
 	rowPtr []int
 	colIdx []int
 	val    []float64
+	// plan is the gather plan of the column indices last built, kept across
+	// Reset once the builder builds a second time: a batch rebuilds its
+	// Jacobian every cycle, and its pattern changes only when a gated
+	// constraint switches or an entry is exactly zero, so Build finds it
+	// current far more often than not. A builder that builds once — a
+	// one-cycle warm solve's — keeps nothing.
+	plan  colPlan
+	built bool
 }
 
 // NewBuilder returns a builder for matrices with the given number of columns.
@@ -56,19 +65,29 @@ func (b *Builder) AddRow(cols []int, vals []float64) {
 }
 
 // Build finalizes the builder into an immutable Matrix. The builder may be
-// reused afterwards only via Reset.
+// reused afterwards only via Reset. From the builder's second Build on, the
+// matrix's gather plan is the one the builder kept if that plan is of these
+// column indices, entry by entry, and is rebuilt there otherwise.
 func (b *Builder) Build() *Matrix {
-	return &Matrix{
+	m := &Matrix{
 		rows:   len(b.rowPtr) - 1,
 		cols:   b.cols,
 		rowPtr: b.rowPtr,
 		colIdx: b.colIdx,
 		val:    b.val,
 	}
+	if b.built {
+		if !b.plan.of(b.colIdx) {
+			b.plan.build(b.colIdx, b.cols)
+		}
+		m.plan = &b.plan
+	}
+	b.built = true
+	return m
 }
 
 // Reset clears the builder for reuse with the same column count, retaining
-// allocated capacity.
+// allocated capacity and the gather plan.
 func (b *Builder) Reset() {
 	b.rowPtr = b.rowPtr[:1]
 	b.colIdx = b.colIdx[:0]
@@ -112,7 +131,11 @@ func (m *Matrix) Dense() *mat.Mat {
 // each row block first gathers those columns of C into a contiguous buffer,
 // once each, and the products then read the buffer without a branch on
 // which triangle holds the entry — the same products summed in the same
-// order, so the same bits.
+// order, so the same bits. Which columns, and where each non-zero's column
+// sits among them, is H's gather plan, kept by its Builder for the next
+// matrix with the same column indices — a batch's product plans nothing in
+// the cycles its pattern holds — or, for a builder's first matrix, made by
+// the product in pooled storage.
 func (m *Matrix) DenseMulTSymPar(t *par.Team, dst, c *mat.Mat) {
 	if c.Rows != c.Cols {
 		panic("sparse: DenseMulTSymPar on non-square matrix")
@@ -136,27 +159,78 @@ const (
 	gatherLd    = gatherBlock + 8
 )
 
-// gatherPlan is one DenseMulTSymPar call's plan, built before the team
-// starts and only read by its chunks: the distinct columns H names and,
-// for each stored entry of H, where its column sits among them.
+// colPlan is the gather plan of a pattern of column indices: the distinct
+// columns it names and, for each stored entry, where its column sits among
+// them. It depends on the column indices alone — the row pointers only
+// group the entries — and spells them out: entry k's column is
+// cols[pos[k]].
+type colPlan struct {
+	cols []int // the distinct columns, ascending
+	pos  []int // pos[k] indexes cols with entry k's column
+}
+
+// of reports whether p is the plan of colIdx: entry by entry, the column p
+// spells out is colIdx's.
+func (p *colPlan) of(colIdx []int) bool {
+	if len(p.pos) != len(colIdx) {
+		return false
+	}
+	for k, t := range p.pos {
+		if p.cols[t] != colIdx[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// slotPool recycles the column → slot maps colPlan.build works through, n
+// words each, which the kept plans need not hold on to. slot[c] indexes
+// cols with column c wherever cols[slot[c]] == c; other entries hold
+// whatever an earlier build left, so a map is never cleared.
+var slotPool = sync.Pool{New: func() any { return new([]int) }}
+
+// build makes p the plan of colIdx, columns in [0, n).
+func (p *colPlan) build(colIdx []int, n int) {
+	sp := slotPool.Get().(*[]int)
+	if len(*sp) < n {
+		*sp = make([]int, n)
+	}
+	slot := *sp
+	p.cols = slices.Grow(p.cols[:0], len(colIdx))
+	for _, col := range colIdx {
+		if t := slot[col]; t >= len(p.cols) || p.cols[t] != col {
+			slot[col] = len(p.cols)
+			p.cols = append(p.cols, col)
+		}
+	}
+	slices.Sort(p.cols)
+	for t, col := range p.cols {
+		slot[col] = t
+	}
+	p.pos = slices.Grow(p.pos[:0], len(colIdx))
+	for _, col := range colIdx {
+		p.pos = append(p.pos, slot[col])
+	}
+	slotPool.Put(sp)
+}
+
+// gatherPlan is one DenseMulTSymPar call: H's plan and the operands, bound
+// before the team starts and only read by its chunks.
 type gatherPlan struct {
+	*colPlan
+	own    colPlan // the plan of an H whose builder keeps none
 	h      *Matrix
 	dst, c *mat.Mat
-	cols   []int // the distinct columns of H, ascending
-	pos    []int // pos[k] indexes cols with colIdx[k]
-	// slot[c] indexes cols with column c wherever cols[slot[c]] == c; other
-	// entries hold whatever an earlier plan left, so it is never cleared.
-	slot []int
-	// body is p.rows, bound once per plan so that handing it to the team
-	// allocates nothing.
+	// body is p.rows, bound once per gatherPlan so that handing it to the
+	// team allocates nothing.
 	body func(lo, hi int)
 }
 
-// planPool and gatherPool recycle plans and the chunks' gather buffers,
-// which every batch update would otherwise allocate afresh. Every word a
-// recycled one hands out is overwritten first.
+// callPool and gatherPool recycle the calls, with their own plans, and the
+// chunks' gather buffers, which every batch update would otherwise allocate
+// afresh. Every word a recycled one hands out is overwritten first.
 var (
-	planPool = sync.Pool{New: func() any {
+	callPool = sync.Pool{New: func() any {
 		p := new(gatherPlan)
 		p.body = p.rows
 		return p
@@ -164,35 +238,22 @@ var (
 	gatherPool = sync.Pool{New: func() any { return new([]float64) }}
 )
 
-// newGatherPlan takes a plan from the pool and builds it for dst ← C·Hᵀ.
+// newGatherPlan binds H's plan, or one it makes in the call's own storage,
+// and the operands of dst ← C·Hᵀ.
 func newGatherPlan(h *Matrix, dst, c *mat.Mat) *gatherPlan {
-	p := planPool.Get().(*gatherPlan)
-	p.h, p.dst, p.c = h, dst, c
-	if len(p.slot) < h.cols {
-		p.slot = make([]int, h.cols)
-	}
-	p.cols = p.cols[:0]
-	for _, col := range h.colIdx {
-		if t := p.slot[col]; t >= len(p.cols) || p.cols[t] != col {
-			p.slot[col] = len(p.cols)
-			p.cols = append(p.cols, col)
-		}
-	}
-	slices.Sort(p.cols)
-	for t, col := range p.cols {
-		p.slot[col] = t
-	}
-	p.pos = p.pos[:0]
-	for _, col := range h.colIdx {
-		p.pos = append(p.pos, p.slot[col])
+	p := callPool.Get().(*gatherPlan)
+	p.colPlan, p.h, p.dst, p.c = h.plan, h, dst, c
+	if p.colPlan == nil {
+		p.own.build(h.colIdx, h.cols)
+		p.colPlan = &p.own
 	}
 	return p
 }
 
-// release returns the plan to the pool, dropping its operands.
+// release returns the call to the pool, dropping its plan and operands.
 func (p *gatherPlan) release() {
-	p.h, p.dst, p.c = nil, nil, nil
-	planPool.Put(p)
+	p.colPlan, p.h, p.dst, p.c = nil, nil, nil, nil
+	callPool.Put(p)
 }
 
 // rows computes rows [lo, hi) of dst, gatherBlock rows at a time. The

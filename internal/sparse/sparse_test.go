@@ -522,11 +522,14 @@ func TestMulDenseMatchesAxpyLoop(t *testing.T) {
 	}
 }
 
-// TestGatherPlanAllocatesNothing: at steady state the product's plan, its
+// TestGatherPlanAllocatesNothing: at steady state the product's call, its
 // bound body and the chunks' gather buffers all come from their pools, so a
-// product allocates nothing. Under the race detector sync.Pool drops some
-// of what is put back — probed here rather than assumed — and a dropped
-// plan (four allocations) or buffer (two) is rebuilt.
+// product allocates nothing; and a matrix rebuilt with the same pattern —
+// the batch's Jacobian at the next cycle — gets its builder's plan back, so
+// the cycle's only allocation is Build's Matrix header. Under the race
+// detector sync.Pool drops some of what is put back — probed here rather
+// than assumed — and a dropped call (two allocations) or buffer (two) is
+// made again.
 func TestGatherPlanAllocatesNothing(t *testing.T) {
 	var probe sync.Pool
 	probe.Put(new(int))
@@ -546,5 +549,66 @@ func TestGatherPlanAllocatesNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() { h.DenseMulTSymPar(one, dst, c) })
 	if (poolKeeps && allocs != 0) || allocs > 6 {
 		t.Errorf("%v allocations per product at steady state (pools keep what is put back: %v)", allocs, poolKeeps)
+	}
+
+	// The same rows through one builder, cycle after cycle.
+	hb := NewBuilder(n)
+	cycle := func() {
+		hb.Reset()
+		for j := 0; j < m; j++ {
+			hb.AddRow(h.Row(j))
+		}
+		hb.Build().DenseMulTSymPar(one, dst, c)
+	}
+	cycle()
+	allocs = testing.AllocsPerRun(200, cycle)
+	if (poolKeeps && allocs != 1) || allocs > 7 {
+		t.Errorf("%v allocations per rebuilt product with a kept plan, want the Matrix header alone (pools keep what is put back: %v)", allocs, poolKeeps)
+	}
+}
+
+// TestBuilderKeepsPlanWhilePatternHolds: through one builder, patterns that
+// repeat, lose an entry or a row, name the same columns in another order or
+// swap a column, each product equals a fresh builder's bit for bit — whose
+// first and only matrix makes its plan in the product — and from the
+// second Build on the plan it ran is the builder's, of its own column
+// indices.
+func TestBuilderKeepsPlanWhilePatternHolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const n = 40
+	c := randSym(rng, n)
+	patterns := [][][]int{
+		{{0, 1, 2, 9, 10, 11}, {9, 10, 11, 30, 31, 32}},
+		{{0, 1, 2, 9, 10, 11}, {9, 10, 11, 30, 31, 32}}, // the same: kept
+		{{0, 1, 2, 9, 10, 11}, {9, 11, 10, 30, 31, 32}}, // the same columns, reordered
+		{{0, 1, 2, 9, 10, 11}, {3, 4, 5, 30, 31, 32}},   // columns swapped, as many entries
+		{{0, 1, 2, 9, 10, 11}, {3, 4, 30, 31, 32}},      // an entry gone
+		{{0, 1, 2, 9, 10, 11}},                          // a row gone
+		{{0, 1, 2, 9, 10, 11}},                          // kept
+		{{0, 1, 2, 9, 10, 11}, {9, 10, 11, 30, 31, 32}},
+	}
+	hb := NewBuilder(n)
+	for i, rows := range patterns {
+		hb.Reset()
+		fresh := NewBuilder(n)
+		for _, cols := range rows {
+			vals := make([]float64, len(cols))
+			for k := range vals {
+				vals[k] = rng.NormFloat64()
+			}
+			hb.AddRow(cols, vals)
+			fresh.AddRow(cols, vals)
+		}
+		h := hb.Build()
+		switch {
+		case i == 0 && h.plan != nil:
+			t.Fatal("a builder's first matrix came with a kept plan")
+		case i > 0 && (h.plan != &hb.plan || !h.plan.of(h.colIdx)):
+			t.Fatalf("pattern %d: the plan is not the builder's, of these columns", i)
+		}
+		want, got := mat.New(n, len(rows)), mat.New(n, len(rows))
+		fresh.Build().DenseMulTSymPar(par.NewTeam(1), want, c)
+		h.DenseMulTSymPar(par.NewTeam(2), got, c)
+		sameBits(t, fmt.Sprintf("pattern %d", i), got, want)
 	}
 }

@@ -112,3 +112,54 @@ func TestCollectorConcurrent(t *testing.T) {
 		t.Fatalf("flops = %g, want %d", got, workers*each)
 	}
 }
+
+func TestTallyFlushesOnce(t *testing.T) {
+	var c Collector
+	var tl Tally
+	runs := 0
+	tl.Timed(MatMat, 100, func() { runs++ })
+	tl.Timed(MatMat, 50, func() { runs++ })
+	tl.Timed(Chol, 10, func() { runs++ })
+	if runs != 3 || c.Flops()[MatMat] != 0 {
+		t.Fatalf("runs = %d, collector flops before the flush = %v", runs, c.Flops())
+	}
+	tl.FlushTo(&c)
+	if f := c.Flops(); f[MatMat] != 150 || f[Chol] != 10 {
+		t.Fatalf("flops = %v", f)
+	}
+	if times := c.Times(); times[MatMat] < 0 || times[Chol] < 0 {
+		t.Fatalf("times = %v", times)
+	}
+	tl.FlushTo(&c)
+	if c.Flops()[MatMat] != 150 {
+		t.Fatal("a flushed tally was added twice")
+	}
+	tl.Timed(VecOp, 1, func() {})
+	tl.FlushTo(nil)
+	if tl != (Tally{}) {
+		t.Fatal("FlushTo(nil) did not clear the tally")
+	}
+}
+
+// BenchmarkTimed times the accounting around an empty step: through the
+// Collector (one clock read either side and a lock) and through a Tally
+// flushed every nine steps, as a batch update does.
+func BenchmarkTimed(b *testing.B) {
+	b.Run("collector", func(b *testing.B) {
+		var c Collector
+		for i := 0; i < b.N; i++ {
+			c.Timed(MatMat, 1, func() {})
+		}
+	})
+	b.Run("tally", func(b *testing.B) {
+		var c Collector
+		var tl Tally
+		for i := 0; i < b.N; i++ {
+			tl.Timed(MatMat, 1, func() {})
+			if i%9 == 8 {
+				tl.FlushTo(&c)
+			}
+		}
+		tl.FlushTo(&c)
+	})
+}
