@@ -491,12 +491,18 @@ func (b *stateBound) admit(dx []float64, k, a, w *mat.Mat) bool {
 // returns the total number of scalar observations applied. It is
 // ApplyLower from a scan of the prior.
 func (u *Updater) ApplyAll(s *State, batches []*Batch) (int, error) {
-	var prior Bound
-	if u.Guard {
-		u.timed(trace.VecOp, 0, func() { prior = ScanBound(s) })
-	}
-	total, _, err := u.ApplyLower(s, batches, prior)
+	total, _, err := u.ApplyLower(s, batches, u.JoinScan(Bound{}, s))
 	return total, err
+}
+
+// JoinScan returns, under the guard, b joined with ScanBound(s), the scan
+// timed as a vector operation that Rec takes with the next Apply or
+// ApplyLower call's times; without the guard it returns b unscanned.
+func (u *Updater) JoinScan(b Bound, s *State) Bound {
+	if u.Guard {
+		u.timed(trace.VecOp, 0, func() { b = b.Join(ScanBound(s)) })
+	}
+	return b
 }
 
 // ApplyLower applies every batch in order on the lower triangle of C alone

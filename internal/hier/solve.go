@@ -8,7 +8,6 @@ import (
 	"phmse/internal/geom"
 	"phmse/internal/mat"
 	"phmse/internal/par"
-	"phmse/internal/trace"
 )
 
 // Options configures the hierarchical solver: the control block shared with
@@ -187,10 +186,7 @@ func (n *Node) setDirect(s *filter.State, positions []geom.Vec3, opt Options, u 
 			direct.C.Set(3*i+c, 3*i+c, opt.priorVar(a, c))
 		}
 	}
-	if u.Guard {
-		u.Rec.Timed(trace.VecOp, 0, func() { bound = bound.Join(filter.ScanBound(direct)) })
-	}
-	return bound
+	return u.JoinScan(bound, direct)
 }
 
 // clearOwn zeroes the part of the node's block c that no child block

@@ -51,7 +51,7 @@ func BackwardSolveT(l *Mat, b []float64) {
 // flight against one read of each L entry, with the backward pass reading
 // rows of an exact transposed copy of L instead of striding down its
 // columns. Where the processor has AVX2, sixteen rows go through
-// solveChol16, one vector lane each, and more than eight rows left after
+// solveChol16, one vector lane each, and more than four rows left after
 // the last sixteen go with the ones before them as the range's last
 // sixteen when they are copied from src; otherwise four at a time through
 // solveChol4 and the last r1−r0 mod 4 rows alone. Every row sees
@@ -86,13 +86,16 @@ func SolveCholRowsRange(l, b, src *Mat, r0, r1 int) {
 		for ; useAVX2 && i+solveRows <= r1; i += solveRows {
 			solveChol16(&b.Data[i*b.Stride], b.Stride, &l.Data[0], l.Stride, &lt[0], m, &w[0])
 		}
-		if useAVX2 && src != b && r1-i > solveRows/2 && r1-r0 >= solveRows {
-			// More than half a tile's rows left: they go with the ones
-			// before them as the range's last sixteen, brought from src
-			// once more — a row's solution depends on its own right-hand
-			// side alone, so the rows solved twice come out as they did
-			// the first time. Eight or fewer cost less through solveChol4
-			// and alone than sixteen more lanes do.
+		if useAVX2 && src != b && r1-i > 4 && r1-r0 >= solveRows {
+			// More than four rows left: they go with the ones before them
+			// as the range's last sixteen, brought from src once more — a
+			// row's solution depends on its own right-hand side alone, so
+			// the rows solved twice come out as they did the first time.
+			// Measured at m = 9 and 16 on ranges of 17–24, 33–40 and
+			// 129–136 rows, sixteen more lanes beat solveChol4 and the
+			// single rows for six to eight rows left at every size, and
+			// for five at five of the six; for one to four rows left
+			// either way won.
 			j := r1 - solveRows
 			for k := j; k < i; k++ {
 				copy(b.Row(k), src.Row(k))

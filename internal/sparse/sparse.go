@@ -21,7 +21,7 @@ type Matrix struct {
 	rowPtr     []int     // len rows+1; row i occupies [rowPtr[i], rowPtr[i+1])
 	colIdx     []int     // column index of each stored entry
 	val        []float64 // value of each stored entry
-	plan       *colPlan  // the Builder's gather plan of colIdx; nil: the product makes its own
+	plan       *colPlan  // the Builder's gather plan of colIdx
 }
 
 // Builder accumulates entries row by row and produces a Matrix.
@@ -31,13 +31,11 @@ type Builder struct {
 	colIdx []int
 	val    []float64
 	// plan is the gather plan of the column indices last built, kept across
-	// Reset once the builder builds a second time: a batch rebuilds its
-	// Jacobian every cycle, and its pattern changes only when a gated
-	// constraint switches or an entry is exactly zero, so Build finds it
-	// current far more often than not. A builder that builds once — a
-	// one-cycle warm solve's — keeps nothing.
-	plan  colPlan
-	built bool
+	// Reset: a batch rebuilds its Jacobian every cycle, and its pattern
+	// changes only when a gated constraint switches or an entry is exactly
+	// zero. On the cold helix solves and six ribo30S cycles every Build
+	// after a batch's first found it current.
+	plan colPlan
 }
 
 // NewBuilder returns a builder for matrices with the given number of columns.
@@ -65,25 +63,21 @@ func (b *Builder) AddRow(cols []int, vals []float64) {
 }
 
 // Build finalizes the builder into an immutable Matrix. The builder may be
-// reused afterwards only via Reset. From the builder's second Build on, the
-// matrix's gather plan is the one the builder kept if that plan is of these
-// column indices, entry by entry, and is rebuilt there otherwise.
+// reused afterwards only via Reset. The matrix's gather plan is the one the
+// builder kept if that plan is of these column indices, entry by entry, and
+// is rebuilt there otherwise.
 func (b *Builder) Build() *Matrix {
-	m := &Matrix{
+	if !b.plan.of(b.colIdx) {
+		b.plan.build(b.colIdx, b.cols)
+	}
+	return &Matrix{
 		rows:   len(b.rowPtr) - 1,
 		cols:   b.cols,
 		rowPtr: b.rowPtr,
 		colIdx: b.colIdx,
 		val:    b.val,
+		plan:   &b.plan,
 	}
-	if b.built {
-		if !b.plan.of(b.colIdx) {
-			b.plan.build(b.colIdx, b.cols)
-		}
-		m.plan = &b.plan
-	}
-	b.built = true
-	return m
 }
 
 // Reset clears the builder for reuse with the same column count, retaining
@@ -132,10 +126,9 @@ func (m *Matrix) Dense() *mat.Mat {
 // once each, and the products then read the buffer without a branch on
 // which triangle holds the entry — the same products summed in the same
 // order, so the same bits. Which columns, and where each non-zero's column
-// sits among them, is H's gather plan, kept by its Builder for the next
-// matrix with the same column indices — a batch's product plans nothing in
-// the cycles its pattern holds — or, for a builder's first matrix, made by
-// the product in pooled storage.
+// sits among them, is H's gather plan, made by its Builder and kept for the
+// next matrix with the same column indices: a batch's product plans nothing
+// in the cycles its pattern holds.
 func (m *Matrix) DenseMulTSymPar(t *par.Team, dst, c *mat.Mat) {
 	if c.Rows != c.Cols {
 		panic("sparse: DenseMulTSymPar on non-square matrix")
@@ -184,7 +177,7 @@ func (p *colPlan) of(colIdx []int) bool {
 }
 
 // slotPool recycles the column → slot maps colPlan.build works through, n
-// words each, which the kept plans need not hold on to. slot[c] indexes
+// words each, which the builders' plans need not hold on to. slot[c] indexes
 // cols with column c wherever cols[slot[c]] == c; other entries hold
 // whatever an earlier build left, so a map is never cleared.
 var slotPool = sync.Pool{New: func() any { return new([]int) }}
@@ -218,7 +211,6 @@ func (p *colPlan) build(colIdx []int, n int) {
 // before the team starts and only read by its chunks.
 type gatherPlan struct {
 	*colPlan
-	own    colPlan // the plan of an H whose builder keeps none
 	h      *Matrix
 	dst, c *mat.Mat
 	// body is p.rows, bound once per gatherPlan so that handing it to the
@@ -226,9 +218,9 @@ type gatherPlan struct {
 	body func(lo, hi int)
 }
 
-// callPool and gatherPool recycle the calls, with their own plans, and the
-// chunks' gather buffers, which every batch update would otherwise allocate
-// afresh. Every word a recycled one hands out is overwritten first.
+// callPool and gatherPool recycle the calls and the chunks' gather buffers,
+// which every batch update would otherwise allocate afresh. Every word a
+// recycled one hands out is overwritten first.
 var (
 	callPool = sync.Pool{New: func() any {
 		p := new(gatherPlan)
@@ -238,15 +230,10 @@ var (
 	gatherPool = sync.Pool{New: func() any { return new([]float64) }}
 )
 
-// newGatherPlan binds H's plan, or one it makes in the call's own storage,
-// and the operands of dst ← C·Hᵀ.
+// newGatherPlan binds H's plan and the operands of dst ← C·Hᵀ.
 func newGatherPlan(h *Matrix, dst, c *mat.Mat) *gatherPlan {
 	p := callPool.Get().(*gatherPlan)
 	p.colPlan, p.h, p.dst, p.c = h.plan, h, dst, c
-	if p.colPlan == nil {
-		p.own.build(h.colIdx, h.cols)
-		p.colPlan = &p.own
-	}
 	return p
 }
 

@@ -92,15 +92,16 @@ func (c *Collector) Add(class Class, seconds, flops float64) {
 	c.mu.Unlock()
 }
 
-// Timed runs f and accounts its wall-clock duration under the class.
+// Timed runs f and accounts its duration under the class: a Tally of one
+// step, flushed at once.
 func (c *Collector) Timed(class Class, flops float64, f func()) {
 	if c == nil {
 		f()
 		return
 	}
-	start := now()
-	f()
-	c.Add(class, (now() - start).Seconds(), flops)
+	var t Tally
+	t.Timed(class, flops, f)
+	t.FlushTo(c)
 }
 
 // epoch is the origin of now.
