@@ -9,9 +9,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"phmse/internal/analysis"
 	"phmse/internal/conform"
+	"phmse/internal/constraint"
 	"phmse/internal/filter"
 	"phmse/internal/geom"
 	"phmse/internal/hier"
@@ -118,7 +120,8 @@ type Estimator struct {
 	problem *molecule.Problem
 	cfg     Config
 	team    *par.Team
-	root    *hier.Node // nil in flat mode
+	root    *hier.Node     // nil in flat mode
+	art     *PlanArtifacts // the artifacts root is kept for; nil in flat mode
 }
 
 // New builds an estimator for the problem. In hierarchical mode it
@@ -137,6 +140,13 @@ func New(p *molecule.Problem, cfg Config) (*Estimator, error) {
 // topology can reuse them through NewWithPlan, skipping the decomposition
 // and regrouping passes; the serving layer's plan cache stores exactly
 // this.
+//
+// Beside Tree they keep the prepared node trees their estimators have
+// handed back (Estimator.Close): a tree built, regrouped and prepared for
+// one problem — its batches, sparse builders, kept gather plans and
+// assembly scratch — serves the next problem of the topology once its
+// constraints are rebound (hier.Node.Rebind). The list holds only trees
+// that were in use at the same time, so it needs no cap.
 type PlanArtifacts struct {
 	// Tree is the hierarchical grouping used: the problem's own or the
 	// derived automatic decomposition, as regrouped by the work model.
@@ -146,6 +156,33 @@ type PlanArtifacts struct {
 	// different parameters.
 	BatchSize int
 	LeafSize  int
+
+	mu   sync.Mutex
+	free []*hier.Node // prepared trees no estimator holds
+}
+
+// take returns a prepared tree rebound to cons, or nil when none is free
+// or the one taken does not fit cons (it is dropped).
+func (a *PlanArtifacts) take(cons []constraint.Constraint) *hier.Node {
+	a.mu.Lock()
+	var root *hier.Node
+	if k := len(a.free); k > 0 {
+		root = a.free[k-1]
+		a.free[k-1] = nil
+		a.free = a.free[:k-1]
+	}
+	a.mu.Unlock()
+	if root == nil || root.Rebind(cons) != nil {
+		return nil
+	}
+	return root
+}
+
+// give hands a prepared tree back for the next estimator of the topology.
+func (a *PlanArtifacts) give(root *hier.Node) {
+	a.mu.Lock()
+	a.free = append(a.free, root)
+	a.mu.Unlock()
 }
 
 // compatible reports whether the artifacts were computed under the given
@@ -156,11 +193,15 @@ func (a *PlanArtifacts) compatible(cfg Config) bool {
 
 // NewWithPlan builds an estimator like New, but can reuse the
 // topology-dependent planning artifacts of a previous construction. When
-// art fits the configuration, the decomposition tree is taken from it,
-// already regrouped. It returns the artifacts of the estimator it built
-// (fresh or reused) so the caller can cache them; callers are responsible
-// for keying the cache by problem topology. In flat mode there is nothing
-// to plan and the returned artifacts are nil.
+// art fits the configuration, the estimator takes a prepared tree an
+// earlier one handed back (Close) and rebinds it to p's constraints; when
+// none is free, or the one taken does not match p constraint for
+// constraint, the decomposition tree is built from art's, already
+// regrouped. It returns the artifacts of the estimator it built (fresh or
+// reused) so the caller can cache them; callers are responsible for keying
+// the cache by problem topology, though no result depends on that key being
+// right. In flat mode there is nothing to plan and the returned artifacts
+// are nil.
 func NewWithPlan(p *molecule.Problem, cfg Config, art *PlanArtifacts) (*Estimator, *PlanArtifacts, error) {
 	cfg = cfg.withDefaults()
 	e := &Estimator{problem: p, cfg: cfg, team: par.NewTeam(cfg.Procs)}
@@ -169,6 +210,12 @@ func NewWithPlan(p *molecule.Problem, cfg Config, art *PlanArtifacts) (*Estimato
 	}
 	if !art.compatible(cfg) {
 		art = nil
+	}
+	if art != nil {
+		if e.root = art.take(p.Constraints); e.root != nil {
+			e.art = art
+			return e, art, nil
+		}
 	}
 	tree := p.Tree
 	if art != nil {
@@ -193,7 +240,19 @@ func NewWithPlan(p *molecule.Problem, cfg Config, art *PlanArtifacts) (*Estimato
 	if art == nil {
 		art = &PlanArtifacts{Tree: tree, BatchSize: cfg.BatchSize, LeafSize: cfg.LeafSize}
 	}
+	e.art = art
 	return e, art, nil
+}
+
+// Close hands the estimator's prepared tree back to the artifacts it was
+// built with, for the next estimator of the topology (NewWithPlan). The
+// estimator must not be used after Close; Solutions it returned stay
+// valid. Closing a flat or already closed estimator does nothing.
+func (e *Estimator) Close() {
+	if e.root != nil && e.art != nil {
+		e.art.give(e.root)
+	}
+	e.root, e.art = nil, nil
 }
 
 // Root exposes the structure hierarchy (nil in flat mode), for inspection
@@ -235,12 +294,25 @@ type Solution struct {
 	atoms []molecule.Atom // the problem's atoms, named in reports
 }
 
+// Release returns the solution's covariance to the buffer pool. What the
+// solution reports by value — Positions, Variances, the counts and
+// Diagnostics — stays; Posterior, Correlation and UncertaintyReport must
+// not be called after Release, and Ellipsoid reports an error. Take the
+// Posterior first if it is wanted. Releasing twice does nothing.
+func (s *Solution) Release() {
+	filter.ReleasePooledState(s.state)
+	s.state = nil
+}
+
 // Ellipsoid returns the positional uncertainty ellipsoid of an atom
 // (problem ordering): the principal axes and standard deviations of its
 // 3×3 covariance block.
 func (s *Solution) Ellipsoid(atom int) (analysis.Ellipsoid, error) {
 	if atom < 0 || atom >= len(s.local) {
 		return analysis.Ellipsoid{}, fmt.Errorf("core: atom %d out of %d", atom, len(s.local))
+	}
+	if s.state == nil {
+		return analysis.Ellipsoid{}, fmt.Errorf("core: solution released")
 	}
 	return analysis.AtomEllipsoid(s.state, s.local[atom])
 }
@@ -378,6 +450,9 @@ func (e *Estimator) solveFlat(ctx context.Context, init []geom.Vec3, post *Poste
 // assembly from a prior posterior's diagonal, carried forward pass to
 // pass as a sequential continuation (see hier.Options.WarmVars).
 func (e *Estimator) solveHier(ctx context.Context, init []geom.Vec3, warmVars []float64) (*Solution, error) {
+	if e.root == nil {
+		return nil, fmt.Errorf("core: estimator closed")
+	}
 	state, res, err := hier.Solve(e.root, init, hier.Options{Control: e.control(ctx), WarmVars: warmVars})
 	if err != nil {
 		return nil, err

@@ -14,6 +14,9 @@ import (
 // constraints) minimize the per-constraint cost by enabling tiled matrix
 // computation while keeping the O(m³) Cholesky and O(m²n) solve terms small.
 type Batch struct {
+	// cons is a run of the slice MakeBatches was given, not a copy: an
+	// entry rewritten there (hier.Node.Rebind) is the batch's from its
+	// next assemble on.
 	cons  []constraint.Constraint
 	slots [][]int // local atom slot of each constraint atom
 	dim   int     // total scalar dimension if all constraints are active
@@ -60,7 +63,8 @@ const DefaultBatchSize = 16
 // MakeBatches groups constraints into batches of at most batchSize scalar
 // observations (at least one constraint per batch), translating global atom
 // indices to local state slots via localOf. localOf must return a valid
-// slot for every atom referenced by the constraints.
+// slot for every atom referenced by the constraints. Each batch aliases its
+// run of cons.
 func MakeBatches(cons []constraint.Constraint, localOf func(atom int) int, batchSize int) ([]*Batch, error) {
 	if batchSize < 1 {
 		batchSize = DefaultBatchSize
@@ -86,7 +90,7 @@ func MakeBatches(cons []constraint.Constraint, localOf func(atom int) int, batch
 		for ; hi < len(cons) && (b.dim == 0 || b.dim+cons[hi].Dim() <= batchSize); hi++ {
 			b.dim += cons[hi].Dim()
 		}
-		b.cons = append([]constraint.Constraint(nil), cons[lo:hi]...)
+		b.cons = cons[lo:hi:hi]
 		b.slots = make([][]int, hi-lo)
 		for i := lo; i < hi; i++ {
 			start := 0

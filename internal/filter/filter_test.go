@@ -735,3 +735,106 @@ func TestKeptPlanFollowsThePattern(t *testing.T) {
 		restore()
 	}
 }
+
+// A batch reads its constraints through the slice MakeBatches was given:
+// an entry rewritten there — a value set rebinding a prepared tree — is
+// what the batch's next assemble linearizes, with no batch built again.
+func TestBatchesAliasTheirRun(t *testing.T) {
+	cons := []constraint.Constraint{
+		constraint.Distance{I: 0, J: 1, Target: 1.5, Sigma: 0.1},
+		constraint.Distance{I: 1, J: 2, Target: 1.5, Sigma: 0.1},
+		constraint.Distance{I: 0, J: 2, Target: 2.5, Sigma: 0.1},
+	}
+	batches, err := MakeBatches(cons, ident, 2)
+	if err != nil || len(batches) != 2 {
+		t.Fatalf("%d batches, %v", len(batches), err)
+	}
+	s := NewState([]geom.Vec3{{0, 0, 0}, {1, 0, 0}, {1, 1, 0}}, 1)
+	cons[2] = constraint.Distance{I: 0, J: 2, Target: 3, Sigma: 0.2}
+	asm := batches[1].assemble(s)
+	if sigma := 0.2; asm.z[0] != 3 || asm.r[0] != sigma*sigma {
+		t.Fatalf("the batch read z = %g, σ² = %g: not the rewritten constraint", asm.z[0], asm.r[0])
+	}
+}
+
+// residualFresh is WeightedResidual evaluated into fresh, zeroed buffers
+// for every constraint: the reference the scratch-reusing form must match
+// bit for bit.
+func residualFresh(all []geom.Vec3, cons []constraint.Constraint) float64 {
+	sum, count := 0.0, 0
+	for _, c := range cons {
+		count += c.Dim()
+		atoms := c.Atoms()
+		pos := make([]geom.Vec3, len(atoms))
+		for k, a := range atoms {
+			pos[k] = all[a]
+		}
+		if g, ok := c.(constraint.Gated); ok && !g.Active(pos) {
+			continue
+		}
+		h, z, r := make([]float64, c.Dim()), make([]float64, c.Dim()), make([]float64, c.Dim())
+		jac := make([][]float64, c.Dim())
+		for d := range jac {
+			jac[d] = make([]float64, 3*len(atoms))
+		}
+		c.Eval(pos, h, jac)
+		c.Observed(z, r)
+		var wrap []bool
+		if p, ok := c.(constraint.Periodic); ok {
+			wrap = p.PeriodicRows()
+		}
+		own := 0.0
+		for d := range h {
+			diff := z[d] - h[d]
+			if wrap != nil && wrap[d] {
+				diff = wrapAngle(diff)
+			}
+			if r[d] > 0 {
+				own += diff * diff / r[d]
+			}
+		}
+		sum += own
+	}
+	if count == 0 {
+		return 0
+	}
+	return math.Sqrt(sum / float64(count))
+}
+
+// WeightedResidual evaluates every constraint into one grown scratch: the
+// same bits as fresh buffers per constraint, over every constraint type in
+// mixed order (narrow after wide, a bound active and one inactive, a
+// periodic row), allocating per constraint only what the constraint's own
+// methods return.
+func TestWeightedResidualMatchesFreshBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	pos := make([]geom.Vec3, 8)
+	for i := range pos {
+		pos[i] = geom.Vec3{rng.NormFloat64() * 3, rng.NormFloat64() * 3, rng.NormFloat64() * 3}
+	}
+	cons := []constraint.Constraint{
+		constraint.Position{I: 0, Target: geom.Vec3{1, 2, 3}, Sigma: 0.3},
+		constraint.Distance{I: 1, J: 2, Target: 1.5, Sigma: 0.1},
+		constraint.Torsion{I: 0, J: 1, K: 2, L: 3, Target: 3.1, Sigma: 0.2},
+		constraint.DistanceBound{I: 4, J: 5, Upper: 0.5, Sigma: 0.1},
+		constraint.DistanceBound{I: 4, J: 6, Upper: 1e6, Sigma: 0.1},
+		constraint.Angle{I: 5, J: 6, K: 7, Target: 2, Sigma: 0.1},
+		constraint.Position{I: 7, Target: geom.Vec3{-1, 0, 1}, Sigma: 0.5},
+		constraint.Distance{I: 3, J: 7, Target: 4, Sigma: 0.2},
+	}
+	got, want := WeightedResidual(pos, cons), residualFresh(pos, cons)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("residual %v, fresh buffers %v", got, want)
+	}
+	// Past the scratch's growth to the widest constraint, a constraint costs
+	// the slice its Atoms returns, and a torsion its PeriodicRows.
+	var tenfold []constraint.Constraint
+	for k := 0; k < 10; k++ {
+		tenfold = append(tenfold, cons...)
+	}
+	once := testing.AllocsPerRun(20, func() { WeightedResidual(pos, cons) })
+	ten := testing.AllocsPerRun(20, func() { WeightedResidual(pos, tenfold) })
+	if extra := ten - once; extra > float64(9*(len(cons)+1)) {
+		t.Fatalf("%v allocations for %d constraints, %v for ten times as many", once, len(cons), ten)
+	}
+}

@@ -3,6 +3,7 @@ package filter
 import (
 	"context"
 	"math"
+	"slices"
 
 	"phmse/internal/constraint"
 	"phmse/internal/geom"
@@ -251,9 +252,10 @@ func Solve(s *State, cons []constraint.Constraint, ctl Control, warm bool) (Resu
 // observations at the given atom positions (inactive gated constraints
 // contribute zero).
 func WeightedResidual(pos []geom.Vec3, cons []constraint.Constraint) float64 {
+	var sc residualScratch
 	sum, count := 0.0, 0
 	for _, c := range cons {
-		sum += residualOf(pos, c)
+		sum += sc.of(pos, c)
 		count += c.Dim()
 	}
 	if count == 0 {
@@ -262,9 +264,23 @@ func WeightedResidual(pos []geom.Vec3, cons []constraint.Constraint) float64 {
 	return math.Sqrt(sum / float64(count))
 }
 
-func residualOf(all []geom.Vec3, c constraint.Constraint) float64 {
+// residualScratch is WeightedResidual's evaluation buffers, grown to the
+// widest constraint seen and reused for every one after it.
+type residualScratch struct {
+	pos     []geom.Vec3
+	h, z, r []float64
+	jac     [][]float64
+}
+
+// sized returns b at length n, reallocated only when n exceeds its
+// capacity; its entries are whatever b's backing array held.
+func sized[T any](b []T, n int) []T { return slices.Grow(b[:0], n)[:n] }
+
+// of returns one constraint's sum of squared weighted residuals.
+func (sc *residualScratch) of(all []geom.Vec3, c constraint.Constraint) float64 {
 	atoms := c.Atoms()
-	pos := make([]geom.Vec3, len(atoms))
+	sc.pos = sized(sc.pos, len(atoms))
+	pos := sc.pos
 	for k, a := range atoms {
 		pos[k] = all[a]
 	}
@@ -272,14 +288,12 @@ func residualOf(all []geom.Vec3, c constraint.Constraint) float64 {
 		return 0
 	}
 	dim := c.Dim()
-	h := make([]float64, dim)
-	jac := make([][]float64, dim)
+	sc.h, sc.z, sc.r, sc.jac = sized(sc.h, dim), sized(sc.z, dim), sized(sc.r, dim), sized(sc.jac, dim)
+	h, z, r, jac := sc.h, sc.z, sc.r, sc.jac
 	for d := range jac {
-		jac[d] = make([]float64, 3*len(atoms))
+		jac[d] = sized(jac[d], 3*len(atoms))
 	}
 	c.Eval(pos, h, jac)
-	z := make([]float64, dim)
-	r := make([]float64, dim)
 	c.Observed(z, r)
 	var wrap []bool
 	if p, ok := c.(constraint.Periodic); ok {

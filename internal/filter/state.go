@@ -47,8 +47,8 @@ func NewState(pos []geom.Vec3, variance float64) *State {
 // GetPooledState returns a dim-dimensional state backed by pooled
 // buffers with unspecified contents: the caller writes every entry of X
 // and C it reads (the hierarchy's nodes each clear their own blocks).
-// Release with ReleasePooledState when the state no longer escapes; a
-// state that does escape (into a Solution, say) is simply never released.
+// Release with ReleasePooledState when the state is no longer read; one
+// that is never released is simply collected.
 func GetPooledState(dim int) *State {
 	return &State{X: pool.Get(dim), C: &mat.Mat{Rows: dim, Cols: dim, Stride: dim, Data: pool.Get(dim * dim)}}
 }

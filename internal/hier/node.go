@@ -41,6 +41,12 @@ type Node struct {
 	// order a pass posts them to the crew in.
 	order    []int
 	prepared int // the batch size the subtree's batches were built for; 0 before Prepare
+	// sig is what Rebind checks a new constraint against: for each of
+	// Cons in turn, its atom count and then its atoms, recorded at the
+	// tree's first Rebind from the constraints it was laid out with. next
+	// and nextSig are Rebind's cursors into Cons and sig.
+	sig           []int32
+	next, nextSig int
 }
 
 // Build mirrors a molecule.Group tree into a Node tree and assigns every
@@ -101,7 +107,7 @@ func (n *Node) layout() error {
 	var place func(m *Node) error
 	place = func(m *Node) error {
 		m.pos, m.lo = pos, len(order)
-		m.batches, m.order, m.prepared = nil, nil, 0 // slots follow the order
+		m.batches, m.order, m.prepared, m.sig = nil, nil, 0, nil // slots follow the order
 		for _, c := range m.Children {
 			if err := place(c); err != nil {
 				return err
@@ -140,20 +146,30 @@ func (n *Node) slot(atom int) int {
 	return -1
 }
 
-// assign pushes the constraint to the lowest node containing all its atoms:
+// assign pushes the constraint to the lowest node containing all its atoms.
+func (n *Node) assign(c constraint.Constraint) error {
+	node, err := n.home(c, c.Atoms())
+	if err != nil {
+		return err
+	}
+	node.Cons = append(node.Cons, c)
+	return nil
+}
+
+// home returns the lowest node containing all of the constraint's atoms:
 // the lowest whose run holds both the first and the last of them in state
 // order.
-func (n *Node) assign(c constraint.Constraint) error {
+func (n *Node) home(c constraint.Constraint, atoms []int) (*Node, error) {
 	first, last := len(n.pos), -1
-	for _, a := range c.Atoms() {
+	for _, a := range atoms {
 		if n.slot(a) < 0 {
-			return fmt.Errorf("hier: constraint %v references atom %d outside the tree", c, a)
+			return nil, fmt.Errorf("hier: constraint %v references atom %d outside the tree", c, a)
 		}
 		p := int(n.pos[a])
 		first, last = min(first, p), max(last, p)
 	}
 	if last < 0 {
-		return fmt.Errorf("hier: constraint %v references no atoms", c)
+		return nil, fmt.Errorf("hier: constraint %v references no atoms", c)
 	}
 	node := n
 descend:
@@ -169,8 +185,81 @@ descend:
 		}
 		break // first is one of the node's direct atoms
 	}
-	node.Cons = append(node.Cons, c)
+	return node, nil
+}
+
+// Rebind points a prepared tree at another constraint set of the same
+// topology, in place: each constraint replaces the one at the same place
+// in its node's Cons, which the node's batches alias, so the batches —
+// their sparse builders, kept gather plans and assembly scratch included —
+// serve the new values without being built again. Every constraint is
+// checked: it must land on the same node as the one it replaces, with the
+// same atoms in the same order and the same Dim, and every node's
+// constraints must all be replaced. On success the tree is the one Build
+// and Prepare would make from cons; on error it holds a mix of the two sets
+// and must be discarded.
+func (n *Node) Rebind(cons []constraint.Constraint) error {
+	if n.prepared == 0 {
+		return fmt.Errorf("hier: rebinding an unprepared tree")
+	}
+	held := 0
+	n.Walk(func(m *Node) {
+		if m.sig == nil {
+			m.sig = m.signature()
+		}
+		m.next, m.nextSig, held = 0, 0, held+len(m.Cons)
+	})
+	if len(cons) != held {
+		return fmt.Errorf("hier: %d constraints for a tree holding %d", len(cons), held)
+	}
+	// With the count equal and no node taking more than it holds, every
+	// node's constraints are all replaced.
+	for _, c := range cons {
+		atoms := c.Atoms()
+		m, err := n.home(c, atoms)
+		if err != nil {
+			return err
+		}
+		if !m.takes(c, atoms) {
+			return fmt.Errorf("hier: constraint %v is not the one node %q holds at %d", c, m.Name, m.next)
+		}
+		m.Cons[m.next] = c
+		m.next++
+	}
 	return nil
+}
+
+// signature records the node's constraints as Rebind checks them.
+func (n *Node) signature() []int32 {
+	var sig []int32
+	for _, c := range n.Cons {
+		atoms := c.Atoms()
+		sig = append(sig, int32(len(atoms)))
+		for _, a := range atoms {
+			sig = append(sig, int32(a))
+		}
+	}
+	return sig
+}
+
+// takes reports whether c, with the given atoms, matches the node's next
+// constraint to rebind — same Dim, same atoms in order — and if so moves
+// the signature cursor past it.
+func (n *Node) takes(c constraint.Constraint, atoms []int) bool {
+	if n.next >= len(n.Cons) || n.Cons[n.next].Dim() != c.Dim() {
+		return false
+	}
+	sig := n.sig[n.nextSig:]
+	if len(sig) < 1+len(atoms) || sig[0] != int32(len(atoms)) {
+		return false
+	}
+	for k, a := range atoms {
+		if sig[1+k] != int32(a) {
+			return false
+		}
+	}
+	n.nextSig += 1 + len(atoms)
+	return true
 }
 
 // Prepare builds the per-node constraint batches for the given batch size,

@@ -41,7 +41,8 @@ type Options struct {
 //
 // The solve runs on a crew started for it (par.Team.Start) and stopped
 // before it returns. The returned state, like every node's pass, holds C
-// in its lower triangle only (read it through filter.State.Cov).
+// in its lower triangle only (read it through filter.State.Cov); it comes
+// from the pool, and filter.ReleasePooledState returns it.
 func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, filter.Result, error) {
 	opt.Control = opt.Control.WithDefaults()
 	if root.prepared != opt.BatchSize {
@@ -65,8 +66,8 @@ func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, filter.Res
 	res, err := opt.Iterate(func(cycle int) (float64, error) {
 		// The previous cycle's root posterior has served its purpose (its
 		// positions were written back below last cycle): its buffers are
-		// this cycle's. The final state escapes into the Solution and is
-		// never released.
+		// this cycle's. The final state is the caller's, who hands it back
+		// to the pool when done with it (core.Solution.Release).
 		filter.ReleasePooledState(state)
 		var err error
 		if state, err = updatePass(root, positions, opt, cycle); err != nil {

@@ -8,13 +8,17 @@ import (
 	"phmse/internal/core"
 )
 
-// planCache is a bounded LRU cache of topology-keyed planning artifacts
-// (the regrouped decomposition tree). The paper's central observation is
-// that the decomposition is invariant across re-solves of the same
-// topology — it depends on which atoms are coupled, not on the measured
-// values or the team that solves it — so a server handling repeated
-// estimation cycles should pay for planning once per topology, not once
-// per request.
+// planCache is a bounded LRU cache of topology-keyed planning artifacts:
+// the regrouped decomposition tree, and the prepared node trees — batches,
+// sparse builders, gather plans — that finished jobs of the topology handed
+// back (core.Estimator.Close), as many as ran at once. The paper's central
+// observation is that the decomposition is invariant across re-solves of
+// the same topology — it depends on which atoms are coupled, not on the
+// measured values or the team that solves it — so a server handling
+// repeated estimation cycles should pay for planning once per topology, not
+// once per request. A warm job takes a prepared tree and rebinds it to its
+// own constraints, each one checked, so no result depends on the key being
+// right.
 type planCache struct {
 	mu      sync.Mutex
 	max     int

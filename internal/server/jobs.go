@@ -67,7 +67,7 @@ type job struct {
 	flatFallback  bool
 	cacheHit      bool
 	posteriorKept bool
-	sol           *core.Solution
+	sol           *core.Solution // released: no covariance
 	submitted     time.Time
 	started       time.Time
 	finished      time.Time
@@ -327,24 +327,28 @@ func (m *manager) submit(p *molecule.Problem, params encode.SolveParams, warm *s
 }
 
 // pruneLocked drops the oldest terminal job records above the retention
-// bound so the record map cannot grow without limit.
+// bound so the record map cannot grow without limit. Queued and running
+// records are never dropped. The scan starts at the oldest end and stops
+// once the bound holds: past the few records still in flight there, to as
+// many terminal ones as the bound requires — amortised O(1) per submit, not
+// a pass over every record.
 func (m *manager) pruneLocked() {
-	if len(m.jobs) <= m.cfg.MaxRecords {
-		return
-	}
-	kept := m.order[:0]
-	for _, id := range m.order {
-		j := m.jobs[id]
-		if j == nil {
-			continue
-		}
-		if len(m.jobs) > m.cfg.MaxRecords && j.terminal() {
+	excess := len(m.jobs) - m.cfg.MaxRecords
+	i, kept := 0, 0
+	for ; excess > 0 && i < len(m.order); i++ {
+		id := m.order[i]
+		if m.jobs[id].terminal() {
 			delete(m.jobs, id)
+			excess--
 			continue
 		}
-		kept = append(kept, id)
+		m.order[kept] = id
+		kept++
 	}
-	m.order = kept
+	// The records kept in flight move up against the rest, in order.
+	copy(m.order[i-kept:i], m.order[:kept])
+	clear(m.order[:i-kept])
+	m.order = m.order[i-kept:]
 }
 
 func (j *job) terminal() bool {
@@ -478,6 +482,9 @@ func (m *manager) run(j *job, g *sched.Grant) {
 			j.posteriorKept = kept
 			j.mu.Unlock()
 		}
+		// The record keeps what /result reads — positions, variances,
+		// counts, diagnostics — and the covariance goes back to the pool.
+		sol.Release()
 		j.finish(StateDone, "", "", sol)
 	case errors.Is(err, context.Canceled):
 		j.finish(StateCancelled, solvererr.CodeCanceled, "cancelled while running", nil)
@@ -590,24 +597,31 @@ func (m *manager) solve(ctx context.Context, j *job, attempt int, flat bool, pro
 
 	// Warm start: continue from the referenced job's posterior instead of
 	// the perturbed-prior initialisation.
+	var sol *core.Solution
 	if j.warm != nil {
-		return est.SolveFrom(ctx, j.warm.post)
+		sol, err = est.SolveFrom(ctx, j.warm.post)
+	} else {
+		perturb := params.Perturb
+		if perturb == 0 {
+			perturb = 0.5
+		} else if perturb < 0 {
+			perturb = 0
+		}
+		seed := params.Seed
+		if seed == 0 {
+			seed = 1
+		}
+		// Each retry perturbs from a different seed: a transient numerical
+		// failure tied to one starting estimate should not repeat verbatim.
+		seed += int64(attempt)
+		sol, err = est.SolveContext(ctx, molecule.Perturbed(j.problem, perturb, seed))
 	}
-	perturb := params.Perturb
-	if perturb == 0 {
-		perturb = 0.5
-	} else if perturb < 0 {
-		perturb = 0
-	}
-	seed := params.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	// Each retry perturbs from a different seed: a transient numerical
-	// failure tied to one starting estimate should not repeat verbatim.
-	seed += int64(attempt)
-	init := molecule.Perturbed(j.problem, perturb, seed)
-	return est.SolveContext(ctx, init)
+	// The prepared tree goes back to the cached artifacts for the next job
+	// of the topology; the solution shares nothing with it. A solve that
+	// returned, failed or not, left its tree whole; one that panicked never
+	// gets here, and its tree is dropped.
+	est.Close()
+	return sol, err
 }
 
 // isDraining reports whether the manager has stopped accepting work.
