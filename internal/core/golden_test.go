@@ -39,6 +39,9 @@ func solutionDigest(sol *Solution) string {
 // register-tiled lower-triangle kernel, the verify-before-commit guard and
 // the four-row triangular solve; a kernel change that reorders a single
 // floating-point operation, in any organization or update form, fails here.
+// The warm cases continue on the problem with extraPairs added: flat-warm
+// from a flat posterior's full covariance, flat-warm-diag from the
+// covariance diagonal a hierarchical posterior carries.
 // Go fuses multiply-adds on some other architectures, so the recorded bits
 // are amd64's.
 func TestGoldenSolutionDigests(t *testing.T) {
@@ -46,22 +49,32 @@ func TestGoldenSolutionDigests(t *testing.T) {
 		t.Skip("golden digests were recorded on amd64")
 	}
 	base := baseProblem()
+	flat := Config{Mode: Flat, Procs: 2, MaxCycles: 12}
 	cases := []struct {
-		name   string
-		cfg    Config
-		warm   bool
+		name string
+		cfg  Config
+		warm bool
+		// from configures the solve a warm case continues from, cfg's when
+		// nil.
+		from   *Config
 		cycles int
 		digest string
 	}{
 		{name: "hier-procs1", cfg: Config{Mode: Hierarchical, Procs: 1, MaxCycles: 500}, cycles: 30, digest: "f5e988c78526b2a2"},
 		{name: "hier-procs2", cfg: Config{Mode: Hierarchical, Procs: 2, MaxCycles: 500}, cycles: 30, digest: "f5e988c78526b2a2"},
-		{name: "flat", cfg: Config{Mode: Flat, Procs: 2, MaxCycles: 12}, cycles: 12, digest: "fcfdb2f10858fda3"},
+		{name: "flat", cfg: flat, cycles: 12, digest: "fcfdb2f10858fda3"},
 		{name: "joseph", cfg: Config{Mode: Hierarchical, Procs: 2, MaxCycles: 500, Joseph: true}, cycles: 30, digest: "30a00b784c6b5bb1"},
 		{name: "warm", cfg: Config{Mode: Hierarchical, Procs: 2, MaxCycles: 500}, warm: true, cycles: 4, digest: "0e563f8aa9daf984"},
+		{name: "flat-warm", cfg: flat, warm: true, cycles: 12, digest: "b7d2fb236c158204"},
+		{name: "flat-warm-diag", cfg: flat, warm: true, from: &Config{Mode: Hierarchical, Procs: 2, MaxCycles: 500}, cycles: 10, digest: "7c1a25c4f754e2d7"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			est, err := New(base, c.cfg)
+			from := c.cfg
+			if c.from != nil {
+				from = *c.from
+			}
+			est, err := New(base, from)
 			if err != nil {
 				t.Fatal(err)
 			}
