@@ -131,7 +131,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *verbose && est.Root() != nil {
+	if *verbose {
 		fmt.Println("hierarchy:")
 		fmt.Print(est.Root().Dump())
 	}

@@ -36,7 +36,7 @@ func combine(cfg config) error {
 	seq := prior.Clone()
 	u := &filter.Updater{}
 	start := time.Now()
-	if _, err := u.ApplyAll(seq, batches); err != nil {
+	if _, _, err := u.ApplyLower(seq, batches, u.JoinScan(filter.Bound{}, seq)); err != nil {
 		return err
 	}
 	seqSec := time.Since(start).Seconds()

@@ -72,7 +72,7 @@ func TestCorrelationZeroThenFilled(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := &filter.Updater{}
-	if _, err := u.ApplyAll(s, batches); err != nil {
+	if _, _, err := u.ApplyLower(s, batches, u.JoinScan(filter.Bound{}, s)); err != nil {
 		t.Fatal(err)
 	}
 	c01 := Correlation(s, 0, 1)
@@ -124,7 +124,7 @@ func TestEllipsoidFromRealSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := &filter.Updater{}
-	if _, err := u.ApplyAll(s, batches); err != nil {
+	if _, _, err := u.ApplyLower(s, batches, u.JoinScan(filter.Bound{}, s)); err != nil {
 		t.Fatal(err)
 	}
 	e, err := AtomEllipsoid(s, 1)

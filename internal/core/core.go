@@ -44,8 +44,9 @@ func (m Mode) String() string {
 }
 
 // Config configures an Estimator. The zero value selects the flat
-// organization (Mode's zero value is Flat), batch dimension 16 and one
-// processor; the paper's hierarchy is Mode: Hierarchical.
+// organization (Mode's zero value is Flat) — the tree of one leaf holding
+// every atom — batch dimension 16 and one processor; the paper's hierarchy
+// is Mode: Hierarchical.
 type Config struct {
 	Mode Mode
 	// Procs is the number of logical processors (goroutine team size).
@@ -120,14 +121,14 @@ type Estimator struct {
 	problem *molecule.Problem
 	cfg     Config
 	team    *par.Team
-	root    *hier.Node     // nil in flat mode
-	art     *PlanArtifacts // the artifacts root is kept for; nil in flat mode
+	root    *hier.Node     // nil once closed
+	art     *PlanArtifacts // the artifacts root is kept for
 }
 
-// New builds an estimator for the problem. In hierarchical mode it
-// constructs the structure tree (from the problem's own decomposition or
-// automatically), assigns constraints to nodes, regroups wide nodes and
-// prepares batches.
+// New builds an estimator for the problem: it constructs the structure
+// tree — in flat mode one leaf holding every atom, in hierarchical mode the
+// problem's own decomposition or an automatic one — assigns constraints to
+// nodes, regroups wide nodes and prepares batches.
 func New(p *molecule.Problem, cfg Config) (*Estimator, error) {
 	e, _, err := NewWithPlan(p, cfg, nil)
 	return e, err
@@ -148,12 +149,14 @@ func New(p *molecule.Problem, cfg Config) (*Estimator, error) {
 // constraints are rebound (hier.Node.Rebind). The list holds only trees
 // that were in use at the same time, so it needs no cap.
 type PlanArtifacts struct {
-	// Tree is the hierarchical grouping used: the problem's own or the
-	// derived automatic decomposition, as regrouped by the work model.
+	// Tree is the grouping used: the flat organization's one leaf, or the
+	// problem's own or the derived automatic decomposition, as regrouped by
+	// the work model.
 	Tree *molecule.Group
-	// BatchSize and LeafSize record the construction parameters the
+	// Mode, BatchSize and LeafSize record the construction parameters the
 	// artifacts were computed for; NewWithPlan ignores artifacts built under
 	// different parameters.
+	Mode      Mode
 	BatchSize int
 	LeafSize  int
 
@@ -188,7 +191,7 @@ func (a *PlanArtifacts) give(root *hier.Node) {
 // compatible reports whether the artifacts were computed under the given
 // effective (defaulted) construction parameters.
 func (a *PlanArtifacts) compatible(cfg Config) bool {
-	return a != nil && a.Tree != nil && a.BatchSize == cfg.BatchSize && a.LeafSize == cfg.LeafSize
+	return a != nil && a.Tree != nil && a.Mode == cfg.Mode && a.BatchSize == cfg.BatchSize && a.LeafSize == cfg.LeafSize
 }
 
 // NewWithPlan builds an estimator like New, but can reuse the
@@ -200,14 +203,10 @@ func (a *PlanArtifacts) compatible(cfg Config) bool {
 // regrouped. It returns the artifacts of the estimator it built (fresh or
 // reused) so the caller can cache them; callers are responsible for keying
 // the cache by problem topology, though no result depends on that key being
-// right. In flat mode there is nothing to plan and the returned artifacts
-// are nil.
+// right.
 func NewWithPlan(p *molecule.Problem, cfg Config, art *PlanArtifacts) (*Estimator, *PlanArtifacts, error) {
 	cfg = cfg.withDefaults()
 	e := &Estimator{problem: p, cfg: cfg, team: par.NewTeam(cfg.Procs)}
-	if cfg.Mode == Flat {
-		return e, nil, nil
-	}
 	if !art.compatible(cfg) {
 		art = nil
 	}
@@ -218,9 +217,17 @@ func NewWithPlan(p *molecule.Problem, cfg Config, art *PlanArtifacts) (*Estimato
 		}
 	}
 	tree := p.Tree
-	if art != nil {
+	switch {
+	case art != nil:
 		tree = art.Tree
-	} else if cfg.AutoDecompose || tree == nil {
+	case cfg.Mode == Flat:
+		// The flat organization (§2) is the hierarchy of one node. Its
+		// leaf is unnamed: diagnostics and fault sites name no node.
+		tree = &molecule.Group{AtomIDs: make([]int, len(p.Atoms))}
+		for i := range tree.AtomIDs {
+			tree.AtomIDs[i] = i
+		}
+	case cfg.AutoDecompose || tree == nil:
 		tree = hier.GraphPartition(len(p.Atoms), p.Constraints, cfg.LeafSize)
 	}
 	root, err := hier.Build(tree, p.Constraints)
@@ -228,8 +235,8 @@ func NewWithPlan(p *molecule.Problem, cfg Config, art *PlanArtifacts) (*Estimato
 		return nil, nil, fmt.Errorf("core: building hierarchy: %w", err)
 	}
 	// A tree not seen before is scored against the work model before it is
-	// solved, and its wide nodes regrouped; the artifacts carry the result,
-	// so a cached tree comes back regrouped already.
+	// solved, and its wide nodes regrouped (a leaf has none); the artifacts
+	// carry the result, so a cached tree comes back regrouped already.
 	if art == nil && root.Regroup(workest.FlopModel{}, cfg.BatchSize) {
 		tree = root.Group()
 	}
@@ -238,7 +245,7 @@ func NewWithPlan(p *molecule.Problem, cfg Config, art *PlanArtifacts) (*Estimato
 	}
 	e.root = root
 	if art == nil {
-		art = &PlanArtifacts{Tree: tree, BatchSize: cfg.BatchSize, LeafSize: cfg.LeafSize}
+		art = &PlanArtifacts{Tree: tree, Mode: cfg.Mode, BatchSize: cfg.BatchSize, LeafSize: cfg.LeafSize}
 	}
 	e.art = art
 	return e, art, nil
@@ -247,7 +254,7 @@ func NewWithPlan(p *molecule.Problem, cfg Config, art *PlanArtifacts) (*Estimato
 // Close hands the estimator's prepared tree back to the artifacts it was
 // built with, for the next estimator of the topology (NewWithPlan). The
 // estimator must not be used after Close; Solutions it returned stay
-// valid. Closing a flat or already closed estimator does nothing.
+// valid. Closing an already closed estimator does nothing.
 func (e *Estimator) Close() {
 	if e.root != nil && e.art != nil {
 		e.art.give(e.root)
@@ -255,8 +262,8 @@ func (e *Estimator) Close() {
 	e.root, e.art = nil, nil
 }
 
-// Root exposes the structure hierarchy (nil in flat mode), for inspection
-// and for the virtual-machine experiments.
+// Root exposes the structure hierarchy — one leaf in flat mode — for
+// inspection and for the virtual-machine experiments; nil after Close.
 func (e *Estimator) Root() *hier.Node { return e.root }
 
 // Problem returns the problem being solved.
@@ -349,24 +356,18 @@ func (e *Estimator) SolveContext(ctx context.Context, init []geom.Vec3) (*Soluti
 	if len(init) != len(e.problem.Atoms) {
 		return nil, fmt.Errorf("core: init has %d atoms, problem has %d", len(init), len(e.problem.Atoms))
 	}
-	if e.cfg.Mode == Flat {
-		return e.solveFlat(ctx, init, nil)
-	}
-	return e.solveHier(ctx, init, nil)
+	return e.solve(ctx, init, hier.Prior{})
 }
 
 // Work returns the work model's estimates over the estimator's tree, in
 // the model's relative units — what regrouping lowers and processor-sweep
-// experiments balance; nil in flat mode.
+// experiments balance.
 func Work(e *Estimator) *sched.Work {
-	if e.root == nil {
-		return nil
-	}
 	return sched.EstimateWork(e.root, workest.FlopModel{}, e.cfg.BatchSize)
 }
 
 // control fills the solver's control block from the configuration — the
-// one place the two organizations' options are spelled out.
+// one place the solver's options are spelled out.
 func (e *Estimator) control(ctx context.Context) filter.Control {
 	return filter.Control{
 		BatchSize:    e.cfg.BatchSize,
@@ -386,10 +387,18 @@ func (e *Estimator) control(ctx context.Context) filter.Control {
 	}.WithDefaults()
 }
 
-// solution assembles the Solution from the final state, whose atom i is
-// problem atom order[i]; an atom the state does not hold keeps its init
-// position.
-func (e *Estimator) solution(init []geom.Vec3, state *filter.State, order []int, res filter.Result) *Solution {
+// solve runs the tree from init under the given warm prior (see
+// hier.Prior) and assembles the Solution from the root state, whose atom
+// i is problem atom root.Atoms[i]; an atom the tree does not hold keeps
+// its init position.
+func (e *Estimator) solve(ctx context.Context, init []geom.Vec3, warm hier.Prior) (*Solution, error) {
+	if e.root == nil {
+		return nil, fmt.Errorf("core: estimator closed")
+	}
+	state, res, err := hier.Solve(e.root, init, hier.Options{Control: e.control(ctx), Warm: warm})
+	if err != nil {
+		return nil, err
+	}
 	n := len(e.problem.Atoms)
 	sol := &Solution{
 		Positions:   append([]geom.Vec3(nil), init...),
@@ -397,67 +406,17 @@ func (e *Estimator) solution(init []geom.Vec3, state *filter.State, order []int,
 		Cycles:      res.Cycles,
 		Converged:   res.Converged,
 		RMSChange:   res.RMSChange,
-		Residual:    res.Residual,
 		Diagnostics: res.Diag.Snapshot(),
 		state:       state,
 		mode:        e.cfg.Mode,
 		local:       make([]int, n),
 		atoms:       e.problem.Atoms,
 	}
-	for i, a := range order {
+	for i, a := range e.root.Atoms {
 		sol.Positions[a] = state.Pos(i)
 		sol.Variances[a] = state.Variance(i)
 		sol.local[a] = i
 	}
-	return sol
-}
-
-// solveFlat runs the flat organization. A non-nil post warm-starts the
-// solve: the state's first-cycle covariance is the posterior's (full when
-// available, diagonal otherwise) instead of the isotropic prior.
-func (e *Estimator) solveFlat(ctx context.Context, init []geom.Vec3, post *Posterior) (*Solution, error) {
-	ctl := e.control(ctx)
-	s := filter.NewState(init, ctl.InitVar)
-	warm := false
-	if post != nil {
-		switch {
-		case post.Cov != nil:
-			s.C.CopyFrom(post.Cov)
-			warm = true
-		case post.CoordVariances != nil:
-			for d, v := range post.CoordVariances {
-				if v < filter.MinWarmVar {
-					v = filter.MinWarmVar
-				}
-				s.C.Set(d, d, v)
-			}
-			warm = true
-		}
-	}
-	res, err := filter.Solve(s, e.problem.Constraints, ctl, warm)
-	if err != nil {
-		return nil, err
-	}
-	order := make([]int, s.Atoms())
-	for i := range order {
-		order[i] = i
-	}
-	return e.solution(init, s, order, res), nil
-}
-
-// solveHier runs the hierarchical organization. Non-nil warmVars (one
-// variance per coordinate, global atom order) warm-start the leaf
-// assembly from a prior posterior's diagonal, carried forward pass to
-// pass as a sequential continuation (see hier.Options.WarmVars).
-func (e *Estimator) solveHier(ctx context.Context, init []geom.Vec3, warmVars []float64) (*Solution, error) {
-	if e.root == nil {
-		return nil, fmt.Errorf("core: estimator closed")
-	}
-	state, res, err := hier.Solve(e.root, init, hier.Options{Control: e.control(ctx), WarmVars: warmVars})
-	if err != nil {
-		return nil, err
-	}
-	sol := e.solution(init, state, e.root.Atoms, res)
 	sol.Residual = filter.WeightedResidual(sol.Positions, e.problem.Constraints)
 	return sol, nil
 }

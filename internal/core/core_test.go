@@ -25,13 +25,35 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// oneLeafOfAll reports how the estimator's tree differs from the flat
+// organization's: one leaf holding every atom of the problem, in problem
+// order, and every constraint.
+func oneLeafOfAll(e *Estimator) error {
+	root, p := e.Root(), e.Problem()
+	if root == nil || !root.IsLeaf() {
+		return fmt.Errorf("tree %v is not one leaf", root)
+	}
+	if len(root.Atoms) != len(p.Atoms) {
+		return fmt.Errorf("leaf holds %d of %d atoms", len(root.Atoms), len(p.Atoms))
+	}
+	for i, a := range root.Atoms {
+		if a != i {
+			return fmt.Errorf("leaf slot %d holds atom %d", i, a)
+		}
+	}
+	if got := root.ScalarConstraints(); got != p.ScalarDim() {
+		return fmt.Errorf("leaf holds %d of %d scalar constraints", got, p.ScalarDim())
+	}
+	return nil
+}
+
 func TestNewFlat(t *testing.T) {
 	e, err := New(helixProblem(1), Config{Mode: Flat})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Root() != nil {
-		t.Fatal("flat estimator should have no tree")
+	if err := oneLeafOfAll(e); err != nil {
+		t.Fatal(err)
 	}
 	if e.Problem() == nil {
 		t.Fatal("Problem")
@@ -39,7 +61,7 @@ func TestNewFlat(t *testing.T) {
 }
 
 // TestZeroConfigSolvesFlat pins what Config's comment says of its zero
-// value: the flat organization, with no tree.
+// value: the flat organization, a tree of one leaf holding every atom.
 func TestZeroConfigSolvesFlat(t *testing.T) {
 	var cfg Config
 	if cfg.Mode != Flat {
@@ -49,8 +71,8 @@ func TestZeroConfigSolvesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Root() != nil {
-		t.Fatal("the zero Config built a tree")
+	if err := oneLeafOfAll(e); err != nil {
+		t.Fatalf("the zero Config: %v", err)
 	}
 }
 

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
+	"runtime/pprof"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,15 +14,37 @@ import (
 	"phmse/internal/solvererr"
 )
 
-// waitGoroutines waits until no more than want goroutines are left: a
-// stopped helper has signalled its exit before the runtime stops counting
-// it.
-func waitGoroutines(t *testing.T, want int) {
+// helpers counts the goroutines running a crew helper's loop
+// (par.(*crew).help), from the goroutine profile: the process's other
+// goroutines — an earlier test's still exiting, the runtime's own — come
+// and go on their own schedule.
+func helpers() int {
+	var b strings.Builder
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+		panic(err)
+	}
+	// Each record is "count @ pcs" and then one "#\tpc\tfunc+off\tfile"
+	// line per frame.
+	n, count := 0, 0
+	for _, line := range strings.Split(b.String(), "\n") {
+		if head, _, ok := strings.Cut(line, " @ "); ok {
+			count, _ = strconv.Atoi(head)
+		} else if strings.Contains(line, "par.(*crew).help+") {
+			n += count
+			count = 0
+		}
+	}
+	return n
+}
+
+// waitHelpers waits until no more than want crew helpers are left: a
+// stopped helper has signalled its exit before its goroutine is gone.
+func waitHelpers(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > want {
+	for helpers() > want {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the solve returned, %d before it", runtime.NumGoroutine(), want)
+			t.Fatalf("%d crew helpers after the solve returned, %d before it", helpers(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -50,12 +74,12 @@ func TestSolveContextStopsItsCrew(t *testing.T) {
 				faultinject.Set(&faultinject.Hooks{Cholesky: func(faultinject.Site) bool { return true }})
 				t.Cleanup(faultinject.Reset)
 			}
-			base := runtime.NumGoroutine()
+			base := helpers()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			resident := false
 			e, err := New(p, Config{Mode: c.mode, Procs: 3, MaxCycles: 20, OnCycle: func(cycle int, _ float64) {
-				resident = resident || runtime.NumGoroutine() > base
+				resident = resident || helpers() > base
 				if c.cancel && cycle == 2 {
 					cancel()
 				}
@@ -69,7 +93,7 @@ func TestSolveContextStopsItsCrew(t *testing.T) {
 			if !resident && !c.fault {
 				t.Error("no helper was running during the cycles")
 			}
-			waitGoroutines(t, base)
+			waitHelpers(t, base)
 		})
 	}
 }

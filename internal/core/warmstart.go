@@ -14,7 +14,9 @@ import (
 	"context"
 	"fmt"
 
+	"phmse/internal/filter"
 	"phmse/internal/geom"
+	"phmse/internal/hier"
 	"phmse/internal/mat"
 )
 
@@ -31,10 +33,10 @@ type Posterior struct {
 	// out x₀,y₀,z₀,x₁,…) — the covariance diagonal in problem order.
 	CoordVariances []float64
 	// Cov is the full posterior covariance (3n×3n, problem coordinate
-	// order), nil for a hierarchical solve: flat warm starts continue from
-	// it (from the diagonal when it is absent); hierarchical warm starts
-	// use only CoordVariances, because the hierarchy rebuilds cross-node
-	// covariance from its own constraints.
+	// order), nil for a hierarchical solve: flat warm starts — a tree of
+	// one leaf — continue from it (from the diagonal when it is absent);
+	// hierarchical warm starts use only CoordVariances, because the
+	// hierarchy rebuilds cross-node covariance from its own constraints.
 	Cov *mat.Mat
 }
 
@@ -87,12 +89,13 @@ func (s *Solution) Posterior() *Posterior {
 
 // SolveFrom estimates the structure starting from a supplied posterior
 // instead of an initial position guess: the solve continues the
-// assimilation from (x, C) — the full covariance in flat mode (its
-// diagonal when the posterior came from a hierarchical solve), the
-// diagonal injected at the leaves in hierarchical mode — and never
-// performs the cold solve's diffuse per-cycle covariance reset, so the
-// uncertainty (and with it the step size) shrinks monotonically across
-// cycles. The posterior must cover the estimator's problem
+// assimilation from (x, C) and never performs the cold solve's diffuse
+// per-cycle covariance reset, so the uncertainty (and with it the step
+// size) shrinks monotonically across cycles. A tree of one leaf holding
+// every atom — the flat organization — continues the whole covariance
+// from the posterior's (from its diagonal when the posterior came from a
+// hierarchical solve); any other tree injects the diagonal at its leaves
+// (hier.Prior). The posterior must cover the estimator's problem
 // atom-for-atom; constraint sets may differ freely, which is what makes
 // incremental refinement work.
 func (e *Estimator) SolveFrom(ctx context.Context, post *Posterior) (*Solution, error) {
@@ -110,15 +113,24 @@ func (e *Estimator) SolveFrom(ctx context.Context, post *Posterior) (*Solution, 
 		return nil, fmt.Errorf("core: posterior covariance is %d×%d, want %d×%d",
 			post.Cov.Rows, post.Cov.Cols, 3*n, 3*n)
 	}
-	if e.cfg.Mode == Flat {
-		return e.solveFlat(ctx, post.Positions, post)
-	}
-	warmVars := post.CoordVariances
-	if warmVars == nil && post.Cov != nil {
-		warmVars = make([]float64, 3*n)
-		for i := range warmVars {
-			warmVars[i] = post.Cov.At(i, i)
+	warm := hier.Prior{Vars: post.CoordVariances}
+	switch {
+	case e.root == nil:
+		return nil, fmt.Errorf("core: estimator closed")
+	case e.root.IsLeaf() && len(e.root.Atoms) == n:
+		// A leaf holding every atom lays them out in problem order.
+		warm = hier.Prior{Cov: post.Cov}
+		if warm.Cov == nil && post.CoordVariances != nil {
+			warm.Cov = mat.New(3*n, 3*n)
+			for d, v := range post.CoordVariances {
+				warm.Cov.Set(d, d, max(v, filter.MinWarmVar))
+			}
+		}
+	case warm.Vars == nil && post.Cov != nil:
+		warm.Vars = make([]float64, 3*n)
+		for i := range warm.Vars {
+			warm.Vars[i] = post.Cov.At(i, i)
 		}
 	}
-	return e.solveHier(ctx, post.Positions, warmVars)
+	return e.solve(ctx, post.Positions, warm)
 }

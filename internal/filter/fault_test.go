@@ -57,217 +57,25 @@ func TestRidgeRecoversSingularBatch(t *testing.T) {
 
 	s, batches := mk()
 	raw := &Updater{}
-	if _, err := raw.ApplyAll(s, batches); !errors.Is(err, solvererr.ErrIndefinite) {
+	if _, err := applyAll(raw, s, batches); !errors.Is(err, solvererr.ErrIndefinite) {
 		t.Fatalf("unguarded err = %v, want ErrIndefinite", err)
 	}
 
 	s, batches = mk()
 	diag := &Diagnostics{}
 	guarded := &Updater{Guard: true, Diag: diag}
-	applied, err := guarded.ApplyAll(s, batches)
+	applied, err := applyAll(guarded, s, batches)
 	if err != nil {
-		t.Fatalf("guarded ApplyAll: %v", err)
+		t.Fatalf("guarded pass: %v", err)
 	}
 	if applied == 0 {
-		t.Fatal("guarded ApplyAll applied nothing")
+		t.Fatal("guarded pass applied nothing")
 	}
 	if !stateFinite(s) {
 		t.Fatal("state not finite after ridge recovery")
 	}
 	if snap := diag.Snapshot(); snap.RidgeRetries == 0 {
 		t.Fatal("ridge retries not recorded")
-	}
-}
-
-// A single batch whose factorization is forced to fail every cycle must be
-// quarantined — recorded in the diagnostics — while the remaining batches
-// carry the solve to convergence.
-func TestQuarantineSingleBadBatchConverges(t *testing.T) {
-	faultinject.Set(&faultinject.Hooks{
-		Cholesky: func(site faultinject.Site) bool { return site.Batch == 1 },
-	})
-	t.Cleanup(faultinject.Reset)
-
-	_, cons := chainProblem()
-	s := NewState(perturbedChain(), 100)
-	res, err := Solve(s, cons, Control{BatchSize: 1, MaxCycles: 200}, false)
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge: %+v", res)
-	}
-	snap := res.Diag.Snapshot()
-	if len(snap.Quarantined) != 1 {
-		t.Fatalf("quarantined = %+v, want one record", snap.Quarantined)
-	}
-	q := snap.Quarantined[0]
-	if q.Batch != 1 || q.Reason != ReasonIndefinite {
-		t.Fatalf("record = %+v", q)
-	}
-	if q.FirstCycle != 1 || q.Cycles != res.Cycles {
-		t.Fatalf("record cycles = %+v, solve ran %d cycles", q, res.Cycles)
-	}
-	if len(snap.RMSTrajectory) != res.Cycles {
-		t.Fatalf("trajectory has %d entries, want %d", len(snap.RMSTrajectory), res.Cycles)
-	}
-}
-
-// A batch that poisons the state with NaN must be rolled back to the
-// pre-batch snapshot: the solve still converges and the rollback is
-// counted.
-func TestPoisonedBatchRollsBack(t *testing.T) {
-	faultinject.Set(&faultinject.Hooks{
-		Poison: func(site faultinject.Site) bool { return site.Batch == 2 && site.Cycle == 1 },
-	})
-	t.Cleanup(faultinject.Reset)
-
-	_, cons := chainProblem()
-	s := NewState(perturbedChain(), 100)
-	res, err := Solve(s, cons, Control{BatchSize: 1, MaxCycles: 200}, false)
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge: %+v", res)
-	}
-	if !stateFinite(s) {
-		t.Fatal("NaN survived the rollback")
-	}
-	snap := res.Diag.Snapshot()
-	if snap.Rollbacks != 1 {
-		t.Fatalf("rollbacks = %d, want 1", snap.Rollbacks)
-	}
-	if len(snap.Quarantined) != 1 || snap.Quarantined[0].Reason != ReasonNonFinite {
-		t.Fatalf("quarantined = %+v", snap.Quarantined)
-	}
-}
-
-// When every batch fails its factorization, no progress is possible: the
-// no-progress policy converts pervasive quarantine into the typed
-// indefinite error instead of spinning MaxCycles doing nothing.
-func TestAllBatchesIndefiniteFailsTyped(t *testing.T) {
-	faultinject.Set(&faultinject.Hooks{
-		Cholesky: func(faultinject.Site) bool { return true },
-	})
-	t.Cleanup(faultinject.Reset)
-
-	_, cons := chainProblem()
-	s := NewState(perturbedChain(), 100)
-	res, err := Solve(s, cons, Control{BatchSize: 1}, false)
-	if !errors.Is(err, solvererr.ErrIndefinite) {
-		t.Fatalf("err = %v, want ErrIndefinite", err)
-	}
-	if res.Cycles != 1 {
-		t.Fatalf("spun %d cycles before giving up", res.Cycles)
-	}
-}
-
-// Same policy for pervasive NaN poisoning: everything rolled back, typed
-// non-finite failure.
-func TestAllBatchesPoisonedFailsTyped(t *testing.T) {
-	faultinject.Set(&faultinject.Hooks{
-		Poison: func(faultinject.Site) bool { return true },
-	})
-	t.Cleanup(faultinject.Reset)
-
-	_, cons := chainProblem()
-	s := NewState(perturbedChain(), 100)
-	_, err := Solve(s, cons, Control{BatchSize: 1}, false)
-	if !errors.Is(err, solvererr.ErrNonFinite) {
-		t.Fatalf("err = %v, want ErrNonFinite", err)
-	}
-	var nf *solvererr.NonFinite
-	if !errors.As(err, &nf) || nf.Cycle != 1 {
-		t.Fatalf("typed error = %#v", err)
-	}
-	if !stateFinite(s) {
-		t.Fatal("state left non-finite")
-	}
-}
-
-// NoGuard restores the raw fail-fast procedure: the first injected
-// factorization failure aborts the solve instead of being contained.
-func TestNoGuardFailsFast(t *testing.T) {
-	faultinject.Set(&faultinject.Hooks{
-		Cholesky: func(site faultinject.Site) bool { return site.Batch == 1 },
-	})
-	t.Cleanup(faultinject.Reset)
-
-	_, cons := chainProblem()
-	s := NewState(perturbedChain(), 100)
-	res, err := Solve(s, cons, Control{BatchSize: 1, NoGuard: true}, false)
-	if !errors.Is(err, solvererr.ErrIndefinite) {
-		t.Fatalf("err = %v, want ErrIndefinite", err)
-	}
-	if len(res.Diag.Snapshot().Quarantined) != 0 {
-		t.Fatal("NoGuard must not quarantine")
-	}
-}
-
-// runaway is a self-inconsistent observation: it always reports a target
-// three times farther out than wherever the estimate currently is, so the
-// iteration has no fixed point and the RMS change grows geometrically.
-type runaway struct {
-	i    int
-	last float64
-}
-
-func (r *runaway) Atoms() []int { return []int{r.i} }
-func (r *runaway) Dim() int     { return 1 }
-
-func (r *runaway) Eval(pos []geom.Vec3, h []float64, jac [][]float64) {
-	r.last = pos[0][0]
-	h[0] = pos[0][0]
-	jac[0][0] = 1
-}
-
-// Observed runs after Eval in batch assembly, so last is current.
-func (r *runaway) Observed(z, sigma2 []float64) {
-	z[0] = 3*r.last + 1
-	sigma2[0] = 1e-4
-}
-
-// The divergence watchdog must abort a runaway iteration with the typed
-// error carrying the RMS trajectory, long before MaxCycles.
-func TestDivergenceWatchdog(t *testing.T) {
-	s := NewState([]geom.Vec3{{0, 0, 0}}, 100)
-	cons := []constraint.Constraint{&runaway{i: 0}}
-	res, err := Solve(s, cons, Control{MaxStep: -1, MaxCycles: 1000}, false)
-	if !errors.Is(err, solvererr.ErrDiverged) {
-		t.Fatalf("err = %v, want ErrDiverged", err)
-	}
-	var dv *solvererr.Diverged
-	if !errors.As(err, &dv) {
-		t.Fatalf("not a *Diverged: %#v", err)
-	}
-	if dv.Grew < DefaultDivergeAfter {
-		t.Fatalf("Grew = %d, want >= %d", dv.Grew, DefaultDivergeAfter)
-	}
-	if len(dv.History) != res.Cycles {
-		t.Fatalf("history has %d entries, %d cycles ran", len(dv.History), res.Cycles)
-	}
-	// The tail must actually be growing.
-	n := len(dv.History)
-	if n < 2 || dv.History[n-1] <= dv.History[n-2] {
-		t.Fatalf("history tail not growing: %v", dv.History)
-	}
-	if res.Cycles >= 1000 {
-		t.Fatal("watchdog never fired")
-	}
-}
-
-// A negative DivergeAfter disables the watchdog: the runaway iteration
-// runs to MaxCycles and overflows to Inf without a diverged error.
-func TestDivergenceWatchdogDisabled(t *testing.T) {
-	s := NewState([]geom.Vec3{{0, 0, 0}}, 100)
-	cons := []constraint.Constraint{&runaway{i: 0}}
-	res, err := Solve(s, cons, Control{MaxStep: -1, MaxCycles: 30, DivergeAfter: -1, NoGuard: true}, false)
-	if errors.Is(err, solvererr.ErrDiverged) {
-		t.Fatal("watchdog fired while disabled")
-	}
-	if res.Cycles != 30 {
-		t.Fatalf("ran %d cycles, want 30", res.Cycles)
 	}
 }
 
@@ -299,21 +107,6 @@ func TestControlDefaultsIdempotent(t *testing.T) {
 		if u := once.Updater(once.Team, "", 1); (u.MaxStep > 0) != (c.wantStep > 0) {
 			t.Errorf("MaxStep %g reached the updater as %g", c.step, u.MaxStep)
 		}
-	}
-}
-
-// The watchdog must not fire on a converging solve whose RMS change
-// oscillates gently (long low-amplitude upswings are normal near a fixed
-// point): only a compounding streak past DivergeGrowthFactor counts.
-func TestWatchdogIgnoresGentleOscillation(t *testing.T) {
-	_, cons := chainProblem()
-	s := NewState(perturbedChain(), 100)
-	res, err := Solve(s, cons, Control{}, false)
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge: %+v", res)
 	}
 }
 

@@ -11,10 +11,16 @@ import (
 	"phmse/internal/mat"
 	"phmse/internal/par"
 	"phmse/internal/sparse"
-	"phmse/internal/trace"
 )
 
 func ident(a int) int { return a }
+
+// applyAll applies every batch in order from a scan of s, as a leaf's pass
+// does.
+func applyAll(u *Updater, s *State, batches []*Batch) (int, error) {
+	n, _, err := u.ApplyLower(s, batches, u.JoinScan(Bound{}, s))
+	return n, err
+}
 
 func TestStateBasics(t *testing.T) {
 	s := NewState([]geom.Vec3{{1, 2, 3}, {4, 5, 6}}, 9)
@@ -43,10 +49,6 @@ func TestStateBasics(t *testing.T) {
 	pos := s.Positions()
 	if pos[0] != (geom.Vec3{7, 8, 9}) {
 		t.Fatal("Positions")
-	}
-	s.ResetCovariance(4)
-	if s.C.At(0, 0) != 4 || s.C.At(0, 1) != 0 {
-		t.Fatal("ResetCovariance")
 	}
 	if s.String() == "" {
 		t.Fatal("String")
@@ -110,7 +112,7 @@ func TestApplyLinearExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handled, err := u.ApplyAll(s, batches)
+	handled, err := applyAll(u, s, batches)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,7 @@ func TestLocalUpdatePreservesUncorrelatedPart(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Clone()
-	if _, err := u.ApplyAll(s, batches); err != nil {
+	if _, err := applyAll(u, s, batches); err != nil {
 		t.Fatal(err)
 	}
 	// Atoms 2 and 3 (coordinates 6..11) unchanged.
@@ -175,7 +177,7 @@ func TestApplyReducesUncertainty(t *testing.T) {
 	batches, _ := MakeBatches([]constraint.Constraint{
 		constraint.Distance{I: 0, J: 1, Target: 2.5, Sigma: 0.1},
 	}, ident, 16)
-	if _, err := u.ApplyAll(s, batches); err != nil {
+	if _, err := applyAll(u, s, batches); err != nil {
 		t.Fatal(err)
 	}
 	if s.MeanVariance() >= before {
@@ -202,7 +204,7 @@ func TestApplyParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := &Updater{Team: team}
-		if _, err := u.ApplyAll(s, batches); err != nil {
+		if _, err := applyAll(u, s, batches); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -216,58 +218,6 @@ func TestApplyParallelMatchesSerial(t *testing.T) {
 	}
 	if !serial.C.Equal(parallel.C, 1e-9) {
 		t.Fatal("covariances differ")
-	}
-}
-
-func TestSolveConvergesTriangle(t *testing.T) {
-	// Anchor one atom, constrain a 3-4-5 triangle; start from a distorted
-	// configuration and expect the distances to converge.
-	init := []geom.Vec3{{0, 0, 0}, {2.5, 0.4, 0}, {0.3, 3.5, 0.2}}
-	cons := []constraint.Constraint{
-		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.01},
-		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.01},
-		constraint.Distance{I: 0, J: 2, Target: 4, Sigma: 0.01},
-		constraint.Distance{I: 1, J: 2, Target: 5, Sigma: 0.01},
-	}
-	s := NewState(init, 0)
-	s.ResetCovariance(100)
-	res, err := Solve(s, cons, Control{Tol: 1e-6, MaxCycles: 200}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge: %+v", res)
-	}
-	if d := geom.Dist(s.Pos(0), s.Pos(1)); math.Abs(d-3) > 1e-3 {
-		t.Fatalf("d01 = %g", d)
-	}
-	if d := geom.Dist(s.Pos(0), s.Pos(2)); math.Abs(d-4) > 1e-3 {
-		t.Fatalf("d02 = %g", d)
-	}
-	if d := geom.Dist(s.Pos(1), s.Pos(2)); math.Abs(d-5) > 1e-3 {
-		t.Fatalf("d12 = %g", d)
-	}
-	if res.Residual > 1 {
-		t.Fatalf("weighted residual %g", res.Residual)
-	}
-}
-
-func TestSolveRecordsTrace(t *testing.T) {
-	var rec trace.Collector
-	s := NewState([]geom.Vec3{{0, 0, 0}, {1, 0, 0}}, 25)
-	cons := []constraint.Constraint{constraint.Distance{I: 0, J: 1, Target: 2, Sigma: 0.1}}
-	if _, err := Solve(s, cons, Control{MaxCycles: 3, Rec: &rec}, false); err != nil {
-		t.Fatal(err)
-	}
-	times := rec.Times()
-	flops := rec.Flops()
-	for _, cls := range []trace.Class{trace.DenseSparse, trace.Chol, trace.Solve, trace.MatMat, trace.MatVec, trace.VecOp} {
-		if flops[cls] <= 0 {
-			t.Fatalf("no flops recorded for %v", cls)
-		}
-		if times[cls] < 0 {
-			t.Fatalf("negative time for %v", cls)
-		}
 	}
 }
 
@@ -285,7 +235,7 @@ func TestCombineMatchesSequentialLinear(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := &Updater{}
-		if _, err := u.ApplyAll(out, batches); err != nil {
+		if _, err := applyAll(u, out, batches); err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -318,7 +268,7 @@ func TestCombineAllTournament(t *testing.T) {
 			constraint.Position{I: 0, Target: tgt, Sigma: 2},
 		}, ident, 16)
 		u := &Updater{}
-		if _, err := u.ApplyAll(b, batches); err != nil {
+		if _, err := applyAll(u, b, batches); err != nil {
 			t.Fatal(err)
 		}
 		branches = append(branches, b)
@@ -335,7 +285,7 @@ func TestCombineAllTournament(t *testing.T) {
 	}
 	batches, _ := MakeBatches(cons, ident, 16)
 	u := &Updater{}
-	if _, err := u.ApplyAll(seq, batches); err != nil {
+	if _, err := applyAll(u, seq, batches); err != nil {
 		t.Fatal(err)
 	}
 	for d := range seq.X {
@@ -365,7 +315,7 @@ func TestGatedConstraintSkippedWhenInactive(t *testing.T) {
 	bound := constraint.DistanceBound{I: 0, J: 1, Lower: 1, Upper: 5, Sigma: 0.1}
 	batches, _ := MakeBatches([]constraint.Constraint{bound}, ident, 16)
 	u := &Updater{}
-	handled, err := u.ApplyAll(s, batches)
+	handled, err := applyAll(u, s, batches)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +324,7 @@ func TestGatedConstraintSkippedWhenInactive(t *testing.T) {
 	}
 	// Violated bound must act.
 	s2 := NewState([]geom.Vec3{{0, 0, 0}, {9, 0, 0}}, 25)
-	handled, err = u.ApplyAll(s2, batches)
+	handled, err = applyAll(u, s2, batches)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,36 +349,6 @@ func TestWeightedResidualZeroCases(t *testing.T) {
 	}
 }
 
-func TestSolveBatchSizeInsensitivity(t *testing.T) {
-	// The estimate the cycles converge to should not depend strongly on
-	// batch size (the paper varies m for performance, not accuracy).
-	init := []geom.Vec3{{0, 0, 0}, {2.5, 0.4, 0}, {0.3, 3.5, 0.2}, {3.1, 3.8, -0.1}}
-	cons := []constraint.Constraint{
-		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.01},
-		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.02},
-		constraint.Distance{I: 0, J: 2, Target: 4, Sigma: 0.02},
-		constraint.Distance{I: 1, J: 2, Target: 5, Sigma: 0.02},
-		constraint.Distance{I: 1, J: 3, Target: 4, Sigma: 0.02},
-		constraint.Distance{I: 2, J: 3, Target: 3, Sigma: 0.02},
-	}
-	dists := func(batch int) []float64 {
-		s := NewState(init, 0)
-		if _, err := Solve(s, cons, Control{BatchSize: batch, Tol: 1e-7, MaxCycles: 300}, false); err != nil {
-			t.Fatal(err)
-		}
-		return []float64{
-			geom.Dist(s.Pos(0), s.Pos(1)),
-			geom.Dist(s.Pos(1), s.Pos(3)),
-		}
-	}
-	a, b := dists(1), dists(16)
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 5e-3 {
-			t.Fatalf("batch-size sensitivity: %v vs %v", a, b)
-		}
-	}
-}
-
 // Torsion innovations must wrap across the ±π branch cut: an observation
 // of +175° with a prediction of −175° is a 10° error, not 350°.
 func TestTorsionInnovationWraps(t *testing.T) {
@@ -449,7 +369,7 @@ func TestTorsionInnovationWraps(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := &Updater{}
-	if _, err := u.ApplyAll(s, batches); err != nil {
+	if _, err := applyAll(u, s, batches); err != nil {
 		t.Fatal(err)
 	}
 	after := geom.Dihedral(s.Pos(0), s.Pos(1), s.Pos(2), s.Pos(3))
@@ -492,7 +412,7 @@ func TestJosephFormMatchesSimple(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := &Updater{Joseph: joseph}
-		if _, err := u.ApplyAll(s, batches); err != nil {
+		if _, err := applyAll(u, s, batches); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -531,7 +451,7 @@ func TestApplySingularInnovation(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := &Updater{}
-	_, err = u.ApplyAll(s, batches)
+	_, err = applyAll(u, s, batches)
 	if !errors.Is(err, mat.ErrNotPositiveDefinite) {
 		t.Fatalf("err = %v, want ErrNotPositiveDefinite", err)
 	}
@@ -546,7 +466,7 @@ func TestApplyNaNState(t *testing.T) {
 		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.1},
 	}, ident, 16)
 	u := &Updater{}
-	if _, err := u.ApplyAll(s, batches); err == nil {
+	if _, err := applyAll(u, s, batches); err == nil {
 		t.Fatal("NaN state accepted")
 	}
 }
@@ -569,7 +489,7 @@ func TestInnovationGating(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := &Updater{GateSigma: gate}
-		if _, err := u.ApplyAll(s, batches); err != nil {
+		if _, err := applyAll(u, s, batches); err != nil {
 			t.Fatal(err)
 		}
 		return s, u.Gated

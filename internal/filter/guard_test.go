@@ -1,7 +1,6 @@
 package filter
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -10,8 +9,6 @@ import (
 	"phmse/internal/geom"
 	"phmse/internal/mat"
 	"phmse/internal/par"
-	"phmse/internal/solvererr"
-	"phmse/internal/trace"
 )
 
 // stateFinite is the test oracle for "nothing non-finite got in": every
@@ -147,12 +144,12 @@ func TestRefusedBatchLeavesStateBitIdentical(t *testing.T) {
 				}
 				diag := &Diagnostics{}
 				u := &Updater{Guard: true, Diag: diag, Joseph: joseph, Team: par.NewTeam(2)}
-				if _, err := u.ApplyAll(s, oneBatch(cons[1])); err != nil {
+				if _, err := applyAll(u, s, oneBatch(cons[1])); err != nil {
 					t.Fatal(err)
 				}
 				before := s.Clone()
 
-				applied, err := u.ApplyAll(s, oneBatch(c.bad))
+				applied, err := applyAll(u, s, oneBatch(c.bad))
 				if err != nil || applied != 0 {
 					t.Fatalf("refused batch: applied %d, err %v", applied, err)
 				}
@@ -164,7 +161,7 @@ func TestRefusedBatchLeavesStateBitIdentical(t *testing.T) {
 					t.Fatalf("diagnostics = %+v", snap)
 				}
 
-				if applied, err = u.ApplyAll(s, oneBatch(cons[2])); err != nil || applied != 1 {
+				if applied, err = applyAll(u, s, oneBatch(cons[2])); err != nil || applied != 1 {
 					t.Fatalf("batch after the refusal: applied %d, err %v", applied, err)
 				}
 				if sameBits(s, before) == nil {
@@ -198,15 +195,15 @@ func TestUpperTriangleNeverRead(t *testing.T) {
 			u := &Updater{Team: par.NewTeam(procs), Joseph: joseph}
 			want := NewState(perturbedChain(), 4)
 			// One batch first, so the prior is dense rather than diagonal.
-			if _, err := u.ApplyAll(want, batches[:1]); err != nil {
+			if _, err := applyAll(u, want, batches[:1]); err != nil {
 				t.Fatal(err)
 			}
 			got := want.Clone()
 			poisonUpper(got)
-			if _, err := u.ApplyAll(want, batches[1:]); err != nil {
+			if _, err := applyAll(u, want, batches[1:]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := u.ApplyAll(got, batches[1:]); err != nil {
+			if _, err := applyAll(u, got, batches[1:]); err != nil {
 				t.Fatal(err)
 			}
 			if err := sameBits(got, want); err != nil {
@@ -215,39 +212,6 @@ func TestUpperTriangleNeverRead(t *testing.T) {
 			if err := upperPoisoned(got); err != nil {
 				t.Fatalf("joseph=%v procs=%d: %v", joseph, procs, err)
 			}
-		}
-	}
-}
-
-// A non-finite prior is caught by the entry check of the pass, once: every
-// batch is quarantined non_finite without assembling, factorizing or
-// multiplying anything, and the no-progress policy fails the solve after
-// the first cycle with the typed error.
-func TestNonFinitePriorRefusedWithoutWork(t *testing.T) {
-	_, cons := chainProblem()
-	s := NewState(perturbedChain(), 100)
-	s.X[4] = math.NaN()
-	rec := &trace.Collector{}
-	res, err := Solve(s, cons, Control{BatchSize: 1, Rec: rec}, false)
-	if !errors.Is(err, solvererr.ErrNonFinite) {
-		t.Fatalf("err = %v, want ErrNonFinite", err)
-	}
-	if res.Cycles != 1 {
-		t.Fatalf("ran %d cycles, want 1", res.Cycles)
-	}
-	if flops := rec.Flops(); flops != [trace.NumClasses]float64{} {
-		t.Fatalf("flops spent on a non-finite prior: %v", flops)
-	}
-	snap := res.Diag.Snapshot()
-	if snap.RidgeRetries != 0 {
-		t.Fatalf("%d ridge retries", snap.RidgeRetries)
-	}
-	if len(snap.Quarantined) != len(cons) {
-		t.Fatalf("quarantined %d of %d batches", len(snap.Quarantined), len(cons))
-	}
-	for _, q := range snap.Quarantined {
-		if q.Reason != ReasonNonFinite {
-			t.Fatalf("record = %+v", q)
 		}
 	}
 }

@@ -7,16 +7,14 @@ import (
 
 	"phmse/internal/constraint"
 	"phmse/internal/geom"
-	"phmse/internal/mat"
 	"phmse/internal/par"
 	"phmse/internal/solvererr"
 	"phmse/internal/trace"
 )
 
 // Control is the solver's control block: batch dimension, stopping policy,
-// update variant and hooks, declared once for both organizations. Solve
-// runs the flat organization under it and hier.Solve the hierarchical one,
-// both through Iterate.
+// update variant and hooks, declared once for both organizations, which
+// hier.Solve runs through Iterate — the flat one as a tree of one leaf.
 type Control struct {
 	// BatchSize is the scalar constraint batch dimension (default 16, the
 	// optimum identified by the paper's Table 2 experiment).
@@ -28,8 +26,8 @@ type Control struct {
 	// cycle falls below it (default 1e-3 Å).
 	Tol float64
 	// InitVar is the isotropic coordinate variance a cold solve starts
-	// every cycle from — the flat covariance reset, the hierarchy's leaf
-	// priors (default 100 Å²).
+	// every cycle from — the leaves' and direct atoms' priors (default
+	// 100 Å²).
 	InitVar float64
 	// Team provides intra-update parallelism and, in the hierarchy, the
 	// processors concurrent child subtrees share (default: sequential).
@@ -125,8 +123,8 @@ func (c Control) WithDefaults() Control {
 }
 
 // Updater returns the batch updater of a normalised control block for one
-// node's pass (node is "" in the flat organization) on the given team in
-// the given 1-based cycle.
+// node's pass (the flat organization's one leaf is named "") on the given
+// team in the given 1-based cycle.
 func (c Control) Updater(team *par.Team, node string, cycle int) *Updater {
 	return &Updater{
 		Team: team, Rec: c.Rec, MaxStep: c.MaxStep, Joseph: c.Joseph, GateSigma: c.GateSigma,
@@ -205,47 +203,6 @@ func (c Control) Iterate(pass func(cycle int) (rmsChange float64, err error)) (R
 		}
 	}
 	return res, nil
-}
-
-// Solve estimates the structure from all constraints in the flat (single
-// node) organization. A cold solve re-initializes the covariance to InitVar
-// at the start of every cycle. With warm set, s is a prior posterior (x, C)
-// from an earlier solve and the assimilation continues from it: the
-// covariance is never re-initialised — the first cycle keeps it as given and
-// every later cycle carries the evolving posterior forward, so new
-// measurements always update from the existing uncertainty rather than from
-// a diffuse prior (the sequential Kalman-updating pattern). Re-introducing
-// the diffuse reset mid-solve would kick a near-converged state back onto
-// the cold iteration's slow transient; continuation keeps the steps
-// shrinking monotonically instead. The solve runs on a crew started for it
-// (par.Team.Start) and stopped before it returns.
-func Solve(s *State, cons []constraint.Constraint, ctl Control, warm bool) (Result, error) {
-	ctl = ctl.WithDefaults()
-	batches, err := MakeBatches(cons, func(a int) int { return a }, ctl.BatchSize)
-	if err != nil {
-		return Result{Diag: ctl.Diag}, err
-	}
-	var stop func()
-	ctl.Team, stop = ctl.Team.Start()
-	defer stop()
-	u := ctl.Updater(ctl.Team, "", 0)
-	defer u.ReleaseWorkspace()
-	prev := append([]float64(nil), s.X...)
-	diff := make([]float64, len(prev))
-	res, err := ctl.Iterate(func(cycle int) (float64, error) {
-		if !warm {
-			s.ResetCovariance(ctl.InitVar)
-		}
-		u.Cycle = cycle
-		if _, err := u.ApplyAll(s, batches); err != nil {
-			return 0, err
-		}
-		mat.SubVec(diff, s.X, prev)
-		copy(prev, s.X)
-		return mat.RMS(diff), nil
-	})
-	res.Residual = WeightedResidual(s.Positions(), cons)
-	return res, err
 }
 
 // WeightedResidual returns the RMS of (z − h(x))/σ over all scalar

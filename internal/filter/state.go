@@ -104,17 +104,6 @@ func (s *State) Clone() *State {
 	return &State{X: append([]float64(nil), s.X...), C: s.C.Clone()}
 }
 
-// ResetCovariance restores an isotropic covariance, as done at the start of
-// each constraint-application cycle. Like every solver path it writes the
-// lower triangle only.
-func (s *State) ResetCovariance(variance float64) {
-	for d := 0; d < s.Dim(); d++ {
-		row := s.C.Row(d)
-		clear(row[:d])
-		row[d] = variance
-	}
-}
-
 // Cov returns the covariance of coordinates i and j, read from the lower
 // triangle, C[max(i,j)][min(i,j)].
 func (s *State) Cov(i, j int) float64 {

@@ -42,7 +42,7 @@ type Updater struct {
 	Gated int
 	// Guard enables numerical fault containment: a failed factorization
 	// of the innovation covariance is retried with geometrically
-	// escalated measurement noise (bounded ridge), and ApplyAll verifies
+	// escalated measurement noise (bounded ridge), and ApplyLower verifies
 	// each batch's pending update before committing it, so a batch that
 	// fails anyway — or would put NaN/Inf into the state — is refused and
 	// quarantined for the rest of the cycle instead of aborting the
@@ -55,7 +55,7 @@ type Updater struct {
 	Diag *Diagnostics
 	// Tag labels the solve for fault-injection sites (normally the
 	// problem name) and Node names the hierarchy node this updater works
-	// for ("" in flat mode).
+	// for ("" for the flat organization's one leaf).
 	Tag  string
 	Node string
 	// Cycle is the 1-based constraint-application cycle, set by the
@@ -63,7 +63,7 @@ type Updater struct {
 	Cycle int
 
 	// batchIdx is the index of the batch currently applied, maintained by
-	// ApplyAll for diagnostics and injection sites.
+	// ApplyLower for diagnostics and injection sites.
 	batchIdx int
 
 	// ws holds grown scratch buffers reused across batches — the Go
@@ -485,14 +485,6 @@ func (b *stateBound) admit(dx []float64, k, a, w *mat.Mat) bool {
 	}
 	*b = next
 	return true
-}
-
-// ApplyAll applies every batch in order on the lower triangle of C and
-// returns the total number of scalar observations applied. It is
-// ApplyLower from a scan of the prior.
-func (u *Updater) ApplyAll(s *State, batches []*Batch) (int, error) {
-	total, _, err := u.ApplyLower(s, batches, u.JoinScan(Bound{}, s))
-	return total, err
 }
 
 // JoinScan returns, under the guard, b joined with ScanBound(s), the scan

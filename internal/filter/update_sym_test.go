@@ -71,7 +71,7 @@ func TestUpperTriangleNeverWritten(t *testing.T) {
 			ctl := Control{Team: par.NewTeam(procs), Joseph: joseph, MaxCycles: 3}.WithDefaults()
 			// One batch first, so every path starts from a dense prior.
 			prior := NewState(pos, 4)
-			if _, err := (&Updater{}).ApplyAll(prior, batches[:1]); err != nil {
+			if _, err := applyAll(&Updater{}, prior, batches[:1]); err != nil {
 				t.Fatal(err)
 			}
 			for _, path := range []struct {
@@ -87,13 +87,10 @@ func TestUpperTriangleNeverWritten(t *testing.T) {
 					}
 					return nil
 				}},
-				{"ApplyAll", func(s *State) error {
-					_, err := ctl.Updater(ctl.Team, "", 1).ApplyAll(s, batches)
+				{"ApplyLower", func(s *State) error {
+					_, err := applyAll(ctl.Updater(ctl.Team, "", 1), s, batches)
 					return err
 				}},
-				{"ResetCovariance", func(s *State) error { s.ResetCovariance(9); return nil }},
-				{"Solve cold", func(s *State) error { _, err := Solve(s, cons, ctl, false); return err }},
-				{"Solve warm", func(s *State) error { _, err := Solve(s, cons, ctl, true); return err }},
 			} {
 				want, got := prior.Clone(), prior.Clone()
 				poisonUpper(got)

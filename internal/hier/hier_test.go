@@ -174,7 +174,7 @@ func TestHierarchicalMatchesFlatLinearExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := &filter.Updater{}
-	if _, err := u.ApplyAll(flat, batches); err != nil {
+	if _, _, err := u.ApplyLower(flat, batches, u.JoinScan(filter.Bound{}, flat)); err != nil {
 		t.Fatal(err)
 	}
 	for i, a := range root.Atoms {
@@ -216,7 +216,7 @@ func TestHierarchicalMatchesFlatOnePass(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := &filter.Updater{}
-	if _, err := u.ApplyAll(flat, batches); err != nil {
+	if _, _, err := u.ApplyLower(flat, batches, u.JoinScan(filter.Bound{}, flat)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -589,7 +589,7 @@ func TestHierarchicalFlatEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		u := &filter.Updater{}
-		if _, err := u.ApplyAll(flat, batches); err != nil {
+		if _, _, err := u.ApplyLower(flat, batches, u.JoinScan(filter.Bound{}, flat)); err != nil {
 			return false
 		}
 		for i, a := range root.Atoms {

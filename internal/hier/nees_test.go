@@ -78,7 +78,7 @@ func linearReplicate(rng *rand.Rand, truth []geom.Vec3, initVar float64) (*molec
 // estimation error squared eᵀC⁻¹e is χ² with 3n degrees of freedom. Its mean
 // over the replicates must fall inside the two-sided 99 % band of a χ²
 // with 3n·replicates degrees of freedom, divided by the replicates — for
-// the hierarchical pass and for flat ApplyAll alike. A C too small by half
+// the hierarchical pass and for a flat ApplyLower alike. A C too small by half
 // doubles the mean and leaves the band; so does one too large.
 func TestNEESInBandOnLinearProblem(t *testing.T) {
 	const (
@@ -117,7 +117,7 @@ func TestNEESInBandOnLinearProblem(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := (&filter.Updater{}).ApplyAll(flat, batches); err != nil {
+		if _, _, err := (&filter.Updater{}).ApplyLower(flat, batches, filter.Bound{}); err != nil {
 			t.Fatal(err)
 		}
 		sumFlat += nees(t, flat, identity, truth)
@@ -127,7 +127,7 @@ func TestNEESInBandOnLinearProblem(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		sum  float64
-	}{{"hierarchical UpdatePass", sumHier}, {"flat ApplyAll", sumFlat}} {
+	}{{"hierarchical UpdatePass", sumHier}, {"flat ApplyLower", sumFlat}} {
 		mean := c.sum / replicates
 		t.Logf("%s: mean NEES %.2f over %d replicates, 99%% band [%.2f, %.2f] for %d coordinates", c.name, mean, replicates, lo, hi, 3*atoms)
 		if mean < lo || mean > hi {

@@ -490,7 +490,7 @@ func TestWideTreesMatchFlatWithCrossNodeCoupling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := (&filter.Updater{}).ApplyAll(flat, batches); err != nil {
+		if _, _, err := (&filter.Updater{}).ApplyLower(flat, batches, filter.Bound{}); err != nil {
 			t.Fatal(err)
 		}
 

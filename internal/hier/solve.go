@@ -10,25 +10,54 @@ import (
 	"phmse/internal/par"
 )
 
-// Options configures the hierarchical solver: the control block shared with
-// the flat organization plus what only a tree has. The team's width decides
+// Options configures the hierarchical solver: the control block shared
+// with every tree plus what only a warm start has. The team's width decides
 // how finely loops are cut and how many subtrees run at once, never a bit
 // of the result.
 type Options struct {
 	filter.Control
-	// WarmVars, when non-nil, holds per-coordinate prior variances indexed
-	// 3·atom+coord in global atom order, injected in place of InitVar when
-	// leaf and direct-atom states are assembled — the hierarchical form of
-	// warm-starting from a prior posterior. The hierarchy rebuilds
-	// cross-node covariance from its own constraints each pass, so only
-	// the posterior's diagonal survives injection; cross-atom terms are
-	// discarded. A warm solve never reverts to the diffuse InitVar: after
-	// each pass the root posterior's diagonal becomes the next pass's
-	// injected priors, the hierarchical analogue of flat-mode sequential
-	// Kalman continuation. Re-introducing the diffuse reset mid-solve
-	// would kick a near-converged state back onto the cold iteration's
-	// slow transient.
-	WarmVars []float64
+	// Warm, when it holds a prior, warm-starts the solve from a prior
+	// posterior instead of the isotropic InitVar (see Prior).
+	Warm Prior
+}
+
+// Prior is a warm start's prior, in one of two forms; the zero Prior is a
+// cold start.
+type Prior struct {
+	// Vars, the diagonal form, holds per-coordinate prior variances
+	// indexed 3·atom+coord in global atom order, injected in place of
+	// InitVar when leaf and direct-atom states are assembled. The hierarchy
+	// rebuilds cross-node covariance from its own constraints each pass,
+	// so only the posterior's diagonal survives injection; cross-atom terms
+	// are discarded. A warm solve never reverts to the diffuse InitVar:
+	// after each pass the root posterior's diagonal becomes the next pass's
+	// injected priors, a sequential continuation. Re-introducing the
+	// diffuse reset mid-solve would kick a near-converged state back onto
+	// the cold iteration's slow transient.
+	Vars []float64
+	// Cov, the dense form, is a covariance in the root's state order whose
+	// lower triangle the first pass starts from; it is read, never written.
+	// Only a tree whose root is a leaf — the flat organization — takes it.
+	// The solve keeps one state from pass to pass in place: each pass
+	// writes the linearization positions into X and updates C as the last
+	// pass left it, the sequential Kalman continuation of the whole
+	// covariance.
+	Cov *mat.Mat
+}
+
+// check reports whether the prior fits a solve of the tree from n atoms.
+func (p Prior) check(root *Node, n int) error {
+	switch {
+	case p.Vars != nil && p.Cov != nil:
+		return fmt.Errorf("hier: a warm prior is diagonal or dense, not both")
+	case p.Vars != nil && len(p.Vars) != 3*n:
+		return fmt.Errorf("hier: warm variances have %d entries, want %d", len(p.Vars), 3*n)
+	case p.Cov != nil && !root.IsLeaf():
+		return fmt.Errorf("hier: a dense warm prior needs a one-leaf tree, not %d nodes", root.Count())
+	case p.Cov != nil && (p.Cov.Rows != root.StateDim() || p.Cov.Cols != root.StateDim()):
+		return fmt.Errorf("hier: warm covariance is %d×%d, want %d×%d", p.Cov.Rows, p.Cov.Cols, root.StateDim(), root.StateDim())
+	}
+	return nil
 }
 
 // Solve runs the hierarchical estimation to convergence under the shared
@@ -38,6 +67,10 @@ type Options struct {
 // cycle's linearization points. It returns the root state, whose atom
 // ordering is root.Atoms; the result's Residual is left to the caller, who
 // holds the constraints in global atom order.
+//
+// A cold or diagonal warm solve takes a fresh root state from the pool
+// for every pass and hands the last pass's back; a dense warm solve
+// (Prior.Cov) keeps one state for the whole solve and skips the clearing.
 //
 // The solve runs on a crew started for it (par.Team.Start) and stopped
 // before it returns. The returned state, like every node's pass, holds C
@@ -50,27 +83,40 @@ func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, filter.Res
 			return nil, filter.Result{}, err
 		}
 	}
-	if opt.WarmVars != nil && len(opt.WarmVars) != 3*len(init) {
-		return nil, filter.Result{}, fmt.Errorf("hier: warm variances have %d entries, want %d", len(opt.WarmVars), 3*len(init))
+	if err := opt.Warm.check(root, len(init)); err != nil {
+		return nil, filter.Result{}, err
 	}
 	var stop func()
 	opt.Team, stop = opt.Team.Start()
 	defer stop()
 	positions := append([]geom.Vec3(nil), init...)
-	if opt.WarmVars != nil {
+	if opt.Warm.Vars != nil {
 		// The per-cycle carry-forward below rewrites the slice; copy it so
 		// the caller's posterior is untouched.
-		opt.WarmVars = append([]float64(nil), opt.WarmVars...)
+		opt.Warm.Vars = append([]float64(nil), opt.Warm.Vars...)
 	}
 	var state *filter.State
+	if dense := opt.Warm.Cov; dense != nil {
+		// The one state of a dense continuation, its C the prior's.
+		state = filter.GetPooledState(root.StateDim())
+		for i := range dense.Rows {
+			copy(state.C.Row(i)[:i+1], dense.Row(i))
+		}
+	}
 	res, err := opt.Iterate(func(cycle int) (float64, error) {
-		// The previous cycle's root posterior has served its purpose (its
-		// positions were written back below last cycle): its buffers are
-		// this cycle's. The final state is the caller's, who hands it back
-		// to the pool when done with it (core.Solution.Release).
-		filter.ReleasePooledState(state)
 		var err error
-		if state, err = updatePass(root, positions, opt, cycle); err != nil {
+		if opt.Warm.Cov != nil {
+			_, err = updateNode(root, state, positions, opt, opt.Team, cycle)
+		} else {
+			// The previous cycle's root posterior has served its purpose
+			// (its positions were written back below last cycle): its
+			// buffers are this cycle's. The final state is the caller's,
+			// who hands it back to the pool when done with it
+			// (core.Solution.Release).
+			filter.ReleasePooledState(state)
+			state, err = updatePass(root, positions, opt, cycle)
+		}
+		if err != nil {
 			return 0, err
 		}
 
@@ -82,12 +128,12 @@ func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, filter.Res
 			sum += p.Sub(positions[a]).Norm2()
 			positions[a] = p
 		}
-		if opt.WarmVars != nil {
+		if opt.Warm.Vars != nil {
 			// Sequential continuation: the pass posterior's diagonal
 			// becomes the next pass's injected priors.
 			for i, a := range root.Atoms {
 				for c := 0; c < 3; c++ {
-					opt.WarmVars[3*a+c] = state.C.At(3*i+c, 3*i+c)
+					opt.Warm.Vars[3*a+c] = state.C.At(3*i+c, 3*i+c)
 				}
 			}
 		}
@@ -98,9 +144,11 @@ func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, filter.Res
 
 // UpdatePass performs one post-order pass over the tree (one cycle) from
 // the given linearization positions and returns the root state, its C in
-// the lower triangle only.
+// the lower triangle only. A dense prior continues a Solve's own state, so
+// UpdatePass ignores one.
 func UpdatePass(root *Node, positions []geom.Vec3, opt Options) (*filter.State, error) {
 	opt.Control = opt.Control.WithDefaults()
+	opt.Warm.Cov = nil
 	var stop func()
 	opt.Team, stop = opt.Team.Start()
 	defer stop()
@@ -159,7 +207,9 @@ func updateNode(n *Node, s *filter.State, positions []geom.Vec3, opt Options, te
 		bound = bound.Join(r.bound)
 	}
 
-	n.clearOwn(s.C, team)
+	if opt.Warm.Cov == nil {
+		n.clearOwn(s.C, team)
+	}
 	u := opt.Updater(team, n.Name, cycle)
 	defer u.ReleaseWorkspace()
 	bound = n.setDirect(s, positions, opt, u, bound)
@@ -172,7 +222,8 @@ func updateNode(n *Node, s *filter.State, positions []geom.Vec3, opt Options, te
 
 // setDirect sets the node's direct atoms in s, after clearOwn: the current
 // linearization positions with fresh isotropic covariance — or, under a
-// warm start, the injected per-coordinate posterior variances. It returns
+// diagonal warm start, the injected per-coordinate posterior variances;
+// under a dense one C stays as the last pass left it. It returns
 // the children's bound joined, under the guard, with a scan of the direct
 // block: the bound the node's own batches start from.
 func (n *Node) setDirect(s *filter.State, positions []geom.Vec3, opt Options, u *filter.Updater, bound filter.Bound) filter.Bound {
@@ -183,6 +234,9 @@ func (n *Node) setDirect(s *filter.State, positions []geom.Vec3, opt Options, u 
 	direct := s.Block(s.Dim()-k, k)
 	for i, a := range n.Direct {
 		direct.SetPos(i, positions[a])
+		if opt.Warm.Cov != nil {
+			continue
+		}
 		for c := 0; c < 3; c++ {
 			direct.C.Set(3*i+c, 3*i+c, opt.priorVar(a, c))
 		}
@@ -219,8 +273,8 @@ func (n *Node) clearOwn(c *mat.Mat, team *par.Team) {
 // positive value so a perfectly determined coordinate cannot produce a
 // singular prior.
 func (o Options) priorVar(atom, coord int) float64 {
-	if o.WarmVars != nil {
-		if v := o.WarmVars[3*atom+coord]; v > filter.MinWarmVar {
+	if o.Warm.Vars != nil {
+		if v := o.Warm.Vars[3*atom+coord]; v > filter.MinWarmVar {
 			return v
 		}
 		return filter.MinWarmVar

@@ -79,14 +79,6 @@ func NormInf(x []float64) float64 {
 	return m
 }
 
-// RMS returns the root-mean-square of x, or 0 for an empty slice.
-func RMS(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Norm2(x) / math.Sqrt(float64(len(x)))
-}
-
 // MulVec computes dst ← A·x (matrix-vector product, "m-v" class).
 func MulVec(dst []float64, a *Mat, x []float64) {
 	if len(dst) != a.Rows || len(x) != a.Cols {

@@ -58,12 +58,6 @@ func TestNorms(t *testing.T) {
 	if NormInf([]float64{1, -9, 2}) != 9 {
 		t.Fatal("NormInf")
 	}
-	if RMS(nil) != 0 {
-		t.Fatal("RMS(nil)")
-	}
-	if !almostEqual(RMS([]float64{3, 4}), 5/math.Sqrt2, 1e-14) {
-		t.Fatalf("RMS = %g", RMS([]float64{3, 4}))
-	}
 }
 
 func TestNorm2Overflow(t *testing.T) {

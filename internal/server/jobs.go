@@ -573,23 +573,16 @@ func (m *manager) solve(ctx context.Context, j *job, attempt int, flat bool, pro
 		OnCycle:       j.setProgress,
 	}
 
-	var est *core.Estimator
-	var err error
-	if mode == core.Flat {
-		est, err = core.New(j.problem, cfg)
-	} else {
-		key := planKey(j.topoHash, mode, batch, leafSize, params.Auto)
-		art, hit := m.cache.get(key)
-		var fresh *core.PlanArtifacts
-		est, fresh, err = core.NewWithPlan(j.problem, cfg, art)
-		// Record the hit as soon as it is known so a status poll during
-		// the solve already reports it.
-		j.mu.Lock()
-		j.cacheHit = hit
-		j.mu.Unlock()
-		if err == nil && !hit {
-			m.cache.put(key, fresh)
-		}
+	key := planKey(j.topoHash, mode, batch, leafSize, params.Auto)
+	art, hit := m.cache.get(key)
+	est, fresh, err := core.NewWithPlan(j.problem, cfg, art)
+	// Record the hit as soon as it is known so a status poll during the
+	// solve already reports it.
+	j.mu.Lock()
+	j.cacheHit = hit
+	j.mu.Unlock()
+	if err == nil && !hit {
+		m.cache.put(key, fresh)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("building estimator: %w", err)

@@ -108,7 +108,7 @@ func timeApply(pos []geom.Vec3, cons []constraint.Constraint, m int) float64 {
 	}
 	u := &filter.Updater{}
 	start := time.Now()
-	if _, err := u.ApplyAll(s, batches); err != nil {
+	if _, _, err := u.ApplyLower(s, batches, u.JoinScan(filter.Bound{}, s)); err != nil {
 		panic(err)
 	}
 	return time.Since(start).Seconds()

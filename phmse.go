@@ -195,11 +195,7 @@ func RecursiveBisection(nAtoms, leafSize int) *Group {
 // the estimator's (regrouped) tree, in relative units: the prediction to
 // hold a measured cycle time against when comparing decompositions.
 func ModelWork(e *Estimator) float64 {
-	w := core.Work(e)
-	if w == nil {
-		return 0
-	}
-	return w.Subtree[e.Root()]
+	return core.Work(e).Subtree[e.Root()]
 }
 
 // DASH returns the calibrated Stanford DASH machine model (32 processors).
@@ -211,12 +207,10 @@ func Challenge() *Machine { return machine.Challenge() }
 // Simulate runs one virtual-time cycle of the estimator's parallel
 // hierarchical schedule on the machine model with the given processor
 // count under the §4.3 static processor assignment, reproducing the paper's
-// Tables 3–6 methodology. The estimator must be hierarchical.
+// Tables 3–6 methodology. A flat estimator's tree is one leaf, whose
+// cycle runs on all the processors at once.
 func Simulate(e *Estimator, m *Machine, procs int) SimResult {
 	root := e.Root()
-	if root == nil {
-		panic("phmse: Simulate requires a hierarchical estimator")
-	}
 	return vm.Run(root, m, procs, sched.Assign(root, procs, core.Work(e)))
 }
 
@@ -224,11 +218,7 @@ func Simulate(e *Estimator, m *Machine, procs int) SimResult {
 // processor re-grouping extension (greedy load balancing across sibling
 // subtrees instead of the static bipartition).
 func SimulateDynamic(e *Estimator, m *Machine, procs int) SimResult {
-	root := e.Root()
-	if root == nil {
-		panic("phmse: SimulateDynamic requires a hierarchical estimator")
-	}
-	return vm.RunDynamic(root, m, procs)
+	return vm.RunDynamic(e.Root(), m, procs)
 }
 
 // SimulateFlat runs one virtual-time cycle of the flat organization.

@@ -80,18 +80,24 @@ func TestSimulatePublicAPI(t *testing.T) {
 	}
 }
 
-func TestSimulateRequiresHierarchy(t *testing.T) {
+// A flat estimator's tree is one leaf holding every atom, and its
+// virtual-time cycle is the flat organization's.
+func TestSimulateFlatEstimator(t *testing.T) {
 	p := phmse.Helix(1)
 	est, err := phmse.NewEstimator(p, phmse.Config{Mode: phmse.Flat})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for flat Simulate")
+	dash := phmse.DASH()
+	for _, procs := range []int{1, 8} {
+		got, want := phmse.Simulate(est, dash, procs).Wall, phmse.SimulateFlat(p, dash, procs, 16).Wall
+		if math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("%d procs: Simulate of the flat estimator %g, SimulateFlat %g", procs, got, want)
 		}
-	}()
-	phmse.Simulate(est, phmse.DASH(), 2)
+	}
+	if phmse.ModelWork(est) <= 0 {
+		t.Fatal("no model work for the flat estimator")
+	}
 }
 
 func TestDecompositionHelpers(t *testing.T) {
