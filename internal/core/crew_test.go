@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,24 +13,23 @@ import (
 	"phmse/internal/solvererr"
 )
 
-// helpers counts the goroutines running a crew helper's loop
-// (par.(*crew).help), from the goroutine profile: the process's other
-// goroutines — an earlier test's still exiting, the runtime's own — come
-// and go on their own schedule.
+// helpers counts the crew helpers alive — goroutines in
+// par.(*crew).help — from the goroutine profile: the process's other
+// goroutines, an earlier test's still exiting or the runtime's own, come
+// and go on their own schedule. A helper not yet scheduled has no frame of
+// help on its stack, so each goroutine is told by its creator, newCrew,
+// which starts helpers and nothing else.
 func helpers() int {
 	var b strings.Builder
-	if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 2); err != nil {
 		panic(err)
 	}
-	// Each record is "count @ pcs" and then one "#\tpc\tfunc+off\tfile"
-	// line per frame.
-	n, count := 0, 0
-	for _, line := range strings.Split(b.String(), "\n") {
-		if head, _, ok := strings.Cut(line, " @ "); ok {
-			count, _ = strconv.Atoi(head)
-		} else if strings.Contains(line, "par.(*crew).help+") {
-			n += count
-			count = 0
+	// One blank-line-separated block per goroutine, ending in the
+	// "created by" line.
+	n := 0
+	for _, g := range strings.Split(b.String(), "\n\n") {
+		if strings.Contains(g, "created by phmse/internal/par.newCrew") {
+			n++
 		}
 	}
 	return n
