@@ -213,7 +213,7 @@ func TestRebindRefusesAnotherTopology(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, _, err := NewWithPlan(e.p, cfg, &PlanArtifacts{Tree: art.Tree, BatchSize: art.BatchSize, LeafSize: art.LeafSize})
+			fresh, _, err := NewWithPlan(e.p, cfg, &PlanArtifacts{Tree: art.Tree, Mode: art.Mode, BatchSize: art.BatchSize, LeafSize: art.LeafSize})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,6 +236,26 @@ func TestRebindRefusesAnotherTopology(t *testing.T) {
 				t.Fatalf("digest %s, fresh build %s", got, want)
 			}
 		})
+	}
+}
+
+// Artifacts serve only the mode they were built for: a hierarchical plan
+// never hands its tree to a flat estimator of the same topology, batch and
+// leaf sizes, nor a flat one its leaf to a hierarchical estimator.
+func TestPlanArtifactsKeepTheirMode(t *testing.T) {
+	p := boundProblem(1)
+	for _, c := range []struct{ from, to Mode }{{Hierarchical, Flat}, {Flat, Hierarchical}} {
+		_, art, err := NewWithPlan(p, Config{Mode: c.from}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, got, err := NewWithPlan(p, Config{Mode: c.to}, art)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == art || got.Mode != c.to || est.Root().IsLeaf() != (c.to == Flat) {
+			t.Fatalf("%v plan served a %v estimator: artifacts for %v, one leaf %v", c.from, c.to, got.Mode, est.Root().IsLeaf())
+		}
 	}
 }
 
