@@ -136,10 +136,11 @@ func BenchmarkCombination(b *testing.B) {
 	// The combination itself is exercised through the filter package in
 	// cmd/paperbench (combine experiment); here we benchmark the closest
 	// public-API equivalent: solving the two halves independently.
-	half := len(problem.Constraints) / 2
-	for name, cons := range map[string][]phmse.Constraint{
-		"half-a": problem.Constraints[:half],
-		"half-b": problem.Constraints[half:],
+	half := problem.Constraints.Len() / 2
+	rows := problem.Constraints.Rows()
+	for name, cons := range map[string]phmse.ConstraintSet{
+		"half-a": phmse.ConstraintsOf(rows[:half]...),
+		"half-b": phmse.ConstraintsOf(rows[half:]...),
 	} {
 		sub := &phmse.Problem{Name: name, Atoms: problem.Atoms, Constraints: cons, Tree: problem.Tree}
 		b.Run(name, func(b *testing.B) {
@@ -186,7 +187,7 @@ func BenchmarkAblationDecomposition(b *testing.B) {
 	base := phmse.Helix(2)
 	trees := map[string]*phmse.Group{
 		"domain-knowledge": base.Tree,
-		"graph-partition":  phmse.GraphPartition(len(base.Atoms), base.Constraints, 21),
+		"graph-partition":  phmse.GraphPartition(len(base.Atoms), &base.Constraints, 21),
 		"index-bisection":  phmse.RecursiveBisection(len(base.Atoms), 21),
 	}
 	init := base.TruePositions()

@@ -79,7 +79,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s: %d atoms, %d constraints (%d scalar)\n",
-		p.Name, len(p.Atoms), len(p.Constraints), p.ScalarDim())
+		p.Name, len(p.Atoms), p.Constraints.Len(), p.ScalarDim())
 }
 
 func fatal(err error) {

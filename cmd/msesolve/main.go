@@ -112,7 +112,7 @@ func main() {
 		fatalInput(err)
 	}
 	fmt.Printf("problem %s: %d atoms, %d constraints (%d scalar)\n",
-		p.Name, len(p.Atoms), len(p.Constraints), p.ScalarDim())
+		p.Name, len(p.Atoms), p.Constraints.Len(), p.ScalarDim())
 
 	m := core.Hierarchical
 	if *mode == "flat" {
@@ -172,7 +172,7 @@ func main() {
 		init = pos
 	case *useConf:
 		fmt.Println("running discrete conformational-space search for the initial estimate...")
-		init = conform.Search(len(p.Atoms), p.Constraints, conform.Options{Seed: *seed})
+		init = conform.Search(len(p.Atoms), &p.Constraints, conform.Options{Seed: *seed})
 	default:
 		init = molecule.Perturbed(p, *perturb, *seed)
 	}
@@ -215,7 +215,7 @@ func main() {
 		printDiagnostics(sol.Diagnostics)
 		fmt.Print(sol.UncertaintyReport(3))
 		fmt.Println("residuals by constraint type:")
-		fmt.Print(analysis.FormatResiduals(analysis.ResidualByType(sol.Positions, p.Constraints)))
+		fmt.Print(analysis.FormatResiduals(analysis.ResidualByType(sol.Positions, &p.Constraints)))
 	}
 
 	if *pdbOut != "" {

@@ -26,7 +26,7 @@ func combine(cfg config) error {
 	n := 3 * len(h.Atoms)
 
 	ident := func(a int) int { return a }
-	batches, err := filter.MakeBatches(h.Constraints, ident, 16)
+	batches, err := filter.MakeBatches(&h.Constraints, h.Constraints.AllRows(), ident, 16)
 	if err != nil {
 		return err
 	}

@@ -35,7 +35,7 @@ func figures(cfg config, dir string) error {
 	mach := machine.DASH()
 	for _, bp := range []int{1, 2, 4, 8, 16} {
 		h := molecule.Helix(bp)
-		root, err := hier.Build(h.Tree, h.Constraints)
+		root, err := hier.Build(h.Tree, &h.Constraints)
 		if err != nil {
 			return err
 		}

@@ -59,7 +59,7 @@ func table1(cfg config) error {
 	mach := machine.DASH()
 	for _, bp := range []int{1, 2, 4, 8, 16} {
 		h := molecule.Helix(bp)
-		root, err := hier.Build(h.Tree, h.Constraints)
+		root, err := hier.Build(h.Tree, &h.Constraints)
 		if err != nil {
 			return err
 		}

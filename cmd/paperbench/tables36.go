@@ -128,7 +128,7 @@ func sweepSetup(cfg config, problem, machName string) (*molecule.Problem, *machi
 	} else {
 		mach = machine.Challenge()
 	}
-	root, err := hier.Build(p.Tree, p.Constraints)
+	root, err := hier.Build(p.Tree, &p.Constraints)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}

@@ -20,7 +20,7 @@ func timeline(cfg config) error {
 	header("Execution timeline — the anatomy of the power-of-two dip")
 
 	h := molecule.Helix(8)
-	root, err := hier.Build(h.Tree, h.Constraints)
+	root, err := hier.Build(h.Tree, &h.Constraints)
 	if err != nil {
 		return err
 	}

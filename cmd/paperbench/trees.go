@@ -14,7 +14,7 @@ import (
 func trees(cfg config) error {
 	header("Figure 2 — hierarchical decomposition of the RNA double helix")
 	h := molecule.Helix(4)
-	hroot, err := hier.Build(h.Tree, h.Constraints)
+	hroot, err := hier.Build(h.Tree, &h.Constraints)
 	if err != nil {
 		return err
 	}
@@ -25,7 +25,7 @@ func trees(cfg config) error {
 
 	header("Figure 4 — hierarchical decomposition of ribo30S")
 	r := molecule.Ribo30S(cfg.seed)
-	rroot, err := hier.Build(r.Tree, r.Constraints)
+	rroot, err := hier.Build(r.Tree, &r.Constraints)
 	if err != nil {
 		return err
 	}

@@ -26,7 +26,7 @@ func treestats(cfg config) error {
 		molecule.Protein(48, cfg.seed),
 	}
 	for _, p := range problems {
-		root, err := hier.Build(p.Tree, p.Constraints)
+		root, err := hier.Build(p.Tree, &p.Constraints)
 		if err != nil {
 			return err
 		}

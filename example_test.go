@@ -30,12 +30,11 @@ func ExampleNewEstimator() {
 	for _, pt := range []phmse.Vec3{{0, 0, 0}, {3, 0, 0}, {0, 4, 0}} {
 		p.Atoms = append(p.Atoms, phmse.Atom{Pos: pt})
 	}
-	p.Constraints = []phmse.Constraint{
-		phmse.Position{I: 0, Target: phmse.Vec3{0, 0, 0}, Sigma: 0.01},
-		phmse.Distance{I: 0, J: 1, Target: 3, Sigma: 0.02},
-		phmse.Distance{I: 0, J: 2, Target: 4, Sigma: 0.02},
-		phmse.Distance{I: 1, J: 2, Target: 5, Sigma: 0.02},
-	}
+	p.Constraints = phmse.ConstraintsOf(
+		phmse.Position{I: 0, Target: phmse.Vec3{0, 0, 0}, Sigma: 0.01}.Row(),
+		phmse.Distance{I: 0, J: 1, Target: 3, Sigma: 0.02}.Row(),
+		phmse.Distance{I: 0, J: 2, Target: 4, Sigma: 0.02}.Row(),
+		phmse.Distance{I: 1, J: 2, Target: 5, Sigma: 0.02}.Row())
 	est, err := phmse.NewEstimator(p, phmse.Config{Mode: phmse.Flat, Tol: 1e-5, MaxCycles: 200})
 	if err != nil {
 		panic(err)
@@ -67,7 +66,7 @@ func ExampleSimulate() {
 // Derive a hierarchy automatically from the constraint graph.
 func ExampleGraphPartition() {
 	p := phmse.Helix(1)
-	tree := phmse.GraphPartition(len(p.Atoms), p.Constraints, 12)
+	tree := phmse.GraphPartition(len(p.Atoms), &p.Constraints, 12)
 	fmt.Println("atoms covered:", len(tree.Atoms()) == len(p.Atoms))
 	fmt.Println("is a bisection:", len(tree.Children) == 2)
 	// Output:

@@ -21,7 +21,7 @@ func main() {
 	fmt.Printf("%s (no hierarchy given)\n", problem)
 
 	naive := phmse.RecursiveBisection(len(problem.Atoms), 12)
-	smart := phmse.GraphPartition(len(problem.Atoms), problem.Constraints, 12)
+	smart := phmse.GraphPartition(len(problem.Atoms), &problem.Constraints, 12)
 	fmt.Printf("recursive bisection: depth %d, %d leaves\n", naive.Depth(), len(naive.Leaves()))
 	fmt.Printf("graph partitioning:  depth %d, %d leaves\n", smart.Depth(), len(smart.Leaves()))
 
@@ -53,10 +53,7 @@ func main() {
 			log.Fatal(err)
 		}
 		perCycle := time.Since(t0).Seconds() / float64(sol.Cycles)
-		atRoot := 0
-		for _, c := range est.Root().Cons {
-			atRoot += c.Dim()
-		}
+		atRoot := est.Root().Scalars()
 		fmt.Printf("%-10s  %5d  %6d of %4d  %10.3g  %10.2f  %6d  %8.3f\n",
 			tc.name, est.Root().MaxDepth(), atRoot, p.ScalarDim(), phmse.ModelWork(est), 1e3*perCycle, sol.Cycles, sol.Residual)
 	}
@@ -92,18 +89,14 @@ func buildInterleavedChain(n int) *phmse.Problem {
 	dist := func(i, j int) float64 { return pos[i].Sub(pos[j]).Norm() }
 	for c := 0; c+1 < n; c++ {
 		i, j := idOf[c], idOf[c+1]
-		p.Constraints = append(p.Constraints,
-			phmse.Distance{I: i, J: j, Target: dist(i, j), Sigma: 0.05})
+		p.Constraints.Add(phmse.Distance{I: i, J: j, Target: dist(i, j), Sigma: 0.05}.Row())
 		if c+2 < n {
 			k := idOf[c+2]
-			p.Constraints = append(p.Constraints,
-				phmse.Distance{I: i, J: k, Target: dist(i, k), Sigma: 0.1})
+			p.Constraints.Add(phmse.Distance{I: i, J: k, Target: dist(i, k), Sigma: 0.1}.Row())
 		}
 	}
-	p.Constraints = append(p.Constraints,
-		phmse.Position{I: idOf[0], Target: pos[idOf[0]], Sigma: 0.02},
-		phmse.Position{I: idOf[1], Target: pos[idOf[1]], Sigma: 0.02},
-		phmse.Position{I: idOf[n-1], Target: pos[idOf[n-1]], Sigma: 0.02},
-	)
+	for _, a := range []int{idOf[0], idOf[1], idOf[n-1]} {
+		p.Constraints.Add(phmse.Position{I: a, Target: pos[a], Sigma: 0.02}.Row())
+	}
 	return p
 }

@@ -38,10 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	atRoot := 0
-	for _, c := range est.Root().Cons {
-		atRoot += c.Dim()
-	}
+	atRoot := est.Root().Scalars()
 	fmt.Printf("tree solved: the given one (depth %d, %d nodes) regrouped by the work model to depth %d, %d nodes, %d of %d scalars left at the root\n",
 		problem.Tree.Depth(), problem.Tree.Count(), est.Root().MaxDepth(), est.Root().Count(), atRoot, problem.ScalarDim())
 
@@ -49,7 +46,7 @@ func main() {
 	// satisfies local geometry but rarely recovers the global fold, so the
 	// refinement stalls in a locally optimal arrangement — the failure mode
 	// the paper's preprocessing exists to mitigate.
-	cold := phmse.ConformSearch(len(problem.Atoms), problem.Constraints, 3)
+	cold := phmse.ConformSearch(len(problem.Atoms), &problem.Constraints, 3)
 	coldSol := refine(est, cold)
 	fmt.Printf("\ncold start (lattice search, %.1f Å RMSD):\n", rmsd(problem, cold))
 	report(problem, coldSol)

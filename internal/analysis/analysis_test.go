@@ -65,9 +65,9 @@ func TestCorrelationZeroThenFilled(t *testing.T) {
 	if c := Correlation(s, 0, 1); c != 0 {
 		t.Fatalf("initial correlation %g", c)
 	}
-	batches, err := filter.MakeBatches([]constraint.Constraint{
-		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.1},
-	}, func(a int) int { return a }, 16)
+	cons := constraint.Of(
+		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.1}.Row())
+	batches, err := filter.MakeBatches(&cons, cons.AllRows(), func(a int) int { return a }, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +116,10 @@ func TestEllipsoidFromRealSolve(t *testing.T) {
 	// distance, atom 1's ellipsoid must be elongated perpendicular to the
 	// constraint direction (a distance pins the radial direction only).
 	s := filter.NewState([]geom.Vec3{{0, 0, 0}, {3, 0, 0}}, 9)
-	batches, err := filter.MakeBatches([]constraint.Constraint{
-		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.01},
-		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.05},
-	}, func(a int) int { return a }, 16)
+	cons := constraint.Of(
+		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.01}.Row(),
+		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.05}.Row())
+	batches, err := filter.MakeBatches(&cons, cons.AllRows(), func(a int) int { return a }, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +142,14 @@ func TestEllipsoidFromRealSolve(t *testing.T) {
 
 func TestResidualByType(t *testing.T) {
 	pos := []geom.Vec3{{0, 0, 0}, {4, 0, 0}, {4, 3, 0}}
-	cons := []constraint.Constraint{
-		constraint.Distance{I: 0, J: 1, Target: 4, Sigma: 0.5},          // satisfied
-		constraint.Distance{I: 1, J: 2, Target: 4, Sigma: 0.5},          // off by 1 → 2σ
-		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 1}, Sigma: 1}, // off by 1σ in z
-		constraint.Angle{I: 0, J: 1, K: 2, Target: math.Pi / 2, Sigma: 0.1},
-		constraint.DistanceBound{I: 0, J: 2, Upper: 100, Sigma: 1}, // inactive
-	}
-	byType := ResidualByType(pos, cons)
+	cons := constraint.Of(
+		constraint.Distance{I: 0, J: 1, Target: 4, Sigma: 0.5}.Row(),          // satisfied
+		constraint.Distance{I: 1, J: 2, Target: 4, Sigma: 0.5}.Row(),          // off by 1 → 2σ
+		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 1}, Sigma: 1}.Row(), // off by 1σ in z
+		constraint.Angle{I: 0, J: 1, K: 2, Target: math.Pi / 2, Sigma: 0.1}.Row(),
+		constraint.DistanceBound{I: 0, J: 2, Upper: 100, Sigma: 1}.Row(), // inactive
+	)
+	byType := ResidualByType(pos, &cons)
 	d := byType["distance"]
 	if d.Scalars != 2 {
 		t.Fatalf("distance scalars = %d", d.Scalars)
@@ -186,9 +186,9 @@ func TestResidualByTypeTorsionWraps(t *testing.T) {
 		t.Fatalf("setup: dihedral %g", cur)
 	}
 	target := cur - 2*math.Pi + 10*math.Pi/180 // wraps to the other side
-	byType := ResidualByType(pos, []constraint.Constraint{
-		constraint.Torsion{I: 0, J: 1, K: 2, L: 3, Target: target, Sigma: 1},
-	})
+	cons := constraint.Of(
+		constraint.Torsion{I: 0, J: 1, K: 2, L: 3, Target: target, Sigma: 1}.Row())
+	byType := ResidualByType(pos, &cons)
 	tor := byType["torsion"]
 	if tor.Worst > 0.2 {
 		t.Fatalf("torsion residual %g did not wrap", tor.Worst)

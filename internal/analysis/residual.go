@@ -21,101 +21,44 @@ type TypeResidual struct {
 // groups the weighted residuals by constraint type — the first place to
 // look when a solve stalls (e.g. distances satisfied but torsions fighting
 // them). Inactive gated constraints are skipped.
-func ResidualByType(pos []geom.Vec3, cons []constraint.Constraint) map[string]TypeResidual {
-	sums := map[string]*struct {
-		n     int
-		sumSq float64
-		worst float64
-	}{}
-	var local []geom.Vec3
-	var h, z, s2 []float64
-	var jac [][]float64
-	for _, c := range cons {
-		atoms := c.Atoms()
-		dim := c.Dim()
-		if cap(local) < len(atoms) {
-			local = make([]geom.Vec3, len(atoms))
+func ResidualByType(pos []geom.Vec3, cons *constraint.Set) map[string]TypeResidual {
+	byKind := make([][]int32, constraint.NumKinds)
+	for r := range cons.Len() {
+		k := cons.Kind(r)
+		byKind[k] = append(byKind[k], int32(r))
+	}
+	x := geom.Flat(pos)
+	out := make(map[string]TypeResidual)
+	var lin constraint.Lin
+	for k, rows := range byKind {
+		lin.Reset()
+		cons.Eval(rows, nil, x, &lin)
+		if len(lin.Z) == 0 {
+			continue // no row of the kind, or none active
 		}
-		local = local[:len(atoms)]
-		for k, a := range atoms {
-			local[k] = pos[a]
-		}
-		if g, ok := c.(constraint.Gated); ok && !g.Active(local) {
-			continue
-		}
-		if cap(h) < dim {
-			h = make([]float64, dim)
-			z = make([]float64, dim)
-			s2 = make([]float64, dim)
-		}
-		h, z, s2 = h[:dim], z[:dim], s2[:dim]
-		for len(jac) < dim {
-			jac = append(jac, nil)
-		}
-		for d := 0; d < dim; d++ {
-			if cap(jac[d]) < 3*len(atoms) {
-				jac[d] = make([]float64, 3*len(atoms))
-			}
-			jac[d] = jac[d][:3*len(atoms)]
-		}
-		c.Eval(local, h, jac[:dim])
-		c.Observed(z, s2)
-		var wrap []bool
-		if p, ok := c.(constraint.Periodic); ok {
-			wrap = p.PeriodicRows()
-		}
-		key := typeName(c)
-		agg := sums[key]
-		if agg == nil {
-			agg = &struct {
-				n     int
-				sumSq float64
-				worst float64
-			}{}
-			sums[key] = agg
-		}
-		for d := 0; d < dim; d++ {
-			if s2[d] <= 0 {
+		var tr TypeResidual
+		sumSq := 0.0
+		for d, s2 := range lin.R {
+			if s2 <= 0 {
 				continue
 			}
-			diff := z[d] - h[d]
-			if wrap != nil && wrap[d] {
+			diff := lin.Z[d] - lin.H[d]
+			if lin.Wrap[d] {
 				diff = math.Mod(diff+3*math.Pi, 2*math.Pi) - math.Pi
 			}
-			w := math.Abs(diff) / math.Sqrt(s2[d])
-			agg.n++
-			agg.sumSq += w * w
-			if w > agg.worst {
-				agg.worst = w
+			w := math.Abs(diff) / math.Sqrt(s2)
+			tr.Scalars++
+			sumSq += w * w
+			if w > tr.Worst {
+				tr.Worst = w
 			}
 		}
-	}
-	out := make(map[string]TypeResidual, len(sums))
-	for k, agg := range sums {
-		tr := TypeResidual{Scalars: agg.n, Worst: agg.worst}
-		if agg.n > 0 {
-			tr.RMS = math.Sqrt(agg.sumSq / float64(agg.n))
+		if tr.Scalars > 0 {
+			tr.RMS = math.Sqrt(sumSq / float64(tr.Scalars))
 		}
-		out[k] = tr
+		out[constraint.Kind(k).String()] = tr
 	}
 	return out
-}
-
-func typeName(c constraint.Constraint) string {
-	switch c.(type) {
-	case constraint.Distance:
-		return "distance"
-	case constraint.Angle:
-		return "angle"
-	case constraint.Torsion:
-		return "torsion"
-	case constraint.Position:
-		return "position"
-	case constraint.DistanceBound:
-		return "bound"
-	default:
-		return fmt.Sprintf("%T", c)
-	}
 }
 
 // FormatResiduals renders the per-type residual table, largest RMS first.

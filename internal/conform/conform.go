@@ -27,7 +27,7 @@ type Options struct {
 	StartTemp   float64 // initial annealing temperature (default 25)
 }
 
-func (o Options) withDefaults(nAtoms int, cons []constraint.Constraint) Options {
+func (o Options) withDefaults(nAtoms int, cons *constraint.Set) Options {
 	if o.GridSpacing <= 0 {
 		o.GridSpacing = 4
 	}
@@ -38,14 +38,16 @@ func (o Options) withDefaults(nAtoms int, cons []constraint.Constraint) Options 
 		// A sphere sized to the largest observed distance, or to the atom
 		// count for purely local data.
 		maxD := 0.0
-		for _, c := range cons {
-			if d, ok := c.(constraint.Distance); ok && d.Target > maxD {
-				maxD = d.Target
+		for r := range cons.Len() {
+			d := 0.0
+			switch row := cons.Row(r); row.Kind {
+			case constraint.KindDistance:
+				d = row.Val[0]
+			case constraint.KindPosition:
+				d = geom.Vec3(row.Val).Norm()
 			}
-			if p, ok := c.(constraint.Position); ok {
-				if n := p.Target.Norm(); n > maxD {
-					maxD = n
-				}
+			if d > maxD {
+				maxD = d
 			}
 		}
 		if maxD == 0 {
@@ -61,7 +63,7 @@ func (o Options) withDefaults(nAtoms int, cons []constraint.Constraint) Options 
 
 // Search returns a low-resolution initial estimate: lattice positions that
 // approximately satisfy the constraint set.
-func Search(nAtoms int, cons []constraint.Constraint, opt Options) []geom.Vec3 {
+func Search(nAtoms int, cons *constraint.Set, opt Options) []geom.Vec3 {
 	opt = opt.withDefaults(nAtoms, cons)
 	rng := rand.New(rand.NewSource(opt.Seed))
 	s := newSearcher(nAtoms, cons, opt, rng)
@@ -72,11 +74,12 @@ func Search(nAtoms int, cons []constraint.Constraint, opt Options) []geom.Vec3 {
 // Score returns the total weighted squared constraint violation of a
 // conformation — the objective the search minimizes. Exported so callers
 // can compare candidate initializations.
-func Score(pos []geom.Vec3, cons []constraint.Constraint) float64 {
+func Score(pos []geom.Vec3, cons *constraint.Set) float64 {
 	total := 0.0
-	buf := newEvalBuf()
-	for _, c := range cons {
-		total += buf.violation(c, pos)
+	var buf evalBuf
+	x := geom.Flat(pos)
+	for r := range cons.Len() {
+		total += buf.violation(cons, r, x)
 	}
 	return total
 }
@@ -85,19 +88,18 @@ type searcher struct {
 	opt    Options
 	rng    *rand.Rand
 	pos    []geom.Vec3 // lattice coordinates × spacing
-	cons   []constraint.Constraint
+	cons   *constraint.Set
 	byAtom [][]int // constraint indices touching each atom
-	buf    *evalBuf
+	buf    evalBuf
 }
 
-func newSearcher(nAtoms int, cons []constraint.Constraint, opt Options, rng *rand.Rand) *searcher {
+func newSearcher(nAtoms int, cons *constraint.Set, opt Options, rng *rand.Rand) *searcher {
 	s := &searcher{
 		opt:    opt,
 		rng:    rng,
 		pos:    make([]geom.Vec3, nAtoms),
 		cons:   cons,
 		byAtom: make([][]int, nAtoms),
-		buf:    newEvalBuf(),
 	}
 	for i := range s.pos {
 		s.pos[i] = s.snap(geom.Vec3{
@@ -106,17 +108,17 @@ func newSearcher(nAtoms int, cons []constraint.Constraint, opt Options, rng *ran
 			rng.NormFloat64() * opt.InitRadius / 2,
 		})
 	}
-	for ci, c := range cons {
-		for _, a := range c.Atoms() {
-			if a >= 0 && a < nAtoms {
-				s.byAtom[a] = append(s.byAtom[a], ci)
+	for r := range cons.Len() {
+		for _, a := range cons.Atoms(r) {
+			if a >= 0 && int(a) < nAtoms {
+				s.byAtom[a] = append(s.byAtom[a], r)
 			}
 		}
 	}
 	// Atoms with absolute position data start there: a free head start.
-	for _, c := range cons {
-		if p, ok := c.(constraint.Position); ok && p.I < nAtoms {
-			s.pos[p.I] = s.snap(p.Target)
+	for r := range cons.Len() {
+		if row := cons.Row(r); row.Kind == constraint.KindPosition && row.Atoms[0] < nAtoms {
+			s.pos[row.Atoms[0]] = s.snap(row.Val)
 		}
 	}
 	return s
@@ -134,8 +136,9 @@ func (s *searcher) snap(p geom.Vec3) geom.Vec3 {
 // localScore sums the violations of the constraints touching atom a.
 func (s *searcher) localScore(a int) float64 {
 	total := 0.0
-	for _, ci := range s.byAtom[a] {
-		total += s.buf.violation(s.cons[ci], s.pos)
+	x := geom.Flat(s.pos)
+	for _, r := range s.byAtom[a] {
+		total += s.buf.violation(s.cons, r, x)
 	}
 	return total
 }
@@ -174,59 +177,26 @@ func (s *searcher) positions() []geom.Vec3 {
 	return append([]geom.Vec3(nil), s.pos...)
 }
 
-// evalBuf holds reusable scratch for constraint evaluation.
+// evalBuf evaluates one row at a time into reused scratch.
 type evalBuf struct {
-	pos []geom.Vec3
-	h   []float64
-	z   []float64
-	sg  []float64
-	jac [][]float64
+	row [1]int32
+	lin constraint.Lin
 }
 
-func newEvalBuf() *evalBuf { return &evalBuf{} }
-
-func (b *evalBuf) violation(c constraint.Constraint, all []geom.Vec3) float64 {
-	atoms := c.Atoms()
-	dim := c.Dim()
-	if cap(b.pos) < len(atoms) {
-		b.pos = make([]geom.Vec3, len(atoms))
-	}
-	b.pos = b.pos[:len(atoms)]
-	for k, a := range atoms {
-		b.pos[k] = all[a]
-	}
-	if g, ok := c.(constraint.Gated); ok && !g.Active(b.pos) {
-		return 0
-	}
-	if cap(b.h) < dim {
-		b.h = make([]float64, dim)
-		b.z = make([]float64, dim)
-		b.sg = make([]float64, dim)
-	}
-	b.h, b.z, b.sg = b.h[:dim], b.z[:dim], b.sg[:dim]
-	for len(b.jac) < dim {
-		b.jac = append(b.jac, nil)
-	}
-	for d := 0; d < dim; d++ {
-		if cap(b.jac[d]) < 3*len(atoms) {
-			b.jac[d] = make([]float64, 3*len(atoms))
-		}
-		b.jac[d] = b.jac[d][:3*len(atoms)]
-	}
-	c.Eval(b.pos, b.h, b.jac[:dim])
-	c.Observed(b.z, b.sg)
-	var wrap []bool
-	if p, ok := c.(constraint.Periodic); ok {
-		wrap = p.PeriodicRows()
-	}
+// violation returns row r's weighted squared violation at the coordinates
+// x (three per atom); an inactive bound has none.
+func (b *evalBuf) violation(cons *constraint.Set, r int, x []float64) float64 {
+	b.row[0] = int32(r)
+	b.lin.Reset()
+	cons.Eval(b.row[:], nil, x, &b.lin)
 	total := 0.0
-	for d := 0; d < dim; d++ {
-		diff := b.z[d] - b.h[d]
-		if wrap != nil && wrap[d] {
+	for d, z := range b.lin.Z {
+		diff := z - b.lin.H[d]
+		if b.lin.Wrap[d] {
 			diff = math.Mod(diff+3*math.Pi, 2*math.Pi) - math.Pi
 		}
-		if b.sg[d] > 0 {
-			total += diff * diff / b.sg[d]
+		if s2 := b.lin.R[d]; s2 > 0 {
+			total += diff * diff / s2
 		} else {
 			total += diff * diff
 		}

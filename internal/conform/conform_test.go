@@ -10,16 +10,15 @@ import (
 )
 
 func TestSearchTriangle(t *testing.T) {
-	cons := []constraint.Constraint{
-		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 1},
-		constraint.Distance{I: 0, J: 1, Target: 8, Sigma: 0.5},
-		constraint.Distance{I: 0, J: 2, Target: 8, Sigma: 0.5},
-		constraint.Distance{I: 1, J: 2, Target: 8, Sigma: 0.5},
-	}
-	pos := Search(3, cons, Options{Seed: 1, GridSpacing: 2})
+	cons := constraint.Of(
+		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 1}.Row(),
+		constraint.Distance{I: 0, J: 1, Target: 8, Sigma: 0.5}.Row(),
+		constraint.Distance{I: 0, J: 2, Target: 8, Sigma: 0.5}.Row(),
+		constraint.Distance{I: 1, J: 2, Target: 8, Sigma: 0.5}.Row())
+	pos := Search(3, &cons, Options{Seed: 1, GridSpacing: 2})
 	// Low resolution: each distance within a couple of lattice cells.
-	for _, c := range cons {
-		d, ok := c.(constraint.Distance)
+	for _, c := range cons.Rows() {
+		d, ok := c.Distance()
 		if !ok {
 			continue
 		}
@@ -34,19 +33,18 @@ func TestSearchImprovesScore(t *testing.T) {
 	h := molecule.Helix(1)
 	cons := h.Constraints
 	n := len(h.Atoms)
-	random := Search(n, cons, Options{Seed: 7, Sweeps: 1}) // essentially the random start
-	refined := Search(n, cons, Options{Seed: 7})
-	if Score(refined, cons) >= Score(random, cons) {
-		t.Fatalf("annealing did not improve: %g vs %g", Score(refined, cons), Score(random, cons))
+	random := Search(n, &cons, Options{Seed: 7, Sweeps: 1}) // essentially the random start
+	refined := Search(n, &cons, Options{Seed: 7})
+	if Score(refined, &cons) >= Score(random, &cons) {
+		t.Fatalf("annealing did not improve: %g vs %g", Score(refined, &cons), Score(random, &cons))
 	}
 }
 
 func TestSearchDeterministic(t *testing.T) {
-	cons := []constraint.Constraint{
-		constraint.Distance{I: 0, J: 1, Target: 5, Sigma: 1},
-	}
-	a := Search(2, cons, Options{Seed: 3})
-	b := Search(2, cons, Options{Seed: 3})
+	cons := constraint.Of(
+		constraint.Distance{I: 0, J: 1, Target: 5, Sigma: 1}.Row())
+	a := Search(2, &cons, Options{Seed: 3})
+	b := Search(2, &cons, Options{Seed: 3})
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed, different result")
@@ -55,11 +53,10 @@ func TestSearchDeterministic(t *testing.T) {
 }
 
 func TestSearchSnapsToLattice(t *testing.T) {
-	cons := []constraint.Constraint{
-		constraint.Distance{I: 0, J: 1, Target: 6, Sigma: 1},
-	}
+	cons := constraint.Of(
+		constraint.Distance{I: 0, J: 1, Target: 6, Sigma: 1}.Row())
 	g := 3.0
-	pos := Search(2, cons, Options{Seed: 2, GridSpacing: g})
+	pos := Search(2, &cons, Options{Seed: 2, GridSpacing: g})
 	for _, p := range pos {
 		for c := 0; c < 3; c++ {
 			q := p[c] / g
@@ -72,20 +69,19 @@ func TestSearchSnapsToLattice(t *testing.T) {
 
 func TestSearchAnchorsSeedPositions(t *testing.T) {
 	target := geom.Vec3{40, -12, 8}
-	cons := []constraint.Constraint{
-		constraint.Position{I: 0, Target: target, Sigma: 1},
-	}
-	pos := Search(1, cons, Options{Seed: 5, GridSpacing: 4, Sweeps: 10})
+	cons := constraint.Of(
+		constraint.Position{I: 0, Target: target, Sigma: 1}.Row())
+	pos := Search(1, &cons, Options{Seed: 5, GridSpacing: 4, Sweeps: 10})
 	if pos[0].Sub(target).Norm() > 8 {
 		t.Fatalf("anchored atom drifted to %v", pos[0])
 	}
 }
 
 func TestSearchEmptyInputs(t *testing.T) {
-	if got := Search(0, nil, Options{}); len(got) != 0 {
+	if got := Search(0, &constraint.Set{}, Options{}); len(got) != 0 {
 		t.Fatal("empty problem")
 	}
-	pos := Search(3, nil, Options{Seed: 1, Sweeps: 5})
+	pos := Search(3, &constraint.Set{}, Options{Seed: 1, Sweeps: 5})
 	if len(pos) != 3 {
 		t.Fatal("no constraints should still yield positions")
 	}
@@ -93,26 +89,23 @@ func TestSearchEmptyInputs(t *testing.T) {
 
 func TestScoreGatedConstraints(t *testing.T) {
 	pos := []geom.Vec3{{0, 0, 0}, {3, 0, 0}}
-	inactive := []constraint.Constraint{
-		constraint.DistanceBound{I: 0, J: 1, Lower: 1, Upper: 5, Sigma: 1},
-	}
-	if Score(pos, inactive) != 0 {
+	inactive := constraint.Of(
+		constraint.DistanceBound{I: 0, J: 1, Lower: 1, Upper: 5, Sigma: 1}.Row())
+	if Score(pos, &inactive) != 0 {
 		t.Fatal("inactive bound scored")
 	}
-	violated := []constraint.Constraint{
-		constraint.DistanceBound{I: 0, J: 1, Upper: 2, Sigma: 1},
-	}
-	if Score(pos, violated) <= 0 {
+	violated := constraint.Of(
+		constraint.DistanceBound{I: 0, J: 1, Upper: 2, Sigma: 1}.Row())
+	if Score(pos, &violated) <= 0 {
 		t.Fatal("violated bound not scored")
 	}
 }
 
 func TestSearchRespectsBounds(t *testing.T) {
 	// Two atoms with only an upper bound must end up within it (roughly).
-	cons := []constraint.Constraint{
-		constraint.DistanceBound{I: 0, J: 1, Upper: 6, Sigma: 0.5},
-	}
-	pos := Search(2, cons, Options{Seed: 9, GridSpacing: 2, InitRadius: 60})
+	cons := constraint.Of(
+		constraint.DistanceBound{I: 0, J: 1, Upper: 6, Sigma: 0.5}.Row())
+	pos := Search(2, &cons, Options{Seed: 9, GridSpacing: 2, InitRadius: 60})
 	if d := geom.Dist(pos[0], pos[1]); d > 14 {
 		t.Fatalf("upper bound ignored: %g", d)
 	}

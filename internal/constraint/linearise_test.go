@@ -1,44 +1,61 @@
 package constraint
 
-import "phmse/internal/geom"
+import (
+	"phmse/internal/geom"
+	"phmse/internal/sparse"
+)
 
-// linearise evaluates one pinRow at pos (one position per atom) through
-// the row's constraint type.
-func linearise(r pinRow, pos []geom.Vec3) pinLin {
-	var c Constraint
-	switch r.kind {
-	case "distance":
-		c = Distance{I: 0, J: 1, Target: r.vals[0], Sigma: r.sigma}
-	case "angle":
-		c = Angle{I: 0, J: 1, K: 2, Target: r.vals[0], Sigma: r.sigma}
-	case "torsion":
-		c = Torsion{I: 0, J: 1, K: 2, L: 3, Target: r.vals[0], Sigma: r.sigma}
-	case "position":
-		c = Position{I: 0, Target: geom.Vec3(r.vals), Sigma: r.sigma}
-	case "bound":
-		c = DistanceBound{I: 0, J: 1, Lower: r.vals[0], Upper: r.vals[1], Sigma: r.sigma}
+// flat returns the coordinates of pos, three per atom.
+func flat(pos []geom.Vec3) []float64 {
+	x := make([]float64, 0, 3*len(pos))
+	for _, p := range pos {
+		x = append(x, p[:]...)
 	}
-	if g, ok := c.(Gated); ok && !g.Active(pos) {
-		return pinLin{}
-	}
-	dim := c.Dim()
-	lin := pinLin{active: true, h: make([]float64, dim), z: make([]float64, dim), r: make([]float64, dim),
-		wrap: make([]bool, dim), jac: make([][]pinEntry, dim)}
-	jac := make([][]float64, dim)
+	return x
+}
+
+// evalRow evaluates r, whose atoms index pos, with Set.Eval: it returns
+// the linearisation (empty for an inactive bound) and its Jacobian rows
+// densely over 3·len(pos) columns.
+func evalRow(r Row, pos []geom.Vec3) (Lin, [][]float64) {
+	s := Of(r)
+	lin := Lin{Jac: sparse.NewBuilder(3 * len(pos))}
+	s.Eval([]int32{0}, nil, flat(pos), &lin)
+	jac := make([][]float64, len(lin.Z))
+	m := lin.Jac.Build()
 	for d := range jac {
 		jac[d] = make([]float64, 3*len(pos))
+		cols, vals := m.Row(d)
+		for k, c := range cols {
+			jac[d][c] = vals[k]
+		}
 	}
-	c.Eval(pos, lin.h, jac)
-	c.Observed(lin.z, lin.r)
-	if p, ok := c.(Periodic); ok {
-		copy(lin.wrap, p.PeriodicRows())
+	return lin, jac
+}
+
+// linearise evaluates one pinRow at pos (one position per atom) through
+// Set.Eval.
+func linearise(r pinRow, pos []geom.Vec3) pinLin {
+	row := Row{Val: r.vals, Sigma: r.sigma}
+	for k := Kind(0); k < NumKinds; k++ {
+		if k.String() == r.kind {
+			row.Kind = k
+		}
 	}
+	for i := 0; i < r.atoms; i++ {
+		row.Atoms[i] = i
+	}
+	lin, jac := evalRow(row, pos)
+	if len(lin.Z) == 0 {
+		return pinLin{}
+	}
+	out := pinLin{active: true, h: lin.H, z: lin.Z, r: lin.R, wrap: lin.Wrap, jac: make([][]pinEntry, len(jac))}
 	for d, row := range jac {
 		for col, v := range row {
 			if v != 0 {
-				lin.jac[d] = append(lin.jac[d], pinEntry{col, v})
+				out.jac[d] = append(out.jac[d], pinEntry{col, v})
 			}
 		}
 	}
-	return lin
+	return out
 }

@@ -166,7 +166,7 @@ type PlanArtifacts struct {
 
 // take returns a prepared tree rebound to cons, or nil when none is free
 // or the one taken does not fit cons (it is dropped).
-func (a *PlanArtifacts) take(cons []constraint.Constraint) *hier.Node {
+func (a *PlanArtifacts) take(cons *constraint.Set) *hier.Node {
 	a.mu.Lock()
 	var root *hier.Node
 	if k := len(a.free); k > 0 {
@@ -211,7 +211,7 @@ func NewWithPlan(p *molecule.Problem, cfg Config, art *PlanArtifacts) (*Estimato
 		art = nil
 	}
 	if art != nil {
-		if e.root = art.take(p.Constraints); e.root != nil {
+		if e.root = art.take(&p.Constraints); e.root != nil {
 			e.art = art
 			return e, art, nil
 		}
@@ -228,9 +228,9 @@ func NewWithPlan(p *molecule.Problem, cfg Config, art *PlanArtifacts) (*Estimato
 			tree.AtomIDs[i] = i
 		}
 	case cfg.AutoDecompose || tree == nil:
-		tree = hier.GraphPartition(len(p.Atoms), p.Constraints, cfg.LeafSize)
+		tree = hier.GraphPartition(len(p.Atoms), &p.Constraints, cfg.LeafSize)
 	}
-	root, err := hier.Build(tree, p.Constraints)
+	root, err := hier.Build(tree, &p.Constraints)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: building hierarchy: %w", err)
 	}
@@ -272,7 +272,7 @@ func (e *Estimator) Problem() *molecule.Problem { return e.problem }
 // InitialEstimate runs the low-resolution discrete conformational search
 // (the paper's preprocessing step) to produce a starting structure.
 func (e *Estimator) InitialEstimate(seed int64) []geom.Vec3 {
-	return conform.Search(len(e.problem.Atoms), e.problem.Constraints, conform.Options{Seed: seed})
+	return conform.Search(len(e.problem.Atoms), &e.problem.Constraints, conform.Options{Seed: seed})
 }
 
 // Solution is a solved structure estimate.
@@ -417,6 +417,6 @@ func (e *Estimator) solve(ctx context.Context, init []geom.Vec3, warm hier.Prior
 		sol.Variances[a] = state.Variance(i)
 		sol.local[a] = i
 	}
-	sol.Residual = filter.WeightedResidual(sol.Positions, e.problem.Constraints)
+	sol.Residual = filter.WeightedResidual(sol.Positions, &e.problem.Constraints)
 	return sol, nil
 }

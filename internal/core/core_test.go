@@ -206,12 +206,12 @@ func TestVariancesReflectDataQuality(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p.Atoms = append(p.Atoms, molecule.Atom{Pos: geom.Vec3{float64(i) * 3, 0, 0}})
 	}
-	p.Constraints = []constraint.Constraint{
-		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.01},
-		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.1},
-		constraint.Distance{I: 1, J: 2, Target: 3, Sigma: 0.1},
-		constraint.Distance{I: 2, J: 3, Target: 3, Sigma: 2.0}, // sloppy data
-	}
+	p.Constraints = constraint.Of(
+		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.01}.Row(),
+		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.1}.Row(),
+		constraint.Distance{I: 1, J: 2, Target: 3, Sigma: 0.1}.Row(),
+		constraint.Distance{I: 2, J: 3, Target: 3, Sigma: 2.0}.Row(), // sloppy data
+	)
 	e, err := New(p, Config{Mode: Flat, MaxCycles: 30})
 	if err != nil {
 		t.Fatal(err)

@@ -11,13 +11,7 @@ import (
 	"phmse/internal/par"
 )
 
-func rootScalars(n *hier.Node) int {
-	s := 0
-	for _, c := range n.Cons {
-		s += c.Dim()
-	}
-	return s
-}
+func rootScalars(n *hier.Node) int { return n.Scalars() }
 
 // The artifacts of a construction carry the regrouped tree: an estimator
 // built from them has the same tree without regrouping anything — the
@@ -31,7 +25,7 @@ func TestPlanArtifactsCarryTheRegroupedTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	given, err := hier.Build(p.Tree, p.Constraints)
+	given, err := hier.Build(p.Tree, &p.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +72,7 @@ func TestRegroupedRibo30SMatchesGivenTree(t *testing.T) {
 	p := molecule.Ribo30S(1996)
 	init := molecule.Perturbed(p, 0.4, 7)
 
-	root, err := hier.Build(p.Tree, p.Constraints)
+	root, err := hier.Build(p.Tree, &p.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}

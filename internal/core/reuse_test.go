@@ -18,8 +18,7 @@ import (
 func boundProblem(upper float64) *molecule.Problem {
 	p := molecule.WithAnchors(molecule.Helix(1), 4, 0.05)
 	n := len(p.Atoms)
-	cons := append([]constraint.Constraint(nil), p.Constraints...)
-	cons = append(cons, constraint.DistanceBound{I: 0, J: n - 1, Upper: upper, Sigma: 1})
+	cons := constraint.Of(append(p.Constraints.Rows(), constraint.DistanceBound{I: 0, J: n - 1, Upper: upper, Sigma: 1}.Row())...)
 	return &molecule.Problem{Name: p.Name + "+bound", Atoms: p.Atoms, Constraints: cons, Tree: p.Tree}
 }
 
@@ -27,24 +26,19 @@ func boundProblem(upper float64) *molecule.Problem {
 // stretched by 1 %, every standard deviation one and a half times as wide,
 // and the bound's upper limit at upper Å.
 func revalued(p *molecule.Problem, upper float64) *molecule.Problem {
-	cons := make([]constraint.Constraint, len(p.Constraints))
-	for i, c := range p.Constraints {
-		switch c := c.(type) {
-		case constraint.Distance:
-			c.Target *= 1.01
+	rows := p.Constraints.Rows()
+	for i := range rows {
+		switch c := &rows[i]; c.Kind {
+		case constraint.KindDistance:
+			c.Val[0] *= 1.01
 			c.Sigma *= 1.5
-			cons[i] = c
-		case constraint.Position:
+		case constraint.KindPosition:
 			c.Sigma *= 1.5
-			cons[i] = c
-		case constraint.DistanceBound:
-			c.Upper = upper
-			cons[i] = c
-		default:
-			cons[i] = c
+		case constraint.KindBound:
+			c.Val[1] = upper
 		}
 	}
-	return &molecule.Problem{Name: p.Name + "+revalued", Atoms: p.Atoms, Constraints: cons, Tree: p.Tree}
+	return &molecule.Problem{Name: p.Name + "+revalued", Atoms: p.Atoms, Constraints: constraint.Of(rows...), Tree: p.Tree}
 }
 
 // reuseDigest is solutionDigest extended by the residual's bits.
@@ -153,56 +147,52 @@ func TestReusedTreeGivesTheSameBits(t *testing.T) {
 }
 
 // withCons returns p with its constraints replaced by f's edit of a copy.
-func withCons(p *molecule.Problem, f func([]constraint.Constraint) []constraint.Constraint) *molecule.Problem {
-	cons := f(append([]constraint.Constraint(nil), p.Constraints...))
+func withCons(p *molecule.Problem, f func([]constraint.Row) []constraint.Row) *molecule.Problem {
+	cons := constraint.Of(f(p.Constraints.Rows())...)
 	return &molecule.Problem{Name: p.Name + "+edited", Atoms: p.Atoms, Constraints: cons, Tree: p.Tree}
 }
 
 // A released tree is rebound only to its own topology: handed a problem
 // whose constraints differ in any way the batches depend on — a node, an
-// atom, their order, a Dim, the count — NewWithPlan drops the tree and
-// builds a fresh one from the artifacts' grouping. A constraint of another
-// type on the same atoms with the same Dim is rebound (the batches read
-// their constraints through the node's). Either way the solve is the fresh
-// build's, bit for bit.
+// atom, their order, a Dim, a kind, the count — NewWithPlan drops the tree
+// and builds a fresh one from the artifacts' grouping. Either way the solve
+// is the fresh build's, bit for bit.
 func TestRebindRefusesAnotherTopology(t *testing.T) {
 	a := boundProblem(1)
 	n := len(a.Atoms)
-	last := len(a.Constraints) - 1
+	last := a.Constraints.Len() - 1
 	cfg := Config{Mode: Hierarchical, Procs: 1, MaxCycles: 500}
 	edits := []struct {
 		name    string
 		p       *molecule.Problem
 		rebinds bool
 	}{
-		{"atoms swapped", withCons(a, func(c []constraint.Constraint) []constraint.Constraint {
-			d := c[5].(constraint.Distance)
-			d.I, d.J = d.J, d.I
-			c[5] = d
+		{"atoms swapped", withCons(a, func(c []constraint.Row) []constraint.Row {
+			c[5].Atoms[0], c[5].Atoms[1] = c[5].Atoms[1], c[5].Atoms[0]
 			return c
 		}), false},
-		{"another atom", withCons(a, func(c []constraint.Constraint) []constraint.Constraint {
-			b := c[last].(constraint.DistanceBound)
-			b.J = n - 2
-			c[last] = b
+		{"another atom", withCons(a, func(c []constraint.Row) []constraint.Row {
+			c[last].Atoms[1] = n - 2
 			return c
 		}), false},
-		{"another type, same atoms and dim", withCons(a, func(c []constraint.Constraint) []constraint.Constraint {
-			b := c[last].(constraint.DistanceBound)
-			c[last] = constraint.Distance{I: b.I, J: b.J, Target: 3, Sigma: 1}
-			return c
-		}), true},
-		{"another dim", withCons(a, func(c []constraint.Constraint) []constraint.Constraint {
-			c[0] = constraint.Distance{I: c[0].Atoms()[0], J: 1, Target: 1.5, Sigma: 0.1}
+		// The kind is topology: the tree is not rebound, though the batches
+		// would linearize the distance in the bound's place.
+		{"another type, same atoms and dim", withCons(a, func(c []constraint.Row) []constraint.Row {
+			b, _ := c[last].Bound()
+			c[last] = constraint.Distance{I: b.I, J: b.J, Target: 3, Sigma: 1}.Row()
 			return c
 		}), false},
-		{"one more", withCons(a, func(c []constraint.Constraint) []constraint.Constraint {
-			return append(c, constraint.Distance{I: 1, J: n - 1, Target: 6, Sigma: 0.5})
+		{"another dim", withCons(a, func(c []constraint.Row) []constraint.Row {
+			c[0] = constraint.Distance{I: c[0].Atoms[0], J: 1, Target: 1.5, Sigma: 0.1}.Row()
+			return c
 		}), false},
-		{"one fewer", withCons(a, func(c []constraint.Constraint) []constraint.Constraint {
+		{"one more", withCons(a, func(c []constraint.Row) []constraint.Row {
+			return append(c, constraint.Distance{I: 1, J: n - 1, Target: 6, Sigma: 0.5}.Row())
+		}), false},
+		{"one fewer", withCons(a, func(c []constraint.Row) []constraint.Row {
 			return c[:last]
 		}), false},
-		{"two moved", withCons(a, func(c []constraint.Constraint) []constraint.Constraint {
+		{"two moved", withCons(a, func(c []constraint.Row) []constraint.Row {
 			c[5], c[6] = c[6], c[5]
 			return c
 		}), false},

@@ -21,10 +21,11 @@ func baseProblem() *molecule.Problem {
 // cycle. The atom set and grouping are untouched, so the structure hash
 // (and therefore posterior compatibility) is preserved.
 func withExtraConstraints(p *molecule.Problem, pairs [][2]int, sigma float64) *molecule.Problem {
-	cons := append([]constraint.Constraint(nil), p.Constraints...)
+	var cons constraint.Set
+	cons.Append(&p.Constraints)
 	for _, pr := range pairs {
 		d := geom.Dist(p.Atoms[pr[0]].Pos, p.Atoms[pr[1]].Pos)
-		cons = append(cons, constraint.Distance{I: pr[0], J: pr[1], Target: d, Sigma: sigma})
+		cons.Add(constraint.Distance{I: pr[0], J: pr[1], Target: d, Sigma: sigma}.Row())
 	}
 	return &molecule.Problem{Name: p.Name + "+extra", Atoms: p.Atoms, Constraints: cons, Tree: p.Tree}
 }

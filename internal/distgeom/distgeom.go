@@ -51,11 +51,11 @@ type Bounds struct {
 // CollectBounds extracts distance bounds from the constraint set: exact
 // distances pin both bounds (within measurement noise); one-sided bounds
 // contribute their side; everything else defaults.
-func CollectBounds(nAtoms int, cons []constraint.Constraint, opt Options) *Bounds {
+func CollectBounds(nAtoms int, cons *constraint.Set, opt Options) *Bounds {
 	maxObs := 0.0
-	for _, c := range cons {
-		if d, ok := c.(constraint.Distance); ok && d.Target > maxObs {
-			maxObs = d.Target
+	for r := range cons.Len() {
+		if row := cons.Row(r); row.Kind == constraint.KindDistance && row.Val[0] > maxObs {
+			maxObs = row.Val[0]
 		}
 	}
 	opt = opt.withDefaults(maxObs)
@@ -90,20 +90,22 @@ func CollectBounds(nAtoms int, cons []constraint.Constraint, opt Options) *Bound
 			b.Upper.Set(j, i, hi)
 		}
 	}
-	for _, c := range cons {
-		switch v := c.(type) {
-		case constraint.Distance:
+	for r := range cons.Len() {
+		v := cons.Row(r)
+		i, j := v.Atoms[0], v.Atoms[1]
+		switch v.Kind {
+		case constraint.KindDistance:
 			slack := 2 * v.Sigma
-			set(v.I, v.J, math.Max(0, v.Target-slack), v.Target+slack)
-		case constraint.DistanceBound:
-			lo, hi := v.Lower, v.Upper
+			set(i, j, math.Max(0, v.Val[0]-slack), v.Val[0]+slack)
+		case constraint.KindBound:
+			lo, hi := v.Val[0], v.Val[1]
 			if lo <= 0 {
 				lo = opt.DefaultLower // one-sided upper bound keeps the vdW floor
 			}
-			if hi == 0 || math.IsInf(hi, 1) {
-				hi = opt.DefaultUpper
+			if hi <= 0 || math.IsInf(hi, 1) {
+				hi = opt.DefaultUpper // absent, as the solver's gate reads it
 			}
-			set(v.I, v.J, lo, hi)
+			set(i, j, lo, hi)
 		}
 	}
 	return b
@@ -161,7 +163,7 @@ func (b *Bounds) Smooth() error {
 // Embed runs the full distance-geometry pipeline and returns candidate
 // coordinates: bounds → smoothing → trial distances → metric matrix → top
 // three eigenvectors.
-func Embed(nAtoms int, cons []constraint.Constraint, opt Options) ([]geom.Vec3, error) {
+func Embed(nAtoms int, cons *constraint.Set, opt Options) ([]geom.Vec3, error) {
 	if nAtoms == 0 {
 		return nil, nil
 	}

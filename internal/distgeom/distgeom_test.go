@@ -12,25 +12,24 @@ import (
 
 // exactDistanceSet builds a fully determined constraint set (all pairs)
 // from reference positions.
-func exactDistanceSet(pos []geom.Vec3, sigma float64) []constraint.Constraint {
-	var cons []constraint.Constraint
+func exactDistanceSet(pos []geom.Vec3, sigma float64) constraint.Set {
+	var cons constraint.Set
 	for i := range pos {
 		for j := i + 1; j < len(pos); j++ {
-			cons = append(cons, constraint.Distance{
+			cons.Add(constraint.Distance{
 				I: i, J: j, Target: geom.Dist(pos[i], pos[j]), Sigma: sigma,
-			})
+			}.Row())
 		}
 	}
 	return cons
 }
 
 func TestCollectBounds(t *testing.T) {
-	cons := []constraint.Constraint{
-		constraint.Distance{I: 0, J: 1, Target: 5, Sigma: 0.1},
-		constraint.DistanceBound{I: 1, J: 2, Lower: 2, Upper: 8, Sigma: 0.5},
-		constraint.DistanceBound{I: 0, J: 2, Upper: 12, Sigma: 0.5},
-	}
-	b := CollectBounds(3, cons, Options{})
+	cons := constraint.Of(
+		constraint.Distance{I: 0, J: 1, Target: 5, Sigma: 0.1}.Row(),
+		constraint.DistanceBound{I: 1, J: 2, Lower: 2, Upper: 8, Sigma: 0.5}.Row(),
+		constraint.DistanceBound{I: 0, J: 2, Upper: 12, Sigma: 0.5}.Row())
+	b := CollectBounds(3, &cons, Options{})
 	if lo, hi := b.Lower.At(0, 1), b.Upper.At(0, 1); lo != 4.8 || hi != 5.2 {
 		t.Fatalf("exact distance bounds [%g, %g]", lo, hi)
 	}
@@ -50,11 +49,10 @@ func TestCollectBounds(t *testing.T) {
 }
 
 func TestSmoothTightensThroughTriangle(t *testing.T) {
-	cons := []constraint.Constraint{
-		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.01},
-		constraint.Distance{I: 1, J: 2, Target: 4, Sigma: 0.01},
-	}
-	b := CollectBounds(3, cons, Options{DefaultUpper: 1000})
+	cons := constraint.Of(
+		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.01}.Row(),
+		constraint.Distance{I: 1, J: 2, Target: 4, Sigma: 0.01}.Row())
+	b := CollectBounds(3, &cons, Options{DefaultUpper: 1000})
 	if err := b.Smooth(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +63,12 @@ func TestSmoothTightensThroughTriangle(t *testing.T) {
 }
 
 func TestSmoothDetectsInconsistency(t *testing.T) {
-	cons := []constraint.Constraint{
-		constraint.Distance{I: 0, J: 1, Target: 2, Sigma: 0.01},
-		constraint.Distance{I: 1, J: 2, Target: 2, Sigma: 0.01},
-		constraint.Distance{I: 0, J: 2, Target: 50, Sigma: 0.01}, // violates triangle
-	}
-	b := CollectBounds(3, cons, Options{})
+	cons := constraint.Of(
+		constraint.Distance{I: 0, J: 1, Target: 2, Sigma: 0.01}.Row(),
+		constraint.Distance{I: 1, J: 2, Target: 2, Sigma: 0.01}.Row(),
+		constraint.Distance{I: 0, J: 2, Target: 50, Sigma: 0.01}.Row(), // violates triangle
+	)
+	b := CollectBounds(3, &cons, Options{})
 	if err := b.Smooth(); err == nil {
 		t.Fatal("inconsistent bounds not detected")
 	}
@@ -83,7 +81,7 @@ func TestEmbedRecoversFullyDeterminedShape(t *testing.T) {
 		{0, 0, 0}, {5, 0, 0}, {2, 4, 0}, {1, 1, 4}, {4, 3, 2},
 	}
 	cons := exactDistanceSet(ref, 0.01)
-	pos, err := Embed(len(ref), cons, Options{Seed: 2})
+	pos, err := Embed(len(ref), &cons, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +108,7 @@ func TestEmbedHelixApproximate(t *testing.T) {
 	// is a low-resolution candidate: it should land in the right size
 	// regime, far better than random scatter.
 	h := molecule.Helix(1)
-	pos, err := Embed(len(h.Atoms), h.Constraints, Options{Seed: 5})
+	pos, err := Embed(len(h.Atoms), &h.Constraints, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +131,9 @@ func TestEmbedEmptyAndTrivial(t *testing.T) {
 	if pos, err := Embed(0, nil, Options{}); err != nil || len(pos) != 0 {
 		t.Fatal("empty problem")
 	}
-	pos, err := Embed(2, []constraint.Constraint{
-		constraint.Distance{I: 0, J: 1, Target: 4, Sigma: 0.01},
-	}, Options{Seed: 1})
+	cons := constraint.Of(
+		constraint.Distance{I: 0, J: 1, Target: 4, Sigma: 0.01}.Row())
+	pos, err := Embed(2, &cons, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +144,11 @@ func TestEmbedEmptyAndTrivial(t *testing.T) {
 
 func TestEmbedDeterministic(t *testing.T) {
 	h := molecule.Helix(1)
-	a, err := Embed(len(h.Atoms), h.Constraints, Options{Seed: 9})
+	a, err := Embed(len(h.Atoms), &h.Constraints, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Embed(len(h.Atoms), h.Constraints, Options{Seed: 9})
+	b, err := Embed(len(h.Atoms), &h.Constraints, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

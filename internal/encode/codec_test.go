@@ -28,12 +28,8 @@ func referenceFileProblem(p *molecule.Problem) (*fileProblem, error) {
 	for _, a := range p.Atoms {
 		fp.Atoms = append(fp.Atoms, fileAtom{Name: a.Name, Residue: a.Residue, Pos: a.Pos})
 	}
-	for _, c := range p.Constraints {
-		fc, err := toFile(c)
-		if err != nil {
-			return nil, err
-		}
-		fp.Constraints = append(fp.Constraints, fc)
+	for r := range p.Constraints.Len() {
+		fp.Constraints = append(fp.Constraints, toFile(&p.Constraints, r))
 	}
 	fp.Tree = referenceFileGroup(p.Tree)
 	return fp, nil
@@ -151,8 +147,10 @@ func sameBits(a, b reflect.Value) bool {
 		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
 	case reflect.String:
 		return a.String() == b.String()
-	case reflect.Int, reflect.Int64:
+	case reflect.Int, reflect.Int64, reflect.Int32:
 		return a.Int() == b.Int()
+	case reflect.Uint8:
+		return a.Uint() == b.Uint()
 	case reflect.Bool:
 		return a.Bool() == b.Bool()
 	case reflect.Pointer, reflect.Interface:
@@ -362,10 +360,7 @@ func edgeProblem() *molecule.Problem {
 	p.Atoms[2].Pos = geom.Vec3{5e-324, -1e-6, 123456789.125}
 	p.Atoms[3].Pos = geom.Vec3{1e20, 9.999999999999999e20, -1.5e-7}
 	p.Atoms[4].Residue = -3
-	p.Constraints = append(p.Constraints,
-		constraint.Distance{I: 0, J: 0, Target: math.Copysign(0, -1), Sigma: 5e-324},
-		constraint.DistanceBound{I: 2, J: 3, Lower: -0.000001, Upper: math.MaxFloat64, Sigma: 1e300},
-		constraint.Position{I: 0, Target: geom.Vec3{}, Sigma: 1e-300})
+	p.Constraints.Add(constraint.Distance{I: 0, J: 0, Target: math.Copysign(0, -1), Sigma: 5e-324}.Row(), constraint.DistanceBound{I: 2, J: 3, Lower: -0.000001, Upper: math.MaxFloat64, Sigma: 1e300}.Row(), constraint.Position{I: 0, Target: geom.Vec3{}, Sigma: 1e-300}.Row())
 	p.Tree.Children = append(p.Tree.Children, nil, &molecule.Group{}, &molecule.Group{Name: "<>", AtomIDs: []int{}})
 	return p
 }
@@ -416,7 +411,9 @@ func TestMarshalSolveRequestMatchesJSON(t *testing.T) {
 func TestMarshalRefusesNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		p := sampleProblem()
-		p.Constraints[0] = constraint.Distance{I: 0, J: 1, Target: 1.5, Sigma: bad}
+		rows := p.Constraints.Rows()
+		rows[0] = constraint.Distance{I: 0, J: 1, Target: 1.5, Sigma: bad}.Row()
+		p.Constraints = constraint.Of(rows...)
 		if _, err := MarshalSolveRequest(p, SolveParams{}, nil); err == nil {
 			t.Errorf("sigma %v: request rendered", bad)
 		}

@@ -7,7 +7,6 @@ package encode
 // speak the job JSON.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -95,20 +94,25 @@ func MarshalSolveRequest(p *molecule.Problem, params SolveParams, warm *WarmStar
 // (nil when the submission is cold). The body must be exactly one JSON
 // document.
 func ReadSolveRequest(r io.Reader) (*molecule.Problem, SolveParams, *WarmStartRef, error) {
-	fail := func(err error) (*molecule.Problem, SolveParams, *WarmStartRef, error) {
-		return nil, SolveParams{}, nil, err
-	}
-	var body bytes.Buffer // doubles as it fills: half the garbage of io.ReadAll on a 40 KB request
-	if _, err := body.ReadFrom(r); err != nil {
-		return fail(fmt.Errorf("encode: request: %w", err))
-	}
-	req, err := decodeRequest(body.Bytes(), &fullSchema)
+	body, err := ReadBody(r, -1, 0)
 	if err != nil {
-		return fail(fmt.Errorf("encode: request: %w", err))
+		return nil, SolveParams{}, nil, fmt.Errorf("encode: request: %w", err)
+	}
+	return ParseSolveRequest(body)
+}
+
+// ParseSolveRequest is ReadSolveRequest on a body already read (ReadBody).
+func ParseSolveRequest(body []byte) (*molecule.Problem, SolveParams, *WarmStartRef, error) {
+	req, err := decodeRequest(body, &fullSchema)
+	if req.Problem != nil {
+		defer putRecords(req.Problem.Constraints)
+	}
+	if err != nil {
+		return nil, SolveParams{}, nil, fmt.Errorf("encode: request: %w", err)
 	}
 	p, err := req.validate()
 	if err != nil {
-		return fail(err)
+		return nil, SolveParams{}, nil, err
 	}
 	return p, req.Params, req.WarmStart, nil
 }

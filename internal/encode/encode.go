@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"phmse/internal/constraint"
-	"phmse/internal/geom"
 	"phmse/internal/molecule"
 )
 
@@ -85,11 +84,24 @@ func WriteProblem(w io.Writer, p *molecule.Problem) error {
 // ReadProblem parses a problem from JSON. The input must be exactly one
 // JSON document.
 func ReadProblem(r io.Reader) (*molecule.Problem, error) {
-	var data bytes.Buffer
-	if _, err := data.ReadFrom(r); err != nil {
+	data, err := ReadBody(r, -1, 0)
+	if err != nil {
 		return nil, fmt.Errorf("encode: %w", err)
 	}
-	return ReadProblemBytes(data.Bytes())
+	return ReadProblemBytes(data)
+}
+
+// ReadBody reads all of r. size is the length the sender declared (an
+// HTTP request's ContentLength), negative when unknown: a declared length
+// up to limit is read into one buffer of that size, anything else into a
+// buffer that doubles as it fills. The caller bounds the reader.
+func ReadBody(r io.Reader, size, limit int64) ([]byte, error) {
+	var b bytes.Buffer
+	if 0 < size && size <= limit {
+		b.Grow(int(size) + bytes.MinRead) // ReadFrom grows with less than MinRead free
+	}
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
 }
 
 // problem validates the decoded document and converts it to solver form.
@@ -101,15 +113,13 @@ func (fp *fileProblem) problem() (*molecule.Problem, error) {
 	for i, a := range fp.Atoms {
 		p.Atoms[i] = molecule.Atom{Name: a.Name, Residue: a.Residue, Pos: a.Pos}
 	}
-	if len(fp.Constraints) > 0 {
-		p.Constraints = make([]constraint.Constraint, len(fp.Constraints))
-	}
+	p.Constraints.Grow(len(fp.Constraints))
 	for i, fc := range fp.Constraints {
-		c, err := fromFile(fc, len(fp.Atoms))
+		row, err := fromFile(fc, len(fp.Atoms))
 		if err != nil {
 			return nil, fmt.Errorf("encode: constraint %d: %w", i, err)
 		}
-		p.Constraints[i] = c
+		p.Constraints.Add(row)
 	}
 	p.Tree = fromFileGroup(fp.Tree)
 	return p, nil
@@ -118,74 +128,78 @@ func (fp *fileProblem) problem() (*molecule.Problem, error) {
 // ReadProblemBytes parses a problem from a JSON document in memory.
 func ReadProblemBytes(data []byte) (*molecule.Problem, error) {
 	fp, err := decodeProblem(data)
+	defer putRecords(fp.Constraints)
 	if err != nil {
 		return nil, fmt.Errorf("encode: %w", err)
 	}
 	return fp.problem()
 }
 
-func toFile(c constraint.Constraint) (fileConstraint, error) {
-	switch v := c.(type) {
-	case constraint.Distance:
-		return fileConstraint{fileTopo: fileTopo{Type: "distance", I: v.I, J: v.J}, Target: v.Target, Sigma: v.Sigma}, nil
-	case constraint.Angle:
-		return fileConstraint{fileTopo: fileTopo{Type: "angle", I: v.I, J: v.J, K: v.K}, Target: v.Target, Sigma: v.Sigma}, nil
-	case constraint.Torsion:
-		return fileConstraint{fileTopo: fileTopo{Type: "torsion", I: v.I, J: v.J, K: v.K, L: v.L}, Target: v.Target, Sigma: v.Sigma}, nil
-	case constraint.Position:
-		pt := [3]float64(v.Target)
-		return fileConstraint{fileTopo: fileTopo{Type: "position", I: v.I}, Point: &pt, Sigma: v.Sigma}, nil
-	case constraint.DistanceBound:
-		return fileConstraint{fileTopo: fileTopo{Type: "bound", I: v.I, J: v.J}, Lower: v.Lower, Upper: v.Upper, Sigma: v.Sigma}, nil
+// toFile returns row r of the set as its wire record.
+func toFile(s *constraint.Set, r int) fileConstraint {
+	row := s.Row(r)
+	fc := fileConstraint{fileTopo: topo(row.Kind, s.Atoms(r)), Sigma: row.Sigma}
+	switch row.Kind {
+	case constraint.KindPosition, constraint.KindDisplacement:
+		pt := row.Val
+		fc.Point = &pt
+	case constraint.KindBound:
+		fc.Lower, fc.Upper = row.Val[0], row.Val[1]
 	default:
-		return fileConstraint{}, fmt.Errorf("encode: unsupported constraint type %T", c)
+		fc.Target = row.Val[0]
 	}
+	return fc
 }
 
-func fromFile(fc fileConstraint, nAtoms int) (constraint.Constraint, error) {
-	check := func(idx ...int) error {
-		for _, a := range idx {
-			if a < 0 || a >= nAtoms {
-				return fmt.Errorf("atom %d out of range [0,%d)", a, nAtoms)
-			}
-		}
-		return nil
+// topo returns the topology record of a row of the given kind and atoms.
+func topo(k constraint.Kind, atoms []int32) fileTopo {
+	var idx [4]int
+	for i, a := range atoms {
+		idx[i] = int(a)
 	}
+	return fileTopo{Type: k.String(), I: idx[0], J: idx[1], K: idx[2], L: idx[3]}
+}
+
+// kindOf returns the kind a wire type tag names.
+func kindOf(tag string) (constraint.Kind, bool) {
+	for k := range constraint.NumKinds {
+		if k.String() == tag {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+func fromFile(fc fileConstraint, nAtoms int) (constraint.Row, error) {
 	if fc.Sigma <= 0 || math.IsNaN(fc.Sigma) {
-		return nil, fmt.Errorf("sigma %g must be positive", fc.Sigma)
+		return constraint.Row{}, fmt.Errorf("sigma %g must be positive", fc.Sigma)
 	}
-	switch fc.Type {
-	case "distance":
-		if err := check(fc.I, fc.J); err != nil {
-			return nil, err
+	k, ok := kindOf(fc.Type)
+	if !ok {
+		return constraint.Row{}, fmt.Errorf("unknown constraint type %q", fc.Type)
+	}
+	row := constraint.Row{Kind: k, Atoms: [4]int{fc.I, fc.J, fc.K, fc.L}, Val: [3]float64{fc.Target}, Sigma: fc.Sigma}
+	for _, a := range row.Atoms[:k.Atoms()] {
+		if a < 0 || a >= nAtoms {
+			return constraint.Row{}, fmt.Errorf("atom %d out of range [0,%d)", a, nAtoms)
 		}
-		return constraint.Distance{I: fc.I, J: fc.J, Target: fc.Target, Sigma: fc.Sigma}, nil
-	case "angle":
-		if err := check(fc.I, fc.J, fc.K); err != nil {
-			return nil, err
-		}
-		return constraint.Angle{I: fc.I, J: fc.J, K: fc.K, Target: fc.Target, Sigma: fc.Sigma}, nil
-	case "torsion":
-		if err := check(fc.I, fc.J, fc.K, fc.L); err != nil {
-			return nil, err
-		}
-		return constraint.Torsion{I: fc.I, J: fc.J, K: fc.K, L: fc.L, Target: fc.Target, Sigma: fc.Sigma}, nil
-	case "position":
-		if err := check(fc.I); err != nil {
-			return nil, err
-		}
+	}
+	switch k {
+	case constraint.KindPosition, constraint.KindDisplacement:
 		if fc.Point == nil {
-			return nil, fmt.Errorf("position constraint needs a point")
+			return constraint.Row{}, fmt.Errorf("%s constraint needs a point", k)
 		}
-		return constraint.Position{I: fc.I, Target: geom.Vec3(*fc.Point), Sigma: fc.Sigma}, nil
-	case "bound":
-		if err := check(fc.I, fc.J); err != nil {
-			return nil, err
+		row.Val = *fc.Point
+	case constraint.KindBound:
+		if fc.Lower < 0 || fc.Upper < 0 {
+			return constraint.Row{}, fmt.Errorf("bound limits %g, %g must not be negative", fc.Lower, fc.Upper)
 		}
-		return constraint.DistanceBound{I: fc.I, J: fc.J, Lower: fc.Lower, Upper: fc.Upper, Sigma: fc.Sigma}, nil
-	default:
-		return nil, fmt.Errorf("unknown constraint type %q", fc.Type)
+		if 0 < fc.Upper && fc.Upper < fc.Lower {
+			return constraint.Row{}, fmt.Errorf("bound upper limit %g is below its lower limit %g", fc.Upper, fc.Lower)
+		}
+		row.Val = [3]float64{fc.Lower, fc.Upper}
 	}
+	return row, nil
 }
 
 func fromFileGroup(fg *fileGroup) *molecule.Group {

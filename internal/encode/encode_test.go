@@ -17,13 +17,12 @@ func sampleProblem() *molecule.Problem {
 			Name: "A", Residue: i, Pos: geom.Vec3{float64(i), 1, 2},
 		})
 	}
-	p.Constraints = []constraint.Constraint{
-		constraint.Distance{I: 0, J: 1, Target: 1.5, Sigma: 0.1},
-		constraint.Angle{I: 0, J: 1, K: 2, Target: 1.9, Sigma: 0.05},
-		constraint.Torsion{I: 0, J: 1, K: 2, L: 3, Target: -0.5, Sigma: 0.2},
-		constraint.Position{I: 4, Target: geom.Vec3{4, 1, 2}, Sigma: 0.3},
-		constraint.DistanceBound{I: 1, J: 4, Lower: 2, Upper: 9, Sigma: 0.5},
-	}
+	p.Constraints = constraint.Of(
+		constraint.Distance{I: 0, J: 1, Target: 1.5, Sigma: 0.1}.Row(),
+		constraint.Angle{I: 0, J: 1, K: 2, Target: 1.9, Sigma: 0.05}.Row(),
+		constraint.Torsion{I: 0, J: 1, K: 2, L: 3, Target: -0.5, Sigma: 0.2}.Row(),
+		constraint.Position{I: 4, Target: geom.Vec3{4, 1, 2}, Sigma: 0.3}.Row(),
+		constraint.DistanceBound{I: 1, J: 4, Lower: 2, Upper: 9, Sigma: 0.5}.Row())
 	p.Tree = &molecule.Group{
 		Name: "root",
 		Children: []*molecule.Group{
@@ -44,7 +43,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Name != p.Name || len(q.Atoms) != len(p.Atoms) || len(q.Constraints) != len(p.Constraints) {
+	if q.Name != p.Name || len(q.Atoms) != len(p.Atoms) || q.Constraints.Len() != p.Constraints.Len() {
 		t.Fatalf("round trip lost data: %v", q)
 	}
 	for i := range p.Atoms {
@@ -52,9 +51,9 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("atom %d differs", i)
 		}
 	}
-	for i := range p.Constraints {
-		if q.Constraints[i] != p.Constraints[i] {
-			t.Fatalf("constraint %d: %#v vs %#v", i, q.Constraints[i], p.Constraints[i])
+	for i := range p.Constraints.Rows() {
+		if q.Constraints.Row(i) != p.Constraints.Row(i) {
+			t.Fatalf("constraint %d: %#v vs %#v", i, q.Constraints.Row(i), p.Constraints.Row(i))
 		}
 	}
 	if q.Tree == nil || len(q.Tree.Children) != 2 || q.Tree.Children[1].AtomIDs[1] != 4 {
@@ -109,7 +108,7 @@ func TestGeneratedProblemsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		if len(q.Atoms) != len(p.Atoms) || len(q.Constraints) != len(p.Constraints) {
+		if len(q.Atoms) != len(p.Atoms) || q.Constraints.Len() != p.Constraints.Len() {
 			t.Fatalf("%s: sizes differ", p.Name)
 		}
 		if q.Tree.Count() != p.Tree.Count() {

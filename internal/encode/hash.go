@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"slices"
 	"strconv"
 
@@ -23,13 +22,10 @@ import (
 // in (the constraint set is hashed as a sorted multiset) nor, since it is
 // computed from the parsed Problem, on JSON field order in a problem file.
 func TopologyHash(p *molecule.Problem) string {
-	recs := newRecords(len(p.Constraints))
-	for _, c := range p.Constraints {
-		if fc, err := toFile(c); err == nil {
-			recs.add(fc.appendRecord(recs.buf))
-		} else { // no wire form: hash what the type exposes
-			recs.add(fmt.Appendf(recs.buf, "%T %v", c, c.Atoms()))
-		}
+	s := &p.Constraints
+	recs := newRecords(s.Len())
+	for r := range s.Len() {
+		recs.add(appendRecord(recs.buf, s.Kind(r).String(), s.Atoms(r)))
 	}
 	return hashTopology(len(p.Atoms), recs, p.Tree)
 }
@@ -83,24 +79,26 @@ func StructureHash(p *molecule.Problem) string {
 	return hashTopology(len(p.Atoms), records{}, p.Tree)
 }
 
-// appendRecord appends the constraint's line of the topology hash: its
-// type tag and as many atom indices as that type couples.
-func (t fileTopo) appendRecord(b []byte) []byte {
-	idx := [4]int{t.I, t.J, t.K, t.L}
-	n := len(idx) // torsion; an unknown tag renders every index
-	switch t.Type {
-	case "position":
-		n = 1
-	case "distance", "bound":
-		n = 2
-	case "angle":
-		n = 3
-	}
-	b = append(b, t.Type...)
-	for _, a := range idx[:n] {
+// appendRecord appends a constraint's line of the topology hash: its type
+// tag and the atom indices it couples.
+func appendRecord[T int | int32](b []byte, tag string, atoms []T) []byte {
+	b = append(b, tag...)
+	for _, a := range atoms {
 		b = strconv.AppendInt(append(b, ' '), int64(a), 10)
 	}
 	return b
+}
+
+// appendRecord appends the record's line of the topology hash: its type
+// tag and as many atom indices as that type couples, every index for an
+// unknown tag.
+func (t fileTopo) appendRecord(b []byte) []byte {
+	idx := [4]int{t.I, t.J, t.K, t.L}
+	n := len(idx)
+	if k, ok := kindOf(t.Type); ok {
+		n = k.Atoms()
+	}
+	return appendRecord(b, t.Type, idx[:n])
 }
 
 // appendTree appends a canonical rendering of the grouping tree: a

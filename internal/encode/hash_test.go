@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,6 +47,13 @@ func TestTopologyHashStableAcrossFieldOrder(t *testing.T) {
 	}
 }
 
+// setRow replaces row i of p's constraints.
+func setRow(p *molecule.Problem, i int, r constraint.Row) {
+	rows := p.Constraints.Rows()
+	rows[i] = r
+	p.Constraints = constraint.Of(rows...)
+}
+
 // Constraint order is not topology: a permuted constraint list hashes the
 // same. Measurement values are not topology either.
 func TestTopologyHashCanonical(t *testing.T) {
@@ -53,15 +61,15 @@ func TestTopologyHashCanonical(t *testing.T) {
 	base := TopologyHash(p)
 
 	perm := sampleProblem()
-	for i, j := 0, len(perm.Constraints)-1; i < j; i, j = i+1, j-1 {
-		perm.Constraints[i], perm.Constraints[j] = perm.Constraints[j], perm.Constraints[i]
-	}
+	rows := perm.Constraints.Rows()
+	slices.Reverse(rows)
+	perm.Constraints = constraint.Of(rows...)
 	if got := TopologyHash(perm); got != base {
 		t.Fatalf("constraint-order permutation changed the hash")
 	}
 
 	vals := sampleProblem()
-	vals.Constraints[0] = constraint.Distance{I: 0, J: 1, Target: 9.9, Sigma: 0.7}
+	setRow(vals, 0, constraint.Distance{I: 0, J: 1, Target: 9.9, Sigma: 0.7}.Row())
 	vals.Atoms[0].Pos = [3]float64{5, 5, 5}
 	vals.Name = "other-name"
 	if got := TopologyHash(vals); got != base {
@@ -75,11 +83,11 @@ func TestTopologyHashDiscriminates(t *testing.T) {
 	seen := map[string]string{"base": base}
 
 	edge := sampleProblem()
-	edge.Constraints[0] = constraint.Distance{I: 0, J: 2, Target: 1.5, Sigma: 0.1}
+	setRow(edge, 0, constraint.Distance{I: 0, J: 2, Target: 1.5, Sigma: 0.1}.Row())
 	seen["different edge"] = TopologyHash(edge)
 
 	kind := sampleProblem()
-	kind.Constraints[0] = constraint.DistanceBound{I: 0, J: 1, Lower: 1, Upper: 2, Sigma: 0.1}
+	setRow(kind, 0, constraint.DistanceBound{I: 0, J: 1, Lower: 1, Upper: 2, Sigma: 0.1}.Row())
 	seen["different constraint type"] = TopologyHash(kind)
 
 	atoms := sampleProblem()
@@ -125,6 +133,6 @@ func TestTopologyHashGenerators(t *testing.T) {
 func TestTopologyHashAllocations(t *testing.T) {
 	p := molecule.Helix(8)
 	if allocs := testing.AllocsPerRun(10, func() { TopologyHash(p) }); allocs > 20 {
-		t.Errorf("TopologyHash of %d constraints: %v allocations", len(p.Constraints), allocs)
+		t.Errorf("TopologyHash of %d constraints: %v allocations", p.Constraints.Len(), allocs)
 	}
 }

@@ -10,6 +10,8 @@ package encode
 import (
 	"fmt"
 	"strings"
+
+	"phmse/internal/constraint"
 )
 
 // Route is a solve request read for routing: the warm-start reference,
@@ -20,8 +22,16 @@ import (
 // the key's sort and SHA-256.
 type Route struct {
 	// Warm is the request's warm_start reference; nil for a cold submission.
-	Warm *WarmStartRef
-	topo *fileProblem
+	Warm  *WarmStartRef
+	atoms int
+	tree  *fileGroup
+	// kinds and idx are the topology columns of the constraints with a
+	// known type tag and indices an int32 holds: their kinds in order,
+	// and their atoms, Kind.Atoms() each. odd holds the others whole,
+	// which the daemon refuses but the key still renders.
+	kinds []constraint.Kind
+	idx   []int32
+	odd   []fileTopo
 }
 
 // ReadRoute reads a solve request for routing in one pass of the request
@@ -32,26 +42,53 @@ type Route struct {
 // leaves validation to ReadSolveRequest on the shard.
 func ReadRoute(body []byte) (Route, error) {
 	req, err := decodeRequest(body, &routeSchema)
+	fp := req.Problem
+	if fp != nil {
+		defer putRecords(fp.Constraints)
+	}
 	if err != nil {
 		return Route{}, fmt.Errorf("encode: request: %w", err)
 	}
-	if req.Problem == nil || len(req.Problem.Atoms) == 0 {
+	if fp == nil || len(fp.Atoms) == 0 {
 		return Route{}, fmt.Errorf("encode: request has no problem with atoms")
 	}
 	if req.WarmStart != nil && req.WarmStart.Job == "" {
 		return Route{}, fmt.Errorf("encode: warm_start reference has no job id")
 	}
-	return Route{Warm: req.WarmStart, topo: req.Problem}, nil
+	rt := Route{Warm: req.WarmStart, atoms: len(fp.Atoms), tree: fp.Tree,
+		kinds: make([]constraint.Kind, 0, len(fp.Constraints)), idx: make([]int32, 0, 2*len(fp.Constraints))}
+	for _, c := range fp.Constraints {
+		idx := [4]int{c.I, c.J, c.K, c.L}
+		k, ok := kindOf(c.Type)
+		for _, a := range idx[:k.Atoms()] {
+			ok = ok && a == int(int32(a))
+		}
+		if !ok {
+			rt.odd = append(rt.odd, c.fileTopo)
+			continue
+		}
+		rt.kinds = append(rt.kinds, k)
+		for _, a := range idx[:k.Atoms()] {
+			rt.idx = append(rt.idx, int32(a))
+		}
+	}
+	return rt, nil
 }
 
 // Key renders the consistent-hash key: the problem's TopologyHash, equal
 // to the daemon's for every request the daemon accepts.
 func (r Route) Key() string {
-	recs := newRecords(len(r.topo.Constraints))
-	for _, c := range r.topo.Constraints {
-		recs.add(c.appendRecord(recs.buf))
+	recs := newRecords(len(r.kinds) + len(r.odd))
+	at := 0
+	for _, k := range r.kinds {
+		n := k.Atoms()
+		recs.add(appendRecord(recs.buf, k.String(), r.idx[at:at+n]))
+		at += n
 	}
-	return hashTopology(len(r.topo.Atoms), recs, fromFileGroup(r.topo.Tree))
+	for _, t := range r.odd { // the hash sorts the records: order is free
+		recs.add(t.appendRecord(recs.buf))
+	}
+	return hashTopology(r.atoms, recs, fromFileGroup(r.tree))
 }
 
 // SolveRouting extracts the routing decision of a solve request without

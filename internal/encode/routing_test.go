@@ -121,8 +121,9 @@ func TestSolveRoutingMatchesDaemon(t *testing.T) {
 		case 3:
 			p = molecule.WithAnchors(molecule.Protein(6, rng.Int63()), 3, 0.1)
 		}
-		cons := append([]constraint.Constraint(nil), p.Constraints...)
-		rng.Shuffle(len(cons), func(a, b int) { cons[a], cons[b] = cons[b], cons[a] })
+		rows := p.Constraints.Rows()
+		rng.Shuffle(len(rows), func(a, b int) { rows[a], rows[b] = rows[b], rows[a] })
+		cons := constraint.Of(rows...)
 		if rng.Intn(3) == 0 {
 			p.Tree = nil
 		}

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -109,6 +110,9 @@ func (d *decoder) problem(fp *fileProblem) error {
 		case "atoms":
 			return decodeSlice(d, &fp.Atoms, d.atom)
 		case "constraints":
+			if fp.Constraints == nil {
+				fp.Constraints = getRecords()
+			}
 			return decodeSlice(d, &fp.Constraints, d.constraint)
 		case "tree":
 			return decodePtr(d, &fp.Tree, d.group)
@@ -232,6 +236,30 @@ func field(key []byte, names []string) string {
 	return ""
 }
 
+// recordPool recycles the constraint records problem documents decode
+// into: a reader turns them into columns (Problem.Constraints, Route's)
+// and hands them back with putRecords.
+var recordPool sync.Pool
+
+// getRecords returns an empty record slice with capacity left by an
+// earlier document, every element zero, or nil.
+func getRecords() []fileConstraint {
+	p, ok := recordPool.Get().(*[]fileConstraint)
+	if !ok {
+		return nil
+	}
+	r := *p
+	clear(r[:cap(r)])
+	return r[:0]
+}
+
+// putRecords hands records back for the next document to decode into.
+func putRecords(r []fileConstraint) {
+	if cap(r) > 0 {
+		recordPool.Put(&r)
+	}
+}
+
 // decodePtr decodes into *p: null sets it nil, anything else decodes into
 // the value it points to, allocated on first use.
 func decodePtr[T any](d *decoder, p **T, decode func(*T) error) error {
@@ -319,6 +347,8 @@ func intern(b []byte) string {
 		return "position"
 	case "bound":
 		return "bound"
+	case "displacement":
+		return "displacement"
 	}
 	return string(b)
 }

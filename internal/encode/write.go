@@ -13,7 +13,7 @@ import (
 // json.Marshal makes of the tagged types in encode.go and dto.go: their
 // field order and omitempty rules, HTML-safe string escapes, and ES6
 // number formatting. The first value json.Marshal would refuse (a NaN or
-// infinite float, a constraint with no wire form) is kept in err.
+// infinite float) is kept in err.
 type writer struct {
 	b   []byte
 	err error
@@ -21,7 +21,7 @@ type writer struct {
 
 // problemWriter returns a writer with room for the problem.
 func problemWriter(p *molecule.Problem) writer {
-	return writer{b: make([]byte, 0, 256+96*len(p.Atoms)+96*len(p.Constraints))}
+	return writer{b: make([]byte, 0, 256+96*len(p.Atoms)+96*p.Constraints.Len())}
 }
 
 func (w *writer) request(p *molecule.Problem, params SolveParams, warm *WarmStartRef) {
@@ -61,17 +61,13 @@ func (w *writer) problem(p *molecule.Problem) {
 		w.b = append(w.b, ']')
 	}
 	w.key("constraints")
-	if len(p.Constraints) == 0 {
+	if p.Constraints.Len() == 0 {
 		w.b = append(w.b, "null"...)
 	} else {
 		w.b = append(w.b, '[')
-		for _, c := range p.Constraints {
-			fc, err := toFile(c)
-			if err != nil && w.err == nil {
-				w.err = err
-			}
+		for r := range p.Constraints.Len() {
 			w.comma()
-			w.constraint(fc)
+			w.constraint(toFile(&p.Constraints, r))
 		}
 		w.b = append(w.b, ']')
 	}

@@ -12,6 +12,7 @@ import (
 
 	"phmse/internal/constraint"
 	"phmse/internal/geom"
+	"phmse/internal/sparse"
 )
 
 // Options configures the minimization; zero values select defaults.
@@ -45,7 +46,7 @@ type Result struct {
 // Minimize runs gradient descent on pos in place and returns the outcome.
 // Gated constraints contribute only while violated, giving the flat-bottom
 // penalty wells customary for bound restraints.
-func Minimize(pos []geom.Vec3, cons []constraint.Constraint, opt Options) Result {
+func Minimize(pos []geom.Vec3, cons *constraint.Set, opt Options) Result {
 	opt = opt.withDefaults()
 	n := len(pos)
 	if n == 0 {
@@ -93,71 +94,36 @@ func Minimize(pos []geom.Vec3, cons []constraint.Constraint, opt Options) Result
 
 // EnergyGrad computes the penalty energy and writes its gradient (zeroed
 // first) into grad, which must have one entry per atom.
-func EnergyGrad(pos []geom.Vec3, cons []constraint.Constraint, grad []geom.Vec3) float64 {
+func EnergyGrad(pos []geom.Vec3, cons *constraint.Set, grad []geom.Vec3) float64 {
 	for i := range grad {
 		grad[i] = geom.Vec3{}
 	}
+	lin := constraint.Lin{Jac: sparse.NewBuilder(3 * len(pos))}
+	cons.Eval(cons.AllRows(), nil, geom.Flat(pos), &lin)
+	jac := lin.Jac.Build()
+	g := geom.Flat(grad)
 	total := 0.0
-	var local []geom.Vec3
-	var h, z, s2 []float64
-	var jac [][]float64
-	for _, c := range cons {
-		atoms := c.Atoms()
-		dim := c.Dim()
-		if cap(local) < len(atoms) {
-			local = make([]geom.Vec3, len(atoms))
-		}
-		local = local[:len(atoms)]
-		for k, a := range atoms {
-			local[k] = pos[a]
-		}
-		if g, ok := c.(constraint.Gated); ok && !g.Active(local) {
+	for d, s2 := range lin.R {
+		if s2 <= 0 {
 			continue
 		}
-		if cap(h) < dim {
-			h = make([]float64, dim)
-			z = make([]float64, dim)
-			s2 = make([]float64, dim)
+		diff := lin.Z[d] - lin.H[d]
+		if lin.Wrap[d] {
+			diff = wrapAngle(diff)
 		}
-		h, z, s2 = h[:dim], z[:dim], s2[:dim]
-		for len(jac) < dim {
-			jac = append(jac, nil)
-		}
-		for d := 0; d < dim; d++ {
-			if cap(jac[d]) < 3*len(atoms) {
-				jac[d] = make([]float64, 3*len(atoms))
-			}
-			jac[d] = jac[d][:3*len(atoms)]
-		}
-		c.Eval(local, h, jac[:dim])
-		c.Observed(z, s2)
-		var wrap []bool
-		if p, ok := c.(constraint.Periodic); ok {
-			wrap = p.PeriodicRows()
-		}
-		for d := 0; d < dim; d++ {
-			if s2[d] <= 0 {
-				continue
-			}
-			diff := z[d] - h[d]
-			if wrap != nil && wrap[d] {
-				diff = wrapAngle(diff)
-			}
-			total += diff * diff / s2[d]
-			// ∂E/∂x = −2(z−h)/σ² · ∂h/∂x.
-			coeff := -2 * diff / s2[d]
-			for k, a := range atoms {
-				for cc := 0; cc < 3; cc++ {
-					grad[a][cc] += coeff * jac[d][3*k+cc]
-				}
-			}
+		total += diff * diff / s2
+		// ∂E/∂x = −2(z−h)/σ² · ∂h/∂x.
+		coeff := -2 * diff / s2
+		cols, vals := jac.Row(d)
+		for k, c := range cols {
+			g[c] += coeff * vals[k]
 		}
 	}
 	return total
 }
 
 // Energy returns the penalty energy alone.
-func Energy(pos []geom.Vec3, cons []constraint.Constraint) float64 {
+func Energy(pos []geom.Vec3, cons *constraint.Set) float64 {
 	grad := make([]geom.Vec3, len(pos))
 	return EnergyGrad(pos, cons, grad)
 }

@@ -11,7 +11,11 @@
 // goroutines and must be race-free.
 package faultinject
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"phmse/internal/constraint"
+)
 
 // Site identifies a solver-level injection point: which solve (by its
 // fault tag, normally the problem name), which hierarchy node, which
@@ -39,6 +43,11 @@ type Hooks struct {
 	// before the guard verifies it — exercising the non-finite refusal
 	// path: the batch must be quarantined with the state untouched.
 	Poison func(Site) bool
+	// Linearized is handed each batch's linearisation at the site before
+	// the update uses it, and may rewrite it — its Jacobian not yet built
+	// — into one no constraint produces: an infinite Jacobian, an
+	// observation that chases the estimate.
+	Linearized func(s Site, lin *constraint.Lin)
 	// BeforeAttempt is called by the serving layer immediately before
 	// each solve attempt of a job, with the problem's fault tag and the
 	// 0-based attempt number. A hook that panics simulates a worker

@@ -17,16 +17,15 @@ import (
 // chainProblem builds a well-determined 4-atom chain: anchored first atom
 // plus unit distances, split into several one-constraint batches so the
 // quarantine of one batch leaves plenty of information in the others.
-func chainProblem() ([]geom.Vec3, []constraint.Constraint) {
+func chainProblem() ([]geom.Vec3, constraint.Set) {
 	pos := []geom.Vec3{{0, 0, 0}, {1, 0, 0}, {2, 0, 0}, {3, 0, 0}}
-	cons := []constraint.Constraint{
-		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.01},
-		constraint.Distance{I: 0, J: 1, Target: 1, Sigma: 0.05},
-		constraint.Distance{I: 1, J: 2, Target: 1, Sigma: 0.05},
-		constraint.Distance{I: 2, J: 3, Target: 1, Sigma: 0.05},
-		constraint.Distance{I: 0, J: 2, Target: 2, Sigma: 0.05},
-		constraint.Distance{I: 1, J: 3, Target: 2, Sigma: 0.05},
-	}
+	cons := constraint.Of(
+		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.01}.Row(),
+		constraint.Distance{I: 0, J: 1, Target: 1, Sigma: 0.05}.Row(),
+		constraint.Distance{I: 1, J: 2, Target: 1, Sigma: 0.05}.Row(),
+		constraint.Distance{I: 2, J: 3, Target: 1, Sigma: 0.05}.Row(),
+		constraint.Distance{I: 0, J: 2, Target: 2, Sigma: 0.05}.Row(),
+		constraint.Distance{I: 1, J: 3, Target: 2, Sigma: 0.05}.Row())
 	return pos, cons
 }
 
@@ -48,7 +47,7 @@ func TestRidgeRecoversSingularBatch(t *testing.T) {
 	mk := func() (*State, []*Batch) {
 		s := NewState([]geom.Vec3{{0, 0, 0}, {3, 0, 0}}, 25)
 		dup := constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0}
-		batches, err := MakeBatches([]constraint.Constraint{dup, dup}, ident, 16)
+		batches, err := makeBatches(constraint.Of(dup.Row(), dup.Row()), ident, 16)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,6 +17,11 @@ func ident(a int) int { return a }
 
 // applyAll applies every batch in order from a scan of s, as a leaf's pass
 // does.
+// makeBatches batches every row of cons.
+func makeBatches(cons constraint.Set, localOf func(int) int, batchSize int) ([]*Batch, error) {
+	return MakeBatches(&cons, cons.AllRows(), localOf, batchSize)
+}
+
 func applyAll(u *Updater, s *State, batches []*Batch) (int, error) {
 	n, _, err := u.ApplyLower(s, batches, u.JoinScan(Bound{}, s))
 	return n, err
@@ -56,11 +61,11 @@ func TestStateBasics(t *testing.T) {
 }
 
 func TestMakeBatches(t *testing.T) {
-	var cons []constraint.Constraint
+	var cons constraint.Set
 	for i := 0; i < 10; i++ {
-		cons = append(cons, constraint.Distance{I: i, J: i + 1, Target: 1, Sigma: 0.1})
+		cons.Add(constraint.Distance{I: i, J: i + 1, Target: 1, Sigma: 0.1}.Row())
 	}
-	batches, err := MakeBatches(cons, ident, 4)
+	batches, err := makeBatches(cons, ident, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +79,11 @@ func TestMakeBatches(t *testing.T) {
 		t.Fatalf("len %d", batches[0].Len())
 	}
 	// A 3-dim position constraint never splits across batches.
-	mixed := []constraint.Constraint{
-		constraint.Distance{I: 0, J: 1, Target: 1, Sigma: 1},
-		constraint.Position{I: 0, Sigma: 1},
-		constraint.Position{I: 1, Sigma: 1},
-	}
-	batches, err = MakeBatches(mixed, ident, 4)
+	mixed := constraint.Of(
+		constraint.Distance{I: 0, J: 1, Target: 1, Sigma: 1}.Row(),
+		constraint.Position{I: 0, Sigma: 1}.Row(),
+		constraint.Position{I: 1, Sigma: 1}.Row())
+	batches, err = makeBatches(mixed, ident, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +93,8 @@ func TestMakeBatches(t *testing.T) {
 }
 
 func TestMakeBatchesUnmappedAtom(t *testing.T) {
-	cons := []constraint.Constraint{constraint.Distance{I: 0, J: 5, Target: 1, Sigma: 1}}
-	_, err := MakeBatches(cons, func(a int) int {
+	cons := constraint.Of(constraint.Distance{I: 0, J: 5, Target: 1, Sigma: 1}.Row())
+	_, err := makeBatches(cons, func(a int) int {
 		if a > 3 {
 			return -1
 		}
@@ -108,7 +112,7 @@ func TestApplyLinearExact(t *testing.T) {
 	s := NewState([]geom.Vec3{{1, 2, 3}}, 4) // v0 = 4 per coordinate
 	u := &Updater{}
 	obs := constraint.Position{I: 0, Target: geom.Vec3{2, 2, 5}, Sigma: 2} // r = 4
-	batches, err := MakeBatches([]constraint.Constraint{obs}, ident, 16)
+	batches, err := makeBatches(constraint.Of(obs.Row()), ident, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +142,8 @@ func TestLocalUpdatePreservesUncorrelatedPart(t *testing.T) {
 	s := NewState([]geom.Vec3{{0, 0, 0}, {3, 0, 0}, {10, 0, 0}, {14, 0, 0}}, 25)
 	u := &Updater{}
 	// Constraint touches only atoms 0 and 1 (coordinates 0..5).
-	cons := []constraint.Constraint{constraint.Distance{I: 0, J: 1, Target: 4, Sigma: 0.5}}
-	batches, err := MakeBatches(cons, ident, 16)
+	cons := constraint.Of(constraint.Distance{I: 0, J: 1, Target: 4, Sigma: 0.5}.Row())
+	batches, err := makeBatches(cons, ident, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +178,8 @@ func TestApplyReducesUncertainty(t *testing.T) {
 	s := NewState([]geom.Vec3{{0, 0, 0}, {2, 0, 0}}, 25)
 	before := s.MeanVariance()
 	u := &Updater{}
-	batches, _ := MakeBatches([]constraint.Constraint{
-		constraint.Distance{I: 0, J: 1, Target: 2.5, Sigma: 0.1},
-	}, ident, 16)
+	batches, _ := makeBatches(constraint.Of(
+		constraint.Distance{I: 0, J: 1, Target: 2.5, Sigma: 0.1}.Row()), ident, 16)
 	if _, err := applyAll(u, s, batches); err != nil {
 		t.Fatal(err)
 	}
@@ -191,15 +194,15 @@ func TestApplyParallelMatchesSerial(t *testing.T) {
 	for i := range pos {
 		pos[i] = geom.Vec3{rng.NormFloat64() * 5, rng.NormFloat64() * 5, rng.NormFloat64() * 5}
 	}
-	var cons []constraint.Constraint
+	var cons constraint.Set
 	for i := 0; i+1 < len(pos); i++ {
-		cons = append(cons, constraint.Distance{I: i, J: i + 1, Target: 3, Sigma: 0.2})
+		cons.Add(constraint.Distance{I: i, J: i + 1, Target: 3, Sigma: 0.2}.Row())
 	}
-	cons = append(cons, constraint.Position{I: 0, Target: pos[0], Sigma: 0.5})
+	cons.Add(constraint.Position{I: 0, Target: pos[0], Sigma: 0.5}.Row())
 
 	run := func(team *par.Team) *State {
 		s := NewState(pos, 25)
-		batches, err := MakeBatches(cons, ident, 8)
+		batches, err := makeBatches(cons, ident, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,9 +231,9 @@ func TestCombineMatchesSequentialLinear(t *testing.T) {
 	obsA := constraint.Position{I: 0, Target: geom.Vec3{1, 0, 0}, Sigma: 1}
 	obsB := constraint.Position{I: 1, Target: geom.Vec3{1, 2, 1}, Sigma: 0.5}
 
-	apply := func(s *State, cs ...constraint.Constraint) *State {
+	apply := func(s *State, cs ...constraint.Row) *State {
 		out := s.Clone()
-		batches, err := MakeBatches(cs, ident, 16)
+		batches, err := makeBatches(constraint.Of(cs...), ident, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,9 +244,9 @@ func TestCombineMatchesSequentialLinear(t *testing.T) {
 		return out
 	}
 
-	sequential := apply(prior, obsA, obsB)
-	branchA := apply(prior, obsA)
-	branchB := apply(prior, obsB)
+	sequential := apply(prior, obsA.Row(), obsB.Row())
+	branchA := apply(prior, obsA.Row())
+	branchB := apply(prior, obsB.Row())
 	fused, err := Combine(prior, branchA, branchB)
 	if err != nil {
 		t.Fatal(err)
@@ -264,9 +267,8 @@ func TestCombineAllTournament(t *testing.T) {
 	targets := []geom.Vec3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
 	for _, tgt := range targets {
 		b := prior.Clone()
-		batches, _ := MakeBatches([]constraint.Constraint{
-			constraint.Position{I: 0, Target: tgt, Sigma: 2},
-		}, ident, 16)
+		batches, _ := makeBatches(constraint.Of(
+			constraint.Position{I: 0, Target: tgt, Sigma: 2}.Row()), ident, 16)
 		u := &Updater{}
 		if _, err := applyAll(u, b, batches); err != nil {
 			t.Fatal(err)
@@ -279,11 +281,11 @@ func TestCombineAllTournament(t *testing.T) {
 	}
 	// Sequential application of all three observations.
 	seq := prior.Clone()
-	var cons []constraint.Constraint
+	var cons constraint.Set
 	for _, tgt := range targets {
-		cons = append(cons, constraint.Position{I: 0, Target: tgt, Sigma: 2})
+		cons.Add(constraint.Position{I: 0, Target: tgt, Sigma: 2}.Row())
 	}
-	batches, _ := MakeBatches(cons, ident, 16)
+	batches, _ := makeBatches(cons, ident, 16)
 	u := &Updater{}
 	if _, err := applyAll(u, seq, batches); err != nil {
 		t.Fatal(err)
@@ -313,7 +315,7 @@ func TestCombineDimensionMismatch(t *testing.T) {
 func TestGatedConstraintSkippedWhenInactive(t *testing.T) {
 	s := NewState([]geom.Vec3{{0, 0, 0}, {3, 0, 0}}, 25)
 	bound := constraint.DistanceBound{I: 0, J: 1, Lower: 1, Upper: 5, Sigma: 0.1}
-	batches, _ := MakeBatches([]constraint.Constraint{bound}, ident, 16)
+	batches, _ := makeBatches(constraint.Of(bound.Row()), ident, 16)
 	u := &Updater{}
 	handled, err := applyAll(u, s, batches)
 	if err != nil {
@@ -338,13 +340,13 @@ func TestGatedConstraintSkippedWhenInactive(t *testing.T) {
 
 func TestWeightedResidualZeroCases(t *testing.T) {
 	s := NewState([]geom.Vec3{{0, 0, 0}}, 1)
-	if WeightedResidual(s.Positions(), nil) != 0 {
+	if WeightedResidual(s.Positions(), &constraint.Set{}) != 0 {
 		t.Fatal("empty constraint set")
 	}
 	// Inactive gated constraint contributes zero.
 	s2 := NewState([]geom.Vec3{{0, 0, 0}, {3, 0, 0}}, 1)
-	cons := []constraint.Constraint{constraint.DistanceBound{I: 0, J: 1, Lower: 1, Upper: 5, Sigma: 1}}
-	if WeightedResidual(s2.Positions(), cons) != 0 {
+	cons := constraint.Of(constraint.DistanceBound{I: 0, J: 1, Lower: 1, Upper: 5, Sigma: 1}.Row())
+	if WeightedResidual(s2.Positions(), &cons) != 0 {
 		t.Fatal("inactive bound residual")
 	}
 }
@@ -364,7 +366,7 @@ func TestTorsionInnovationWraps(t *testing.T) {
 		t.Fatalf("test setup: dihedral %g not near +π", cur)
 	}
 	s := NewState(pos, 0.5)
-	batches, err := MakeBatches([]constraint.Constraint{tor}, ident, 16)
+	batches, err := makeBatches(constraint.Of(tor.Row()), ident, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,14 +402,14 @@ func TestJosephFormMatchesSimple(t *testing.T) {
 	for i := range pos {
 		pos[i] = geom.Vec3{rng.NormFloat64() * 4, rng.NormFloat64() * 4, rng.NormFloat64() * 4}
 	}
-	var cons []constraint.Constraint
+	var cons constraint.Set
 	for i := 0; i+1 < len(pos); i++ {
-		cons = append(cons, constraint.Distance{I: i, J: i + 1, Target: 3, Sigma: 0.2})
+		cons.Add(constraint.Distance{I: i, J: i + 1, Target: 3, Sigma: 0.2}.Row())
 	}
-	cons = append(cons, constraint.Position{I: 0, Target: pos[0], Sigma: 0.3})
+	cons.Add(constraint.Position{I: 0, Target: pos[0], Sigma: 0.3}.Row())
 	run := func(joseph bool) *State {
 		s := NewState(pos, 25)
-		batches, err := MakeBatches(cons, ident, 8)
+		batches, err := makeBatches(cons, ident, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,7 +448,7 @@ func TestJosephFormMatchesSimple(t *testing.T) {
 func TestApplySingularInnovation(t *testing.T) {
 	s := NewState([]geom.Vec3{{0, 0, 0}, {3, 0, 0}}, 25)
 	dup := constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0} // zero variance
-	batches, err := MakeBatches([]constraint.Constraint{dup, dup}, ident, 16)
+	batches, err := makeBatches(constraint.Of(dup.Row(), dup.Row()), ident, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,9 +464,8 @@ func TestApplySingularInnovation(t *testing.T) {
 func TestApplyNaNState(t *testing.T) {
 	s := NewState([]geom.Vec3{{0, 0, 0}, {3, 0, 0}}, 25)
 	s.X[0] = math.NaN()
-	batches, _ := MakeBatches([]constraint.Constraint{
-		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.1},
-	}, ident, 16)
+	batches, _ := makeBatches(constraint.Of(
+		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.1}.Row()), ident, 16)
 	u := &Updater{}
 	if _, err := applyAll(u, s, batches); err == nil {
 		t.Fatal("NaN state accepted")
@@ -475,16 +476,16 @@ func TestApplyNaNState(t *testing.T) {
 // observation while leaving consistent data in force.
 func TestInnovationGating(t *testing.T) {
 	pos := []geom.Vec3{{0, 0, 0}, {3, 0, 0}}
-	good := []constraint.Constraint{
-		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.1},
-		constraint.Distance{I: 0, J: 1, Target: 3.1, Sigma: 0.1},
+	good := []constraint.Row{
+		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.1}.Row(),
+		constraint.Distance{I: 0, J: 1, Target: 3.1, Sigma: 0.1}.Row(),
 	}
 	// An outlier claiming the atoms are 30 Å apart with high confidence.
 	outlier := constraint.Distance{I: 0, J: 1, Target: 30, Sigma: 0.1}
 
 	run := func(gate float64) (*State, int) {
 		s := NewState(pos, 1)
-		batches, err := MakeBatches(append(good, outlier), ident, 16)
+		batches, err := makeBatches(constraint.Of(append(good, outlier.Row())...), ident, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -581,14 +582,13 @@ func TestMaxAbsMatchesLoop(t *testing.T) {
 // through a freshly built matrix of the same rows, on every d-s form the
 // host has.
 func TestKeptPlanFollowsThePattern(t *testing.T) {
-	cons := []constraint.Constraint{
-		constraint.Distance{I: 0, J: 1, Target: 1.5, Sigma: 0.1},
-		constraint.DistanceBound{I: 2, J: 9, Upper: 4, Sigma: 0.1},
-		constraint.Distance{I: 3, J: 4, Target: 1.5, Sigma: 0.1},
-		constraint.Distance{I: 1, J: 7, Target: 2.5, Sigma: 0.1},
-		constraint.Angle{I: 5, J: 6, K: 8, Target: 2, Sigma: 0.1},
-	}
-	batches, err := MakeBatches(cons, ident, 16)
+	cons := constraint.Of(
+		constraint.Distance{I: 0, J: 1, Target: 1.5, Sigma: 0.1}.Row(),
+		constraint.DistanceBound{I: 2, J: 9, Upper: 4, Sigma: 0.1}.Row(),
+		constraint.Distance{I: 3, J: 4, Target: 1.5, Sigma: 0.1}.Row(),
+		constraint.Distance{I: 1, J: 7, Target: 2.5, Sigma: 0.1}.Row(),
+		constraint.Angle{I: 5, J: 6, K: 8, Target: 2, Sigma: 0.1}.Row())
+	batches, err := makeBatches(cons, ident, 16)
 	if err != nil || len(batches) != 1 {
 		t.Fatalf("%d batches, %v", len(batches), err)
 	}
@@ -632,17 +632,18 @@ func TestKeptPlanFollowsThePattern(t *testing.T) {
 					s.C.Set(r, c, rng.NormFloat64())
 				}
 			}
-			asm := b.assemble(s)
-			m := len(asm.z)
-			if m != cy.rows || asm.jac.NNZ() != cy.nnz {
-				t.Fatalf("cycle %d (%s): %d rows, %d entries; want %d, %d", i, cy.name, m, asm.jac.NNZ(), cy.rows, cy.nnz)
+			lin := b.assemble(s)
+			jac := lin.Jac.Build()
+			m := len(lin.Z)
+			if m != cy.rows || jac.NNZ() != cy.nnz {
+				t.Fatalf("cycle %d (%s): %d rows, %d entries; want %d, %d", i, cy.name, m, jac.NNZ(), cy.rows, cy.nnz)
 			}
 			fresh := sparse.NewBuilder(n)
 			for j := 0; j < m; j++ {
-				fresh.AddRow(asm.jac.Row(j))
+				fresh.AddRow(jac.Row(j))
 			}
 			got, want := mat.New(n, m), mat.New(n, m)
-			asm.jac.DenseMulTSymPar(par.NewTeam(1+i%3), got, s.C)
+			jac.DenseMulTSymPar(par.NewTeam(1+i%3), got, s.C)
 			fresh.Build().DenseMulTSymPar(par.NewTeam(1), want, s.C)
 			for r := 0; r < n; r++ {
 				for j := 0; j < m; j++ {
@@ -656,61 +657,45 @@ func TestKeptPlanFollowsThePattern(t *testing.T) {
 	}
 }
 
-// A batch reads its constraints through the slice MakeBatches was given:
-// an entry rewritten there — a value set rebinding a prepared tree — is
+// A batch reads its constraints through the set pointer MakeBatches was
+// given: a set stored there — a value set rebinding a prepared tree — is
 // what the batch's next assemble linearizes, with no batch built again.
 func TestBatchesAliasTheirRun(t *testing.T) {
-	cons := []constraint.Constraint{
-		constraint.Distance{I: 0, J: 1, Target: 1.5, Sigma: 0.1},
-		constraint.Distance{I: 1, J: 2, Target: 1.5, Sigma: 0.1},
-		constraint.Distance{I: 0, J: 2, Target: 2.5, Sigma: 0.1},
+	rows := []constraint.Row{
+		constraint.Distance{I: 0, J: 1, Target: 1.5, Sigma: 0.1}.Row(),
+		constraint.Distance{I: 1, J: 2, Target: 1.5, Sigma: 0.1}.Row(),
+		constraint.Distance{I: 0, J: 2, Target: 2.5, Sigma: 0.1}.Row(),
 	}
-	batches, err := MakeBatches(cons, ident, 2)
+	cons := constraint.Of(rows...)
+	batches, err := MakeBatches(&cons, cons.AllRows(), ident, 2)
 	if err != nil || len(batches) != 2 {
 		t.Fatalf("%d batches, %v", len(batches), err)
 	}
 	s := NewState([]geom.Vec3{{0, 0, 0}, {1, 0, 0}, {1, 1, 0}}, 1)
-	cons[2] = constraint.Distance{I: 0, J: 2, Target: 3, Sigma: 0.2}
-	asm := batches[1].assemble(s)
-	if sigma := 0.2; asm.z[0] != 3 || asm.r[0] != sigma*sigma {
-		t.Fatalf("the batch read z = %g, σ² = %g: not the rewritten constraint", asm.z[0], asm.r[0])
+	rows[2] = constraint.Distance{I: 0, J: 2, Target: 3, Sigma: 0.2}.Row()
+	cons = constraint.Of(rows...)
+	lin := batches[1].assemble(s)
+	if sigma := 0.2; lin.Z[0] != 3 || lin.R[0] != sigma*sigma {
+		t.Fatalf("the batch read z = %g, σ² = %g: not the rewritten constraint", lin.Z[0], lin.R[0])
 	}
 }
 
-// residualFresh is WeightedResidual evaluated into fresh, zeroed buffers
+// residualFresh is WeightedResidual evaluated into a fresh linearisation
 // for every constraint: the reference the scratch-reusing form must match
 // bit for bit.
-func residualFresh(all []geom.Vec3, cons []constraint.Constraint) float64 {
-	sum, count := 0.0, 0
-	for _, c := range cons {
-		count += c.Dim()
-		atoms := c.Atoms()
-		pos := make([]geom.Vec3, len(atoms))
-		for k, a := range atoms {
-			pos[k] = all[a]
-		}
-		if g, ok := c.(constraint.Gated); ok && !g.Active(pos) {
-			continue
-		}
-		h, z, r := make([]float64, c.Dim()), make([]float64, c.Dim()), make([]float64, c.Dim())
-		jac := make([][]float64, c.Dim())
-		for d := range jac {
-			jac[d] = make([]float64, 3*len(atoms))
-		}
-		c.Eval(pos, h, jac)
-		c.Observed(z, r)
-		var wrap []bool
-		if p, ok := c.(constraint.Periodic); ok {
-			wrap = p.PeriodicRows()
-		}
+func residualFresh(all []geom.Vec3, cons *constraint.Set) float64 {
+	sum, count := 0.0, cons.ScalarDim()
+	for r := range cons.Len() {
+		var lin constraint.Lin
+		cons.Eval([]int32{int32(r)}, nil, geom.Flat(all), &lin)
 		own := 0.0
-		for d := range h {
-			diff := z[d] - h[d]
-			if wrap != nil && wrap[d] {
+		for d := range lin.H {
+			diff := lin.Z[d] - lin.H[d]
+			if lin.Wrap[d] {
 				diff = wrapAngle(diff)
 			}
-			if r[d] > 0 {
-				own += diff * diff / r[d]
+			if lin.R[d] > 0 {
+				own += diff * diff / lin.R[d]
 			}
 		}
 		sum += own
@@ -732,29 +717,28 @@ func TestWeightedResidualMatchesFreshBuffers(t *testing.T) {
 	for i := range pos {
 		pos[i] = geom.Vec3{rng.NormFloat64() * 3, rng.NormFloat64() * 3, rng.NormFloat64() * 3}
 	}
-	cons := []constraint.Constraint{
-		constraint.Position{I: 0, Target: geom.Vec3{1, 2, 3}, Sigma: 0.3},
-		constraint.Distance{I: 1, J: 2, Target: 1.5, Sigma: 0.1},
-		constraint.Torsion{I: 0, J: 1, K: 2, L: 3, Target: 3.1, Sigma: 0.2},
-		constraint.DistanceBound{I: 4, J: 5, Upper: 0.5, Sigma: 0.1},
-		constraint.DistanceBound{I: 4, J: 6, Upper: 1e6, Sigma: 0.1},
-		constraint.Angle{I: 5, J: 6, K: 7, Target: 2, Sigma: 0.1},
-		constraint.Position{I: 7, Target: geom.Vec3{-1, 0, 1}, Sigma: 0.5},
-		constraint.Distance{I: 3, J: 7, Target: 4, Sigma: 0.2},
-	}
-	got, want := WeightedResidual(pos, cons), residualFresh(pos, cons)
+	cons := constraint.Of(
+		constraint.Position{I: 0, Target: geom.Vec3{1, 2, 3}, Sigma: 0.3}.Row(),
+		constraint.Distance{I: 1, J: 2, Target: 1.5, Sigma: 0.1}.Row(),
+		constraint.Torsion{I: 0, J: 1, K: 2, L: 3, Target: 3.1, Sigma: 0.2}.Row(),
+		constraint.DistanceBound{I: 4, J: 5, Upper: 0.5, Sigma: 0.1}.Row(),
+		constraint.DistanceBound{I: 4, J: 6, Upper: 1e6, Sigma: 0.1}.Row(),
+		constraint.Angle{I: 5, J: 6, K: 7, Target: 2, Sigma: 0.1}.Row(),
+		constraint.Position{I: 7, Target: geom.Vec3{-1, 0, 1}, Sigma: 0.5}.Row(),
+		constraint.Distance{I: 3, J: 7, Target: 4, Sigma: 0.2}.Row())
+	got, want := WeightedResidual(pos, &cons), residualFresh(pos, &cons)
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("residual %v, fresh buffers %v", got, want)
 	}
-	// Past the scratch's growth to the widest constraint, a constraint costs
-	// the slice its Atoms returns, and a torsion its PeriodicRows.
-	var tenfold []constraint.Constraint
+	// Past the scratch's growth to the widest constraint, a constraint
+	// costs nothing.
+	var tenfold constraint.Set
 	for k := 0; k < 10; k++ {
-		tenfold = append(tenfold, cons...)
+		tenfold.Append(&cons)
 	}
-	once := testing.AllocsPerRun(20, func() { WeightedResidual(pos, cons) })
-	ten := testing.AllocsPerRun(20, func() { WeightedResidual(pos, tenfold) })
-	if extra := ten - once; extra > float64(9*(len(cons)+1)) {
-		t.Fatalf("%v allocations for %d constraints, %v for ten times as many", once, len(cons), ten)
+	once := testing.AllocsPerRun(20, func() { WeightedResidual(pos, &cons) })
+	ten := testing.AllocsPerRun(20, func() { WeightedResidual(pos, &tenfold) })
+	if extra := ten - once; extra > float64(9*(cons.Len()+1)) {
+		t.Fatalf("%v allocations for %d constraints, %v for ten times as many", once, cons.Len(), ten)
 	}
 }

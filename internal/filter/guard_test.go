@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"phmse/internal/constraint"
+	"phmse/internal/faultinject"
 	"phmse/internal/geom"
 	"phmse/internal/mat"
 	"phmse/internal/par"
@@ -88,49 +89,40 @@ func TestAdmitTable(t *testing.T) {
 	}
 }
 
-// faulty is a one-row observation of atom i's x coordinate whose
-// linearization can be corrupted on demand.
-type faulty struct {
-	i        int
-	jac, obs float64
-}
-
-func (f *faulty) Atoms() []int { return []int{f.i} }
-func (f *faulty) Dim() int     { return 1 }
-
-func (f *faulty) Eval(pos []geom.Vec3, h []float64, jac [][]float64) {
-	h[0] = pos[0][0]
-	jac[0][0] = f.jac
-}
-
-func (f *faulty) Observed(z, sigma2 []float64) {
-	z[0] = f.obs
-	sigma2[0] = 0.01
-}
-
 // A batch the guard refuses must leave x and C exactly as they were — the
 // refusal happens before anything is written — be recorded as a non_finite
 // quarantine and rollback, and not disturb the batches after it.
 func TestRefusedBatchLeavesStateBitIdentical(t *testing.T) {
-	oneBatch := func(c constraint.Constraint) []*Batch {
-		bs, err := MakeBatches([]constraint.Constraint{c}, ident, 16)
+	oneBatch := func(c constraint.Row) []*Batch {
+		bs, err := makeBatches(constraint.Of(c), ident, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return bs
 	}
+	// The bad batch observes atom 1, at σ² = 0.01 per coordinate.
 	cases := []struct {
-		name     string
-		bad      constraint.Constraint
+		name string
+		bad  constraint.Row
+		// corrupt, when set, rewrites the bad batch's linearisation (a
+		// faultinject.Linearized hook) before the update uses it.
+		corrupt  func(lin *constraint.Lin)
 		hugeVar3 bool // atom 3 enters with a variance just under finiteLimit
 	}{
-		// H = Inf makes A = C·Hᵀ infinite and K = A·S⁻¹ = Inf/Inf NaN.
-		{name: "Inf in A, NaN in K", bad: &faulty{i: 1, jac: math.Inf(1), obs: 1}},
+		// H = Inf makes A = C·Hᵀ infinite and K = A·S⁻¹ = Inf/Inf NaN: the
+		// position's x row alone, its one Jacobian entry made infinite.
+		{name: "Inf in A, NaN in K", bad: constraint.Position{I: 1, Target: geom.Vec3{1, 0, 0}, Sigma: 0.1}.Row(),
+			corrupt: func(lin *constraint.Lin) {
+				lin.Z, lin.R, lin.H, lin.Wrap = lin.Z[:1], lin.R[:1], lin.H[:1], lin.Wrap[:1]
+				lin.Jac.Reset()
+				lin.Jac.Add(3, math.Inf(1))
+				lin.Jac.EndRow()
+			}},
 		// A NaN observation leaves K and A finite and poisons dx alone.
-		{name: "NaN in dx", bad: &faulty{i: 1, jac: 1, obs: math.NaN()}},
+		{name: "NaN in dx", bad: constraint.Position{I: 1, Target: geom.Vec3{math.NaN(), 0, 0}, Sigma: 0.1}.Row()},
 		// Finite all the way — the true result would be finite too — but
 		// max|C| + m·max|K|·max|A| ≈ 1.8e150 leaves the provable range.
-		{name: "C bound would cross", bad: constraint.Distance{I: 2, J: 3, Target: 1, Sigma: 0.05}, hugeVar3: true},
+		{name: "C bound would cross", bad: constraint.Distance{I: 2, J: 3, Target: 1, Sigma: 0.05}.Row(), hugeVar3: true},
 	}
 	for _, joseph := range []bool{false, true} {
 		for _, c := range cases {
@@ -144,12 +136,16 @@ func TestRefusedBatchLeavesStateBitIdentical(t *testing.T) {
 				}
 				diag := &Diagnostics{}
 				u := &Updater{Guard: true, Diag: diag, Joseph: joseph, Team: par.NewTeam(2)}
-				if _, err := applyAll(u, s, oneBatch(cons[1])); err != nil {
+				if _, err := applyAll(u, s, oneBatch(cons.Row(1))); err != nil {
 					t.Fatal(err)
 				}
 				before := s.Clone()
 
+				if c.corrupt != nil {
+					faultinject.Set(&faultinject.Hooks{Linearized: func(_ faultinject.Site, lin *constraint.Lin) { c.corrupt(lin) }})
+				}
 				applied, err := applyAll(u, s, oneBatch(c.bad))
+				faultinject.Reset()
 				if err != nil || applied != 0 {
 					t.Fatalf("refused batch: applied %d, err %v", applied, err)
 				}
@@ -161,7 +157,7 @@ func TestRefusedBatchLeavesStateBitIdentical(t *testing.T) {
 					t.Fatalf("diagnostics = %+v", snap)
 				}
 
-				if applied, err = applyAll(u, s, oneBatch(cons[2])); err != nil || applied != 1 {
+				if applied, err = applyAll(u, s, oneBatch(cons.Row(2))); err != nil || applied != 1 {
 					t.Fatalf("batch after the refusal: applied %d, err %v", applied, err)
 				}
 				if sameBits(s, before) == nil {
@@ -188,7 +184,7 @@ func TestUpperTriangleNeverRead(t *testing.T) {
 	for _, joseph := range []bool{false, true} {
 		for _, procs := range []int{1, 2, 3} {
 			pos, cons := chainProblem()
-			batches, err := MakeBatches(cons, ident, 2)
+			batches, err := makeBatches(cons, ident, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,6 @@ package filter
 import (
 	"context"
 	"math"
-	"slices"
 
 	"phmse/internal/constraint"
 	"phmse/internal/geom"
@@ -208,63 +207,30 @@ func (c Control) Iterate(pass func(cycle int) (rmsChange float64, err error)) (R
 // WeightedResidual returns the RMS of (z − h(x))/σ over all scalar
 // observations at the given atom positions (inactive gated constraints
 // contribute zero).
-func WeightedResidual(pos []geom.Vec3, cons []constraint.Constraint) float64 {
-	var sc residualScratch
-	sum, count := 0.0, 0
-	for _, c := range cons {
-		sum += sc.of(pos, c)
-		count += c.Dim()
-	}
+func WeightedResidual(pos []geom.Vec3, cons *constraint.Set) float64 {
+	count := cons.ScalarDim()
 	if count == 0 {
 		return 0
 	}
-	return math.Sqrt(sum / float64(count))
-}
-
-// residualScratch is WeightedResidual's evaluation buffers, grown to the
-// widest constraint seen and reused for every one after it.
-type residualScratch struct {
-	pos     []geom.Vec3
-	h, z, r []float64
-	jac     [][]float64
-}
-
-// sized returns b at length n, reallocated only when n exceeds its
-// capacity; its entries are whatever b's backing array held.
-func sized[T any](b []T, n int) []T { return slices.Grow(b[:0], n)[:n] }
-
-// of returns one constraint's sum of squared weighted residuals.
-func (sc *residualScratch) of(all []geom.Vec3, c constraint.Constraint) float64 {
-	atoms := c.Atoms()
-	sc.pos = sized(sc.pos, len(atoms))
-	pos := sc.pos
-	for k, a := range atoms {
-		pos[k] = all[a]
-	}
-	if g, ok := c.(constraint.Gated); ok && !g.Active(pos) {
-		return 0
-	}
-	dim := c.Dim()
-	sc.h, sc.z, sc.r, sc.jac = sized(sc.h, dim), sized(sc.z, dim), sized(sc.r, dim), sized(sc.jac, dim)
-	h, z, r, jac := sc.h, sc.z, sc.r, sc.jac
-	for d := range jac {
-		jac[d] = sized(jac[d], 3*len(atoms))
-	}
-	c.Eval(pos, h, jac)
-	c.Observed(z, r)
-	var wrap []bool
-	if p, ok := c.(constraint.Periodic); ok {
-		wrap = p.PeriodicRows()
-	}
+	x := geom.Flat(pos)
+	var lin constraint.Lin
+	row := make([]int32, 1)
 	sum := 0.0
-	for d := 0; d < dim; d++ {
-		diff := z[d] - h[d]
-		if wrap != nil && wrap[d] {
-			diff = wrapAngle(diff)
+	for r := range cons.Len() {
+		row[0] = int32(r)
+		lin.Reset()
+		cons.Eval(row, nil, x, &lin)
+		part := 0.0 // one row's sum, as it was added when rows were values
+		for d, z := range lin.Z {
+			diff := z - lin.H[d]
+			if lin.Wrap[d] {
+				diff = wrapAngle(diff)
+			}
+			if lin.R[d] > 0 {
+				part += diff * diff / lin.R[d]
+			}
 		}
-		if r[d] > 0 {
-			sum += diff * diff / r[d]
-		}
+		sum += part
 	}
-	return sum
+	return math.Sqrt(sum / float64(count))
 }

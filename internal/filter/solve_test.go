@@ -27,23 +27,23 @@ import (
 // solve runs the flat organization from init: a cold hier.Solve on a tree
 // of one leaf holding every atom, with the weighted residual the hierarchy
 // leaves to its caller filled in.
-func solve(init []geom.Vec3, cons []constraint.Constraint, ctl filter.Control) (*filter.State, filter.Result, error) {
+func solve(init []geom.Vec3, cons constraint.Set, ctl filter.Control) (*filter.State, filter.Result, error) {
 	return solveFrom(init, cons, ctl, hier.Prior{})
 }
 
 // solveFrom is solve under a warm prior.
-func solveFrom(init []geom.Vec3, cons []constraint.Constraint, ctl filter.Control, warm hier.Prior) (*filter.State, filter.Result, error) {
+func solveFrom(init []geom.Vec3, cons constraint.Set, ctl filter.Control, warm hier.Prior) (*filter.State, filter.Result, error) {
 	leaf := &molecule.Group{AtomIDs: make([]int, len(init))}
 	for i := range leaf.AtomIDs {
 		leaf.AtomIDs[i] = i
 	}
-	root, err := hier.Build(leaf, cons)
+	root, err := hier.Build(leaf, &cons)
 	if err != nil {
 		return nil, filter.Result{}, err
 	}
 	s, res, err := hier.Solve(root, init, hier.Options{Control: ctl, Warm: warm})
 	if s != nil {
-		res.Residual = filter.WeightedResidual(s.Positions(), cons)
+		res.Residual = filter.WeightedResidual(s.Positions(), &cons)
 	}
 	return s, res, err
 }
@@ -188,33 +188,24 @@ func TestNoGuardFailsFast(t *testing.T) {
 	}
 }
 
-// runaway is a self-inconsistent observation: it always reports a target
-// three times farther out than wherever the estimate currently is, so the
-// iteration has no fixed point and the RMS change grows geometrically.
-type runaway struct {
-	i    int
-	last float64
-}
-
-func (r *runaway) Atoms() []int { return []int{r.i} }
-func (r *runaway) Dim() int     { return 1 }
-
-func (r *runaway) Eval(pos []geom.Vec3, h []float64, jac [][]float64) {
-	r.last = pos[0][0]
-	h[0] = pos[0][0]
-	jac[0][0] = 1
-}
-
-// Observed runs after Eval in batch assembly, so last is current.
-func (r *runaway) Observed(z, sigma2 []float64) {
-	z[0] = 3*r.last + 1
-	sigma2[0] = 1e-4
+// runaway makes a position observation of atom 0 self-inconsistent: a
+// faultinject.Linearized hook rewrites its target to three times farther
+// out than wherever the estimate currently is, so the iteration has no
+// fixed point and the RMS change grows geometrically.
+func runaway(t *testing.T) constraint.Set {
+	faultinject.Set(&faultinject.Hooks{Linearized: func(_ faultinject.Site, lin *constraint.Lin) {
+		for d, h := range lin.H {
+			lin.Z[d] = 3*h + 1
+		}
+	}})
+	t.Cleanup(faultinject.Reset)
+	return constraint.Of(constraint.Position{I: 0, Sigma: 0.01}.Row())
 }
 
 // The divergence watchdog must abort a runaway iteration with the typed
 // error carrying the RMS trajectory, long before MaxCycles.
 func TestDivergenceWatchdog(t *testing.T) {
-	cons := []constraint.Constraint{&runaway{i: 0}}
+	cons := runaway(t)
 	_, res, err := solve([]geom.Vec3{{0, 0, 0}}, cons, filter.Control{MaxStep: -1, MaxCycles: 1000})
 	if !errors.Is(err, solvererr.ErrDiverged) {
 		t.Fatalf("err = %v, want ErrDiverged", err)
@@ -242,7 +233,7 @@ func TestDivergenceWatchdog(t *testing.T) {
 // A negative DivergeAfter disables the watchdog: the runaway iteration
 // runs to MaxCycles and overflows to Inf without a diverged error.
 func TestDivergenceWatchdogDisabled(t *testing.T) {
-	cons := []constraint.Constraint{&runaway{i: 0}}
+	cons := runaway(t)
 	_, res, err := solve([]geom.Vec3{{0, 0, 0}}, cons, filter.Control{MaxStep: -1, MaxCycles: 30, DivergeAfter: -1, NoGuard: true})
 	if errors.Is(err, solvererr.ErrDiverged) {
 		t.Fatal("watchdog fired while disabled")
@@ -289,8 +280,8 @@ func TestNonFinitePriorRefusedWithoutWork(t *testing.T) {
 	if snap.RidgeRetries != 0 {
 		t.Fatalf("%d ridge retries", snap.RidgeRetries)
 	}
-	if len(snap.Quarantined) != len(cons) {
-		t.Fatalf("quarantined %d of %d batches", len(snap.Quarantined), len(cons))
+	if len(snap.Quarantined) != cons.Len() {
+		t.Fatalf("quarantined %d of %d batches", len(snap.Quarantined), cons.Len())
 	}
 	for _, q := range snap.Quarantined {
 		if q.Reason != filter.ReasonNonFinite {
@@ -302,14 +293,13 @@ func TestNonFinitePriorRefusedWithoutWork(t *testing.T) {
 // triangleProblem is the 3-4-5 triangle solve used across the pooling
 // tests: small enough to run in microseconds, nonlinear enough that a
 // stale value leaking into a workspace would derail convergence.
-func triangleProblem() ([]geom.Vec3, []constraint.Constraint) {
+func triangleProblem() ([]geom.Vec3, constraint.Set) {
 	init := []geom.Vec3{{0, 0, 0}, {2.5, 0.4, 0}, {0.3, 3.5, 0.2}}
-	cons := []constraint.Constraint{
-		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.01},
-		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.01},
-		constraint.Distance{I: 0, J: 2, Target: 4, Sigma: 0.01},
-		constraint.Distance{I: 1, J: 2, Target: 5, Sigma: 0.01},
-	}
+	cons := constraint.Of(
+		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.01}.Row(),
+		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.01}.Row(),
+		constraint.Distance{I: 0, J: 2, Target: 4, Sigma: 0.01}.Row(),
+		constraint.Distance{I: 1, J: 2, Target: 5, Sigma: 0.01}.Row())
 	return init, cons
 }
 
@@ -421,12 +411,11 @@ func TestSolveConvergesTriangle(t *testing.T) {
 	// Anchor one atom, constrain a 3-4-5 triangle; start from a distorted
 	// configuration and expect the distances to converge.
 	init := []geom.Vec3{{0, 0, 0}, {2.5, 0.4, 0}, {0.3, 3.5, 0.2}}
-	cons := []constraint.Constraint{
-		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.01},
-		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.01},
-		constraint.Distance{I: 0, J: 2, Target: 4, Sigma: 0.01},
-		constraint.Distance{I: 1, J: 2, Target: 5, Sigma: 0.01},
-	}
+	cons := constraint.Of(
+		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.01}.Row(),
+		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.01}.Row(),
+		constraint.Distance{I: 0, J: 2, Target: 4, Sigma: 0.01}.Row(),
+		constraint.Distance{I: 1, J: 2, Target: 5, Sigma: 0.01}.Row())
 	s, res, err := solve(init, cons, filter.Control{Tol: 1e-6, MaxCycles: 200})
 	if err != nil {
 		t.Fatal(err)
@@ -450,7 +439,7 @@ func TestSolveConvergesTriangle(t *testing.T) {
 
 func TestSolveRecordsTrace(t *testing.T) {
 	var rec trace.Collector
-	cons := []constraint.Constraint{constraint.Distance{I: 0, J: 1, Target: 2, Sigma: 0.1}}
+	cons := constraint.Of(constraint.Distance{I: 0, J: 1, Target: 2, Sigma: 0.1}.Row())
 	if _, _, err := solve([]geom.Vec3{{0, 0, 0}, {1, 0, 0}}, cons, filter.Control{MaxCycles: 3, Rec: &rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -470,14 +459,13 @@ func TestSolveBatchSizeInsensitivity(t *testing.T) {
 	// The estimate the cycles converge to should not depend strongly on
 	// batch size (the paper varies m for performance, not accuracy).
 	init := []geom.Vec3{{0, 0, 0}, {2.5, 0.4, 0}, {0.3, 3.5, 0.2}, {3.1, 3.8, -0.1}}
-	cons := []constraint.Constraint{
-		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.01},
-		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.02},
-		constraint.Distance{I: 0, J: 2, Target: 4, Sigma: 0.02},
-		constraint.Distance{I: 1, J: 2, Target: 5, Sigma: 0.02},
-		constraint.Distance{I: 1, J: 3, Target: 4, Sigma: 0.02},
-		constraint.Distance{I: 2, J: 3, Target: 3, Sigma: 0.02},
-	}
+	cons := constraint.Of(
+		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.01}.Row(),
+		constraint.Distance{I: 0, J: 1, Target: 3, Sigma: 0.02}.Row(),
+		constraint.Distance{I: 0, J: 2, Target: 4, Sigma: 0.02}.Row(),
+		constraint.Distance{I: 1, J: 2, Target: 5, Sigma: 0.02}.Row(),
+		constraint.Distance{I: 1, J: 3, Target: 4, Sigma: 0.02}.Row(),
+		constraint.Distance{I: 2, J: 3, Target: 3, Sigma: 0.02}.Row())
 	dists := func(batch int) []float64 {
 		s, _, err := solve(init, cons, filter.Control{BatchSize: batch, Tol: 1e-7, MaxCycles: 300})
 		if err != nil {
@@ -520,7 +508,7 @@ func TestUpperTriangleNeverWrittenBySolve(t *testing.T) {
 	for _, joseph := range []bool{false, true} {
 		for _, procs := range []int{1, 2, 3, 7} {
 			pos, cons := filter.RandChain(rng, 12)
-			batches, err := filter.MakeBatches(cons, func(a int) int { return a }, 8)
+			batches, err := filter.MakeBatches(&cons, cons.AllRows(), func(a int) int { return a }, 8)
 			if err != nil {
 				t.Fatal(err)
 			}

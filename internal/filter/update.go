@@ -190,15 +190,19 @@ func (u *Updater) Apply(s *State, b *Batch) (int, error) {
 // are written, and a batch that fails returns errRefused with the state
 // untouched.
 func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
-	asm := b.assemble(s)
-	if asm == nil {
+	lin := b.assemble(s)
+	if lin == nil {
 		return 0, nil
 	}
+	if h := faultinject.Installed(); h != nil && h.Linearized != nil {
+		h.Linearized(u.site(), lin)
+	}
+	jac := lin.Jac.Build()
 	team := u.team()
 	ws := u.scratch()
 	n := s.Dim()
-	m := len(asm.z)
-	nnz := float64(asm.jac.NNZ())
+	m := len(lin.Z)
+	nnz := float64(jac.NNZ())
 
 	// A = C·Hᵀ and H·A: the dense-sparse products (computed once; trust-
 	// region retries below only redo the small m×m work). A is formed
@@ -206,16 +210,16 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 	a := matOfDirty(&ws.a, &ws.aBuf, n, m)
 	ha := matOfDirty(&ws.ha, &ws.haBuf, m, m)
 	u.timed(trace.DenseSparse, 2*float64(n)*nnz+2*nnz*float64(m), func() {
-		asm.jac.DenseMulTSymPar(team, a, s.C)
-		asm.jac.MulDensePar(team, ha, a)
+		jac.DenseMulTSymPar(team, a, s.C)
+		jac.MulDensePar(team, ha, a)
 	})
 
 	// Innovation ν = z − h(x⁻); 2π-periodic observations (torsions) wrap
 	// into (−π, π] so the estimate is pulled the short way around.
 	nu := vecOf(&ws.nu, m)
 	u.timed(trace.VecOp, float64(m), func() {
-		mat.SubVec(nu, asm.z, asm.h)
-		for i, w := range asm.wrap {
+		mat.SubVec(nu, lin.Z, lin.H)
+		for i, w := range lin.Wrap {
 			if w {
 				nu[i] = wrapAngle(nu[i])
 			}
@@ -226,12 +230,12 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 	// inconsistent with the predicted uncertainty S_ii = (H·A)_ii + R_ii.
 	if u.GateSigma > 0 {
 		for i := 0; i < m; i++ {
-			sii := ha.At(i, i) + asm.r[i]
+			sii := ha.At(i, i) + lin.R[i]
 			if sii <= 0 {
 				continue
 			}
 			if nu[i]*nu[i] > u.GateSigma*u.GateSigma*sii {
-				asm.r[i] *= 1e6
+				lin.R[i] *= 1e6
 				u.Gated++
 			}
 		}
@@ -260,7 +264,7 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 		u.timed(trace.VecOp, float64(m), func() {
 			sMat.CopyFrom(ha)
 			for i := 0; i < m; i++ {
-				sMat.Set(i, i, sMat.At(i, i)+lambda*ridge*asm.r[i]+jitter)
+				sMat.Set(i, i, sMat.At(i, i)+lambda*ridge*lin.R[i]+jitter)
 			}
 		})
 		var cholErr error

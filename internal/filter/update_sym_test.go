@@ -14,19 +14,19 @@ import (
 
 // randChain builds a loose chain of atoms with noisy distance constraints —
 // a small generic workload for the update path.
-func randChain(rng *rand.Rand, atoms int) ([]geom.Vec3, []constraint.Constraint) {
+func randChain(rng *rand.Rand, atoms int) ([]geom.Vec3, constraint.Set) {
 	pos := make([]geom.Vec3, atoms)
 	for i := range pos {
 		pos[i] = geom.Vec3{float64(i) * 1.5, rng.NormFloat64() * 0.2, rng.NormFloat64() * 0.2}
 	}
-	var cons []constraint.Constraint
+	var cons constraint.Set
 	for i := 0; i+1 < atoms; i++ {
 		d := pos[i].Sub(pos[i+1]).Norm()
-		cons = append(cons, constraint.Distance{I: i, J: i + 1, Target: d * (1 + 0.01*rng.NormFloat64()), Sigma: 0.1})
+		cons.Add(constraint.Distance{I: i, J: i + 1, Target: d * (1 + 0.01*rng.NormFloat64()), Sigma: 0.1}.Row())
 	}
 	for i := 0; i+3 < atoms; i += 2 {
 		d := pos[i].Sub(pos[i+3]).Norm()
-		cons = append(cons, constraint.Distance{I: i, J: i + 3, Target: d * (1 + 0.01*rng.NormFloat64()), Sigma: 0.2})
+		cons.Add(constraint.Distance{I: i, J: i + 3, Target: d * (1 + 0.01*rng.NormFloat64()), Sigma: 0.2}.Row())
 	}
 	return pos, cons
 }
@@ -64,7 +64,7 @@ func TestUpperTriangleNeverWritten(t *testing.T) {
 	for _, joseph := range []bool{false, true} {
 		for _, procs := range []int{1, 2, 3, 7} {
 			pos, cons := randChain(rng, 12)
-			batches, err := MakeBatches(cons, ident, 8)
+			batches, err := makeBatches(cons, ident, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestUpperTriangleNeverWritten(t *testing.T) {
 func TestApplyMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	pos, cons := randChain(rng, 10)
-	batches, err := MakeBatches(cons, ident, 64) // one batch
+	batches, err := makeBatches(cons, ident, 64) // one batch
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,16 +128,16 @@ func TestApplyMatchesDenseReference(t *testing.T) {
 
 	// Reference: the same Figure 1 algebra with full-matrix kernels.
 	ref := NewState(pos, 4)
-	asm := batches[0].assemble(ref)
-	n, m := ref.Dim(), len(asm.z)
-	hd := asm.jac.Dense()
+	lin := batches[0].assemble(ref)
+	n, m := ref.Dim(), len(lin.Z)
+	hd := lin.Jac.Build().Dense()
 	a := mat.New(n, m)
 	mat.Mul(a, ref.C, hd.T())
 	ha := mat.New(m, m)
 	mat.Mul(ha, hd, a)
 	sM := ha.Clone()
 	for i := 0; i < m; i++ {
-		sM.Set(i, i, sM.At(i, i)+asm.r[i])
+		sM.Set(i, i, sM.At(i, i)+lin.R[i])
 	}
 	if err := mat.Cholesky(sM); err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestApplyMatchesDenseReference(t *testing.T) {
 	k := a.Clone()
 	mat.SolveCholRows(sM, k)
 	nu := make([]float64, m)
-	mat.SubVec(nu, asm.z, asm.h)
+	mat.SubVec(nu, lin.Z, lin.H)
 	dx := make([]float64, n)
 	mat.MulVec(dx, k, nu)
 	mat.Axpy(1, dx, ref.X)

@@ -2,10 +2,22 @@
 // the molecule generators and measurement models.
 package geom
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // Vec3 is a point or direction in 3-space.
 type Vec3 [3]float64
+
+// Flat returns the coordinates of pos, three per point, sharing pos's
+// memory.
+func Flat(pos []Vec3) []float64 {
+	if len(pos) == 0 {
+		return nil
+	}
+	return unsafe.Slice(&pos[0][0], 3*len(pos))
+}
 
 // Add returns v + w.
 func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v[0] + w[0], v[1] + w[1], v[2] + w[2]} }

@@ -23,7 +23,7 @@ import (
 func BenchmarkBatchByNodeSize(b *testing.B) {
 	for _, bp := range []int{1, 2} {
 		h := molecule.Helix(bp)
-		root, err := Build(h.Tree, h.Constraints)
+		root, err := Build(h.Tree, &h.Constraints)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func (n *Node) Regroup(model WorkModel, batchSize int) bool {
 		return false
 	}
 	cost := 0.0
-	n.Walk(func(m *Node) { cost += nodeCost(model, m.StateDim(), m.scalars(), batchSize) })
+	n.Walk(func(m *Node) { cost += nodeCost(model, m.StateDim(), m.Scalars(), batchSize) })
 	if saved < worthwhile*cost {
 		return false
 	}
@@ -135,16 +135,17 @@ func (n *Node) planRegroup(model WorkModel, batch int, plans []regrouping) ([]re
 	// joined), and more than one of them, which Build has seen to. The
 	// distinct clusters it touches, as slots, are touched[off : off+n].
 	type pending struct{ con, dim, off, n int32 }
-	pend := make([]pending, 0, len(n.Cons))
-	touched := make([]int32, 0, 2*len(n.Cons))
+	pend := make([]pending, 0, len(n.Rows))
+	touched := make([]int32, 0, 2*len(n.Rows))
 	scalars := 0 // all of the node's, pending or not
 cons:
-	for i, c := range n.Cons {
-		scalars += c.Dim()
+	for i, r := range n.Rows {
+		dim := n.cons.Kind(int(r)).Dim()
+		scalars += dim
 		off := len(touched)
 	atoms:
-		for _, a := range c.Atoms() {
-			s := n.slot(a)
+		for _, a := range n.cons.Atoms(int(r)) {
+			s := n.slot(int(a))
 			if s >= len(owner) {
 				touched = touched[:off]
 				continue cons
@@ -156,10 +157,10 @@ cons:
 			}
 			touched = append(touched, owner[s])
 		}
-		pend = append(pend, pending{con: int32(i), dim: int32(c.Dim()), off: int32(off), n: int32(len(touched) - off)})
+		pend = append(pend, pending{con: int32(i), dim: int32(dim), off: int32(off), n: int32(len(touched) - off)})
 	}
 
-	r := regrouping{node: n, movedAt: make([]int32, len(n.Cons))}
+	r := regrouping{node: n, movedAt: make([]int32, len(n.Rows))}
 	total := n.StateDim()
 	weight := make([]int, k*k) // weight[a*k+b], a < b: scalars wholly inside a ∪ b
 	for {
@@ -244,8 +245,9 @@ func (r regrouping) apply() {
 		m := &Node{
 			Name:     fmt.Sprintf("%s.g%d", n.Name, i+1),
 			Children: []*Node{clusters[j[0]], clusters[j[1]]},
-			Cons:     make([]constraint.Constraint, 0, counts[i+1]),
+			Rows:     make([]int32, 0, counts[i+1]),
 			parent:   n,
+			cons:     n.cons,
 		}
 		m.Children[0].parent, m.Children[1].parent = m, m
 		clusters[j[0]], clusters[j[1]] = m, nil
@@ -257,15 +259,15 @@ func (r regrouping) apply() {
 			n.Children = append(n.Children, c)
 		}
 	}
-	stay := make([]constraint.Constraint, 0, counts[0])
-	for i, c := range n.Cons {
+	stay := make([]int32, 0, counts[0])
+	for i, row := range n.Rows {
 		if at := r.movedAt[i]; at > 0 {
-			joins[at-1].Cons = append(joins[at-1].Cons, c)
+			joins[at-1].Rows = append(joins[at-1].Rows, row)
 		} else {
-			stay = append(stay, c)
+			stay = append(stay, row)
 		}
 	}
-	n.Cons = stay
+	n.Rows = stay
 }
 
 // GroupLeaves builds a structure hierarchy bottom-up from user-specified
@@ -278,7 +280,7 @@ func (r regrouping) apply() {
 // children. Leaves the constraints do not connect stay siblings. If the
 // leaves are not a tree Build accepts under these constraints, the flat
 // grouping is returned for Build to report on.
-func GroupLeaves(leaves []*molecule.Group, cons []constraint.Constraint, model WorkModel) *molecule.Group {
+func GroupLeaves(leaves []*molecule.Group, cons *constraint.Set, model WorkModel) *molecule.Group {
 	switch len(leaves) {
 	case 0:
 		return &molecule.Group{Name: "empty"}

@@ -45,7 +45,7 @@ func RecursiveBisection(nAtoms, leafSize int) *molecule.Group {
 // Kernighan–Lin style refinement. Minimizing the cut maximizes the number
 // of constraints assignable deep in the tree — the property §3.1 shows
 // drives the hierarchical speedup.
-func GraphPartition(nAtoms int, cons []constraint.Constraint, leafSize int) *molecule.Group {
+func GraphPartition(nAtoms int, cons *constraint.Set, leafSize int) *molecule.Group {
 	if leafSize < 1 {
 		leafSize = 1
 	}
@@ -77,14 +77,14 @@ type edge struct {
 	weight int
 }
 
-func buildAdjacency(nAtoms int, cons []constraint.Constraint) [][]edge {
+func buildAdjacency(nAtoms int, cons *constraint.Set) [][]edge {
 	type key struct{ a, b int }
 	weights := make(map[key]int)
-	for _, c := range cons {
-		atoms := c.Atoms()
+	for r := range cons.Len() {
+		atoms := cons.Atoms(r)
 		for i := 0; i < len(atoms); i++ {
 			for j := i + 1; j < len(atoms); j++ {
-				a, b := atoms[i], atoms[j]
+				a, b := int(atoms[i]), int(atoms[j])
 				if a > b {
 					a, b = b, a
 				}
@@ -231,7 +231,7 @@ func bipartition(ids []int, adj [][]edge) (left, right []int) {
 // CutSize returns the number of scalar constraints that must be applied at
 // or above the node joining the given grouping's children — a quality
 // measure for decompositions (fewer is better).
-func CutSize(g *molecule.Group, cons []constraint.Constraint) int {
+func CutSize(g *molecule.Group, cons *constraint.Set) int {
 	childOf := map[int]int{}
 	for ci, c := range g.Children {
 		for _, a := range c.Atoms() {
@@ -242,19 +242,19 @@ func CutSize(g *molecule.Group, cons []constraint.Constraint) int {
 		childOf[a] = -1
 	}
 	cut := 0
-	for _, c := range cons {
-		atoms := c.Atoms()
-		first, ok0 := childOf[atoms[0]]
+	for r := range cons.Len() {
+		atoms := cons.Atoms(r)
+		first, ok0 := childOf[int(atoms[0])]
 		split := !ok0 || first == -1
 		for _, a := range atoms[1:] {
-			ci, ok := childOf[a]
+			ci, ok := childOf[int(a)]
 			if !ok || ci == -1 || ci != first {
 				split = true
 				break
 			}
 		}
 		if split {
-			cut += c.Dim()
+			cut += cons.Kind(r).Dim()
 		}
 	}
 	return cut

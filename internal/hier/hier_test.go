@@ -25,23 +25,20 @@ func chainProblem(n int) *molecule.Problem {
 	}
 	for i := 0; i+1 < n; i++ {
 		d := geom.Dist(p.Atoms[i].Pos, p.Atoms[i+1].Pos)
-		p.Constraints = append(p.Constraints, constraint.Distance{I: i, J: i + 1, Target: d, Sigma: 0.05})
+		p.Constraints.Add(constraint.Distance{I: i, J: i + 1, Target: d, Sigma: 0.05}.Row())
 	}
 	for i := 0; i+2 < n; i++ {
 		d := geom.Dist(p.Atoms[i].Pos, p.Atoms[i+2].Pos)
-		p.Constraints = append(p.Constraints, constraint.Distance{I: i, J: i + 2, Target: d, Sigma: 0.1})
+		p.Constraints.Add(constraint.Distance{I: i, J: i + 2, Target: d, Sigma: 0.1}.Row())
 	}
-	p.Constraints = append(p.Constraints,
-		constraint.Position{I: 0, Target: p.Atoms[0].Pos, Sigma: 0.01},
-		constraint.Position{I: n - 1, Target: p.Atoms[n-1].Pos, Sigma: 0.01},
-	)
+	p.Constraints.Add(constraint.Position{I: 0, Target: p.Atoms[0].Pos, Sigma: 0.01}.Row(), constraint.Position{I: n - 1, Target: p.Atoms[n-1].Pos, Sigma: 0.01}.Row())
 	p.Tree = RecursiveBisection(n, n/4)
 	return p
 }
 
 func TestBuildAssignsConstraintsToLowestNode(t *testing.T) {
 	h := molecule.Helix(2)
-	root, err := Build(h.Tree, h.Constraints)
+	root, err := Build(h.Tree, &h.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +60,15 @@ func TestBuildAssignsConstraintsToLowestNode(t *testing.T) {
 				childSets[i][a] = true
 			}
 		}
-		for _, c := range n.Cons {
-			for _, a := range c.Atoms() {
+		for _, c := range rows(n) {
+			for _, a := range atoms(c) {
 				if !inSub[a] {
 					t.Fatalf("node %q: constraint atom %d outside subtree", n.Name, a)
 				}
 			}
 			for i := range childSets {
 				all := true
-				for _, a := range c.Atoms() {
+				for _, a := range atoms(c) {
 					if !childSets[i][a] {
 						all = false
 						break
@@ -87,7 +84,8 @@ func TestBuildAssignsConstraintsToLowestNode(t *testing.T) {
 
 func TestBuildRejectsForeignAtoms(t *testing.T) {
 	g := &molecule.Group{Name: "g", AtomIDs: []int{0, 1}}
-	_, err := Build(g, []constraint.Constraint{constraint.Distance{I: 0, J: 7, Target: 1, Sigma: 1}})
+	cons := constraint.Of(constraint.Distance{I: 0, J: 7, Target: 1, Sigma: 1}.Row())
+	_, err := Build(g, &cons)
 	if err == nil {
 		t.Fatal("no error for out-of-tree atom")
 	}
@@ -107,7 +105,7 @@ func TestBuildRejectsDuplicateAtoms(t *testing.T) {
 
 func TestNodeAccessors(t *testing.T) {
 	h := molecule.Helix(1)
-	root, err := Build(h.Tree, h.Constraints)
+	root, err := Build(h.Tree, &h.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +133,26 @@ func TestNodeAccessors(t *testing.T) {
 	}
 }
 
-// postOrderCons collects the constraints in the order the hierarchical
-// schedule applies them (children before parents).
-func postOrderCons(n *Node) []constraint.Constraint {
-	var out []constraint.Constraint
-	for _, c := range n.Children {
-		out = append(out, postOrderCons(c)...)
+// rows returns the node's constraints as records, in order.
+func rows(n *Node) []constraint.Row {
+	out := make([]constraint.Row, len(n.Rows))
+	for i, r := range n.Rows {
+		out[i] = n.Constraints().Row(int(r))
 	}
-	return append(out, n.Cons...)
+	return out
+}
+
+// atoms returns a record's atoms.
+func atoms(r constraint.Row) []int { return r.Atoms[:r.Kind.Atoms()] }
+
+// postOrderRows collects the constraints' rows in the order the
+// hierarchical schedule applies them (children before parents).
+func postOrderRows(n *Node) []int32 {
+	var out []int32
+	for _, c := range n.Children {
+		out = append(out, postOrderRows(c)...)
+	}
+	return append(out, n.Rows...)
 }
 
 // For purely linear measurement models the hierarchical organization is
@@ -152,11 +162,10 @@ func TestHierarchicalMatchesFlatLinearExact(t *testing.T) {
 	p := &molecule.Problem{Name: "linear"}
 	for i := 0; i < 8; i++ {
 		p.Atoms = append(p.Atoms, molecule.Atom{Pos: geom.Vec3{float64(i), 0, 0}})
-		p.Constraints = append(p.Constraints,
-			constraint.Position{I: i, Target: geom.Vec3{float64(i), 0.5, 0}, Sigma: 0.5 + 0.1*float64(i)})
+		p.Constraints.Add(constraint.Position{I: i, Target: geom.Vec3{float64(i), 0.5, 0}, Sigma: 0.5 + 0.1*float64(i)}.Row())
 	}
 	p.Tree = RecursiveBisection(8, 2)
-	root, err := Build(p.Tree, p.Constraints)
+	root, err := Build(p.Tree, &p.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +178,7 @@ func TestHierarchicalMatchesFlatLinearExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	flat := filter.NewState(init, 100)
-	batches, err := filter.MakeBatches(p.Constraints, func(a int) int { return a }, 6)
+	batches, err := filter.MakeBatches(&p.Constraints, p.Constraints.AllRows(), func(a int) int { return a }, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +205,7 @@ func TestHierarchicalMatchesFlatLinearExact(t *testing.T) {
 // relinearization.
 func TestHierarchicalMatchesFlatOnePass(t *testing.T) {
 	p := chainProblem(12)
-	root, err := Build(p.Tree, p.Constraints)
+	root, err := Build(p.Tree, &p.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +220,7 @@ func TestHierarchicalMatchesFlatOnePass(t *testing.T) {
 	}
 
 	flat := filter.NewState(init, 100)
-	batches, err := filter.MakeBatches(postOrderCons(root), func(a int) int { return a }, 8)
+	batches, err := filter.MakeBatches(&p.Constraints, postOrderRows(root), func(a int) int { return a }, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +240,7 @@ func TestHierarchicalMatchesFlatOnePass(t *testing.T) {
 
 func TestHierarchicalSolveConverges(t *testing.T) {
 	p := chainProblem(16)
-	root, err := Build(p.Tree, p.Constraints)
+	root, err := Build(p.Tree, &p.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,15 +253,15 @@ func TestHierarchicalSolveConverges(t *testing.T) {
 		t.Fatalf("did not converge: %+v", res)
 	}
 	// Solution satisfies the distance data.
-	for _, c := range p.Constraints {
-		d, ok := c.(constraint.Distance)
-		if !ok {
+	for r := range p.Constraints.Len() {
+		d := p.Constraints.Row(r)
+		if d.Kind != constraint.KindDistance {
 			continue
 		}
-		li := indexOf(root.Atoms, d.I)
-		lj := indexOf(root.Atoms, d.J)
+		li := indexOf(root.Atoms, d.Atoms[0])
+		lj := indexOf(root.Atoms, d.Atoms[1])
 		got := geom.Dist(state.Pos(li), state.Pos(lj))
-		if math.Abs(got-d.Target) > 0.05 {
+		if math.Abs(got-d.Val[0]) > 0.05 {
 			t.Fatalf("constraint %v: solved distance %g", d, got)
 		}
 	}
@@ -267,7 +276,7 @@ func TestHierMaxStepNegativeDisablesClamp(t *testing.T) {
 	init := molecule.Perturbed(p, 0.5, 3)
 	const cycles = 5
 	solve := func(maxStep float64) *filter.State {
-		root, err := Build(p.Tree, p.Constraints)
+		root, err := Build(p.Tree, &p.Constraints)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +289,7 @@ func TestHierMaxStepNegativeDisablesClamp(t *testing.T) {
 	}
 	free, clamped := solve(-1), solve(0)
 
-	root, err := Build(p.Tree, p.Constraints)
+	root, err := Build(p.Tree, &p.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,9 +352,8 @@ func TestSolveRecordsTraceAndRespectsGates(t *testing.T) {
 	p := chainProblem(8)
 	// Add a violated upper bound between the ends.
 	d := geom.Dist(p.Atoms[0].Pos, p.Atoms[7].Pos)
-	p.Constraints = append(p.Constraints,
-		constraint.DistanceBound{I: 0, J: 7, Upper: d * 0.99, Sigma: 0.5})
-	root, err := Build(p.Tree, p.Constraints)
+	p.Constraints.Add(constraint.DistanceBound{I: 0, J: 7, Upper: d * 0.99, Sigma: 0.5}.Row())
+	root, err := Build(p.Tree, &p.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,17 +408,17 @@ func TestGraphPartitionBeatsNaiveOnShuffledChain(t *testing.T) {
 	for atom, chainPos := range perm {
 		posOf[chainPos] = atom
 	}
-	var cons []constraint.Constraint
+	var cons constraint.Set
 	for cpos := 0; cpos+1 < n; cpos++ {
-		cons = append(cons, constraint.Distance{I: posOf[cpos], J: posOf[cpos+1], Target: 1, Sigma: 1})
+		cons.Add(constraint.Distance{I: posOf[cpos], J: posOf[cpos+1], Target: 1, Sigma: 1}.Row())
 	}
 	naive := RecursiveBisection(n, 8)
-	smart := GraphPartition(n, cons, 8)
+	smart := GraphPartition(n, &cons, 8)
 	if got := len(smart.Atoms()); got != n {
 		t.Fatalf("partition lost atoms: %d", got)
 	}
-	naiveCut := CutSize(naive, cons)
-	smartCut := CutSize(smart, cons)
+	naiveCut := CutSize(naive, &cons)
+	smartCut := CutSize(smart, &cons)
 	if smartCut >= naiveCut {
 		t.Fatalf("graph partition cut %d not better than naive %d", smartCut, naiveCut)
 	}
@@ -421,7 +429,7 @@ func TestGraphPartitionBeatsNaiveOnShuffledChain(t *testing.T) {
 
 func TestGraphPartitionBalanced(t *testing.T) {
 	h := molecule.Helix(2)
-	g := GraphPartition(len(h.Atoms), h.Constraints, 20)
+	g := GraphPartition(len(h.Atoms), &h.Constraints, 20)
 	if len(g.Atoms()) != len(h.Atoms) {
 		t.Fatal("lost atoms")
 	}
@@ -443,8 +451,8 @@ func TestGraphPartitionSolvable(t *testing.T) {
 	// The automatic decomposition must produce a tree the solver accepts
 	// and converges on.
 	p := chainProblem(12)
-	auto := GraphPartition(len(p.Atoms), p.Constraints, 4)
-	root, err := Build(auto, p.Constraints)
+	auto := GraphPartition(len(p.Atoms), &p.Constraints, 4)
+	root, err := Build(auto, &p.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +477,7 @@ func TestGroupLeavesChain(t *testing.T) {
 		}
 		leaves = append(leaves, g)
 	}
-	tree := GroupLeaves(leaves, p.Constraints, workest.FlopModel{})
+	tree := GroupLeaves(leaves, &p.Constraints, workest.FlopModel{})
 	if len(tree.Atoms()) != 16 {
 		t.Fatalf("atoms = %d", len(tree.Atoms()))
 	}
@@ -478,14 +486,11 @@ func TestGroupLeavesChain(t *testing.T) {
 	}
 	// The tree must be solvable and its cut at the root small: the chain
 	// only crosses the final merge at one junction (≤ ~6 scalar dims).
-	root, err := Build(tree, p.Constraints)
+	root, err := Build(tree, &p.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootDims := 0
-	for _, c := range root.Cons {
-		rootDims += c.Dim()
-	}
+	rootDims := root.Scalars()
 	if rootDims > 8 {
 		t.Fatalf("bottom-up grouping left %d scalar constraints at the root", rootDims)
 	}
@@ -522,11 +527,10 @@ func TestGroupLeavesPrefersConnectedPairs(t *testing.T) {
 	a := &molecule.Group{Name: "a", AtomIDs: []int{0, 1}}
 	b := &molecule.Group{Name: "b", AtomIDs: []int{2, 3}}
 	c := &molecule.Group{Name: "c", AtomIDs: []int{4, 5}}
-	cons := []constraint.Constraint{
-		constraint.Distance{I: 1, J: 2, Target: 1, Sigma: 1},
-		constraint.Distance{I: 0, J: 3, Target: 1, Sigma: 1},
-	}
-	g := GroupLeaves([]*molecule.Group{a, c, b}, cons, workest.FlopModel{})
+	cons := constraint.Of(
+		constraint.Distance{I: 1, J: 2, Target: 1, Sigma: 1}.Row(),
+		constraint.Distance{I: 0, J: 3, Target: 1, Sigma: 1}.Row())
+	g := GroupLeaves([]*molecule.Group{a, c, b}, &cons, workest.FlopModel{})
 	// Find the first merge (depth-2 node containing a and b).
 	var firstMerge *molecule.Group
 	var find func(n *molecule.Group)
@@ -563,15 +567,15 @@ func TestHierarchicalFlatEquivalenceProperty(t *testing.T) {
 		for i := 0; i < nAtoms; i++ {
 			// One to three absolute observations per atom.
 			for k := 0; k <= rng.Intn(3); k++ {
-				p.Constraints = append(p.Constraints, constraint.Position{
+				p.Constraints.Add(constraint.Position{
 					I:      i,
 					Target: p.Atoms[i].Pos.Add(geom.Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}),
 					Sigma:  0.2 + rng.Float64(),
-				})
+				}.Row())
 			}
 		}
 		leaf := 1 + rng.Intn(5)
-		root, err := Build(RecursiveBisection(nAtoms, leaf), p.Constraints)
+		root, err := Build(RecursiveBisection(nAtoms, leaf), &p.Constraints)
 		if err != nil {
 			return false
 		}
@@ -584,7 +588,7 @@ func TestHierarchicalFlatEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		flat := filter.NewState(init, 10)
-		batches, err := filter.MakeBatches(p.Constraints, func(a int) int { return a }, 16)
+		batches, err := filter.MakeBatches(&p.Constraints, p.Constraints.AllRows(), func(a int) int { return a }, 16)
 		if err != nil {
 			return false
 		}
@@ -609,7 +613,7 @@ func TestHierarchicalFlatEquivalenceProperty(t *testing.T) {
 
 func TestComputeStats(t *testing.T) {
 	h := molecule.Helix(4)
-	root, err := Build(h.Tree, h.Constraints)
+	root, err := Build(h.Tree, &h.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"phmse/internal/constraint"
 	"phmse/internal/filter"
 	"phmse/internal/geom"
 	"phmse/internal/mat"
@@ -43,7 +44,7 @@ func nees(t *testing.T, s *filter.State, atoms []int, truth []geom.Vec3) float64
 	return mat.Dot(e, e)
 }
 
-// linearReplicate draws one linear problem around truth: link
+// linearReplicate draws one linear problem around truth: displacement
 // observations along the chain and between random atom pairs, each with its
 // stated σ and Gaussian noise of exactly that σ, and a prior mean drawn
 // from N(truth, initVar·I) — the prior every node starts from.
@@ -55,7 +56,7 @@ func linearReplicate(rng *rand.Rand, truth []geom.Vec3, initVar float64) (*molec
 	observe := func(i, j int) {
 		sigma := 0.2 + rng.Float64()
 		noise := geom.Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}.Scale(sigma)
-		p.Constraints = append(p.Constraints, link{i: i, j: j, sigma: sigma, z: truth[j].Sub(truth[i]).Add(noise)})
+		p.Constraints.Add(constraint.Displacement{I: i, J: j, Target: truth[j].Sub(truth[i]).Add(noise), Sigma: sigma}.Row())
 	}
 	for i := 0; i+1 < len(truth); i++ {
 		observe(i, i+1)
@@ -99,7 +100,7 @@ func TestNEESInBandOnLinearProblem(t *testing.T) {
 	var sumHier, sumFlat float64
 	for r := 0; r < replicates; r++ {
 		p, prior := linearReplicate(rng, truth, initVar)
-		root, err := Build(p.Tree, p.Constraints)
+		root, err := Build(p.Tree, &p.Constraints)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +114,7 @@ func TestNEESInBandOnLinearProblem(t *testing.T) {
 		sumHier += nees(t, s, root.Atoms, truth)
 
 		flat := filter.NewState(prior, initVar)
-		batches, err := filter.MakeBatches(p.Constraints, func(a int) int { return a }, ctl.BatchSize)
+		batches, err := filter.MakeBatches(&p.Constraints, p.Constraints.AllRows(), func(a int) int { return a }, ctl.BatchSize)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,9 +25,15 @@ type Node struct {
 	Children []*Node
 	Direct   []int // atoms owned directly (all of them, for a leaf)
 	Atoms    []int // subtree atoms: children's blocks in order, then Direct
-	Cons     []constraint.Constraint
+	// Rows are the rows of the tree's constraint set the node applies, in
+	// set order.
+	Rows []int32
 
 	parent *Node
+	// cons is the tree's constraint set, shared by every node and read by
+	// every batch through this pointer: Rebind stores another set of the
+	// same topology in it.
+	cons *constraint.Set
 	// The tree's one index: pos, shared by every node, maps a global atom
 	// to its place in the root's Atoms (−1 for an atom the tree does not
 	// hold), and a node's Atoms are the run [lo, lo+len(Atoms)) of that
@@ -41,42 +47,46 @@ type Node struct {
 	// order a pass posts them to the crew in.
 	order    []int
 	prepared int // the batch size the subtree's batches were built for; 0 before Prepare
-	// sig is what Rebind checks a new constraint against: for each of
-	// Cons in turn, its atom count and then its atoms, recorded at the
-	// tree's first Rebind from the constraints it was laid out with. next
-	// and nextSig are Rebind's cursors into Cons and sig.
-	sig           []int32
-	next, nextSig int
 }
 
 // Build mirrors a molecule.Group tree into a Node tree and assigns every
 // constraint to the lowest node that contains all of its atoms. It returns
 // an error if a constraint references an atom outside the tree or an atom
 // appears in two leaves.
-func Build(root *molecule.Group, cons []constraint.Constraint) (*Node, error) {
-	node := fromGroup(root, nil)
+func Build(root *molecule.Group, cons *constraint.Set) (*Node, error) {
+	set := new(constraint.Set) // nil cons: no constraints
+	if cons != nil {
+		*set = *cons
+	}
+	node := fromGroup(root, nil, set)
 	if err := node.layout(); err != nil {
 		return nil, err
 	}
-	for _, c := range cons {
-		if err := node.assign(c); err != nil {
+	for r := range set.Len() {
+		m, err := node.home(r)
+		if err != nil {
 			return nil, err
 		}
+		m.Rows = append(m.Rows, int32(r))
 	}
 	return node, nil
 }
 
-func fromGroup(g *molecule.Group, parent *Node) *Node {
-	n := &Node{Name: g.Name, Direct: append([]int(nil), g.AtomIDs...), parent: parent}
+func fromGroup(g *molecule.Group, parent *Node, cons *constraint.Set) *Node {
+	n := &Node{Name: g.Name, Direct: append([]int(nil), g.AtomIDs...), parent: parent, cons: cons}
 	sort.Ints(n.Direct)
 	if len(g.Children) > 0 {
 		n.Children = make([]*Node, len(g.Children))
 		for i, cg := range g.Children {
-			n.Children[i] = fromGroup(cg, n)
+			n.Children[i] = fromGroup(cg, n, cons)
 		}
 	}
 	return n
 }
+
+// Constraints returns the tree's constraint set, which the nodes' Rows
+// index.
+func (n *Node) Constraints() *constraint.Set { return n.cons }
 
 // Group returns the subtree as the grouping Build would build it from.
 func (n *Node) Group() *molecule.Group {
@@ -107,7 +117,7 @@ func (n *Node) layout() error {
 	var place func(m *Node) error
 	place = func(m *Node) error {
 		m.pos, m.lo = pos, len(order)
-		m.batches, m.order, m.prepared, m.sig = nil, nil, 0, nil // slots follow the order
+		m.batches, m.order, m.prepared = nil, nil, 0 // slots follow the order
 		for _, c := range m.Children {
 			if err := place(c); err != nil {
 				return err
@@ -146,30 +156,16 @@ func (n *Node) slot(atom int) int {
 	return -1
 }
 
-// assign pushes the constraint to the lowest node containing all its atoms.
-func (n *Node) assign(c constraint.Constraint) error {
-	node, err := n.home(c, c.Atoms())
-	if err != nil {
-		return err
-	}
-	node.Cons = append(node.Cons, c)
-	return nil
-}
-
-// home returns the lowest node containing all of the constraint's atoms:
-// the lowest whose run holds both the first and the last of them in state
-// order.
-func (n *Node) home(c constraint.Constraint, atoms []int) (*Node, error) {
+// home returns the lowest node containing all of row r's atoms: the lowest
+// whose run holds both the first and the last of them in state order.
+func (n *Node) home(r int) (*Node, error) {
 	first, last := len(n.pos), -1
-	for _, a := range atoms {
-		if n.slot(a) < 0 {
-			return nil, fmt.Errorf("hier: constraint %v references atom %d outside the tree", c, a)
+	for _, a := range n.cons.Atoms(r) {
+		if n.slot(int(a)) < 0 {
+			return nil, fmt.Errorf("hier: constraint %d (%v) references atom %d outside the tree", r, n.cons.Row(r), a)
 		}
 		p := int(n.pos[a])
 		first, last = min(first, p), max(last, p)
-	}
-	if last < 0 {
-		return nil, fmt.Errorf("hier: constraint %v references no atoms", c)
 	}
 	node := n
 descend:
@@ -189,77 +185,20 @@ descend:
 }
 
 // Rebind points a prepared tree at another constraint set of the same
-// topology, in place: each constraint replaces the one at the same place
-// in its node's Cons, which the node's batches alias, so the batches —
-// their sparse builders, kept gather plans and assembly scratch included —
-// serve the new values without being built again. Every constraint is
-// checked: it must land on the same node as the one it replaces, with the
-// same atoms in the same order and the same Dim, and every node's
-// constraints must all be replaced. On success the tree is the one Build
-// and Prepare would make from cons; on error it holds a mix of the two sets
-// and must be discarded.
-func (n *Node) Rebind(cons []constraint.Constraint) error {
+// topology, in place: the set replaces the tree's, which every node's
+// Rows and every batch read, so the batches — their sparse builders,
+// kept gather plans and assembly scratch included — serve the new values
+// without being built again. The set must have the tree's kind and atom
+// columns; on error the tree is unchanged. It is called on the root.
+func (n *Node) Rebind(cons *constraint.Set) error {
 	if n.prepared == 0 {
 		return fmt.Errorf("hier: rebinding an unprepared tree")
 	}
-	held := 0
-	n.Walk(func(m *Node) {
-		if m.sig == nil {
-			m.sig = m.signature()
-		}
-		m.next, m.nextSig, held = 0, 0, held+len(m.Cons)
-	})
-	if len(cons) != held {
-		return fmt.Errorf("hier: %d constraints for a tree holding %d", len(cons), held)
+	if !n.cons.SameTopology(cons) {
+		return fmt.Errorf("hier: the constraint set's topology is not the tree's")
 	}
-	// With the count equal and no node taking more than it holds, every
-	// node's constraints are all replaced.
-	for _, c := range cons {
-		atoms := c.Atoms()
-		m, err := n.home(c, atoms)
-		if err != nil {
-			return err
-		}
-		if !m.takes(c, atoms) {
-			return fmt.Errorf("hier: constraint %v is not the one node %q holds at %d", c, m.Name, m.next)
-		}
-		m.Cons[m.next] = c
-		m.next++
-	}
+	*n.cons = *cons
 	return nil
-}
-
-// signature records the node's constraints as Rebind checks them.
-func (n *Node) signature() []int32 {
-	var sig []int32
-	for _, c := range n.Cons {
-		atoms := c.Atoms()
-		sig = append(sig, int32(len(atoms)))
-		for _, a := range atoms {
-			sig = append(sig, int32(a))
-		}
-	}
-	return sig
-}
-
-// takes reports whether c, with the given atoms, matches the node's next
-// constraint to rebind — same Dim, same atoms in order — and if so moves
-// the signature cursor past it.
-func (n *Node) takes(c constraint.Constraint, atoms []int) bool {
-	if n.next >= len(n.Cons) || n.Cons[n.next].Dim() != c.Dim() {
-		return false
-	}
-	sig := n.sig[n.nextSig:]
-	if len(sig) < 1+len(atoms) || sig[0] != int32(len(atoms)) {
-		return false
-	}
-	for k, a := range atoms {
-		if sig[1+k] != int32(a) {
-			return false
-		}
-	}
-	n.nextSig += 1 + len(atoms)
-	return true
 }
 
 // Prepare builds the per-node constraint batches for the given batch size,
@@ -280,12 +219,12 @@ func (n *Node) Prepare(batchSize int) error {
 // prepare is Prepare on a defaulted batch size; it returns the subtree's
 // work.
 func (n *Node) prepare(batchSize int) (float64, error) {
-	batches, err := filter.MakeBatches(n.Cons, n.slot, batchSize)
+	batches, err := filter.MakeBatches(n.cons, n.Rows, n.slot, batchSize)
 	if err != nil {
 		return 0, fmt.Errorf("node %q: %w", n.Name, err)
 	}
 	n.batches = batches
-	work := workest.FlopModel{}.NodeWork(n.StateDim(), n.scalars(), batchSize)
+	work := workest.FlopModel{}.NodeWork(n.StateDim(), n.Scalars(), batchSize)
 	sub := make([]float64, len(n.Children))
 	n.order = make([]int, len(n.Children))
 	for i, c := range n.Children {
@@ -327,12 +266,12 @@ func (n *Node) Count() int {
 	return total
 }
 
-// scalars returns the scalar constraint dimension assigned to the node
+// Scalars returns the scalar constraint dimension assigned to the node
 // itself.
-func (n *Node) scalars() int {
+func (n *Node) Scalars() int {
 	total := 0
-	for _, c := range n.Cons {
-		total += c.Dim()
+	for _, r := range n.Rows {
+		total += n.cons.Kind(int(r)).Dim()
 	}
 	return total
 }
@@ -341,7 +280,7 @@ func (n *Node) scalars() int {
 // in the subtree.
 func (n *Node) ScalarConstraints() int {
 	total := 0
-	n.Walk(func(m *Node) { total += m.scalars() })
+	n.Walk(func(m *Node) { total += m.Scalars() })
 	return total
 }
 
@@ -362,7 +301,7 @@ func (n *Node) String() string {
 		kind = "leaf"
 	}
 	return fmt.Sprintf("%s %q: %d atoms, %d constraints, %d children",
-		kind, n.Name, len(n.Atoms), len(n.Cons), len(n.Children))
+		kind, n.Name, len(n.Atoms), len(n.Rows), len(n.Children))
 }
 
 // Dump renders the subtree as an indented outline (used to reproduce the
@@ -374,7 +313,7 @@ func (n *Node) Dump() string {
 		for i := 0; i < depth; i++ {
 			out += "  "
 		}
-		out += fmt.Sprintf("%s (%d atoms, %d constraints)\n", m.Name, len(m.Atoms), m.scalars())
+		out += fmt.Sprintf("%s (%d atoms, %d constraints)\n", m.Name, len(m.Atoms), m.Scalars())
 		for _, c := range m.Children {
 			rec(c, depth+1)
 		}

@@ -14,7 +14,7 @@ import (
 // perturbed initial positions and returns the final positions.
 func solveChain(n int) ([]geom.Vec3, error) {
 	p := chainProblem(n)
-	root, err := Build(p.Tree, p.Constraints)
+	root, err := Build(p.Tree, &p.Constraints)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func TestRebindChecksEveryConstraint(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := wideProblem(rng, 3+rng.Intn(10))
 		root := mustBuild(t, p)
-		if err := root.Rebind(p.Constraints); err == nil {
+		if err := root.Rebind(&p.Constraints); err == nil {
 			t.Fatalf("seed %d: an unprepared tree was rebound", seed)
 		}
 		root = mustBuild(t, p)
@@ -29,21 +29,21 @@ func TestRebindChecksEveryConstraint(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		revalued := make([]constraint.Constraint, len(p.Constraints))
-		for i, c := range p.Constraints {
-			switch c := c.(type) {
-			case link:
-				c.z, c.sigma = c.z.Add(geom.Vec3{0.1, 0, 0}), c.sigma*2
-				revalued[i] = c
-			case constraint.Position:
-				c.Sigma *= 2
-				revalued[i] = c
+		revalued := edited(&p.Constraints, func(c []constraint.Row) {
+			for i := range c {
+				switch c[i].Kind {
+				case constraint.KindDisplacement:
+					c[i].Val = geom.Vec3(c[i].Val).Add(geom.Vec3{0.1, 0, 0})
+					c[i].Sigma *= 2
+				case constraint.KindPosition:
+					c[i].Sigma *= 2
+				}
 			}
-		}
-		if err := root.Rebind(revalued); err != nil {
+		})
+		if err := root.Rebind(&revalued); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		want, err := Build(root.Group(), revalued)
+		want, err := Build(root.Group(), &revalued)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,30 +53,33 @@ func TestRebindChecksEveryConstraint(t *testing.T) {
 		// Two constraints of one node, on different atoms, trade places.
 		i, j := -1, -1
 		root.Walk(func(n *Node) {
-			if i < 0 && len(n.Cons) >= 2 && !slices.Equal(n.Cons[0].Atoms(), n.Cons[1].Atoms()) {
-				i, j = slices.Index(revalued, n.Cons[0]), slices.Index(revalued, n.Cons[1])
+			if i < 0 && len(n.Rows) >= 2 && !slices.Equal(revalued.Atoms(int(n.Rows[0])), revalued.Atoms(int(n.Rows[1]))) {
+				i, j = int(n.Rows[0]), int(n.Rows[1])
 			}
 		})
-		l := slices.IndexFunc(revalued, func(c constraint.Constraint) bool { _, ok := c.(link); return ok })
-		edits := map[string][]constraint.Constraint{
-			"one fewer": revalued[:len(revalued)-1],
-			"one more":  append(append([]constraint.Constraint(nil), revalued...), revalued[0]),
-			"swapped":   edited(revalued, func(c []constraint.Constraint) { c[i], c[j] = c[j], c[i] }),
-			"reversed": edited(revalued, func(c []constraint.Constraint) {
-				r := c[l].(link)
-				r.i, r.j = r.j, r.i
-				c[l] = r
+		l := -1
+		for r := range revalued.Len() {
+			if l < 0 && revalued.Kind(r) == constraint.KindDisplacement {
+				l = r
+			}
+		}
+		all := rowsOf(&revalued)
+		edits := map[string]constraint.Set{
+			"one fewer": constraint.Of(all[:len(all)-1]...),
+			"one more":  constraint.Of(append(all, all[0])...),
+			"swapped":   edited(&revalued, func(c []constraint.Row) { c[i], c[j] = c[j], c[i] }),
+			"reversed": edited(&revalued, func(c []constraint.Row) {
+				c[l].Atoms[0], c[l].Atoms[1] = c[l].Atoms[1], c[l].Atoms[0]
 			}),
-			"narrowed": edited(revalued, func(c []constraint.Constraint) {
-				r := c[l].(link)
-				c[l] = constraint.Distance{I: r.i, J: r.j, Target: 1, Sigma: 1}
+			"narrowed": edited(&revalued, func(c []constraint.Row) {
+				c[l] = constraint.Distance{I: c[l].Atoms[0], J: c[l].Atoms[1], Target: 1, Sigma: 1}.Row()
 			}),
 		}
 		if i < 0 {
 			delete(edits, "swapped")
 		}
 		for name, cons := range edits {
-			if err := root.Rebind(cons); err == nil {
+			if err := root.Rebind(&cons); err == nil {
 				t.Fatalf("seed %d: %s: rebound", seed, name)
 			}
 			root = mustBuild(t, p) // a refused tree is discarded
@@ -88,8 +91,18 @@ func TestRebindChecksEveryConstraint(t *testing.T) {
 	}
 }
 
-func edited(cons []constraint.Constraint, f func([]constraint.Constraint)) []constraint.Constraint {
-	out := append([]constraint.Constraint(nil), cons...)
-	f(out)
+// rowsOf returns every row of a set as a record, in order.
+func rowsOf(s *constraint.Set) []constraint.Row {
+	out := make([]constraint.Row, s.Len())
+	for r := range out {
+		out[r] = s.Row(r)
+	}
 	return out
+}
+
+// edited returns the set of f's edit of s's rows.
+func edited(s *constraint.Set, f func([]constraint.Row)) constraint.Set {
+	rows := rowsOf(s)
+	f(rows)
+	return constraint.Of(rows...)
 }

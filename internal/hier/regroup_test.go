@@ -17,37 +17,10 @@ import (
 	"phmse/internal/workest"
 )
 
-// link observes the displacement between two atoms, z = x_j − x_i: linear,
-// with a constant Jacobian, and across two atoms — so unlike a Position row
-// it fills a cross block of the covariance whenever its atoms sit in
-// different children.
-type link struct {
-	i, j  int
-	z     geom.Vec3
-	sigma float64
-}
-
-func (l link) Atoms() []int { return []int{l.i, l.j} }
-func (l link) Dim() int     { return 3 }
-
-func (l link) Observed(z, sigma2 []float64) {
-	for c := 0; c < 3; c++ {
-		z[c], sigma2[c] = l.z[c], l.sigma*l.sigma
-	}
-}
-
-func (l link) Eval(pos []geom.Vec3, h []float64, jac [][]float64) {
-	for c := 0; c < 3; c++ {
-		h[c] = pos[1][c] - pos[0][c]
-		clear(jac[c])
-		jac[c][c], jac[c][3+c] = -1, 1
-	}
-}
-
 // wideProblem draws a tree whose root fans out into fan children — leaves
 // of one to four atoms, some of them split once more into three leaves, and
 // sometimes an atom the root owns directly — with an anchor on every third
-// atom, links inside children, and links across children concentrated on a
+// atom, displacements inside children, and displacements across children concentrated on a
 // few pairs of them, which is what gives regrouping something to find.
 func wideProblem(rng *rand.Rand, fan int) *molecule.Problem {
 	p := &molecule.Problem{Name: "wide", Tree: &molecule.Group{Name: "root"}}
@@ -79,12 +52,12 @@ func wideProblem(rng *rand.Rand, fan int) *molecule.Problem {
 	}
 	observe := func(i, j int) {
 		d := p.Atoms[j].Pos.Sub(p.Atoms[i].Pos)
-		p.Constraints = append(p.Constraints, link{i: i, j: j, sigma: 0.2 + rng.Float64(),
-			z: d.Add(geom.Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}.Scale(0.3))})
+		p.Constraints.Add(constraint.Displacement{I: i, J: j, Sigma: 0.2 + rng.Float64(),
+			Target: d.Add(geom.Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}.Scale(0.3))}.Row())
 	}
 	for i := range p.Atoms {
 		if i%3 == 0 {
-			p.Constraints = append(p.Constraints, constraint.Position{I: i, Target: p.Atoms[i].Pos, Sigma: 0.5 + rng.Float64()})
+			p.Constraints.Add(constraint.Position{I: i, Target: p.Atoms[i].Pos, Sigma: 0.5 + rng.Float64()}.Row())
 		}
 	}
 	children := p.Tree.Children
@@ -113,13 +86,13 @@ func wideProblem(rng *rand.Rand, fan int) *molecule.Problem {
 // with any scalars charged the sweep floor at least.
 func treeCost(root *Node, batch int) float64 {
 	total := 0.0
-	root.Walk(func(n *Node) { total += nodeCost(workest.FlopModel{}, n.StateDim(), n.scalars(), batch) })
+	root.Walk(func(n *Node) { total += nodeCost(workest.FlopModel{}, n.StateDim(), n.Scalars(), batch) })
 	return total
 }
 
 func mustBuild(t *testing.T, p *molecule.Problem) *Node {
 	t.Helper()
-	root, err := Build(p.Tree, p.Constraints)
+	root, err := Build(p.Tree, &p.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +108,13 @@ func sameTree(a, b *Node) error {
 	if !reflect.DeepEqual(a.Atoms, b.Atoms) || !reflect.DeepEqual(a.Direct, b.Direct) {
 		return fmt.Errorf("%q: atoms %v / %v vs %v / %v", a.Name, a.Atoms, a.Direct, b.Atoms, b.Direct)
 	}
-	if len(a.Cons) != len(b.Cons) {
-		return fmt.Errorf("%q: %d constraints vs %d", a.Name, len(a.Cons), len(b.Cons))
+	if len(a.Rows) != len(b.Rows) {
+		return fmt.Errorf("%q: %d constraints vs %d", a.Name, len(a.Rows), len(b.Rows))
 	}
-	for i := range a.Cons {
-		if a.Cons[i] != b.Cons[i] {
-			return fmt.Errorf("%q: constraint %d is %v vs %v", a.Name, i, a.Cons[i], b.Cons[i])
+	ra, rb := rows(a), rows(b)
+	for i := range ra {
+		if ra[i] != rb[i] {
+			return fmt.Errorf("%q: constraint %d is %v vs %v", a.Name, i, ra[i], rb[i])
 		}
 	}
 	for i := range a.Children {
@@ -175,9 +149,9 @@ func TestRegroupInvariants(t *testing.T) {
 				t.Fatalf("seed %d: root atoms %v are not every atom once", seed, root.Atoms)
 			}
 		}
-		count := map[constraint.Constraint]int{}
-		for _, c := range p.Constraints {
-			count[c]++
+		count := map[constraint.Row]int{}
+		for r := range p.Constraints.Len() {
+			count[p.Constraints.Row(r)]++
 		}
 		names := map[string]bool{}
 		root.Walk(func(n *Node) {
@@ -193,18 +167,18 @@ func TestRegroupInvariants(t *testing.T) {
 					t.Fatalf("seed %d: %q has parent %v, want %q", seed, c.Name, c.Parent(), n.Name)
 				}
 			}
-			for _, c := range n.Cons {
+			for _, c := range rows(n) {
 				count[c]--
 				for _, ch := range n.Children {
 					inside := true
-					for _, a := range c.Atoms() {
+					for _, a := range c.Atoms[:c.Kind.Atoms()] {
 						inside = inside && ch.slot(a) >= 0
 					}
 					if inside {
 						t.Fatalf("seed %d: constraint %v at %q fits in child %q", seed, c, n.Name, ch.Name)
 					}
 				}
-				for _, a := range c.Atoms() {
+				for _, a := range c.Atoms[:c.Kind.Atoms()] {
 					if n.slot(a) < 0 {
 						t.Fatalf("seed %d: constraint %v at %q reaches outside it", seed, c, n.Name)
 					}
@@ -222,7 +196,7 @@ func TestRegroupInvariants(t *testing.T) {
 		if err := sameTree(root, again); err != nil {
 			t.Fatalf("seed %d: regrouping twice: %v", seed, err)
 		}
-		rebuilt, err := Build(root.Group(), p.Constraints)
+		rebuilt, err := Build(root.Group(), &p.Constraints)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +211,7 @@ func TestRegroupLeavesBinaryTreesAlone(t *testing.T) {
 	h := molecule.Helix(4)
 	chain := chainProblem(16)
 	for _, p := range []*molecule.Problem{h, chain,
-		{Tree: GraphPartition(len(h.Atoms), h.Constraints, 8), Constraints: h.Constraints}} {
+		{Tree: GraphPartition(len(h.Atoms), &h.Constraints, 8), Constraints: h.Constraints}} {
 		root, ref := mustBuild(t, p), mustBuild(t, p)
 		if root.Regroup(workest.FlopModel{}, 16) {
 			t.Fatalf("%s: Regroup reports a change to a binary tree", p.Name)
@@ -326,7 +300,7 @@ func TestRegroupNearBruteForceOptimum(t *testing.T) {
 			}
 			n := 1 + rng.Intn(12)
 			for i := 0; i < n; i++ {
-				p.Constraints = append(p.Constraints, link{i: first[a], j: first[b], sigma: 1})
+				p.Constraints.Add(constraint.Displacement{I: first[a], J: first[b], Sigma: 1}.Row())
 			}
 			cons = append(cons, [2]int{1<<a | 1<<b, 3 * n})
 		}
@@ -351,10 +325,10 @@ func TestSolveDoesNotPrepareAPreparedTree(t *testing.T) {
 		{Name: "a", AtomIDs: []int{0, 1}}, {Name: "b", AtomIDs: []int{2, 3}}}}}
 	for i := 0; i < 4; i++ {
 		p.Atoms = append(p.Atoms, molecule.Atom{Pos: geom.Vec3{float64(i), 0, 0}})
-		p.Constraints = append(p.Constraints, constraint.Position{I: i, Target: geom.Vec3{float64(i), 1, 0}, Sigma: 1})
+		p.Constraints.Add(constraint.Position{I: i, Target: geom.Vec3{float64(i), 1, 0}, Sigma: 1}.Row())
 	}
 	root := mustBuild(t, p)
-	if len(root.Cons) != 0 {
+	if len(root.Rows) != 0 {
 		t.Fatal("the root was meant to own no constraints")
 	}
 	opt := Options{Control: filter.Control{MaxCycles: 2}}
@@ -383,20 +357,20 @@ func TestSolveDoesNotPrepareAPreparedTree(t *testing.T) {
 // children — and, like every pass, never writes the upper one.
 func TestConstraintFreeRootNeverWritesUpperTriangle(t *testing.T) {
 	p := chainProblem(12)
-	var inside []constraint.Constraint
-	for _, c := range p.Constraints {
-		if atoms := c.Atoms(); atoms[0] < 6 == (atoms[len(atoms)-1] < 6) {
-			inside = append(inside, c)
+	var inside constraint.Set
+	for r := range p.Constraints.Len() {
+		if c := p.Constraints.Row(r); atoms(c)[0] < 6 == (atoms(c)[len(atoms(c))-1] < 6) {
+			inside.Add(c)
 		}
 	}
-	root, err := Build(p.Tree, inside)
+	root, err := Build(p.Tree, &inside)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := root.Prepare(8); err != nil {
 		t.Fatal(err)
 	}
-	if len(root.Cons) != 0 {
+	if len(root.Rows) != 0 {
 		t.Fatal("the root was meant to own no constraints")
 	}
 	s := fromPoisonedPool(t, root.StateDim(), func() *filter.State {
@@ -486,7 +460,7 @@ func TestWideTreesMatchFlatWithCrossNodeCoupling(t *testing.T) {
 		ctl := filter.Control{InitVar: 25, MaxStep: -1, BatchSize: 1 + rng.Intn(20)}
 
 		flat := filter.NewState(init, ctl.InitVar)
-		batches, err := filter.MakeBatches(p.Constraints, func(a int) int { return a }, ctl.BatchSize)
+		batches, err := filter.MakeBatches(&p.Constraints, p.Constraints.AllRows(), func(a int) int { return a }, ctl.BatchSize)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,7 +55,7 @@ func ComputeStats(root *Node) Stats {
 		if n.IsLeaf() {
 			s.Leaves++
 		}
-		scalars := n.scalars()
+		scalars := n.Scalars()
 		s.Scalars += scalars
 		levelScalars[depth] += scalars
 		levelNodes[depth]++
@@ -91,10 +91,7 @@ func ComputeStats(root *Node) Stats {
 		deep := 0
 		var walk2 func(n *Node, depth int)
 		walk2 = func(n *Node, depth int) {
-			scalars := 0
-			for _, c := range n.Cons {
-				scalars += c.Dim()
-			}
+			scalars := n.Scalars()
 			if n.IsLeaf() {
 				leafScalars += scalars
 			}

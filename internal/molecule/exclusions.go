@@ -18,15 +18,15 @@ func WithExclusions(p *Problem, minDist, sigma float64, stride int) *Problem {
 	// Pairs already constrained by distance data are skipped.
 	type pair [2]int
 	seen := map[pair]bool{}
-	for _, c := range p.Constraints {
-		switch v := c.(type) {
-		case constraint.Distance:
-			seen[pair{min(v.I, v.J), max(v.I, v.J)}] = true
-		case constraint.DistanceBound:
-			seen[pair{min(v.I, v.J), max(v.I, v.J)}] = true
+	for r := 0; r < p.Constraints.Len(); r++ {
+		if k := p.Constraints.Kind(r); k == constraint.KindDistance || k == constraint.KindBound {
+			a := p.Constraints.Atoms(r)
+			i, j := int(a[0]), int(a[1])
+			seen[pair{min(i, j), max(i, j)}] = true
 		}
 	}
-	cons := append([]constraint.Constraint(nil), p.Constraints...)
+	var cons constraint.Set
+	cons.Append(&p.Constraints)
 	count := 0
 	for i := range p.Atoms {
 		for j := i + 1; j < len(p.Atoms); j++ {
@@ -34,9 +34,7 @@ func WithExclusions(p *Problem, minDist, sigma float64, stride int) *Problem {
 				continue
 			}
 			if count%stride == 0 {
-				cons = append(cons, constraint.DistanceBound{
-					I: i, J: j, Lower: minDist, Sigma: sigma,
-				})
+				cons.Add(constraint.DistanceBound{I: i, J: j, Lower: minDist, Sigma: sigma}.Row())
 			}
 			count++
 		}

@@ -112,25 +112,25 @@ func Helix(basePairs int) *Problem {
 	}
 
 	// Category 1–3: within each base.
-	var cons []constraint.Constraint
+	var cons constraint.Set
 	for _, pair := range pairs {
 		for s := 0; s < 2; s++ {
 			b := pair[s]
-			cons = allPairsWithin(p.Atoms, b.backbone, b.backbone, cutBackbone, sigmaCovalent, cons)
-			cons = allPairsWithin(p.Atoms, b.side, b.side, cutSide, sigmaCovalent, cons)
-			cons = allPairsWithin(p.Atoms, b.backbone, b.side, cutBaseLink, sigmaCovalent, cons)
+			allPairsWithin(p.Atoms, b.backbone, b.backbone, cutBackbone, sigmaCovalent, &cons)
+			allPairsWithin(p.Atoms, b.side, b.side, cutSide, sigmaCovalent, &cons)
+			allPairsWithin(p.Atoms, b.backbone, b.side, cutBaseLink, sigmaCovalent, &cons)
 		}
 	}
 	// Category 4: across each base pair.
 	for _, pair := range pairs {
-		cons = allPairsWithin(p.Atoms, pair[0].all(), pair[1].all(), cutPair, sigmaPair, cons)
+		allPairsWithin(p.Atoms, pair[0].all(), pair[1].all(), cutPair, sigmaPair, &cons)
 	}
 	// Category 5: between adjacent base pairs (stacking distances); these
 	// are the constraints consumed when two sub-helices are joined.
 	for i := 0; i+1 < basePairs; i++ {
 		a := append(pairs[i][0].all(), pairs[i][1].all()...)
 		b := append(pairs[i+1][0].all(), pairs[i+1][1].all()...)
-		cons = allPairsWithin(p.Atoms, a, b, cutStack, sigmaStack, cons)
+		allPairsWithin(p.Atoms, a, b, cutStack, sigmaStack, &cons)
 	}
 	p.Constraints = cons
 

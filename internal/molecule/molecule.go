@@ -85,7 +85,7 @@ func (g *Group) walk(f func(*Group)) {
 type Problem struct {
 	Name        string
 	Atoms       []Atom
-	Constraints []constraint.Constraint
+	Constraints constraint.Set
 	Tree        *Group
 }
 
@@ -99,17 +99,11 @@ func (p *Problem) TruePositions() []geom.Vec3 {
 }
 
 // ScalarDim returns the total scalar dimension of the constraint set.
-func (p *Problem) ScalarDim() int {
-	d := 0
-	for _, c := range p.Constraints {
-		d += c.Dim()
-	}
-	return d
-}
+func (p *Problem) ScalarDim() int { return p.Constraints.ScalarDim() }
 
 func (p *Problem) String() string {
 	return fmt.Sprintf("%s: %d atoms, %d constraints (%d scalar)",
-		p.Name, len(p.Atoms), len(p.Constraints), p.ScalarDim())
+		p.Name, len(p.Atoms), p.Constraints.Len(), p.ScalarDim())
 }
 
 // WithAnchors returns a shallow copy of the problem with the first k atoms
@@ -121,18 +115,19 @@ func WithAnchors(p *Problem, k int, sigma float64) *Problem {
 	if k > len(p.Atoms) {
 		k = len(p.Atoms)
 	}
-	cons := make([]constraint.Constraint, 0, len(p.Constraints)+k)
+	var cons constraint.Set
+	cons.Grow(k + p.Constraints.Len())
 	for i := 0; i < k; i++ {
-		cons = append(cons, constraint.Position{I: i, Target: p.Atoms[i].Pos, Sigma: sigma})
+		cons.Add(constraint.Position{I: i, Target: p.Atoms[i].Pos, Sigma: sigma}.Row())
 	}
-	cons = append(cons, p.Constraints...)
+	cons.Append(&p.Constraints)
 	return &Problem{Name: p.Name + "+anchors", Atoms: p.Atoms, Constraints: cons, Tree: p.Tree}
 }
 
 // allPairsWithin appends a Distance constraint for every pair (i, j) from
 // the two index slices whose reference distance is below cutoff. When the
 // slices are identical, each unordered pair is visited once.
-func allPairsWithin(atoms []Atom, a, b []int, cutoff, sigma float64, out []constraint.Constraint) []constraint.Constraint {
+func allPairsWithin(atoms []Atom, a, b []int, cutoff, sigma float64, out *constraint.Set) {
 	same := len(a) > 0 && len(b) == len(a) && &a[0] == &b[0]
 	for ii, i := range a {
 		jj0 := 0
@@ -145,9 +140,8 @@ func allPairsWithin(atoms []Atom, a, b []int, cutoff, sigma float64, out []const
 			}
 			d := geom.Dist(atoms[i].Pos, atoms[j].Pos)
 			if d < cutoff {
-				out = append(out, constraint.Distance{I: i, J: j, Target: d, Sigma: sigma})
+				out.Add(constraint.Distance{I: i, J: j, Target: d, Sigma: sigma}.Row())
 			}
 		}
 	}
-	return out
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"phmse/internal/constraint"
 	"phmse/internal/geom"
 )
 
@@ -76,8 +75,8 @@ func TestHelixConstraintsConsistentWithGeometry(t *testing.T) {
 	h := Helix(2)
 	pos := h.TruePositions()
 	// Every distance constraint's target equals the reference geometry.
-	for _, c := range h.Constraints {
-		d, ok := c.(constraint.Distance)
+	for _, c := range h.Constraints.Rows() {
+		d, ok := c.Distance()
 		if !ok {
 			t.Fatalf("unexpected constraint type %T", c)
 		}
@@ -135,11 +134,11 @@ func TestHelixConstraintLocality(t *testing.T) {
 		}
 	}
 	atRoot := 0
-	for _, c := range h.Constraints {
+	for _, c := range h.Constraints.Rows() {
 		fits := false
 		for i := range inChild {
 			all := true
-			for _, a := range c.Atoms() {
+			for _, a := range c.Atoms[:c.Kind.Atoms()] {
 				if !inChild[i][a] {
 					all = false
 					break
@@ -154,7 +153,7 @@ func TestHelixConstraintLocality(t *testing.T) {
 			atRoot++
 		}
 	}
-	frac := float64(atRoot) / float64(len(h.Constraints))
+	frac := float64(atRoot) / float64(h.Constraints.Len())
 	if frac > 0.1 {
 		t.Fatalf("%.1f%% of constraints stuck at root; want < 10%%", 100*frac)
 	}
@@ -199,7 +198,7 @@ func TestRibo30SScale(t *testing.T) {
 func TestRibo30SDeterministic(t *testing.T) {
 	a := Ribo30S(7)
 	b := Ribo30S(7)
-	if len(a.Atoms) != len(b.Atoms) || len(a.Constraints) != len(b.Constraints) {
+	if len(a.Atoms) != len(b.Atoms) || a.Constraints.Len() != b.Constraints.Len() {
 		t.Fatal("same seed produced different problems")
 	}
 	for i := range a.Atoms {
@@ -227,8 +226,8 @@ func TestRibo30SSmallConfig(t *testing.T) {
 	}
 	// Position anchors present for each protein.
 	anchors := 0
-	for _, c := range r.Constraints {
-		if _, ok := c.(constraint.Position); ok {
+	for _, c := range r.Constraints.Rows() {
+		if _, ok := c.Position(); ok {
 			anchors++
 		}
 	}
@@ -240,16 +239,16 @@ func TestRibo30SSmallConfig(t *testing.T) {
 func TestWithAnchors(t *testing.T) {
 	h := Helix(1)
 	a := WithAnchors(h, 2, 0.1)
-	if len(a.Constraints) != len(h.Constraints)+2 {
+	if a.Constraints.Len() != h.Constraints.Len()+2 {
 		t.Fatal("anchor count")
 	}
-	p0, ok := a.Constraints[0].(constraint.Position)
+	p0, ok := a.Constraints.Row(0).Position()
 	if !ok || p0.Target != h.Atoms[0].Pos {
 		t.Fatal("anchor 0 wrong")
 	}
 	// Clamp k to atom count.
 	b := WithAnchors(h, 10_000, 0.1)
-	if len(b.Constraints) != len(h.Constraints)+len(h.Atoms) {
+	if b.Constraints.Len() != h.Constraints.Len()+len(h.Atoms) {
 		t.Fatal("k clamp")
 	}
 }
@@ -288,14 +287,14 @@ func TestProblemString(t *testing.T) {
 func TestWithExclusions(t *testing.T) {
 	h := Helix(1)
 	aug := WithExclusions(h, 2.0, 0.5, 10)
-	added := len(aug.Constraints) - len(h.Constraints)
+	added := aug.Constraints.Len() - h.Constraints.Len()
 	if added <= 0 {
 		t.Fatal("no exclusions added")
 	}
 	// Added constraints are lower-only bounds on unobserved pairs.
 	seen := map[[2]int]bool{}
-	for _, c := range h.Constraints {
-		d, ok := c.(constraint.Distance)
+	for _, c := range h.Constraints.Rows() {
+		d, ok := c.Distance()
 		if !ok {
 			continue
 		}
@@ -305,8 +304,8 @@ func TestWithExclusions(t *testing.T) {
 		}
 		seen[[2]int{i, j}] = true
 	}
-	for _, c := range aug.Constraints[len(h.Constraints):] {
-		b, ok := c.(constraint.DistanceBound)
+	for _, c := range aug.Constraints.Rows()[h.Constraints.Len():] {
+		b, ok := c.Bound()
 		if !ok {
 			t.Fatalf("added constraint has type %T", c)
 		}
@@ -323,7 +322,7 @@ func TestWithExclusions(t *testing.T) {
 	}
 	// Stride 10 keeps roughly a tenth of candidate pairs.
 	all := WithExclusions(h, 2.0, 0.5, 1)
-	allAdded := len(all.Constraints) - len(h.Constraints)
+	allAdded := all.Constraints.Len() - h.Constraints.Len()
 	if added > allAdded/8 || added < allAdded/14 {
 		t.Fatalf("stride sampling off: %d of %d", added, allAdded)
 	}

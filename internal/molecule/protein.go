@@ -107,22 +107,22 @@ func ProteinWith(cfg ProteinConfig) *Problem {
 	}
 
 	pos := p.TruePositions()
-	var cons []constraint.Constraint
+	var cons constraint.Set
 	dist := func(i, j int, sigma float64) {
-		cons = append(cons, constraint.Distance{
+		cons.Add(constraint.Distance{
 			I: i, J: j, Target: geom.Dist(pos[i], pos[j]), Sigma: sigma,
-		})
+		}.Row())
 	}
 	angle := func(i, j, k int) {
-		cons = append(cons, constraint.Angle{
+		cons.Add(constraint.Angle{
 			I: i, J: j, K: k, Target: geom.Angle(pos[i], pos[j], pos[k]), Sigma: sigmaAngle,
-		})
+		}.Row())
 	}
 	torsion := func(i, j, k, l int) {
-		cons = append(cons, constraint.Torsion{
+		cons.Add(constraint.Torsion{
 			I: i, J: j, K: k, L: l,
 			Target: geom.Dihedral(pos[i], pos[j], pos[k], pos[l]), Sigma: sigmaTorsion,
-		})
+		}.Row())
 	}
 
 	for _, seg := range segments {
@@ -185,7 +185,7 @@ func ProteinWith(cfg ProteinConfig) *Problem {
 			for _, r := range segments[sj] {
 				b = append(b, r.all()...)
 			}
-			cons = allPairsWithin(p.Atoms, a, b, proteinContactCutoff, sigmaContact, cons)
+			allPairsWithin(p.Atoms, a, b, proteinContactCutoff, sigmaContact, &cons)
 		}
 	}
 	p.Constraints = cons

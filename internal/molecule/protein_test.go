@@ -43,16 +43,12 @@ func TestProteinShape(t *testing.T) {
 func TestProteinUsesAllConstraintTypes(t *testing.T) {
 	p := Protein(24, 2)
 	counts := map[string]int{}
-	for _, c := range p.Constraints {
-		switch c.(type) {
-		case constraint.Distance:
-			counts["distance"]++
-		case constraint.Angle:
-			counts["angle"]++
-		case constraint.Torsion:
-			counts["torsion"]++
+	for _, c := range p.Constraints.Rows() {
+		switch c.Kind {
+		case constraint.KindDistance, constraint.KindAngle, constraint.KindTorsion:
+			counts[c.Kind.String()]++
 		default:
-			t.Fatalf("unexpected constraint type %T", c)
+			t.Fatalf("unexpected constraint type %v", c.Kind)
 		}
 	}
 	for _, kind := range []string{"distance", "angle", "torsion"} {
@@ -69,17 +65,18 @@ func TestProteinUsesAllConstraintTypes(t *testing.T) {
 func TestProteinConstraintsConsistent(t *testing.T) {
 	p := Protein(24, 3)
 	pos := p.TruePositions()
-	for _, c := range p.Constraints {
-		switch v := c.(type) {
-		case constraint.Distance:
+	for _, c := range p.Constraints.Rows() {
+		if v, ok := c.Distance(); ok {
 			if math.Abs(geom.Dist(pos[v.I], pos[v.J])-v.Target) > 1e-9 {
 				t.Fatalf("distance target inconsistent: %+v", v)
 			}
-		case constraint.Angle:
+		}
+		if v, ok := c.Angle(); ok {
 			if math.Abs(geom.Angle(pos[v.I], pos[v.J], pos[v.K])-v.Target) > 1e-9 {
 				t.Fatalf("angle target inconsistent: %+v", v)
 			}
-		case constraint.Torsion:
+		}
+		if v, ok := c.Torsion(); ok {
 			got := geom.Dihedral(pos[v.I], pos[v.J], pos[v.K], pos[v.L])
 			diff := math.Abs(got - v.Target)
 			if diff > math.Pi {
@@ -98,8 +95,8 @@ func TestProteinHydrogenBonds(t *testing.T) {
 	p := Protein(12, 4)
 	pos := p.TruePositions()
 	hbonds := 0
-	for _, c := range p.Constraints {
-		d, ok := c.(constraint.Distance)
+	for _, c := range p.Constraints.Rows() {
+		d, ok := c.Distance()
 		if !ok || d.Sigma != sigmaHBond {
 			continue
 		}
@@ -139,8 +136,8 @@ func TestProteinTertiaryContacts(t *testing.T) {
 		}
 	}
 	cross := 0
-	for _, c := range p.Constraints {
-		d, ok := c.(constraint.Distance)
+	for _, c := range p.Constraints.Rows() {
+		d, ok := c.Distance()
 		if !ok {
 			continue
 		}
@@ -196,8 +193,8 @@ func TestProteinMixedSheets(t *testing.T) {
 	}
 	// Constraint targets stay consistent with the geometry.
 	pos := p.TruePositions()
-	for _, c := range p.Constraints {
-		if d, ok := c.(constraint.Distance); ok {
+	for _, c := range p.Constraints.Rows() {
+		if d, ok := c.Distance(); ok {
 			if math.Abs(geom.Dist(pos[d.I], pos[d.J])-d.Target) > 1e-9 {
 				t.Fatalf("inconsistent mixed-protein distance %+v", d)
 			}

@@ -125,27 +125,27 @@ func Ribo30SWith(cfg Ribo30SConfig) *Problem {
 	}
 
 	// Constraints.
-	var cons []constraint.Constraint
+	var cons constraint.Set
 	// Protein reference points.
 	for _, a := range protAtoms {
-		cons = append(cons, constraint.Position{I: a, Target: p.Atoms[a].Pos, Sigma: sigmaProtein})
+		cons.Add(constraint.Position{I: a, Target: p.Atoms[a].Pos, Sigma: sigmaProtein}.Row())
 	}
 	// Within-segment geometry: all pairs inside a segment.
 	for _, seg := range segs {
-		cons = allPairsWithin(p.Atoms, seg.atoms, seg.atoms, 1e9, sigmaRiboGeom, cons)
+		allPairsWithin(p.Atoms, seg.atoms, seg.atoms, 1e9, sigmaRiboGeom, &cons)
 	}
 	// Chain continuity between consecutive segments.
 	for s := 0; s+1 < len(segs); s++ {
 		i := segs[s].atoms[len(segs[s].atoms)-1]
 		j := segs[s+1].atoms[0]
 		d := geom.Dist(p.Atoms[i].Pos, p.Atoms[j].Pos)
-		cons = append(cons, constraint.Distance{I: i, J: j, Target: d, Sigma: sigmaRiboGeom})
+		cons.Add(constraint.Distance{I: i, J: j, Target: d, Sigma: sigmaRiboGeom}.Row())
 	}
 	// Inter-segment contacts: experimental distances between helices (and
 	// coils) that happen to lie near each other in the folded structure.
 	for s := 0; s < len(segs); s++ {
 		for q := s + 1; q < len(segs); q++ {
-			cons = allPairsWithin(p.Atoms, segs[s].atoms, segs[q].atoms, riboCutCross, sigmaRiboCross, cons)
+			allPairsWithin(p.Atoms, segs[s].atoms, segs[q].atoms, riboCutCross, sigmaRiboCross, &cons)
 		}
 	}
 	// Helix-to-protein distances.
@@ -153,7 +153,7 @@ func Ribo30SWith(cfg Ribo30SConfig) *Problem {
 		if !seg.helix {
 			continue
 		}
-		cons = allPairsWithin(p.Atoms, seg.atoms, protAtoms, riboCutProt, sigmaRiboProt, cons)
+		allPairsWithin(p.Atoms, seg.atoms, protAtoms, riboCutProt, sigmaRiboProt, &cons)
 	}
 	p.Constraints = cons
 

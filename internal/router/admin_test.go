@@ -474,9 +474,10 @@ func TestE2EGrowCluster(t *testing.T) {
 search:
 	for i := 0; i < n; i++ {
 		for j := i + 2; j < n; j++ {
-			cons := append([]constraint.Constraint(nil), base.Constraints...)
+			var cons constraint.Set
+			cons.Append(&base.Constraints)
 			d := geom.Dist(base.Atoms[i].Pos, base.Atoms[j].Pos)
-			cons = append(cons, constraint.Distance{I: i, J: j, Target: d, Sigma: 0.5})
+			cons.Add(constraint.Distance{I: i, J: j, Target: d, Sigma: 0.5}.Row())
 			cand := &molecule.Problem{Name: base.Name, Atoms: base.Atoms, Constraints: cons, Tree: base.Tree}
 			if expectOwner(cl, cand, cl.backends[0], cl.backends[1], b3) == b3.url() {
 				p = cand

@@ -764,7 +764,7 @@ func (rt *Router) forwardTo(w http.ResponseWriter, r *http.Request, sh *shard, p
 // forwarded unchanged. The ring key is rendered only for a submission its
 // warm-start reference did not place.
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	body, err := encode.ReadBody(http.MaxBytesReader(w, r.Body, maxRequestBody), r.ContentLength, maxRequestBody)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, encode.CodeBadRequest, "reading request: "+err.Error())
 		return

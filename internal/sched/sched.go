@@ -54,11 +54,7 @@ func EstimateWork(root *hier.Node, est Estimator, batchDim int) *Work {
 	}
 	var rec func(n *hier.Node) float64
 	rec = func(n *hier.Node) float64 {
-		scalars := 0
-		for _, c := range n.Cons {
-			scalars += c.Dim()
-		}
-		own := est.NodeWork(n.StateDim(), scalars, batchDim)
+		own := est.NodeWork(n.StateDim(), n.Scalars(), batchDim)
 		w.Own[n] = own
 		total := own
 		for _, c := range n.Children {

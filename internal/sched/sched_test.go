@@ -22,8 +22,7 @@ func twoArm(t *testing.T, leftCons, rightCons int) (*hier.Node, *molecule.Proble
 	addCons := func(lo, hi, n int) {
 		for k := 0; k < n; k++ {
 			i := lo + k%(hi-lo-1)
-			p.Constraints = append(p.Constraints,
-				constraint.Distance{I: i, J: i + 1, Target: 1, Sigma: 1})
+			p.Constraints.Add(constraint.Distance{I: i, J: i + 1, Target: 1, Sigma: 1}.Row())
 		}
 	}
 	addCons(0, 10, leftCons)
@@ -35,7 +34,7 @@ func twoArm(t *testing.T, leftCons, rightCons int) (*hier.Node, *molecule.Proble
 			{Name: "right", AtomIDs: rangeInts(10, 20)},
 		},
 	}
-	root, err := hier.Build(p.Tree, p.Constraints)
+	root, err := hier.Build(p.Tree, &p.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +216,7 @@ func TestAssignSingleProcessorNoPlan(t *testing.T) {
 
 func TestAssignDeepTreeValid(t *testing.T) {
 	h := molecule.Helix(8)
-	root, err := hier.Build(h.Tree, h.Constraints)
+	root, err := hier.Build(h.Tree, &h.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +231,7 @@ func TestAssignDeepTreeValid(t *testing.T) {
 
 func TestAssignHighBranchingValid(t *testing.T) {
 	r := molecule.Ribo30SWith(molecule.Ribo30SConfig{Helices: 10, Coils: 10, Proteins: 5, Seed: 3})
-	root, err := hier.Build(r.Tree, r.Constraints)
+	root, err := hier.Build(r.Tree, &r.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +312,7 @@ func TestImbalance(t *testing.T) {
 
 func TestImbalancePredictsHelixDip(t *testing.T) {
 	h := molecule.Helix(8)
-	root, err := hier.Build(h.Tree, h.Constraints)
+	root, err := hier.Build(h.Tree, &h.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}

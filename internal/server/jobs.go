@@ -88,7 +88,7 @@ func (j *job) status() JobStatus {
 		State:         j.state,
 		Problem:       j.problem.Name,
 		Atoms:         len(j.problem.Atoms),
-		Constraints:   len(j.problem.Constraints),
+		Constraints:   j.problem.Constraints.Len(),
 		Cycle:         j.cycle,
 		RMSChange:     j.rmsChange,
 		PlanCacheHit:  j.cacheHit,
@@ -228,11 +228,7 @@ func batchSize(p encode.SolveParams) int {
 // same Equation-1 estimate a solve orders its subtrees by — here lifted to
 // the admission layer to size the job's team.
 func jobCost(p *molecule.Problem, batch int) float64 {
-	scalars := 0
-	for _, c := range p.Constraints {
-		scalars += c.Dim()
-	}
-	return workest.FlopModel{}.NodeWork(3*len(p.Atoms), scalars, batch)
+	return workest.FlopModel{}.NodeWork(3*len(p.Atoms), p.ScalarDim(), batch)
 }
 
 // dispatcher admits queued jobs through the elastic scheduler in FIFO

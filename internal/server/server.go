@@ -258,8 +258,12 @@ func writeError(w http.ResponseWriter, httpStatus int, code, message string, sta
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
-	p, params, warmRef, err := encode.ReadSolveRequest(body)
+	body, err := encode.ReadBody(http.MaxBytesReader(w, r.Body, maxRequestBody), r.ContentLength, maxRequestBody)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, encode.CodeBadRequest, "encode: request: "+err.Error(), "")
+		return
+	}
+	p, params, warmRef, err := encode.ParseSolveRequest(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, encode.CodeBadRequest, err.Error(), "")
 		return

@@ -41,10 +41,11 @@ func helix(bp int) *molecule.Problem {
 // geometry — same structure hash, different topology hash.
 func withExtraDistances(p *molecule.Problem) *molecule.Problem {
 	n := len(p.Atoms)
-	cons := append([]constraint.Constraint(nil), p.Constraints...)
+	var cons constraint.Set
+	cons.Append(&p.Constraints)
 	for _, pr := range [][2]int{{0, n - 1}, {1, n - 2}, {n / 4, 3 * n / 4}} {
 		d := geom.Dist(p.Atoms[pr[0]].Pos, p.Atoms[pr[1]].Pos)
-		cons = append(cons, constraint.Distance{I: pr[0], J: pr[1], Target: d, Sigma: 0.1})
+		cons.Add(constraint.Distance{I: pr[0], J: pr[1], Target: d, Sigma: 0.1}.Row())
 	}
 	return &molecule.Problem{Name: p.Name + "+extra", Atoms: p.Atoms, Constraints: cons, Tree: p.Tree}
 }

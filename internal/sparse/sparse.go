@@ -62,6 +62,19 @@ func (b *Builder) AddRow(cols []int, vals []float64) {
 	b.rowPtr = append(b.rowPtr, len(b.colIdx))
 }
 
+// Add appends one entry to the row being built; EndRow ends the row. The
+// column must be in range and not yet in the row.
+func (b *Builder) Add(col int, v float64) {
+	if col < 0 || col >= b.cols {
+		panic(fmt.Sprintf("sparse: column %d out of %d", col, b.cols))
+	}
+	b.colIdx = append(b.colIdx, col)
+	b.val = append(b.val, v)
+}
+
+// EndRow ends the row Add has been filling, empty if nothing was added.
+func (b *Builder) EndRow() { b.rowPtr = append(b.rowPtr, len(b.colIdx)) }
+
 // Build finalizes the builder into an immutable Matrix. The builder may be
 // reused afterwards only via Reset. The matrix's gather plan is the one the
 // builder kept if that plan is of these column indices, entry by entry, and

@@ -17,7 +17,7 @@ import (
 func preparedHelix(t testing.TB, bp int) *hier.Node {
 	t.Helper()
 	h := molecule.Helix(bp)
-	root, err := hier.Build(h.Tree, h.Constraints)
+	root, err := hier.Build(h.Tree, &h.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestRibo30SNoDip(t *testing.T) {
 	// The ribosome tree's high branching factor lets the static scheduler
 	// divide processors evenly: no power-of-two dips (Table 4).
 	h := molecule.Ribo30S(1996)
-	root, err := hier.Build(h.Tree, h.Constraints)
+	root, err := hier.Build(h.Tree, &h.Constraints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestHierarchicalBeatsFlatAndGapWidens(t *testing.T) {
 	prevSpeedup := 0.0
 	for _, bp := range []int{1, 2, 4, 8} {
 		h := molecule.Helix(bp)
-		root, err := hier.Build(h.Tree, h.Constraints)
+		root, err := hier.Build(h.Tree, &h.Constraints)
 		if err != nil {
 			t.Fatal(err)
 		}

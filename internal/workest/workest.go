@@ -51,7 +51,7 @@ func MeasureTable2(nodeSizes, batchDims []int, scale float64) []Measurement {
 			out = append(out, Measurement{
 				NodeAtoms: atoms,
 				BatchDim:  m,
-				PerScalar: sec / float64(len(cons)),
+				PerScalar: sec / float64(cons.Len()),
 			})
 		}
 	}
@@ -76,18 +76,19 @@ func syntheticNode(atoms int) []geom.Vec3 {
 // cycleConstraints produces n scalar distance constraints cycling over atom
 // pairs at varying strides, mimicking the mixed-locality distance data of
 // the real problems.
-func cycleConstraints(pos []geom.Vec3, n int) []constraint.Constraint {
-	cons := make([]constraint.Constraint, 0, n)
+func cycleConstraints(pos []geom.Vec3, n int) *constraint.Set {
+	cons := new(constraint.Set)
+	cons.Grow(n)
 	stride := 1
 	i := 0
-	for len(cons) < n {
+	for cons.Len() < n {
 		j := (i + stride) % len(pos)
 		if j != i {
-			cons = append(cons, constraint.Distance{
+			cons.Add(constraint.Distance{
 				I: i, J: j,
 				Target: geom.Dist(pos[i], pos[j]),
 				Sigma:  0.1,
-			})
+			}.Row())
 		}
 		i++
 		if i >= len(pos) {
@@ -100,9 +101,9 @@ func cycleConstraints(pos []geom.Vec3, n int) []constraint.Constraint {
 
 // timeApply measures the wall-clock seconds to apply all constraints to a
 // fresh state in batches of m.
-func timeApply(pos []geom.Vec3, cons []constraint.Constraint, m int) float64 {
+func timeApply(pos []geom.Vec3, cons *constraint.Set, m int) float64 {
 	s := filter.NewState(pos, 100)
-	batches, err := filter.MakeBatches(cons, func(a int) int { return a }, m)
+	batches, err := filter.MakeBatches(cons, cons.AllRows(), func(a int) int { return a }, m)
 	if err != nil {
 		panic(err)
 	}

@@ -68,10 +68,14 @@ type (
 	Ribo30SConfig = molecule.Ribo30SConfig
 )
 
-// Measurement models.
+// Measurement models. A problem's constraints are a ConstraintSet, a
+// table with one row per constraint; each model's Row method gives the row
+// ConstraintSet.Add appends.
 type (
-	// Constraint is a (possibly vector-valued) observation of a structure.
-	Constraint = constraint.Constraint
+	// ConstraintSet is a set of observations of a structure, as columns.
+	ConstraintSet = constraint.Set
+	// ConstraintRow is one constraint of a set, as a record.
+	ConstraintRow = constraint.Row
 	// Distance is an observed interatomic distance.
 	Distance = constraint.Distance
 	// Angle is an observed bond angle.
@@ -126,6 +130,9 @@ type (
 	Table2Cell = workest.Measurement
 )
 
+// ConstraintsOf returns the constraint set of the given rows, in order.
+func ConstraintsOf(rows ...ConstraintRow) ConstraintSet { return constraint.Of(rows...) }
+
 // NewEstimator builds an estimator for the problem.
 func NewEstimator(p *Problem, cfg Config) (*Estimator, error) { return core.New(p, cfg) }
 
@@ -175,13 +182,13 @@ func TopologyHash(p *Problem) string { return encode.TopologyHash(p) }
 
 // ConformSearch runs the low-resolution discrete conformational space
 // search to produce an initial structure estimate.
-func ConformSearch(nAtoms int, cons []Constraint, seed int64) []Vec3 {
+func ConformSearch(nAtoms int, cons *ConstraintSet, seed int64) []Vec3 {
 	return conform.Search(nAtoms, cons, conform.Options{Seed: seed})
 }
 
 // GraphPartition derives a hierarchical grouping of a flat problem by
 // recursive constraint-graph bipartition (§5's automatic decomposition).
-func GraphPartition(nAtoms int, cons []Constraint, leafSize int) *Group {
+func GraphPartition(nAtoms int, cons *ConstraintSet, leafSize int) *Group {
 	return hier.GraphPartition(nAtoms, cons, leafSize)
 }
 
@@ -250,19 +257,19 @@ type EnergyResult = energymin.Result
 // distances, and metric-matrix embedding. It returns candidate coordinates
 // with no uncertainty measure.
 func DistanceGeometry(p *Problem, seed int64) ([]Vec3, error) {
-	return distgeom.Embed(len(p.Atoms), p.Constraints, distgeom.Options{Seed: seed})
+	return distgeom.Embed(len(p.Atoms), &p.Constraints, distgeom.Options{Seed: seed})
 }
 
 // EnergyMinimize runs the penalty-function minimization baseline on pos in
 // place and reports the outcome.
 func EnergyMinimize(p *Problem, pos []Vec3, maxIters int) EnergyResult {
-	return energymin.Minimize(pos, p.Constraints, energymin.Options{MaxIters: maxIters})
+	return energymin.Minimize(pos, &p.Constraints, energymin.Options{MaxIters: maxIters})
 }
 
 // ConstraintEnergy returns the weighted squared constraint violation of a
 // conformation — the objective shared by the baseline methods.
 func ConstraintEnergy(p *Problem, pos []Vec3) float64 {
-	return energymin.Energy(pos, p.Constraints)
+	return energymin.Energy(pos, &p.Constraints)
 }
 
 // SuperposedRMSD returns the RMSD between two conformations after optimal
@@ -286,7 +293,7 @@ func WritePDB(w io.Writer, p *Problem, sol *Solution) error {
 // pairwise merging scored with the analytic work model (§5's bottom-up
 // alternative) — the regrouping NewEstimator applies to any node wider than
 // two, run on the flat tree over the leaves.
-func GroupBottomUp(leaves []*Group, cons []Constraint) *Group {
+func GroupBottomUp(leaves []*Group, cons *ConstraintSet) *Group {
 	return hier.GroupLeaves(leaves, cons, workest.FlopModel{})
 }
 
@@ -305,7 +312,7 @@ func Clashes(pos []Vec3, minDist float64) int {
 // groups the weighted residuals by constraint type — the first diagnostic
 // to read when a solve stalls.
 func ResidualsByType(p *Problem, pos []Vec3) map[string]TypeResidual {
-	return analysis.ResidualByType(pos, p.Constraints)
+	return analysis.ResidualByType(pos, &p.Constraints)
 }
 
 // FormatResiduals renders a per-type residual table, largest RMS first.

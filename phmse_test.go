@@ -37,15 +37,14 @@ func TestCustomProblemViaPublicTypes(t *testing.T) {
 		p.Atoms = append(p.Atoms, phmse.Atom{Pos: pt})
 	}
 	diag := math.Sqrt(32)
-	p.Constraints = []phmse.Constraint{
-		phmse.Position{I: 0, Target: pts[0], Sigma: 0.01},
-		phmse.Position{I: 1, Target: pts[1], Sigma: 0.01},
-		phmse.Distance{I: 1, J: 2, Target: 4, Sigma: 0.05},
-		phmse.Distance{I: 2, J: 3, Target: 4, Sigma: 0.05},
-		phmse.Distance{I: 3, J: 0, Target: 4, Sigma: 0.05},
-		phmse.Distance{I: 0, J: 2, Target: diag, Sigma: 0.05},
-		phmse.Distance{I: 1, J: 3, Target: diag, Sigma: 0.05},
-	}
+	p.Constraints = phmse.ConstraintsOf(
+		phmse.Position{I: 0, Target: pts[0], Sigma: 0.01}.Row(),
+		phmse.Position{I: 1, Target: pts[1], Sigma: 0.01}.Row(),
+		phmse.Distance{I: 1, J: 2, Target: 4, Sigma: 0.05}.Row(),
+		phmse.Distance{I: 2, J: 3, Target: 4, Sigma: 0.05}.Row(),
+		phmse.Distance{I: 3, J: 0, Target: 4, Sigma: 0.05}.Row(),
+		phmse.Distance{I: 0, J: 2, Target: diag, Sigma: 0.05}.Row(),
+		phmse.Distance{I: 1, J: 3, Target: diag, Sigma: 0.05}.Row())
 	est, err := phmse.NewEstimator(p, phmse.Config{Mode: phmse.Flat, MaxCycles: 150, Tol: 1e-5})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +101,7 @@ func TestSimulateFlatEstimator(t *testing.T) {
 
 func TestDecompositionHelpers(t *testing.T) {
 	p := phmse.Helix(1)
-	g := phmse.GraphPartition(len(p.Atoms), p.Constraints, 10)
+	g := phmse.GraphPartition(len(p.Atoms), &p.Constraints, 10)
 	if len(g.Atoms()) != len(p.Atoms) {
 		t.Fatal("GraphPartition lost atoms")
 	}
@@ -146,7 +145,7 @@ func TestWorkModelPublicAPI(t *testing.T) {
 
 func TestConformSearchPublicAPI(t *testing.T) {
 	p := phmse.Helix(1)
-	init := phmse.ConformSearch(len(p.Atoms), p.Constraints, 3)
+	init := phmse.ConformSearch(len(p.Atoms), &p.Constraints, 3)
 	if len(init) != len(p.Atoms) {
 		t.Fatal("length")
 	}
@@ -217,7 +216,7 @@ func TestWritePDBPublicAPI(t *testing.T) {
 func TestGroupBottomUpPublicAPI(t *testing.T) {
 	p := phmse.Helix(2)
 	leaves := p.Tree.Leaves()
-	tree := phmse.GroupBottomUp(leaves, p.Constraints)
+	tree := phmse.GroupBottomUp(leaves, &p.Constraints)
 	if len(tree.Atoms()) != len(p.Atoms) {
 		t.Fatal("bottom-up grouping lost atoms")
 	}
@@ -230,7 +229,7 @@ func TestGroupBottomUpPublicAPI(t *testing.T) {
 func TestExclusionsPublicAPI(t *testing.T) {
 	p := phmse.Helix(1)
 	aug := phmse.WithExclusions(p, 2.0, 0.5, 25)
-	if len(aug.Constraints) <= len(p.Constraints) {
+	if aug.Constraints.Len() <= p.Constraints.Len() {
 		t.Fatal("no exclusions added")
 	}
 	pos := []phmse.Vec3{{0, 0, 0}, {0.1, 0, 0}}
