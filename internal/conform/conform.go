@@ -39,15 +39,14 @@ func (o Options) withDefaults(nAtoms int, cons *constraint.Set) Options {
 		// count for purely local data.
 		maxD := 0.0
 		for r := range cons.Len() {
-			d := 0.0
-			switch row := cons.Row(r); row.Kind {
-			case constraint.KindDistance:
-				d = row.Val[0]
-			case constraint.KindPosition:
-				d = geom.Vec3(row.Val).Norm()
+			row := cons.Row(r)
+			if d, ok := row.Distance(); ok && d.Target > maxD {
+				maxD = d.Target
 			}
-			if d > maxD {
-				maxD = d
+			if p, ok := row.Position(); ok {
+				if n := p.Target.Norm(); n > maxD {
+					maxD = n
+				}
 			}
 		}
 		if maxD == 0 {
@@ -117,8 +116,8 @@ func newSearcher(nAtoms int, cons *constraint.Set, opt Options, rng *rand.Rand) 
 	}
 	// Atoms with absolute position data start there: a free head start.
 	for r := range cons.Len() {
-		if row := cons.Row(r); row.Kind == constraint.KindPosition && row.Atoms[0] < nAtoms {
-			s.pos[row.Atoms[0]] = s.snap(row.Val)
+		if p, ok := cons.Row(r).Position(); ok && p.I < nAtoms {
+			s.pos[p.I] = s.snap(p.Target)
 		}
 	}
 	return s

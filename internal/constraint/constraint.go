@@ -208,13 +208,12 @@ type Lin struct {
 	Wrap    []bool    // the innovation z − h is 2π-periodic (torsions)
 	// Jac, when not nil, takes each scalar observation's Jacobian row over
 	// the slots' coordinates (column 3·slot + axis), exact zeros skipped.
-	Jac   *sparse.Builder
-	Atoms int // atoms of the active rows, counted once per row
+	Jac *sparse.Builder
 }
 
 // Reset empties the linearisation, keeping its capacity.
 func (l *Lin) Reset() {
-	l.Z, l.R, l.H, l.Wrap, l.Atoms = l.Z[:0], l.R[:0], l.H[:0], l.Wrap[:0], 0
+	l.Z, l.R, l.H, l.Wrap = l.Z[:0], l.R[:0], l.H[:0], l.Wrap[:0]
 	if l.Jac != nil {
 		l.Jac.Reset()
 	}
@@ -360,7 +359,6 @@ func (s *Set) Eval(rows []int32, slot []int32, x []float64, lin *Lin) {
 				lin.obs(v[c], s2, p[1][c]-p[0][c], false, sl[:2], g[:2])
 			}
 		}
-		lin.Atoms += n
 	}
 }
 

@@ -54,8 +54,8 @@ type Bounds struct {
 func CollectBounds(nAtoms int, cons *constraint.Set, opt Options) *Bounds {
 	maxObs := 0.0
 	for r := range cons.Len() {
-		if row := cons.Row(r); row.Kind == constraint.KindDistance && row.Val[0] > maxObs {
-			maxObs = row.Val[0]
+		if d, ok := cons.Row(r).Distance(); ok && d.Target > maxObs {
+			maxObs = d.Target
 		}
 	}
 	opt = opt.withDefaults(maxObs)
@@ -91,21 +91,20 @@ func CollectBounds(nAtoms int, cons *constraint.Set, opt Options) *Bounds {
 		}
 	}
 	for r := range cons.Len() {
-		v := cons.Row(r)
-		i, j := v.Atoms[0], v.Atoms[1]
-		switch v.Kind {
-		case constraint.KindDistance:
-			slack := 2 * v.Sigma
-			set(i, j, math.Max(0, v.Val[0]-slack), v.Val[0]+slack)
-		case constraint.KindBound:
-			lo, hi := v.Val[0], v.Val[1]
+		row := cons.Row(r)
+		if d, ok := row.Distance(); ok {
+			slack := 2 * d.Sigma
+			set(d.I, d.J, math.Max(0, d.Target-slack), d.Target+slack)
+		}
+		if b, ok := row.Bound(); ok {
+			lo, hi := b.Lower, b.Upper
 			if lo <= 0 {
 				lo = opt.DefaultLower // one-sided upper bound keeps the vdW floor
 			}
 			if hi <= 0 || math.IsInf(hi, 1) {
 				hi = opt.DefaultUpper // absent, as the solver's gate reads it
 			}
-			set(i, j, lo, hi)
+			set(b.I, b.J, lo, hi)
 		}
 	}
 	return b

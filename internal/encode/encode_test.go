@@ -2,6 +2,8 @@ package encode
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -113,6 +115,33 @@ func TestGeneratedProblemsRoundTrip(t *testing.T) {
 		}
 		if q.Tree.Count() != p.Tree.Count() {
 			t.Fatalf("%s: tree count differs", p.Name)
+		}
+	}
+}
+
+// The reader refuses a bound whose limits the solver would read otherwise
+// than written — a negative limit, or an upper limit below the lower —
+// naming the constraint, and keeps a valid bound's limits bit for bit.
+func TestReadBoundLimits(t *testing.T) {
+	doc := func(lower, upper string) string {
+		return `{"atoms":[{"pos":[0,0,0]},{"pos":[1,0,0]}],"constraints":[` +
+			`{"type":"distance","i":0,"j":1,"target":1,"sigma":0.1},` +
+			`{"type":"bound","i":0,"j":1,"lower":` + lower + `,"upper":` + upper + `,"sigma":0.5}]}`
+	}
+	for _, bad := range [][2]string{{"-1", "0"}, {"0", "-2"}, {"3", "-1"}, {"3", "2"}, {"-0.5", "4"}} {
+		_, err := ReadProblemBytes([]byte(doc(bad[0], bad[1])))
+		if err == nil || !strings.Contains(err.Error(), "constraint 1:") {
+			t.Errorf("lower %s, upper %s: err %v, want constraint 1 refused", bad[0], bad[1], err)
+		}
+	}
+	for _, ok := range [][2]float64{{3, 0}, {0, 5}, {2, 5}, {2.5, 2.5}, {0, 0}, {1e-300, 1e300}} {
+		p, err := ReadProblemBytes([]byte(doc(strconv.FormatFloat(ok[0], 'g', -1, 64), strconv.FormatFloat(ok[1], 'g', -1, 64))))
+		if err != nil {
+			t.Fatalf("lower %g, upper %g: %v", ok[0], ok[1], err)
+		}
+		b, isBound := p.Constraints.Row(1).Bound()
+		if !isBound || math.Float64bits(b.Lower) != math.Float64bits(ok[0]) || math.Float64bits(b.Upper) != math.Float64bits(ok[1]) {
+			t.Errorf("lower %g, upper %g read as %+v", ok[0], ok[1], b)
 		}
 	}
 }

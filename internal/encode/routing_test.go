@@ -176,8 +176,8 @@ func FuzzSolveRoutingMatchesDaemon(f *testing.F) {
 
 // warmTinyBody is the serve_warm_tiny request: an anchored one-base-pair
 // helix warm-started from a retained job.
-func warmTinyBody(b *testing.B) []byte {
-	return solveBody(b, molecule.WithAnchors(molecule.Helix(1), 4, 0.05), SolveParams{}, &WarmStartRef{Job: "s1.job-000007"})
+func warmTinyBody(tb testing.TB) []byte {
+	return solveBody(tb, molecule.WithAnchors(molecule.Helix(1), 4, 0.05), SolveParams{}, &WarmStartRef{Job: "s1.job-000007"})
 }
 
 func BenchmarkSolveRouting(b *testing.B) {
@@ -215,5 +215,41 @@ func BenchmarkReadSolveRequest(b *testing.B) {
 		if _, _, _, err := ReadSolveRequest(bytes.NewReader(body)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTopologyHash is the shard's hash of the serve_warm_tiny
+// problem, which keys its plan cache.
+func BenchmarkTopologyHash(b *testing.B) {
+	p := molecule.WithAnchors(molecule.Helix(1), 4, 0.05)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		TopologyHash(p)
+	}
+}
+
+// The two passes over a serve_warm_tiny body allocate per document, not
+// per constraint: the records the scanner decodes into are recycled, and
+// what is kept is columns. The bounds are the counts measured when this
+// was written plus a quarter (128 and 53; before the columns, a request
+// allocated 676 objects and a route 107 KB).
+func TestWarmTinyReadAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled records at random")
+	}
+	body := warmTinyBody(t)
+	read := testing.AllocsPerRun(50, func() {
+		if _, _, _, err := ReadSolveRequest(bytes.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	route := testing.AllocsPerRun(50, func() {
+		if _, err := ReadRoute(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ReadSolveRequest %v allocations, ReadRoute %v", read, route)
+	if read > 160 || route > 66 {
+		t.Fatalf("ReadSolveRequest %v allocations (want at most 160), ReadRoute %v (want at most 66)", read, route)
 	}
 }

@@ -51,11 +51,12 @@ func (b *Batch) NNZUpper() int {
 // paper's Table 2 experiment.
 const DefaultBatchSize = 16
 
-// MakeBatches groups the given rows of set into batches of at most batchSize scalar observations (at least one
-// constraint per batch), translating global atom indices to local state
-// slots via localOf. localOf must return a valid slot for every atom the
-// rows reference. The batches read the set through the pointer, and each
-// aliases its run of rows.
+// MakeBatches groups the given rows of set into batches of at most
+// batchSize scalar observations (at least one constraint per batch),
+// translating global atom indices to local state slots via localOf.
+// localOf must return a valid slot for every atom the rows reference. The
+// batches read the set through the pointer, and each aliases its run of
+// rows.
 func MakeBatches(set *constraint.Set, rows []int32, localOf func(atom int) int, batchSize int) ([]*Batch, error) {
 	if batchSize < 1 {
 		batchSize = DefaultBatchSize

@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
+	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
@@ -136,15 +137,36 @@ func TestDirtyRootStateGivesTheSameBits(t *testing.T) {
 	}
 }
 
-// waitGoroutines waits until no more than want goroutines are left: a
-// stopped helper has signalled its exit before the runtime stops counting
-// it.
-func waitGoroutines(t *testing.T, want int) {
+// helpers counts the crew helpers alive from the goroutine profile: the
+// process's other goroutines, an earlier test's still exiting or the
+// runtime's own, come and go on their own schedule. A helper not yet
+// scheduled has no frame of par.(*crew).help on its stack, so each
+// goroutine is told by its creator, newCrew, which starts helpers and
+// nothing else.
+func helpers() int {
+	var b strings.Builder
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 2); err != nil {
+		panic(err)
+	}
+	// One blank-line-separated block per goroutine, ending in the
+	// "created by" line.
+	n := 0
+	for _, g := range strings.Split(b.String(), "\n\n") {
+		if strings.Contains(g, "created by phmse/internal/par.newCrew") {
+			n++
+		}
+	}
+	return n
+}
+
+// waitHelpers waits until no more than want crew helpers are left: a
+// stopped helper has signalled its exit before its goroutine is gone.
+func waitHelpers(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > want {
+	for helpers() > want {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the solve returned, %d before it", runtime.NumGoroutine(), want)
+			t.Fatalf("%d crew helpers after the solve returned, %d before it", helpers(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -172,12 +194,12 @@ func TestSolveStopsItsCrew(t *testing.T) {
 				t.Cleanup(faultinject.Reset)
 			}
 			root := mustBuild(t, p)
-			base := runtime.NumGoroutine()
+			base := helpers()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			resident := false
 			opt := Options{Control: filter.Control{Team: par.NewTeam(3), MaxCycles: 50, Ctx: ctx, OnCycle: func(cycle int, _ float64) {
-				resident = resident || runtime.NumGoroutine() > base
+				resident = resident || helpers() > base
 				if c.cancel && cycle == 2 {
 					cancel()
 				}
@@ -188,7 +210,7 @@ func TestSolveStopsItsCrew(t *testing.T) {
 			if !resident && !c.fault {
 				t.Error("no helper was running during the cycles")
 			}
-			waitGoroutines(t, base)
+			waitHelpers(t, base)
 		})
 	}
 }
