@@ -44,7 +44,7 @@ type Result struct {
 }
 
 // Minimize runs gradient descent on pos in place and returns the outcome.
-// Gated constraints contribute only while violated, giving the flat-bottom
+// Bounds contribute only while violated, giving the flat-bottom
 // penalty wells customary for bound restraints.
 func Minimize(pos []geom.Vec3, cons *constraint.Set, opt Options) Result {
 	opt = opt.withDefaults()

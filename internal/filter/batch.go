@@ -93,7 +93,7 @@ func MakeBatches(set *constraint.Set, rows []int32, localOf func(atom int) int, 
 }
 
 // assemble linearizes the batch at the estimate s: lin.Jac holds H over
-// the local state, not yet built. Gated constraints that report inactive
+// the local state, not yet built. Bounds that are not violated
 // are skipped, so the system can be smaller than Dim() — or empty, in
 // which case assemble returns nil. The linearisation is the batch's
 // scratch, reused by the next call.
