@@ -291,25 +291,3 @@ func BenchmarkBaselines(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAblationJoseph compares the paper's simple covariance update
-// against the numerically robust Joseph form (~3× the m-m work).
-func BenchmarkAblationJoseph(b *testing.B) {
-	problem := phmse.Helix(2)
-	init := problem.TruePositions()
-	for name, joseph := range map[string]bool{"simple": false, "joseph": true} {
-		b.Run(name, func(b *testing.B) {
-			est, err := phmse.NewEstimator(problem, phmse.Config{
-				Mode: phmse.Flat, MaxCycles: 1, Joseph: joseph,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := est.Solve(init); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

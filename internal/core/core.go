@@ -72,28 +72,12 @@ type Config struct {
 	// linearization range for strongly nonlinear observations. Zero selects
 	// the 2 Å default; negative disables the clamp.
 	MaxStep float64
-	// Joseph selects the numerically robust Joseph-form covariance update
-	// at roughly three times the m-m cost (see filter.Updater.Joseph).
-	Joseph bool
-	// GateSigma, when positive, enables innovation gating: observations
-	// whose normalized innovation exceeds the gate are deweighted for the
-	// current batch (see filter.Updater.GateSigma).
-	GateSigma float64
 	// OnCycle, when non-nil, is called after every completed
 	// constraint-application cycle with the 1-based cycle number and the RMS
 	// coordinate change over that cycle. The serving layer uses it for
 	// cycle-level progress reporting; it must be fast and must not call back
 	// into the estimator.
 	OnCycle func(cycle int, rmsChange float64)
-	// DivergeAfter is the divergence-watchdog patience: the solve aborts
-	// with a typed solvererr.Diverged when the per-cycle RMS change grows
-	// for this many consecutive cycles. Zero selects the default of 8;
-	// negative disables the watchdog.
-	DivergeAfter int
-	// NoGuard disables numerical fault containment (ridge retries on an
-	// indefinite innovation covariance, non-finite rollback, per-cycle
-	// batch quarantine), restoring the raw fail-fast iteration.
-	NoGuard bool
 }
 
 // DefaultLeafSize is the default target leaf size (atoms) of the automatic
@@ -370,20 +354,16 @@ func Work(e *Estimator) *sched.Work {
 // one place the solver's options are spelled out.
 func (e *Estimator) control(ctx context.Context) filter.Control {
 	return filter.Control{
-		BatchSize:    e.cfg.BatchSize,
-		MaxCycles:    e.cfg.MaxCycles,
-		Tol:          e.cfg.Tol,
-		InitVar:      e.cfg.InitVar,
-		Team:         e.team,
-		Rec:          e.cfg.Recorder,
-		MaxStep:      e.cfg.MaxStep,
-		Joseph:       e.cfg.Joseph,
-		GateSigma:    e.cfg.GateSigma,
-		Ctx:          ctx,
-		OnCycle:      e.cfg.OnCycle,
-		DivergeAfter: e.cfg.DivergeAfter,
-		NoGuard:      e.cfg.NoGuard,
-		FaultTag:     e.problem.Name,
+		BatchSize: e.cfg.BatchSize,
+		MaxCycles: e.cfg.MaxCycles,
+		Tol:       e.cfg.Tol,
+		InitVar:   e.cfg.InitVar,
+		Team:      e.team,
+		Rec:       e.cfg.Recorder,
+		MaxStep:   e.cfg.MaxStep,
+		Ctx:       ctx,
+		OnCycle:   e.cfg.OnCycle,
+		FaultTag:  e.problem.Name,
 	}.WithDefaults()
 }
 

@@ -83,19 +83,17 @@ func TestHierNoProgressFailsTyped(t *testing.T) {
 // What containment reports does not depend on which subtree finishes
 // first. On a protein, whose residue fans run many subtrees at once, one
 // processor and three give the same diagnostics, quarantine records in the
-// same order, and the same error, whether the no-progress check or an
-// unguarded factorization stops the solve.
+// same order, and the same error when the no-progress check stops the
+// solve.
 func TestContainmentReportsIndependentOfWidth(t *testing.T) {
 	p := molecule.Protein(24, 7)
 	init := molecule.Perturbed(p, 0.3, 31)
 	for _, c := range []struct {
-		name    string
-		noGuard bool
-		fail    func(faultinject.Site) bool
+		name string
+		fail func(faultinject.Site) bool
 	}{
 		{name: "quarantined", fail: func(s faultinject.Site) bool { return s.Batch == 0 && s.Cycle <= 2 }},
 		{name: "no progress", fail: func(faultinject.Site) bool { return true }},
-		{name: "unguarded", noGuard: true, fail: func(s faultinject.Site) bool { return s.Batch == 0 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			faultinject.Set(&faultinject.Hooks{Cholesky: c.fail})
@@ -103,7 +101,7 @@ func TestContainmentReportsIndependentOfWidth(t *testing.T) {
 			var diags []*filter.DiagSnapshot
 			var errs []string
 			for _, procs := range []int{1, 3} {
-				e, err := New(p, Config{Mode: Hierarchical, Procs: procs, MaxCycles: 4, NoGuard: c.noGuard})
+				e, err := New(p, Config{Mode: Hierarchical, Procs: procs, MaxCycles: 4})
 				if err != nil {
 					t.Fatal(err)
 				}

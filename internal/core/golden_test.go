@@ -63,7 +63,6 @@ func TestGoldenSolutionDigests(t *testing.T) {
 		{name: "hier-procs1", cfg: Config{Mode: Hierarchical, Procs: 1, MaxCycles: 500}, cycles: 30, digest: "f5e988c78526b2a2"},
 		{name: "hier-procs2", cfg: Config{Mode: Hierarchical, Procs: 2, MaxCycles: 500}, cycles: 30, digest: "f5e988c78526b2a2"},
 		{name: "flat", cfg: flat, cycles: 12, digest: "fcfdb2f10858fda3"},
-		{name: "joseph", cfg: Config{Mode: Hierarchical, Procs: 2, MaxCycles: 500, Joseph: true}, cycles: 30, digest: "30a00b784c6b5bb1"},
 		{name: "warm", cfg: Config{Mode: Hierarchical, Procs: 2, MaxCycles: 500}, warm: true, cycles: 4, digest: "0e563f8aa9daf984"},
 		{name: "flat-warm", cfg: flat, warm: true, cycles: 12, digest: "b7d2fb236c158204"},
 		{name: "flat-warm-diag", cfg: flat, warm: true, from: &Config{Mode: Hierarchical, Procs: 2, MaxCycles: 500}, cycles: 10, digest: "7c1a25c4f754e2d7"},

@@ -83,22 +83,18 @@ func TestRidgeRecoversSingularBatch(t *testing.T) {
 // negative ("off") instead of collapsing to zero and being defaulted by the
 // next application, positive is kept.
 func TestControlDefaultsIdempotent(t *testing.T) {
-	cases := []struct {
-		step, wantStep   float64
-		after, wantAfter int
-	}{
-		{0, DefaultMaxStep, 0, DefaultDivergeAfter},
-		{-1, -1, -1, -1},
-		{0.5, 0.5, 5, 5},
+	cases := []struct{ step, wantStep float64 }{
+		{0, DefaultMaxStep},
+		{-1, -1},
+		{0.5, 0.5},
 	}
 	for _, c := range cases {
-		once := Control{MaxStep: c.step, DivergeAfter: c.after}.WithDefaults()
+		once := Control{MaxStep: c.step}.WithDefaults()
 		twice := once.WithDefaults()
-		if once.MaxStep != c.wantStep || once.DivergeAfter != c.wantAfter {
-			t.Errorf("WithDefaults(%g, %d) = (%g, %d), want (%g, %d)",
-				c.step, c.after, once.MaxStep, once.DivergeAfter, c.wantStep, c.wantAfter)
+		if once.MaxStep != c.wantStep {
+			t.Errorf("WithDefaults(%g) = %g, want %g", c.step, once.MaxStep, c.wantStep)
 		}
-		if twice.MaxStep != once.MaxStep || twice.DivergeAfter != once.DivergeAfter ||
+		if twice.MaxStep != once.MaxStep ||
 			twice.Diag != once.Diag || twice.Team != once.Team || twice.BatchSize != once.BatchSize ||
 			twice.MaxCycles != once.MaxCycles || twice.Tol != once.Tol || twice.InitVar != once.InitVar {
 			t.Errorf("second WithDefaults moved the block: %+v -> %+v", once, twice)

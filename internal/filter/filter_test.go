@@ -394,54 +394,6 @@ func TestTorsionInnovationWraps(t *testing.T) {
 	}
 }
 
-// Joseph-form and simple-form covariance updates agree in exact arithmetic
-// for linear models; Joseph form must also keep the covariance PSD.
-func TestJosephFormMatchesSimple(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	pos := make([]geom.Vec3, 8)
-	for i := range pos {
-		pos[i] = geom.Vec3{rng.NormFloat64() * 4, rng.NormFloat64() * 4, rng.NormFloat64() * 4}
-	}
-	var cons constraint.Set
-	for i := 0; i+1 < len(pos); i++ {
-		cons.Add(constraint.Distance{I: i, J: i + 1, Target: 3, Sigma: 0.2}.Row())
-	}
-	cons.Add(constraint.Position{I: 0, Target: pos[0], Sigma: 0.3}.Row())
-	run := func(joseph bool) *State {
-		s := NewState(pos, 25)
-		batches, err := makeBatches(cons, ident, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		u := &Updater{Joseph: joseph}
-		if _, err := applyAll(u, s, batches); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	simple := run(false)
-	joseph := run(true)
-	// Means agree to round-off (the covariance forms differ at machine
-	// precision, which feeds into later batch gains).
-	for d := range simple.X {
-		if math.Abs(simple.X[d]-joseph.X[d]) > 1e-7 {
-			t.Fatalf("x[%d]: %g vs %g", d, simple.X[d], joseph.X[d])
-		}
-	}
-	if !simple.C.Equal(joseph.C, 1e-8) {
-		t.Fatal("covariances differ beyond round-off")
-	}
-	// Joseph covariance is PSD: Cholesky succeeds after a tiny jitter-free
-	// factorization attempt on C + 1e-12 I.
-	c := joseph.C.Clone()
-	for i := 0; i < c.Rows; i++ {
-		c.Set(i, i, c.At(i, i)+1e-12)
-	}
-	if err := mat.Cholesky(c); err != nil {
-		t.Fatalf("Joseph covariance not PSD: %v", err)
-	}
-}
-
 // Failure injection: a batch with zero noise variance on duplicated
 // observations makes the innovation covariance singular; Apply must report
 // a wrapped ErrNotPositiveDefinite instead of corrupting the state.
@@ -469,47 +421,6 @@ func TestApplyNaNState(t *testing.T) {
 	u := &Updater{}
 	if _, err := applyAll(u, s, batches); err == nil {
 		t.Fatal("NaN state accepted")
-	}
-}
-
-// Innovation gating must protect the estimate from a grossly wrong
-// observation while leaving consistent data in force.
-func TestInnovationGating(t *testing.T) {
-	pos := []geom.Vec3{{0, 0, 0}, {3, 0, 0}}
-	good := []constraint.Row{
-		constraint.Position{I: 0, Target: geom.Vec3{0, 0, 0}, Sigma: 0.1}.Row(),
-		constraint.Distance{I: 0, J: 1, Target: 3.1, Sigma: 0.1}.Row(),
-	}
-	// An outlier claiming the atoms are 30 Å apart with high confidence.
-	outlier := constraint.Distance{I: 0, J: 1, Target: 30, Sigma: 0.1}
-
-	run := func(gate float64) (*State, int) {
-		s := NewState(pos, 1)
-		batches, err := makeBatches(constraint.Of(append(good, outlier.Row())...), ident, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		u := &Updater{GateSigma: gate}
-		if _, err := applyAll(u, s, batches); err != nil {
-			t.Fatal(err)
-		}
-		return s, u.Gated
-	}
-
-	ungated, n0 := run(0)
-	if n0 != 0 {
-		t.Fatalf("gating off but gated %d", n0)
-	}
-	if d := geom.Dist(ungated.Pos(0), ungated.Pos(1)); d < 5 {
-		t.Fatalf("outlier should have dragged the ungated estimate: %g", d)
-	}
-
-	gated, n1 := run(5)
-	if n1 != 1 {
-		t.Fatalf("gated %d observations, want exactly the outlier", n1)
-	}
-	if d := geom.Dist(gated.Pos(0), gated.Pos(1)); math.Abs(d-3.1) > 0.2 {
-		t.Fatalf("gated estimate distance %g, want ≈3.1", d)
 	}
 }
 

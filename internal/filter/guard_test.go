@@ -63,27 +63,25 @@ func TestAdmitTable(t *testing.T) {
 	dx := func(v float64) []float64 { return []float64{0.5, -1, v, 0.25, 0} }
 	start := stateBound{x: 10, c: 100}
 	cases := []struct {
-		name    string
-		start   stateBound
-		dx      []float64
-		k, a, w *mat.Mat
-		want    stateBound // start when refused
-		admit   bool
+		name  string
+		start stateBound
+		dx    []float64
+		k, a  *mat.Mat
+		want  stateBound // start when refused
+		admit bool
 	}{
-		{"clean", start, dx(-3), fill(0.5), with(fill(2), 3, -4), nil, stateBound{x: 13, c: 100 + m*0.5*4}, true},
-		{"clean Joseph", start, dx(0), fill(0.5), fill(2), fill(-3), stateBound{x: 11, c: 100 + 2*m*0.5*2 + m*3*3}, true},
-		{"NaN in K", start, dx(0), with(fill(0.5), 7, math.NaN()), fill(2), nil, start, false},
-		{"Inf in A", start, dx(0), fill(0.5), with(fill(2), 0, math.Inf(-1)), nil, start, false},
-		{"NaN in dx", start, dx(math.NaN()), fill(0.5), fill(2), nil, start, false},
-		{"Inf in K·L", start, dx(0), fill(0.5), fill(2), with(fill(1), 9, math.Inf(1)), start, false},
-		{"zero gain, Inf in A", start, dx(0), fill(0), with(fill(2), 1, math.Inf(1)), nil, start, false},
-		{"C bound would cross", stateBound{x: 10, c: 9e149}, dx(0), fill(1), fill(1e149), nil, stateBound{x: 10, c: 9e149}, false},
-		{"x bound would cross", stateBound{x: 9.5e149, c: 1}, dx(6e149), fill(1), fill(1), nil, stateBound{x: 9.5e149, c: 1}, false},
-		{"product overflows", start, dx(0), fill(1e200), fill(1e200), nil, start, false},
+		{"clean", start, dx(-3), fill(0.5), with(fill(2), 3, -4), stateBound{x: 13, c: 100 + m*0.5*4}, true},
+		{"NaN in K", start, dx(0), with(fill(0.5), 7, math.NaN()), fill(2), start, false},
+		{"Inf in A", start, dx(0), fill(0.5), with(fill(2), 0, math.Inf(-1)), start, false},
+		{"NaN in dx", start, dx(math.NaN()), fill(0.5), fill(2), start, false},
+		{"zero gain, Inf in A", start, dx(0), fill(0), with(fill(2), 1, math.Inf(1)), start, false},
+		{"C bound would cross", stateBound{x: 10, c: 9e149}, dx(0), fill(1), fill(1e149), stateBound{x: 10, c: 9e149}, false},
+		{"x bound would cross", stateBound{x: 9.5e149, c: 1}, dx(6e149), fill(1), fill(1), stateBound{x: 9.5e149, c: 1}, false},
+		{"product overflows", start, dx(0), fill(1e200), fill(1e200), start, false},
 	}
 	for _, c := range cases {
 		b := c.start
-		if got := b.admit(c.dx, c.k, c.a, c.w); got != c.admit || b != c.want {
+		if got := b.admit(c.dx, c.k, c.a); got != c.admit || b != c.want {
 			t.Errorf("%s: admit = %v, bounds %+v; want %v, %+v", c.name, got, b, c.admit, c.want)
 		}
 	}
@@ -124,55 +122,53 @@ func TestRefusedBatchLeavesStateBitIdentical(t *testing.T) {
 		// max|C| + m·max|K|·max|A| ≈ 1.8e150 leaves the provable range.
 		{name: "C bound would cross", bad: constraint.Distance{I: 2, J: 3, Target: 1, Sigma: 0.05}.Row(), hugeVar3: true},
 	}
-	for _, joseph := range []bool{false, true} {
-		for _, c := range cases {
-			t.Run(fmt.Sprintf("%s/joseph=%v", c.name, joseph), func(t *testing.T) {
-				pos, cons := chainProblem()
-				s := NewState(pos, 4)
-				if c.hugeVar3 {
-					for d := 9; d < 12; d++ {
-						s.C.Set(d, d, 9e149)
-					}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pos, cons := chainProblem()
+			s := NewState(pos, 4)
+			if c.hugeVar3 {
+				for d := 9; d < 12; d++ {
+					s.C.Set(d, d, 9e149)
 				}
-				diag := &Diagnostics{}
-				u := &Updater{Guard: true, Diag: diag, Joseph: joseph, Team: par.NewTeam(2)}
-				if _, err := applyAll(u, s, oneBatch(cons.Row(1))); err != nil {
-					t.Fatal(err)
-				}
-				before := s.Clone()
+			}
+			diag := &Diagnostics{}
+			u := &Updater{Guard: true, Diag: diag, Team: par.NewTeam(2)}
+			if _, err := applyAll(u, s, oneBatch(cons.Row(1))); err != nil {
+				t.Fatal(err)
+			}
+			before := s.Clone()
 
-				if c.corrupt != nil {
-					faultinject.Set(&faultinject.Hooks{Linearized: func(_ faultinject.Site, lin *constraint.Lin) { c.corrupt(lin) }})
-				}
-				applied, err := applyAll(u, s, oneBatch(c.bad))
-				faultinject.Reset()
-				if err != nil || applied != 0 {
-					t.Fatalf("refused batch: applied %d, err %v", applied, err)
-				}
-				if err := sameBits(s, before); err != nil {
-					t.Fatalf("refused batch wrote the state: %v", err)
-				}
-				snap := diag.Snapshot()
-				if snap.Rollbacks != 1 || len(snap.Quarantined) != 1 || snap.Quarantined[0].Reason != ReasonNonFinite {
-					t.Fatalf("diagnostics = %+v", snap)
-				}
+			if c.corrupt != nil {
+				faultinject.Set(&faultinject.Hooks{Linearized: func(_ faultinject.Site, lin *constraint.Lin) { c.corrupt(lin) }})
+			}
+			applied, err := applyAll(u, s, oneBatch(c.bad))
+			faultinject.Reset()
+			if err != nil || applied != 0 {
+				t.Fatalf("refused batch: applied %d, err %v", applied, err)
+			}
+			if err := sameBits(s, before); err != nil {
+				t.Fatalf("refused batch wrote the state: %v", err)
+			}
+			snap := diag.Snapshot()
+			if snap.Rollbacks != 1 || len(snap.Quarantined) != 1 || snap.Quarantined[0].Reason != ReasonNonFinite {
+				t.Fatalf("diagnostics = %+v", snap)
+			}
 
-				if applied, err = applyAll(u, s, oneBatch(cons.Row(2))); err != nil || applied != 1 {
-					t.Fatalf("batch after the refusal: applied %d, err %v", applied, err)
-				}
-				if sameBits(s, before) == nil {
-					t.Fatal("batch after the refusal changed nothing")
-				}
-				if c.hugeVar3 {
-					// Only atom 3's own variance is huge; everything else the
-					// pass produced is ordinary.
-					s.C.View(9, 9, 3, 3).Zero()
-				}
-				if !stateFinite(s) || s.C.MaxAbs() > 1e3 {
-					t.Fatalf("state after the pass: max|C| = %g", s.C.MaxAbs())
-				}
-			})
-		}
+			if applied, err = applyAll(u, s, oneBatch(cons.Row(2))); err != nil || applied != 1 {
+				t.Fatalf("batch after the refusal: applied %d, err %v", applied, err)
+			}
+			if sameBits(s, before) == nil {
+				t.Fatal("batch after the refusal changed nothing")
+			}
+			if c.hugeVar3 {
+				// Only atom 3's own variance is huge; everything else the
+				// pass produced is ordinary.
+				s.C.View(9, 9, 3, 3).Zero()
+			}
+			if !stateFinite(s) || s.C.MaxAbs() > 1e3 {
+				t.Fatalf("state after the pass: max|C| = %g", s.C.MaxAbs())
+			}
+		})
 	}
 }
 
@@ -181,33 +177,31 @@ func TestRefusedBatchLeavesStateBitIdentical(t *testing.T) {
 // lower triangle, and must still be there, bit for bit, on return. Guard
 // off, so nothing but the kernels looks at C.
 func TestUpperTriangleNeverRead(t *testing.T) {
-	for _, joseph := range []bool{false, true} {
-		for _, procs := range []int{1, 2, 3} {
-			pos, cons := chainProblem()
-			batches, err := makeBatches(cons, ident, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			u := &Updater{Team: par.NewTeam(procs), Joseph: joseph}
-			want := NewState(perturbedChain(), 4)
-			// One batch first, so the prior is dense rather than diagonal.
-			if _, err := applyAll(u, want, batches[:1]); err != nil {
-				t.Fatal(err)
-			}
-			got := want.Clone()
-			poisonUpper(got)
-			if _, err := applyAll(u, want, batches[1:]); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := applyAll(u, got, batches[1:]); err != nil {
-				t.Fatal(err)
-			}
-			if err := sameBits(got, want); err != nil {
-				t.Fatalf("joseph=%v procs=%d (%d atoms): %v", joseph, procs, len(pos), err)
-			}
-			if err := upperPoisoned(got); err != nil {
-				t.Fatalf("joseph=%v procs=%d: %v", joseph, procs, err)
-			}
+	for _, procs := range []int{1, 2, 3} {
+		pos, cons := chainProblem()
+		batches, err := makeBatches(cons, ident, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := &Updater{Team: par.NewTeam(procs)}
+		want := NewState(perturbedChain(), 4)
+		// One batch first, so the prior is dense rather than diagonal.
+		if _, err := applyAll(u, want, batches[:1]); err != nil {
+			t.Fatal(err)
+		}
+		got := want.Clone()
+		poisonUpper(got)
+		if _, err := applyAll(u, want, batches[1:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := applyAll(u, got, batches[1:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := sameBits(got, want); err != nil {
+			t.Fatalf("procs=%d (%d atoms): %v", procs, len(pos), err)
+		}
+		if err := upperPoisoned(got); err != nil {
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 	}
 }

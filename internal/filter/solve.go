@@ -12,7 +12,7 @@ import (
 )
 
 // Control is the solver's control block: batch dimension, stopping policy,
-// update variant and hooks, declared once for both organizations, which
+// trust radius and hooks, declared once for both organizations, which
 // hier.Solve runs through Iterate — the flat one as a tree of one leaf.
 type Control struct {
 	// BatchSize is the scalar constraint batch dimension (default 16, the
@@ -38,12 +38,6 @@ type Control struct {
 	// keeps the iterated filter inside its linearization range; negative
 	// disables the clamp (the paper's raw update).
 	MaxStep float64
-	// Joseph selects the numerically robust Joseph-form covariance update
-	// (see Updater.Joseph).
-	Joseph bool
-	// GateSigma, when positive, enables innovation gating of outlier
-	// observations (see Updater.GateSigma).
-	GateSigma float64
 	// Ctx, when non-nil, is checked between cycles: a cancelled or expired
 	// context stops the iteration with the context's error and the
 	// progress made so far.
@@ -56,23 +50,15 @@ type Control struct {
 	// into (safe for the tree's parallel subtree updates); WithDefaults
 	// creates one when nil, so Result.Diag is always populated.
 	Diag *Diagnostics
-	// DivergeAfter is the divergence watchdog: the solve aborts with a
-	// typed solvererr.Diverged (carrying the RMS trajectory) when the
-	// per-cycle RMS change grows for this many consecutive cycles —
-	// replacing a silent MaxCycles spin on an inconsistent problem. Zero
-	// selects the default of 8; negative disables the watchdog.
-	DivergeAfter int
-	// NoGuard disables numerical fault containment (ridge retries,
-	// non-finite rollback, batch quarantine), restoring the raw
-	// fail-fast iteration.
-	NoGuard bool
 	// FaultTag labels the solve for fault-injection sites (normally the
 	// problem name).
 	FaultTag string
 }
 
-// DefaultDivergeAfter is the default watchdog patience: consecutive
-// cycles of growing RMS change before the solve is declared diverged.
+// DefaultDivergeAfter is the divergence watchdog's patience: the solve
+// aborts with a typed solvererr.Diverged (carrying the RMS trajectory) when
+// the per-cycle RMS change grows for this many consecutive cycles —
+// replacing a silent MaxCycles spin on an inconsistent problem.
 const DefaultDivergeAfter = 8
 
 // DivergeGrowthFactor is the cumulative growth a streak of growing RMS
@@ -90,9 +76,9 @@ const DefaultMaxStep = 2.0
 const MinWarmVar = 1e-9
 
 // WithDefaults fills every unset field with its default. It is idempotent:
-// zero selects a default, and a negative MaxStep or DivergeAfter stays
-// negative and means "off", so a control block may pass through any number
-// of entry points that each normalise it.
+// zero selects a default, and a negative MaxStep stays negative and means
+// "off", so a control block may pass through any number of entry points
+// that each normalise it.
 func (c Control) WithDefaults() Control {
 	if c.BatchSize <= 0 {
 		c.BatchSize = DefaultBatchSize
@@ -112,9 +98,6 @@ func (c Control) WithDefaults() Control {
 	if c.MaxStep == 0 {
 		c.MaxStep = DefaultMaxStep
 	}
-	if c.DivergeAfter == 0 {
-		c.DivergeAfter = DefaultDivergeAfter
-	}
 	if c.Diag == nil {
 		c.Diag = &Diagnostics{}
 	}
@@ -126,8 +109,8 @@ func (c Control) WithDefaults() Control {
 // team in the given 1-based cycle.
 func (c Control) Updater(team *par.Team, node string, cycle int) *Updater {
 	return &Updater{
-		Team: team, Rec: c.Rec, MaxStep: c.MaxStep, Joseph: c.Joseph, GateSigma: c.GateSigma,
-		Guard: !c.NoGuard, Diag: c.Diag, Tag: c.FaultTag, Node: node, Cycle: cycle,
+		Team: team, Rec: c.Rec, MaxStep: c.MaxStep, Guard: true,
+		Diag: c.Diag, Tag: c.FaultTag, Node: node, Cycle: cycle,
 	}
 }
 
@@ -175,7 +158,7 @@ func (c Control) Iterate(pass func(cycle int) (rmsChange float64, err error)) (R
 		// No-progress policy: quarantine contains isolated bad batches,
 		// but a cycle in which every batch was excluded assimilated
 		// nothing and never will — fail with the class of the exclusions.
-		if !c.NoGuard && stats.Applied == 0 && stats.Quarantined > 0 {
+		if stats.Applied == 0 && stats.Quarantined > 0 {
 			if stats.Reason == ReasonNonFinite {
 				return res, &solvererr.NonFinite{Node: stats.Node, Batch: stats.Batch, Cycle: cycle}
 			}
@@ -185,8 +168,8 @@ func (c Control) Iterate(pass func(cycle int) (rmsChange float64, err error)) (R
 			res.Converged = true
 			return res, nil
 		}
-		// Divergence watchdog: DivergeAfter consecutive cycles of growing
-		// RMS change, compounding past the growth factor, mean the
+		// Divergence watchdog: DefaultDivergeAfter consecutive cycles of
+		// growing RMS change, compounding past the growth factor, mean the
 		// iteration is running away from any fixed point.
 		if rms > prevRMS {
 			if grew == 0 {
@@ -197,7 +180,7 @@ func (c Control) Iterate(pass func(cycle int) (rmsChange float64, err error)) (R
 			grew = 0
 		}
 		prevRMS = rms
-		if c.DivergeAfter > 0 && grew >= c.DivergeAfter && rms > DivergeGrowthFactor*streakBase {
+		if grew >= DefaultDivergeAfter && rms > DivergeGrowthFactor*streakBase {
 			return res, &solvererr.Diverged{Cycles: cycle, Grew: grew, History: c.Diag.RMSTrajectory()}
 		}
 	}

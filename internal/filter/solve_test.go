@@ -170,24 +170,6 @@ func TestAllBatchesPoisonedFailsTyped(t *testing.T) {
 	}
 }
 
-// NoGuard restores the raw fail-fast procedure: the first injected
-// factorization failure aborts the solve instead of being contained.
-func TestNoGuardFailsFast(t *testing.T) {
-	faultinject.Set(&faultinject.Hooks{
-		Cholesky: func(site faultinject.Site) bool { return site.Batch == 1 },
-	})
-	t.Cleanup(faultinject.Reset)
-
-	_, cons := filter.ChainProblem()
-	_, res, err := solve(filter.PerturbedChain(), cons, filter.Control{BatchSize: 1, NoGuard: true})
-	if !errors.Is(err, solvererr.ErrIndefinite) {
-		t.Fatalf("err = %v, want ErrIndefinite", err)
-	}
-	if len(res.Diag.Snapshot().Quarantined) != 0 {
-		t.Fatal("NoGuard must not quarantine")
-	}
-}
-
 // runaway makes a position observation of atom 0 self-inconsistent: a
 // faultinject.Linearized hook rewrites its target to three times farther
 // out than wherever the estimate currently is, so the iteration has no
@@ -227,19 +209,6 @@ func TestDivergenceWatchdog(t *testing.T) {
 	}
 	if res.Cycles >= 1000 {
 		t.Fatal("watchdog never fired")
-	}
-}
-
-// A negative DivergeAfter disables the watchdog: the runaway iteration
-// runs to MaxCycles and overflows to Inf without a diverged error.
-func TestDivergenceWatchdogDisabled(t *testing.T) {
-	cons := runaway(t)
-	_, res, err := solve([]geom.Vec3{{0, 0, 0}}, cons, filter.Control{MaxStep: -1, MaxCycles: 30, DivergeAfter: -1, NoGuard: true})
-	if errors.Is(err, solvererr.ErrDiverged) {
-		t.Fatal("watchdog fired while disabled")
-	}
-	if res.Cycles != 30 {
-		t.Fatalf("ran %d cycles, want 30", res.Cycles)
 	}
 }
 
@@ -497,58 +466,55 @@ func upperZero(s *filter.State) error {
 }
 
 // A solve neither reads nor writes the strict upper triangle of C, cold or
-// continuing a dense prior, in both covariance forms and at every team
-// width: on unpooled (zeroed) buffers it leaves the upper triangle zero,
+// continuing a dense prior, at every team width: on unpooled (zeroed) buffers it leaves the upper triangle zero,
 // and through a NaN-poisoned pool from a prior whose upper triangle is NaN
 // it gives the same x and lower triangle bit for bit, with the prior's NaN
 // intact.
 func TestUpperTriangleNeverWrittenBySolve(t *testing.T) {
 	defer pool.SetEnabled(true)
 	rng := rand.New(rand.NewSource(7))
-	for _, joseph := range []bool{false, true} {
-		for _, procs := range []int{1, 2, 3, 7} {
-			pos, cons := filter.RandChain(rng, 12)
-			batches, err := filter.MakeBatches(&cons, cons.AllRows(), func(a int) int { return a }, 8)
-			if err != nil {
-				t.Fatal(err)
+	for _, procs := range []int{1, 2, 3, 7} {
+		pos, cons := filter.RandChain(rng, 12)
+		batches, err := filter.MakeBatches(&cons, cons.AllRows(), func(a int) int { return a }, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl := filter.Control{Team: par.NewTeam(procs), MaxCycles: 3}
+		// One batch first, so the warm solve starts from a dense prior.
+		prior := filter.NewState(pos, 4)
+		if _, _, err := (&filter.Updater{}).ApplyLower(prior, batches[:1], filter.Bound{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []struct {
+			name string
+			warm bool
+		}{{"Solve cold", false}, {"Solve warm", true}} {
+			run := func(from *filter.State) *filter.State {
+				var warm hier.Prior
+				if path.warm {
+					warm.Cov = from.C
+				}
+				s, _, err := solveFrom(from.Positions(), cons, ctl, warm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
 			}
-			ctl := filter.Control{Team: par.NewTeam(procs), Joseph: joseph, MaxCycles: 3}
-			// One batch first, so the warm solve starts from a dense prior.
-			prior := filter.NewState(pos, 4)
-			if _, _, err := (&filter.Updater{}).ApplyLower(prior, batches[:1], filter.Bound{}); err != nil {
-				t.Fatal(err)
+			pool.SetEnabled(false)
+			want := run(prior)
+			if err := upperZero(want); err != nil {
+				t.Fatalf("%s, procs=%d: %v", path.name, procs, err)
 			}
-			for _, path := range []struct {
-				name string
-				warm bool
-			}{{"Solve cold", false}, {"Solve warm", true}} {
-				run := func(from *filter.State) *filter.State {
-					var warm hier.Prior
-					if path.warm {
-						warm.Cov = from.C
-					}
-					s, _, err := solveFrom(from.Positions(), cons, ctl, warm)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return s
-				}
-				pool.SetEnabled(false)
-				want := run(prior)
-				if err := upperZero(want); err != nil {
-					t.Fatalf("%s, joseph=%v procs=%d: %v", path.name, joseph, procs, err)
-				}
-				pool.SetEnabled(true)
-				poisonPool()
-				from := prior.Clone()
-				filter.PoisonUpper(from)
-				got := run(from)
-				if err := filter.SameBits(got, want); err != nil {
-					t.Fatalf("%s, joseph=%v procs=%d: %v", path.name, joseph, procs, err)
-				}
-				if err := filter.UpperPoisoned(from); err != nil {
-					t.Fatalf("%s, joseph=%v procs=%d: %v", path.name, joseph, procs, err)
-				}
+			pool.SetEnabled(true)
+			poisonPool()
+			from := prior.Clone()
+			filter.PoisonUpper(from)
+			got := run(from)
+			if err := filter.SameBits(got, want); err != nil {
+				t.Fatalf("%s, procs=%d: %v", path.name, procs, err)
+			}
+			if err := filter.UpperPoisoned(from); err != nil {
+				t.Fatalf("%s, procs=%d: %v", path.name, procs, err)
 			}
 		}
 	}

@@ -27,28 +27,15 @@ type Updater struct {
 	// when the prior variance is large; the clamp is the standard iterated
 	// EKF damping remedy. Zero disables it.
 	MaxStep float64
-	// Joseph selects the Joseph-form covariance update
-	// C⁺ = (I−KH)·C⁻·(I−KH)ᵀ + K·R·Kᵀ, which preserves symmetry and
-	// positive semidefiniteness under round-off at roughly three times the
-	// m-m cost of the paper's simple form C⁺ = C⁻ − K·(H·C⁻).
-	Joseph bool
-	// GateSigma, when positive, applies innovation gating: any scalar
-	// observation whose normalized innovation |ν|/√S exceeds the gate is
-	// deweighted to near-irrelevance for this batch — the classic filter
-	// defense against grossly wrong measurements. Gated observations are
-	// counted in Gated; they are reconsidered at the next linearization.
-	GateSigma float64
-	// Gated accumulates the number of scalar observations gated out.
-	Gated int
 	// Guard enables numerical fault containment: a failed factorization
 	// of the innovation covariance is retried with geometrically
 	// escalated measurement noise (bounded ridge), and ApplyLower verifies
 	// each batch's pending update before committing it, so a batch that
 	// fails anyway — or would put NaN/Inf into the state — is refused and
 	// quarantined for the rest of the cycle instead of aborting the
-	// solve. Control.Updater enables it unless NoGuard is set; the zero
-	// value keeps the raw fail-fast procedure of the paper (what the
-	// direct kernel benchmarks measure).
+	// solve. Control.Updater always enables it; the zero value keeps the
+	// raw fail-fast procedure of the paper (what the direct kernel
+	// benchmarks measure).
 	Guard bool
 	// Diag, when non-nil, accumulates containment diagnostics (ridge
 	// retries, rollbacks, quarantined batches).
@@ -98,9 +85,9 @@ func (u *Updater) timed(class trace.Class, flops float64, f func()) {
 // high-water mark and are re-sliced per batch, and the matrix headers over
 // them are kept here too, so that a batch allocates none.
 type workspace struct {
-	aBuf, haBuf, sBuf, kBuf, wBuf []float64
-	a, ha, s, k, w                mat.Mat
-	nu, dx                        []float64
+	aBuf, haBuf, sBuf, kBuf []float64
+	a, ha, s, k             mat.Mat
+	nu, dx                  []float64
 }
 
 // wsPool recycles workspace arenas across Updaters (and therefore across
@@ -134,7 +121,7 @@ func (u *Updater) ReleaseWorkspace() {
 }
 
 // matOfDirty points hdr at an r×c matrix sliced out of a grown backing
-// buffer, without zeroing it: every destination here (A, H·A, S, K and K·L
+// buffer, without zeroing it: every destination here (A, H·A, S and K
 // below) is fully overwritten by the next kernel before it is read. The
 // buffer may hold stale values from the previous batch.
 func matOfDirty(hdr *mat.Mat, buf *[]float64, r, c int) *mat.Mat {
@@ -226,21 +213,6 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 		}
 	})
 
-	// Innovation gating: deweight scalar rows whose innovation is wildly
-	// inconsistent with the predicted uncertainty S_ii = (H·A)_ii + R_ii.
-	if u.GateSigma > 0 {
-		for i := 0; i < m; i++ {
-			sii := ha.At(i, i) + lin.R[i]
-			if sii <= 0 {
-				continue
-			}
-			if nu[i]*nu[i] > u.GateSigma*u.GateSigma*sii {
-				lin.R[i] *= 1e6
-				u.Gated++
-			}
-		}
-	}
-
 	// Trust region by measurement deweighting: if the proposed step leaves
 	// the MaxStep radius, the batch is reapplied with inflated measurement
 	// noise R ← λ·R — a consistent Kalman update for noisier data, unlike
@@ -306,28 +278,12 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 		}
 		lambda *= 4
 	}
-	// Covariance update, symmetry-aware: the exact result is symmetric by
-	// construction (K·Aᵀ = A·S⁻¹·Aᵀ), so only the lower triangle is
-	// computed — half the flops of the full rectangular product, and no
-	// symmetrization sweep. The default is the paper's simple form
-	// C ← C − K·Aᵀ; Joseph form expands algebraically to
-	// C − K·Aᵀ − A·Kᵀ + (K·L)(K·L)ᵀ using the Cholesky factor L of the
-	// innovation covariance, since K·S·Kᵀ = (K·L)(K·L)ᵀ.
-	fn, fm := float64(n), float64(m)
-	var w *mat.Mat
-	if u.Joseph {
-		w = matOfDirty(&ws.w, &ws.wBuf, n, m)
-		u.timed(trace.MatMat, 2*fn*fm*fm, func() {
-			mat.MulPar(team, w, k, sMat) // sMat holds L after factorization
-		})
-	}
-
 	if bound != nil {
 		if h := faultinject.Installed(); h != nil && h.Poison != nil && h.Poison(u.site()) {
 			dx[0] = math.NaN()
 		}
 		admitted := false
-		u.timed(trace.VecOp, 0, func() { admitted = bound.admit(dx, k, a, w) })
+		u.timed(trace.VecOp, 0, func() { admitted = bound.admit(dx, k, a) })
 		if !admitted {
 			return 0, errRefused
 		}
@@ -336,20 +292,13 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 	u.timed(trace.VecOp, float64(n), func() {
 		mat.Axpy(1, dx, s.X)
 	})
-	if u.Joseph {
-		// n(n+1)m for the triangular (K·L)(K·L)ᵀ, 2n(n+1)m for the
-		// triangular rank-2k cross terms — versus 6n²m before symmetry
-		// exploitation.
-		u.timed(trace.MatMat, 3*fn*(fn+1)*fm, func() {
-			mat.SyrkAddPar(team, s.C, w)
-			mat.Syr2kPairSubLowerPar(team, s.C, k, a)
-		})
-	} else {
-		// n(n+1)m — versus 2n²m before symmetry exploitation.
-		u.timed(trace.MatMat, fn*(fn+1)*fm, func() {
-			mat.Syr2kSubLowerPar(team, s.C, k, a)
-		})
-	}
+	// Covariance update C ← C − K·Aᵀ, symmetry-aware: the exact result is
+	// symmetric by construction (K·Aᵀ = A·S⁻¹·Aᵀ), so only the lower
+	// triangle is computed — n(n+1)m flops versus 2n²m for the full
+	// rectangular product, and no symmetrization sweep.
+	u.timed(trace.MatMat, float64(n)*float64(n+1)*float64(m), func() {
+		mat.Syr2kSubLowerPar(team, s.C, k, a)
+	})
 	return m, nil
 }
 
@@ -392,7 +341,7 @@ func (u *Updater) site() faultinject.Site {
 
 // stateBound is the guard's running proof that the state is finite: upper
 // bounds on max|x| and on max|C| over the lower triangle. A batch writes
-// nothing but x += dx and C ∓= (rank-m products of K, A and K·L), so from a
+// nothing but x += dx and C −= K·Aᵀ (a rank-m product), so from a
 // finite state under the bounds (ScanBound, the base of the induction)
 // the next state is decidable from the pending update alone: if K, A and
 // dx are finite and the bounds plus the largest possible change stay under
@@ -472,17 +421,11 @@ func ScanBound(s *State) Bound {
 }
 
 // admit decides, before anything is written, whether committing the pending
-// update — step dx, gain k, a = C·Hᵀ, and w = K·L in Joseph form (nil
-// otherwise) — keeps the state finite, and advances the bounds if so. One
-// O(nm) scan; a refused update leaves the bounds, like the state, as they
-// were.
-func (b *stateBound) admit(dx []float64, k, a, w *mat.Mat) bool {
-	m := float64(k.Cols)
-	change := m * maxAbs(0, k.Data) * maxAbs(0, a.Data)
-	if w != nil {
-		mw := maxAbs(0, w.Data)
-		change = 2*change + m*mw*mw
-	}
+// update — step dx, gain k and a = C·Hᵀ — keeps the state finite, and
+// advances the bounds if so. One O(nm) scan; a refused update leaves the
+// bounds, like the state, as they were.
+func (b *stateBound) admit(dx []float64, k, a *mat.Mat) bool {
+	change := float64(k.Cols) * maxAbs(0, k.Data) * maxAbs(0, a.Data)
 	next := stateBound{x: b.x + maxAbs(0, dx), c: b.c + change}
 	if !next.finite() {
 		return false

@@ -57,55 +57,52 @@ func upperPoisoned(s *State) error {
 // No solver path writes the strict upper triangle of C, and none reads it:
 // a state whose upper triangle is NaN comes back from each with that NaN
 // intact, bit for bit, and with the same x and lower triangle as a state
-// that started with zeros there — in both covariance forms and at every
-// team width.
+// that started with zeros there — at every team width.
 func TestUpperTriangleNeverWritten(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, joseph := range []bool{false, true} {
-		for _, procs := range []int{1, 2, 3, 7} {
-			pos, cons := randChain(rng, 12)
-			batches, err := makeBatches(cons, ident, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctl := Control{Team: par.NewTeam(procs), Joseph: joseph, MaxCycles: 3}.WithDefaults()
-			// One batch first, so every path starts from a dense prior.
-			prior := NewState(pos, 4)
-			if _, err := applyAll(&Updater{}, prior, batches[:1]); err != nil {
-				t.Fatal(err)
-			}
-			for _, path := range []struct {
-				name string
-				run  func(*State) error
-			}{
-				{"Apply", func(s *State) error {
-					u := &Updater{Team: ctl.Team, Joseph: joseph}
-					for _, b := range batches {
-						if _, err := u.Apply(s, b); err != nil {
-							return err
-						}
+	for _, procs := range []int{1, 2, 3, 7} {
+		pos, cons := randChain(rng, 12)
+		batches, err := makeBatches(cons, ident, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl := Control{Team: par.NewTeam(procs), MaxCycles: 3}.WithDefaults()
+		// One batch first, so every path starts from a dense prior.
+		prior := NewState(pos, 4)
+		if _, err := applyAll(&Updater{}, prior, batches[:1]); err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []struct {
+			name string
+			run  func(*State) error
+		}{
+			{"Apply", func(s *State) error {
+				u := &Updater{Team: ctl.Team}
+				for _, b := range batches {
+					if _, err := u.Apply(s, b); err != nil {
+						return err
 					}
-					return nil
-				}},
-				{"ApplyLower", func(s *State) error {
-					_, err := applyAll(ctl.Updater(ctl.Team, "", 1), s, batches)
-					return err
-				}},
-			} {
-				want, got := prior.Clone(), prior.Clone()
-				poisonUpper(got)
-				if err := path.run(want); err != nil {
-					t.Fatal(err)
 				}
-				if err := path.run(got); err != nil {
-					t.Fatal(err)
-				}
-				if err := sameBits(got, want); err != nil {
-					t.Fatalf("%s, joseph=%v procs=%d: %v", path.name, joseph, procs, err)
-				}
-				if err := upperPoisoned(got); err != nil {
-					t.Fatalf("%s, joseph=%v procs=%d: %v", path.name, joseph, procs, err)
-				}
+				return nil
+			}},
+			{"ApplyLower", func(s *State) error {
+				_, err := applyAll(ctl.Updater(ctl.Team, "", 1), s, batches)
+				return err
+			}},
+		} {
+			want, got := prior.Clone(), prior.Clone()
+			poisonUpper(got)
+			if err := path.run(want); err != nil {
+				t.Fatal(err)
+			}
+			if err := path.run(got); err != nil {
+				t.Fatal(err)
+			}
+			if err := sameBits(got, want); err != nil {
+				t.Fatalf("%s, procs=%d: %v", path.name, procs, err)
+			}
+			if err := upperPoisoned(got); err != nil {
+				t.Fatalf("%s, procs=%d: %v", path.name, procs, err)
 			}
 		}
 	}

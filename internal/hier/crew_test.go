@@ -91,47 +91,44 @@ func fromPoisonedPool(t *testing.T, dim int, solve func() *filter.State) *filter
 // triangle: a root state the pool hands back full of NaN, in both triangles
 // and in X, gives the same x and lower triangle as fresh memory and keeps
 // its NaN above the diagonal, bit for bit — through one pass and through a
-// whole solve, in both covariance forms, whether the subtrees run one after
-// another or concurrently.
+// whole solve, whether the subtrees run one after another or concurrently.
 func TestDirtyRootStateGivesTheSameBits(t *testing.T) {
 	p := chainProblem(24)
 	init := molecule.Perturbed(p, 0.2, 3)
-	for _, joseph := range []bool{false, true} {
-		for _, procs := range []int{1, 2, 3, 7} {
-			root := mustBuild(t, p)
-			if err := root.Prepare(6); err != nil {
-				t.Fatal(err)
+	for _, procs := range []int{1, 2, 3, 7} {
+		root := mustBuild(t, p)
+		if err := root.Prepare(6); err != nil {
+			t.Fatal(err)
+		}
+		opt := Options{Control: filter.Control{BatchSize: 6, InitVar: 100, MaxCycles: 3, Team: par.NewTeam(procs)}}
+		for _, path := range []struct {
+			name string
+			run  func() *filter.State
+		}{
+			{"UpdatePass", func() *filter.State {
+				s, err := UpdatePass(root, init, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}},
+			{"Solve", func() *filter.State {
+				s, _, err := Solve(root, init, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}},
+		} {
+			pool.SetEnabled(false)
+			ref := path.run()
+			pool.SetEnabled(true)
+			got := fromPoisonedPool(t, root.StateDim(), path.run)
+			if err := sameLowerBits(got, ref); err != nil {
+				t.Fatalf("%s, %d procs, dirty vs fresh state: %v", path.name, procs, err)
 			}
-			opt := Options{Control: filter.Control{BatchSize: 6, InitVar: 100, Joseph: joseph, MaxCycles: 3, Team: par.NewTeam(procs)}}
-			for _, path := range []struct {
-				name string
-				run  func() *filter.State
-			}{
-				{"UpdatePass", func() *filter.State {
-					s, err := UpdatePass(root, init, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return s
-				}},
-				{"Solve", func() *filter.State {
-					s, _, err := Solve(root, init, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return s
-				}},
-			} {
-				pool.SetEnabled(false)
-				ref := path.run()
-				pool.SetEnabled(true)
-				got := fromPoisonedPool(t, root.StateDim(), path.run)
-				if err := sameLowerBits(got, ref); err != nil {
-					t.Fatalf("%s, joseph=%v, %d procs, dirty vs fresh state: %v", path.name, joseph, procs, err)
-				}
-				if err := upperPoisoned(got); err != nil {
-					t.Fatalf("%s, joseph=%v, %d procs: %v", path.name, joseph, procs, err)
-				}
+			if err := upperPoisoned(got); err != nil {
+				t.Fatalf("%s, %d procs: %v", path.name, procs, err)
 			}
 		}
 	}

@@ -281,7 +281,7 @@ func TestHierMaxStepNegativeDisablesClamp(t *testing.T) {
 			t.Fatal(err)
 		}
 		state, res, err := Solve(root, init, Options{Control: filter.Control{
-			MaxStep: maxStep, MaxCycles: cycles, Tol: 1e-12, DivergeAfter: -1}})
+			MaxStep: maxStep, MaxCycles: cycles, Tol: 1e-12}})
 		if err != nil || res.Cycles != cycles {
 			t.Fatalf("MaxStep %g: %d cycles, err %v", maxStep, res.Cycles, err)
 		}

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"phmse/internal/par"
 )
 
 // mulNaive is the reference O(n³) triple loop the tiled kernels are checked
@@ -94,26 +92,6 @@ func TestMulDistributiveProperty(t *testing.T) {
 	}
 }
 
-// Property: parallel multiplication agrees with the serial kernel for any
-// team size.
-func TestMulParMatchesSerialProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, k, n := 1+rng.Intn(40), 1+rng.Intn(40), 1+rng.Intn(40)
-		p := 1 + rng.Intn(8)
-		a := randMat(rng, m, k)
-		b := randMat(rng, k, n)
-		serial := New(m, n)
-		Mul(serial, a, b)
-		parallel := New(m, n)
-		MulPar(par.NewTeam(p), parallel, a, b)
-		return serial.Equal(parallel, 1e-11)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestViewWritesThroughGemm(t *testing.T) {
 	// Kernels must respect strides: multiply into a view of a larger
 	// allocation and verify the frame is untouched.
@@ -144,17 +122,5 @@ func BenchmarkGemmSerial256(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Mul(dst, a, c)
-	}
-}
-
-func BenchmarkGemmPar256(b *testing.B) {
-	rng := rand.New(rand.NewSource(16))
-	a := randMat(rng, 256, 256)
-	c := randMat(rng, 256, 256)
-	dst := New(256, 256)
-	team := par.NewTeam(4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MulPar(team, dst, a, c)
 	}
 }

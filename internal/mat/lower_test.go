@@ -138,9 +138,8 @@ func TestVectorKernelMatchesGoTile(t *testing.T) {
 						sameLower(t, fmt.Sprintf("%s team=%d %s", what, team.Size(), k.name), back, got, want)
 					}
 				}
-				// The entry points over it: the pair form's two sweeps per
-				// 16-row block with both panels packed once, the mirror
-				// inside a chunk, the one-operand forms.
+				// The entry points over it: the mirror inside a chunk, the
+				// one-operand form.
 				for e, ep := range mmEntryPoints {
 					got, team := fresh(), teams[(n+mask+e)%len(teams)]
 					ep.run(team, got, a, b)

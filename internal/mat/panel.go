@@ -24,9 +24,9 @@ const (
 // stored.
 type panel struct{ data []float64 }
 
-// panelPool recycles panels. A batch update packs one (two for the pair
-// form) — 333 KB at n = 2598, m = 16; allocated afresh they would be most
-// of a solve's garbage. packPanel overwrites every word it hands the
+// panelPool recycles panels. A batch update packs one — 333 KB at
+// n = 2598, m = 16; allocated afresh they would be most of a solve's
+// garbage. packPanel overwrites every word it hands the
 // kernel, so a recycled panel carries nothing over.
 var panelPool = sync.Pool{New: func() any { return new(panel) }}
 

@@ -10,13 +10,6 @@ import "phmse/internal/par"
 // par.Team assigned to the hierarchy node being computed; a team of one
 // runs the serial path.
 
-// MulPar computes dst ← A·B with rows of dst partitioned across the team.
-func MulPar(t *par.Team, dst, a, b *Mat) {
-	checkMul(dst, a, b)
-	dst.Zero()
-	t.For(a.Rows, func(lo, hi int) { mulAddRange(dst, a, b, lo, hi) })
-}
-
 // SolveCholRowsPar solves dst ← src·(L·Lᵀ)⁻¹ with the independent
 // right-hand side rows partitioned across the team ("sys" class); each
 // chunk copies its rows of src into dst just before solving them (src may
@@ -34,13 +27,6 @@ func lowerNTPar(t *par.Team, dst, a, b *Mat, sign float64) {
 	pb.release()
 }
 
-// SyrkAddPar computes the lower triangle of dst ← dst + A·Aᵀ in parallel
-// over area-balanced triangular row blocks.
-func SyrkAddPar(t *par.Team, dst, a *Mat) {
-	checkSyrk(dst, a)
-	lowerNTPar(t, dst, a, a, +1)
-}
-
 // Syr2kSubLowerPar computes the lower triangle of dst ← dst − A·Bᵀ over
 // area-balanced triangular row blocks, leaving the strict upper triangle
 // untouched — the per-batch covariance update. C is kept as its lower
@@ -48,17 +34,6 @@ func SyrkAddPar(t *par.Team, dst, a *Mat) {
 func Syr2kSubLowerPar(t *par.Team, dst, a, b *Mat) {
 	checkSyr2k(dst, a, b)
 	lowerNTPar(t, dst, a, b, -1)
-}
-
-// Syr2kPairSubLowerPar computes the lower triangle of
-// dst ← dst − A·Bᵀ − B·Aᵀ over area-balanced triangular row blocks,
-// leaving the strict upper triangle untouched.
-func Syr2kPairSubLowerPar(t *par.Team, dst, a, b *Mat) {
-	checkSyr2k(dst, a, b)
-	pa, pb := packPanel(a, dst.Rows), packPanel(b, dst.Rows)
-	t.ForTri(dst.Rows, func(lo, hi int) { pairSubLower(dst, a, b, pa, pb, lo, hi) })
-	pa.release()
-	pb.release()
 }
 
 // Syr2kSubPar is Syr2kSubLowerPar with every chunk's rows mirrored onto the

@@ -1,15 +1,14 @@
 package mat
 
 // Symmetry-aware kernels for the covariance update ("m-m" class). The exact
-// measurement update C⁺ = C⁻ − K·Aᵀ (and its Joseph-form expansion) produces
-// a symmetric matrix by construction, so computing all n² entries and then
-// averaging away the round-off skew (Symmetrize) wastes half the flops of
-// the single hottest operation class in the paper's Tables 1–6. The kernels
-// here compute only the lower triangle — a SYRK/SYR2K-style formulation —
-// through one register-tiled microkernel (lowerNTPacked) and leave the
-// strict upper triangle untouched, so several triangular updates compose.
-// The solver keeps C as its lower triangle and never completes the upper
-// one. The entry points, all team-parallel, are in parallel.go.
+// measurement update C⁺ = C⁻ − K·Aᵀ produces a symmetric matrix by
+// construction, so computing all n² entries and then averaging away the
+// round-off skew (Symmetrize) wastes half the flops of the single hottest
+// operation class in the paper's Tables 1–6. The kernels here compute only
+// the lower triangle — a SYRK/SYR2K-style formulation — through one
+// register-tiled microkernel (lowerNTPacked) and leave the strict upper
+// triangle untouched, so several triangular updates compose. The solver
+// keeps C as its lower triangle and never completes the upper one. The entry points, all team-parallel, are in parallel.go.
 //
 // The one exception is Syr2kSubPar, kept for the bench ladder's syr2k rung,
 // whose chunks mirror their rows (mirrorLowerRange) as they finish. That is
@@ -18,12 +17,6 @@ package mat
 // the chunk's rows plus the mirrored upper entries (j, i) — and an upper
 // entry of row j is written only by the chunk holding row i, never by the
 // one holding row j, so writes never overlap.
-
-func checkSyrk(dst, a *Mat) {
-	if dst.Rows != dst.Cols || dst.Rows != a.Rows {
-		panic("mat: Syrk dimension mismatch")
-	}
-}
 
 func checkSyr2k(dst, a, b *Mat) {
 	if dst.Rows != dst.Cols || dst.Rows != a.Rows || dst.Rows != b.Rows || a.Cols != b.Cols {
@@ -40,10 +33,9 @@ func checkSyr2k(dst, a, b *Mat) {
 // row blocking, the team partition nor which of the two kernels below ran
 // shows in the result. pb is B's panel (packPanel, at least rows [0, r1)
 // of b), packed once by the caller for all the row ranges it sweeps against
-// the same B — a team's chunks, the pair form's row blocks. A nil pb, which
-// is what packPanel returns where there is no vector kernel, selects the Go
-// tile; so does a range that ends before the vector kernel's first row
-// block does.
+// the same B — a team's chunks. A nil pb, which is what packPanel returns
+// where there is no vector kernel, selects the Go tile; so does a range
+// that ends before the vector kernel's first row block does.
 func lowerNTPacked(dst, a, b *Mat, pb *panel, r0, r1 int, sign float64) {
 	if pb == nil || r1 < tileRows {
 		lowerTile(dst, a, b, r0, r1, sign)
@@ -102,24 +94,6 @@ func lowerTile(dst, a, b *Mat, r0, r1 int, sign float64) {
 		for j := 0; j <= i; j++ {
 			dr[j] += sign * Dot(ai, b.Row(j))
 		}
-	}
-}
-
-// pairRows is the row block of pairSubLower: both sweeps of a block find its
-// dst rows still in cache, so the rank-2k update streams dst once, not twice.
-const pairRows = 16
-
-// pairSubLower computes rows [r0, r1) of the lower triangle of
-// dst ← dst − A·Bᵀ − B·Aᵀ as two sweeps of the microkernel per row block,
-// pa and pb being the packed panels of a and b (both nil for the Go tile).
-// Each entry is (dst − A[i]·B[j]) − B[i]·A[j] with the two subtractions
-// rounded separately, so the diagonal rounds exactly like the full
-// rectangular computation would.
-func pairSubLower(dst, a, b *Mat, pa, pb *panel, r0, r1 int) {
-	for i := r0; i < r1; i += pairRows {
-		hi := min(i+pairRows, r1)
-		lowerNTPacked(dst, a, b, pb, i, hi, -1)
-		lowerNTPacked(dst, b, a, pa, i, hi, -1)
 	}
 }
 

@@ -99,26 +99,3 @@ func benchSweepAfterGap(bm *testing.B, team *par.Team, c, a, b *Mat) {
 	bm.ReportMetric(swept.Seconds()*1e3/float64(bm.N), "sweep-ms")
 	bm.ReportMetric(n*(n+1)*m*float64(bm.N)/swept.Seconds()/1e9, "Gflop/s")
 }
-
-// BenchmarkCovUpdateJoseph times the Joseph-form covariance update as the
-// filter composes it — W = K·L, C += W·Wᵀ, C −= K·Aᵀ + A·Kᵀ on the lower
-// triangle — and reports Gflop/s over the 3n(n+1)m flops of its three
-// triangular sweeps.
-func BenchmarkCovUpdateJoseph(bm *testing.B) {
-	for _, n := range []int{129, 516} {
-		const m = 16
-		c, k, a := benchOperands(n, m)
-		l := Identity(m)
-		w := New(n, m)
-		team := par.NewTeam(1)
-		bm.Run(fmt.Sprintf("lower/n=%d", n), func(bm *testing.B) {
-			for i := 0; i < bm.N; i++ {
-				MulPar(team, w, k, l)
-				SyrkAddPar(team, c, w)
-				Syr2kPairSubLowerPar(team, c, k, a)
-			}
-			flops := 3 * float64(n) * float64(n+1) * m * float64(bm.N)
-			bm.ReportMetric(flops/bm.Elapsed().Seconds()/1e9, "Gflop/s")
-		})
-	}
-}

@@ -23,26 +23,6 @@ func naiveLowerSub(dst, a, b *Mat) {
 	}
 }
 
-func naiveLowerAdd(dst, a *Mat) {
-	for i := 0; i < dst.Rows; i++ {
-		ai, dr := a.Row(i), dst.Row(i)
-		for j := 0; j <= i; j++ {
-			dr[j] += Dot(ai, a.Row(j))
-		}
-	}
-}
-
-func naiveLowerPairSub(dst, a, b *Mat) {
-	for i := 0; i < dst.Rows; i++ {
-		ai, bi, dr := a.Row(i), b.Row(i), dst.Row(i)
-		for j := 0; j < i; j++ {
-			dr[j] = dr[j] - Dot(ai, b.Row(j)) - Dot(bi, a.Row(j))
-		}
-		d := Dot(ai, bi)
-		dr[i] = dr[i] - d - d
-	}
-}
-
 // mirrorNaive copies the strict lower triangle onto the strict upper, entry
 // by entry.
 func mirrorNaive(m *Mat) {
@@ -64,9 +44,7 @@ var mmEntryPoints = []struct {
 	run     func(t *par.Team, d, a, b *Mat)
 	naive   func(d, a, b *Mat)
 }{
-	{"SyrkAddPar", false, func(t *par.Team, d, a, _ *Mat) { SyrkAddPar(t, d, a) }, func(d, a, _ *Mat) { naiveLowerAdd(d, a) }},
 	{"Syr2kSubLowerPar", false, func(t *par.Team, d, a, b *Mat) { Syr2kSubLowerPar(t, d, a, b) }, naiveLowerSub},
-	{"Syr2kPairSubLowerPar", false, func(t *par.Team, d, a, b *Mat) { Syr2kPairSubLowerPar(t, d, a, b) }, naiveLowerPairSub},
 	{"Syr2kSubPar", true, func(t *par.Team, d, a, b *Mat) { Syr2kSubPar(t, d, a, b) }, naiveLowerSub},
 	{"Cholesky trailing update", false, func(t *par.Team, d, a, _ *Mat) { lowerNTPar(t, d, a, a, -1) }, func(d, a, _ *Mat) { naiveLowerSub(d, a, a) }},
 }

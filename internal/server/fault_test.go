@@ -22,9 +22,10 @@ func named(p *molecule.Problem, name string) *molecule.Problem {
 	return &molecule.Problem{Name: name, Atoms: p.Atoms, Constraints: p.Constraints, Tree: p.Tree}
 }
 
-// faultCfg keeps retry backoff negligible so fault tests run fast.
+// faultCfg is the daemon the fault tests run: two retries, one-processor
+// teams.
 func faultCfg() Config {
-	return Config{MaxProcs: 2, MaxTeam: 1, MaxRetries: 2, RetryBackoff: time.Millisecond}
+	return Config{MaxProcs: 2, MaxTeam: 1, MaxRetries: 2}
 }
 
 // A job whose every solve attempt panics must fail cleanly with the
@@ -92,7 +93,7 @@ func TestSubtreePanicOnHelperIsolated(t *testing.T) {
 	})
 	t.Cleanup(faultinject.Reset)
 
-	cfg := Config{MaxProcs: 2, MaxTeam: 2, TeamGrain: 1, MaxRetries: 1, RetryBackoff: time.Millisecond}
+	cfg := Config{MaxProcs: 2, MaxTeam: 2, TeamGrain: 1, MaxRetries: 1}
 	_, _, c := newTestServer(t, cfg)
 	params := quickParams()
 	params.Procs = 2
@@ -135,18 +136,27 @@ func TestIndefiniteJobFailsWithFlatFallback(t *testing.T) {
 	waitState(t, c, healthy.ID, StateDone)
 }
 
-// A warm job whose hierarchical attempts all fail numerically degrades to
-// the flat organization, which continues from the diagonal a hierarchical
-// posterior carries, completes, and keeps what the flat solve produced.
+// A warm job whose hierarchical attempt fails numerically degrades to the
+// flat organization at once — a retry would solve the same input again —
+// which continues from the diagonal a hierarchical posterior carries,
+// completes, and keeps what the flat solve produced.
 func TestWarmJobFlatFallbackFromDiagonalPosterior(t *testing.T) {
 	const tag = "fault-warm-hier"
+	cfg := faultCfg()
+	var hierAttempts atomic.Int64
 	faultinject.Set(&faultinject.Hooks{
+		// The flat fallback runs as attempt MaxRetries+1.
+		BeforeAttempt: func(got string, n int) {
+			if got == tag && n <= cfg.MaxRetries {
+				hierAttempts.Add(1)
+			}
+		},
 		// Node is "" in the flat organization: only the hierarchy fails.
 		Cholesky: func(s faultinject.Site) bool { return s.Tag == tag && s.Node != "" },
 	})
 	t.Cleanup(faultinject.Reset)
 
-	_, _, c := newTestServer(t, faultCfg())
+	_, _, c := newTestServer(t, cfg)
 	ctx := context.Background()
 	keep := quickParams()
 	keep.KeepPosterior = true
@@ -163,6 +173,9 @@ func TestWarmJobFlatFallbackFromDiagonalPosterior(t *testing.T) {
 	st := waitState(t, c, warm.ID, StateDone, StateFailed)
 	if st.State != StateDone || !st.FlatFallback || st.WarmStartFrom != base.ID {
 		t.Fatalf("warm job: %+v", st)
+	}
+	if n := hierAttempts.Load(); n != 1 || st.Retries != 0 {
+		t.Fatalf("warm job: %d hierarchical attempts, %d retries; want 1, 0", n, st.Retries)
 	}
 	doc, err := c.Posterior(ctx, warm.ID, true)
 	if err != nil || len(doc.Cov) != 3*doc.Atoms {

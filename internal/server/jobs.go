@@ -399,10 +399,10 @@ func (m *manager) requestCancel(id string) (*job, bool) {
 	return j, true
 }
 
-// run executes one admitted job end to end: an attempt loop with capped
-// exponential backoff for transient failures, one flat-organization
-// fallback when the hierarchical solve fails numerically, and a terminal
-// classification of whatever error survives. The grant fixes the
+// run executes one admitted job end to end: an attempt loop that re-runs
+// retryable failures at once, one flat-organization fallback when the
+// hierarchical solve fails numerically, and a terminal classification of
+// whatever error survives. The grant fixes the
 // processor-team width every attempt solves with.
 func (m *manager) run(j *job, g *sched.Grant) {
 	ctx := context.Background()
@@ -431,23 +431,13 @@ func (m *manager) run(j *job, g *sched.Grant) {
 	var err error
 	for attempt := 0; ; attempt++ {
 		sol, err = m.attempt(ctx, j, attempt, false, g.Procs)
-		if err == nil || attempt >= m.cfg.MaxRetries || !retryable(err) || ctx.Err() != nil {
+		if err == nil || attempt >= m.cfg.MaxRetries || !retryable(err, j.warm != nil) || ctx.Err() != nil {
 			break
 		}
 		m.retries.Add(1)
 		j.mu.Lock()
 		j.retries++
 		j.mu.Unlock()
-		delay := m.cfg.RetryBackoff << attempt
-		if max := 32 * m.cfg.RetryBackoff; delay > max {
-			delay = max
-		}
-		t := time.NewTimer(delay)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-		}
 	}
 
 	// Graceful degradation: a hierarchical solve that keeps failing
@@ -508,19 +498,21 @@ func errCode(err error) string {
 	return solvererr.Code(err)
 }
 
-// retryable reports whether a failed attempt is worth re-running: transient
-// numerical failures can vanish at a different starting perturbation, and a
-// panic may be a data-dependent bug a retry sidesteps. Cancellation,
-// timeouts and malformed problems are final.
-func retryable(err error) bool {
+// retryable reports whether a failed attempt is worth re-running: a panic
+// may be a data-dependent bug a retry sidesteps, and a cold start's
+// transient numerical failure can vanish at the next attempt's starting
+// perturbation. A warm start solves the same input on every attempt, so its
+// numerical failure would repeat and goes straight to the flat fallback.
+// Cancellation, timeouts and malformed problems are final.
+func retryable(err error, warm bool) bool {
 	var pe *panicError
-	return solvererr.Transient(err) || errors.As(err, &pe)
+	return errors.As(err, &pe) || !warm && solvererr.Transient(err)
 }
 
 // attempt runs one solve attempt behind a recover barrier: a panic in the
 // solver surfaces as a *panicError with the daemon unharmed. The attempt
-// number perturbs the starting estimate's seed so a retry explores a
-// different basin instead of deterministically repeating the failure.
+// number perturbs a cold start's seed so a retry explores a different basin
+// instead of deterministically repeating the failure.
 func (m *manager) attempt(ctx context.Context, j *job, attempt int, flat bool, procs int) (sol *core.Solution, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -96,14 +96,10 @@ type Config struct {
 	// (default 256 MiB; 0 keeps the default, negative disables retention).
 	PosteriorBytes int64
 	// MaxRetries is the number of automatic re-solve attempts after a
-	// transient failure (recoverable numerics or a recovered panic), on top
-	// of the first attempt (default 2; 0 keeps the default, negative
-	// disables retries).
+	// transient failure (recoverable numerics, except in a warm job, or a
+	// recovered panic), on top of the first attempt (default 2; 0 keeps the
+	// default, negative disables retries).
 	MaxRetries int
-	// RetryBackoff is the base delay of the capped exponential backoff
-	// between attempts — attempt k waits RetryBackoff·2ᵏ, capped at 32×
-	// (default 100 ms).
-	RetryBackoff time.Duration
 	// InstanceID, when set, marks this daemon as one shard of a routed
 	// cluster: job ids are minted shard-qualified ("<instance>.job-000001"
 	// instead of "job-000001"), every response carries an
@@ -166,9 +162,6 @@ func (c Config) withDefaults() Config {
 		c.MaxRetries = 2
 	case c.MaxRetries < 0:
 		c.MaxRetries = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 100 * time.Millisecond
 	}
 	return c
 }
