@@ -1,10 +1,12 @@
 // Command phmsed is the structure-estimation daemon: a long-lived HTTP
 // server that accepts estimation problems in the JSON interchange format,
-// runs them through an elastic solver-team scheduler sized to the machine
-// (cheap jobs coalesce onto small teams running concurrently, expensive
-// jobs get wide teams), caches decomposition and scheduling artifacts
-// across repeated solves of the same topology, and supports per-job
-// cancellation, timeouts, and graceful shutdown.
+// admits them one at a time, in submission order, against one processor
+// budget sized to the machine (each job's team is sized from its estimated
+// work: cheap jobs run concurrently on one-processor teams, expensive jobs
+// get wide teams, shrunk to what is free under contention), caches
+// decomposition and scheduling artifacts across repeated solves of the same
+// topology, and supports per-job cancellation, timeouts, and graceful
+// shutdown.
 //
 // Usage:
 //
@@ -44,11 +46,10 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		maxProcs     = flag.Int("max-procs", 0, "total processor budget shared by all running solves (default GOMAXPROCS)")
-		minTeam      = flag.Int("min-team", 0, "smallest processor team a solve runs on (default 1)")
 		maxTeam      = flag.Int("max-team", 0, "widest processor team a single solve may get (default max-procs)")
 		queue        = flag.Int("queue", 32, "bounded job-queue depth (full queue rejects with 429)")
 		pprofAddr    = flag.String("pprof-addr", "", "listen address for net/http/pprof debug endpoints (empty disables)")
-		cacheSize    = flag.Int("plan-cache", 64, "plan cache entries (negative disables)")
+		cacheSize    = flag.Int("plan-cache", 64, "plan cache entries (<= 0 disables)")
 		postMB       = flag.Int64("posterior-mb", 256, "posterior store budget in MiB for warm starts: 48n bytes per n-atom hierarchical job, 8·(3n)² more per flat job (<= 0 disables)")
 		maxRetries   = flag.Int("max-retries", 2, "automatic re-solve attempts after a transient job failure (0 disables)")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "max wait for in-flight jobs on shutdown")
@@ -63,7 +64,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *maxProcs < 0 || *minTeam < 0 || *maxTeam < 0 ||
+	if *maxProcs < 0 || *maxTeam < 0 ||
 		*queue < 1 || *maxRetries < 0 || *drainTimeout <= 0 || *transferIn < 0 {
 		fmt.Fprintln(os.Stderr, "phmsed: processor flags must be >= 0, -queue >= 1, -max-retries >= 0, -drain-timeout > 0, -transfer-inflight >= 0")
 		flag.Usage()
@@ -79,17 +80,21 @@ func main() {
 	if *postMB <= 0 {
 		posteriorBytes = -1
 	}
+	// Config: 0 keeps the default, negative disables.
+	plans := *cacheSize
+	if plans <= 0 {
+		plans = -1
+	}
 	retries := *maxRetries
 	if retries == 0 {
-		retries = -1 // Config: 0 keeps the default, negative disables
+		retries = -1
 	}
 	debugserve.Start(*pprofAddr)
 	srv := server.New(server.Config{
 		MaxProcs:         *maxProcs,
-		MinTeam:          *minTeam,
 		MaxTeam:          *maxTeam,
 		QueueDepth:       *queue,
-		CacheSize:        *cacheSize,
+		CacheSize:        plans,
 		PosteriorBytes:   posteriorBytes,
 		MaxRetries:       retries,
 		InstanceID:       *instance,

@@ -151,18 +151,12 @@ func New(base string, opts ...Option) *Client {
 // backends.
 func (c *Client) Base() string { return c.base }
 
-// Health fetches /healthz and reports whether the daemon declared itself
-// live. The document carries the instance identity when the daemon runs
-// as a shard (-instance); a 503 (draining) returns ok=false with the
-// decoded document and a nil error — only transport and decoding failures
-// error.
-func (c *Client) Health(ctx context.Context) (encode.HealthStatus, bool, error) {
-	return c.health(ctx, "/healthz")
-}
-
 // Ready fetches /readyz, the readiness probe: ok=false when the daemon is
 // draining or its job queue is saturated, with queue occupancy in the
-// document either way.
+// document either way. The document carries the instance identity when the
+// daemon runs as a shard (-instance); a 503 returns ok=false with the
+// decoded document and a nil error — only transport and decoding failures
+// error.
 func (c *Client) Ready(ctx context.Context) (encode.HealthStatus, bool, error) {
 	return c.health(ctx, "/readyz")
 }

@@ -2,8 +2,7 @@
 // estimator: processor teams with fork-join loop partitioning (static row
 // blocks, claimed triangle chunks) and concurrent sibling subtrees — the
 // new axis of parallelism exposed by the hierarchical decomposition — run
-// on a crew of resident workers, and the shared processor budget the
-// serving layer admits jobs against (ProcPool).
+// on a crew of resident workers.
 //
 // A Team is a width, which decides how finely loops are cut and how many
 // members there are to claim the pieces. What runs the pieces is the team's

@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"phmse/internal/faultinject"
+	"phmse/internal/molecule"
 )
 
 // The tentpole guarantee: the processor budget, not a worker count, bounds
 // concurrency. The per-job worker pool the scheduler replaced ran a job
 // per worker regardless of how cheap the jobs were — at one worker, one
 // job at a time. With the
-// elastic scheduler the four tiny jobs each coalesce onto a MinTeam-wide
+// elastic scheduler the four tiny jobs each coalesce onto a one-processor
 // team and all four run at once inside the same 4-processor budget.
 func TestTinyJobConcurrencyExceedsWorkerCeiling(t *testing.T) {
 	const tiny = 4
@@ -38,7 +39,7 @@ func TestTinyJobConcurrencyExceedsWorkerCeiling(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 
 	srv, _, c := newTestServer(t, Config{
-		MaxProcs: tiny, MinTeam: 1, MaxTeam: tiny,
+		MaxProcs: tiny, MaxTeam: tiny,
 		QueueDepth: 2 * tiny,
 	})
 
@@ -63,7 +64,7 @@ func TestTinyJobConcurrencyExceedsWorkerCeiling(t *testing.T) {
 		t.Fatalf("running = %d, want all %d tiny jobs concurrent", m.Jobs.Running, tiny)
 	}
 	if got := m.Scheduler.ProcsInUse; got != tiny {
-		t.Fatalf("procs in use = %d, want %d (one MinTeam proc per coalesced job)", got, tiny)
+		t.Fatalf("procs in use = %d, want %d (one proc per coalesced job)", got, tiny)
 	}
 	if got := m.Scheduler.Coalesced; got < tiny {
 		t.Fatalf("coalesced grants = %d, want >= %d", got, tiny)
@@ -78,7 +79,7 @@ func TestTinyJobConcurrencyExceedsWorkerCeiling(t *testing.T) {
 }
 
 // Coalescing must be invisible in the numbers: a tiny job solved on a
-// shared MinTeam grant — racing three siblings through the shared
+// shared one-processor grant — racing three siblings through the shared
 // workspace pool — produces bitwise the same positions as the same job
 // solved alone on a dedicated legacy-style team of the same width.
 func TestCoalescedResultsBitwiseMatchDedicated(t *testing.T) {
@@ -94,7 +95,7 @@ func TestCoalescedResultsBitwiseMatchDedicated(t *testing.T) {
 	}
 
 	// Elastic: four copies of the job coalesce and run concurrently.
-	_, _, c := newTestServer(t, Config{MaxProcs: 4, MinTeam: 1, MaxTeam: 4, QueueDepth: 16})
+	_, _, c := newTestServer(t, Config{MaxProcs: 4, MaxTeam: 4, QueueDepth: 16})
 	const copies = 4
 	ids := make([]string, copies)
 	for i := range ids {
@@ -121,26 +122,29 @@ func TestCoalescedResultsBitwiseMatchDedicated(t *testing.T) {
 	}
 }
 
-// A job costed above Grain × MaxTeam must be granted the full MaxTeam
-// width when the pool is idle — big jobs are not starved down to MinTeam.
+// A job costed at several grains is granted a team that wide when the
+// budget is idle — big jobs are not starved down to one processor.
 func TestLargeJobGetsWideTeam(t *testing.T) {
-	srv, _, c := newTestServer(t, Config{MaxProcs: 4, MinTeam: 1, MaxTeam: 4, TeamGrain: 1})
-	// Grain 1 makes even the tiny helix cost to the MaxTeam clamp.
-	id := submit(t, c, helix(2), quickParams()).ID
+	srv, _, c := newTestServer(t, Config{MaxProcs: 4, MaxTeam: 4})
+	// Protein(24, 7) prices at about 2.3 grains: a 2-wide team.
+	params := quickParams()
+	params.MaxCycles = 4
+	id := submit(t, c, molecule.Protein(24, 7), params).ID
 	waitState(t, c, id, StateDone)
 	m := srv.Snapshot()
-	if m.Scheduler.Grants < 1 {
-		t.Fatalf("grants = %d, want >= 1", m.Scheduler.Grants)
+	if m.Scheduler.Grants != 1 {
+		t.Fatalf("grants = %d, want 1", m.Scheduler.Grants)
 	}
-	if m.Scheduler.Coalesced != 0 {
-		t.Fatalf("coalesced = %d; a Grain-1 job must size above MinTeam", m.Scheduler.Coalesced)
+	if m.Scheduler.Coalesced != 0 || m.Scheduler.Shrunk != 0 {
+		t.Fatalf("coalesced %d, shrunk %d; a two-grain job on an idle budget must get its full width",
+			m.Scheduler.Coalesced, m.Scheduler.Shrunk)
 	}
 }
 
 // The scheduler and workspace-pool gauges ride the existing /metrics
 // endpoint; this pins their wire presence and internal consistency.
 func TestMetricsExposeSchedulerAndPool(t *testing.T) {
-	_, ts, c := newTestServer(t, Config{MaxProcs: 4, MinTeam: 1, MaxTeam: 4})
+	_, ts, c := newTestServer(t, Config{MaxProcs: 4, MaxTeam: 4})
 	for i := 0; i < 3; i++ {
 		id := submit(t, c, helix(1), quickParams()).ID
 		waitState(t, c, id, StateDone)
@@ -151,8 +155,8 @@ func TestMetricsExposeSchedulerAndPool(t *testing.T) {
 		t.Fatalf("/metrics: http %d", code)
 	}
 	s := m.Scheduler
-	if s.ProcsCapacity != 4 || s.MinTeam != 1 || s.MaxTeam != 4 {
-		t.Fatalf("scheduler shape = cap %d, min %d, max %d; want 4/1/4", s.ProcsCapacity, s.MinTeam, s.MaxTeam)
+	if s.ProcsCapacity != 4 || s.MaxTeam != 4 {
+		t.Fatalf("scheduler shape = cap %d, max %d; want 4/4", s.ProcsCapacity, s.MaxTeam)
 	}
 	if s.Grants < 3 {
 		t.Fatalf("grants = %d, want >= 3", s.Grants)
@@ -175,19 +179,19 @@ func TestMetricsExposeSchedulerAndPool(t *testing.T) {
 	}
 }
 
-// Per-job Procs in the submit params still caps that job's team below
-// what the cost model would request — the client override survives the
-// elastic rewrite.
+// Per-job Procs in the submit params caps that job's team below what the
+// cost model would request.
 func TestParamsProcsCapsGrant(t *testing.T) {
-	srv, _, c := newTestServer(t, Config{MaxProcs: 4, MinTeam: 2, MaxTeam: 4, TeamGrain: 1})
+	srv, _, c := newTestServer(t, Config{MaxProcs: 4, MaxTeam: 4})
 	params := quickParams()
 	params.Procs = 1
-	id := submit(t, c, helix(2), params).ID
+	params.MaxCycles = 4
+	id := submit(t, c, molecule.Protein(24, 7), params).ID
 	waitState(t, c, id, StateDone)
-	// Grain 1 would size the job to MaxTeam, but params.Procs=1 caps the
-	// request; MinTeam clamping keeps the grant at the scheduler floor.
+	// The cost sizes the job two wide; params.Procs=1 caps the request
+	// at one processor.
 	m := srv.Snapshot()
-	if m.Scheduler.Coalesced < 1 {
-		t.Fatalf("coalesced = %d; params.Procs=1 must pull the request down to MinTeam", m.Scheduler.Coalesced)
+	if m.Scheduler.Coalesced != 1 {
+		t.Fatalf("coalesced = %d; params.Procs=1 must pull the request down to one processor", m.Scheduler.Coalesced)
 	}
 }

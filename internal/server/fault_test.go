@@ -93,7 +93,7 @@ func TestSubtreePanicOnHelperIsolated(t *testing.T) {
 	})
 	t.Cleanup(faultinject.Reset)
 
-	cfg := Config{MaxProcs: 2, MaxTeam: 2, TeamGrain: 1, MaxRetries: 1}
+	cfg := Config{MaxProcs: 2, MaxTeam: 2, MaxRetries: 1}
 	_, _, c := newTestServer(t, cfg)
 	params := quickParams()
 	params.Procs = 2

@@ -15,7 +15,6 @@ import (
 	"phmse/internal/faultinject"
 	"phmse/internal/filter"
 	"phmse/internal/molecule"
-	"phmse/internal/sched"
 	"phmse/internal/solvererr"
 	"phmse/internal/trace"
 	"phmse/internal/workest"
@@ -147,19 +146,19 @@ func (j *job) finish(state JobState, errCode, errMsg string, sol *core.Solution)
 	j.mu.Unlock()
 }
 
-// manager owns the bounded job queue, the elastic solver-team scheduler,
-// the job records, and the posterior store. A single dispatcher goroutine
-// pulls submissions off the queue and admits each through the scheduler,
-// which sizes its processor team from the job's estimated work — so the
-// configured processor budget bounds processors in use, not jobs in
-// flight: many cheap solves run concurrently on minimum-width teams while
-// an expensive solve still gets a wide one.
+// manager owns the bounded job queue, the processor budget, the job
+// records, and the posterior store. A single dispatcher goroutine pulls
+// submissions off the queue and admits each against the budget, sizing its
+// processor team from the job's estimated work — so the configured budget
+// bounds processors in use, not jobs in flight: many cheap solves run
+// concurrently on one-processor teams while an expensive solve still gets
+// a wide one.
 type manager struct {
 	cfg        Config
 	cache      *planCache
 	posteriors *posteriorStore
 	rec        *trace.Collector
-	sched      *sched.TeamScheduler
+	admit      *admission
 
 	mu       sync.Mutex
 	draining bool
@@ -191,13 +190,8 @@ func newManager(cfg Config) *manager {
 		cache:      newPlanCache(cfg.CacheSize),
 		posteriors: newPosteriorStore(cfg.PosteriorBytes, cfg.PosteriorDir),
 		rec:        &trace.Collector{},
-		sched: sched.NewTeamScheduler(sched.ElasticConfig{
-			MaxProcs: cfg.MaxProcs,
-			MinTeam:  cfg.MinTeam,
-			MaxTeam:  cfg.MaxTeam,
-			Grain:    cfg.TeamGrain,
-		}),
-		jobs: make(map[string]*job),
+		admit:      newAdmission(cfg.MaxProcs, cfg.MaxTeam),
+		jobs:       make(map[string]*job),
 		// The channel is sized past QueueDepth because cancelled-while-
 		// queued jobs linger in it until the dispatcher skips them; the
 		// queuedCount gate in submit is the real bound.
@@ -231,7 +225,7 @@ func jobCost(p *molecule.Problem, batch int) float64 {
 	return workest.FlopModel{}.NodeWork(3*len(p.Atoms), p.ScalarDim(), batch)
 }
 
-// dispatcher admits queued jobs through the elastic scheduler in FIFO
+// dispatcher admits queued jobs against the processor budget in FIFO
 // order and runs each on its own goroutine with the granted team width.
 func (m *manager) dispatcher() {
 	defer m.wg.Done()
@@ -239,30 +233,26 @@ func (m *manager) dispatcher() {
 		if j.terminal() { // cancelled while queued
 			continue
 		}
-		want := m.sched.SizeFor(jobCost(j.problem, batchSize(j.params)))
-		// The request may ask for fewer processors than the estimate.
-		if p := j.params.Procs; p > 0 && p < want {
-			want = p
-		}
-		grant, err := m.sched.Acquire(m.dispatchCtx, want)
+		want := m.admit.width(jobCost(j.problem, batchSize(j.params)), j.params.Procs)
+		procs, err := m.admit.acquire(m.dispatchCtx, want)
 		if err != nil {
 			// Forced shutdown: the admission wait was aborted.
 			m.cancelIfQueued(j, "cancelled during shutdown")
 			continue
 		}
 		m.jobsWG.Add(1)
-		go func(j *job, g *sched.Grant) {
+		go func(j *job, procs int) {
 			defer m.jobsWG.Done()
-			defer g.Release()
-			m.runIsolated(j, g)
-		}(j, grant)
+			defer m.admit.release(procs)
+			m.runIsolated(j, procs)
+		}(j, procs)
 	}
 }
 
 // runIsolated is the job goroutine's last line of defense: a panic
 // escaping the per-attempt recovery (a bug in the job-driving code itself)
 // fails the job instead of leaking its team grant.
-func (m *manager) runIsolated(j *job, g *sched.Grant) {
+func (m *manager) runIsolated(j *job, procs int) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.panics.Add(1)
@@ -270,7 +260,7 @@ func (m *manager) runIsolated(j *job, g *sched.Grant) {
 			j.finish(StateFailed, encode.CodeInternalError, fmt.Sprintf("internal error: %v", r), nil)
 		}
 	}()
-	m.run(j, g)
+	m.run(j, procs)
 }
 
 // submit validates queue capacity and registers the job. The queue is
@@ -388,23 +378,28 @@ func (m *manager) requestCancel(id string) (*job, bool) {
 	if !ok {
 		return nil, false
 	}
-	if m.cancelIfQueued(j, "cancelled while queued") {
-		return j, true
+	if !m.cancelIfQueued(j, "cancelled while queued") {
+		j.stop()
 	}
+	return j, true
+}
+
+// stop cancels a running job's context; the solve stops at the next cycle
+// boundary.
+func (j *job) stop() {
 	j.mu.Lock()
 	if j.state == StateRunning && j.cancel != nil {
 		j.cancel()
 	}
 	j.mu.Unlock()
-	return j, true
 }
 
 // run executes one admitted job end to end: an attempt loop that re-runs
 // retryable failures at once, one flat-organization fallback when the
 // hierarchical solve fails numerically, and a terminal classification of
-// whatever error survives. The grant fixes the
-// processor-team width every attempt solves with.
-func (m *manager) run(j *job, g *sched.Grant) {
+// whatever error survives. procs, the granted team width, is what every
+// attempt solves with.
+func (m *manager) run(j *job, procs int) {
 	ctx := context.Background()
 	var timeoutCancel context.CancelFunc
 	if ms := j.params.TimeoutMillis; ms > 0 {
@@ -430,7 +425,7 @@ func (m *manager) run(j *job, g *sched.Grant) {
 	var sol *core.Solution
 	var err error
 	for attempt := 0; ; attempt++ {
-		sol, err = m.attempt(ctx, j, attempt, false, g.Procs)
+		sol, err = m.attempt(ctx, j, attempt, false, procs)
 		if err == nil || attempt >= m.cfg.MaxRetries || !retryable(err, j.warm != nil) || ctx.Err() != nil {
 			break
 		}
@@ -449,7 +444,7 @@ func (m *manager) run(j *job, g *sched.Grant) {
 		j.mu.Lock()
 		j.flatFallback = true
 		j.mu.Unlock()
-		if fsol, ferr := m.attempt(ctx, j, m.cfg.MaxRetries+1, true, g.Procs); ferr == nil {
+		if fsol, ferr := m.attempt(ctx, j, m.cfg.MaxRetries+1, true, procs); ferr == nil {
 			sol, err = fsol, nil
 		}
 	}
@@ -531,20 +526,14 @@ func (m *manager) attempt(ctx context.Context, j *job, attempt int, flat bool, p
 // topology was seen before) and runs it under the job's context. flat
 // forces the flat organization regardless of the requested mode (the
 // numerical-failure fallback path). procs is the admitted team width —
-// the scheduler's cost-sized, contention-shrunk grant — though the
-// request may still ask for fewer. It sets how many processors the solve's
-// crew has, not which plan-cache entry it uses or what it computes.
+// cost-sized, capped by the request's procs and shrunk under contention.
+// It sets how many processors the solve's crew has, not which plan-cache
+// entry it uses or what it computes.
 func (m *manager) solve(ctx context.Context, j *job, attempt int, flat bool, procs int) (*core.Solution, error) {
 	params := j.params
 	mode := core.Hierarchical
 	if flat || params.Mode == "flat" {
 		mode = core.Flat
-	}
-	if p := params.Procs; p > 0 && p < procs {
-		procs = p
-	}
-	if procs < 1 {
-		procs = 1
 	}
 	batch := batchSize(params)
 	const leafSize = core.DefaultLeafSize
@@ -645,7 +634,7 @@ func (m *manager) list(state JobState, after string, limit int) ([]JobStatus, st
 }
 
 // queueDepth returns the number of jobs awaiting admission (in
-// StateQueued, whether still in the channel or blocked at the scheduler).
+// StateQueued, whether still in the channel or blocked at admission).
 func (m *manager) queueDepth() int { return int(m.queuedCount.Load()) }
 
 // countByState scans the job records and tallies them by state.
@@ -669,9 +658,9 @@ func (m *manager) countByState() map[JobState]int {
 
 // shutdown stops intake and drains the queue: already-accepted jobs (both
 // running and queued) are allowed to finish. When ctx expires first, every
-// remaining job is cancelled — including any blocked at the scheduler's
-// admission wait — and shutdown waits for the work to observe the
-// cancellation, returning ctx's error to signal the forced drain.
+// remaining job is cancelled — including the one blocked at the admission
+// wait — and shutdown waits for the work to observe the cancellation,
+// returning ctx's error to signal the forced drain.
 func (m *manager) shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	already := m.draining
@@ -694,18 +683,22 @@ func (m *manager) shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 	}
-	// Forced drain: abort admission waits, cancel everything still alive,
-	// and wait for the work to wind down (running solves observe the
-	// cancellation at the next cycle boundary).
+	// Forced drain: abort the admission wait, cancel everything still
+	// alive, and wait for the work to wind down (running solves observe the
+	// cancellation at the next cycle boundary). Every job still queued —
+	// the one at the admission wait included, whichever of this loop and
+	// the dispatcher reaches it first — is cancelled as a shutdown casualty.
 	m.dispatchCancel()
 	m.mu.Lock()
-	ids := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
+	jobs := make([]*job, 0, len(m.jobs))
+	for _, j := range m.jobs {
+		jobs = append(jobs, j)
 	}
 	m.mu.Unlock()
-	for _, id := range ids {
-		m.requestCancel(id)
+	for _, j := range jobs {
+		if !m.cancelIfQueued(j, "cancelled during shutdown") {
+			j.stop()
+		}
 	}
 	<-drained
 	return ctx.Err()

@@ -1,10 +1,9 @@
 // Package server implements phmsed, the structure-estimation daemon: an
-// HTTP/JSON API over the encode problem format with a bounded job queue,
-// an elastic solver-team scheduler sharing one processor budget, a
-// topology-keyed plan cache, a memory-accounted posterior store for
-// warm-start re-solves, per-job cancellation and timeouts, and graceful
-// shutdown. It is the serving layer the scaling roadmap (sharding,
-// batching, multi-backend) builds on.
+// HTTP/JSON API over the encode problem format with a bounded job queue
+// admitted against one processor budget, a topology-keyed plan cache, a
+// memory-accounted posterior store for warm-start re-solves, per-job
+// cancellation and timeouts, and graceful shutdown. It is the serving
+// layer the scaling roadmap (sharding, batching, multi-backend) builds on.
 //
 // Endpoints (v1):
 //
@@ -52,7 +51,6 @@ import (
 	"phmse/internal/encode"
 	"phmse/internal/pdb"
 	"phmse/internal/pool"
-	"phmse/internal/sched"
 	"phmse/internal/trace"
 )
 
@@ -64,25 +62,17 @@ const maxRequestBody = 64 << 20
 const maxListLimit = 500
 
 // Config sizes the daemon. The zero value selects defaults that share the
-// machine without oversubscription: the elastic scheduler's processor
-// budget defaults to GOMAXPROCS, and team widths are sized per job from
-// the fitted work estimator.
+// machine without oversubscription: the processor budget defaults to
+// GOMAXPROCS, and team widths are sized per job from the fitted work
+// estimator.
 type Config struct {
 	// MaxProcs is the total processor budget shared by all concurrently
 	// running solves (default GOMAXPROCS). Job concurrency is bounded by
-	// processors in use — MaxProcs / MinTeam cheap jobs can run at once.
+	// processors in use — MaxProcs cheap jobs, one processor each, can run
+	// at once.
 	MaxProcs int
-	// MinTeam is the smallest processor team a solve runs on (default 1).
-	// Cheap jobs are granted exactly MinTeam, so MaxProcs/MinTeam of them
-	// coalesce onto the budget concurrently.
-	MinTeam int
 	// MaxTeam caps a single solve's team width (default MaxProcs).
 	MaxTeam int
-	// TeamGrain is the estimated work (flop-model units) worth one
-	// processor when sizing a job's team; a job of cost k×TeamGrain asks
-	// for a k-wide team before clamping to [MinTeam, MaxTeam]. Zero
-	// selects the scheduler default.
-	TeamGrain float64
 	// QueueDepth bounds the number of jobs waiting for a team; further
 	// submissions are rejected with 429 (default 32).
 	QueueDepth int
@@ -132,18 +122,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxProcs <= 0 {
 		c.MaxProcs = runtime.GOMAXPROCS(0)
 	}
-	if c.MaxTeam <= 0 {
+	if c.MaxTeam <= 0 || c.MaxTeam > c.MaxProcs {
 		c.MaxTeam = c.MaxProcs
-	}
-	if c.MinTeam <= 0 {
-		c.MinTeam = 1
-	}
-	// Keep the triple consistent: MinTeam ≤ MaxTeam ≤ MaxProcs.
-	if c.MaxTeam > c.MaxProcs {
-		c.MaxTeam = c.MaxProcs
-	}
-	if c.MinTeam > c.MaxTeam {
-		c.MinTeam = c.MaxTeam
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 32
@@ -223,10 +203,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Shutdown(ctx context.Context) error {
 	return s.mgr.shutdown(ctx)
 }
-
-// Tracer exposes the shared per-operation-class time collector, for tests
-// and embedding daemons.
-func (s *Server) Tracer() *trace.Collector { return s.mgr.rec }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -503,10 +479,10 @@ type Metrics struct {
 	UptimeSeconds float64      `json:"uptime_seconds"`
 	Jobs          MetricsJobs  `json:"jobs"`
 	Queue         MetricsQueue `json:"queue"`
-	// Scheduler reports the elastic solver-team scheduler: processor
-	// utilization, active teams, grant/coalesce/shrink counters, and the
-	// admission queue-wait histogram.
-	Scheduler sched.Stats `json:"scheduler"`
+	// Scheduler reports the processor budget: utilization, active teams,
+	// grant/coalesce/shrink counters, and the admission queue-wait
+	// histogram.
+	Scheduler MetricsScheduler `json:"scheduler"`
 	// WorkspacePool reports the size-classed scratch-buffer pool shared by
 	// all solves.
 	WorkspacePool pool.Stats       `json:"workspace_pool"`
@@ -617,7 +593,7 @@ func (s *Server) Snapshot() Metrics {
 			Depth:    s.mgr.queueDepth(),
 			Capacity: s.cfg.QueueDepth,
 		},
-		Scheduler:     s.mgr.sched.Snapshot(),
+		Scheduler:     s.mgr.admit.snapshot(),
 		WorkspacePool: pool.Snapshot(),
 		PlanCache:     MetricsPlanCache{Hits: hits, Misses: misses, Entries: entries},
 		Posteriors: MetricsPosteriorStore{

@@ -210,8 +210,9 @@ func TestConcurrentSolves(t *testing.T) {
 // Re-submitting the same topology hits the plan cache, visible in /metrics,
 // whatever team width either submission runs at.
 func TestPlanCacheHit(t *testing.T) {
-	srv, ts, c := newTestServer(t, Config{MaxProcs: 2, MaxTeam: 2, TeamGrain: 1})
-	p := helix(1)
+	srv, ts, c := newTestServer(t, Config{MaxProcs: 2, MaxTeam: 2})
+	// Protein(24, 7) prices at two grains, so Procs: 2 gets a 2-wide team.
+	p := molecule.Protein(24, 7)
 	params := quickParams()
 	params.Procs = 1
 	first := submit(t, c, p, params)
@@ -241,6 +242,25 @@ func TestPlanCacheHit(t *testing.T) {
 	}
 	if viaHTTP.OpTimes.TotalSeconds <= 0 {
 		t.Fatalf("metrics endpoint reports no op-class time: %+v", viaHTTP.OpTimes)
+	}
+}
+
+// A negative CacheSize disables the plan cache: identical submissions both
+// miss, and nothing is kept.
+func TestPlanCacheDisabled(t *testing.T) {
+	_, ts, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1, CacheSize: -1})
+	for i := 0; i < 2; i++ {
+		st := submit(t, c, helix(1), quickParams())
+		if st = waitState(t, c, st.ID, StateDone, StateFailed); st.State != StateDone || st.PlanCacheHit {
+			t.Fatalf("submission %d: %+v, want done without a plan-cache hit", i, st)
+		}
+	}
+	var m Metrics
+	if code := doJSON(t, "GET", ts.URL+"/metrics", nil, &m); code != http.StatusOK {
+		t.Fatalf("metrics: status %d", code)
+	}
+	if p := m.PlanCache; p.Entries != 0 || p.Hits != 0 || p.Misses != 2 {
+		t.Fatalf("plan cache metrics %+v, want 0 entries, 0 hits, 2 misses", p)
 	}
 }
 
@@ -397,6 +417,30 @@ func TestForcedShutdownCancels(t *testing.T) {
 		t.Fatalf("forced drain error = %v, want deadline exceeded", err)
 	}
 	waitState(t, c, running.ID, StateCancelled)
+}
+
+// A forced drain while the dispatcher waits for processors aborts that
+// wait: the queued job is cancelled as a shutdown casualty, the running one
+// is cancelled, and the budget ends empty with nobody waiting.
+func TestForcedShutdownCancelsAdmissionWait(t *testing.T) {
+	srv, _, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1})
+	running := submit(t, c, helix(2), slowParams())
+	waitState(t, c, running.ID, StateRunning)
+	queued := submit(t, c, helix(1), quickParams())
+	waitForWaiter(t, srv.mgr.admit)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != context.DeadlineExceeded {
+		t.Fatalf("forced drain error = %v, want deadline exceeded", err)
+	}
+	if st := waitState(t, c, queued.ID, StateCancelled); st.Error != "cancelled during shutdown" {
+		t.Fatalf("queued job: %+v, want cancelled during shutdown", st)
+	}
+	waitState(t, c, running.ID, StateCancelled)
+	if s := srv.Snapshot().Scheduler; s.ProcsInUse != 0 || s.Waiting != 0 {
+		t.Fatalf("after forced drain: procs_in_use %d, waiting %d; want 0, 0", s.ProcsInUse, s.Waiting)
+	}
 }
 
 // Every failing endpoint answers with the structured envelope:
