@@ -106,6 +106,28 @@ func TestAdmissionShrinksToFree(t *testing.T) {
 	a.release(small)
 }
 
+// A wide job that arrives while a tiny one runs is granted what is left,
+// counted as shrunk and not as coalesced; the tiny one counts as coalesced.
+func TestAdmissionLargeJobShrinksUnderContention(t *testing.T) {
+	a := newAdmission(4, 4)
+	tiny, err := a.acquire(context.Background(), a.width(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := a.acquire(context.Background(), a.width(1e30, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tiny != 1 || wide != 3 {
+		t.Fatalf("grants %d, %d; want 1, 3", tiny, wide)
+	}
+	if s := a.snapshot(); s.Shrunk != 1 || s.Coalesced != 1 || s.Grants != 2 {
+		t.Fatalf("counters: %+v", s)
+	}
+	a.release(tiny)
+	a.release(wide)
+}
+
 // With nothing free the acquire parks, and a release wakes it with what
 // came back.
 func TestAdmissionBlocksUntilRelease(t *testing.T) {
@@ -143,8 +165,9 @@ func TestAdmissionBlocksUntilRelease(t *testing.T) {
 	}
 }
 
-// An acquire whose context ends while it waits returns the context's
-// error and holds nothing.
+// An acquire whose context is cancelled while it waits returns
+// context.Canceled, leaves no waiter behind and holds nothing: the whole
+// budget is still there once the holder releases.
 func TestAdmissionCancelledWaitHoldsNothing(t *testing.T) {
 	a := newAdmission(2, 2)
 	hold, err := a.acquire(context.Background(), 2)
@@ -159,21 +182,51 @@ func TestAdmissionCancelledWaitHoldsNothing(t *testing.T) {
 	}()
 	waitForWaiter(t, a)
 	cancel()
-	if err := <-errc; err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	short, cancelShort := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancelShort()
-	if _, err := a.acquire(short, 1); err != context.DeadlineExceeded {
-		t.Fatalf("err = %v, want deadline exceeded", err)
+	select {
+	case err := <-errc:
+		if err != context.Canceled {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled acquire did not return")
 	}
 	if s := a.snapshot(); s.Waiting != 0 || s.ProcsInUse != 2 || s.TeamsActive != 1 || s.Grants != 1 {
-		t.Fatalf("after cancelled waits: %+v", s)
+		t.Fatalf("after cancelled wait: %+v", s)
 	}
 	a.release(hold)
 	k, err := a.acquire(context.Background(), 2)
 	if err != nil || k != 2 {
 		t.Fatalf("acquire after release: %d, %v; want the whole budget", k, err)
+	}
+	a.release(k)
+}
+
+// An acquire with a deadline blocks while nothing is free and gives up with
+// context.DeadlineExceeded when the deadline passes; after the holder
+// releases, a full-width acquire succeeds.
+func TestAdmissionDeadlineEndsWait(t *testing.T) {
+	a := newAdmission(2, 2)
+	hold, err := a.acquire(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deadline = 30 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	if _, err := a.acquire(ctx, 2); err != context.DeadlineExceeded {
+		t.Fatalf("err = %v, want deadline exceeded", err)
+	}
+	if d := time.Since(start); d < deadline {
+		t.Fatalf("acquire gave up after %v, before its %v deadline", d, deadline)
+	}
+	if s := a.snapshot(); s.Waiting != 0 || s.ProcsInUse != 2 || s.Grants != 1 {
+		t.Fatalf("after timed-out wait: %+v", s)
+	}
+	a.release(hold)
+	k, err := a.acquire(context.Background(), 2)
+	if err != nil || k != 2 {
+		t.Fatalf("acquire after release: %d, %v; want 2", k, err)
 	}
 	a.release(k)
 }
@@ -249,6 +302,58 @@ func TestAdmissionChurnAgainstConcurrentReleasers(t *testing.T) {
 	}
 	s := a.snapshot()
 	if s.ProcsInUse != 0 || s.TeamsActive != 0 || s.Waiting != 0 || s.Grants != rounds {
+		t.Fatalf("not drained: %+v", s)
+	}
+}
+
+// Jobs of mixed cost sized by width and admitted one at a time while job
+// goroutines release and /metrics readers take snapshots concurrently:
+// every grant lies in [1, MaxTeam] and never exceeds its sized width, and
+// the budget drains with one grant per job. Run under -race.
+func TestAdmissionSizedChurnWithMetricsReaders(t *testing.T) {
+	const capacity, maxTeam, jobs = 4, 3, 500
+	a := newAdmission(capacity, maxTeam)
+	stop := make(chan struct{})
+	var readers, releasers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if s := a.snapshot(); s.ProcsInUse < 0 || s.ProcsInUse > capacity {
+					t.Errorf("snapshot in use %d outside [0, %d]", s.ProcsInUse, capacity)
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	for j := 0; j < jobs; j++ {
+		want := a.width(float64(j%10*(j%50))*teamGrain/10, 0)
+		k, err := a.acquire(context.Background(), want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k < 1 || k > maxTeam || k > want {
+			t.Fatalf("job %d: grant %d for width %d, want in [1, %d]", j, k, want, min(want, maxTeam))
+		}
+		releasers.Add(1)
+		go func(k int) {
+			defer releasers.Done()
+			runtime.Gosched()
+			a.release(k)
+		}(k)
+	}
+	releasers.Wait()
+	close(stop)
+	readers.Wait()
+	s := a.snapshot()
+	if s.ProcsInUse != 0 || s.TeamsActive != 0 || s.Waiting != 0 || s.Grants != jobs {
 		t.Fatalf("not drained: %+v", s)
 	}
 }
