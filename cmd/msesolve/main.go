@@ -44,7 +44,6 @@ import (
 	"phmse/internal/geom"
 	"phmse/internal/molecule"
 	"phmse/internal/pdb"
-	"phmse/internal/solvererr"
 	"phmse/internal/trace"
 )
 
@@ -310,13 +309,13 @@ func printDiagnostics(d *filter.DiagSnapshot) {
 // solveExitCode maps a solve failure onto the documented exit codes.
 func solveExitCode(err error) int {
 	switch {
-	case errors.Is(err, solvererr.ErrDiverged):
+	case errors.Is(err, filter.ErrDiverged):
 		return exitDiverged
-	case errors.Is(err, solvererr.ErrIndefinite):
+	case errors.Is(err, filter.ErrIndefinite):
 		return exitIndefinite
-	case errors.Is(err, solvererr.ErrNonFinite):
+	case errors.Is(err, filter.ErrNonFinite):
 		return exitNonFinite
-	case errors.Is(err, solvererr.ErrCanceled),
+	case errors.Is(err, filter.ErrCanceled),
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):
 		return exitCanceled

@@ -8,7 +8,6 @@ import (
 	"phmse/internal/hier"
 	"phmse/internal/machine"
 	"phmse/internal/molecule"
-	"phmse/internal/sched"
 	"phmse/internal/trace"
 	"phmse/internal/vm"
 )
@@ -94,7 +93,7 @@ func sweepCSV(cfg config, problem, machName, path string) error {
 	fmt.Fprintln(f, "np,wall_s,speedup,d_s,chol,sys,m_m,m_v,vec")
 	var base float64
 	for np := 1; np <= mach.MaxProcs; np++ {
-		r := vm.Run(root, mach, np, sched.Assign(root, np, work))
+		r := vm.Run(root, mach, np, vm.Assign(root, np, work))
 		if np == 1 {
 			base = r.Wall
 		}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"phmse/internal/sched"
 	"phmse/internal/vm"
 	"phmse/internal/workest"
 )
@@ -82,7 +81,7 @@ func TestReproducedTablesWall(t *testing.T) {
 			t.Fatalf("%s: %d pinned rows for %d in the table", key, len(want[key]), len(rows))
 		}
 		for i, row := range rows {
-			if got := fmt.Sprintf("%.2f", vm.Run(root, mach, row.np, sched.Assign(root, row.np, work)).Wall); got != want[key][i] {
+			if got := fmt.Sprintf("%.2f", vm.Run(root, mach, row.np, vm.Assign(root, row.np, work)).Wall); got != want[key][i] {
 				t.Errorf("%s NP=%d: wall %s, want %s", key, row.np, got, want[key][i])
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"phmse/internal/hier"
 	"phmse/internal/machine"
 	"phmse/internal/molecule"
-	"phmse/internal/sched"
 	"phmse/internal/trace"
 	"phmse/internal/vm"
 	"phmse/internal/workest"
@@ -97,7 +96,7 @@ func sweep(cfg config, problem, machName string) error {
 	var base float64
 	for _, row := range paperTables[key] {
 		np := row.np
-		r := vm.Run(root, mach, np, sched.Assign(root, np, work))
+		r := vm.Run(root, mach, np, vm.Assign(root, np, work))
 		if np == 1 {
 			base = r.Wall
 		}
@@ -115,7 +114,7 @@ func sweep(cfg config, problem, machName string) error {
 // sweepSetup builds what a processor sweep of Tables 3–6 runs on: the
 // problem ("helix" or "ribo"), the machine model ("DASH" or "Challenge"),
 // the problem's own tree prepared at batch 16, and its work estimates.
-func sweepSetup(cfg config, problem, machName string) (*molecule.Problem, *machine.Machine, *hier.Node, *sched.Work, error) {
+func sweepSetup(cfg config, problem, machName string) (*molecule.Problem, *machine.Machine, *hier.Node, *vm.Work, error) {
 	var p *molecule.Problem
 	if problem == "helix" {
 		p = molecule.Helix(16)
@@ -135,5 +134,5 @@ func sweepSetup(cfg config, problem, machName string) (*molecule.Problem, *machi
 	if err := root.Prepare(16); err != nil {
 		return nil, nil, nil, nil, err
 	}
-	return p, mach, root, sched.EstimateWork(root, workest.FlopModel{}, 16), nil
+	return p, mach, root, vm.EstimateWork(root, workest.FlopModel{}, 16), nil
 }

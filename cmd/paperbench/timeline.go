@@ -6,7 +6,6 @@ import (
 	"phmse/internal/hier"
 	"phmse/internal/machine"
 	"phmse/internal/molecule"
-	"phmse/internal/sched"
 	"phmse/internal/vm"
 	"phmse/internal/workest"
 )
@@ -28,9 +27,9 @@ func timeline(cfg config) error {
 		return err
 	}
 	mach := machine.DASH()
-	work := sched.EstimateWork(root, workest.FlopModel{}, 16)
+	work := vm.EstimateWork(root, workest.FlopModel{}, 16)
 	for _, np := range []int{6, 8} {
-		plan := sched.Assign(root, np, work)
+		plan := vm.Assign(root, np, work)
 		res, spans := vm.Trace(root, mach, np, plan)
 		fmt.Printf("\n%s, NP=%d (speedup %.2f):\n", h.Name, np,
 			vm.Run(root, mach, 1, nil).Wall/res.Wall)

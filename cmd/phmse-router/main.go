@@ -17,89 +17,94 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux, served only at -pprof-addr
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"phmse/internal/debugserve"
 	"phmse/internal/router"
 )
 
-func main() {
-	var (
-		addr         = flag.String("addr", ":8090", "listen address")
-		shards       = flag.String("shards", "", "comma-separated backend phmsed base URLs (required)")
-		probeEvery   = flag.Duration("probe-interval", 2*time.Second, "shard health-poll period")
-		probeTimeout = flag.Duration("probe-timeout", time.Second, "timeout for one health probe")
-		inflight     = flag.Int("shard-inflight", 0, "max concurrent requests forwarded to one shard; saturated shards answer 429 (0 = unlimited)")
-		adminToken   = flag.String("admin-token", "", "bearer token required on /admin/v1 and presented to shards during migration (empty leaves the admin plane open)")
-		drainDL      = flag.Duration("drain-deadline", 30*time.Second, "default wait for a draining shard's in-flight jobs before migration proceeds")
-		migrTimeout  = flag.Duration("migrate-timeout", 10*time.Second, "per-posterior transfer timeout during migration passes")
-		repairEvery  = flag.Duration("repair-interval", 30*time.Second, "anti-entropy repair sweep period, jittered ±20% (negative disables the loop)")
-		brkFailures  = flag.Int("breaker-failures", 3, "consecutive live-forward failures that open a shard's circuit breaker (-1 disables breaking)")
-		brkCooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open trial request is admitted")
-		flapCount    = flag.Int("breaker-flap-count", 3, "ring readmissions within the flap window that quarantine a shard (-1 disables flap suppression)")
-		flapWindow   = flag.Duration("breaker-flap-window", time.Minute, "sliding window for counting ring readmissions")
-		auditLog     = flag.String("audit-log", "", "append-only JSONL file recording membership changes and repair sweeps (empty keeps the in-memory tail only)")
-		replicaID    = flag.String("replica-id", "", "stable name of this router replica in the replicated membership document (empty mints a random r-<hex> id)")
-		peers        = flag.String("peers", "", "comma-separated base URLs of the other router replicas to gossip membership with (empty = single-router control plane)")
-		gossipEvery  = flag.Duration("gossip-interval", time.Second, "anti-entropy membership exchange period between router replicas")
-		leaseTTL     = flag.Duration("lease-ttl", 0, "repair-sweeper lease duration (0 = 3x the repair interval)")
-		pprofAddr    = flag.String("pprof-addr", "", "listen address for net/http/pprof debug endpoints (empty disables)")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "phmse-router: unexpected arguments: %v\n", flag.Args())
-		flag.Usage()
-		os.Exit(2)
-	}
-	var bases []string
-	for _, s := range strings.Split(*shards, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			bases = append(bases, s)
-		}
-	}
-	var peerList []string
-	for _, s := range strings.Split(*peers, ",") {
-		if s = strings.TrimRight(strings.TrimSpace(s), "/"); s != "" {
-			peerList = append(peerList, s)
-		}
-	}
-	if len(bases) == 0 {
-		fmt.Fprintln(os.Stderr, "phmse-router: -shards is required")
-		flag.Usage()
-		os.Exit(2)
-	}
+// options is the router's command line.
+type options struct {
+	addr, shards, peers, pprofAddr string
+	cfg                            router.Config
+}
 
-	if *inflight < 0 {
-		fmt.Fprintln(os.Stderr, "phmse-router: -shard-inflight must be >= 0")
-		flag.Usage()
+// newFlagSet registers every phmse-router flag, bound to o.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("phmse-router", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":8090", "listen address")
+	fs.StringVar(&o.shards, "shards", "", "comma-separated backend phmsed base URLs (required)")
+	fs.DurationVar(&o.cfg.ProbeInterval, "probe-interval", 2*time.Second, "shard health-poll period (> 0)")
+	fs.DurationVar(&o.cfg.RepairInterval, "repair-interval", 30*time.Second, "anti-entropy repair sweep period, jittered ±20%; the sweeper lease lasts 3 periods (negative disables the loop, 0 is refused)")
+	fs.DurationVar(&o.cfg.GossipInterval, "gossip-interval", time.Second, "anti-entropy membership exchange period between router replicas (negative disables the loop, 0 is refused)")
+	fs.StringVar(&o.cfg.AdminToken, "admin-token", "", "bearer token required on /admin/v1 and presented to shards during migration (empty leaves the admin plane open)")
+	fs.StringVar(&o.cfg.AuditLog, "audit-log", "", "append-only JSONL file recording membership changes and repair sweeps (empty keeps the in-memory tail only)")
+	fs.StringVar(&o.cfg.ReplicaID, "replica-id", "", "stable name of this router replica in the replicated membership document (empty mints a random r-<hex> id)")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated base URLs of the other router replicas to gossip membership with (empty = single-router control plane)")
+	fs.IntVar(&o.cfg.ShardInflight, "shard-inflight", 0, "max concurrent requests forwarded to one shard; saturated shards answer 429 (0 = unlimited)")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "listen address for net/http/pprof debug endpoints (empty disables)")
+	return fs
+}
+
+// parseFlags parses args into options. A flag the router does not have, a
+// stray argument or an invalid value is an error; main answers it with
+// exit status 2.
+func parseFlags(args []string, out io.Writer) (options, error) {
+	var o options
+	fs := newFlagSet(&o)
+	fs.SetOutput(out)
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	for _, s := range strings.Split(o.shards, ",") {
+		if s = strings.TrimSpace(s); s != "" {
+			o.cfg.Shards = append(o.cfg.Shards, s)
+		}
+	}
+	for _, s := range strings.Split(o.peers, ",") {
+		if s = strings.TrimRight(strings.TrimSpace(s), "/"); s != "" {
+			o.cfg.Peers = append(o.cfg.Peers, s)
+		}
+	}
+	var err error
+	switch {
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected arguments: %v", fs.Args())
+	case len(o.cfg.Shards) == 0:
+		err = errors.New("-shards is required")
+	case o.cfg.ProbeInterval <= 0:
+		err = errors.New("-probe-interval must be > 0")
+	case o.cfg.RepairInterval == 0 || o.cfg.GossipInterval == 0:
+		err = errors.New("-repair-interval and -gossip-interval must not be 0 (negative disables the loop)")
+	case o.cfg.ShardInflight < 0:
+		err = errors.New("-shard-inflight must be >= 0")
+	}
+	if err != nil {
+		fmt.Fprintf(out, "phmse-router: %v\n", err)
+		fs.Usage()
+	}
+	return o, err
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		os.Exit(2)
 	}
-	debugserve.Start(*pprofAddr)
-	rt, err := router.New(router.Config{
-		Shards:          bases,
-		ProbeInterval:   *probeEvery,
-		ProbeTimeout:    *probeTimeout,
-		ShardInflight:   *inflight,
-		AdminToken:      *adminToken,
-		DrainDeadline:   *drainDL,
-		MigrateTimeout:  *migrTimeout,
-		RepairInterval:  *repairEvery,
-		BreakerFailures: *brkFailures,
-		BreakerCooldown: *brkCooldown,
-		FlapCount:       *flapCount,
-		FlapWindow:      *flapWindow,
-		AuditLog:        *auditLog,
-		ReplicaID:       *replicaID,
-		Peers:           peerList,
-		GossipInterval:  *gossipEvery,
-		LeaseTTL:        *leaseTTL,
-	})
+	if o.pprofAddr != "" {
+		go func() { log.Printf("pprof: %v", http.ListenAndServe(o.pprofAddr, nil)) }()
+	}
+	rt, err := router.New(o.cfg)
 	if err != nil {
 		log.Fatalf("phmse-router: %v", err)
 	}
@@ -109,14 +114,14 @@ func main() {
 
 	// Settle the ring before accepting traffic so a shard that is down at
 	// startup never receives the first submissions.
-	probeCtx, cancel := context.WithTimeout(ctx, *probeTimeout+time.Second)
+	probeCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	rt.CheckNow(probeCtx)
 	cancel()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: rt}
+	httpSrv := &http.Server{Addr: o.addr, Handler: rt}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("phmse-router: serving on %s over %d shard(s), %d gossip peer(s)", *addr, len(bases), len(peerList))
+	log.Printf("phmse-router: serving on %s over %d shard(s), %d gossip peer(s)", o.addr, len(o.cfg.Shards), len(o.cfg.Peers))
 
 	select {
 	case err := <-errc:

@@ -31,93 +31,112 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux, served only at -pprof-addr
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"phmse/internal/debugserve"
 	"phmse/internal/server"
 )
 
-func main() {
-	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		maxProcs     = flag.Int("max-procs", 0, "total processor budget shared by all running solves (default GOMAXPROCS)")
-		maxTeam      = flag.Int("max-team", 0, "widest processor team a single solve may get (default max-procs)")
-		queue        = flag.Int("queue", 32, "bounded job-queue depth (full queue rejects with 429)")
-		pprofAddr    = flag.String("pprof-addr", "", "listen address for net/http/pprof debug endpoints (empty disables)")
-		cacheSize    = flag.Int("plan-cache", 64, "plan cache entries (<= 0 disables)")
-		postMB       = flag.Int64("posterior-mb", 256, "posterior store budget in MiB for warm starts: 48n bytes per n-atom hierarchical job, 8·(3n)² more per flat job (<= 0 disables)")
-		maxRetries   = flag.Int("max-retries", 2, "automatic re-solve attempts after a transient job failure (0 disables)")
-		drainTimeout = flag.Duration("drain-timeout", time.Minute, "max wait for in-flight jobs on shutdown")
-		instance     = flag.String("instance", "", "stable instance name; qualifies job ids for shard routing (letters, digits, - and _)")
-		posteriorDir = flag.String("posterior-dir", "", "directory for posterior snapshots; reloaded on startup for warm starts across restarts")
-		adminToken   = flag.String("admin-token", "", "bearer token required on posterior import/delete (PUT/DELETE /v1/posteriors); set to the router's -admin-token")
-		transferIn   = flag.Int("transfer-inflight", 0, "max concurrent posterior imports; excess PUTs answer 429 with Retry-After (0 = unlimited)")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "phmsed: unexpected arguments: %v\n", flag.Args())
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *maxProcs < 0 || *maxTeam < 0 ||
-		*queue < 1 || *maxRetries < 0 || *drainTimeout <= 0 || *transferIn < 0 {
-		fmt.Fprintln(os.Stderr, "phmsed: processor flags must be >= 0, -queue >= 1, -max-retries >= 0, -drain-timeout > 0, -transfer-inflight >= 0")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if !validInstance(*instance) {
-		fmt.Fprintf(os.Stderr, "phmsed: -instance %q must use only letters, digits, - and _\n", *instance)
-		flag.Usage()
-		os.Exit(2)
-	}
+// options is the daemon's command line.
+type options struct {
+	addr, pprofAddr string
+	drainTimeout    time.Duration
+	posteriorMB     int64
+	cfg             server.Config
+}
 
-	posteriorBytes := *postMB << 20
-	if *postMB <= 0 {
-		posteriorBytes = -1
+// newFlagSet registers every phmsed flag, bound to o.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("phmsed", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.cfg.MaxProcs, "max-procs", 0, "total processor budget shared by all running solves (default GOMAXPROCS)")
+	fs.IntVar(&o.cfg.MaxTeam, "max-team", 0, "widest processor team a single solve may get (default max-procs)")
+	fs.IntVar(&o.cfg.QueueDepth, "queue", 32, "bounded job-queue depth (full queue rejects with 429)")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "listen address for net/http/pprof debug endpoints (empty disables)")
+	fs.IntVar(&o.cfg.CacheSize, "plan-cache", 64, "plan cache entries (<= 0 disables)")
+	fs.Int64Var(&o.posteriorMB, "posterior-mb", 256, "posterior store budget in MiB for warm starts: 48n bytes per n-atom hierarchical job, 8·(3n)² more per flat job (<= 0 disables)")
+	fs.IntVar(&o.cfg.MaxRetries, "max-retries", 2, "automatic re-solve attempts after a transient job failure (0 disables)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", time.Minute, "max wait for in-flight jobs on shutdown")
+	fs.StringVar(&o.cfg.InstanceID, "instance", "", "stable instance name; qualifies job ids for shard routing (letters, digits, - and _)")
+	fs.StringVar(&o.cfg.PosteriorDir, "posterior-dir", "", "directory for posterior snapshots; reloaded on startup for warm starts across restarts")
+	fs.StringVar(&o.cfg.AdminToken, "admin-token", "", "bearer token required on posterior import/delete (PUT/DELETE /v1/posteriors); set to the router's -admin-token")
+	fs.IntVar(&o.cfg.TransferInflight, "transfer-inflight", 0, "max concurrent posterior imports; excess PUTs answer 429 with Retry-After (0 = unlimited)")
+	return fs
+}
+
+// parseFlags parses args into options and the server.Config they select. A
+// flag the daemon does not have, a stray argument or an invalid value is
+// an error; main answers it with exit status 2.
+func parseFlags(args []string, out io.Writer) (options, error) {
+	var o options
+	fs := newFlagSet(&o)
+	fs.SetOutput(out)
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	var err error
+	switch {
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected arguments: %v", fs.Args())
+	case o.cfg.MaxProcs < 0 || o.cfg.MaxTeam < 0 || o.cfg.QueueDepth < 1 || o.cfg.MaxRetries < 0 ||
+		o.drainTimeout <= 0 || o.cfg.TransferInflight < 0:
+		err = errors.New("processor flags must be >= 0, -queue >= 1, -max-retries >= 0, -drain-timeout > 0, -transfer-inflight >= 0")
+	case !validInstance(o.cfg.InstanceID):
+		err = fmt.Errorf("-instance %q must use only letters, digits, - and _", o.cfg.InstanceID)
+	}
+	if err != nil {
+		fmt.Fprintf(out, "phmsed: %v\n", err)
+		fs.Usage()
+		return o, err
 	}
 	// Config: 0 keeps the default, negative disables.
-	plans := *cacheSize
-	if plans <= 0 {
-		plans = -1
+	o.cfg.PosteriorBytes = o.posteriorMB << 20
+	if o.posteriorMB <= 0 {
+		o.cfg.PosteriorBytes = -1
 	}
-	retries := *maxRetries
-	if retries == 0 {
-		retries = -1
+	if o.cfg.CacheSize <= 0 {
+		o.cfg.CacheSize = -1
 	}
-	debugserve.Start(*pprofAddr)
-	srv := server.New(server.Config{
-		MaxProcs:         *maxProcs,
-		MaxTeam:          *maxTeam,
-		QueueDepth:       *queue,
-		CacheSize:        plans,
-		PosteriorBytes:   posteriorBytes,
-		MaxRetries:       retries,
-		InstanceID:       *instance,
-		PosteriorDir:     *posteriorDir,
-		AdminToken:       *adminToken,
-		TransferInflight: *transferIn,
-	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	if o.cfg.MaxRetries == 0 {
+		o.cfg.MaxRetries = -1
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	if o.pprofAddr != "" {
+		go func() { log.Printf("pprof: %v", http.ListenAndServe(o.pprofAddr, nil)) }()
+	}
+	srv := server.New(o.cfg)
+	httpSrv := &http.Server{Addr: o.addr, Handler: srv}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("phmsed: serving on %s", *addr)
+	log.Printf("phmsed: serving on %s", o.addr)
 
 	select {
 	case err := <-errc:
 		log.Fatalf("phmsed: %v", err)
 	case <-ctx.Done():
 	}
-	log.Printf("phmsed: draining (up to %v)...", *drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	log.Printf("phmsed: draining (up to %v)...", o.drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
 		log.Printf("phmsed: forced drain: %v", err)

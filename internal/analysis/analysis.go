@@ -25,8 +25,8 @@ type Ellipsoid struct {
 	Sigmas [3]float64
 }
 
-// Volume returns the 1σ ellipsoid volume (4π/3 · σ₁σ₂σ₃).
-func (e Ellipsoid) Volume() float64 {
+// volume returns the 1σ ellipsoid volume (4π/3 · σ₁σ₂σ₃).
+func (e Ellipsoid) volume() float64 {
 	return 4 * math.Pi / 3 * e.Sigmas[0] * e.Sigmas[1] * e.Sigmas[2]
 }
 

@@ -40,8 +40,8 @@ func TestAtomEllipsoid(t *testing.T) {
 		t.Fatalf("anisotropy = %g", e.Anisotropy())
 	}
 	wantVol := 4 * math.Pi / 3 * 2.0 * 0.5 * 0.1
-	if math.Abs(e.Volume()-wantVol) > 1e-12 {
-		t.Fatalf("volume = %g", e.Volume())
+	if math.Abs(e.volume()-wantVol) > 1e-12 {
+		t.Fatalf("volume = %g", e.volume())
 	}
 	if e.String() == "" {
 		t.Fatal("String")

@@ -26,9 +26,7 @@ type Admin struct {
 
 // NewAdmin builds an admin client for the router at base. token is the
 // router's -admin-token ("" when the router runs its admin plane open);
-// further options apply to the underlying client (WithHTTPClient,
-// WithRetry — backpressure-only retries are safe here, the membership
-// mutations are not idempotent GETs).
+// further options apply to the underlying client (WithHTTPClient).
 func NewAdmin(base, token string, opts ...Option) *Admin {
 	if token != "" {
 		opts = append(opts, WithBearerToken(token))

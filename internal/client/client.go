@@ -55,7 +55,7 @@ func WithBearerToken(token string) Option {
 	return func(c *Client) { c.bearer = token }
 }
 
-// RetryPolicy shapes the transport-level retry of WithRetry: jittered
+// RetryPolicy shapes the transport-level retry of withRetry: jittered
 // exponential backoff, floored by any Retry-After the server sent.
 type RetryPolicy struct {
 	// MaxAttempts bounds the total tries of one request (default 4).
@@ -126,12 +126,12 @@ func (p RetryPolicy) Do(ctx context.Context, fn func(attempt int) error, retryab
 	return fmt.Errorf("after %d attempts: %w", attempts, last)
 }
 
-// WithRetry enables transport-level retries: backpressure rejections
+// withRetry enables transport-level retries: backpressure rejections
 // (queue_full, draining) are retried for every method — the server rejects
 // them before any side effect — while transport errors and 5xx responses
 // are retried only for idempotent GETs. Backoff follows the policy; the
 // request's context bounds the whole retry loop.
-func WithRetry(p RetryPolicy) Option {
+func withRetry(p RetryPolicy) Option {
 	pol := p.withDefaults()
 	return func(c *Client) { c.retry = &pol }
 }
@@ -369,13 +369,13 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration, states
 	return c.wait(ctx, id, poll, states, c.status)
 }
 
-// WaitRetry waits like Wait but rides through transient failures of a
+// waitRetry waits like Wait but rides through transient failures of a
 // status round — transport errors and 5xx responses — with the client's
-// retry backoff (the WithRetry policy, or its defaults) instead of
+// retry backoff (the withRetry policy, or its defaults) instead of
 // returning on the first hiccup. It gives up after MaxAttempts consecutive
 // failed rounds, on a non-transient error (e.g. not_found), or when ctx
 // ends.
-func (c *Client) WaitRetry(ctx context.Context, id string, poll time.Duration, states ...encode.JobState) (encode.JobStatus, error) {
+func (c *Client) waitRetry(ctx context.Context, id string, poll time.Duration, states ...encode.JobState) (encode.JobStatus, error) {
 	pol := RetryPolicy{}.withDefaults()
 	if c.retry != nil {
 		pol = *c.retry
@@ -393,7 +393,7 @@ func (c *Client) WaitRetry(ctx context.Context, id string, poll time.Duration, s
 	})
 }
 
-// wait is the loop behind Wait and WaitRetry; status is one round.
+// wait is the loop behind Wait and waitRetry; status is one round.
 func (c *Client) wait(ctx context.Context, id string, poll time.Duration, states []encode.JobState,
 	status func(context.Context, string, time.Duration) (encode.JobStatus, error)) (encode.JobStatus, error) {
 	if poll <= 0 {

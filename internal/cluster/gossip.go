@@ -38,7 +38,7 @@ func (n *Node) loop() {
 		case <-n.kick:
 			t.Stop()
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.Timeout*time.Duration(len(n.peers)+1))
+		ctx, cancel := context.WithTimeout(context.Background(), exchangeTimeout*time.Duration(len(n.peers)+1))
 		n.GossipNow(ctx)
 		cancel()
 	}
@@ -128,7 +128,7 @@ func (n *Node) post(ctx context.Context, p *peerState, body encode.GossipRequest
 	if err != nil {
 		return out, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, exchangeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.base+"/cluster/v1/state", bytes.NewReader(raw))
 	if err != nil {

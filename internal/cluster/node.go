@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"log"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,9 @@ import (
 
 	"phmse/internal/encode"
 )
+
+// exchangeTimeout bounds one peer exchange.
+const exchangeTimeout = 3 * time.Second
 
 // Config wires a Node to its replica identity, its peers, and the router
 // callbacks that apply adopted documents.
@@ -22,8 +26,6 @@ type Config struct {
 	// happen via GossipNow and inbound HandleExchange — the test
 	// mode).
 	Interval time.Duration
-	// Timeout bounds one peer exchange (default 3s).
-	Timeout time.Duration
 	// AuthToken, when set, is presented as a bearer token on outbound
 	// exchanges (peers gate /cluster/v1/state behind their admin
 	// token).
@@ -38,8 +40,6 @@ type Config struct {
 	// OnConflict fires when an equal-epoch remote document lost the
 	// tie-break and was rejected, outside the node lock.
 	OnConflict func(remoteOrigin, remoteHash string)
-	// Logf receives gossip diagnostics (default: discard).
-	Logf func(format string, args ...any)
 }
 
 // Node holds one replica's copy of the membership document and runs the
@@ -79,14 +79,8 @@ func New(cfg Config, initial encode.ClusterDoc) *Node {
 	if cfg.Interval == 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 3 * time.Second
-	}
 	if cfg.HTTPClient == nil {
-		cfg.HTTPClient = &http.Client{Timeout: cfg.Timeout}
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
+		cfg.HTTPClient = &http.Client{Timeout: exchangeTimeout}
 	}
 	Stamp(&initial)
 	n := &Node{
@@ -168,7 +162,7 @@ const (
 func (n *Node) merge(remote encode.ClusterDoc) mergeOutcome {
 	if HashDoc(remote) != remote.Hash {
 		n.rejected.Add(1)
-		n.cfg.Logf("cluster: rejecting doc from %q: hash mismatch", remote.Origin)
+		log.Printf("cluster: rejecting doc from %q: hash mismatch", remote.Origin)
 		return mergeRejected
 	}
 	n.mu.Lock()
@@ -225,14 +219,6 @@ func (n *Node) TryAcquireLease(now time.Time, ttl time.Duration) bool {
 		return true
 	})
 	return ok
-}
-
-// HoldsLease reports whether this replica holds a live repair lease.
-func (n *Node) HoldsLease(now time.Time) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	l := n.doc.Lease
-	return l.Holder == n.cfg.ReplicaID && now.UnixMilli() < l.ExpiresUnixMs
 }
 
 // Stats is a point-in-time snapshot for /metrics.

@@ -70,10 +70,10 @@ func Search(nAtoms int, cons *constraint.Set, opt Options) []geom.Vec3 {
 	return s.positions()
 }
 
-// Score returns the total weighted squared constraint violation of a
+// score returns the total weighted squared constraint violation of a
 // conformation — the objective the search minimizes. Exported so callers
 // can compare candidate initializations.
-func Score(pos []geom.Vec3, cons *constraint.Set) float64 {
+func score(pos []geom.Vec3, cons *constraint.Set) float64 {
 	total := 0.0
 	var buf evalBuf
 	x := geom.Flat(pos)

@@ -35,8 +35,8 @@ func TestSearchImprovesScore(t *testing.T) {
 	n := len(h.Atoms)
 	random := Search(n, &cons, Options{Seed: 7, Sweeps: 1}) // essentially the random start
 	refined := Search(n, &cons, Options{Seed: 7})
-	if Score(refined, &cons) >= Score(random, &cons) {
-		t.Fatalf("annealing did not improve: %g vs %g", Score(refined, &cons), Score(random, &cons))
+	if score(refined, &cons) >= score(random, &cons) {
+		t.Fatalf("annealing did not improve: %g vs %g", score(refined, &cons), score(random, &cons))
 	}
 }
 
@@ -91,12 +91,12 @@ func TestScoreGatedConstraints(t *testing.T) {
 	pos := []geom.Vec3{{0, 0, 0}, {3, 0, 0}}
 	inactive := constraint.Of(
 		constraint.DistanceBound{I: 0, J: 1, Lower: 1, Upper: 5, Sigma: 1}.Row())
-	if Score(pos, &inactive) != 0 {
+	if score(pos, &inactive) != 0 {
 		t.Fatal("inactive bound scored")
 	}
 	violated := constraint.Of(
 		constraint.DistanceBound{I: 0, J: 1, Upper: 2, Sigma: 1}.Row())
-	if Score(pos, &violated) <= 0 {
+	if score(pos, &violated) <= 0 {
 		t.Fatal("violated bound not scored")
 	}
 }

@@ -12,14 +12,12 @@ import (
 	"sync"
 
 	"phmse/internal/analysis"
-	"phmse/internal/conform"
 	"phmse/internal/constraint"
 	"phmse/internal/filter"
 	"phmse/internal/geom"
 	"phmse/internal/hier"
 	"phmse/internal/molecule"
 	"phmse/internal/par"
-	"phmse/internal/sched"
 	"phmse/internal/trace"
 	"phmse/internal/workest"
 )
@@ -253,12 +251,6 @@ func (e *Estimator) Root() *hier.Node { return e.root }
 // Problem returns the problem being solved.
 func (e *Estimator) Problem() *molecule.Problem { return e.problem }
 
-// InitialEstimate runs the low-resolution discrete conformational search
-// (the paper's preprocessing step) to produce a starting structure.
-func (e *Estimator) InitialEstimate(seed int64) []geom.Vec3 {
-	return conform.Search(len(e.problem.Atoms), &e.problem.Constraints, conform.Options{Seed: seed})
-}
-
 // Solution is a solved structure estimate.
 type Solution struct {
 	// Positions holds the estimated atom coordinates in problem order.
@@ -341,13 +333,6 @@ func (e *Estimator) SolveContext(ctx context.Context, init []geom.Vec3) (*Soluti
 		return nil, fmt.Errorf("core: init has %d atoms, problem has %d", len(init), len(e.problem.Atoms))
 	}
 	return e.solve(ctx, init, hier.Prior{})
-}
-
-// Work returns the work model's estimates over the estimator's tree, in
-// the model's relative units — what regrouping lowers and processor-sweep
-// experiments balance.
-func Work(e *Estimator) *sched.Work {
-	return sched.EstimateWork(e.root, workest.FlopModel{}, e.cfg.BatchSize)
 }
 
 // control fills the solver's control block from the configuration — the

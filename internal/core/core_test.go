@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"phmse/internal/conform"
 	"phmse/internal/constraint"
 	"phmse/internal/geom"
+	"phmse/internal/hier"
 	"phmse/internal/molecule"
 	"phmse/internal/trace"
 )
@@ -41,7 +43,7 @@ func oneLeafOfAll(e *Estimator) error {
 			return fmt.Errorf("leaf slot %d holds atom %d", i, a)
 		}
 	}
-	if got := root.ScalarConstraints(); got != p.ScalarDim() {
+	if got := hier.ComputeStats(root).Scalars; got != p.ScalarDim() {
 		return fmt.Errorf("leaf holds %d of %d scalar constraints", got, p.ScalarDim())
 	}
 	return nil
@@ -84,7 +86,7 @@ func TestNewHierarchical(t *testing.T) {
 	if e.Root() == nil {
 		t.Fatal("no tree")
 	}
-	if got := e.Root().ScalarConstraints(); got != e.Problem().ScalarDim() {
+	if got := hier.ComputeStats(e.Root()).Scalars; got != e.Problem().ScalarDim() {
 		t.Fatalf("tree holds %d of %d scalar constraints", got, e.Problem().ScalarDim())
 	}
 }
@@ -277,7 +279,7 @@ func TestInitialEstimateUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	init := e.InitialEstimate(11)
+	init := conform.Search(len(p.Atoms), &p.Constraints, conform.Options{Seed: 11})
 	if len(init) != len(p.Atoms) {
 		t.Fatal("wrong init length")
 	}

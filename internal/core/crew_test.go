@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"phmse/internal/faultinject"
+	"phmse/internal/filter"
 	"phmse/internal/molecule"
-	"phmse/internal/solvererr"
 )
 
 // helpers counts the crew helpers alive — goroutines in
@@ -64,7 +64,7 @@ func TestSolveContextStopsItsCrew(t *testing.T) {
 		{name: "hier", mode: Hierarchical},
 		{name: "flat", mode: Flat},
 		{name: "cancelled", mode: Hierarchical, cancel: true, wantErr: context.Canceled},
-		{name: "fault", mode: Hierarchical, fault: true, wantErr: solvererr.ErrIndefinite},
+		{name: "fault", mode: Hierarchical, fault: true, wantErr: filter.ErrIndefinite},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"phmse/internal/filter"
 	"phmse/internal/hier"
 	"phmse/internal/molecule"
-	"phmse/internal/solvererr"
 )
 
 // A hierarchical solve whose first cycles hit an indefinite batch in one
@@ -71,10 +70,10 @@ func TestHierNoProgressFailsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = e.Solve(molecule.Perturbed(p, 0.3, 31))
-	if !errors.Is(err, solvererr.ErrIndefinite) {
+	if !errors.Is(err, filter.ErrIndefinite) {
 		t.Fatalf("err = %v, want ErrIndefinite", err)
 	}
-	var ind *solvererr.Indefinite
+	var ind *filter.Indefinite
 	if !errors.As(err, &ind) || ind.Node == "" {
 		t.Fatalf("typed error %#v should name the node", err)
 	}

@@ -1,13 +1,4 @@
-// Package solvererr defines the typed failure taxonomy of the estimation
-// pipeline. Every way a solve can fail numerically maps onto one sentinel
-// (matched with errors.Is) plus a typed error value carrying the failure's
-// context: which node and batch produced an indefinite innovation
-// covariance, which cycle a NaN appeared in, the RMS trajectory a
-// divergence watchdog observed. The serving layer uses the
-// transient/permanent classification to decide whether an automatic retry
-// has a chance of succeeding, and the Code mapping to put a
-// machine-readable cause on the wire.
-package solvererr
+package filter
 
 import (
 	"context"
@@ -15,8 +6,13 @@ import (
 	"fmt"
 )
 
-// The failure classes, as sentinels for errors.Is. The typed errors below
-// each match exactly one of them.
+// The failure taxonomy of the estimation pipeline: every way a solve can
+// fail numerically maps onto one sentinel (matched with errors.Is) plus a
+// typed error value carrying the failure's context — which node and batch
+// produced an indefinite innovation covariance, which cycle a NaN appeared
+// in, the RMS trajectory the divergence watchdog observed. The serving
+// layer asks Transient whether an automatic retry has a chance, and Code
+// for the machine-readable cause it puts on the wire.
 var (
 	// ErrIndefinite: an innovation covariance S = H·C·Hᵀ + R failed its
 	// Cholesky factorization even after bounded ridge escalation of R.

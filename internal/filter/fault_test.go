@@ -11,7 +11,6 @@ import (
 	"phmse/internal/constraint"
 	"phmse/internal/faultinject"
 	"phmse/internal/geom"
-	"phmse/internal/solvererr"
 )
 
 // chainProblem builds a well-determined 4-atom chain: anchored first atom
@@ -56,7 +55,7 @@ func TestRidgeRecoversSingularBatch(t *testing.T) {
 
 	s, batches := mk()
 	raw := &Updater{}
-	if _, err := applyAll(raw, s, batches); !errors.Is(err, solvererr.ErrIndefinite) {
+	if _, err := applyAll(raw, s, batches); !errors.Is(err, ErrIndefinite) {
 		t.Fatalf("unguarded err = %v, want ErrIndefinite", err)
 	}
 

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-
-	"phmse/internal/solvererr"
 )
 
 // TestIterateStops drives the convergence driver through each of its exits
@@ -76,7 +74,7 @@ func TestIterateStops(t *testing.T) {
 		{
 			name: "no progress non_finite", rms: one, report: quarantineFrom(2, ReasonNonFinite), cycles: 2,
 			check: func(t *testing.T, err error) {
-				var nf *solvererr.NonFinite
+				var nf *NonFinite
 				if !errors.As(err, &nf) || nf.Node != "n" || nf.Batch != 2 || nf.Cycle != 2 {
 					t.Errorf("err = %#v, want NonFinite{n, 2, cycle 2}", err)
 				}
@@ -85,7 +83,7 @@ func TestIterateStops(t *testing.T) {
 		{
 			name: "no progress indefinite", rms: one, report: quarantineFrom(3, ReasonIndefinite), cycles: 3,
 			check: func(t *testing.T, err error) {
-				var ind *solvererr.Indefinite
+				var ind *Indefinite
 				if !errors.As(err, &ind) || ind.Node != "n" || ind.Batch != 2 || ind.Retries != maxRidgeRetries {
 					t.Errorf("err = %#v, want Indefinite{n, 2}", err)
 				}
@@ -97,7 +95,7 @@ func TestIterateStops(t *testing.T) {
 			// past DivergeGrowthFactor, which it does at cycle 14.
 			name: "watchdog waits for compounded growth", rms: pow(1.2), cycles: 14,
 			check: func(t *testing.T, err error) {
-				var dv *solvererr.Diverged
+				var dv *Diverged
 				if !errors.As(err, &dv) || dv.Cycles != 14 || dv.Grew != 13 || len(dv.History) != 14 {
 					t.Errorf("err = %#v, want Diverged{14 cycles, grew 13}", err)
 				}

@@ -7,7 +7,6 @@ import (
 	"phmse/internal/constraint"
 	"phmse/internal/geom"
 	"phmse/internal/par"
-	"phmse/internal/solvererr"
 	"phmse/internal/trace"
 )
 
@@ -56,7 +55,7 @@ type Control struct {
 }
 
 // DefaultDivergeAfter is the divergence watchdog's patience: the solve
-// aborts with a typed solvererr.Diverged (carrying the RMS trajectory) when
+// aborts with a typed Diverged (carrying the RMS trajectory) when
 // the per-cycle RMS change grows for this many consecutive cycles —
 // replacing a silent MaxCycles spin on an inconsistent problem.
 const DefaultDivergeAfter = 8
@@ -160,9 +159,9 @@ func (c Control) Iterate(pass func(cycle int) (rmsChange float64, err error)) (R
 		// nothing and never will — fail with the class of the exclusions.
 		if stats.Applied == 0 && stats.Quarantined > 0 {
 			if stats.Reason == ReasonNonFinite {
-				return res, &solvererr.NonFinite{Node: stats.Node, Batch: stats.Batch, Cycle: cycle}
+				return res, &NonFinite{Node: stats.Node, Batch: stats.Batch, Cycle: cycle}
 			}
-			return res, &solvererr.Indefinite{Node: stats.Node, Batch: stats.Batch, Retries: maxRidgeRetries}
+			return res, &Indefinite{Node: stats.Node, Batch: stats.Batch, Retries: maxRidgeRetries}
 		}
 		if rms < c.Tol {
 			res.Converged = true
@@ -181,7 +180,7 @@ func (c Control) Iterate(pass func(cycle int) (rmsChange float64, err error)) (R
 		}
 		prevRMS = rms
 		if grew >= DefaultDivergeAfter && rms > DivergeGrowthFactor*streakBase {
-			return res, &solvererr.Diverged{Cycles: cycle, Grew: grew, History: c.Diag.RMSTrajectory()}
+			return res, &Diverged{Cycles: cycle, Grew: grew, History: c.Diag.RMSTrajectory()}
 		}
 	}
 	return res, nil

@@ -20,7 +20,6 @@ import (
 	"phmse/internal/molecule"
 	"phmse/internal/par"
 	"phmse/internal/pool"
-	"phmse/internal/solvererr"
 	"phmse/internal/trace"
 )
 
@@ -140,7 +139,7 @@ func TestAllBatchesIndefiniteFailsTyped(t *testing.T) {
 
 	_, cons := filter.ChainProblem()
 	_, res, err := solve(filter.PerturbedChain(), cons, filter.Control{BatchSize: 1})
-	if !errors.Is(err, solvererr.ErrIndefinite) {
+	if !errors.Is(err, filter.ErrIndefinite) {
 		t.Fatalf("err = %v, want ErrIndefinite", err)
 	}
 	if res.Cycles != 1 {
@@ -158,10 +157,10 @@ func TestAllBatchesPoisonedFailsTyped(t *testing.T) {
 
 	_, cons := filter.ChainProblem()
 	s, _, err := solve(filter.PerturbedChain(), cons, filter.Control{BatchSize: 1})
-	if !errors.Is(err, solvererr.ErrNonFinite) {
+	if !errors.Is(err, filter.ErrNonFinite) {
 		t.Fatalf("err = %v, want ErrNonFinite", err)
 	}
-	var nf *solvererr.NonFinite
+	var nf *filter.NonFinite
 	if !errors.As(err, &nf) || nf.Cycle != 1 {
 		t.Fatalf("typed error = %#v", err)
 	}
@@ -189,10 +188,10 @@ func runaway(t *testing.T) constraint.Set {
 func TestDivergenceWatchdog(t *testing.T) {
 	cons := runaway(t)
 	_, res, err := solve([]geom.Vec3{{0, 0, 0}}, cons, filter.Control{MaxStep: -1, MaxCycles: 1000})
-	if !errors.Is(err, solvererr.ErrDiverged) {
+	if !errors.Is(err, filter.ErrDiverged) {
 		t.Fatalf("err = %v, want ErrDiverged", err)
 	}
-	var dv *solvererr.Diverged
+	var dv *filter.Diverged
 	if !errors.As(err, &dv) {
 		t.Fatalf("not a *Diverged: %#v", err)
 	}
@@ -236,7 +235,7 @@ func TestNonFinitePriorRefusedWithoutWork(t *testing.T) {
 	init[1][1] = math.NaN() // x[4]
 	rec := &trace.Collector{}
 	_, res, err := solve(init, cons, filter.Control{BatchSize: 1, Rec: rec})
-	if !errors.Is(err, solvererr.ErrNonFinite) {
+	if !errors.Is(err, filter.ErrNonFinite) {
 		t.Fatalf("err = %v, want ErrNonFinite", err)
 	}
 	if res.Cycles != 1 {

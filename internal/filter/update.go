@@ -9,7 +9,6 @@ import (
 	"phmse/internal/mat"
 	"phmse/internal/par"
 	"phmse/internal/pool"
-	"phmse/internal/solvererr"
 	"phmse/internal/trace"
 )
 
@@ -262,7 +261,7 @@ func (u *Updater) apply(s *State, b *Batch, bound *stateBound) (int, error) {
 				u.Diag.AddRidgeRetry()
 				continue
 			}
-			return 0, &solvererr.Indefinite{Node: u.Node, Batch: u.batchIdx, Dim: m, Retries: ridgeTries, Err: cholErr}
+			return 0, &Indefinite{Node: u.Node, Batch: u.batchIdx, Dim: m, Retries: ridgeTries, Err: cholErr}
 		}
 		// Filter gain K = A·S⁻¹ via triangular solves on each state row,
 		// every try from A: each chunk of the solve copies its rows of A
@@ -483,7 +482,7 @@ pass:
 			u.Diag.AddApplied(m)
 		case err == errRefused:
 			u.Diag.AddQuarantine(u.Node, bi, u.Cycle, ReasonNonFinite)
-		case u.Guard && errors.Is(err, solvererr.ErrIndefinite):
+		case u.Guard && errors.Is(err, ErrIndefinite):
 			// The factorization failed before x or C were touched; exclude
 			// the batch from the rest of this pass.
 			u.Diag.AddQuarantine(u.Node, bi, u.Cycle, ReasonIndefinite)

@@ -109,20 +109,20 @@ func (m Mat3) Mul(n Mat3) Mat3 {
 	return r
 }
 
-// RotZ returns the rotation by angle (radians) about the z axis.
-func RotZ(angle float64) Mat3 {
+// rotZ returns the rotation by angle (radians) about the z axis.
+func rotZ(angle float64) Mat3 {
 	c, s := math.Cos(angle), math.Sin(angle)
 	return Mat3{c, -s, 0, s, c, 0, 0, 0, 1}
 }
 
-// RotY returns the rotation by angle (radians) about the y axis.
-func RotY(angle float64) Mat3 {
+// rotY returns the rotation by angle (radians) about the y axis.
+func rotY(angle float64) Mat3 {
 	c, s := math.Cos(angle), math.Sin(angle)
 	return Mat3{c, 0, s, 0, 1, 0, -s, 0, c}
 }
 
-// RotX returns the rotation by angle (radians) about the x axis.
-func RotX(angle float64) Mat3 {
+// rotX returns the rotation by angle (radians) about the x axis.
+func rotX(angle float64) Mat3 {
 	c, s := math.Cos(angle), math.Sin(angle)
 	return Mat3{1, 0, 0, 0, c, -s, 0, s, c}
 }
@@ -133,13 +133,13 @@ type Frame struct {
 	T Vec3
 }
 
-// IdentityFrame returns the identity transform.
-func IdentityFrame() Frame { return Frame{R: Identity3()} }
+// identityFrame returns the identity transform.
+func identityFrame() Frame { return Frame{R: Identity3()} }
 
 // Apply transforms a point by the frame.
 func (f Frame) Apply(p Vec3) Vec3 { return f.R.MulVec(p).Add(f.T) }
 
-// Compose returns the frame equivalent to applying g first, then f.
-func (f Frame) Compose(g Frame) Frame {
+// compose returns the frame equivalent to applying g first, then f.
+func (f Frame) compose(g Frame) Frame {
 	return Frame{R: f.R.Mul(g.R), T: f.R.MulVec(g.T).Add(f.T)}
 }

@@ -91,15 +91,15 @@ func TestDihedral(t *testing.T) {
 
 func TestRotations(t *testing.T) {
 	v := Vec3{1, 0, 0}
-	got := RotZ(math.Pi / 2).MulVec(v)
+	got := rotZ(math.Pi / 2).MulVec(v)
 	if !almost(got[0], 0, 1e-15) || !almost(got[1], 1, 1e-15) {
 		t.Fatalf("RotZ: %v", got)
 	}
-	got = RotY(math.Pi / 2).MulVec(v)
+	got = rotY(math.Pi / 2).MulVec(v)
 	if !almost(got[2], -1, 1e-15) {
 		t.Fatalf("RotY: %v", got)
 	}
-	got = RotX(math.Pi / 2).MulVec(Vec3{0, 1, 0})
+	got = rotX(math.Pi / 2).MulVec(Vec3{0, 1, 0})
 	if !almost(got[2], 1, 1e-15) {
 		t.Fatalf("RotX: %v", got)
 	}
@@ -110,7 +110,7 @@ func TestRotationPreservesNormProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		v := randVec(rng)
-		r := RotZ(rng.Float64() * 2 * math.Pi).Mul(RotY(rng.Float64() * 2 * math.Pi))
+		r := rotZ(rng.Float64() * 2 * math.Pi).Mul(rotY(rng.Float64() * 2 * math.Pi))
 		return almost(r.MulVec(v).Norm(), v.Norm(), 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -122,8 +122,8 @@ func TestRotationPreservesNormProperty(t *testing.T) {
 func TestMatMulAssociativityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := RotX(rng.NormFloat64())
-		n := RotZ(rng.NormFloat64())
+		m := rotX(rng.NormFloat64())
+		n := rotZ(rng.NormFloat64())
 		v := randVec(rng)
 		left := m.Mul(n).MulVec(v)
 		right := m.MulVec(n.MulVec(v))
@@ -135,9 +135,9 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 }
 
 func TestFrameCompose(t *testing.T) {
-	g := Frame{R: RotZ(math.Pi / 2), T: Vec3{1, 0, 0}}
+	g := Frame{R: rotZ(math.Pi / 2), T: Vec3{1, 0, 0}}
 	f := Frame{R: Identity3(), T: Vec3{0, 0, 5}}
-	fg := f.Compose(g)
+	fg := f.compose(g)
 	p := Vec3{1, 0, 0}
 	want := f.Apply(g.Apply(p))
 	got := fg.Apply(p)
@@ -148,7 +148,7 @@ func TestFrameCompose(t *testing.T) {
 
 func TestIdentityFrame(t *testing.T) {
 	p := Vec3{1, 2, 3}
-	if IdentityFrame().Apply(p) != p {
+	if identityFrame().Apply(p) != p {
 		t.Fatal("identity frame moved point")
 	}
 }
@@ -159,7 +159,7 @@ func TestDihedralRigidInvarianceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a, b, c, d := randVec(rng), randVec(rng), randVec(rng), randVec(rng)
 		fr := Frame{
-			R: RotZ(rng.Float64() * 6).Mul(RotX(rng.Float64() * 6)),
+			R: rotZ(rng.Float64() * 6).Mul(rotX(rng.Float64() * 6)),
 			T: randVec(rng),
 		}
 		d1 := Dihedral(a, b, c, d)

@@ -15,7 +15,6 @@ import (
 	"phmse/internal/molecule"
 	"phmse/internal/par"
 	"phmse/internal/pool"
-	"phmse/internal/solvererr"
 )
 
 // poisonRootStates hands the pool four dim-dimensional states full of NaN
@@ -106,7 +105,7 @@ func TestDirtyRootStateGivesTheSameBits(t *testing.T) {
 			run  func() *filter.State
 		}{
 			{"UpdatePass", func() *filter.State {
-				s, err := UpdatePass(root, init, opt)
+				s, err := onePass(root, init, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -183,7 +182,7 @@ func TestSolveStopsItsCrew(t *testing.T) {
 	}{
 		{name: "converged"},
 		{name: "cancelled", cancel: true, wantErr: context.Canceled},
-		{name: "fault", fault: true, wantErr: solvererr.ErrIndefinite},
+		{name: "fault", fault: true, wantErr: filter.ErrIndefinite},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if c.fault {

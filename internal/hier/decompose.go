@@ -227,35 +227,3 @@ func bipartition(ids []int, adj [][]edge) (left, right []int) {
 	}
 	return left, right
 }
-
-// CutSize returns the number of scalar constraints that must be applied at
-// or above the node joining the given grouping's children — a quality
-// measure for decompositions (fewer is better).
-func CutSize(g *molecule.Group, cons *constraint.Set) int {
-	childOf := map[int]int{}
-	for ci, c := range g.Children {
-		for _, a := range c.Atoms() {
-			childOf[a] = ci
-		}
-	}
-	for _, a := range g.AtomIDs {
-		childOf[a] = -1
-	}
-	cut := 0
-	for r := range cons.Len() {
-		atoms := cons.Atoms(r)
-		first, ok0 := childOf[int(atoms[0])]
-		split := !ok0 || first == -1
-		for _, a := range atoms[1:] {
-			ci, ok := childOf[int(a)]
-			if !ok || ci == -1 || ci != first {
-				split = true
-				break
-			}
-		}
-		if split {
-			cut += cons.Kind(r).Dim()
-		}
-	}
-	return cut
-}

@@ -43,7 +43,7 @@ func TestBuildAssignsConstraintsToLowestNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every constraint lands somewhere; total preserved.
-	if got := root.ScalarConstraints(); got != h.ScalarDim() {
+	if got := ComputeStats(root).Scalars; got != h.ScalarDim() {
 		t.Fatalf("assigned %d of %d scalar constraints", got, h.ScalarDim())
 	}
 	// Each node's constraints reference only subtree atoms, and no child
@@ -173,7 +173,7 @@ func TestHierarchicalMatchesFlatLinearExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	init := p.TruePositions()
-	hierState, err := UpdatePass(root, init, Options{Control: filter.Control{BatchSize: 6, InitVar: 100}})
+	hierState, err := onePass(root, init, Options{Control: filter.Control{BatchSize: 6, InitVar: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestHierarchicalMatchesFlatOnePass(t *testing.T) {
 	if err := root.Prepare(8); err != nil {
 		t.Fatal(err)
 	}
-	hierState, err := UpdatePass(root, init, Options{Control: filter.Control{BatchSize: 8, InitVar: 100}})
+	hierState, err := onePass(root, init, Options{Control: filter.Control{BatchSize: 8, InitVar: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestHierarchicalSolveConverges(t *testing.T) {
 }
 
 // A negative MaxStep disables the trust-region clamp in the hierarchical
-// driver exactly as it does in one UpdatePass: the solve differs from the
+// driver exactly as it does in one onePass: the solve differs from the
 // default-radius one, and equals a hand-rolled loop of passes under the
 // same options bit for bit.
 func TestHierMaxStepNegativeDisablesClamp(t *testing.T) {
@@ -299,7 +299,7 @@ func TestHierMaxStepNegativeDisablesClamp(t *testing.T) {
 	positions := append([]geom.Vec3(nil), init...)
 	var byHand *filter.State
 	for c := 0; c < cycles; c++ {
-		if byHand, err = UpdatePass(root, positions, Options{Control: filter.Control{MaxStep: -1}}); err != nil {
+		if byHand, err = onePass(root, positions, Options{Control: filter.Control{MaxStep: -1}}); err != nil {
 			t.Fatal(err)
 		}
 		for i, a := range root.Atoms {
@@ -309,7 +309,7 @@ func TestHierMaxStepNegativeDisablesClamp(t *testing.T) {
 	same := true
 	for i := range free.X {
 		if free.X[i] != byHand.X[i] {
-			t.Fatalf("coordinate %d: Solve %v, loop of UpdatePass %v under the same MaxStep: -1", i, free.X[i], byHand.X[i])
+			t.Fatalf("coordinate %d: Solve %v, loop of onePass %v under the same MaxStep: -1", i, free.X[i], byHand.X[i])
 		}
 		same = same && free.X[i] == clamped.X[i]
 	}
@@ -337,7 +337,7 @@ func TestParallelChildrenMatchSequential(t *testing.T) {
 		if err := root.Prepare(8); err != nil {
 			t.Fatal(err)
 		}
-		s, err := UpdatePass(root, init, Options{Control: filter.Control{BatchSize: 8, InitVar: 100, Team: par.NewTeam(procs)}})
+		s, err := onePass(root, init, Options{Control: filter.Control{BatchSize: 8, InitVar: 100, Team: par.NewTeam(procs)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -417,8 +417,17 @@ func TestGraphPartitionBeatsNaiveOnShuffledChain(t *testing.T) {
 	if got := len(smart.Atoms()); got != n {
 		t.Fatalf("partition lost atoms: %d", got)
 	}
-	naiveCut := CutSize(naive, &cons)
-	smartCut := CutSize(smart, &cons)
+	// The cut is what Build leaves at the root: the constraints no one
+	// child subtree holds alone.
+	cut := func(g *molecule.Group) int {
+		root, err := Build(g, &cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return root.Scalars()
+	}
+	naiveCut := cut(naive)
+	smartCut := cut(smart)
 	if smartCut >= naiveCut {
 		t.Fatalf("graph partition cut %d not better than naive %d", smartCut, naiveCut)
 	}
@@ -583,7 +592,7 @@ func TestHierarchicalFlatEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		init := p.TruePositions()
-		hierState, err := UpdatePass(root, init, Options{Control: filter.Control{InitVar: 10, MaxStep: -1}})
+		hierState, err := onePass(root, init, Options{Control: filter.Control{InitVar: 10, MaxStep: -1}})
 		if err != nil {
 			return false
 		}
@@ -621,8 +630,8 @@ func TestComputeStats(t *testing.T) {
 	if st.Nodes != root.Count() || st.Depth != root.MaxDepth() {
 		t.Fatalf("stats %+v disagree with tree", st)
 	}
-	if st.Scalars != root.ScalarConstraints() {
-		t.Fatalf("scalars %d vs %d", st.Scalars, root.ScalarConstraints())
+	if st.Scalars != h.ScalarDim() {
+		t.Fatalf("scalars %d vs %d", st.Scalars, h.ScalarDim())
 	}
 	if len(st.Levels) != st.Depth {
 		t.Fatalf("levels = %d, depth = %d", len(st.Levels), st.Depth)

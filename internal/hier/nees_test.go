@@ -107,7 +107,7 @@ func TestNEESInBandOnLinearProblem(t *testing.T) {
 		if err := root.Prepare(ctl.BatchSize); err != nil {
 			t.Fatal(err)
 		}
-		s, err := UpdatePass(root, prior, Options{Control: ctl})
+		s, err := onePass(root, prior, Options{Control: ctl})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -206,7 +206,7 @@ func (n *Node) Rebind(cons *constraint.Set) error {
 // model, largest first, ties by index — longest-processing-time-first,
 // the order a pass posts them to the crew in, so the subtree that takes
 // longest starts first. It must be called before a virtual-machine run or
-// UpdatePass; Solve calls it when the tree has not been prepared for the
+// onePass; Solve calls it when the tree has not been prepared for the
 // batch size it is given.
 func (n *Node) Prepare(batchSize int) error {
 	if batchSize < 1 {
@@ -238,6 +238,10 @@ func (n *Node) prepare(batchSize int) (float64, error) {
 	n.prepared = batchSize
 	return work, nil
 }
+
+// BatchSize returns the batch size the subtree was prepared for (0 before
+// Prepare).
+func (n *Node) BatchSize() int { return n.prepared }
 
 // Batches returns the prepared constraint batches of this node.
 func (n *Node) Batches() []*filter.Batch { return n.batches }
@@ -273,14 +277,6 @@ func (n *Node) Scalars() int {
 	for _, r := range n.Rows {
 		total += n.cons.Kind(int(r)).Dim()
 	}
-	return total
-}
-
-// ScalarConstraints returns the total scalar constraint dimension assigned
-// in the subtree.
-func (n *Node) ScalarConstraints() int {
-	total := 0
-	n.Walk(func(m *Node) { total += m.Scalars() })
 	return total
 }
 

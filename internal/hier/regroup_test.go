@@ -374,7 +374,7 @@ func TestConstraintFreeRootNeverWritesUpperTriangle(t *testing.T) {
 		t.Fatal("the root was meant to own no constraints")
 	}
 	s := fromPoisonedPool(t, root.StateDim(), func() *filter.State {
-		s, err := UpdatePass(root, molecule.Perturbed(p, 0.1, 3), Options{})
+		s, err := onePass(root, molecule.Perturbed(p, 0.1, 3), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,7 +477,7 @@ func TestWideTreesMatchFlatWithCrossNodeCoupling(t *testing.T) {
 			}
 			for _, procs := range []int{1, 2, 3} {
 				ctl.Team = par.NewTeam(procs)
-				s, err := UpdatePass(root, init, Options{Control: ctl})
+				s, err := onePass(root, init, Options{Control: ctl})
 				if err != nil {
 					t.Fatal(err)
 				}

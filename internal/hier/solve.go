@@ -142,11 +142,11 @@ func Solve(root *Node, init []geom.Vec3, opt Options) (*filter.State, filter.Res
 	return state, res, err
 }
 
-// UpdatePass performs one post-order pass over the tree (one cycle) from
-// the given linearization positions and returns the root state, its C in
-// the lower triangle only. A dense prior continues a Solve's own state, so
-// UpdatePass ignores one.
-func UpdatePass(root *Node, positions []geom.Vec3, opt Options) (*filter.State, error) {
+// onePass performs one post-order pass over the tree (one cycle) from the
+// given linearization positions and returns the root state, its C in the
+// lower triangle only. A dense prior continues a Solve's own state, so
+// onePass ignores one.
+func onePass(root *Node, positions []geom.Vec3, opt Options) (*filter.State, error) {
 	opt.Control = opt.Control.WithDefaults()
 	opt.Warm.Cov = nil
 	var stop func()

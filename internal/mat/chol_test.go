@@ -157,7 +157,7 @@ func TestCholeskySolveResidualProperty(t *testing.T) {
 		res := make([]float64, n)
 		MulVec(res, spd, x)
 		SubVec(res, res, b)
-		return Norm2(res) <= 1e-7*(1+Norm2(b))
+		return norm2(res) <= 1e-7*(1+norm2(b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

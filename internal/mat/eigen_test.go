@@ -73,7 +73,7 @@ func TestSymEigenProperty(t *testing.T) {
 			for r := 0; r < n; r++ {
 				av[r] -= w[i] * col[r]
 			}
-			if Norm2(av) > 1e-8*(1+math.Abs(w[i])) {
+			if norm2(av) > 1e-8*(1+math.Abs(w[i])) {
 				return false
 			}
 		}

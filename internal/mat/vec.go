@@ -47,8 +47,8 @@ func SubVec(dst, x, y []float64) {
 	}
 }
 
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
+// norm2 returns the Euclidean norm of x.
+func norm2(x []float64) float64 {
 	// Scaled accumulation avoids overflow for large elements.
 	scale, ssq := 0.0, 1.0
 	for _, v := range x {

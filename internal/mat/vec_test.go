@@ -52,8 +52,8 @@ func TestScaleAddSubVec(t *testing.T) {
 
 func TestNorms(t *testing.T) {
 	x := []float64{3, 4}
-	if !almostEqual(Norm2(x), 5, 1e-14) {
-		t.Fatalf("Norm2 = %g", Norm2(x))
+	if !almostEqual(norm2(x), 5, 1e-14) {
+		t.Fatalf("Norm2 = %g", norm2(x))
 	}
 	if NormInf([]float64{1, -9, 2}) != 9 {
 		t.Fatal("NormInf")
@@ -63,11 +63,11 @@ func TestNorms(t *testing.T) {
 func TestNorm2Overflow(t *testing.T) {
 	// Naive sum of squares would overflow here; scaled accumulation must not.
 	x := []float64{1e200, 1e200}
-	if math.IsInf(Norm2(x), 1) {
+	if math.IsInf(norm2(x), 1) {
 		t.Fatal("Norm2 overflowed")
 	}
-	if !almostEqual(Norm2(x)/1e200, math.Sqrt2, 1e-12) {
-		t.Fatalf("Norm2 = %g", Norm2(x))
+	if !almostEqual(norm2(x)/1e200, math.Sqrt2, 1e-12) {
+		t.Fatalf("Norm2 = %g", norm2(x))
 	}
 }
 
@@ -103,7 +103,7 @@ func TestMulVecTProperty(t *testing.T) {
 		slow := make([]float64, c)
 		MulVec(slow, a.T(), y)
 		SubVec(slow, slow, fast)
-		return Norm2(slow) < 1e-10
+		return norm2(slow) < 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestCauchySchwarzProperty(t *testing.T) {
 		for i := range x {
 			x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
 		}
-		return math.Abs(Dot(x, y)) <= Norm2(x)*Norm2(y)*(1+1e-12)
+		return math.Abs(Dot(x, y)) <= norm2(x)*norm2(y)*(1+1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

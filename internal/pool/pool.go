@@ -10,7 +10,7 @@
 // Buffers are grouped into power-of-two size classes, each backed by a
 // sync.Pool so idle memory is reclaimed under GC pressure. Get returns a
 // buffer with unspecified contents (the hot paths fully overwrite their
-// destinations); GetZeroed and GetMat zero-fill for callers that rely on
+// destinations); GetZeroed and getMat zero-fill for callers that rely on
 // zero initialization. Returning a buffer with Put is optional — a buffer
 // that escapes into a long-lived result is simply never returned.
 //
@@ -39,7 +39,7 @@ var disabled atomic.Bool
 
 // Counters of pool effectiveness, served by /metrics.
 var (
-	gets atomic.Int64 // Get/GetZeroed/GetMat calls
+	gets atomic.Int64 // Get/GetZeroed/getMat calls
 	hits atomic.Int64 // gets satisfied by a reused buffer
 	puts atomic.Int64 // buffers returned for reuse
 )
@@ -109,15 +109,15 @@ func Put(b []float64) {
 	classes[c].Put(&b)
 }
 
-// GetMat returns a zeroed r×c matrix with compact stride backed by a
+// getMat returns a zeroed r×c matrix with compact stride backed by a
 // pooled buffer.
-func GetMat(r, c int) *mat.Mat {
+func getMat(r, c int) *mat.Mat {
 	return &mat.Mat{Rows: r, Cols: c, Stride: c, Data: GetZeroed(r * c)}
 }
 
 // PutMat returns a matrix's backing buffer for reuse and clears the
 // matrix so accidental reuse fails loudly. Only matrices with compact
-// stride (as returned by GetMat or mat.New) own their whole
+// stride (as returned by getMat or mat.New) own their whole
 // buffer; views into larger allocations must not be returned.
 func PutMat(m *mat.Mat) {
 	if m == nil || m.Stride != m.Cols {

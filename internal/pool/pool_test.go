@@ -41,7 +41,7 @@ func TestGetZeroedIsZero(t *testing.T) {
 }
 
 func TestGetMatZeroed(t *testing.T) {
-	m := GetMat(8, 8)
+	m := getMat(8, 8)
 	for i := range m.Data {
 		m.Data[i] = math.NaN()
 	}
@@ -49,7 +49,7 @@ func TestGetMatZeroed(t *testing.T) {
 	if m.Data != nil || m.Rows != 0 {
 		t.Fatalf("PutMat left matrix usable: %+v", m)
 	}
-	z := GetMat(8, 8)
+	z := getMat(8, 8)
 	if z.Rows != 8 || z.Cols != 8 || z.Stride != 8 {
 		t.Fatalf("GetMat shape: %+v", z)
 	}
@@ -61,7 +61,7 @@ func TestGetMatZeroed(t *testing.T) {
 }
 
 func TestPutViewRefused(t *testing.T) {
-	m := GetMat(4, 8)
+	m := getMat(4, 8)
 	v := m.View(0, 0, 4, 4) // non-compact stride: must not be pooled
 	PutMat(v)
 	if v.Data == nil {

@@ -128,7 +128,7 @@ func (rt *Router) handleAdminRetire(remove bool) http.HandlerFunc {
 				fmt.Sprintf("mode must be drain or immediate, got %q", mode))
 			return
 		}
-		deadline := rt.cfg.DrainDeadline
+		deadline := drainDeadline
 		if v := q.Get("deadline_ms"); v != "" {
 			ms, err := strconv.Atoi(v)
 			if err != nil || ms < 0 {
@@ -268,7 +268,7 @@ func (rt *Router) awaitQuiesce(ctx context.Context, sh *shard, deadline time.Dur
 	defer func() { waitedMillis = time.Since(start).Milliseconds() }()
 	for failures := 0; ; {
 		var rs encode.HealthStatus
-		pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		_, answered := rt.probeGet(pctx, sh, "/readyz", &rs)
 		cancel()
 		if answered {

@@ -238,14 +238,9 @@ func TestMigrationDestDownLeavesSourceIntact(t *testing.T) {
 	// An hour-long probe interval freezes the router's health view: the
 	// destination stays "ready" (and so keeps its ring arcs) even after we
 	// kill it, which is exactly the crash window under test.
-	cl := newClusterWith(t, 2, "", func(c *Config) {
-		c.ProbeInterval = time.Hour
-		c.ProbeTimeout = 500 * time.Millisecond
-		// A stopped destination fails transfers with an instant dial
-		// refusal, so the timeout never gates the crash window — keep it
-		// generous for the recovery transfer under the race detector.
-		c.MigrateTimeout = 10 * time.Second
-	})
+	// A stopped destination fails transfers with an instant dial refusal,
+	// so migrateTimeout never gates the crash window.
+	cl := newClusterWith(t, 2, "", func(c *Config) { c.ProbeInterval = time.Hour })
 	ctx := context.Background()
 	admin := client.NewAdmin(cl.rts.URL, "")
 

@@ -224,14 +224,9 @@ func newChaosCluster(t *testing.T, n int, mut func(*Config)) *chaosCluster {
 		bases = append(bases, b.url())
 	}
 	cfg := Config{
-		Shards:          bases,
-		ProbeInterval:   time.Hour, // probes only via CheckNow
-		ProbeTimeout:    2 * time.Second,
-		BreakerFailures: 2,
-		BreakerCooldown: 100 * time.Millisecond,
-		FlapCount:       -1, // scenarios bounce shards deliberately
-		RepairInterval:  -1, // sweeps only via RepairNow
-		Retry:           client.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
+		Shards:         bases,
+		ProbeInterval:  time.Hour, // probes only via CheckNow
+		RepairInterval: -1,        // sweeps only via RepairNow
 		// A backstop against true hangs only: big posterior transfers
 		// (export + re-decode + store) legitimately take seconds, so the
 		// timeout must sit well above any honest request.
@@ -306,8 +301,16 @@ func (cc *chaosCluster) waitDoneRetry(t *testing.T, id string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	if _, err := cc.c.WaitRetry(ctx, id, 20*time.Millisecond, encode.JobDone); err != nil {
-		t.Fatalf("waiting for %s: %v", id, err)
+	for {
+		_, err := cc.c.Wait(ctx, id, 20*time.Millisecond, encode.JobDone)
+		var ae *client.APIError
+		if err == nil {
+			return
+		}
+		if ctx.Err() != nil || errors.As(err, &ae) && ae.HTTPStatus < 500 {
+			t.Fatalf("waiting for %s: %v", id, err)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -434,7 +437,7 @@ func TestBreakerOpensOnLiveFailures(t *testing.T) {
 	// Recovery: faults clear, the cooldown elapses, and a probe sweep
 	// half-opens the breaker (the shard re-enters the ring for its trial).
 	cc.faults.clear()
-	cc.clock.advance(cc.rt.cfg.BreakerCooldown)
+	cc.clock.advance(breakerCooldown)
 	cc.rt.CheckNow(ctx)
 	if got := cc.breakerStateOf(t, owner); got != "half_open" {
 		t.Fatalf("breaker state after cooldown = %q, want half_open", got)
@@ -481,8 +484,8 @@ func TestMigrationFailureKicksRepair(t *testing.T) {
 	if len(cc.rt.repairKick) != 1 {
 		t.Fatal("failed migration pass did not kick the repair loop")
 	}
-	if errs := cc.faults.errors.Load(); errs < int64(cc.rt.cfg.Retry.MaxAttempts) {
-		t.Fatalf("destination saw %d injected errors, want >= %d (the PUT must retry)", errs, cc.rt.cfg.Retry.MaxAttempts)
+	if errs := cc.faults.errors.Load(); errs < int64(forwardRetry.MaxAttempts) {
+		t.Fatalf("destination saw %d injected errors, want >= %d (the PUT must retry)", errs, forwardRetry.MaxAttempts)
 	}
 
 	// Fail-safe: the posterior never left the drained source.
@@ -555,7 +558,7 @@ func TestChaosSelfHealing(t *testing.T) {
 	// store. One probe sweep readmits it; the elapsed cooldown half-opens
 	// its breaker, and the trial submission closes it.
 	cc.backends[victim].start(t)
-	cc.clock.advance(cc.rt.cfg.BreakerCooldown)
+	cc.clock.advance(breakerCooldown)
 	cc.rt.CheckNow(ctx)
 	if got := cc.breakerStateOf(t, victim); got != "half_open" {
 		t.Fatalf("victim breaker after restart = %q, want half_open", got)

@@ -57,9 +57,7 @@ func newTwoRouters(t *testing.T, n int, clk *testClock, mut func(*Config)) *twoR
 		cfg := Config{
 			Shards:         bases,
 			ProbeInterval:  50 * time.Millisecond,
-			ProbeTimeout:   2 * time.Second,
 			AdminToken:     twoRouterToken,
-			Retry:          client.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
 			RepairInterval: -1,
 			GossipInterval: -1, // every round is an explicit GossipNow
 			ReplicaID:      id,
@@ -265,17 +263,17 @@ func TestTwoRouterConflictConverges(t *testing.T) {
 // TestTwoRouterRepairLease: exactly one replica runs the anti-entropy
 // sweep per interval — the lease holder — and a peer takes over only
 // after the lease expires. Both replicas read one test clock, so expiry
-// is the clock moving past LeaseTTL, not the test sleeping.
+// is the clock moving past leaseTTL, not the test sleeping.
 func TestTwoRouterRepairLease(t *testing.T) {
 	clk := newTestClock()
-	tr := newTwoRouters(t, 2, clk, func(cfg *Config) { cfg.LeaseTTL = 250 * time.Millisecond })
+	tr := newTwoRouters(t, 2, clk, nil)
 	ctx := context.Background()
 
 	tr.a.repairTick()
 	if got := tr.a.repairSweeps.Load(); got != 1 {
 		t.Fatalf("lease holder ran %d sweeps, want 1", got)
 	}
-	if !tr.a.cnode.HoldsLease(clk.now()) {
+	if !holdsLease(tr.a, clk.now()) {
 		t.Fatal("a swept without holding the lease")
 	}
 	tr.a.GossipNow(ctx)
@@ -290,14 +288,21 @@ func TestTwoRouterRepairLease(t *testing.T) {
 	}
 
 	// Once the lease expires un-renewed, b's next tick takes it over.
-	clk.advance(300 * time.Millisecond)
+	clk.advance(tr.a.cfg.leaseTTL() + 50*time.Millisecond)
 	tr.b.repairTick()
 	if got := tr.b.repairSweeps.Load(); got != 1 {
 		t.Fatalf("b did not sweep after lease expiry: %d sweeps", got)
 	}
-	if !tr.b.cnode.HoldsLease(clk.now()) {
+	if !holdsLease(tr.b, clk.now()) {
 		t.Fatal("b swept without taking the lease over")
 	}
+}
+
+// holdsLease reports whether the replica's document names it the holder of
+// a live repair lease.
+func holdsLease(rt *Router, now time.Time) bool {
+	l := rt.cnode.Current().Lease
+	return l.Holder == rt.cfg.ReplicaID && now.UnixMilli() < l.ExpiresUnixMs
 }
 
 // TestTwoRouterE2EServe is the two-router end-to-end: a shard added via

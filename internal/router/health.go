@@ -24,8 +24,8 @@ import (
 // Circuit breaker: live forward failures (transport errors and 5xx) that
 // the probes cannot see — a wedged handler, an asymmetric network fault, a
 // proxy in front of a dead daemon — open the breaker after
-// BreakerFailures in a row, and the shard leaves the ring. After
-// BreakerCooldown the next probe or directed request half-opens it: the
+// breakerFailures in a row, and the shard leaves the ring. After
+// breakerCooldown the next probe or directed request half-opens it: the
 // shard re-enters the ring and admits exactly one trial request at a time,
 // whose success closes the breaker and whose failure reopens it.
 //
@@ -108,7 +108,7 @@ func (rt *Router) observe(sh *shard, ev event) (admit, trial bool) {
 	now := rt.now()
 	sh.mu.Lock()
 	before, was := sh.stateLocked(), sh.quarantines
-	admit, trial, why := sh.apply(ev, now, &rt.cfg)
+	admit, trial, why := sh.apply(ev, now, rt.cfg.ProbeInterval)
 	after, quarantines := sh.stateLocked(), sh.quarantines
 	sh.mu.Unlock()
 	quarantined := ev.kind == evProbe && quarantines > was
@@ -130,24 +130,20 @@ func (rt *Router) observe(sh *shard, ev event) (admit, trial bool) {
 
 // apply is the transition table. why names the step that decided the
 // event, for the log line of a ring-membership change.
-func (h *health) apply(ev event, now time.Time, cfg *Config) (admit, trial bool, why string) {
-	breaking := cfg.BreakerFailures > 0
+func (h *health) apply(ev event, now time.Time, probeEvery time.Duration) (admit, trial bool, why string) {
 	// The cooldown clock ticks on probes (so a shard the ring excluded
 	// still gets its trial) and on admissions: the one open → half-open
 	// transition.
-	ticks := ev.kind == evProbe || ev.kind == evAdmit && breaking
-	if ticks && h.breaker == BreakerOpen && now.Sub(h.openedAt) >= cfg.BreakerCooldown {
+	ticks := ev.kind == evProbe || ev.kind == evAdmit
+	if ticks && h.breaker == BreakerOpen && now.Sub(h.openedAt) >= breakerCooldown {
 		h.breaker = BreakerHalfOpen
 		h.halfOpens++
 		why = "breaker cooldown elapsed"
 	}
 	switch ev.kind {
 	case evProbe:
-		why = cmp.Or(why, h.probe(ev, now, cfg))
+		why = cmp.Or(why, h.probe(ev, now, probeEvery))
 	case evAdmit:
-		if !breaking {
-			return true, false, ""
-		}
 		switch {
 		case h.breaker == BreakerClosed:
 			return true, false, why
@@ -157,9 +153,6 @@ func (h *health) apply(ev event, now time.Time, cfg *Config) (admit, trial bool,
 		h.trial = true
 		return true, true, why
 	case evForward:
-		if !breaking {
-			break
-		}
 		if ev.trial {
 			h.trial = false
 		}
@@ -178,7 +171,7 @@ func (h *health) apply(ev event, now time.Time, cfg *Config) (admit, trial bool,
 			why = "half-open trial failed"
 		case h.breaker == BreakerClosed:
 			h.fails++
-			if h.fails >= cfg.BreakerFailures {
+			if h.fails >= breakerFailures {
 				h.open(now)
 			}
 			why = fmt.Sprintf("%d consecutive forward failures", h.fails)
@@ -203,10 +196,10 @@ func (h *health) apply(ev event, now time.Time, cfg *Config) (admit, trial bool,
 // saturated) leaves the ring but keeps the normal cadence — saturation
 // clears quickly, so readmission must too — and stays askable: a daemon
 // draining itself is still finishing jobs and answering reads of them.
-// One good probe readmits a stable shard; one readmitted FlapCount times
-// within FlapWindow is quarantined and owes an escalating probation of
+// One good probe readmits a stable shard; one readmitted flapCount times
+// within flapWindow is quarantined and owes an escalating probation of
 // consecutive good probes, restarted by any bad one.
-func (h *health) probe(ev event, now time.Time, cfg *Config) (why string) {
+func (h *health) probe(ev event, now time.Time, probeEvery time.Duration) (why string) {
 	h.alive = ev.alive
 	// A saturated daemon's 503 still carries its occupancy; a dead shard
 	// reads as zero.
@@ -219,8 +212,8 @@ func (h *health) probe(ev event, now time.Time, cfg *Config) (why string) {
 	}
 	if !ev.alive {
 		h.consecFails++
-		limit := max(maxProbeBackoff, cfg.ProbeInterval)
-		backoff := cfg.ProbeInterval
+		limit := max(maxProbeBackoff, probeEvery)
+		backoff := probeEvery
 		for i := 1; i < h.consecFails && backoff < limit; i++ {
 			backoff *= 2
 		}
@@ -228,7 +221,7 @@ func (h *health) probe(ev event, now time.Time, cfg *Config) (why string) {
 		return "probe: down"
 	}
 	h.consecFails = 0
-	h.nextProbe = now.Add(cfg.ProbeInterval)
+	h.nextProbe = now.Add(probeEvery)
 	if !ev.ready {
 		return "probe: not ready"
 	}
@@ -238,20 +231,18 @@ func (h *health) probe(ev event, now time.Time, cfg *Config) (why string) {
 	// Readmission of an out shard. The stable path readmits at once; a
 	// flapping one is quarantined under a probation of consecutive good
 	// probes that doubles on every repeat offence.
-	if cfg.FlapCount > 0 {
-		keep := h.readmits[:0]
-		for _, ts := range h.readmits {
-			if now.Sub(ts) < cfg.FlapWindow {
-				keep = append(keep, ts)
-			}
+	keep := h.readmits[:0]
+	for _, ts := range h.readmits {
+		if now.Sub(ts) < flapWindow {
+			keep = append(keep, ts)
 		}
-		h.readmits = keep
 	}
+	h.readmits = keep
 	switch {
 	case h.probationLeft > 1:
 		h.probationLeft--
 		return "probe: ready, on probation"
-	case h.probationLeft == 0 && cfg.FlapCount > 0 && len(h.readmits) >= cfg.FlapCount:
+	case h.probationLeft == 0 && len(h.readmits) >= flapCount:
 		h.quarantines++
 		h.probationLeft = probation(h.quarantines)
 		return "probe: ready, quarantined for flapping"
@@ -319,7 +310,7 @@ func (rt *Router) sweep(ctx context.Context, force bool) {
 
 // probeShard polls one backend and feeds the verdict to its machine.
 func (rt *Router) probeShard(ctx context.Context, sh *shard) {
-	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	var hs, rs encode.HealthStatus
 	code, decoded := rt.probeGet(pctx, sh, "/healthz", &hs)

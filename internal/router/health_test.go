@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"phmse/internal/client"
 	"phmse/internal/cluster"
 	"phmse/internal/encode"
 )
@@ -58,11 +57,9 @@ func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { retu
 func newMachine(t *testing.T, n int, clk *testClock, mut func(*Config)) (*Router, []*shard) {
 	t.Helper()
 	cfg := Config{
-		ProbeInterval:   time.Second,
-		BreakerFailures: 3,
-		BreakerCooldown: time.Second,
-		RepairInterval:  -1,
-		GossipInterval:  -1,
+		ProbeInterval:  time.Second,
+		RepairInterval: -1,
+		GossipInterval: -1,
 		HTTPClient: &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
 			return faultResponse(req, http.StatusOK, "healthy"), nil
 		})},
@@ -107,7 +104,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	clk := newTestClock()
 	rt, shards := newMachine(t, 1, clk, nil)
 	sh := shards[0]
-	cooldown := rt.cfg.BreakerCooldown
+	cooldown := breakerCooldown
 	admit := func(wantOK, wantTrial bool, step string) {
 		t.Helper()
 		if ok, trial := rt.observe(sh, event{kind: evAdmit}); ok != wantOK || trial != wantTrial {
@@ -172,8 +169,8 @@ func TestBreakerTick(t *testing.T) {
 	clk := newTestClock()
 	rt, shards := newMachine(t, 1, clk, nil)
 	sh := shards[0]
-	cooldown := rt.cfg.BreakerCooldown
-	for i := 0; i < rt.cfg.BreakerFailures; i++ {
+	cooldown := breakerCooldown
+	for i := 0; i < breakerFailures; i++ {
 		rt.observe(sh, event{kind: evForward})
 	}
 	probe := func() { rt.observe(sh, event{kind: evProbe, alive: true, ready: true}) }
@@ -203,9 +200,9 @@ func TestHalfOpenByRequestRejoinsRing(t *testing.T) {
 		if r.URL.Path == "/v1/jobs/s1.job-000001" {
 			mu.Lock()
 			calls++
-			first := calls == 1
+			wedged := calls <= breakerFailures
 			mu.Unlock()
-			if first {
+			if wedged {
 				writeError(w, http.StatusInternalServerError, encode.CodeInternal, "wedged")
 				return
 			}
@@ -217,12 +214,9 @@ func TestHalfOpenByRequestRejoinsRing(t *testing.T) {
 	t.Cleanup(stub.Close)
 	clk := newTestClock()
 	rt := newRouterAt(t, Config{
-		Shards:          []string{stub.URL},
-		ProbeInterval:   time.Hour,
-		RepairInterval:  -1,
-		BreakerFailures: 1,
-		BreakerCooldown: 50 * time.Millisecond,
-		Retry:           client.RetryPolicy{MaxAttempts: 1},
+		Shards:         []string{stub.URL},
+		ProbeInterval:  time.Hour,
+		RepairInterval: -1,
 	}, clk)
 	t.Cleanup(rt.Close)
 	rts := httptest.NewServer(rt)
@@ -239,13 +233,17 @@ func TestHalfOpenByRequestRejoinsRing(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	if code := status(); code != http.StatusInternalServerError {
-		t.Fatalf("first status poll: %d, want the relayed 500", code)
+	// Each poll relays the 500 once its retries are spent, until
+	// breakerFailures consecutive failures open the breaker.
+	for polls := 0; len(rt.currentRing().points) != 0; polls++ {
+		if polls == breakerFailures {
+			t.Fatalf("breaker open at threshold %d, but the shard is still in the ring", breakerFailures)
+		}
+		if code := status(); code != http.StatusInternalServerError {
+			t.Fatalf("status poll %d: %d, want the relayed 500", polls+1, code)
+		}
 	}
-	if len(rt.currentRing().points) != 0 {
-		t.Fatal("breaker open at threshold 1, but the shard is still in the ring")
-	}
-	clk.advance(rt.cfg.BreakerCooldown)
+	clk.advance(breakerCooldown)
 	if code := status(); code != http.StatusOK {
 		t.Fatalf("trial status poll: %d, want 200", code)
 	}
@@ -264,7 +262,7 @@ func TestHalfOpenByRequestRejoinsRing(t *testing.T) {
 // (run under -race).
 func TestHealthEventsConcurrent(t *testing.T) {
 	clk := newTestClock()
-	rt, shards := newMachine(t, 4, clk, func(cfg *Config) { cfg.BreakerFailures = 2 })
+	rt, shards := newMachine(t, 4, clk, nil)
 	var wg sync.WaitGroup
 	for g := int64(1); g <= 8; g++ {
 		wg.Add(1)
@@ -279,7 +277,7 @@ func TestHealthEventsConcurrent(t *testing.T) {
 				case 1:
 					rt.observe(sh, event{kind: evEject})
 				case 2:
-					clk.advance(time.Duration(rng.Int63n(int64(rt.cfg.BreakerCooldown))))
+					clk.advance(time.Duration(rng.Int63n(int64(breakerCooldown))))
 				default:
 					if ok, trial := rt.observe(sh, event{kind: evAdmit}); ok {
 						rt.observe(sh, event{kind: evForward, ok: rng.Intn(2) == 0, trial: trial})
@@ -320,12 +318,7 @@ func TestHealthSchedules(t *testing.T) {
 func runHealthSchedule(t *testing.T, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	clk := newTestClock()
-	rt, shards := newMachine(t, 3, clk, func(cfg *Config) {
-		cfg.BreakerFailures = 2
-		cfg.BreakerCooldown = 5 * time.Second
-		cfg.FlapCount = 2
-		cfg.FlapWindow = time.Minute
-	})
+	rt, shards := newMachine(t, 3, clk, nil)
 	ctx := context.Background()
 	doc := rt.cnode.Current() // the membership document the syncs deliver
 	maxWait := max(maxProbeBackoff, rt.cfg.ProbeInterval)
@@ -459,10 +452,7 @@ func shardMetricsOf(t *testing.T, rt *Router, base string) ShardMetrics {
 // mid-probation resets the requirement, and a repeat offence doubles it.
 func TestFlapSuppressionQuarantine(t *testing.T) {
 	cl := newClusterWith(t, 2, "", func(cfg *Config) {
-		cfg.ProbeInterval = time.Hour // probes only via CheckNow
-		cfg.FlapCount = 2
-		cfg.FlapWindow = time.Minute
-		cfg.BreakerFailures = -1 // isolate flap suppression from breaking
+		cfg.ProbeInterval = time.Hour // probes only via CheckNow; no forwards reach the breaker
 		cfg.RepairInterval = -1
 	})
 	ctx := context.Background()
@@ -476,9 +466,9 @@ func TestFlapSuppressionQuarantine(t *testing.T) {
 	}
 
 	// Shards start optimistic (in the ring), so the startup probe is not a
-	// readmission: the first two bounces readmit immediately on one good
-	// probe each — the stable-shard behaviour.
-	for i := 0; i < 2; i++ {
+	// readmission: the first flapCount bounces readmit immediately on one
+	// good probe each — the stable-shard behaviour.
+	for i := 0; i < flapCount; i++ {
 		bounce()
 		cl.rt.CheckNow(ctx)
 		if sm := shardMetricsOf(t, cl.rt, b.url()); !sm.Ready || sm.Quarantines != 0 {
@@ -487,7 +477,7 @@ func TestFlapSuppressionQuarantine(t *testing.T) {
 		}
 	}
 
-	// The third bounce finds FlapCount readmissions inside the window:
+	// The next bounce finds flapCount readmissions inside the window:
 	// quarantine, probation of 2 consecutive good probes.
 	bounce()
 	cl.rt.CheckNow(ctx)

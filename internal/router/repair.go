@@ -61,10 +61,10 @@ func (rt *Router) repairLoop() {
 // sweeper lease, and only then sweep. Exactly one replica holds a live
 // lease per interval — the others see it via gossip (the acquisition is
 // gossiped at once) and skip, so two routers never race duplicate
-// transfers. A crashed holder's lease expires after LeaseTTL. The forced
+// transfers. A crashed holder's lease expires after leaseTTL. The forced
 // sweep (POST /admin/v1/repair) stays unconditional.
 func (rt *Router) repairTick() {
-	if !rt.cnode.TryAcquireLease(rt.now(), rt.cfg.LeaseTTL) {
+	if !rt.cnode.TryAcquireLease(rt.now(), rt.cfg.leaseTTL()) {
 		rt.leaseSkips.Add(1)
 		return
 	}

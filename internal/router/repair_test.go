@@ -270,7 +270,6 @@ func scriptedRouter(t *testing.T, base string) *Router {
 		Shards:         []string{base},
 		ProbeInterval:  time.Hour,
 		RepairInterval: -1,
-		Retry:          client.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
 	"sort"
@@ -84,6 +83,40 @@ const (
 	placeConcurrency = 2
 )
 
+// Timings and thresholds no deployment tunes: each equals the default of
+// the phmse-router flag that set it before that flag was retired.
+const (
+	// probeTimeout bounds one health probe (and one readiness poll of a
+	// draining shard, or one exact-id posterior lookup).
+	probeTimeout = time.Second
+	// drainDeadline is how long a graceful drain waits for a shard's
+	// in-flight jobs before migrating and ejecting anyway; a request's
+	// ?deadline_ms= overrides it.
+	drainDeadline = 30 * time.Second
+	// migrateTimeout bounds one posterior transfer: export + import +
+	// delete.
+	migrateTimeout = 10 * time.Second
+	// breakerFailures consecutive live-forward failures (transport errors
+	// or 5xx responses) open a shard's circuit breaker, fencing it out of
+	// the ring; after breakerCooldown it half-opens to admit one trial.
+	breakerFailures = 3
+	breakerCooldown = 5 * time.Second
+	// flapCount ring readmissions within flapWindow quarantine a shard:
+	// instead of the single-success readmission, it must stay healthy
+	// through an escalating probation of consecutive good probes (2, 4,
+	// 8, … doubling per quarantine, capped at 32).
+	flapCount  = 3
+	flapWindow = time.Minute
+	// defaultRepairInterval is the anti-entropy sweep period when
+	// Config.RepairInterval is 0.
+	defaultRepairInterval = 30 * time.Second
+)
+
+// forwardRetry shapes forwarded-request and transfer retries with
+// client.RetryPolicy semantics: transport failures and 5xx responses are
+// retried for idempotent GETs only, with jittered exponential backoff.
+var forwardRetry = client.RetryPolicy{MaxAttempts: 3, BaseDelay: 25 * time.Millisecond, MaxDelay: time.Second}
+
 // Config sizes the router. The zero value of every field selects a
 // default; Shards is required.
 type Config struct {
@@ -91,8 +124,6 @@ type Config struct {
 	Shards []string
 	// ProbeInterval is the per-shard health-poll period (default 2s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe (default 1s).
-	ProbeTimeout time.Duration
 	// ShardInflight caps the requests concurrently forwarded to any one
 	// shard — a counting semaphore per backend, so a slow daemon
 	// accumulates bounded load instead of every queued connection the
@@ -100,47 +131,19 @@ type Config struct {
 	// job request whose owning shard is saturated, is answered 429 with a
 	// Retry-After hint. 0 (the default) disables the limit.
 	ShardInflight int
-	// Retry shapes forwarded-request retries with client.RetryPolicy
-	// semantics: transport failures and 5xx responses are retried for
-	// idempotent GETs only, with jittered exponential backoff.
-	Retry client.RetryPolicy
 	// AdminToken, when set, gates the /admin/v1 control plane behind
 	// "Authorization: Bearer <token>" and is presented by the router on
 	// the daemons' posterior-transfer endpoints — deploy one token
 	// cluster-wide. Empty leaves the admin API open (the test default).
 	AdminToken string
-	// DrainDeadline bounds how long a graceful drain waits for a shard's
-	// in-flight jobs before migrating and ejecting anyway (default 30s).
-	// Per-request ?deadline_ms= overrides it.
-	DrainDeadline time.Duration
-	// MigrateTimeout bounds one posterior transfer: export + import +
-	// delete (default 10s).
-	MigrateTimeout time.Duration
 
 	// RepairInterval is the anti-entropy sweep period (default 30s;
 	// negative disables the loop): each sweep runs the placement pass over
 	// every placeable shard (repair.go). The period is jittered ±20% so
 	// multiple routers do not sweep in lockstep, and an admin pass that
-	// reported failures kicks an immediate sweep.
+	// reported failures kicks an immediate sweep. The sweeper lease lasts
+	// three periods (leaseTTL).
 	RepairInterval time.Duration
-
-	// BreakerFailures is the consecutive live-forward failures (transport
-	// errors or 5xx responses) that open a shard's circuit breaker,
-	// fencing it out of the ring (default 3; <= -1 disables the breaker,
-	// 0 selects the default).
-	BreakerFailures int
-	// BreakerCooldown is how long an open breaker waits before
-	// half-opening to admit one trial request (default 5s).
-	BreakerCooldown time.Duration
-	// FlapCount quarantines a shard readmitted to the ring this many
-	// times within FlapWindow: instead of the single-success readmission,
-	// it must stay healthy through an escalating probation of consecutive
-	// good probes (2, 4, 8, … doubling per quarantine, capped at 32).
-	// Default 3; <= -1 disables flap suppression, 0 selects the default.
-	FlapCount int
-	// FlapWindow is the sliding window over ring readmissions that
-	// defines flapping (default 60s).
-	FlapWindow time.Duration
 
 	// AuditLog, when set, appends one JSON line per admin membership
 	// change (and per effective repair sweep) to this file. The last
@@ -165,12 +168,6 @@ type Config struct {
 	// run via GossipNow and inbound pushes, the test mode). Admin
 	// mutations additionally kick an immediate round.
 	GossipInterval time.Duration
-	// LeaseTTL is the repair-sweeper lease duration (default 3×
-	// RepairInterval): the window during which the lease-holding replica
-	// owns the anti-entropy posterior sweep and every peer skips its
-	// own. A holder renews on each sweep; a crashed holder's lease
-	// simply expires.
-	LeaseTTL time.Duration
 
 	// HTTPClient overrides the forwarding/probing client.
 	HTTPClient *http.Client
@@ -180,50 +177,13 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.Retry.MaxAttempts <= 0 {
-		c.Retry.MaxAttempts = 3
-	}
-	if c.Retry.BaseDelay <= 0 {
-		c.Retry.BaseDelay = 25 * time.Millisecond
-	}
-	if c.Retry.MaxDelay <= 0 {
-		c.Retry.MaxDelay = time.Second
-	}
-	if c.DrainDeadline <= 0 {
-		c.DrainDeadline = 30 * time.Second
-	}
-	if c.MigrateTimeout <= 0 {
-		c.MigrateTimeout = 10 * time.Second
-	}
 	if c.RepairInterval == 0 {
-		c.RepairInterval = 30 * time.Second
-	}
-	if c.BreakerFailures == 0 {
-		c.BreakerFailures = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.FlapCount == 0 {
-		c.FlapCount = 3
-	}
-	if c.FlapWindow <= 0 {
-		c.FlapWindow = time.Minute
+		c.RepairInterval = defaultRepairInterval
 	}
 	if c.ReplicaID == "" {
 		var b [4]byte
 		crand.Read(b[:]) //nolint:errcheck // never fails on supported platforms
 		c.ReplicaID = "r-" + hex.EncodeToString(b[:])
-	}
-	if c.LeaseTTL <= 0 {
-		if c.RepairInterval > 0 {
-			c.LeaseTTL = 3 * c.RepairInterval
-		} else {
-			c.LeaseTTL = 90 * time.Second
-		}
 	}
 	if c.HTTPClient == nil {
 		tr := http.DefaultTransport.(*http.Transport).Clone()
@@ -231,6 +191,18 @@ func (c Config) withDefaults() Config {
 		c.HTTPClient = &http.Client{Transport: tr}
 	}
 	return c
+}
+
+// leaseTTL is the repair-sweeper lease duration, three sweep periods (of
+// the default period when the loop is disabled): the window during which
+// the lease-holding replica owns the anti-entropy posterior sweep and
+// every peer skips its own. A holder renews on each sweep; a crashed
+// holder's lease simply expires.
+func (c Config) leaseTTL() time.Duration {
+	if c.RepairInterval > 0 {
+		return 3 * c.RepairInterval
+	}
+	return 3 * defaultRepairInterval
 }
 
 // shard is one backend daemon and its routing state. name (the base URL)
@@ -430,7 +402,6 @@ func newRouter(cfg Config) (*Router, error) {
 		HTTPClient: cfg.HTTPClient,
 		OnAdopt:    rt.onClusterAdopt,
 		OnConflict: rt.onClusterConflict,
-		Logf:       log.Printf,
 	}, doc)
 
 	rt.mux.HandleFunc("POST /v1/solve", rt.handleSolve)
@@ -732,12 +703,12 @@ var errRetryForward = errors.New("router: shard answered 5xx")
 func (rt *Router) forwardTo(w http.ResponseWriter, r *http.Request, sh *shard, pathq string, body []byte) bool {
 	idempotent := r.Method == http.MethodGet
 	wrote := false
-	rt.cfg.Retry.Do(r.Context(), func(i int) error { //nolint:errcheck // wrote carries the result
+	forwardRetry.Do(r.Context(), func(i int) error { //nolint:errcheck // wrote carries the result
 		if i > 0 {
 			rt.retried.Add(1)
 			sh.retried.Add(1)
 		}
-		final := !idempotent || i+1 >= rt.cfg.Retry.MaxAttempts
+		final := !idempotent || i+1 >= forwardRetry.MaxAttempts
 		out, err := rt.attempt(r, sh, pathq, body, i > 0, func(resp *http.Response) {
 			if resp.StatusCode < 500 || final {
 				rt.relay(w, resp, sh)

@@ -126,9 +126,7 @@ func newClusterWith(t *testing.T, n int, token string, mut func(*Config)) *testC
 	cfg := Config{
 		Shards:        bases,
 		ProbeInterval: 50 * time.Millisecond,
-		ProbeTimeout:  2 * time.Second,
 		AdminToken:    token,
-		Retry:         client.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
 	}
 	if mut != nil {
 		mut(&cfg)

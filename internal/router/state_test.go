@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"phmse/internal/client"
 	"phmse/internal/encode"
 )
 
@@ -72,16 +71,13 @@ func TestRingViewsAgree(t *testing.T) {
 		http.Error(w, "wedged", http.StatusInternalServerError)
 	}))
 	t.Cleanup(shardSrv.Close)
-	rt, err := New(Config{
-		Shards:          []string{shardSrv.URL},
-		ProbeInterval:   time.Hour,
-		RepairInterval:  -1,
-		BreakerFailures: 1,
-		BreakerCooldown: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The test clock never moves, so the open breaker's cooldown never
+	// elapses.
+	rt := newRouterAt(t, Config{
+		Shards:         []string{shardSrv.URL},
+		ProbeInterval:  time.Hour,
+		RepairInterval: -1,
+	}, newTestClock())
 	t.Cleanup(rt.Close)
 	rts := httptest.NewServer(rt)
 	t.Cleanup(rts.Close)
@@ -134,10 +130,12 @@ func TestRingViewsAgree(t *testing.T) {
 	}
 
 	views(1)
-	// One live 500 (a broadcast lookup: one attempt, relayed verbatim)
-	// opens the breaker at threshold 1; probes stay green.
-	if code := getJSON("/v1/jobs/job-000001", nil); code != http.StatusInternalServerError {
-		t.Fatalf("forward to the wedged shard: http %d, want the relayed 500", code)
+	// breakerFailures live 500s (broadcast lookups: one attempt each,
+	// relayed verbatim) open the breaker; probes stay green.
+	for i := 0; i < breakerFailures; i++ {
+		if code := getJSON("/v1/jobs/job-000001", nil); code != http.StatusInternalServerError {
+			t.Fatalf("forward to the wedged shard: http %d, want the relayed 500", code)
+		}
 	}
 	rt.CheckNow(ctx)
 	views(0)
@@ -209,7 +207,6 @@ func TestMembershipFollowsDocument(t *testing.T) {
 		Shards:         []string{a, b},
 		ProbeInterval:  time.Hour,
 		RepairInterval: -1,
-		Retry:          client.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

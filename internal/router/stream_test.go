@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"phmse/internal/client"
 	"phmse/internal/encode"
 )
 
@@ -63,8 +62,6 @@ func TestStreamedTransferMemory(t *testing.T) {
 		Shards:         []string{src.URL},
 		ProbeInterval:  time.Hour,
 		RepairInterval: -1,
-		MigrateTimeout: time.Minute,
-		Retry:          client.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,8 +124,6 @@ func TestStreamedTransferOversize(t *testing.T) {
 		Shards:         []string{src.URL},
 		ProbeInterval:  time.Hour,
 		RepairInterval: -1,
-		MigrateTimeout: time.Minute,
-		Retry:          client.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,7 @@ func (rt *Router) authTransfer(req *http.Request) {
 // delete) under the retry policy and decodes a 2xx JSON body into out
 // (skipped when out is nil).
 func (rt *Router) transferCall(ctx context.Context, method, u string, out any) error {
-	return rt.cfg.Retry.Do(ctx, func(int) error {
+	return forwardRetry.Do(ctx, func(int) error {
 		req, err := http.NewRequestWithContext(ctx, method, u, nil)
 		if err != nil {
 			return err
@@ -87,12 +87,12 @@ func (rt *Router) transferCall(ctx context.Context, method, u string, out any) e
 // safe at its new owner and a later pass prunes the stale copy. A
 // streamed body cannot be replayed, so the retry policy wraps the whole
 // export+import pair (each attempt re-opens the export) inside
-// MigrateTimeout.
+// migrateTimeout.
 func (rt *Router) transferPosterior(ctx context.Context, src, dst *shard, info encode.PosteriorInfo) error {
-	tctx, cancel := context.WithTimeout(ctx, rt.cfg.MigrateTimeout)
+	tctx, cancel := context.WithTimeout(ctx, migrateTimeout)
 	defer cancel()
 	esc := url.PathEscape(info.Job)
-	err := rt.cfg.Retry.Do(tctx, func(int) error { return rt.streamPosterior(tctx, src, dst, esc) }, retryableTransfer)
+	err := forwardRetry.Do(tctx, func(int) error { return rt.streamPosterior(tctx, src, dst, esc) }, retryableTransfer)
 	if err != nil {
 		return err
 	}
@@ -187,7 +187,7 @@ func (rt *Router) fetchPosteriorIndex(ctx context.Context, sh *shard, prefix str
 // retains the posterior of jobID. An error means the shard could not be
 // asked (down, or predates the index endpoint).
 func (rt *Router) holdsPosterior(ctx context.Context, sh *shard, jobID string) (bool, error) {
-	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	idx, err := rt.fetchPosteriorIndex(pctx, sh, jobID)
 	for _, info := range idx.Posteriors {

@@ -11,8 +11,8 @@ import (
 	"phmse/internal/client"
 	"phmse/internal/encode"
 	"phmse/internal/faultinject"
+	"phmse/internal/filter"
 	"phmse/internal/molecule"
-	"phmse/internal/solvererr"
 )
 
 // named returns a copy of p under a distinctive name, so a fault hook can
@@ -124,8 +124,8 @@ func TestIndefiniteJobFailsWithFlatFallback(t *testing.T) {
 	healthy := submit(t, c, helix(1), quickParams())
 
 	st := waitState(t, c, poisoned.ID, StateFailed)
-	if st.ErrorCode != solvererr.CodeIndefinite {
-		t.Fatalf("error code = %q, want %q (status %+v)", st.ErrorCode, solvererr.CodeIndefinite, st)
+	if st.ErrorCode != filter.CodeIndefinite {
+		t.Fatalf("error code = %q, want %q (status %+v)", st.ErrorCode, filter.CodeIndefinite, st)
 	}
 	if st.Retries != srv.cfg.MaxRetries {
 		t.Fatalf("retries = %d, want %d", st.Retries, srv.cfg.MaxRetries)
@@ -200,8 +200,8 @@ func TestPoisonedJobFailsNonFinite(t *testing.T) {
 	poisoned := submit(t, c, named(helix(1), tag), quickParams())
 
 	st := waitState(t, c, poisoned.ID, StateFailed)
-	if st.ErrorCode != solvererr.CodeNonFinite {
-		t.Fatalf("error code = %q, want %q (status %+v)", st.ErrorCode, solvererr.CodeNonFinite, st)
+	if st.ErrorCode != filter.CodeNonFinite {
+		t.Fatalf("error code = %q, want %q (status %+v)", st.ErrorCode, filter.CodeNonFinite, st)
 	}
 	if st.Retries != 0 {
 		t.Fatalf("retries = %d, want 0 (disabled)", st.Retries)

@@ -15,7 +15,6 @@ import (
 	"phmse/internal/faultinject"
 	"phmse/internal/filter"
 	"phmse/internal/molecule"
-	"phmse/internal/solvererr"
 	"phmse/internal/trace"
 	"phmse/internal/workest"
 )
@@ -128,7 +127,7 @@ func (j *job) setProgress(cycle int, rms float64) {
 }
 
 // finish moves the job to a terminal state and wakes any waiters. errCode
-// classifies a failure machine-readably (one of the solvererr codes or
+// classifies a failure machine-readably (one of the filter codes or
 // encode.CodeInternalError); empty for success.
 func (j *job) finish(state JobState, errCode, errMsg string, sol *core.Solution) {
 	j.mu.Lock()
@@ -361,7 +360,7 @@ func (m *manager) cancelIfQueued(j *job, msg string) bool {
 		return false
 	}
 	j.state = StateCancelled
-	j.errCode = solvererr.CodeCanceled
+	j.errCode = filter.CodeCanceled
 	j.errMsg = msg
 	j.finished = time.Now()
 	close(j.done)
@@ -439,7 +438,7 @@ func (m *manager) run(j *job, procs int) {
 	// numerically gets one flat-organization attempt — the flat filter
 	// trades the hierarchy's speed for a better-conditioned update — before
 	// the job is declared failed.
-	if err != nil && solvererr.Transient(err) && ctx.Err() == nil && j.params.Mode != "flat" {
+	if err != nil && filter.Transient(err) && ctx.Err() == nil && j.params.Mode != "flat" {
 		m.flatFallbacks.Add(1)
 		j.mu.Lock()
 		j.flatFallback = true
@@ -468,9 +467,9 @@ func (m *manager) run(j *job, procs int) {
 		sol.Release()
 		j.finish(StateDone, "", "", sol)
 	case errors.Is(err, context.Canceled):
-		j.finish(StateCancelled, solvererr.CodeCanceled, "cancelled while running", nil)
+		j.finish(StateCancelled, filter.CodeCanceled, "cancelled while running", nil)
 	case errors.Is(err, context.DeadlineExceeded):
-		j.finish(StateFailed, solvererr.CodeTimeout, fmt.Sprintf("timeout after %d ms", j.params.TimeoutMillis), nil)
+		j.finish(StateFailed, filter.CodeTimeout, fmt.Sprintf("timeout after %d ms", j.params.TimeoutMillis), nil)
 	default:
 		j.finish(StateFailed, errCode(err), err.Error(), nil)
 	}
@@ -490,7 +489,7 @@ func errCode(err error) string {
 	if errors.As(err, &pe) {
 		return encode.CodeInternalError
 	}
-	return solvererr.Code(err)
+	return filter.Code(err)
 }
 
 // retryable reports whether a failed attempt is worth re-running: a panic
@@ -501,7 +500,7 @@ func errCode(err error) string {
 // Cancellation, timeouts and malformed problems are final.
 func retryable(err error, warm bool) bool {
 	var pe *panicError
-	return errors.As(err, &pe) || !warm && solvererr.Transient(err)
+	return errors.As(err, &pe) || !warm && filter.Transient(err)
 }
 
 // attempt runs one solve attempt behind a recover barrier: a panic in the

@@ -183,9 +183,9 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation of xs (0 for fewer than two
+// stdDev returns the sample standard deviation of xs (0 for fewer than two
 // samples).
-func StdDev(xs []float64) float64 {
+func stdDev(xs []float64) float64 {
 	n := len(xs)
 	if n < 2 {
 		return 0

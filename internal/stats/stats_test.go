@@ -121,7 +121,7 @@ func TestNNLSFeasibilityProperty(t *testing.T) {
 		pred := make([]float64, n)
 		mat.MulVec(pred, x, beta)
 		mat.SubVec(pred, pred, y)
-		return mat.Norm2(pred) <= mat.Norm2(y)*(1+1e-9)
+		return math.Sqrt(mat.Dot(pred, pred)) <= math.Sqrt(mat.Dot(y, y))*(1+1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -152,11 +152,11 @@ func TestMeanStdDevGeoMean(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("Mean")
 	}
-	if StdDev([]float64{5}) != 0 {
+	if stdDev([]float64{5}) != 0 {
 		t.Fatal("StdDev single")
 	}
-	if math.Abs(StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})-2.1380899352993947) > 1e-12 {
-		t.Fatalf("StdDev = %g", StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}))
+	if math.Abs(stdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})-2.1380899352993947) > 1e-12 {
+		t.Fatalf("StdDev = %g", stdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}))
 	}
 	if math.Abs(GeoMean([]float64{1, 4, 16})-4) > 1e-12 {
 		t.Fatalf("GeoMean = %g", GeoMean([]float64{1, 4, 16}))
@@ -229,7 +229,7 @@ func TestRSquaredPanicsOnMismatch(t *testing.T) {
 }
 
 func TestStdDevTwoPoints(t *testing.T) {
-	if got := StdDev([]float64{1, 3}); math.Abs(got-math.Sqrt2) > 1e-12 {
+	if got := stdDev([]float64{1, 3}); math.Abs(got-math.Sqrt2) > 1e-12 {
 		t.Fatalf("StdDev = %g", got)
 	}
 }

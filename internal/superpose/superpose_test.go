@@ -35,7 +35,7 @@ func TestFitIdentity(t *testing.T) {
 func TestFitRecoversRigidMotion(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	fixed := randCloud(rng, 25)
-	rot := geom.RotZ(1.1).Mul(geom.RotX(-0.6))
+	rot := rotZ(1.1).Mul(rotX(-0.6))
 	shift := geom.Vec3{10, -4, 3}
 	moving := make([]geom.Vec3, len(fixed))
 	for i, p := range fixed {
@@ -54,7 +54,7 @@ func TestRMSDLessThanUnsuperposed(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	fixed := randCloud(rng, 30)
 	moving := make([]geom.Vec3, len(fixed))
-	rot := geom.RotY(0.8)
+	rot := rotY(0.8)
 	for i, p := range fixed {
 		moving[i] = rot.MulVec(p).Add(geom.Vec3{3, 3, 3}).Add(geom.Vec3{
 			0.1 * rng.NormFloat64(), 0.1 * rng.NormFloat64(), 0.1 * rng.NormFloat64()})
@@ -94,7 +94,7 @@ func TestFitProperRotationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rot := geom.RotZ(rng.Float64() * 6)
+		rot := rotZ(rng.Float64() * 6)
 		shifted := make([]geom.Vec3, n)
 		for i, p := range moving {
 			shifted[i] = rot.MulVec(p).Add(geom.Vec3{1, 2, 3})
@@ -129,7 +129,7 @@ func TestFitEmpty(t *testing.T) {
 func TestApplyAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts := randCloud(rng, 5)
-	tr := Transform{R: geom.RotZ(0.5), FixedCenter: geom.Vec3{1, 0, 0}}
+	tr := Transform{R: rotZ(0.5), FixedCenter: geom.Vec3{1, 0, 0}}
 	out := tr.ApplyAll(pts)
 	if len(out) != len(pts) {
 		t.Fatal("length")
@@ -139,4 +139,20 @@ func TestApplyAll(t *testing.T) {
 			t.Fatal("mismatch")
 		}
 	}
+}
+
+// rotX, rotY and rotZ are the rotations by angle (radians) about the axes.
+func rotX(a float64) geom.Mat3 {
+	c, s := math.Cos(a), math.Sin(a)
+	return geom.Mat3{1, 0, 0, 0, c, -s, 0, s, c}
+}
+
+func rotY(a float64) geom.Mat3 {
+	c, s := math.Cos(a), math.Sin(a)
+	return geom.Mat3{c, 0, s, 0, 1, 0, -s, 0, c}
+}
+
+func rotZ(a float64) geom.Mat3 {
+	c, s := math.Cos(a), math.Sin(a)
+	return geom.Mat3{c, -s, 0, s, c, 0, 0, 0, 1}
 }

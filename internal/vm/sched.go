@@ -1,12 +1,4 @@
-// Package sched implements the paper's static processor-assignment
-// heuristic (§4.3): estimate the work at every node with the fitted work
-// model, accumulate subtree work bottom-up, then recursively bipartition
-// each node's processors over its child subtrees so that the processor
-// split matches the work split as closely as possible. The output is a
-// Plan, which the virtual-time machine (package vm) schedules the paper's
-// Tables 3–6 from. The real solver keeps no plan: it posts every child
-// subtree to the solve's crew, largest first (hier.Node.Prepare).
-package sched
+package vm
 
 import (
 	"sort"
@@ -14,6 +6,14 @@ import (
 	"phmse/internal/filter"
 	"phmse/internal/hier"
 )
+
+// The paper's static processor-assignment heuristic (§4.3): estimate the
+// work at every node with the fitted work model, accumulate subtree work
+// bottom-up, then recursively bipartition each node's processors over its
+// child subtrees so that the processor split matches the work split as
+// closely as possible. The output is a Plan, which Run schedules the
+// paper's Tables 3–6 from. The real solver keeps no plan: it posts every
+// child subtree to the solve's crew, largest first (hier.Node.Prepare).
 
 // Estimator predicts the relative work of applying a node's own
 // constraints. Both workest.Model (the fitted Equation 1) and
@@ -153,13 +153,13 @@ func abs(x float64) float64 {
 	return x
 }
 
-// Imbalance predicts the load imbalance of a plan from the work estimates:
+// imbalance predicts the load imbalance of a plan from the work estimates:
 // for every node whose children run as parallel groups, the ratio of the
 // slowest group's per-processor work to the mean. 1.0 is perfect balance;
 // the helix's 2-equal-subtrees shape at three processors yields 4/3. The
 // worst ratio over the tree correlates with the wall-clock dips of the
 // static scheme (Tables 3 and 5).
-func Imbalance(root *hier.Node, plan *Plan, w *Work) (worst float64, byNode map[*hier.Node]float64) {
+func imbalance(root *hier.Node, plan *Plan, w *Work) (worst float64, byNode map[*hier.Node]float64) {
 	worst = 1
 	byNode = map[*hier.Node]float64{}
 	if plan == nil || plan.Groups == nil {

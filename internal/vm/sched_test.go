@@ -1,4 +1,4 @@
-package sched
+package vm
 
 import (
 	"fmt"
@@ -290,14 +290,14 @@ func TestImbalance(t *testing.T) {
 
 	// Even split: perfectly balanced.
 	even := Assign(root, 4, w)
-	worst, _ := Imbalance(root, even, w)
+	worst, _ := imbalance(root, even, w)
 	if worst > 1.01 {
 		t.Fatalf("even split imbalance %g", worst)
 	}
 	// Odd split over equal arms: the 1-proc group does twice the
 	// per-processor work of the 2-proc group → ratio 4/3.
 	odd := Assign(root, 3, w)
-	worst, byNode := Imbalance(root, odd, w)
+	worst, byNode := imbalance(root, odd, w)
 	if worst < 1.2 || worst > 1.5 {
 		t.Fatalf("odd split imbalance %g", worst)
 	}
@@ -305,7 +305,7 @@ func TestImbalance(t *testing.T) {
 		t.Fatal("no per-node ratios")
 	}
 	// Nil plan: trivially balanced.
-	if w, _ := Imbalance(root, nil, w); w != 1 {
+	if w, _ := imbalance(root, nil, w); w != 1 {
 		t.Fatal("nil plan")
 	}
 }
@@ -317,8 +317,8 @@ func TestImbalancePredictsHelixDip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := EstimateWork(root, workest.FlopModel{}, 16)
-	worst6, _ := Imbalance(root, Assign(root, 6, w), w)
-	worst8, _ := Imbalance(root, Assign(root, 8, w), w)
+	worst6, _ := imbalance(root, Assign(root, 6, w), w)
+	worst8, _ := imbalance(root, Assign(root, 8, w), w)
 	if worst6 <= worst8 {
 		t.Fatalf("NP=6 imbalance %g not above NP=8 %g", worst6, worst8)
 	}

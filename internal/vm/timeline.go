@@ -7,7 +7,6 @@ import (
 
 	"phmse/internal/hier"
 	"phmse/internal/machine"
-	"phmse/internal/sched"
 )
 
 // Span records when one node's own constraint processing ran in a
@@ -26,7 +25,7 @@ func (s Span) Duration() float64 { return s.End - s.Start }
 // execution spans, which expose the load-imbalance structure behind the
 // speedup curves (e.g. the idle gap when three processors split 2/1 over
 // two equal subtrees).
-func Trace(root *hier.Node, mach *machine.Machine, procs int, plan *sched.Plan) (Result, []Span) {
+func Trace(root *hier.Node, mach *machine.Machine, procs int, plan *Plan) (Result, []Span) {
 	if procs < 1 {
 		procs = 1
 	}

@@ -16,7 +16,6 @@ package vm
 import (
 	"phmse/internal/hier"
 	"phmse/internal/machine"
-	"phmse/internal/sched"
 	"phmse/internal/trace"
 )
 
@@ -84,9 +83,9 @@ func NodeOps(n *hier.Node) []machine.Op {
 
 // Run models one complete cycle of the parallel hierarchical computation on
 // the machine with the given processor count and §4.3 static assignment
-// (sched.Assign; nil: sequential tree walk with full-team intra-node
+// (Assign; nil: sequential tree walk with full-team intra-node
 // parallelism). The tree must be prepared.
-func Run(root *hier.Node, mach *machine.Machine, procs int, plan *sched.Plan) Result {
+func Run(root *hier.Node, mach *machine.Machine, procs int, plan *Plan) Result {
 	if procs < 1 {
 		procs = 1
 	}
@@ -98,7 +97,7 @@ func Run(root *hier.Node, mach *machine.Machine, procs int, plan *sched.Plan) Re
 // subtreeDone returns the virtual time at which the subtree rooted at n
 // completes, given it may start at start. A non-nil spans collects when
 // each node's own constraint processing ran (see Trace).
-func subtreeDone(n *hier.Node, mach *machine.Machine, procs int, plan *sched.Plan, start float64, res *Result, spans *[]Span) float64 {
+func subtreeDone(n *hier.Node, mach *machine.Machine, procs int, plan *Plan, start float64, res *Result, spans *[]Span) float64 {
 	childrenDone := start
 	if len(n.Children) > 0 {
 		groups := planGroups(plan, n)
@@ -138,7 +137,7 @@ func subtreeDone(n *hier.Node, mach *machine.Machine, procs int, plan *sched.Pla
 	return t
 }
 
-func planGroups(plan *sched.Plan, n *hier.Node) []sched.Group {
+func planGroups(plan *Plan, n *hier.Node) []Group {
 	if plan == nil || plan.Groups == nil {
 		return nil
 	}

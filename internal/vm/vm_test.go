@@ -8,7 +8,6 @@ import (
 	"phmse/internal/hier"
 	"phmse/internal/machine"
 	"phmse/internal/molecule"
-	"phmse/internal/sched"
 	"phmse/internal/trace"
 	"phmse/internal/workest"
 )
@@ -74,11 +73,11 @@ func TestRunSequentialDeterministic(t *testing.T) {
 func TestRunParallelFasterAndAccounted(t *testing.T) {
 	root := preparedHelix(t, 8)
 	mach := machine.DASH()
-	w := sched.EstimateWork(root, workest.FlopModel{}, 16)
+	w := EstimateWork(root, workest.FlopModel{}, 16)
 	serial := Run(root, mach, 1, nil)
 	prev := serial.Wall
 	for _, np := range []int{2, 4, 8, 16, 32} {
-		plan := sched.Assign(root, np, w)
+		plan := Assign(root, np, w)
 		r := Run(root, mach, np, plan)
 		if r.Wall >= prev {
 			t.Fatalf("NP=%d wall %g not below previous %g", np, r.Wall, prev)
@@ -101,11 +100,11 @@ func TestHelixSpeedupShape(t *testing.T) {
 	// m-m dominating the time distribution.
 	root := preparedHelix(t, 16)
 	mach := machine.DASH()
-	w := sched.EstimateWork(root, workest.FlopModel{}, 16)
+	w := EstimateWork(root, workest.FlopModel{}, 16)
 	speedup := map[int]float64{}
 	base := Run(root, mach, 1, nil).Wall
 	for _, np := range []int{4, 6, 8, 32} {
-		plan := sched.Assign(root, np, w)
+		plan := Assign(root, np, w)
 		speedup[np] = base / Run(root, mach, np, plan).Wall
 	}
 	if speedup[32] < 18 || speedup[32] > 32 {
@@ -136,10 +135,10 @@ func TestRibo30SNoDip(t *testing.T) {
 		t.Fatal(err)
 	}
 	mach := machine.DASH()
-	w := sched.EstimateWork(root, workest.FlopModel{}, 16)
+	w := EstimateWork(root, workest.FlopModel{}, 16)
 	base := Run(root, mach, 1, nil).Wall
 	eff := func(np int) float64 {
-		plan := sched.Assign(root, np, w)
+		plan := Assign(root, np, w)
 		return base / Run(root, mach, np, plan).Wall / float64(np)
 	}
 	e6, e8 := eff(6), eff(8)
@@ -150,7 +149,7 @@ func TestRibo30SNoDip(t *testing.T) {
 
 func TestChallengeFasterSameShape(t *testing.T) {
 	root := preparedHelix(t, 8)
-	w := sched.EstimateWork(root, workest.FlopModel{}, 16)
+	w := EstimateWork(root, workest.FlopModel{}, 16)
 	d1 := Run(root, machine.DASH(), 1, nil).Wall
 	c1 := Run(root, machine.Challenge(), 1, nil).Wall
 	if c1 >= d1 {
@@ -160,7 +159,7 @@ func TestChallengeFasterSameShape(t *testing.T) {
 	if ratio < 2 || ratio > 5 {
 		t.Fatalf("machine speed ratio %g outside the paper's ~3×", ratio)
 	}
-	plan := sched.Assign(root, 16, w)
+	plan := Assign(root, 16, w)
 	s := c1 / Run(root, machine.Challenge(), 16, plan).Wall
 	if s < 10 || s > 16 {
 		t.Fatalf("Challenge NP=16 speedup %g outside the paper's band", s)
@@ -241,10 +240,10 @@ func TestNodeOpsCountMatchesBatches(t *testing.T) {
 func TestDynamicReschedulingRemovesDip(t *testing.T) {
 	root := preparedHelix(t, 16)
 	mach := machine.DASH()
-	w := sched.EstimateWork(root, workest.FlopModel{}, 16)
+	w := EstimateWork(root, workest.FlopModel{}, 16)
 	base := Run(root, mach, 1, nil).Wall
 
-	static6 := Run(root, mach, 6, sched.Assign(root, 6, w)).Wall
+	static6 := Run(root, mach, 6, Assign(root, 6, w)).Wall
 	dyn6 := RunDynamic(root, mach, 6).Wall
 	if dyn6 >= static6 {
 		t.Fatalf("dynamic (%g) not faster than static (%g) at NP=6", dyn6, static6)
@@ -256,7 +255,7 @@ func TestDynamicReschedulingRemovesDip(t *testing.T) {
 	}
 	// At a power of two the static scheme is already balanced; dynamic
 	// should be in the same ballpark (within 20%).
-	static8 := Run(root, mach, 8, sched.Assign(root, 8, w)).Wall
+	static8 := Run(root, mach, 8, Assign(root, 8, w)).Wall
 	dyn8 := RunDynamic(root, mach, 8).Wall
 	if ratio := dyn8 / static8; ratio > 1.2 || ratio < 0.7 {
 		t.Fatalf("NP=8 dynamic/static ratio %.2f", ratio)
@@ -271,8 +270,8 @@ func TestDynamicReschedulingRemovesDip(t *testing.T) {
 func TestTraceMatchesRunAndExposesImbalance(t *testing.T) {
 	root := preparedHelix(t, 8)
 	mach := machine.DASH()
-	w := sched.EstimateWork(root, workest.FlopModel{}, 16)
-	plan := sched.Assign(root, 3, w)
+	w := EstimateWork(root, workest.FlopModel{}, 16)
+	plan := Assign(root, 3, w)
 
 	run := Run(root, mach, 3, plan)
 	res, spans := Trace(root, mach, 3, plan)

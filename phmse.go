@@ -42,7 +42,6 @@ import (
 	"phmse/internal/machine"
 	"phmse/internal/molecule"
 	"phmse/internal/pdb"
-	"phmse/internal/sched"
 	"phmse/internal/superpose"
 	"phmse/internal/trace"
 	"phmse/internal/vm"
@@ -202,7 +201,13 @@ func RecursiveBisection(nAtoms, leafSize int) *Group {
 // the estimator's (regrouped) tree, in relative units: the prediction to
 // hold a measured cycle time against when comparing decompositions.
 func ModelWork(e *Estimator) float64 {
-	return core.Work(e).Subtree[e.Root()]
+	return work(e).Subtree[e.Root()]
+}
+
+// work is the flop model's per-node estimate over the estimator's tree at
+// the batch size the tree was prepared for.
+func work(e *Estimator) *vm.Work {
+	return vm.EstimateWork(e.Root(), workest.FlopModel{}, e.Root().BatchSize())
 }
 
 // DASH returns the calibrated Stanford DASH machine model (32 processors).
@@ -218,7 +223,7 @@ func Challenge() *Machine { return machine.Challenge() }
 // cycle runs on all the processors at once.
 func Simulate(e *Estimator, m *Machine, procs int) SimResult {
 	root := e.Root()
-	return vm.Run(root, m, procs, sched.Assign(root, procs, core.Work(e)))
+	return vm.Run(root, m, procs, vm.Assign(root, procs, work(e)))
 }
 
 // SimulateDynamic runs one virtual-time cycle under the §5 dynamic
