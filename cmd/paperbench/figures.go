@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"phmse/internal/hier"
 	"phmse/internal/machine"
 	"phmse/internal/molecule"
 	"phmse/internal/trace"
@@ -34,15 +33,10 @@ func figures(cfg config, dir string) error {
 	mach := machine.DASH()
 	for _, bp := range []int{1, 2, 4, 8, 16} {
 		h := molecule.Helix(bp)
-		root, err := hier.Build(h.Tree, &h.Constraints)
+		flatWall, hierWall, err := table1Walls(h, mach)
 		if err != nil {
 			return err
 		}
-		if err := root.Prepare(16); err != nil {
-			return err
-		}
-		hierWall := vm.Run(root, mach, 1, nil).Wall
-		flatWall := vm.RunFlat(3*len(h.Atoms), vm.FlatShapes(h.ScalarDim(), 16, 6), mach, 1).Wall
 		sc := float64(h.ScalarDim())
 		fmt.Fprintf(f5, "%d,%d,%.6f,%.6f\n", bp, h.ScalarDim(), flatWall/sc, hierWall/sc)
 	}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"phmse/internal/machine"
+	"phmse/internal/molecule"
 	"phmse/internal/vm"
 	"phmse/internal/workest"
 )
@@ -103,5 +105,31 @@ func TestPaperTable1Reference(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run("no-such-experiment", config{}); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// The virtual-time columns of Table 1 and the series of Figure 5 hold
+// still: the DASH model's serial flat and hierarchical walls for every
+// helix length, as `paperbench table1` prints them.
+func TestReproducedTable1Wall(t *testing.T) {
+	want := map[int][2]string{ // bp → flat, hierarchical
+		1:  {"2.41", "1.15"},
+		2:  {"19.10", "7.62"},
+		4:  {"138.33", "31.76"},
+		8:  {"1028.16", "123.03"},
+		16: {"7838.14", "467.39"},
+	}
+	mach := machine.DASH()
+	for bp, w := range want {
+		flat, hierarchical, err := table1Walls(molecule.Helix(bp), mach)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%.2f", flat); got != w[0] {
+			t.Errorf("%d bp: flat wall %s, want %s", bp, got, w[0])
+		}
+		if got := fmt.Sprintf("%.2f", hierarchical); got != w[1] {
+			t.Errorf("%d bp: hierarchical wall %s, want %s", bp, got, w[1])
+		}
 	}
 }

@@ -59,15 +59,10 @@ func table1(cfg config) error {
 	mach := machine.DASH()
 	for _, bp := range []int{1, 2, 4, 8, 16} {
 		h := molecule.Helix(bp)
-		root, err := hier.Build(h.Tree, &h.Constraints)
+		flatWall, hierWall, err := table1Walls(h, mach)
 		if err != nil {
 			return err
 		}
-		if err := root.Prepare(16); err != nil {
-			return err
-		}
-		hierWall := vm.Run(root, mach, 1, nil).Wall
-		flatWall := vm.RunFlat(3*len(h.Atoms), vm.FlatShapes(h.ScalarDim(), 16, 6), mach, 1).Wall
 		sc := float64(h.ScalarDim())
 		fmt.Printf("  %2d  %5d  %6d | %8.2f  %.6f | %8.2f  %.6f | %6.2f  | %6.2f\n",
 			bp, len(h.Atoms), h.ScalarDim(),
@@ -80,6 +75,22 @@ func table1(cfg config) error {
 			bp, r[0], r[1], r[2], r[3], r[4])
 	}
 	return nil
+}
+
+// table1Walls models one serial cycle of the flat and the hierarchical
+// organization of the problem on the machine at batch dimension 16 — the
+// virtual-time columns of Table 1 and the series of Figure 5.
+func table1Walls(p *molecule.Problem, mach *machine.Machine) (flat, hierarchical float64, err error) {
+	root, err := hier.Build(p.Tree, &p.Constraints)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := root.Prepare(16); err != nil {
+		return 0, 0, err
+	}
+	hierarchical = vm.Run(root, mach, 1, nil).Wall
+	flat = vm.RunFlat(3*len(p.Atoms), vm.FlatShapes(p.ScalarDim(), 16, 6), mach, 1).Wall
+	return flat, hierarchical, nil
 }
 
 // timedSolve runs exactly one cycle of constraint application with real
