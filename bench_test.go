@@ -73,12 +73,12 @@ func benchSweep(b *testing.B, problem *phmse.Problem, mach *phmse.Machine, nps [
 	if err != nil {
 		b.Fatal(err)
 	}
-	base := phmse.Simulate(est, mach, 1).Wall
+	base := phmse.Simulate(est, mach, 1, phmse.Static).Wall
 	for _, np := range nps {
 		b.Run(fmt.Sprintf("NP=%d", np), func(b *testing.B) {
 			var r phmse.SimResult
 			for i := 0; i < b.N; i++ {
-				r = phmse.Simulate(est, mach, np)
+				r = phmse.Simulate(est, mach, np, phmse.Static)
 			}
 			b.ReportMetric(r.Wall, "model-s")
 			b.ReportMetric(base/r.Wall, "speedup")
@@ -242,19 +242,19 @@ func BenchmarkAblationScheduling(b *testing.B) {
 		b.Fatal(err)
 	}
 	dash := phmse.DASH()
-	base := phmse.Simulate(est, dash, 1).Wall
+	base := phmse.Simulate(est, dash, 1, phmse.Static).Wall
 	for _, np := range []int{6, 8, 12} {
 		b.Run(fmt.Sprintf("static/NP=%d", np), func(b *testing.B) {
 			var r phmse.SimResult
 			for i := 0; i < b.N; i++ {
-				r = phmse.Simulate(est, dash, np)
+				r = phmse.Simulate(est, dash, np, phmse.Static)
 			}
 			b.ReportMetric(base/r.Wall/float64(np), "efficiency")
 		})
 		b.Run(fmt.Sprintf("dynamic/NP=%d", np), func(b *testing.B) {
 			var r phmse.SimResult
 			for i := 0; i < b.N; i++ {
-				r = phmse.SimulateDynamic(est, dash, np)
+				r = phmse.Simulate(est, dash, np, phmse.Dynamic)
 			}
 			b.ReportMetric(base/r.Wall/float64(np), "efficiency")
 		})

@@ -75,7 +75,7 @@ func figures(cfg config, dir string) error {
 }
 
 func sweepCSV(cfg config, problem, machName, path string) error {
-	_, mach, root, work, err := sweepSetup(cfg, problem, machName)
+	_, mach, root, err := sweepSetup(cfg, problem, machName)
 	if err != nil {
 		return err
 	}
@@ -87,7 +87,7 @@ func sweepCSV(cfg config, problem, machName, path string) error {
 	fmt.Fprintln(f, "np,wall_s,speedup,d_s,chol,sys,m_m,m_v,vec")
 	var base float64
 	for np := 1; np <= mach.MaxProcs; np++ {
-		r := vm.Run(root, mach, np, vm.Assign(root, np, work))
+		r := vm.Run(root, mach, np, vm.Static)
 		if np == 1 {
 			base = r.Wall
 		}

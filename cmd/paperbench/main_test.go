@@ -75,7 +75,7 @@ func TestReproducedTablesWall(t *testing.T) {
 	}
 	for key, rows := range paperTables {
 		problem, machName, _ := strings.Cut(key, "/")
-		_, mach, root, work, err := sweepSetup(config{seed: 1996}, problem, machName)
+		_, mach, root, err := sweepSetup(config{seed: 1996}, problem, machName)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestReproducedTablesWall(t *testing.T) {
 			t.Fatalf("%s: %d pinned rows for %d in the table", key, len(want[key]), len(rows))
 		}
 		for i, row := range rows {
-			if got := fmt.Sprintf("%.2f", vm.Run(root, mach, row.np, vm.Assign(root, row.np, work)).Wall); got != want[key][i] {
+			if got := fmt.Sprintf("%.2f", vm.Run(root, mach, row.np, vm.Static).Wall); got != want[key][i] {
 				t.Errorf("%s NP=%d: wall %s, want %s", key, row.np, got, want[key][i])
 			}
 		}

@@ -79,8 +79,13 @@ func table1(cfg config) error {
 
 // table1Walls models one serial cycle of the flat and the hierarchical
 // organization of the problem on the machine at batch dimension 16 — the
-// virtual-time columns of Table 1 and the series of Figure 5.
+// virtual-time columns of Table 1 and the series of Figure 5. The flat
+// organization is the estimator's tree of one leaf.
 func table1Walls(p *molecule.Problem, mach *machine.Machine) (flat, hierarchical float64, err error) {
+	est, err := core.New(p, core.Config{Mode: core.Flat, BatchSize: 16})
+	if err != nil {
+		return 0, 0, err
+	}
 	root, err := hier.Build(p.Tree, &p.Constraints)
 	if err != nil {
 		return 0, 0, err
@@ -88,8 +93,8 @@ func table1Walls(p *molecule.Problem, mach *machine.Machine) (flat, hierarchical
 	if err := root.Prepare(16); err != nil {
 		return 0, 0, err
 	}
-	hierarchical = vm.Run(root, mach, 1, nil).Wall
-	flat = vm.RunFlat(3*len(p.Atoms), vm.FlatShapes(p.ScalarDim(), 16, 6), mach, 1).Wall
+	flat = vm.Run(est.Root(), mach, 1, vm.Static).Wall
+	hierarchical = vm.Run(root, mach, 1, vm.Static).Wall
 	return flat, hierarchical, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"phmse/internal/molecule"
 	"phmse/internal/trace"
 	"phmse/internal/vm"
-	"phmse/internal/workest"
 )
 
 // paperRow is one published row of Tables 3–6.
@@ -85,7 +84,7 @@ func sweep(cfg config, problem, machName string) error {
 	key := problem + "/" + machName
 	header(tableNames[key])
 
-	p, mach, root, work, err := sweepSetup(cfg, problem, machName)
+	p, mach, root, err := sweepSetup(cfg, problem, machName)
 	if err != nil {
 		return err
 	}
@@ -96,7 +95,7 @@ func sweep(cfg config, problem, machName string) error {
 	var base float64
 	for _, row := range paperTables[key] {
 		np := row.np
-		r := vm.Run(root, mach, np, vm.Assign(root, np, work))
+		r := vm.Run(root, mach, np, vm.Static)
 		if np == 1 {
 			base = r.Wall
 		}
@@ -113,8 +112,8 @@ func sweep(cfg config, problem, machName string) error {
 
 // sweepSetup builds what a processor sweep of Tables 3–6 runs on: the
 // problem ("helix" or "ribo"), the machine model ("DASH" or "Challenge"),
-// the problem's own tree prepared at batch 16, and its work estimates.
-func sweepSetup(cfg config, problem, machName string) (*molecule.Problem, *machine.Machine, *hier.Node, *vm.Work, error) {
+// and the problem's own tree prepared at batch 16.
+func sweepSetup(cfg config, problem, machName string) (*molecule.Problem, *machine.Machine, *hier.Node, error) {
 	var p *molecule.Problem
 	if problem == "helix" {
 		p = molecule.Helix(16)
@@ -129,10 +128,10 @@ func sweepSetup(cfg config, problem, machName string) (*molecule.Problem, *machi
 	}
 	root, err := hier.Build(p.Tree, &p.Constraints)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	if err := root.Prepare(16); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
-	return p, mach, root, vm.EstimateWork(root, workest.FlopModel{}, 16), nil
+	return p, mach, root, nil
 }

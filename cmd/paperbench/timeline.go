@@ -7,7 +7,6 @@ import (
 	"phmse/internal/machine"
 	"phmse/internal/molecule"
 	"phmse/internal/vm"
-	"phmse/internal/workest"
 )
 
 // timeline renders the virtual-time execution of the helix at NP=6 and
@@ -27,13 +26,11 @@ func timeline(cfg config) error {
 		return err
 	}
 	mach := machine.DASH()
-	work := vm.EstimateWork(root, workest.FlopModel{}, 16)
+	serial := vm.Run(root, mach, 1, vm.Static).Wall
 	for _, np := range []int{6, 8} {
-		plan := vm.Assign(root, np, work)
-		res, spans := vm.Trace(root, mach, np, plan)
-		fmt.Printf("\n%s, NP=%d (speedup %.2f):\n", h.Name, np,
-			vm.Run(root, mach, 1, nil).Wall/res.Wall)
-		fmt.Print(vm.FormatTimeline(root, spans, res.Wall, 2))
+		res := vm.Run(root, mach, np, vm.Static)
+		fmt.Printf("\n%s, NP=%d (speedup %.2f):\n", h.Name, np, serial/res.Wall)
+		fmt.Print(vm.FormatTimeline(root, res.Spans, res.Wall, 2))
 	}
 	fmt.Println("\nAt NP=6 the depth-2 joins wait for their one-processor branches;")
 	fmt.Println("at NP=8 every split is even and the joins meet without idling.")

@@ -55,8 +55,8 @@ func ExampleSimulate() {
 		panic(err)
 	}
 	dash := phmse.DASH()
-	one := phmse.Simulate(est, dash, 1)
-	eight := phmse.Simulate(est, dash, 8)
+	one := phmse.Simulate(est, dash, 1, phmse.Static)
+	eight := phmse.Simulate(est, dash, 8, phmse.Static)
 	fmt.Printf("speedup at 8 processors is between 6 and 8: %v\n",
 		one.Wall/eight.Wall > 6 && one.Wall/eight.Wall < 8)
 	// Output:

@@ -22,7 +22,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			base := phmse.Simulate(est, mach, 1).Wall
+			base := phmse.Simulate(est, mach, 1, phmse.Static).Wall
 			fmt.Printf("%-12s one cycle on 1 proc: %7.1f model-seconds\n", p.Name, base)
 			fmt.Printf("  NP:      ")
 			nps := []int{2, 4, 6, 8, 12, 16, 24, 32}
@@ -34,7 +34,7 @@ func main() {
 			fmt.Printf("\n  speedup: ")
 			for _, np := range nps {
 				if np <= mach.MaxProcs {
-					r := phmse.Simulate(est, mach, np)
+					r := phmse.Simulate(est, mach, np, phmse.Static)
 					fmt.Printf("%6.2f", base/r.Wall)
 				}
 			}

@@ -10,8 +10,7 @@ import (
 
 // WorkModel scores a node pass: the estimated work of applying scalars
 // scalar constraints, batchDim at a time, at a node of the given state
-// dimension. It is vm.Estimator's method set; workest.Model and
-// workest.FlopModel satisfy it.
+// dimension. workest.Model and workest.FlopModel satisfy it.
 type WorkModel interface {
 	NodeWork(stateDim, scalars, batchDim int) float64
 }

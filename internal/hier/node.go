@@ -46,7 +46,8 @@ type Node struct {
 	// order is the children's indices, largest subtree work first: the
 	// order a pass posts them to the crew in.
 	order    []int
-	prepared int // the batch size the subtree's batches were built for; 0 before Prepare
+	work     float64 // the subtree's flop-model work at the prepared batch size
+	prepared int     // the batch size the subtree's batches were built for; 0 before Prepare
 }
 
 // Build mirrors a molecule.Group tree into a Node tree and assigns every
@@ -117,7 +118,7 @@ func (n *Node) layout() error {
 	var place func(m *Node) error
 	place = func(m *Node) error {
 		m.pos, m.lo = pos, len(order)
-		m.batches, m.order, m.prepared = nil, nil, 0 // slots follow the order
+		m.batches, m.order, m.work, m.prepared = nil, nil, 0, 0 // slots follow the order
 		for _, c := range m.Children {
 			if err := place(c); err != nil {
 				return err
@@ -202,46 +203,49 @@ func (n *Node) Rebind(cons *constraint.Set) error {
 }
 
 // Prepare builds the per-node constraint batches for the given batch size,
-// and orders every node's children by their subtree's work under the flop
-// model, largest first, ties by index — longest-processing-time-first,
-// the order a pass posts them to the crew in, so the subtree that takes
-// longest starts first. It must be called before a virtual-machine run or
-// onePass; Solve calls it when the tree has not been prepared for the
-// batch size it is given.
+// scores every subtree's work under the flop model (Work), and orders every
+// node's children by it, largest first, ties by index —
+// longest-processing-time-first, the order a pass posts them to the crew
+// in, so the subtree that takes longest starts first. It must be called
+// before a virtual-machine run or onePass; Solve calls it when the tree has
+// not been prepared for the batch size it is given.
 func (n *Node) Prepare(batchSize int) error {
 	if batchSize < 1 {
 		batchSize = filter.DefaultBatchSize
 	}
-	_, err := n.prepare(batchSize)
-	return err
+	return n.prepare(batchSize)
 }
 
-// prepare is Prepare on a defaulted batch size; it returns the subtree's
-// work.
-func (n *Node) prepare(batchSize int) (float64, error) {
+// prepare is Prepare on a defaulted batch size.
+func (n *Node) prepare(batchSize int) error {
 	batches, err := filter.MakeBatches(n.cons, n.Rows, n.slot, batchSize)
 	if err != nil {
-		return 0, fmt.Errorf("node %q: %w", n.Name, err)
+		return fmt.Errorf("node %q: %w", n.Name, err)
 	}
 	n.batches = batches
-	work := workest.FlopModel{}.NodeWork(n.StateDim(), n.Scalars(), batchSize)
-	sub := make([]float64, len(n.Children))
+	n.work = workest.FlopModel{}.NodeWork(n.StateDim(), n.Scalars(), batchSize)
 	n.order = make([]int, len(n.Children))
 	for i, c := range n.Children {
-		if sub[i], err = c.prepare(batchSize); err != nil {
-			return 0, err
+		if err := c.prepare(batchSize); err != nil {
+			return err
 		}
-		work += sub[i]
+		n.work += c.work
 		n.order[i] = i
 	}
-	sort.SliceStable(n.order, func(a, b int) bool { return sub[n.order[a]] > sub[n.order[b]] })
+	sort.SliceStable(n.order, func(a, b int) bool { return n.Children[n.order[a]].work > n.Children[n.order[b]].work })
 	n.prepared = batchSize
-	return work, nil
+	return nil
 }
 
 // BatchSize returns the batch size the subtree was prepared for (0 before
 // Prepare).
 func (n *Node) BatchSize() int { return n.prepared }
+
+// Work returns the subtree's work under the flop model at the prepared
+// batch size, in relative units: the node's own constraints plus its
+// children's subtrees (0 before Prepare). The virtual machine's static
+// processor assignment divides the processors by it.
+func (n *Node) Work() float64 { return n.work }
 
 // Batches returns the prepared constraint batches of this node.
 func (n *Node) Batches() []*filter.Batch { return n.batches }

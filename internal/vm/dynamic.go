@@ -5,29 +5,6 @@ import (
 	"phmse/internal/machine"
 )
 
-// RunDynamic models the paper's §5 further-work proposal: dynamic
-// reassignment of processors to nodes by periodic global synchronization,
-// instead of the static bipartition. The sibling subtrees of a node are
-// treated as a malleable task pool balanced across the whole team, so the
-// completion time of the children follows the greedy-scheduling (Graham)
-// bound
-//
-//	T(children) = max( Σᵢ T₁(childᵢ) / p , maxᵢ T_cp(childᵢ, p) )
-//
-// where T₁ is a subtree's serial work and T_cp its completion time when it
-// can use the full team alone. A per-level regrouping synchronization is
-// charged on top. This removes the static scheme's power-of-two dips at
-// the cost of the data-locality control the paper prefers; the ablation
-// benchmarks quantify the difference.
-func RunDynamic(root *hier.Node, mach *machine.Machine, procs int) Result {
-	if procs < 1 {
-		procs = 1
-	}
-	res := Result{Procs: procs}
-	res.Wall = dynFinish(root, mach, procs, &res)
-	return res
-}
-
 // dynFinish returns the completion time of the subtree under dynamic
 // balancing with p processors, accumulating class busy time.
 func dynFinish(n *hier.Node, mach *machine.Machine, p int, res *Result) float64 {
@@ -52,7 +29,7 @@ func dynFinish(n *hier.Node, mach *machine.Machine, p int, res *Result) float64 
 		childrenTime += mach.SyncSeconds * float64(p)
 	}
 	t := childrenTime
-	for _, op := range NodeOps(n) {
+	for _, op := range nodeOps(n) {
 		wall := mach.Wall(op, p)
 		t += wall
 		res.ClassBusy[op.Class] += wall * float64(p)
@@ -66,7 +43,7 @@ func dynFinish(n *hier.Node, mach *machine.Machine, p int, res *Result) float64 
 func serialWork(n *hier.Node, mach *machine.Machine, res *Result) float64 {
 	total := 0.0
 	n.Walk(func(m *hier.Node) {
-		for _, op := range NodeOps(m) {
+		for _, op := range nodeOps(m) {
 			w := mach.Wall(op, 1)
 			total += w
 			res.ClassBusy[op.Class] += w

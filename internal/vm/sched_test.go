@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"phmse/internal/constraint"
@@ -34,11 +35,21 @@ func twoArm(t *testing.T, leftCons, rightCons int) (*hier.Node, *molecule.Proble
 			{Name: "right", AtomIDs: rangeInts(10, 20)},
 		},
 	}
-	root, err := hier.Build(p.Tree, &p.Constraints)
+	return prepared(t, p.Tree, &p.Constraints), p
+}
+
+// prepared builds the tree and prepares it at batch dimension 16, which
+// scores its subtrees' work.
+func prepared(t *testing.T, g *molecule.Group, cons *constraint.Set) *hier.Node {
+	t.Helper()
+	root, err := hier.Build(g, cons)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return root, p
+	if err := root.Prepare(16); err != nil {
+		t.Fatal(err)
+	}
+	return root
 }
 
 func rangeInts(lo, hi int) []int {
@@ -52,13 +63,13 @@ func rangeInts(lo, hi int) []int {
 // validate checks that every plan entry partitions the node's children and
 // that processor counts are positive and sum to totals consistent with a
 // team of size procs at the root.
-func validate(p *Plan, root *hier.Node, procs int) error {
+func validate(p plan, root *hier.Node, procs int) error {
 	if p == nil {
 		return nil
 	}
 	var check func(n *hier.Node, procs int) error
 	check = func(n *hier.Node, procs int) error {
-		groups := p.Groups[n]
+		groups := p[n]
 		if groups == nil {
 			// Sequential below this point; nothing further to check.
 			return nil
@@ -66,14 +77,14 @@ func validate(p *Plan, root *hier.Node, procs int) error {
 		seen := map[*hier.Node]bool{}
 		total := 0
 		for _, g := range groups {
-			if g.Procs < 1 {
-				return fmt.Errorf("node %q: group with %d processors", n.Name, g.Procs)
+			if g.procs < 1 {
+				return fmt.Errorf("node %q: group with %d processors", n.Name, g.procs)
 			}
-			if len(g.Nodes) == 0 {
+			if len(g.nodes) == 0 {
 				return fmt.Errorf("node %q: empty child group", n.Name)
 			}
-			total += g.Procs
-			for _, c := range g.Nodes {
+			total += g.procs
+			for _, c := range g.nodes {
 				if c.Parent() != n {
 					return fmt.Errorf("node %q: group contains non-child %q", n.Name, c.Name)
 				}
@@ -90,8 +101,8 @@ func validate(p *Plan, root *hier.Node, procs int) error {
 			return fmt.Errorf("node %q: groups use %d processors, team has %d", n.Name, total, procs)
 		}
 		for _, g := range groups {
-			for _, c := range g.Nodes {
-				if err := check(c, g.Procs); err != nil {
+			for _, c := range g.nodes {
+				if err := check(c, g.procs); err != nil {
 					return err
 				}
 			}
@@ -105,9 +116,9 @@ func validate(p *Plan, root *hier.Node, procs int) error {
 func TestPlanValidation(t *testing.T) {
 	root, _ := twoArm(t, 50, 50)
 	left, right := root.Children[0], root.Children[1]
-	plan := &Plan{Groups: map[*hier.Node][]Group{}}
+	plan := plan{}
 	// Wrong processor total.
-	plan.Groups[root] = []Group{{Nodes: []*hier.Node{left}, Procs: 1}, {Nodes: []*hier.Node{right}, Procs: 1}}
+	plan[root] = []group{{nodes: []*hier.Node{left}, procs: 1}, {nodes: []*hier.Node{right}, procs: 1}}
 	if err := validate(plan, root, 4); err == nil {
 		t.Fatal("accepted wrong processor total")
 	}
@@ -115,12 +126,12 @@ func TestPlanValidation(t *testing.T) {
 		t.Fatalf("rejected valid plan: %v", err)
 	}
 	// Missing child.
-	plan.Groups[root] = []Group{{Nodes: []*hier.Node{left}, Procs: 2}}
+	plan[root] = []group{{nodes: []*hier.Node{left}, procs: 2}}
 	if err := validate(plan, root, 2); err == nil {
 		t.Fatal("accepted plan not covering all children")
 	}
 	// Child in two groups.
-	plan.Groups[root] = []Group{{Nodes: []*hier.Node{left, left}, Procs: 1}, {Nodes: []*hier.Node{right}, Procs: 1}}
+	plan[root] = []group{{nodes: []*hier.Node{left, left}, procs: 1}, {nodes: []*hier.Node{right}, procs: 1}}
 	if err := validate(plan, root, 2); err == nil {
 		t.Fatal("accepted duplicated child")
 	}
@@ -130,47 +141,45 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
+// The plan divides processors by the subtree work Prepare scores: each
+// node's own flop-model work plus its children's subtrees.
 func TestEstimateWorkAccumulates(t *testing.T) {
 	root, _ := twoArm(t, 50, 50)
-	w := EstimateWork(root, workest.FlopModel{}, 16)
-	if len(w.Own) != 3 || len(w.Subtree) != 3 {
-		t.Fatalf("maps sized %d/%d", len(w.Own), len(w.Subtree))
-	}
-	sum := w.Own[root]
+	var fm workest.FlopModel
+	own := fm.NodeWork(root.StateDim(), root.Scalars(), 16)
 	for _, c := range root.Children {
-		sum += w.Subtree[c]
-	}
-	if w.Subtree[root] != sum {
-		t.Fatalf("subtree %g != own+children %g", w.Subtree[root], sum)
-	}
-	for _, c := range root.Children {
-		if w.Own[c] <= 0 {
+		if c.Work() != fm.NodeWork(c.StateDim(), c.Scalars(), 16) {
+			t.Fatalf("leaf %q: work %g is not its own", c.Name, c.Work())
+		}
+		if c.Work() <= 0 {
 			t.Fatal("leaf with constraints has zero work")
 		}
+		own += c.Work()
+	}
+	if root.Work() != own {
+		t.Fatalf("subtree %g != own+children %g", root.Work(), own)
 	}
 }
 
 func TestAssignBalancedSplit(t *testing.T) {
 	root, _ := twoArm(t, 50, 50)
-	w := EstimateWork(root, workest.FlopModel{}, 16)
-	plan := Assign(root, 4, w)
+	plan := assign(root, 4)
 	if err := validate(plan, root, 4); err != nil {
 		t.Fatal(err)
 	}
-	groups := plan.Groups[root]
+	groups := plan[root]
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d", len(groups))
 	}
-	if groups[0].Procs != 2 || groups[1].Procs != 2 {
-		t.Fatalf("equal arms got %d/%d processors", groups[0].Procs, groups[1].Procs)
+	if groups[0].procs != 2 || groups[1].procs != 2 {
+		t.Fatalf("equal arms got %d/%d processors", groups[0].procs, groups[1].procs)
 	}
 }
 
 func TestAssignWorkProportional(t *testing.T) {
 	// A 3:1 work imbalance with 4 processors should give the heavy arm 3.
 	root, _ := twoArm(t, 150, 50)
-	w := EstimateWork(root, workest.FlopModel{}, 16)
-	plan := Assign(root, 4, w)
+	plan := assign(root, 4)
 	if err := validate(plan, root, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +189,10 @@ func TestAssignWorkProportional(t *testing.T) {
 			heavy = c
 		}
 	}
-	for _, g := range plan.Groups[root] {
-		for _, n := range g.Nodes {
-			if n == heavy && g.Procs != 3 {
-				t.Fatalf("heavy arm got %d processors", g.Procs)
+	for _, g := range plan[root] {
+		for _, n := range g.nodes {
+			if n == heavy && g.procs != 3 {
+				t.Fatalf("heavy arm got %d processors", g.procs)
 			}
 		}
 	}
@@ -193,13 +202,12 @@ func TestAssignOddProcessorsUneven(t *testing.T) {
 	// With 3 processors and two equal subtrees, the split must be 2/1 —
 	// the source of the paper's power-of-two dips.
 	root, _ := twoArm(t, 50, 50)
-	w := EstimateWork(root, workest.FlopModel{}, 16)
-	plan := Assign(root, 3, w)
+	plan := assign(root, 3)
 	if err := validate(plan, root, 3); err != nil {
 		t.Fatal(err)
 	}
-	groups := plan.Groups[root]
-	sizes := []int{groups[0].Procs, groups[1].Procs}
+	groups := plan[root]
+	sizes := []int{groups[0].procs, groups[1].procs}
 	if !(sizes[0] == 1 && sizes[1] == 2 || sizes[0] == 2 && sizes[1] == 1) {
 		t.Fatalf("split = %v", sizes)
 	}
@@ -207,22 +215,16 @@ func TestAssignOddProcessorsUneven(t *testing.T) {
 
 func TestAssignSingleProcessorNoPlan(t *testing.T) {
 	root, _ := twoArm(t, 50, 50)
-	w := EstimateWork(root, workest.FlopModel{}, 16)
-	plan := Assign(root, 1, w)
-	if len(plan.Groups) != 0 {
+	if plan := assign(root, 1); len(plan) != 0 {
 		t.Fatal("single processor should have a sequential (empty) plan")
 	}
 }
 
 func TestAssignDeepTreeValid(t *testing.T) {
 	h := molecule.Helix(8)
-	root, err := hier.Build(h.Tree, &h.Constraints)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := EstimateWork(root, workest.FlopModel{}, 16)
+	root := prepared(t, h.Tree, &h.Constraints)
 	for np := 1; np <= 32; np++ {
-		plan := Assign(root, np, w)
+		plan := assign(root, np)
 		if err := validate(plan, root, np); err != nil {
 			t.Fatalf("NP=%d: %v", np, err)
 		}
@@ -231,13 +233,9 @@ func TestAssignDeepTreeValid(t *testing.T) {
 
 func TestAssignHighBranchingValid(t *testing.T) {
 	r := molecule.Ribo30SWith(molecule.Ribo30SConfig{Helices: 10, Coils: 10, Proteins: 5, Seed: 3})
-	root, err := hier.Build(r.Tree, &r.Constraints)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := EstimateWork(root, workest.FlopModel{}, 16)
+	root := prepared(t, r.Tree, &r.Constraints)
 	for _, np := range []int{2, 3, 5, 7, 16, 32} {
-		plan := Assign(root, np, w)
+		plan := assign(root, np)
 		if err := validate(plan, root, np); err != nil {
 			t.Fatalf("NP=%d: %v", np, err)
 		}
@@ -246,15 +244,14 @@ func TestAssignHighBranchingValid(t *testing.T) {
 
 func TestAssignMoreProcsThanChildren(t *testing.T) {
 	root, _ := twoArm(t, 50, 50)
-	w := EstimateWork(root, workest.FlopModel{}, 16)
-	plan := Assign(root, 32, w)
+	plan := assign(root, 32)
 	if err := validate(plan, root, 32); err != nil {
 		t.Fatal(err)
 	}
-	groups := plan.Groups[root]
+	groups := plan[root]
 	total := 0
 	for _, g := range groups {
-		total += g.Procs
+		total += g.procs
 	}
 	if total != 32 {
 		t.Fatalf("processors lost: %d", total)
@@ -277,27 +274,57 @@ func TestZeroWorkTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := EstimateWork(root, workest.FlopModel{}, 16)
-	plan := Assign(root, 4, w)
+	plan := assign(root, 4)
 	if err := validate(plan, root, 4); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// imbalance predicts the load imbalance of a plan from the subtree work:
+// for every node whose children run as parallel groups, the ratio of the
+// slowest group's per-processor work to the mean. 1.0 is perfect balance;
+// the helix's 2-equal-subtrees shape at three processors yields 4/3. The
+// worst ratio over the tree correlates with the wall-clock dips of the
+// static scheme (Tables 3 and 5).
+func imbalance(p plan) (worst float64, byNode map[*hier.Node]float64) {
+	worst = 1
+	byNode = map[*hier.Node]float64{}
+	for node, groups := range p {
+		if len(groups) < 2 {
+			continue
+		}
+		perProc := make([]float64, len(groups))
+		sum := 0.0
+		for i, g := range groups {
+			total := 0.0
+			for _, c := range g.nodes {
+				total += c.Work()
+			}
+			perProc[i] = total / float64(g.procs)
+			sum += perProc[i]
+		}
+		mean := sum / float64(len(groups))
+		if mean <= 0 {
+			continue
+		}
+		ratio := slices.Max(perProc) / mean
+		byNode[node] = ratio
+		worst = max(worst, ratio)
+	}
+	return worst, byNode
+}
+
 func TestImbalance(t *testing.T) {
 	root, _ := twoArm(t, 50, 50)
-	w := EstimateWork(root, workest.FlopModel{}, 16)
 
 	// Even split: perfectly balanced.
-	even := Assign(root, 4, w)
-	worst, _ := imbalance(root, even, w)
+	worst, _ := imbalance(assign(root, 4))
 	if worst > 1.01 {
 		t.Fatalf("even split imbalance %g", worst)
 	}
 	// Odd split over equal arms: the 1-proc group does twice the
 	// per-processor work of the 2-proc group → ratio 4/3.
-	odd := Assign(root, 3, w)
-	worst, byNode := imbalance(root, odd, w)
+	worst, byNode := imbalance(assign(root, 3))
 	if worst < 1.2 || worst > 1.5 {
 		t.Fatalf("odd split imbalance %g", worst)
 	}
@@ -305,20 +332,16 @@ func TestImbalance(t *testing.T) {
 		t.Fatal("no per-node ratios")
 	}
 	// Nil plan: trivially balanced.
-	if w, _ := imbalance(root, nil, w); w != 1 {
+	if w, _ := imbalance(nil); w != 1 {
 		t.Fatal("nil plan")
 	}
 }
 
 func TestImbalancePredictsHelixDip(t *testing.T) {
 	h := molecule.Helix(8)
-	root, err := hier.Build(h.Tree, &h.Constraints)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := EstimateWork(root, workest.FlopModel{}, 16)
-	worst6, _ := imbalance(root, Assign(root, 6, w), w)
-	worst8, _ := imbalance(root, Assign(root, 8, w), w)
+	root := prepared(t, h.Tree, &h.Constraints)
+	worst6, _ := imbalance(assign(root, 6))
+	worst8, _ := imbalance(assign(root, 8))
 	if worst6 <= worst8 {
 		t.Fatalf("NP=6 imbalance %g not above NP=8 %g", worst6, worst8)
 	}

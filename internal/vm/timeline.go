@@ -2,11 +2,9 @@ package vm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"phmse/internal/hier"
-	"phmse/internal/machine"
 )
 
 // Span records when one node's own constraint processing ran in a
@@ -16,24 +14,6 @@ type Span struct {
 	Node       *hier.Node
 	Start, End float64
 	Procs      int
-}
-
-// Duration returns the span length in model seconds.
-func (s Span) Duration() float64 { return s.End - s.Start }
-
-// Trace runs the schedule like Run and additionally returns the per-node
-// execution spans, which expose the load-imbalance structure behind the
-// speedup curves (e.g. the idle gap when three processors split 2/1 over
-// two equal subtrees).
-func Trace(root *hier.Node, mach *machine.Machine, procs int, plan *Plan) (Result, []Span) {
-	if procs < 1 {
-		procs = 1
-	}
-	res := Result{Procs: procs}
-	var spans []Span
-	res.Wall = subtreeDone(root, mach, procs, plan, 0, &res, &spans)
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
-	return res, spans
 }
 
 // FormatTimeline renders the spans of the tree's top levels as a text

@@ -14,9 +14,39 @@
 package vm
 
 import (
+	"sort"
+
 	"phmse/internal/hier"
 	"phmse/internal/machine"
 	"phmse/internal/trace"
+)
+
+// Policy selects how a run assigns processors to the tree's subtrees.
+type Policy int
+
+const (
+	// Static is the paper's §4.3 static processor assignment, the schedule
+	// of its Tables 3–6: all processors start at the root, and at every
+	// node they are divided over the child subtrees by recursive
+	// best-match bipartition of the subtrees' work (hier.Node.Work).
+	// Groups of one parent run concurrently, each processing its subtrees
+	// one after another, and the parent waits for the slowest group. At one
+	// processor the run is the sequential tree walk.
+	Static Policy = iota
+	// Dynamic models the paper's §5 further-work proposal: dynamic
+	// reassignment of processors to nodes by periodic global
+	// synchronization. The sibling subtrees of a node are treated as a
+	// malleable task pool balanced across the whole team, so the completion
+	// time of the children follows the greedy-scheduling (Graham) bound
+	//
+	//	T(children) = max( Σᵢ T₁(childᵢ) / p , maxᵢ T_cp(childᵢ, p) )
+	//
+	// where T₁ is a subtree's serial work and T_cp its completion time when
+	// it can use the full team alone. A per-level regrouping
+	// synchronization is charged on top. This removes the static scheme's
+	// power-of-two dips at the cost of the data-locality control the paper
+	// prefers.
+	Dynamic
 )
 
 // Result summarizes one virtual-time run.
@@ -32,6 +62,11 @@ type Result struct {
 	Procs int
 	// Ops is the number of array operations executed.
 	Ops int
+	// Spans records when each node's own constraint processing ran, in
+	// order of start time: the load-imbalance structure behind the speedup
+	// curves (e.g. the idle gap when three processors split 2/1 over two
+	// equal subtrees). Static runs only; nil under Dynamic.
+	Spans []Span
 }
 
 // ClassSeconds returns the per-class busy time divided by the processor
@@ -40,11 +75,33 @@ func (r Result) ClassSeconds() trace.Times {
 	return r.ClassBusy.Scale(1 / float64(r.Procs))
 }
 
-// BatchOps expands one constraint-batch update (Figure 1) into its array
+// Run models one complete cycle of the parallel hierarchical computation
+// over the tree on the machine with the given processor count under the
+// policy. The tree must be prepared (hier.Node.Prepare); the flat
+// organization is the tree of one leaf.
+func Run(root *hier.Node, mach *machine.Machine, procs int, pol Policy) Result {
+	if procs < 1 {
+		procs = 1
+	}
+	res := Result{Procs: procs}
+	if pol == Dynamic {
+		res.Wall = dynFinish(root, mach, procs, &res)
+		return res
+	}
+	var p plan
+	if procs > 1 {
+		p = assign(root, procs)
+	}
+	res.Wall = subtreeDone(root, mach, procs, p, 0, &res)
+	sort.Slice(res.Spans, func(i, j int) bool { return res.Spans[i].Start < res.Spans[j].Start })
+	return res
+}
+
+// batchOps expands one constraint-batch update (Figure 1) into its array
 // operations with flop counts and working sets, for a batch of scalar
 // dimension m applied to a node of state dimension n with nnz Jacobian
 // non-zeros.
-func BatchOps(m, n, nnz int) []machine.Op {
+func batchOps(m, n, nnz int) []machine.Op {
 	fm, fn, fz := float64(m), float64(n), float64(nnz)
 	const w = 8 // bytes per float64
 	return []machine.Op{
@@ -71,41 +128,27 @@ func BatchOps(m, n, nnz int) []machine.Op {
 	}
 }
 
-// NodeOps expands all prepared batches of a node into operations. The node
-// must have been prepared (hier.Node.Prepare).
-func NodeOps(n *hier.Node) []machine.Op {
+// nodeOps expands all prepared batches of a node into operations.
+func nodeOps(n *hier.Node) []machine.Op {
 	var ops []machine.Op
 	for _, b := range n.Batches() {
-		ops = append(ops, BatchOps(b.Dim(), n.StateDim(), b.NNZUpper())...)
+		ops = append(ops, batchOps(b.Dim(), n.StateDim(), b.NNZUpper())...)
 	}
 	return ops
 }
 
-// Run models one complete cycle of the parallel hierarchical computation on
-// the machine with the given processor count and §4.3 static assignment
-// (Assign; nil: sequential tree walk with full-team intra-node
-// parallelism). The tree must be prepared.
-func Run(root *hier.Node, mach *machine.Machine, procs int, plan *Plan) Result {
-	if procs < 1 {
-		procs = 1
-	}
-	res := Result{Procs: procs}
-	res.Wall = subtreeDone(root, mach, procs, plan, 0, &res, nil)
-	return res
-}
-
 // subtreeDone returns the virtual time at which the subtree rooted at n
-// completes, given it may start at start. A non-nil spans collects when
-// each node's own constraint processing ran (see Trace).
-func subtreeDone(n *hier.Node, mach *machine.Machine, procs int, plan *Plan, start float64, res *Result, spans *[]Span) float64 {
+// completes under the static plan, given it may start at start, and
+// records the span of each node's own constraint processing.
+func subtreeDone(n *hier.Node, mach *machine.Machine, procs int, p plan, start float64, res *Result) float64 {
 	childrenDone := start
 	if len(n.Children) > 0 {
-		groups := planGroups(plan, n)
+		groups := p[n]
 		if groups == nil || procs == 1 {
 			// Sequential children with the full team.
 			t := start
 			for _, c := range n.Children {
-				t = subtreeDone(c, mach, procs, plan, t, res, spans)
+				t = subtreeDone(c, mach, procs, p, t, res)
 			}
 			childrenDone = t
 		} else {
@@ -114,8 +157,8 @@ func subtreeDone(n *hier.Node, mach *machine.Machine, procs int, plan *Plan, sta
 			// power-of-two speedup dips).
 			for _, g := range groups {
 				t := start
-				for _, c := range g.Nodes {
-					t = subtreeDone(c, mach, g.Procs, plan, t, res, spans)
+				for _, c := range g.nodes {
+					t = subtreeDone(c, mach, g.procs, p, t, res)
 				}
 				if t > childrenDone {
 					childrenDone = t
@@ -125,55 +168,12 @@ func subtreeDone(n *hier.Node, mach *machine.Machine, procs int, plan *Plan, sta
 	}
 	// The node's own constraints, processed by its full team.
 	t := childrenDone
-	for _, op := range NodeOps(n) {
+	for _, op := range nodeOps(n) {
 		wall := mach.Wall(op, procs)
 		t += wall
 		res.ClassBusy[op.Class] += wall * float64(procs)
 		res.Ops++
 	}
-	if spans != nil {
-		*spans = append(*spans, Span{Node: n, Start: childrenDone, End: t, Procs: procs})
-	}
+	res.Spans = append(res.Spans, Span{Node: n, Start: childrenDone, End: t, Procs: procs})
 	return t
-}
-
-func planGroups(plan *Plan, n *hier.Node) []Group {
-	if plan == nil || plan.Groups == nil {
-		return nil
-	}
-	return plan.Groups[n]
-}
-
-// RunFlat models the flat (single node) organization: all constraints
-// applied to the full-dimension state.
-func RunFlat(stateDim int, batches []BatchShape, mach *machine.Machine, procs int) Result {
-	res := Result{Procs: procs}
-	t := 0.0
-	for _, b := range batches {
-		for _, op := range BatchOps(b.Dim, stateDim, b.NNZ) {
-			wall := mach.Wall(op, procs)
-			t += wall
-			res.ClassBusy[op.Class] += wall * float64(procs)
-			res.Ops++
-		}
-	}
-	res.Wall = t
-	return res
-}
-
-// BatchShape is the dimensional footprint of one constraint batch.
-type BatchShape struct {
-	Dim int // scalar observations
-	NNZ int // Jacobian non-zeros
-}
-
-// FlatShapes slices a problem of the given total scalar dimension into
-// batches of size m with nnzPerScalar non-zeros per scalar row.
-func FlatShapes(totalScalars, m, nnzPerScalar int) []BatchShape {
-	var out []BatchShape
-	for got := 0; got < totalScalars; got += m {
-		d := min(m, totalScalars-got)
-		out = append(out, BatchShape{Dim: d, NNZ: d * nnzPerScalar})
-	}
-	return out
 }

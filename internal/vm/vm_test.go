@@ -9,7 +9,6 @@ import (
 	"phmse/internal/machine"
 	"phmse/internal/molecule"
 	"phmse/internal/trace"
-	"phmse/internal/workest"
 )
 
 // preparedHelix builds and prepares a helix tree once per size.
@@ -27,7 +26,7 @@ func preparedHelix(t testing.TB, bp int) *hier.Node {
 }
 
 func TestBatchOpsShapes(t *testing.T) {
-	ops := BatchOps(16, 300, 96)
+	ops := batchOps(16, 300, 96)
 	if len(ops) != 6 {
 		t.Fatalf("ops = %d", len(ops))
 	}
@@ -56,8 +55,8 @@ func TestBatchOpsShapes(t *testing.T) {
 func TestRunSequentialDeterministic(t *testing.T) {
 	root := preparedHelix(t, 2)
 	mach := machine.DASH()
-	a := Run(root, mach, 1, nil)
-	b := Run(root, mach, 1, nil)
+	a := Run(root, mach, 1, Static)
+	b := Run(root, mach, 1, Static)
 	if a.Wall != b.Wall || a.Ops != b.Ops || a.ClassBusy != b.ClassBusy {
 		t.Fatal("virtual-time run not deterministic")
 	}
@@ -73,12 +72,10 @@ func TestRunSequentialDeterministic(t *testing.T) {
 func TestRunParallelFasterAndAccounted(t *testing.T) {
 	root := preparedHelix(t, 8)
 	mach := machine.DASH()
-	w := EstimateWork(root, workest.FlopModel{}, 16)
-	serial := Run(root, mach, 1, nil)
+	serial := Run(root, mach, 1, Static)
 	prev := serial.Wall
 	for _, np := range []int{2, 4, 8, 16, 32} {
-		plan := Assign(root, np, w)
-		r := Run(root, mach, np, plan)
+		r := Run(root, mach, np, Static)
 		if r.Wall >= prev {
 			t.Fatalf("NP=%d wall %g not below previous %g", np, r.Wall, prev)
 		}
@@ -100,12 +97,10 @@ func TestHelixSpeedupShape(t *testing.T) {
 	// m-m dominating the time distribution.
 	root := preparedHelix(t, 16)
 	mach := machine.DASH()
-	w := EstimateWork(root, workest.FlopModel{}, 16)
 	speedup := map[int]float64{}
-	base := Run(root, mach, 1, nil).Wall
+	base := Run(root, mach, 1, Static).Wall
 	for _, np := range []int{4, 6, 8, 32} {
-		plan := Assign(root, np, w)
-		speedup[np] = base / Run(root, mach, np, plan).Wall
+		speedup[np] = base / Run(root, mach, np, Static).Wall
 	}
 	if speedup[32] < 18 || speedup[32] > 32 {
 		t.Fatalf("NP=32 speedup %g outside the plausible DASH band", speedup[32])
@@ -116,7 +111,7 @@ func TestHelixSpeedupShape(t *testing.T) {
 		t.Fatalf("no power-of-two dip: eff(4)=%.2f eff(6)=%.2f eff(8)=%.2f", eff(4), eff(6), eff(8))
 	}
 	// m-m dominates the class distribution (Table 3).
-	r := Run(root, mach, 1, nil)
+	r := Run(root, mach, 1, Static)
 	cs := r.ClassSeconds()
 	if cs[trace.MatMat] < 0.5*r.Wall {
 		t.Fatalf("m-m share %.2f of %.2f too small", cs[trace.MatMat], r.Wall)
@@ -135,11 +130,9 @@ func TestRibo30SNoDip(t *testing.T) {
 		t.Fatal(err)
 	}
 	mach := machine.DASH()
-	w := EstimateWork(root, workest.FlopModel{}, 16)
-	base := Run(root, mach, 1, nil).Wall
+	base := Run(root, mach, 1, Static).Wall
 	eff := func(np int) float64 {
-		plan := Assign(root, np, w)
-		return base / Run(root, mach, np, plan).Wall / float64(np)
+		return base / Run(root, mach, np, Static).Wall / float64(np)
 	}
 	e6, e8 := eff(6), eff(8)
 	if e6 < e8*0.9 {
@@ -149,9 +142,8 @@ func TestRibo30SNoDip(t *testing.T) {
 
 func TestChallengeFasterSameShape(t *testing.T) {
 	root := preparedHelix(t, 8)
-	w := EstimateWork(root, workest.FlopModel{}, 16)
-	d1 := Run(root, machine.DASH(), 1, nil).Wall
-	c1 := Run(root, machine.Challenge(), 1, nil).Wall
+	d1 := Run(root, machine.DASH(), 1, Static).Wall
+	c1 := Run(root, machine.Challenge(), 1, Static).Wall
 	if c1 >= d1 {
 		t.Fatalf("Challenge (%g) not faster than DASH (%g)", c1, d1)
 	}
@@ -159,40 +151,9 @@ func TestChallengeFasterSameShape(t *testing.T) {
 	if ratio < 2 || ratio > 5 {
 		t.Fatalf("machine speed ratio %g outside the paper's ~3×", ratio)
 	}
-	plan := Assign(root, 16, w)
-	s := c1 / Run(root, machine.Challenge(), 16, plan).Wall
+	s := c1 / Run(root, machine.Challenge(), 16, Static).Wall
 	if s < 10 || s > 16 {
 		t.Fatalf("Challenge NP=16 speedup %g outside the paper's band", s)
-	}
-}
-
-func TestRunFlatAndShapes(t *testing.T) {
-	shapes := FlatShapes(100, 16, 6)
-	if len(shapes) != 7 {
-		t.Fatalf("shapes = %d", len(shapes))
-	}
-	total := 0
-	for _, s := range shapes {
-		total += s.Dim
-		if s.NNZ != 6*s.Dim {
-			t.Fatalf("nnz = %d for dim %d", s.NNZ, s.Dim)
-		}
-	}
-	if total != 100 {
-		t.Fatalf("total dim = %d", total)
-	}
-	if shapes[6].Dim != 4 {
-		t.Fatalf("last batch dim = %d", shapes[6].Dim)
-	}
-
-	mach := machine.DASH()
-	r1 := RunFlat(300, shapes, mach, 1)
-	if r1.Wall <= 0 || r1.Ops != 7*6 {
-		t.Fatalf("flat run: %+v", r1)
-	}
-	r4 := RunFlat(300, shapes, mach, 4)
-	if r4.Wall >= r1.Wall {
-		t.Fatal("flat run does not speed up")
 	}
 }
 
@@ -204,15 +165,16 @@ func TestHierarchicalBeatsFlatAndGapWidens(t *testing.T) {
 	prevSpeedup := 0.0
 	for _, bp := range []int{1, 2, 4, 8} {
 		h := molecule.Helix(bp)
-		root, err := hier.Build(h.Tree, &h.Constraints)
+		hierWall := Run(preparedHelix(t, bp), mach, 1, Static).Wall
+		// The flat organization is the tree of one leaf holding every atom.
+		flat, err := hier.Build(&molecule.Group{AtomIDs: h.Tree.Atoms()}, &h.Constraints)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := root.Prepare(16); err != nil {
+		if err := flat.Prepare(16); err != nil {
 			t.Fatal(err)
 		}
-		hierWall := Run(root, mach, 1, nil).Wall
-		flatWall := RunFlat(3*len(h.Atoms), FlatShapes(h.ScalarDim(), 16, 6), mach, 1).Wall
+		flatWall := Run(flat, mach, 1, Static).Wall
 		speedup := flatWall / hierWall
 		if bp > 1 && speedup <= prevSpeedup {
 			t.Fatalf("%d bp: hierarchical advantage %g did not grow (prev %g)", bp, speedup, prevSpeedup)
@@ -229,7 +191,7 @@ func TestNodeOpsCountMatchesBatches(t *testing.T) {
 	n := 0
 	root.Walk(func(m *hier.Node) { n += len(m.Batches()) })
 	total := 0
-	root.Walk(func(m *hier.Node) { total += len(NodeOps(m)) })
+	root.Walk(func(m *hier.Node) { total += len(nodeOps(m)) })
 	if total != 6*n {
 		t.Fatalf("ops %d != 6×batches %d", total, n)
 	}
@@ -240,11 +202,10 @@ func TestNodeOpsCountMatchesBatches(t *testing.T) {
 func TestDynamicReschedulingRemovesDip(t *testing.T) {
 	root := preparedHelix(t, 16)
 	mach := machine.DASH()
-	w := EstimateWork(root, workest.FlopModel{}, 16)
-	base := Run(root, mach, 1, nil).Wall
+	base := Run(root, mach, 1, Static).Wall
 
-	static6 := Run(root, mach, 6, Assign(root, 6, w)).Wall
-	dyn6 := RunDynamic(root, mach, 6).Wall
+	static6 := Run(root, mach, 6, Static).Wall
+	dyn6 := Run(root, mach, 6, Dynamic).Wall
 	if dyn6 >= static6 {
 		t.Fatalf("dynamic (%g) not faster than static (%g) at NP=6", dyn6, static6)
 	}
@@ -255,14 +216,14 @@ func TestDynamicReschedulingRemovesDip(t *testing.T) {
 	}
 	// At a power of two the static scheme is already balanced; dynamic
 	// should be in the same ballpark (within 20%).
-	static8 := Run(root, mach, 8, Assign(root, 8, w)).Wall
-	dyn8 := RunDynamic(root, mach, 8).Wall
+	static8 := Run(root, mach, 8, Static).Wall
+	dyn8 := Run(root, mach, 8, Dynamic).Wall
 	if ratio := dyn8 / static8; ratio > 1.2 || ratio < 0.7 {
 		t.Fatalf("NP=8 dynamic/static ratio %.2f", ratio)
 	}
 	// Sanity: accounting present and deterministic.
-	again := RunDynamic(root, mach, 6)
-	if again.Wall != dyn6 || again.ClassBusy.Total() <= 0 {
+	again := Run(root, mach, 6, Dynamic)
+	if again.Wall != dyn6 || again.ClassBusy.Total() <= 0 || again.Spans != nil {
 		t.Fatal("dynamic run not deterministic or unaccounted")
 	}
 }
@@ -270,14 +231,8 @@ func TestDynamicReschedulingRemovesDip(t *testing.T) {
 func TestTraceMatchesRunAndExposesImbalance(t *testing.T) {
 	root := preparedHelix(t, 8)
 	mach := machine.DASH()
-	w := EstimateWork(root, workest.FlopModel{}, 16)
-	plan := Assign(root, 3, w)
-
-	run := Run(root, mach, 3, plan)
-	res, spans := Trace(root, mach, 3, plan)
-	if res.Wall != run.Wall || res.ClassBusy != run.ClassBusy {
-		t.Fatal("Trace disagrees with Run")
-	}
+	res := Run(root, mach, 3, Static)
+	spans := res.Spans
 	if len(spans) != root.Count() {
 		t.Fatalf("spans = %d, nodes = %d", len(spans), root.Count())
 	}
@@ -288,6 +243,9 @@ func TestTraceMatchesRunAndExposesImbalance(t *testing.T) {
 		if s.Start < 0 || s.End > res.Wall+1e-9 || s.End < s.Start {
 			t.Fatalf("bad span %+v", s)
 		}
+		if i > 0 && s.Start < spans[i-1].Start {
+			t.Fatalf("span %d starts at %g before span %d at %g", i, s.Start, i-1, spans[i-1].Start)
+		}
 		if s.Node == root {
 			rootSpan = s
 		}
@@ -295,8 +253,17 @@ func TestTraceMatchesRunAndExposesImbalance(t *testing.T) {
 	if rootSpan == nil || rootSpan.End < res.Wall-1e-9 {
 		t.Fatalf("root span %+v does not close the run", rootSpan)
 	}
-	if rootSpan.Procs != 3 || rootSpan.Duration() <= 0 {
+	if rootSpan.Procs != 3 || rootSpan.End <= rootSpan.Start {
 		t.Fatalf("root span %+v", rootSpan)
+	}
+	// Every node's operations run inside its span on its team, so the
+	// spans account for all the run's busy time.
+	busy := 0.0
+	for _, s := range spans {
+		busy += (s.End - s.Start) * float64(s.Procs)
+	}
+	if math.Abs(busy-res.ClassBusy.Total()) > 1e-9*busy {
+		t.Fatalf("spans hold %g busy processor-seconds, the run %g", busy, res.ClassBusy.Total())
 	}
 	// With 3 procs over two equal subtrees the two children finish at
 	// different times: the root's start equals the slower child's end.

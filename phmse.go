@@ -36,7 +36,6 @@ import (
 	"phmse/internal/distgeom"
 	"phmse/internal/encode"
 	"phmse/internal/energymin"
-	"phmse/internal/filter"
 	"phmse/internal/geom"
 	"phmse/internal/hier"
 	"phmse/internal/machine"
@@ -117,6 +116,8 @@ type (
 	Machine = machine.Machine
 	// SimResult is a virtual-time run result.
 	SimResult = vm.Result
+	// Policy selects a virtual-time run's processor assignment.
+	Policy = vm.Policy
 	// WorkModel is a fitted Equation 1 work-estimation model.
 	WorkModel = workest.Model
 	// Ellipsoid is one atom's positional uncertainty (principal axes with
@@ -200,15 +201,17 @@ func RecursiveBisection(nAtoms, leafSize int) *Group {
 // ModelWork returns the analytic work model's estimate of one cycle over
 // the estimator's (regrouped) tree, in relative units: the prediction to
 // hold a measured cycle time against when comparing decompositions.
-func ModelWork(e *Estimator) float64 {
-	return work(e).Subtree[e.Root()]
-}
+func ModelWork(e *Estimator) float64 { return e.Root().Work() }
 
-// work is the flop model's per-node estimate over the estimator's tree at
-// the batch size the tree was prepared for.
-func work(e *Estimator) *vm.Work {
-	return vm.EstimateWork(e.Root(), workest.FlopModel{}, e.Root().BatchSize())
-}
+// Processor-assignment policies of a virtual-time run.
+const (
+	// Static is the paper's §4.3 static bipartition of the processors over
+	// the subtrees by their work.
+	Static = vm.Static
+	// Dynamic is the paper's §5 dynamic reassignment: sibling subtrees are
+	// balanced greedily across the whole team.
+	Dynamic = vm.Dynamic
+)
 
 // DASH returns the calibrated Stanford DASH machine model (32 processors).
 func DASH() *Machine { return machine.DASH() }
@@ -218,28 +221,12 @@ func Challenge() *Machine { return machine.Challenge() }
 
 // Simulate runs one virtual-time cycle of the estimator's parallel
 // hierarchical schedule on the machine model with the given processor
-// count under the §4.3 static processor assignment, reproducing the paper's
-// Tables 3–6 methodology. A flat estimator's tree is one leaf, whose
-// cycle runs on all the processors at once.
-func Simulate(e *Estimator, m *Machine, procs int) SimResult {
-	root := e.Root()
-	return vm.Run(root, m, procs, vm.Assign(root, procs, work(e)))
-}
-
-// SimulateDynamic runs one virtual-time cycle under the §5 dynamic
-// processor re-grouping extension (greedy load balancing across sibling
-// subtrees instead of the static bipartition).
-func SimulateDynamic(e *Estimator, m *Machine, procs int) SimResult {
-	return vm.RunDynamic(e.Root(), m, procs)
-}
-
-// SimulateFlat runs one virtual-time cycle of the flat organization.
-func SimulateFlat(p *Problem, m *Machine, procs, batch int) SimResult {
-	if batch <= 0 {
-		batch = filter.DefaultBatchSize
-	}
-	shapes := vm.FlatShapes(p.ScalarDim(), batch, 6)
-	return vm.RunFlat(3*len(p.Atoms), shapes, m, procs)
+// count under the policy: Static, the §4.3 static processor assignment that
+// reproduces the paper's Tables 3–6, or Dynamic, the §5 dynamic re-grouping
+// extension. A flat estimator's tree is one leaf, whose cycle runs on all
+// the processors at once — the flat organization of Table 1.
+func Simulate(e *Estimator, m *Machine, procs int, policy Policy) SimResult {
+	return vm.Run(e.Root(), m, procs, policy)
 }
 
 // MeasureTable2 runs the paper's Table 2 experiment with real kernels.

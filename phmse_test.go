@@ -65,37 +65,24 @@ func TestSimulatePublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	dash := phmse.DASH()
-	serial := phmse.Simulate(est, dash, 1)
-	eight := phmse.Simulate(est, dash, 8)
+	serial := phmse.Simulate(est, dash, 1, phmse.Static)
+	eight := phmse.Simulate(est, dash, 8, phmse.Static)
 	if eight.Wall >= serial.Wall {
 		t.Fatal("no virtual speedup")
 	}
 	if s := serial.Wall / eight.Wall; s < 4 || s > 8 {
 		t.Fatalf("NP=8 speedup %g", s)
 	}
-	flat := phmse.SimulateFlat(p, dash, 1, 16)
-	if flat.Wall <= serial.Wall {
-		t.Fatal("flat organization should be slower than hierarchical")
-	}
-}
-
-// A flat estimator's tree is one leaf holding every atom, and its
-// virtual-time cycle is the flat organization's.
-func TestSimulateFlatEstimator(t *testing.T) {
-	p := phmse.Helix(1)
-	est, err := phmse.NewEstimator(p, phmse.Config{Mode: phmse.Flat})
+	// The flat organization is the estimator whose tree is one leaf.
+	flatEst, err := phmse.NewEstimator(p, phmse.Config{Mode: phmse.Flat})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dash := phmse.DASH()
-	for _, procs := range []int{1, 8} {
-		got, want := phmse.Simulate(est, dash, procs).Wall, phmse.SimulateFlat(p, dash, procs, 16).Wall
-		if math.Abs(got-want) > 1e-9*want {
-			t.Fatalf("%d procs: Simulate of the flat estimator %g, SimulateFlat %g", procs, got, want)
-		}
+	if flat := phmse.Simulate(flatEst, dash, 1, phmse.Static); flat.Wall <= serial.Wall {
+		t.Fatal("flat organization should be slower than hierarchical")
 	}
-	if phmse.ModelWork(est) <= 0 {
-		t.Fatal("no model work for the flat estimator")
+	if phmse.ModelWork(flatEst) <= phmse.ModelWork(est) {
+		t.Fatal("flat model work not above hierarchical")
 	}
 }
 
@@ -245,8 +232,8 @@ func TestSimulateDynamicPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	dash := phmse.DASH()
-	static6 := phmse.Simulate(est, dash, 6)
-	dyn6 := phmse.SimulateDynamic(est, dash, 6)
+	static6 := phmse.Simulate(est, dash, 6, phmse.Static)
+	dyn6 := phmse.Simulate(est, dash, 6, phmse.Dynamic)
 	if dyn6.Wall >= static6.Wall {
 		t.Fatalf("dynamic %g not below static %g at NP=6", dyn6.Wall, static6.Wall)
 	}
