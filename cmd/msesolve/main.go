@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -58,50 +59,86 @@ const (
 	exitCanceled   = 7
 )
 
-func main() {
-	var (
-		in      = flag.String("in", "", "problem file (JSON); required")
-		mode    = flag.String("mode", "hier", "organization: flat or hier")
-		procs   = flag.Int("procs", 1, "number of logical processors")
-		batch   = flag.Int("batch", 16, "constraint batch dimension")
-		cycles  = flag.Int("cycles", 100, "maximum constraint-application cycles")
-		tol     = flag.Float64("tol", 1e-3, "convergence tolerance (RMS Å per cycle)")
-		perturb = flag.Float64("perturb", 0.5, "start from reference positions perturbed by this σ (Å)")
-		seed    = flag.Int64("seed", 1, "random seed for the starting estimate")
-		useConf = flag.Bool("conform", false, "start from a discrete conformational-space search instead")
-		initPDB = flag.String("init", "", "start from coordinates in this PDB file (overrides -perturb/-conform)")
-		auto    = flag.Bool("auto", false, "derive the hierarchy automatically by graph partitioning")
-		verbose = flag.Bool("v", false, "print the per-operation-class time distribution and tree")
-		pdbOut  = flag.String("pdb", "", "write the solved structure (PDB format, σ in the B-factor column)")
-		timeout = flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
-		saveOut = flag.String("save-posterior", "", "write the converged posterior (JSON: positions + covariance diagonal; -mode flat adds the 3n×3n covariance) for later -resume")
-		resume  = flag.String("resume", "", "warm-start from a posterior saved with -save-posterior in either mode (overrides -perturb/-conform/-init)")
-	)
-	flag.Parse()
-	// Reject bad flag values with a usage message instead of proceeding
-	// with nonsensical defaults.
+// options holds msesolve's flag values.
+type options struct {
+	in, mode, initPDB, pdbOut, saveOut, resume string
+	procs, batch, cycles                       int
+	tol, perturb                               float64
+	seed                                       int64
+	useConf, auto, verbose                     bool
+	timeout                                    time.Duration
+}
+
+// newFlagSet registers every msesolve flag, bound to o.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("msesolve", flag.ContinueOnError)
+	fs.StringVar(&o.in, "in", "", "problem file (JSON); required")
+	fs.StringVar(&o.mode, "mode", "hier", "organization: flat or hier")
+	fs.IntVar(&o.procs, "procs", 1, "number of logical processors")
+	fs.IntVar(&o.batch, "batch", 16, "constraint batch dimension")
+	fs.IntVar(&o.cycles, "cycles", 100, "maximum constraint-application cycles")
+	fs.Float64Var(&o.tol, "tol", 1e-3, "convergence tolerance (RMS Å per cycle)")
+	fs.Float64Var(&o.perturb, "perturb", 0.5, "start from reference positions perturbed by this σ (Å)")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed for the starting estimate")
+	fs.BoolVar(&o.useConf, "conform", false, "start from a discrete conformational-space search instead")
+	fs.StringVar(&o.initPDB, "init", "", "start from coordinates in this PDB file (overrides -perturb/-conform)")
+	fs.BoolVar(&o.auto, "auto", false, "derive the hierarchy automatically by graph partitioning")
+	fs.BoolVar(&o.verbose, "v", false, "print the per-operation-class time distribution and tree")
+	fs.StringVar(&o.pdbOut, "pdb", "", "write the solved structure (PDB format, σ in the B-factor column)")
+	fs.DurationVar(&o.timeout, "timeout", 0, "abort the solve after this duration (0 = no limit)")
+	fs.StringVar(&o.saveOut, "save-posterior", "", "write the converged posterior (JSON: positions + covariance diagonal; -mode flat adds the 3n×3n covariance) for later -resume")
+	fs.StringVar(&o.resume, "resume", "", "warm-start from a posterior saved with -save-posterior in either mode (overrides -perturb/-conform/-init)")
+	return fs
+}
+
+// parseFlags parses args into options. A flag msesolve does not have, a
+// stray argument or an invalid value — a non-finite -tol or -perturb among
+// them — is an error; main answers it with exit status 2.
+func parseFlags(args []string, out io.Writer) (options, error) {
+	var o options
+	fs := newFlagSet(&o)
+	fs.SetOutput(out)
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	var err error
 	switch {
-	case *in == "":
-		usageError("-in is required")
-	case flag.NArg() > 0:
-		usageError(fmt.Sprintf("unexpected arguments: %v", flag.Args()))
-	case *mode != "flat" && *mode != "hier":
-		usageError(fmt.Sprintf("-mode must be \"flat\" or \"hier\", got %q", *mode))
-	case *procs < 1:
-		usageError(fmt.Sprintf("-procs must be >= 1, got %d", *procs))
-	case *batch < 1:
-		usageError(fmt.Sprintf("-batch must be >= 1, got %d", *batch))
-	case *cycles < 1:
-		usageError(fmt.Sprintf("-cycles must be >= 1, got %d", *cycles))
-	case *tol <= 0 || math.IsNaN(*tol):
-		usageError(fmt.Sprintf("-tol must be positive, got %g", *tol))
-	case *perturb < 0 || math.IsNaN(*perturb):
-		usageError(fmt.Sprintf("-perturb must be >= 0, got %g", *perturb))
-	case *timeout < 0:
-		usageError(fmt.Sprintf("-timeout must be >= 0, got %v", *timeout))
+	case o.in == "":
+		err = errors.New("-in is required")
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected arguments: %v", fs.Args())
+	case o.mode != "flat" && o.mode != "hier":
+		err = fmt.Errorf("-mode must be \"flat\" or \"hier\", got %q", o.mode)
+	case o.procs < 1:
+		err = fmt.Errorf("-procs must be >= 1, got %d", o.procs)
+	case o.batch < 1:
+		err = fmt.Errorf("-batch must be >= 1, got %d", o.batch)
+	case o.cycles < 1:
+		err = fmt.Errorf("-cycles must be >= 1, got %d", o.cycles)
+	case !(o.tol > 0 && o.tol < math.Inf(1)):
+		err = fmt.Errorf("-tol must be positive and finite, got %g", o.tol)
+	case !(o.perturb >= 0 && o.perturb < math.Inf(1)):
+		err = fmt.Errorf("-perturb must be >= 0 and finite, got %g", o.perturb)
+	case o.timeout < 0:
+		err = fmt.Errorf("-timeout must be >= 0, got %v", o.timeout)
+	}
+	if err != nil {
+		fmt.Fprintf(out, "msesolve: %v\n", err)
+		fs.Usage()
+	}
+	return o, err
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(exitUsage)
 	}
 
-	f, err := os.Open(*in)
+	f, err := os.Open(o.in)
 	if err != nil {
 		fatalInput(err)
 	}
@@ -114,49 +151,49 @@ func main() {
 		p.Name, len(p.Atoms), p.Constraints.Len(), p.ScalarDim())
 
 	m := core.Hierarchical
-	if *mode == "flat" {
+	if o.mode == "flat" {
 		m = core.Flat
 	}
 	var rec trace.Collector
 	est, err := core.New(p, core.Config{
 		Mode:          m,
-		Procs:         *procs,
-		BatchSize:     *batch,
-		MaxCycles:     *cycles,
-		Tol:           *tol,
+		Procs:         o.procs,
+		BatchSize:     o.batch,
+		MaxCycles:     o.cycles,
+		Tol:           o.tol,
 		Recorder:      &rec,
-		AutoDecompose: *auto,
+		AutoDecompose: o.auto,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	if *verbose {
+	if o.verbose {
 		fmt.Println("hierarchy:")
 		fmt.Print(est.Root().Dump())
 	}
 
 	ctx := context.Background()
-	if *timeout > 0 {
+	if o.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, o.timeout)
 		defer cancel()
 	}
 
 	var post *core.Posterior
-	if *resume != "" {
-		post, err = readPosterior(*resume, p)
+	if o.resume != "" {
+		post, err = readPosterior(o.resume, p)
 		if err != nil {
 			fatalInput(err)
 		}
-		fmt.Printf("resuming from posterior %s\n", *resume)
+		fmt.Printf("resuming from posterior %s\n", o.resume)
 	}
 
 	var init []geom.Vec3
 	switch {
 	case post != nil:
 		// Warm start: positions and covariance both come from the posterior.
-	case *initPDB != "":
-		f, err := os.Open(*initPDB)
+	case o.initPDB != "":
+		f, err := os.Open(o.initPDB)
 		if err != nil {
 			fatalInput(err)
 		}
@@ -166,14 +203,14 @@ func main() {
 			fatalInput(err)
 		}
 		if len(pos) != len(p.Atoms) {
-			fatalInput(fmt.Errorf("%s has %d atoms, problem has %d", *initPDB, len(pos), len(p.Atoms)))
+			fatalInput(fmt.Errorf("%s has %d atoms, problem has %d", o.initPDB, len(pos), len(p.Atoms)))
 		}
 		init = pos
-	case *useConf:
+	case o.useConf:
 		fmt.Println("running discrete conformational-space search for the initial estimate...")
-		init = conform.Search(len(p.Atoms), &p.Constraints, conform.Options{Seed: *seed})
+		init = conform.Search(len(p.Atoms), &p.Constraints, conform.Options{Seed: o.seed})
 	default:
-		init = molecule.Perturbed(p, *perturb, *seed)
+		init = molecule.Perturbed(p, o.perturb, o.seed)
 	}
 
 	start := time.Now()
@@ -185,7 +222,7 @@ func main() {
 	}
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			err = fmt.Errorf("solve did not finish within -timeout %v: %w", *timeout, err)
+			err = fmt.Errorf("solve did not finish within -timeout %v: %w", o.timeout, err)
 		}
 		fmt.Fprintln(os.Stderr, "msesolve:", err)
 		os.Exit(solveExitCode(err))
@@ -193,7 +230,7 @@ func main() {
 	elapsed := time.Since(start)
 
 	fmt.Printf("mode=%s procs=%d batch=%d: %d cycles in %v (converged=%v, final RMS change %.2e)\n",
-		m, *procs, *batch, sol.Cycles, elapsed.Round(time.Millisecond), sol.Converged, sol.RMSChange)
+		m, o.procs, o.batch, sol.Cycles, elapsed.Round(time.Millisecond), sol.Converged, sol.RMSChange)
 	fmt.Printf("weighted constraint residual: %.4f\n", sol.Residual)
 	fmt.Printf("RMSD to reference geometry: %.4f Å\n", molecule.RMSD(sol.Positions, p.TruePositions()))
 
@@ -209,7 +246,7 @@ func main() {
 	}
 	fmt.Printf("mean positional σ: %.3f Å\n", math.Sqrt(rms/float64(len(vars))))
 
-	if *verbose {
+	if o.verbose {
 		fmt.Println("time distribution:", rec.Times().Format())
 		printDiagnostics(sol.Diagnostics)
 		fmt.Print(sol.UncertaintyReport(3))
@@ -217,8 +254,8 @@ func main() {
 		fmt.Print(analysis.FormatResiduals(analysis.ResidualByType(sol.Positions, &p.Constraints)))
 	}
 
-	if *pdbOut != "" {
-		f, err := os.Create(*pdbOut)
+	if o.pdbOut != "" {
+		f, err := os.Create(o.pdbOut)
 		if err != nil {
 			fatal(err)
 		}
@@ -233,14 +270,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println("wrote", *pdbOut)
+		fmt.Println("wrote", o.pdbOut)
 	}
 
-	if *saveOut != "" {
-		if err := writePosterior(*saveOut, p, sol); err != nil {
+	if o.saveOut != "" {
+		if err := writePosterior(o.saveOut, p, sol); err != nil {
 			fatal(err)
 		}
-		fmt.Println("wrote", *saveOut)
+		fmt.Println("wrote", o.saveOut)
 	}
 }
 
@@ -333,10 +370,4 @@ func fatal(err error) {
 func fatalInput(err error) {
 	fmt.Fprintln(os.Stderr, "msesolve:", err)
 	os.Exit(exitBadInput)
-}
-
-func usageError(msg string) {
-	fmt.Fprintln(os.Stderr, "msesolve:", msg)
-	flag.Usage()
-	os.Exit(exitUsage)
 }

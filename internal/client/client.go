@@ -34,8 +34,7 @@ import (
 type Client struct {
 	base   string
 	hc     *http.Client
-	retry  *RetryPolicy // nil: no transport-level retries
-	bearer string       // "": no Authorization header
+	bearer string // "": no Authorization header
 }
 
 // Option configures a Client.
@@ -55,29 +54,16 @@ func WithBearerToken(token string) Option {
 	return func(c *Client) { c.bearer = token }
 }
 
-// RetryPolicy shapes the transport-level retry of withRetry: jittered
-// exponential backoff, floored by any Retry-After the server sent.
+// RetryPolicy shapes a retry loop (Do): jittered exponential backoff,
+// floored by any Retry-After the server sent.
 type RetryPolicy struct {
-	// MaxAttempts bounds the total tries of one request (default 4).
+	// MaxAttempts bounds the total tries of one request (at least one).
 	MaxAttempts int
 	// BaseDelay is the backoff before the first retry; attempt k waits
-	// roughly BaseDelay·2ᵏ (default 50 ms).
+	// roughly BaseDelay·2ᵏ.
 	BaseDelay time.Duration
-	// MaxDelay caps one backoff step before jitter (default 2 s).
+	// MaxDelay caps one backoff step before jitter.
 	MaxDelay time.Duration
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 50 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
-	}
-	return p
 }
 
 // Delay computes the backoff before retry number retryIdx (0-based): the
@@ -97,7 +83,7 @@ func (p RetryPolicy) Delay(retryIdx int, last error) time.Duration {
 	return d
 }
 
-// Do is the one retry loop of the client and the routing tier: it calls
+// Do is the routing tier's retry loop, for forwards and transfers: it calls
 // fn (passing the 0-based attempt number) until fn succeeds, retryable
 // reports its error final, MaxAttempts calls have been made (at least
 // one), or ctx ends mid-backoff. Backoffs follow Delay, so a Retry-After
@@ -124,16 +110,6 @@ func (p RetryPolicy) Do(ctx context.Context, fn func(attempt int) error, retryab
 		return last
 	}
 	return fmt.Errorf("after %d attempts: %w", attempts, last)
-}
-
-// withRetry enables transport-level retries: backpressure rejections
-// (queue_full, draining) are retried for every method — the server rejects
-// them before any side effect — while transport errors and 5xx responses
-// are retried only for idempotent GETs. Backoff follows the policy; the
-// request's context bounds the whole retry loop.
-func withRetry(p RetryPolicy) Option {
-	pol := p.withDefaults()
-	return func(c *Client) { c.retry = &pol }
 }
 
 // New builds a client for the server at base (e.g. "http://host:8080"; a
@@ -224,39 +200,9 @@ func IsQueueFull(err error) bool { return HasCode(err, encode.CodeQueueFull) }
 // warm-start rejection.
 func IsTopologyMismatch(err error) bool { return HasCode(err, encode.CodeTopologyMismatch) }
 
-// do issues a request under the client's retry policy (none by default)
-// and decodes a 2xx JSON body into out (skipped when out is nil). Non-2xx
-// responses become *APIError.
+// do issues one request and decodes a 2xx JSON body into out (skipped
+// when out is nil). Non-2xx responses become *APIError.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
-	if c.retry == nil {
-		return c.doOnce(ctx, method, path, body, out)
-	}
-	return c.retry.Do(ctx, func(int) error { return c.doOnce(ctx, method, path, body, out) },
-		func(err error) bool { return retryableRequest(method, err) })
-}
-
-// retryableRequest reports whether a failed request may be reissued:
-// backpressure rejections never had side effects, so any method retries;
-// transport errors and 5xx responses could have reached a non-idempotent
-// handler, so only GETs retry through them.
-func retryableRequest(method string, err error) bool {
-	var ae *APIError
-	if errors.As(err, &ae) {
-		if ae.Code == encode.CodeQueueFull || ae.Code == encode.CodeDraining {
-			return true
-		}
-		return method == http.MethodGet && ae.HTTPStatus >= 500
-	}
-	// Not an envelope: the request never produced a response (dial/reset/
-	// timeout). Context errors are deliberate and final.
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	return method == http.MethodGet
-}
-
-// doOnce issues exactly one request.
-func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, out any) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -366,36 +312,6 @@ func (c *Client) status(ctx context.Context, id string, wait time.Duration) (enc
 // between rounds; it sets the cadence only when a non-terminal state is
 // wanted or the daemon ignores ?wait=.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration, states ...encode.JobState) (encode.JobStatus, error) {
-	return c.wait(ctx, id, poll, states, c.status)
-}
-
-// waitRetry waits like Wait but rides through transient failures of a
-// status round — transport errors and 5xx responses — with the client's
-// retry backoff (the withRetry policy, or its defaults) instead of
-// returning on the first hiccup. It gives up after MaxAttempts consecutive
-// failed rounds, on a non-transient error (e.g. not_found), or when ctx
-// ends.
-func (c *Client) waitRetry(ctx context.Context, id string, poll time.Duration, states ...encode.JobState) (encode.JobStatus, error) {
-	pol := RetryPolicy{}.withDefaults()
-	if c.retry != nil {
-		pol = *c.retry
-	}
-	return c.wait(ctx, id, poll, states, func(ctx context.Context, id string, wait time.Duration) (encode.JobStatus, error) {
-		var st encode.JobStatus
-		err := pol.Do(ctx, func(int) (err error) {
-			st, err = c.status(ctx, id, wait)
-			return err
-		}, func(err error) bool { return retryableRequest(http.MethodGet, err) })
-		if err != nil {
-			err = fmt.Errorf("client: polling job %s: %w", id, err)
-		}
-		return st, err
-	})
-}
-
-// wait is the loop behind Wait and waitRetry; status is one round.
-func (c *Client) wait(ctx context.Context, id string, poll time.Duration, states []encode.JobState,
-	status func(context.Context, string, time.Duration) (encode.JobStatus, error)) (encode.JobStatus, error) {
 	if poll <= 0 {
 		poll = 5 * time.Millisecond
 	}
@@ -410,7 +326,7 @@ func (c *Client) wait(ctx context.Context, id string, poll time.Duration, states
 		if longPoll {
 			hold = c.holdFor(ctx)
 		}
-		st, err := status(ctx, id, hold)
+		st, err := c.status(ctx, id, hold)
 		if err != nil {
 			return encode.JobStatus{}, err
 		}

@@ -108,38 +108,3 @@ func (m Mat3) Mul(n Mat3) Mat3 {
 	}
 	return r
 }
-
-// rotZ returns the rotation by angle (radians) about the z axis.
-func rotZ(angle float64) Mat3 {
-	c, s := math.Cos(angle), math.Sin(angle)
-	return Mat3{c, -s, 0, s, c, 0, 0, 0, 1}
-}
-
-// rotY returns the rotation by angle (radians) about the y axis.
-func rotY(angle float64) Mat3 {
-	c, s := math.Cos(angle), math.Sin(angle)
-	return Mat3{c, 0, s, 0, 1, 0, -s, 0, c}
-}
-
-// rotX returns the rotation by angle (radians) about the x axis.
-func rotX(angle float64) Mat3 {
-	c, s := math.Cos(angle), math.Sin(angle)
-	return Mat3{1, 0, 0, 0, c, -s, 0, s, c}
-}
-
-// Frame is a rigid-body transform: p ↦ R·p + T.
-type Frame struct {
-	R Mat3
-	T Vec3
-}
-
-// identityFrame returns the identity transform.
-func identityFrame() Frame { return Frame{R: Identity3()} }
-
-// Apply transforms a point by the frame.
-func (f Frame) Apply(p Vec3) Vec3 { return f.R.MulVec(p).Add(f.T) }
-
-// compose returns the frame equivalent to applying g first, then f.
-func (f Frame) compose(g Frame) Frame {
-	return Frame{R: f.R.Mul(g.R), T: f.R.MulVec(g.T).Add(f.T)}
-}

@@ -13,6 +13,22 @@ func randVec(rng *rand.Rand) Vec3 {
 	return Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 }
 
+// rotX, rotY and rotZ return the rotations by angle (radians) about the axes.
+func rotX(angle float64) Mat3 {
+	c, s := math.Cos(angle), math.Sin(angle)
+	return Mat3{1, 0, 0, 0, c, -s, 0, s, c}
+}
+
+func rotY(angle float64) Mat3 {
+	c, s := math.Cos(angle), math.Sin(angle)
+	return Mat3{c, 0, s, 0, 1, 0, -s, 0, c}
+}
+
+func rotZ(angle float64) Mat3 {
+	c, s := math.Cos(angle), math.Sin(angle)
+	return Mat3{c, -s, 0, s, c, 0, 0, 0, 1}
+}
+
 func TestVecArithmetic(t *testing.T) {
 	v := Vec3{1, 2, 3}
 	w := Vec3{4, 5, 6}
@@ -134,36 +150,16 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 	}
 }
 
-func TestFrameCompose(t *testing.T) {
-	g := Frame{R: rotZ(math.Pi / 2), T: Vec3{1, 0, 0}}
-	f := Frame{R: Identity3(), T: Vec3{0, 0, 5}}
-	fg := f.compose(g)
-	p := Vec3{1, 0, 0}
-	want := f.Apply(g.Apply(p))
-	got := fg.Apply(p)
-	if got.Sub(want).Norm() > 1e-14 {
-		t.Fatalf("Compose: %v vs %v", got, want)
-	}
-}
-
-func TestIdentityFrame(t *testing.T) {
-	p := Vec3{1, 2, 3}
-	if identityFrame().Apply(p) != p {
-		t.Fatal("identity frame moved point")
-	}
-}
-
 // Property: dihedral is invariant under rigid motion.
 func TestDihedralRigidInvarianceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a, b, c, d := randVec(rng), randVec(rng), randVec(rng), randVec(rng)
-		fr := Frame{
-			R: rotZ(rng.Float64() * 6).Mul(rotX(rng.Float64() * 6)),
-			T: randVec(rng),
-		}
+		r := rotZ(rng.Float64() * 6).Mul(rotX(rng.Float64() * 6))
+		tr := randVec(rng)
+		move := func(p Vec3) Vec3 { return r.MulVec(p).Add(tr) } // p ↦ R·p + T
 		d1 := Dihedral(a, b, c, d)
-		d2 := Dihedral(fr.Apply(a), fr.Apply(b), fr.Apply(c), fr.Apply(d))
+		d2 := Dihedral(move(a), move(b), move(c), move(d))
 		if math.IsNaN(d1) || math.IsNaN(d2) {
 			return true // degenerate random configuration
 		}
