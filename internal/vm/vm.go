@@ -88,11 +88,7 @@ func Run(root *hier.Node, mach *machine.Machine, procs int, pol Policy) Result {
 		res.Wall = dynFinish(root, mach, procs, &res)
 		return res
 	}
-	var p plan
-	if procs > 1 {
-		p = assign(root, procs)
-	}
-	res.Wall = subtreeDone(root, mach, procs, p, 0, &res)
+	res.Wall = subtreeDone(root, mach, procs, assign(root, procs), 0, &res)
 	sort.Slice(res.Spans, func(i, j int) bool { return res.Spans[i].Start < res.Spans[j].Start })
 	return res
 }
