@@ -75,7 +75,9 @@ func (p RetryPolicy) Delay(retryIdx int, last error) time.Duration {
 	if d > p.MaxDelay || d <= 0 {
 		d = p.MaxDelay
 	}
-	d = d/2 + time.Duration(rand.Int63n(int64(d)))
+	if d > 0 { // a zero policy retries at once, unless the server asked to wait
+		d = d/2 + time.Duration(rand.Int63n(int64(d)))
+	}
 	var ae *APIError
 	if errors.As(last, &ae) && ae.RetryAfter > d {
 		d = ae.RetryAfter

@@ -21,9 +21,16 @@ func TestRetryPolicyDelay(t *testing.T) {
 			t.Fatalf("delay(%d) = %v outside [base/2, 1.5*max)", idx, d)
 		}
 	}
-	floored := p.Delay(0, &APIError{HTTPStatus: 429, Code: encode.CodeQueueFull, RetryAfter: time.Second})
-	if floored < time.Second {
+	busy := &APIError{HTTPStatus: 429, Code: encode.CodeQueueFull, RetryAfter: time.Second}
+	if floored := p.Delay(0, busy); floored < time.Second {
 		t.Fatalf("delay with Retry-After 1s = %v, want >= 1s", floored)
+	}
+	// The zero policy has no backoff but still honours Retry-After.
+	if d := (RetryPolicy{}).Delay(1, nil); d != 0 {
+		t.Fatalf("zero policy delay = %v, want 0", d)
+	}
+	if d := (RetryPolicy{}).Delay(0, busy); d != time.Second {
+		t.Fatalf("zero policy delay with Retry-After 1s = %v, want 1s", d)
 	}
 }
 
