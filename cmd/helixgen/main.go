@@ -11,84 +11,122 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"phmse/internal/encode"
 	"phmse/internal/molecule"
 )
 
-func main() {
-	var (
-		bp       = flag.Int("bp", 4, "helix length in base pairs")
-		ribo     = flag.Bool("ribo", false, "generate the synthetic 30S ribosome instead of a helix")
-		protein  = flag.Int("protein", 0, "generate a synthetic protein with this many residues instead")
-		helices  = flag.Int("helices", 65, "ribosome: number of double-helix segments")
-		coils    = flag.Int("coils", 65, "ribosome: number of coil segments")
-		proteins = flag.Int("proteins", 21, "ribosome: number of protein reference points")
-		seed     = flag.Int64("seed", 1996, "generator seed (ribosome and protein)")
-		anchors  = flag.Int("anchors", 0, "anchor the first N atoms at their reference positions")
-		sigma    = flag.Float64("anchor-sigma", 0.05, "anchor standard deviation (Å)")
-		out      = flag.String("o", "", "output file (default stdout)")
-	)
-	flag.Parse()
-	// Reject bad flag values with a usage message instead of generating a
-	// degenerate problem from zero-value defaults.
+// options holds helixgen's flag values.
+type options struct {
+	bp, protein, helices, coils, proteins, anchors int
+	ribo                                           bool
+	seed                                           int64
+	sigma                                          float64
+	out                                            string
+}
+
+// newFlagSet registers every helixgen flag, bound to o.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("helixgen", flag.ContinueOnError)
+	fs.IntVar(&o.bp, "bp", 4, "helix length in base pairs")
+	fs.BoolVar(&o.ribo, "ribo", false, "generate the synthetic 30S ribosome instead of a helix")
+	fs.IntVar(&o.protein, "protein", 0, "generate a synthetic protein with this many residues instead")
+	fs.IntVar(&o.helices, "helices", 65, "ribosome: number of double-helix segments")
+	fs.IntVar(&o.coils, "coils", 65, "ribosome: number of coil segments")
+	fs.IntVar(&o.proteins, "proteins", 21, "ribosome: number of protein reference points")
+	fs.Int64Var(&o.seed, "seed", 1996, "generator seed (ribosome and protein)")
+	fs.IntVar(&o.anchors, "anchors", 0, "anchor the first N atoms at their reference positions")
+	fs.Float64Var(&o.sigma, "anchor-sigma", 0.05, "anchor standard deviation (Å)")
+	fs.StringVar(&o.out, "o", "", "output file (default stdout)")
+	return fs
+}
+
+// parseFlags parses args into options. A flag helixgen does not have, a
+// stray argument or an invalid value — a non-finite -anchor-sigma among
+// them — is an error, reported before any output file is created; main
+// answers it with exit status 2.
+func parseFlags(args []string, out io.Writer) (options, error) {
+	var o options
+	fs := newFlagSet(&o)
+	fs.SetOutput(out)
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	var err error
 	switch {
-	case flag.NArg() > 0:
-		usageError(fmt.Sprintf("unexpected arguments: %v", flag.Args()))
-	case *bp < 1:
-		usageError(fmt.Sprintf("-bp must be >= 1, got %d", *bp))
-	case *protein < 0:
-		usageError(fmt.Sprintf("-protein must be >= 0, got %d", *protein))
-	case *ribo && (*helices < 1 || *coils < 0 || *proteins < 0):
-		usageError(fmt.Sprintf("-helices must be >= 1 and -coils/-proteins >= 0, got %d/%d/%d",
-			*helices, *coils, *proteins))
-	case *anchors < 0:
-		usageError(fmt.Sprintf("-anchors must be >= 0, got %d", *anchors))
-	case *anchors > 0 && *sigma <= 0:
-		usageError(fmt.Sprintf("-anchor-sigma must be positive, got %g", *sigma))
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected arguments: %v", fs.Args())
+	case o.bp < 1:
+		err = fmt.Errorf("-bp must be >= 1, got %d", o.bp)
+	case o.protein < 0:
+		err = fmt.Errorf("-protein must be >= 0, got %d", o.protein)
+	case o.ribo && (o.helices < 1 || o.coils < 0 || o.proteins < 0):
+		err = fmt.Errorf("-helices must be >= 1 and -coils/-proteins >= 0, got %d/%d/%d", o.helices, o.coils, o.proteins)
+	case o.anchors < 0:
+		err = fmt.Errorf("-anchors must be >= 0, got %d", o.anchors)
+	case o.anchors > 0 && !(o.sigma > 0 && o.sigma < math.Inf(1)):
+		err = fmt.Errorf("-anchor-sigma must be positive and finite, got %g", o.sigma)
+	}
+	if err != nil {
+		fmt.Fprintf(out, "helixgen: %v\n", err)
+		fs.Usage()
+	}
+	return o, err
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
 	}
 
 	var p *molecule.Problem
-	if *protein > 0 {
-		p = molecule.Protein(*protein, *seed)
-	} else if *ribo {
+	switch {
+	case o.protein > 0:
+		p = molecule.Protein(o.protein, o.seed)
+	case o.ribo:
 		p = molecule.Ribo30SWith(molecule.Ribo30SConfig{
-			Helices: *helices, Coils: *coils, Proteins: *proteins, Seed: *seed,
+			Helices: o.helices, Coils: o.coils, Proteins: o.proteins, Seed: o.seed,
 		})
-	} else {
-		p = molecule.Helix(*bp)
+	default:
+		p = molecule.Helix(o.bp)
 	}
-	if *anchors > 0 {
-		p = molecule.WithAnchors(p, *anchors, *sigma)
+	if o.anchors > 0 {
+		p = molecule.WithAnchors(p, o.anchors, o.sigma)
 	}
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
+	if o.out == "" {
+		err = encode.WriteProblem(os.Stdout, p)
+	} else {
+		err = writeFile(o.out, p)
 	}
-	if err := encode.WriteProblem(w, p); err != nil {
-		fatal(err)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "helixgen:", err)
+		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s: %d atoms, %d constraints (%d scalar)\n",
 		p.Name, len(p.Atoms), p.Constraints.Len(), p.ScalarDim())
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "helixgen:", err)
-	os.Exit(1)
-}
-
-func usageError(msg string) {
-	fmt.Fprintln(os.Stderr, "helixgen:", msg)
-	flag.Usage()
-	os.Exit(2)
+// writeFile writes the problem to path, reporting a failed close as well
+// as a failed write.
+func writeFile(path string, p *molecule.Problem) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := encode.WriteProblem(f, p); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -6,7 +6,6 @@ import (
 	"phmse/internal/filter"
 	"phmse/internal/hier"
 	"phmse/internal/molecule"
-	"phmse/internal/workest"
 )
 
 // treestats quantifies the §3.1 analysis on the real decompositions: the
@@ -32,7 +31,7 @@ func treestats(cfg config) error {
 		}
 		given := hier.ComputeStats(root)
 		fmt.Printf("\n%s:\n%s", p.Name, given.Format())
-		if !root.Regroup(workest.FlopModel{}, filter.DefaultBatchSize) {
+		if !root.Regroup(filter.DefaultBatchSize) {
 			fmt.Println("regrouping: no node wider than two, the tree is solved as given")
 			continue
 		}

@@ -61,12 +61,10 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "listen address for net/http/pprof debug endpoints (empty disables)")
 	fs.IntVar(&o.cfg.CacheSize, "plan-cache", 64, "plan cache entries (<= 0 disables)")
 	fs.Int64Var(&o.posteriorMB, "posterior-mb", 256, "posterior store budget in MiB for warm starts: 48n bytes per n-atom hierarchical job, 8·(3n)² more per flat job (<= 0 disables)")
-	fs.IntVar(&o.cfg.MaxRetries, "max-retries", 2, "automatic re-solve attempts after a transient job failure (0 disables)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", time.Minute, "max wait for in-flight jobs on shutdown")
 	fs.StringVar(&o.cfg.InstanceID, "instance", "", "stable instance name; qualifies job ids for shard routing (letters, digits, - and _)")
 	fs.StringVar(&o.cfg.PosteriorDir, "posterior-dir", "", "directory for posterior snapshots; reloaded on startup for warm starts across restarts")
 	fs.StringVar(&o.cfg.AdminToken, "admin-token", "", "bearer token required on posterior import/delete (PUT/DELETE /v1/posteriors); set to the router's -admin-token")
-	fs.IntVar(&o.cfg.TransferInflight, "transfer-inflight", 0, "max concurrent posterior imports; excess PUTs answer 429 with Retry-After (0 = unlimited)")
 	return fs
 }
 
@@ -84,9 +82,8 @@ func parseFlags(args []string, out io.Writer) (options, error) {
 	switch {
 	case fs.NArg() > 0:
 		err = fmt.Errorf("unexpected arguments: %v", fs.Args())
-	case o.cfg.MaxProcs < 0 || o.cfg.MaxTeam < 0 || o.cfg.QueueDepth < 1 || o.cfg.MaxRetries < 0 ||
-		o.drainTimeout <= 0 || o.cfg.TransferInflight < 0:
-		err = errors.New("processor flags must be >= 0, -queue >= 1, -max-retries >= 0, -drain-timeout > 0, -transfer-inflight >= 0")
+	case o.cfg.MaxProcs < 0 || o.cfg.MaxTeam < 0 || o.cfg.QueueDepth < 1 || o.drainTimeout <= 0:
+		err = errors.New("processor flags must be >= 0, -queue >= 1, -drain-timeout > 0")
 	case !validInstance(o.cfg.InstanceID):
 		err = fmt.Errorf("-instance %q must use only letters, digits, - and _", o.cfg.InstanceID)
 	}
@@ -102,9 +99,6 @@ func parseFlags(args []string, out io.Writer) (options, error) {
 	}
 	if o.cfg.CacheSize <= 0 {
 		o.cfg.CacheSize = -1
-	}
-	if o.cfg.MaxRetries == 0 {
-		o.cfg.MaxRetries = -1
 	}
 	return o, nil
 }

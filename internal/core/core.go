@@ -19,7 +19,6 @@ import (
 	"phmse/internal/molecule"
 	"phmse/internal/par"
 	"phmse/internal/trace"
-	"phmse/internal/workest"
 )
 
 // Mode selects the problem organization.
@@ -60,11 +59,9 @@ type Config struct {
 	// Recorder, when non-nil, accumulates per-operation-class times.
 	Recorder *trace.Collector
 	// AutoDecompose ignores the problem's hierarchy and derives one by
-	// constraint-graph partitioning (§5's automatic decomposition).
+	// constraint-graph partitioning (§5's automatic decomposition) into
+	// leaves of about leafSize atoms.
 	AutoDecompose bool
-	// LeafSize is the target leaf size (atoms) for automatic decomposition
-	// (default 16).
-	LeafSize int
 	// MaxStep clamps each batch's state update to this infinity-norm trust
 	// radius (Å) — the damping that keeps the iterated filter inside its
 	// linearization range for strongly nonlinear observations. Zero selects
@@ -78,9 +75,8 @@ type Config struct {
 	OnCycle func(cycle int, rmsChange float64)
 }
 
-// DefaultLeafSize is the default target leaf size (atoms) of the automatic
-// decomposition.
-const DefaultLeafSize = 16
+// leafSize is the target leaf size (atoms) of the automatic decomposition.
+const leafSize = 16
 
 // withDefaults fills the construction parameters; the solver-control
 // defaults live in filter.Control.WithDefaults alone.
@@ -90,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = filter.DefaultBatchSize
-	}
-	if c.LeafSize <= 0 {
-		c.LeafSize = DefaultLeafSize
 	}
 	return c
 }
@@ -135,12 +128,11 @@ type PlanArtifacts struct {
 	// problem's own or the derived automatic decomposition, as regrouped by
 	// the work model.
 	Tree *molecule.Group
-	// Mode, BatchSize and LeafSize record the construction parameters the
-	// artifacts were computed for; NewWithPlan ignores artifacts built under
+	// Mode and BatchSize record the construction parameters the artifacts
+	// were computed for; NewWithPlan ignores artifacts built under
 	// different parameters.
 	Mode      Mode
 	BatchSize int
-	LeafSize  int
 
 	mu   sync.Mutex
 	free []*hier.Node // prepared trees no estimator holds
@@ -173,7 +165,7 @@ func (a *PlanArtifacts) give(root *hier.Node) {
 // compatible reports whether the artifacts were computed under the given
 // effective (defaulted) construction parameters.
 func (a *PlanArtifacts) compatible(cfg Config) bool {
-	return a != nil && a.Tree != nil && a.Mode == cfg.Mode && a.BatchSize == cfg.BatchSize && a.LeafSize == cfg.LeafSize
+	return a != nil && a.Tree != nil && a.Mode == cfg.Mode && a.BatchSize == cfg.BatchSize
 }
 
 // NewWithPlan builds an estimator like New, but can reuse the
@@ -210,7 +202,7 @@ func NewWithPlan(p *molecule.Problem, cfg Config, art *PlanArtifacts) (*Estimato
 			tree.AtomIDs[i] = i
 		}
 	case cfg.AutoDecompose || tree == nil:
-		tree = hier.GraphPartition(len(p.Atoms), &p.Constraints, cfg.LeafSize)
+		tree = hier.GraphPartition(len(p.Atoms), &p.Constraints, leafSize)
 	}
 	root, err := hier.Build(tree, &p.Constraints)
 	if err != nil {
@@ -219,7 +211,7 @@ func NewWithPlan(p *molecule.Problem, cfg Config, art *PlanArtifacts) (*Estimato
 	// A tree not seen before is scored against the work model before it is
 	// solved, and its wide nodes regrouped (a leaf has none); the artifacts
 	// carry the result, so a cached tree comes back regrouped already.
-	if art == nil && root.Regroup(workest.FlopModel{}, cfg.BatchSize) {
+	if art == nil && root.Regroup(cfg.BatchSize) {
 		tree = root.Group()
 	}
 	if err := root.Prepare(cfg.BatchSize); err != nil {
@@ -227,7 +219,7 @@ func NewWithPlan(p *molecule.Problem, cfg Config, art *PlanArtifacts) (*Estimato
 	}
 	e.root = root
 	if art == nil {
-		art = &PlanArtifacts{Tree: tree, Mode: cfg.Mode, BatchSize: cfg.BatchSize, LeafSize: cfg.LeafSize}
+		art = &PlanArtifacts{Tree: tree, Mode: cfg.Mode, BatchSize: cfg.BatchSize}
 	}
 	e.art = art
 	return e, art, nil

@@ -230,7 +230,8 @@ func TestVariancesReflectDataQuality(t *testing.T) {
 
 func TestAutoDecompose(t *testing.T) {
 	p := helixProblem(1)
-	e, err := New(p, Config{Mode: Hierarchical, AutoDecompose: true, LeafSize: 8, MaxCycles: 40, Tol: 1e-3})
+	p.Tree = hier.GraphPartition(len(p.Atoms), &p.Constraints, 8)
+	e, err := New(p, Config{Mode: Hierarchical, MaxCycles: 40, Tol: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,8 @@ import (
 // it at later linearization points, and still converge.
 func TestHierQuarantineRecordsNode(t *testing.T) {
 	p := helixProblem(1)
-	e, err := New(p, Config{Mode: Hierarchical, AutoDecompose: true, LeafSize: 8, MaxCycles: 60})
+	p.Tree = hier.GraphPartition(len(p.Atoms), &p.Constraints, 8)
+	e, err := New(p, Config{Mode: Hierarchical, MaxCycles: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,8 @@ func TestHierNoProgressFailsTyped(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 
 	p := helixProblem(1)
-	e, err := New(p, Config{Mode: Hierarchical, AutoDecompose: true, LeafSize: 8})
+	p.Tree = hier.GraphPartition(len(p.Atoms), &p.Constraints, 8)
+	e, err := New(p, Config{Mode: Hierarchical})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +133,9 @@ func TestContainmentReportsIndependentOfWidth(t *testing.T) {
 // from the per-cycle RMS trajectory.
 func TestSolutionDiagnosticsPopulated(t *testing.T) {
 	p := helixProblem(1)
+	p.Tree = hier.GraphPartition(len(p.Atoms), &p.Constraints, 8)
 	for _, mode := range []Mode{Flat, Hierarchical} {
-		e, err := New(p, Config{Mode: mode, AutoDecompose: true, LeafSize: 8})
+		e, err := New(p, Config{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -203,7 +203,7 @@ func TestRebindRefusesAnotherTopology(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, _, err := NewWithPlan(e.p, cfg, &PlanArtifacts{Tree: art.Tree, Mode: art.Mode, BatchSize: art.BatchSize, LeafSize: art.LeafSize})
+			fresh, _, err := NewWithPlan(e.p, cfg, &PlanArtifacts{Tree: art.Tree, Mode: art.Mode, BatchSize: art.BatchSize})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,8 +230,8 @@ func TestRebindRefusesAnotherTopology(t *testing.T) {
 }
 
 // Artifacts serve only the mode they were built for: a hierarchical plan
-// never hands its tree to a flat estimator of the same topology, batch and
-// leaf sizes, nor a flat one its leaf to a hierarchical estimator.
+// never hands its tree to a flat estimator of the same topology and batch
+// size, nor a flat one its leaf to a hierarchical estimator.
 func TestPlanArtifactsKeepTheirMode(t *testing.T) {
 	p := boundProblem(1)
 	for _, c := range []struct{ from, to Mode }{{Hierarchical, Flat}, {Flat, Hierarchical}} {

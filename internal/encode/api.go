@@ -89,7 +89,7 @@ type JobStatus struct {
 
 // JobList is the response of GET /v1/jobs: submission-ordered status
 // summaries. Records are pruned once the server's retention bound
-// (Config.MaxRecords) is exceeded, oldest terminal jobs first, so the
+// (1 024 records) is exceeded, oldest terminal jobs first, so the
 // listing is a window over recent work, not a permanent ledger.
 type JobList struct {
 	Jobs []JobStatus `json:"jobs"`

@@ -94,7 +94,7 @@ func TestControlDefaultsIdempotent(t *testing.T) {
 			t.Errorf("WithDefaults(%g) = %g, want %g", c.step, once.MaxStep, c.wantStep)
 		}
 		if twice.MaxStep != once.MaxStep ||
-			twice.Diag != once.Diag || twice.Team != once.Team || twice.BatchSize != once.BatchSize ||
+			twice.diag != once.diag || twice.Team != once.Team || twice.BatchSize != once.BatchSize ||
 			twice.MaxCycles != once.MaxCycles || twice.Tol != once.Tol || twice.InitVar != once.InitVar {
 			t.Errorf("second WithDefaults moved the block: %+v -> %+v", once, twice)
 		}

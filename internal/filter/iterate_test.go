@@ -137,9 +137,9 @@ func TestIterateStops(t *testing.T) {
 					cancel()
 				}
 				if tc.report != nil {
-					tc.report(ctl.Diag, cycle)
+					tc.report(ctl.diag, cycle)
 				} else {
-					ctl.Diag.AddApplied(1)
+					ctl.diag.AddApplied(1)
 				}
 				return tc.rms(cycle), nil
 			})
@@ -155,7 +155,7 @@ func TestIterateStops(t *testing.T) {
 			if res.Cycles > 0 && res.RMSChange != tc.rms(res.Cycles) {
 				t.Errorf("RMSChange = %g, want %g", res.RMSChange, tc.rms(res.Cycles))
 			}
-			if res.Diag != ctl.Diag || len(res.Diag.RMSTrajectory()) != tc.cycles {
+			if res.Diag != ctl.diag || len(res.Diag.RMSTrajectory()) != tc.cycles {
 				t.Errorf("Result.Diag is not the run's sink with %d trajectory entries", tc.cycles)
 			}
 		})

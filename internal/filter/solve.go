@@ -45,13 +45,13 @@ type Control struct {
 	// 1-based cycle number and the RMS coordinate change over that cycle —
 	// the hook the serving layer uses for cycle-level progress reporting.
 	OnCycle func(cycle int, rmsChange float64)
-	// Diag, when non-nil, is the containment-diagnostics sink to report
-	// into (safe for the tree's parallel subtree updates); WithDefaults
-	// creates one when nil, so Result.Diag is always populated.
-	Diag *Diagnostics
 	// FaultTag labels the solve for fault-injection sites (normally the
 	// problem name).
 	FaultTag string
+	// diag is the containment-diagnostics sink the run reports into (safe
+	// for the tree's parallel subtree updates); WithDefaults creates it, so
+	// Result.Diag is always populated.
+	diag *Diagnostics
 }
 
 // DefaultDivergeAfter is the divergence watchdog's patience: the solve
@@ -97,8 +97,8 @@ func (c Control) WithDefaults() Control {
 	if c.MaxStep == 0 {
 		c.MaxStep = DefaultMaxStep
 	}
-	if c.Diag == nil {
-		c.Diag = &Diagnostics{}
+	if c.diag == nil {
+		c.diag = &Diagnostics{}
 	}
 	return c
 }
@@ -109,7 +109,7 @@ func (c Control) WithDefaults() Control {
 func (c Control) Updater(team *par.Team, node string, cycle int) *Updater {
 	return &Updater{
 		Team: team, Rec: c.Rec, MaxStep: c.MaxStep, Guard: true,
-		Diag: c.Diag, Tag: c.FaultTag, Node: node, Cycle: cycle,
+		Diag: c.diag, Tag: c.FaultTag, Node: node, Cycle: cycle,
 	}
 }
 
@@ -128,15 +128,15 @@ type Result struct {
 // run under: because of the nonlinear measurement functions the cycle of
 // updates repeats until the estimate reaches an equilibrium point. pass
 // applies the whole constraint set once, as the given 1-based cycle, and
-// returns the RMS coordinate change it caused; what it reports into Diag
-// must go to the normalised control block's sink. Every cycle tests the
+// returns the RMS coordinate change it caused, reporting through the
+// normalised control block's Updater. Every cycle tests the
 // exits in this order: Ctx ended (before the pass; its error, with the
 // progress so far), the pass failed (its error), no progress (typed
 // NonFinite or Indefinite), converged (RMS change below Tol), diverged
 // (typed Diverged); MaxCycles passes end the loop.
 func (c Control) Iterate(pass func(cycle int) (rmsChange float64, err error)) (Result, error) {
 	c = c.WithDefaults()
-	res := Result{Diag: c.Diag}
+	res := Result{Diag: c.diag}
 	grew, prevRMS, streakBase := 0, math.Inf(1), 0.0
 	for cycle := 1; cycle <= c.MaxCycles; cycle++ {
 		if c.Ctx != nil {
@@ -144,13 +144,13 @@ func (c Control) Iterate(pass func(cycle int) (rmsChange float64, err error)) (R
 				return res, err
 			}
 		}
-		c.Diag.BeginCycle()
+		c.diag.BeginCycle()
 		rms, err := pass(cycle)
 		if err != nil {
 			return res, err
 		}
 		res.Cycles, res.RMSChange = cycle, rms
-		stats := c.Diag.EndCycle(rms)
+		stats := c.diag.EndCycle(rms)
 		if c.OnCycle != nil {
 			c.OnCycle(cycle, rms)
 		}
@@ -180,7 +180,7 @@ func (c Control) Iterate(pass func(cycle int) (rmsChange float64, err error)) (R
 		}
 		prevRMS = rms
 		if grew >= DefaultDivergeAfter && rms > DivergeGrowthFactor*streakBase {
-			return res, &Diverged{Cycles: cycle, Grew: grew, History: c.Diag.RMSTrajectory()}
+			return res, &Diverged{Cycles: cycle, Grew: grew, History: c.diag.RMSTrajectory()}
 		}
 	}
 	return res, nil

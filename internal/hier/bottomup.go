@@ -6,14 +6,8 @@ import (
 	"phmse/internal/constraint"
 	"phmse/internal/filter"
 	"phmse/internal/molecule"
+	"phmse/internal/workest"
 )
-
-// WorkModel scores a node pass: the estimated work of applying scalars
-// scalar constraints, batchDim at a time, at a node of the given state
-// dimension. workest.Model and workest.FlopModel satisfy it.
-type WorkModel interface {
-	NodeWork(stateDim, scalars, batchDim int) float64
-}
 
 // sweepFloor is the number of scalars a node of the given dimension is
 // charged for at least, if it has any. A batch update streams the node's
@@ -34,15 +28,15 @@ func sweepFloor(dim int) int {
 	return 8
 }
 
-// nodeCost is the model work of applying scalars constraints at a node of
-// dimension dim, a node with fewer than sweepFloor of them charged for the
+// nodeCost is the flop-model work of applying scalars constraints at a node
+// of dimension dim, one with fewer than sweepFloor of them charged for the
 // floor — what keeps a handful of scalars from being moved into a rank-3
 // sweep of their own over a block nearly as wide as the one they left.
-func nodeCost(model WorkModel, dim, scalars, batch int) float64 {
+func nodeCost(dim, scalars, batch int) float64 {
 	if scalars > 0 {
 		scalars = max(scalars, sweepFloor(dim))
 	}
-	return model.NodeWork(dim, scalars, batch)
+	return workest.FlopModel{}.NodeWork(dim, scalars, batch)
 }
 
 // worthwhile is the share of the tree's model cost a regrouping has to
@@ -54,7 +48,7 @@ func nodeCost(model WorkModel, dim, scalars, batch int) float64 {
 // where a tree's wide nodes hold little of its work.
 const worthwhile = 0.1
 
-// Regroup rescores the tree against the work model before it is solved:
+// Regroup rescores the tree against the flop model before it is solved:
 // every node with more than two children has its children merged pairwise,
 // bottom-up, so that the node's constraints land on the smallest block that
 // holds them (§3: a scalar costs O(n²) at a node of dimension n). A join
@@ -72,16 +66,16 @@ const worthwhile = 0.1
 // share of its cost. It reports whether anything changed; if so the tree's
 // state order has changed with it, and Prepare must be called (again)
 // before a solve.
-func (n *Node) Regroup(model WorkModel, batchSize int) bool {
+func (n *Node) Regroup(batchSize int) bool {
 	if batchSize < 1 {
 		batchSize = filter.DefaultBatchSize
 	}
-	plans, saved := n.planRegroup(model, batchSize, nil)
+	plans, saved := n.planRegroup(batchSize, nil)
 	if len(plans) == 0 {
 		return false
 	}
 	cost := 0.0
-	n.Walk(func(m *Node) { cost += nodeCost(model, m.StateDim(), m.Scalars(), batchSize) })
+	n.Walk(func(m *Node) { cost += nodeCost(m.StateDim(), m.Scalars(), batchSize) })
 	if saved < worthwhile*cost {
 		return false
 	}
@@ -108,11 +102,11 @@ type regrouping struct {
 // and returns them with the model cost they save between them. Nothing is
 // changed: a child's dimension and atoms are what they are however it is
 // regrouped inside.
-func (n *Node) planRegroup(model WorkModel, batch int, plans []regrouping) ([]regrouping, float64) {
+func (n *Node) planRegroup(batch int, plans []regrouping) ([]regrouping, float64) {
 	saved := 0.0
 	for _, c := range n.Children {
 		var s float64
-		plans, s = c.planRegroup(model, batch, plans)
+		plans, s = c.planRegroup(batch, plans)
 		saved += s
 	}
 	if len(n.Children) <= 2 {
@@ -173,7 +167,7 @@ cons:
 		// The join that lowers the cost most per coordinate of the block it
 		// makes; ties go to the first pair.
 		bestA, bestB, bestScore, bestGain := -1, -1, 0.0, 0.0
-		here := nodeCost(model, total, scalars, batch)
+		here := nodeCost(total, scalars, batch)
 		for a := 0; a < k; a++ {
 			for b := a + 1; b < k; b++ {
 				w := weight[a*k+b]
@@ -181,7 +175,7 @@ cons:
 					continue
 				}
 				d := dims[a] + dims[b]
-				gain := here - nodeCost(model, total, scalars-w, batch) - nodeCost(model, d, w, batch)
+				gain := here - nodeCost(total, scalars-w, batch) - nodeCost(d, w, batch)
 				if score := gain / float64(d); score > bestScore {
 					bestA, bestB, bestScore, bestGain = a, b, score, gain
 				}
@@ -279,7 +273,7 @@ func (r regrouping) apply() {
 // children. Leaves the constraints do not connect stay siblings. If the
 // leaves are not a tree Build accepts under these constraints, the flat
 // grouping is returned for Build to report on.
-func GroupLeaves(leaves []*molecule.Group, cons *constraint.Set, model WorkModel) *molecule.Group {
+func GroupLeaves(leaves []*molecule.Group, cons *constraint.Set) *molecule.Group {
 	switch len(leaves) {
 	case 0:
 		return &molecule.Group{Name: "empty"}
@@ -288,7 +282,7 @@ func GroupLeaves(leaves []*molecule.Group, cons *constraint.Set, model WorkModel
 	}
 	flat := &molecule.Group{Name: "root", Children: leaves}
 	root, err := Build(flat, cons)
-	if err != nil || !root.Regroup(model, filter.DefaultBatchSize) {
+	if err != nil || !root.Regroup(filter.DefaultBatchSize) {
 		return flat
 	}
 	return root.Group()

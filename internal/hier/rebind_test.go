@@ -7,7 +7,6 @@ import (
 
 	"phmse/internal/constraint"
 	"phmse/internal/geom"
-	"phmse/internal/workest"
 )
 
 // Rebind takes a prepared tree — regrouped or not — to another value set
@@ -24,7 +23,7 @@ func TestRebindChecksEveryConstraint(t *testing.T) {
 			t.Fatalf("seed %d: an unprepared tree was rebound", seed)
 		}
 		root = mustBuild(t, p)
-		root.Regroup(workest.FlopModel{}, 16)
+		root.Regroup(16)
 		if err := root.Prepare(16); err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +82,7 @@ func TestRebindChecksEveryConstraint(t *testing.T) {
 				t.Fatalf("seed %d: %s: rebound", seed, name)
 			}
 			root = mustBuild(t, p) // a refused tree is discarded
-			root.Regroup(workest.FlopModel{}, 16)
+			root.Regroup(16)
 			if err := root.Prepare(16); err != nil {
 				t.Fatal(err)
 			}

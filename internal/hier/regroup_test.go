@@ -14,7 +14,6 @@ import (
 	"phmse/internal/geom"
 	"phmse/internal/molecule"
 	"phmse/internal/par"
-	"phmse/internal/workest"
 )
 
 // wideProblem draws a tree whose root fans out into fan children — leaves
@@ -86,7 +85,7 @@ func wideProblem(rng *rand.Rand, fan int) *molecule.Problem {
 // with any scalars charged the sweep floor at least.
 func treeCost(root *Node, batch int) float64 {
 	total := 0.0
-	root.Walk(func(n *Node) { total += nodeCost(workest.FlopModel{}, n.StateDim(), n.Scalars(), batch) })
+	root.Walk(func(n *Node) { total += nodeCost(n.StateDim(), n.Scalars(), batch) })
 	return total
 }
 
@@ -137,7 +136,7 @@ func TestRegroupInvariants(t *testing.T) {
 		p := wideProblem(rng, 3+rng.Intn(10))
 		given := mustBuild(t, p)
 		root := mustBuild(t, p)
-		changed := root.Regroup(workest.FlopModel{}, 16)
+		changed := root.Regroup(16)
 		if before, after := treeCost(given, 16), treeCost(root, 16); after > before || changed != (after < before) {
 			t.Fatalf("seed %d: model cost %g → %g, changed = %v", seed, before, after, changed)
 		}
@@ -192,7 +191,7 @@ func TestRegroupInvariants(t *testing.T) {
 		}
 
 		again := mustBuild(t, p)
-		again.Regroup(workest.FlopModel{}, 16)
+		again.Regroup(16)
 		if err := sameTree(root, again); err != nil {
 			t.Fatalf("seed %d: regrouping twice: %v", seed, err)
 		}
@@ -213,7 +212,7 @@ func TestRegroupLeavesBinaryTreesAlone(t *testing.T) {
 	for _, p := range []*molecule.Problem{h, chain,
 		{Tree: GraphPartition(len(h.Atoms), &h.Constraints, 8), Constraints: h.Constraints}} {
 		root, ref := mustBuild(t, p), mustBuild(t, p)
-		if root.Regroup(workest.FlopModel{}, 16) {
+		if root.Regroup(16) {
 			t.Fatalf("%s: Regroup reports a change to a binary tree", p.Name)
 		}
 		if err := sameTree(root, ref); err != nil {
@@ -239,7 +238,7 @@ func bestGrouping(dims []int, cons [][2]int, parentDim, batch int) float64 {
 			}
 			at[where] += c[1]
 		}
-		total := nodeCost(workest.FlopModel{}, parentDim, at[len(joins)], batch)
+		total := nodeCost(parentDim, at[len(joins)], batch)
 		for ji, j := range joins {
 			d := 0
 			for ci, cd := range dims {
@@ -247,7 +246,7 @@ func bestGrouping(dims []int, cons [][2]int, parentDim, batch int) float64 {
 					d += cd
 				}
 			}
-			total += nodeCost(workest.FlopModel{}, d, at[ji], batch)
+			total += nodeCost(d, at[ji], batch)
 		}
 		return total
 	}
@@ -305,7 +304,7 @@ func TestRegroupNearBruteForceOptimum(t *testing.T) {
 			cons = append(cons, [2]int{1<<a | 1<<b, 3 * n})
 		}
 		root := mustBuild(t, p)
-		root.Regroup(workest.FlopModel{}, 16)
+		root.Regroup(16)
 		got, best := treeCost(root, 16), bestGrouping(dims, cons, 3*len(p.Atoms), 16)
 		if got < best*(1-1e-12) {
 			t.Fatalf("seed %d: greedy cost %g below the brute-force optimum %g", seed, got, best)
@@ -422,13 +421,14 @@ func TestGuardBoundCarriedUpTheTree(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 
 	opt := Options{Control: filter.Control{InitVar: 400}.WithDefaults()}
-	opt.Diag.BeginCycle()
+	diag := opt.Updater(nil, "", 1).Diag // the sink every node's updater reports into
+	diag.BeginCycle()
 	s := filter.GetPooledState(root.StateDim())
 	bound, err := updateNode(root, s, molecule.Perturbed(p, 0.2, 5), opt, par.NewTeam(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := opt.Diag.Snapshot()
+	snap := diag.Snapshot()
 	if snap.Rollbacks != 1 || len(snap.Quarantined) != 1 || snap.Quarantined[0].Node != grandchild.Name || snap.Quarantined[0].Batch != 1 {
 		t.Fatalf("diagnostics %+v, want one non-finite refusal at %q batch 1", snap, grandchild.Name)
 	}
@@ -469,7 +469,7 @@ func TestWideTreesMatchFlatWithCrossNodeCoupling(t *testing.T) {
 		}
 
 		given, regrouped := mustBuild(t, p), mustBuild(t, p)
-		regrouped.Regroup(workest.FlopModel{}, ctl.BatchSize)
+		regrouped.Regroup(ctl.BatchSize)
 		filled := false
 		for name, root := range map[string]*Node{"given": given, "regrouped": regrouped} {
 			if err := root.Prepare(ctl.BatchSize); err != nil {

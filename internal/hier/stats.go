@@ -3,6 +3,9 @@ package hier
 import (
 	"fmt"
 	"strings"
+
+	"phmse/internal/filter"
+	"phmse/internal/workest"
 )
 
 // Tree statistics supporting the paper's §3.1 complexity analysis: the
@@ -22,7 +25,7 @@ type LevelStat struct {
 	Atoms    int // total atoms across the level's nodes (each counted once per node owning it in its subtree)
 	Scalars  int // scalar constraints assigned at this level
 	MeanDim  float64
-	WorkFrac float64 // fraction of the §2 flop estimate spent at this level
+	WorkFrac float64 // fraction of the flop-model work spent at this level
 }
 
 // Stats summarizes a prepared or unprepared tree.
@@ -31,7 +34,7 @@ type Stats struct {
 	Leaves     int
 	Depth      int
 	Scalars    int
-	Work       float64 // the §2 flop estimate of one cycle over the whole tree
+	Work       float64 // the flop-model work of one cycle over the whole tree
 	Levels     []LevelStat
 	LeafFrac   float64 // fraction of scalar constraints at the leaves
 	DeepFrac   float64 // fraction in the bottom half of the tree
@@ -39,8 +42,8 @@ type Stats struct {
 }
 
 // ComputeStats walks the tree and aggregates the per-level constraint and
-// work distribution. Work is estimated with the §2 flop model: a scalar
-// constraint at a node of state dimension n costs ~2n² flops.
+// work distribution. Work is the flop model's estimate (workest.FlopModel)
+// at the default batch dimension, the one the solver schedules by.
 func ComputeStats(root *Node) Stats {
 	s := Stats{Depth: root.MaxDepth()}
 	levelScalars := map[int]int{}
@@ -60,8 +63,7 @@ func ComputeStats(root *Node) Stats {
 		levelScalars[depth] += scalars
 		levelNodes[depth]++
 		levelAtoms[depth] += len(n.Atoms)
-		dim := float64(n.StateDim())
-		w := float64(scalars) * 2 * dim * dim
+		w := workest.FlopModel{}.NodeWork(n.StateDim(), scalars, filter.DefaultBatchSize)
 		levelWork[depth] += w
 		totalWork += w
 		for _, c := range n.Children {

@@ -9,10 +9,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -396,5 +398,87 @@ func TestAdminDoRejectsOversizeResponse(t *testing.T) {
 	}
 	if puts.Load() != 1 {
 		t.Fatalf("attempts = %d, want 1 — an oversize document must not be re-downloaded", puts.Load())
+	}
+}
+
+// TestPlacementRunsTwoTransfersAtOnce pins placeConcurrency: a pass that
+// moves four posteriors runs their transfers two at a time. The destination
+// holds each import PUT until a second one is held and every transfer that
+// has begun its export has reached its PUT; then it releases them all. A
+// pass running one at a time stalls until the hold's deadline; a wider one
+// peaks wider, or strands its last PUT until the deadline.
+func TestPlacementRunsTwoTransfersAtOnce(t *testing.T) {
+	hold, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var (
+		mu                                  sync.Mutex
+		exports, puts, held, inflight, peak int
+		release                             = make(chan struct{})
+	)
+	dst := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPut {
+			io.WriteString(w, `{"posteriors":[]}`) //nolint:errcheck // an empty index
+			return
+		}
+		io.Copy(io.Discard, r.Body) //nolint:errcheck
+		mu.Lock()
+		puts++
+		held++
+		inflight++
+		peak = max(peak, inflight)
+		gate := release
+		if held >= 2 && puts == exports {
+			close(release)
+			release, held = make(chan struct{}), 0
+		}
+		mu.Unlock()
+		select {
+		case <-gate:
+		case <-hold.Done():
+		}
+		// Leave before answering: the router starts the next transfer only
+		// once this one is acknowledged.
+		mu.Lock()
+		inflight--
+		mu.Unlock()
+		io.WriteString(w, `{}`) //nolint:errcheck
+	}))
+	t.Cleanup(dst.Close)
+	var index atomic.Pointer[encode.PosteriorIndex]
+	src := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodGet && r.URL.Path == "/v1/posteriors":
+			json.NewEncoder(w).Encode(index.Load()) //nolint:errcheck
+			return
+		case r.Method == http.MethodGet:
+			mu.Lock()
+			exports++
+			mu.Unlock()
+		}
+		io.WriteString(w, `{}`) //nolint:errcheck // an export, or the delete after the ack
+	}))
+	t.Cleanup(src.Close)
+
+	rt, err := New(Config{Shards: []string{src.URL, dst.URL}, ProbeInterval: time.Hour, RepairInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	// Four posteriors on the source whose ring owner is the destination.
+	idx := &encode.PosteriorIndex{}
+	for i := 0; len(idx.Posteriors) < 4; i++ {
+		key := fmt.Sprintf("topo-%d", i)
+		if rt.currentRing().lookup(key).base == dst.URL {
+			idx.Posteriors = append(idx.Posteriors, encode.PosteriorInfo{Job: fmt.Sprintf("job-%06d", i), TopologyHash: key})
+		}
+	}
+	index.Store(idx)
+
+	rep := rt.RepairNow(context.Background())
+	mu.Lock()
+	defer mu.Unlock()
+	if stalled := hold.Err() != nil; stalled || rep.Repaired != 4 || rep.Failed != 0 || peak != 2 {
+		t.Fatalf("pass %+v peaked at %d concurrent import PUTs (a PUT held to the deadline: %v); want 4 moved, 2 at a time",
+			rep, peak, stalled)
 	}
 }

@@ -46,8 +46,8 @@ func newPlanCache(max int) *planCache {
 // artifacts depend on, so one topology solved under different batch
 // dimensions or decompositions occupies distinct slots. One slot serves
 // every team width.
-func planKey(topoHash string, mode core.Mode, batch, leaf int, auto bool) string {
-	return fmt.Sprintf("%s|m=%v|b=%d|l=%d|a=%v", topoHash, mode, batch, leaf, auto)
+func planKey(topoHash string, mode core.Mode, batch int, auto bool) string {
+	return fmt.Sprintf("%s|m=%v|b=%d|a=%v", topoHash, mode, batch, auto)
 }
 
 // get returns the cached artifacts for the key, recording a hit or miss.

@@ -22,10 +22,9 @@ func named(p *molecule.Problem, name string) *molecule.Problem {
 	return &molecule.Problem{Name: name, Atoms: p.Atoms, Constraints: p.Constraints, Tree: p.Tree}
 }
 
-// faultCfg is the daemon the fault tests run: two retries, one-processor
-// teams.
+// faultCfg is the daemon the fault tests run: one-processor teams.
 func faultCfg() Config {
-	return Config{MaxProcs: 2, MaxTeam: 1, MaxRetries: 2}
+	return Config{MaxProcs: 2, MaxTeam: 1}
 }
 
 // A job whose every solve attempt panics must fail cleanly with the
@@ -42,7 +41,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	})
 	t.Cleanup(faultinject.Reset)
 
-	srv, ts, c := newTestServer(t, faultCfg())
+	_, ts, c := newTestServer(t, faultCfg())
 	poisoned := submit(t, c, named(helix(1), tag), quickParams())
 	healthy := submit(t, c, helix(2), quickParams())
 
@@ -50,8 +49,8 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	if st.ErrorCode != encode.CodeInternalError {
 		t.Fatalf("poisoned job error code = %q, want %q (status %+v)", st.ErrorCode, encode.CodeInternalError, st)
 	}
-	if st.Retries != srv.cfg.MaxRetries {
-		t.Fatalf("poisoned job retries = %d, want %d", st.Retries, srv.cfg.MaxRetries)
+	if st.Retries != maxRetries {
+		t.Fatalf("poisoned job retries = %d, want %d", st.Retries, maxRetries)
 	}
 	if st.FlatFallback {
 		t.Fatal("panic is not a numerical failure; flat fallback must not run")
@@ -68,11 +67,11 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	if code := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &m); code != http.StatusOK {
 		t.Fatalf("/metrics: http %d", code)
 	}
-	if m.Jobs.Panics < int64(srv.cfg.MaxRetries+1) {
-		t.Fatalf("metrics panics = %d, want at least %d", m.Jobs.Panics, srv.cfg.MaxRetries+1)
+	if m.Jobs.Panics < maxRetries+1 {
+		t.Fatalf("metrics panics = %d, want at least %d", m.Jobs.Panics, maxRetries+1)
 	}
-	if m.Jobs.Retries < int64(srv.cfg.MaxRetries) {
-		t.Fatalf("metrics retries = %d, want at least %d", m.Jobs.Retries, srv.cfg.MaxRetries)
+	if m.Jobs.Retries < maxRetries {
+		t.Fatalf("metrics retries = %d, want at least %d", m.Jobs.Retries, maxRetries)
 	}
 }
 
@@ -93,8 +92,7 @@ func TestSubtreePanicOnHelperIsolated(t *testing.T) {
 	})
 	t.Cleanup(faultinject.Reset)
 
-	cfg := Config{MaxProcs: 2, MaxTeam: 2, MaxRetries: 1}
-	_, _, c := newTestServer(t, cfg)
+	_, _, c := newTestServer(t, Config{MaxProcs: 2, MaxTeam: 2})
 	params := quickParams()
 	params.Procs = 2
 	params.MaxCycles = 4
@@ -119,7 +117,7 @@ func TestIndefiniteJobFailsWithFlatFallback(t *testing.T) {
 	})
 	t.Cleanup(faultinject.Reset)
 
-	srv, _, c := newTestServer(t, faultCfg())
+	_, _, c := newTestServer(t, faultCfg())
 	poisoned := submit(t, c, named(helix(1), tag), quickParams())
 	healthy := submit(t, c, helix(1), quickParams())
 
@@ -127,8 +125,8 @@ func TestIndefiniteJobFailsWithFlatFallback(t *testing.T) {
 	if st.ErrorCode != filter.CodeIndefinite {
 		t.Fatalf("error code = %q, want %q (status %+v)", st.ErrorCode, filter.CodeIndefinite, st)
 	}
-	if st.Retries != srv.cfg.MaxRetries {
-		t.Fatalf("retries = %d, want %d", st.Retries, srv.cfg.MaxRetries)
+	if st.Retries != maxRetries {
+		t.Fatalf("retries = %d, want %d", st.Retries, maxRetries)
 	}
 	if !st.FlatFallback {
 		t.Fatal("transient numerical failure should have attempted the flat fallback")
@@ -142,12 +140,11 @@ func TestIndefiniteJobFailsWithFlatFallback(t *testing.T) {
 // completes, and keeps what the flat solve produced.
 func TestWarmJobFlatFallbackFromDiagonalPosterior(t *testing.T) {
 	const tag = "fault-warm-hier"
-	cfg := faultCfg()
 	var hierAttempts atomic.Int64
 	faultinject.Set(&faultinject.Hooks{
-		// The flat fallback runs as attempt MaxRetries+1.
+		// The flat fallback runs as attempt maxRetries+1.
 		BeforeAttempt: func(got string, n int) {
-			if got == tag && n <= cfg.MaxRetries {
+			if got == tag && n <= maxRetries {
 				hierAttempts.Add(1)
 			}
 		},
@@ -156,7 +153,7 @@ func TestWarmJobFlatFallbackFromDiagonalPosterior(t *testing.T) {
 	})
 	t.Cleanup(faultinject.Reset)
 
-	_, _, c := newTestServer(t, cfg)
+	_, _, c := newTestServer(t, faultCfg())
 	ctx := context.Background()
 	keep := quickParams()
 	keep.KeepPosterior = true
@@ -184,7 +181,8 @@ func TestWarmJobFlatFallbackFromDiagonalPosterior(t *testing.T) {
 }
 
 // A job whose state is poisoned with NaN every cycle rolls back each batch,
-// makes no progress, and fails with the non_finite code.
+// makes no progress, exhausts its retries, and fails with the non_finite
+// code after the flat fallback.
 func TestPoisonedJobFailsNonFinite(t *testing.T) {
 	const tag = "fault-nan"
 	faultinject.Set(&faultinject.Hooks{
@@ -192,22 +190,18 @@ func TestPoisonedJobFailsNonFinite(t *testing.T) {
 	})
 	t.Cleanup(faultinject.Reset)
 
-	// Retries disabled: one attempt plus the flat fallback keeps the test
-	// focused on classification rather than the retry loop.
-	cfg := faultCfg()
-	cfg.MaxRetries = -1
-	_, _, c := newTestServer(t, cfg)
+	_, _, c := newTestServer(t, faultCfg())
 	poisoned := submit(t, c, named(helix(1), tag), quickParams())
 
 	st := waitState(t, c, poisoned.ID, StateFailed)
 	if st.ErrorCode != filter.CodeNonFinite {
 		t.Fatalf("error code = %q, want %q (status %+v)", st.ErrorCode, filter.CodeNonFinite, st)
 	}
-	if st.Retries != 0 {
-		t.Fatalf("retries = %d, want 0 (disabled)", st.Retries)
+	if st.Retries != maxRetries {
+		t.Fatalf("retries = %d, want %d", st.Retries, maxRetries)
 	}
 	if !st.FlatFallback {
-		t.Fatal("flat fallback should still run when retries are disabled")
+		t.Fatal("flat fallback should run once the retries are exhausted")
 	}
 }
 

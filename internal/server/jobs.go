@@ -34,6 +34,15 @@ const (
 	StateCancelled = encode.JobCancelled
 )
 
+const (
+	// maxRetries is the number of automatic re-solve attempts after a
+	// transient failure (recoverable numerics, except in a warm job, or a
+	// recovered panic), on top of the first attempt.
+	maxRetries = 2
+	// maxRecords bounds the retained job records.
+	maxRecords = 1024
+)
+
 // Submission errors, distinguished so the HTTP layer can map them to 503
 // and 429 respectively.
 var (
@@ -306,7 +315,7 @@ func (m *manager) submit(p *molecule.Problem, params encode.SolveParams, warm *s
 	m.queuedCount.Add(1)
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
-	m.pruneLocked()
+	m.pruneLocked(maxRecords)
 	m.submitted.Add(1)
 	return j, nil
 }
@@ -317,8 +326,8 @@ func (m *manager) submit(p *molecule.Problem, params encode.SolveParams, warm *s
 // once the bound holds: past the few records still in flight there, to as
 // many terminal ones as the bound requires — amortised O(1) per submit, not
 // a pass over every record.
-func (m *manager) pruneLocked() {
-	excess := len(m.jobs) - m.cfg.MaxRecords
+func (m *manager) pruneLocked(bound int) {
+	excess := len(m.jobs) - bound
 	i, kept := 0, 0
 	for ; excess > 0 && i < len(m.order); i++ {
 		id := m.order[i]
@@ -425,7 +434,7 @@ func (m *manager) run(j *job, procs int) {
 	var err error
 	for attempt := 0; ; attempt++ {
 		sol, err = m.attempt(ctx, j, attempt, false, procs)
-		if err == nil || attempt >= m.cfg.MaxRetries || !retryable(err, j.warm != nil) || ctx.Err() != nil {
+		if err == nil || attempt >= maxRetries || !retryable(err, j.warm != nil) || ctx.Err() != nil {
 			break
 		}
 		m.retries.Add(1)
@@ -443,7 +452,7 @@ func (m *manager) run(j *job, procs int) {
 		j.mu.Lock()
 		j.flatFallback = true
 		j.mu.Unlock()
-		if fsol, ferr := m.attempt(ctx, j, m.cfg.MaxRetries+1, true, procs); ferr == nil {
+		if fsol, ferr := m.attempt(ctx, j, maxRetries+1, true, procs); ferr == nil {
 			sol, err = fsol, nil
 		}
 	}
@@ -535,8 +544,6 @@ func (m *manager) solve(ctx context.Context, j *job, attempt int, flat bool, pro
 		mode = core.Flat
 	}
 	batch := batchSize(params)
-	const leafSize = core.DefaultLeafSize
-
 	cfg := core.Config{
 		Mode:          mode,
 		Procs:         procs,
@@ -544,12 +551,11 @@ func (m *manager) solve(ctx context.Context, j *job, attempt int, flat bool, pro
 		MaxCycles:     params.MaxCycles,
 		Tol:           params.Tol,
 		AutoDecompose: params.Auto,
-		LeafSize:      leafSize,
 		Recorder:      m.rec,
 		OnCycle:       j.setProgress,
 	}
 
-	key := planKey(j.topoHash, mode, batch, leafSize, params.Auto)
+	key := planKey(j.topoHash, mode, batch, params.Auto)
 	art, hit := m.cache.get(key)
 	est, fresh, err := core.NewWithPlan(j.problem, cfg, art)
 	// Record the hit as soon as it is known so a status poll during the

@@ -3,10 +3,13 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"phmse/internal/core"
@@ -158,6 +161,53 @@ func TestPosteriorEvictionRemovesSnapshot(t *testing.T) {
 	}
 	if _, ok := ps2.get("alpha.job-000002"); !ok {
 		t.Fatal("surviving posterior missing after reload")
+	}
+}
+
+// TestEvictedIDPutBackKeepsItsSnapshot: evicted snapshots are removed
+// after the store's lock is released, so an evicted id can be put back
+// first (a re-import); its removal then finds the id present and leaves
+// the new snapshot alone.
+func TestEvictedIDPutBackKeepsItsSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	ps := newPosteriorStore(1<<20, dir)
+	back := testPosterior("alpha.job-000001", 4)
+	if !ps.put(back) {
+		t.Fatal("put rejected")
+	}
+	ps.removeEvicted([]string{back.jobID, "alpha.job-000009"})
+	if files := snapshotFiles(t, dir); len(files) != 1 || !strings.Contains(files[0], back.jobID) {
+		t.Fatalf("snapshots after a stale eviction of a present id: %v", files)
+	}
+}
+
+// TestConcurrentPutsKeepDiskInStep: puts from several goroutines evict
+// each other's entries while lookups run beside them; once they are done,
+// the snapshots on disk are exactly the entries in memory.
+func TestConcurrentPutsKeepDiskInStep(t *testing.T) {
+	dir := t.TempDir()
+	ps := newPosteriorStore(3*diagPosterior("x", 4).post.Bytes(), dir)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				id := fmt.Sprintf("g%d.job-%06d", g, i)
+				if !ps.put(diagPosterior(id, 4)) {
+					t.Errorf("put %s rejected", id)
+				}
+				ps.get(fmt.Sprintf("g%d.job-%06d", (g+1)%4, i))
+			}
+		}()
+	}
+	wg.Wait()
+	var want []string
+	for _, info := range ps.index("").Posteriors {
+		want = append(want, ps.snapshotPath(info.Job))
+	}
+	if got := snapshotFiles(t, dir); !slices.Equal(got, want) {
+		t.Fatalf("snapshots %v, entries %v", got, want)
 	}
 }
 

@@ -131,17 +131,18 @@ func newPosteriorStore(maxBytes int64, dir string) *posteriorStore {
 // whether the posterior was retained: one larger than the whole budget (or
 // a disabled store) is rejected outright.
 //
-// The snapshot write happens outside ps.mu: it is disk I/O, and holding
-// the lock across it would block every posterior lookup (warm-start
-// resolution, GET /posterior) for the duration. A concurrent put can evict
-// the entry while its snapshot is being written; the membership re-check
-// below removes the orphaned file so a reload never resurrects an evicted
-// posterior.
+// Disk I/O — the snapshot write and the evicted entries' snapshot
+// removals — happens outside ps.mu: holding the lock across it would block
+// every posterior lookup (warm-start resolution, GET /posterior) for the
+// duration. A concurrent put can evict the entry while its snapshot is
+// being written; the membership re-check below removes the orphaned file so
+// a reload never resurrects an evicted posterior.
 func (ps *posteriorStore) put(sp *storedPosterior) bool {
 	sp.bytes = sp.post.Bytes()
 	ps.mu.Lock()
-	ok := ps.insertLocked(sp)
+	ok, evicted := ps.insertLocked(sp)
 	ps.mu.Unlock()
+	ps.removeEvicted(evicted)
 	if !ok {
 		return false
 	}
@@ -165,18 +166,20 @@ func (ps *posteriorStore) put(sp *storedPosterior) bool {
 }
 
 // insertLocked runs the in-memory LRU admission: reject oversized entries,
-// replace a same-id entry, and evict least-recently-used posteriors (and
-// their snapshots) until the budget is respected.
-func (ps *posteriorStore) insertLocked(sp *storedPosterior) bool {
+// replace a same-id entry, and evict least-recently-used posteriors until
+// the budget is respected. It returns the evicted ids, whose snapshots the
+// caller removes after unlocking (removeEvicted).
+func (ps *posteriorStore) insertLocked(sp *storedPosterior) (bool, []string) {
 	if ps.maxBytes <= 0 || sp.bytes > ps.maxBytes {
 		ps.rejected++
-		return false
+		return false, nil
 	}
 	if el, ok := ps.entries[sp.jobID]; ok {
 		ps.bytes -= el.Value.(*storedPosterior).bytes
 		ps.order.Remove(el)
 		delete(ps.entries, sp.jobID)
 	}
+	var evicted []string
 	for ps.bytes+sp.bytes > ps.maxBytes {
 		oldest := ps.order.Back()
 		old := oldest.Value.(*storedPosterior)
@@ -184,12 +187,26 @@ func (ps *posteriorStore) insertLocked(sp *storedPosterior) bool {
 		ps.order.Remove(oldest)
 		delete(ps.entries, old.jobID)
 		ps.evicted++
-		ps.removeSnapshot(old.jobID)
+		evicted = append(evicted, old.jobID)
 	}
 	ps.entries[sp.jobID] = ps.order.PushFront(sp)
 	ps.bytes += sp.bytes
 	ps.stored++
-	return true
+	return true, evicted
+}
+
+// removeEvicted removes the snapshots of evicted entries, without ps.mu
+// held. An id put back since its eviction (a re-import) owns its snapshot
+// again, so each is re-checked under the lock first.
+func (ps *posteriorStore) removeEvicted(ids []string) {
+	for _, id := range ids {
+		ps.mu.Lock()
+		_, back := ps.entries[id]
+		ps.mu.Unlock()
+		if !back {
+			ps.removeSnapshot(id)
+		}
+	}
 }
 
 // maxJobSeq returns the highest numeric job sequence ("...job-NNNNNN")
@@ -367,10 +384,12 @@ func (ps *posteriorStore) loadFromDisk() {
 			continue
 		}
 		ps.mu.Lock()
-		if ps.insertLocked(sp) {
+		ok, evicted := ps.insertLocked(sp)
+		if ok {
 			ps.loaded++
 		}
 		ps.mu.Unlock()
+		ps.removeEvicted(evicted)
 	}
 }
 

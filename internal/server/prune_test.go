@@ -29,7 +29,8 @@ func prunedReference(order []string, states map[string]JobState, max int) []stri
 func TestPruneKeepsWhatAFullPassKeeps(t *testing.T) {
 	for seed := int64(1); seed <= 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m := &manager{cfg: Config{MaxRecords: 1 + rng.Intn(8)}, jobs: map[string]*job{}}
+		bound := 1 + rng.Intn(8)
+		m := &manager{jobs: map[string]*job{}}
 		states := map[string]JobState{}
 		var want []string
 		for step := 0; step < 200; step++ {
@@ -38,8 +39,8 @@ func TestPruneKeepsWhatAFullPassKeeps(t *testing.T) {
 			m.order = append(m.order, id)
 			states[id] = StateQueued
 			want = append(want, id)
-			m.pruneLocked()
-			want = prunedReference(want, states, m.cfg.MaxRecords)
+			m.pruneLocked(bound)
+			want = prunedReference(want, states, bound)
 			if !slices.Equal(m.order, want) || len(m.jobs) != len(want) {
 				t.Fatalf("seed %d step %d: kept %v (%d records), full pass keeps %v", seed, step, m.order, len(m.jobs), want)
 			}

@@ -79,17 +79,10 @@ type Config struct {
 	// CacheSize bounds the plan cache entries (default 64; 0 keeps the
 	// default, negative disables caching).
 	CacheSize int
-	// MaxRecords bounds retained job records (default 1024).
-	MaxRecords int
 	// PosteriorBytes bounds the total heap footprint of retained job
 	// posteriors; least-recently-used posteriors are evicted beyond it
 	// (default 256 MiB; 0 keeps the default, negative disables retention).
 	PosteriorBytes int64
-	// MaxRetries is the number of automatic re-solve attempts after a
-	// transient failure (recoverable numerics, except in a warm job, or a
-	// recovered panic), on top of the first attempt (default 2; 0 keeps the
-	// default, negative disables retries).
-	MaxRetries int
 	// InstanceID, when set, marks this daemon as one shard of a routed
 	// cluster: job ids are minted shard-qualified ("<instance>.job-000001"
 	// instead of "job-000001"), every response carries an
@@ -110,12 +103,6 @@ type Config struct {
 	// authenticate cluster-wide; empty leaves the endpoints open (the
 	// single-daemon and test default).
 	AdminToken string
-	// TransferInflight caps concurrent posterior imports (PUT
-	// /v1/posteriors/{id}); excess imports are answered 429 queue_full with
-	// Retry-After so the router's transfer retries back off instead of
-	// dogpiling a shard that is absorbing a migration wave. 0 (the default)
-	// disables the cap.
-	TransferInflight int
 }
 
 func (c Config) withDefaults() Config {
@@ -131,17 +118,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 64
 	}
-	if c.MaxRecords <= 0 {
-		c.MaxRecords = 1024
-	}
 	if c.PosteriorBytes == 0 {
 		c.PosteriorBytes = 256 << 20
-	}
-	switch {
-	case c.MaxRetries == 0:
-		c.MaxRetries = 2
-	case c.MaxRetries < 0:
-		c.MaxRetries = 0
 	}
 	return c
 }
@@ -153,10 +131,6 @@ type Server struct {
 	mgr   *manager
 	mux   *http.ServeMux
 	start time.Time
-	// transferInflight gauges concurrent posterior imports against
-	// Config.TransferInflight; transferRejected counts imports turned away.
-	transferInflight atomic.Int64
-	transferRejected atomic.Int64
 	// The ?wait= long-poll of the status route: waitsParked gauges the
 	// handlers parked right now, the rest count how parked waits ended.
 	waitsParked, waitsCompleted, waitsTimedOut, waitsAbandoned atomic.Int64
@@ -562,11 +536,6 @@ type MetricsPosteriorStore struct {
 	// source side of an acked migration).
 	Imported int64 `json:"imported,omitempty"`
 	Removed  int64 `json:"removed,omitempty"`
-	// ImportInflight/ImportRejected report the transfer import gate
-	// (Config.TransferInflight): concurrent PUTs right now, and PUTs shed
-	// with 429 since startup.
-	ImportInflight int64 `json:"import_inflight,omitempty"`
-	ImportRejected int64 `json:"import_rejected,omitempty"`
 }
 
 // Snapshot assembles the current metrics document.
@@ -597,20 +566,18 @@ func (s *Server) Snapshot() Metrics {
 		WorkspacePool: pool.Snapshot(),
 		PlanCache:     MetricsPlanCache{Hits: hits, Misses: misses, Entries: entries},
 		Posteriors: MetricsPosteriorStore{
-			Entries:        ps.entries,
-			Bytes:          ps.bytes,
-			CapacityBytes:  ps.capacity,
-			Hits:           ps.hits,
-			Misses:         ps.misses,
-			Stored:         ps.stored,
-			Rejected:       ps.rejected,
-			Evicted:        ps.evicted,
-			Persisted:      ps.persisted,
-			Loaded:         ps.loaded,
-			Imported:       ps.imported,
-			Removed:        ps.removed,
-			ImportInflight: s.transferInflight.Load(),
-			ImportRejected: s.transferRejected.Load(),
+			Entries:       ps.entries,
+			Bytes:         ps.bytes,
+			CapacityBytes: ps.capacity,
+			Hits:          ps.hits,
+			Misses:        ps.misses,
+			Stored:        ps.stored,
+			Rejected:      ps.rejected,
+			Evicted:       ps.evicted,
+			Persisted:     ps.persisted,
+			Loaded:        ps.loaded,
+			Imported:      ps.imported,
+			Removed:       ps.removed,
 		},
 		StatusWaits: MetricsStatusWaits{
 			Parked:    s.waitsParked.Load(),

@@ -44,21 +44,6 @@ func (s *Server) handlePosteriorPut(w http.ResponseWriter, r *http.Request) {
 	if !s.authTransfer(w, r) {
 		return
 	}
-	// The import gate: a migration or repair wave may aim many concurrent
-	// transfer streams at one destination; beyond the configured cap the
-	// daemon sheds load with the same 429 + Retry-After contract as a full
-	// solve queue, and the router's transfer retries back off and replay.
-	if limit := s.cfg.TransferInflight; limit > 0 {
-		if s.transferInflight.Add(1) > int64(limit) {
-			s.transferInflight.Add(-1)
-			s.transferRejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, encode.CodeQueueFull,
-				fmt.Sprintf("transfer import limit of %d in flight reached; retry", limit), "")
-			return
-		}
-		defer s.transferInflight.Add(-1)
-	}
 	id := r.PathValue("id")
 	var doc encode.PosteriorDoc
 	body := http.MaxBytesReader(w, r.Body, maxRequestBody)

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"testing"
-	"time"
 
 	"phmse/internal/client"
 	"phmse/internal/encode"
@@ -291,90 +290,6 @@ func TestPosteriorTransferAuth(t *testing.T) {
 	// ...and the right token is accepted.
 	if code := doAuth(t, http.MethodPut, ts.URL+"/v1/posteriors/"+st.ID, token, body, nil); code != http.StatusOK {
 		t.Fatalf("tokened PUT: status %d, want 200", code)
-	}
-}
-
-// TestPosteriorPutInflightGate pins the transfer import gate: with
-// TransferInflight=1, a second concurrent PUT is shed with 429 queue_full
-// and a Retry-After hint, and the slot frees once the first import ends.
-func TestPosteriorPutInflightGate(t *testing.T) {
-	_, _, srcC := newTestServer(t, Config{MaxProcs: 2})
-	ctx := context.Background()
-	params := quickParams()
-	params.KeepPosterior = true
-	st := submit(t, srcC, helix(2), params)
-	waitState(t, srcC, st.ID, StateDone)
-	doc, err := srcC.Posterior(ctx, st.ID, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := json.Marshal(doc)
-
-	gated, gatedTS, _ := newTestServer(t, Config{MaxProcs: 2, TransferInflight: 1})
-
-	// The first PUT drips its body through a pipe: the handler takes the
-	// gate slot, then blocks decoding until the body arrives.
-	pr, pw := io.Pipe()
-	req, err := http.NewRequest(http.MethodPut, gatedTS.URL+"/v1/posteriors/"+st.ID, pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	firstDone := make(chan int, 1)
-	go func() {
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			firstDone <- -1
-			return
-		}
-		resp.Body.Close()
-		firstDone <- resp.StatusCode
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for gated.transferInflight.Load() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first PUT never took the gate slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// A second PUT while the slot is held is shed with backpressure.
-	req2, err := http.NewRequest(http.MethodPut, gatedTS.URL+"/v1/posteriors/"+st.ID, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2, err := http.DefaultClient.Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env struct {
-		Error encode.ErrorBody `json:"error"`
-	}
-	json.NewDecoder(resp2.Body).Decode(&env) //nolint:errcheck
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("concurrent PUT: status %d, want 429", resp2.StatusCode)
-	}
-	if resp2.Header.Get("Retry-After") == "" {
-		t.Fatal("concurrent PUT: no Retry-After header")
-	}
-	if env.Error.Code != encode.CodeQueueFull {
-		t.Fatalf("concurrent PUT: code %q, want %q", env.Error.Code, encode.CodeQueueFull)
-	}
-
-	// Release the first import; it completes and frees the slot for the
-	// next transfer.
-	if _, err := pw.Write(body); err != nil {
-		t.Fatal(err)
-	}
-	pw.Close()
-	if code := <-firstDone; code != http.StatusOK {
-		t.Fatalf("dripped PUT: status %d, want 200", code)
-	}
-	if code := doAuth(t, http.MethodPut, gatedTS.URL+"/v1/posteriors/"+st.ID, "", body, nil); code != http.StatusOK {
-		t.Fatalf("PUT after release: status %d, want 200", code)
-	}
-	if rej := gated.transferRejected.Load(); rej != 1 {
-		t.Fatalf("transferRejected = %d, want 1", rej)
 	}
 }
 

@@ -286,7 +286,7 @@ func WritePDB(w io.Writer, p *Problem, sol *Solution) error {
 // alternative) — the regrouping NewEstimator applies to any node wider than
 // two, run on the flat tree over the leaves.
 func GroupBottomUp(leaves []*Group, cons *ConstraintSet) *Group {
-	return hier.GroupLeaves(leaves, cons, workest.FlopModel{})
+	return hier.GroupLeaves(leaves, cons)
 }
 
 // WithExclusions augments a problem with van der Waals lower-bound
