@@ -352,9 +352,7 @@ func solveExitCode(err error) int {
 		return exitIndefinite
 	case errors.Is(err, filter.ErrNonFinite):
 		return exitNonFinite
-	case errors.Is(err, filter.ErrCanceled),
-		errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return exitCanceled
 	default:
 		return exitGeneric

@@ -42,7 +42,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.addr, "addr", ":8090", "listen address")
 	fs.StringVar(&o.shards, "shards", "", "comma-separated backend phmsed base URLs (required)")
 	fs.DurationVar(&o.cfg.ProbeInterval, "probe-interval", 2*time.Second, "shard health-poll period (> 0)")
-	fs.DurationVar(&o.cfg.RepairInterval, "repair-interval", 30*time.Second, "anti-entropy repair sweep period, jittered ±20%; the sweeper lease lasts 3 periods (negative disables the loop, 0 is refused)")
+	fs.DurationVar(&o.cfg.RepairInterval, "repair-interval", 30*time.Second, "anti-entropy repair sweep period, jittered ±20% (negative disables the loop, 0 is refused)")
 	fs.DurationVar(&o.cfg.GossipInterval, "gossip-interval", time.Second, "anti-entropy membership exchange period between router replicas (negative disables the loop, 0 is refused)")
 	fs.StringVar(&o.cfg.AdminToken, "admin-token", "", "bearer token required on /admin/v1 and presented to shards during migration (empty leaves the admin plane open)")
 	fs.StringVar(&o.cfg.AuditLog, "audit-log", "", "append-only JSONL file recording membership changes and repair sweeps (empty keeps the in-memory tail only)")

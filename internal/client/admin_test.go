@@ -154,10 +154,9 @@ func TestAdminClusterStateWire(t *testing.T) {
 			Origin: "rb",
 			Members: []encode.ClusterMember{
 				{Base: "http://s1:8080"},
-				{Base: "http://s2:8080", DrainState: "drained", Quarantines: 1},
+				{Base: "http://s2:8080", DrainState: "drained"},
 			},
-			Lease: encode.RepairLease{Holder: "rb", Epoch: 6, ExpiresUnixMs: 1700000000000},
-			Hash:  "deadbeef",
+			Hash: "deadbeef",
 		},
 		Peers: []encode.ClusterPeer{{Base: "http://rb:8090", InSync: true, LastContactUnixMs: 1700000000001}},
 	}
@@ -171,9 +170,6 @@ func TestAdminClusterStateWire(t *testing.T) {
 	}
 	if len(got.Doc.Members) != 2 || got.Doc.Members[1] != want.Doc.Members[1] {
 		t.Fatalf("decoded members: %+v", got.Doc.Members)
-	}
-	if got.Doc.Lease != want.Doc.Lease {
-		t.Fatalf("decoded lease: %+v", got.Doc.Lease)
 	}
 	if len(got.Peers) != 1 || got.Peers[0] != want.Peers[0] {
 		t.Fatalf("decoded peers: %+v", got.Peers)

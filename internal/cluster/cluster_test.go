@@ -3,8 +3,8 @@ package cluster
 // The replicated membership document and its gossip protocol, exercised
 // without a router: hashing and canonical form, the CAS mutation step,
 // the merge rule (higher epoch wins, equal epochs tie-break by hash so
-// both sides converge), the epoch-fenced repair lease, and two live
-// nodes converging over httptest exchanges.
+// both sides converge), the gossip jitter, and two live nodes converging
+// over httptest exchanges.
 
 import (
 	"context"
@@ -39,14 +39,9 @@ func TestHashCanonicalForm(t *testing.T) {
 	}
 	c := a
 	c.Members = append([]encode.ClusterMember(nil), a.Members...)
-	c.Members[0].Quarantines = 2
+	c.Members[0].DrainState = "draining"
 	if HashDoc(a) == HashDoc(c) {
 		t.Fatal("hash ignores member content")
-	}
-	d := a
-	d.Lease = encode.RepairLease{Holder: "ra", Epoch: 3, ExpiresUnixMs: 99}
-	if HashDoc(a) == HashDoc(d) {
-		t.Fatal("hash ignores the lease")
 	}
 }
 
@@ -148,48 +143,18 @@ func TestMergeRule(t *testing.T) {
 	}
 }
 
-// TestRepairLease: free leases are taken, live foreign leases refuse,
-// expiry frees them, and the holder renews its own.
-func TestRepairLease(t *testing.T) {
-	n := New(Config{ReplicaID: "ra", Interval: -1}, encode.ClusterDoc{})
-	now := time.Unix(1000, 0)
-	ttl := time.Minute
-	if !n.TryAcquireLease(now, ttl) {
-		t.Fatal("free lease refused")
+// TestJitterIntervalBounds pins the gossip and sweep cadence spread to
+// ±20%.
+func TestJitterIntervalBounds(t *testing.T) {
+	const d = time.Second
+	for i := 0; i < 1000; i++ {
+		j := JitterInterval(d)
+		if j < 800*time.Millisecond || j > 1200*time.Millisecond {
+			t.Fatalf("jitter(%v) = %v, out of [0.8d, 1.2d]", d, j)
+		}
 	}
-	l := n.Current().Lease
-	if l.Holder != "ra" || l.Epoch != n.Current().Epoch || l.ExpiresUnixMs != now.Add(ttl).UnixMilli() {
-		t.Fatalf("lease = %+v", l)
-	}
-	holds := func(at time.Time) bool {
-		l := n.Current().Lease
-		return l.Holder == "ra" && at.UnixMilli() < l.ExpiresUnixMs
-	}
-	if !holds(now.Add(30 * time.Second)) {
-		t.Fatal("holder does not hold its live lease")
-	}
-	if holds(now.Add(2 * time.Minute)) {
-		t.Fatal("expired lease still held")
-	}
-	// Renewal by the holder succeeds and re-fences at the new epoch.
-	if !n.TryAcquireLease(now.Add(30*time.Second), ttl) {
-		t.Fatal("holder renewal refused")
-	}
-
-	// A second replica adopting the doc cannot take the live lease, but
-	// can after expiry.
-	m := New(Config{ReplicaID: "rb", Interval: -1}, encode.ClusterDoc{})
-	if out := m.merge(n.Current()); out != mergeAdopted {
-		t.Fatalf("lease doc merge = %v", out)
-	}
-	if m.TryAcquireLease(now.Add(time.Minute), ttl) {
-		t.Fatal("rb stole a live lease")
-	}
-	if !m.TryAcquireLease(now.Add(3*time.Minute), ttl) {
-		t.Fatal("rb could not take an expired lease")
-	}
-	if got := m.Current().Lease.Holder; got != "rb" {
-		t.Fatalf("lease holder = %q after takeover", got)
+	if JitterInterval(0) != 0 || JitterInterval(-time.Second) != -time.Second {
+		t.Fatal("non-positive intervals must pass through unjittered")
 	}
 }
 
@@ -220,37 +185,36 @@ func gossipPair(t *testing.T) (*Node, *Node) {
 }
 
 // TestGossipConvergence: a mutation at one node reaches the other within
-// one round in either direction (pull when the remote is newer, push
-// when the local doc wins), and in-sync rounds short-circuit on the
-// digest.
+// one round in either direction (the receiver adopts when the sender's
+// doc is newer, the sender when the receiver's is), and nobody adopts in
+// an in-sync round.
 func TestGossipConvergence(t *testing.T) {
 	a, b := gossipPair(t)
 	ctx := context.Background()
 
-	// In-sync round: digest short-circuit, no documents move.
+	// In-sync round: no documents move.
 	a.GossipNow(ctx)
-	if a.inSync.Load() == 0 || a.adopted.Load() != 0 || a.pushes.Load() != 0 {
-		t.Fatalf("bootstrap round: inSync=%d adopted=%d pushes=%d",
-			a.inSync.Load(), a.adopted.Load(), a.pushes.Load())
+	if a.adopted.Load() != 0 || b.adopted.Load() != 0 {
+		t.Fatalf("bootstrap round: adopted a=%d b=%d", a.adopted.Load(), b.adopted.Load())
 	}
 	if ps := a.PeerStates(); len(ps) != 1 || !ps[0].InSync || ps[0].LastContactUnixMs == 0 {
 		t.Fatalf("peer state = %+v", ps)
 	}
 
-	// Push: a mutates, a gossips, b converges in that same round.
+	// a mutates, a gossips, b converges in that same round.
 	a.Mutate(func(doc *encode.ClusterDoc) bool {
 		SetMember(doc, encode.ClusterMember{Base: "http://s2"})
 		return true
 	})
 	a.GossipNow(ctx)
 	if a.Current().Hash != b.Current().Hash {
-		t.Fatal("push round did not converge")
+		t.Fatal("a's round did not converge")
 	}
-	if a.pushes.Load() != 1 {
-		t.Fatalf("pushes = %d, want 1", a.pushes.Load())
+	if b.adopted.Load() != 1 {
+		t.Fatalf("b adopted %d documents, want 1", b.adopted.Load())
 	}
 
-	// Pull: b mutates, a initiates, a adopts in its own round.
+	// b mutates, a initiates, a adopts in its own round.
 	b.Mutate(func(doc *encode.ClusterDoc) bool {
 		SetMember(doc, encode.ClusterMember{Base: "http://s3"})
 		return true

@@ -17,8 +17,17 @@ import (
 // so anything near this is a broken or hostile peer.
 const maxGossipBody = 4 << 20
 
-// loop runs the periodic anti-entropy rounds, with ±20% jitter so
-// replicas sharing a boot instant don't exchange in lockstep, and a kick
+// JitterInterval spreads d over [0.8d, 1.2d), so replicas sharing a boot
+// instant do not run a periodic loop in lockstep. A non-positive d passes
+// through unchanged.
+func JitterInterval(d time.Duration) time.Duration {
+	if d <= 0 {
+		return d
+	}
+	return d - d/5 + time.Duration(rand.Int63n(int64(d)/5*2+1))
+}
+
+// loop runs the periodic anti-entropy rounds, jittered ±20%, and a kick
 // channel so admin mutations propagate without waiting out the interval.
 func (n *Node) loop() {
 	defer close(n.done)
@@ -27,9 +36,7 @@ func (n *Node) loop() {
 		return
 	}
 	for {
-		d := n.cfg.Interval
-		d += time.Duration(rand.Int63n(int64(d)/2+1)) - d/4
-		t := time.NewTimer(d)
+		t := time.NewTimer(JitterInterval(n.cfg.Interval))
 		select {
 		case <-n.stop:
 			t.Stop()
@@ -44,11 +51,10 @@ func (n *Node) loop() {
 	}
 }
 
-// GossipNow runs one synchronous anti-entropy round against every peer:
-// digest probe, pull (adopt the peer's winning document), or push (send
-// ours when it wins). By return, any document adopted from a peer has
-// been applied via OnAdopt, and any peer our document beat has received
-// and merged it — "within one gossip round" is literal.
+// GossipNow runs one synchronous anti-entropy round: one exchange with
+// every peer. By return, each reachable peer has merged our document and
+// we have merged its, with any adopted document applied via OnAdopt on
+// either side — "within one gossip round" is literal.
 func (n *Node) GossipNow(ctx context.Context) {
 	n.rounds.Add(1)
 	for _, p := range n.peers {
@@ -56,67 +62,32 @@ func (n *Node) GossipNow(ctx context.Context) {
 	}
 }
 
-// exchange runs the push/pull protocol with one peer.
+// exchange posts our document to one peer and merges the document the
+// peer held before merging ours, if the two differed.
 func (n *Node) exchange(ctx context.Context, p *peerState) {
-	local := n.Current()
-	resp, err := n.post(ctx, p, encode.GossipRequest{From: n.cfg.ReplicaID, Digest: local.Hash})
+	resp, err := n.post(ctx, p, encode.GossipRequest{From: n.cfg.ReplicaID, Doc: n.Current()})
 	if err != nil {
 		n.peerFail(p, err)
 		return
 	}
-	if resp.InSync {
-		n.inSync.Add(1)
-		n.peerOK(p, true)
-		return
-	}
-	if resp.Doc == nil {
-		n.peerFail(p, fmt.Errorf("peer %s: out-of-sync response carried no document", p.base))
-		return
-	}
-	switch n.merge(*resp.Doc) {
-	case mergeAdopted, mergeAdoptedConflict, mergeInSync:
-		// Pulled the peer's state (or discovered we already converged
-		// racing another round); nothing to push.
-		n.peerOK(p, true)
-		return
-	case mergeRejected:
+	if resp.Doc != nil && n.merge(*resp.Doc) == mergeRejected {
 		n.peerFail(p, fmt.Errorf("peer %s: document failed hash validation", p.base))
 		return
 	}
-	// Local document wins: push it so the peer converges this round.
-	local = n.Current()
-	n.pushes.Add(1)
-	resp, err = n.post(ctx, p, encode.GossipRequest{From: n.cfg.ReplicaID, Digest: local.Hash, Doc: &local})
-	if err != nil {
-		n.peerFail(p, err)
-		return
-	}
-	if resp.Doc != nil {
-		// The peer answered with yet another document (it raced a
-		// mutation); fold it in rather than waiting a round.
-		n.merge(*resp.Doc)
-	}
-	n.peerOK(p, resp.InSync || resp.Adopted)
+	n.peerOK(p, resp.Doc == nil)
 }
 
-// HandleExchange serves the receiving half of POST /cluster/v1/state: a
-// digest probe answers in-sync or returns our document (pull); a push
-// merges the sender's document and answers with ours when the sides
-// still differ.
+// HandleExchange serves the receiving half of POST /cluster/v1/state: it
+// merges the sender's document and, when the two differed, answers with
+// the document it held before the merge. The merge (and any membership
+// apply it triggers) completes before the answer.
 func (n *Node) HandleExchange(req encode.GossipRequest) encode.GossipResponse {
 	resp := encode.GossipResponse{From: n.cfg.ReplicaID}
-	if req.Doc != nil {
-		out := n.merge(*req.Doc)
-		resp.Adopted = out == mergeAdopted || out == mergeAdoptedConflict
-	}
 	local := n.Current()
-	if req.Digest == local.Hash || (req.Doc != nil && req.Doc.Hash == local.Hash) {
-		if req.Doc == nil {
-			n.inSync.Add(1)
-		}
-		resp.InSync = true
+	if req.Doc.Hash == local.Hash {
 		return resp
 	}
+	n.merge(req.Doc)
 	resp.Doc = &local
 	return resp
 }

@@ -16,8 +16,8 @@ const exchangeTimeout = 3 * time.Second
 // Config wires a Node to its replica identity, its peers, and the router
 // callbacks that apply adopted documents.
 type Config struct {
-	// ReplicaID names this replica in Origin stamps, lease tokens and
-	// gossip exchanges.
+	// ReplicaID names this replica in Origin stamps and gossip
+	// exchanges.
 	ReplicaID string
 	// Peers lists the other router replicas' base URLs.
 	Peers []string
@@ -56,10 +56,8 @@ type Node struct {
 	done chan struct{}
 
 	rounds    atomic.Int64
-	inSync    atomic.Int64
 	adopted   atomic.Int64
 	conflicts atomic.Int64
-	pushes    atomic.Int64
 	failures  atomic.Int64
 	rejected  atomic.Int64
 }
@@ -201,26 +199,6 @@ func (n *Node) merge(remote encode.ClusterDoc) mergeOutcome {
 	return out
 }
 
-// TryAcquireLease attempts to take or renew the repair lease. It
-// succeeds when the lease is free, expired, or already held by this
-// replica; on success the document is CAS-bumped with this replica as
-// holder and a fresh expiry, fencing the acquisition at the new epoch.
-func (n *Node) TryAcquireLease(now time.Time, ttl time.Duration) bool {
-	_, ok := n.Mutate(func(doc *encode.ClusterDoc) bool {
-		l := doc.Lease
-		if l.Holder != "" && l.Holder != n.cfg.ReplicaID && now.UnixMilli() < l.ExpiresUnixMs {
-			return false // a live lease someone else holds
-		}
-		doc.Lease = encode.RepairLease{
-			Holder:        n.cfg.ReplicaID,
-			Epoch:         doc.Epoch,
-			ExpiresUnixMs: now.Add(ttl).UnixMilli(),
-		}
-		return true
-	})
-	return ok
-}
-
 // Stats is a point-in-time snapshot for /metrics.
 type Stats struct {
 	ReplicaID string
@@ -228,13 +206,10 @@ type Stats struct {
 	Origin    string
 	Hash      string
 	Members   int
-	Lease     encode.RepairLease
 	Peers     []encode.ClusterPeer
 	Rounds    int64
-	InSync    int64
 	Adopted   int64
 	Conflicts int64
-	Pushes    int64
 	Failures  int64
 	Rejected  int64
 }
@@ -248,15 +223,12 @@ func (n *Node) Snapshot() Stats {
 		Origin:    n.doc.Origin,
 		Hash:      n.doc.Hash,
 		Members:   len(n.doc.Members),
-		Lease:     n.doc.Lease,
 		Peers:     n.peerStatesLocked(),
 	}
 	n.mu.Unlock()
 	st.Rounds = n.rounds.Load()
-	st.InSync = n.inSync.Load()
 	st.Adopted = n.adopted.Load()
 	st.Conflicts = n.conflicts.Load()
-	st.Pushes = n.pushes.Load()
 	st.Failures = n.failures.Load()
 	st.Rejected = n.rejected.Load()
 	return st

@@ -131,7 +131,8 @@ const (
 	// transfer endpoint requires (HTTP 401).
 	CodeUnauthorized = "unauthorized"
 	// CodeConflict: the requested admin change is already in effect — e.g.
-	// adding a shard that is an active member (HTTP 409).
+	// adding a shard that is an active member — or a conditional posterior
+	// delete found a newer generation (HTTP 409).
 	CodeConflict = "conflict"
 	// CodePosteriorBudget: a posterior import was refused because it does
 	// not fit the destination store's byte budget (HTTP 507).

@@ -5,19 +5,17 @@ package encode
 // read-only cluster view served to operators at GET /cluster/v1/state.
 //
 // The document is a last-writer-wins register versioned by a monotonic
-// Epoch: every admin mutation at any replica bumps the epoch by one under
+// Epoch. Only admin operations write it: each bumps the epoch by one under
 // that replica's admin mutex (a compare-and-swap against its own current
 // doc), stamps the mutating replica as Origin, and recomputes the content
-// Hash. Replicas exchange digests periodically; on mismatch the
-// higher-epoch document wins outright, and an equal-epoch conflict is
-// broken deterministically by comparing hashes so both sides converge on
-// the same winner without coordination.
+// Hash. Replicas exchange documents periodically; the higher-epoch
+// document wins outright, and an equal-epoch conflict is broken
+// deterministically by comparing hashes so both sides converge on the same
+// winner without coordination.
 
 // ClusterMember is one shard's entry in the membership document. It
 // carries exactly the state a peer router needs to rebuild the same ring:
-// the placement key (Base), the drain fence, and the flap-suppression
-// quarantine count (merged max-wise so a shard that flapped at one
-// replica serves its probation everywhere).
+// the placement key (Base) and the drain fence.
 type ClusterMember struct {
 	// Base is the shard's base URL — the ring placement key.
 	Base string `json:"base"`
@@ -26,25 +24,6 @@ type ClusterMember struct {
 	// and parked). Fenced members stay in the document but out of the
 	// ring.
 	DrainState string `json:"drain_state,omitempty"`
-	// Quarantines counts flap-suppression quarantines the shard has
-	// served; replicas merge it max-wise.
-	Quarantines int `json:"quarantines,omitempty"`
-}
-
-// RepairLease is the epoch-fenced token electing the one replica that
-// runs the anti-entropy posterior sweep. A replica acquires it by
-// CAS-bumping the document with itself as Holder; peers observing a live
-// lease skip their own sweep until it expires.
-type RepairLease struct {
-	// Holder is the replica id currently responsible for repair sweeps.
-	Holder string `json:"holder,omitempty"`
-	// Epoch is the document epoch at which the lease was last
-	// acquired or renewed — a fencing token: a stale holder's renewal
-	// loses to any later mutation.
-	Epoch uint64 `json:"epoch,omitempty"`
-	// ExpiresUnixMs is the wall-clock expiry; a lease past expiry is
-	// free for any replica to take.
-	ExpiresUnixMs int64 `json:"expires_unix_ms,omitempty"`
 }
 
 // ClusterDoc is the replicated membership document.
@@ -55,10 +34,8 @@ type ClusterDoc struct {
 	Origin string `json:"origin,omitempty"`
 	// Members lists every shard the cluster knows, sorted by Base.
 	Members []ClusterMember `json:"members"`
-	// Lease is the repair-sweeper election token.
-	Lease RepairLease `json:"lease"`
 	// Hash is the hex sha-256 over the canonical encoding of the
-	// document with Hash itself emptied — the gossip digest.
+	// document with Hash itself emptied.
 	Hash string `json:"hash"`
 }
 
@@ -86,29 +63,21 @@ type ClusterView struct {
 	Peers     []ClusterPeer `json:"peers,omitempty"`
 }
 
-// GossipRequest is the body of POST /cluster/v1/state — one half of an
-// anti-entropy exchange. A digest-only probe (Doc nil) asks "are we in
-// sync?"; a full push carries the sender's document for the receiver to
-// merge.
+// GossipRequest is the body of POST /cluster/v1/state, one anti-entropy
+// exchange: the sender's full document, for the receiver to merge.
 type GossipRequest struct {
 	// From is the sending replica's id.
 	From string `json:"from"`
-	// Digest is the sender's current document hash.
-	Digest string `json:"digest"`
-	// Doc, when set, is the sender's full document (a push).
-	Doc *ClusterDoc `json:"doc,omitempty"`
+	// Doc is the sender's current document.
+	Doc ClusterDoc `json:"doc"`
 }
 
 // GossipResponse answers an exchange.
 type GossipResponse struct {
 	// From is the responding replica's id.
 	From string `json:"from"`
-	// InSync is true when both sides hold the same document; Doc is
-	// omitted in that case.
-	InSync bool `json:"in_sync"`
-	// Adopted reports that the receiver adopted the pushed document.
-	Adopted bool `json:"adopted,omitempty"`
-	// Doc is the receiver's current document when the sides differ —
-	// the pull half of push/pull.
+	// Doc is the document the receiver held before it merged the
+	// sender's, omitted when the two were identical. The sender merges
+	// it, so one exchange shows each side the other's document.
 	Doc *ClusterDoc `json:"doc,omitempty"`
 }

@@ -24,9 +24,6 @@ var (
 	// ErrNonFinite: a NaN or Inf appeared in the state estimate or its
 	// covariance and could not be contained by rollback.
 	ErrNonFinite = errors.New("solver: non-finite state")
-	// ErrCanceled: the solve was stopped by its context before reaching a
-	// terminal numerical condition.
-	ErrCanceled = errors.New("solver: canceled")
 )
 
 // Indefinite is the typed form of ErrIndefinite: a batch whose innovation
@@ -140,7 +137,7 @@ func Code(err error) string {
 		return CodeIndefinite
 	case errors.Is(err, ErrNonFinite):
 		return CodeNonFinite
-	case errors.Is(err, ErrCanceled), errors.Is(err, context.Canceled):
+	case errors.Is(err, context.Canceled):
 		return CodeCanceled
 	case errors.Is(err, context.DeadlineExceeded):
 		return CodeTimeout

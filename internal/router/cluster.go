@@ -6,14 +6,14 @@ package router
 // converges the replicas so a mutation applied at ANY router reflects in
 // every ring within one gossip round.
 //
-// The document is the only membership writer. An admin operation is a
-// sequence of steps — mutate the document, reconcile the shard set to it
-// — around a placement pass; a gossip adoption is the same reconciliation
-// under the same adminMu, so the two never interleave on ring
-// generations. reconcileMembership alone adds or drops a member and sets
-// a shard's fence. Remote applies never move posteriors: the mutating
-// replica owns that pass, and the lease-holding sweeper converges
-// whatever it left behind.
+// The document is the only membership writer, and only admin operations
+// write it. An admin operation is a sequence of steps — mutate the
+// document, reconcile the shard set to it — around a placement pass; a
+// gossip adoption is the same reconciliation under the same adminMu, so
+// the two never interleave on ring generations. reconcileMembership alone
+// adds or drops a member and sets a shard's fence. Remote applies never
+// move posteriors: the mutating replica owns that pass, and every
+// replica's sweeper converges whatever it left behind.
 
 import (
 	"context"
@@ -24,28 +24,8 @@ import (
 	"strings"
 	"sync"
 
-	"phmse/internal/cluster"
 	"phmse/internal/encode"
 )
-
-// mutateDoc runs one CAS mutation of the membership document and kicks
-// the gossip loop so the new epoch propagates at once. Callers hold
-// adminMu, except publishQuarantine: it edits one member's quarantine
-// counter, which reconciliation merges max-wise, so it cannot lose an
-// interleaved membership update.
-func (rt *Router) mutateDoc(fn func(doc *encode.ClusterDoc) bool) {
-	if _, changed := rt.cnode.Mutate(fn); changed {
-		rt.cnode.Kick()
-	}
-}
-
-// GossipNow runs one synchronous anti-entropy round against every peer.
-// By return, every adopted document has been applied to this router's
-// ring and every peer this router's document beat has applied it.
-// Exported for tests and deterministic orchestration.
-func (rt *Router) GossipNow(ctx context.Context) {
-	rt.cnode.GossipNow(ctx)
-}
 
 // onClusterAdopt fires (outside the node lock) whenever a peer's
 // document replaced the local one; it applies the adopted membership.
@@ -69,18 +49,22 @@ func (rt *Router) onClusterConflict(remoteOrigin, remoteHash string) {
 	})
 }
 
-// step is one local membership step: mutate the document, then reconcile
-// the shard set to it. Callers hold adminMu and write their own audit
-// record.
+// step is one local membership step: run one CAS mutation of the
+// document (kicking the gossip loop, so the new epoch propagates at once),
+// then reconcile the shard set to it. Callers hold adminMu and write their
+// own audit record.
 func (rt *Router) step(ctx context.Context, fn func(doc *encode.ClusterDoc) bool) {
-	rt.mutateDoc(fn)
+	if _, changed := rt.cnode.Mutate(fn); changed {
+		rt.cnode.Kick()
+	}
 	rt.reconcileMembership(ctx, rt.cnode.Current(), false)
 }
 
 // applyDocLocked folds in a document adopted from a peer. Callers hold
 // adminMu. Only an effective membership change (member added, removed, or
-// drain state moved) is audited — lease renewals and quarantine syncs
-// bump epochs constantly and are operational noise, not history.
+// drain state moved) is audited: an adoption that leaves this replica's
+// shard set as it was (the same membership reached another way) is not
+// history.
 func (rt *Router) applyDocLocked(ctx context.Context) {
 	doc := rt.cnode.Current()
 	detail := rt.reconcileMembership(ctx, doc, false)
@@ -95,11 +79,11 @@ func (rt *Router) applyDocLocked(ctx context.Context) {
 
 // reconcileMembership makes the shard set equal the document's member
 // list: members the document lacks are latched removed and dropped,
-// missing members join, and drain fences and quarantine counters follow
-// the document. Joiners start pessimistic and are admitted by a
-// synchronous probe, so "converged within one gossip round" includes the
-// ring — except at boot, where the configured shards start optimistically
-// in the ring and the first probe or forward ejects the dead ones.
+// missing members join, and drain fences follow the document. Joiners
+// start pessimistic and are admitted by a synchronous probe, so
+// "converged within one gossip round" includes the ring — except at boot,
+// where the configured shards start optimistically in the ring and the
+// first probe or forward ejects the dead ones.
 // Returns a "+base -base ~base" summary of the effective changes, ""
 // when membership already matched.
 func (rt *Router) reconcileMembership(ctx context.Context, doc encode.ClusterDoc, boot bool) string {
@@ -127,7 +111,6 @@ func (rt *Router) reconcileMembership(ctx context.Context, doc encode.ClusterDoc
 		}
 		sh.mu.Unlock()
 		if ok {
-			rt.observe(sh, event{kind: evQuarantines, quarantines: m.Quarantines})
 			members = append(members, sh)
 		}
 	}
@@ -136,7 +119,7 @@ func (rt *Router) reconcileMembership(ctx context.Context, doc encode.ClusterDoc
 			continue
 		}
 		sh := &shard{name: m.Base, base: m.Base, drain: m.DrainState,
-			health: health{alive: boot, ready: boot, quarantines: m.Quarantines}}
+			health: health{alive: boot, ready: boot}}
 		members = append(members, sh)
 		changes = append(changes, "+"+m.Base)
 		if m.DrainState == "" && !boot {
@@ -171,20 +154,6 @@ func (rt *Router) reconcileMembership(ctx context.Context, doc encode.ClusterDoc
 	return strings.Join(changes, " ")
 }
 
-// publishQuarantine folds a shard's new quarantine count into the
-// document so the probation it triggered is served cluster-wide. Called
-// from the probe path, deliberately without adminMu (see mutateDoc).
-func (rt *Router) publishQuarantine(base string, quarantines int) {
-	rt.mutateDoc(func(doc *encode.ClusterDoc) bool {
-		m := cluster.FindMember(doc, base)
-		if m == nil || m.Quarantines >= quarantines {
-			return false
-		}
-		m.Quarantines = quarantines
-		return true
-	})
-}
-
 // handleClusterState serves GET /cluster/v1/state: the replica's
 // identity, current document, and peer health.
 func (rt *Router) handleClusterState(w http.ResponseWriter, r *http.Request) {
@@ -197,7 +166,7 @@ func (rt *Router) handleClusterState(w http.ResponseWriter, r *http.Request) {
 
 // handleClusterExchange serves POST /cluster/v1/state, the gossip
 // endpoint. Merging (and any resulting membership apply) happens
-// synchronously before the response, so a sender that pushed a winning
+// synchronously before the response, so a sender that posted a winning
 // document knows the receiver's ring reflects it when the call returns.
 func (rt *Router) handleClusterExchange(w http.ResponseWriter, r *http.Request) {
 	var req encode.GossipRequest

@@ -3,7 +3,7 @@ package router
 // Two-replica control-plane tests: a pair of Routers over one shared
 // backend set, gossiping membership documents at each other. Gossip and
 // repair loops run in manual mode (negative intervals) so every round is
-// an explicit, deterministic GossipNow/repairTick call.
+// an explicit, deterministic GossipNow/RepairNow call.
 
 import (
 	"context"
@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -33,8 +34,7 @@ const twoRouterToken = "cluster-tok"
 // newTwoRouters starts n backends and two peered routers over them. The
 // peer URLs must be known before router.New, so listeners are bound
 // first and the httptest servers attached to them after construction.
-// A non-nil clk is both routers' clock, set before their loops start.
-func newTwoRouters(t *testing.T, n int, clk *testClock, mut func(*Config)) *twoRouters {
+func newTwoRouters(t *testing.T, n int) *twoRouters {
 	t.Helper()
 	tr := &twoRouters{}
 	var bases []string
@@ -62,12 +62,6 @@ func newTwoRouters(t *testing.T, n int, clk *testClock, mut func(*Config)) *twoR
 			GossipInterval: -1, // every round is an explicit GossipNow
 			ReplicaID:      id,
 			Peers:          []string{peer},
-		}
-		if mut != nil {
-			mut(&cfg)
-		}
-		if clk != nil {
-			return newRouterAt(t, cfg, clk)
 		}
 		rt, err := New(cfg)
 		if err != nil {
@@ -123,7 +117,7 @@ func findAudit(entries []encode.AuditEntry, op, origin string) *encode.AuditEntr
 // reflects in both rings within one gossip round, and the peer records
 // the applied document's origin in its audit trail.
 func TestTwoRouterAddConverges(t *testing.T) {
-	tr := newTwoRouters(t, 2, nil, nil)
+	tr := newTwoRouters(t, 2)
 	ctx := context.Background()
 
 	// Both replicas boot from the same -shards flag: in sync at epoch 0.
@@ -135,7 +129,7 @@ func TestTwoRouterAddConverges(t *testing.T) {
 	if got := len(tr.b.cnode.Current().Members); got != 2 {
 		t.Fatalf("b learned the new member before any gossip round: %d members", got)
 	}
-	tr.a.GossipNow(ctx)
+	tr.a.cnode.GossipNow(ctx)
 
 	da, db := tr.a.cnode.Current(), tr.b.cnode.Current()
 	if da.Hash != db.Hash {
@@ -179,7 +173,7 @@ func TestTwoRouterAddConverges(t *testing.T) {
 	if _, err := tr.ab.DrainShard(ctx, "s1", time.Second); err != nil {
 		t.Fatalf("drain s1 via b: %v", err)
 	}
-	tr.b.GossipNow(ctx)
+	tr.b.cnode.GossipNow(ctx)
 	sl, err = tr.aa.Shards(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +190,7 @@ func TestTwoRouterAddConverges(t *testing.T) {
 // deterministic tie-break, with an audit record on each side; the lost
 // mutation can simply be re-issued.
 func TestTwoRouterConflictConverges(t *testing.T) {
-	tr := newTwoRouters(t, 2, nil, nil)
+	tr := newTwoRouters(t, 2)
 	ctx := context.Background()
 
 	// Same epoch, different members: a adds s3, b adds s4, no gossip yet.
@@ -218,7 +212,7 @@ func TestTwoRouterConflictConverges(t *testing.T) {
 		winAdm, loseAdm = tr.ab, tr.aa
 		lost, lostAdm = b3, tr.aa
 	}
-	winner.GossipNow(ctx)
+	winner.cnode.GossipNow(ctx)
 
 	da, db = tr.a.cnode.Current(), tr.b.cnode.Current()
 	if da.Hash != db.Hash || da.Epoch != db.Epoch {
@@ -252,68 +246,118 @@ func TestTwoRouterConflictConverges(t *testing.T) {
 	if _, err := lostAdm.AddShard(ctx, lost.url()); err != nil {
 		t.Fatalf("re-adding %s: %v", lost.url(), err)
 	}
-	loser.GossipNow(ctx)
-	winner.GossipNow(ctx)
+	loser.cnode.GossipNow(ctx)
+	winner.cnode.GossipNow(ctx)
 	da, db = tr.a.cnode.Current(), tr.b.cnode.Current()
 	if da.Hash != db.Hash || len(da.Members) != 4 {
 		t.Fatalf("re-issued add did not converge: %d members, %s vs %s", len(da.Members), da.Hash, db.Hash)
 	}
 }
 
-// TestTwoRouterRepairLease: exactly one replica runs the anti-entropy
-// sweep per interval — the lease holder — and a peer takes over only
-// after the lease expires. Both replicas read one test clock, so expiry
-// is the clock moving past leaseTTL, not the test sleeping.
-func TestTwoRouterRepairLease(t *testing.T) {
-	clk := newTestClock()
-	tr := newTwoRouters(t, 2, clk, nil)
+// TestTwoRouterAddBesideRepair: ra adds a shard while rb runs a repair
+// sweep from the same epoch, then each gossips once. A sweep writes no
+// document, so ra's add is the only new epoch and both rings end with the
+// new shard. (When the sweep renewed a lease in the document, the two
+// equal-epoch documents met in a hash tie-break the add could lose, after
+// its placement pass had moved posteriors onto the shard.)
+func TestTwoRouterAddBesideRepair(t *testing.T) {
+	tr := newTwoRouters(t, 2)
 	ctx := context.Background()
-
-	tr.a.repairTick()
-	if got := tr.a.repairSweeps.Load(); got != 1 {
-		t.Fatalf("lease holder ran %d sweeps, want 1", got)
-	}
-	if !holdsLease(tr.a, clk.now()) {
-		t.Fatal("a swept without holding the lease")
-	}
-	tr.a.GossipNow(ctx)
-
-	// b's tick inside the TTL observes a's live lease and skips.
-	tr.b.repairTick()
-	if got := tr.b.repairSweeps.Load(); got != 0 {
-		t.Fatalf("two sweepers in one interval: b ran %d sweeps", got)
-	}
-	if got := tr.b.leaseSkips.Load(); got != 1 {
-		t.Fatalf("b recorded %d lease skips, want 1", got)
+	b3 := &backend{name: "s3", dir: t.TempDir(), token: twoRouterToken}
+	b3.start(t)
+	t.Cleanup(b3.stop)
+	tr.backends = append(tr.backends, b3)
+	epoch := tr.b.cnode.Current().Epoch
+	if a := tr.a.cnode.Current().Epoch; a != epoch {
+		t.Fatalf("setup: epochs %d vs %d", a, epoch)
 	}
 
-	// Once the lease expires un-renewed, b's next tick takes it over.
-	clk.advance(tr.a.cfg.leaseTTL() + 50*time.Millisecond)
-	tr.b.repairTick()
-	if got := tr.b.repairSweeps.Load(); got != 1 {
-		t.Fatalf("b did not sweep after lease expiry: %d sweeps", got)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if _, err := tr.aa.AddShard(ctx, b3.url()); err != nil {
+			t.Errorf("add s3 via a: %v", err)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		tr.b.RepairNow(ctx)
+	}()
+	wg.Wait()
+	if got := tr.b.cnode.Current().Epoch; got != epoch {
+		t.Fatalf("b's sweep moved its document from epoch %d to %d", epoch, got)
 	}
-	if !holdsLease(tr.b, clk.now()) {
-		t.Fatal("b swept without taking the lease over")
+	tr.a.cnode.GossipNow(ctx)
+	tr.b.cnode.GossipNow(ctx)
+
+	da, db := tr.a.cnode.Current(), tr.b.cnode.Current()
+	if da.Hash != db.Hash || da.Epoch != epoch+1 {
+		t.Fatalf("documents: a %d/%s, b %d/%s, want both at epoch %d", da.Epoch, da.Hash, db.Epoch, db.Hash, epoch+1)
+	}
+	for _, rt := range []*Router{tr.a, tr.b} {
+		inRing := false
+		for _, sh := range rt.shardsIn(shardState.inRing) {
+			inRing = inRing || sh.base == b3.url()
+		}
+		if !inRing {
+			t.Errorf("%s's ring lacks the shard added at a", rt.cfg.ReplicaID)
+		}
 	}
 }
 
-// holdsLease reports whether the replica's document names it the holder of
-// a live repair lease.
-func holdsLease(rt *Router, now time.Time) bool {
-	l := rt.cnode.Current().Lease
-	return l.Holder == rt.cfg.ReplicaID && now.UnixMilli() < l.ExpiresUnixMs
+// TestMachineEventsLeaveTheDocument: only admin operations write the
+// membership document. A repair-loop sweep and a flap quarantine leave its
+// epoch where it was; the shard still serves its probation locally.
+func TestMachineEventsLeaveTheDocument(t *testing.T) {
+	clk := newTestClock()
+	rt := newRouterAt(t, Config{
+		Shards:         []string{"http://s1.test", "http://s2.test"},
+		ProbeInterval:  time.Hour,
+		RepairInterval: time.Hour, // the loop runs; a kick starts its sweep
+		GossipInterval: -1,
+		HTTPClient: &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			return faultResponse(req, http.StatusOK, "healthy"), nil
+		})},
+	}, clk)
+	t.Cleanup(rt.Close)
+	epoch := rt.cnode.Current().Epoch
+
+	rt.kickRepair()
+	for deadline := time.Now().Add(5 * time.Second); rt.repairSweeps.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the kicked repair loop never swept")
+		}
+	}
+	if got := rt.cnode.Current().Epoch; got != epoch {
+		t.Fatalf("a repair-loop sweep moved the document from epoch %d to %d", epoch, got)
+	}
+
+	// Readmit the shard flapCount+1 times inside the flap window: the last
+	// readmission quarantines it.
+	sh := rt.shardList()[1]
+	for i := 0; i <= flapCount; i++ {
+		rt.observe(sh, event{kind: evProbe})
+		clk.advance(time.Second)
+		rt.observe(sh, event{kind: evProbe, alive: true, ready: true})
+	}
+	if h := healthOf(sh); h.quarantines != 1 || h.probationLeft == 0 {
+		t.Fatalf("flapping shard: %d quarantines, probation %d; want quarantined", h.quarantines, h.probationLeft)
+	}
+	if got := rt.cnode.Current().Epoch; got != epoch {
+		t.Fatalf("a flap quarantine moved the document from epoch %d to %d", epoch, got)
+	}
 }
 
 // TestTwoRouterE2EServe is the two-router end-to-end: a shard added via
 // replica a serves jobs submitted via replica b after one gossip round.
 // (CI runs this file's tests as the two-router e2e job.)
 func TestTwoRouterE2EServe(t *testing.T) {
-	tr := newTwoRouters(t, 2, nil, nil)
+	tr := newTwoRouters(t, 2)
 	ctx := context.Background()
 
 	tr.addBackend(t, "s3", tr.aa)
-	tr.a.GossipNow(ctx)
+	tr.a.cnode.GossipNow(ctx)
 
 	// Fence the two original shards at b so a submission via b can only
 	// be served by the peer-learned member.

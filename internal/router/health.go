@@ -84,19 +84,16 @@ type event struct {
 	// evForward: the shard answered below 500, and whether the forward held
 	// the half-open trial slot.
 	ok, trial bool
-	// evQuarantines: the membership document's count for the shard.
-	quarantines int
 }
 
 type eventKind int
 
 const (
-	evProbe       eventKind = iota // a probe verdict; ticks the breaker's cooldown
-	evAdmit                        // a live forward asks the breaker; ticks the cooldown
-	evForward                      // a live forward's outcome
-	evCancel                       // the half-open trial produced no outcome
-	evEject                        // a live forward's transport failure
-	evQuarantines                  // the document's quarantine count, merged max-wise
+	evProbe   eventKind = iota // a probe verdict; ticks the breaker's cooldown
+	evAdmit                    // a live forward asks the breaker; ticks the cooldown
+	evForward                  // a live forward's outcome
+	evCancel                   // the half-open trial produced no outcome
+	evEject                    // a live forward's transport failure
 )
 
 // observe applies one event to the shard's health record at rt.now() and
@@ -109,15 +106,8 @@ func (rt *Router) observe(sh *shard, ev event) (admit, trial bool) {
 	sh.mu.Lock()
 	before, was := sh.stateLocked(), sh.quarantines
 	admit, trial, why := sh.apply(ev, now, rt.cfg.ProbeInterval)
-	after, quarantines := sh.stateLocked(), sh.quarantines
+	after, quarantined := sh.stateLocked(), sh.quarantines > was
 	sh.mu.Unlock()
-	quarantined := ev.kind == evProbe && quarantines > was
-	if quarantined {
-		// A fresh quarantine is membership state peers must see: the
-		// shard's probation should be served cluster-wide, not re-learned
-		// by every replica separately.
-		rt.publishQuarantine(sh.name, quarantines)
-	}
 	moved := before.inRing() != after.inRing()
 	if moved || quarantined {
 		log.Printf("phmse-router: shard %s %s → %s (%s)", sh.name, before, after, why)
@@ -183,8 +173,6 @@ func (h *health) apply(ev event, now time.Time, probeEvery time.Duration) (admit
 		h.alive, h.ready = false, false
 		h.consecFails++
 		why = "forward transport failure"
-	case evQuarantines:
-		h.quarantines = max(h.quarantines, ev.quarantines)
 	}
 	return false, false, why
 }

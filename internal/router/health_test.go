@@ -299,8 +299,8 @@ const replaySeed = 0
 
 // TestHealthSchedules drives the health machines with seeded random event
 // sequences — probe verdicts, live forwards and their outcomes, replays,
-// trial cancels, ejects, clock advances, and drain-fence and quarantine
-// syncs from the membership document — and checks the invariants after
+// trial cancels, ejects, clock advances, and drain-fence syncs from the
+// membership document — and checks the invariants after
 // every event. A failure names its seed; set replaySeed to rerun it alone.
 func TestHealthSchedules(t *testing.T) {
 	seeds := []int64{replaySeed}
@@ -383,7 +383,7 @@ func runHealthSchedule(t *testing.T, seed int64, steps int) {
 			d := time.Duration(rng.Int63n(int64(8 * time.Second)))
 			what = fmt.Sprintf("clock +%v", d)
 			clk.advance(d)
-		case 8:
+		default:
 			m := cluster.FindMember(&doc, sh.name)
 			if m.DrainState == "" {
 				m.DrainState = "draining"
@@ -392,11 +392,6 @@ func runHealthSchedule(t *testing.T, seed int64, steps int) {
 				probed = true
 			}
 			what = "drain fence " + m.DrainState
-			rt.reconcileMembership(ctx, doc, false)
-		default:
-			m := cluster.FindMember(&doc, sh.name)
-			m.Quarantines = max(m.Quarantines, healthOf(sh).quarantines) + 1
-			what = fmt.Sprintf("quarantine sync %d", m.Quarantines)
 			rt.reconcileMembership(ctx, doc, false)
 		}
 

@@ -40,7 +40,7 @@ type Metrics struct {
 	// Repair tallies the anti-entropy sweeps.
 	Repair MetricsRepair `json:"repair"`
 	// Cluster reports the replicated control plane: document
-	// epoch/origin, gossip traffic, and the repair-sweeper lease.
+	// epoch/origin and gossip traffic.
 	Cluster MetricsCluster `json:"cluster"`
 	Shards  []ShardMetrics `json:"shards"`
 }
@@ -57,29 +57,18 @@ type MetricsCluster struct {
 	Hash   string `json:"hash"`
 	// Members is the document's member count (including fenced ones).
 	Members int `json:"members"`
-	// GossipRounds counts anti-entropy rounds started; GossipInSync the
-	// digest probes short-circuited because both sides matched.
+	// GossipRounds counts anti-entropy rounds started.
 	GossipRounds int64 `json:"gossip_rounds"`
-	GossipInSync int64 `json:"gossip_in_sync"`
 	// DocsAdopted counts remote documents that replaced the local one;
 	// Conflicts counts equal-epoch tie-breaks (adopted or rejected);
 	// DocsRejected counts documents refused for a bad content hash.
 	DocsAdopted  int64 `json:"docs_adopted"`
 	Conflicts    int64 `json:"conflicts"`
 	DocsRejected int64 `json:"docs_rejected"`
-	// Pushes counts full-document pushes sent after a digest mismatch
-	// our document won; PeerFailures counts failed exchanges.
-	Pushes       int64 `json:"pushes"`
+	// PeerFailures counts failed exchanges.
 	PeerFailures int64 `json:"peer_failures"`
 	// Applied counts adopted documents that changed membership here.
 	Applied int64 `json:"applied"`
-	// LeaseHolder/LeaseEpoch/LeaseExpiresUnixMs mirror the repair-
-	// sweeper lease in the document; LeaseSkips counts repair ticks this
-	// replica skipped because a peer held a live lease.
-	LeaseHolder        string `json:"lease_holder,omitempty"`
-	LeaseEpoch         uint64 `json:"lease_epoch,omitempty"`
-	LeaseExpiresUnixMs int64  `json:"lease_expires_unix_ms,omitempty"`
-	LeaseSkips         int64  `json:"lease_skips"`
 	// Peers is the per-peer exchange health.
 	Peers []encode.ClusterPeer `json:"peers,omitempty"`
 }
@@ -191,24 +180,18 @@ func (rt *Router) Snapshot() Metrics {
 	}
 	cs := rt.cnode.Snapshot()
 	m.Cluster = MetricsCluster{
-		ReplicaID:          cs.ReplicaID,
-		Epoch:              cs.Epoch,
-		Origin:             cs.Origin,
-		Hash:               cs.Hash,
-		Members:            cs.Members,
-		GossipRounds:       cs.Rounds,
-		GossipInSync:       cs.InSync,
-		DocsAdopted:        cs.Adopted,
-		Conflicts:          cs.Conflicts,
-		DocsRejected:       cs.Rejected,
-		Pushes:             cs.Pushes,
-		PeerFailures:       cs.Failures,
-		Applied:            rt.clusterApplies.Load(),
-		LeaseHolder:        cs.Lease.Holder,
-		LeaseEpoch:         cs.Lease.Epoch,
-		LeaseExpiresUnixMs: cs.Lease.ExpiresUnixMs,
-		LeaseSkips:         rt.leaseSkips.Load(),
-		Peers:              cs.Peers,
+		ReplicaID:    cs.ReplicaID,
+		Epoch:        cs.Epoch,
+		Origin:       cs.Origin,
+		Hash:         cs.Hash,
+		Members:      cs.Members,
+		GossipRounds: cs.Rounds,
+		DocsAdopted:  cs.Adopted,
+		Conflicts:    cs.Conflicts,
+		DocsRejected: cs.Rejected,
+		PeerFailures: cs.Failures,
+		Applied:      rt.clusterApplies.Load(),
+		Peers:        cs.Peers,
 	}
 	for _, sh := range rt.shardList() {
 		sh.mu.Lock()

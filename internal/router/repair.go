@@ -26,25 +26,28 @@ package router
 import (
 	"context"
 	"log"
-	"math/rand"
 	"net/http"
 	"sync"
 	"time"
 
+	"phmse/internal/cluster"
 	"phmse/internal/encode"
 )
 
-// repairLoop drives periodic sweeps until Close. The interval is
-// jittered ±20% so multiple routers over the same cluster spread out; a
-// kick (an admin pass that reported failures) wakes the sweeper
-// immediately.
+// repairLoop drives periodic sweeps until Close. Every replica sweeps on
+// its own interval, jittered ±20% so multiple routers over the same
+// cluster spread out; a kick (an admin pass that reported failures) wakes
+// the sweeper immediately. Two replicas' sweeps (or a sweep and an admin
+// pass elsewhere) may move the same posterior at once: each transfer
+// deletes only the source copy it exported (transfer.go), so the race
+// costs a duplicate a later sweep folds, never the posterior.
 func (rt *Router) repairLoop() {
 	defer close(rt.repairDone)
 	if rt.cfg.RepairInterval < 0 {
 		return
 	}
 	for {
-		t := time.NewTimer(jitterInterval(rt.cfg.RepairInterval))
+		t := time.NewTimer(cluster.JitterInterval(rt.cfg.RepairInterval))
 		select {
 		case <-rt.stop:
 			t.Stop()
@@ -53,31 +56,8 @@ func (rt *Router) repairLoop() {
 		case <-rt.repairKick:
 			t.Stop()
 		}
-		rt.repairTick()
+		rt.RepairNow(context.Background())
 	}
-}
-
-// repairTick is one loop iteration: acquire (or renew) the cluster-wide
-// sweeper lease, and only then sweep. Exactly one replica holds a live
-// lease per interval — the others see it via gossip (the acquisition is
-// gossiped at once) and skip, so two routers never race duplicate
-// transfers. A crashed holder's lease expires after leaseTTL. The forced
-// sweep (POST /admin/v1/repair) stays unconditional.
-func (rt *Router) repairTick() {
-	if !rt.cnode.TryAcquireLease(rt.now(), rt.cfg.leaseTTL()) {
-		rt.leaseSkips.Add(1)
-		return
-	}
-	rt.cnode.Kick()
-	rt.RepairNow(context.Background())
-}
-
-// jitterInterval spreads d over [0.8d, 1.2d).
-func jitterInterval(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
-	return d - d/5 + time.Duration(rand.Int63n(int64(d)/5*2+1))
 }
 
 // kickRepair schedules an immediate sweep; a no-op when one is already

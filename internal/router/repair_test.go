@@ -233,20 +233,6 @@ func TestKickRepairCoalesces(t *testing.T) {
 	}
 }
 
-// TestJitterIntervalBounds pins the sweep cadence spread to ±20%.
-func TestJitterIntervalBounds(t *testing.T) {
-	const d = time.Second
-	for i := 0; i < 1000; i++ {
-		j := jitterInterval(d)
-		if j < 800*time.Millisecond || j > 1200*time.Millisecond {
-			t.Fatalf("jitter(%v) = %v, out of [0.8d, 1.2d]", d, j)
-		}
-	}
-	if jitterInterval(0) != 0 || jitterInterval(-time.Second) != -time.Second {
-		t.Fatal("non-positive intervals must pass through unjittered")
-	}
-}
-
 // scriptedShard is an httptest backend whose PUT /v1/posteriors/{id}
 // responses follow a fixed script, for exercising transferCall's retry and
 // terminal discipline without a real daemon.
@@ -480,5 +466,70 @@ func TestPlacementRunsTwoTransfersAtOnce(t *testing.T) {
 	if stalled := hold.Err() != nil; stalled || rep.Repaired != 4 || rep.Failed != 0 || peak != 2 {
 		t.Fatalf("pass %+v peaked at %d concurrent import PUTs (a PUT held to the deadline: %v); want 4 moved, 2 at a time",
 			rep, peak, stalled)
+	}
+}
+
+// TestTransferDeletesTheExportedGeneration: the ack DELETE a transfer sends
+// its source names the X-Posterior-Generation of the export it follows, so
+// the source removes only that copy.
+func TestTransferDeletesTheExportedGeneration(t *testing.T) {
+	var mu sync.Mutex
+	var exports int
+	var deletes []string
+	var index atomic.Pointer[encode.PosteriorIndex]
+	src := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case r.Method == http.MethodGet && r.URL.Path == "/v1/posteriors":
+			json.NewEncoder(w).Encode(index.Load()) //nolint:errcheck
+		case r.Method == http.MethodGet:
+			exports++
+			w.Header().Set("X-Posterior-Generation", fmt.Sprint(40+exports))
+			io.WriteString(w, `{}`) //nolint:errcheck
+		case r.Method == http.MethodDelete:
+			deletes = append(deletes, r.URL.Path+"?"+r.URL.RawQuery)
+			io.WriteString(w, `{}`) //nolint:errcheck
+		}
+	}))
+	t.Cleanup(src.Close)
+	// The destination fails the first import, so the transfer exports twice
+	// and the delete must name the second export's generation.
+	var puts atomic.Int64
+	dst := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPut {
+			io.WriteString(w, `{"posteriors":[]}`) //nolint:errcheck // an empty index
+			return
+		}
+		io.Copy(io.Discard, r.Body) //nolint:errcheck
+		if puts.Add(1) == 1 {
+			writeEnvelope(w, http.StatusServiceUnavailable, encode.CodeInternal, "busy")
+			return
+		}
+		io.WriteString(w, `{}`) //nolint:errcheck
+	}))
+	t.Cleanup(dst.Close)
+
+	rt, err := New(Config{Shards: []string{src.URL, dst.URL}, ProbeInterval: time.Hour, RepairInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	idx := &encode.PosteriorIndex{}
+	for i := 0; len(idx.Posteriors) == 0; i++ {
+		key := fmt.Sprintf("topo-%d", i)
+		if rt.currentRing().lookup(key).base == dst.URL {
+			idx.Posteriors = append(idx.Posteriors, encode.PosteriorInfo{Job: "job-000001", TopologyHash: key})
+		}
+	}
+	index.Store(idx)
+
+	if rep := rt.RepairNow(context.Background()); rep.Repaired != 1 || rep.Failed != 0 {
+		t.Fatalf("sweep = %+v, want one posterior moved", rep)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if exports != 2 || len(deletes) != 1 || deletes[0] != "/v1/posteriors/job-000001?generation=42" {
+		t.Fatalf("%d exports, deletes %q; want 2 exports and one delete of generation 42", exports, deletes)
 	}
 }

@@ -141,8 +141,7 @@ type Config struct {
 	// negative disables the loop): each sweep runs the placement pass over
 	// every placeable shard (repair.go). The period is jittered ±20% so
 	// multiple routers do not sweep in lockstep, and an admin pass that
-	// reported failures kicks an immediate sweep. The sweeper lease lasts
-	// three periods (leaseTTL).
+	// reported failures kicks an immediate sweep.
 	RepairInterval time.Duration
 
 	// AuditLog, when set, appends one JSON line per admin membership
@@ -152,10 +151,10 @@ type Config struct {
 	AuditLog string
 
 	// ReplicaID names this router replica in the replicated membership
-	// document: the Origin stamp on its mutations, the holder of its
-	// repair leases, and the `from` of its gossip exchanges. Default: a
-	// random "r-<hex>" id minted at startup — fine for ephemeral
-	// replicas, but deploy stable ids so audit origins survive restarts.
+	// document: the Origin stamp on its mutations and the `from` of its
+	// gossip exchanges. Default: a random "r-<hex>" id minted at startup
+	// — fine for ephemeral replicas, but deploy stable ids so audit
+	// origins survive restarts.
 	ReplicaID string
 	// Peers lists the other router replicas' base URLs
 	// (e.g. "http://router-b:8090"). Replicas gossip the membership
@@ -164,9 +163,9 @@ type Config struct {
 	// (the default) runs the classic single-router control plane.
 	Peers []string
 	// GossipInterval is the anti-entropy exchange period (default 1s,
-	// jittered; negative disables the background loop — exchanges still
-	// run via GossipNow and inbound pushes, the test mode). Admin
-	// mutations additionally kick an immediate round.
+	// jittered ±20%; negative disables the background loop — exchanges
+	// still run via the node's GossipNow and inbound exchanges, the test
+	// mode). Admin mutations additionally kick an immediate round.
 	GossipInterval time.Duration
 
 	// HTTPClient overrides the forwarding/probing client.
@@ -191,18 +190,6 @@ func (c Config) withDefaults() Config {
 		c.HTTPClient = &http.Client{Transport: tr}
 	}
 	return c
-}
-
-// leaseTTL is the repair-sweeper lease duration, three sweep periods (of
-// the default period when the loop is disabled): the window during which
-// the lease-holding replica owns the anti-entropy posterior sweep and
-// every peer skips its own. A holder renews on each sweep; a crashed
-// holder's lease simply expires.
-func (c Config) leaseTTL() time.Duration {
-	if c.RepairInterval > 0 {
-		return 3 * c.RepairInterval
-	}
-	return 3 * defaultRepairInterval
 }
 
 // shard is one backend daemon and its routing state. name (the base URL)
@@ -303,7 +290,7 @@ type Router struct {
 	stop  chan struct{}
 	done  chan struct{}
 	// now is the clock of every decision the router times: the health
-	// machines and the repair lease. time.Now, replaced by tests.
+	// machines. time.Now, replaced by tests.
 	now func() time.Time
 
 	// view is the published routing generation (one atomic load per
@@ -335,10 +322,9 @@ type Router struct {
 
 	// cnode is the replicated membership document and its gossip loop
 	// (cluster.go). clusterApplies counts peer documents that changed
-	// membership here; leaseSkips counts repair ticks skipped because a
-	// peer held the sweeper lease.
-	cnode                      *cluster.Node
-	clusterApplies, leaseSkips atomic.Int64
+	// membership here.
+	cnode          *cluster.Node
+	clusterApplies atomic.Int64
 
 	// aud is the admin-plane audit log (audit.go); nil only before New
 	// finishes.

@@ -6,7 +6,7 @@ package router
 // the router's admin token and runs under client.RetryPolicy.Do with one
 // rule (retryableTransfer); every protocol request is replay-safe: index
 // and export are reads, the import replaces the same id in place, the
-// delete is idempotent.
+// delete is idempotent and removes only the copy its export saw.
 
 import (
 	"context"
@@ -84,19 +84,29 @@ func (rt *Router) transferCall(ctx context.Context, method, u string, out any) e
 // import into the destination, delete the source copy only after the
 // destination's ack. Any failure before the ack returns an error with the
 // source untouched; a failed delete is only logged — the posterior is
-// safe at its new owner and a later pass prunes the stale copy. A
-// streamed body cannot be replayed, so the retry policy wraps the whole
-// export+import pair (each attempt re-opens the export) inside
+// safe at its new owner and a later pass prunes the stale copy. The
+// delete names the generation the export saw, so a copy another mover
+// brought back to the source meanwhile survives (409 conflict, logged the
+// same way). A streamed body cannot be replayed, so the retry policy wraps
+// the whole export+import pair (each attempt re-opens the export) inside
 // migrateTimeout.
 func (rt *Router) transferPosterior(ctx context.Context, src, dst *shard, info encode.PosteriorInfo) error {
 	tctx, cancel := context.WithTimeout(ctx, migrateTimeout)
 	defer cancel()
 	esc := url.PathEscape(info.Job)
-	err := forwardRetry.Do(tctx, func(int) error { return rt.streamPosterior(tctx, src, dst, esc) }, retryableTransfer)
+	var gen string
+	err := forwardRetry.Do(tctx, func(int) (err error) {
+		gen, err = rt.streamPosterior(tctx, src, dst, esc)
+		return err
+	}, retryableTransfer)
 	if err != nil {
 		return err
 	}
-	if err := rt.transferCall(tctx, http.MethodDelete, src.base+"/v1/posteriors/"+esc, nil); err != nil {
+	del := src.base + "/v1/posteriors/" + esc
+	if gen != "" {
+		del += "?generation=" + url.QueryEscape(gen)
+	}
+	if err := rt.transferCall(tctx, http.MethodDelete, del, nil); err != nil {
 		log.Printf("phmse-router: placement: deleting %s from %s after ack: %v", info.Job, src.name, err)
 	}
 	return nil
@@ -108,24 +118,27 @@ func (rt *Router) transferPosterior(ctx context.Context, src, dst *shard, info e
 // transfer costs O(copy-buffer) memory whatever the posterior retains (a
 // few KB for a hierarchical job, a multi-megabyte covariance for a flat
 // one, back-pressured by the destination) — through a size fence that
-// errors, rather than truncates, past the protocol limit.
-func (rt *Router) streamPosterior(ctx context.Context, src, dst *shard, esc string) error {
+// errors, rather than truncates, past the protocol limit. It returns the
+// exported copy's X-Posterior-Generation ("" from a daemon that sends
+// none).
+func (rt *Router) streamPosterior(ctx context.Context, src, dst *shard, esc string) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, src.base+"/v1/jobs/"+esc+"/posterior?cov=full", nil)
 	if err != nil {
-		return fmt.Errorf("export: %w", err)
+		return "", fmt.Errorf("export: %w", err)
 	}
 	rt.authTransfer(req)
 	resp, err := rt.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("export: %w", err)
+		return "", fmt.Errorf("export: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return fmt.Errorf("export: %w", client.DecodeError(resp))
+		return "", fmt.Errorf("export: %w", client.DecodeError(resp))
 	}
 	if resp.ContentLength > maxRequestBody {
-		return fmt.Errorf("export: %d-byte document: %w", resp.ContentLength, errOversizeTransfer)
+		return "", fmt.Errorf("export: %d-byte document: %w", resp.ContentLength, errOversizeTransfer)
 	}
+	gen := resp.Header.Get("X-Posterior-Generation")
 
 	// Import leg: the export body is the PUT body. The cap reader fails
 	// the stream past the limit, so the destination sees an aborted body,
@@ -133,7 +146,7 @@ func (rt *Router) streamPosterior(ctx context.Context, src, dst *shard, esc stri
 	cr := &capReader{r: resp.Body, limit: maxRequestBody}
 	preq, err := http.NewRequestWithContext(ctx, http.MethodPut, dst.base+"/v1/posteriors/"+esc, cr)
 	if err != nil {
-		return fmt.Errorf("import: %w", err)
+		return "", fmt.Errorf("import: %w", err)
 	}
 	preq.Header.Set("Content-Type", "application/json")
 	if resp.ContentLength >= 0 {
@@ -143,15 +156,15 @@ func (rt *Router) streamPosterior(ctx context.Context, src, dst *shard, esc stri
 	presp, err := rt.hc.Do(preq)
 	if err != nil {
 		if cr.n > cr.limit {
-			return fmt.Errorf("export of %s: %w", esc, errOversizeTransfer)
+			return "", fmt.Errorf("export of %s: %w", esc, errOversizeTransfer)
 		}
-		return fmt.Errorf("import: %w", err)
+		return "", fmt.Errorf("import: %w", err)
 	}
 	defer discard(presp)
 	if presp.StatusCode < 200 || presp.StatusCode > 299 {
-		return fmt.Errorf("import: %w", client.DecodeError(presp))
+		return "", fmt.Errorf("import: %w", client.DecodeError(presp))
 	}
-	return nil
+	return gen, nil
 }
 
 // capReader passes through at most limit bytes and then fails the read —

@@ -31,6 +31,10 @@ type storedPosterior struct {
 	structHash string
 	post       *core.Posterior
 	bytes      int64
+	// gen numbers the admission that stored this entry (insertLocked). A
+	// transfer deletes its source copy only while it is still the
+	// generation the export saw.
+	gen uint64
 }
 
 // doc renders the retained posterior in the PosteriorDoc wire form: the
@@ -104,6 +108,11 @@ type posteriorStore struct {
 	order    *list.List // front = most recently used; values are *storedPosterior
 	entries  map[string]*list.Element
 
+	// gen is the last admission's generation. It starts at the wall
+	// clock, so a generation an export saw before a restart is not handed
+	// to a different entry after it.
+	gen uint64
+
 	hits, misses, stored, rejected, evicted int64
 	persisted, loaded                       int64
 	imported, removed                       int64
@@ -114,6 +123,7 @@ func newPosteriorStore(maxBytes int64, dir string) *posteriorStore {
 		maxBytes: maxBytes,
 		order:    list.New(),
 		entries:  make(map[string]*list.Element),
+		gen:      uint64(time.Now().UnixNano()),
 	}
 	if dir != "" && maxBytes > 0 {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -166,9 +176,9 @@ func (ps *posteriorStore) put(sp *storedPosterior) bool {
 }
 
 // insertLocked runs the in-memory LRU admission: reject oversized entries,
-// replace a same-id entry, and evict least-recently-used posteriors until
-// the budget is respected. It returns the evicted ids, whose snapshots the
-// caller removes after unlocking (removeEvicted).
+// replace a same-id entry, evict least-recently-used posteriors until the
+// budget is respected, and number the admission. It returns the evicted
+// ids, whose snapshots the caller removes after unlocking (removeEvicted).
 func (ps *posteriorStore) insertLocked(sp *storedPosterior) (bool, []string) {
 	if ps.maxBytes <= 0 || sp.bytes > ps.maxBytes {
 		ps.rejected++
@@ -189,6 +199,8 @@ func (ps *posteriorStore) insertLocked(sp *storedPosterior) (bool, []string) {
 		ps.evicted++
 		evicted = append(evicted, old.jobID)
 	}
+	ps.gen++
+	sp.gen = ps.gen
 	ps.entries[sp.jobID] = ps.order.PushFront(sp)
 	ps.bytes += sp.bytes
 	ps.stored++
@@ -244,25 +256,30 @@ func (ps *posteriorStore) putImported(sp *storedPosterior) bool {
 	return true
 }
 
-// remove deletes a posterior and its disk snapshot, reporting whether the
-// id was present. This is the migration ack path: the router calls
-// DELETE /v1/posteriors/{id} on the source only after the destination
-// acknowledged the import, so a failed transfer never loses the snapshot.
-func (ps *posteriorStore) remove(jobID string) bool {
+// remove deletes a posterior and its disk snapshot. This is the migration
+// ack path: the router calls DELETE /v1/posteriors/{id} on the source only
+// after the destination acknowledged the import, so a failed transfer
+// never loses the snapshot. gen, when non-zero, makes the delete
+// conditional: an entry admitted since the export that saw gen (another
+// mover brought it back) is kept. It reports whether the id was present
+// and whether the entry was removed.
+func (ps *posteriorStore) remove(jobID string, gen uint64) (present, removed bool) {
 	ps.mu.Lock()
-	el, ok := ps.entries[jobID]
-	if ok {
+	el, present := ps.entries[jobID]
+	if present {
 		sp := el.Value.(*storedPosterior)
-		ps.bytes -= sp.bytes
-		ps.order.Remove(el)
-		delete(ps.entries, jobID)
-		ps.removed++
+		if removed = gen == 0 || sp.gen == gen; removed {
+			ps.bytes -= sp.bytes
+			ps.order.Remove(el)
+			delete(ps.entries, jobID)
+			ps.removed++
+		}
 	}
 	ps.mu.Unlock()
-	if ok {
+	if removed {
 		ps.removeSnapshot(jobID)
 	}
-	return ok
+	return present, removed
 }
 
 // index lists the retained posteriors whose job id starts with prefix

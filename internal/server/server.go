@@ -19,12 +19,14 @@
 //	                             terminal or the wait has elapsed)
 //	GET  /v1/jobs/{id}/result    solution JSON (or ?format=pdb)
 //	GET  /v1/jobs/{id}/posterior retained posterior (?cov=full for all of
-//	                             it: adds a flat job's covariance matrix)
+//	                             it: adds a flat job's covariance matrix;
+//	                             X-Posterior-Generation numbers the copy)
 //	POST /v1/jobs/{id}/cancel    cancel a queued or running job
 //	GET  /v1/posteriors          index of retained posteriors (?prefix=)
 //	PUT  /v1/posteriors/{id}     import a posterior document (migration
 //	                             ingest; budget-enforced, idempotent)
-//	DELETE /v1/posteriors/{id}   drop a retained posterior (migration ack)
+//	DELETE /v1/posteriors/{id}   drop a retained posterior (migration ack;
+//	                             ?generation=N only if still that copy)
 //	GET  /healthz                liveness (503 while draining)
 //	GET  /readyz                 readiness (503 while draining or when the
 //	                             job queue is saturated)
@@ -384,6 +386,7 @@ func (s *Server) handleJobPosterior(w http.ResponseWriter, r *http.Request) {
 	}
 	// ?cov=full asks for everything retained; without it a flat job's
 	// document leaves out its 3n×3n matrix (~20·(3n)² bytes as JSON text).
+	w.Header().Set("X-Posterior-Generation", strconv.FormatUint(sp.gen, 10))
 	writeJSON(w, http.StatusOK, sp.doc(r.URL.Query().Get("cov") == "full"))
 }
 

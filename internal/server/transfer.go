@@ -14,11 +14,20 @@ package server
 // Imports run through the same byte-budgeted store admission as locally
 // kept posteriors (over budget → 507 posterior_budget) and are idempotent:
 // re-PUTting an id the store already holds replaces the entry in place.
+//
+// Every admission gets a new generation, which the export
+// (GET /v1/jobs/{id}/posterior) reports in X-Posterior-Generation. A
+// DELETE with ?generation=N removes the entry only while it is still
+// generation N, and otherwise answers 409 conflict and keeps it: two
+// movers holding different rings can pass the same posterior back and
+// forth, and each then deletes only the copy it exported. A DELETE without
+// generation is unconditional.
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"phmse/internal/encode"
 )
@@ -80,9 +89,25 @@ func (s *Server) handlePosteriorDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	if !s.mgr.posteriors.remove(id) {
+	var gen uint64
+	if v := r.URL.Query().Get("generation"); v != "" {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil || n == 0 {
+			writeError(w, http.StatusBadRequest, encode.CodeBadRequest,
+				fmt.Sprintf("generation must be a positive integer, got %q", v), "")
+			return
+		}
+		gen = n
+	}
+	present, removed := s.mgr.posteriors.remove(id, gen)
+	switch {
+	case !present:
 		writeError(w, http.StatusNotFound, encode.CodeNotFound,
 			fmt.Sprintf("no retained posterior for %q", id), "")
+		return
+	case !removed:
+		writeError(w, http.StatusConflict, encode.CodeConflict,
+			fmt.Sprintf("posterior of %q is no longer generation %d", id, gen), "")
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"removed": true, "job": id})

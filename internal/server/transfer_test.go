@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"phmse/internal/client"
@@ -318,5 +319,78 @@ func TestJobStatusShardField(t *testing.T) {
 		if j.Shard != "shard-a" {
 			t.Fatalf("listed job %s shard = %q, want shard-a", j.ID, j.Shard)
 		}
+	}
+}
+
+// exportGen reads a posterior the way a transfer does and returns the
+// document with the X-Posterior-Generation it came with.
+func exportGen(t *testing.T, base, id string) ([]byte, string) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/posterior?cov=full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("export of %s from %s: status %d, %v", id, base, resp.StatusCode, err)
+	}
+	gen := resp.Header.Get("X-Posterior-Generation")
+	if gen == "" {
+		t.Fatalf("export of %s from %s carries no X-Posterior-Generation", id, base)
+	}
+	return body, gen
+}
+
+// TestConditionalDeleteKeepsAReturnedCopy replays two movers that hold
+// different rings passing one posterior between two daemons. Mover A
+// exports it from s1 and imports it to s2. Mover B exports it from s2,
+// imports it to s1 and deletes it from s2. A's ack delete on s1 names the
+// generation its export saw, which s1 no longer holds, so s1 answers 409
+// and keeps the copy B brought back. A delete without a generation stays
+// unconditional.
+func TestConditionalDeleteKeepsAReturnedCopy(t *testing.T) {
+	const token = "gen-secret"
+	_, ts1, c1 := newTestServer(t, Config{MaxProcs: 2, InstanceID: "s1", AdminToken: token})
+	_, ts2, _ := newTestServer(t, Config{MaxProcs: 2, InstanceID: "s2", AdminToken: token})
+	params := quickParams()
+	params.KeepPosterior = true
+	st := submit(t, c1, helix(2), params)
+	waitState(t, c1, st.ID, StateDone)
+	at := func(ts *httptest.Server) string { return ts.URL + "/v1/posteriors/" + st.ID }
+
+	docA, genA := exportGen(t, ts1.URL, st.ID) // A: s1 → s2
+	if code := doAuth(t, http.MethodPut, at(ts2), token, docA, nil); code != http.StatusOK {
+		t.Fatalf("A's import to s2: status %d", code)
+	}
+	docB, genB := exportGen(t, ts2.URL, st.ID) // B: s2 → s1
+	if code := doAuth(t, http.MethodPut, at(ts1), token, docB, nil); code != http.StatusOK {
+		t.Fatalf("B's import to s1: status %d", code)
+	}
+	if code := doAuth(t, http.MethodDelete, at(ts2)+"?generation="+genB, token, nil, nil); code != http.StatusOK {
+		t.Fatalf("B's delete on s2 with its own generation: status %d, want 200", code)
+	}
+
+	var env struct {
+		Error encode.ErrorBody `json:"error"`
+	}
+	if code := doAuth(t, http.MethodDelete, at(ts1)+"?generation="+genA, token, nil, &env); code != http.StatusConflict || env.Error.Code != encode.CodeConflict {
+		t.Fatalf("A's stale delete on s1: status %d code %q, want 409 %q", code, env.Error.Code, encode.CodeConflict)
+	}
+	var idx encode.PosteriorIndex
+	doAuth(t, http.MethodGet, ts1.URL+"/v1/posteriors", "", nil, &idx)
+	if len(idx.Posteriors) != 1 || idx.Posteriors[0].Job != st.ID {
+		t.Fatalf("s1 index after the stale delete: %+v, want %s kept", idx.Posteriors, st.ID)
+	}
+
+	if code := doAuth(t, http.MethodDelete, at(ts1)+"?generation=x", token, nil, &env); code != http.StatusBadRequest {
+		t.Fatalf("malformed generation: status %d, want 400", code)
+	}
+	if code := doAuth(t, http.MethodDelete, at(ts1), token, nil, nil); code != http.StatusOK {
+		t.Fatalf("unconditional delete: status %d, want 200", code)
+	}
+	doAuth(t, http.MethodGet, ts1.URL+"/v1/posteriors", "", nil, &idx)
+	if len(idx.Posteriors) != 0 {
+		t.Fatalf("s1 index after the unconditional delete: %+v, want empty", idx.Posteriors)
 	}
 }
