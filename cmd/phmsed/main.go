@@ -11,7 +11,7 @@
 // Usage:
 //
 //	phmsed -addr :8080
-//	phmsed -addr :8080 -max-procs 8 -max-team 4 -queue 64
+//	phmsed -addr :8080 -max-procs 8 -queue 64
 //
 // Submit and poll:
 //
@@ -56,7 +56,6 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("phmsed", flag.ContinueOnError)
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&o.cfg.MaxProcs, "max-procs", 0, "total processor budget shared by all running solves (default GOMAXPROCS)")
-	fs.IntVar(&o.cfg.MaxTeam, "max-team", 0, "widest processor team a single solve may get (default max-procs)")
 	fs.IntVar(&o.cfg.QueueDepth, "queue", 32, "bounded job-queue depth (full queue rejects with 429)")
 	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "listen address for net/http/pprof debug endpoints (empty disables)")
 	fs.IntVar(&o.cfg.CacheSize, "plan-cache", 64, "plan cache entries (<= 0 disables)")
@@ -82,8 +81,8 @@ func parseFlags(args []string, out io.Writer) (options, error) {
 	switch {
 	case fs.NArg() > 0:
 		err = fmt.Errorf("unexpected arguments: %v", fs.Args())
-	case o.cfg.MaxProcs < 0 || o.cfg.MaxTeam < 0 || o.cfg.QueueDepth < 1 || o.drainTimeout <= 0:
-		err = errors.New("processor flags must be >= 0, -queue >= 1, -drain-timeout > 0")
+	case o.cfg.MaxProcs < 0 || o.cfg.QueueDepth < 1 || o.drainTimeout <= 0:
+		err = errors.New("-max-procs must be >= 0, -queue >= 1, -drain-timeout > 0")
 	case !validInstance(o.cfg.InstanceID):
 		err = fmt.Errorf("-instance %q must use only letters, digits, - and _", o.cfg.InstanceID)
 	}

@@ -10,7 +10,7 @@ import (
 // TestFlagSet pins phmsed's command line: a knob comes back, or a new one
 // appears, only through an edit of this list.
 func TestFlagSet(t *testing.T) {
-	want := []string{"addr", "admin-token", "drain-timeout", "instance", "max-procs", "max-team",
+	want := []string{"addr", "admin-token", "drain-timeout", "instance", "max-procs",
 		"plan-cache", "posterior-dir", "posterior-mb", "pprof-addr", "queue"}
 	var got []string
 	newFlagSet(&options{}).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
@@ -23,7 +23,7 @@ func TestFlagSet(t *testing.T) {
 // values are errors (exit 2).
 func TestFlagsRefused(t *testing.T) {
 	for _, args := range [][]string{
-		{"-min-team", "1"}, {"-max-retries", "2"}, {"-transfer-inflight", "1"}, {"stray"}, {"-queue", "0"},
+		{"-min-team", "1"}, {"-max-team", "4"}, {"-max-retries", "2"}, {"-transfer-inflight", "1"}, {"stray"}, {"-queue", "0"},
 		{"-max-procs", "-1"}, {"-drain-timeout", "0"}, {"-instance", "a.b"},
 	} {
 		if _, err := parseFlags(args, io.Discard); err == nil {

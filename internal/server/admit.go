@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,21 +34,15 @@ var (
 // jobs in flight, so many cheap solves run at once on one-processor teams
 // while an expensive solve still gets a wide one.
 //
-// The dispatcher is the only caller of acquire, one job at a time in
-// submission order, so there is never more than one waiter and admission
-// order is the job queue's order. Job goroutines call release.
+// Nothing waits on it: the manager calls grant for the head of its job
+// queue, under its own lock, whenever a job arrives or a team comes back,
+// so admission order is the queue's order. Job goroutines call release.
 type admission struct {
 	capacity int
-	maxTeam  int
-	// freed holds one pending "processors came back" signal, so release
-	// never blocks and a release that lands before the dispatcher parks is
-	// not lost.
-	freed chan struct{}
 
-	mu      sync.Mutex
-	inUse   int
-	teams   int
-	waiting bool
+	mu    sync.Mutex
+	inUse int
+	teams int
 
 	grants    atomic.Int64
 	coalesced atomic.Int64
@@ -60,18 +53,16 @@ type admission struct {
 	waitSumNs   atomic.Int64
 }
 
-// newAdmission returns a budget of capacity processors granting teams of
-// at most maxTeam (1 ≤ maxTeam ≤ capacity, as Config.withDefaults leaves
-// them).
-func newAdmission(capacity, maxTeam int) *admission {
-	return &admission{capacity: capacity, maxTeam: maxTeam, freed: make(chan struct{}, 1)}
+// newAdmission returns a budget of capacity ≥ 1 processors.
+func newAdmission(capacity int) *admission {
+	return &admission{capacity: capacity}
 }
 
 // width sizes a job's team from its estimated cost: one processor per
-// teamGrain, clamped to [1, maxTeam], and no wider than procs, the
+// teamGrain, clamped to [1, capacity], and no wider than procs, the
 // request's own cap, when that is positive.
 func (a *admission) width(cost float64, procs int) int {
-	k := a.maxTeam
+	k := a.capacity
 	if c := cost / teamGrain; c < float64(k) {
 		k = max(1, int(c))
 	}
@@ -81,33 +72,21 @@ func (a *admission) width(cost float64, procs int) int {
 	return k
 }
 
-// acquire grants a team of min(want, free) processors as soon as at least
-// one is free, blocking until then or until ctx ends. want is a width from
-// width, so 1 ≤ want ≤ capacity.
-func (a *admission) acquire(ctx context.Context, want int) (int, error) {
-	start := time.Now()
-	for {
-		a.mu.Lock()
-		if free := a.capacity - a.inUse; free >= 1 {
-			k := min(want, free)
-			a.inUse += k
-			a.teams++
-			a.waiting = false
-			a.mu.Unlock()
-			a.observe(want, k, time.Since(start))
-			return k, nil
-		}
-		a.waiting = true
-		a.mu.Unlock()
-		select {
-		case <-a.freed:
-		case <-ctx.Done():
-			a.mu.Lock()
-			a.waiting = false
-			a.mu.Unlock()
-			return 0, ctx.Err()
-		}
+// grant gives a team of min(want, free) processors, or 0 when none is
+// free. want is a width from width; wait is how long the job has been at
+// the head of the queue, for the histogram.
+func (a *admission) grant(want int, wait time.Duration) int {
+	a.mu.Lock()
+	k := min(want, a.capacity-a.inUse)
+	if k > 0 {
+		a.inUse += k
+		a.teams++
 	}
+	a.mu.Unlock()
+	if k > 0 {
+		a.observe(want, k, wait)
+	}
+	return k
 }
 
 // release returns a team of k processors to the budget.
@@ -116,10 +95,6 @@ func (a *admission) release(k int) {
 	a.inUse -= k
 	a.teams--
 	a.mu.Unlock()
-	select {
-	case a.freed <- struct{}{}:
-	default:
-	}
 }
 
 // observe counts one grant of k processors against a request for want,
@@ -142,16 +117,15 @@ func (a *admission) observe(want, k int, d time.Duration) {
 }
 
 // MetricsScheduler is the /metrics view of the processor budget:
-// utilization, active teams, the grant, coalesce (a one-processor team) and
-// shrink (granted below the sized width) counters, and the admission
-// queue-wait histogram — bucket label → count, with the total count and the
-// mean in milliseconds.
+// utilization, active teams, whether a job waits at the head of the queue,
+// the grant, coalesce (a one-processor team) and shrink (granted below the
+// sized width) counters, and the admission queue-wait histogram — bucket
+// label → count, with the total count and the mean in milliseconds.
 type MetricsScheduler struct {
 	ProcsCapacity int   `json:"procs_capacity"`
 	ProcsInUse    int   `json:"procs_in_use"`
 	TeamsActive   int   `json:"teams_active"`
 	Waiting       int   `json:"waiting"`
-	MaxTeam       int   `json:"max_team"`
 	Grants        int64 `json:"grants"`
 	Coalesced     int64 `json:"coalesced"`
 	Shrunk        int64 `json:"shrunk"`
@@ -168,10 +142,6 @@ func (a *admission) snapshot() MetricsScheduler {
 		ProcsCapacity: a.capacity,
 		ProcsInUse:    a.inUse,
 		TeamsActive:   a.teams,
-		MaxTeam:       a.maxTeam,
-	}
-	if a.waiting {
-		st.Waiting = 1
 	}
 	a.mu.Unlock()
 	st.Grants = a.grants.Load()

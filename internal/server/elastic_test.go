@@ -39,7 +39,7 @@ func TestTinyJobConcurrencyExceedsWorkerCeiling(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 
 	srv, _, c := newTestServer(t, Config{
-		MaxProcs: tiny, MaxTeam: tiny,
+		MaxProcs:   tiny,
 		QueueDepth: 2 * tiny,
 	})
 
@@ -86,7 +86,7 @@ func TestCoalescedResultsBitwiseMatchDedicated(t *testing.T) {
 	p := helix(2)
 
 	// Reference: rigid one-job-at-a-time server, dedicated 1-proc team.
-	_, _, refc := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1})
+	_, _, refc := newTestServer(t, Config{MaxProcs: 1})
 	refID := submit(t, refc, p, quickParams()).ID
 	waitState(t, refc, refID, StateDone)
 	ref, err := refc.Result(context.Background(), refID)
@@ -95,7 +95,7 @@ func TestCoalescedResultsBitwiseMatchDedicated(t *testing.T) {
 	}
 
 	// Elastic: four copies of the job coalesce and run concurrently.
-	_, _, c := newTestServer(t, Config{MaxProcs: 4, MaxTeam: 4, QueueDepth: 16})
+	_, _, c := newTestServer(t, Config{MaxProcs: 4, QueueDepth: 16})
 	const copies = 4
 	ids := make([]string, copies)
 	for i := range ids {
@@ -125,7 +125,7 @@ func TestCoalescedResultsBitwiseMatchDedicated(t *testing.T) {
 // A job costed at several grains is granted a team that wide when the
 // budget is idle — big jobs are not starved down to one processor.
 func TestLargeJobGetsWideTeam(t *testing.T) {
-	srv, _, c := newTestServer(t, Config{MaxProcs: 4, MaxTeam: 4})
+	srv, _, c := newTestServer(t, Config{MaxProcs: 4})
 	// Protein(24, 7) prices at about 2.3 grains: a 2-wide team.
 	params := quickParams()
 	params.MaxCycles = 4
@@ -144,7 +144,7 @@ func TestLargeJobGetsWideTeam(t *testing.T) {
 // The scheduler and workspace-pool gauges ride the existing /metrics
 // endpoint; this pins their wire presence and internal consistency.
 func TestMetricsExposeSchedulerAndPool(t *testing.T) {
-	_, ts, c := newTestServer(t, Config{MaxProcs: 4, MaxTeam: 4})
+	_, ts, c := newTestServer(t, Config{MaxProcs: 4})
 	for i := 0; i < 3; i++ {
 		id := submit(t, c, helix(1), quickParams()).ID
 		waitState(t, c, id, StateDone)
@@ -155,8 +155,8 @@ func TestMetricsExposeSchedulerAndPool(t *testing.T) {
 		t.Fatalf("/metrics: http %d", code)
 	}
 	s := m.Scheduler
-	if s.ProcsCapacity != 4 || s.MaxTeam != 4 {
-		t.Fatalf("scheduler shape = cap %d, max %d; want 4/4", s.ProcsCapacity, s.MaxTeam)
+	if s.ProcsCapacity != 4 {
+		t.Fatalf("scheduler capacity = %d, want 4", s.ProcsCapacity)
 	}
 	if s.Grants < 3 {
 		t.Fatalf("grants = %d, want >= 3", s.Grants)
@@ -182,7 +182,7 @@ func TestMetricsExposeSchedulerAndPool(t *testing.T) {
 // Per-job Procs in the submit params caps that job's team below what the
 // cost model would request.
 func TestParamsProcsCapsGrant(t *testing.T) {
-	srv, _, c := newTestServer(t, Config{MaxProcs: 4, MaxTeam: 4})
+	srv, _, c := newTestServer(t, Config{MaxProcs: 4})
 	params := quickParams()
 	params.Procs = 1
 	params.MaxCycles = 4

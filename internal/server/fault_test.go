@@ -24,7 +24,7 @@ func named(p *molecule.Problem, name string) *molecule.Problem {
 
 // faultCfg is the daemon the fault tests run: one-processor teams.
 func faultCfg() Config {
-	return Config{MaxProcs: 2, MaxTeam: 1}
+	return Config{MaxProcs: 2}
 }
 
 // A job whose every solve attempt panics must fail cleanly with the
@@ -92,7 +92,7 @@ func TestSubtreePanicOnHelperIsolated(t *testing.T) {
 	})
 	t.Cleanup(faultinject.Reset)
 
-	_, _, c := newTestServer(t, Config{MaxProcs: 2, MaxTeam: 2})
+	_, _, c := newTestServer(t, Config{MaxProcs: 2})
 	params := quickParams()
 	params.Procs = 2
 	params.MaxCycles = 4
@@ -245,7 +245,7 @@ func TestTransientFailureHealsOnRetry(t *testing.T) {
 // queue is full, draining once shutdown begins — while healthz keeps
 // reporting liveness until the drain.
 func TestReadyz(t *testing.T) {
-	srv, ts, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1, QueueDepth: 1})
+	srv, ts, c := newTestServer(t, Config{MaxProcs: 1, QueueDepth: 1})
 	ctx := context.Background()
 
 	var body map[string]any

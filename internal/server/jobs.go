@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,7 +141,7 @@ func (j *job) setProgress(cycle int, rms float64) {
 // encode.CodeInternalError); empty for success.
 func (j *job) finish(state JobState, errCode, errMsg string, sol *core.Solution) {
 	j.mu.Lock()
-	if j.state.Terminal() { // already decided (e.g. cancelled while queued)
+	if j.state.Terminal() { // already decided (a panic escaping a finished run)
 		j.mu.Unlock()
 		return
 	}
@@ -155,12 +156,12 @@ func (j *job) finish(state JobState, errCode, errMsg string, sol *core.Solution)
 }
 
 // manager owns the bounded job queue, the processor budget, the job
-// records, and the posterior store. A single dispatcher goroutine pulls
-// submissions off the queue and admits each against the budget, sizing its
-// processor team from the job's estimated work — so the configured budget
-// bounds processors in use, not jobs in flight: many cheap solves run
-// concurrently on one-processor teams while an expensive solve still gets
-// a wide one.
+// records, and the posterior store. Queued jobs wait in one FIFO slice under
+// mu; a job arriving and a team coming back each admit from its head, sizing
+// the job's processor team from its estimated work — so the configured
+// budget bounds processors in use, not jobs in flight: many cheap solves
+// run concurrently on one-processor teams while an expensive solve still
+// gets a wide one.
 type manager struct {
 	cfg        Config
 	cache      *planCache
@@ -173,17 +174,12 @@ type manager struct {
 	jobs     map[string]*job
 	order    []string // submission order, for pruning old records
 	nextID   int64
-
-	queue chan *job
-	// queuedCount tracks jobs in StateQueued — including the one the
-	// dispatcher has pulled off the channel but not yet admitted — so
-	// backpressure keys on jobs actually waiting, not channel occupancy.
-	queuedCount atomic.Int64
-	// dispatchCancel aborts an admission wait during forced shutdown.
-	dispatchCtx    context.Context
-	dispatchCancel context.CancelFunc
-	wg             sync.WaitGroup // dispatcher
-	jobsWG         sync.WaitGroup // in-flight job goroutines
+	// queue holds the jobs in StateQueued, in submission order; a job
+	// leaves it when it is granted a team or cancelled. headSince is when
+	// queue[0] reached the head, the start of its admission wait.
+	queue     []*job
+	headSince time.Time
+	jobsWG    sync.WaitGroup // running job goroutines
 
 	submitted     atomic.Int64
 	rejected      atomic.Int64
@@ -198,14 +194,9 @@ func newManager(cfg Config) *manager {
 		cache:      newPlanCache(cfg.CacheSize),
 		posteriors: newPosteriorStore(cfg.PosteriorBytes, cfg.PosteriorDir),
 		rec:        &trace.Collector{},
-		admit:      newAdmission(cfg.MaxProcs, cfg.MaxTeam),
+		admit:      newAdmission(cfg.MaxProcs),
 		jobs:       make(map[string]*job),
-		// The channel is sized past QueueDepth because cancelled-while-
-		// queued jobs linger in it until the dispatcher skips them; the
-		// queuedCount gate in submit is the real bound.
-		queue: make(chan *job, 2*cfg.QueueDepth+16),
 	}
-	m.dispatchCtx, m.dispatchCancel = context.WithCancel(context.Background())
 	// Job ids must stay unique across restarts: reloaded posterior
 	// snapshots are keyed by pre-restart job ids, and the posterior store
 	// is consulted before the job table, so a fresh counter re-minting an
@@ -213,8 +204,6 @@ func newManager(cfg Config) *manager {
 	// job's — and clobber its snapshot on completion. Seed the counter past
 	// every id the snapshot directory still references.
 	m.nextID = m.posteriors.maxJobSeq()
-	m.wg.Add(1)
-	go m.dispatcher()
 	return m
 }
 
@@ -233,42 +222,57 @@ func jobCost(p *molecule.Problem, batch int) float64 {
 	return workest.FlopModel{}.NodeWork(3*len(p.Atoms), p.ScalarDim(), batch)
 }
 
-// dispatcher admits queued jobs against the processor budget in FIFO
-// order and runs each on its own goroutine with the granted team width.
-func (m *manager) dispatcher() {
-	defer m.wg.Done()
-	for j := range m.queue {
-		if j.terminal() { // cancelled while queued
-			continue
-		}
+// startLocked admits jobs from the head of the queue while a processor is
+// free, granting each min(width, free) processors and starting it on its
+// own goroutine. The caller holds m.mu.
+func (m *manager) startLocked() {
+	for len(m.queue) > 0 {
+		j := m.queue[0]
 		want := m.admit.width(jobCost(j.problem, batchSize(j.params)), j.params.Procs)
-		procs, err := m.admit.acquire(m.dispatchCtx, want)
-		if err != nil {
-			// Forced shutdown: the admission wait was aborted.
-			m.cancelIfQueued(j, "cancelled during shutdown")
-			continue
+		procs := m.admit.grant(want, time.Since(m.headSince))
+		if procs == 0 {
+			return
 		}
+		m.dequeueLocked(0)
+		ctx, cancel := context.WithCancel(context.Background())
+		j.mu.Lock()
+		j.state = StateRunning
+		j.started = time.Now()
+		j.cancel = cancel
+		j.mu.Unlock()
 		m.jobsWG.Add(1)
-		go func(j *job, procs int) {
-			defer m.jobsWG.Done()
-			defer m.admit.release(procs)
-			m.runIsolated(j, procs)
-		}(j, procs)
+		go m.runTeam(ctx, cancel, j, procs)
 	}
 }
 
-// runIsolated is the job goroutine's last line of defense: a panic
-// escaping the per-attempt recovery (a bug in the job-driving code itself)
-// fails the job instead of leaking its team grant.
-func (m *manager) runIsolated(j *job, procs int) {
+// dequeueLocked removes queue[i]; a new head starts its admission wait now.
+// The caller holds m.mu.
+func (m *manager) dequeueLocked(i int) {
+	m.queue = slices.Delete(m.queue, i, i+1)
+	if i == 0 {
+		m.headSince = time.Now()
+	}
+}
+
+// runTeam is a job's goroutine. It runs the job on its granted team, then
+// returns the team and admits from the queue. It is also the last line of
+// defense: a panic escaping the per-attempt recovery (a bug in the
+// job-driving code itself) fails the job instead of leaking its grant.
+func (m *manager) runTeam(ctx context.Context, cancel context.CancelFunc, j *job, procs int) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.panics.Add(1)
 			log.Printf("phmsed: job %s: panic outside solve: %v\n%s", j.id, r, debug.Stack())
 			j.finish(StateFailed, encode.CodeInternalError, fmt.Sprintf("internal error: %v", r), nil)
 		}
+		cancel()
+		m.mu.Lock()
+		m.admit.release(procs)
+		m.startLocked()
+		m.mu.Unlock()
+		m.jobsWG.Done()
 	}()
-	m.run(j, procs)
+	m.run(ctx, j, procs)
 }
 
 // submit validates queue capacity and registers the job. The queue is
@@ -284,7 +288,7 @@ func (m *manager) submit(p *molecule.Problem, params encode.SolveParams, warm *s
 		m.rejected.Add(1)
 		return nil, ErrDraining
 	}
-	if int(m.queuedCount.Load()) >= m.cfg.QueueDepth {
+	if len(m.queue) >= m.cfg.QueueDepth {
 		m.rejected.Add(1)
 		return nil, ErrQueueFull
 	}
@@ -304,19 +308,15 @@ func (m *manager) submit(p *molecule.Problem, params encode.SolveParams, warm *s
 		submitted:  time.Now(),
 		done:       make(chan struct{}),
 	}
-	select {
-	case m.queue <- j:
-	default:
-		// Headroom exhausted by cancelled jobs the dispatcher has not yet
-		// skipped — treat as a full queue.
-		m.rejected.Add(1)
-		return nil, ErrQueueFull
-	}
-	m.queuedCount.Add(1)
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	m.pruneLocked(maxRecords)
 	m.submitted.Add(1)
+	if len(m.queue) == 0 {
+		m.headSince = j.submitted
+	}
+	m.queue = append(m.queue, j)
+	m.startLocked()
 	return j, nil
 }
 
@@ -331,7 +331,7 @@ func (m *manager) pruneLocked(bound int) {
 	i, kept := 0, 0
 	for ; excess > 0 && i < len(m.order); i++ {
 		id := m.order[i]
-		if m.jobs[id].terminal() {
+		if _, state := m.jobs[id].result(); state.Terminal() {
 			delete(m.jobs, id)
 			excess--
 			continue
@@ -345,12 +345,6 @@ func (m *manager) pruneLocked(bound int) {
 	m.order = m.order[i-kept:]
 }
 
-func (j *job) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state == StateDone || j.state == StateFailed || j.state == StateCancelled
-}
-
 // get returns the job record for an id.
 func (m *manager) get(id string) (*job, bool) {
 	m.mu.Lock()
@@ -359,37 +353,22 @@ func (m *manager) get(id string) (*job, bool) {
 	return j, ok
 }
 
-// cancelIfQueued moves a still-queued job to cancelled (the dispatcher
-// skips it when dequeued) and reports whether it did. Exiting StateQueued
-// here pairs with the queuedCount increment in submit.
-func (m *manager) cancelIfQueued(j *job, msg string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = StateCancelled
-	j.errCode = filter.CodeCanceled
-	j.errMsg = msg
-	j.finished = time.Now()
-	close(j.done)
-	m.queuedCount.Add(-1)
-	return true
-}
-
-// requestCancel cancels a job: queued jobs move to cancelled immediately
-// (the dispatcher skips them when dequeued), running jobs have their
-// context cancelled and stop at the next cycle boundary. It reports
-// whether the job existed.
+// requestCancel cancels a job: a queued job leaves the queue and is
+// cancelled at once, holding neither a processor nor a queue slot; a
+// running job has its context cancelled and stops at the next cycle
+// boundary. It reports whether the job existed.
 func (m *manager) requestCancel(id string) (*job, bool) {
-	j, ok := m.get(id)
-	if !ok {
-		return nil, false
+	m.mu.Lock()
+	j, ok := m.jobs[id]
+	if i := slices.Index(m.queue, j); i >= 0 {
+		m.dequeueLocked(i)
+		j.finish(StateCancelled, filter.CodeCanceled, "cancelled while queued", nil)
 	}
-	if !m.cancelIfQueued(j, "cancelled while queued") {
+	m.mu.Unlock()
+	if ok {
 		j.stop()
 	}
-	return j, true
+	return j, ok
 }
 
 // stop cancels a running job's context; the solve stops at the next cycle
@@ -407,28 +386,14 @@ func (j *job) stop() {
 // hierarchical solve fails numerically, and a terminal classification of
 // whatever error survives. procs, the granted team width, is what every
 // attempt solves with.
-func (m *manager) run(j *job, procs int) {
-	ctx := context.Background()
-	var timeoutCancel context.CancelFunc
+func (m *manager) run(ctx context.Context, j *job, procs int) {
 	if ms := j.params.TimeoutMillis; ms > 0 {
 		// One budget across every attempt: retrying must not extend the
 		// job's wall-clock bound.
-		ctx, timeoutCancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
-		defer timeoutCancel()
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+		defer cancel()
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	j.mu.Lock()
-	if j.state != StateQueued { // cancelled while waiting in the queue
-		j.mu.Unlock()
-		return
-	}
-	j.state = StateRunning
-	j.started = time.Now()
-	j.cancel = cancel
-	m.queuedCount.Add(-1)
-	j.mu.Unlock()
 
 	var sol *core.Solution
 	var err error
@@ -638,9 +603,13 @@ func (m *manager) list(state JobState, after string, limit int) ([]JobStatus, st
 	return out, next
 }
 
-// queueDepth returns the number of jobs awaiting admission (in
-// StateQueued, whether still in the channel or blocked at admission).
-func (m *manager) queueDepth() int { return int(m.queuedCount.Load()) }
+// queueDepth returns the number of jobs awaiting admission, the figure both
+// the 429 check and /readyz read.
+func (m *manager) queueDepth() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.queue)
+}
 
 // countByState scans the job records and tallies them by state.
 func (m *manager) countByState() map[JobState]int {
@@ -663,23 +632,18 @@ func (m *manager) countByState() map[JobState]int {
 
 // shutdown stops intake and drains the queue: already-accepted jobs (both
 // running and queued) are allowed to finish. When ctx expires first, every
-// remaining job is cancelled — including the one blocked at the admission
-// wait — and shutdown waits for the work to observe the cancellation,
+// queued job is cancelled "during shutdown", every running one has its
+// context cancelled, and shutdown waits for the solves to observe it,
 // returning ctx's error to signal the forced drain.
 func (m *manager) shutdown(ctx context.Context) error {
 	m.mu.Lock()
-	already := m.draining
 	m.draining = true
-	if !already {
-		close(m.queue)
-	}
 	m.mu.Unlock()
 
+	// With intake closed, only a finishing job starts another, so the
+	// count of running goroutines reaches zero once the queue is empty.
 	drained := make(chan struct{})
 	go func() {
-		// The dispatcher exits once the closed queue is empty; only then is
-		// the set of job goroutines final.
-		m.wg.Wait()
 		m.jobsWG.Wait()
 		close(drained)
 	}()
@@ -688,22 +652,18 @@ func (m *manager) shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 	}
-	// Forced drain: abort the admission wait, cancel everything still
-	// alive, and wait for the work to wind down (running solves observe the
-	// cancellation at the next cycle boundary). Every job still queued —
-	// the one at the admission wait included, whichever of this loop and
-	// the dispatcher reaches it first — is cancelled as a shutdown casualty.
-	m.dispatchCancel()
 	m.mu.Lock()
+	for _, j := range m.queue {
+		j.finish(StateCancelled, filter.CodeCanceled, "cancelled during shutdown", nil)
+	}
+	m.queue = nil
 	jobs := make([]*job, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		jobs = append(jobs, j)
 	}
 	m.mu.Unlock()
 	for _, j := range jobs {
-		if !m.cancelIfQueued(j, "cancelled during shutdown") {
-			j.stop()
-		}
+		j.stop()
 	}
 	<-drained
 	return ctx.Err()

@@ -73,8 +73,6 @@ type Config struct {
 	// processors in use — MaxProcs cheap jobs, one processor each, can run
 	// at once.
 	MaxProcs int
-	// MaxTeam caps a single solve's team width (default MaxProcs).
-	MaxTeam int
 	// QueueDepth bounds the number of jobs waiting for a team; further
 	// submissions are rejected with 429 (default 32).
 	QueueDepth int
@@ -111,9 +109,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxProcs <= 0 {
 		c.MaxProcs = runtime.GOMAXPROCS(0)
 	}
-	if c.MaxTeam <= 0 || c.MaxTeam > c.MaxProcs {
-		c.MaxTeam = c.MaxProcs
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 32
 	}
@@ -138,7 +133,7 @@ type Server struct {
 	waitsParked, waitsCompleted, waitsTimedOut, waitsAbandoned atomic.Int64
 }
 
-// New builds a serving instance and starts its job dispatcher.
+// New builds a serving instance.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -544,6 +539,7 @@ type MetricsPosteriorStore struct {
 // Snapshot assembles the current metrics document.
 func (s *Server) Snapshot() Metrics {
 	counts := s.mgr.countByState()
+	depth := s.mgr.queueDepth()
 	hits, misses, entries := s.mgr.cache.stats()
 	ps := s.mgr.posteriors.stats()
 	m := Metrics{
@@ -562,7 +558,7 @@ func (s *Server) Snapshot() Metrics {
 			FlatFallbacks: s.mgr.flatFallbacks.Load(),
 		},
 		Queue: MetricsQueue{
-			Depth:    s.mgr.queueDepth(),
+			Depth:    depth,
 			Capacity: s.cfg.QueueDepth,
 		},
 		Scheduler:     s.mgr.admit.snapshot(),
@@ -589,6 +585,9 @@ func (s *Server) Snapshot() Metrics {
 			Abandoned: s.waitsAbandoned.Load(),
 		},
 		OpTimes: s.mgr.rec.Snapshot(),
+	}
+	if depth > 0 {
+		m.Scheduler.Waiting = 1
 	}
 	if total := hits + misses; total > 0 {
 		m.PlanCache.HitRate = float64(hits) / float64(total)

@@ -135,7 +135,7 @@ func apiErr(t *testing.T, err error) *client.APIError {
 }
 
 func TestSubmitPollResult(t *testing.T) {
-	_, ts, c := newTestServer(t, Config{MaxProcs: 2, MaxTeam: 1})
+	_, ts, c := newTestServer(t, Config{MaxProcs: 2})
 	ctx := context.Background()
 	p := helix(2)
 	st := submit(t, c, p, quickParams())
@@ -176,7 +176,7 @@ func TestSubmitPollResult(t *testing.T) {
 // Four helix jobs submitted simultaneously all complete and converge — the
 // concurrency acceptance criterion.
 func TestConcurrentSolves(t *testing.T) {
-	_, _, c := newTestServer(t, Config{MaxProcs: 4, MaxTeam: 1, QueueDepth: 8})
+	_, _, c := newTestServer(t, Config{MaxProcs: 4, QueueDepth: 8})
 	ctx := context.Background()
 	const n = 4
 	ids := make([]string, n)
@@ -210,7 +210,7 @@ func TestConcurrentSolves(t *testing.T) {
 // Re-submitting the same topology hits the plan cache, visible in /metrics,
 // whatever team width either submission runs at.
 func TestPlanCacheHit(t *testing.T) {
-	srv, ts, c := newTestServer(t, Config{MaxProcs: 2, MaxTeam: 2})
+	srv, ts, c := newTestServer(t, Config{MaxProcs: 2})
 	// Protein(24, 7) prices at two grains, so Procs: 2 gets a 2-wide team.
 	p := molecule.Protein(24, 7)
 	params := quickParams()
@@ -248,7 +248,7 @@ func TestPlanCacheHit(t *testing.T) {
 // A negative CacheSize disables the plan cache: identical submissions both
 // miss, and nothing is kept.
 func TestPlanCacheDisabled(t *testing.T) {
-	_, ts, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1, CacheSize: -1})
+	_, ts, c := newTestServer(t, Config{MaxProcs: 1, CacheSize: -1})
 	for i := 0; i < 2; i++ {
 		st := submit(t, c, helix(1), quickParams())
 		if st = waitState(t, c, st.ID, StateDone, StateFailed); st.State != StateDone || st.PlanCacheHit {
@@ -267,7 +267,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 // A full queue rejects further submissions with 429 backpressure carrying
 // the queue_full envelope code and a Retry-After hint.
 func TestQueueFullBackpressure(t *testing.T) {
-	_, _, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1, QueueDepth: 1})
+	_, _, c := newTestServer(t, Config{MaxProcs: 1, QueueDepth: 1})
 	ctx := context.Background()
 	// One slow job occupies the worker; one more fills the queue.
 	running := submit(t, c, helix(1), slowParams())
@@ -304,7 +304,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 // Cancelling a running job stops it before convergence with state
 // "cancelled"; cancelling a queued job never runs it.
 func TestCancellation(t *testing.T) {
-	_, ts, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1, QueueDepth: 4})
+	_, ts, c := newTestServer(t, Config{MaxProcs: 1, QueueDepth: 4})
 	ctx := context.Background()
 	running := submit(t, c, helix(2), slowParams())
 	st := waitState(t, c, running.ID, StateRunning)
@@ -347,7 +347,7 @@ func TestCancellation(t *testing.T) {
 
 // A per-request timeout fails the job with a deadline error.
 func TestJobTimeout(t *testing.T) {
-	_, _, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1})
+	_, _, c := newTestServer(t, Config{MaxProcs: 1})
 	params := slowParams()
 	params.TimeoutMillis = 50
 	st := submit(t, c, helix(2), params)
@@ -360,7 +360,7 @@ func TestJobTimeout(t *testing.T) {
 // Shutdown drains the running job, rejects new submissions with 503, and
 // flips /healthz to draining.
 func TestGracefulShutdownDrains(t *testing.T) {
-	srv, ts, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1, QueueDepth: 4})
+	srv, ts, c := newTestServer(t, Config{MaxProcs: 1, QueueDepth: 4})
 	ctx := context.Background()
 	running := submit(t, c, helix(2), slowParams())
 	waitState(t, c, running.ID, StateRunning)
@@ -407,7 +407,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 // Forced shutdown (expired drain context) cancels in-flight jobs itself.
 func TestForcedShutdownCancels(t *testing.T) {
-	srv, _, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1})
+	srv, _, c := newTestServer(t, Config{MaxProcs: 1})
 	running := submit(t, c, helix(2), slowParams())
 	waitState(t, c, running.ID, StateRunning)
 
@@ -419,15 +419,17 @@ func TestForcedShutdownCancels(t *testing.T) {
 	waitState(t, c, running.ID, StateCancelled)
 }
 
-// A forced drain while the dispatcher waits for processors aborts that
-// wait: the queued job is cancelled as a shutdown casualty, the running one
-// is cancelled, and the budget ends empty with nobody waiting.
+// A forced drain while a job waits for processors aborts that wait: the
+// queued job is cancelled as a shutdown casualty, the running one is
+// cancelled, and the budget ends empty with nobody waiting.
 func TestForcedShutdownCancelsAdmissionWait(t *testing.T) {
-	srv, _, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1})
+	srv, _, c := newTestServer(t, Config{MaxProcs: 1})
 	running := submit(t, c, helix(2), slowParams())
 	waitState(t, c, running.ID, StateRunning)
 	queued := submit(t, c, helix(1), quickParams())
-	waitForWaiter(t, srv.mgr.admit)
+	if s := srv.Snapshot().Scheduler; s.Waiting != 1 {
+		t.Fatalf("second job with nothing free: waiting %d, want 1", s.Waiting)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -447,7 +449,7 @@ func TestForcedShutdownCancelsAdmissionWait(t *testing.T) {
 // {"error": {"code", "message", "state"}} — asserted at the wire level so
 // the shape is pinned independently of the client.
 func TestBadRequests(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1})
+	_, ts, _ := newTestServer(t, Config{MaxProcs: 1})
 	cases := []struct {
 		name string
 		body string
@@ -492,7 +494,7 @@ func TestBadRequests(t *testing.T) {
 // extended problem from it in fewer cycles, and reject incompatible or
 // unusable references with the right envelope codes.
 func TestWarmStartAPI(t *testing.T) {
-	srv, _, c := newTestServer(t, Config{MaxProcs: 2, MaxTeam: 1, QueueDepth: 8})
+	srv, _, c := newTestServer(t, Config{MaxProcs: 2, QueueDepth: 8})
 	ctx := context.Background()
 	base := helix(1)
 	params := quickParams()
@@ -609,7 +611,7 @@ func TestWarmStartAPI(t *testing.T) {
 // A posterior too large for the store budget is rejected, not kept, and a
 // warm reference to it is a usable-error 409.
 func TestPosteriorBudgetRejection(t *testing.T) {
-	_, _, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1, PosteriorBytes: 64})
+	_, _, c := newTestServer(t, Config{MaxProcs: 1, PosteriorBytes: 64})
 	ctx := context.Background()
 	keep := quickParams()
 	keep.KeepPosterior = true
@@ -632,7 +634,7 @@ func TestPosteriorBudgetRejection(t *testing.T) {
 // GET /v1/jobs lists jobs in submission order with state filtering and
 // cursor pagination.
 func TestJobListing(t *testing.T) {
-	_, _, c := newTestServer(t, Config{MaxProcs: 2, MaxTeam: 1, QueueDepth: 8})
+	_, _, c := newTestServer(t, Config{MaxProcs: 2, QueueDepth: 8})
 	ctx := context.Background()
 	const n = 5
 	ids := make([]string, n)

@@ -59,7 +59,7 @@ func statusWait(t *testing.T, base, id, wait string) (JobStatus, time.Duration) 
 // terminal, answers the ordinary non-terminal document when the wait runs
 // out first, never parks on a terminal job, and validates its parameter.
 func TestStatusWait(t *testing.T) {
-	srv, ts, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1, QueueDepth: 4})
+	srv, ts, c := newTestServer(t, Config{MaxProcs: 1, QueueDepth: 4})
 	ctx := context.Background()
 	waits := func() MetricsStatusWaits { return srv.Snapshot().StatusWaits }
 
@@ -127,7 +127,7 @@ func TestStatusWait(t *testing.T) {
 // A caller that disconnects mid-wait releases its handler: the parked
 // gauge returns to zero without the job finishing.
 func TestStatusWaitAbandoned(t *testing.T) {
-	srv, ts, c := newTestServer(t, Config{MaxProcs: 1, MaxTeam: 1})
+	srv, ts, c := newTestServer(t, Config{MaxProcs: 1})
 	waits := func() MetricsStatusWaits { return srv.Snapshot().StatusWaits }
 	slow := submit(t, c, helix(1), slowParams())
 
