@@ -5,11 +5,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"math"
+	"os"
 	"runtime"
 	"testing"
 
 	"phmse/internal/molecule"
+	"phmse/internal/stats"
 )
 
 // solutionDigest hashes the exact bit patterns of everything a solve
@@ -34,32 +37,26 @@ func solutionDigest(sol *Solution) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// TestGoldenSolutionDigests pins the solver's output bit for bit. The
-// digests were recorded before the covariance update was moved to the
-// register-tiled lower-triangle kernel, the verify-before-commit guard and
-// the four-row triangular solve; a kernel change that reorders a single
-// floating-point operation, in any organization or update form, fails here.
-// The warm cases continue on the problem with extraPairs added: flat-warm
-// from a flat posterior's full covariance, flat-warm-diag from the
-// covariance diagonal a hierarchical posterior carries.
-// Go fuses multiply-adds on some other architectures, so the recorded bits
-// are amd64's.
-func TestGoldenSolutionDigests(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("golden digests were recorded on amd64")
-	}
-	base := baseProblem()
+// goldenCase is one solve the golden tests pin: the golden problem
+// perturbed by 0.4 Å at seed 17, solved under cfg — and, for a warm case,
+// continued on the problem with extraPairs added, from the posterior of a
+// solve under from (cfg when nil).
+type goldenCase struct {
+	name   string
+	cfg    Config
+	warm   bool
+	from   *Config
+	cycles int
+	digest string
+}
+
+// goldenCases are the golden solves: both organizations, one and two
+// processors, and the warm starts — flat-warm from a flat posterior's full
+// covariance, flat-warm-diag from the covariance diagonal a hierarchical
+// posterior carries.
+var goldenCases = func() []goldenCase {
 	flat := Config{Mode: Flat, Procs: 2, MaxCycles: 12}
-	cases := []struct {
-		name string
-		cfg  Config
-		warm bool
-		// from configures the solve a warm case continues from, cfg's when
-		// nil.
-		from   *Config
-		cycles int
-		digest string
-	}{
+	return []goldenCase{
 		{name: "hier-procs1", cfg: Config{Mode: Hierarchical, Procs: 1, MaxCycles: 500}, cycles: 30, digest: "f5e988c78526b2a2"},
 		{name: "hier-procs2", cfg: Config{Mode: Hierarchical, Procs: 2, MaxCycles: 500}, cycles: 30, digest: "f5e988c78526b2a2"},
 		{name: "flat", cfg: flat, cycles: 12, digest: "fcfdb2f10858fda3"},
@@ -67,32 +64,93 @@ func TestGoldenSolutionDigests(t *testing.T) {
 		{name: "flat-warm", cfg: flat, warm: true, cycles: 12, digest: "b7d2fb236c158204"},
 		{name: "flat-warm-diag", cfg: flat, warm: true, from: &Config{Mode: Hierarchical, Procs: 2, MaxCycles: 500}, cycles: 10, digest: "7c1a25c4f754e2d7"},
 	}
-	for _, c := range cases {
+}()
+
+// solve runs the golden case.
+func (c goldenCase) solve(t *testing.T) *Solution {
+	t.Helper()
+	base := baseProblem()
+	from := c.cfg
+	if c.from != nil {
+		from = *c.from
+	}
+	est, err := New(base, from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := est.Solve(molecule.Perturbed(base, 0.4, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.warm {
+		combined := withExtraConstraints(base, extraPairs(base), 0.1)
+		warmEst, err := New(combined, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol, err = warmEst.SolveFrom(context.Background(), sol.Posterior()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sol
+}
+
+// TestGoldenSolutionDigests pins the solver's output bit for bit. The
+// digests were recorded before the covariance update was moved to the
+// register-tiled lower-triangle kernel, the verify-before-commit guard and
+// the four-row triangular solve; a kernel change that reorders a single
+// floating-point operation, in any organization or update form, fails here.
+// Go fuses multiply-adds on some other architectures, so the recorded bits
+// are amd64's.
+func TestGoldenSolutionDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden digests were recorded on amd64")
+	}
+	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
-			from := c.cfg
-			if c.from != nil {
-				from = *c.from
-			}
-			est, err := New(base, from)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sol, err := est.Solve(molecule.Perturbed(base, 0.4, 17))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.warm {
-				combined := withExtraConstraints(base, extraPairs(base), 0.1)
-				warmEst, err := New(combined, c.cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sol, err = warmEst.SolveFrom(context.Background(), sol.Posterior()); err != nil {
-					t.Fatal(err)
-				}
-			}
+			sol := c.solve(t)
 			if got := solutionDigest(sol); sol.Cycles != c.cycles || got != c.digest {
 				t.Fatalf("cycles %d digest %s, recorded %d %s", sol.Cycles, got, c.cycles, c.digest)
+			}
+		})
+	}
+}
+
+// goldenSigma and goldenRelVar are how far a golden solve may lie from the
+// unfused reference: the largest |Δx| in posterior σ and the largest
+// relative change of an atom's variance. They are the tolerance of a change
+// that moves rounding and nothing else.
+const (
+	goldenSigma  = 1e-10
+	goldenRelVar = 1e-10
+)
+
+// TestGoldenSolutionsNearUnfusedReference holds each golden solve to the
+// answer the solver gave before its m-m tiles fused their multiply-adds,
+// recorded in testdata/golden_unfused.json (positions, summed variances
+// and cycles of each case): the same number of cycles, and every atom
+// within goldenSigma and goldenRelVar (stats.Compare). The digests above
+// pin the bits; this pins what a change of rounding may do to the answer.
+func TestGoldenSolutionsNearUnfusedReference(t *testing.T) {
+	data, err := os.ReadFile("testdata/golden_unfused.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refs map[string]stats.Estimate
+	if err := json.Unmarshal(data, &refs); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range goldenCases {
+		t.Run(c.name, func(t *testing.T) {
+			ref, ok := refs[c.name]
+			if !ok {
+				t.Fatal("no recorded reference")
+			}
+			sol := c.solve(t)
+			d := stats.Compare(ref, stats.Estimate{Positions: sol.Positions, Variances: sol.Variances, Cycles: sol.Cycles})
+			t.Logf("against the unfused reference: %v", d)
+			if d.Cycles != d.RefCycles || !(d.Sigma <= goldenSigma) || !(d.RelVar <= goldenRelVar) {
+				t.Fatalf("%v; tolerance %g σ, %g relative variance, the same cycles", d, goldenSigma, goldenRelVar)
 			}
 		})
 	}

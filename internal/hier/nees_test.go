@@ -10,17 +10,8 @@ import (
 	"phmse/internal/geom"
 	"phmse/internal/mat"
 	"phmse/internal/molecule"
+	"phmse/internal/stats"
 )
-
-// chi2Quantile is the Wilson–Hilferty approximation of the χ² quantile with
-// k degrees of freedom at the standard normal quantile z:
-// k·(1 − 2/(9k) + z·√(2/(9k)))³. Its relative error is 4e-4 at 100 degrees
-// of freedom and 1e-5 at 1000, and falls further at the thousands used here.
-func chi2Quantile(k, z float64) float64 {
-	v := 2 / (9 * k)
-	c := 1 - v + z*math.Sqrt(v)
-	return k * c * c * c
-}
 
 // z995 is the standard normal 0.995 quantile: a two-sided 99 % band.
 const z995 = 2.5758293035489004
@@ -124,7 +115,7 @@ func TestNEESInBandOnLinearProblem(t *testing.T) {
 		sumFlat += nees(t, flat, identity, truth)
 	}
 	dof := float64(3 * atoms * replicates)
-	lo, hi := chi2Quantile(dof, -z995)/replicates, chi2Quantile(dof, z995)/replicates
+	lo, hi := stats.Chi2Quantile(dof, -z995)/replicates, stats.Chi2Quantile(dof, z995)/replicates
 	for _, c := range []struct {
 		name string
 		sum  float64
@@ -133,20 +124,6 @@ func TestNEESInBandOnLinearProblem(t *testing.T) {
 		t.Logf("%s: mean NEES %.2f over %d replicates, 99%% band [%.2f, %.2f] for %d coordinates", c.name, mean, replicates, lo, hi, 3*atoms)
 		if mean < lo || mean > hi {
 			t.Errorf("%s: mean NEES %.2f outside the 99%% band [%.2f, %.2f]", c.name, mean, lo, hi)
-		}
-	}
-}
-
-// The Wilson–Hilferty quantile against tabulated χ² quantiles.
-func TestChi2Quantile(t *testing.T) {
-	for _, c := range []struct{ k, z, want float64 }{
-		{100, z995, 140.1695},  // χ²₀.₉₉₅(100)
-		{100, -z995, 67.3276},  // χ²₀.₀₀₅(100)
-		{1000, z995, 1118.948}, // χ²₀.₉₉₅(1000)
-		{1000, -z995, 888.564}, // χ²₀.₀₀₅(1000)
-	} {
-		if got := chi2Quantile(c.k, c.z); math.Abs(got-c.want) > 1e-3*c.want {
-			t.Errorf("chi2Quantile(%g, %g) = %g, tabulated %g", c.k, c.z, got, c.want)
 		}
 	}
 }

@@ -47,27 +47,6 @@ func SubVec(dst, x, y []float64) {
 	}
 }
 
-// norm2 returns the Euclidean norm of x.
-func norm2(x []float64) float64 {
-	// Scaled accumulation avoids overflow for large elements.
-	scale, ssq := 0.0, 1.0
-	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
 // NormInf returns the maximum absolute element of x.
 func NormInf(x []float64) float64 {
 	m := 0.0

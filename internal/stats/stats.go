@@ -1,6 +1,6 @@
 // Package stats provides the small numerical-statistics toolkit the
-// estimator needs: ordinary and non-negative least squares, polynomial
-// bases, and summary statistics. The non-negative solver backs the paper's
+// estimator needs: ordinary and non-negative least squares, R² and the mean,
+// and the solver's oracles (oracle.go). The non-negative solver backs the paper's
 // constrained regression for the work-estimation formula (Equation 1), whose
 // coefficient checks (positive leading coefficient, non-negative constant
 // term and coefficient sum) are all guaranteed by coefficient
@@ -181,35 +181,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// stdDev returns the sample standard deviation of xs (0 for fewer than two
-// samples).
-func stdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(n-1))
-}
-
-// GeoMean returns the geometric mean of strictly positive xs.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean of non-positive value")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }

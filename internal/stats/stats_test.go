@@ -145,34 +145,13 @@ func TestRSquared(t *testing.T) {
 	}
 }
 
-func TestMeanStdDevGeoMean(t *testing.T) {
+func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil)")
 	}
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("Mean")
 	}
-	if stdDev([]float64{5}) != 0 {
-		t.Fatal("StdDev single")
-	}
-	if math.Abs(stdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})-2.1380899352993947) > 1e-12 {
-		t.Fatalf("StdDev = %g", stdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}))
-	}
-	if math.Abs(GeoMean([]float64{1, 4, 16})-4) > 1e-12 {
-		t.Fatalf("GeoMean = %g", GeoMean([]float64{1, 4, 16}))
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("GeoMean(nil)")
-	}
-}
-
-func TestGeoMeanPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for non-positive input")
-		}
-	}()
-	GeoMean([]float64{1, 0})
 }
 
 func TestLeastSquaresRidgeFallback(t *testing.T) {
@@ -226,10 +205,4 @@ func TestRSquaredPanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	RSquared([]float64{1}, []float64{1, 2})
-}
-
-func TestStdDevTwoPoints(t *testing.T) {
-	if got := stdDev([]float64{1, 3}); math.Abs(got-math.Sqrt2) > 1e-12 {
-		t.Fatalf("StdDev = %g", got)
-	}
 }
