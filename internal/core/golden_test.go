@@ -57,12 +57,12 @@ type goldenCase struct {
 var goldenCases = func() []goldenCase {
 	flat := Config{Mode: Flat, Procs: 2, MaxCycles: 12}
 	return []goldenCase{
-		{name: "hier-procs1", cfg: Config{Mode: Hierarchical, Procs: 1, MaxCycles: 500}, cycles: 30, digest: "f5e988c78526b2a2"},
-		{name: "hier-procs2", cfg: Config{Mode: Hierarchical, Procs: 2, MaxCycles: 500}, cycles: 30, digest: "f5e988c78526b2a2"},
-		{name: "flat", cfg: flat, cycles: 12, digest: "fcfdb2f10858fda3"},
-		{name: "warm", cfg: Config{Mode: Hierarchical, Procs: 2, MaxCycles: 500}, warm: true, cycles: 4, digest: "0e563f8aa9daf984"},
-		{name: "flat-warm", cfg: flat, warm: true, cycles: 12, digest: "b7d2fb236c158204"},
-		{name: "flat-warm-diag", cfg: flat, warm: true, from: &Config{Mode: Hierarchical, Procs: 2, MaxCycles: 500}, cycles: 10, digest: "7c1a25c4f754e2d7"},
+		{name: "hier-procs1", cfg: Config{Mode: Hierarchical, Procs: 1, MaxCycles: 500}, cycles: 30, digest: "405d75b5d20cf8af"},
+		{name: "hier-procs2", cfg: Config{Mode: Hierarchical, Procs: 2, MaxCycles: 500}, cycles: 30, digest: "405d75b5d20cf8af"},
+		{name: "flat", cfg: flat, cycles: 12, digest: "a07473afe7a8612e"},
+		{name: "warm", cfg: Config{Mode: Hierarchical, Procs: 2, MaxCycles: 500}, warm: true, cycles: 4, digest: "327de4c687450d84"},
+		{name: "flat-warm", cfg: flat, warm: true, cycles: 12, digest: "a01fbda47500f792"},
+		{name: "flat-warm-diag", cfg: flat, warm: true, from: &Config{Mode: Hierarchical, Procs: 2, MaxCycles: 500}, cycles: 10, digest: "39921d5b926871ae"},
 	}
 }()
 
@@ -98,10 +98,14 @@ func (c goldenCase) solve(t *testing.T) *Solution {
 // TestGoldenSolutionDigests pins the solver's output bit for bit. The
 // digests were recorded before the covariance update was moved to the
 // register-tiled lower-triangle kernel, the verify-before-commit guard and
-// the four-row triangular solve; a kernel change that reorders a single
-// floating-point operation, in any organization or update form, fails here.
-// Go fuses multiply-adds on some other architectures, so the recorded bits
-// are amd64's.
+// the four-row triangular solve, and recorded again once, when the m-m
+// tiles fused their multiply-adds (TestGoldenSolutionsNearUnfusedReference
+// bounds that move); a kernel change that reorders a single floating-point
+// operation, in any organization or update form, fails here. The m-m
+// kernel's bits are the same on every GOARCH and GOAMD64 level, since it
+// fuses by math.FMA or VFMADD231PD; the other classes' loops are plain
+// `s += x*y`, which Go compiles to a fused multiply-add on arm64 and some
+// other architectures but not on amd64, so the recorded bits are amd64's.
 func TestGoldenSolutionDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests were recorded on amd64")
@@ -116,21 +120,27 @@ func TestGoldenSolutionDigests(t *testing.T) {
 	}
 }
 
-// goldenSigma and goldenRelVar are how far a golden solve may lie from the
-// unfused reference: the largest |Δx| in posterior σ and the largest
-// relative change of an atom's variance. They are the tolerance of a change
-// that moves rounding and nothing else.
+// How far a golden solve may lie from the unfused reference: the largest
+// |Δx| in posterior σ and the largest relative change of an atom's
+// variance. A converged solve has contracted a change of rounding to the
+// last digits: fusing the m-m multiply-adds moved the four converged cases
+// by at most 6.3e-12 σ and 3.0e-12 in relative variance. The two flat cases
+// stop at MaxCycles with the iteration still moving (RMS change 0.27 and
+// 0.010 Å), so the same change still shows there, as 2.2e-8 σ and 8.6e-10.
+// Each bound is the measured drift times at least 4, rounded up to a power
+// of ten.
 const (
-	goldenSigma  = 1e-10
-	goldenRelVar = 1e-10
+	convergedSigma, convergedRelVar = 1e-10, 1e-10
+	stoppedSigma, stoppedRelVar     = 1e-7, 1e-8
 )
 
 // TestGoldenSolutionsNearUnfusedReference holds each golden solve to the
 // answer the solver gave before its m-m tiles fused their multiply-adds,
 // recorded in testdata/golden_unfused.json (positions, summed variances
 // and cycles of each case): the same number of cycles, and every atom
-// within goldenSigma and goldenRelVar (stats.Compare). The digests above
-// pin the bits; this pins what a change of rounding may do to the answer.
+// within the tolerance above (stats.Compare) — the stopped one where the
+// reference ran to MaxCycles. The digests above pin the bits; this pins
+// what a change of rounding may do to the answer.
 func TestGoldenSolutionsNearUnfusedReference(t *testing.T) {
 	data, err := os.ReadFile("testdata/golden_unfused.json")
 	if err != nil {
@@ -148,9 +158,13 @@ func TestGoldenSolutionsNearUnfusedReference(t *testing.T) {
 			}
 			sol := c.solve(t)
 			d := stats.Compare(ref, stats.Estimate{Positions: sol.Positions, Variances: sol.Variances, Cycles: sol.Cycles})
+			sigma, relVar := convergedSigma, convergedRelVar
+			if ref.Cycles == c.cfg.MaxCycles {
+				sigma, relVar = stoppedSigma, stoppedRelVar
+			}
 			t.Logf("against the unfused reference: %v", d)
-			if d.Cycles != d.RefCycles || !(d.Sigma <= goldenSigma) || !(d.RelVar <= goldenRelVar) {
-				t.Fatalf("%v; tolerance %g σ, %g relative variance, the same cycles", d, goldenSigma, goldenRelVar)
+			if d.Cycles != d.RefCycles || !(d.Sigma <= sigma) || !(d.RelVar <= relVar) {
+				t.Fatalf("%v; tolerance %g σ, %g relative variance, the same cycles", d, sigma, relVar)
 			}
 		})
 	}

@@ -1,7 +1,8 @@
 package mat
 
-// tiles4x8 is the AVX2 m-m microkernel (lower_amd64.s): nt consecutive 4×8
-// tiles of out ← out + sign·A·Bᵀ against a packed panel of B, storing in
+// tiles4x8 is the AVX2 m-m microkernel (lower_amd64.s), fused multiply-adds
+// in ascending k: nt consecutive 4×8 tiles of out ← out + sign·A·Bᵀ against
+// a packed panel of B, storing in
 // row r of every tile the lanes c whose bit 16r + c of masks is set
 // (allLanes: all of them).
 //
@@ -40,10 +41,17 @@ func maxMagnitude16(vs *float64, n int) uint64
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
+// hasFMA3 is CPUID leaf 1, ECX bit 12: the processor has FMA3.
+var hasFMA3 = func() bool {
+	_, _, c, _ := cpuid(1, 0)
+	return c&(1<<12) != 0
+}()
+
 // useAVX2 is decided once, from what the processor and the operating system
-// report and nothing else: the CPU has AVX and AVX2, and the OS saves the
-// ymm state (OSXSAVE set, XCR0 bits 1 and 2).
-var useAVX2 = func() bool {
+// report and nothing else: the CPU has AVX, FMA3 and AVX2, and the OS saves
+// the ymm state (OSXSAVE set, XCR0 bits 1 and 2). The m-m tiles need FMA3,
+// which Intel and AMD processors with AVX2 have as well.
+var useAVX2 = hasFMA3 && func() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return false

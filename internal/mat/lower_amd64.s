@@ -38,10 +38,11 @@
 //
 //	out[r*ldo + 8t + c] += sign * Σₖ a[r*lda + k] · panel[(t*m + k)*8 + c]
 //
-// with k ascending from 0 and every product and every sum rounded on its
-// own (VMULPD then VADDPD, never a fused multiply-add), one ymm lane per
-// entry of out — so each lane performs, in order, exactly the scalar
-// operations of `s += x*y` and `e += sign*s`. m ≥ 1, nt ≥ 1.
+// with k ascending from +0 and each product added by a fused multiply-add
+// (VFMADD231PD, one rounding per k), one ymm lane per entry of out — so
+// each lane performs, in order, exactly the scalar operations of
+// `s = math.FMA(x, y, s)` and `e += sign*s`. The epilogue multiplies by ±1,
+// which is exact, then adds. m ≥ 1, nt ≥ 1.
 //
 // Only the entries whose bit 16r + c of masks is set are read from out and
 // stored back: the others are loaded as zeros and not written (VMASKMOVPD,
@@ -50,9 +51,9 @@
 // entry with plain loads and stores.
 //
 // Y0–Y7 accumulate (row r in Y(2r), Y(2r+1)), Y8–Y9 hold the panel's eight
-// k-th entries, Y10–Y11 a broadcast entry of a, Y12–Y13 the products, Y14
-// sign in every lane; in a masked epilogue Y8–Y9 hold out's entries,
-// Y12–Y13 a row's lane masks and Y15 its mask bits.
+// k-th entries, Y10–Y11 a broadcast entry of a, Y14 sign in every lane; in
+// a masked epilogue Y8–Y9 hold out's entries, Y12–Y13 a row's lane masks
+// and Y15 its mask bits.
 TEXT ·tiles4x8(SB), NOSPLIT, $0-72
 	MOVQ out+0(FP), DI
 	MOVQ ldo+8(FP), R8
@@ -85,24 +86,16 @@ dot:
 	VMOVUPD 32(BX), Y9
 	VBROADCASTSD (SI)(AX*8), Y10
 	VBROADCASTSD (R10)(AX*8), Y11
-	VMULPD Y8, Y10, Y12
-	VMULPD Y9, Y10, Y13
-	VADDPD Y12, Y0, Y0
-	VADDPD Y13, Y1, Y1
-	VMULPD Y8, Y11, Y12
-	VMULPD Y9, Y11, Y13
-	VADDPD Y12, Y2, Y2
-	VADDPD Y13, Y3, Y3
+	VFMADD231PD Y8, Y10, Y0
+	VFMADD231PD Y9, Y10, Y1
+	VFMADD231PD Y8, Y11, Y2
+	VFMADD231PD Y9, Y11, Y3
 	VBROADCASTSD (R11)(AX*8), Y10
 	VBROADCASTSD (R12)(AX*8), Y11
-	VMULPD Y8, Y10, Y12
-	VMULPD Y9, Y10, Y13
-	VADDPD Y12, Y4, Y4
-	VADDPD Y13, Y5, Y5
-	VMULPD Y8, Y11, Y12
-	VMULPD Y9, Y11, Y13
-	VADDPD Y12, Y6, Y6
-	VADDPD Y13, Y7, Y7
+	VFMADD231PD Y8, Y10, Y4
+	VFMADD231PD Y9, Y10, Y5
+	VFMADD231PD Y8, Y11, Y6
+	VFMADD231PD Y9, Y11, Y7
 	ADDQ $64, BX
 	INCQ AX
 	CMPQ AX, CX
@@ -164,9 +157,9 @@ stored:
 //	out[r*ldo + 16p + c] += sign * Σₖ a[r*lda + k] · panel[((2p + c/8)*m + k)*8 + c%8]
 //
 // with the same per-lane operations in the same order as tiles4x8 — k
-// ascending, VMULPD then VADDPD, the epilogue a multiply by ±1 then an add
-// — one zmm lane per entry of out, so either kernel leaves the same bits.
-// m ≥ 1, np ≥ 1. Only AVX512F instructions on zmm registers.
+// ascending from +0, one VFMADD231PD per k, the epilogue a multiply by ±1
+// then an add — one zmm lane per entry of out, so either kernel leaves the
+// same bits. m ≥ 1, np ≥ 1. Only AVX512F instructions on zmm registers.
 //
 // masks is tiles4x8's, sixteen lanes a row: only the entries whose bit
 // 16r + c is set are read from out (zeroing-masked loads, which never
@@ -175,8 +168,8 @@ stored:
 //
 // Z0–Z7 accumulate (row r in Z(2r), Z(2r+1)), Z8–Z9 hold the k-th eight
 // entries of the two tiles (BX and BX + m·64), Z10–Z11 a broadcast entry of
-// a, Z12–Z13 the products, Z14 sign in every lane; in a masked epilogue
-// Z8–Z9 hold out's entries and K1–K2 a row's lane masks.
+// a, Z14 sign in every lane; in a masked epilogue Z8–Z9 hold out's entries
+// and K1–K2 a row's lane masks.
 TEXT ·tiles4x16z(SB), NOSPLIT, $0-72
 	MOVQ out+0(FP), DI
 	MOVQ ldo+8(FP), R8
@@ -211,24 +204,16 @@ dotz:
 	VMOVUPD (BX)(R15*1), Z9
 	VBROADCASTSD (SI)(AX*8), Z10
 	VBROADCASTSD (R10)(AX*8), Z11
-	VMULPD Z8, Z10, Z12
-	VMULPD Z9, Z10, Z13
-	VADDPD Z12, Z0, Z0
-	VADDPD Z13, Z1, Z1
-	VMULPD Z8, Z11, Z12
-	VMULPD Z9, Z11, Z13
-	VADDPD Z12, Z2, Z2
-	VADDPD Z13, Z3, Z3
+	VFMADD231PD Z8, Z10, Z0
+	VFMADD231PD Z9, Z10, Z1
+	VFMADD231PD Z8, Z11, Z2
+	VFMADD231PD Z9, Z11, Z3
 	VBROADCASTSD (R11)(AX*8), Z10
 	VBROADCASTSD (R12)(AX*8), Z11
-	VMULPD Z8, Z10, Z12
-	VMULPD Z9, Z10, Z13
-	VADDPD Z12, Z4, Z4
-	VADDPD Z13, Z5, Z5
-	VMULPD Z8, Z11, Z12
-	VMULPD Z9, Z11, Z13
-	VADDPD Z12, Z6, Z6
-	VADDPD Z13, Z7, Z7
+	VFMADD231PD Z8, Z10, Z4
+	VFMADD231PD Z9, Z10, Z5
+	VFMADD231PD Z8, Z11, Z6
+	VFMADD231PD Z9, Z11, Z7
 	ADDQ $64, BX
 	INCQ AX
 	CMPQ AX, CX

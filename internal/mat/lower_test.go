@@ -21,7 +21,7 @@ func naiveLower(dst, a, b *Mat, r0, r1 int, sign float64) {
 	for i := r0; i < r1; i++ {
 		ai, dr := a.Row(i), dst.Row(i)
 		for j := 0; j <= i; j++ {
-			dr[j] += sign * Dot(ai, b.Row(j))
+			dr[j] += sign * fmaDot(ai, b.Row(j))
 		}
 	}
 }
@@ -361,7 +361,7 @@ type mmKernel struct {
 
 // hostMMKernels is every m-m kernel this host has: the Go tile everywhere,
 // the ymm tiles (tiles4x8, the diagonal strip in VMASKMOVPD-masked tiles)
-// where there is AVX2, and the zmm pairs (tiles4x16z, the strip in
+// where there are AVX2 and FMA3, and the zmm pairs (tiles4x16z, the strip in
 // opmask-masked pairs) where there is AVX-512.
 func hostMMKernels() []mmKernel {
 	ks := []mmKernel{{"Go tile", false, false}}
@@ -374,15 +374,20 @@ func hostMMKernels() []mmKernel {
 	return ks
 }
 
-// logKernels logs the kernels a test ran, so a host without AVX-512 (or
-// AVX2) shows as such.
-func logKernels(t *testing.T, kernels []mmKernel) {
-	t.Helper()
+func kernelNames(kernels []mmKernel) []string {
 	names := make([]string, len(kernels))
 	for i, k := range kernels {
 		names[i] = k.name
 	}
-	t.Logf("m-m kernels run on this host: %s", strings.Join(names, ", "))
+	return names
+}
+
+// logKernels logs the kernels a test ran and whether the host has FMA3, so
+// a host without AVX-512, AVX2 or FMA3 shows as such.
+func logKernels(t *testing.T, kernels []mmKernel) {
+	t.Helper()
+	t.Logf("m-m kernels run on this host: %s", strings.Join(kernelNames(kernels), ", "))
+	t.Log(fmaNote())
 	if !useAVX512 {
 		t.Log("no AVX-512 on this host: the zmm pairs not run")
 	}
@@ -466,7 +471,7 @@ func TestEveryMMKernelMatchesNaiveLoop(t *testing.T) {
 				want := rows.Clone()
 				for i := r0; i < r1; i++ {
 					for j := 0; j <= i; j++ {
-						want.Data[(i-r0)*want.Stride+j] += sign * Dot(a.Row(i), b.Row(j))
+						want.Data[(i-r0)*want.Stride+j] += sign * fmaDot(a.Row(i), b.Row(j))
 					}
 				}
 				got := dst.View(r0, 0, r1-r0, n)

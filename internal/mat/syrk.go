@@ -1,5 +1,7 @@
 package mat
 
+import "math"
+
 // Symmetry-aware kernels for the covariance update ("m-m" class). The exact
 // measurement update C⁺ = C⁻ − K·Aᵀ produces a symmetric matrix by
 // construction, so computing all n² entries and then averaging away the
@@ -26,16 +28,16 @@ func checkSyr2k(dst, a, b *Mat) {
 
 // lowerNTPacked computes rows [r0, r1) of the lower triangle of
 // dst ← dst + sign·A·Bᵀ, sign = ±1 — the one kernel under every m-m entry
-// point. Every entry is the plain ascending-k sum Σₖ A[i,k]·B[j,k], each
-// product and each partial sum rounded on its own, added to dst with one
-// more rounding — bit for bit what dst[i,j] ± Dot(A[i], B[j]) gives (x − y
-// and x + (−y) are the same IEEE operation) — so neither the tiling, the
-// row blocking, the team partition nor which of the two kernels below ran
-// shows in the result. pb is B's panel (packPanel, at least rows [0, r1)
-// of b), packed once by the caller for all the row ranges it sweeps against
-// the same B — a team's chunks. A nil pb, which is what packPanel returns
-// where there is no vector kernel, selects the Go tile; so does a range
-// that ends before the vector kernel's first row block does.
+// point. Every entry is the ascending-k sum Σₖ A[i,k]·B[j,k] from +0, each
+// product added by a fused multiply-add (one rounding per k), added to dst
+// with one more rounding — bit for bit what dst[i,j] ± fmaDot(A[i], B[j])
+// gives (x − y and x + (−y) are the same IEEE operation) — so neither the
+// tiling, the row blocking, the team partition nor which of the two kernels
+// below ran shows in the result. pb is B's panel (packPanel, at least rows
+// [0, r1) of b), packed once by the caller for all the row ranges it sweeps
+// against the same B — a team's chunks. A nil pb, which is what packPanel
+// returns where there is no vector kernel, selects the Go tile; so does a
+// range that ends before the vector kernel's first row block does.
 func lowerNTPacked(dst, a, b *Mat, pb *panel, r0, r1 int, sign float64) {
 	if pb == nil || r1 < tileRows {
 		lowerTile(dst, a, b, r0, r1, sign)
@@ -44,12 +46,25 @@ func lowerNTPacked(dst, a, b *Mat, pb *panel, r0, r1 int, sign float64) {
 	}
 }
 
+// fmaDot is the inner product of x and y as every m-m form computes it: from
+// +0, k ascending, s = x[k]·y[k] + s rounded once per term (math.FMA). Its
+// bits are the same on every GOARCH and GOAMD64 level; where the processor
+// has no FMA, math.FMA computes the same bits in software, slower.
+func fmaDot(x, y []float64) float64 {
+	y = y[:len(x)]
+	s := 0.0
+	for k, v := range x {
+		s = math.FMA(v, y[k], s)
+	}
+	return s
+}
+
 // lowerTile is the portable kernel, and the reference the vector kernel is
 // tested against. Rows are taken two at a time and columns four at a time,
 // so the inner loop carries eight independent accumulators (a single running
 // dot product is bound by the latency of its one add chain) and loads six
 // operands for sixteen flops. The ragged columns next to the diagonal and an
-// odd last row take the Dot loop.
+// odd last row take fmaDot.
 func lowerTile(dst, a, b *Mat, r0, r1 int, sign float64) {
 	i := r0
 	for ; i+1 < r1; i += 2 {
@@ -63,14 +78,14 @@ func lowerTile(dst, a, b *Mat, r0, r1 int, sign float64) {
 			for k, x0 := range a0 {
 				x1 := a1[k]
 				y0, y1, y2, y3 := b0[k], b1[k], b2[k], b3[k]
-				s00 += x0 * y0
-				s01 += x0 * y1
-				s02 += x0 * y2
-				s03 += x0 * y3
-				s10 += x1 * y0
-				s11 += x1 * y1
-				s12 += x1 * y2
-				s13 += x1 * y3
+				s00 = math.FMA(x0, y0, s00)
+				s01 = math.FMA(x0, y1, s01)
+				s02 = math.FMA(x0, y2, s02)
+				s03 = math.FMA(x0, y3, s03)
+				s10 = math.FMA(x1, y0, s10)
+				s11 = math.FMA(x1, y1, s11)
+				s12 = math.FMA(x1, y2, s12)
+				s13 = math.FMA(x1, y3, s13)
 			}
 			e0, e1 := d0[j:j+4], d1[j:j+4]
 			e0[0] += sign * s00
@@ -84,15 +99,15 @@ func lowerTile(dst, a, b *Mat, r0, r1 int, sign float64) {
 		}
 		for ; j <= i; j++ {
 			bj := b.Row(j)
-			d0[j] += sign * Dot(a0, bj)
-			d1[j] += sign * Dot(a1, bj)
+			d0[j] += sign * fmaDot(a0, bj)
+			d1[j] += sign * fmaDot(a1, bj)
 		}
-		d1[i+1] += sign * Dot(a1, b.Row(i+1))
+		d1[i+1] += sign * fmaDot(a1, b.Row(i+1))
 	}
 	if i < r1 {
 		ai, dr := a.Row(i), dst.Row(i)
 		for j := 0; j <= i; j++ {
-			dr[j] += sign * Dot(ai, b.Row(j))
+			dr[j] += sign * fmaDot(ai, b.Row(j))
 		}
 	}
 }

@@ -32,13 +32,13 @@ func randMatView(rng *rand.Rand, r, c int, offset bool) *Mat {
 	return back.View(2, 3, r, c)
 }
 
-// refMulNT returns A·Bᵀ with the same Dot kernel the triangular code uses,
-// so the comparison is bitwise.
+// refMulNT returns A·Bᵀ with the same fused dot product the triangular code
+// uses, so the comparison is bitwise.
 func refMulNT(a, b *Mat) *Mat {
 	out := New(a.Rows, b.Rows)
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < b.Rows; j++ {
-			out.Set(i, j, Dot(a.Row(i), b.Row(j)))
+			out.Set(i, j, fmaDot(a.Row(i), b.Row(j)))
 		}
 	}
 	return out

@@ -18,7 +18,7 @@ func naiveLowerSub(dst, a, b *Mat) {
 	for i := 0; i < dst.Rows; i++ {
 		ai, dr := a.Row(i), dst.Row(i)
 		for j := 0; j <= i; j++ {
-			dr[j] -= Dot(ai, b.Row(j))
+			dr[j] -= fmaDot(ai, b.Row(j))
 		}
 	}
 }
