@@ -2,9 +2,8 @@ package mat
 
 // tiles4x8 is the AVX2 m-m microkernel (lower_amd64.s), fused multiply-adds
 // in ascending k: nt consecutive 4×8 tiles of out ← out + sign·A·Bᵀ against
-// a packed panel of B, storing in
-// row r of every tile the lanes c whose bit 16r + c of masks is set
-// (allLanes: all of them).
+// a packed panel of B, storing in row r of every tile the lanes c whose bit
+// 16r + c of masks is set (allLanes: all of them).
 //
 //go:noescape
 func tiles4x8(out *float64, ldo int, a *float64, lda int, panel *float64, m, nt int, sign float64, masks uint64)

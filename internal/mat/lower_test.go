@@ -11,12 +11,13 @@ import (
 )
 
 // The vector m-m kernel against the Go tile and the entry-at-a-time loop,
-// bit for bit. On a machine without AVX2 (or another GOARCH) lowerNTPacked
-// *is* the Go tile and these compare it with the loop alone; on amd64 with
-// AVX2 both kernels run from the same table, so neither can rot unseen.
+// bit for bit. On a machine without AVX2 and FMA3 (or another GOARCH)
+// lowerNTPacked *is* the Go tile and these compare it with the loop alone;
+// on amd64 with them both kernels run from the same table, so neither can
+// rot unseen.
 
 // naiveLower is the definition: rows [r0, r1) of the lower triangle of
-// dst ← dst + sign·A·Bᵀ, one ascending-k dot product per entry.
+// dst ← dst + sign·A·Bᵀ, one fused ascending-k dot product per entry.
 func naiveLower(dst, a, b *Mat, r0, r1 int, sign float64) {
 	for i := r0; i < r1; i++ {
 		ai, dr := a.Row(i), dst.Row(i)

@@ -10,9 +10,10 @@ import (
 )
 
 // The loops the tiled microkernel and the four-row triangular solve
-// replaced, kept verbatim as the references: the kernels must reproduce
-// them bit for bit, for every shape, stride and team size, because the
-// solver's "same bits as before" guarantee rests on nothing else.
+// replaced, kept as the references — the m-m one with its dot product
+// fused, as the kernels fuse it: the kernels must reproduce them bit for
+// bit, for every shape, stride and team size, because the solver's "same
+// bits as before" guarantee rests on nothing else.
 
 func naiveLowerSub(dst, a, b *Mat) {
 	for i := 0; i < dst.Rows; i++ {
